@@ -14,6 +14,7 @@ from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.experiments.fig7 import PAPER_FIG7, run_fig7
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
+from repro.parallel.executor import SerialExecutor
 from repro.parallel.scheduler import WorkStealingScheduler
 
 
@@ -31,7 +32,8 @@ def olg_step_setup():
 def bench_time_step_serial(benchmark, olg_step_setup):
     """One time step of the OLG model, one host thread (the Fig. 7 baseline)."""
     model, config, initial = olg_step_setup
-    solver = TimeIterationSolver(model, config)
+    # explicit executor: one solve_point per grid point, like the threaded bar
+    solver = TimeIterationSolver(model, config, executor=SerialExecutor())
     policy = benchmark.pedantic(solver.step, args=(initial,), rounds=2, iterations=1)
     benchmark.extra_info["total_points"] = policy.total_points
     benchmark.extra_info["paper_baseline_seconds"] = PAPER_FIG7[

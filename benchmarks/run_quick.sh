@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Quick verification + solve/fit-path perf smoke: tier-1 tests followed by
-# a 2-scenario CLI smoke sweep (with a kill/resume leg) run against BOTH a
-# file:// store and an s3:// object-store URL (bundled in-process fake
-# server), the hierarchization micro-benchmark, and the batched-solve
-# benchmark, so scenario-engine, storage-backend, fit-path and solve-path
-# regressions surface alongside correctness failures.
+# Quick verification: tier-1 tests followed by a 2-scenario CLI smoke sweep
+# (with a kill/resume leg) run against BOTH a file:// store and an s3://
+# object-store URL (bundled in-process fake server), a worker-fleet stress
+# and the hierarchization micro-benchmark as a printed canary, so
+# scenario-engine and storage-backend regressions surface alongside
+# correctness failures.  Solve-path performance is tracked by the layered
+# ledger (benchmarks/ledger/), whose self-checks CI runs as its own step.
 # Usage: benchmarks/run_quick.sh
 #   QUICK_BENCH_OUT=<path> overrides where the quick-bench JSON artifact
 #   lands (CI sets it to a persistent path and uploads it per run).
-#   BENCH_SOLVE_OUT=<path> does the same for the batched-solve artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -203,6 +203,8 @@ EOF
 export QUICK_BENCH_OUT="${QUICK_BENCH_OUT:-$SCRATCH/bench_quick.json}"
 python benchmarks/bench_hierarchize.py --quick --out "$QUICK_BENCH_OUT"
 
+# a canary, not a gate: the ledger puts hierarchization at <= 0.1% of a solve,
+# so a slow fit path is worth a line in the log but not a red build
 python - <<'EOF'
 import json, os
 
@@ -212,29 +214,7 @@ slow = [
     if c["num_points"] >= 29 and c["warm_speedup_vs_seed"] < 5.0
 ]
 if slow:
-    raise SystemExit(f"fit-path perf regression: warm speedup < 5x on {slow}")
-print("quick bench OK: warm hierarchize >= 5x seed on all non-trivial grids")
-EOF
-
-# --- batched-solve benchmark: >= 2x over sequential ----------------------- #
-# The half-size shared-topology sweep solved sequentially and through the
-# batched driver; the script itself asserts tolerance-level agreement, and
-# the guard below makes a solve-path perf regression fail the run.
-export BENCH_SOLVE_OUT="${BENCH_SOLVE_OUT:-$SCRATCH/bench_solve_quick.json}"
-python benchmarks/bench_solve.py --quick --out "$BENCH_SOLVE_OUT"
-
-python - <<'EOF'
-import json, os
-
-artifact = json.load(open(os.environ["BENCH_SOLVE_OUT"]))
-if artifact["speedup"] < 2.0:
-    raise SystemExit(
-        "solve-path perf regression: batched time iteration only "
-        f"{artifact['speedup']:.2f}x over sequential (need >= 2x)"
-    )
-print(
-    f"solve bench OK: batched {artifact['speedup']:.2f}x over sequential "
-    f"on {artifact['n_scenarios']} scenarios "
-    f"(max policy diff {artifact['max_policy_diff']:.2e})"
-)
+    print(f"fit-path canary (non-blocking): warm speedup < 5x on {slow}")
+else:
+    print("fit-path canary: warm hierarchize >= 5x seed on all non-trivial grids")
 EOF

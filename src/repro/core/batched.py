@@ -11,11 +11,13 @@ masks members out of the batch as they converge.
 Per-member contracts are preserved: each member keeps its own convergence
 tolerance/metric/iteration cap, its own :class:`IterationRecord` history,
 its own checkpoint hook (called after every iteration, exactly like the
-sequential driver) and its own telemetry events.  Members that cannot be
-batched — adaptive configs, checkpoints from a different grid, models
-without a batch interface, structural mismatches, non-finite iterates —
-fall back to the unmodified :class:`TimeIterationSolver`, which keeps the
-fallback path bit-exact with today's behavior.
+sequential driver) and its own telemetry events.  A member that is not
+stacked with others (a batch of one, a structural mismatch) gets its
+per-state update from the same :func:`~repro.core.time_iteration.solve_points`
+the sequential driver uses, so it returns the same bits as
+:class:`TimeIterationSolver` on that member.  Members that cannot be
+batched — adaptive configs, checkpoints from a different grid, non-finite
+iterates — fall back to a :class:`TimeIterationSolver` of their own.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +36,9 @@ from repro.core.time_iteration import (
     TimeIterationModel,
     TimeIterationResult,
     TimeIterationSolver,
+    initial_policy,
+    record_iteration,
+    solve_points,
 )
 from repro.grids.hierarchize import hierarchize
 from repro.grids.regular import regular_sparse_grid
@@ -170,17 +176,7 @@ class BatchedTimeIterationSolver:
                 converged = bool(state.converged)
                 policy = self._reanchor(state.policy, grid)
         if policy is None:
-            policies = []
-            for z in range(model.num_states):
-                values = np.atleast_2d(
-                    np.asarray(model.initial_policy_values(z, X), dtype=float)
-                )
-                policies.append(
-                    StatePolicy.from_values(
-                        z, grid, values, model.domain, kernel=member.config.kernel
-                    )
-                )
-            policy = PolicySet(policies)
+            policy = initial_policy(model, grid, X, member.config.kernel)
         return _MemberState(
             member=member,
             X=X,
@@ -237,42 +233,29 @@ class BatchedTimeIterationSolver:
         self._group_cache = (key, group)
         return group
 
-    @staticmethod
-    def _member_point_solve(ms: _MemberState, z: int) -> np.ndarray:
-        model = ms.member.model
-        guesses = ms.policy[z].nodal_values if ms.member.config.warm_start else None
-        if hasattr(model, "solve_points_batch"):
-            return np.atleast_2d(
-                np.asarray(model.solve_points_batch(z, ms.X, ms.policy, guesses))
-            )
-        out = np.empty((ms.X.shape[0], model.num_policies), dtype=float)
-        for row in range(ms.X.shape[0]):
-            guess = None if guesses is None else guesses[row]
-            out[row] = model.solve_point(z, ms.X[row], ms.policy, guess)
-        return out
-
     def _solve_pass(self, active: list[_MemberState], num_states: int) -> None:
         """One lockstep sweep: fill ``ms.values`` for every active member."""
         group = self._group_solver(active)
         for ms in active:
             ms.values = []
         for z in range(num_states):
+            # every member's policy sits on the shared grid, so its nodal
+            # values are what values_on_grid returns for it
+            guesses = [
+                ms.policy[z].nodal_values if ms.member.config.warm_start else None
+                for ms in active
+            ]
             if group is not None:
-                guesses = [
-                    ms.policy[z].nodal_values if ms.member.config.warm_start else None
-                    for ms in active
-                ]
                 blocks = group.solve_points(
-                    z,
-                    [ms.X for ms in active],
-                    [ms.policy for ms in active],
-                    guesses,
+                    z, [ms.X for ms in active], [ms.policy for ms in active], guesses
                 )
-                for ms, block in zip(active, blocks):
-                    ms.values.append(np.asarray(block, dtype=float))
             else:
-                for ms in active:
-                    ms.values.append(self._member_point_solve(ms, z))
+                blocks = [
+                    solve_points(ms.member.model, z, ms.X, ms.policy, guess)
+                    for ms, guess in zip(active, guesses)
+                ]
+            for ms, block in zip(active, blocks):
+                ms.values.append(np.asarray(block, dtype=float))
 
     def _fit_pass(self, active: list[_MemberState], grid, num_states: int) -> dict:
         """Stacked hierarchization: one fit per shock state for all members."""
@@ -418,32 +401,15 @@ class BatchedTimeIterationSolver:
                 member = ms.member
                 cfg = member.config
                 new_policy = PolicySet(new_policies[member.key])
-                change = new_policy.distance(ms.policy)
                 ms.passes += 1
                 iteration = ms.iteration
-                record = IterationRecord(
-                    iteration=iteration,
-                    policy_change_linf=change["linf"],
-                    policy_change_l2=change["l2"],
-                    policy_change_rel_linf=change["rel_linf"],
-                    policy_change_rel_l2=change["rel_l2"],
-                    points_per_state=new_policy.points_per_state,
-                    wall_time=shared_wall,
-                    sections={"solve": solve_wall / len(active), "fit": fit_wall / len(active)},
+                sections = {"solve": solve_wall / len(active), "fit": fit_wall / len(active)}
+                emit = partial(self._emit, member)
+                record, metric_value = record_iteration(
+                    emit, cfg, iteration, new_policy, ms.policy, shared_wall, sections
                 )
                 ms.records.append(record)
                 ms.policy = new_policy
-                metric_value = change.get(cfg.convergence_metric, change["linf"])
-                self._emit(
-                    member,
-                    "iteration",
-                    iteration=int(iteration),
-                    error_linf=float(change["linf"]),
-                    error_l2=float(change["l2"]),
-                    error=float(metric_value),
-                    points=int(record.total_points),
-                    wall_time=float(shared_wall),
-                )
                 converged = bool(metric_value < cfg.tolerance)
                 if converged:
                     self._emit(
@@ -515,7 +481,7 @@ class BatchedTimeIterationSolver:
             self.on_member_complete(key, outcome)
 
     def _solve_fallback(self, member: BatchMember, reason: str) -> MemberOutcome:
-        """Per-scenario sequential solve — bit-exact with today's path."""
+        """Per-scenario solve with the sequential driver (adaptive grids, foreign checkpoints)."""
         logger.info("batch fallback for %s: %s", member.key, reason)
         solver = TimeIterationSolver(member.model, member.config)
         try:

@@ -7,9 +7,15 @@ previous iterate as next period's policy, until the policy stops changing.
 The driver below is model-agnostic: it works against any object satisfying
 the :class:`TimeIterationModel` protocol (the stochastic OLG model of
 :mod:`repro.olg` is the paper's application; tests also use small synthetic
-models).  Grid-point solves are dispatched through a pluggable executor so
-the same driver runs serially, on the work-stealing thread scheduler, or on
-a simulated heterogeneous cluster.
+models).  By default a state's whole grid goes to the model's vectorized
+point solve (``solve_points_batch``) in one call; passing an executor
+dispatches the grid points one by one instead, so the same driver runs on
+the work-stealing thread scheduler or on a simulated heterogeneous cluster.
+:func:`initial_policy`, :func:`values_on_grid`, :func:`solve_points` and
+:func:`record_iteration` are the starting point, the per-state update and
+the per-iteration bookkeeping, shared with :mod:`repro.core.batched` — a
+default solve and a batch of one member run the same code and return the
+same bits.
 
 In the non-adaptive configuration every state and every iteration uses the
 *same* regular sparse grid, so the solver keeps one cached
@@ -46,6 +52,10 @@ __all__ = [
     "IterationRecord",
     "TimeIterationResult",
     "TimeIterationSolver",
+    "initial_policy",
+    "record_iteration",
+    "solve_points",
+    "values_on_grid",
 ]
 
 logger = get_logger("core.time_iteration")
@@ -82,6 +92,10 @@ class TimeIterationModel(Protocol):
         self, policy: PolicySet, sample: np.ndarray, rng=None
     ) -> dict:
         """Residual-based accuracy metrics of a candidate policy (optional)."""
+
+    # Optional: ``solve_points_batch(z, X, policy_next, guesses=None)`` solving
+    # every row of ``X`` in one call; used instead of ``solve_point`` when no
+    # executor is given.
 
 
 @dataclass
@@ -179,14 +193,96 @@ class TimeIterationResult:
         return np.cumsum([r.wall_time for r in self.records])
 
 
-class _SerialExecutor:
-    """Minimal executor used when no scheduler is supplied."""
+def initial_policy(
+    model: TimeIterationModel, grid: SparseGrid, X: np.ndarray, kernel: str
+) -> PolicySet:
+    """The model's initial guess ``p^0`` fitted on ``grid`` (points ``X`` in the box)."""
+    policies = []
+    for z in range(model.num_states):
+        values = np.atleast_2d(np.asarray(model.initial_policy_values(z, X), dtype=float))
+        policies.append(StatePolicy.from_values(z, grid, values, model.domain, kernel=kernel))
+    return PolicySet(policies)
 
-    #: marker consumed by the solver's direct-fill fast path
-    is_serial = True
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+def values_on_grid(prev: StatePolicy, grid: SparseGrid, X: np.ndarray) -> np.ndarray:
+    """The previous iterate ``prev`` at today's grid points ``X``.
+
+    Its stored nodal values when ``grid`` has exactly ``prev``'s points —
+    every non-adaptive iteration, and an adaptive step before it refines —
+    so warm starts and damping see the bits the last step produced; an
+    interpolation otherwise (a restart from another level, a refined grid).
+    """
+    if prev.grid is grid or np.array_equal(prev.grid.points, grid.points):
+        return prev.nodal_values
+    return np.atleast_2d(prev(X))
+
+
+def solve_points(
+    model: TimeIterationModel,
+    z: int,
+    X: np.ndarray,
+    policy_next: PolicySet,
+    guesses: np.ndarray | None,
+    executor=None,
+) -> np.ndarray:
+    """Solve the equilibrium system at each row of ``X`` for state ``z``.
+
+    Without an executor the whole block goes to the model's
+    ``solve_points_batch`` when it has one.  Otherwise the rows are solved
+    one ``solve_point`` at a time, through ``executor.map`` when given
+    (results may come back in any order).
+    """
+    if executor is None and hasattr(model, "solve_points_batch"):
+        return np.atleast_2d(
+            np.asarray(model.solve_points_batch(z, X, policy_next, guesses), dtype=float)
+        )
+
+    def solve_row(row: int):
+        guess = None if guesses is None else guesses[row]
+        return row, np.asarray(model.solve_point(z, X[row], policy_next, guess), dtype=float)
+
+    mapper = executor.map if executor is not None else map
+    out = np.empty((X.shape[0], model.num_policies), dtype=float)
+    for row, values in mapper(solve_row, range(X.shape[0])):
+        out[row] = values
+    return out
+
+
+def record_iteration(
+    emit,
+    cfg: TimeIterationConfig,
+    iteration: int,
+    new_policy: PolicySet,
+    policy: PolicySet,
+    wall: float,
+    sections: dict,
+) -> tuple[IterationRecord, float]:
+    """Diagnostics of one completed step, announced through ``emit`` as an ``iteration`` event.
+
+    Returns the record and the value of the configured convergence metric.
+    """
+    change = new_policy.distance(policy)
+    record = IterationRecord(
+        iteration=iteration,
+        policy_change_linf=change["linf"],
+        policy_change_l2=change["l2"],
+        policy_change_rel_linf=change["rel_linf"],
+        policy_change_rel_l2=change["rel_l2"],
+        points_per_state=new_policy.points_per_state,
+        wall_time=wall,
+        sections=sections,
+    )
+    metric_value = change.get(cfg.convergence_metric, change["linf"])
+    emit(
+        "iteration",
+        iteration=int(iteration),
+        error_linf=float(change["linf"]),
+        error_l2=float(change["l2"]),
+        error=float(metric_value),
+        points=int(record.total_points),
+        wall_time=float(wall),
+    )
+    return record, metric_value
 
 
 class TimeIterationSolver:
@@ -199,10 +295,12 @@ class TimeIterationSolver:
     config
         Driver configuration.
     executor
-        Optional object with a ``map(fn, items) -> list`` method used to
-        solve grid points in parallel (e.g.
-        :class:`repro.parallel.scheduler.WorkStealingScheduler` or a
-        :class:`repro.parallel.mpi_sim.SimClusterExecutor`).
+        Optional object with a ``map(fn, items) -> list`` method; when
+        given, grid points are solved one ``solve_point`` per task through
+        it (e.g. :class:`repro.parallel.scheduler.WorkStealingScheduler` or
+        a :class:`repro.parallel.mpi_sim.SimClusterExecutor`).  Without one
+        the model's vectorized ``solve_points_batch`` solves a state's grid
+        in one call (see :func:`solve_points`).
     """
 
     def __init__(
@@ -213,29 +311,15 @@ class TimeIterationSolver:
     ) -> None:
         self.model = model
         self.config = config or TimeIterationConfig()
-        self.executor = executor if executor is not None else _SerialExecutor()
-        # Regular grids reused across states and iterations (never mutated,
-        # so their ancestor/compression caches are shared as well).
-        self._grid_cache: dict[tuple[int, int], SparseGrid] = {}
-        # Domain-mapped grid points, keyed by grid identity + version.  The
-        # non-adaptive loop maps the same points every state and iteration;
-        # profiling the batched-solve work showed this allocation in the
-        # per-iteration hot path.  Holding the grid reference keeps the id
-        # stable; a version bump (adaptive refinement) invalidates.
-        self._points_cache: dict[int, tuple[SparseGrid, int, np.ndarray]] = {}
+        self.executor = executor
+        # Regular grids and their domain-mapped points, reused across states
+        # and iterations (never mutated, so the grids' ancestor/compression
+        # caches are shared as well).  Adaptive steps work on per-iteration
+        # copies, which are deliberately not cached here.
+        self._grid_cache: dict[tuple[int, int], tuple[SparseGrid, np.ndarray]] = {}
 
-    def _points_on_domain(self, grid: SparseGrid) -> np.ndarray:
-        """``domain.from_unit(grid.points)``, cached per (grid, version)."""
-        entry = self._points_cache.get(id(grid))
-        if entry is not None and entry[0] is grid and entry[1] == grid.version:
-            return entry[2]
-        X = self.model.domain.from_unit(grid.points)
-        X.flags.writeable = False
-        self._points_cache[id(grid)] = (grid, grid.version, X)
-        return X
-
-    def _regular_grid(self, level: int) -> SparseGrid:
-        """Shared regular grid for the model's state dimension (cached).
+    def _regular_grid(self, level: int) -> tuple[SparseGrid, np.ndarray]:
+        """Shared regular grid for the model's state dimension and its points in the box.
 
         Policies returned by the solver reference this shared object; if a
         caller mutated it (e.g. refined a returned policy's grid to
@@ -244,95 +328,53 @@ class TimeIterationSolver:
         regular grid.
         """
         key = (self.model.state_dim, level)
-        grid = self._grid_cache.get(key)
-        if grid is None or grid.version != 0:
+        entry = self._grid_cache.get(key)
+        if entry is None or entry[0].version != 0:
             grid = regular_sparse_grid(*key)
-            self._grid_cache[key] = grid
-        return grid
+            X = self.model.domain.from_unit(grid.points)
+            X.flags.writeable = False
+            entry = self._grid_cache[key] = (grid, X)
+        return entry
 
     # ------------------------------------------------------------------ #
     # policy initialisation
     # ------------------------------------------------------------------ #
     def initial_policy(self) -> PolicySet:
         """Build the initial guess ``p^0`` on regular grids."""
-        policies = []
-        for z in range(self.model.num_states):
-            grid = self._regular_grid(self.config.grid_level)
-            X = self._points_on_domain(grid)
-            values = np.atleast_2d(
-                np.asarray(self.model.initial_policy_values(z, X), dtype=float)
-            )
-            policies.append(
-                StatePolicy.from_values(
-                    z, grid, values, self.model.domain, kernel=self.config.kernel
-                )
-            )
-        return PolicySet(policies)
+        grid, X = self._regular_grid(self.config.grid_level)
+        return initial_policy(self.model, grid, X, self.config.kernel)
 
     # ------------------------------------------------------------------ #
     # one time step
     # ------------------------------------------------------------------ #
-    def _solve_points(
-        self,
-        z: int,
-        X: np.ndarray,
-        policy_next: PolicySet,
-        guesses: np.ndarray | None,
-    ) -> np.ndarray:
-        """Solve the equilibrium system at each row of ``X`` for state ``z``."""
-        model = self.model
-        out = np.empty((X.shape[0], model.num_policies), dtype=float)
-
-        def solve_row(row: int) -> np.ndarray:
-            guess = None if guesses is None else guesses[row]
-            return np.asarray(model.solve_point(z, X[row], policy_next, guess), dtype=float)
-
-        if getattr(self.executor, "is_serial", False):
-            # Fast path: fill the output array directly instead of
-            # round-tripping (row, values) tuples through an executor.
-            for row in range(X.shape[0]):
-                out[row] = solve_row(row)
-            return out
-
-        def task(row):
-            return row, solve_row(row)
-
-        results = self.executor.map(task, range(X.shape[0]))
-        for row, values in results:
-            out[row] = values
-        return out
-
     def step(self, policy_next: PolicySet, clock: WallClock | None = None) -> PolicySet:
         """One time-iteration step: update today's policy given ``policy_next``."""
         cfg = self.config
+        model = self.model
         clock = clock or WallClock()
         policies = []
-        for z in range(self.model.num_states):
+        for z in range(model.num_states):
             with clock.section("grid"):
                 prev = policy_next[z]
                 if cfg.adaptive:
                     # restart from the previous state grid (keeps refined regions)
                     grid = prev.grid.copy()
+                    X = model.domain.from_unit(grid.points)
                 else:
                     # shared cached grid: ancestor structure and compression
                     # are reused across states and iterations
-                    grid = self._regular_grid(cfg.grid_level)
-            X = self._points_on_domain(grid)
+                    grid, X = self._regular_grid(cfg.grid_level)
             with clock.section("solve"):
-                guesses = (
-                    np.atleast_2d(prev(X)) if cfg.warm_start else None
-                )
-                values = self._solve_points(z, X, policy_next, guesses)
+                guesses = values_on_grid(prev, grid, X) if cfg.warm_start else None
+                values = solve_points(model, z, X, policy_next, guesses, self.executor)
             if cfg.adaptive:
                 values = self._adaptive_loop(z, grid, values, policy_next, clock)
+                X = model.domain.from_unit(grid.points)
             with clock.section("fit"):
                 if cfg.damping < 1.0:
-                    values = cfg.damping * values + (1.0 - cfg.damping) * np.atleast_2d(
-                        prev(self._points_on_domain(grid))
-                    )
-                policy = StatePolicy.from_values(
-                    z, grid, values, self.model.domain, kernel=cfg.kernel
-                )
+                    old = values_on_grid(prev, grid, X)
+                    values = cfg.damping * values + (1.0 - cfg.damping) * old
+                policy = StatePolicy.from_values(z, grid, values, model.domain, kernel=cfg.kernel)
             policies.append(policy)
         return PolicySet(policies)
 
@@ -374,7 +416,9 @@ class TimeIterationSolver:
                 break
             X_new = self.model.domain.from_unit(grid.points[new_rows])
             with clock.section("solve"):
-                new_values = self._solve_points(z, X_new, policy_next, None)
+                new_values = solve_points(
+                    self.model, z, X_new, policy_next, None, self.executor
+                )
             grown = np.zeros((len(grid), values.shape[1]), dtype=float)
             grown[: values.shape[0]] = values
             grown[new_rows] = new_values
@@ -483,16 +527,8 @@ class TimeIterationSolver:
             t0 = time.perf_counter()
             new_policy = self.step(policy, clock)
             wall = time.perf_counter() - t0
-            change = new_policy.distance(policy)
-            record = IterationRecord(
-                iteration=iteration,
-                policy_change_linf=change["linf"],
-                policy_change_l2=change["l2"],
-                policy_change_rel_linf=change["rel_linf"],
-                policy_change_rel_l2=change["rel_l2"],
-                points_per_state=new_policy.points_per_state,
-                wall_time=wall,
-                sections=clock.as_dict(),
+            record, metric_value = record_iteration(
+                emit, cfg, iteration, new_policy, policy, wall, clock.as_dict()
             )
             if error_sample is not None and hasattr(self.model, "equilibrium_errors"):
                 record.equilibrium_errors = self.model.equilibrium_errors(
@@ -501,16 +537,6 @@ class TimeIterationSolver:
             records.append(record)
             run_wall += wall
             policy = new_policy
-            metric_value = change.get(cfg.convergence_metric, change["linf"])
-            emit(
-                "iteration",
-                iteration=int(iteration),
-                error_linf=float(change["linf"]),
-                error_l2=float(change["l2"]),
-                error=float(metric_value),
-                points=int(record.total_points),
-                wall_time=float(wall),
-            )
             if cfg.adaptive and len(records) > 1:
                 before = records[-2].total_points
                 if record.total_points != before:

@@ -35,6 +35,7 @@ from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
 from repro.parallel.cluster import GRAND_TAVE_NODE, PIZ_DAINT_NODE
+from repro.parallel.executor import SerialExecutor
 from repro.parallel.gpu_sim import HybridNodeExecutor
 from repro.parallel.scheduler import WorkStealingScheduler
 
@@ -113,7 +114,10 @@ def run_fig7(
     cal = small_calibration(num_generations=num_generations, num_states=num_states, beta=0.8)
     model = OLGModel(cal)
 
-    serial_time, total_points = _run_single_step(model, None, grid_level)
+    # an explicit serial executor: both measured bars dispatch one solve_point
+    # per grid point (without an executor the driver solves a state's whole
+    # grid in one vectorized call, which is not what the threaded bar scales)
+    serial_time, total_points = _run_single_step(model, SerialExecutor(), grid_level)
     threaded_time, _ = _run_single_step(
         model, WorkStealingScheduler(num_threads, seed=seed), grid_level
     )

@@ -18,9 +18,14 @@ Module map
   the consumption floor (keeps Newton solvers well behaved).
 * :mod:`repro.olg.production` — Cobb-Douglas technology and factor prices.
 * :mod:`repro.olg.government` — taxes, pension benefits, lump-sum rebates.
+* :mod:`repro.olg.euler` — the household problem in rows form: the one
+  implementation of the period environment, the Euler residuals, the
+  Bellman update and the point solve.
 * :mod:`repro.olg.model` — the :class:`OLGModel` implementing the
-  time-iteration model protocol (equilibrium conditions, point solver,
-  Euler-equation accuracy metrics).
+  time-iteration model protocol as scalar/batch adapters over its Euler
+  system, plus the Euler-equation accuracy metrics.
+* :mod:`repro.olg.stacked` — several structurally equal models stacked
+  row-wise into one Euler system (cross-scenario batching).
 * :mod:`repro.olg.solver` — damped Newton + scipy fallback for the
   per-grid-point nonlinear systems (the paper uses Ipopt).
 * :mod:`repro.olg.simulation` — forward simulation of the solved economy.

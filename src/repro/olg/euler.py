@@ -1,0 +1,290 @@
+"""The household problem in rows form: the one implementation of the Euler system.
+
+A *row* is one grid point of one model.  Every method of
+:class:`EulerSystem` works on ``m`` rows at once and reads the calibration
+scalars that may differ between models — the discount factor, the four
+shock labels of every state, the transition probabilities and the box
+bounds — from per-row parameter arrays.  One model is the broadcast case:
+its parameters are scalars, which serve any number of rows and also a
+single point without a row axis (states ``(d,)``, savings ``(A-1,)``).
+Several structurally equal models stacked row-wise are what
+:class:`repro.olg.stacked.StackedOLGGroup` builds.  Both it and
+:class:`repro.olg.model.OLGModel` are shape adapters over this class: the
+period environment, the state packing, the Euler residuals, the Bellman
+update, the savings guess and the point solve live only here (factor
+prices and the government budget are :mod:`repro.olg.production` and
+:mod:`repro.olg.government`).
+
+Savings are solved in log space, which keeps them strictly positive (an
+interior-solution version of the paper's Ipopt bound constraints).
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.core.policy import PolicySet
+from repro.grids.interpolation import evaluate_stacked
+from repro.olg.government import GovernmentBudget
+from repro.olg.production import Prices
+from repro.olg.solver import BatchNewtonSolver
+
+__all__ = ["EulerSystem", "PeriodEnvironment"]
+
+_LOG_SAVINGS_FLOOR = -16.0  # exp(-16) ~ 1e-7: effectively the borrowing constraint
+_SHOCK_LABELS = ("productivity", "depreciation", "tau_labor", "tau_capital")
+
+
+class PeriodEnvironment(NamedTuple):
+    """Everything the household problem needs about one period's aggregates.
+
+    Scalars and an ``(A,)`` income vector at a single point; one entry
+    per row (``incomes`` is ``(m, A)``) in the rows form.
+    """
+
+    prices: Prices
+    budget: GovernmentBudget
+    gross_return: np.ndarray   # 1 + (1 - tau_c) * r_net
+    incomes: np.ndarray        # after-tax non-asset income by age
+
+
+def _savings(log_savings: np.ndarray) -> np.ndarray:
+    return np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, 30.0))
+
+
+class EulerSystem:
+    """Equilibrium conditions and point solve over rows of one or more models.
+
+    Parameters
+    ----------
+    models
+        :class:`~repro.olg.model.OLGModel` instances that agree on every
+        structural ingredient (ages, preferences, technology, fiscal rule,
+        nonlinear-solver settings; the stacked group checks this).
+    counts
+        Rows contributed by each model, in order.  ``None`` (one model
+        only) is the broadcast case: scalar parameters, any number of rows
+        or a single point, and the ``rows`` argument of every method is
+        ignored.
+
+    ``rows`` arguments index the stacked rows a block of data belongs to
+    (sorted, so each model's rows are contiguous); ``policies`` holds one
+    next-iterate :class:`~repro.core.policy.PolicySet` per model.  States,
+    savings and results carry the ages/coordinates on their last axis.
+    """
+
+    def __init__(self, models: list, counts: list[int] | None = None) -> None:
+        base = models[0]
+        cal = base.calibration
+        self.stacked = counts is not None
+        if not self.stacked and len(models) != 1:
+            raise ValueError("the broadcast case serves exactly one model")
+        reps = counts if self.stacked else [1]
+        self.utility, self.technology, self.fiscal = base.utility, base.technology, base.fiscal
+        self.solver = base.solver
+        self.batch_solver = BatchNewtonSolver(base.solver)
+        self.num_states = cal.num_states
+        self.num_ages = cal.num_generations
+        self.num_savers = cal.num_generations - 1
+        self.num_retired = cal.num_retired
+        self.labor_supply = cal.labor_supply
+        self.efficiency = np.asarray(cal.efficiency, dtype=float)
+        self.working = np.arange(cal.num_generations) < cal.retirement_age
+        #: single-model systems the scipy polish runs on (evaluating one
+        #: point through stacked parameters costs ~20% more than through these)
+        self.views = [m.system for m in models] if self.stacked else [self]
+        self.row_member = np.repeat(np.arange(len(models)), reps)
+
+        def per_row(values, axis: int = 0) -> np.ndarray:
+            return np.repeat(np.asarray(values, dtype=float), reps, axis=axis)
+
+        cals = [m.calibration for m in models]
+        self.beta = per_row([c.beta for c in cals])               # (R,)
+        self.lower = per_row([m.domain.lower for m in models])    # (R, d)
+        self.upper = per_row([m.domain.upper for m in models])
+        labels = [[c.shocks.label(name) for c in cals] for name in _SHOCK_LABELS]
+        self.labels = per_row(np.swapaxes(labels, 1, 2), axis=2)  # (4, Ns, R)
+        transition = [c.shocks.transition for c in cals]
+        self.prob = per_row(np.moveaxis(transition, 0, 2), axis=2)  # (Ns, Ns, R): z, z_next, row
+        #: per shock state, the next states some row reaches with positive probability
+        self.successors = [np.flatnonzero(p.any(axis=1)).tolist() for p in self.prob > 0.0]
+
+    def _sel(self, rows):
+        """Index of the parameter rows: the stacked rows, or the one model's scalars."""
+        return rows if self.stacked else 0
+
+    # ------------------------------------------------------------------ #
+    # aggregates, state packing
+    # ------------------------------------------------------------------ #
+    def environment(self, z: int, rows, K: np.ndarray) -> PeriodEnvironment:
+        """Prices, government budget and incomes in shock state ``z`` at capital ``K``."""
+        zeta, delta, tau_l, tau_c = self.labels[:, z, self._sel(rows)]
+        L = self.labor_supply
+        prices = self.technology.prices(K, L, zeta, delta)
+        budget = self.fiscal.budget(
+            tau_l, tau_c, prices.wage, L, prices.return_net, K, self.num_ages, self.num_retired
+        )
+        return PeriodEnvironment(
+            prices,
+            budget,
+            self.fiscal.after_tax_return(prices.return_net, tau_c),
+            self.fiscal.incomes(tau_l, prices.wage, budget, self.efficiency, self.working),
+        )
+
+    def holdings(self, X: np.ndarray) -> np.ndarray:
+        """Capital held by each age: newborns nothing, the oldest the residual.
+
+        ``X`` rows are ``(K, omega_2, ..., omega_{A-1})``; the oldest
+        generation's holding is ``K - sum(omega)``, floored at zero.
+        """
+        holdings = np.zeros(X.shape[:-1] + (self.num_ages,), dtype=float)
+        holdings[..., 1:-1] = X[..., 1:]
+        holdings[..., -1] = np.maximum(X[..., 0] - X[..., 1:].sum(axis=-1), 0.0)
+        return holdings
+
+    def next_states(self, rows, savings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tomorrow's aggregate capital and continuous state implied by ``savings``.
+
+        Today's savers ``0 .. A-2`` are tomorrow's ages ``1 .. A-1``: their
+        savings sum to the new capital and the tracked holdings are those of
+        today's savers ``0 .. A-3``.  The state (not the capital) is clipped
+        into the approximation box.
+        """
+        sel = self._sel(rows)
+        K_next = savings.sum(axis=-1)
+        x_next = np.concatenate([K_next[..., None], savings[..., :-1]], axis=-1)
+        return K_next, np.clip(x_next, self.lower[sel], self.upper[sel])
+
+    @staticmethod
+    def consumption(env: PeriodEnvironment, holdings: np.ndarray, savings) -> np.ndarray:
+        """Consumption by age (last axis); the oldest generation saves nothing."""
+        consumption = np.asarray(env.gross_return)[..., None] * holdings + env.incomes
+        consumption[..., :-1] -= savings
+        return consumption
+
+    def consumption_at(self, z: int, rows, X: np.ndarray, savings) -> np.ndarray:
+        """Consumption by age at states ``X`` in shock state ``z`` under ``savings``."""
+        return self.consumption(self.environment(z, rows, X[..., 0]), self.holdings(X), savings)
+
+    def resources(self, z: int, rows, X: np.ndarray) -> np.ndarray:
+        """Cash on hand of every saving age: asset income plus non-asset income."""
+        return self.consumption_at(z, rows, X, 0.0)[..., : self.num_savers]
+
+    # ------------------------------------------------------------------ #
+    # equilibrium conditions
+    # ------------------------------------------------------------------ #
+    def _policy_values(
+        self, z_next: int, rows, x_next: np.ndarray, policies: list[PolicySet]
+    ) -> np.ndarray:
+        """Next-iterate policy values of each row's own model (one basis pass)."""
+        if not self.stacked:
+            return np.asarray(policies[0].evaluate(z_next, x_next), dtype=float)
+        mem = self.row_member[rows]  # nondecreasing: rows are sorted
+        uniq, starts = np.unique(mem, return_index=True)
+        bounds = np.append(starts, mem.size)
+        interps = [policies[int(u)][z_next].interpolant for u in uniq]
+        blocks = [x_next[bounds[i] : bounds[i + 1]] for i in range(uniq.size)]
+        outs = evaluate_stacked(interps, blocks)
+        return np.concatenate([np.atleast_2d(o) for o in outs], axis=0)
+
+    def _tomorrow(self, z: int, rows, savings: np.ndarray, policies: list[PolicySet]):
+        """Per reachable shock state: probability, gross return, consumption, policy values.
+
+        The consumption is that of today's savers one period on, in shock
+        state ``z_next``: they earn the return on their savings plus
+        tomorrow's income of the next age and save what the interpolated
+        next-iterate policy says (the terminal generation saves nothing).
+        """
+        ns = self.num_savers
+        K_next, x_next = self.next_states(rows, savings)
+        for z_next in self.successors[z]:
+            prob = self.prob[z, z_next, self._sel(rows)]
+            next_values = self._policy_values(z_next, rows, x_next, policies)
+            env = self.environment(z_next, rows, K_next)
+            save_next = np.zeros_like(savings)
+            save_next[..., : ns - 1] = np.maximum(next_values[..., 1:ns], 0.0)
+            cons_next = env.gross_return[..., None] * savings + env.incomes[..., 1:] - save_next
+            yield prob, env.gross_return, cons_next, next_values
+
+    def euler_residuals(
+        self, z: int, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
+    ) -> np.ndarray:
+        """``u'(c_a) - beta E[R' u'(c'_{a+1})]`` of every saving age, ``(..., A-1)``."""
+        consumption = self.consumption_at(z, rows, X, savings)
+        mu_today = self.utility.marginal_utility(consumption[..., : self.num_savers])
+        expected = np.zeros_like(mu_today)
+        for prob, gross_next, cons_next, _ in self._tomorrow(z, rows, savings, policies):
+            expected += (prob * gross_next)[..., None] * self.utility.marginal_utility(cons_next)
+        return mu_today - self.beta[self._sel(rows)][..., None] * expected
+
+    def value_functions(
+        self, z: int, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
+    ) -> np.ndarray:
+        """Bellman update of the value functions of all saving ages, ``(..., A-1)``."""
+        ns = self.num_savers
+        utility_today = self.utility.utility(self.consumption_at(z, rows, X, savings)[..., :ns])
+        continuation = np.zeros_like(utility_today)
+        for prob, _, cons_next, next_values in self._tomorrow(z, rows, savings, policies):
+            value_next = np.empty_like(utility_today)
+            value_next[..., : ns - 1] = next_values[..., ns + 1 : 2 * ns]
+            # tomorrow's terminal generation consumes everything
+            value_next[..., ns - 1] = self.utility.utility(cons_next[..., ns - 1])
+            continuation += prob[..., None] * value_next
+        return utility_today + self.beta[self._sel(rows)][..., None] * continuation
+
+    # ------------------------------------------------------------------ #
+    # the point solve
+    # ------------------------------------------------------------------ #
+    def savings_guess(self, z: int, rows, X: np.ndarray, guesses: np.ndarray | None) -> np.ndarray:
+        """Warm-start savings where usable, a fixed share of cash on hand elsewhere.
+
+        A row of ``guesses`` (policy values, savings first) is usable when
+        its savings are finite with at least one positive entry.
+        """
+        out = np.maximum(0.4 * self.resources(z, rows, X), 1e-6)
+        if guesses is not None:
+            sav = np.atleast_2d(np.asarray(guesses, dtype=float))[:, : self.num_savers]
+            valid = np.all(np.isfinite(sav), axis=1) & np.any(sav > 0, axis=1)
+            out[valid] = np.maximum(sav[valid], 1e-8)
+        return out
+
+    def solve(
+        self, z: int, X: np.ndarray, policies: list[PolicySet], guesses: np.ndarray | None
+    ) -> np.ndarray:
+        """Solve the Euler system at every row: ``(m, 2 (A-1))`` savings then values.
+
+        One :class:`~repro.olg.solver.BatchNewtonSolver` run over all rows,
+        so each residual evaluation interpolates next period's policies at
+        all active rows in one kernel call per shock state.  Rows whose
+        Newton stalled get what the scalar solver does after its own Newton
+        stalls: a scipy polish from the best iterate, accepted when it does
+        not worsen the residual (cold-start systems routinely stay
+        unconverged even then; they converge in later time iterations).
+        The polish evaluates one point at a time on the row's own
+        single-model system.
+        """
+        rows = np.arange(X.shape[0])
+        guess = self.savings_guess(z, rows, X, guesses)
+        log_guess = np.log(np.maximum(guess, np.exp(_LOG_SAVINGS_FLOOR)))
+
+        def residual(active: np.ndarray, log_savings: np.ndarray) -> np.ndarray:
+            return self.euler_residuals(z, active, X[active], _savings(log_savings), policies)
+
+        result = self.batch_solver.solve(residual, log_guess)
+        savings = _savings(result.x)
+        stalled = np.flatnonzero(~result.converged) if self.solver.use_scipy_fallback else ()
+        for row in stalled:
+            member = int(self.row_member[row]) if self.stacked else 0
+            view, policy, x = self.views[member], [policies[member]], X[row]
+
+            def residual_row(log_savings: np.ndarray) -> np.ndarray:
+                return view.euler_residuals(z, None, x, _savings(log_savings), policy)
+
+            polished = self.solver.scipy_polish(
+                residual_row, result.x[row], float(result.residual_norm[row])
+            )
+            savings[row] = _savings(polished.x)
+        values = self.value_functions(z, rows, X, savings, policies)
+        return np.concatenate([savings, values], axis=1)

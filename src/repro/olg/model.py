@@ -29,47 +29,39 @@ ages.  The residuals are the Euler equations
 
 where next-period consumption interpolates the *next iterate's* policy
 functions of all ``Ns`` shock states (the interpolation bottleneck the
-paper optimises).  Savings are solved in log space, which keeps them
-strictly positive (an interior-solution version of the paper's Ipopt bound
-constraints).
+paper optimises).
+
+The formulas live in :class:`repro.olg.euler.EulerSystem`, which evaluates
+them over any number of rows; the scalar (one point) and ``_batch`` (many
+points) methods below are shape adapters over this model's system.  The
+batch form on one row and the stacked group agree bit for bit; the scalar
+form runs the same code on numpy scalars, whose ``pow`` can differ from
+the array ``pow`` in the last bit (AVX-512 hosts), hence to ~1e-15.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.policy import PolicySet
 from repro.grids.domain import BoxDomain
 from repro.olg.calibration import OLGCalibration
-from repro.olg.government import FiscalPolicy, GovernmentBudget
+from repro.olg.euler import EulerSystem, PeriodEnvironment
+from repro.olg.government import FiscalPolicy
 from repro.olg.preferences import CRRAUtility
-from repro.olg.production import CobbDouglasTechnology, Prices
-from repro.olg.solver import BatchNewtonSolver, NewtonSolver
+from repro.olg.production import CobbDouglasTechnology
+from repro.olg.solver import NewtonSolver
 from repro.utils.rng import default_rng
 
-__all__ = ["OLGModel", "PeriodEnvironment", "BatchPeriodEnvironment"]
-
-_LOG_SAVINGS_FLOOR = -16.0  # exp(-16) ~ 1e-7: effectively the borrowing constraint
+__all__ = ["OLGModel", "PeriodEnvironment"]
 
 
-@dataclass(frozen=True)
-class PeriodEnvironment:
-    """Everything the household problem needs about one period's aggregates."""
-
-    prices: Prices
-    budget: GovernmentBudget
-    gross_return: float        # 1 + (1 - tau_c) * r_net
-    incomes: np.ndarray        # after-tax non-asset income by age
+def _point(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=float).reshape(-1)
 
 
-@dataclass(frozen=True)
-class BatchPeriodEnvironment:
-    """Per-period aggregates for a batch of ``m`` states at once."""
-
-    gross_return: np.ndarray   # (m,) after-tax gross return factor
-    incomes: np.ndarray        # (m, A) after-tax non-asset income by age
+def _rows(a: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(a, dtype=float))
 
 
 class OLGModel:
@@ -95,6 +87,7 @@ class OLGModel:
         self.fiscal = fiscal if fiscal is not None else FiscalPolicy()
         self.solver = solver if solver is not None else NewtonSolver()
         self._domain = domain if domain is not None else self._default_domain()
+        self.system = EulerSystem([self])
 
     # ------------------------------------------------------------------ #
     # protocol properties
@@ -130,13 +123,8 @@ class OLGModel:
     # ------------------------------------------------------------------ #
     def _default_domain(self) -> BoxDomain:
         """Centre the approximation box on the deterministic steady state."""
-        from repro.olg.steady_state import deterministic_steady_state
-
         cal = self.calibration
-        steady = deterministic_steady_state(
-            cal, technology=self.technology, fiscal=self.fiscal, utility=self.utility
-        )
-        self._steady_state = steady
+        steady = self.steady_state
         k_ss = max(steady.capital, 1e-3)
         if cal.capital_bounds is not None:
             k_lo, k_hi = cal.capital_bounds
@@ -169,35 +157,7 @@ class OLGModel:
 
     def environment(self, z: int, K: float) -> PeriodEnvironment:
         """Prices, government budget and incomes in shock state ``z`` at capital ``K``."""
-        cal = self.calibration
-        shocks = cal.shocks
-        zeta = float(shocks.label("productivity")[z])
-        delta = float(shocks.label("depreciation")[z])
-        tau_l = float(shocks.label("tau_labor")[z])
-        tau_c = float(shocks.label("tau_capital")[z])
-        L = cal.labor_supply
-        prices = self.technology.prices(K, L, zeta, delta)
-        budget = self.fiscal.budget(
-            tau_labor=tau_l,
-            tau_capital=tau_c,
-            wage=prices.wage,
-            labor_supply=L,
-            return_net=prices.return_net,
-            aggregate_capital=K,
-            num_agents=cal.num_generations,
-            num_retired=cal.num_retired,
-        )
-        gross_return = self.fiscal.after_tax_return(prices.return_net, tau_c)
-        incomes = np.empty(cal.num_generations, dtype=float)
-        for age in range(cal.num_generations):
-            if age < cal.retirement_age:
-                incomes[age] = (1.0 - tau_l) * prices.wage * cal.efficiency[age]
-            else:
-                incomes[age] = budget.pension_benefit
-            incomes[age] += budget.lump_sum_transfer
-        return PeriodEnvironment(
-            prices=prices, budget=budget, gross_return=gross_return, incomes=incomes
-        )
+        return self.system.environment(z, None, K)
 
     # ------------------------------------------------------------------ #
     # state packing
@@ -210,12 +170,7 @@ class OLGModel:
         residual ``K - sum(middle holdings)``, floored at zero.
         """
         x = np.asarray(x, dtype=float).reshape(self.state_dim)
-        A = self.calibration.num_generations
-        K = float(x[0])
-        holdings = np.zeros(A, dtype=float)
-        holdings[1 : A - 1] = x[1:]
-        holdings[A - 1] = max(K - float(x[1:].sum()), 0.0)
-        return K, holdings
+        return float(x[0]), self.system.holdings(x)
 
     def pack_next_state(self, savings: np.ndarray) -> np.ndarray:
         """Continuous state implied by today's savings decisions.
@@ -223,116 +178,43 @@ class OLGModel:
         ``savings`` has length ``A - 1`` (ages ``0 .. A-2``); tomorrow
         these agents are ages ``1 .. A-1``, so the new aggregate capital is
         their sum and the tracked holdings are those of tomorrow's ages
-        ``1 .. A-2`` (i.e. today's savers ``0 .. A-3``).
+        ``1 .. A-2`` (i.e. today's savers ``0 .. A-3``), clipped into the
+        approximation box.
         """
-        savings = np.asarray(savings, dtype=float)
-        K_next = float(savings.sum())
-        x_next = np.concatenate([[K_next], savings[: self.num_savers - 1]])
-        # keep the query inside the approximation box
-        return np.clip(x_next, self.domain.lower, self.domain.upper)
+        return self.system.next_states(None, np.asarray(savings, dtype=float))[1]
 
-    # ------------------------------------------------------------------ #
-    # household problem pieces
-    # ------------------------------------------------------------------ #
     def consumption_today(
         self, env: PeriodEnvironment, holdings: np.ndarray, savings: np.ndarray
     ) -> np.ndarray:
         """Consumption by age implied by holdings, income and savings choices."""
-        A = self.calibration.num_generations
-        consumption = np.empty(A, dtype=float)
-        resources = env.gross_return * holdings + env.incomes
-        consumption[: A - 1] = resources[: A - 1] - savings
-        consumption[A - 1] = resources[A - 1]
-        return consumption
-
-    def _next_period_consumption(
-        self,
-        z_next: int,
-        savings: np.ndarray,
-        next_policy_values: np.ndarray,
-    ) -> tuple[np.ndarray, PeriodEnvironment]:
-        """Next-period consumption of today's savers in shock state ``z_next``.
-
-        ``next_policy_values`` are the interpolated next-period policy
-        coefficients at tomorrow's state (savings of tomorrow's ages and
-        value functions).
-        """
-        A = self.calibration.num_generations
-        K_next = float(np.sum(savings))
-        env_next = self.environment(z_next, K_next)
-        next_savings = np.maximum(next_policy_values[: self.num_savers], 0.0)
-        consumption = np.empty(self.num_savers, dtype=float)
-        for age in range(self.num_savers):  # today's age; tomorrow they are age + 1
-            age_next = age + 1
-            resources = env_next.gross_return * savings[age] + env_next.incomes[age_next]
-            save_next = next_savings[age_next] if age_next < self.num_savers else 0.0
-            consumption[age] = resources - save_next
-        return consumption, env_next
+        return self.system.consumption(env, holdings, savings)
 
     # ------------------------------------------------------------------ #
-    # equilibrium conditions
+    # equilibrium conditions: scalar and batch adapters of the rows form
     # ------------------------------------------------------------------ #
     def euler_residuals(
-        self,
-        z: int,
-        x: np.ndarray,
-        savings: np.ndarray,
-        policy_next: PolicySet,
+        self, z: int, x: np.ndarray, savings: np.ndarray, policy_next: PolicySet
     ) -> np.ndarray:
         """Euler-equation residuals at one state for candidate savings."""
-        cal = self.calibration
-        savings = np.asarray(savings, dtype=float)
-        K, holdings = self.unpack_state(x)
-        env = self.environment(z, K)
-        consumption = self.consumption_today(env, holdings, savings)
-        mu_today = self.utility.marginal_utility(consumption[: self.num_savers])
+        return self.system.euler_residuals(z, None, _point(x), _point(savings), [policy_next])
 
-        x_next = self.pack_next_state(savings)
-        pi_row = cal.shocks.transition[z]
-        expected = np.zeros(self.num_savers, dtype=float)
-        for z_next in range(self.num_states):
-            prob = pi_row[z_next]
-            if prob <= 0.0:
-                continue
-            next_values = np.asarray(policy_next.evaluate(z_next, x_next), dtype=float)
-            cons_next, env_next = self._next_period_consumption(z_next, savings, next_values)
-            mu_next = self.utility.marginal_utility(cons_next)
-            expected += prob * env_next.gross_return * mu_next
-        return mu_today - cal.beta * expected
+    def euler_residuals_batch(
+        self, z: int, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
+    ) -> np.ndarray:
+        """Euler residuals at every row of ``X``: ``(m, A-1)``."""
+        return self.system.euler_residuals(z, None, _rows(X), _rows(savings), [policy_next])
 
     def value_functions(
-        self,
-        z: int,
-        x: np.ndarray,
-        savings: np.ndarray,
-        policy_next: PolicySet,
+        self, z: int, x: np.ndarray, savings: np.ndarray, policy_next: PolicySet
     ) -> np.ndarray:
         """Bellman update of the value functions of all saving ages."""
-        cal = self.calibration
-        K, holdings = self.unpack_state(x)
-        env = self.environment(z, K)
-        consumption = self.consumption_today(env, holdings, savings)
-        utility_today = self.utility.utility(consumption[: self.num_savers])
+        return self.system.value_functions(z, None, _point(x), _point(savings), [policy_next])
 
-        x_next = self.pack_next_state(savings)
-        pi_row = cal.shocks.transition[z]
-        continuation = np.zeros(self.num_savers, dtype=float)
-        for z_next in range(self.num_states):
-            prob = pi_row[z_next]
-            if prob <= 0.0:
-                continue
-            next_values = np.asarray(policy_next.evaluate(z_next, x_next), dtype=float)
-            cons_next, _ = self._next_period_consumption(z_next, savings, next_values)
-            value_next = np.empty(self.num_savers, dtype=float)
-            for age in range(self.num_savers):
-                age_next = age + 1
-                if age_next < self.num_savers:
-                    value_next[age] = next_values[self.num_savers + age_next]
-                else:
-                    # tomorrow they are the terminal generation: consume everything
-                    value_next[age] = float(self.utility.utility(cons_next[age]))
-            continuation += prob * value_next
-        return utility_today + cal.beta * continuation
+    def value_functions_batch(
+        self, z: int, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
+    ) -> np.ndarray:
+        """Bellman updates at every row of ``X``: ``(m, A-1)``."""
+        return self.system.value_functions(z, None, _rows(X), _rows(savings), [policy_next])
 
     # ------------------------------------------------------------------ #
     # time-iteration protocol methods
@@ -346,225 +228,10 @@ class OLGModel:
     ) -> np.ndarray:
         """Solve the equilibrium system at one grid point.
 
-        Returns the ``2 (A-1)`` policy coefficients (savings then values).
+        Returns the ``2 (A-1)`` policy coefficients (savings then values):
+        :meth:`solve_points_batch` on one row.
         """
-        x = np.asarray(x, dtype=float)
-        savings_guess = self._savings_guess(z, x, guess)
-        log_guess = np.log(np.maximum(savings_guess, np.exp(_LOG_SAVINGS_FLOOR)))
-
-        def residual(log_savings: np.ndarray) -> np.ndarray:
-            savings = np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, 30.0))
-            return self.euler_residuals(z, x, savings, policy_next)
-
-        result = self.solver.solve(residual, log_guess)
-        savings = np.exp(np.clip(result.x, _LOG_SAVINGS_FLOOR, 30.0))
-        values = self.value_functions(z, x, savings, policy_next)
-        return np.concatenate([savings, values])
-
-    def _savings_guess(
-        self, z: int, x: np.ndarray, guess: np.ndarray | None
-    ) -> np.ndarray:
-        if guess is not None:
-            guess = np.asarray(guess, dtype=float).reshape(-1)
-            savings = guess[: self.num_savers]
-            if np.all(np.isfinite(savings)) and np.any(savings > 0):
-                return np.maximum(savings, 1e-8)
-        K, holdings = self.unpack_state(x)
-        env = self.environment(z, K)
-        resources = env.gross_return * holdings + env.incomes
-        rate = 0.4
-        return np.maximum(rate * resources[: self.num_savers], 1e-6)
-
-    # ------------------------------------------------------------------ #
-    # batched (vectorized over grid points) counterparts
-    # ------------------------------------------------------------------ #
-    # The scalar methods above solve one grid point per call, which makes
-    # every residual evaluation a separate single-point interpolation of
-    # next period's policies — the profiled hotspot of a solve.  The batch
-    # methods below run the identical formulas over an ``(m, ...)`` axis so
-    # one residual evaluation interpolates all ``m`` points per shock state
-    # in a single kernel call.  They are used by the batched time-iteration
-    # driver (:mod:`repro.core.batched`); the scalar path is untouched and
-    # remains the bit-exact reference.
-
-    def unpack_states(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`unpack_state`: ``(m, d) -> ((m,), (m, A))``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = self.calibration.num_generations
-        K = X[:, 0]
-        holdings = np.zeros((X.shape[0], A), dtype=float)
-        holdings[:, 1 : A - 1] = X[:, 1:]
-        holdings[:, A - 1] = np.maximum(K - X[:, 1:].sum(axis=1), 0.0)
-        return K, holdings
-
-    def pack_next_states(self, savings: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`pack_next_state`: ``(m, A-1) -> (m, d)``."""
-        savings = np.atleast_2d(np.asarray(savings, dtype=float))
-        K_next = savings.sum(axis=1)
-        x_next = np.concatenate(
-            [K_next[:, None], savings[:, : self.num_savers - 1]], axis=1
-        )
-        return np.clip(x_next, self.domain.lower, self.domain.upper)
-
-    def environment_batch(self, z: int, K: np.ndarray) -> BatchPeriodEnvironment:
-        """Vectorized :meth:`environment` over an array of capital stocks."""
-        cal = self.calibration
-        shocks = cal.shocks
-        zeta = float(shocks.label("productivity")[z])
-        delta = float(shocks.label("depreciation")[z])
-        tau_l = float(shocks.label("tau_labor")[z])
-        tau_c = float(shocks.label("tau_capital")[z])
-        K = np.asarray(K, dtype=float)
-        L = max(float(cal.labor_supply), self.technology.capital_floor)
-        ratio = np.maximum(K, self.technology.capital_floor) / L
-        wage = (1.0 - self.technology.theta) * zeta * ratio**self.technology.theta
-        r_gross = self.technology.theta * zeta * ratio ** (self.technology.theta - 1.0)
-        return_net = r_gross - delta
-        labor_revenue = tau_l * wage * cal.labor_supply
-        if cal.num_retired > 0:
-            pension = labor_revenue / cal.num_retired
-        else:
-            pension = np.zeros_like(wage)
-        capital_revenue = tau_c * return_net * np.maximum(K, 0.0)
-        if self.fiscal.rebate_capital_tax and cal.num_generations:
-            transfer = capital_revenue / cal.num_generations
-        else:
-            transfer = np.zeros_like(wage)
-        gross_return = 1.0 + (1.0 - tau_c) * return_net
-        ages = np.arange(cal.num_generations)
-        worker_income = ((1.0 - tau_l) * wage)[:, None] * np.asarray(
-            cal.efficiency, dtype=float
-        )[None, :]
-        incomes = np.where(
-            ages[None, :] < cal.retirement_age, worker_income, pension[:, None]
-        )
-        incomes = incomes + transfer[:, None]
-        return BatchPeriodEnvironment(gross_return=gross_return, incomes=incomes)
-
-    def consumption_today_batch(
-        self,
-        env: BatchPeriodEnvironment,
-        holdings: np.ndarray,
-        savings: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`consumption_today`: ``(m, A)`` consumption."""
-        A = self.calibration.num_generations
-        resources = env.gross_return[:, None] * holdings + env.incomes
-        consumption = np.empty_like(resources)
-        consumption[:, : A - 1] = resources[:, : A - 1] - savings
-        consumption[:, A - 1] = resources[:, A - 1]
-        return consumption
-
-    def _next_period_consumption_batch(
-        self,
-        z_next: int,
-        savings: np.ndarray,
-        next_policy_values: np.ndarray,
-    ) -> tuple[np.ndarray, BatchPeriodEnvironment]:
-        """Vectorized :meth:`_next_period_consumption` over ``m`` points."""
-        ns = self.num_savers
-        K_next = savings.sum(axis=1)
-        env_next = self.environment_batch(z_next, K_next)
-        next_savings = np.maximum(next_policy_values[:, :ns], 0.0)
-        save_next = np.zeros_like(savings)
-        save_next[:, : ns - 1] = next_savings[:, 1:ns]
-        consumption = (
-            env_next.gross_return[:, None] * savings + env_next.incomes[:, 1:] - save_next
-        )
-        return consumption, env_next
-
-    def euler_residuals_batch(
-        self,
-        z: int,
-        X: np.ndarray,
-        savings: np.ndarray,
-        policy_next: PolicySet,
-    ) -> np.ndarray:
-        """Vectorized :meth:`euler_residuals`: ``(m, A-1)`` residuals."""
-        cal = self.calibration
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        savings = np.atleast_2d(np.asarray(savings, dtype=float))
-        K, holdings = self.unpack_states(X)
-        env = self.environment_batch(z, K)
-        consumption = self.consumption_today_batch(env, holdings, savings)
-        mu_today = self.utility.marginal_utility(consumption[:, : self.num_savers])
-
-        x_next = self.pack_next_states(savings)
-        pi_row = cal.shocks.transition[z]
-        expected = np.zeros_like(mu_today)
-        for z_next in range(self.num_states):
-            prob = pi_row[z_next]
-            if prob <= 0.0:
-                continue
-            next_values = np.atleast_2d(
-                np.asarray(policy_next.evaluate(z_next, x_next), dtype=float)
-            )
-            cons_next, env_next = self._next_period_consumption_batch(
-                z_next, savings, next_values
-            )
-            mu_next = self.utility.marginal_utility(cons_next)
-            expected += prob * env_next.gross_return[:, None] * mu_next
-        return mu_today - cal.beta * expected
-
-    def value_functions_batch(
-        self,
-        z: int,
-        X: np.ndarray,
-        savings: np.ndarray,
-        policy_next: PolicySet,
-    ) -> np.ndarray:
-        """Vectorized :meth:`value_functions`: ``(m, A-1)`` Bellman updates."""
-        cal = self.calibration
-        ns = self.num_savers
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        savings = np.atleast_2d(np.asarray(savings, dtype=float))
-        K, holdings = self.unpack_states(X)
-        env = self.environment_batch(z, K)
-        consumption = self.consumption_today_batch(env, holdings, savings)
-        utility_today = self.utility.utility(consumption[:, :ns])
-
-        x_next = self.pack_next_states(savings)
-        pi_row = cal.shocks.transition[z]
-        continuation = np.zeros_like(utility_today)
-        for z_next in range(self.num_states):
-            prob = pi_row[z_next]
-            if prob <= 0.0:
-                continue
-            next_values = np.atleast_2d(
-                np.asarray(policy_next.evaluate(z_next, x_next), dtype=float)
-            )
-            cons_next, _ = self._next_period_consumption_batch(
-                z_next, savings, next_values
-            )
-            value_next = np.empty_like(utility_today)
-            value_next[:, : ns - 1] = next_values[:, ns + 1 : 2 * ns]
-            # tomorrow's terminal generation consumes everything
-            value_next[:, ns - 1] = self.utility.utility(cons_next[:, ns - 1])
-            continuation += prob * value_next
-        return utility_today + cal.beta * continuation
-
-    def _savings_guess_batch(
-        self, z: int, X: np.ndarray, guesses: np.ndarray | None
-    ) -> np.ndarray:
-        """Vectorized :meth:`_savings_guess` with per-row validity checks."""
-        ns = self.num_savers
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        m = X.shape[0]
-        out = np.empty((m, ns), dtype=float)
-        need_fallback = np.ones(m, dtype=bool)
-        if guesses is not None:
-            guesses = np.atleast_2d(np.asarray(guesses, dtype=float))
-            sav = guesses[:, :ns]
-            valid = np.all(np.isfinite(sav), axis=1) & np.any(sav > 0, axis=1)
-            out[valid] = np.maximum(sav[valid], 1e-8)
-            need_fallback = ~valid
-        if need_fallback.any():
-            rows = np.flatnonzero(need_fallback)
-            K, holdings = self.unpack_states(X[rows])
-            env = self.environment_batch(z, K)
-            resources = env.gross_return[:, None] * holdings + env.incomes
-            out[rows] = np.maximum(0.4 * resources[:, :ns], 1e-6)
-        return out
+        return self.solve_points_batch(z, x, policy_next, guess)[0]
 
     def solve_points_batch(
         self,
@@ -575,46 +242,14 @@ class OLGModel:
     ) -> np.ndarray:
         """Solve the equilibrium system at every row of ``X`` in one batch.
 
-        Same contract as mapping :meth:`solve_point` over rows, but the
-        Newton iteration is vectorized across points so each residual
+        The Newton iteration is vectorized across points, so each residual
         evaluation interpolates next period's policies at all active points
-        in one kernel call per shock state.  Rows the batched Newton cannot
-        converge fall back to the scalar :meth:`solve_point` (which retries
-        from the original guess and includes the scipy fallback), so the
-        result matches the sequential path to solver tolerance everywhere.
+        in one kernel call per shock state; rows it cannot converge are
+        polished with scipy from the batch's best iterate (see
+        :meth:`repro.olg.euler.EulerSystem.solve`).  ``guesses`` are
+        optional warm-start policy values per row.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        m = X.shape[0]
-        savings_guess = self._savings_guess_batch(z, X, guesses)
-        log_guess = np.log(np.maximum(savings_guess, np.exp(_LOG_SAVINGS_FLOOR)))
-
-        def residual(rows: np.ndarray, log_savings: np.ndarray) -> np.ndarray:
-            savings = np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, 30.0))
-            return self.euler_residuals_batch(z, X[rows], savings, policy_next)
-
-        batch_solver = BatchNewtonSolver.from_scalar(self.solver)
-        result = batch_solver.solve(residual, log_guess)
-        savings = np.exp(np.clip(result.x, _LOG_SAVINGS_FLOOR, 30.0))
-
-        # stalled rows: scipy polish from the batch's best iterate, exactly
-        # what the scalar solver does after its own Newton stalls
-        if self.solver.use_scipy_fallback:
-            for row in np.flatnonzero(~result.converged):
-                x = X[row]
-
-                def res1(log_savings: np.ndarray) -> np.ndarray:
-                    sav = np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, 30.0))
-                    return self.euler_residuals(z, x, sav, policy_next)
-
-                polished = self.solver._scipy_solve(
-                    res1, result.x[row], 0, 0, float(result.residual_norm[row])
-                )
-                savings[row] = np.exp(np.clip(polished.x, _LOG_SAVINGS_FLOOR, 30.0))
-        values = self.value_functions_batch(z, X, savings, policy_next)
-        out = np.empty((m, self.num_policies), dtype=float)
-        out[:, : self.num_savers] = savings
-        out[:, self.num_savers :] = values
-        return out
+        return self.system.solve(z, _rows(X), [policy_next], guesses)
 
     @classmethod
     def stacked_group(cls, models: list["OLGModel"], counts: list[int]):
@@ -636,27 +271,19 @@ class OLGModel:
         fixed rate out of current resources (so the guess still responds to
         the state); values come from consuming the implied amounts forever.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty((X.shape[0], self.num_policies), dtype=float)
-        beta = self.calibration.beta
-        steady_savings = np.maximum(
-            self.steady_state.profile.savings[: self.num_savers], 1e-6
-        )
-        for row, x in enumerate(X):
-            K, holdings = self.unpack_state(x)
-            env = self.environment(z, K)
-            resources = env.gross_return * holdings + env.incomes
-            rate_savings = np.maximum(0.4 * resources[: self.num_savers], 1e-6)
-            savings = 0.5 * steady_savings + 0.5 * rate_savings
-            headroom = np.maximum(resources[: self.num_savers] - self.utility.c_min, 1e-6)
-            savings = np.minimum(savings, headroom)
-            savings = np.maximum(savings, 1e-6)
-            consumption = np.maximum(
-                resources[: self.num_savers] - savings, self.utility.c_min
-            )
-            values = self.utility.utility(consumption) / (1.0 - beta)
-            out[row] = np.concatenate([savings, values])
-        return out
+        c_min = self.utility.c_min
+        # cash on hand point by point: numpy's scalar and array ``pow`` differ
+        # in the last bit on AVX-512 hosts, and time iteration amplifies a
+        # one-ulp change of p^0 into different iteration counts, so the
+        # starting point keeps the bits every stored solve began from
+        resources = np.array([self.system.resources(z, None, x) for x in _rows(X)])
+        steady_savings = np.maximum(self.steady_state.profile.savings[: self.num_savers], 1e-6)
+        savings = 0.5 * steady_savings + 0.5 * np.maximum(0.4 * resources, 1e-6)
+        savings = np.minimum(savings, np.maximum(resources - c_min, 1e-6))
+        savings = np.maximum(savings, 1e-6)
+        consumption = np.maximum(resources - savings, c_min)
+        values = self.utility.utility(consumption) / (1.0 - self.calibration.beta)
+        return np.concatenate([savings, values], axis=1)
 
     # ------------------------------------------------------------------ #
     # accuracy diagnostics
@@ -676,27 +303,20 @@ class OLGModel:
         ``linf`` and ``l2`` aggregates plus the mean ``log10`` error, which
         is what Fig. 9 tracks as the solution error.
         """
-        sample = np.atleast_2d(np.asarray(sample, dtype=float))
-        cal = self.calibration
-        errors: list[np.ndarray] = []
+        sample = _rows(sample)
+        errors = []
         for z in range(self.num_states):
             values = np.atleast_2d(policy.evaluate(z, sample))
-            for row, x in enumerate(sample):
-                savings = np.maximum(values[row, : self.num_savers], 1e-10)
-                K, holdings = self.unpack_state(x)
-                env = self.environment(z, K)
-                consumption = self.consumption_today(env, holdings, savings)
-                cons_today = np.maximum(
-                    consumption[: self.num_savers], self.utility.c_min
-                )
-                residual = self.euler_residuals(z, x, savings, policy_next=policy)
-                # beta * E[R' u'(c')] = u'(c) - residual
-                rhs = np.maximum(
-                    self.utility.marginal_utility(cons_today) - residual, 1e-12
-                )
-                implied = rhs ** (-1.0 / cal.gamma)
-                errors.append(np.abs(implied / cons_today - 1.0))
-        stacked = np.concatenate(errors) if errors else np.array([np.nan])
+            savings = np.maximum(values[:, : self.num_savers], 1e-10)
+            cons_today = np.maximum(
+                self.system.resources(z, None, sample) - savings, self.utility.c_min
+            )
+            residual = self.system.euler_residuals(z, None, sample, savings, [policy])
+            # beta * E[R' u'(c')] = u'(c) - residual
+            rhs = np.maximum(self.utility.marginal_utility(cons_today) - residual, 1e-12)
+            implied = rhs ** (-1.0 / self.calibration.gamma)
+            errors.append(np.abs(implied / cons_today - 1.0).ravel())
+        stacked = np.concatenate(errors)
         return {
             "linf": float(np.max(stacked)),
             "l2": float(np.sqrt(np.mean(stacked**2))),

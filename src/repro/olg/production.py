@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+import numpy as np
 
 __all__ = ["CobbDouglasTechnology", "Prices"]
 
 
-@dataclass(frozen=True)
-class Prices:
-    """Factor prices implied by the aggregate state."""
+class Prices(NamedTuple):
+    """Factor prices implied by the aggregate state (scalars or one entry per row)."""
 
     wage: float
     return_gross: float  # marginal product of capital, before depreciation
@@ -23,7 +24,9 @@ class CobbDouglasTechnology:
     """``Y = zeta * K^theta * L^(1-theta)`` with depreciation ``delta``.
 
     ``zeta`` and ``delta`` may be state dependent; they are passed per call
-    so one technology object serves all discrete shock states.
+    so one technology object serves all discrete shock states.  ``K``,
+    ``zeta`` and ``delta`` may be scalars or arrays (one entry per row of
+    a batch); labor supply is a scalar.
     """
 
     theta: float = 0.33
@@ -33,23 +36,17 @@ class CobbDouglasTechnology:
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie strictly between 0 and 1")
 
-    def output(self, K: float, L: float, zeta: float = 1.0) -> float:
-        K = max(float(K), self.capital_floor)
-        return float(zeta) * K**self.theta * float(L) ** (1.0 - self.theta)
+    def output(self, K, L, zeta=1.0):
+        return self.prices(K, L, zeta, 0.0).output
 
-    def prices(self, K: float, L: float, zeta: float, delta: float) -> Prices:
+    def prices(self, K, L: float, zeta, delta) -> Prices:
         """Competitive factor prices at aggregate capital ``K`` and labor ``L``."""
-        K = max(float(K), self.capital_floor)
         L = max(float(L), self.capital_floor)
-        ratio = K / L
-        wage = (1.0 - self.theta) * zeta * ratio**self.theta
+        ratio = np.maximum(K, self.capital_floor) / L
+        scale = ratio**self.theta
+        wage = (1.0 - self.theta) * zeta * scale
         r_gross = self.theta * zeta * ratio ** (self.theta - 1.0)
-        return Prices(
-            wage=float(wage),
-            return_gross=float(r_gross),
-            return_net=float(r_gross - delta),
-            output=self.output(K, L, zeta),
-        )
+        return Prices(wage, r_gross, r_gross - delta, zeta * scale * L)
 
     def steady_state_capital(
         self, L: float, zeta: float, delta: float, beta: float

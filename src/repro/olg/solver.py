@@ -6,7 +6,9 @@ difference Jacobian and a backtracking line search, falling back to
 ``scipy.optimize.root`` (Powell hybrid) when Newton stalls — the surrounding
 code path (repeated interpolation of next-period policies inside the
 residual function) is identical, which is what matters for the performance
-experiments.
+experiments.  The Newton iteration exists once, row-masked over a batch of
+independent systems (:class:`BatchNewtonSolver`); :class:`NewtonSolver`
+holds the settings, the scipy polish and the single-system entry point.
 """
 
 from __future__ import annotations
@@ -68,67 +70,31 @@ class NewtonSolver:
         self.max_step = max_step
         self.use_scipy_fallback = use_scipy_fallback
 
-    # ------------------------------------------------------------------ #
-    def _jacobian(self, fn: Callable, x: np.ndarray, fx: np.ndarray, counter: list) -> np.ndarray:
-        n = x.shape[0]
-        jac = np.empty((fx.shape[0], n), dtype=float)
-        for j in range(n):
-            step = self.fd_step * max(abs(x[j]), 1.0)
-            xp = x.copy()
-            xp[j] += step
-            fp = np.asarray(fn(xp), dtype=float)
-            counter[0] += 1
-            jac[:, j] = (fp - fx) / step
-        return jac
-
     def solve(self, fn: Callable, x0: np.ndarray) -> PointSolveResult:
-        """Solve ``fn(x) = 0`` starting from ``x0``."""
-        x = np.array(x0, dtype=float).copy()
-        evals = [0]
-        fx = np.asarray(fn(x), dtype=float)
-        evals[0] += 1
-        best_x, best_norm = x.copy(), float(np.max(np.abs(fx)))
-        iterations = 0
-        for iterations in range(1, self.max_iterations + 1):
-            norm = float(np.max(np.abs(fx)))
-            if norm < best_norm:
-                best_norm, best_x = norm, x.copy()
-            if norm < self.tol:
-                return PointSolveResult(x, norm, True, iterations, evals[0])
-            jac = self._jacobian(fn, x, fx, evals)
-            try:
-                step = np.linalg.solve(jac, -fx)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
-            step_norm = float(np.max(np.abs(step)))
-            if step_norm > self.max_step:
-                step *= self.max_step / step_norm
-            # backtracking line search on the residual norm
-            lam = 1.0
-            improved = False
-            for _ in range(12):
-                trial = x + lam * step
-                f_trial = np.asarray(fn(trial), dtype=float)
-                evals[0] += 1
-                if np.max(np.abs(f_trial)) < norm:
-                    x, fx = trial, f_trial
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
-        norm = float(np.max(np.abs(fx)))
-        if norm < best_norm:
-            best_norm, best_x = norm, x.copy()
-        if best_norm < self.tol:
-            return PointSolveResult(best_x, best_norm, True, iterations, evals[0])
-        if self.use_scipy_fallback:
-            return self._scipy_solve(fn, best_x, iterations, evals[0], best_norm)
-        return PointSolveResult(best_x, best_norm, False, iterations, evals[0])
+        """Solve ``fn(x) = 0`` starting from ``x0``.
 
-    def _scipy_solve(
-        self, fn: Callable, x0: np.ndarray, iterations: int, evals: int, best_norm: float
+        One system is a batch of one: :class:`BatchNewtonSolver` on a single
+        row, then :meth:`scipy_polish` from its best iterate if it stalled.
+        """
+        batch = BatchNewtonSolver(self).solve(
+            lambda rows, X: np.asarray(fn(X[0]), dtype=float)[None, :],
+            np.asarray(x0, dtype=float)[None, :],
+        )
+        x, norm, converged = batch.x[0], float(batch.residual_norm[0]), bool(batch.converged[0])
+        counts = (batch.iterations, batch.residual_evaluations)
+        if converged or not self.use_scipy_fallback:
+            return PointSolveResult(x, norm, converged, *counts)
+        return self.scipy_polish(fn, x, norm, *counts)
+
+    def scipy_polish(
+        self, fn: Callable, x0: np.ndarray, best_norm: float, iterations: int = 0, evals: int = 0
     ) -> PointSolveResult:
+        """Powell-hybrid retry from a stalled Newton's best iterate ``x0``.
+
+        The scipy point is kept when it does not worsen the residual norm
+        ``best_norm``; otherwise ``x0`` is returned unconverged.
+        ``iterations`` / ``evals`` carry the Newton counts into the result.
+        """
         counter = [evals]
 
         def counted(x):
@@ -162,42 +128,23 @@ class BatchSolveResult:
 class BatchNewtonSolver:
     """Damped Newton over a batch of independent small systems.
 
-    Runs the same algorithm as :class:`NewtonSolver` — forward-difference
-    Jacobian, capped step, 12-step backtracking line search on the residual
-    infinity norm — but row-masked over ``m`` systems at once, so every
-    residual evaluation is ONE vectorized call over all still-active rows
-    instead of ``m`` scalar calls.  Rows whose line search stalls are
-    deactivated and reported unconverged (callers fall back to the scalar
-    solver, which retries from scratch and includes the scipy fallback).
+    Forward-difference Jacobian, capped step, 12-step backtracking line
+    search on the residual infinity norm, row-masked over ``m`` systems at
+    once, so every residual evaluation is ONE vectorized call over all
+    still-active rows instead of ``m`` scalar calls.  Rows whose line
+    search stalls are deactivated and reported unconverged with their best
+    iterate (callers polish those with :meth:`NewtonSolver.scipy_polish`).
 
     The residual callback receives ``(rows, X)`` where ``rows`` indexes the
     original batch (so the callback can look up per-row problem data) and
     ``X`` holds the candidate unknowns for exactly those rows.
     """
 
-    def __init__(
-        self,
-        tol: float = 1e-8,
-        max_iterations: int = 40,
-        fd_step: float = 1e-7,
-        max_step: float = 5.0,
-    ) -> None:
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        self.tol = tol
-        self.max_iterations = max_iterations
-        self.fd_step = fd_step
-        self.max_step = max_step
-
-    @classmethod
-    def from_scalar(cls, solver: NewtonSolver) -> "BatchNewtonSolver":
-        """Mirror a scalar solver's tolerances so both paths agree."""
-        return cls(
-            tol=solver.tol,
-            max_iterations=solver.max_iterations,
-            fd_step=solver.fd_step,
-            max_step=solver.max_step,
-        )
+    def __init__(self, settings: NewtonSolver | None = None) -> None:
+        """Take tolerance, iteration cap, FD step and step cap from a :class:`NewtonSolver`."""
+        settings = settings if settings is not None else NewtonSolver()
+        self.tol, self.max_iterations = settings.tol, settings.max_iterations
+        self.fd_step, self.max_step = settings.fd_step, settings.max_step
 
     def solve(self, fn: Callable, x0: np.ndarray) -> BatchSolveResult:
         """Solve ``fn(rows, X) = 0`` row-wise starting from ``x0`` (m, n)."""
@@ -264,8 +211,8 @@ class BatchNewtonSolver:
             if better.any():
                 best_x[better] = X[better]
                 best_norm[better] = norms[better]
-            # stalled rows exit (scalar path breaks there too); improved rows
-            # stay active until their residual drops below tolerance
+            # stalled rows exit; improved rows stay active until their
+            # residual drops below tolerance
             active[idx[~accepted]] = False
             improved = idx[accepted]
             active[improved] = norms[improved] >= self.tol

@@ -123,6 +123,15 @@ def deterministic_steady_state(
     L = cal.labor_supply
     A = cal.num_generations
 
+    working = np.arange(A) < cal.retirement_age
+
+    def aggregates(K: float):
+        prices = technology.prices(K, L, zeta, delta)
+        budget = fiscal.budget(
+            tau_l, tau_c, prices.wage, L, prices.return_net, K, A, cal.num_retired
+        )
+        return prices, budget
+
     # start from the representative-agent heuristic
     K = technology.steady_state_capital(L, zeta, delta, cal.beta)
     K = max(K, 1e-3)
@@ -130,25 +139,9 @@ def deterministic_steady_state(
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        prices = technology.prices(K, L, zeta, delta)
-        budget = fiscal.budget(
-            tau_labor=tau_l,
-            tau_capital=tau_c,
-            wage=prices.wage,
-            labor_supply=L,
-            return_net=prices.return_net,
-            aggregate_capital=K,
-            num_agents=A,
-            num_retired=cal.num_retired,
-        )
+        prices, budget = aggregates(K)
         R = fiscal.after_tax_return(prices.return_net, tau_c)
-        incomes = np.empty(A, dtype=float)
-        for age in range(A):
-            if age < cal.retirement_age:
-                incomes[age] = (1.0 - tau_l) * prices.wage * cal.efficiency[age]
-            else:
-                incomes[age] = budget.pension_benefit
-            incomes[age] += budget.lump_sum_transfer
+        incomes = fiscal.incomes(tau_l, prices.wage, budget, cal.efficiency, working)
         profile = lifecycle_profile(incomes, R, cal.beta, cal.gamma)
         K_implied = max(profile.aggregate_capital, 1e-6)
         if abs(K_implied - K) < tol * max(K, 1.0):
@@ -157,23 +150,13 @@ def deterministic_steady_state(
             break
         K = (1.0 - damping) * K + damping * K_implied
 
-    prices = technology.prices(K, L, zeta, delta)
-    budget = fiscal.budget(
-        tau_labor=tau_l,
-        tau_capital=tau_c,
-        wage=prices.wage,
-        labor_supply=L,
-        return_net=prices.return_net,
-        aggregate_capital=K,
-        num_agents=A,
-        num_retired=cal.num_retired,
-    )
+    prices, budget = aggregates(K)
     return SteadyState(
         capital=float(K),
-        wage=prices.wage,
-        return_net=prices.return_net,
-        gross_return=fiscal.after_tax_return(prices.return_net, tau_c),
-        pension=budget.pension_benefit,
+        wage=float(prices.wage),
+        return_net=float(prices.return_net),
+        gross_return=float(fiscal.after_tax_return(prices.return_net, tau_c)),
+        pension=float(budget.pension_benefit),
         profile=profile,
         iterations=iterations,
         converged=converged,

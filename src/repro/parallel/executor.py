@@ -33,9 +33,6 @@ EXECUTOR_KINDS = ("serial", "threads", "processes", "stealing")
 class SerialExecutor:
     """Single-threaded reference executor."""
 
-    #: consumers with a serial fast path (e.g. the time-iteration solver's
-    #: direct-fill _solve_points) key off this marker
-    is_serial = True
     dispatches_in_order = True
 
     def map(self, fn, items) -> list:

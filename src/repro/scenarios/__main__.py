@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--point-executor",
         default="serial",
         choices=EXECUTOR_KINDS,
-        help="executor for per-grid-point solves inside each scenario",
+        help="dispatch inside each solve: serial (default) solves a state's whole grid "
+        "in one vectorized call, any other kind one grid point per task",
     )
     run.add_argument("--point-workers", type=int, default=2)
     run.add_argument(
@@ -137,9 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--batch",
         action="store_true",
-        help="batch solve scenarios sharing a grid topology through the "
-        "multi-scenario time-iteration driver (results match sequential "
-        "solves to solver tolerance; checkpoints/entries are unchanged)",
+        help="stack solve scenarios sharing a grid topology into one Newton per "
+        "iteration (the same row solves as the default path, which is a batch of "
+        "one; checkpoints/entries are unchanged)",
     )
 
     show = sub.add_parser("show", help="print a store's committed entries")
@@ -255,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--point-executor",
         default="serial",
         choices=EXECUTOR_KINDS,
-        help="executor for per-grid-point solves inside each scenario",
+        help="dispatch inside each solve: serial (default) solves a state's whole grid "
+        "in one vectorized call, any other kind one grid point per task",
     )
     work.add_argument("--point-workers", type=int, default=1)
     work.add_argument(

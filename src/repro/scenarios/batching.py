@@ -12,10 +12,11 @@ The store contract is unchanged: every member keeps its own checkpoint
 (written at the same per-iteration boundary as a sequential solve, so
 kill/resume works member by member), its own telemetry events, and its own
 ``entry.json`` committed individually *the moment that member finishes*
-(converged members drop out of the batch early).  Members the batched
-driver cannot take — adaptive configs, checkpoints from another grid,
-structural mismatches — fall back to the sequential per-scenario path,
-which is bit-exact with today's behavior.
+(converged members drop out of the batch early).  The default
+per-scenario solve is a batch of one — same code, same bits — so batching
+only adds the cross-scenario stacking.  Members the batched driver cannot
+take — adaptive configs, checkpoints from another grid — fall back to a
+per-scenario solve of their own.
 """
 
 from __future__ import annotations

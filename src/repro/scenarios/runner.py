@@ -338,6 +338,7 @@ def _execute_solve(
 ) -> dict:
     config = spec.build_config()
     model = spec.build_model()
+    # "serial" means no executor: the driver hands whole grids to the model
     executor = None
     if point_executor != "serial":
         executor = make_executor(point_executor, point_workers)
@@ -397,8 +398,10 @@ def run_suite(
         specs and tasks are plain data, so they pickle, and the sharded
         store lets every worker commit its own entry.
     point_executor, point_workers
-        Executor used *inside* each solve for the per-grid-point systems
-        (keep ``serial`` when the scenario level is already parallel).
+        Dispatch *inside* each solve.  ``serial`` (the default) passes no
+        executor: a state's whole grid goes to the model's vectorized point
+        solve.  Any other kind solves the grid points one task each through
+        that executor (the paper's per-point dispatch).
     checkpoint_every
         Persist a solve checkpoint every N iterations.
     force
@@ -420,8 +423,10 @@ def run_suite(
         run each group through the batched multi-scenario solver — one
         shared grid, per-member convergence masking — instead of one
         solve per task.  Checkpoints, telemetry events and per-hash entry
-        commits are unchanged; results match sequential solves to solver
-        tolerance (not bit-exactly).  Off by default.
+        commits are unchanged.  A group of one is the default solve bit for
+        bit; a stacked group runs the same row solves in one Newton, for
+        which the contract stays solver tolerance (BLAS blocking may depend
+        on what shares a call).  Off by default.
     progress
         Optional ``callable(str)`` receiving one line per scenario.
     """

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.compression import compress_grid, compressed_for
 from repro.core.kernels import evaluate, list_kernels
-from repro.core.time_iteration import TimeIterationSolver
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver, solve_points
 from repro.grids.adaptive import refine
 from repro.grids.domain import BoxDomain
 from repro.grids.hierarchize import (
@@ -243,25 +243,82 @@ class _ReversingExecutor:
         return [fn(item) for item in reversed(list(items))]
 
 
-class TestSolvePointsFastPath:
-    def test_serial_fast_path_matches_executor_path(self):
+class _BatchStubModel(_StubModel):
+    """The stub with a vectorized point solve, which counts its calls."""
+
+    def __init__(self):
+        self.batch_calls = 0
+
+    def solve_points_batch(self, z, X, policy_next, guesses=None):
+        self.batch_calls += 1
+        base = np.column_stack([X[:, 0], X[:, 1], X[:, 0] * X[:, 1]])
+        return base if guesses is None else base + 0.1 * np.asarray(guesses)
+
+
+class TestSolvePoints:
+    """The per-state update shared by both drivers (``core.time_iteration.solve_points``)."""
+
+    def test_serial_matches_out_of_order_executor(self):
         X = np.random.default_rng(5).random((17, 2))
         guesses = np.random.default_rng(6).random((17, 3))
-        serial = TimeIterationSolver(_StubModel())
-        executor = TimeIterationSolver(_StubModel(), executor=_ReversingExecutor())
         for g in (None, guesses):
-            np.testing.assert_allclose(
-                serial._solve_points(0, X, None, g),
-                executor._solve_points(0, X, None, g),
+            np.testing.assert_array_equal(
+                solve_points(_StubModel(), 0, X, None, g),
+                solve_points(_StubModel(), 0, X, None, g, _ReversingExecutor()),
             )
 
-    def test_public_serial_executor_takes_fast_path(self):
+    @pytest.mark.parametrize("kind", ["serial", "threads", "stealing"])
+    def test_public_executors_match_the_plain_loop(self, kind):
         from repro.parallel.executor import make_executor
 
-        executor = make_executor("serial")
-        assert getattr(executor, "is_serial", False)
         X = np.random.default_rng(9).random((7, 2))
-        np.testing.assert_allclose(
-            TimeIterationSolver(_StubModel(), executor=executor)._solve_points(0, X, None, None),
-            TimeIterationSolver(_StubModel())._solve_points(0, X, None, None),
+        np.testing.assert_array_equal(
+            solve_points(_StubModel(), 0, X, None, None, make_executor(kind, 2)),
+            solve_points(_StubModel(), 0, X, None, None),
         )
+
+    def test_whole_grid_goes_to_the_batch_solve_unless_an_executor_is_passed(self):
+        from repro.parallel.executor import make_executor
+
+        X = np.random.default_rng(11).random((9, 2))
+        guesses = np.random.default_rng(12).random((9, 3))
+        model = _BatchStubModel()
+        whole = solve_points(model, 0, X, None, guesses)
+        assert model.batch_calls == 1
+        # an explicit executor keeps the paper's per-point dispatch
+        per_point = solve_points(model, 0, X, None, guesses, make_executor("serial"))
+        assert model.batch_calls == 1
+        np.testing.assert_allclose(whole, per_point, rtol=0, atol=1e-15)
+
+    def test_driver_passes_its_executor_through(self):
+        model = _BatchStubModel()
+        config = TimeIterationConfig(grid_level=2, max_iterations=1)
+        TimeIterationSolver(model, config).solve()
+        assert model.batch_calls == model.num_states
+        TimeIterationSolver(model, config, executor=_ReversingExecutor()).solve()
+        assert model.batch_calls == model.num_states
+
+
+class TestPointsCache:
+    def test_adaptive_solve_does_not_pin_grid_copies(self):
+        """Mapped points are cached for the shared regular grid only.
+
+        Every adaptive step copies each state's grid; caching the mapped
+        points of every copy pinned all of them for the solver's lifetime
+        (11 entries after 5 iterations on 2 states).
+        """
+        class TwoStates(_StubModel):
+            num_states = 2
+
+        sizes = []
+        for iterations in (1, 5):
+            config = TimeIterationConfig(
+                grid_level=2, adaptive=True, max_refine_level=3, max_iterations=iterations,
+                tolerance=1e-12,
+            )
+            solver = TimeIterationSolver(TwoStates(), config)
+            result = solver.solve()
+            assert result.iterations == iterations
+            sizes.append(len(solver._grid_cache))
+            assert not hasattr(solver, "_points_cache")
+        assert sizes == [1, 1]

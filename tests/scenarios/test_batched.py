@@ -2,8 +2,9 @@
 
 Covers the four contracts of the batched solve path:
 
-* tolerance-equivalence — batched sweeps land on the same fixed points as
-  per-scenario sequential solves (to solver tolerance, not bit-exactness);
+* equivalence — a batch of one is the sequential solve bit for bit; stacked
+  sweeps land on the same fixed points as per-scenario sequential solves
+  (asserted to solver tolerance);
 * convergence masking — members drop out of the batch individually, each
   with its own iteration history;
 * fallback — members the driver cannot batch (divergence, topology
@@ -93,8 +94,18 @@ class TestToleranceEquivalence:
         outcomes = BatchedTimeIterationSolver([_member(spec)]).solve()
         out = outcomes["solo"]
         assert not out.fallback and out.result.converged
+        # one path, same bits: the sequential driver is a batch of one
         seq = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
-        assert _policy_diff(seq, out.result) < TOL
+        assert [r.iteration for r in seq.records] == [r.iteration for r in out.result.records]
+        for field in ("policy_change_linf", "policy_change_l2", "policy_change_rel_linf"):
+            assert [getattr(r, field) for r in seq.records] == [
+                getattr(r, field) for r in out.result.records
+            ]
+        for z in range(len(seq.policy)):
+            assert np.array_equal(
+                out.result.policy[z].interpolant.surplus, seq.policy[z].interpolant.surplus
+            )
+            assert np.array_equal(out.result.policy[z].nodal_values, seq.policy[z].nodal_values)
 
 
 class TestConvergenceMasking:
@@ -128,9 +139,8 @@ class TestConvergenceMasking:
 
 class TestFallback:
     def test_divergence_falls_back_bit_exact(self):
-        # poison the batched point solve (only the batched driver uses
-        # solve_points_batch; the sequential path solves row by row), so
-        # the first pass goes non-finite and the member must fall back
+        # poison the first call of the point solve, so the batch's first
+        # pass goes non-finite and the member must fall back
         spec = _solve_spec("diverge")
         model = spec.build_model()
         real = model.solve_points_batch

@@ -68,7 +68,7 @@ class TestJobsReferenceRealThings:
 
     def test_bench_script_gates_perf_and_resume(self):
         script = (REPO / "benchmarks" / "run_quick.sh").read_text()
-        assert "bench_hierarchize.py" in script  # the >=5x guard lives here
+        assert "bench_hierarchize.py" in script  # the >=5x fit-path canary lives here
         assert "--interrupt-after" in script  # the kill/resume smoke sweep
         assert (REPO / "benchmarks" / "bench_hierarchize.py").exists()
 
@@ -209,41 +209,33 @@ class TestObservability:
 
 
 class TestBatchedSolveGate:
-    """PR 8 additions: batched-solve bench guard + workflow hygiene."""
+    """PR 8's batched-solve gate, retired for the layered ledger, plus its workflow hygiene."""
 
-    def test_bench_script_guards_batched_solve_speedup(self):
-        # run_quick.sh must run the batched-solve benchmark in quick mode
-        # and fail the run when the speedup over sequential drops below 2x
+    def test_bench_job_runs_the_ledger_self_checks(self, workflow):
+        # the ledger wraps model/solver/driver/store entry points from
+        # outside; its smoke tests fail loudly when one disappears
+        commands = _run_commands(workflow["jobs"]["bench"])
+        assert "PYTHONPATH=src python -m pytest benchmarks/ledger/test_ledger.py -q" in commands
+        assert (REPO / "benchmarks" / "ledger" / "test_ledger.py").exists()
+        assert (REPO / "BENCHMARK.json").exists()
+
+    def test_batched_over_sequential_guard_is_gone(self, workflow):
+        # the default solve is a batch of one now, so batched / sequential
+        # on a 7-point grid measures cross-scenario stacking only
         script = (REPO / "benchmarks" / "run_quick.sh").read_text()
-        assert "bench_solve.py --quick" in script
-        assert 'BENCH_SOLVE_OUT="${BENCH_SOLVE_OUT:-' in script  # overridable
-        assert 'artifact["speedup"] < 2.0' in script
-        assert (REPO / "benchmarks" / "bench_solve.py").exists()
+        assert "bench_solve" not in script and "BENCH_SOLVE_OUT" not in script
+        assert not (REPO / "benchmarks" / "bench_solve.py").exists()
+        assert not (REPO / "BENCH_solve.json").exists()
+        assert "bench_solve" not in (REPO / ".github" / "workflows" / "ci.yml").read_text()
 
-    def test_committed_solve_artifact_shows_2x_on_16_scenarios(self):
-        # the full-sweep artifact at the repo root is the acceptance
-        # record: 16 shared-topology scenarios, >= 2x batched speedup,
-        # policies agreeing to solver tolerance
-        import json
-
-        artifact = json.loads((REPO / "BENCH_solve.json").read_text())
-        assert artifact["n_scenarios"] == 16
-        assert artifact["speedup"] >= 2.0
-        assert artifact["max_policy_diff"] < artifact["tolerance"]
-
-    def test_bench_job_uploads_solve_bench_artifact(self, workflow):
-        job = workflow["jobs"]["bench"]
-        uploads = [
-            step for step in job["steps"]
-            if step.get("uses", "").startswith("actions/upload-artifact@")
-        ]
-        solve_uploads = [
-            step for step in uploads if "bench_solve_quick.json" in step["with"]["path"]
-        ]
-        assert solve_uploads, "bench job must upload the batched-solve artifact"
-        assert solve_uploads[0]["with"]["if-no-files-found"] == "ignore"
-        commands = " && ".join(_run_commands(job))
-        assert "BENCH_SOLVE_OUT" in commands
+    def test_hierarchize_guard_is_a_printed_canary(self):
+        # the ledger puts hierarchization at <= 0.1% of a solve: a slow fit
+        # path prints a line, it does not fail the run
+        script = (REPO / "benchmarks" / "run_quick.sh").read_text()
+        tail = script[script.index("bench_hierarchize.py --quick") :]
+        assert 'c["warm_speedup_vs_seed"] < 5.0' in tail
+        assert "non-blocking" in tail
+        assert "SystemExit" not in tail
 
     def test_concurrency_cancels_superseded_pr_runs(self, workflow):
         group = workflow["concurrency"]

@@ -11,6 +11,7 @@ from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
 from repro.olg.simulation import simulate_economy
+from repro.parallel.executor import SerialExecutor
 from repro.parallel.scheduler import WorkStealingScheduler
 
 
@@ -70,7 +71,9 @@ class TestExecutorEquivalence:
         cal = small_calibration(num_generations=4, num_states=2, beta=0.8)
         model = OLGModel(cal)
         config = TimeIterationConfig(grid_level=2, tolerance=1e-3, max_iterations=6)
-        serial = TimeIterationSolver(model, config).solve()
+        # an explicit executor dispatches grid points one solve_point at a
+        # time; without one the whole grid goes to the vectorized solve
+        serial = TimeIterationSolver(model, config, executor=SerialExecutor()).solve()
         threaded = TimeIterationSolver(
             model, config, executor=WorkStealingScheduler(3)
         ).solve()

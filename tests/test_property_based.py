@@ -8,7 +8,10 @@ These cover the properties DESIGN.md commits to:
 * hierarchize / evaluate is a round trip;
 * the proportional partition rule conserves processes and respects bounds;
 * the scheduling simulation never beats the theoretical lower bounds;
-* Markov chain constructions stay stochastic.
+* Markov chain constructions stay stochastic;
+* the one Euler system: the scalar, batch and stacked-group adapters of the
+  OLG model evaluate the same rows code, a row never sees its neighbours,
+  and the batch Newton solver reproduces the scalar one row by row.
 """
 
 import numpy as np
@@ -18,10 +21,14 @@ from hypothesis import strategies as st
 
 from repro.core.compression import compress_grid
 from repro.core.kernels import evaluate
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.hierarchize import evaluate_dense, hierarchize
 from repro.grids.regular import regular_sparse_grid
+from repro.olg.calibration import small_calibration
 from repro.olg.markov import MarkovChain, persistent_chain, rouwenhorst
+from repro.olg.model import OLGModel
 from repro.olg.preferences import CRRAUtility
+from repro.olg.solver import BatchNewtonSolver, NewtonSolver
 from repro.parallel.partition import partition_counts, proportional_group_sizes
 from repro.parallel.scheduler import simulate_schedule
 
@@ -204,3 +211,161 @@ def test_crra_utility_monotone(gamma, c1, c2):
     lo, hi = sorted((c1, c2))
     assert utility.utility(hi) >= utility.utility(lo) - 1e-12
     assert utility.marginal_utility(hi) <= utility.marginal_utility(lo) + 1e-12
+
+
+# --------------------------------------------------------------------------- #
+# one Euler system, one point solve
+# --------------------------------------------------------------------------- #
+MODEL_SETTINGS = settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+calibrations = st.fixed_dictionaries(
+    {
+        "num_generations": st.integers(4, 5),
+        "num_states": st.integers(1, 2),
+        "beta": st.floats(0.75, 0.95),
+        "tau_labor": st.floats(0.05, 0.3),
+        "tau_capital": st.floats(0.0, 0.2),
+    }
+)
+
+
+def _model_case(calibration: dict, seed: int, rows: int = 6):
+    """A model, its level-2 initial policy, and seeded states/savings inside the box."""
+    model = OLGModel(small_calibration(**calibration))
+    policy = TimeIterationSolver(model, TimeIterationConfig(grid_level=2)).initial_policy()
+    rng = np.random.default_rng(seed)
+    X = model.domain.from_unit(rng.random((rows, model.state_dim)))
+    savings = rng.uniform(0.01, 0.4, size=(rows, model.num_savers))
+    return model, policy, X, savings
+
+
+def _close(a, b) -> bool:
+    return bool(np.all(np.abs(np.asarray(a) - np.asarray(b)) <= 1e-12 * (1.0 + np.abs(b))))
+
+
+@MODEL_SETTINGS
+@given(calibration=calibrations, seed=st.integers(0, 2**31 - 1))
+def test_euler_adapters_are_one_system(calibration, seed):
+    """Scalar adapter == 1-row batch adapter == group row, for residuals and values.
+
+    The batch adapter on one row and the stacked group (the model listed
+    twice, so the per-row parameter path runs) are the same array code and
+    must agree bit for bit.  The scalar adapter runs that code without a
+    row axis, i.e. on numpy scalars, whose ``pow`` may differ from the
+    array ``pow`` in the last bit (it does on AVX-512 hosts): <= 1e-12.
+    """
+    model, policy, X, savings = _model_case(calibration, seed)
+    group = OLGModel.stacked_group([model, model], [len(X), len(X)])
+    for z in range(model.num_states):
+        pairs = (
+            (model.euler_residuals, model.euler_residuals_batch, group.euler_residuals_rows),
+            (model.value_functions, model.value_functions_batch, group.value_functions_rows),
+        )
+        for scalar, batch, rows in pairs:
+            for i in range(len(X)):
+                one_row = batch(z, X[i : i + 1], savings[i : i + 1], policy)
+                assert one_row.shape == (1, model.num_savers)
+                # the row as a member of the second copy of the model
+                member = np.array([len(X) + i])
+                in_group = rows(z, member, X[i : i + 1], savings[i : i + 1], [policy, policy])
+                assert np.array_equal(one_row, in_group)
+                assert _close(scalar(z, X[i], savings[i], policy), one_row[0])
+
+
+@MODEL_SETTINGS
+@given(calibration=calibrations, seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_residual_row_ignores_its_neighbours(calibration, seed, data):
+    model, policy, X, savings = _model_case(calibration, seed)
+    z = data.draw(st.integers(0, model.num_states - 1))
+    full = model.euler_residuals_batch(z, X, savings, policy)
+    subset = np.array(sorted(data.draw(st.sets(st.integers(0, len(X) - 1), min_size=1))))
+    alone = model.euler_residuals_batch(z, X[subset], savings[subset], policy)
+    assert _close(alone, full[subset])
+    group = OLGModel.stacked_group([model, model], [len(X), len(X)])
+    both = [policy, policy]
+    stacked = group.euler_residuals_rows(
+        z, np.arange(2 * len(X)), np.tile(X, (2, 1)), np.tile(savings, (2, 1)), both
+    )
+    assert _close(stacked[: len(X)], full) and _close(stacked[len(X) :], full)
+    picked = group.euler_residuals_rows(z, subset, X[subset], savings[subset], both)
+    assert _close(picked, full[subset])
+
+
+@MODEL_SETTINGS
+@given(calibration=calibrations, seed=st.integers(0, 2**31 - 1))
+def test_initial_policy_and_errors_match_the_per_row_loop(calibration, seed):
+    """The vectorized diagnostics equal the per-point evaluations they replaced."""
+    model, policy, X, _ = _model_case(calibration, seed, rows=5)
+    system, ns = model.system, model.num_savers
+    errors = []
+    for z in range(model.num_states):
+        # initial_policy_values: cash on hand point by point vs over rows
+        looped = np.array([system.resources(z, None, x) for x in X])
+        assert _close(system.resources(z, None, X), looped)
+        assert _close(
+            model.initial_policy_values(z, X),
+            np.array([model.initial_policy_values(z, x)[0] for x in X]),
+        )
+        # equilibrium_errors: the scalar loop of the seed implementation
+        for x in X:
+            savings = np.maximum(np.asarray(policy.evaluate(z, x))[:ns], 1e-10)
+            K, holdings = model.unpack_state(x)
+            consumption = model.consumption_today(model.environment(z, K), holdings, savings)
+            cons = np.maximum(consumption[:ns], model.utility.c_min)
+            residual = model.euler_residuals(z, x, savings, policy)
+            rhs = np.maximum(model.utility.marginal_utility(cons) - residual, 1e-12)
+            errors.append(np.abs(rhs ** (-1.0 / model.calibration.gamma) / cons - 1.0))
+    stacked = np.concatenate(errors)
+    got = model.equilibrium_errors(policy, X)
+    assert got["num_evaluations"] == stacked.size
+    assert _close(got["linf"], np.max(stacked))
+    assert _close(got["l2"], np.sqrt(np.mean(stacked**2)))
+    assert _close(got["mean_log10"], np.mean(np.log10(np.maximum(stacked, 1e-16))))
+
+
+def _synthetic_system(rng: np.random.Generator, m: int, n: int):
+    """``m`` independent, mildly nonlinear ``n x n`` systems with known roots."""
+    A = np.eye(n) + 0.2 * rng.standard_normal((m, n, n))
+    root = rng.uniform(-1.0, 1.0, size=(m, n))
+    cubic = rng.uniform(0.0, 0.5, size=(m, 1))
+
+    def rows_fn(rows, X):
+        d = X - root[rows]
+        # elementwise product and a last-axis sum: bit-stable in the batch size
+        return (A[rows] * d[:, None, :]).sum(axis=2) + cubic[rows] * d**3
+
+    return rows_fn, root
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 6),
+    n=st.integers(1, 4),
+    max_iterations=st.sampled_from([2, 40]),
+)
+def test_batch_newton_reproduces_scalar_newton_row_by_row(seed, m, n, max_iterations):
+    """Same iterate and same ``converged`` flag as the scalar solver, whatever the batch.
+
+    ``max_iterations=2`` exercises the unconverged exit as well.
+    """
+    rng = np.random.default_rng(seed)
+    rows_fn, root = _synthetic_system(rng, m, n)
+    x0 = root + rng.uniform(-0.8, 0.8, size=(m, n))
+    scalar = NewtonSolver(max_iterations=max_iterations, use_scipy_fallback=False)
+    batch = BatchNewtonSolver(scalar).solve(rows_fn, x0)
+    assert batch.x.shape == (m, n) and batch.converged.shape == (m,)
+    for r in range(m):
+        one = scalar.solve(lambda x, r=r: rows_fn(np.array([r]), x[None, :])[0], x0[r])
+        assert one.converged == bool(batch.converged[r])
+        assert _close(batch.x[r], one.x)
+        if one.converged:
+            assert np.max(np.abs(rows_fn(np.array([r]), one.x[None, :]))) < 1e-7
+    # a row's answer does not depend on what else is in the batch
+    keep = np.flatnonzero(rng.random(m) < 0.5)
+    if keep.size:
+        sub = BatchNewtonSolver(scalar).solve(lambda rows, X: rows_fn(keep[rows], X), x0[keep])
+        assert np.array_equal(sub.converged, batch.converged[keep])
+        assert _close(sub.x, batch.x[keep])
