@@ -1,31 +1,39 @@
-"""Batched multi-scenario time iteration (one grid, many calibrations).
+"""The time-iteration loop (paper Algorithm 1) over a group of members.
 
-Sweep scenarios that share a grid topology — same state dimension, shock
-count, policy count, grid level, kernel, no adaptivity — can run their time
-iterations in lockstep over ONE shared regular grid: every iteration solves
-a ``(n_scenarios, n_points)`` batch of equilibrium systems (stacked through
-:meth:`repro.olg.model.OLGModel.stacked_group` when available), fits all
-members' policies with one stacked hierarchization per shock state, and
-masks members out of the batch as they converge.
+There is one loop.  A *member* is one solve — a model, its configuration
+and optionally a checkpoint hook, an event sink, a warm start — and every
+pass of :meth:`BatchedTimeIterationSolver.solve` updates each active member
+once, then runs the same per-member block for all of them: iteration
+record and ``iteration`` event, equilibrium errors, ``refined``,
+``converged``, the checkpoint hook, completion.  A single solve is a group
+of one (:meth:`repro.core.time_iteration.TimeIterationSolver.solve`).
 
-Per-member contracts are preserved: each member keeps its own convergence
-tolerance/metric/iteration cap, its own :class:`IterationRecord` history,
-its own checkpoint hook (called after every iteration, exactly like the
-sequential driver) and its own telemetry events.  A member that is not
-stacked with others (a batch of one, a structural mismatch) gets its
-per-state update from the same :func:`~repro.core.time_iteration.solve_points`
-the sequential driver uses, so it returns the same bits as
-:class:`TimeIterationSolver` on that member.  Members that cannot be
-batched — adaptive configs, checkpoints from a different grid, non-finite
-iterates — fall back to a :class:`TimeIterationSolver` of their own.
+Members update in one of two ways.  Two or more members that share a grid
+topology — state dimension, shock count, policy count, grid level, kernel;
+no adaptivity, no executor — form a *stack*: they iterate in lockstep on
+ONE shared regular grid, every pass solving a ``(n_members, n_points)``
+batch of equilibrium systems (through
+:meth:`repro.olg.model.OLGModel.stacked_group` when available) and fitting
+all members' policies with one stacked hierarchization per shock state;
+members drop out as they converge.  Every other member steps *alone*
+through its own :meth:`~repro.core.time_iteration.TimeIterationSolver.step`:
+a group of one, a member with an executor, and — reported as
+:attr:`MemberOutcome.fallback_reason` — an adaptive configuration, a
+topology minority, a start policy on another grid, a stacked iterate that
+went non-finite.
+
+Either way each member has its own tolerance/metric/iteration cap, record
+history, checkpoint hook (called after every iteration) and events.  An
+exception from a member's own hooks or alone step ends that member only
+and rides on its outcome; what it means (a failure, an abandoned claim) is
+the caller's call.
 """
 
 from __future__ import annotations
 
 import time
-import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -36,13 +44,11 @@ from repro.core.time_iteration import (
     TimeIterationModel,
     TimeIterationResult,
     TimeIterationSolver,
-    initial_policy,
-    record_iteration,
     solve_points,
 )
 from repro.grids.hierarchize import hierarchize
-from repro.grids.regular import regular_sparse_grid
 from repro.utils.logging import get_logger
+from repro.utils.timing import WallClock
 
 __all__ = [
     "BatchMember",
@@ -55,9 +61,9 @@ logger = get_logger("core.batched")
 
 
 def batch_topology(model: TimeIterationModel, config: TimeIterationConfig):
-    """Grid-topology signature deciding which solves may share a batch.
+    """Grid-topology signature deciding which solves may share a stack.
 
-    Returns ``None`` for configurations that cannot be batched (adaptive
+    Returns ``None`` for configurations that cannot be stacked (adaptive
     refinement re-shapes grids per member); otherwise a hashable tuple —
     members with equal signatures run on one shared regular grid.
     """
@@ -74,7 +80,11 @@ def batch_topology(model: TimeIterationModel, config: TimeIterationConfig):
 
 @dataclass
 class BatchMember:
-    """One scenario's solve inside a batched run."""
+    """One solve inside a group: what :meth:`TimeIterationSolver.solve` takes, per member.
+
+    ``solver`` is the member's step provider, ``TimeIterationSolver(model,
+    config)`` when omitted; one that carries an executor steps alone.
+    """
 
     key: str
     model: TimeIterationModel
@@ -83,59 +93,64 @@ class BatchMember:
     events: object | None = None
     worker: str = ""
     scenario: str = ""
+    initial_policy: PolicySet | None = None
+    error_sample: np.ndarray | None = None
+    solver: TimeIterationSolver | None = None
 
 
 @dataclass
 class MemberOutcome:
-    """Terminal state of one member of a batched run."""
+    """Terminal state of one member: its result, or the exception that ended it."""
 
     result: TimeIterationResult | None
-    fallback: bool = False
-    fallback_reason: str | None = None
-    abandoned: bool = False
-    error: str | None = None
-    traceback: str | None = None
+    fallback_reason: str | None = None  # why a member that could have been stacked ran alone
+    exception: Exception | None = None  # carries its message and ``__traceback__``
 
-
-class _AbandonedMember(Exception):
-    """Internal marker: a member's checkpoint hook abandoned the solve."""
-
-    def __init__(self, cause: BaseException) -> None:
-        self.cause = cause
+    @property
+    def fallback(self) -> bool:
+        return self.fallback_reason is not None
 
 
 @dataclass
 class _MemberState:
     member: BatchMember
-    X: np.ndarray
+    solver: TimeIterationSolver
     policy: PolicySet
     records: list[IterationRecord]
-    start_iteration: int
     resumed: bool
-    converged: bool = False
-    passes: int = 0
+    converged: bool
+    loaded: int  # records that came with the checkpoint
+    reason: str | None = None  # why the member left (or never joined) the stack
+    stacked: bool = False
+    X: np.ndarray | None = None  # the shared grid's points in this member's box
     values: list[np.ndarray] = field(default_factory=list)
+    update: tuple[PolicySet, float, dict] | None = None  # this pass: policy, wall, sections
 
     @property
     def iteration(self) -> int:
-        return self.start_iteration + self.passes
+        return self.records[-1].iteration if self.records else 0
+
+    def emit(self, kind: str, **detail) -> None:
+        member = self.member
+        if member.events is not None:
+            member.events.emit(kind, member.worker, member.scenario, **detail)
 
 
 class BatchedTimeIterationSolver:
-    """Runs several topology-sharing time iterations as one batch.
+    """Runs the time iterations of a group of members to completion.
 
     Parameters
     ----------
     members
-        The member solves.  All non-fallback members must share one
-        :func:`batch_topology` signature; members whose configuration or
-        checkpoint cannot be batched are solved sequentially instead
-        (reported via :attr:`MemberOutcome.fallback`).
+        The member solves, with unique keys.  Members sharing the most
+        common :func:`batch_topology` signature are stacked when there are
+        at least two of them; the rest step alone (see the module
+        docstring).
     on_member_complete
         Optional callback ``(key, outcome)`` invoked the moment a member
-        finishes (converged, hit its iteration cap, or fell back), so
-        callers can commit results eagerly instead of waiting for the
-        whole batch.
+        finishes (converged, hit its iteration cap, or was ended by an
+        exception of its own), so callers can commit results eagerly
+        instead of waiting for the whole group.
     """
 
     def __init__(self, members: list[BatchMember], on_member_complete=None) -> None:
@@ -146,55 +161,134 @@ class BatchedTimeIterationSolver:
             raise ValueError("member keys must be unique")
         self.members = list(members)
         self.on_member_complete = on_member_complete
+        self._outcomes: dict[str, MemberOutcome] = {}
         self._group_cache: tuple[tuple[str, ...], object | None] | None = None
 
     # ------------------------------------------------------------------ #
-    # member setup
+    # the loop
     # ------------------------------------------------------------------ #
-    def _emit(self, member: BatchMember, kind: str, **detail) -> None:
-        if member.events is not None:
-            member.events.emit(kind, member.worker, member.scenario, **detail)
+    def solve(self) -> dict[str, MemberOutcome]:
+        """Run all members to completion; returns one outcome per key."""
+        self._outcomes.clear()
+        active = self._start()
+        while active:
+            stack = [ms for ms in active if ms.stacked]
+            if stack:
+                self._stacked_update(stack)
+            for ms in active:
+                with self._own(ms.member, ms.reason):
+                    if not ms.stacked:
+                        self._alone_update(ms)
+                    self._advance(ms)
+            active = [ms for ms in active if ms.member.key not in self._outcomes]
+        return self._outcomes
 
-    def _initial_state(self, member: BatchMember, grid) -> _MemberState:
-        """Build (or resume) a member's iterate on the shared grid.
+    @contextmanager
+    def _own(self, member: BatchMember, reason: str | None = None):
+        """What the member's own hooks, model or alone step raise ends that member only."""
+        try:
+            yield
+        except Exception as exc:  # rides on the member's outcome, for the caller to judge
+            if member.key in self._outcomes:
+                raise  # on_member_complete failed: the caller's error, not the member's
+            self._finish(member, MemberOutcome(None, reason, exception=exc))
 
-        Raises ``ValueError`` when the member's checkpoint was written on a
-        different grid (refinement disagreement) — the caller turns that
-        into a sequential fallback.
-        """
-        model = member.model
-        X = model.domain.from_unit(grid.points)
-        records: list[IterationRecord] = []
-        resumed = False
-        converged = False
-        policy: PolicySet | None = None
-        if member.checkpoint is not None:
-            state = member.checkpoint.load()
-            if state is not None:
-                resumed = True
-                records = list(state.records)
-                converged = bool(state.converged)
-                policy = self._reanchor(state.policy, grid)
-        if policy is None:
-            policy = initial_policy(model, grid, X, member.config.kernel)
+    def _finish(self, member: BatchMember, outcome: MemberOutcome) -> None:
+        if outcome.fallback:
+            logger.info("member %s ran unstacked: %s", member.key, outcome.fallback_reason)
+        self._outcomes[member.key] = outcome
+        if self.on_member_complete is not None:
+            self.on_member_complete(member.key, outcome)
+
+    # ------------------------------------------------------------------ #
+    # start: resume or initial policy, stack formation, solve-started
+    # ------------------------------------------------------------------ #
+    def _start(self) -> list[_MemberState]:
+        states: list[_MemberState] = []
+        for member in self.members:
+            with self._own(member):
+                states.append(self._load(member))
+        self._form_stack(states)
+        active = []
+        for ms in states:
+            cfg = ms.member.config
+            with self._own(ms.member, ms.reason):
+                ms.emit(
+                    "solve-started",
+                    start_iteration=ms.iteration,
+                    resumed=ms.resumed,
+                    tolerance=float(cfg.tolerance),
+                    max_iterations=int(cfg.max_iterations),
+                    metric=cfg.convergence_metric,
+                    adaptive=bool(cfg.adaptive),
+                    grid_level=int(cfg.grid_level),
+                    batched=ms.stacked,
+                )
+                if ms.converged or ms.iteration >= cfg.max_iterations:
+                    self._complete(ms)  # the checkpoint left nothing to iterate
+                else:
+                    active.append(ms)
+        return active
+
+    @staticmethod
+    def _load(member: BatchMember) -> _MemberState:
+        """The member's starting iterate: its checkpoint's, else its warm start, else ``p^0``."""
+        solver = member.solver or TimeIterationSolver(member.model, member.config)
+        state = member.checkpoint.load() if member.checkpoint is not None else None
+        if state is not None:
+            policy, records = state.policy, list(state.records)
+        else:
+            policy, records = member.initial_policy, []
         return _MemberState(
             member=member,
-            X=X,
-            policy=policy,
+            solver=solver,
+            policy=policy if policy is not None else solver.initial_policy(),
             records=records,
-            start_iteration=records[-1].iteration if records else 0,
-            resumed=resumed,
-            converged=converged,
+            resumed=state is not None,
+            converged=bool(state.converged) if state is not None else False,
+            loaded=len(records),
         )
+
+    def _form_stack(self, states: list[_MemberState]) -> None:
+        """Stack the members of the most common topology; say why the others step alone."""
+        by_signature: dict = {}
+        for ms in states:
+            signature = batch_topology(ms.member.model, ms.member.config)
+            if signature is None:
+                ms.reason = "adaptive refinement"
+            elif ms.solver.executor is None:
+                by_signature.setdefault(signature, []).append(ms)
+        # callers group by signature (the scenarios layer partitions suites),
+        # so a mixed set means the caller skipped that: stack the largest
+        candidates = max(by_signature.values(), key=len, default=[])
+        for others in by_signature.values():
+            if others is not candidates:
+                for ms in others:
+                    ms.reason = "topology mismatch"
+        if len(candidates) < 2:
+            return
+        grid, _ = candidates[0].solver._regular_grid(candidates[0].member.config.grid_level)
+        stack = []
+        for ms in candidates:
+            try:
+                ms.policy = self._reanchor(ms.policy, grid)
+            except ValueError as exc:
+                ms.reason = str(exc)
+            else:
+                stack.append(ms)
+        if len(stack) >= 2:
+            for ms in stack:
+                ms.stacked = True
+                ms.X = ms.member.model.domain.from_unit(grid.points)
 
     @staticmethod
     def _reanchor(policy: PolicySet, grid) -> PolicySet:
-        """Move a deserialized policy onto the shared grid object.
+        """Move a policy onto the shared grid object.
 
-        The points must match exactly (same regular grid, just a different
-        object after the checkpoint round-trip); rebuilding via
-        ``from_surplus`` keeps evaluations bit-identical while letting all
-        members share the grid-attached caches.
+        The points must match exactly (the same regular grid, just another
+        object — a member's own, or one from a checkpoint round-trip);
+        rebuilding via ``from_surplus`` keeps evaluations bit-identical
+        while letting all members share the grid-attached caches.
         """
         policies = []
         for sp in policy:
@@ -213,8 +307,45 @@ class BatchedTimeIterationSolver:
         return PolicySet(policies)
 
     # ------------------------------------------------------------------ #
-    # batched point solves
+    # the two updates
     # ------------------------------------------------------------------ #
+    def _alone_update(self, ms: _MemberState) -> None:
+        """One :meth:`TimeIterationSolver.step` of the member's own."""
+        clock = WallClock()
+        t0 = time.perf_counter()
+        new_policy = ms.solver.step(ms.policy, clock)
+        finite = all(np.all(np.isfinite(sp.nodal_values)) for sp in new_policy)
+        if ms.reason is None and not finite:
+            # the rule of a stack, for a member that never was in one: the
+            # first non-finite update is dropped and the iteration redone
+            ms.reason = "non-finite iterate"
+            return self._alone_update(ms)
+        ms.update = (new_policy, time.perf_counter() - t0, clock.as_dict())
+
+    def _stacked_update(self, stack: list[_MemberState]) -> None:
+        """One lockstep pass of the stack; a member with a non-finite iterate leaves it."""
+        num_states = stack[0].member.model.num_states
+        t0 = time.perf_counter()
+        self._solve_pass(stack, num_states)
+        solve_wall = time.perf_counter() - t0
+        for ms in stack:
+            if not all(np.all(np.isfinite(v)) for v in ms.values):
+                ms.stacked, ms.reason = False, "non-finite iterate"
+        stack = [ms for ms in stack if ms.stacked]
+        if not stack:
+            return
+        t1 = time.perf_counter()
+        # every stacked policy sits on the one shared grid
+        new_policies = self._fit_pass(stack, stack[0].policy[0].grid, num_states)
+        fit_wall = time.perf_counter() - t1
+        share = 1.0 / len(stack)
+        for ms in stack:
+            ms.update = (
+                PolicySet(new_policies[ms.member.key]),
+                (solve_wall + fit_wall) * share,
+                {"solve": solve_wall * share, "fit": fit_wall * share},
+            )
+
     def _group_solver(self, active: list[_MemberState]):
         """Cross-member stacked solver, rebuilt when membership changes."""
         key = tuple(ms.member.key for ms in active)
@@ -286,233 +417,78 @@ class BatchedTimeIterationSolver:
         return new_policies
 
     # ------------------------------------------------------------------ #
-    # the batched solve
+    # after the update: the one per-member block
     # ------------------------------------------------------------------ #
-    def solve(self) -> dict[str, MemberOutcome]:
-        """Run all members to completion; returns one outcome per key."""
-        outcomes: dict[str, MemberOutcome] = {}
-        fallback: list[tuple[BatchMember, str]] = []
-
-        batchable: list[BatchMember] = []
-        topologies = {}
-        for member in self.members:
-            sig = batch_topology(member.model, member.config)
-            if sig is None:
-                fallback.append((member, "adaptive refinement"))
-            else:
-                topologies.setdefault(sig, []).append(member)
-        if topologies:
-            # one batch per driver: the scenarios layer partitions suites by
-            # signature, so a mixed set here means the caller skipped that —
-            # batch the largest group, fall back the rest
-            sig = max(topologies, key=lambda s: len(topologies[s]))
-            batchable = topologies.pop(sig)
-            for others in topologies.values():
-                fallback.extend((m, "topology mismatch") for m in others)
-
-        states: list[_MemberState] = []
-        if batchable:
-            model = batchable[0].model
-            config = batchable[0].config
-            grid = regular_sparse_grid(model.state_dim, config.grid_level)
-            for member in batchable:
-                try:
-                    ms = self._initial_state(member, grid)
-                except ValueError as exc:
-                    fallback.append((member, str(exc)))
-                    continue
-                self._emit(
-                    member,
-                    "solve-started",
-                    start_iteration=ms.start_iteration,
-                    resumed=ms.resumed,
-                    tolerance=float(member.config.tolerance),
-                    max_iterations=int(member.config.max_iterations),
-                    metric=member.config.convergence_metric,
-                    adaptive=False,
-                    grid_level=int(member.config.grid_level),
-                    batched=True,
-                )
-                if ms.converged:
-                    # resumed from an already-converged checkpoint
-                    self._emit(
-                        member,
-                        "solve-finished",
-                        iterations=len(ms.records),
-                        new_iterations=0,
-                        converged=True,
-                        wall_time=0.0,
-                    )
-                    self._finish(
-                        outcomes,
-                        member.key,
-                        MemberOutcome(
-                            TimeIterationResult(
-                                policy=ms.policy,
-                                records=ms.records,
-                                converged=True,
-                                config=member.config,
-                            )
-                        ),
-                    )
-                    continue
-                states.append(ms)
-
-            self._run_batch(states, grid, model.num_states, outcomes, fallback)
-
-        for member, reason in fallback:
-            outcomes[member.key] = self._solve_fallback(member, reason)
-            if self.on_member_complete is not None:
-                self.on_member_complete(member.key, outcomes[member.key])
-        return outcomes
-
-    def _run_batch(
-        self,
-        states: list[_MemberState],
-        grid,
-        num_states: int,
-        outcomes: dict[str, MemberOutcome],
-        fallback: list[tuple[BatchMember, str]],
-    ) -> None:
-        active = list(states)
-        while active:
-            t0 = time.perf_counter()
-            self._solve_pass(active, num_states)
-            solve_wall = time.perf_counter() - t0
-
-            diverged = [
-                ms
-                for ms in active
-                if not all(np.all(np.isfinite(v)) for v in ms.values)
-            ]
-            for ms in diverged:
-                active.remove(ms)
-                fallback.append((ms.member, "non-finite iterate"))
-            if not active:
-                break
-
-            t1 = time.perf_counter()
-            new_policies = self._fit_pass(active, grid, num_states)
-            fit_wall = time.perf_counter() - t1
-            shared_wall = (solve_wall + fit_wall) / len(active)
-
-            still_active: list[_MemberState] = []
-            for ms in active:
-                member = ms.member
-                cfg = member.config
-                new_policy = PolicySet(new_policies[member.key])
-                ms.passes += 1
-                iteration = ms.iteration
-                sections = {"solve": solve_wall / len(active), "fit": fit_wall / len(active)}
-                emit = partial(self._emit, member)
-                record, metric_value = record_iteration(
-                    emit, cfg, iteration, new_policy, ms.policy, shared_wall, sections
-                )
-                ms.records.append(record)
-                ms.policy = new_policy
-                converged = bool(metric_value < cfg.tolerance)
-                if converged:
-                    self._emit(
-                        member,
-                        "converged",
-                        iteration=int(iteration),
-                        error=float(metric_value),
-                    )
-                try:
-                    if member.checkpoint is not None:
-                        member.checkpoint.on_iteration(
-                            ms.policy, ms.records, converged, cfg
-                        )
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    # deferred import: repro.core must not pull the scenario
-                    # layer in at module load (checkpoint imports core)
-                    from repro.scenarios.checkpoint import SolveAbandoned
-
-                    # isinstance, not a name compare: LeaseLost subclasses
-                    # SolveAbandoned and must take the abandon path too
-                    if isinstance(exc, SolveAbandoned):
-                        self._finish(
-                            outcomes,
-                            member.key,
-                            MemberOutcome(None, abandoned=True),
-                        )
-                        continue
-                    raise
-                if converged or iteration >= cfg.max_iterations:
-                    self._complete_member(ms, converged, outcomes)
-                else:
-                    still_active.append(ms)
-            active = still_active
-
-    def _complete_member(
-        self, ms: _MemberState, converged: bool, outcomes: dict[str, MemberOutcome]
-    ) -> None:
-        member = ms.member
+    def _advance(self, ms: _MemberState) -> None:
+        """Book the member's update of this pass; complete the member when it is done."""
+        member, cfg = ms.member, ms.member.config
+        new_policy, wall, sections = ms.update
+        iteration = ms.iteration + 1
+        change = new_policy.distance(ms.policy)
+        metric_value = change.get(cfg.convergence_metric, change["linf"])
+        record = IterationRecord(
+            iteration=iteration,
+            policy_change_linf=change["linf"],
+            policy_change_l2=change["l2"],
+            policy_change_rel_linf=change["rel_linf"],
+            policy_change_rel_l2=change["rel_l2"],
+            points_per_state=new_policy.points_per_state,
+            wall_time=wall,
+            sections=sections,
+        )
+        ms.emit(
+            "iteration",
+            iteration=int(iteration),
+            error_linf=float(change["linf"]),
+            error_l2=float(change["l2"]),
+            error=float(metric_value),
+            points=int(record.total_points),
+            wall_time=float(wall),
+        )
+        if member.error_sample is not None and hasattr(member.model, "equilibrium_errors"):
+            record.equilibrium_errors = member.model.equilibrium_errors(
+                new_policy, member.error_sample
+            )
+        if cfg.adaptive and ms.records and record.total_points != ms.records[-1].total_points:
+            ms.emit(
+                "refined",
+                iteration=int(iteration),
+                points_before=int(ms.records[-1].total_points),
+                points_after=int(record.total_points),
+            )
+        ms.records.append(record)
+        ms.policy = new_policy
+        if cfg.verbose:
+            logger.info(
+                "%s iteration %d: %s = %.3e, points = %s",
+                member.key,
+                iteration,
+                cfg.convergence_metric,
+                metric_value,
+                new_policy.points_per_state,
+            )
+        ms.converged = bool(metric_value < cfg.tolerance)
+        if ms.converged:
+            ms.emit("converged", iteration=int(iteration), error=float(metric_value))
         if member.checkpoint is not None:
-            member.checkpoint.on_complete(ms.policy, ms.records, converged, member.config)
-        self._emit(
-            member,
+            member.checkpoint.on_iteration(ms.policy, ms.records, ms.converged, cfg)
+        if ms.converged or iteration >= cfg.max_iterations:
+            self._complete(ms)
+
+    def _complete(self, ms: _MemberState) -> None:
+        member, cfg = ms.member, ms.member.config
+        new = ms.records[ms.loaded :]
+        # a finished checkpoint reloaded as is has nothing new to persist
+        if member.checkpoint is not None and (new or not ms.converged):
+            member.checkpoint.on_complete(ms.policy, ms.records, ms.converged, cfg)
+        ms.emit(
             "solve-finished",
             iterations=len(ms.records),
-            new_iterations=ms.passes,
-            converged=converged,
-            wall_time=float(sum(r.wall_time for r in ms.records[-ms.passes :]))
-            if ms.passes
-            else 0.0,
+            new_iterations=len(new),
+            converged=ms.converged,
+            wall_time=float(sum(r.wall_time for r in new)),
         )
-        self._finish(
-            outcomes,
-            member.key,
-            MemberOutcome(
-                TimeIterationResult(
-                    policy=ms.policy,
-                    records=ms.records,
-                    converged=converged,
-                    config=member.config,
-                )
-            ),
+        result = TimeIterationResult(
+            policy=ms.policy, records=ms.records, converged=ms.converged, config=cfg
         )
-
-    def _finish(self, outcomes: dict, key: str, outcome: MemberOutcome) -> None:
-        outcomes[key] = outcome
-        if self.on_member_complete is not None:
-            self.on_member_complete(key, outcome)
-
-    def _solve_fallback(self, member: BatchMember, reason: str) -> MemberOutcome:
-        """Per-scenario solve with the sequential driver (adaptive grids, foreign checkpoints)."""
-        logger.info("batch fallback for %s: %s", member.key, reason)
-        solver = TimeIterationSolver(member.model, member.config)
-        try:
-            result = solver.solve(
-                checkpoint=member.checkpoint,
-                events=member.events,
-                worker=member.worker,
-                scenario=member.scenario,
-            )
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:  # repro: allow[broad-except] -- failure lands in the outcome
-            from repro.scenarios.checkpoint import SolveAbandoned
-
-            # isinstance, not a name compare: a LeaseLost (SolveAbandoned
-            # subclass) must abandon, never be recorded as a plain failure
-            # that a later commit could race the lease thief with
-            if isinstance(exc, SolveAbandoned):
-                return MemberOutcome(
-                    None, fallback=True, fallback_reason=reason, abandoned=True
-                )
-            # one bad member must not take down the other fallbacks: report
-            # the failure in the outcome (mirrors the per-scenario error
-            # handling of the sequential runner)
-            return MemberOutcome(
-                None,
-                fallback=True,
-                fallback_reason=reason,
-                error="".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip(),
-                traceback=traceback.format_exc(),
-            )
-        return MemberOutcome(result, fallback=True, fallback_reason=reason)
+        self._finish(member, MemberOutcome(result, ms.reason))

@@ -83,7 +83,7 @@ class StatePolicy:
         Unlike :meth:`from_values` this does *not* re-hierarchize, so a
         policy deserialized from disk evaluates bit-for-bit like the one
         that was saved (the property the checkpoint/resume machinery of
-        :mod:`repro.scenarios` relies on).
+        the scenario engine relies on).
         """
         interp = SparseGridInterpolant(grid, domain=domain, kernel=kernel)
         interp.set_surplus(surplus)

@@ -4,18 +4,18 @@ Time iteration computes a time-invariant policy function by repeatedly
 solving the period-to-period equilibrium conditions on a grid, taking the
 previous iterate as next period's policy, until the policy stops changing.
 
-The driver below is model-agnostic: it works against any object satisfying
-the :class:`TimeIterationModel` protocol (the stochastic OLG model of
+This module holds one member's side of the algorithm, model-agnostic: the
+:class:`TimeIterationModel` protocol (the stochastic OLG model of
 :mod:`repro.olg` is the paper's application; tests also use small synthetic
-models).  By default a state's whole grid goes to the model's vectorized
-point solve (``solve_points_batch``) in one call; passing an executor
-dispatches the grid points one by one instead, so the same driver runs on
-the work-stealing thread scheduler or on a simulated heterogeneous cluster.
-:func:`initial_policy`, :func:`values_on_grid`, :func:`solve_points` and
-:func:`record_iteration` are the starting point, the per-state update and
-the per-iteration bookkeeping, shared with :mod:`repro.core.batched` — a
-default solve and a batch of one member run the same code and return the
-same bits.
+models), the configuration and record types, and :class:`TimeIterationSolver`
+with the per-member update :meth:`~TimeIterationSolver.step`.  By default a
+state's whole grid goes to the model's vectorized point solve
+(``solve_points_batch``) in one call; passing an executor dispatches the
+grid points one by one instead, so the same step runs on the work-stealing
+thread scheduler or on a simulated heterogeneous cluster.  The iteration
+loop itself — start or resume, convergence, checkpoints, events — exists
+once, in :mod:`repro.core.batched`, over a group of members;
+:meth:`TimeIterationSolver.solve` runs it on a group of one.
 
 In the non-adaptive configuration every state and every iteration uses the
 *same* regular sparse grid, so the solver keeps one cached
@@ -32,7 +32,6 @@ refine a ``grid.copy()`` (as the adaptive path itself does).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -42,8 +41,8 @@ from repro.core.policy import PolicySet, StatePolicy
 from repro.grids.adaptive import refine
 from repro.grids.domain import BoxDomain
 from repro.grids.grid import SparseGrid
+from repro.grids.hierarchize import hierarchize
 from repro.grids.regular import regular_sparse_grid
-from repro.utils.logging import get_logger
 from repro.utils.timing import WallClock
 
 __all__ = [
@@ -52,13 +51,9 @@ __all__ = [
     "IterationRecord",
     "TimeIterationResult",
     "TimeIterationSolver",
-    "initial_policy",
-    "record_iteration",
     "solve_points",
     "values_on_grid",
 ]
-
-logger = get_logger("core.time_iteration")
 
 
 class TimeIterationModel(Protocol):
@@ -193,17 +188,6 @@ class TimeIterationResult:
         return np.cumsum([r.wall_time for r in self.records])
 
 
-def initial_policy(
-    model: TimeIterationModel, grid: SparseGrid, X: np.ndarray, kernel: str
-) -> PolicySet:
-    """The model's initial guess ``p^0`` fitted on ``grid`` (points ``X`` in the box)."""
-    policies = []
-    for z in range(model.num_states):
-        values = np.atleast_2d(np.asarray(model.initial_policy_values(z, X), dtype=float))
-        policies.append(StatePolicy.from_values(z, grid, values, model.domain, kernel=kernel))
-    return PolicySet(policies)
-
-
 def values_on_grid(prev: StatePolicy, grid: SparseGrid, X: np.ndarray) -> np.ndarray:
     """The previous iterate ``prev`` at today's grid points ``X``.
 
@@ -248,45 +232,8 @@ def solve_points(
     return out
 
 
-def record_iteration(
-    emit,
-    cfg: TimeIterationConfig,
-    iteration: int,
-    new_policy: PolicySet,
-    policy: PolicySet,
-    wall: float,
-    sections: dict,
-) -> tuple[IterationRecord, float]:
-    """Diagnostics of one completed step, announced through ``emit`` as an ``iteration`` event.
-
-    Returns the record and the value of the configured convergence metric.
-    """
-    change = new_policy.distance(policy)
-    record = IterationRecord(
-        iteration=iteration,
-        policy_change_linf=change["linf"],
-        policy_change_l2=change["l2"],
-        policy_change_rel_linf=change["rel_linf"],
-        policy_change_rel_l2=change["rel_l2"],
-        points_per_state=new_policy.points_per_state,
-        wall_time=wall,
-        sections=sections,
-    )
-    metric_value = change.get(cfg.convergence_metric, change["linf"])
-    emit(
-        "iteration",
-        iteration=int(iteration),
-        error_linf=float(change["linf"]),
-        error_l2=float(change["l2"]),
-        error=float(metric_value),
-        points=int(record.total_points),
-        wall_time=float(wall),
-    )
-    return record, metric_value
-
-
 class TimeIterationSolver:
-    """Drives Algorithm 1 for a :class:`TimeIterationModel`.
+    """One member of Algorithm 1: a :class:`TimeIterationModel`, its configuration, its step.
 
     Parameters
     ----------
@@ -341,8 +288,13 @@ class TimeIterationSolver:
     # ------------------------------------------------------------------ #
     def initial_policy(self) -> PolicySet:
         """Build the initial guess ``p^0`` on regular grids."""
+        model, kernel = self.model, self.config.kernel
         grid, X = self._regular_grid(self.config.grid_level)
-        return initial_policy(self.model, grid, X, self.config.kernel)
+        policies = []
+        for z in range(model.num_states):
+            values = np.atleast_2d(np.asarray(model.initial_policy_values(z, X), dtype=float))
+            policies.append(StatePolicy.from_values(z, grid, values, model.domain, kernel=kernel))
+        return PolicySet(policies)
 
     # ------------------------------------------------------------------ #
     # one time step
@@ -393,8 +345,6 @@ class TimeIterationSolver:
         value functions do not drown out the savings functions (the paper's
         ``g(alpha) >= epsilon`` criterion applied per approximated function).
         """
-        from repro.grids.hierarchize import hierarchize
-
         cfg = self.config
 
         def relative_indicator(surplus: np.ndarray) -> np.ndarray:
@@ -439,6 +389,11 @@ class TimeIterationSolver:
     ) -> TimeIterationResult:
         """Iterate until the policy change drops below the tolerance.
 
+        A group of one through the loop of
+        :class:`repro.core.batched.BatchedTimeIterationSolver`: returns the
+        member's result, or re-raises what ended it (a hook's exception
+        keeps its type and message).
+
         Parameters
         ----------
         initial_policy
@@ -452,9 +407,10 @@ class TimeIterationSolver:
             Optional solve-progress telemetry: when ``events`` (an
             :class:`~repro.parallel.tracing.EventRecorder`-shaped object
             with an ``emit(kind, worker, scenario, **detail)`` method) is
-            given, the driver emits the
+            given, the loop emits the
             :data:`~repro.parallel.tracing.SOLVE_EVENT_KINDS` vocabulary —
-            ``solve-started`` (start iteration, tolerance, iteration cap),
+            ``solve-started`` (start iteration, tolerance, iteration cap,
+            ``batched``: whether the member starts in a stack),
             one ``iteration`` event per completed step (iteration number,
             l∞/l2 policy change, grid point count, per-iteration wall
             time), ``refined`` when adaptive refinement grew the grids,
@@ -464,10 +420,9 @@ class TimeIterationSolver:
             changes the iterates and adds one in-memory append (plus
             whatever subscribed sinks do) per iteration.
         checkpoint
-            Optional checkpoint hook (duck-typed so this module needs no
-            dependency on :mod:`repro.scenarios`; the concrete
-            implementation is
-            :class:`repro.scenarios.checkpoint.SolveCheckpoint`).  The
+            Optional checkpoint hook (duck-typed: ``core`` does not import
+            the scenario engine, whose ``SolveCheckpoint`` is the concrete
+            implementation).  The
             hook must provide ``load()`` returning ``None`` or an object
             with ``policy``/``records``/``converged`` attributes,
             ``on_iteration(policy, records, converged, config)`` called
@@ -480,96 +435,21 @@ class TimeIterationSolver:
             iteration is a deterministic function of the previous policy —
             produces the same iterates as an uninterrupted run.
         """
-        cfg = self.config
-        policy = initial_policy if initial_policy is not None else self.initial_policy()
-        records: list[IterationRecord] = []
-        converged = False
-        start_iteration = 0
-        resumed = False
-        if checkpoint is not None:
-            state = checkpoint.load()
-            if state is not None:
-                resumed = True
-                policy = state.policy
-                records = list(state.records)
-                converged = bool(state.converged)
-                start_iteration = records[-1].iteration if records else 0
+        from repro.core.batched import BatchedTimeIterationSolver, BatchMember
 
-        def emit(kind: str, **detail) -> None:
-            if events is not None:
-                events.emit(kind, worker, scenario, **detail)
-
-        emit(
-            "solve-started",
-            start_iteration=start_iteration,
-            resumed=resumed,
-            tolerance=float(cfg.tolerance),
-            max_iterations=int(cfg.max_iterations),
-            metric=cfg.convergence_metric,
-            adaptive=bool(cfg.adaptive),
-            grid_level=int(cfg.grid_level),
+        member = BatchMember(
+            key=scenario,
+            model=self.model,
+            config=self.config,
+            checkpoint=checkpoint,
+            events=events,
+            worker=worker,
+            scenario=scenario,
+            initial_policy=initial_policy,
+            error_sample=error_sample,
+            solver=self,
         )
-        if converged:
-            # resumed from an already-converged checkpoint: nothing to do
-            emit(
-                "solve-finished",
-                iterations=len(records),
-                new_iterations=0,
-                converged=True,
-                wall_time=0.0,
-            )
-            return TimeIterationResult(
-                policy=policy, records=records, converged=True, config=cfg
-            )
-        run_wall = 0.0
-        for iteration in range(start_iteration + 1, cfg.max_iterations + 1):
-            clock = WallClock()
-            t0 = time.perf_counter()
-            new_policy = self.step(policy, clock)
-            wall = time.perf_counter() - t0
-            record, metric_value = record_iteration(
-                emit, cfg, iteration, new_policy, policy, wall, clock.as_dict()
-            )
-            if error_sample is not None and hasattr(self.model, "equilibrium_errors"):
-                record.equilibrium_errors = self.model.equilibrium_errors(
-                    new_policy, error_sample
-                )
-            records.append(record)
-            run_wall += wall
-            policy = new_policy
-            if cfg.adaptive and len(records) > 1:
-                before = records[-2].total_points
-                if record.total_points != before:
-                    emit(
-                        "refined",
-                        iteration=int(iteration),
-                        points_before=int(before),
-                        points_after=int(record.total_points),
-                    )
-            if cfg.verbose:
-                logger.info(
-                    "iteration %d: %s = %.3e, points = %s",
-                    iteration,
-                    cfg.convergence_metric,
-                    metric_value,
-                    new_policy.points_per_state,
-                )
-            if metric_value < cfg.tolerance:
-                converged = True
-                emit("converged", iteration=int(iteration), error=float(metric_value))
-            if checkpoint is not None:
-                checkpoint.on_iteration(policy, records, converged, cfg)
-            if converged:
-                break
-        if checkpoint is not None:
-            checkpoint.on_complete(policy, records, converged, cfg)
-        emit(
-            "solve-finished",
-            iterations=len(records),
-            new_iterations=len(records) - start_iteration,
-            converged=bool(converged),
-            wall_time=float(run_wall),
-        )
-        return TimeIterationResult(
-            policy=policy, records=records, converged=converged, config=cfg
-        )
+        outcome = BatchedTimeIterationSolver([member]).solve()[member.key]
+        if outcome.exception is not None:
+            raise outcome.exception
+        return outcome.result

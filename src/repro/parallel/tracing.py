@@ -55,7 +55,7 @@ LEASE_EVENT_KINDS = (
 #: iteration, carrying the iteration number, l∞/l2 policy change, grid
 #: point count and per-iteration wall time)
 SOLVE_EVENT_KINDS = (
-    "solve-started",   # a solve began (detail says from which iteration)
+    "solve-started",   # a solve began (detail: from which iteration; ``batched`` = in a stack)
     "iteration",       # one time-iteration step completed
     "refined",         # adaptive refinement grew the grids this iteration
     "converged",       # the convergence metric dropped below tolerance

@@ -14,6 +14,9 @@ hand-wired single solves into managed scenario runs:
   :class:`~repro.core.time_iteration.TimeIterationResult`;
 * :mod:`repro.scenarios.checkpoint` — periodic solve checkpoints; a killed
   solve resumes from the last completed iteration bit-for-bit;
+* :mod:`repro.scenarios.batching` — the one solve-and-commit, over a
+  group of scenarios (a group of one by default; ``--batch`` groups solve
+  scenarios by grid topology so they iterate stacked);
 * :mod:`repro.scenarios.runner` — batch dispatch across the
   :mod:`repro.parallel` executors, skipping scenarios whose spec hash is
   already stored and dispatching expected-longest scenarios first (prior

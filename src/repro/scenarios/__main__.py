@@ -89,14 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--workers", type=int, default=2, help="scenario-level worker count")
     run.add_argument(
-        "--point-executor",
-        default="serial",
-        choices=EXECUTOR_KINDS,
-        help="dispatch inside each solve: serial (default) solves a state's whole grid "
-        "in one vectorized call, any other kind one grid point per task",
-    )
-    run.add_argument("--point-workers", type=int, default=2)
-    run.add_argument(
         "--checkpoint-every", type=int, default=1, help="checkpoint every N iterations"
     )
     run.add_argument(
@@ -253,14 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checkpoint-every", type=int, default=1, help="checkpoint every N iterations"
     )
     work.add_argument(
-        "--point-executor",
-        default="serial",
-        choices=EXECUTOR_KINDS,
-        help="dispatch inside each solve: serial (default) solves a state's whole grid "
-        "in one vectorized call, any other kind one grid point per task",
-    )
-    work.add_argument("--point-workers", type=int, default=1)
-    work.add_argument(
         "--max-claims",
         type=int,
         default=None,
@@ -275,8 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     work.add_argument(
         "--batch",
         action="store_true",
-        help="claim and solve whole grid-topology groups through the batched "
-        "multi-scenario driver (one lease/heartbeat/checkpoint per member)",
+        help="group size, not a code path: claim solve scenarios sharing a grid topology "
+        "together and iterate them stacked (one lease/heartbeat/checkpoint per member)",
     )
 
     status = sub.add_parser(
@@ -441,8 +425,6 @@ def _cmd_work(args) -> int:
         max_attempts=args.max_attempts,
         poll=args.poll,
         checkpoint_every=args.checkpoint_every,
-        point_executor=args.point_executor,
-        point_workers=args.point_workers,
         max_claims=args.max_claims,
         retry_parked=args.retry_parked,
         batch_topology=args.batch,
@@ -604,8 +586,6 @@ def _dispatch(args) -> int:
             store,
             executor=args.executor,
             num_workers=args.workers,
-            point_executor=args.point_executor,
-            point_workers=args.point_workers,
             checkpoint_every=args.checkpoint_every,
             force=args.force,
             interrupt_after=args.interrupt_after,

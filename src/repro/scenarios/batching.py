@@ -1,26 +1,30 @@
-"""Batch-aware dispatch of topology-sharing solve scenarios.
+"""The one solve-and-commit, over a group of scenarios.
 
-Sweep suites routinely hold many solve scenarios that differ only in
-calibration scalars — same generations, shock count, grid level.  With the
-opt-in ``batch_topology`` flag of :func:`repro.scenarios.runner.run_suite`
-and :func:`repro.scenarios.lease.run_worker`, such scenarios are grouped by
-:func:`topology_signature` and solved together through
-:class:`repro.core.batched.BatchedTimeIterationSolver` — one shared grid,
-one stacked Newton per iteration — instead of one solve at a time.
+:func:`solve_batch_and_commit` is the single path from specs to committed
+entries, shared by the batch runner (:func:`repro.scenarios.runner.run_suite`)
+and the lease workers (:func:`repro.scenarios.lease.run_worker`): solve
+scenarios become members of ONE
+:class:`repro.core.batched.BatchedTimeIterationSolver` loop, experiment
+scenarios run their adapter and commit in place.  Callers decide group
+size only: by default every scenario is a group of one; with the opt-in
+``batch_topology`` flag they group solve scenarios by
+:func:`topology_signature` (sweeps routinely hold many that differ only in
+calibration scalars — same generations, shock count, grid level), and a
+group of at least two runs stacked — one shared grid, one stacked Newton
+per iteration.
 
-The store contract is unchanged: every member keeps its own checkpoint
-(written at the same per-iteration boundary as a sequential solve, so
+The store contract does not depend on group size: every scenario keeps
+its own checkpoint (written at the same per-iteration boundary, so
 kill/resume works member by member), its own telemetry events, and its own
-``entry.json`` committed individually *the moment that member finishes*
-(converged members drop out of the batch early).  The default
-per-scenario solve is a batch of one — same code, same bits — so batching
-only adds the cross-scenario stacking.  Members the batched driver cannot
-take — adaptive configs, checkpoints from another grid — fall back to a
-per-scenario solve of their own.
+``entry.json`` committed individually *the moment that scenario finishes*
+(converged members drop out of a stack early).  Members the loop cannot
+stack — adaptive configs, checkpoints from another grid — step alone
+inside the same loop.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
 import traceback
 
@@ -29,6 +33,7 @@ from repro.core.batched import batch_topology as _core_signature
 from repro.scenarios.checkpoint import (
     InterruptingCheckpoint,
     SimulatedKill,
+    SolveAbandoned,
     SolveCheckpoint,
 )
 from repro.scenarios.spec import ScenarioSpec
@@ -36,6 +41,7 @@ from repro.scenarios.store import ResultsStore
 from repro.utils.logging import get_logger
 
 __all__ = [
+    "EXPERIMENT_ADAPTERS",
     "topology_signature",
     "partition_by_topology",
     "solve_batch_and_commit",
@@ -43,13 +49,30 @@ __all__ = [
 
 logger = get_logger("scenarios.batching")
 
+#: kind -> "module:function" of the experiment adapters (resolved lazily so
+#: importing the scenarios package stays cheap and cycle-free).
+EXPERIMENT_ADAPTERS = {
+    "table1": "repro.experiments.table1:run_scenario",
+    "table2": "repro.experiments.table2_fig6:run_scenario",
+    "fig7": "repro.experiments.fig7:run_scenario",
+    "fig8": "repro.experiments.fig8:run_scenario",
+    "fig9": "repro.experiments.fig9:run_scenario",
+    "ablations": "repro.experiments.ablations:run_scenario",
+}
+
+
+def _resolve_adapter(kind: str):
+    target = EXPERIMENT_ADAPTERS[kind]
+    module_name, func_name = target.split(":")
+    return getattr(importlib.import_module(module_name), func_name)
+
 
 def topology_signature(spec: ScenarioSpec):
     """Grid-topology signature of a spec, or ``None`` when unbatchable.
 
     ``None`` for experiment kinds and adaptive solves; otherwise the
     hashable tuple of :func:`repro.core.batched.batch_topology` — specs
-    with equal signatures may share one batched driver.
+    with equal signatures may share one stack.
     """
     if spec.kind != "solve":
         return None
@@ -63,7 +86,7 @@ def topology_signature(spec: ScenarioSpec):
 
 
 def partition_by_topology(specs) -> tuple[list, list]:
-    """Split specs into batchable topology groups and sequential singles.
+    """Split specs into stackable topology groups and singles.
 
     Returns ``(groups, singles)``: ``groups`` is a list of spec lists, one
     per signature shared by at least two specs (suite order preserved
@@ -71,10 +94,8 @@ def partition_by_topology(specs) -> tuple[list, list]:
     singletons — lands in ``singles``, also in suite order.
     """
     by_sig: dict = {}
-    sigs = []
     for spec in specs:
         sig = topology_signature(spec)
-        sigs.append(sig)
         if sig is not None:
             by_sig.setdefault(sig, []).append(spec)
     groups = [members for members in by_sig.values() if len(members) > 1]
@@ -93,110 +114,134 @@ def solve_batch_and_commit(
     events=None,
     worker_id: str = "",
 ) -> list:
-    """Solve a topology group in one batch, committing each member's entry.
+    """Run a group of scenarios against ``store``, committing each one's entry.
 
-    The batched twin of :func:`repro.scenarios.runner.solve_and_commit`:
-    each spec gets its own :class:`SolveCheckpoint` (resuming from any
-    checkpoint already in the store), its own telemetry attribution and
-    its own committed ``entry.json`` — written the moment that member
-    converges, falls back, or fails, not at the batch barrier.
+    Persists every spec up front (so even interrupted/failed entries can
+    be inspected and diffed — spec deltas explain *why* a variant failed),
+    runs experiment kinds through their adapter, solves the ``solve`` kinds
+    as the members of one time-iteration loop — each with its own
+    :class:`SolveCheckpoint` (resuming from any checkpoint already in the
+    store, including one left behind by a dead worker whose lease was
+    stolen) and its own telemetry attribution (``events`` receives
+    ``solve-started``/``iteration``/``refined``/``converged``/
+    ``solve-finished`` under ``worker_id`` and the scenario's hash16 key;
+    experiment scenarios have no iteration structure and emit nothing) —
+    and commits each scenario's ``entry.json`` (``completed``/
+    ``interrupted``/``failed``, the latter with the formatted traceback
+    under ``entry["traceback"]``) the moment that scenario is done, not at
+    the group barrier.  A failure ends one scenario, never the group.
 
-    ``aborts`` is an optional list of per-member zero-arg abort callables
-    (the lease workers pass each member's heartbeat); a member whose abort
-    fires is abandoned *uncommitted*, exactly like the sequential path,
-    while the rest of the batch keeps solving.
+    ``aborts`` is an optional list of per-spec zero-arg abort callables,
+    forwarded to :class:`SolveCheckpoint` (the lease workers pass each
+    scenario's heartbeat); a member whose abort fires is abandoned
+    *uncommitted* — an abandoning worker no longer owns the scenario and
+    must not write an entry the rightful owner's result would have to
+    out-rank — while the rest of the group keeps solving.
 
-    Returns one committed entry per spec, in order — ``None`` for
-    abandoned members, which committed nothing.
+    Returns one item per spec, in order: the committed entry, or for an
+    abandoned member the :class:`SolveAbandoned` its hook raised.
     """
     specs = list(specs)
     if aborts is None:
         aborts = [None] * len(specs)
     if len(aborts) != len(specs):
         raise ValueError("need one abort hook (or None) per spec")
-    keys = [spec.content_hash() for spec in specs]
-    if len(set(keys)) != len(keys):
+    # a group of one is the hot path of a drain: it hashes no spec it need not
+    if len(specs) > 1 and len({spec.content_hash() for spec in specs}) != len(specs):
         raise ValueError("batched specs must have distinct content hashes")
 
     t0 = time.perf_counter()
-    members = []
-    resumed = {}
-    by_key = {}
-    for spec, key, abort in zip(specs, keys, aborts):
-        store.save_spec(spec)
-        config = spec.build_config()
-        ckpt_path = store.checkpoint_ref(spec)
-        if interrupt_after:
-            checkpoint = InterruptingCheckpoint(
-                ckpt_path,
-                every=checkpoint_every,
-                config=config,
-                interrupt_after=int(interrupt_after),
-            )
-        else:
-            checkpoint = SolveCheckpoint(
-                ckpt_path, every=checkpoint_every, config=config, abort=abort
-            )
-        resumed[key] = checkpoint.exists()
-        by_key[key] = spec
-        members.append(
-            BatchMember(
-                key=key,
-                model=spec.build_model(),
-                config=config,
-                checkpoint=checkpoint,
-                events=events,
-                worker=worker_id,
-                scenario=store.scenario_key(spec),
-            )
+    done: list = [None] * len(specs)  # by position in ``specs``
+    position: dict = {}  # member key -> position
+    resumed: dict = {}
+
+    def commit(i: int, entry: dict) -> None:
+        store.commit_entry(entry)
+        if entry["status"] == "completed" and specs[i].kind == "solve":
+            # safe to drop only now that the committed entry points at the
+            # result; missing_ok because a concurrent same-hash writer or
+            # another batch's GC may have removed it first
+            store.checkpoint_ref(specs[i]).unlink(missing_ok=True)
+        done[i] = entry
+
+    def failure(i: int, exc: BaseException) -> dict:
+        spec, wall = specs[i], time.perf_counter() - t0
+        if isinstance(exc, SimulatedKill):
+            return store.failure_entry(spec, "interrupted", wall, str(exc))
+        logger.warning("scenario %s failed: %s", spec.name, exc)
+        return store.failure_entry(
+            spec,
+            "failed",
+            wall,
+            "".join(traceback.format_exception_only(type(exc), exc)).strip(),
+            tb="".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
         )
 
-    entries: dict = {}
+    def run_experiment(spec: ScenarioSpec) -> dict:
+        started = time.perf_counter()
+        result = _resolve_adapter(spec.kind)(dict(spec.params))
+        payload = {"params": dict(spec.params), "result": result}
+        return store.write_payload(spec, payload, time.perf_counter() - started)
 
-    def commit(key: str, outcome) -> None:
-        spec = by_key[key]
-        wall = time.perf_counter() - t0
-        if outcome.abandoned:
+    def member_of(spec: ScenarioSpec, abort) -> BatchMember:
+        config = spec.build_config()
+        # a BlobRef: checkpoints flow through the store's backend, so kill/
+        # resume works identically for file://, mem:// and s3:// stores
+        ref = store.checkpoint_ref(spec)
+        if interrupt_after:
+            checkpoint = InterruptingCheckpoint(
+                ref, every=checkpoint_every, config=config, interrupt_after=int(interrupt_after)
+            )
+        else:
+            checkpoint = SolveCheckpoint(ref, every=checkpoint_every, config=config, abort=abort)
+        scenario = store.scenario_key(spec)
+        resumed[scenario] = checkpoint.exists()
+        return BatchMember(
+            key=scenario,
+            model=spec.build_model(),
+            config=config,
+            checkpoint=checkpoint,
+            events=events,
+            worker=worker_id,
+            scenario=scenario,
+        )
+
+    def on_member_complete(key: str, outcome) -> None:
+        i = position[key]
+        if isinstance(outcome.exception, SolveAbandoned):
             # propagate-uncommitted: the scenario belongs to whoever stole
             # the claim; they resume from our last checkpoint
-            entries[key] = None
-            return
-        if outcome.result is not None:
-            entry = store.write_result(spec, outcome.result, wall, resumed=resumed[key])
-            store.commit_entry(entry)
-            if entry["status"] == "completed":
-                store.checkpoint_ref(spec).unlink(missing_ok=True)
+            done[i] = outcome.exception
+        elif outcome.result is None:
+            commit(i, failure(i, outcome.exception))
         else:
-            entry = store.failure_entry(
-                spec, "failed", wall, outcome.error or "batched solve failed",
-                tb=outcome.traceback,
-            )
-            store.commit_entry(entry)
-        entries[key] = entry
+            wall = time.perf_counter() - t0
+            try:
+                entry = store.write_result(specs[i], outcome.result, wall, resumed=resumed[key])
+            except Exception as exc:  # repro: allow[broad-except] -- recorded; group continues
+                entry = failure(i, exc)
+            commit(i, entry)
 
-    solver = BatchedTimeIterationSolver(members, on_member_complete=commit)
-    try:
-        solver.solve()
-    except SimulatedKill as exc:
-        # the --interrupt-after testing hook (or a genuine Ctrl-C surfacing
-        # through it): every still-running member checkpointed its last
-        # completed iteration, so each resumes individually on the next run
-        for spec, key in zip(specs, keys):
-            if key not in entries:
-                entry = store.failure_entry(
-                    spec, "interrupted", time.perf_counter() - t0, str(exc)
-                )
-                store.commit_entry(entry)
-                entries[key] = entry
-    except Exception as exc:  # repro: allow[broad-except] -- one bad batch must not kill the suite
-        logger.warning("batched solve failed: %s", exc)
-        message = "".join(traceback.format_exception_only(type(exc), exc)).strip()
-        tb = traceback.format_exc()
-        for spec, key in zip(specs, keys):
-            if key not in entries:
-                entry = store.failure_entry(
-                    spec, "failed", time.perf_counter() - t0, message, tb=tb
-                )
-                store.commit_entry(entry)
-                entries[key] = entry
-    return [entries.get(key) for key in keys]
+    members: list[BatchMember] = []
+    for i, (spec, abort) in enumerate(zip(specs, aborts)):
+        store.save_spec(spec)
+        try:
+            if spec.kind == "solve":
+                members.append(member_of(spec, abort))
+                position[members[-1].key] = i
+            else:
+                commit(i, run_experiment(spec))
+        except Exception as exc:  # repro: allow[broad-except] -- failure recorded; group continues
+            commit(i, failure(i, exc))
+    if members:
+        try:
+            BatchedTimeIterationSolver(members, on_member_complete=on_member_complete).solve()
+        except (SimulatedKill, Exception) as exc:  # repro: allow[broad-except] -- recorded below
+            # SimulatedKill is the --interrupt-after testing hook only (a
+            # genuine Ctrl-C propagates and stops everything): every member
+            # checkpointed its last completed iteration and resumes on the
+            # next run.  Anything else here broke the stacked pass itself.
+            for i in position.values():
+                if done[i] is None:
+                    commit(i, failure(i, exc))
+    return done

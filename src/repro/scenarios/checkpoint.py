@@ -1,7 +1,10 @@
 """Checkpoint/resume for time-iteration solves.
 
-:class:`SolveCheckpoint` implements the (duck-typed) checkpoint hook of
-:meth:`repro.core.time_iteration.TimeIterationSolver.solve`: after every
+:class:`SolveCheckpoint` implements the (duck-typed) per-member checkpoint
+hook of the time-iteration loop
+(:class:`repro.core.batched.BatchedTimeIterationSolver`, which
+:meth:`repro.core.time_iteration.TimeIterationSolver.solve` runs on a
+group of one): after every
 ``every``-th completed iteration — and always on convergence or exhaustion
 — the current :class:`~repro.core.policy.PolicySet`, the iteration records
 and the convergence flag are persisted atomically to one npz file.  A solve
@@ -14,9 +17,9 @@ iteration count from the resume point).
 Checkpointing is persistence only; the *observability* of the same
 iteration boundary — the ``solve-started``/``iteration``/``refined``/
 ``converged``/``solve-finished`` vocabulary of
-:data:`repro.parallel.tracing.SOLVE_EVENT_KINDS` — is emitted by
-:meth:`TimeIterationSolver.solve` itself (pass ``events=``), so solves
-report progress whether or not they checkpoint, and the checkpoint's
+:data:`repro.parallel.tracing.SOLVE_EVENT_KINDS` — is emitted by the
+loop itself (pass ``events=``), so solves report progress whether or not
+they checkpoint, and the checkpoint's
 ``abort`` hook stays the single cancellation point polled at every
 iteration before anything is written.
 
@@ -56,8 +59,10 @@ class SolveAbandoned(RuntimeError):
     worker loses its lease to a peer): the solve must stop *without*
     committing anything — the scenario now belongs to whoever stole the
     claim, and they resume from the last checkpoint this worker wrote.
-    The runner's shared solve-and-commit path propagates it instead of
-    recording a failure entry.
+    The loop hands it back on the member's outcome like any other
+    exception of a hook; the solve-and-commit path
+    (:func:`repro.scenarios.batching.solve_batch_and_commit`) is where it
+    is told apart and returned instead of a failure entry.
     """
 
 
@@ -123,7 +128,7 @@ class SolveCheckpoint:
         self._last_write: tuple | None = None
 
     # ------------------------------------------------------------------ #
-    # hook protocol consumed by TimeIterationSolver.solve
+    # hook protocol consumed by the time-iteration loop
     # ------------------------------------------------------------------ #
     def exists(self) -> bool:
         return self.path.exists()

@@ -71,8 +71,9 @@ from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 from repro.parallel.tracing import EventRecorder
 from repro.scenarios.backends.retry import call_with_retries
+from repro.scenarios.batching import partition_by_topology, solve_batch_and_commit
 from repro.scenarios.checkpoint import SolveAbandoned
-from repro.scenarios.runner import schedule_longest_first, solve_and_commit
+from repro.scenarios.runner import schedule_longest_first
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultsStore, StoreEventSink
 from repro.utils.logging import get_logger
@@ -542,8 +543,6 @@ def run_worker(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll: float = 0.5,
     checkpoint_every: int = 1,
-    point_executor: str = "serial",
-    point_workers: int = 1,
     max_claims: int | None = None,
     retry_parked: bool = False,
     backoff_base: float = 0.5,
@@ -558,24 +557,24 @@ def run_worker(
 
     The worker loops over the suite's unfinished scenarios longest-first
     (:func:`~repro.scenarios.runner.schedule_longest_first`, so expensive
-    solves spread across the fleet early), claiming each through
-    :class:`LeaseManager`.  A claimed scenario runs through the runner's
-    shared :func:`~repro.scenarios.runner.solve_and_commit` path — which
+    solves spread across the fleet early) in *groups*, claiming each
+    member through :class:`LeaseManager` — one lease and one
+    :class:`LeaseHeartbeat` per scenario.  The claimed members of a group
+    run through the one
+    :func:`~repro.scenarios.batching.solve_batch_and_commit` path — which
     resumes from any checkpoint already in the store, including one left
-    by a dead worker whose lease this one stole — under a
-    :class:`LeaseHeartbeat` whose ``abort_requested`` is wired into the
-    solve's checkpoint hook.  Scenarios held by live peers are revisited
-    every ``poll`` seconds until the suite is fully drained (every
-    scenario completed or parked), then the worker exits.
+    by a dead worker whose lease this one stole — with each heartbeat's
+    ``abort_requested`` wired into that member's checkpoint hook: a member
+    whose lease is lost is abandoned uncommitted while the rest keep
+    solving.  Scenarios held by live peers are revisited every ``poll``
+    seconds until the suite is fully drained (every scenario completed or
+    parked), then the worker exits.
 
-    With ``batch_topology`` (opt-in, off by default) the worker claims a
-    whole grid-topology group per pass — one lease and one heartbeat per
-    member, exactly as if claimed individually — and solves the claimed
-    members through the batched multi-scenario driver
-    (:func:`repro.scenarios.batching.solve_batch_and_commit`).  Each
-    member's entry is still committed (and its lease released) the moment
-    that member finishes; a member whose lease is lost mid-batch is
-    abandoned uncommitted while the rest keep solving.
+    ``batch_topology`` (opt-in, off by default) selects group size, not a
+    code path: without it every scenario is a group of one; with it the
+    solve scenarios sharing a grid topology form one group and iterate
+    stacked.  Each member's entry is committed the moment that member
+    finishes; the group's leases are released when the group is done.
 
     ``clock``/``sleep``/``rng`` are injectable for the deterministic
     fault-injection tests; real fleets keep the defaults.
@@ -587,7 +586,6 @@ def run_worker(
         events = EventRecorder(clock=clock)
     sink = store_event_sink(store, worker_id)
     events.subscribe(sink)
-    say: Callable[[str], object] = progress if progress is not None else _silent_progress
     manager = LeaseManager(store, worker_id, ttl=ttl, clock=clock, events=events)
     report = WorkReport(worker_id=worker_id, events=events)
 
@@ -598,30 +596,22 @@ def run_worker(
     if retry_parked:
         for scenario in specs:
             manager.clear_attempts(scenario)
-    done: set[str] = set()
-
+    drain = _Drain(
+        store=store,
+        manager=manager,
+        report=report,
+        events=events,
+        say=progress if progress is not None else _silent_progress,
+        heartbeat_interval=heartbeat_interval,
+        max_attempts=max_attempts,
+        checkpoint_every=checkpoint_every,
+        max_claims=max_claims,
+        backoff_base=backoff_base,
+        sleep=sleep,
+        rng=rng,
+    )
     try:
-        return _drain(
-            store=store,
-            specs=specs,
-            done=done,
-            manager=manager,
-            report=report,
-            events=events,
-            worker_id=worker_id,
-            say=say,
-            heartbeat_interval=heartbeat_interval,
-            max_attempts=max_attempts,
-            poll=poll,
-            checkpoint_every=checkpoint_every,
-            point_executor=point_executor,
-            point_workers=point_workers,
-            max_claims=max_claims,
-            backoff_base=backoff_base,
-            batch_topology=batch_topology,
-            sleep=sleep,
-            rng=rng,
-        )
+        return drain.run(specs, poll=poll, batch_topology=batch_topology)
     finally:
         # persist any batched iteration/heartbeat events before exiting —
         # crash paths (InjectedCrash, kill -9) simply lose the tail, which
@@ -629,131 +619,142 @@ def run_worker(
         sink.flush()
 
 
-def _drain(
-    *,
-    store: ResultsStore,
-    specs: dict[str, ScenarioSpec],
-    done: set[str],
-    manager: LeaseManager,
-    report: WorkReport,
-    events: EventRecorder,
-    worker_id: str,
-    say: Callable[[str], object],
-    heartbeat_interval: float | None,
-    max_attempts: int,
-    poll: float,
-    checkpoint_every: int,
-    point_executor: str,
-    point_workers: int,
-    max_claims: int | None,
-    backoff_base: float,
-    batch_topology: bool = False,
-    sleep: Callable[[float], None],
-    rng: Callable[[], float],
-) -> WorkReport:
-    """The claim -> solve -> commit -> release loop of :func:`run_worker`."""
-    while True:
-        pending: list[ScenarioSpec] = []
-        for scenario, spec in specs.items():
-            if scenario in done:
-                continue
-            if store.entry_is_complete(store.entry(scenario)):
-                # heal the commit-then-crash window: an expired lease
-                # left on a completed scenario is deleted by whoever
-                # notices (see LeaseManager.heal_completed)
-                if manager.heal_completed(scenario):
-                    report.healed += 1
-                if scenario not in report.completed:
-                    report.already_done.append(scenario)
-                done.add(scenario)
-                continue
-            if manager.is_parked(scenario):
-                if scenario not in report.parked:
-                    report.parked.append(scenario)
-                done.add(scenario)
-                continue
-            pending.append(spec)
-        if not pending:
-            break
+@dataclass
+class _Drain:
+    """One :func:`run_worker` call: what its scan loop and its claim routine share."""
 
-        pending = schedule_longest_first(pending, store.wall_times())
-        claimed_any = False
-        if batch_topology and len(pending) > 1:
-            from repro.scenarios.batching import partition_by_topology
+    store: ResultsStore
+    manager: LeaseManager
+    report: WorkReport
+    events: EventRecorder
+    say: Callable[[str], object]
+    heartbeat_interval: float | None
+    max_attempts: int
+    checkpoint_every: int
+    max_claims: int | None
+    backoff_base: float
+    sleep: Callable[[float], None]
+    rng: Callable[[], float]
+    done: set[str] = field(default_factory=set)
 
-            groups, pending = partition_by_topology(pending)
-            for group in groups:
-                if max_claims is not None and report.claims >= max_claims:
-                    say(f"worker {worker_id}: claim budget ({max_claims}) spent")
-                    return report
-                progressed = _work_group(
-                    group=group,
-                    store=store,
-                    manager=manager,
-                    report=report,
-                    events=events,
-                    worker_id=worker_id,
-                    say=say,
-                    done=done,
-                    heartbeat_interval=heartbeat_interval,
-                    max_attempts=max_attempts,
-                    checkpoint_every=checkpoint_every,
-                    max_claims=max_claims,
-                )
-                claimed_any = claimed_any or progressed
-        for spec in pending:
-            if max_claims is not None and report.claims >= max_claims:
-                say(f"worker {worker_id}: claim budget ({max_claims}) spent")
+    def _claims_spent(self) -> bool:
+        return self.max_claims is not None and self.report.claims >= self.max_claims
+
+    def _already_done(self, scenario: str) -> None:
+        """A peer completed it: heal the commit-then-crash window, count it once.
+
+        An expired lease left on a completed scenario is deleted by
+        whoever notices (see :meth:`LeaseManager.heal_completed`).
+        """
+        if self.manager.heal_completed(scenario):
+            self.report.healed += 1
+        if scenario not in self.report.completed:
+            self.report.already_done.append(scenario)
+        self.done.add(scenario)
+
+    def run(
+        self, specs: dict[str, ScenarioSpec], *, poll: float, batch_topology: bool
+    ) -> WorkReport:
+        """Scan for unfinished scenarios, form groups, work them; until drained."""
+        store, manager, report = self.store, self.manager, self.report
+        while True:
+            pending: list[ScenarioSpec] = []
+            for scenario, spec in specs.items():
+                if scenario in self.done:
+                    continue
+                if store.entry_is_complete(store.entry(scenario)):
+                    self._already_done(scenario)
+                elif manager.is_parked(scenario):
+                    if scenario not in report.parked:
+                        report.parked.append(scenario)
+                    self.done.add(scenario)
+                else:
+                    pending.append(spec)
+            if not pending:
                 return report
+
+            pending = schedule_longest_first(pending, store.wall_times())
+            groups: list[list[ScenarioSpec]] = []
+            if batch_topology and len(pending) > 1:
+                groups, pending = partition_by_topology(pending)
+            progressed = False
+            for group in groups + [[spec] for spec in pending]:
+                if self._claims_spent():
+                    self.say(f"worker {report.worker_id}: claim budget ({self.max_claims}) spent")
+                    return report
+                progressed = self.work_group(group) or progressed
+            if not progressed:
+                # everything unfinished is held by live peers (or their leases
+                # have not expired yet); wait out a poll interval and rescan
+                self.sleep(max(poll, 0.01))
+
+    def work_group(self, group: list[ScenarioSpec]) -> bool:
+        """Claim, solve, commit and release one group; returns whether we progressed.
+
+        The one claim -> heartbeat -> solve -> commit -> release/park/retry
+        routine.  Every member gets its own lease and
+        :class:`LeaseHeartbeat`; members a peer validly holds are simply
+        left out.  Entries are committed per member inside
+        :func:`~repro.scenarios.batching.solve_batch_and_commit` the moment
+        each member finishes, so the commit-then-release ordering holds per
+        member (the entry lands before this routine releases its lease).
+        """
+        store, manager, report, say = self.store, self.manager, self.report, self.say
+        worker_id = report.worker_id
+        claimed: list[tuple[str, ScenarioSpec]] = []
+        heartbeats: list[LeaseHeartbeat] = []
+        progressed = False
+        for spec in group:
             scenario = store.scenario_key(spec)
             if store.entry_is_complete(store.entry(scenario)):
-                # a peer committed it since this pass's scan: don't waste
-                # a claim (and a re-solve) on a finished scenario
-                if manager.heal_completed(scenario):
-                    report.healed += 1
-                report.already_done.append(scenario)
-                done.add(scenario)
-                claimed_any = True  # progress was made; rescan immediately
+                # a peer committed it since this pass's scan: don't waste a
+                # claim (and a re-solve) on a finished scenario
+                self._already_done(scenario)
+                progressed = True  # rescan immediately
                 continue
+            if self._claims_spent():
+                break
             lease = manager.try_claim(spec)
             if lease is None:
                 continue  # validly held by a peer, or we lost the put race
             report.claims += 1
-            claimed_any = True
+            progressed = True
             stolen = lease.epoch > 1
             if stolen:
                 report.steals += 1
             say(
-                f"{'steal' if stolen else 'claim'} {spec.name} "
-                f"[{scenario}] epoch={lease.epoch}"
+                f"{'steal' if stolen else 'claim'} {spec.name} [{scenario}] "
+                f"epoch={lease.epoch}{' (batched)' if len(group) > 1 else ''}"
             )
-            heartbeat = LeaseHeartbeat(manager, lease, interval=heartbeat_interval).start()
-            try:
-                entry = solve_and_commit(
-                    spec,
-                    store,
-                    checkpoint_every=checkpoint_every,
-                    point_executor=point_executor,
-                    point_workers=point_workers,
-                    abort=heartbeat.abort_requested,
-                    events=events,
-                    worker_id=worker_id,
-                )
-            except SolveAbandoned as exc:
-                heartbeat.stop()
+            heartbeats.append(
+                LeaseHeartbeat(manager, lease, interval=self.heartbeat_interval).start()
+            )
+            claimed.append((scenario, spec))
+        if not claimed:
+            return progressed
+        try:
+            entries = solve_batch_and_commit(
+                [spec for _scenario, spec in claimed],
+                store,
+                checkpoint_every=self.checkpoint_every,
+                aborts=[hb.abort_requested for hb in heartbeats],
+                events=self.events,
+                worker_id=worker_id,
+            )
+        finally:
+            # also on InjectedCrash / KeyboardInterrupt: die like kill -9
+            # would — stop renewing (a dead process renews nothing) but leave
+            # every lease and checkpoint for a peer to steal and resume
+            for hb in heartbeats:
+                hb.stop()
+        for (scenario, spec), hb, entry in zip(claimed, heartbeats, entries):
+            if isinstance(entry, SolveAbandoned):
+                # nothing committed; the new holder owns the scenario
                 report.abandoned += 1
-                events.emit("abandoned", worker_id, scenario, reason=str(exc))
-                say(f"abandon {spec.name} [{scenario}]: {exc}")
-                continue  # nothing committed; the new holder owns the scenario
-            except BaseException:
-                # InjectedCrash / KeyboardInterrupt: die like kill -9 would —
-                # stop renewing (a dead process renews nothing) but leave the
-                # lease and checkpoint in place for a peer to steal and resume
-                heartbeat.stop()
-                raise
-            heartbeat.stop()
-            if entry["status"] == "completed":
-                events.emit(
+                self.events.emit("abandoned", worker_id, scenario, reason=str(entry))
+                say(f"abandon {spec.name} [{scenario}]: {entry}")
+            elif entry["status"] == "completed":
+                self.events.emit(
                     "committed",
                     worker_id,
                     scenario,
@@ -761,138 +762,24 @@ def _drain(
                     resumed=bool(entry.get("resumed", False)),
                 )
                 manager.clear_attempts(scenario)
-                manager.release(heartbeat.lease)
+                manager.release(hb.lease)
                 report.completed.append(scenario)
-                done.add(scenario)
+                self.done.add(scenario)
                 say(f"done  {spec.name} [{scenario}] ({entry.get('wall_time', 0.0):.2f}s)")
             else:
                 count = manager.record_failure(scenario, entry.get("error", entry["status"]))
-                if count >= max_attempts:
+                if count >= self.max_attempts:
                     manager.park(scenario, attempts=count, error=entry.get("error", ""))
                     report.parked.append(scenario)
-                    done.add(scenario)
+                    self.done.add(scenario)
                     say(f"park  {spec.name} [{scenario}] after {count} attempt(s)")
                 else:
-                    events.emit("retry", worker_id, scenario, attempt=count)
-                    say(f"retry {spec.name} [{scenario}] (attempt {count}/{max_attempts})")
+                    self.events.emit("retry", worker_id, scenario, attempt=count)
+                    say(f"retry {spec.name} [{scenario}] (attempt {count}/{self.max_attempts})")
                 # release either way: commit-entry-then-release ordering
                 # holds (the failed entry is committed), and holding the
                 # lease through the backoff would only serialize the fleet
-                manager.release(heartbeat.lease)
-                if count < max_attempts and backoff_base > 0:
-                    delay = backoff_base * (2 ** (count - 1)) * (0.5 + rng())
-                    sleep(delay)
-        if not claimed_any:
-            # everything unfinished is held by live peers (or their leases
-            # have not expired yet); wait out a poll interval and rescan
-            sleep(max(poll, 0.01))
-    return report
-
-
-def _work_group(
-    *,
-    group: list[ScenarioSpec],
-    store: ResultsStore,
-    manager: LeaseManager,
-    report: WorkReport,
-    events: EventRecorder,
-    worker_id: str,
-    say: Callable[[str], object],
-    done: set[str],
-    heartbeat_interval: float | None,
-    max_attempts: int,
-    checkpoint_every: int,
-    max_claims: int | None,
-) -> bool:
-    """Claim and batch-solve one topology group; returns whether we progressed.
-
-    Every member gets its own lease and :class:`LeaseHeartbeat`, exactly as
-    if claimed individually; members a peer validly holds are simply left
-    out of the batch.  Entries are committed per member inside
-    :func:`~repro.scenarios.batching.solve_batch_and_commit` the moment
-    each member finishes; the commit-then-release ordering per member is
-    preserved (the entry lands before this loop releases its lease).
-    """
-    from repro.scenarios.batching import solve_batch_and_commit
-
-    claimed: list[ScenarioSpec] = []
-    heartbeats: list[LeaseHeartbeat] = []
-    progressed = False
-    for spec in group:
-        scenario = store.scenario_key(spec)
-        if store.entry_is_complete(store.entry(scenario)):
-            if manager.heal_completed(scenario):
-                report.healed += 1
-            report.already_done.append(scenario)
-            done.add(scenario)
-            progressed = True
-            continue
-        if max_claims is not None and report.claims >= max_claims:
-            break
-        lease = manager.try_claim(spec)
-        if lease is None:
-            continue  # validly held by a peer, or we lost the put race
-        report.claims += 1
-        progressed = True
-        stolen = lease.epoch > 1
-        if stolen:
-            report.steals += 1
-        say(
-            f"{'steal' if stolen else 'claim'} {spec.name} "
-            f"[{scenario}] epoch={lease.epoch} (batched)"
-        )
-        heartbeats.append(LeaseHeartbeat(manager, lease, interval=heartbeat_interval).start())
-        claimed.append(spec)
-    if not claimed:
+                manager.release(hb.lease)
+                if count < self.max_attempts and self.backoff_base > 0:
+                    self.sleep(self.backoff_base * (2 ** (count - 1)) * (0.5 + self.rng()))
         return progressed
-    try:
-        entries = solve_batch_and_commit(
-            claimed,
-            store,
-            checkpoint_every=checkpoint_every,
-            aborts=[hb.abort_requested for hb in heartbeats],
-            events=events,
-            worker_id=worker_id,
-        )
-    except BaseException:
-        # InjectedCrash / KeyboardInterrupt: die like kill -9 would — stop
-        # renewing but leave every lease and checkpoint for peers to steal
-        for hb in heartbeats:
-            hb.stop()
-        raise
-    for spec, hb, entry in zip(claimed, heartbeats, entries):
-        hb.stop()
-        scenario = store.scenario_key(spec)
-        if entry is None:
-            # lease lost mid-batch: nothing committed, the thief owns it
-            report.abandoned += 1
-            events.emit("abandoned", worker_id, scenario, reason="lease lost mid-batch")
-            say(f"abandon {spec.name} [{scenario}] (batch member)")
-            continue
-        if entry["status"] == "completed":
-            events.emit(
-                "committed",
-                worker_id,
-                scenario,
-                wall_time=entry.get("wall_time", 0.0),
-                resumed=bool(entry.get("resumed", False)),
-            )
-            manager.clear_attempts(scenario)
-            manager.release(hb.lease)
-            report.completed.append(scenario)
-            done.add(scenario)
-            say(f"done  {spec.name} [{scenario}] ({entry.get('wall_time', 0.0):.2f}s)")
-        else:
-            count = manager.record_failure(scenario, entry.get("error", entry["status"]))
-            if count >= max_attempts:
-                manager.park(scenario, attempts=count, error=entry.get("error", ""))
-                report.parked.append(scenario)
-                done.add(scenario)
-                say(f"park  {spec.name} [{scenario}] after {count} attempt(s)")
-            else:
-                events.emit("retry", worker_id, scenario, attempt=count)
-                say(f"retry {spec.name} [{scenario}] (attempt {count}/{max_attempts})")
-            # failed entry is committed; release so a peer (or this worker's
-            # next pass) can retry without waiting out the TTL
-            manager.release(hb.lease)
-    return progressed

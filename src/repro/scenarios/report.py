@@ -119,8 +119,8 @@ def _contraction_rate(samples: list) -> float | None:
     rate.  Returns ``None`` with fewer than two usable samples or when
     the fit says the errors are not shrinking.
     """
-    # non-finite errors (a diverging member overflowing to inf/nan before
-    # its sequential fallback kicks in) would poison the whole fit
+    # non-finite errors (a diverging member overflowing to inf/nan) would
+    # poison the whole fit
     pts = [(i, math.log(e)) for i, e, _ in samples if e > 0.0 and math.isfinite(e)]
     if len(pts) < 2:
         return None

@@ -34,24 +34,22 @@ JSON payloads with the same provenance manifest.
 
 from __future__ import annotations
 
-import importlib
 import os
 import platform
 import statistics
-import time
-import traceback
 from dataclasses import dataclass, field
 
 from repro.parallel.executor import EXECUTOR_KINDS, make_executor
 from repro.parallel.scheduler import longest_first_order
-from repro.scenarios.checkpoint import (
-    InterruptingCheckpoint,
-    SimulatedKill,
-    SolveAbandoned,
-    SolveCheckpoint,
+from repro.parallel.tracing import EventRecorder
+from repro.scenarios.batching import (
+    EXPERIMENT_ADAPTERS,
+    partition_by_topology,
+    solve_batch_and_commit,
 )
+from repro.scenarios.checkpoint import SolveAbandoned
 from repro.scenarios.spec import ScenarioSpec, ScenarioSuite
-from repro.scenarios.store import ResultsStore
+from repro.scenarios.store import ResultsStore, StoreEventSink
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -66,25 +64,8 @@ __all__ = [
 
 logger = get_logger("scenarios.runner")
 
-#: kind -> "module:function" of the experiment adapters (resolved lazily so
-#: importing the scenarios package stays cheap and cycle-free).
-EXPERIMENT_ADAPTERS = {
-    "table1": "repro.experiments.table1:run_scenario",
-    "table2": "repro.experiments.table2_fig6:run_scenario",
-    "fig7": "repro.experiments.fig7:run_scenario",
-    "fig8": "repro.experiments.fig8:run_scenario",
-    "fig9": "repro.experiments.fig9:run_scenario",
-    "ablations": "repro.experiments.ablations:run_scenario",
-}
-
 #: dispatch orders accepted by run_suite (and the CLI --schedule flag)
 SCHEDULE_KINDS = ("longest-first", "fifo")
-
-
-def _resolve_adapter(kind: str):
-    target = EXPERIMENT_ADAPTERS[kind]
-    module_name, func_name = target.split(":")
-    return getattr(importlib.import_module(module_name), func_name)
 
 
 @dataclass
@@ -166,8 +147,6 @@ def solve_and_commit(
     store: ResultsStore,
     *,
     checkpoint_every: int = 1,
-    point_executor: str = "serial",
-    point_workers: int = 1,
     interrupt_after: int | None = None,
     abort=None,
     events=None,
@@ -175,80 +154,33 @@ def solve_and_commit(
 ) -> dict:
     """Run one scenario against ``store`` and commit its manifest entry.
 
-    The single solve-and-commit path shared by the batch runner's worker
-    function (:func:`run_suite` via ``_execute_task``) and the lease-based
-    fleet worker (:func:`repro.scenarios.lease.run_worker`): persists the
-    spec, runs the solve (resuming from an existing checkpoint — including
-    one left behind by a dead worker whose lease was stolen) or the
-    experiment adapter, commits the entry (``completed``/``interrupted``/
-    ``failed``) and returns it.  Failed entries carry the full formatted
-    traceback under ``entry["traceback"]``.
-
-    ``abort`` is forwarded to :class:`SolveCheckpoint`; when it fires,
-    :class:`SolveAbandoned` *propagates uncommitted* — an abandoning
-    worker no longer owns the scenario and must not write an entry the
-    rightful owner's result would have to out-rank.
-
-    ``events``/``worker_id`` wire solve-progress telemetry through the
-    time-iteration driver: when an
-    :class:`~repro.parallel.tracing.EventRecorder` is given, solve
-    scenarios emit ``solve-started``/``iteration``/``refined``/
-    ``converged``/``solve-finished`` events attributed to ``worker_id``
-    and the scenario's hash16 key (experiment scenarios emit nothing —
-    they have no iteration structure).
+    A group of one through
+    :func:`repro.scenarios.batching.solve_batch_and_commit` (see there for
+    what is persisted, resumed, emitted and committed); returns the
+    committed entry.  ``abort`` is the scenario's abort hook: when it
+    fires, :class:`SolveAbandoned` *propagates uncommitted*.
     """
-    # persist the spec up front so even interrupted/failed entries can be
-    # inspected and diffed (spec deltas explain *why* a variant failed)
-    store.save_spec(spec)
-    t0 = time.perf_counter()
-    try:
-        if spec.kind == "solve":
-            entry = _execute_solve(
-                spec,
-                store,
-                t0,
-                checkpoint_every=checkpoint_every,
-                point_executor=point_executor,
-                point_workers=point_workers,
-                interrupt_after=interrupt_after,
-                abort=abort,
-                events=events,
-                worker_id=worker_id,
-            )
-        else:
-            adapter = _resolve_adapter(spec.kind)
-            payload = {"params": dict(spec.params), "result": adapter(dict(spec.params))}
-            entry = store.write_payload(spec, payload, time.perf_counter() - t0)
-    except SolveAbandoned:
-        raise
-    except SimulatedKill as exc:
-        # the --interrupt-after testing hook only; a genuine KeyboardInterrupt
-        # (user Ctrl-C) propagates and stops the whole batch — the on-disk
-        # checkpoints make the next identical invocation resume
-        entry = store.failure_entry(spec, "interrupted", time.perf_counter() - t0, str(exc))
-    except Exception as exc:  # repro: allow[broad-except] -- failure recorded; batch continues
-        logger.warning("scenario %s failed: %s", spec.name, exc)
-        entry = store.failure_entry(
-            spec,
-            "failed",
-            time.perf_counter() - t0,
-            "".join(traceback.format_exception_only(type(exc), exc)).strip(),
-            tb=traceback.format_exc(),
-        )
-    store.commit_entry(entry)
-    if entry["status"] == "completed" and spec.kind == "solve":
-        # safe to drop only now that the committed entry points at the
-        # result; missing_ok because a concurrent same-hash writer or
-        # another batch's GC may have removed it first
-        store.checkpoint_ref(spec).unlink(missing_ok=True)
+    [entry] = solve_batch_and_commit(
+        [spec],
+        store,
+        checkpoint_every=checkpoint_every,
+        interrupt_after=interrupt_after,
+        aborts=[abort],
+        events=events,
+        worker_id=worker_id,
+    )
+    if isinstance(entry, SolveAbandoned):
+        raise entry
     return entry
 
 
-def _execute_task(task: dict) -> dict:
-    """Run one scenario; top-level so the process executor can pickle it.
+def _execute_task(task: dict) -> list:
+    """Run one group of scenarios; top-level so the process executor can pickle it.
 
-    Thin task-dict adapter over :func:`solve_and_commit`.  Committing in
-    the worker is safe — entry files are per-hash and the log append is
+    Thin task-dict adapter over
+    :func:`~repro.scenarios.batching.solve_batch_and_commit` (``"specs"``
+    holds the group's spec dicts); returns one entry per spec.  Committing
+    in the worker is safe — entry files are per-hash and the log append is
     atomic — and makes finished work durable even if the parent dies
     before the batch barrier.
 
@@ -258,45 +190,7 @@ def _execute_task(task: dict) -> dict:
     runs are observable through ``status --follow`` and ``report``
     exactly like lease-fleet drains.
     """
-    from repro.parallel.tracing import EventRecorder
-    from repro.scenarios.store import StoreEventSink
-
-    spec = ScenarioSpec.from_dict(task["spec"])
-    store = ResultsStore.open(task["store_url"])
-    host = platform.node().split(".")[0].replace("/", "-") or "host"
-    worker_id = f"runner-{host}-{os.getpid()}"
-    events = EventRecorder()
-    sink = StoreEventSink(store, worker_id)
-    events.subscribe(sink)
-    try:
-        return solve_and_commit(
-            spec,
-            store,
-            checkpoint_every=int(task.get("checkpoint_every", 1)),
-            point_executor=task.get("point_executor", "serial"),
-            point_workers=int(task.get("point_workers", 1)),
-            interrupt_after=task.get("interrupt_after"),
-            events=events,
-            worker_id=worker_id,
-        )
-    finally:
-        sink.flush()
-
-
-def _execute_batch_task(task: dict) -> list:
-    """Run one topology group through the batched solver; returns entries.
-
-    The batched counterpart of :func:`_execute_task` (same pickle-friendly
-    task-dict shape, ``"batch"`` holding the member spec dicts): every
-    member's entry is committed individually inside
-    :func:`repro.scenarios.batching.solve_batch_and_commit`, so partial
-    progress is durable even if the parent dies at the batch barrier.
-    """
-    from repro.parallel.tracing import EventRecorder
-    from repro.scenarios.batching import solve_batch_and_commit
-    from repro.scenarios.store import StoreEventSink
-
-    specs = [ScenarioSpec.from_dict(data) for data in task["batch"]]
+    specs = [ScenarioSpec.from_dict(data) for data in task["specs"]]
     store = ResultsStore.open(task["store_url"])
     host = platform.node().split(".")[0].replace("/", "-") or "host"
     worker_id = f"runner-{host}-{os.getpid()}"
@@ -316,66 +210,11 @@ def _execute_batch_task(task: dict) -> list:
         sink.flush()
 
 
-def _execute_any_task(task: dict) -> list:
-    """Uniform executor entry point: always returns a list of entries."""
-    if "batch" in task:
-        return _execute_batch_task(task)
-    return [_execute_task(task)]
-
-
-def _execute_solve(
-    spec: ScenarioSpec,
-    store: ResultsStore,
-    t0: float,
-    *,
-    checkpoint_every: int = 1,
-    point_executor: str = "serial",
-    point_workers: int = 1,
-    interrupt_after: int | None = None,
-    abort=None,
-    events=None,
-    worker_id: str = "",
-) -> dict:
-    config = spec.build_config()
-    model = spec.build_model()
-    # "serial" means no executor: the driver hands whole grids to the model
-    executor = None
-    if point_executor != "serial":
-        executor = make_executor(point_executor, point_workers)
-    from repro.core.time_iteration import TimeIterationSolver
-
-    solver = TimeIterationSolver(model, config, executor=executor)
-    # a BlobRef: checkpoints flow through the store's backend, so kill/
-    # resume works identically for file://, mem:// and s3:// stores
-    ckpt_path = store.checkpoint_ref(spec)
-    if interrupt_after:
-        checkpoint = InterruptingCheckpoint(
-            ckpt_path,
-            every=checkpoint_every,
-            config=config,
-            interrupt_after=int(interrupt_after),
-        )
-    else:
-        checkpoint = SolveCheckpoint(
-            ckpt_path, every=checkpoint_every, config=config, abort=abort
-        )
-    resumed = checkpoint.exists()
-    result = solver.solve(
-        checkpoint=checkpoint,
-        events=events,
-        worker=worker_id,
-        scenario=store.scenario_key(spec),
-    )
-    return store.write_result(spec, result, time.perf_counter() - t0, resumed=resumed)
-
-
 def run_suite(
     suite: ScenarioSuite,
     store: ResultsStore,
     executor: str = "serial",
     num_workers: int = 2,
-    point_executor: str = "serial",
-    point_workers: int = 1,
     checkpoint_every: int = 1,
     force: bool = False,
     interrupt_after: int | None = None,
@@ -397,11 +236,6 @@ def run_suite(
         count.  ``processes`` gives real parallelism across scenarios;
         specs and tasks are plain data, so they pickle, and the sharded
         store lets every worker commit its own entry.
-    point_executor, point_workers
-        Dispatch *inside* each solve.  ``serial`` (the default) passes no
-        executor: a state's whole grid goes to the model's vectorized point
-        solve.  Any other kind solves the grid points one task each through
-        that executor (the paper's per-point dispatch).
     checkpoint_every
         Persist a solve checkpoint every N iterations.
     force
@@ -418,15 +252,15 @@ def run_suite(
         :meth:`~repro.scenarios.store.ResultsStore.gc_checkpoints`).  The
         defaults keep every resumable checkpoint.
     batch_topology
-        Opt-in: group pending solve scenarios that share a grid topology
-        (see :func:`repro.scenarios.batching.partition_by_topology`) and
-        run each group through the batched multi-scenario solver — one
-        shared grid, per-member convergence masking — instead of one
-        solve per task.  Checkpoints, telemetry events and per-hash entry
-        commits are unchanged.  A group of one is the default solve bit for
-        bit; a stacked group runs the same row solves in one Newton, for
-        which the contract stays solver tolerance (BLAS blocking may depend
-        on what shares a call).  Off by default.
+        Opt-in group size: by default every scenario is a task of its own;
+        with this flag pending solve scenarios that share a grid topology
+        (see :func:`repro.scenarios.batching.partition_by_topology`) go
+        into one task and iterate stacked — one shared grid, per-member
+        convergence masking.  The code path, checkpoints, telemetry events
+        and per-hash entry commits are the same.  A group of one is the
+        default solve bit for bit; a stacked group runs the same row solves
+        in one Newton, for which the contract stays solver tolerance (BLAS
+        blocking may depend on what shares a call).  Off by default.
     progress
         Optional ``callable(str)`` receiving one line per scenario.
     """
@@ -477,54 +311,35 @@ def run_suite(
                 "schedule is approximate",
                 executor,
             )
-    def _single_task(spec: ScenarioSpec) -> dict:
-        return {
-            "spec": spec.to_dict(),
+    if batch_topology and len(pending) > 1:
+        groups, singles = partition_by_topology(pending)
+    else:
+        groups, singles = [], pending
+    task_specs = groups + [[spec] for spec in singles]  # one spec list per task
+    tasks = [
+        {
+            "specs": [spec.to_dict() for spec in specs],
             "store_url": store.url,
             "checkpoint_every": int(checkpoint_every),
-            "point_executor": point_executor,
-            "point_workers": int(point_workers),
             "interrupt_after": interrupt_after,
         }
-
-    tasks = []
-    task_specs: list = []  # one spec list per task, aligned with `tasks`
-    if batch_topology and len(pending) > 1:
-        from repro.scenarios.batching import partition_by_topology
-
-        groups, singles = partition_by_topology(pending)
-        for group in groups:
-            tasks.append(
-                {
-                    "batch": [spec.to_dict() for spec in group],
-                    "store_url": store.url,
-                    "checkpoint_every": int(checkpoint_every),
-                    "interrupt_after": interrupt_after,
-                }
-            )
-            task_specs.append(list(group))
-        for spec in singles:
-            tasks.append(_single_task(spec))
-            task_specs.append([spec])
-    else:
-        for spec in pending:
-            tasks.append(_single_task(spec))
-            task_specs.append([spec])
-    nested = mapper.map(_execute_any_task, tasks) if tasks else []
-    # flatten batch results back to one (spec, entry) stream; an abandoned
-    # batch member (None entry) committed nothing — report it as failed
+        for specs in task_specs
+    ]
+    nested = mapper.map(_execute_task, tasks) if tasks else []
+    # flatten back to one (spec, entry) stream; an abandoned member (its
+    # SolveAbandoned instead of an entry) committed nothing — report it as failed
     pending = [spec for specs in task_specs for spec in specs]
     entries = [
         entry
-        if entry is not None
+        if isinstance(entry, dict)
         else {
             "spec_hash": spec.content_hash(),
             "status": "failed",
             "wall_time": 0.0,
-            "error": "abandoned without committing",
+            "error": f"abandoned without committing: {entry}",
         }
-        for specs, batch in zip(task_specs, nested)
-        for spec, entry in zip(specs, batch)
+        for specs, group_entries in zip(task_specs, nested)
+        for spec, entry in zip(specs, group_entries)
     ]
     # workers committed their own entries; the parent only reports and GCs
     committed = {entry["spec_hash"]: entry for entry in entries}

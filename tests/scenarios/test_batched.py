@@ -7,9 +7,9 @@ Covers the four contracts of the batched solve path:
   (asserted to solver tolerance);
 * convergence masking — members drop out of the batch individually, each
   with its own iteration history;
-* fallback — members the driver cannot batch (divergence, topology
-  mismatch, adaptivity) are solved on the sequential path, bit-exact with
-  today's behavior;
+* stepping alone — members the loop cannot stack (divergence, topology
+  mismatch, adaptivity, an executor) step alone inside the same loop,
+  bit-exact with a solo solve; a member's own exception ends that member only;
 * scenario-layer integration — topology partitioning, batch-aware
   ``run_suite`` dispatch, and kill/resume leaving per-member checkpoints
   the next run resumes from.
@@ -22,6 +22,8 @@ import pytest
 
 from repro.core.batched import BatchedTimeIterationSolver, BatchMember, batch_topology
 from repro.core.time_iteration import TimeIterationSolver
+from repro.parallel.executor import SerialExecutor
+from repro.parallel.tracing import EventRecorder
 from repro.scenarios import (
     ResultsStore,
     ScenarioSpec,
@@ -192,6 +194,78 @@ class TestFallback:
         assert out.result is not None
 
 
+    def test_alone_members_next_to_a_stack_match_solo_solves(self):
+        # one loop: an adaptive member and an executor-carrying member step
+        # alone inside the group a stacked pair iterates in, and return what
+        # their solo solves return, bit for bit
+        pair = [_solve_spec("p1", tau_labor=0.1), _solve_spec("p2", tau_labor=0.2)]
+        ada = _solve_spec("ada", max_iterations=3)
+        ada.solver.update(adaptive=True, max_refine_level=3, max_points_per_state=40)
+        per_point = _solve_spec("per-point", tau_labor=0.15, max_iterations=4)
+
+        def stepper(spec, executor=None):
+            return TimeIterationSolver(spec.build_model(), spec.build_config(), executor=executor)
+
+        events = EventRecorder()
+        members = [_member(s, events=events, scenario=s.name) for s in (*pair, ada)]
+        members.append(
+            _member(
+                per_point,
+                events=events,
+                scenario="per-point",
+                solver=stepper(per_point, SerialExecutor()),
+            )
+        )
+        outcomes = BatchedTimeIterationSolver(members).solve()
+        assert outcomes["ada"].fallback_reason == "adaptive refinement"
+        assert [outcomes[k].fallback_reason for k in ("p1", "p2", "per-point")] == [None] * 3
+        solos = {
+            "ada": stepper(ada).solve(),
+            "per-point": stepper(per_point, SerialExecutor()).solve(),
+        }
+        for key, solo in solos.items():
+            got = outcomes[key].result
+            assert got.iterations == solo.iterations
+            assert np.array_equal(got.error_history("rel_linf"), solo.error_history("rel_linf"))
+            assert [r.points_per_state for r in got.records] == [
+                r.points_per_state for r in solo.records
+            ]
+            for z in range(len(solo.policy)):
+                assert np.array_equal(
+                    got.policy[z].interpolant.surplus, solo.policy[z].interpolant.surplus
+                )
+            # an alone step times its three phases; a stack shares two
+            assert all(set(r.sections) == {"grid", "solve", "fit"} for r in got.records)
+        assert all(set(r.sections) == {"solve", "fit"} for r in outcomes["p1"].result.records)
+        # one emitter, one shape: every solve-started says whether it is stacked
+        started = {e.scenario: e.detail["batched"] for e in events.by_kind("solve-started")}
+        assert started == {"p1": True, "p2": True, "ada": False, "per-point": False}
+
+    def test_hook_exception_ends_one_member_and_the_facade_reraises_it(self):
+        class Boom(LookupError):
+            pass
+
+        class BrokenHook:
+            def load(self):
+                return None
+
+            def on_iteration(self, policy, records, converged, config):
+                raise Boom("hook broke at %d" % len(records))
+
+        specs = [_solve_spec(f"h{i}", tau_labor=0.1 * (i + 1)) for i in range(3)]
+        members = [_member(s) for s in specs]
+        members[1].checkpoint = BrokenHook()
+        outcomes = BatchedTimeIterationSolver(members).solve()
+        assert outcomes["h0"].result.converged and outcomes["h2"].result.converged
+        bad = outcomes["h1"]
+        assert bad.result is None and type(bad.exception) is Boom
+        assert str(bad.exception) == "hook broke at 1" and bad.exception.__traceback__ is not None
+        # TimeIterationSolver.solve is that loop on a group of one: same exception out
+        solo = TimeIterationSolver(specs[1].build_model(), specs[1].build_config())
+        with pytest.raises(Boom, match="hook broke at 1"):
+            solo.solve(checkpoint=BrokenHook())
+
+
 class TestTopologyPartitioning:
     def test_signature_matches_core(self):
         spec = _solve_spec("sig")
@@ -255,6 +329,29 @@ class TestScenarioLayer:
             assert entry["status"] == "completed" and entry["resumed"]
             assert not store.checkpoint_ref(spec).exists()  # cleaned up
             assert _policy_diff(store.load_result(spec), reference.load_result(spec)) < TOL
+
+    def test_one_members_hook_failure_fails_one_member(self, env_store_url, monkeypatch):
+        # the per-scenario rule, now also in a stack: a member's checkpoint
+        # hook raising fails that scenario, not the group it iterates in
+        from repro.scenarios.checkpoint import SolveCheckpoint
+
+        specs = [_solve_spec(f"m{i}", tau_labor=0.1 + 0.05 * i) for i in range(3)]
+        store = ResultsStore.open(env_store_url("store"))
+        unlucky = store.scenario_key(specs[1])
+        real = SolveCheckpoint.on_iteration
+
+        def disk_full(self, policy, records, converged, config):
+            if unlucky in self.path.key:
+                raise RuntimeError("disk full")
+            return real(self, policy, records, converged, config)
+
+        monkeypatch.setattr(SolveCheckpoint, "on_iteration", disk_full)
+        entries = solve_batch_and_commit(specs, store)
+        assert [e["status"] for e in entries] == ["completed", "failed", "completed"]
+        assert entries[1]["error"] == "RuntimeError: disk full"
+        assert "disk_full" in entries[1]["traceback"] and "disk full" in entries[1]["traceback"]
+        assert store.entry(specs[1])["status"] == "failed"
+        assert all(store.load_result(s).converged for s in (specs[0], specs[2]))
 
     def test_batched_entries_commit_individually(self, env_store_url):
         # a member hitting its iteration cap gets the same entry shape a

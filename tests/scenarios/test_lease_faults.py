@@ -577,6 +577,115 @@ class TestFleetDrain:
 
 
 # --------------------------------------------------------------------------- #
+# groups: --batch selects group size; the claim routine is the same one
+# --------------------------------------------------------------------------- #
+class TestGroupDrain:
+    def _mixed_suite(self) -> ScenarioSuite:
+        adaptive = _tiny_solve_spec("ada", tau_labor=0.12)
+        adaptive.solver.update(
+            adaptive=True, max_refine_level=3, max_points_per_state=40, max_iterations=3
+        )
+        return ScenarioSuite(
+            "mixed",
+            [
+                _tiny_solve_spec("pair-a", tau_labor=0.1),
+                _tiny_solve_spec("pair-b", tau_labor=0.2),
+                adaptive,
+                _payload_spec(0),
+            ],
+        )
+
+    def test_grouped_drain_matches_default_drain(self, store_url_for):
+        suite = self._mixed_suite()
+        stores, reports = {}, {}
+        for grouped in (False, True):
+            stores[grouped] = ResultsStore.open(store_url_for("mem", name=f"grouped-{grouped}"))
+            reports[grouped] = run_worker(
+                suite,
+                stores[grouped],
+                worker_id="w",
+                clock=_Clock(),
+                backoff_base=0.0,
+                heartbeat_interval=1000.0,
+                batch_topology=grouped,
+            )
+        for grouped, report in reports.items():
+            # one lease claimed and released per member, whatever the group size
+            kinds = [e.kind for e in report.events.events]
+            assert report.claims == kinds.count("claimed") == kinds.count("released") == 4
+            assert len(report.completed) == 4 and stores[grouped].leases() == []
+        for spec in suite:
+            one, stacked = stores[False].entry(spec), stores[True].entry(spec)
+            assert one["status"] == stacked["status"] == "completed"
+            assert one.get("iterations") == stacked.get("iterations")
+        started = {
+            e.scenario: e.detail["batched"] for e in reports[True].events.by_kind("solve-started")
+        }
+        key = stores[True].scenario_key
+        assert started == {key(suite[0]): True, key(suite[1]): True, key(suite[2]): False}
+        assert not any(e.detail["batched"] for e in reports[False].events.by_kind("solve-started"))
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["singles", "group"])
+    def test_lost_lease_abandons_one_member_the_rest_commit(
+        self, store_url_for, monkeypatch, grouped
+    ):
+        store = ResultsStore.open(store_url_for("mem"))
+        lost = _tiny_solve_spec("lost", tau_labor=0.1)
+        kept = _tiny_solve_spec("kept", tau_labor=0.2)
+        victim = store.scenario_key(lost)
+        monkeypatch.setattr(
+            LeaseHeartbeat, "abort_requested", lambda self: self.lease.scenario == victim
+        )
+        report = run_worker(
+            [lost, kept],
+            store,
+            worker_id="w",
+            clock=_Clock(),
+            backoff_base=0.0,
+            heartbeat_interval=1000.0,
+            max_claims=2,  # the abandoned lease stays (it is the thief's): stop rescanning
+            batch_topology=grouped,
+        )
+        assert report.abandoned == 1 and report.completed == [store.scenario_key(kept)]
+        assert store.entry(lost) is None  # nothing committed for the abandoned member
+        assert store.entry(kept)["status"] == "completed"
+        [abandoned] = report.events.by_kind("abandoned")
+        assert abandoned.scenario == victim
+        # the hook's SolveAbandoned reaches the worker with its reason text
+        assert "solve abandoned at iteration 1" in abandoned.detail["reason"]
+
+    def test_failed_group_member_backs_off_before_its_retry(self, store_url_for):
+        # a member that commits a `failed` entry is retried with the same
+        # exponential backoff whether it was claimed alone or in a group
+        from repro.core.time_iteration import TimeIterationSolver
+        from repro.scenarios import serialize
+
+        store = ResultsStore.open(store_url_for("mem"))
+        good, bad = _tiny_solve_spec("good", tau_labor=0.1), _tiny_solve_spec("bad", tau_labor=0.2)
+        # a checkpoint written under another configuration: refused on every load
+        other = bad.with_overrides(solver={"max_iterations": 1})
+        foreign = TimeIterationSolver(other.build_model(), other.build_config()).solve()
+        serialize.save_result(store.checkpoint_ref(bad), foreign)
+        delays: list = []
+        report = run_worker(
+            [good, bad],
+            store,
+            worker_id="w",
+            max_attempts=3,
+            clock=_Clock(),
+            backoff_base=1.0,
+            heartbeat_interval=1000.0,
+            batch_topology=True,
+            sleep=delays.append,
+            rng=lambda: 0.5,  # jitter multiplier pinned to 1.0
+        )
+        assert report.parked == [store.scenario_key(bad)] and report.claims == 4
+        assert "different solver configuration" in store.entry(bad)["error"]
+        assert store.entry(good)["status"] == "completed"
+        assert delays == [1.0, 2.0]  # one backoff after each non-final failed attempt
+
+
+# --------------------------------------------------------------------------- #
 # events and the status CLI (satellite: structured lease/progress events)
 # --------------------------------------------------------------------------- #
 class TestEventsAndStatus:

@@ -125,14 +125,12 @@ class TestRunner:
         store = ResultsStore.open(env_store_url())
         spec = suite[0]
         task = {
-            "spec": spec.to_dict(),
+            "specs": [spec.to_dict()],
             "store_url": store.url,
             "checkpoint_every": 1,
-            "point_executor": "serial",
-            "point_workers": 1,
             "interrupt_after": None,
         }
-        entry = runner_mod._execute_task(task)
+        [entry] = runner_mod._execute_task(task)
         assert entry["status"] == "completed"
         assert store.result_ref(spec).exists()
         assert store.has(spec)  # committed by the worker itself
@@ -206,12 +204,12 @@ class TestRunner:
     def test_real_keyboard_interrupt_propagates(self, tmp_path, monkeypatch):
         # only SimulatedKill (the --interrupt-after hook) is converted into an
         # 'interrupted' entry; a genuine Ctrl-C must stop the whole batch
-        import repro.scenarios.runner as runner_mod
+        import repro.scenarios.batching as batching_mod
 
-        def raise_interrupt(spec, store, t0, **kwargs):
+        def raise_interrupt(self):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(runner_mod, "_execute_solve", raise_interrupt)
+        monkeypatch.setattr(batching_mod.BatchedTimeIterationSolver, "solve", raise_interrupt)
         suite = ScenarioSuite("one", [_tiny_solve_spec("ctrl-c")])
         with pytest.raises(KeyboardInterrupt):
             run_suite(suite, ResultsStore(tmp_path / "store"))
