@@ -78,6 +78,12 @@ def batch_topology(model: TimeIterationModel, config: TimeIterationConfig):
     )
 
 
+def _solver_totals(model: TimeIterationModel) -> dict:
+    """The model's running point-solve totals (optional ``solver_totals()``), else none."""
+    totals = getattr(model, "solver_totals", None)
+    return totals() if totals is not None else {}
+
+
 @dataclass
 class BatchMember:
     """One solve inside a group: what :meth:`TimeIterationSolver.solve` takes, per member.
@@ -120,6 +126,7 @@ class _MemberState:
     resumed: bool
     converged: bool
     loaded: int  # records that came with the checkpoint
+    totals_before: dict  # the model's point-solve totals when this solve started
     reason: str | None = None  # why the member left (or never joined) the stack
     stacked: bool = False
     X: np.ndarray | None = None  # the shared grid's points in this member's box
@@ -247,6 +254,7 @@ class BatchedTimeIterationSolver:
             resumed=state is not None,
             converged=bool(state.converged) if state is not None else False,
             loaded=len(records),
+            totals_before=_solver_totals(member.model),
         )
 
     def _form_stack(self, states: list[_MemberState]) -> None:
@@ -487,6 +495,10 @@ class BatchedTimeIterationSolver:
             new_iterations=len(new),
             converged=ms.converged,
             wall_time=float(sum(r.wall_time for r in new)),
+            solver={
+                name: total - ms.totals_before.get(name, 0)
+                for name, total in _solver_totals(member.model).items()
+            },
         )
         result = TimeIterationResult(
             policy=ms.policy, records=ms.records, converged=ms.converged, config=cfg

@@ -91,6 +91,8 @@ class TimeIterationModel(Protocol):
     # Optional: ``solve_points_batch(z, X, policy_next, guesses=None)`` solving
     # every row of ``X`` in one call; used instead of ``solve_point`` when no
     # executor is given.
+    # Optional: ``solver_totals()`` returning the model's running point-solve
+    # counts by name; a solve reports their growth on ``solve-finished``.
 
 
 @dataclass
@@ -415,8 +417,9 @@ class TimeIterationSolver:
             l∞/l2 policy change, grid point count, per-iteration wall
             time), ``refined`` when adaptive refinement grew the grids,
             ``converged`` the moment the metric drops below tolerance and
-            ``solve-finished`` on return — attributed to ``worker`` /
-            ``scenario``.  Emission is pure observability: it never
+            ``solve-finished`` on return (with ``solver``: what the model's
+            ``solver_totals()`` grew by over this solve) — attributed to
+            ``worker`` / ``scenario``.  Emission is pure observability: it never
             changes the iterates and adds one in-memory append (plus
             whatever subscribed sinks do) per iteration.
         checkpoint

@@ -34,6 +34,7 @@ from repro.olg.solver import BatchNewtonSolver
 __all__ = ["EulerSystem", "PeriodEnvironment"]
 
 _LOG_SAVINGS_FLOOR = -16.0  # exp(-16) ~ 1e-7: effectively the borrowing constraint
+_LOG_SAVINGS_CEILING = 30.0
 _SHOCK_LABELS = ("productivity", "depreciation", "tau_labor", "tau_capital")
 
 
@@ -51,7 +52,21 @@ class PeriodEnvironment(NamedTuple):
 
 
 def _savings(log_savings: np.ndarray) -> np.ndarray:
-    return np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, 30.0))
+    return np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, _LOG_SAVINGS_CEILING))
+
+
+def _pinned(log_savings: np.ndarray) -> np.ndarray:
+    """Rows with a saver at or beyond a clip bound of :func:`_savings`.
+
+    The residual does not respond to that unknown (its Jacobian column is
+    exactly zero, for Newton and for scipy alike).  In practice it is the
+    floor: a node whose capital is below what the tracked generations hold
+    has no interior solution, and the saver in question sits on the
+    borrowing constraint.
+    """
+    return np.any(
+        (log_savings <= _LOG_SAVINGS_FLOOR) | (log_savings >= _LOG_SAVINGS_CEILING), axis=-1
+    )
 
 
 class EulerSystem:
@@ -95,6 +110,11 @@ class EulerSystem:
         #: single-model systems the scipy polish runs on (evaluating one
         #: point through stacked parameters costs ~20% more than through these)
         self.views = [m.system for m in models] if self.stacked else [self]
+        #: what :meth:`solve` did for this model so far (a stacked system
+        #: books on its members' own systems): rows solved, rows Newton left
+        #: stalled, of those the pinned (not polished) and the polished ones,
+        #: and the vectorised residual calls of the Newton runs it took part in
+        self.totals = dict.fromkeys(("rows", "stalled", "pinned", "polished", "residual_calls"), 0)
         self.row_member = np.repeat(np.arange(len(models)), reps)
 
         def per_row(values, axis: int = 0) -> np.ndarray:
@@ -257,13 +277,19 @@ class EulerSystem:
 
         One :class:`~repro.olg.solver.BatchNewtonSolver` run over all rows,
         so each residual evaluation interpolates next period's policies at
-        all active rows in one kernel call per shock state.  Rows whose
-        Newton stalled get what the scalar solver does after its own Newton
-        stalls: a scipy polish from the best iterate, accepted when it does
-        not worsen the residual (cold-start systems routinely stay
-        unconverged even then; they converge in later time iterations).
-        The polish evaluates one point at a time on the row's own
-        single-model system.
+        every candidate of every active row in one kernel call per shock
+        state.  A row whose Newton stalled gets a scipy polish from its
+        best iterate (one point at a time on the row's own single-model
+        system, accepted when it does not worsen the residual) — unless
+        the iterate is pinned (:func:`_pinned`): a saver on the borrowing
+        floor leaves the system without an interior root, scipy sees the
+        same zero Jacobian column Newton did and cannot move the residual,
+        so the row keeps its Newton iterate.  Stalled rows of either kind
+        are routine on a cold start and at the infeasible corner nodes;
+        time iteration goes on regardless.
+
+        What happened is added, member by member, to :attr:`totals` of the
+        member's own single-model system.
         """
         rows = np.arange(X.shape[0])
         guess = self.savings_guess(z, rows, X, guesses)
@@ -274,17 +300,25 @@ class EulerSystem:
 
         result = self.batch_solver.solve(residual, log_guess)
         savings = _savings(result.x)
-        stalled = np.flatnonzero(~result.converged) if self.solver.use_scipy_fallback else ()
-        for row in stalled:
-            member = int(self.row_member[row]) if self.stacked else 0
-            view, policy, x = self.views[member], [policies[member]], X[row]
+        member = self.row_member if self.stacked else np.zeros(rows.size, dtype=int)
+        stalled = ~result.converged
+        pinned = stalled & _pinned(result.x)
+        polished = stalled & ~pinned & self.solver.use_scipy_fallback
+        for row in np.flatnonzero(polished):
+            view, policy, x = self.views[member[row]], [policies[member[row]]], X[row]
 
             def residual_row(log_savings: np.ndarray) -> np.ndarray:
                 return view.euler_residuals(z, None, x, _savings(log_savings), policy)
 
-            polished = self.solver.scipy_polish(
+            polish = self.solver.scipy_polish(
                 residual_row, result.x[row], float(result.residual_norm[row])
             )
-            savings[row] = _savings(polished.x)
+            savings[row] = _savings(polish.x)
+        for i, view in enumerate(self.views):
+            mine = member == i
+            for name, mask in (("stalled", stalled), ("pinned", pinned), ("polished", polished)):
+                view.totals[name] += int(mask[mine].sum())
+            view.totals["rows"] += int(mine.sum())
+            view.totals["residual_calls"] += result.residual_evaluations
         values = self.value_functions(z, rows, X, savings, policies)
         return np.concatenate([savings, values], axis=1)

@@ -245,11 +245,16 @@ class OLGModel:
         The Newton iteration is vectorized across points, so each residual
         evaluation interpolates next period's policies at all active points
         in one kernel call per shock state; rows it cannot converge are
-        polished with scipy from the batch's best iterate (see
+        polished with scipy from the batch's best iterate, except those
+        with a saver pinned on the borrowing floor (see
         :meth:`repro.olg.euler.EulerSystem.solve`).  ``guesses`` are
         optional warm-start policy values per row.
         """
         return self.system.solve(z, _rows(X), [policy_next], guesses)
+
+    def solver_totals(self) -> dict:
+        """Running point-solve totals of this model (:attr:`EulerSystem.totals`)."""
+        return dict(self.system.totals)
 
     @classmethod
     def stacked_group(cls, models: list["OLGModel"], counts: list[int]):

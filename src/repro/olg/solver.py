@@ -7,8 +7,13 @@ difference Jacobian and a backtracking line search, falling back to
 code path (repeated interpolation of next-period policies inside the
 residual function) is identical, which is what matters for the performance
 experiments.  The Newton iteration exists once, row-masked over a batch of
-independent systems (:class:`BatchNewtonSolver`); :class:`NewtonSolver`
-holds the settings, the scipy polish and the single-system entry point.
+independent systems (:class:`BatchNewtonSolver`), and issues few, large
+residual calls — at most three per iteration, whatever the batch and the
+system size — because a residual call is an interpolation kernel launch;
+:class:`NewtonSolver` holds the settings, the scipy polish and the
+single-system entry point.  Which stalled rows are worth a polish is the
+caller's call: :meth:`repro.olg.euler.EulerSystem.solve` skips those pinned
+on a bound of the unknowns, where scipy faces the same zero Jacobian column.
 """
 
 from __future__ import annotations
@@ -75,9 +80,11 @@ class NewtonSolver:
 
         One system is a batch of one: :class:`BatchNewtonSolver` on a single
         row, then :meth:`scipy_polish` from its best iterate if it stalled.
+        A residual call carries several candidates for that row; ``fn``
+        sees them one at a time.
         """
         batch = BatchNewtonSolver(self).solve(
-            lambda rows, X: np.asarray(fn(X[0]), dtype=float)[None, :],
+            lambda rows, X: np.stack([np.asarray(fn(x), dtype=float) for x in X]),
             np.asarray(x0, dtype=float)[None, :],
         )
         x, norm, converged = batch.x[0], float(batch.residual_norm[0]), bool(batch.converged[0])
@@ -125,19 +132,30 @@ class BatchSolveResult:
     residual_evaluations: int  # vectorized residual calls, not per-row calls
 
 
+#: step fractions the line search tries after the full step
+_HALVINGS = 0.5 ** np.arange(1, 12)
+
+
 class BatchNewtonSolver:
     """Damped Newton over a batch of independent small systems.
 
     Forward-difference Jacobian, capped step, 12-step backtracking line
     search on the residual infinity norm, row-masked over ``m`` systems at
-    once, so every residual evaluation is ONE vectorized call over all
-    still-active rows instead of ``m`` scalar calls.  Rows whose line
-    search stalls are deactivated and reported unconverged with their best
-    iterate (callers polish those with :meth:`NewtonSolver.scipy_polish`).
+    once.  A Newton iteration makes at most THREE residual calls whatever
+    ``m`` and ``n`` are: one for the Jacobian (every active row ``n`` times,
+    copy ``j`` with column ``j`` perturbed), one for the full step of every
+    active row, and one for all eleven halvings of the rows the full step
+    did not serve, each of which takes the first halving that lowers its
+    norm.  Rows whose line search stalls are deactivated and reported
+    unconverged with their best iterate (callers polish those with
+    :meth:`NewtonSolver.scipy_polish`).
 
     The residual callback receives ``(rows, X)`` where ``rows`` indexes the
     original batch (so the callback can look up per-row problem data) and
-    ``X`` holds the candidate unknowns for exactly those rows.
+    ``X`` holds the candidate unknowns for exactly those rows.  ``rows`` is
+    nondecreasing and may repeat: a row appears once per candidate the call
+    evaluates for it.  Rows must be independent — a row's residual depends
+    on its own ``X`` row only.
     """
 
     def __init__(self, settings: NewtonSolver | None = None) -> None:
@@ -152,61 +170,58 @@ class BatchNewtonSolver:
         if X.ndim != 2:
             raise ValueError("x0 must be (m, n)")
         m, n = X.shape
-        F = np.asarray(fn(np.arange(m), X), dtype=float).reshape(m, n)
-        evals = 1
+        evals = 0
+
+        def residual(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+            nonlocal evals
+            evals += 1
+            return np.asarray(fn(rows, candidates.reshape(-1, n)), dtype=float).reshape(
+                candidates.shape
+            )
+
+        F = residual(np.arange(m), X)
         norms = np.max(np.abs(F), axis=1)
         best_x, best_norm = X.copy(), norms.copy()
         active = norms >= self.tol
+        diag = np.arange(n)
         iterations = 0
         while iterations < self.max_iterations and active.any():
             iterations += 1
             idx = np.flatnonzero(active)
-            Xa, Fa = X[idx], F[idx]
-            # forward-difference Jacobian, one vectorized call per column
-            jac = np.empty((idx.size, n, n), dtype=float)
+            Xa, Fa, norm_a = X[idx], F[idx], norms[idx]
+            # forward-difference Jacobian: Fp[r, j] is row r's residual with
+            # column j perturbed
             steps = self.fd_step * np.maximum(np.abs(Xa), 1.0)
-            for j in range(n):
-                Xp = Xa.copy()
-                Xp[:, j] += steps[:, j]
-                Fp = np.asarray(fn(idx, Xp), dtype=float).reshape(idx.size, n)
-                evals += 1
-                jac[:, :, j] = (Fp - Fa) / steps[:, j][:, None]
-            try:
-                step = np.linalg.solve(jac, -Fa[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                step = np.empty_like(Fa)
-                for r in range(idx.size):
-                    try:
-                        step[r] = np.linalg.solve(jac[r], -Fa[r])
-                    except np.linalg.LinAlgError:
-                        step[r], *_ = np.linalg.lstsq(jac[r], -Fa[r], rcond=None)
+            Xp = np.repeat(Xa[:, None, :], n, axis=1)
+            Xp[:, diag, diag] += steps
+            Fp = residual(np.repeat(idx, n), Xp)
+            jac = ((Fp - Fa[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
+            step = _newton_steps(jac, -Fa)
             step_norm = np.max(np.abs(step), axis=1)
             too_big = step_norm > self.max_step
             if too_big.any():
                 step[too_big] *= (self.max_step / step_norm[too_big])[:, None]
-            # backtracking line search, all pending rows per halving
-            lam = np.ones(idx.size)
-            pending = np.ones(idx.size, dtype=bool)
-            accepted = np.zeros(idx.size, dtype=bool)
-            norm_a = norms[idx]
-            for _ in range(12):
-                p = np.flatnonzero(pending)
-                if p.size == 0:
-                    break
-                trial = Xa[p] + lam[p, None] * step[p]
-                f_trial = np.asarray(fn(idx[p], trial), dtype=float).reshape(p.size, n)
-                evals += 1
-                trial_norm = np.max(np.abs(f_trial), axis=1)
-                good = trial_norm < norm_a[p]
-                gp = p[good]
-                if gp.size:
-                    rows = idx[gp]
-                    X[rows] = trial[good]
-                    F[rows] = f_trial[good]
-                    norms[rows] = trial_norm[good]
-                    accepted[gp] = True
-                    pending[gp] = False
-                lam[p[~good]] *= 0.5
+            # backtracking line search: the full step, then every halving of
+            # the rows it did not serve
+            trial = Xa + step
+            f_trial = residual(idx, trial)
+            trial_norm = np.max(np.abs(f_trial), axis=1)
+            accepted = trial_norm < norm_a
+            p = np.flatnonzero(~accepted)
+            if p.size:
+                trials = Xa[p, None, :] + _HALVINGS[:, None] * step[p, None, :]
+                f_trials = residual(np.repeat(idx[p], _HALVINGS.size), trials)
+                trial_norms = np.max(np.abs(f_trials), axis=2)
+                lower = trial_norms < norm_a[p, None]
+                first = lower.argmax(axis=1)  # 0 where no halving lowers the norm
+                served = lower[np.arange(p.size), first]
+                ps, first = p[served], first[served]
+                trial[ps], f_trial[ps] = trials[served, first], f_trials[served, first]
+                trial_norm[ps] = trial_norms[served, first]
+                accepted[ps] = True
+            improved = idx[accepted]
+            X[improved], F[improved] = trial[accepted], f_trial[accepted]
+            norms[improved] = trial_norm[accepted]
             better = norms < best_norm
             if better.any():
                 best_x[better] = X[better]
@@ -214,7 +229,6 @@ class BatchNewtonSolver:
             # stalled rows exit; improved rows stay active until their
             # residual drops below tolerance
             active[idx[~accepted]] = False
-            improved = idx[accepted]
             active[improved] = norms[improved] >= self.tol
         return BatchSolveResult(
             x=best_x,
@@ -223,3 +237,31 @@ class BatchNewtonSolver:
             iterations=iterations,
             residual_evaluations=evals,
         )
+
+
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``jac[r] @ step[r] = rhs[r]`` per row, by least squares where singular.
+
+    LAPACK refuses the whole stack when one matrix is exactly singular.
+    The rows that certainly are — an all-zero column (an unknown the
+    residual does not respond to) or row — then go one by one and the
+    others are solved as one stack again; should that stack still be
+    refused, every row goes one by one.
+    """
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    step = np.empty_like(rhs)
+    nonzero = jac != 0.0
+    regular = nonzero.any(axis=1).all(axis=1) & nonzero.any(axis=2).all(axis=1)
+    try:
+        step[regular] = np.linalg.solve(jac[regular], rhs[regular, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        regular[:] = False
+    for r in np.flatnonzero(~regular):
+        try:
+            step[r] = np.linalg.solve(jac[r], rhs[r])
+        except np.linalg.LinAlgError:
+            step[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
+    return step

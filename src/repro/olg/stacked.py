@@ -17,8 +17,10 @@ must agree across members; :class:`StructuralMismatch` is raised otherwise
 and the caller falls back to per-scenario solves.  The group itself only
 checks that, concatenates the members' blocks and splits the result; rows
 the batched Newton cannot converge are polished with scipy from the
-batch's best iterate on the member's own single-model system, exactly as
-in a per-scenario solve.
+batch's best iterate on the member's own single-model system — except
+rows with a saver pinned on the borrowing floor, which keep their Newton
+iterate — exactly as in a per-scenario solve
+(:meth:`repro.olg.euler.EulerSystem.solve`).
 """
 
 from __future__ import annotations

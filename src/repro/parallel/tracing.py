@@ -33,6 +33,7 @@ __all__ = [
     "LEASE_EVENT_KINDS",
     "SOLVE_EVENT_KINDS",
     "EVENT_KINDS",
+    "SOLVER_TOTALS",
 ]
 
 #: the lease-protocol lifecycle vocabulary the scenario worker fleet emits
@@ -59,8 +60,15 @@ SOLVE_EVENT_KINDS = (
     "iteration",       # one time-iteration step completed
     "refined",         # adaptive refinement grew the grids this iteration
     "converged",       # the convergence metric dropped below tolerance
-    "solve-finished",  # the solve returned (converged or exhausted)
+    "solve-finished",  # the solve returned (converged or exhausted; ``solver``: SOLVER_TOTALS)
 )
+
+#: the per-solve point-solver totals ``solve-finished`` carries under
+#: ``solver`` for a model that counts them (once per solve, never per
+#: iteration): grid-point systems solved, those Newton left stalled, of
+#: these the ones pinned on a bound (kept as they are) and the ones polished
+#: with scipy, and the vectorised residual calls of the Newton runs
+SOLVER_TOTALS = ("rows", "stalled", "pinned", "polished", "residual_calls")
 
 #: the full structured-event vocabulary (lease protocol + solve progress)
 EVENT_KINDS = LEASE_EVENT_KINDS + SOLVE_EVENT_KINDS

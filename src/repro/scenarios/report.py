@@ -208,6 +208,7 @@ class ProgressBoard:
                 "points": None,
                 "tolerance": None,
                 "max_iterations": None,
+                "solver": None,
                 "samples": [],
             },
         )
@@ -249,6 +250,8 @@ class ProgressBoard:
                 del state["samples"][:-_ETA_WINDOW]
         elif kind == "converged":
             state.update(status="converged", worker=worker)
+        elif kind == "solve-finished":
+            state.update(solver=event.get("solver"))
         elif kind == "committed":
             state.update(status="completed", worker=worker)
         elif kind == "abandoned":
@@ -667,6 +670,20 @@ def _entry_rows(data: dict) -> list:
     return rows
 
 
+#: the point-solver totals of ``solve-finished`` the progress table shows
+_SOLVER_COLUMNS = ("rows", "pinned", "polished", "residual_calls")
+_PROGRESS_HEADERS = (
+    "scenario",
+    "status",
+    "iter",
+    "last error",
+    "points",
+    " / ".join(name.replace("_", " ") for name in _SOLVER_COLUMNS),
+    "ETA",
+    "worker",
+)
+
+
 def _progress_rows(data: dict) -> list:
     rows = []
     for scenario, record in data["progress"].items():
@@ -677,6 +694,7 @@ def _progress_rows(data: dict) -> list:
             else "-"
         )
         err = record.get("error")
+        solver = record.get("solver") or {}
         rows.append(
             (
                 scenario,
@@ -684,6 +702,7 @@ def _progress_rows(data: dict) -> list:
                 str(record.get("iteration", 0)),
                 f"{err:.3e}" if isinstance(err, (int, float)) else "-",
                 str(record.get("points") or "-"),
+                " / ".join(str(solver.get(name, "-")) for name in _SOLVER_COLUMNS),
                 eta_s,
                 record.get("worker", "") or "-",
             )
@@ -715,10 +734,7 @@ def render_markdown(data: dict) -> str:
         lines.append("_no committed entries_")
     if data["progress"]:
         lines += ["", "## Solve progress (from the event feed)", ""]
-        lines += _md_table(
-            ("scenario", "status", "iter", "last error", "points", "ETA", "worker"),
-            _progress_rows(data),
-        )
+        lines += _md_table(_PROGRESS_HEADERS, _progress_rows(data))
     if data["convergence"]:
         lines += ["", "## Convergence (log-scale error per iteration)", ""]
         rows = []
@@ -835,11 +851,7 @@ def render_html(data: dict) -> str:
         parts.append("<p><em>no committed entries</em></p>")
     if data["progress"]:
         parts.append("<h2>Solve progress (from the event feed)</h2>")
-        parts += _html_table(
-            ("scenario", "status", "iter", "last error", "points", "ETA", "worker"),
-            _progress_rows(data),
-            status_col=1,
-        )
+        parts += _html_table(_PROGRESS_HEADERS, _progress_rows(data), status_col=1)
     if data["convergence"]:
         parts.append("<h2>Convergence (log-scale error per iteration)</h2>")
         for scenario, (label, pts) in sorted(data["convergence"].items()):

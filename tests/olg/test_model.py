@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.olg.calibration import small_calibration
+from repro.olg import solver as solver_module
+from repro.olg.euler import _pinned
 from repro.olg.model import OLGModel
+from repro.olg.solver import NewtonSolver
+from repro.utils.timing import WallClock
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +171,54 @@ class TestEulerEquations:
         for key in ("linf", "l2", "mean_log10", "num_evaluations"):
             assert key in errs
         assert errs["linf"] >= errs["l2"] >= 0.0
+
+
+class TestPolishRule:
+    """A stalled row is polished with scipy unless a saver is pinned on a clip bound."""
+
+    @staticmethod
+    def _steps(monkeypatch, steps: int, **newton):
+        """Level-2 time-iteration steps; the model and the start of every scipy polish."""
+        model = OLGModel(
+            small_calibration(num_generations=5, num_states=2, beta=0.8),
+            solver=NewtonSolver(**newton),
+        )
+        starts = []
+        root = solver_module.optimize.root
+
+        def counted(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return root(fun, x0, **kwargs)
+
+        # the module attribute is how repro.olg.solver reaches scipy
+        monkeypatch.setattr(solver_module.optimize, "root", counted)
+        solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=2))
+        policy = solver.initial_policy()
+        for _ in range(steps):
+            policy = solver.step(policy, WallClock())
+        return model, starts
+
+    def test_pinned_rows_are_not_polished(self, monkeypatch):
+        model, starts = self._steps(monkeypatch, steps=1)
+        totals = model.solver_totals()
+        assert totals["rows"] == 18
+        assert totals["stalled"] == totals["pinned"] > 0  # the infeasible K_min nodes
+        assert totals["polished"] == len(starts) == 0
+
+    def test_interior_stalled_rows_are_still_polished(self, monkeypatch):
+        # one Newton iteration leaves every row short of tolerance, most of
+        # them at an interior iterate
+        model, starts = self._steps(monkeypatch, steps=2, max_iterations=1)
+        totals = model.solver_totals()
+        assert totals["stalled"] == totals["rows"] == 36
+        assert totals["pinned"] > 0
+        assert totals["polished"] == len(starts) == totals["stalled"] - totals["pinned"]
+        assert not any(_pinned(x0) for x0 in starts)
+
+    def test_no_fallback_polishes_nothing(self, monkeypatch):
+        model, starts = self._steps(
+            monkeypatch, steps=1, max_iterations=1, use_scipy_fallback=False
+        )
+        totals = model.solver_totals()
+        assert totals["stalled"] == totals["rows"] and totals["pinned"] == 0
+        assert totals["polished"] == len(starts) == 0

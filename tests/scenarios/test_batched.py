@@ -208,13 +208,9 @@ class TestFallback:
 
         events = EventRecorder()
         members = [_member(s, events=events, scenario=s.name) for s in (*pair, ada)]
-        members.append(
-            _member(
-                per_point,
-                events=events,
-                scenario="per-point",
-                solver=stepper(per_point, SerialExecutor()),
-            )
+        members.append(_member(per_point, events=events, scenario="per-point"))
+        members[-1].solver = TimeIterationSolver(
+            members[-1].model, members[-1].config, executor=SerialExecutor()
         )
         outcomes = BatchedTimeIterationSolver(members).solve()
         assert outcomes["ada"].fallback_reason == "adaptive refinement"
@@ -240,6 +236,12 @@ class TestFallback:
         # one emitter, one shape: every solve-started says whether it is stacked
         started = {e.scenario: e.detail["batched"] for e in events.by_kind("solve-started")}
         assert started == {"p1": True, "p2": True, "ada": False, "per-point": False}
+        # a member's point-solver totals count its own rows, stacked or alone
+        solved = {e.scenario: e.detail["solver"]["rows"] for e in events.by_kind("solve-finished")}
+        assert solved == {
+            key: sum(sum(r.points_per_state) for r in outcome.result.records)
+            for key, outcome in outcomes.items()
+        }
 
     def test_hook_exception_ends_one_member_and_the_facade_reraises_it(self):
         class Boom(LookupError):

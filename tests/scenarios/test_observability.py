@@ -23,6 +23,7 @@ from repro.parallel.tracing import (
     EVENT_KINDS,
     LEASE_EVENT_KINDS,
     SOLVE_EVENT_KINDS,
+    SOLVER_TOTALS,
     Event,
     EventRecorder,
 )
@@ -146,6 +147,23 @@ class TestSolverEmission:
         assert finished["iterations"] == result.iterations
         assert finished["new_iterations"] == result.iterations
         assert finished["converged"] is True
+
+    def test_solve_finished_carries_the_point_solver_totals_of_this_solve(self):
+        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=2, max_iterations=2))
+        totals = []
+        for _ in range(2):  # the second solve reports its own work, not the model's running sum
+            recorder = EventRecorder()
+            solver.solve(events=recorder)
+            assert [e.kind for e in recorder.events].count("solve-finished") == 1
+            assert all("solver" not in e.detail for e in recorder.by_kind("iteration"))
+            totals.append(recorder.by_kind("solve-finished")[0].detail["solver"])
+        assert totals[0] == totals[1]
+        assert tuple(totals[0]) == SOLVER_TOTALS == tuple(model.system.totals)
+        assert totals[0]["rows"] == 2 * 2 * 7  # iterations x shock states x grid points
+        assert totals[0]["stalled"] == totals[0]["pinned"] + totals[0]["polished"]
+        assert totals[0]["residual_calls"] > 0
+        assert model.solver_totals()["rows"] == 2 * totals[0]["rows"]
 
     def test_resumed_solve_reports_resume_point(self, tmp_path, solve_problem):
         model, config = solve_problem
@@ -496,6 +514,14 @@ class TestFleetAndReport:
             assert heading in md
         assert "solver diverged" in md and "always diverges" in md
         assert inflight in md
+        # the finished solves show their point-solver totals, the live one does not yet
+        assert "rows / pinned / polished / residual calls" in md
+        finished = [e["solver"] for e in store.events() if e["kind"] == "solve-finished"]
+        assert len(finished) == 2
+        for solver in finished:
+            cells = (solver[k] for k in ("rows", "pinned", "polished", "residual_calls"))
+            assert f"| {' / '.join(map(str, cells))} |" in md
+        assert "| - / - / - / - |" in md
         assert any(ch in md for ch in "▁▂▃▄▅▆▇█")  # sparkline trajectories
 
     def test_html_report_is_self_contained(self, any_store_url):

@@ -219,6 +219,18 @@ class TestBatchedSolveGate:
         assert (REPO / "benchmarks" / "ledger" / "test_ledger.py").exists()
         assert (REPO / "BENCHMARK.json").exists()
 
+    def test_bench_job_guards_the_point_solve_call_counts(self, workflow):
+        # exact counts from a traced smoke run of the level-3 sweep: almost
+        # no scipy polish, few residual calls per Newton run
+        guard = [
+            c for c in _run_commands(workflow["jobs"]["bench"]) if "benchmarks/ledger/run.py" in c
+        ]
+        assert len(guard) == 1
+        assert "--workload batched-sweep-l3 --scale smoke --traced" in guard[0]
+        assert 'result["failed"] == 0' in guard[0]
+        assert 'value["olg.solver.polish.calls"] <= 0.01 * value["olg.solver.rows"]' in guard[0]
+        assert 'value["olg.solver.residual_evals_per_solve"] <= 60' in guard[0]
+
     def test_batched_over_sequential_guard_is_gone(self, workflow):
         # the default solve is a batch of one now, so batched / sequential
         # on a 7-point grid measures cross-scenario stacking only

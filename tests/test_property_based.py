@@ -16,7 +16,7 @@ These cover the properties DESIGN.md commits to:
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.compression import compress_grid
@@ -294,6 +294,38 @@ def test_residual_row_ignores_its_neighbours(calibration, seed, data):
 
 
 @MODEL_SETTINGS
+@given(calibration=calibrations, seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_residual_on_repeated_rows_repeats_the_rows(calibration, seed, data):
+    """What the fused Newton relies on: ``rows`` may repeat, as long as it stays sorted.
+
+    Each copy of a row carries its own candidate savings (here: the plain
+    call's savings of some row), and gets that candidate's residual.
+    """
+    model, policy, X, savings = _model_case(calibration, seed)
+    z = data.draw(st.integers(0, model.num_states - 1))
+    m = len(X)
+    repeats = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+    rows = np.repeat(np.arange(m), repeats)
+    assume(rows.size)
+    candidates = savings[data.draw(st.permutations(range(m)))][np.arange(rows.size) % m]
+    # reference: one plain (unrepeated) call per candidate
+    expected = np.array(
+        [
+            model.euler_residuals_batch(z, X[r : r + 1], c[None, :], policy)[0]
+            for r, c in zip(rows, candidates)
+        ]
+    )
+    broadcast = model.system.euler_residuals(z, rows, X[rows], candidates, [policy])
+    assert _close(broadcast, expected)
+    group = OLGModel.stacked_group([model, model], [m, m])
+    both_rows = np.concatenate([rows, m + rows])
+    stacked = group.euler_residuals_rows(
+        z, both_rows, np.tile(X[rows], (2, 1)), np.tile(candidates, (2, 1)), [policy, policy]
+    )
+    assert _close(stacked[: rows.size], expected) and _close(stacked[rows.size :], expected)
+
+
+@MODEL_SETTINGS
 @given(calibration=calibrations, seed=st.integers(0, 2**31 - 1))
 def test_initial_policy_and_errors_match_the_per_row_loop(calibration, seed):
     """The vectorized diagnostics equal the per-point evaluations they replaced."""
@@ -369,3 +401,101 @@ def test_batch_newton_reproduces_scalar_newton_row_by_row(seed, m, n, max_iterat
         sub = BatchNewtonSolver(scalar).solve(lambda rows, X: rows_fn(keep[rows], X), x0[keep])
         assert np.array_equal(sub.converged, batch.converged[keep])
         assert _close(sub.x, batch.x[keep])
+
+
+def _sequential_newton(fn, x0, settings: NewtonSolver):
+    """The reference :class:`BatchNewtonSolver` is held to: the same damped Newton
+    with one residual call per Jacobian column and one per line-search halving.
+    """
+    X = np.array(x0, dtype=float)
+    m, n = X.shape
+    F = np.asarray(fn(np.arange(m), X), dtype=float).reshape(m, n)
+    evals = 1
+    norms = np.max(np.abs(F), axis=1)
+    best_x, best_norm = X.copy(), norms.copy()
+    active = norms >= settings.tol
+    iterations = 0
+    while iterations < settings.max_iterations and active.any():
+        iterations += 1
+        idx = np.flatnonzero(active)
+        Xa, Fa = X[idx], F[idx]
+        jac = np.empty((idx.size, n, n), dtype=float)
+        steps = settings.fd_step * np.maximum(np.abs(Xa), 1.0)
+        for j in range(n):
+            Xp = Xa.copy()
+            Xp[:, j] += steps[:, j]
+            Fp = np.asarray(fn(idx, Xp), dtype=float).reshape(idx.size, n)
+            evals += 1
+            jac[:, :, j] = (Fp - Fa) / steps[:, j][:, None]
+        step = np.empty_like(Fa)
+        for r in range(idx.size):
+            try:
+                step[r] = np.linalg.solve(jac[r], -Fa[r])
+            except np.linalg.LinAlgError:
+                step[r], *_ = np.linalg.lstsq(jac[r], -Fa[r], rcond=None)
+        step_norm = np.max(np.abs(step), axis=1)
+        too_big = step_norm > settings.max_step
+        step[too_big] *= (settings.max_step / step_norm[too_big])[:, None]
+        lam = np.ones(idx.size)
+        pending = np.ones(idx.size, dtype=bool)
+        for _ in range(12):
+            p = np.flatnonzero(pending)
+            if p.size == 0:
+                break
+            trial = Xa[p] + lam[p, None] * step[p]
+            f_trial = np.asarray(fn(idx[p], trial), dtype=float).reshape(p.size, n)
+            evals += 1
+            trial_norm = np.max(np.abs(f_trial), axis=1)
+            good = trial_norm < norms[idx[p]]
+            rows = idx[p[good]]
+            X[rows], F[rows], norms[rows] = trial[good], f_trial[good], trial_norm[good]
+            pending[p[good]] = False
+            lam[p[~good]] *= 0.5
+        better = norms < best_norm
+        best_x[better], best_norm[better] = X[better], norms[better]
+        active[idx[pending]] = False
+        improved = idx[~pending]
+        active[improved] = norms[improved] >= settings.tol
+    return best_x, best_norm, best_norm < settings.tol, iterations, evals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 8),
+    n=st.integers(1, 4),
+    max_iterations=st.sampled_from([1, 3, 40]),
+    bound=st.sampled_from([np.inf, 1.2]),
+)
+def test_fused_newton_is_the_sequential_newton(seed, m, n, max_iterations, bound):
+    """Bit for bit the column-by-column, halving-by-halving loop, in <= 3 calls an iteration.
+
+    ``bound`` clips the unknowns the way the OLG savings are clipped: a row
+    started beyond it has an all-zero Jacobian column, which exercises the
+    singular-batch path (the regular rows solved as one stack, the singular
+    ones by least squares) against the reference's row-by-row solves.
+    """
+    rng = np.random.default_rng(seed)
+    A = np.eye(n) + 0.2 * rng.standard_normal((m, n, n))
+    root = rng.uniform(-1.0, 1.0, size=(m, n))
+    cubic = rng.uniform(0.0, 0.5, size=(m, 1))
+    calls = []
+
+    def rows_fn(rows, X):
+        calls.append(len(rows))
+        assert np.all(np.diff(rows) >= 0)
+        d = np.clip(X, -bound, bound) - root[rows]
+        # elementwise products and a last-axis sum: bit-stable in the batch size
+        return (A[rows] * d[:, None, :]).sum(axis=2) + cubic[rows] * d * d * d
+
+    x0 = root + rng.uniform(-0.8, 0.8, size=(m, n))
+    newton = NewtonSolver(max_iterations=max_iterations, use_scipy_fallback=False)
+    x, norm, converged, iterations, ref_evals = _sequential_newton(rows_fn, x0, newton)
+    calls.clear()
+    fused = BatchNewtonSolver(newton).solve(rows_fn, x0)
+    assert np.array_equal(fused.x, x)
+    assert np.array_equal(fused.residual_norm, norm)
+    assert np.array_equal(fused.converged, converged)
+    assert fused.iterations == iterations
+    assert fused.residual_evaluations == len(calls) <= 3 * iterations + 1
+    assert fused.residual_evaluations <= ref_evals
