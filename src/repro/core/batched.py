@@ -11,8 +11,8 @@ of one (:meth:`repro.core.time_iteration.TimeIterationSolver.solve`).
 Members update in one of two ways.  Two or more members that share a grid
 topology — state dimension, shock count, policy count, grid level, kernel;
 no adaptivity, no executor — form a *stack*: they iterate in lockstep on
-ONE shared regular grid, every pass solving a ``(n_members, n_points)``
-batch of equilibrium systems (through
+ONE shared regular grid, every pass solving a ``(n_members, n_states,
+n_points)`` batch of equilibrium systems in one call (through
 :meth:`repro.olg.model.OLGModel.stacked_group` when available) and fitting
 all members' policies with one stacked hierarchization per shock state;
 members drop out as they converge.  Every other member steps *alone*
@@ -129,7 +129,10 @@ class _MemberState:
     totals_before: dict  # the model's point-solve totals when this solve started
     reason: str | None = None  # why the member left (or never joined) the stack
     stacked: bool = False
-    X: np.ndarray | None = None  # the shared grid's points in this member's box
+    # a stacked member's rows of one pass, state-major: the shock state of
+    # each and the shared grid's points in the member's box, once per state
+    z: np.ndarray | None = None
+    X: np.ndarray | None = None
     values: list[np.ndarray] = field(default_factory=list)
     update: tuple[PolicySet, float, dict] | None = None  # this pass: policy, wall, sections
 
@@ -287,7 +290,9 @@ class BatchedTimeIterationSolver:
         if len(stack) >= 2:
             for ms in stack:
                 ms.stacked = True
-                ms.X = ms.member.model.domain.from_unit(grid.points)
+                model = ms.member.model
+                ms.z = np.repeat(np.arange(model.num_states), len(grid))
+                ms.X = np.tile(model.domain.from_unit(grid.points), (model.num_states, 1))
 
     @staticmethod
     def _reanchor(policy: PolicySet, grid) -> PolicySet:
@@ -373,28 +378,30 @@ class BatchedTimeIterationSolver:
         return group
 
     def _solve_pass(self, active: list[_MemberState], num_states: int) -> None:
-        """One lockstep sweep: fill ``ms.values`` for every active member."""
+        """One lockstep sweep, ONE point-solve call: fill ``ms.values`` of every active member."""
         group = self._group_solver(active)
-        for ms in active:
-            ms.values = []
-        for z in range(num_states):
-            # every member's policy sits on the shared grid, so its nodal
-            # values are what values_on_grid returns for it
-            guesses = [
-                ms.policy[z].nodal_values if ms.member.config.warm_start else None
-                for ms in active
+        # every member's policy sits on the shared grid, so its nodal
+        # values are what values_on_grid returns for it
+        guesses = [
+            np.concatenate([sp.nodal_values for sp in ms.policy])
+            if ms.member.config.warm_start
+            else None
+            for ms in active
+        ]
+        if group is not None:
+            blocks = group.solve_points(
+                np.concatenate([ms.z for ms in active]),
+                [ms.X for ms in active],
+                [ms.policy for ms in active],
+                guesses,
+            )
+        else:
+            blocks = [
+                solve_points(ms.member.model, ms.z, ms.X, ms.policy, guess)
+                for ms, guess in zip(active, guesses)
             ]
-            if group is not None:
-                blocks = group.solve_points(
-                    z, [ms.X for ms in active], [ms.policy for ms in active], guesses
-                )
-            else:
-                blocks = [
-                    solve_points(ms.member.model, z, ms.X, ms.policy, guess)
-                    for ms, guess in zip(active, guesses)
-                ]
-            for ms, block in zip(active, blocks):
-                ms.values.append(np.asarray(block, dtype=float))
+        for ms, block in zip(active, blocks):
+            ms.values = np.split(np.asarray(block, dtype=float), num_states)
 
     def _fit_pass(self, active: list[_MemberState], grid, num_states: int) -> dict:
         """Stacked hierarchization: one fit per shock state for all members."""

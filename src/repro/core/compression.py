@@ -213,7 +213,7 @@ class CompressedGrid:
 
     def __post_init__(self) -> None:
         self._active_chain: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._reorder_cache: dict[int, tuple] = {}  # id -> (weakref, reordered)
+        self._reorder_cache: dict[tuple, tuple] = {}  # ids -> (weakrefs, reordered)
         self._reorder_lock = threading.Lock()
 
     def __getstate__(self) -> dict:
@@ -261,8 +261,13 @@ class CompressedGrid:
             )
         return surplus[self.order]
 
-    def reorder_cached(self, surplus: np.ndarray) -> np.ndarray:
+    def reorder_cached(self, *surpluses: np.ndarray) -> np.ndarray:
         """Memoized :meth:`reorder` for repeated kernel calls.
+
+        Several surpluses give the reordered column-wise concatenation of
+        them — the one GEMM operand that serves every interpolant sharing
+        this grid at a common set of query points
+        (:func:`repro.grids.interpolation.evaluate_stacked`).
 
         Only *deeply frozen* arrays (read-only through the whole view
         chain) participate in the memo: freezing is the owner's pledge
@@ -274,7 +279,7 @@ class CompressedGrid:
         writable base — falls through to a plain :meth:`reorder` every
         time, preserving recompute-per-call semantics.  The memo holds
         *weak* references to the key arrays — a hit requires the exact
-        array to still be alive, which also makes recycled ids harmless —
+        arrays to still be alive, which also makes recycled ids harmless —
         and evicts dead entries on every insert, so dead surplus matrices
         of long-lived shared grids are dropped no later than the next
         cache roll-over.
@@ -282,23 +287,24 @@ class CompressedGrid:
         state sharing a compressed grid) and is lock-protected because
         compressed grids are shared across the threaded executors.
         """
-        if not _deeply_frozen(surplus):
-            return self.reorder(surplus)
-        key = id(surplus)
-        hit = self._reorder_cache.get(key)
-        if hit is not None and hit[0]() is surplus:
+        frozen = all(map(_deeply_frozen, surpluses))
+        key = tuple(map(id, surpluses))
+        hit = self._reorder_cache.get(key) if frozen else None
+        if hit is not None and all(ref() is s for ref, s in zip(hit[0], surpluses)):
             return hit[1]
-        out = self.reorder(surplus)
+        out = self.reorder(surpluses[0] if len(surpluses) == 1 else np.concatenate(surpluses, 1))
+        if not frozen:
+            return out
         with self._reorder_lock:
             cache = self._reorder_cache
             # purge dead entries on *every* insert, not only at capacity:
             # otherwise a handful of dead keys could pin their full-size
             # reordered copies on a long-lived grid-attached instance
-            for dead in [k for k, (ref, _) in cache.items() if ref() is None]:
+            for dead in [k for k, (refs, _) in cache.items() if any(r() is None for r in refs)]:
                 del cache[dead]
             if len(cache) >= 8:
                 cache.pop(next(iter(cache), None), None)
-            cache[key] = (weakref.ref(surplus), out)
+            cache[key] = (tuple(map(weakref.ref, surpluses)), out)
         return out
 
     def active_chain(self) -> list[tuple[np.ndarray, np.ndarray]]:

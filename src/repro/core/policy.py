@@ -26,7 +26,7 @@ import numpy as np
 from repro.grids.domain import BoxDomain
 from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
-from repro.grids.interpolation import SparseGridInterpolant
+from repro.grids.interpolation import SparseGridInterpolant, evaluate_stacked
 
 __all__ = ["StatePolicy", "PolicySet"]
 
@@ -169,19 +169,27 @@ class PolicySet:
         """Interpolate the policy of state ``z`` at points ``X``."""
         return self.policies[z](X, kernel=kernel)
 
-    def evaluate_all_states(self, X: np.ndarray, kernel: str | None = None) -> np.ndarray:
-        """Interpolate every state's policy at ``X``.
+    def evaluate_all_states(self, X: np.ndarray, states=None) -> np.ndarray:
+        """Interpolate the policies of ``states`` (default: every state) at ``X``.
 
-        Returns an array of shape ``(num_states, m, num_policies)`` — this
-        is the access pattern of the equilibrium solver, which needs next
-        period's policy in *all* shock states at once (the interpolation
-        bottleneck the paper optimises).
+        Returns an array of shape ``(len(states), m, num_policies)`` (no
+        ``m`` axis for a single point) — this is the access pattern of the
+        equilibrium solver, which needs next period's policy in *all*
+        shock states at once (the interpolation bottleneck the paper
+        optimises).  When the states share one grid object, box and the
+        ``cuda`` kernel — a basis-matrix GEMM, which is what
+        :func:`~repro.grids.interpolation.evaluate_stacked` computes — one
+        basis pass at ``X`` serves all of them; otherwise (adaptive grids,
+        another kernel) every state is evaluated on its own.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty((self.num_states, X.shape[0], self.num_policies), dtype=float)
-        for z, policy in enumerate(self.policies):
-            out[z] = np.atleast_2d(policy(X, kernel=kernel))
-        return out
+        chosen = self.policies if states is None else [self.policies[z] for z in states]
+        interps = [p.interpolant for p in chosen]
+        if interps[0].kernel == "cuda" and all(map(interps[0].shares_basis_with, interps[1:])):
+            (values,) = evaluate_stacked([interps], [X])
+        else:
+            values = [np.atleast_2d(interp(X)) for interp in interps]
+        out = np.stack(values)
+        return out[:, 0] if np.ndim(X) == 1 else out
 
     def distance(self, other: "PolicySet", sample: np.ndarray | None = None) -> dict:
         """Policy distance used as the convergence criterion of Algorithm 1.

@@ -8,11 +8,12 @@ This module holds one member's side of the algorithm, model-agnostic: the
 :class:`TimeIterationModel` protocol (the stochastic OLG model of
 :mod:`repro.olg` is the paper's application; tests also use small synthetic
 models), the configuration and record types, and :class:`TimeIterationSolver`
-with the per-member update :meth:`~TimeIterationSolver.step`.  By default a
-state's whole grid goes to the model's vectorized point solve
-(``solve_points_batch``) in one call; passing an executor dispatches the
-grid points one by one instead, so the same step runs on the work-stealing
-thread scheduler or on a simulated heterogeneous cluster.  The iteration
+with the per-member update :meth:`~TimeIterationSolver.step`.  By default the
+grids of all shock states go to the model's vectorized point solve
+(``solve_points_batch``) in one call, the shock state being a per-row
+argument; passing an executor dispatches the grid points one by one, state
+by state, instead, so the same step runs on the work-stealing thread
+scheduler or on a simulated heterogeneous cluster.  The iteration
 loop itself — start or resume, convergence, checkpoints, events — exists
 once, in :mod:`repro.core.batched`, over a group of members;
 :meth:`TimeIterationSolver.solve` runs it on a group of one.
@@ -89,8 +90,9 @@ class TimeIterationModel(Protocol):
         """Residual-based accuracy metrics of a candidate policy (optional)."""
 
     # Optional: ``solve_points_batch(z, X, policy_next, guesses=None)`` solving
-    # every row of ``X`` in one call; used instead of ``solve_point`` when no
-    # executor is given.
+    # every row of ``X`` in one call, ``z`` being one state for all rows or an
+    # int array with one state per row; used instead of ``solve_point`` when no
+    # executor is given, once per step for the rows of all shock states.
     # Optional: ``solver_totals()`` returning the model's running point-solve
     # counts by name; a solve reports their growth on ``solve-finished``.
 
@@ -205,13 +207,13 @@ def values_on_grid(prev: StatePolicy, grid: SparseGrid, X: np.ndarray) -> np.nda
 
 def solve_points(
     model: TimeIterationModel,
-    z: int,
+    z,
     X: np.ndarray,
     policy_next: PolicySet,
     guesses: np.ndarray | None,
     executor=None,
 ) -> np.ndarray:
-    """Solve the equilibrium system at each row of ``X`` for state ``z``.
+    """Solve the equilibrium system at each row of ``X``, in state ``z`` or states ``z[row]``.
 
     Without an executor the whole block goes to the model's
     ``solve_points_batch`` when it has one.  Otherwise the rows are solved
@@ -222,10 +224,12 @@ def solve_points(
         return np.atleast_2d(
             np.asarray(model.solve_points_batch(z, X, policy_next, guesses), dtype=float)
         )
+    states = np.broadcast_to(z, X.shape[:1])
 
     def solve_row(row: int):
         guess = None if guesses is None else guesses[row]
-        return row, np.asarray(model.solve_point(z, X[row], policy_next, guess), dtype=float)
+        values = model.solve_point(int(states[row]), X[row], policy_next, guess)
+        return row, np.asarray(values, dtype=float)
 
     mapper = executor.map if executor is not None else map
     out = np.empty((X.shape[0], model.num_policies), dtype=float)
@@ -247,9 +251,10 @@ class TimeIterationSolver:
         Optional object with a ``map(fn, items) -> list`` method; when
         given, grid points are solved one ``solve_point`` per task through
         it (e.g. :class:`repro.parallel.scheduler.WorkStealingScheduler` or
-        a :class:`repro.parallel.mpi_sim.SimClusterExecutor`).  Without one
-        the model's vectorized ``solve_points_batch`` solves a state's grid
-        in one call (see :func:`solve_points`).
+        a :class:`repro.parallel.mpi_sim.SimClusterExecutor`), state by
+        state.  Without one the model's vectorized ``solve_points_batch``
+        solves the grids of all shock states in one call (see
+        :meth:`step`).
     """
 
     def __init__(
@@ -302,35 +307,60 @@ class TimeIterationSolver:
     # one time step
     # ------------------------------------------------------------------ #
     def step(self, policy_next: PolicySet, clock: WallClock | None = None) -> PolicySet:
-        """One time-iteration step: update today's policy given ``policy_next``."""
+        """One time-iteration step: update today's policy given ``policy_next``.
+
+        On the shared regular grid ONE :func:`solve_points` call solves the
+        points of all shock states (the state is a per-row argument); adaptive
+        steps, whose states own their grids, and steps with an executor go
+        state by state through the same call.
+        """
         cfg = self.config
         model = self.model
         clock = clock or WallClock()
-        policies = []
-        for z in range(model.num_states):
+        if cfg.adaptive or self.executor is not None:
+            solved = [self._solve_state(z, policy_next, clock) for z in range(model.num_states)]
+        else:
             with clock.section("grid"):
-                prev = policy_next[z]
-                if cfg.adaptive:
-                    # restart from the previous state grid (keeps refined regions)
-                    grid = prev.grid.copy()
-                    X = model.domain.from_unit(grid.points)
-                else:
-                    # shared cached grid: ancestor structure and compression
-                    # are reused across states and iterations
-                    grid, X = self._regular_grid(cfg.grid_level)
+                grid, X = self._regular_grid(cfg.grid_level)
             with clock.section("solve"):
-                guesses = values_on_grid(prev, grid, X) if cfg.warm_start else None
-                values = solve_points(model, z, X, policy_next, guesses, self.executor)
-            if cfg.adaptive:
-                values = self._adaptive_loop(z, grid, values, policy_next, clock)
-                X = model.domain.from_unit(grid.points)
+                guesses = None
+                if cfg.warm_start:
+                    guesses = np.concatenate([values_on_grid(p, grid, X) for p in policy_next])
+                # rows are state-major: every point in state 0, then in state 1, ...
+                z = np.repeat(np.arange(model.num_states), len(X))
+                rows = np.tile(X, (model.num_states, 1))
+                values = solve_points(model, z, rows, policy_next, guesses)
+            solved = [(grid, X, block) for block in np.split(values, model.num_states)]
+        policies = []
+        for z, (grid, X, values) in enumerate(solved):
             with clock.section("fit"):
                 if cfg.damping < 1.0:
-                    old = values_on_grid(prev, grid, X)
+                    old = values_on_grid(policy_next[z], grid, X)
                     values = cfg.damping * values + (1.0 - cfg.damping) * old
                 policy = StatePolicy.from_values(z, grid, values, model.domain, kernel=cfg.kernel)
             policies.append(policy)
         return PolicySet(policies)
+
+    def _solve_state(self, z: int, policy_next: PolicySet, clock: WallClock):
+        """Grid, its points in the box and the solved values of shock state ``z`` alone."""
+        cfg, model = self.config, self.model
+        with clock.section("grid"):
+            prev = policy_next[z]
+            if cfg.adaptive:
+                # restart from the previous state grid (keeps refined regions)
+                grid = prev.grid.copy()
+                X = model.domain.from_unit(grid.points)
+            else:
+                # shared cached grid: ancestor structure and compression
+                # are reused across states and iterations
+                grid, X = self._regular_grid(cfg.grid_level)
+        with clock.section("solve"):
+            guesses = values_on_grid(prev, grid, X) if cfg.warm_start else None
+            values = solve_points(model, z, X, policy_next, guesses, self.executor)
+        if cfg.adaptive:
+            values = self._adaptive_loop(z, grid, values, policy_next, clock)
+            X = model.domain.from_unit(grid.points)
+        return grid, X, values
 
     def _adaptive_loop(
         self,

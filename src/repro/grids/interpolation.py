@@ -39,18 +39,24 @@ __all__ = ["SparseGridInterpolant", "evaluate_stacked"]
 
 
 def evaluate_stacked(
-    interpolants: list["SparseGridInterpolant"], Xs: list[np.ndarray]
-) -> list[np.ndarray]:
+    interpolants: list["SparseGridInterpolant | list[SparseGridInterpolant]"],
+    Xs: list[np.ndarray],
+) -> list:
     """Evaluate several interpolants sharing one grid with one basis pass.
 
     Every interpolant must reference the *same* grid object (e.g. the shared
-    cached regular grid of the batched multi-scenario solver) and is paired
-    with its own query block ``Xs[i]`` expressed in its own problem box.
-    Equivalent to ``[interp(X) for interp, X in zip(interpolants, Xs)]``
-    with the ``cuda`` kernel — bitwise, since that kernel is exactly a
-    basis-matrix GEMM — but the per-query basis factors are computed once
-    for the union of all query blocks, so ``k`` surplus sets pay one basis
-    pass plus ``k`` small GEMMs instead of ``k`` full kernel evaluations.
+    cached regular grid of the batched multi-scenario solver).  Entry ``i``
+    of ``interpolants`` is paired with the query block ``Xs[i]``, expressed
+    in its problem box, and is either one interpolant — the result is its
+    values at the block — or a list of interpolants that also share kernel
+    and box (one model's policies in several shock states): all of them are
+    read at the block with ONE GEMM against their surpluses side by side,
+    and the result is a list with one array per interpolant.  Equivalent
+    to calling each interpolant on its block with the ``cuda`` kernel —
+    bitwise, since that kernel is exactly a basis-matrix GEMM — but the
+    per-query basis factors are computed once for the union of all query
+    blocks, so ``k`` surplus sets pay one basis pass plus one small GEMM
+    per block instead of ``k`` full kernel evaluations.
     """
     from repro.core.compression import compressed_for
     from repro.core.kernels import basis_matrix
@@ -59,24 +65,33 @@ def evaluate_stacked(
         return []
     if len(interpolants) != len(Xs):
         raise ValueError("need one query block per interpolant")
-    grid = interpolants[0].grid
+    groups = [e if isinstance(e, (list, tuple)) else [e] for e in interpolants]
+    grid = groups[0][0].grid
     blocks = []
-    for interp, X in zip(interpolants, Xs):
-        if interp.grid is not grid:
+    for group, X in zip(groups, Xs):
+        first = group[0]
+        if first.grid is not grid:
             raise ValueError("evaluate_stacked requires one shared grid object")
+        if not all(first.shares_basis_with(interp) for interp in group[1:]):
+            raise ValueError("interpolants read at one block must share grid, kernel and box")
         X2 = np.atleast_2d(np.asarray(X, dtype=float))
         if X2.shape[1] != grid.dim:
             raise ValueError(f"query points must have {grid.dim} columns")
-        blocks.append(interp.domain.to_unit(X2))
+        blocks.append(first.domain.to_unit(X2))
     comp = compressed_for(grid)
     basis = basis_matrix(comp, np.concatenate(blocks, axis=0))
-    outs: list[np.ndarray] = []
+    outs: list = []
     start = 0
-    for interp, block in zip(interpolants, blocks):
+    for entry, group, block in zip(interpolants, groups, blocks):
         stop = start + block.shape[0]
-        # the frozen 2-D surplus view keeps the reorder memoization hitting
-        out = basis[start:stop] @ comp.reorder_cached(interp._surplus_2d)
-        outs.append(out[:, 0] if interp.surplus.ndim == 1 else out)
+        # the frozen 2-D surplus views keep the reorder memoization hitting
+        out = basis[start:stop] @ comp.reorder_cached(*(i._surplus_2d for i in group))
+        each, col = [], 0
+        for interp in group:
+            width = interp._surplus_2d.shape[1]
+            each.append(out[:, col] if interp.surplus.ndim == 1 else out[:, col : col + width])
+            col += width
+        outs.append(each if entry is group else each[0])
         start = stop
     return outs
 
@@ -192,6 +207,19 @@ class SparseGridInterpolant:
         # grid.add_points.
         self._compressed = compressed_for(self.grid)
         return self._compressed
+
+    def shares_basis_with(self, other: "SparseGridInterpolant") -> bool:
+        """Whether ``other`` sees the basis values this one sees at a query point.
+
+        True for the same grid object, kernel and box — what lets
+        :func:`evaluate_stacked` read both at one block of points.
+        """
+        return (
+            other.grid is self.grid
+            and other.kernel == self.kernel
+            and np.array_equal(other.domain.lower, self.domain.lower)
+            and np.array_equal(other.domain.upper, self.domain.upper)
+        )
 
     def __call__(self, X: np.ndarray, kernel: str | None = None) -> np.ndarray:
         """Evaluate the interpolant at points of the *problem* box.

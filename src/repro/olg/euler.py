@@ -7,6 +7,9 @@ shock labels of every state, the transition probabilities and the box
 bounds — from per-row parameter arrays.  One model is the broadcast case:
 its parameters are scalars, which serve any number of rows and also a
 single point without a row axis (states ``(d,)``, savings ``(A-1,)``).
+The shock state is such a parameter too: every method takes ``z`` as one
+state for all rows or as an int array aligned with the rows, so the rows of
+one call may be (model, shock state, grid point) triples.
 Several structurally equal models stacked row-wise are what
 :class:`repro.olg.stacked.StackedOLGGroup` builds.  Both it and
 :class:`repro.olg.model.OLGModel` are shape adapters over this class: the
@@ -85,7 +88,8 @@ class EulerSystem:
         ignored.
 
     ``rows`` arguments index the stacked rows a block of data belongs to
-    (sorted, so each model's rows are contiguous); ``policies`` holds one
+    (sorted, so each model's rows are contiguous); ``z`` is the shock state
+    of all of them or one state per row; ``policies`` holds one
     next-iterate :class:`~repro.core.policy.PolicySet` per model.  States,
     savings and results carry the ages/coordinates on their last axis.
     """
@@ -113,8 +117,11 @@ class EulerSystem:
         #: what :meth:`solve` did for this model so far (a stacked system
         #: books on its members' own systems): rows solved, rows Newton left
         #: stalled, of those the pinned (not polished) and the polished ones,
-        #: and the vectorised residual calls of the Newton runs it took part in
-        self.totals = dict.fromkeys(("rows", "stalled", "pinned", "polished", "residual_calls"), 0)
+        #: the vectorised residual calls of the Newton runs it took part in,
+        #: and the number of those runs
+        self.totals = dict.fromkeys(
+            ("rows", "stalled", "pinned", "polished", "residual_calls", "newton_runs"), 0
+        )
         self.row_member = np.repeat(np.arange(len(models)), reps)
 
         def per_row(values, axis: int = 0) -> np.ndarray:
@@ -128,8 +135,8 @@ class EulerSystem:
         self.labels = per_row(np.swapaxes(labels, 1, 2), axis=2)  # (4, Ns, R)
         transition = [c.shocks.transition for c in cals]
         self.prob = per_row(np.moveaxis(transition, 0, 2), axis=2)  # (Ns, Ns, R): z, z_next, row
-        #: per shock state, the next states some row reaches with positive probability
-        self.successors = [np.flatnonzero(p.any(axis=1)).tolist() for p in self.prob > 0.0]
+        #: ``reach[z, z_next]``: some row moves from ``z`` to ``z_next`` with positive probability
+        self.reach = (self.prob > 0.0).any(axis=2)
 
     def _sel(self, rows):
         """Index of the parameter rows: the stacked rows, or the one model's scalars."""
@@ -138,8 +145,8 @@ class EulerSystem:
     # ------------------------------------------------------------------ #
     # aggregates, state packing
     # ------------------------------------------------------------------ #
-    def environment(self, z: int, rows, K: np.ndarray) -> PeriodEnvironment:
-        """Prices, government budget and incomes in shock state ``z`` at capital ``K``."""
+    def environment(self, z, rows, K: np.ndarray) -> PeriodEnvironment:
+        """Prices, government budget and incomes in shock state(s) ``z`` at capital ``K``."""
         zeta, delta, tau_l, tau_c = self.labels[:, z, self._sel(rows)]
         L = self.labor_supply
         prices = self.technology.prices(K, L, zeta, delta)
@@ -184,80 +191,89 @@ class EulerSystem:
         consumption[..., :-1] -= savings
         return consumption
 
-    def consumption_at(self, z: int, rows, X: np.ndarray, savings) -> np.ndarray:
-        """Consumption by age at states ``X`` in shock state ``z`` under ``savings``."""
+    def consumption_at(self, z, rows, X: np.ndarray, savings) -> np.ndarray:
+        """Consumption by age at states ``X`` in shock state(s) ``z`` under ``savings``."""
         return self.consumption(self.environment(z, rows, X[..., 0]), self.holdings(X), savings)
 
-    def resources(self, z: int, rows, X: np.ndarray) -> np.ndarray:
+    def resources(self, z, rows, X: np.ndarray) -> np.ndarray:
         """Cash on hand of every saving age: asset income plus non-asset income."""
         return self.consumption_at(z, rows, X, 0.0)[..., : self.num_savers]
 
     # ------------------------------------------------------------------ #
     # equilibrium conditions
     # ------------------------------------------------------------------ #
-    def _policy_values(
-        self, z_next: int, rows, x_next: np.ndarray, policies: list[PolicySet]
-    ) -> np.ndarray:
-        """Next-iterate policy values of each row's own model (one basis pass)."""
+    def _policy_values(self, states, rows, x_next: np.ndarray, policies: list[PolicySet]):
+        """Next-iterate policy values of each row's own model in every one of ``states``.
+
+        ``(len(states), ..., 2 (A-1))``, from ONE basis pass at ``x_next``
+        when the policies sit on one grid object (time iteration's shared
+        regular grid), from one pass per state otherwise (adaptive grids).
+        """
         if not self.stacked:
-            return np.asarray(policies[0].evaluate(z_next, x_next), dtype=float)
+            return policies[0].evaluate_all_states(x_next, states)
         mem = self.row_member[rows]  # nondecreasing: rows are sorted
         uniq, starts = np.unique(mem, return_index=True)
         bounds = np.append(starts, mem.size)
-        interps = [policies[int(u)][z_next].interpolant for u in uniq]
         blocks = [x_next[bounds[i] : bounds[i + 1]] for i in range(uniq.size)]
-        outs = evaluate_stacked(interps, blocks)
-        return np.concatenate([np.atleast_2d(o) for o in outs], axis=0)
+        interps = [[policies[int(u)][s].interpolant for s in states] for u in uniq]
+        if all(i.grid is interps[0][0].grid for group in interps for i in group):
+            by_state = zip(*evaluate_stacked(interps, blocks))
+        else:
+            by_state = (evaluate_stacked(list(state), blocks) for state in zip(*interps))
+        return np.stack([np.concatenate(members) for members in by_state])
 
-    def _tomorrow(self, z: int, rows, savings: np.ndarray, policies: list[PolicySet]):
-        """Per reachable shock state: probability, gross return, consumption, policy values.
+    def _tomorrow(self, z, rows, savings: np.ndarray, policies: list[PolicySet]):
+        """Probability, gross return, consumption, policy values: reachable states first.
 
-        The consumption is that of today's savers one period on, in shock
-        state ``z_next``: they earn the return on their savings plus
-        tomorrow's income of the next age and save what the interpolated
-        next-iterate policy says (the terminal generation saves nothing).
+        The leading axis runs over the reachable shock states, those some
+        row's state ``z`` moves to with positive probability; a row that
+        cannot reach one of them carries probability zero there.  The
+        consumption is that of today's savers one period on, in shock state
+        ``z_next``: they earn the return on their savings plus tomorrow's
+        income of the next age and save what the interpolated next-iterate
+        policy says (the terminal generation saves nothing).
         """
         ns = self.num_savers
         K_next, x_next = self.next_states(rows, savings)
-        for z_next in self.successors[z]:
-            prob = self.prob[z, z_next, self._sel(rows)]
-            next_values = self._policy_values(z_next, rows, x_next, policies)
-            env = self.environment(z_next, rows, K_next)
-            save_next = np.zeros_like(savings)
-            save_next[..., : ns - 1] = np.maximum(next_values[..., 1:ns], 0.0)
-            cons_next = env.gross_return[..., None] * savings + env.incomes[..., 1:] - save_next
-            yield prob, env.gross_return, cons_next, next_values
+        successors = np.flatnonzero(np.atleast_2d(self.reach[z]).any(axis=0))
+        z_next = successors.reshape((-1,) + (1,) * K_next.ndim)  # broadcasts against the rows
+        prob = self.prob[z, z_next, self._sel(rows)]
+        next_values = self._policy_values(successors, rows, x_next, policies)
+        env = self.environment(z_next, rows, K_next)
+        save_next = np.zeros(successors.shape + savings.shape)
+        save_next[..., : ns - 1] = np.maximum(next_values[..., 1:ns], 0.0)
+        cons_next = env.gross_return[..., None] * savings + env.incomes[..., 1:] - save_next
+        return prob, env.gross_return, cons_next, next_values
 
     def euler_residuals(
-        self, z: int, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
+        self, z, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
     ) -> np.ndarray:
         """``u'(c_a) - beta E[R' u'(c'_{a+1})]`` of every saving age, ``(..., A-1)``."""
         consumption = self.consumption_at(z, rows, X, savings)
         mu_today = self.utility.marginal_utility(consumption[..., : self.num_savers])
-        expected = np.zeros_like(mu_today)
-        for prob, gross_next, cons_next, _ in self._tomorrow(z, rows, savings, policies):
-            expected += (prob * gross_next)[..., None] * self.utility.marginal_utility(cons_next)
+        prob, gross_next, cons_next, _ = self._tomorrow(z, rows, savings, policies)
+        mu_next = self.utility.marginal_utility(cons_next)
+        expected = ((prob * gross_next)[..., None] * mu_next).sum(axis=0)
         return mu_today - self.beta[self._sel(rows)][..., None] * expected
 
     def value_functions(
-        self, z: int, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
+        self, z, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
     ) -> np.ndarray:
         """Bellman update of the value functions of all saving ages, ``(..., A-1)``."""
         ns = self.num_savers
         utility_today = self.utility.utility(self.consumption_at(z, rows, X, savings)[..., :ns])
-        continuation = np.zeros_like(utility_today)
-        for prob, _, cons_next, next_values in self._tomorrow(z, rows, savings, policies):
-            value_next = np.empty_like(utility_today)
-            value_next[..., : ns - 1] = next_values[..., ns + 1 : 2 * ns]
-            # tomorrow's terminal generation consumes everything
-            value_next[..., ns - 1] = self.utility.utility(cons_next[..., ns - 1])
-            continuation += prob[..., None] * value_next
+        prob, _, cons_next, next_values = self._tomorrow(z, rows, savings, policies)
+        value_next = np.empty_like(cons_next)
+        value_next[..., : ns - 1] = next_values[..., ns + 1 : 2 * ns]
+        # tomorrow's terminal generation consumes everything
+        value_next[..., ns - 1] = self.utility.utility(cons_next[..., ns - 1])
+        continuation = (prob[..., None] * value_next).sum(axis=0)
         return utility_today + self.beta[self._sel(rows)][..., None] * continuation
 
     # ------------------------------------------------------------------ #
     # the point solve
     # ------------------------------------------------------------------ #
-    def savings_guess(self, z: int, rows, X: np.ndarray, guesses: np.ndarray | None) -> np.ndarray:
+    def savings_guess(self, z, rows, X: np.ndarray, guesses: np.ndarray | None) -> np.ndarray:
         """Warm-start savings where usable, a fixed share of cash on hand elsewhere.
 
         A row of ``guesses`` (policy values, savings first) is usable when
@@ -271,32 +287,35 @@ class EulerSystem:
         return out
 
     def solve(
-        self, z: int, X: np.ndarray, policies: list[PolicySet], guesses: np.ndarray | None
+        self, z, X: np.ndarray, policies: list[PolicySet], guesses: np.ndarray | None
     ) -> np.ndarray:
         """Solve the Euler system at every row: ``(m, 2 (A-1))`` savings then values.
 
-        One :class:`~repro.olg.solver.BatchNewtonSolver` run over all rows,
+        One :class:`~repro.olg.solver.BatchNewtonSolver` run over all rows
+        — with ``z`` an array, over the rows of every shock state at once —
         so each residual evaluation interpolates next period's policies at
-        every candidate of every active row in one kernel call per shock
-        state.  A row whose Newton stalled gets a scipy polish from its
-        best iterate (one point at a time on the row's own single-model
-        system, accepted when it does not worsen the residual) — unless
-        the iterate is pinned (:func:`_pinned`): a saver on the borrowing
-        floor leaves the system without an interior root, scipy sees the
-        same zero Jacobian column Newton did and cannot move the residual,
-        so the row keeps its Newton iterate.  Stalled rows of either kind
-        are routine on a cold start and at the infeasible corner nodes;
-        time iteration goes on regardless.
+        every candidate of every active row in one basis pass, which serves
+        all successor states.  A row whose Newton stalled gets a scipy
+        polish from its best iterate (one point at a time on the row's own
+        single-model system, accepted when it does not worsen the residual)
+        — unless the iterate is pinned (:func:`_pinned`): a saver on the
+        borrowing floor leaves the system without an interior root, scipy
+        sees the same zero Jacobian column Newton did and cannot move the
+        residual, so the row keeps its Newton iterate.  Stalled rows of
+        either kind are routine on a cold start and at the infeasible
+        corner nodes; time iteration goes on regardless.
 
         What happened is added, member by member, to :attr:`totals` of the
         member's own single-model system.
         """
         rows = np.arange(X.shape[0])
+        z = np.broadcast_to(z, rows.shape)
         guess = self.savings_guess(z, rows, X, guesses)
         log_guess = np.log(np.maximum(guess, np.exp(_LOG_SAVINGS_FLOOR)))
 
         def residual(active: np.ndarray, log_savings: np.ndarray) -> np.ndarray:
-            return self.euler_residuals(z, active, X[active], _savings(log_savings), policies)
+            savings = _savings(log_savings)
+            return self.euler_residuals(z[active], active, X[active], savings, policies)
 
         result = self.batch_solver.solve(residual, log_guess)
         savings = _savings(result.x)
@@ -306,9 +325,10 @@ class EulerSystem:
         polished = stalled & ~pinned & self.solver.use_scipy_fallback
         for row in np.flatnonzero(polished):
             view, policy, x = self.views[member[row]], [policies[member[row]]], X[row]
+            z_row = int(z[row])
 
             def residual_row(log_savings: np.ndarray) -> np.ndarray:
-                return view.euler_residuals(z, None, x, _savings(log_savings), policy)
+                return view.euler_residuals(z_row, None, x, _savings(log_savings), policy)
 
             polish = self.solver.scipy_polish(
                 residual_row, result.x[row], float(result.residual_norm[row])
@@ -320,5 +340,6 @@ class EulerSystem:
                 view.totals[name] += int(mask[mine].sum())
             view.totals["rows"] += int(mine.sum())
             view.totals["residual_calls"] += result.residual_evaluations
+            view.totals["newton_runs"] += 1
         values = self.value_functions(z, rows, X, savings, policies)
         return np.concatenate([savings, values], axis=1)

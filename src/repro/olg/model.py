@@ -199,7 +199,7 @@ class OLGModel:
         return self.system.euler_residuals(z, None, _point(x), _point(savings), [policy_next])
 
     def euler_residuals_batch(
-        self, z: int, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
+        self, z: int | np.ndarray, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
     ) -> np.ndarray:
         """Euler residuals at every row of ``X``: ``(m, A-1)``."""
         return self.system.euler_residuals(z, None, _rows(X), _rows(savings), [policy_next])
@@ -211,7 +211,7 @@ class OLGModel:
         return self.system.value_functions(z, None, _point(x), _point(savings), [policy_next])
 
     def value_functions_batch(
-        self, z: int, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
+        self, z: int | np.ndarray, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
     ) -> np.ndarray:
         """Bellman updates at every row of ``X``: ``(m, A-1)``."""
         return self.system.value_functions(z, None, _rows(X), _rows(savings), [policy_next])
@@ -235,18 +235,20 @@ class OLGModel:
 
     def solve_points_batch(
         self,
-        z: int,
+        z: int | np.ndarray,
         X: np.ndarray,
         policy_next: PolicySet,
         guesses: np.ndarray | None = None,
     ) -> np.ndarray:
         """Solve the equilibrium system at every row of ``X`` in one batch.
 
-        The Newton iteration is vectorized across points, so each residual
-        evaluation interpolates next period's policies at all active points
-        in one kernel call per shock state; rows it cannot converge are
-        polished with scipy from the batch's best iterate, except those
-        with a saver pinned on the borrowing floor (see
+        ``z`` is the shock state of all rows or an int array with one state
+        per row, so one call can cover every state's grid.  The Newton
+        iteration is vectorized across rows, and each residual evaluation
+        interpolates next period's policies at all active rows with one
+        basis pass that serves every successor state; rows it cannot
+        converge are polished with scipy from the batch's best iterate,
+        except those with a saver pinned on the borrowing floor (see
         :meth:`repro.olg.euler.EulerSystem.solve`).  ``guesses`` are
         optional warm-start policy values per row.
         """

@@ -242,26 +242,23 @@ class BatchNewtonSolver:
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``jac[r] @ step[r] = rhs[r]`` per row, by least squares where singular.
 
-    LAPACK refuses the whole stack when one matrix is exactly singular.
-    The rows that certainly are — an all-zero column (an unknown the
-    residual does not respond to) or row — then go one by one and the
-    others are solved as one stack again; should that stack still be
-    refused, every row goes one by one.
+    LAPACK refuses a whole stack when one matrix is exactly singular, so
+    the rows that certainly are — an all-zero column (an unknown the
+    residual does not respond to) or row — go straight to ``lstsq`` one by
+    one and the others are solved as one stack; should that stack still be
+    refused, each of its rows goes one by one, ``solve`` first.
     """
-    try:
-        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
     step = np.empty_like(rhs)
     nonzero = jac != 0.0
     regular = nonzero.any(axis=1).all(axis=1) & nonzero.any(axis=2).all(axis=1)
     try:
         step[regular] = np.linalg.solve(jac[regular], rhs[regular, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        regular[:] = False
+        for r in np.flatnonzero(regular):
+            try:
+                step[r] = np.linalg.solve(jac[r], rhs[r])
+            except np.linalg.LinAlgError:
+                step[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
     for r in np.flatnonzero(~regular):
-        try:
-            step[r] = np.linalg.solve(jac[r], rhs[r])
-        except np.linalg.LinAlgError:
-            step[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
+        step[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
     return step

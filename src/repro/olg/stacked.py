@@ -4,10 +4,12 @@ Sweep scenarios that share a grid topology (same generations, shock count,
 grid level) typically differ only in calibration *scalars* — tax rates,
 discount factors, shock processes.  :class:`StackedOLGGroup` exploits that:
 it stacks the members' grid points row-wise into ONE
-:class:`~repro.olg.euler.EulerSystem` with per-row parameters, so the Euler
-systems of all scenarios are solved as a single ``(n_scenarios *
-n_points)``-row batch and every Newton residual evaluation is a handful of
-vectorized array operations plus one shared basis pass over the common grid
+:class:`~repro.olg.euler.EulerSystem` with per-row parameters — the shock
+state among them, so a row is (member, shock state, grid point) — and the
+Euler systems of all scenarios in all shock states are solved as a single
+``(n_scenarios * n_states * n_points)``-row batch; every Newton residual
+evaluation is a handful of vectorized array operations plus ONE basis pass
+over the common grid that serves every member and every successor state
 (:func:`repro.grids.interpolation.evaluate_stacked`) instead of thousands
 of scalar calls.
 
@@ -70,8 +72,9 @@ class StackedOLGGroup:
         :class:`StructuralMismatch`); per-member scalars (discount factor,
         shock labels, transition probabilities, domain boxes) are stacked.
     counts
-        Number of grid points contributed by each member (all equal when
-        the members share one regular grid, but the stacking is general).
+        Number of rows contributed by each member: its grid points, once
+        per shock state solved in the same call (all equal when the
+        members share one regular grid, but the stacking is general).
     """
 
     def __init__(self, models: list, counts: list[int]) -> None:
@@ -90,7 +93,7 @@ class StackedOLGGroup:
 
     def euler_residuals_rows(
         self,
-        z: int,
+        z: int | np.ndarray,
         rows: np.ndarray,
         X: np.ndarray,
         savings: np.ndarray,
@@ -101,7 +104,7 @@ class StackedOLGGroup:
 
     def value_functions_rows(
         self,
-        z: int,
+        z: int | np.ndarray,
         rows: np.ndarray,
         X: np.ndarray,
         savings: np.ndarray,
@@ -112,19 +115,22 @@ class StackedOLGGroup:
 
     def solve_points(
         self,
-        z: int,
+        z: int | np.ndarray,
         Xs: list[np.ndarray],
         policies: list[PolicySet],
         guesses: list[np.ndarray | None],
     ) -> list[np.ndarray]:
-        """Solve every member's grid points for shock state ``z`` in one batch.
+        """Solve every member's rows in one batch.
 
         ``Xs[i]`` are member ``i``'s grid points in its own problem box,
         ``policies[i]`` its next-iterate policy set, ``guesses[i]`` optional
-        warm-start policy values per point.  Returns one
-        ``(counts[i], num_policies)`` array per member: the rows of each
-        member's own :meth:`~repro.olg.model.OLGModel.solve_points_batch`,
-        solved in one stacked Newton.
+        warm-start policy values per point; ``z`` is the shock state of all
+        rows, or one state per row of the concatenated blocks (a pass of
+        the time iteration hands every member its grid once per state).
+        Returns one ``(counts[i], num_policies)`` array per member: the
+        rows of each member's own
+        :meth:`~repro.olg.model.OLGModel.solve_points_batch`, solved in
+        one stacked Newton.
         """
         if len(Xs) != len(self.models) or len(policies) != len(self.models):
             raise ValueError("need one point block and policy set per member")

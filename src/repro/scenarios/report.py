@@ -209,6 +209,7 @@ class ProgressBoard:
                 "tolerance": None,
                 "max_iterations": None,
                 "solver": None,
+                "new_iterations": None,
                 "samples": [],
             },
         )
@@ -251,7 +252,9 @@ class ProgressBoard:
         elif kind == "converged":
             state.update(status="converged", worker=worker)
         elif kind == "solve-finished":
-            state.update(solver=event.get("solver"))
+            state.update(
+                solver=event.get("solver"), new_iterations=event.get("new_iterations")
+            )
         elif kind == "committed":
             state.update(status="completed", worker=worker)
         elif kind == "abandoned":
@@ -632,6 +635,10 @@ def _fmt_secs(value) -> str:
     return f"{float(value):.2f}" if isinstance(value, (int, float)) else "-"
 
 
+def _fmt_ratio(num, den) -> str:
+    return f"{num / den:.1f}" if num is not None and den else "-"
+
+
 def _summary_rows(data: dict) -> list:
     statuses = sorted(data["status_counts"].items())
     rows = [
@@ -679,6 +686,8 @@ _PROGRESS_HEADERS = (
     "last error",
     "points",
     " / ".join(name.replace("_", " ") for name in _SOLVER_COLUMNS),
+    "Newton runs per iteration",
+    "residual calls per run",
     "ETA",
     "worker",
 )
@@ -695,6 +704,7 @@ def _progress_rows(data: dict) -> list:
         )
         err = record.get("error")
         solver = record.get("solver") or {}
+        runs = solver.get("newton_runs")
         rows.append(
             (
                 scenario,
@@ -703,6 +713,8 @@ def _progress_rows(data: dict) -> list:
                 f"{err:.3e}" if isinstance(err, (int, float)) else "-",
                 str(record.get("points") or "-"),
                 " / ".join(str(solver.get(name, "-")) for name in _SOLVER_COLUMNS),
+                _fmt_ratio(runs, record.get("new_iterations")),
+                _fmt_ratio(solver.get("residual_calls"), runs),
                 eta_s,
                 record.get("worker", "") or "-",
             )

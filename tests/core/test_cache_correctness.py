@@ -144,7 +144,7 @@ class TestCompressedGridCache:
         live.flags.writeable = False
         comp.reorder_cached(live)
         assert len(comp._reorder_cache) == 1
-        (ref, _out), = comp._reorder_cache.values()
+        ((ref,), _out), = comp._reorder_cache.values()  # one weak reference per key array
         assert ref() is live
 
     def test_interpolant_owns_frozen_surplus_copy(self):
@@ -292,11 +292,23 @@ class TestSolvePoints:
 
     def test_driver_passes_its_executor_through(self):
         model = _BatchStubModel()
+        model.num_states = 2
         config = TimeIterationConfig(grid_level=2, max_iterations=1)
         TimeIterationSolver(model, config).solve()
-        assert model.batch_calls == model.num_states
+        assert model.batch_calls == 1  # one call per step: the states are rows of it
         TimeIterationSolver(model, config, executor=_ReversingExecutor()).solve()
-        assert model.batch_calls == model.num_states
+        assert model.batch_calls == 1
+
+    def test_per_point_dispatch_reads_the_state_of_each_row(self):
+        class _StateStub(_StubModel):
+            def solve_point(self, z, x, policy_next, guess=None):
+                return np.full(self.num_policies, float(z))
+
+        X = np.random.default_rng(13).random((6, 2))
+        z = np.array([0, 0, 1, 1, 2, 2])
+        for executor in (None, _ReversingExecutor()):
+            out = solve_points(_StateStub(), z, X, None, None, executor)
+            np.testing.assert_array_equal(out[:, 0], z)
 
 
 class TestPointsCache:

@@ -60,6 +60,37 @@ class TestPolicySet:
         assert out.shape == (2, 9, 4)
         np.testing.assert_allclose(out[0], np.atleast_2d(ps.evaluate(0, X)))
 
+    @pytest.mark.parametrize(
+        "shared, kernel, passes", [(True, "cuda", 1), (True, "x86", 0), (False, "cuda", 0)]
+    )
+    def test_evaluate_all_states_is_one_basis_pass_on_a_shared_grid(
+        self, monkeypatch, shared, kernel, passes
+    ):
+        from repro.core import kernels
+
+        first = _make_policy(0)
+        grid, domain = first.grid, first.interpolant.domain
+        policies = []
+        for z in range(3):
+            own = grid if shared else regular_sparse_grid(3, 3)
+            values = (z + 1.0) * first.nodal_values
+            policies.append(StatePolicy.from_values(z, own, values, domain, kernel=kernel))
+        ps = PolicySet(policies)
+        calls = []
+        real = kernels.basis_matrix
+        monkeypatch.setattr(kernels, "basis_matrix", lambda *args: calls.append(1) or real(*args))
+        X = np.random.default_rng(3).random((9, 3)) * 2.0
+        out = ps.evaluate_all_states(X, states=[2, 0])
+        # the shared read is the cuda kernel's GEMM; other kernels and states
+        # that own their grids are evaluated state by state
+        assert len(calls) == passes
+        assert out.shape == (2, 9, 4)
+        for got, z in zip(out, (2, 0)):
+            np.testing.assert_allclose(got, ps.evaluate(z, X), rtol=0, atol=1e-13)
+        point = ps.evaluate_all_states(X[0])
+        assert point.shape == (3, 4)
+        np.testing.assert_allclose(point[1], ps.evaluate(1, X[0]), rtol=0, atol=1e-13)
+
     def test_distance_zero_for_identical(self):
         ps = PolicySet([_make_policy(0), _make_policy(1)])
         d = ps.distance(ps)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.kernels import list_kernels
 from repro.grids.domain import BoxDomain
-from repro.grids.interpolation import SparseGridInterpolant
+from repro.grids.interpolation import SparseGridInterpolant, evaluate_stacked
 from repro.grids.regular import regular_sparse_grid
 
 
@@ -87,3 +87,67 @@ class TestKernelDispatch:
         interp = SparseGridInterpolant.from_function(_func, dim=2, level=2)
         with pytest.raises(ValueError):
             interp(np.zeros((3, 5)))
+
+
+class TestEvaluateStacked:
+    """One basis pass for interpolants on one grid; several per query block share a GEMM."""
+
+    @staticmethod
+    def _interpolants(grid, count, domain=None, kernel="cuda", dofs=3, seed=0):
+        rng = np.random.default_rng(seed)
+        return [
+            SparseGridInterpolant(
+                grid, rng.standard_normal((len(grid), dofs)), domain=domain, kernel=kernel
+            )
+            for _ in range(count)
+        ]
+
+    def test_several_interpolants_per_block_equal_their_own_calls(self):
+        grid = regular_sparse_grid(3, 3)
+        boxes = [BoxDomain.cube(3, 0.0, 2.0), BoxDomain.cube(3, -1.0, 1.0)]
+        # two "members", each with its own box, three "states" and query block;
+        # a third entry is a plain interpolant, answered with a plain array
+        groups = [self._interpolants(grid, 3, domain=box, seed=i) for i, box in enumerate(boxes)]
+        single = SparseGridInterpolant(grid, np.arange(float(len(grid))))  # scalar surpluses
+        rng = np.random.default_rng(9)
+        Xs = [box.from_unit(rng.random((m, 3))) for box, m in zip(boxes, (17, 1))]
+        Xs.append(rng.random((5, 3)))
+        outs = evaluate_stacked([*groups, single], Xs)
+        assert [type(out) for out in outs] == [list, list, np.ndarray]
+        for group, X, values in zip(groups, Xs, outs):
+            assert len(values) == len(group)
+            for interp, got in zip(group, values):
+                assert got.shape == (len(X), 3)
+                np.testing.assert_allclose(got, interp(X), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(outs[2], single(Xs[2]), rtol=0, atol=1e-13)
+
+    def test_reordered_operand_of_a_group_is_memoised(self):
+        from repro.core.compression import compressed_for
+
+        grid = regular_sparse_grid(2, 3)
+        group = self._interpolants(grid, 2)
+        X = np.random.default_rng(1).random((4, 2))
+        evaluate_stacked([group], [X])
+        comp = compressed_for(grid)
+        surpluses = [interp._surplus_2d for interp in group]
+        assert comp.reorder_cached(*surpluses) is comp.reorder_cached(*surpluses)
+        np.testing.assert_array_equal(
+            comp.reorder_cached(*surpluses), comp.reorder(np.concatenate(surpluses, axis=1))
+        )
+
+    def test_foreign_grid_kernel_or_box_in_a_group_raises(self):
+        grid = regular_sparse_grid(2, 3)
+        X = np.random.default_rng(2).random((4, 2))
+        (base,) = self._interpolants(grid, 1)
+        foreign = {
+            "grid": self._interpolants(regular_sparse_grid(2, 3), 1)[0],
+            "kernel": self._interpolants(grid, 1, kernel="x86")[0],
+            "box": self._interpolants(grid, 1, domain=BoxDomain.cube(2, 0.0, 2.0))[0],
+        }
+        for other in foreign.values():
+            with pytest.raises(ValueError):
+                evaluate_stacked([[base, other]], [X])
+        # in separate entries only the grid has to be shared
+        evaluate_stacked([base, foreign["kernel"], foreign["box"]], [X, X, X])
+        with pytest.raises(ValueError):
+            evaluate_stacked([base, foreign["grid"]], [X, X])

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
+from repro.core.policy import PolicySet, StatePolicy
+from repro.core.time_iteration import (
+    TimeIterationConfig,
+    TimeIterationSolver,
+    solve_points,
+    values_on_grid,
+)
 from repro.olg.calibration import small_calibration
 from repro.olg import solver as solver_module
 from repro.olg.euler import _pinned
@@ -222,3 +228,113 @@ class TestPolishRule:
         totals = model.solver_totals()
         assert totals["stalled"] == totals["rows"] and totals["pinned"] == 0
         assert totals["polished"] == len(starts) == 0
+
+
+def _step_state_by_state(solver: TimeIterationSolver, policy_next: PolicySet) -> PolicySet:
+    """The step as one loop over the shock states — the reference the fused step replaced."""
+    cfg, model, clock = solver.config, solver.model, WallClock()
+    policies = []
+    for z in range(model.num_states):
+        prev = policy_next[z]
+        if cfg.adaptive:
+            grid = prev.grid.copy()
+            X = model.domain.from_unit(grid.points)
+        else:
+            grid, X = solver._regular_grid(cfg.grid_level)
+        guesses = values_on_grid(prev, grid, X) if cfg.warm_start else None
+        values = solve_points(model, z, X, policy_next, guesses, solver.executor)
+        if cfg.adaptive:
+            values = solver._adaptive_loop(z, grid, values, policy_next, clock)
+        policies.append(StatePolicy.from_values(z, grid, values, model.domain, kernel=cfg.kernel))
+    return PolicySet(policies)
+
+
+class TestWhichStepsFuseTheShockStates:
+    """One point-solve call per step on the shared regular grid; per state otherwise."""
+
+    @staticmethod
+    def _watched(**config):
+        """A solver on a fresh model, and the ``z`` of every batch point solve it makes."""
+        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        seen = []
+        real = model.solve_points_batch
+
+        def watched(z, X, policy_next, guesses=None):
+            seen.append(np.array(z))
+            return real(z, X, policy_next, guesses)
+
+        model.solve_points_batch = watched
+        return TimeIterationSolver(model, TimeIterationConfig(grid_level=2, **config)), seen
+
+    def test_regular_step_is_one_call_with_the_state_of_every_row(self):
+        solver, seen = self._watched()
+        solver.step(solver.initial_policy())
+        (z,) = seen
+        assert z.tolist() == [0] * 7 + [1] * 7  # state-major over the 7-point grid
+        assert solver.model.solver_totals()["newton_runs"] == 1
+
+    def test_adaptive_step_goes_state_by_state_and_keeps_its_bits(self):
+        config = dict(adaptive=True, max_refine_level=3, max_points_per_state=30)
+        solver, seen = self._watched(**config)
+        policy = solver.initial_policy()
+        stepped = solver.step(policy)
+        assert all(z.ndim == 0 for z in seen)
+        states = [int(z) for z in seen]
+        assert states == sorted(states) and set(states) == {0, 1}  # refinement solves included
+        assert solver.model.solver_totals()["newton_runs"] == len(seen) > 2
+        reference = _step_state_by_state(self._watched(**config)[0], policy)
+        for got, want in zip(stepped, reference):
+            assert got.num_points > 7  # refined
+            assert np.array_equal(got.interpolant.surplus, want.interpolant.surplus)
+
+    def test_executor_step_goes_point_by_point_per_state_and_keeps_its_bits(self):
+        from repro.parallel.executor import SerialExecutor
+
+        solver, seen = self._watched()
+        solver.executor = SerialExecutor()
+        points = []
+        real = solver.model.solve_point
+        solver.model.solve_point = lambda z, x, *args: points.append(z) or real(z, x, *args)
+        policy = solver.initial_policy()
+        stepped = solver.step(policy)
+        assert points == [0] * 7 + [1] * 7 and all(isinstance(z, int) for z in points)
+        assert all(z.ndim == 0 for z in seen)  # solve_point is a batch of one row
+        other, _ = self._watched()
+        other.executor = SerialExecutor()
+        for got, want in zip(stepped, _step_state_by_state(other, policy)):
+            assert np.array_equal(got.interpolant.surplus, want.interpolant.surplus)
+
+
+class TestSharedBasisRead:
+    """One basis pass at tomorrow's states serves every successor state sharing the grid."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_one_pass_on_a_shared_grid_one_per_state_otherwise(self, monkeypatch, stacked):
+        from repro.core import kernels
+
+        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        shared = TimeIterationSolver(model, TimeIterationConfig(grid_level=2)).initial_policy()
+        own = PolicySet(
+            [
+                StatePolicy.from_surplus(
+                    sp.state, sp.grid.copy(), sp.interpolant.surplus, sp.nodal_values, model.domain
+                )
+                for sp in shared
+            ]
+        )
+        X = model.domain.sample(5, rng=1)
+        savings = np.full((5, model.num_savers), 0.1)
+        if stacked:
+            system = OLGModel.stacked_group([model, model], [5, 5]).system
+            args = (np.arange(10), np.tile(X, (2, 1)), np.tile(savings, (2, 1)))
+        else:
+            system, args = model.system, (None, X, savings)
+        passes = []
+        real = kernels.basis_matrix
+        monkeypatch.setattr(kernels, "basis_matrix", lambda *a: passes.append(1) or real(*a))
+        z = np.resize([0, 1], len(args[1]))
+        fused = system.euler_residuals(z, *args, [shared] * (1 + stacked))
+        assert len(passes) == 1
+        per_state = system.euler_residuals(z, *args, [own] * (1 + stacked))
+        assert len(passes) == 1 + (2 if stacked else 0)  # one model on its own grids: the kernel
+        np.testing.assert_allclose(per_state, fused, rtol=1e-13, atol=1e-13)

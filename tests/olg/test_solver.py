@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.olg.solver import NewtonSolver, PointSolveResult
+from repro.olg import solver as solver_module
+from repro.olg.solver import NewtonSolver, PointSolveResult, _newton_steps
 
 
 class TestNewtonSolver:
@@ -83,3 +84,44 @@ class TestNewtonSolver:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             NewtonSolver(tol=0.0)
+
+
+class TestNewtonSteps:
+    """The per-row linear solves of one Newton iteration."""
+
+    @staticmethod
+    def _stack(seed=4):
+        rng = np.random.default_rng(seed)
+        jac = rng.standard_normal((6, 3, 3))
+        jac[1, :, 2] = 0.0  # an unknown the residual does not respond to
+        jac[4, 0, :] = 0.0  # an equation without unknowns
+        return jac, rng.standard_normal((6, 3))
+
+    def test_certainly_singular_rows_go_to_least_squares_without_raising(self, monkeypatch):
+        jac, rhs = self._stack()
+        raised = []
+        solve = np.linalg.solve
+
+        def watched(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                raised.append(a.shape)
+                raise
+
+        monkeypatch.setattr(solver_module.np.linalg, "solve", watched)
+        step = _newton_steps(jac, rhs)
+        assert not raised
+        for r in range(6):
+            if r in (1, 4):
+                want = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
+            else:
+                want = solve(jac[r], rhs[r])
+            np.testing.assert_array_equal(step[r], want)
+
+    def test_numerically_singular_row_still_falls_back_row_by_row(self):
+        jac, rhs = self._stack()
+        jac[2] = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]])  # rank 2, no zeros
+        step = _newton_steps(jac, rhs)
+        np.testing.assert_array_equal(step[2], np.linalg.lstsq(jac[2], rhs[2], rcond=None)[0])
+        np.testing.assert_array_equal(step[0], np.linalg.solve(jac[0], rhs[0]))

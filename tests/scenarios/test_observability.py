@@ -163,6 +163,8 @@ class TestSolverEmission:
         assert totals[0]["rows"] == 2 * 2 * 7  # iterations x shock states x grid points
         assert totals[0]["stalled"] == totals[0]["pinned"] + totals[0]["polished"]
         assert totals[0]["residual_calls"] > 0
+        # one Newton batch per iteration: the shock states are rows of it
+        assert totals[0]["newton_runs"] == 2
         assert model.solver_totals()["rows"] == 2 * totals[0]["rows"]
 
     def test_resumed_solve_reports_resume_point(self, tmp_path, solve_problem):
@@ -521,7 +523,11 @@ class TestFleetAndReport:
         for solver in finished:
             cells = (solver[k] for k in ("rows", "pinned", "polished", "residual_calls"))
             assert f"| {' / '.join(map(str, cells))} |" in md
-        assert "| - / - / - / - |" in md
+            # Newton runs per iteration, residual calls per run
+            per_run = solver["residual_calls"] / solver["newton_runs"]
+            assert f"| 1.0 | {per_run:.1f} |" in md
+        assert "Newton runs per iteration | residual calls per run" in md
+        assert "| - / - / - / - | - | - |" in md
         assert any(ch in md for ch in "▁▂▃▄▅▆▇█")  # sparkline trajectories
 
     def test_html_report_is_self_contained(self, any_store_url):

@@ -230,6 +230,10 @@ class TestBatchedSolveGate:
         assert 'result["failed"] == 0' in guard[0]
         assert 'value["olg.solver.polish.calls"] <= 0.01 * value["olg.solver.rows"]' in guard[0]
         assert 'value["olg.solver.residual_evals_per_solve"] <= 60' in guard[0]
+        # one basis pass per residual call serves every successor state
+        calls = 'value["olg.solver.residual_evals_per_solve"] * value["olg.solver.calls"]'
+        assert f"residual_calls = {calls}" in guard[0]
+        assert 'value["core.kernels.calls"] <= 1.6 * residual_calls' in guard[0]
 
     def test_batched_over_sequential_guard_is_gone(self, workflow):
         # the default solve is a batch of one now, so batched / sequential

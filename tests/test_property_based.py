@@ -11,19 +11,24 @@ These cover the properties DESIGN.md commits to:
 * Markov chain constructions stay stochastic;
 * the one Euler system: the scalar, batch and stacked-group adapters of the
   OLG model evaluate the same rows code, a row never sees its neighbours,
-  and the batch Newton solver reproduces the scalar one row by row.
+  the shock state is a per-row argument (all states fused == state by
+  state), and the batch Newton solver reproduces the scalar one row by row.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.batched import BatchedTimeIterationSolver
 from repro.core.compression import compress_grid
 from repro.core.kernels import evaluate
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.hierarchize import evaluate_dense, hierarchize
 from repro.grids.regular import regular_sparse_grid
+from repro.olg import euler
 from repro.olg.calibration import small_calibration
 from repro.olg.markov import MarkovChain, persistent_chain, rouwenhorst
 from repro.olg.model import OLGModel
@@ -355,6 +360,131 @@ def test_initial_policy_and_errors_match_the_per_row_loop(calibration, seed):
     assert _close(got["linf"], np.max(stacked))
     assert _close(got["l2"], np.sqrt(np.mean(stacked**2)))
     assert _close(got["mean_log10"], np.mean(np.log10(np.maximum(stacked, 1e-16))))
+
+
+fused_calibrations = st.fixed_dictionaries(
+    {
+        "num_generations": st.integers(4, 6),
+        "num_states": st.integers(2, 3),
+        "beta": st.floats(0.75, 0.95),
+        "tau_labor": st.floats(0.05, 0.3),
+    }
+)
+
+
+def _thinned(calibration, rng: np.random.Generator):
+    """The calibration with some transitions cut, so the states' successors differ."""
+    transition = calibration.shocks.transition.copy()
+    cut = rng.random(transition.shape) < 0.3
+    np.fill_diagonal(cut, False)
+    transition[cut] = 0.0
+    transition /= transition.sum(axis=1, keepdims=True)
+    shocks = MarkovChain(transition=transition, labels=dict(calibration.shocks.labels))
+    return dataclasses.replace(calibration, shocks=shocks)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    calibration=fused_calibrations,
+    level=st.integers(2, 3),
+    thin=st.booleans(),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed):
+    """All shock states in one call == one call per state, for residuals, values and solves.
+
+    ``z`` as an int array aligned with the rows gives, block by block, what
+    the per-state calls with an int ``z`` give (<= 1e-13: the states share
+    the successor loop, and a row that cannot reach a successor carries
+    probability zero there); the fused solve is the per-state solves
+    (<= 1e-10) with the same rows stalled, pinned and polished.  Holds for
+    one model (broadcast parameters) and for a stacked pair.
+    """
+    rng = np.random.default_rng(seed)
+    cal = small_calibration(**calibration)
+    models = [OLGModel(_thinned(cal, rng) if thin else cal)]
+    if stacked:
+        models.append(OLGModel(dataclasses.replace(models[0].calibration, beta=0.85)))
+    num_states, members = models[0].num_states, len(models)
+    config = TimeIterationConfig(grid_level=level)
+    grid = regular_sparse_grid(models[0].state_dim, level)
+    policies = []
+    for model in models:
+        fresh = TimeIterationSolver(model, config).initial_policy()
+        policies.append(BatchedTimeIterationSolver._reanchor(fresh, grid))  # one shared grid
+    n = len(grid)
+    blocks = [model.domain.from_unit(grid.points) for model in models]
+    system = (
+        OLGModel.stacked_group(models, [num_states * n] * members).system
+        if stacked
+        else models[0].system
+    )
+    per_state = (
+        OLGModel.stacked_group(models, [n] * members).system if stacked else models[0].system
+    )
+    # rows: member-major, then state, then point
+    z = np.tile(np.repeat(np.arange(num_states), n), members)
+    X = np.concatenate([np.tile(block, (num_states, 1)) for block in blocks])
+    rows = np.arange(X.shape[0])
+    # interior candidates: below the consumption floor u' is a line of slope
+    # ~1e18, which turns the last bit of an interpolated value into O(100)
+    savings = system.savings_guess(z, rows, X, None) * rng.uniform(0.5, 1.5, size=(len(X), 1))
+    of_state = [np.flatnonzero(z == s) for s in range(num_states)]
+    small = np.arange(members * n)
+
+    # rounding is relative to what is interpolated: p^0's value functions reach ~1e5
+    scale = max(np.abs(sp.nodal_values).max() for policy in policies for sp in policy)
+    for name in ("euler_residuals", "value_functions"):
+        fused = getattr(system, name)(z, rows, X, savings, policies)
+        for s, block in enumerate(of_state):
+            alone = getattr(per_state, name)(s, small, X[block], savings[block], policies)
+            assert np.all(np.abs(fused[block] - alone) <= 1e-13 * (scale + np.abs(alone)))
+
+    if thin:
+        # other successor sets, other GEMM operands: equal to rounding only, which
+        # Newton on a row without a root (a pinned one) does not preserve
+        return
+
+    def solve_and_watch(system, z, X):
+        """The solve's output and the (stalled, pinned, polished) masks of its Newton run.
+
+        Every residual row is evaluated twice: BLAS rounds a lone row (gemv)
+        unlike a row among others (gemm), and which rows are still active
+        next to a given one is exactly what differs between the two solves.
+        """
+        seen, polished = [], []
+        newton, polish = system.batch_solver.solve, system.solver.scipy_polish
+        residuals = system.euler_residuals
+
+        def twice(z, rows, X, savings, policies):
+            if X.ndim == 1:  # the polish, one point at a time in both solves
+                return residuals(z, rows, X, savings, policies)
+            twin = [np.repeat(a, 2, axis=0) for a in (z, rows, X, savings)]
+            return residuals(*twin, policies)[::2]
+
+        system.euler_residuals = twice
+        system.batch_solver.solve = lambda fn, x0: seen.append(newton(fn, x0)) or seen[-1]
+        system.solver.scipy_polish = lambda fn, x0, norm: (
+            polished.append(x0.tobytes()) or polish(fn, x0, norm)
+        )
+        try:
+            out = system.solve(z, X, policies, None)
+        finally:
+            del system.euler_residuals
+            system.batch_solver.solve, system.solver.scipy_polish = newton, polish
+        (result,) = seen  # ONE Newton batch, whatever z is
+        stalled = ~result.converged
+        pinned = stalled & euler._pinned(result.x)
+        was_polished = stalled & np.array([x.tobytes() in polished for x in result.x])
+        return out, np.stack([stalled, pinned, was_polished])
+
+    fused, fused_masks = solve_and_watch(system, z, X)
+    for s, block in enumerate(of_state):
+        alone, masks = solve_and_watch(per_state, s, X[block])
+        assert np.all(np.abs(fused[block] - alone) <= 1e-10 * (1.0 + np.abs(alone)))
+        assert np.array_equal(fused_masks[:, block], masks)
+        assert np.array_equal(masks[2], masks[0] & ~masks[1])  # polished = stalled, not pinned
 
 
 def _synthetic_system(rng: np.random.Generator, m: int, n: int):
