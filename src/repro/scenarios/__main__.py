@@ -465,6 +465,7 @@ def _cmd_status(args) -> int:
                     "progress": telemetry["progress"],
                     "events": telemetry["event_counts"],
                     "events_total": telemetry["events_total"],
+                    "event_logs": telemetry["event_logs"],
                 },
                 indent=2,
                 sort_keys=True,
@@ -505,6 +506,8 @@ def _cmd_status(args) -> int:
             f"{n} {kind}" for kind, n in sorted(telemetry["event_counts"].items())
         )
         print(f"{telemetry['events_total']} event(s): {kinds}")
+        for worker, log in sorted(telemetry["event_logs"].items()):
+            print(f"  {worker:<28} {log['segments']} segment(s), {log['bytes']} byte(s)")
         if telemetry["progress"]:
             print("solve progress:")
             for record in telemetry["progress"].values():

@@ -23,10 +23,16 @@ Environment knobs:
   n-th retry sleeps ``base * 2**n`` scaled by a random jitter in
   [0.5, 1.5), so a fleet of workers hitting one hiccup does not retry
   in lockstep).
+
+Both are read from the environment when a call first hits a transient
+error (they may be changed mid-process; a healthy call reads neither) and
+parsed — and, when negative or garbled, warned about — once per distinct
+value.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
@@ -73,35 +79,31 @@ class TransientStorageError(OSError):
     """
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
+@functools.lru_cache(maxsize=32, typed=True)
+def _parse_knob(name: str, raw: str, default: float) -> float:
+    """``raw`` as a non-negative number of ``default``'s type (int or float).
+
+    Cached, so each distinct raw string is parsed once — and a bad one
+    warned about once, not per failing operation.
+    """
+    kind = type(default)
+    if not raw.strip():
         return default
     try:
-        value = int(raw)
+        value = kind(raw)
     except ValueError:
-        logger.warning("ignoring non-integer %s=%r (using %d)", name, raw, default)
-        return default
-    if value < 0:
-        # previously clamped silently — a typo'd "-3" deserves one line
-        logger.warning("clamping negative %s=%r to 0", name, raw)
-        return 0
-    return value
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        logger.warning("ignoring non-number %s=%r (using %g)", name, raw, default)
+        logger.warning("ignoring non-%s %s=%r (using %s)", kind.__name__, name, raw, default)
         return default
     if value < 0:
         logger.warning("clamping negative %s=%r to 0", name, raw)
-        return 0.0
+        return kind(0)
     return value
+
+
+def _env_knob(name: str, default: float) -> float:
+    # read on every use: the variables may change mid-process
+    raw = os.environ.get(name)
+    return default if raw is None else _parse_knob(name, raw, default)
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -142,16 +144,20 @@ def call_with_retries(
     Non-transient exceptions (per ``classify``) and the final transient
     failure propagate unchanged, so callers see the original error.
     """
-    if retries is None:
-        retries = _env_int(RETRIES_ENV, DEFAULT_RETRIES)
-    if base_delay is None:
-        base_delay = _env_float(RETRY_BASE_ENV, DEFAULT_RETRY_BASE)
     attempt = 0
     while True:
         try:
             return fn(*args, **kwargs)
         except Exception as exc:  # classified and re-raised below
-            if attempt >= retries or not classify(exc):
+            if not classify(exc):
+                raise
+            # the knobs matter only once something transient has failed: a
+            # healthy call reads no environment
+            if retries is None:
+                retries = int(_env_knob(RETRIES_ENV, DEFAULT_RETRIES))
+            if base_delay is None:
+                base_delay = _env_knob(RETRY_BASE_ENV, DEFAULT_RETRY_BASE)
+            if attempt >= retries:
                 raise
             delay = base_delay * (2.0**attempt) * (0.5 + rng())
             logger.warning(

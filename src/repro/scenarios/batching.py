@@ -146,8 +146,7 @@ def solve_batch_and_commit(
         aborts = [None] * len(specs)
     if len(aborts) != len(specs):
         raise ValueError("need one abort hook (or None) per spec")
-    # a group of one is the hot path of a drain: it hashes no spec it need not
-    if len(specs) > 1 and len({spec.content_hash() for spec in specs}) != len(specs):
+    if len({spec.content_hash() for spec in specs}) != len(specs):
         raise ValueError("batched specs must have distinct content hashes")
 
     t0 = time.perf_counter()

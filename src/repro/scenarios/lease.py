@@ -487,12 +487,14 @@ class LeaseHeartbeat:
 
 
 def store_event_sink(store: ResultsStore, worker_id: str) -> StoreEventSink:
-    """Sink persisting a worker's events as ``events/<worker_id>.jsonl``.
+    """Sink persisting a worker's events as ``events/<worker_id>.jsonl[.<n>]``.
 
     A :class:`~repro.scenarios.store.StoreEventSink`: lease-lifecycle and
     solve-boundary events flush immediately, while high-frequency
     ``iteration``/``refined``/``heartbeat`` events are batched so a
-    long solve costs a handful of object puts, not one per iteration.
+    long solve costs a handful of object puts, not one per iteration,
+    and each put is bounded by the sink's segment size however many
+    units the worker drains.
     Call :meth:`~repro.scenarios.store.StoreEventSink.flush` (the worker
     loop does, on exit) to persist any buffered tail.
     """

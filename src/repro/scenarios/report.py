@@ -67,45 +67,54 @@ class EventTailer:
 
     Each :meth:`poll` lists the event objects, re-reads only the bytes
     past the per-object offset remembered from the previous poll, and
-    returns the newly completed lines merged time-ordered across workers.
-    Only bytes up to the last newline advance the offset, so a torn
-    trailing line (a writer's whole-object put racing the read on a
-    non-atomic transport) is simply re-read on the next poll.
+    returns the newly completed lines merged time-ordered across workers
+    (a worker's segments in segment order).  Only bytes up to the last
+    newline advance the offset, so a torn trailing line (a writer's
+    whole-object put racing the read on a non-atomic transport) is simply
+    re-read on the next poll.
 
     The :class:`~repro.scenarios.store.StoreEventSink` contract is that an
-    event object only ever *grows* (new sinks load the existing object as
-    their head).  If an object does shrink — someone cleared the feed —
-    the tailer starts that object over from byte zero and re-emits it.
+    event object only ever *grows* (new sinks load the worker's last
+    segment as their head) and is never written again once the worker's
+    next segment exists, so a segment read after the listing showed its
+    successor is not fetched again: a poll costs one ``list`` plus one
+    ``get`` per worker.  If a live object does shrink — someone cleared
+    the feed — the tailer starts it over from byte zero and re-emits it.
     """
 
     def __init__(self, store: ResultsStore) -> None:
         self.store = store
         self.offsets: dict = {}
+        self._consumed: set = set()  # sealed segments read to their end
 
     def poll(self) -> list:
         """New complete events since the last poll, time-ordered."""
-        fresh = []
-        for key in self.store.event_keys():
-            try:
-                # retry-wrapped like every other polling read: one transient
-                # blip must not abort a live --follow tail mid-drain
-                raw = call_with_retries(self.store.backend.get, key, op=f"get {key}")
-            except FileNotFoundError:
-                continue  # deleted between list and get
-            offset = self.offsets.get(key, 0)
-            if len(raw) < offset:
-                offset = 0  # the object shrank: replay it from the start
-            chunk = raw[offset:]
-            cut = chunk.rfind(b"\n")
-            if cut < 0:
-                self.offsets[key] = offset  # torn/incomplete only; wait
-                continue
-            self.offsets[key] = offset + cut + 1
-            worker = key.rsplit("/", 1)[-1][: -len(".jsonl")]
-            for seq, event in enumerate(parse_event_lines(chunk[: cut + 1])):
-                fresh.append((float(event.get("timestamp", 0.0)), worker, seq, event))
-        fresh.sort(key=lambda item: item[:3])
-        return [event for _, _, _, event in fresh]
+        fresh: dict = {}
+        listing = self.store.event_segments()
+        self._consumed.intersection_update(
+            key for segments in listing.values() for key in segments.values()
+        )
+        for worker, segments in listing.items():
+            live = max(segments)
+            for segment, key in segments.items():
+                if key in self._consumed:
+                    continue
+                try:
+                    # retry-wrapped like every other polling read: one transient
+                    # blip must not abort a live --follow tail mid-drain
+                    raw = call_with_retries(self.store.backend.get, key, op=f"get {key}")
+                except FileNotFoundError:
+                    continue  # deleted between list and get
+                if segment < live:
+                    self._consumed.add(key)  # its successor was listed before this read
+                offset = self.offsets.get(key, 0)
+                if len(raw) < offset:
+                    offset = 0  # the object shrank: replay it from the start
+                chunk = raw[offset:]
+                cut = chunk.rfind(b"\n")
+                self.offsets[key] = offset + cut + 1  # a torn tail waits for its newline
+                fresh.setdefault(worker, []).extend(parse_event_lines(chunk[: cut + 1]))
+        return self.store.merge_events(fresh)
 
 
 # --------------------------------------------------------------------------- #
@@ -348,9 +357,10 @@ def follow(
 
     Re-polls every ``poll`` seconds through an :class:`EventTailer`
     (byte-offset incremental reads — each cycle costs one ``list`` plus
-    one ``get`` per event object), printing every new event followed by a
-    refreshed per-scenario progress block.  Runs until interrupted, or
-    for ``max_polls`` cycles when given (tests, bounded smoke runs).
+    one ``get`` per worker's live event segment), printing every new event
+    followed by a refreshed per-scenario progress block.  Runs until
+    interrupted, or for ``max_polls`` cycles when given (tests, bounded
+    smoke runs).
     Returns the total number of events streamed.
     """
     tailer = EventTailer(store)
@@ -938,7 +948,8 @@ def progress_snapshot(store: ResultsStore) -> dict:
     get the latest iteration/error/ETA per scenario without re-parsing
     raw JSONL themselves.
     """
-    events = store.events()
+    logs = store.event_logs()
+    events = store.merge_events({worker: log["events"] for worker, log in logs.items()})
     board = ProgressBoard()
     for event in events:
         board.update(event)
@@ -946,4 +957,8 @@ def progress_snapshot(store: ResultsStore) -> dict:
         "progress": board.snapshot(),
         "event_counts": dict(Counter(str(e.get("kind", "?")) for e in events)),
         "events_total": len(events),
+        "event_logs": {
+            worker: {"segments": log["segments"], "bytes": log["bytes"]}
+            for worker, log in logs.items()
+        },
     }

@@ -24,12 +24,15 @@ diversity the source paper targets.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
 import json
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any
 
 import numpy as np
 
@@ -137,13 +140,18 @@ class ScenarioSpec:
         only).
     tags
         Free-form labels for filtering/reporting; not hashed.
+
+    The three groups are stored as read-only views: the content hash is
+    computed once per object and every store/lease key is derived from it,
+    so a spec must not change under its identity.  ``spec.params["x"] = 1``
+    raises; derive a variant with :meth:`with_overrides`.
     """
 
     name: str
     kind: str = "solve"
-    calibration: dict[str, Any] = field(default_factory=dict)
-    solver: dict[str, Any] = field(default_factory=dict)
-    params: dict[str, Any] = field(default_factory=dict)
+    calibration: Mapping[str, Any] = field(default_factory=dict)
+    solver: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
     tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -151,9 +159,8 @@ class ScenarioSpec:
             raise ValueError("scenario name must be non-empty")
         if self.kind not in KNOWN_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KNOWN_KINDS}")
-        object.__setattr__(self, "calibration", _plain(dict(self.calibration)))
-        object.__setattr__(self, "solver", _plain(dict(self.solver)))
-        object.__setattr__(self, "params", _plain(dict(self.params)))
+        for group in ("calibration", "solver", "params"):
+            object.__setattr__(self, group, MappingProxyType(_plain(dict(getattr(self, group)))))
         object.__setattr__(self, "tags", tuple(str(t) for t in self.tags))
         if self.kind == "solve":
             if self.params:
@@ -178,8 +185,13 @@ class ScenarioSpec:
 
         ``name`` and ``tags`` are excluded: two scenarios that request the
         same computation share a hash (and therefore stored results), no
-        matter what they are called.
+        matter what they are called.  Computed once per object (the groups
+        are read-only, so it cannot go stale).
         """
+        return self._content_hash
+
+    @functools.cached_property
+    def _content_hash(self) -> str:
         payload: dict[str, Any] = {
             "kind": self.kind,
             "calibration": self.calibration,
@@ -205,6 +217,10 @@ class ScenarioSpec:
         weak tie-breaker.  Only *relative* order matters — the scheduler
         rescales these against recorded wall times when it has any.
         """
+        return self._estimated_cost
+
+    @functools.cached_property
+    def _estimated_cost(self) -> float:
         if self.kind != "solve":
             return 1.0 + len(canonical_json(self.params))
         from repro.olg.calibration import small_calibration
@@ -244,6 +260,10 @@ class ScenarioSpec:
     # ------------------------------------------------------------------ #
     # serialization and derivation
     # ------------------------------------------------------------------ #
+    def __reduce__(self) -> tuple[Any, ...]:
+        # the read-only group views do not pickle; the plain-data form does
+        return (ScenarioSpec.from_dict, (self.to_dict(),))
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,

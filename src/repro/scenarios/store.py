@@ -23,6 +23,10 @@ Key layout (identical across backends)::
                                 # batched via StoreEventSink; the read side
                                 # is events()/worker_events() and the
                                 # status --follow tailer in report.py)
+    events/<worker>.jsonl.<n>   # its later segments (n = 000001, ...): the
+                                # sink seals an object past
+                                # EVENT_SEGMENT_BYTES and continues in the
+                                # next, so the bytes put per event are bounded
     <hash16>/                   # one key prefix per scenario content hash
       entry.json                # the manifest entry, committed atomically
       spec.json                 # the full ScenarioSpec that produced it
@@ -77,7 +81,7 @@ import re
 import time
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING, Any, Callable, Iterable, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, cast
 
 import numpy as np
 
@@ -100,6 +104,7 @@ if TYPE_CHECKING:
     from repro.parallel.tracing import Event
 
 __all__ = [
+    "EVENT_SEGMENT_BYTES",
     "ResultsStore",
     "ScenarioStore",
     "StoreEventSink",
@@ -254,7 +259,9 @@ def _provenance() -> dict[str, Any]:
 
 
 def _json_bytes(data: object) -> bytes:
-    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # compact separators keep json.dumps on the C encoder (an indent selects
+    # the pure-Python one); show/query --json pretty-print on the way out
+    return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 class ResultsStore:
@@ -424,45 +431,83 @@ class ResultsStore:
     # ------------------------------------------------------------------ #
     # structured events (read side; emitted through StoreEventSink)
     # ------------------------------------------------------------------ #
-    def event_keys(self) -> list[str]:
-        """Keys of every per-worker event log (``events/<worker>.jsonl``)."""
-        return [
-            key
-            for key in self.backend.list(f"{self.EVENTS_PREFIX}/")
-            if key.endswith(".jsonl")
-        ]
+    @classmethod
+    def event_key(cls, worker: str, segment: int = 0) -> str:
+        """Key of one segment of a worker's event log (:meth:`parse_event_key` inverts).
+
+        Segment 0 is ``events/<worker>.jsonl``; segment ``n`` appends
+        ``.<n>`` *after* the extension, because worker ids contain dots
+        themselves (``runner-<host>-<pid>``) and a number inside the id's
+        own dotted suffix could not be told from the id.
+        """
+        return f"{cls.EVENTS_PREFIX}/{worker}.jsonl" + (f".{segment:06d}" if segment else "")
+
+    @classmethod
+    def parse_event_key(cls, key: str) -> tuple[str, int] | None:
+        """``(worker, segment)`` of an event-log key, ``None`` for anything else."""
+        name = key[len(cls.EVENTS_PREFIX) + 1 :]
+        if name.endswith(".jsonl"):
+            return name[: -len(".jsonl")], 0
+        worker, sep, number = name.rpartition(".jsonl.")
+        return (worker, int(number)) if sep and number.isdigit() else None
+
+    def event_segments(self) -> dict[str, dict[int, str]]:
+        """worker id -> ``{segment number: key}`` in segment order (one listing)."""
+        found: dict[str, dict[int, str]] = {}
+        for key in self.backend.list(f"{self.EVENTS_PREFIX}/"):
+            parsed = self.parse_event_key(key)
+            if parsed is not None:
+                found.setdefault(parsed[0], {})[parsed[1]] = key
+        return {worker: dict(sorted(segments.items())) for worker, segments in found.items()}
+
+    def event_logs(self) -> dict[str, dict[str, Any]]:
+        """worker id -> ``{"segments", "bytes", "events"}`` of its event log.
+
+        ``events`` are the worker's segments parsed and concatenated in
+        order.  Complete JSONL lines only: a torn trailing line (a writer
+        racing this read on a non-atomic transport) is silently skipped —
+        the next read sees it whole.
+        """
+        out: dict[str, dict[str, Any]] = {}
+        for worker, segments in self.event_segments().items():
+            log: dict[str, Any] = {"segments": len(segments), "bytes": 0, "events": []}
+            out[worker] = log
+            for key in segments.values():
+                try:
+                    raw = self.backend.get(key)
+                except FileNotFoundError:
+                    continue  # deleted between list and get
+                log["bytes"] += len(raw)
+                log["events"] += parse_event_lines(raw)
+        return out
 
     def worker_events(self) -> dict[str, list[dict[str, Any]]]:
-        """worker id -> parsed event dicts, in emission order per worker.
+        """worker id -> parsed event dicts, in emission order per worker."""
+        return {worker: log["events"] for worker, log in self.event_logs().items()}
 
-        Complete JSONL lines only: a torn trailing line (a writer racing
-        this read on a non-atomic transport) is silently skipped — the
-        next read sees it whole.
+    @staticmethod
+    def merge_events(worker_events: Mapping[str, list[dict[str, Any]]]) -> list[dict[str, Any]]:
+        """Per-worker feeds merged into one time-ordered list.
+
+        Ordering is by event timestamp (worker id, then per-worker
+        emission order as tiebreaks), so interleaved workers read as one
+        chronological story.
         """
-        out: dict[str, list[dict[str, Any]]] = {}
-        for key in self.event_keys():
-            try:
-                raw = self.backend.get(key)
-            except FileNotFoundError:
-                continue  # deleted between list and get
-            worker = key.rsplit("/", 1)[-1][: -len(".jsonl")]
-            out[worker] = parse_event_lines(raw)
-        return out
+        merged = [
+            (float(event.get("timestamp", 0.0)), worker, seq, event)
+            for worker, events in worker_events.items()
+            for seq, event in enumerate(events)
+        ]
+        merged.sort(key=lambda item: item[:3])
+        return [event for _, _, _, event in merged]
 
     def events(self) -> list[dict[str, Any]]:
         """Every persisted event across all workers, time-ordered.
 
         The merged solve-progress + lease-protocol feed ``status`` and
-        ``report`` consume.  Ordering is by event timestamp (worker id,
-        then per-worker emission order as tiebreaks), so interleaved
-        workers read as one chronological story.
+        ``report`` consume (see :meth:`merge_events`).
         """
-        merged: list[tuple[float, str, int, dict[str, Any]]] = []
-        for worker, events in sorted(self.worker_events().items()):
-            for seq, event in enumerate(events):
-                merged.append((float(event.get("timestamp", 0.0)), worker, seq, event))
-        merged.sort(key=lambda item: item[:3])
-        return [event for _, _, _, event in merged]
+        return self.merge_events(self.worker_events())
 
     # ------------------------------------------------------------------ #
     # path accessors (file:// stores only; kept for local tooling)
@@ -1171,13 +1216,26 @@ def parse_event_lines(raw: bytes) -> list[dict[str, Any]]:
     return events
 
 
+#: Size past which :class:`StoreEventSink` seals the object it is appending
+#: to; every flush re-puts that object, so this bounds the bytes put per
+#: event.  16 KiB is ~40 drained units (three ~140-byte lease events each):
+#: a put averages 8 KiB (131 KiB unsegmented, on a 640-unit drain) and that
+#: drain leaves 17 objects per worker for ``status``/``report`` to read.
+EVENT_SEGMENT_BYTES = 16 * 1024
+
+
 class StoreEventSink:
-    """Event sink persisting one worker's feed as ``events/<worker>.jsonl``.
+    """Event sink persisting one worker's feed as ``events/<worker>.jsonl[.<n>]``.
 
     Object stores have no append primitive, so the sink re-puts the whole
-    (small) event-log object — the last put always leaves a complete,
+    current event-log object — the last put always leaves a complete,
     readable JSONL object, which is exactly what the ``status --follow``
-    tailer's byte offsets rely on (the object only ever *grows*).
+    tailer's byte offsets rely on (an object only ever *grows*).  So that
+    a put stays small however long the worker lives, an object that has
+    passed :data:`EVENT_SEGMENT_BYTES` is sealed — never written again —
+    and the feed continues in the worker's next segment
+    (:meth:`ResultsStore.event_key`); readers concatenate a worker's
+    segments in order.
 
     Writes are **batched**: high-frequency solve-progress events
     (``iteration``/``refined``/``heartbeat``) are buffered and flushed
@@ -1190,9 +1248,10 @@ class StoreEventSink:
     worker exits to persist any buffered tail.
 
     A sink opened for a worker id that already has an event log *appends*
-    to it (the existing object is loaded as the immutable head), so a
-    restarted worker or several sequential in-process tasks sharing one
-    id never clobber earlier events.
+    to it (the worker's last segment is loaded as the immutable head, or
+    left sealed when it is already full), so a restarted worker or several
+    sequential in-process tasks sharing one id never clobber earlier
+    events.
     """
 
     #: kinds buffered for batched flushing; everything else flushes now
@@ -1209,13 +1268,15 @@ class StoreEventSink:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
         self.store = store
-        self.key = f"{store.EVENTS_PREFIX}/{str(worker_id).replace('/', '-')}.jsonl"
+        self.worker = str(worker_id).replace("/", "-")
         self.flush_every = int(flush_every)
         self.flush_interval = float(flush_interval)
         self.clock = clock
+        # retry-wrapped: the sink runs on the worker hot path, where a
+        # transient store blip must not cost the whole event history
+        segments = call_with_retries(store.event_segments, op="list events/")
+        self._segment = max(segments.get(self.worker, {}), default=0)
         try:
-            # retry-wrapped: the sink runs on the worker hot path, where a
-            # transient store blip must not cost the whole event history
             head = call_with_retries(store.backend.get, self.key, op=f"get {self.key}")
             # keep only whole lines of the existing log as the head; an
             # (impossible-under-contract) torn tail must not glue itself
@@ -1223,8 +1284,19 @@ class StoreEventSink:
             self._head = head[: head.rfind(b"\n") + 1]
         except FileNotFoundError:
             self._head = b""
+        self._seal_if_full()
         self._pending: list[str] = []
         self._last_flush = float(clock())
+
+    @property
+    def key(self) -> str:
+        """Key of the segment being appended to."""
+        return self.store.event_key(self.worker, self._segment)
+
+    def _seal_if_full(self) -> None:
+        if len(self._head) >= EVENT_SEGMENT_BYTES:
+            self._segment += 1
+            self._head = b""
 
     def __call__(self, event: "Event") -> None:
         self._pending.append(json.dumps(event.to_dict(), sort_keys=True))
@@ -1236,12 +1308,13 @@ class StoreEventSink:
             self.flush()
 
     def flush(self) -> None:
-        """Persist any buffered events (one whole-object put)."""
+        """Persist any buffered events (one put of the current segment)."""
         if not self._pending:
             return
         self._head += ("\n".join(self._pending) + "\n").encode("utf-8")
         self._pending.clear()
         call_with_retries(self.store.backend.put, self.key, self._head, op=f"put {self.key}")
+        self._seal_if_full()
         self._last_flush = float(self.clock())
 
 

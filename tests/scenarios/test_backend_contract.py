@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.parallel.tracing import EventRecorder
 from repro.scenarios import (
     ResultsStore,
     ScenarioSpec,
@@ -26,6 +27,7 @@ from repro.scenarios import (
     backend_from_url,
     run_suite,
 )
+from repro.scenarios import store as store_module
 from repro.scenarios.__main__ import main as cli_main
 from repro.scenarios.backends import (
     COMMIT_LOG_PREFIX,
@@ -33,6 +35,8 @@ from repro.scenarios.backends import (
     SNAPSHOT_PREFIX,
     load_index_union,
 )
+from repro.scenarios.report import EventTailer
+from repro.scenarios.store import StoreEventSink
 
 # --------------------------------------------------------------------------- #
 # helpers
@@ -882,12 +886,7 @@ class TestQueryIndex:
     def test_negative_env_values_warn_once(self, store_url_for, monkeypatch, caplog):
         import logging
 
-        from repro.scenarios.backends.retry import (
-            RETRIES_ENV,
-            RETRY_BASE_ENV,
-            _env_float,
-            _env_int,
-        )
+        from repro.scenarios.backends import retry
 
         monkeypatch.setenv("REPRO_STORE_AUTO_COMPACT_TAIL", "-512")
         with caplog.at_level(logging.WARNING):
@@ -895,12 +894,183 @@ class TestQueryIndex:
         assert store.auto_compact_tail == 0
         assert sum("clamping negative" in r.message for r in caplog.records) == 1
         caplog.clear()
-        monkeypatch.setenv(RETRIES_ENV, "-3")
-        monkeypatch.setenv(RETRY_BASE_ENV, "-0.5")
+        retry._parse_knob.cache_clear()  # the memo is per process, not per test
+        monkeypatch.setenv(retry.RETRIES_ENV, "-3")
+        monkeypatch.setenv(retry.RETRY_BASE_ENV, "-0.5")
+        seen: list = []
+
+        def blip():
+            seen.append(1)
+            raise retry.TransientStorageError("blip")
+
         with caplog.at_level(logging.WARNING):
-            assert _env_int(RETRIES_ENV, 3) == 0
-            assert _env_float(RETRY_BASE_ENV, 0.05) == 0.0
+            for _ in range(5):  # once per distinct bad value, not per operation
+                with pytest.raises(retry.TransientStorageError):
+                    retry.call_with_retries(blip)
+        assert len(seen) == 5  # "-3" clamps to 0 retries
         assert sum("clamping negative" in r.message for r in caplog.records) == 2
+        caplog.clear()
+        # changing the variable mid-process still takes effect, and a new
+        # bad value gets its own single warning
+        monkeypatch.setenv(retry.RETRIES_ENV, "2")
+        monkeypatch.setenv(retry.RETRY_BASE_ENV, "fast")
+        del seen[:]
+        with caplog.at_level(logging.WARNING):
+            for _ in range(2):
+                with pytest.raises(retry.TransientStorageError):
+                    retry.call_with_retries(blip, sleep=lambda _s: None)
+        assert len(seen) == 6
+        assert sum("ignoring non-float" in r.message for r in caplog.records) == 1
+
+
+# --------------------------------------------------------------------------- #
+# event-log segments: the bytes put per event are bounded
+# --------------------------------------------------------------------------- #
+class _Ticker:
+    """Clock advancing one second per reading, so feeds are reproducible."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def _emit(store, worker: str, count: int, clock: _Ticker | None = None) -> _Ticker:
+    """Push ``count`` immediately-flushed events through a fresh sink."""
+    clock = clock or _Ticker()
+    recorder = EventRecorder(clock=clock)
+    recorder.subscribe(StoreEventSink(store, worker))
+    for i in range(count):
+        recorder.emit("claimed", worker, f"scenario-{i:04d}", padding="x" * 64)
+    return clock
+
+
+class TestEventSegments:
+    SMALL = 1024  # a handful of ~200-byte events per segment
+
+    @pytest.mark.parametrize(
+        "worker", ["w1", "runner-node-7.cluster.example.org-4242", "a.jsonl.000003"]
+    )
+    def test_event_keys_round_trip_awkward_worker_ids(self, store, worker, monkeypatch):
+        for segment in (0, 1, 12):
+            key = store.event_key(worker, segment)
+            assert store.parse_event_key(key) == (worker, segment)
+        assert store.event_key(worker) == f"events/{worker}.jsonl"  # the pre-segment key
+        assert store.parse_event_key("events/not-an-event-log.txt") is None
+        monkeypatch.setattr(store_module, "EVENT_SEGMENT_BYTES", self.SMALL)
+        _emit(store, worker, 12)
+        assert len(store.event_segments()[worker]) > 1
+        assert [len(events) for events in store.worker_events().values()] == [12]
+        assert set(store.worker_events()) == {worker}
+
+    def test_rolled_log_reads_like_one_that_never_rolled(
+        self, store, store_url_for, monkeypatch
+    ):
+        whole = ResultsStore.open(store_url_for("mem", name="never-rolled"))
+        _emit(whole, "w1", 40)
+        assert list(whole.event_segments()["w1"]) == [0]
+        monkeypatch.setattr(store_module, "EVENT_SEGMENT_BYTES", self.SMALL)
+        _emit(store, "w1", 40)
+        segments = store.event_segments()["w1"]
+        assert len(segments) >= 4 and list(segments) == list(range(len(segments)))
+        assert store.events() == whole.events()
+        # every put stayed within one segment plus the event that sealed it
+        assert all(len(store.backend.get(key)) < self.SMALL + 256 for key in segments.values())
+
+    def test_reopened_sink_appends_after_the_last_segment(self, store, monkeypatch):
+        monkeypatch.setattr(store_module, "EVENT_SEGMENT_BYTES", self.SMALL)
+        clock = _emit(store, "w1", 14)
+        before = {key: store.backend.get(key) for key in store.event_segments()["w1"].values()}
+        _emit(store, "w1", 3, clock)  # a restarted worker, same id
+        after = store.event_segments()["w1"]
+        last = max(before)
+        for key, raw in before.items():
+            if key != last:
+                assert store.backend.get(key) == raw  # sealed segments untouched
+        assert store.backend.get(last).startswith(before[last])
+        assert len(after) >= len(before)
+        stamps = [e["timestamp"] for e in store.worker_events()["w1"]]
+        assert stamps == [float(i) for i in range(1, 18)]
+
+    def test_old_single_object_log_reads_back_and_is_left_alone(self, store):
+        # what the pre-segment sink wrote: one object, far past the segment size
+        lines = [
+            json.dumps({"kind": "claimed", "worker": "old", "timestamp": float(i), "n": i})
+            for i in range(400)
+        ]
+        raw = ("\n".join(lines) + "\n").encode()
+        assert len(raw) > store_module.EVENT_SEGMENT_BYTES
+        store.backend.put("events/old.jsonl", raw)
+        assert [e["n"] for e in store.events()] == list(range(400))
+        recorder = EventRecorder(clock=lambda: 1000.0)
+        recorder.subscribe(StoreEventSink(store, "old"))
+        recorder.emit("committed", "old", "s")
+        assert store.backend.get("events/old.jsonl") == raw  # not re-put
+        assert list(store.event_segments()["old"]) == [0, 1]
+        assert [e.get("n", "new") for e in store.events()] == list(range(400)) + ["new"]
+
+    def test_tailer_reads_across_rollovers_and_skips_consumed_segments(
+        self, store, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "EVENT_SEGMENT_BYTES", self.SMALL)
+        gets: list = []
+        real_get = store.backend.get
+
+        def counting_get(key):
+            gets.append(key)
+            return real_get(key)
+
+        monkeypatch.setattr(store.backend, "get", counting_get)
+        recorder = EventRecorder(clock=_Ticker())
+        recorder.subscribe(StoreEventSink(store, "w1"))
+        tailer = EventTailer(store)
+        seen: list = []
+        rollovers = 0
+        for burst in range(6):
+            for i in range(5):
+                recorder.emit("claimed", "w1", f"s-{burst}-{i}", padding="x" * 64)
+            segments = store.event_segments()["w1"]
+            rollovers = len(segments) - 1
+            del gets[:]
+            seen += tailer.poll()
+            del gets[:]
+            assert tailer.poll() == []  # nothing new: one get, of the live segment
+            assert gets == [segments[max(segments)]]
+        assert rollovers >= 2
+        assert [e["timestamp"] for e in seen] == [float(i) for i in range(1, 31)]
+
+
+# --------------------------------------------------------------------------- #
+# objects written by older versions (indented JSON) stay readable
+# --------------------------------------------------------------------------- #
+class TestIndentedLegacyObjects:
+    def test_indented_entry_spec_payload_still_serve_every_reader(self, store):
+        specs = [_payload_spec(i) for i in range(3)]
+        for i, spec in enumerate(specs):
+            store.commit_entry(store.write_payload(spec, {"i": i}, wall_time=1.0 + i))
+        for spec in specs:  # rewrite each object the way json.dumps(indent=2) laid it out
+            for key in (store.entry_key(spec), store.spec_key(spec), store.payload_key(spec)):
+                data = json.loads(store.backend.get(key))
+                legacy = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+                assert legacy != store.backend.get(key) and b"\n  " in legacy
+                store.backend.put(key, legacy)
+        for i, spec in enumerate(specs):
+            assert store.entry(spec)["status"] == "completed"
+            assert store.load_spec(spec) == spec
+            assert store.load_payload(spec) == {"i": i}
+        assert [r["name"] for r in store.query(where=["total_processes>=4"])] == [
+            "contract-1",
+            "contract-2",
+        ]
+        assert store.compact()["total_records"] == 3
+        assert len(store.query(status="completed")) == 3
+        # the no-downgrade guard reads the indented entry too
+        kept = store.commit_entry(store.failure_entry(specs[0], "failed", 0.1, "blip"))
+        assert kept["status"] == "completed"
+        report = run_suite(ScenarioSuite("again", specs), store)
+        assert report.count("skipped") == 3
 
 
 # --------------------------------------------------------------------------- #

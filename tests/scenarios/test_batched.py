@@ -186,8 +186,9 @@ class TestFallback:
             )
 
     def test_adaptive_member_falls_back(self):
-        spec = _solve_spec("ada", max_iterations=1)
-        spec.solver.update(adaptive=True, max_refine_level=2, max_points_per_state=50)
+        spec = _solve_spec("ada", max_iterations=1).with_overrides(
+            solver={"adaptive": True, "max_refine_level": 2, "max_points_per_state": 50}
+        )
         outcomes = BatchedTimeIterationSolver([_member(spec)]).solve()
         out = outcomes["ada"]
         assert out.fallback and out.fallback_reason == "adaptive refinement"
@@ -199,8 +200,9 @@ class TestFallback:
         # alone inside the group a stacked pair iterates in, and return what
         # their solo solves return, bit for bit
         pair = [_solve_spec("p1", tau_labor=0.1), _solve_spec("p2", tau_labor=0.2)]
-        ada = _solve_spec("ada", max_iterations=3)
-        ada.solver.update(adaptive=True, max_refine_level=3, max_points_per_state=40)
+        ada = _solve_spec("ada", max_iterations=3).with_overrides(
+            solver={"adaptive": True, "max_refine_level": 3, "max_points_per_state": 40}
+        )
         per_point = _solve_spec("per-point", tau_labor=0.15, max_iterations=4)
 
         def stepper(spec, executor=None):
@@ -274,8 +276,7 @@ class TestTopologyPartitioning:
         assert topology_signature(spec) == batch_topology(spec.build_model(), spec.build_config())
 
     def test_unbatchable_specs_have_no_signature(self):
-        adaptive = _solve_spec("ada")
-        adaptive.solver["adaptive"] = True
+        adaptive = _solve_spec("ada").with_overrides(solver={"adaptive": True})
         assert topology_signature(adaptive) is None
         experiment = ScenarioSpec("exp", kind="fig7", params={"dim": 2})
         assert topology_signature(experiment) is None

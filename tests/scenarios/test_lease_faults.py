@@ -581,9 +581,13 @@ class TestFleetDrain:
 # --------------------------------------------------------------------------- #
 class TestGroupDrain:
     def _mixed_suite(self) -> ScenarioSuite:
-        adaptive = _tiny_solve_spec("ada", tau_labor=0.12)
-        adaptive.solver.update(
-            adaptive=True, max_refine_level=3, max_points_per_state=40, max_iterations=3
+        adaptive = _tiny_solve_spec("ada", tau_labor=0.12).with_overrides(
+            solver={
+                "adaptive": True,
+                "max_refine_level": 3,
+                "max_points_per_state": 40,
+                "max_iterations": 3,
+            }
         )
         return ScenarioSuite(
             "mixed",
@@ -683,6 +687,58 @@ class TestGroupDrain:
         assert "different solver configuration" in store.entry(bad)["error"]
         assert store.entry(good)["status"] == "completed"
         assert delays == [1.0, 2.0]  # one backoff after each non-final failed attempt
+
+
+# --------------------------------------------------------------------------- #
+# what a drained unit costs: one hash per spec, event bytes linear in units
+# --------------------------------------------------------------------------- #
+def _micro_specs(count: int) -> list:
+    return [
+        ScenarioSpec(
+            f"micro-{i}", kind="table1", params={"dim": 2, "levels": [2], "num_states": 1 + i}
+        )
+        for i in range(count)
+    ]
+
+
+class TestDrainCost:
+    def test_a_drain_hashes_each_spec_exactly_once(self, store_url_for, monkeypatch):
+        import hashlib
+        import types
+
+        from repro.scenarios import spec as spec_module
+
+        digests: list = []
+
+        def counting_sha256(data):
+            digests.append(len(data))
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(spec_module, "hashlib", types.SimpleNamespace(sha256=counting_sha256))
+        specs = _micro_specs(50)
+        store = ResultsStore.open(store_url_for("mem"))
+        report = run_worker(specs, store, worker_id="hash-once")
+        assert report.claims == 50 and not report.parked
+        assert all(store.entry(spec)["status"] == "completed" for spec in specs)
+        assert len(digests) == 50
+
+    def test_event_bytes_put_grow_linearly_with_units_drained(self, store_url_for):
+        def event_bytes_put(units: int) -> int:
+            store = ResultsStore.open(store_url_for("mem", name=f"linear-{units}"))
+            real_put, sizes = store.backend.put, []
+
+            def counting_put(key, data):
+                if key.startswith("events/"):
+                    sizes.append(len(data))
+                return real_put(key, data)
+
+            store.backend.put = counting_put
+            report = run_worker(_micro_specs(units), store, worker_id="linear")
+            assert report.claims == units and len(store.events()) == 3 * units
+            return sum(sizes)
+
+        # re-putting one ever-growing log made this ratio ~4
+        assert event_bytes_put(300) <= 2.3 * event_bytes_put(150)
 
 
 # --------------------------------------------------------------------------- #

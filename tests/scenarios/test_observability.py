@@ -556,6 +556,11 @@ class TestCLI:
         progress = payload["progress"][store.scenario_key(suite[0])]
         assert progress["status"] == "completed"
         assert progress["iteration"] >= 1 and progress["error"] is not None
+        # the worker's event log, sized from the read status already does
+        raw = store.backend.get("events/wA.jsonl")
+        assert payload["event_logs"] == {"wA": {"segments": 1, "bytes": len(raw)}}
+        assert cli_main(["status", "--store", store_url]) == 0
+        assert f"1 segment(s), {len(raw)} byte(s)" in capsys.readouterr().out
 
     def test_status_follow_streams_one_bounded_cycle(self, tmp_path, capsys):
         store_url = f"file://{(tmp_path / 'store').as_posix()}"

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -74,6 +78,30 @@ class TestScenarioSpec:
         clone = ScenarioSpec.from_dict(spec.to_dict())
         assert clone == spec
         assert clone.content_hash() == spec.content_hash()
+
+    def test_groups_are_read_only_and_round_trips_keep_identity(self):
+        # the hash is memoised per object, so a spec must not change under it
+        solve = ScenarioSpec("ro", calibration={"beta": 0.85}, solver={"grid_level": 3})
+        experiment = ScenarioSpec("exp", kind="table1", params={"dim": 2, "levels": [2]})
+        before = (solve.content_hash(), experiment.content_hash())
+        with pytest.raises(TypeError):
+            experiment.params["x"] = 1
+        with pytest.raises(TypeError):
+            del solve.calibration["beta"]
+        with pytest.raises(AttributeError):
+            solve.solver.update(grid_level=4)
+        assert (solve.content_hash(), experiment.content_hash()) == before
+        derived = solve.with_overrides(solver={"grid_level": 4})
+        assert derived.solver["grid_level"] == 4 and solve.solver["grid_level"] == 3
+        assert derived.content_hash() != solve.content_hash()
+        for spec in (solve, experiment):
+            for clone in (
+                pickle.loads(pickle.dumps(spec)),
+                copy.deepcopy(spec),
+                ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))),
+            ):
+                assert clone == spec and clone is not spec
+                assert clone.content_hash() == spec.content_hash()
 
     def test_build_objects(self):
         spec = ScenarioSpec(

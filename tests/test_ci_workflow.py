@@ -234,6 +234,10 @@ class TestBatchedSolveGate:
         calls = 'value["olg.solver.residual_evals_per_solve"] * value["olg.solver.calls"]'
         assert f"residual_calls = {calls}" in guard[0]
         assert 'value["core.kernels.calls"] <= 1.6 * residual_calls' in guard[0]
+        # ... and the bytes put per drained unit of the store workload
+        assert "--workload store-write --scale smoke --traced" in guard[0]
+        assert guard[0].count('result["failed"] == 0') == 2
+        assert 'value["scenarios.backends.put_kib"] / 40 <= 28.5' in guard[0]
 
     def test_batched_over_sequential_guard_is_gone(self, workflow):
         # the default solve is a batch of one now, so batched / sequential
