@@ -69,8 +69,8 @@ class AtomicWriteRule(Rule):
 
     A bare ``open(..., "w")``/``json.dump``/``np.save*`` write is torn by
     a crash mid-write; every persisted byte of a store/checkpoint must go
-    through ``serialize.atomic_write`` (temp file + ``os.replace``),
-    ``serialize.append_jsonl`` (O_APPEND), or a backend ``put``.
+    through ``serialize.atomic_write`` (temp file + ``os.replace``) or a
+    backend ``put``.
     """
 
     id = "atomic-write"
@@ -105,8 +105,8 @@ class AtomicWriteRule(Rule):
                     yield ctx.finding(
                         node,
                         self.id,
-                        f"raw {name}({verdict}) bypasses atomic_write/"
-                        "append_jsonl; a crash mid-write leaves a torn file",
+                        f"raw {name}({verdict}) bypasses atomic_write; "
+                        "a crash mid-write leaves a torn file",
                     )
             elif name == "json.dump":
                 yield ctx.finding(

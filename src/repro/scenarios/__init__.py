@@ -27,8 +27,8 @@ hand-wired single solves into managed scenario runs:
   locks; provenance per entry (spec hash, wall time, iteration records,
   library version);
 * :mod:`repro.scenarios.backends` — pluggable storage behind the store,
-  selected by URL scheme: ``file://`` (local directory, atomic rename +
-  ``O_APPEND`` log), ``mem://`` (in-process, fast tests) and ``s3://``
+  selected by URL scheme: ``file://`` (local directory, atomic rename
+  puts), ``mem://`` (in-process, fast tests) and ``s3://``
   (S3-style object store; bundled in-process fake server, real service
   via config) — ``ResultsStore.open("s3://bucket/prefix?endpoint=...")``;
 * :mod:`repro.scenarios.diff` — compare two store entries (possibly from
@@ -143,7 +143,7 @@ from repro.scenarios.spec import (
     get_preset,
     preset_names,
 )
-from repro.scenarios.store import ResultsStore, ScenarioStore
+from repro.scenarios.store import ResultsStore
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -171,7 +171,6 @@ __all__ = [
     "SimulatedKill",
     "SolveAbandoned",
     "ResultsStore",
-    "ScenarioStore",
     "RunOutcome",
     "SuiteReport",
     "run_suite",

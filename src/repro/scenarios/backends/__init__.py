@@ -7,13 +7,12 @@ selected by URL scheme:
 ========================================  =====================================
 URL                                       backend
 ========================================  =====================================
-``file:///abs/path`` (or a plain path)    :class:`LocalFSBackend` — the
-                                          original on-disk layout: atomic
-                                          rename puts + ``O_APPEND``
-                                          ``manifest.log``
+``file:///abs/path`` (or a plain path)    :class:`LocalFSBackend` — one file
+                                          per key under a directory, atomic
+                                          rename puts
 ``mem://<namespace>``                     :class:`MemoryBackend` — in-process
                                           dictionary shared per namespace;
-                                          fast tests, merged commit log
+                                          fast tests
 ``s3://bucket/prefix?endpoint=...``       :class:`ObjectStoreBackend` — an
                                           S3-style put/get/list/delete API
                                           against the bundled in-process
@@ -23,8 +22,10 @@ URL                                       backend
                                           config only)
 ========================================  =====================================
 
-All three satisfy one behavioural contract (see
-:mod:`repro.scenarios.backends.base`), asserted uniformly by
+All three satisfy one behavioural contract and share one commit log —
+per-commit ``commits/`` objects folded into ``commit-snapshots/``,
+implemented once on :class:`StorageBackend` (see
+:mod:`repro.scenarios.backends.base`) — asserted uniformly by
 ``tests/scenarios/test_backend_contract.py``.
 """
 
@@ -39,7 +40,6 @@ from repro.scenarios.backends.base import (
     INDEX_SNAPSHOT_PREFIX,
     SNAPSHOT_PREFIX,
     BlobRef,
-    MergedCommitLog,
     StorageBackend,
     load_index_union,
 )
@@ -66,7 +66,6 @@ from repro.scenarios.backends.retry import (
 __all__ = [
     "StorageBackend",
     "BlobRef",
-    "MergedCommitLog",
     "COMMIT_LOG_PREFIX",
     "SNAPSHOT_PREFIX",
     "INDEX_SNAPSHOT_PREFIX",

@@ -18,15 +18,17 @@ which every backend must provide and which
 
 Notably *absent* from the contract is an atomic multi-writer append
 primitive: local filesystems have one (``O_APPEND``), object stores do
-not.  Backends without it inherit :class:`MergedCommitLog`, which turns
-every commit record into its own immutable log object under
-``commits/`` and merges them at read time — the lock-free multi-writer
-semantics of the sharded store survive on a plain put/get/list/delete
-API.
+not, so the commit log does not use one anywhere.  Every backend commits
+through the concrete log methods of :class:`StorageBackend`, written
+against its own ``get``/``put``/``list``/``delete``/``mtime``: each
+commit record is its own immutable object under ``commits/`` and the log
+is merged at read time — the lock-free multi-writer semantics of the
+sharded store need nothing beyond a plain object API, and a wrapper that
+intercepts the object operations (fault injection) sees the log too.
 
 Log lifecycle
 -------------
-A long-lived merged log accumulates one object per commit forever, so
+A long-lived log accumulates one object per commit forever, so
 ``commit_records()`` (the path ``ResultsStore.index()`` exercises)
 degrades to O(total commits ever) object reads.  :meth:`compact` folds
 the log into a single immutable ``commit-snapshots/snapshot-<seq>.json``
@@ -74,12 +76,11 @@ import time
 import uuid
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Protocol
+from typing import Any, Callable, ClassVar
 
 __all__ = [
     "StorageBackend",
     "BlobRef",
-    "MergedCommitLog",
     "COMMIT_LOG_PREFIX",
     "SNAPSHOT_PREFIX",
     "INDEX_SNAPSHOT_PREFIX",
@@ -94,7 +95,7 @@ __all__ = [
     "load_index_union",
 ]
 
-#: key prefix of per-commit log objects for backends without atomic append
+#: key prefix of per-commit log objects (one immutable object per commit)
 COMMIT_LOG_PREFIX = "commits/"
 
 #: key prefix of folded commit-log snapshot checkpoint objects
@@ -121,27 +122,6 @@ Pairs = list[tuple[str, Any]]
 IndexBuilder = Callable[[dict[str, Any], list[Any]], dict[str, Any]]
 
 
-class ObjectOps(Protocol):
-    """The flat-object-namespace slice the commit-log machinery needs.
-
-    Both :class:`StorageBackend` and :class:`MergedCommitLog` (a mixin
-    whose concrete subclass supplies these operations) satisfy it
-    structurally, so the snapshot helpers below serve both.
-    """
-
-    url: str
-
-    def get(self, key: str) -> bytes: ...
-
-    def put(self, key: str, data: bytes) -> None: ...
-
-    def list(self, prefix: str = "") -> list[str]: ...
-
-    def delete(self, key: str, missing_ok: bool = True) -> bool: ...
-
-    def mtime(self, key: str) -> float: ...
-
-
 def validate_key(key: str) -> str:
     """Enforce the contract's key grammar: relative POSIX paths only.
 
@@ -162,12 +142,12 @@ def validate_key(key: str) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# commit-log snapshots (shared by the merged log and the localfs rotation)
+# commit-log snapshots
 # --------------------------------------------------------------------------- #
 def _seq_of(key: str) -> str:
     """The monotonic sequence token embedded in a log-object key.
 
-    ``commits/<stamp>-<rand>.json``, ``manifest-segments/<stamp>-<rand>.jsonl``,
+    ``commits/<stamp>-<rand>.json``,
     ``commit-snapshots/snapshot-<seq>.json`` and
     ``index-snapshots/index-<seq>.json`` all reduce to their
     ``<stamp>-<rand>`` token, so snapshots and the objects they fold sort
@@ -208,7 +188,7 @@ def _pair_order(pair: tuple[str, Any]) -> tuple[float, str]:
     return (record_stamp(key, record), key)
 
 
-def read_snapshot(backend: ObjectOps, key: str) -> Pairs | None:
+def read_snapshot(backend: StorageBackend, key: str) -> Pairs | None:
     """``[(record_key, record), ...]`` of one snapshot object, or ``None``
     when the object is missing/foreign/torn (racing compactors)."""
     try:
@@ -223,7 +203,7 @@ def read_snapshot(backend: ObjectOps, key: str) -> Pairs | None:
     return [(str(k), rec) for k, rec in pairs]
 
 
-def write_snapshot(backend: ObjectOps, key: str, pairs: Pairs) -> None:
+def write_snapshot(backend: StorageBackend, key: str, pairs: Pairs) -> None:
     """Write one snapshot object and verify it reads back whole.
 
     The verification gates the compactor's delete phase: folded objects
@@ -243,7 +223,7 @@ def write_snapshot(backend: ObjectOps, key: str, pairs: Pairs) -> None:
         )
 
 
-def load_snapshots(backend: ObjectOps) -> list[tuple[str, Pairs]]:
+def load_snapshots(backend: StorageBackend) -> list[tuple[str, Pairs]]:
     """``[(snapshot_key, pairs), ...]`` for every readable snapshot,
     oldest first (so record order survives repeated folds)."""
     snaps: list[tuple[str, Pairs]] = []
@@ -265,7 +245,7 @@ def _union(snaps: list[tuple[str, Pairs]]) -> dict[str, Any]:
     return folded
 
 
-def snapshot_union(backend: ObjectOps) -> tuple[dict[str, Any], list[str]]:
+def snapshot_union(backend: StorageBackend) -> tuple[dict[str, Any], list[str]]:
     """``({record_key: record}, [snapshot keys])`` over every readable
     snapshot object."""
     snaps = load_snapshots(backend)
@@ -273,7 +253,7 @@ def snapshot_union(backend: ObjectOps) -> tuple[dict[str, Any], list[str]]:
 
 
 def _aged_record_keys(
-    backend: ObjectOps, snaps: list[tuple[str, Pairs]], grace_seconds: float
+    backend: StorageBackend, snaps: list[tuple[str, Pairs]], grace_seconds: float
 ) -> tuple[set[str], bool]:
     """``(record keys safe to delete, whether the newest snapshot aged)``.
 
@@ -304,7 +284,7 @@ def _aged_record_keys(
     return aged, newest_aged
 
 
-def load_index_union(backend: ObjectOps) -> tuple[dict[str, Any], list[str]]:
+def load_index_union(backend: StorageBackend) -> tuple[dict[str, Any], list[str]]:
     """``({spec_hash: index record}, [sidecar keys])`` over every readable
     index sidecar.  Sidecar keys sort by their fold sequence, so iterating
     in listing order lets the newest sidecar win per hash."""
@@ -320,55 +300,18 @@ def load_index_union(backend: ObjectOps) -> tuple[dict[str, Any], list[str]]:
     return union, keys
 
 
-def _empty_compact_report(url: str) -> dict[str, Any]:
-    return {
-        "url": url,
-        "snapshot": None,
-        "index_snapshot": None,
-        "index_records": 0,
-        "total_records": 0,
-        "folded_records": 0,
-        "deleted_objects": 0,
-        "kept_for_grace": 0,
-    }
-
-
-def _fold_into_snapshot(
-    backend: ObjectOps,
-    snaps: list[tuple[str, Pairs]],
-    merged: Pairs,
-    tail_seqs: list[str],
-    report: dict[str, Any],
-) -> tuple[str, list[tuple[str, Pairs]]]:
-    """Write the fold (fold + verify FIRST) unless it would be a no-op.
-
-    Shared epilogue of both compactors — the snapshot's name records the
-    last folded commit key (max seq over old snapshots and the tail), so
-    a newer snapshot always supersedes every snapshot it absorbed.
-    Returns ``(snap_key, snaps)`` with ``snaps`` reflecting the write.
-    """
-    snapshot_keys = [key for key, _ in snaps]
-    seq = max([_seq_of(k) for k in snapshot_keys] + list(tail_seqs))
-    snap_key = snapshot_key_for(seq)
-    if tail_seqs or snapshot_keys != [snap_key]:
-        write_snapshot(backend, snap_key, merged)
-        snaps = [(k, p) for k, p in snaps if k != snap_key] + [(snap_key, merged)]
-        report["snapshot"] = snap_key
-    return snap_key, snaps
-
-
-def _gc_superseded_snapshots(
-    backend: ObjectOps,
-    snapshot_keys: list[str],
-    snap_key: str,
+def _collect_superseded(
+    backend: StorageBackend,
+    keys: list[str],
+    keep: str,
     newest_aged: bool,
     report: dict[str, Any],
 ) -> None:
-    """Collect snapshots the fold absorbed — but only once their successor
-    has aged past the grace window (a reader may still be merging through
-    an old one)."""
-    for key in snapshot_keys:
-        if key == snap_key:
+    """Collect the snapshots (or sidecars) a fold absorbed into ``keep`` —
+    but only once their successor has aged past the grace window (a reader
+    may still be merging through an old one)."""
+    for key in keys:
+        if key == keep:
             continue
         if newest_aged:
             if backend.delete(key, missing_ok=True):
@@ -378,7 +321,7 @@ def _gc_superseded_snapshots(
 
 
 def _fold_index_sidecar(
-    backend: ObjectOps,
+    backend: StorageBackend,
     snap_key: str,
     merged: Pairs,
     index_builder: IndexBuilder | None,
@@ -387,8 +330,8 @@ def _fold_index_sidecar(
 ) -> None:
     """Fold the queryable index sidecar accompanying a commit snapshot.
 
-    Shared epilogue of both compactors, run *after* the commit snapshot
-    verified.  ``index_builder(prev_records, merged_records)`` is the
+    The epilogue of :meth:`StorageBackend.compact`, run *after* the commit
+    snapshot verified.  ``index_builder(prev_records, merged_records)`` is the
     store's callback: it reuses previous sidecar records whose log
     fingerprint is unchanged and rebuilds the rest from the authoritative
     entries.  The sidecar is derived data, so a builder failure degrades
@@ -411,14 +354,7 @@ def _fold_index_sidecar(
         write_snapshot(backend, key, pairs)
     report["index_snapshot"] = key
     report["index_records"] = len(pairs)
-    for old in prev_keys:
-        if old == key:
-            continue
-        if newest_aged:
-            if backend.delete(old, missing_ok=True):
-                report["deleted_objects"] += 1
-        else:
-            report["kept_for_grace"] += 1
+    _collect_superseded(backend, prev_keys, key, newest_aged, report)
 
 
 class BlobRef:
@@ -515,95 +451,17 @@ class StorageBackend(ABC):
         """Last-modified time of the object (seconds since the epoch)."""
 
     # ------------------------------------------------------------------ #
-    # commit log
+    # commit log: concrete on every backend, composed from the object
+    # operations above (so a wrapper intercepting those sees the log too)
     # ------------------------------------------------------------------ #
-    @abstractmethod
     def append_commit(self, record: dict[str, Any]) -> None:
-        """Durably append one commit record to the store's log."""
+        """Durably append one commit record to the store's log.
 
-    @abstractmethod
-    def commit_records(self) -> list[dict[str, Any]]:
-        """All commit records, oldest first (duplicates preserved)."""
-
-    @abstractmethod
-    def clear_commit_log(self) -> None:
-        """Drop the commit log — snapshots included (entries stay;
-        ``reindex`` rebuilds everything from the ``entry.json`` objects)."""
-
-    @abstractmethod
-    def compact(
-        self,
-        grace_seconds: float = DEFAULT_COMPACT_GRACE,
-        index_builder: IndexBuilder | None = None,
-    ) -> dict[str, Any]:
-        """Fold the commit log into one snapshot checkpoint object.
-
-        Fold first, verify the snapshot is readable, then delete folded
-        objects older than ``grace_seconds``.  Safe to race with
-        appenders and other compactors: no commit record is ever lost,
-        and a crashed compactor leaves only duplicates the merge dedupes
-        by record key.  ``index_builder`` (see
-        :func:`_fold_index_sidecar`) additionally folds the queryable
-        secondary-index sidecar under ``index-snapshots/``.  Returns a
-        report dict (``snapshot``, ``index_snapshot``, ``index_records``,
-        ``total_records``, ``folded_records``, ``deleted_objects``,
-        ``kept_for_grace``).
+        The record becomes one immutable ``commits/`` object whose name
+        embeds a zero-padded wall-clock timestamp plus a random suffix, so
+        two racing writers can never clobber each other — the merge happens
+        at read time in :meth:`commit_records`.
         """
-
-    @abstractmethod
-    def commit_log_tail_count(self) -> int:
-        """Commit records not yet folded into a snapshot — the number of
-        log reads :meth:`commit_records` pays beyond the snapshot, which
-        is what the store's auto-compaction thresholds on."""
-
-    # ------------------------------------------------------------------ #
-    def ref(self, key: str) -> BlobRef:
-        return BlobRef(self, key)
-
-    @property
-    def local_root(self) -> Path | None:
-        """The backing :class:`~pathlib.Path` for filesystem backends,
-        ``None`` for everything else (callers must use refs then)."""
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.url!r})"
-
-
-class MergedCommitLog:
-    """Commit-log mixin for backends without an atomic append primitive.
-
-    Each :meth:`append_commit` writes one immutable object under
-    ``commits/`` whose name embeds a zero-padded wall-clock timestamp plus
-    a random suffix, so two racing writers can never clobber each other —
-    the merge happens at read time in :meth:`commit_records`, which is
-    exactly the path ``ResultsStore.index()`` exercises.  :meth:`compact`
-    folds the accumulated objects into one snapshot checkpoint (see the
-    module docstring), after which the merge is one snapshot read plus
-    the un-folded tail.  Merged records are ordered by their true commit
-    time (``created_at_unix``, key stamp as fallback, key as tiebreak),
-    not by lexicographic key order — a writer on a skewed clock stamps a
-    misleading key but cannot reorder the log.
-    """
-
-    if TYPE_CHECKING:
-        # the concrete backend class supplies the object operations the
-        # mixin composes; declaring them checker-only states the contract
-        # without adding runtime methods that would mask the ABC's
-        # abstractness (the mixin precedes StorageBackend in the MRO)
-        url: str
-
-        def get(self, key: str) -> bytes: ...
-
-        def put(self, key: str, data: bytes) -> None: ...
-
-        def list(self, prefix: str = "") -> list[str]: ...
-
-        def delete(self, key: str, missing_ok: bool = True) -> bool: ...
-
-        def mtime(self, key: str) -> float: ...
-
-    def append_commit(self, record: dict[str, Any]) -> None:
         stamp = f"{time.time():017.6f}"
         key = f"{COMMIT_LOG_PREFIX}{stamp}-{uuid.uuid4().hex[:12]}.json"
         self.put(key, json.dumps(record, sort_keys=True).encode("utf-8"))
@@ -650,9 +508,19 @@ class MergedCommitLog:
         return []  # pragma: no cover - loop always returns
 
     def commit_records(self) -> list[dict[str, Any]]:
+        """All commit records, oldest first (duplicates preserved).
+
+        Ordered by true commit time (``created_at_unix``, key stamp as
+        fallback, key as tiebreak), not by lexicographic key order — a
+        writer on a skewed clock stamps a misleading key but cannot
+        reorder the log.
+        """
         return [rec for _, rec in self._merged_pairs()]
 
     def commit_log_tail_count(self) -> int:
+        """Commit records not yet folded into a snapshot — the number of
+        log reads :meth:`commit_records` pays beyond the snapshot, which
+        is what the store's auto-compaction thresholds on."""
         folded, _ = snapshot_union(self)
         return sum(1 for key in self.list(COMMIT_LOG_PREFIX) if key not in folded)
 
@@ -661,6 +529,19 @@ class MergedCommitLog:
         grace_seconds: float = DEFAULT_COMPACT_GRACE,
         index_builder: IndexBuilder | None = None,
     ) -> dict[str, Any]:
+        """Fold the commit log into one snapshot checkpoint object.
+
+        Fold first, verify the snapshot is readable, then delete folded
+        objects older than ``grace_seconds``.  Safe to race with
+        appenders and other compactors: no commit record is ever lost,
+        and a crashed compactor leaves only duplicates the merge dedupes
+        by record key.  ``index_builder`` (see
+        :func:`_fold_index_sidecar`) additionally folds the queryable
+        secondary-index sidecar under ``index-snapshots/``.  Returns a
+        report dict (``snapshot``, ``index_snapshot``, ``index_records``,
+        ``total_records``, ``folded_records``, ``deleted_objects``,
+        ``kept_for_grace``).
+        """
         snaps = load_snapshots(self)
         folded = _union(snaps)
         tail: Pairs = []
@@ -673,15 +554,29 @@ class MergedCommitLog:
                 continue  # racing compactor / foreign object
         merged = list(folded.items()) + tail
         merged.sort(key=_pair_order)
-        report = _empty_compact_report(self.url)
-        report["total_records"] = len(merged)
-        report["folded_records"] = len(tail)
+        report: dict[str, Any] = {
+            "url": self.url,
+            "snapshot": None,
+            "index_snapshot": None,
+            "index_records": 0,
+            "total_records": len(merged),
+            "folded_records": len(tail),
+            "deleted_objects": 0,
+            "kept_for_grace": 0,
+        }
         if not merged:
             return report
+        # the snapshot's name records the last folded commit key (max seq
+        # over old snapshots and the tail), so a newer snapshot always
+        # supersedes every snapshot it absorbed; fold + verify FIRST,
+        # unless the fold would be a no-op
         snapshot_keys = [key for key, _ in snaps]
-        snap_key, snaps = _fold_into_snapshot(
-            self, snaps, merged, [_seq_of(k) for k, _ in tail], report
-        )
+        seq = max([_seq_of(k) for k in snapshot_keys] + [_seq_of(k) for k, _ in tail])
+        snap_key = snapshot_key_for(seq)
+        if tail or snapshot_keys != [snap_key]:
+            write_snapshot(self, snap_key, merged)
+            snaps = [(k, p) for k, p in snaps if k != snap_key] + [(snap_key, merged)]
+            report["snapshot"] = snap_key
         # ...then delete what the snapshots supersede — but only records
         # whose snapshot has been durable past the grace window, so a
         # reader mid-merge on an older snapshot never loses its tail.
@@ -695,14 +590,29 @@ class MergedCommitLog:
                     report["deleted_objects"] += 1
             elif key in merged_keys:
                 report["kept_for_grace"] += 1
-        _gc_superseded_snapshots(self, snapshot_keys, snap_key, newest_aged, report)
+        _collect_superseded(self, snapshot_keys, snap_key, newest_aged, report)
         _fold_index_sidecar(self, snap_key, merged, index_builder, newest_aged, report)
         return report
 
     def clear_commit_log(self) -> None:
+        """Drop the commit log — snapshots included (entries stay;
+        ``reindex`` rebuilds everything from the ``entry.json`` objects)."""
         for key in (
             self.list(COMMIT_LOG_PREFIX)
             + self.list(SNAPSHOT_PREFIX)
             + self.list(INDEX_SNAPSHOT_PREFIX)
         ):
             self.delete(key, missing_ok=True)
+
+    # ------------------------------------------------------------------ #
+    def ref(self, key: str) -> BlobRef:
+        return BlobRef(self, key)
+
+    @property
+    def local_root(self) -> Path | None:
+        """The backing :class:`~pathlib.Path` for filesystem backends,
+        ``None`` for everything else (callers must use refs then)."""
+        return None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.url!r})"

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.scenarios.backends.base import IndexBuilder, StorageBackend
+from repro.scenarios.backends.base import StorageBackend
 from repro.scenarios.backends.retry import TransientStorageError
 
 __all__ = ["InjectedCrash", "FaultRule", "FaultInjectingBackend"]
@@ -87,9 +87,11 @@ class FaultRule:
 class FaultInjectingBackend(StorageBackend):
     """A :class:`StorageBackend` decorator that injects configured faults.
 
-    Wraps a live backend instance; everything not matched by a rule is
-    delegated verbatim (commit-log operations included), so the wrapper
-    satisfies the full backend contract.  Note the canonical ``url`` is
+    Wraps a live backend instance; every object operation not matched by
+    a rule is delegated verbatim.  The commit log is inherited, not
+    delegated: it runs on *this* instance's object operations, so a rule
+    on ``commits/`` or ``commit-snapshots/`` keys reaches appends, merges
+    and folds like any other traffic.  Note the canonical ``url`` is
     the inner backend's: a store re-opened from that URL gets the
     *healthy* backend — fault wiring is per-instance, which is exactly
     what lets a test give one worker a faulty view of a store its peers
@@ -175,29 +177,3 @@ class FaultInjectingBackend(StorageBackend):
     def mtime(self, key: str) -> float:
         self._intercept("mtime", key)
         return self.inner.mtime(key)
-
-    # ------------------------------------------------------------------ #
-    # commit log: delegated (lease/crash tests target object ops; the
-    # commit-log machinery has its own conformance coverage)
-    # ------------------------------------------------------------------ #
-    def append_commit(self, record: dict[str, Any]) -> None:
-        self.inner.append_commit(record)
-
-    def commit_records(self) -> list[dict[str, Any]]:
-        return self.inner.commit_records()
-
-    def clear_commit_log(self) -> None:
-        self.inner.clear_commit_log()
-
-    def compact(
-        self,
-        grace_seconds: float | None = None,
-        index_builder: IndexBuilder | None = None,
-    ) -> dict[str, Any]:
-        kwargs: dict[str, Any] = {"index_builder": index_builder}
-        if grace_seconds is not None:
-            kwargs["grace_seconds"] = grace_seconds
-        return self.inner.compact(**kwargs)
-
-    def commit_log_tail_count(self) -> int:
-        return self.inner.commit_log_tail_count()

@@ -1,70 +1,32 @@
-"""Local-filesystem storage backend (the store's original on-disk layout).
+"""Local-filesystem storage backend.
 
 Keys map 1:1 onto files under the root directory; puts go through the
-shared unique-temp-name + ``os.replace`` machinery, and the commit log is
-the classic append-only ``manifest.log`` written with single ``O_APPEND``
-writes (atomic across processes on local POSIX filesystems), so the
-on-disk layout produced by earlier versions of the store is preserved
-byte for byte.
+shared unique-temp-name + ``os.replace`` machinery, so a reader never
+sees a torn object and any number of processes may share one directory.
+The commit log is the per-commit ``commits/`` objects every backend uses
+(:class:`~repro.scenarios.backends.base.StorageBackend`): nothing here
+relies on ``O_APPEND`` being atomic, so the store is as safe on a network
+filesystem as its ``rename`` is.
 
-Compaction rotates the live log instead of truncating it (truncation
-would race ``O_APPEND`` writers): ``manifest.log`` is atomically renamed
-into an immutable ``manifest-segments/<stamp>-<rand>.jsonl`` segment —
-an appender that already opened the log keeps writing the same inode, so
-its record lands in the segment and is still folded — then segments are
-folded into the shared ``commit-snapshots/snapshot-<seq>.json`` format,
-each record keyed ``<segment>#<lineno>``.  A segment is only deleted
-after re-reading it and checking every one of its records made the
-snapshot (a straggler write that raced the rotation keeps the segment
-alive for the next fold), and only past the grace window.
+Stores written before the log moved to ``commits/`` may still hold a
+``manifest.log`` / ``manifest-segments/`` pair; neither is read any more
+— ``ResultsStore.reindex()`` re-derives those records from the entries.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import urllib.parse
-import uuid
 from pathlib import Path, PurePosixPath
-from typing import Any
 
 from repro.scenarios import serialize
-from repro.scenarios.backends.base import (
-    DEFAULT_COMPACT_GRACE,
-    INDEX_SNAPSHOT_PREFIX,
-    SNAPSHOT_PREFIX,
-    IndexBuilder,
-    Pairs,
-    StorageBackend,
-    _aged_record_keys,
-    _empty_compact_report,
-    _fold_index_sidecar,
-    _fold_into_snapshot,
-    _gc_superseded_snapshots,
-    _seq_of,
-    _union,
-    load_snapshots,
-    read_snapshot,
-    snapshot_union,
-    validate_key,
-)
+from repro.scenarios.backends.base import StorageBackend, validate_key
 
 __all__ = ["LocalFSBackend"]
 
-#: name of the append-only JSONL commit log on disk
-MANIFEST_LOG = "manifest.log"
-
-#: key prefix of rotated (immutable) log segments awaiting the fold
-SEGMENT_PREFIX = "manifest-segments/"
-
-
-def _segment_record_key(segment_key: str, lineno: int) -> str:
-    # zero-padded so per-segment record keys sort in append order
-    return f"{segment_key}#{lineno:08d}"
-
 
 class LocalFSBackend(StorageBackend):
-    """Directory-backed storage: atomic rename puts + ``O_APPEND`` log."""
+    """Directory-backed storage: one file per key, atomic rename puts."""
 
     scheme = "file"
     process_shared = True
@@ -109,7 +71,7 @@ class LocalFSBackend(StorageBackend):
 
     def list(self, prefix: str = "") -> list[str]:
         # a directory-shaped prefix narrows the scan to that subtree, so
-        # per-index snapshot/segment listings don't walk the whole store
+        # commit-log and snapshot listings don't walk the whole store
         base = self.root
         if "/" in prefix:
             rel = prefix.rpartition("/")[0]
@@ -131,148 +93,3 @@ class LocalFSBackend(StorageBackend):
 
     def mtime(self, key: str) -> float:
         return self._path(key).stat().st_mtime
-
-    # ------------------------------------------------------------------ #
-    # commit log: true atomic append, rotation-based compaction
-    # ------------------------------------------------------------------ #
-    @property
-    def log_path(self) -> Path:
-        return self.root / MANIFEST_LOG
-
-    def append_commit(self, record: dict[str, Any]) -> None:
-        serialize.append_jsonl(self.log_path, record)
-
-    def _unfolded_segment_pairs(
-        self, folded: dict[str, Any], seg_keys: list[str] | None = None
-    ) -> tuple[Pairs, bool]:
-        """``(pairs, racing)``: keyed records of rotated segments not yet in
-        a snapshot.  ``racing`` flags a segment that vanished mid-scan — a
-        compactor folded it into a snapshot *newer* than the ones already
-        merged into ``folded``, so the caller must rescan, not drop it."""
-        pairs: Pairs = []
-        racing = False
-        if seg_keys is None:
-            seg_keys = self.list(SEGMENT_PREFIX)
-        for seg_key in seg_keys:
-            path = self._path(seg_key)
-            records = serialize.read_jsonl(path)
-            if not records and not path.exists():
-                racing = True
-                continue
-            for i, rec in enumerate(records):
-                key = _segment_record_key(seg_key, i)
-                if key not in folded:
-                    pairs.append((key, rec))
-        pairs.sort()  # segment stamp then line number = append order
-        return pairs, racing
-
-    def commit_records(self) -> list[dict[str, Any]]:
-        # snapshot records keep their folded order (append order survives
-        # repeated rotations), then un-folded segments, then the live log.
-        # A racing compaction moves records live log -> segment -> snapshot
-        # between our scans; it is visible as a vanished segment or as a
-        # changed snapshot/segment listing, and both trigger a bounded
-        # re-scan so no record is read out from under us.
-        last = 4
-        for attempt in range(last + 1):
-            snap_keys = self.list(SNAPSHOT_PREFIX)
-            folded: dict[str, Any] = {}
-            for skey in snap_keys:
-                spairs = read_snapshot(self, skey)
-                if spairs is None:
-                    continue  # collected by a racing compactor
-                for k, rec in spairs:
-                    folded.setdefault(k, rec)
-            seg_keys = self.list(SEGMENT_PREFIX)
-            pairs, racing = self._unfolded_segment_pairs(folded, seg_keys)
-            live = serialize.read_jsonl(self.log_path)
-            stable = (
-                not racing
-                and self.list(SNAPSHOT_PREFIX) == snap_keys
-                and self.list(SEGMENT_PREFIX) == seg_keys
-            )
-            if stable or attempt == last:
-                records = list(folded.values())
-                records += [rec for _, rec in pairs]
-                records += live
-                return records
-        return []  # pragma: no cover - loop always returns
-
-    def commit_log_tail_count(self) -> int:
-        folded, _ = snapshot_union(self)
-        pairs, _racing = self._unfolded_segment_pairs(folded)
-        return len(pairs) + len(serialize.read_jsonl(self.log_path))
-
-    def _rotate_log(self) -> None:
-        """Atomically move the live log out of the appenders' way.
-
-        ``os.replace`` keeps the inode: an appender that opened the log
-        just before the rotation writes its line into the *segment*,
-        where the fold (and the pre-delete re-read) still finds it.
-        """
-        try:
-            if self.log_path.stat().st_size == 0:
-                return
-        except FileNotFoundError:
-            return
-        segment_dir = self.root / SEGMENT_PREFIX.rstrip("/")
-        segment_dir.mkdir(parents=True, exist_ok=True)
-        name = f"{time.time():017.6f}-{uuid.uuid4().hex[:12]}.jsonl"
-        try:
-            os.replace(self.log_path, segment_dir / name)
-        except FileNotFoundError:
-            pass  # a racing compactor rotated first
-
-    def compact(
-        self,
-        grace_seconds: float = DEFAULT_COMPACT_GRACE,
-        index_builder: IndexBuilder | None = None,
-    ) -> dict[str, Any]:
-        self._rotate_log()
-        snaps = load_snapshots(self)
-        folded = _union(snaps)
-        tail, _racing = self._unfolded_segment_pairs(folded)
-        merged = list(folded.items()) + tail
-        report = _empty_compact_report(self.url)
-        report["total_records"] = len(merged)
-        report["folded_records"] = len(tail)
-        if not merged:
-            return report
-        snapshot_keys = [key for key, _ in snaps]
-        # tail record keys are "<segment>#<lineno>"; the segment part
-        # carries the seq (re-listing here could race a compactor that
-        # just emptied the directory and leave max() no operands)
-        snap_key, snaps = _fold_into_snapshot(
-            self, snaps, merged,
-            [_seq_of(k.split("#", 1)[0]) for k, _ in tail], report,
-        )
-        # delete segments whose every record reached a snapshot that has
-        # aged past the grace window (readers on an older snapshot keep
-        # their tail); verify-then-delete re-reads each segment so a
-        # straggler append that raced the rotation keeps it alive
-        merged_keys = {k for k, _ in merged}
-        aged_keys, newest_aged = _aged_record_keys(self, snaps, float(grace_seconds))
-        for seg_key in self.list(SEGMENT_PREFIX):
-            path = self._path(seg_key)
-            if not path.exists():
-                continue  # a racing compactor collected it
-            count = len(serialize.read_jsonl(path))
-            keys = {_segment_record_key(seg_key, i) for i in range(count)}
-            if keys <= aged_keys:
-                if self.delete(seg_key, missing_ok=True):
-                    report["deleted_objects"] += 1
-            elif keys <= merged_keys:
-                report["kept_for_grace"] += 1
-            # else: straggler records present — the next fold absorbs them
-        _gc_superseded_snapshots(self, snapshot_keys, snap_key, newest_aged, report)
-        _fold_index_sidecar(self, snap_key, merged, index_builder, newest_aged, report)
-        return report
-
-    def clear_commit_log(self) -> None:
-        self.log_path.unlink(missing_ok=True)
-        for key in (
-            self.list(SEGMENT_PREFIX)
-            + self.list(SNAPSHOT_PREFIX)
-            + self.list(INDEX_SNAPSHOT_PREFIX)
-        ):
-            self.delete(key, missing_ok=True)

@@ -3,10 +3,10 @@
 ``mem://<namespace>`` stores live in a process-global registry: every
 :class:`MemoryBackend` (and therefore every ``ResultsStore``) opened on
 the same URL in one process shares one namespace, so thread-pool writers
-genuinely race on shared state.  The backend deliberately has *no* atomic
-append primitive — it inherits the :class:`MergedCommitLog` per-commit
-log objects, so fast tests exercise exactly the merged-log ``index()``
-path the object-store backend relies on, snapshot compaction included.
+genuinely race on shared state.  The commit log is the per-commit
+``commits/`` objects of :class:`StorageBackend`, so fast tests exercise
+exactly the ``index()`` path every other backend runs, snapshot
+compaction included.
 
 State never leaves the process: a forked/spawned worker opening the same
 URL sees an empty namespace, which is why ``process_shared`` is False and
@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.scenarios.backends.base import MergedCommitLog, StorageBackend, validate_key
+from repro.scenarios.backends.base import StorageBackend, validate_key
 
 __all__ = ["MemoryBackend"]
 
@@ -42,7 +42,7 @@ _REGISTRY: dict[str, _Namespace] = {}
 _REGISTRY_LOCK = threading.Lock()
 
 
-class MemoryBackend(MergedCommitLog, StorageBackend):
+class MemoryBackend(StorageBackend):
     """Dictionary-backed storage shared per namespace within one process."""
 
     scheme = "mem"

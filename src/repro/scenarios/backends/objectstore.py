@@ -3,11 +3,10 @@
 ``s3://bucket/prefix?endpoint=...`` stores speak a minimal S3-shaped
 client API — ``put_object``/``get_object``/``list_objects``/
 ``delete_object``/``head_object``, whole objects only, no appends, no
-renames — which is the honest common denominator of real object stores.
-The commit log therefore uses the :class:`MergedCommitLog` per-commit
-objects merged at ``index()`` time instead of ``O_APPEND``, compacted
-into immutable snapshot checkpoints as the log grows (see
-:mod:`repro.scenarios.backends.base`).
+renames — which is the honest common denominator of real object stores,
+and all the commit log of :class:`StorageBackend` needs: per-commit
+objects merged at ``index()`` time, compacted into immutable snapshot
+checkpoints as the log grows (see :mod:`repro.scenarios.backends.base`).
 
 Endpoints
 ---------
@@ -38,7 +37,7 @@ from pathlib import Path
 from typing import cast
 
 from repro.scenarios import serialize
-from repro.scenarios.backends.base import MergedCommitLog, StorageBackend, validate_key
+from repro.scenarios.backends.base import StorageBackend, validate_key
 from repro.scenarios.backends.retry import call_with_retries
 
 __all__ = ["ObjectStoreBackend", "FakeObjectServer", "ENDPOINT_ENV"]
@@ -189,7 +188,7 @@ def client_for_endpoint(endpoint: str) -> FakeObjectServer | _Boto3Client:
     return FakeObjectServer(endpoint)
 
 
-class ObjectStoreBackend(MergedCommitLog, StorageBackend):
+class ObjectStoreBackend(StorageBackend):
     """Store keys namespaced under ``<prefix>/`` inside one bucket."""
 
     scheme = "s3"

@@ -48,6 +48,7 @@ __all__ = [
     "TransientStorageError",
     "is_transient",
     "call_with_retries",
+    "env_knob",
 ]
 
 logger = get_logger("scenarios.backends.retry")
@@ -100,8 +101,10 @@ def _parse_knob(name: str, raw: str, default: float) -> float:
     return value
 
 
-def _env_knob(name: str, default: float) -> float:
-    # read on every use: the variables may change mid-process
+def env_knob(name: str, default: float) -> float:
+    """The non-negative numeric environment knob ``name`` (``default``'s
+    type), read on every use: the variables may change mid-process.
+    Empty -> default, garbage -> warn + default, negative -> warn + 0."""
     raw = os.environ.get(name)
     return default if raw is None else _parse_knob(name, raw, default)
 
@@ -154,9 +157,9 @@ def call_with_retries(
             # the knobs matter only once something transient has failed: a
             # healthy call reads no environment
             if retries is None:
-                retries = int(_env_knob(RETRIES_ENV, DEFAULT_RETRIES))
+                retries = int(env_knob(RETRIES_ENV, DEFAULT_RETRIES))
             if base_delay is None:
-                base_delay = _env_knob(RETRY_BASE_ENV, DEFAULT_RETRY_BASE)
+                base_delay = env_knob(RETRY_BASE_ENV, DEFAULT_RETRY_BASE)
             if attempt >= retries:
                 raise
             delay = base_delay * (2.0**attempt) * (0.5 + rng())

@@ -43,8 +43,6 @@ from repro.grids.grid import SparseGrid
 __all__ = [
     "FORMAT_VERSION",
     "atomic_write",
-    "append_jsonl",
-    "read_jsonl",
     "is_blob_target",
     "save_grid",
     "load_grid",
@@ -104,53 +102,6 @@ def atomic_write(
     finally:
         if tmp.exists():  # pragma: no cover - only on failure paths
             tmp.unlink()
-
-
-def append_jsonl(path: str | os.PathLike[str], record: dict[str, Any]) -> None:
-    """Append one JSON record to a JSONL file with a single ``O_APPEND`` write.
-
-    On local POSIX filesystems ``O_APPEND`` makes the seek-to-end and the
-    write one atomic step, and issuing the whole line as one ``os.write``
-    (not buffered IO) means concurrent writer processes interleave whole
-    lines — this is what keeps the store's ``manifest.log`` lock-free.
-    Caveat: NFS does not implement ``O_APPEND`` atomically, so on network
-    filesystems racing appends can tear; consumers treat the log as a
-    best-effort cache (lenient :func:`read_jsonl` + the store's
-    ``reindex``/lookup-retry rebuild anything lost from the per-scenario
-    ``entry.json`` files, which never share a write target).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line)
-    finally:
-        os.close(fd)
-
-
-def read_jsonl(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
-    """Read a JSONL file leniently: undecodable lines are skipped.
-
-    A torn trailing line can only appear if a writer died mid-``write``
-    (which O_APPEND makes vanishingly unlikely); skipping it loses one log
-    record, and the store's ``reindex`` recovers anything the log missed
-    from the per-scenario ``entry.json`` files.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    records: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return records
 
 
 def _atomic_savez(path, arrays: dict, meta: dict) -> None:

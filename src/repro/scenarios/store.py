@@ -2,7 +2,7 @@
 
 Storage is pluggable: every byte the store reads or writes flows through a
 :class:`~repro.scenarios.backends.StorageBackend` selected by URL scheme —
-``ResultsStore.open("file:///runs")`` keeps the original on-disk layout,
+``ResultsStore.open("file:///runs")`` keeps one file per key in a directory,
 ``"mem://name"`` holds everything in process memory for fast tests, and
 ``"s3://bucket/prefix?endpoint=..."`` speaks an S3-style put/get/list/delete
 API (bundled in-process fake server, or a real service via configuration).
@@ -11,12 +11,9 @@ to the ``file://`` form.
 
 Key layout (identical across backends)::
 
-    manifest.log                # file://: append-only JSONL, one line per commit
-    commits/<stamp>-<rand>.json # mem://, s3://: one immutable object per commit
+    commits/<stamp>-<rand>.json # the commit log: one immutable object per commit
     commit-snapshots/snapshot-<seq>.json  # compacted commit-log checkpoint
     index-snapshots/index-<seq>.json      # queryable secondary-index sidecar
-    manifest-segments/<stamp>-<rand>.jsonl  # file://: rotated log awaiting the fold
-    manifest.v1.json            # parked copy of a migrated legacy manifest
     leases/<hash16>/...         # claim/lease coordination state (lease.py)
     events/<worker>.jsonl       # per-worker structured event feed (lease
                                 # lifecycle + per-iteration solve progress,
@@ -42,29 +39,22 @@ Concurrency model — no locks anywhere:
   same computation's result and last-writer-wins is safe; writers on
   different hashes touch disjoint keys.
 * The commit log exists only for cheap discovery (which hashes live here,
-  plus the wall times the suite scheduler feeds on).  On local
-  filesystems it is the classic ``manifest.log`` ``O_APPEND`` JSONL; on
-  backends without an atomic append primitive every commit is its own
-  immutable ``commits/*`` object and the log is *merged at read time* —
-  the multi-writer semantics survive on a plain object API.  Long-lived
-  logs are folded into an immutable ``commit-snapshots/`` checkpoint
-  (:meth:`ResultsStore.compact`; auto-run from :meth:`ResultsStore.index`
-  past a tail threshold), so discovery stays one snapshot read plus the
-  un-folded tail however many commits the store has absorbed.  Either way
-  the log may contain duplicates (re-runs) and may miss a hash after a
-  crash between entry write and log append; :meth:`ResultsStore.reindex`
+  plus the wall times the suite scheduler feeds on).  On every backend a
+  commit is its own immutable ``commits/*`` object and the log is *merged
+  at read time* — no atomic-append primitive is needed, only the plain
+  object API.  Long-lived logs are folded into an immutable
+  ``commit-snapshots/`` checkpoint (:meth:`ResultsStore.compact`; auto-run
+  from :meth:`ResultsStore.index` past a tail threshold), so discovery
+  stays one snapshot read plus the un-folded tail however many commits
+  the store has absorbed.  The log is derived data: it may contain
+  duplicates (re-runs) and may miss a hash after a crash between entry
+  write and log append; :meth:`ResultsStore.reindex`
   (also retried automatically on hash lookup misses) repairs that from
   the ``entry.json`` objects, and the index rebuild always re-reads
   ``entry.json`` per hash, so the log is never trusted for entry content.
 * Commits are status-aware: a failed/interrupted entry never overwrites
   a completed entry whose result object is still present, so a racing
   writer hitting a transient error cannot hide finished work.
-
-A legacy v1 store (monolithic ``manifest.json`` rewritten per commit) is
-migrated on first open: every legacy entry is re-committed into the
-sharded layout and the old manifest is parked as ``manifest.v1.json``.
-Migration is idempotent and crash-safe — a half-migrated store simply
-migrates again.
 
 Every entry records *provenance*: the spec content hash, wall time,
 iteration summary, library/numpy/python versions, hostname and a creation
@@ -96,7 +86,7 @@ from repro.scenarios.backends import (
     is_store_url,
     load_index_union,
 )
-from repro.scenarios.backends.retry import call_with_retries
+from repro.scenarios.backends.retry import call_with_retries, env_knob
 from repro.scenarios.spec import ScenarioSpec, flatten_index_fields
 from repro.utils.logging import get_logger
 
@@ -106,7 +96,6 @@ if TYPE_CHECKING:
 __all__ = [
     "EVENT_SEGMENT_BYTES",
     "ResultsStore",
-    "ScenarioStore",
     "StoreEventSink",
     "parse_event_lines",
     "parse_predicate",
@@ -115,7 +104,6 @@ __all__ = [
 logger = get_logger("scenarios.store")
 
 _STORE_LAYOUT_VERSION = 2
-_LEGACY_MANIFEST_VERSION = 1
 _DIR_HASH_CHARS = 16
 
 #: environment override for the auto-compaction tail threshold (``0``
@@ -267,8 +255,6 @@ def _json_bytes(data: object) -> bytes:
 class ResultsStore:
     """Scenario results sharded one key prefix per hash, on any backend."""
 
-    MANIFEST_LOG = "manifest.log"
-    LEGACY_MANIFEST = "manifest.json"
     ENTRY_FILE = "entry.json"
     LEASE_PREFIX = "leases"
     EVENTS_PREFIX = "events"
@@ -300,27 +286,10 @@ class ResultsStore:
         #: backing directory for file:// stores, ``None`` otherwise
         self.root = self.backend.local_root
         if auto_compact_tail is None:
-            raw = os.environ.get(AUTO_COMPACT_TAIL_ENV, "").strip()
-            try:
-                auto_compact_tail = int(raw) if raw else _AUTO_COMPACT_TAIL_DEFAULT
-            except ValueError:
-                # a typo'd variable must not crash every store open — the
-                # threshold is housekeeping config, not a correctness knob
-                logger.warning(
-                    "ignoring non-integer %s=%r (using %d)",
-                    AUTO_COMPACT_TAIL_ENV, raw, _AUTO_COMPACT_TAIL_DEFAULT,
-                )
-                auto_compact_tail = _AUTO_COMPACT_TAIL_DEFAULT
-            else:
-                if auto_compact_tail < 0:
-                    # previously swallowed silently by the max() below —
-                    # surface the clamp so a typo'd "-512" is explainable
-                    logger.warning(
-                        "clamping negative %s=%r to 0 (auto-compaction disabled)",
-                        AUTO_COMPACT_TAIL_ENV, raw,
-                    )
+            # a typo'd variable must not crash every store open — the
+            # threshold is housekeeping config, not a correctness knob
+            auto_compact_tail = int(env_knob(AUTO_COMPACT_TAIL_ENV, _AUTO_COMPACT_TAIL_DEFAULT))
         self.auto_compact_tail = max(0, int(auto_compact_tail))
-        self._migrate_legacy_manifest()
 
     @classmethod
     def open(
@@ -510,65 +479,6 @@ class ResultsStore:
         return self.merge_events(self.worker_events())
 
     # ------------------------------------------------------------------ #
-    # path accessors (file:// stores only; kept for local tooling)
-    # ------------------------------------------------------------------ #
-    def _path(self, key: str) -> Path:
-        if self.root is None:
-            raise TypeError(
-                f"store {self.url} has no filesystem paths; use the "
-                "*_ref/*_key accessors instead"
-            )
-        return self.root / key
-
-    def scenario_dir(self, spec_or_hash: ScenarioSpec | str) -> Path:
-        return self._path(self.scenario_key(spec_or_hash))
-
-    def entry_path(self, spec_or_hash: ScenarioSpec | str) -> Path:
-        return self._path(self.entry_key(spec_or_hash))
-
-    def result_path(self, spec_or_hash: ScenarioSpec | str) -> Path:
-        return self._path(self.result_key(spec_or_hash))
-
-    def payload_path(self, spec_or_hash: ScenarioSpec | str) -> Path:
-        return self._path(self.payload_key(spec_or_hash))
-
-    def checkpoint_path(self, spec_or_hash: ScenarioSpec | str) -> Path:
-        return self._path(self.checkpoint_key(spec_or_hash))
-
-    def spec_path(self, spec_or_hash: ScenarioSpec | str) -> Path:
-        return self._path(self.spec_key(spec_or_hash))
-
-    @property
-    def log_path(self) -> Path:
-        return self._path(self.MANIFEST_LOG)
-
-    # ------------------------------------------------------------------ #
-    # legacy migration
-    # ------------------------------------------------------------------ #
-    def _migrate_legacy_manifest(self) -> None:
-        """Absorb a v1 monolithic ``manifest.json`` into the sharded layout.
-
-        Every legacy entry is re-committed (entry object + log record;
-        both idempotent, last-writer-wins), then the legacy manifest is
-        parked as ``manifest.v1.json``.  Crash mid-way and the next open
-        simply migrates again; two processes migrating concurrently both
-        write identical entries and the loser's delete is a no-op.
-        """
-        try:
-            raw = self.backend.get(self.LEGACY_MANIFEST)
-        except FileNotFoundError:
-            return
-        manifest = json.loads(raw)
-        if manifest.get("version") != _LEGACY_MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported legacy manifest version in {self.url}/{self.LEGACY_MANIFEST}"
-            )
-        for entry in manifest.get("entries", {}).values():
-            self.commit_entry(entry)
-        self.backend.put("manifest.v1.json", raw)
-        self.backend.delete(self.LEGACY_MANIFEST, missing_ok=True)
-
-    # ------------------------------------------------------------------ #
     # committing and indexing entries
     # ------------------------------------------------------------------ #
     def commit_entry(self, entry: dict[str, Any]) -> dict[str, Any]:
@@ -617,10 +527,10 @@ class ResultsStore:
     def index(self) -> dict[str, dict[str, Any]]:
         """Rebuild the hash -> entry index from the log + entry objects.
 
-        The log supplies the hash set cheaply (for merged-log backends
-        this is one snapshot read plus the un-folded tail); each entry
-        is then re-read from its authoritative ``entry.json`` (the log
-        record is never trusted for content).  Hashes whose entry object
+        The log supplies the hash set cheaply (one snapshot read plus
+        the un-folded tail); each entry is then re-read from its
+        authoritative ``entry.json`` (the log record is never trusted
+        for content).  Hashes whose entry object
         vanished (pruned directory) are dropped.  When the un-folded
         tail has outgrown ``auto_compact_tail``, the log is first folded
         into a snapshot checkpoint so the *next* index stays cheap —
@@ -664,12 +574,8 @@ class ResultsStore:
             # (present commits/* objects = un-folded tail + grace
             # leftovers).  Only when that bound trips does the exact
             # count (one snapshot read) run, so the steady-state index()
-            # pays a single list call for this check.  localfs lists
-            # nothing under commits/; its exact count is local file I/O.
-            approx = len(self.backend.list(COMMIT_LOG_PREFIX))
-            if self.backend.local_root is not None:
-                approx = self.backend.commit_log_tail_count()
-            if approx <= self.auto_compact_tail:
+            # pays a single list call for this check.
+            if len(self.backend.list(COMMIT_LOG_PREFIX)) <= self.auto_compact_tail:
                 return
             if self.backend.commit_log_tail_count() > self.auto_compact_tail:
                 report = self.compact()
@@ -732,8 +638,8 @@ class ResultsStore:
         """Expand a (unique) hash prefix to the full spec hash.
 
         A miss triggers one :meth:`reindex` retry, so entries whose log
-        record was lost (crashed writer, non-atomic network filesystem
-        append) are still found as long as their ``entry.json`` exists.
+        record was lost (a writer crashed between the entry put and the
+        log put) are still found as long as their ``entry.json`` exists.
         """
         prefix = str(prefix)
         if len(prefix) >= 64:
@@ -1316,8 +1222,3 @@ class StoreEventSink:
         call_with_retries(self.store.backend.put, self.key, self._head, op=f"put {self.key}")
         self._seal_if_full()
         self._last_flush = float(self.clock())
-
-
-#: the name the storage-backend redesign is documented under; ``ResultsStore``
-#: remains the primary name for backwards compatibility
-ScenarioStore = ResultsStore

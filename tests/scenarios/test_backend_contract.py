@@ -26,6 +26,7 @@ from repro.scenarios import (
     StoreURLError,
     backend_from_url,
     run_suite,
+    run_worker,
 )
 from repro.scenarios import store as store_module
 from repro.scenarios.__main__ import main as cli_main
@@ -208,8 +209,8 @@ class TestCommitLogContract:
 # --------------------------------------------------------------------------- #
 class TestCompactionContract:
     """The :meth:`compact` half of the commit-log contract, uniformly on
-    ``file://`` (manifest.log rotation), ``mem://`` and ``s3://`` (merged
-    per-commit objects)."""
+    ``file://``, ``mem://`` and ``s3://`` (one log implementation, per-commit
+    objects, three transports)."""
 
     @staticmethod
     def _records(n, start=0):
@@ -351,12 +352,10 @@ class TestCompactionContract:
         assert report["total_records"] == 0 and report["deleted_objects"] == 0
         assert backend.commit_records() == []
 
-    @pytest.mark.parametrize("scheme", ["mem", "s3"])
-    def test_skewed_clock_stamps_do_not_reorder_records(self, scheme, store_url_for):
+    def test_skewed_clock_stamps_do_not_reorder_records(self, store):
         """Satellite regression: lexicographic key order embeds a writer's
         wall clock, so a skewed-fast writer used to jump the queue.  The
         merge orders by the record-level ``created_at_unix`` instead."""
-        store = ResultsStore.open(store_url_for(scheme))
         backend = store.backend
         early = {"spec_hash": "h-early", "status": "completed",
                  "wall_time": 10.0, "created_at_unix": 100.0}
@@ -618,14 +617,10 @@ class TestStoreCompaction:
                 )
         return specs
 
-    @pytest.mark.parametrize("scheme", ["mem", "s3"])
-    def test_index_after_compaction_is_one_snapshot_plus_tail(
-        self, scheme, store_url_for
-    ):
+    def test_index_after_compaction_is_one_snapshot_plus_tail(self, store):
         """Acceptance: 1,000 committed records index through ONE snapshot
         object plus the un-folded tail — object ``get`` calls drop from
         O(total commits ever) to O(tail)."""
-        store = ResultsStore.open(store_url_for(scheme))
         store.auto_compact_tail = 0  # count the uncompacted baseline honestly
         specs = self._fill(store, hashes=10, commits_per_hash=100)
         backend = store.backend
@@ -815,13 +810,9 @@ class TestQueryIndex:
         assert len(store.backend.list(INDEX_SNAPSHOT_PREFIX)) == 1
         assert {r["spec_hash"] for r in store.query(status="completed")} == expected
 
-    @pytest.mark.parametrize("scheme", ["mem", "s3"])
-    def test_query_on_compacted_store_is_o_snapshot_plus_tail(
-        self, scheme, store_url_for
-    ):
+    def test_query_on_compacted_store_is_o_snapshot_plus_tail(self, store):
         """Acceptance: a filtered query on a 1,000-entry compacted store
         costs O(index snapshot + tail) gets — no per-entry reads."""
-        store = ResultsStore.open(store_url_for(scheme))
         store.auto_compact_tail = 0
         specs = [
             ScenarioSpec(
@@ -1077,23 +1068,74 @@ class TestIndentedLegacyObjects:
 # backend-specific layout properties (asserted, not assumed)
 # --------------------------------------------------------------------------- #
 class TestLogLayouts:
-    @pytest.mark.parametrize("scheme", ["mem", "s3"])
-    def test_merged_log_backends_write_one_object_per_commit(self, scheme, store_url_for):
-        store = ResultsStore.open(store_url_for(scheme))
+    def test_merged_log_backends_write_one_object_per_commit(self, store):
+        hashes = set()
         for i in range(3):
             spec = _payload_spec(i)
             store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
-        log_objects = store.backend.list(COMMIT_LOG_PREFIX)
-        assert len(log_objects) == 3  # one immutable object per commit
-        assert set(store.index()) == {_payload_spec(i).content_hash() for i in range(3)}
+            hashes.add(spec.content_hash())
+            # exactly one immutable commits/*.json object per commit...
+            log_objects = store.backend.list(COMMIT_LOG_PREFIX)
+            assert len(log_objects) == i + 1
+            assert all(key.endswith(".json") for key in log_objects)
+            # ...next to one authoritative entry.json per hash
+            entry = json.loads(store.entry_ref(spec).read_bytes())
+            assert entry["spec_hash"] == spec.content_hash()
+        # and no other log: nothing appended anywhere outside commits/
+        assert not [key for key in store.backend.list() if key.startswith("manifest")]
+        assert {rec["spec_hash"] for rec in store.log_records()} == hashes
+        assert set(store.index()) == hashes
 
-    def test_file_backend_keeps_append_only_jsonl(self, store_url_for):
-        store = ResultsStore.open(store_url_for("file"))
-        spec = _payload_spec(0)
-        store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
-        assert store.backend.list(COMMIT_LOG_PREFIX) == []
-        lines = store.log_path.read_text().splitlines()
-        assert [json.loads(line)["spec_hash"] for line in lines] == [spec.content_hash()]
+    def test_older_file_store_reads_folded_history_and_reindexes_the_rest(self, tmp_path):
+        """A ``file://`` store written before the log moved to ``commits/``:
+        what compaction had folded is still indexed (record keys are opaque
+        strings), the un-folded ``manifest.log`` is not read, nothing that
+        matters depended on it, and one ``reindex()`` re-derives it."""
+        root = tmp_path / "old-store"
+        store = ResultsStore(root)
+        specs = [_payload_spec(i) for i in range(4)]
+        for spec in specs:
+            store.commit_entry(store.write_payload(spec, {"i": spec.name}, wall_time=1.0))
+        records = store.log_records()
+        assert [rec["spec_hash"] for rec in records] == [s.content_hash() for s in specs]
+        # rewrite the log by hand in the old layout: two records folded
+        # under segment-style keys, two un-folded JSONL lines
+        store.backend.clear_commit_log()
+        segment = "manifest-segments/0001700000000.000000-0123456789ab.jsonl"
+        (root / "commit-snapshots").mkdir()
+        (root / "commit-snapshots" / "snapshot-0001700000000.000000-0123456789ab.json").write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "records": [[f"{segment}#{i:08d}", rec] for i, rec in enumerate(records[:2])],
+                }
+            )
+        )
+        (root / "manifest.log").write_text(
+            "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records[2:])
+        )
+
+        old = ResultsStore(root)
+        folded, unfolded = specs[:2], specs[2:]
+        assert old.known_hashes() == [s.content_hash() for s in folded]
+        assert set(old.index()) == {s.content_hash() for s in folded}
+        assert set(old.wall_times()) == {s.content_hash() for s in folded}
+        # has() and the worker's skip scan read entry.json, never the log
+        assert all(old.has(spec) for spec in specs)
+        drained = run_worker(ScenarioSuite("again", specs), old, worker_id="w-old")
+        assert len(drained.already_done) == 4 and drained.claims == 0
+        # hash lookups already retry through reindex...
+        assert old.resolve_hash(unfolded[0].content_hash()[:12]) == unfolded[0].content_hash()
+        # ...and one reindex() recovers every un-folded hash for good
+        assert set(old.reindex()) == {s.content_hash() for s in specs}
+        assert set(ResultsStore(root).index()) == {s.content_hash() for s in specs}
+        assert run_suite(ScenarioSuite("again", specs), old).count("skipped") == 4
+        # the old snapshot folds together with the new tail
+        report = old.compact(grace_seconds=0)
+        assert report["total_records"] == 4
+        assert {rec["spec_hash"] for rec in old.log_records()} == {
+            s.content_hash() for s in specs
+        }
 
     def test_file_url_round_trips_awkward_path_characters(self, tmp_path):
         # '#', spaces and '%xx' in directory names must survive the
@@ -1106,17 +1148,6 @@ class TestLogLayouts:
             reopened = ResultsStore.open(store.url)
             assert reopened.root == store.root, dirname
             assert reopened.load_payload(spec) == {"ok": 1}
-
-    def test_file_store_layout_unchanged_from_plain_path_open(self, tmp_path):
-        # ResultsStore(path) and ResultsStore.open(file://...) are the
-        # same store: bytes written by one are read by the other
-        store = ResultsStore(tmp_path / "runs")
-        spec = _payload_spec(0)
-        store.commit_entry(store.write_payload(spec, {"ok": 1}, wall_time=1.0))
-        assert store.url == f"file://{(tmp_path / 'runs').as_posix()}"
-        via_url = ResultsStore.open(store.url)
-        assert via_url.load_payload(spec) == {"ok": 1}
-        assert (tmp_path / "runs" / "manifest.log").exists()
 
 
 # --------------------------------------------------------------------------- #

@@ -352,6 +352,24 @@ class TestKillStealResume:
         assert store.leases() == []
 
 
+    def test_crash_between_entry_and_log_record_is_healed_by_reindex(self, any_store_url):
+        # the commit log is composed from the wrapper's own object ops, so
+        # a rule can kill a writer between the authoritative entry.json
+        # put and the commits/ put that advertises it
+        spec = _payload_spec(0, name="unlogged")
+        crashing = FaultInjectingBackend(backend_from_url(any_store_url))
+        rule = crashing.add_rule(op="put", substring="commits/", action="crash")
+        victim = ResultsStore(crashing)
+        with pytest.raises(InjectedCrash):
+            victim.commit_entry(victim.write_payload(spec, {"ok": 1}, wall_time=1.0))
+        assert rule.fired == 1
+        store = ResultsStore.open(any_store_url)
+        assert store.has(spec)  # the entry landed whole...
+        assert store.log_records() == [] and store.index() == {}  # ...unlogged
+        assert set(store.reindex()) == {spec.content_hash()}
+        assert [rec["spec_hash"] for rec in store.log_records()] == [spec.content_hash()]
+
+
 # --------------------------------------------------------------------------- #
 # retry budget, parking, failed-entry tracebacks
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,8 @@
-"""Sharded store layout v2: concurrent writers, migration, GC, scheduling."""
+"""Sharded store layout v2: concurrent writers, GC, scheduling."""
 
 from __future__ import annotations
 
-import json
+import time
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.scenarios import (
     ResultsStore,
     ScenarioSpec,
     ScenarioSuite,
+    backend_from_url,
     run_suite,
     schedule_longest_first,
 )
@@ -48,6 +49,32 @@ def _stress_commit(args) -> str:
     return spec.content_hash()
 
 
+def _log_task(args) -> int:
+    """Worker body of the commit-log stress test (top-level: must pickle).
+
+    ``("append", url, writer, count)`` appends ``count`` commit records;
+    ``("compact", url, total)`` folds the log over and over, deleting what
+    it folded at once, until a fold has seen ``total`` records — so it
+    runs from before the first append until after the last.
+    """
+    kind, store_url, *rest = args
+    backend = backend_from_url(store_url)
+    if kind == "append":
+        writer, count = rest
+        for i in range(count):
+            backend.append_commit({"spec_hash": f"w{writer}-{i:04d}", "status": "completed"})
+        return count
+    (total,) = rest
+    folds = 0
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        report = backend.compact(grace_seconds=0)
+        folds += report["snapshot"] is not None
+        if report["total_records"] >= total:
+            break
+    return folds
+
+
 def _stress_tasks(store_url: str):
     """12 commit tasks: 8 distinct hashes plus 4 same-hash contenders."""
     distinct = [_payload_spec(i) for i in range(8)]
@@ -68,8 +95,7 @@ def _assert_store_uncorrupted(store: ResultsStore, expected: set) -> None:
         assert store.has(h)
         payload = store.load_payload(h)  # readable, not torn
         assert payload["params"] == dict(store.load_spec(h).params)
-    # every surviving commit record is whole JSON: O_APPEND interleaves
-    # whole lines on file://, merged-log backends keep one object each
+    # every surviving commit record is whole JSON: one object each
     for rec in store.log_records():
         assert rec["spec_hash"] in expected
 
@@ -85,9 +111,29 @@ class TestConcurrentWriters:
         make_executor("processes", 4).map(_stress_commit, tasks)
         _assert_store_uncorrupted(ResultsStore.open(store_url), expected)
 
+    def test_two_appending_processes_and_a_compactor_lose_no_commit(self, store_url_for):
+        # the property O_APPEND + log rotation used to carry on file://:
+        # racing writer processes interleave whole records, and a fold
+        # running underneath them drops none of them
+        store_url = store_url_for("file")
+        per_writer = 200
+        folds, *appended = make_executor("processes", 3).map(
+            _log_task,
+            [("compact", store_url, 2 * per_writer)]
+            + [("append", store_url, writer, per_writer) for writer in range(2)],
+        )
+        assert appended == [per_writer, per_writer]
+        assert folds >= 2  # it did fold while the appenders were running
+        backend = backend_from_url(store_url)
+        backend.compact(grace_seconds=0)
+        got = sorted(rec["spec_hash"] for rec in backend.commit_records())
+        assert got == sorted(f"w{w}-{i:04d}" for w in range(2) for i in range(per_writer))
+        assert backend.commit_log_tail_count() == 0
+        assert backend.list("commits/") == []  # all of it folded, none left behind
+
     def test_thread_pool_fills_memory_store(self, store_url_for):
         # the same 12-commit stress against mem:// with threads (memory
-        # is in-process only): contended merged-log appends all survive
+        # is in-process only): contended log appends all survive
         # and index() merges the per-commit objects correctly
         store_url = store_url_for("mem")
         tasks, expected = _stress_tasks(store_url)
@@ -140,54 +186,6 @@ class TestConcurrentWriters:
             assert store.load_payload(spec)["result"]["which"] == "partition"
 
 
-class TestLegacyMigration:
-    def _make_legacy(self, store: ResultsStore) -> dict:
-        """Collapse a v2 store back into the v1 monolithic-manifest layout."""
-        entries = store.index()
-        manifest = {"version": 1, "entries": entries}
-        (store.root / "manifest.json").write_text(json.dumps(manifest))
-        for h in entries:
-            store.entry_path(h).unlink()
-        store.log_path.unlink()
-        return entries
-
-    def test_legacy_manifest_migrates_on_open(self, tmp_path):
-        suite = ScenarioSuite(
-            "tiny", [_tiny_solve_spec("a", tau_labor=0.1), _tiny_solve_spec("b", tau_labor=0.2)]
-        )
-        store = ResultsStore(tmp_path / "store")
-        run_suite(suite, store)
-        entries = self._make_legacy(store)
-
-        migrated = ResultsStore(store.root)  # first open migrates
-        assert not (store.root / "manifest.json").exists()
-        assert (store.root / "manifest.v1.json").exists()
-        assert set(migrated.index()) == set(entries)
-        for spec in suite:
-            assert migrated.has(spec)
-            assert migrated.entry(spec)["status"] == "completed"
-            assert migrated.load_result(spec).converged
-        # a migrated store skips everything on re-run
-        report = run_suite(suite, migrated)
-        assert report.count("skipped") == 2
-
-    def test_migration_is_idempotent(self, tmp_path):
-        suite = ScenarioSuite("one", [_tiny_solve_spec("c")])
-        store = ResultsStore(tmp_path / "store")
-        run_suite(suite, store)
-        self._make_legacy(store)
-        first = ResultsStore(store.root)
-        again = ResultsStore(store.root)  # second open: nothing left to migrate
-        assert set(first.index()) == set(again.index()) == {suite[0].content_hash()}
-
-    def test_unsupported_legacy_version_rejected(self, tmp_path):
-        root = tmp_path / "store"
-        root.mkdir()
-        (root / "manifest.json").write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(ValueError, match="unsupported legacy manifest"):
-            ResultsStore(root)
-
-
 class TestCheckpointGC:
     def _interrupted_store(self, tmp_path, names):
         suite = ScenarioSuite(
@@ -225,8 +223,7 @@ class TestCheckpointGC:
         store = ResultsStore(tmp_path / "store")
         run_suite(suite, store)
         # plant a stale checkpoint next to the committed result
-        ckpt = store.checkpoint_path(suite[0])
-        ckpt.write_bytes(b"stale")
+        store.checkpoint_ref(suite[0]).write_bytes(b"stale")
         removed = store.gc_checkpoints()
         assert [p.name for p in removed] == ["checkpoint.npz"]
 
