@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Quick verification: tier-1 tests followed by a 2-scenario CLI smoke sweep
 # (with a kill/resume leg) run against BOTH a file:// store and an s3://
-# object-store URL (bundled in-process fake server), a worker-fleet stress
-# and the hierarchization micro-benchmark as a printed canary, so
-# scenario-engine and storage-backend regressions surface alongside
-# correctness failures.  Solve-path performance is tracked by the layered
+# object-store URL (bundled in-process fake server) and a worker-fleet
+# stress, so scenario-engine and storage-backend regressions surface
+# alongside correctness failures.  Performance is tracked by the layered
 # ledger (benchmarks/ledger/), whose self-checks CI runs as its own step.
 # Usage: benchmarks/run_quick.sh
-#   QUICK_BENCH_OUT=<path> overrides where the quick-bench JSON artifact
-#   lands (CI sets it to a persistent path and uploads it per run).
+#   QUICK_REPORT_OUT=<path> overrides where the fleet run report lands
+#   (CI sets it to a persistent path and uploads it per run).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,9 +103,9 @@ print(f"compaction smoke OK on {store.url}: one snapshot answers index/show/diff
 EOF
 
 # --- store-query smoke ----------------------------------------------------- #
-# The compacted sweep above also folded the queryable secondary index;
-# a calibration-field predicate over the CLI must answer out of that
-# sidecar.  The smoke preset's two scenarios differ only in tau_labor
+# Commit records carry the spec fields, so a calibration-field predicate
+# over the CLI must answer out of the snapshot the sweep above was just
+# folded into.  The smoke preset's two scenarios differ only in tau_labor
 # (0.10 vs 0.20), so tau_labor>0.15 selects exactly the high-tax one.
 python -m repro.scenarios query --store "$S3_STORE" \
     --where "tau_labor>0.15" --status completed
@@ -121,7 +120,7 @@ record = matches[0]
 assert record["status"] == "completed", record
 assert record["calibration.tau_labor"] > 0.15, record
 print(f"store-query smoke OK: tau_labor>0.15 matched {record['name']} "
-      "out of the folded index")
+      "out of the folded commit log")
 EOF
 
 # --- worker-fleet stress: lease-coordinated drain with a SIGKILL --------- #
@@ -135,8 +134,22 @@ echo "=== worker-fleet stress against $FLEET_STORE ==="
 python -m repro.scenarios work fleet --store "$FLEET_STORE" \
     --ttl 2 --poll 0.2 --worker-id victim &
 VICTIM=$!
-sleep 1
-kill -9 "$VICTIM" 2>/dev/null || true
+# SIGKILL the victim the moment it holds a lease: its import alone takes
+# ~1 s, and a victim killed before its first claim leaves no steal to assert
+FLEET_STORE_URL="$FLEET_STORE" VICTIM_PID="$VICTIM" python - <<'EOF'
+import os, signal, sys, time
+from repro.scenarios import ResultsStore
+
+store = ResultsStore.open(os.environ["FLEET_STORE_URL"])
+deadline = time.monotonic() + 20.0
+claimed = False
+while not claimed and time.monotonic() < deadline:
+    time.sleep(0.1)
+    claimed = any(lease.get("worker") == "victim" for lease in store.leases())
+os.kill(int(os.environ["VICTIM_PID"]), signal.SIGKILL)
+if not claimed:
+    sys.exit("worker-fleet stress: the victim never claimed a lease in 20 s")
+EOF
 wait "$VICTIM" 2>/dev/null || true
 python -m repro.scenarios work fleet --store "$FLEET_STORE" \
     --ttl 2 --poll 0.2 --worker-id survivor-1 &
@@ -196,25 +209,4 @@ assert html.startswith("<!DOCTYPE html>") and "<svg" in html
 assert "<script" not in html and "href=" not in html, "report is not self-contained"
 print(f"run report OK: {os.environ['QUICK_REPORT_OUT']} records "
       f"{data['steals']} steal(s) and {len(committed)} completion(s)")
-EOF
-
-# write the quick sweep to a scratch file by default: the full-sweep
-# BENCH_hierarchize.json artifact at the repo root must not be clobbered
-export QUICK_BENCH_OUT="${QUICK_BENCH_OUT:-$SCRATCH/bench_quick.json}"
-python benchmarks/bench_hierarchize.py --quick --out "$QUICK_BENCH_OUT"
-
-# a canary, not a gate: the ledger puts hierarchization at <= 0.1% of a solve,
-# so a slow fit path is worth a line in the log but not a red build
-python - <<'EOF'
-import json, os
-
-artifact = json.load(open(os.environ["QUICK_BENCH_OUT"]))
-slow = [
-    c for c in artifact["cases"]
-    if c["num_points"] >= 29 and c["warm_speedup_vs_seed"] < 5.0
-]
-if slow:
-    print(f"fit-path canary (non-blocking): warm speedup < 5x on {slow}")
-else:
-    print("fit-path canary: warm hierarchize >= 5x seed on all non-trivial grids")
 EOF

@@ -16,8 +16,8 @@ the time-iteration solver:
    local entry against an object-store entry across backends,
 7. drain one suite with a fleet of two lease-coordinated workers — the
    cooperative claim/lease protocol behind `repro-scenarios work`,
-8. compact the object store and query the folded secondary index with
-   field predicates (what `repro-scenarios query` answers).
+8. compact the object store and query its commit records with field
+   predicates (what `repro-scenarios query` answers).
 
 Run:  python examples/scenario_sweep.py
 """
@@ -191,21 +191,20 @@ def main() -> None:
         )
 
         # -------------------------------------------------------------- #
-        # 8. compaction folds a queryable secondary index
+        # 8. the commit log is the queryable index
         # -------------------------------------------------------------- #
-        # compact() folds the commit log into a snapshot AND folds every
-        # entry's spec fields + result aggregates into an index sidecar;
-        # query() then filters on dotted (or unambiguous bare) fields out
-        # of that sidecar plus the un-folded tail — O(snapshot + tail)
+        # every commit record carries its entry's spec fields + result
+        # aggregates, and compact() folds the records into one snapshot;
+        # query() filters on dotted (or unambiguous bare) fields out of
+        # that snapshot plus the un-folded tail — O(snapshot + tail)
         # object reads however many entries the store holds.  The CLI
         # spelling is:  repro-scenarios query --store URL \
         #                   --where "tau_labor>0.15" --status completed
         print("\n== 8. compaction + index query (repro-scenarios query) ==")
         compact_report = object_store.compact(grace_seconds=0.0)
         print(
-            f"compacted: folded {compact_report['folded_records']} record(s), "
-            f"index sidecar {compact_report['index_snapshot']} "
-            f"({compact_report['index_records']} record(s))"
+            f"compacted: folded {compact_report['folded_records']} record(s) "
+            f"into {compact_report['snapshot']}"
         )
         for record in object_store.query(
             where=("tau_labor>0.15",), status="completed"

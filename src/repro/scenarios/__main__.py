@@ -11,10 +11,10 @@ Installed as the ``repro-scenarios`` console script and runnable as
   policy-surplus and aggregate differences (``--json`` for machines;
   ``--store-b`` resolves the second hash in a different store, possibly
   on a different backend);
-* ``query``  — filter the store's queryable secondary index with field
-  predicates (``--where tau_labor>0.25 --status completed --json``);
-  served from the compaction-time ``index-snapshots/`` sidecar plus the
-  un-folded log tail, so no per-entry objects are opened;
+* ``query``  — filter the store's commit records with field predicates
+  (``--where tau_labor>0.25 --status completed --json``); answered from
+  the commit log (snapshot plus un-folded tail), compacted or not, so no
+  per-entry objects are opened;
 * ``resume`` — list the resumable checkpoints sitting in a store;
 * ``compact`` — fold the store's commit log into one immutable snapshot
   checkpoint object, so ``index()``/``show`` on long-lived object-store
@@ -449,9 +449,9 @@ def _cmd_status(args) -> int:
     leases = store.leases()
     parked = store.parked()
     counts: dict = {}
-    # thin index records (no entry.json reads) carry the status; a fleet
+    # commit records (no entry.json reads) carry the status; a fleet
     # status poll on a million-entry store stays O(snapshot + tail)
-    for entry in store.index_records(hydrate=False).values():
+    for entry in store.index_records().values():
         status = entry.get("status", "unknown")
         counts[status] = counts.get(status, 0) + 1
     telemetry = progress_snapshot(store)

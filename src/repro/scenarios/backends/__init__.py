@@ -37,11 +37,9 @@ import urllib.parse
 from repro.scenarios.backends.base import (
     COMMIT_LOG_PREFIX,
     DEFAULT_COMPACT_GRACE,
-    INDEX_SNAPSHOT_PREFIX,
     SNAPSHOT_PREFIX,
     BlobRef,
     StorageBackend,
-    load_index_union,
 )
 from repro.scenarios.backends.faults import (
     FaultInjectingBackend,
@@ -68,9 +66,7 @@ __all__ = [
     "BlobRef",
     "COMMIT_LOG_PREFIX",
     "SNAPSHOT_PREFIX",
-    "INDEX_SNAPSHOT_PREFIX",
     "DEFAULT_COMPACT_GRACE",
-    "load_index_union",
     "LocalFSBackend",
     "MemoryBackend",
     "ObjectStoreBackend",

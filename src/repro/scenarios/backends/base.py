@@ -52,21 +52,14 @@ object it arrived in, and the merge orders records by their embedded
 the key as tiebreak — writers on skewed clocks cannot invert
 first-appearance or most-recent-wins semantics.
 
-Index sidecar
--------------
-Compaction optionally folds a **queryable secondary index** alongside
-the commit snapshot: the caller passes ``index_builder`` (the store's
-per-hash record builder) and :meth:`compact` writes an
-``index-snapshots/index-<seq>.json`` sidecar keyed with the same
-sequence token as the commit snapshot it accompanies.  The sidecar maps
-spec hash -> flat queryable record (spec fields, status, wall time,
-result aggregates), so a filtered query costs one sidecar read plus the
-un-folded tail instead of one ``entry.json`` get per entry.  The
-sidecar is *derived* data: it is written after the commit snapshot
-verifies, a crashed compactor leaves at worst a stale sidecar whose
-records the read path detects (log fingerprint mismatch) and rebuilds
-from the authoritative entries, and superseded sidecars are collected
-under the same grace-window protocol as superseded snapshots.
+What a record holds
+-------------------
+The log is agnostic about record content beyond ``spec_hash``,
+``status`` and ``created_at_unix``; the store appends its full index
+record per commit (``repro.scenarios.store.index_record``: status, wall
+time, tags, result aggregates, dotted spec fields), so a snapshot plus
+the un-folded tail answers filtered queries as well as discovery and
+there is no second, derived index object to fold, fingerprint or collect.
 """
 
 from __future__ import annotations
@@ -76,23 +69,20 @@ import time
 import uuid
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, Callable, ClassVar
+from typing import Any, ClassVar
 
 __all__ = [
     "StorageBackend",
     "BlobRef",
     "COMMIT_LOG_PREFIX",
     "SNAPSHOT_PREFIX",
-    "INDEX_SNAPSHOT_PREFIX",
     "DEFAULT_COMPACT_GRACE",
     "validate_key",
     "snapshot_key_for",
-    "index_snapshot_key_for",
     "read_snapshot",
     "write_snapshot",
     "load_snapshots",
     "snapshot_union",
-    "load_index_union",
 ]
 
 #: key prefix of per-commit log objects (one immutable object per commit)
@@ -100,9 +90,6 @@ COMMIT_LOG_PREFIX = "commits/"
 
 #: key prefix of folded commit-log snapshot checkpoint objects
 SNAPSHOT_PREFIX = "commit-snapshots/"
-
-#: key prefix of queryable secondary-index sidecar objects (one per fold)
-INDEX_SNAPSHOT_PREFIX = "index-snapshots/"
 
 #: seconds a folded log object survives after its snapshot is durable —
 #: long enough for any in-flight reader that saw an older snapshot to
@@ -116,10 +103,6 @@ _MERGE_ATTEMPTS = 5
 
 #: ``(record_key, record)`` pairs as stored inside snapshot objects
 Pairs = list[tuple[str, Any]]
-
-#: compaction's index-sidecar callback: ``(previous sidecar records,
-#: merged commit records) -> {spec_hash: index record}``
-IndexBuilder = Callable[[dict[str, Any], list[Any]], dict[str, Any]]
 
 
 def validate_key(key: str) -> str:
@@ -147,28 +130,19 @@ def validate_key(key: str) -> str:
 def _seq_of(key: str) -> str:
     """The monotonic sequence token embedded in a log-object key.
 
-    ``commits/<stamp>-<rand>.json``,
-    ``commit-snapshots/snapshot-<seq>.json`` and
-    ``index-snapshots/index-<seq>.json`` all reduce to their
+    ``commits/<stamp>-<rand>.json`` and
+    ``commit-snapshots/snapshot-<seq>.json`` both reduce to their
     ``<stamp>-<rand>`` token, so snapshots and the objects they fold sort
     on one axis.
     """
     name = key.rsplit("/", 1)[-1]
     name = name.rsplit(".", 1)[0]  # strip the extension only (stamps contain '.')
-    for prefix in ("snapshot-", "index-"):
-        if name.startswith(prefix):
-            return name[len(prefix):]
-    return name
+    return name.removeprefix("snapshot-")
 
 
 def snapshot_key_for(seq: str) -> str:
     """Snapshot object key recording ``seq`` (the last folded commit key)."""
     return f"{SNAPSHOT_PREFIX}snapshot-{seq}.json"
-
-
-def index_snapshot_key_for(seq: str) -> str:
-    """Index-sidecar key accompanying the commit snapshot of ``seq``."""
-    return f"{INDEX_SNAPSHOT_PREFIX}index-{seq}.json"
 
 
 def record_stamp(key: str, record: object) -> float:
@@ -282,79 +256,6 @@ def _aged_record_keys(
             if key == newest_key:
                 newest_aged = True
     return aged, newest_aged
-
-
-def load_index_union(backend: StorageBackend) -> tuple[dict[str, Any], list[str]]:
-    """``({spec_hash: index record}, [sidecar keys])`` over every readable
-    index sidecar.  Sidecar keys sort by their fold sequence, so iterating
-    in listing order lets the newest sidecar win per hash."""
-    union: dict[str, Any] = {}
-    keys: list[str] = []
-    for key in backend.list(INDEX_SNAPSHOT_PREFIX):
-        pairs = read_snapshot(backend, key)
-        if pairs is None:
-            continue  # deleted/torn by a racing compactor
-        keys.append(key)
-        for h, rec in pairs:
-            union[h] = rec
-    return union, keys
-
-
-def _collect_superseded(
-    backend: StorageBackend,
-    keys: list[str],
-    keep: str,
-    newest_aged: bool,
-    report: dict[str, Any],
-) -> None:
-    """Collect the snapshots (or sidecars) a fold absorbed into ``keep`` —
-    but only once their successor has aged past the grace window (a reader
-    may still be merging through an old one)."""
-    for key in keys:
-        if key == keep:
-            continue
-        if newest_aged:
-            if backend.delete(key, missing_ok=True):
-                report["deleted_objects"] += 1
-        else:
-            report["kept_for_grace"] += 1
-
-
-def _fold_index_sidecar(
-    backend: StorageBackend,
-    snap_key: str,
-    merged: Pairs,
-    index_builder: IndexBuilder | None,
-    newest_aged: bool,
-    report: dict[str, Any],
-) -> None:
-    """Fold the queryable index sidecar accompanying a commit snapshot.
-
-    The epilogue of :meth:`StorageBackend.compact`, run *after* the commit
-    snapshot verified.  ``index_builder(prev_records, merged_records)`` is the
-    store's callback: it reuses previous sidecar records whose log
-    fingerprint is unchanged and rebuilds the rest from the authoritative
-    entries.  The sidecar is derived data, so a builder failure degrades
-    the fold (queries rebuild from entries) rather than failing it, and
-    superseded sidecars are collected under the same grace protocol as
-    superseded snapshots.
-    """
-    if index_builder is None:
-        return
-    prev, prev_keys = load_index_union(backend)
-    try:
-        records = index_builder(prev, [rec for _, rec in merged])
-    except Exception:  # repro: allow[broad-except] -- index is derived data; never fail the fold
-        return
-    if not isinstance(records, dict):
-        return
-    key = index_snapshot_key_for(_seq_of(snap_key))
-    pairs = sorted(records.items())
-    if prev_keys != [key] or read_snapshot(backend, key) != pairs:
-        write_snapshot(backend, key, pairs)
-    report["index_snapshot"] = key
-    report["index_records"] = len(pairs)
-    _collect_superseded(backend, prev_keys, key, newest_aged, report)
 
 
 class BlobRef:
@@ -524,21 +425,14 @@ class StorageBackend(ABC):
         folded, _ = snapshot_union(self)
         return sum(1 for key in self.list(COMMIT_LOG_PREFIX) if key not in folded)
 
-    def compact(
-        self,
-        grace_seconds: float = DEFAULT_COMPACT_GRACE,
-        index_builder: IndexBuilder | None = None,
-    ) -> dict[str, Any]:
+    def compact(self, grace_seconds: float = DEFAULT_COMPACT_GRACE) -> dict[str, Any]:
         """Fold the commit log into one snapshot checkpoint object.
 
         Fold first, verify the snapshot is readable, then delete folded
         objects older than ``grace_seconds``.  Safe to race with
         appenders and other compactors: no commit record is ever lost,
         and a crashed compactor leaves only duplicates the merge dedupes
-        by record key.  ``index_builder`` (see
-        :func:`_fold_index_sidecar`) additionally folds the queryable
-        secondary-index sidecar under ``index-snapshots/``.  Returns a
-        report dict (``snapshot``, ``index_snapshot``, ``index_records``,
+        by record key.  Returns a report dict (``snapshot``,
         ``total_records``, ``folded_records``, ``deleted_objects``,
         ``kept_for_grace``).
         """
@@ -557,8 +451,6 @@ class StorageBackend(ABC):
         report: dict[str, Any] = {
             "url": self.url,
             "snapshot": None,
-            "index_snapshot": None,
-            "index_records": 0,
             "total_records": len(merged),
             "folded_records": len(tail),
             "deleted_objects": 0,
@@ -590,18 +482,22 @@ class StorageBackend(ABC):
                     report["deleted_objects"] += 1
             elif key in merged_keys:
                 report["kept_for_grace"] += 1
-        _collect_superseded(self, snapshot_keys, snap_key, newest_aged, report)
-        _fold_index_sidecar(self, snap_key, merged, index_builder, newest_aged, report)
+        # ...and the snapshots this fold absorbed, once their successor has
+        # aged past the same window (a reader may still be merging through one)
+        for key in snapshot_keys:
+            if key == snap_key:
+                continue
+            if newest_aged:
+                if self.delete(key, missing_ok=True):
+                    report["deleted_objects"] += 1
+            else:
+                report["kept_for_grace"] += 1
         return report
 
     def clear_commit_log(self) -> None:
         """Drop the commit log — snapshots included (entries stay;
         ``reindex`` rebuilds everything from the ``entry.json`` objects)."""
-        for key in (
-            self.list(COMMIT_LOG_PREFIX)
-            + self.list(SNAPSHOT_PREFIX)
-            + self.list(INDEX_SNAPSHOT_PREFIX)
-        ):
+        for key in self.list(COMMIT_LOG_PREFIX) + self.list(SNAPSHOT_PREFIX):
             self.delete(key, missing_ok=True)
 
     # ------------------------------------------------------------------ #

@@ -280,10 +280,10 @@ def run_suite(
     pending = []
     pending_hashes: set = set()
     deferred = []
-    # one secondary-index snapshot for the whole scan — thin records carry
-    # the status/kind the completeness check needs, so skipping costs no
+    # one commit-log read for the whole scan — its records carry the
+    # status/kind the completeness check needs, so skipping costs no
     # entry.json reads however large the store is
-    known = store.index_records(hydrate=False)
+    known = store.index_records()
     for spec in suite:
         spec_hash = spec.content_hash()
         entry = known.get(spec_hash)

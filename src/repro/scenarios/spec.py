@@ -99,7 +99,7 @@ def canonical_json(data: object) -> str:
 def flatten_index_fields(
     calibration: Mapping[str, Any], solver: Mapping[str, Any], params: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """Dotted-key flat dict of the spec fields the secondary index covers.
+    """Dotted-key flat dict of the spec fields a commit record carries.
 
     Only scalar leaves are indexable — a list- or dict-valued override
     (e.g. an explicit shock grid) is dropped rather than flattened, since
@@ -302,15 +302,6 @@ class ScenarioSpec:
             params={**self.params, **dict(params or {})},
             tags=tuple(tags) if tags is not None else self.tags,
         )
-
-    def index_fields(self) -> dict[str, Any]:
-        """Dotted-key flat view of the indexable spec fields.
-
-        These land in the queryable secondary index (see
-        :meth:`repro.scenarios.store.ResultsStore.query`); because they are
-        part of the content hash they are immutable per stored entry.
-        """
-        return flatten_index_fields(self.calibration, self.solver, self.params)
 
     def describe(self) -> str:
         """One-line summary used by ``--dry-run`` listings."""

@@ -11,9 +11,9 @@ to the ``file://`` form.
 
 Key layout (identical across backends)::
 
-    commits/<stamp>-<rand>.json # the commit log: one immutable object per commit
+    commits/<stamp>-<rand>.json # the commit log: one immutable object per
+                                # commit, holding its index record
     commit-snapshots/snapshot-<seq>.json  # compacted commit-log checkpoint
-    index-snapshots/index-<seq>.json      # queryable secondary-index sidecar
     leases/<hash16>/...         # claim/lease coordination state (lease.py)
     events/<worker>.jsonl       # per-worker structured event feed (lease
                                 # lifecycle + per-iteration solve progress,
@@ -38,20 +38,23 @@ Concurrency model — no locks anywhere:
   *content hash*, so two writers racing on the same hash are writing the
   same computation's result and last-writer-wins is safe; writers on
   different hashes touch disjoint keys.
-* The commit log exists only for cheap discovery (which hashes live here,
-  plus the wall times the suite scheduler feeds on).  On every backend a
-  commit is its own immutable ``commits/*`` object and the log is *merged
-  at read time* — no atomic-append primitive is needed, only the plain
-  object API.  Long-lived logs are folded into an immutable
-  ``commit-snapshots/`` checkpoint (:meth:`ResultsStore.compact`; auto-run
-  from :meth:`ResultsStore.index` past a tail threshold), so discovery
-  stays one snapshot read plus the un-folded tail however many commits
-  the store has absorbed.  The log is derived data: it may contain
-  duplicates (re-runs) and may miss a hash after a crash between entry
-  write and log append; :meth:`ResultsStore.reindex`
-  (also retried automatically on hash lookup misses) repairs that from
-  the ``entry.json`` objects, and the index rebuild always re-reads
-  ``entry.json`` per hash, so the log is never trusted for entry content.
+* The commit log is the store's index: a commit's record
+  (:func:`index_record` — status, wall time, tags, result aggregates and
+  the dotted spec fields) answers discovery, the suite scheduler's wall
+  times and :meth:`ResultsStore.query` without opening any ``entry.json``.
+  On every backend a commit is its own immutable ``commits/*`` object and
+  the log is *merged at read time* — no atomic-append primitive is
+  needed, only the plain object API.  Long-lived logs are folded into an
+  immutable ``commit-snapshots/`` checkpoint
+  (:meth:`ResultsStore.compact`; auto-run from :meth:`ResultsStore.index`
+  past a tail threshold), so reading the log stays one snapshot read plus
+  the un-folded tail however many commits the store has absorbed.  The
+  log is derived data: it may contain duplicates (re-runs) and may miss a
+  hash after a crash between entry write and log append;
+  :meth:`ResultsStore.reindex` (also retried automatically on hash lookup
+  misses) repairs that from the ``entry.json`` objects, and
+  :meth:`ResultsStore.index` always re-reads ``entry.json`` per hash, so
+  the log is never trusted for entry content.
 * Commits are status-aware: a failed/interrupted entry never overwrites
   a completed entry whose result object is still present, so a racing
   writer hitting a transient error cannot hide finished work.
@@ -67,7 +70,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import re
 import time
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
@@ -84,7 +86,6 @@ from repro.scenarios.backends import (
     StorageBackend,
     backend_from_url,
     is_store_url,
-    load_index_union,
 )
 from repro.scenarios.backends.retry import call_with_retries, env_knob
 from repro.scenarios.spec import ScenarioSpec, flatten_index_fields
@@ -97,6 +98,7 @@ __all__ = [
     "EVENT_SEGMENT_BYTES",
     "ResultsStore",
     "StoreEventSink",
+    "index_record",
     "parse_event_lines",
     "parse_predicate",
 ]
@@ -111,22 +113,13 @@ _DIR_HASH_CHARS = 16
 AUTO_COMPACT_TAIL_ENV = "REPRO_STORE_AUTO_COMPACT_TAIL"
 _AUTO_COMPACT_TAIL_DEFAULT = 512
 
-#: checkpoint object names the store recognises: the canonical
-#: ``checkpoint.npz`` plus iteration-stamped ``checkpoint-<iter>.npz``
-_CHECKPOINT_KEY_RE = re.compile(r"/checkpoint(?:-(\d+))?\.npz$")
-
 #: keys of an entry copied onto its commit-log record (enough for discovery
 #: and wall-time-aware scheduling without opening any entry.json)
 _LOG_FIELDS = ("spec_hash", "name", "kind", "status", "wall_time", "created_at_unix")
 
-#: entry-level result aggregates the secondary index carries alongside the
-#: log fields and the dotted spec fields
+#: entry-level result aggregates the commit-log record carries alongside
+#: the log fields and the dotted spec fields
 _INDEX_AGGREGATES = ("converged", "iterations", "final_error", "resumed", "points_per_state")
-
-#: log-record keys whose values identify one committed entry state; an
-#: index-sidecar record matching the winning log record on all of them is
-#: current and needs no entry.json re-read
-_INDEX_FINGERPRINT = ("status", "wall_time", "created_at_unix")
 
 #: comparison operators ``parse_predicate`` recognises, longest first so
 #: ``<=`` is never mis-split as ``<`` followed by ``=...``
@@ -231,6 +224,27 @@ def _winning_records(records: Iterable[dict[str, Any]]) -> dict[str, dict[str, A
         elif h not in completed:
             winners[h] = rec
     return winners
+
+
+def index_record(entry: Mapping[str, Any]) -> dict[str, Any]:
+    """The commit-log record of one entry — what the store indexes.
+
+    Carries the log fields, ``tags``, the result aggregates in
+    :data:`_INDEX_AGGREGATES` the entry has, and the dotted spec fields
+    (``calibration.beta``, ``solver.grid_level``, ``params.dim``) the
+    query engine filters on.  Pure: built from the entry dict alone, so
+    the record appended at commit time and the one
+    :meth:`ResultsStore.reindex` rebuilds from ``entry.json`` are the same.
+    """
+    record: dict[str, Any] = {k: entry[k] for k in _LOG_FIELDS if k in entry}
+    record["tags"] = list(entry.get("tags", ()))
+    record.update({k: entry[k] for k in _INDEX_AGGREGATES if k in entry})
+    record.update(
+        flatten_index_fields(
+            entry.get("calibration", {}), entry.get("solver", {}), entry.get("params", {})
+        )
+    )
+    return record
 
 
 def _provenance() -> dict[str, Any]:
@@ -500,9 +514,7 @@ class ResultsStore:
                 return existing
         entry.setdefault("directory", self.scenario_key(entry["spec_hash"]))
         self.backend.put(self.entry_key(entry["spec_hash"]), _json_bytes(entry))
-        self.backend.append_commit(
-            {k: entry[k] for k in _LOG_FIELDS if k in entry}
-        )
+        self.backend.append_commit(index_record(entry))
         return entry
 
     def commit_entries(self, entries: Iterable[dict[str, Any]]) -> dict[str, dict[str, Any]]:
@@ -555,16 +567,10 @@ class ResultsStore:
         the backend's default, generous enough for in-flight readers),
         and a compactor dying mid-way leaves only duplicates the merge
         dedupes by key.  Returns the backend's report dict.
-
-        The fold also refreshes the queryable secondary index: every
-        hash's winning record is materialised into an ``index-snapshots/``
-        sidecar (see :meth:`query`), so filtered lookups on a compacted
-        store never open per-entry objects.
         """
-        kwargs: dict[str, Any] = {"index_builder": self._compaction_index_builder}
-        if grace_seconds is not None:
-            kwargs["grace_seconds"] = float(grace_seconds)
-        return self.backend.compact(**kwargs)
+        if grace_seconds is None:
+            return self.backend.compact()
+        return self.backend.compact(float(grace_seconds))
 
     def _maybe_auto_compact(self) -> None:
         if not self.auto_compact_tail:
@@ -601,20 +607,21 @@ class ResultsStore:
 
         Covers the crash window between an entry write and its log append
         (and stores assembled by copying scenario directories around): any
-        entry object whose hash is missing from the log is re-appended.
+        entry object whose hash is missing from the log is re-appended.  So
+        is one whose winning record predates :func:`index_record` (no
+        ``tags`` key), which makes spec-field queries see an older store's
+        commits.
         """
-        logged = set(self.known_hashes())
+        winners = _winning_records(self.log_records())
         for key in sorted(self._entry_keys()):
             try:
                 entry = json.loads(self.backend.get(key))
             except (OSError, json.JSONDecodeError):
                 continue
             h = entry.get("spec_hash")
-            if h and h not in logged:
-                self.backend.append_commit(
-                    {k: entry[k] for k in _LOG_FIELDS if k in entry}
-                )
-                logged.add(h)
+            if h and "tags" not in winners.get(h, {}):
+                winners[h] = index_record(entry)
+                self.backend.append_commit(winners[h])
         return self.index()
 
     def entries(self) -> list[dict[str, Any]]:
@@ -665,94 +672,39 @@ class ResultsStore:
         return matches[0]
 
     def wall_times(self) -> dict[str, float]:
-        """hash -> most recent recorded wall time, from the secondary index.
+        """hash -> most recent recorded wall time, from the commit log.
 
         Fed to the runner's longest-first scheduler.  A *completed*
         record always beats interrupted/failed ones — a forced re-run
         killed after one iteration must not overwrite a full solve's
         recorded 300s with its 2s partial and invert the schedule.
         Partial times still stand in when no completed run exists (they
-        are a lower bound on the scenario's true cost).  Routed through
-        :meth:`index_records` without hydration, so no ``entry.json``
-        object is ever opened for this.
+        are a lower bound on the scenario's true cost).  No ``entry.json``
+        object is opened for this.
         """
         times: dict[str, float] = {}
-        for h, rec in self.index_records(hydrate=False).items():
+        for h, rec in self.index_records().items():
             wall = rec.get("wall_time")
             if isinstance(wall, (int, float)) and not isinstance(wall, bool) and wall > 0:
                 times[h] = float(wall)
         return times
 
     # ------------------------------------------------------------------ #
-    # queryable secondary index
+    # queries over the commit log
     # ------------------------------------------------------------------ #
-    def build_index_record(self, spec_or_hash: ScenarioSpec | str) -> dict[str, Any] | None:
-        """The full index record of one hash, built from its ``entry.json``.
+    def index_records(self) -> dict[str, dict[str, Any]]:
+        """hash -> its winning commit record (see :func:`index_record`).
 
-        Carries the log fields, ``tags``, the result aggregates in
-        :data:`_INDEX_AGGREGATES` and the dotted spec fields
-        (``calibration.beta``, ``solver.grid_level``, ``params.dim``) the
-        query engine filters on.  Entries committed before the spec groups
-        were embedded fall back to the stored ``spec.json``.  ``None``
-        when the entry object is missing/unreadable.
-        """
-        entry = self.entry(spec_or_hash)
-        if entry is None:
-            return None
-        record: dict[str, Any] = {k: entry.get(k) for k in _LOG_FIELDS}
-        record["tags"] = list(entry.get("tags", ()))
-        for key in _INDEX_AGGREGATES:
-            if key in entry:
-                record[key] = entry[key]
-        if any(isinstance(entry.get(g), dict) for g in ("calibration", "solver", "params")):
-            record.update(
-                flatten_index_fields(
-                    entry.get("calibration", {}),
-                    entry.get("solver", {}),
-                    entry.get("params", {}),
-                )
-            )
-        else:
-            try:  # legacy entry: the spec groups live only in spec.json
-                record.update(self.load_spec(entry["spec_hash"]).index_fields())
-            except (OSError, json.JSONDecodeError, KeyError, ValueError):
-                pass  # spec object gone; index the entry-level fields only
-        return record
-
-    def index_records(self, hydrate: bool = True) -> dict[str, dict[str, Any]]:
-        """hash -> secondary-index record, in O(snapshot + tail) log reads.
-
-        The union of the ``index-snapshots/`` sidecars covers everything
-        folded at the last compaction; the winning record of the un-folded
-        log tail is merged on top, so a commit is queryable the moment it
-        lands, compacted or not.  A sidecar record whose fingerprint
-        (status/wall time/creation stamp) disagrees with the winning log
-        record is stale — a newer commit has not been folded yet — and is
-        refreshed from ``entry.json`` when ``hydrate`` is true, or
-        overlaid with the thin log fields when false (``hydrate=False``
-        never opens an entry object; spec fields are immutable per hash,
-        so a stale sidecar's spec fields remain valid under the overlay).
+        One snapshot read plus the un-folded log tail, and no
+        ``entry.json`` read: a commit is fully queryable the moment it
+        lands, compacted or not.  A hash whose scenario directory was
+        pruned keeps its record — the log does not know — until the log is
+        rebuilt (``clear_commit_log`` + :meth:`reindex`).  Records
+        committed before the log carried spec fields hold the six
+        :data:`_LOG_FIELDS` only; one :meth:`reindex` upgrades them.
         """
         self._maybe_auto_compact()
-        sidecar, _keys = load_index_union(self.backend)
-        out: dict[str, dict[str, Any]] = {}
-        for h, rec in _winning_records(self.log_records()).items():
-            base = sidecar.get(h)
-            if isinstance(base, dict) and all(
-                base.get(k) == rec.get(k) for k in _INDEX_FINGERPRINT
-            ):
-                out[h] = dict(base)
-                continue
-            if hydrate:
-                built = self.build_index_record(h)
-                if built is not None:
-                    out[h] = built
-                # else: entry object vanished (pruned directory) — drop,
-                # consistent with index()
-            else:
-                thin = {k: rec.get(k) for k in _LOG_FIELDS}
-                out[h] = {**(base if isinstance(base, dict) else {}), **thin}
-        return out
+        return _winning_records(self.log_records())
 
     def query(
         self,
@@ -760,7 +712,7 @@ class ResultsStore:
         status: str | None = None,
         hash_prefix: str | None = None,
     ) -> list[dict[str, Any]]:
-        """Filtered index records (the ``repro-scenarios query`` engine).
+        """Filtered commit records (the ``repro-scenarios query`` engine).
 
         ``where`` is a conjunction of predicates — ``"field<op>value"``
         strings (see :func:`parse_predicate`) or pre-parsed
@@ -768,16 +720,15 @@ class ResultsStore:
         ``calibration.``/``solver.``/``params.`` groups; ``status`` and
         ``hash_prefix`` are convenience filters for the two most common
         axes.  Returns matching records oldest-first (creation time, then
-        hash).  Cost on a compacted store is O(index snapshot + un-folded
-        tail) backend reads — no per-entry objects are opened unless a
-        tail commit is newer than the last fold.
+        hash).  Cost is :meth:`index_records`' — O(snapshot + un-folded
+        tail) backend reads, no per-entry objects.
         """
         predicates = [
             parse_predicate(w) if isinstance(w, str) else (w[0], w[1], w[2]) for w in where
         ]
         hash_prefix = str(hash_prefix) if hash_prefix else ""
         matches: list[dict[str, Any]] = []
-        for h, rec in self.index_records(hydrate=True).items():
+        for h, rec in self.index_records().items():
             if not h.startswith(hash_prefix):
                 continue
             if status is not None and rec.get("status") != status:
@@ -786,33 +737,6 @@ class ResultsStore:
                 matches.append(rec)
         matches.sort(key=lambda r: (r.get("created_at_unix") or 0.0, r.get("spec_hash") or ""))
         return matches
-
-    def _compaction_index_builder(
-        self, prev: dict[str, Any], records: list[Any]
-    ) -> dict[str, Any]:
-        """``index_builder`` hook the backends call inside :meth:`compact`.
-
-        ``prev`` is the union of the existing sidecars, ``records`` the
-        full merged log being folded.  Per hash: a fingerprint-current
-        previous record is reused as-is (no entry read), otherwise the
-        record is rebuilt from ``entry.json``; a hash whose entry object
-        vanished keeps its previous record so a racing delete never
-        shrinks the index mid-fold.
-        """
-        out: dict[str, Any] = {}
-        for h, rec in _winning_records(records).items():
-            base = prev.get(h)
-            if isinstance(base, dict) and all(
-                base.get(k) == rec.get(k) for k in _INDEX_FINGERPRINT
-            ):
-                out[h] = base
-                continue
-            built = self.build_index_record(h)
-            if built is not None:
-                out[h] = built
-            elif isinstance(base, dict):
-                out[h] = base
-        return out
 
     def entry_is_complete(self, entry: dict[str, Any] | None) -> bool:
         """Whether an entry denotes a completed, readable result.
@@ -853,8 +777,8 @@ class ResultsStore:
             "status": status,
             "wall_time": float(wall_time),
             "directory": self.scenario_key(spec),
-            # the spec groups ride on the entry so the secondary index can
-            # be rebuilt from entry.json alone (spec.json stays the full
+            # the spec groups ride on the entry so its commit record can be
+            # rebuilt from entry.json alone (spec.json stays the full
             # authoritative spec, incl. name/tags)
             "calibration": dict(spec.calibration),
             "solver": dict(spec.solver),
@@ -961,17 +885,15 @@ class ResultsStore:
         infos: list[dict[str, Any]] = []
         index_by_dir: dict[str, dict[str, Any]] | None = None
         for key in self.backend.list():
-            match = _CHECKPOINT_KEY_RE.search(key)
-            if key.count("/") != 1 or match is None:
+            if key.count("/") != 1 or not key.endswith("/checkpoint.npz"):
                 continue
             directory = key.split("/", 1)[0]
             if index_by_dir is None:
-                # one index-record scan annotates every checkpoint — thin
-                # records carry hash/name/status, so a store with hundreds
-                # of checkpoints costs zero per-scenario entry reads here
+                # one commit-log scan annotates every checkpoint — records
+                # carry hash/name/status, so a store with hundreds of
+                # checkpoints costs zero per-scenario entry reads here
                 index_by_dir = {
-                    h[:_DIR_HASH_CHARS]: rec
-                    for h, rec in self.index_records(hydrate=False).items()
+                    h[:_DIR_HASH_CHARS]: rec for h, rec in self.index_records().items()
                 }
             entry = index_by_dir.get(directory) or self.entry(directory) or {}
             try:
@@ -983,7 +905,6 @@ class ResultsStore:
                 "path": str(self.root / key) if self.root is not None else f"{self.url}/{key}",
                 "directory": directory,
                 "mtime": mtime,
-                "key_iteration": int(match.group(1)) if match.group(1) else None,
                 "spec_hash": entry.get("spec_hash", directory),
                 "name": entry.get("name", "?"),
                 "status": entry.get("status", "unknown"),
@@ -998,21 +919,9 @@ class ResultsStore:
             infos.append(info)
         # newest-first by mtime — but mtime is upload-time with coarse
         # granularity on object stores, where a same-second tie could let
-        # ``keep_last_n`` drop the newest checkpoint.  Within an mtime tie
-        # the iteration number parsed from an iteration-stamped key is the
-        # authoritative progress marker (iterations of *different*
-        # scenarios are deliberately not ranked against distinct mtimes:
-        # a stale high-iteration checkpoint must not outrank a fresh
-        # canonical ``checkpoint.npz``); the key itself is the final
-        # deterministic tiebreak.
-        infos.sort(
-            key=lambda i: (
-                i["mtime"],
-                -1 if i["key_iteration"] is None else i["key_iteration"],
-                i["key"],
-            ),
-            reverse=True,
-        )
+        # ``keep_last_n`` pick a different survivor on every call.  Within
+        # an mtime tie the key is the deterministic tiebreak.
+        infos.sort(key=lambda i: (i["mtime"], i["key"]), reverse=True)
         return infos
 
     def gc_checkpoints(

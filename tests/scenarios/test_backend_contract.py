@@ -11,6 +11,7 @@ identically for every backend, current and future.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -30,14 +31,10 @@ from repro.scenarios import (
 )
 from repro.scenarios import store as store_module
 from repro.scenarios.__main__ import main as cli_main
-from repro.scenarios.backends import (
-    COMMIT_LOG_PREFIX,
-    INDEX_SNAPSHOT_PREFIX,
-    SNAPSHOT_PREFIX,
-    load_index_union,
-)
+from repro.scenarios.backends import COMMIT_LOG_PREFIX, SNAPSHOT_PREFIX
+from repro.scenarios.backends.base import load_snapshots, snapshot_key_for, write_snapshot
 from repro.scenarios.report import EventTailer
-from repro.scenarios.store import StoreEventSink
+from repro.scenarios.store import StoreEventSink, index_record
 
 # --------------------------------------------------------------------------- #
 # helpers
@@ -545,45 +542,39 @@ class TestStoreContract:
         store.compact(grace_seconds=0)
         assert set(store.index()) == {s.content_hash() for s in specs}
 
-    def test_checkpoint_gc_ties_keep_the_highest_iteration(self, store_url_for):
-        """Satellite regression: ``keep_last_n`` ordered purely by backend
-        mtime, which is coarse upload-time on object stores — a same-second
-        tie could delete the newest checkpoint.  Within an mtime tie the
-        iteration number parsed from an iteration-stamped key now decides;
-        across *distinct* mtimes recency still rules, so a stale
-        high-iteration checkpoint cannot outrank a fresh canonical one."""
+    def test_checkpoint_gc_ties_break_on_the_key(self, store_url_for):
+        """``keep_last_n`` orders by backend mtime, which is coarse
+        upload-time on object stores.  Within a same-tick tie the key
+        decides, so every call keeps the same survivor; across *distinct*
+        mtimes recency still rules."""
         store = ResultsStore.open(store_url_for("file"))
-        halted = []
-        for i, iteration in enumerate([12, 5, 3]):  # most-advanced written FIRST
-            spec = _payload_spec(i, name=f"tied-{i}")
+        halted = [_payload_spec(i, name=f"tied-{i}") for i in range(3)]
+        for spec in halted:
             store.commit_entry(store.failure_entry(spec, "interrupted", 1.0, "killed"))
-            key = f"{store.scenario_key(spec)}/checkpoint-{iteration}.npz"
-            store.backend.put(key, b"resumable")
-            halted.append((spec, iteration))
-        # coarse object-store clock: all three land on one mtime tick
         stamp = time.time() - 60
-        for spec, iteration in halted:
-            os.utime(
-                store.root / store.scenario_key(spec) / f"checkpoint-{iteration}.npz",
-                (stamp, stamp),
-            )
-        listed = store.list_checkpoints()
-        assert [i["key_iteration"] for i in listed] == [12, 5, 3]
-        # an undefined/arbitrary tie order could have kept iteration 3;
-        # the iteration number is the authoritative progress marker
-        removed = store.gc_checkpoints(keep_last_n=1)
-        assert len(removed) == 2
-        survivors = store.list_checkpoints()
-        assert len(survivors) == 1
-        assert survivors[0]["key_iteration"] == 12
-        assert survivors[0]["directory"] == store.scenario_key(halted[0][0])
-        # ...but a genuinely fresher canonical checkpoint.npz outranks the
-        # stale iteration-stamped survivor: iterations of different
-        # scenarios are never compared across distinct mtimes
+
+        def write_tied_checkpoints():
+            for spec in halted:
+                store.checkpoint_ref(spec).write_bytes(b"resumable")
+                # coarse object-store clock: all three land on one mtime tick
+                os.utime(store.root / store.checkpoint_key(spec), (stamp, stamp))
+
+        expected = max(store.scenario_key(spec) for spec in halted)
+        for _ in range(3):
+            write_tied_checkpoints()
+            assert store.list_checkpoints()[0]["directory"] == expected
+            assert len(store.gc_checkpoints(keep_last_n=1)) == 2
+            assert [i["directory"] for i in store.list_checkpoints()] == [expected]
+        # ...but a genuinely fresher checkpoint outranks the tied ones
         fresh = _payload_spec(9, name="fresh")
         store.commit_entry(store.failure_entry(fresh, "interrupted", 1.0, "killed"))
         store.checkpoint_ref(fresh).write_bytes(b"resumable")
+        write_tied_checkpoints()
         assert store.list_checkpoints()[0]["directory"] == store.scenario_key(fresh)
+        store.gc_checkpoints(keep_last_n=1)
+        assert [i["directory"] for i in store.list_checkpoints()] == [
+            store.scenario_key(fresh)
+        ]
 
     def test_auto_compact_tail_env_typo_does_not_crash_open(
         self, store_url_for, monkeypatch
@@ -716,10 +707,30 @@ class TestStoreCompaction:
 
 
 # --------------------------------------------------------------------------- #
-# queryable secondary index (folded at compaction, tail-merged at read)
+# the commit record is the index record: queries answer from the log
 # --------------------------------------------------------------------------- #
+@contextlib.contextmanager
+def _counting_gets(backend):
+    """Count ``get`` calls on one backend instance while the block runs
+    (``entry_gets``: those of ``*/entry.json``)."""
+    counted = {"get": 0, "entry_gets": 0}
+    original_get = backend.get
+
+    def counting_get(key):
+        counted["get"] += 1
+        if key.endswith("/entry.json"):
+            counted["entry_gets"] += 1
+        return original_get(key)
+
+    backend.get = counting_get
+    try:
+        yield counted
+    finally:
+        backend.get = original_get
+
+
 class TestQueryIndex:
-    """Conformance of the ``index-snapshots/`` sidecar + ``query()`` path."""
+    """Conformance of ``index_record`` commit records + the ``query()`` path."""
 
     def _commit_payloads(self, store, n, wall=lambda i: float(i + 1)):
         specs = [_payload_spec(i) for i in range(n)]
@@ -727,23 +738,53 @@ class TestQueryIndex:
             store.commit_entry(store.write_payload(spec, {"i": i}, wall_time=wall(i)))
         return specs
 
-    def test_compaction_folds_index_sidecar(self, store):
-        specs = self._commit_payloads(store, 5)
-        assert store.backend.list(INDEX_SNAPSHOT_PREFIX) == []
+    def test_index_record_is_the_one_definition_of_the_format(
+        self, store, solved_small_olg
+    ):
+        solve = _tiny_solve_spec("fmt-solve").with_overrides(tags=("a", "b"))
+        payload = _payload_spec(3, name="fmt-payload")
+        failed = _payload_spec(4, name="fmt-failed")
+        entries = [
+            store.write_result(solve, solved_small_olg[1], wall_time=2.5, resumed=True),
+            store.write_payload(payload, {"ok": 1}, wall_time=0.25),
+            store.failure_entry(failed, "failed", 0.5, "boom", tb="Traceback ..."),
+        ]
+        aggregates = ("converged", "iterations", "final_error", "resumed", "points_per_state")
+        for entry, spec in zip(entries, (solve, payload, failed)):
+            expected = {
+                "spec_hash": spec.content_hash(),
+                "name": spec.name,
+                "kind": spec.kind,
+                "status": entry["status"],
+                "wall_time": entry["wall_time"],
+                "created_at_unix": entry["created_at_unix"],
+                "tags": list(spec.tags),
+                **{k: entry[k] for k in aggregates if k in entry},
+                **{f"calibration.{k}": v for k, v in spec.calibration.items()},
+                **{f"solver.{k}": v for k, v in spec.solver.items()},
+                **{f"params.{k}": v for k, v in spec.params.items()},
+            }
+            record = index_record(entry)
+            assert record == expected
+            assert json.loads(json.dumps(record)) == record
+            # ...and it is what a commit appends, verbatim
+            store.commit_entry(entry)
+            assert store.log_records()[-1] == record
+        assert set(aggregates) <= set(index_record(entries[0]))
+        assert not set(aggregates) & set(index_record(entries[1]))
+
+    def test_fold_keeps_full_records_and_writes_no_sidecar(self, store):
+        self._commit_payloads(store, 5)
         report = store.compact(grace_seconds=0)
-        keys = store.backend.list(INDEX_SNAPSHOT_PREFIX)
-        assert keys == [report["index_snapshot"]]
-        assert report["index_records"] == 5
-        # the sidecar shares the commit snapshot's fold sequence
-        seq = report["snapshot"].rsplit("/", 1)[-1][len("snapshot-"):]
-        assert keys[0].endswith(f"index-{seq}")
-        union, union_keys = load_index_union(store.backend)
-        assert union_keys == keys
-        assert set(union) == {s.content_hash() for s in specs}
-        rec = union[specs[3].content_hash()]
-        assert rec["status"] == "completed"
-        assert rec["params.total_processes"] == 2**4
-        assert rec["wall_time"] == 4.0
+        assert "index_snapshot" not in report and "index_records" not in report
+        assert store.backend.list("index-snapshots/") == []
+        [(snap_key, pairs)] = load_snapshots(store.backend)
+        assert snap_key == report["snapshot"] and len(pairs) == 5
+        for i, (_key, rec) in enumerate(pairs):
+            assert rec["status"] == "completed"
+            assert rec["params.total_processes"] == 2 ** (1 + i)
+            assert rec["tags"] == []
+            assert rec["wall_time"] == float(i + 1)
 
     def test_query_matches_full_index_scan(self, store):
         specs = self._commit_payloads(store, 6)
@@ -781,8 +822,8 @@ class TestQueryIndex:
         store.commit_entry(store.write_payload(late, {}, wall_time=9.0))
         hits = store.query(where=["total_processes=256"])
         assert [r["spec_hash"] for r in hits] == [late.content_hash()]
-        # ...and so must a status change of an already-folded hash
-        # (stale sidecar record loses to the winning tail record)
+        # ...and so must a re-commit of an already-folded hash (the
+        # folded record loses to the winning tail record)
         redo = _payload_spec(0)
         store.commit_entry(store.write_payload(redo, {"rerun": True}, wall_time=77.0))
         rec = next(
@@ -791,24 +832,80 @@ class TestQueryIndex:
         assert rec["wall_time"] == 77.0
         assert store.wall_times()[redo.content_hash()] == 77.0
 
-    def test_racing_compactors_union_safely(self, store, any_store_url):
-        """Two compactors folding at different times leave sidecars that
-        union per hash (newest fold wins) under the grace-window protocol."""
+    def test_racing_compactors_leave_snapshots_that_union(self, store, any_store_url):
+        """Two compactors folding at different times leave snapshots whose
+        records union by key under the grace-window protocol; queries see
+        every commit throughout."""
         specs = self._commit_payloads(store, 2)
         store.compact(grace_seconds=10_000)  # everything kept for grace
         late = _payload_spec(5)
         other = ResultsStore.open(any_store_url)
         other.commit_entry(other.write_payload(late, {}, wall_time=3.0))
         other.compact(grace_seconds=10_000)
-        assert len(store.backend.list(INDEX_SNAPSHOT_PREFIX)) == 2
-        union, _keys = load_index_union(store.backend)
+        assert len(store.backend.list(SNAPSHOT_PREFIX)) == 2
         expected = {s.content_hash() for s in specs} | {late.content_hash()}
-        assert set(union) == expected
         assert {r["spec_hash"] for r in store.query(status="completed")} == expected
-        # once the grace window is waived the superseded sidecar is GC'd
+        assert len(store.query(where=["total_processes>=4"])) == 2
+        # once the grace window is waived the superseded snapshot is GC'd
         store.compact(grace_seconds=0)
-        assert len(store.backend.list(INDEX_SNAPSHOT_PREFIX)) == 1
+        assert len(store.backend.list(SNAPSHOT_PREFIX)) == 1
+        assert store.backend.list(COMMIT_LOG_PREFIX) == []
         assert {r["spec_hash"] for r in store.query(status="completed")} == expected
+        assert len(store.query(where=["total_processes>=4"])) == 2
+
+    def test_store_written_before_full_records_needs_one_reindex(self, store):
+        """A store from before the commit record carried the index fields:
+        six-field log records (two folded, one in the tail) and an
+        ``index-snapshots/`` sidecar nobody reads any more."""
+        specs = [_payload_spec(i, name=f"old-{i}") for i in range(3)]
+        thin = []
+        for i, spec in enumerate(specs):
+            entry = store.write_payload(spec, {"i": i}, wall_time=float(i + 1))
+            entry["directory"] = store.scenario_key(spec)
+            store.backend.put(store.entry_key(spec), json.dumps(entry).encode())
+            thin.append(
+                {
+                    k: entry[k]
+                    for k in ("spec_hash", "name", "kind", "status", "wall_time", "created_at_unix")
+                }
+            )
+        folded = [(f"commits/{1000 + i:017.6f}-{'0' * 12}.json", thin[i]) for i in range(2)]
+        seq = folded[-1][0][len("commits/") : -len(".json")]
+        write_snapshot(store.backend, snapshot_key_for(seq), folded)
+        store.backend.append_commit(thin[2])
+        sidecar = f"index-snapshots/index-{seq}.json"
+        write_snapshot(store.backend, sidecar, [(r["spec_hash"], r) for r in thin[:2]])
+
+        hashes = [spec.content_hash() for spec in specs]
+        assert store.index_records() == dict(zip(hashes, thin))
+        assert all(store.has(spec) for spec in specs)
+        assert run_suite(ScenarioSuite("old", specs), store).count("skipped") == 3
+        assert store.wall_times() == dict(zip(hashes, (1.0, 2.0, 3.0)))
+        assert [r["spec_hash"] for r in store.query(status="completed")] == hashes
+        assert store.query(where=["total_processes>0"]) == []  # no spec fields yet
+        assert set(store.reindex()) == set(hashes)
+        assert [r["spec_hash"] for r in store.query(where=["total_processes>0"])] == hashes
+        assert len(store.log_records()) == 6  # exactly one full record per hash
+        store.reindex()
+        assert len(store.log_records()) == 6
+        assert store.backend.exists(sidecar)  # inert: safe to delete by hand
+
+    def test_query_on_uncompacted_store_reads_no_entries(self, store):
+        """No read path opens ``entry.json`` — not even with nothing folded."""
+        store.auto_compact_tail = 0
+        specs = [
+            ScenarioSpec(f"u{i}", kind="ablations", params={"which": "partition", "i": i})
+            for i in range(100)
+        ]
+        for i, spec in enumerate(specs):
+            store.commit_entry(store.write_payload(spec, {"i": i}, wall_time=1.0 + i))
+        assert store.backend.list(SNAPSHOT_PREFIX) == []
+        with _counting_gets(store.backend) as counted:
+            assert len(store.query(where=["i>=90"])) == 10
+            assert len(store.index_records()) == 100
+            assert len(store.wall_times()) == 100
+            assert run_suite(ScenarioSuite("all", specs), store).count("skipped") == 100
+        assert counted["entry_gets"] == 0 and counted["get"] > 0
 
     def test_query_on_compacted_store_is_o_snapshot_plus_tail(self, store):
         """Acceptance: a filtered query on a 1,000-entry compacted store
@@ -827,33 +924,21 @@ class TestQueryIndex:
                 store.write_payload(spec, {"i": i}, wall_time=float(i % 10 + 1))
             )
         store.compact(grace_seconds=0)
-        backend = store.backend
-        counted = {"get": 0, "entry_gets": 0}
-        original_get = backend.get
-
-        def counting_get(key):
-            counted["get"] += 1
-            if key.endswith("/entry.json"):
-                counted["entry_gets"] += 1
-            return original_get(key)
-
-        backend.get = counting_get
-        hits = store.query(where=["i>=990"], status="completed")
+        with _counting_gets(store.backend) as counted:
+            hits = store.query(where=["i>=990"], status="completed")
         assert len(hits) == 10
-        assert counted["entry_gets"] == 0  # served entirely from the sidecar
-        assert counted["get"] <= 8  # index sidecar + commit snapshot + slack
+        assert counted["entry_gets"] == 0  # served entirely from the snapshot
+        assert counted["get"] <= 8  # commit snapshot + slack
         # consistent with the ground truth of a full entry scan
-        backend.get = original_get
         expected = {
             h for h, e in store.index().items() if e.get("params", {}).get("i", -1) >= 990
         }
         assert {r["spec_hash"] for r in hits} == expected
         # a fresh tail commit costs O(tail) extra, still no entry reads
         store.commit_entry(store.write_payload(specs[0], {"rerun": True}, wall_time=42.0))
-        counted.update(get=0, entry_gets=0)
-        backend.get = counting_get
-        assert len(store.query(where=["i>=990"])) == 10
-        assert counted["entry_gets"] <= 1 and counted["get"] <= 10
+        with _counting_gets(store.backend) as counted:
+            assert len(store.query(where=["i>=990"])) == 10
+        assert counted["entry_gets"] == 0 and counted["get"] <= 10
 
     def test_cli_query_subcommand(self, store_url_for, capsys):
         url = store_url_for("s3", name="cli-query")

@@ -368,6 +368,9 @@ class TestKillStealResume:
         assert store.log_records() == [] and store.index() == {}  # ...unlogged
         assert set(store.reindex()) == {spec.content_hash()}
         assert [rec["spec_hash"] for rec in store.log_records()] == [spec.content_hash()]
+        # the healed record is the full commit record, not a discovery stub
+        hits = store.query(where=["params.total_processes=2"])
+        assert [rec["spec_hash"] for rec in hits] == [spec.content_hash()]
 
 
 # --------------------------------------------------------------------------- #
