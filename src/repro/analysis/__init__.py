@@ -2,10 +2,10 @@
 
 Nine PRs of growth accreted crash-safety invariants that regression
 tests only catch *after* a violation corrupts a store: every persisted
-write must be wholesale-atomic, every object-store/lease op must be
-retry-wrapped, every emitted event kind must belong to the tracing
-vocabulary, hashing code must be deterministic, broad excepts must not
-swallow abandonment, and grid mutators must bump the cache version.
+write must be wholesale-atomic, every emitted event kind must belong
+to the tracing vocabulary, hashing code must be deterministic, broad
+excepts must not swallow abandonment, and grid mutators must bump the
+cache version.
 This package rejects violations at CI time instead::
 
     repro-analyze src/                 # or: python -m repro.analysis src/

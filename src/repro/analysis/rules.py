@@ -1,4 +1,4 @@
-"""The shipped invariant rules (R1–R6).
+"""The shipped invariant rules (R1–R5).
 
 Each rule encodes one hard-won invariant of the store/lease/solver
 stack; ``docs/INVARIANTS.md`` maps every rule to the PR and failure mode
@@ -16,7 +16,6 @@ from repro.analysis.engine import FileContext, Finding, Rule, register
 
 __all__ = [
     "AtomicWriteRule",
-    "RetryWrappedRule",
     "EventVocabularyRule",
     "NoNondeterminismRule",
     "BroadExceptRule",
@@ -152,98 +151,7 @@ class AtomicWriteRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# R2 — retry-wrapped
-# --------------------------------------------------------------------------- #
-@register
-class RetryWrappedRule(Rule):
-    """Network-touching backend/object-store ops must go through retries.
-
-    In the lease/report layer, ``*.backend.<op>(...)`` must be *passed
-    to* ``call_with_retries`` (or ``LeaseManager._call``), never invoked
-    directly; in the object-store backend, the client operations must be
-    wrapped the same way.  A passthrough adapter (a class defining the
-    same-named op, e.g. the lazy boto3 client) is exempt — the retry
-    layer sits above it.
-    """
-
-    id = "retry-wrapped"
-    title = "object-store and lease backend ops must be retry-wrapped"
-    rationale = (
-        "one S3 blip must not fail a suite run or lose a lease; PR 6 "
-        "routed every lease/backend op through call_with_retries"
-    )
-    scope = (
-        "*/repro/scenarios/lease.py",
-        "*/repro/scenarios/report.py",
-        "*/repro/scenarios/backends/objectstore.py",
-    )
-
-    _BACKEND_OPS = frozenset(
-        {
-            "get",
-            "put",
-            "exists",
-            "delete",
-            "list",
-            "mtime",
-            "append_commit",
-            "commit_records",
-            "commit_log_tail_count",
-            "compact",
-        }
-    )
-    _CLIENT_OPS = frozenset(
-        {"get_object", "put_object", "head_object", "delete_object", "list_objects"}
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        yield from self._walk(ctx, ctx.tree, class_methods=frozenset())
-
-    def _walk(
-        self, ctx: FileContext, node: ast.AST, class_methods: frozenset[str]
-    ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                methods = frozenset(
-                    item.name
-                    for item in child.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                )
-                yield from self._walk(ctx, child, class_methods=methods)
-                continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                yield from self._check_call(ctx, child, class_methods)
-            yield from self._walk(ctx, child, class_methods)
-
-    def _check_call(
-        self, ctx: FileContext, call: ast.Call, class_methods: frozenset[str]
-    ) -> Iterator[Finding]:
-        assert isinstance(call.func, ast.Attribute)
-        op = call.func.attr
-        chain = dotted_name(call.func)
-        links = chain.split(".")[:-1]
-        if op in self._BACKEND_OPS and "backend" in links:
-            yield ctx.finding(
-                call,
-                self.id,
-                f"direct {chain}(...) call; pass the bound method to "
-                "call_with_retries (or LeaseManager._call) so transient "
-                "storage errors are absorbed",
-            )
-        elif op in self._CLIENT_OPS and op not in class_methods:
-            # inside a class that itself defines `op`, the call is the
-            # adapter's single-attempt passthrough; anywhere else the
-            # client op must be handed to call_with_retries
-            yield ctx.finding(
-                call,
-                self.id,
-                f"direct client call {chain}(...); wrap it in "
-                "call_with_retries like the other object-store ops",
-            )
-
-
-# --------------------------------------------------------------------------- #
-# R3 — event-vocabulary
+# R2 — event-vocabulary
 # --------------------------------------------------------------------------- #
 @register
 class EventVocabularyRule(Rule):
@@ -356,7 +264,7 @@ class EventVocabularyRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# R4 — no-nondeterminism
+# R3 — no-nondeterminism
 # --------------------------------------------------------------------------- #
 @register
 class NoNondeterminismRule(Rule):
@@ -425,7 +333,7 @@ class NoNondeterminismRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# R5 — broad-except
+# R4 — broad-except
 # --------------------------------------------------------------------------- #
 @register
 class BroadExceptRule(Rule):
@@ -479,7 +387,7 @@ class BroadExceptRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# R6 — cache-version-bump
+# R5 — cache-version-bump
 # --------------------------------------------------------------------------- #
 @register
 class CacheVersionBumpRule(Rule):

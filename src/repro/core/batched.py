@@ -19,8 +19,10 @@ members drop out as they converge.  Every other member steps *alone*
 through its own :meth:`~repro.core.time_iteration.TimeIterationSolver.step`:
 a group of one, a member with an executor, and — reported as
 :attr:`MemberOutcome.fallback_reason` — an adaptive configuration, a
-topology minority, a start policy on another grid, a stacked iterate that
-went non-finite.
+topology minority, a start policy on another grid.  A non-finite iterate
+is no reason to leave the stack: an update is a deterministic function of
+the previous iterate, so redoing it alone returns the same bits; the
+member stays and ends, unconverged, at its iteration cap.
 
 Either way each member has its own tolerance/metric/iteration cap, record
 history, checkpoint hook (called after every iteration) and events.  An
@@ -127,7 +129,7 @@ class _MemberState:
     converged: bool
     loaded: int  # records that came with the checkpoint
     totals_before: dict  # the model's point-solve totals when this solve started
-    reason: str | None = None  # why the member left (or never joined) the stack
+    reason: str | None = None  # why the member never joined the stack
     stacked: bool = False
     # a stacked member's rows of one pass, state-major: the shock state of
     # each and the shared grid's points in the member's box, once per state
@@ -327,26 +329,14 @@ class BatchedTimeIterationSolver:
         clock = WallClock()
         t0 = time.perf_counter()
         new_policy = ms.solver.step(ms.policy, clock)
-        finite = all(np.all(np.isfinite(sp.nodal_values)) for sp in new_policy)
-        if ms.reason is None and not finite:
-            # the rule of a stack, for a member that never was in one: the
-            # first non-finite update is dropped and the iteration redone
-            ms.reason = "non-finite iterate"
-            return self._alone_update(ms)
         ms.update = (new_policy, time.perf_counter() - t0, clock.as_dict())
 
     def _stacked_update(self, stack: list[_MemberState]) -> None:
-        """One lockstep pass of the stack; a member with a non-finite iterate leaves it."""
+        """One lockstep pass of the stack."""
         num_states = stack[0].member.model.num_states
         t0 = time.perf_counter()
         self._solve_pass(stack, num_states)
         solve_wall = time.perf_counter() - t0
-        for ms in stack:
-            if not all(np.all(np.isfinite(v)) for v in ms.values):
-                ms.stacked, ms.reason = False, "non-finite iterate"
-        stack = [ms for ms in stack if ms.stacked]
-        if not stack:
-            return
         t1 = time.perf_counter()
         # every stacked policy sits on the one shared grid
         new_policies = self._fit_pass(stack, stack[0].policy[0].grid, num_states)

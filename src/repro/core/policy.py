@@ -221,8 +221,10 @@ class PolicySet:
             rel = diff / (1.0 + np.abs(old))
             state_linf = float(diff.max()) if diff.size else 0.0
             per_state.append(state_linf)
-            linf = max(linf, state_linf)
-            rel_linf = max(rel_linf, float(rel.max()) if rel.size else 0.0)
+            # np.maximum, not max(): a NaN difference must read as a NaN
+            # distance (never "< tolerance"), and max(0.0, nan) is 0.0
+            linf = float(np.maximum(linf, state_linf))
+            rel_linf = float(np.maximum(rel_linf, rel.max() if rel.size else 0.0))
             sq_sum += float((diff**2).sum())
             rel_sq_sum += float((rel**2).sum())
             count += diff.size

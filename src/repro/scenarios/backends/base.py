@@ -26,6 +26,18 @@ is merged at read time — the lock-free multi-writer semantics of the
 sharded store need nothing beyond a plain object API, and a wrapper that
 intercepts the object operations (fault injection) sees the log too.
 
+Primitives vs public operations
+-------------------------------
+A backend implements six single-attempt *primitives* (``_get``/``_put``/
+``_exists``/``_delete``/``_list``/``_mtime``) that talk to the medium and
+nothing else.  The six public operations are concrete here and never
+overridden: each validates the key, runs the primitive under one bounded
+retry (:func:`~repro.scenarios.backends.retry.call_with_retries`) and,
+for ``delete``, applies the ``missing_ok`` rule.  Absorbing a transient
+storage error is thus the backend's job, done once, below every caller:
+store, lease protocol, event sink and commit log inherit one budget, and
+nothing above retries a storage operation again.
+
 Log lifecycle
 -------------
 A long-lived log accumulates one object per commit forever, so
@@ -71,6 +83,8 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Any, ClassVar
 
+from repro.scenarios.backends.retry import call_with_retries
+
 __all__ = [
     "StorageBackend",
     "BlobRef",
@@ -108,11 +122,10 @@ Pairs = list[tuple[str, Any]]
 def validate_key(key: str) -> str:
     """Enforce the contract's key grammar: relative POSIX paths only.
 
-    Every backend calls this on its object operations, so a key that is
-    valid on one backend is valid on all — and traversal segments
-    (``..``), absolute keys and empty segments can never escape a
-    filesystem-backed root (the in-memory backend rejects them too, for
-    uniformity rather than safety).
+    The public object operations of :class:`StorageBackend` call this
+    before any backend primitive runs, so a key that is valid on one
+    backend is valid on all — and traversal segments (``..``), absolute
+    keys and empty segments can never escape a filesystem-backed root.
     """
     if not key or key.startswith("/") or any(
         part in ("", ".", "..") for part in key.split("/")
@@ -322,34 +335,65 @@ class StorageBackend(ABC):
     url: str
 
     # ------------------------------------------------------------------ #
-    # object operations
+    # primitives: one attempt against the medium, no validation, no retry
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def get(self, key: str) -> bytes:
+    def _get(self, key: str) -> bytes:
         """Whole object bytes; raises :class:`FileNotFoundError` on a miss."""
 
     @abstractmethod
-    def put(self, key: str, data: bytes) -> None:
+    def _put(self, key: str, data: bytes) -> None:
         """Atomically (re)write one whole object."""
 
     @abstractmethod
-    def exists(self, key: str) -> bool:
+    def _exists(self, key: str) -> bool:
         """Whether the object exists."""
 
     @abstractmethod
+    def _delete(self, key: str) -> bool:
+        """Remove one object if present; returns whether anything was removed."""
+
+    @abstractmethod
+    def _list(self, prefix: str) -> list[str]:
+        """Sorted keys starting with ``prefix`` (completed puts only)."""
+
+    @abstractmethod
+    def _mtime(self, key: str) -> float:
+        """Last-modified time of the object; :class:`FileNotFoundError` on a miss."""
+
+    # ------------------------------------------------------------------ #
+    # object operations: key grammar + one bounded retry, written once
+    # ------------------------------------------------------------------ #
+    def get(self, key: str) -> bytes:
+        """Whole object bytes; raises :class:`FileNotFoundError` on a miss."""
+        return call_with_retries(self._get, validate_key(key))
+
+    def put(self, key: str, data: bytes) -> None:
+        """Atomically (re)write one whole object."""
+        call_with_retries(self._put, validate_key(key), data)
+
+    def exists(self, key: str) -> bool:
+        """Whether the object exists."""
+        return call_with_retries(self._exists, validate_key(key))
+
     def delete(self, key: str, missing_ok: bool = True) -> bool:
         """Remove one object; returns whether anything was removed.
 
         ``missing_ok=False`` raises :class:`FileNotFoundError` on a miss.
         """
+        removed = call_with_retries(self._delete, validate_key(key))
+        if not removed and not missing_ok:
+            raise FileNotFoundError(f"{self.url}/{key}")
+        return removed
 
-    @abstractmethod
     def list(self, prefix: str = "") -> list[str]:
         """Sorted keys starting with ``prefix`` (completed puts only)."""
+        # prefixes are not keys (empty, or a trailing '/', is fine)
+        return call_with_retries(self._list, prefix)
 
-    @abstractmethod
     def mtime(self, key: str) -> float:
         """Last-modified time of the object (seconds since the epoch)."""
+        return call_with_retries(self._mtime, validate_key(key))
 
     # ------------------------------------------------------------------ #
     # commit log: concrete on every backend, composed from the object

@@ -8,7 +8,10 @@ meets in the wild:
 * **transient errors** (``action="error"``, default
   :class:`~repro.scenarios.backends.retry.TransientStorageError`) — an
   object-store blip the retry loop must absorb, or a persistent failure
-  (``times=None``) the scenario-level retry budget must park;
+  (``times=None``) the scenario-level retry budget must park.  Faults
+  land *below* the retry: rules fire in the harness's single-attempt
+  primitives, so the public operation that raised them retries exactly
+  as it would around a real transport's error;
 * **dropped puts** (``action="drop"``) — a write that reports success
   upstream but never lands, which the lease protocol's read-back-verify
   must detect;
@@ -87,15 +90,15 @@ class FaultRule:
 class FaultInjectingBackend(StorageBackend):
     """A :class:`StorageBackend` decorator that injects configured faults.
 
-    Wraps a live backend instance; every object operation not matched by
-    a rule is delegated verbatim.  The commit log is inherited, not
-    delegated: it runs on *this* instance's object operations, so a rule
-    on ``commits/`` or ``commit-snapshots/`` keys reaches appends, merges
-    and folds like any other traffic.  Note the canonical ``url`` is
-    the inner backend's: a store re-opened from that URL gets the
-    *healthy* backend — fault wiring is per-instance, which is exactly
-    what lets a test give one worker a faulty view of a store its peers
-    see intact.
+    Wraps a live backend instance; every primitive not matched by a rule
+    is delegated verbatim to the inner backend's.  The commit log is
+    inherited, not delegated: it runs on *this* instance's object
+    operations, so a rule on ``commits/`` or ``commit-snapshots/`` keys
+    reaches appends, merges and folds like any other traffic.  Note the
+    canonical ``url`` is the inner backend's: a store re-opened from that
+    URL gets the *healthy* backend — fault wiring is per-instance, which
+    is exactly what lets a test give one worker a faulty view of a store
+    its peers see intact.
     """
 
     scheme = "fault"
@@ -150,30 +153,31 @@ class FaultInjectingBackend(StorageBackend):
         return outcome
 
     # ------------------------------------------------------------------ #
-    # object operations
+    # primitives: intercept, then one attempt on the inner backend's own
+    # primitive — this instance's public ops are the single retry layer
     # ------------------------------------------------------------------ #
-    def get(self, key: str) -> bytes:
+    def _get(self, key: str) -> bytes:
         self._intercept("get", key)
-        return self.inner.get(key)
+        return self.inner._get(key)
 
-    def put(self, key: str, data: bytes) -> None:
+    def _put(self, key: str, data: bytes) -> None:
         if self._intercept("put", key) == "drop":
             return  # the write reports success but never lands
-        self.inner.put(key, data)
+        self.inner._put(key, data)
 
-    def exists(self, key: str) -> bool:
+    def _exists(self, key: str) -> bool:
         self._intercept("exists", key)
-        return self.inner.exists(key)
+        return self.inner._exists(key)
 
-    def delete(self, key: str, missing_ok: bool = True) -> bool:
+    def _delete(self, key: str) -> bool:
         if self._intercept("delete", key) == "drop":
             return False
-        return self.inner.delete(key, missing_ok=missing_ok)
+        return self.inner._delete(key)
 
-    def list(self, prefix: str = "") -> list[str]:
+    def _list(self, prefix: str) -> list[str]:
         self._intercept("list", prefix)
-        return self.inner.list(prefix)
+        return self.inner._list(prefix)
 
-    def mtime(self, key: str) -> float:
+    def _mtime(self, key: str) -> float:
         self._intercept("mtime", key)
-        return self.inner.mtime(key)
+        return self.inner._mtime(key)

@@ -46,30 +46,28 @@ class LocalFSBackend(StorageBackend):
 
     # ------------------------------------------------------------------ #
     def _path(self, key: str) -> Path:
-        # the shared key grammar rejects traversal segments outright —
-        # comparing resolved paths would be too late (Path.absolute()
-        # does not normalize '..' away)
-        return self.root / PurePosixPath(validate_key(key))
+        # the public ops applied the shared key grammar, which rejects
+        # traversal segments outright — comparing resolved paths would be
+        # too late (Path.absolute() does not normalize '..' away)
+        return self.root / PurePosixPath(key)
 
-    def get(self, key: str) -> bytes:
+    def _get(self, key: str) -> bytes:
         return self._path(key).read_bytes()
 
-    def put(self, key: str, data: bytes) -> None:
+    def _put(self, key: str, data: bytes) -> None:
         serialize.atomic_write(self._path(key), lambda fh: fh.write(bytes(data)))
 
-    def exists(self, key: str) -> bool:
+    def _exists(self, key: str) -> bool:
         return self._path(key).is_file()
 
-    def delete(self, key: str, missing_ok: bool = True) -> bool:
+    def _delete(self, key: str) -> bool:
         try:
             self._path(key).unlink()
             return True
         except FileNotFoundError:
-            if not missing_ok:
-                raise
             return False
 
-    def list(self, prefix: str = "") -> list[str]:
+    def _list(self, prefix: str) -> list[str]:
         # a directory-shaped prefix narrows the scan to that subtree, so
         # commit-log and snapshot listings don't walk the whole store
         base = self.root
@@ -91,5 +89,5 @@ class LocalFSBackend(StorageBackend):
                 keys.append(key)
         return sorted(keys)
 
-    def mtime(self, key: str) -> float:
+    def _mtime(self, key: str) -> float:
         return self._path(key).stat().st_mtime

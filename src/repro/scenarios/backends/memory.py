@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.scenarios.backends.base import StorageBackend, validate_key
+from repro.scenarios.backends.base import StorageBackend
 
 __all__ = ["MemoryBackend"]
 
@@ -63,40 +63,31 @@ class MemoryBackend(StorageBackend):
             _REGISTRY.pop(namespace, None)
 
     # ------------------------------------------------------------------ #
-    def get(self, key: str) -> bytes:
-        validate_key(key)
+    def _get(self, key: str) -> bytes:
         with self._ns.lock:
             try:
                 return self._ns.objects[key][0]
             except KeyError:
                 raise FileNotFoundError(f"{self.url}/{key}") from None
 
-    def put(self, key: str, data: bytes) -> None:
-        validate_key(key)
+    def _put(self, key: str, data: bytes) -> None:
         data = bytes(data)  # snapshot: callers may mutate their buffer later
         with self._ns.lock:
             self._ns.objects[key] = (data, self._ns.now())
 
-    def exists(self, key: str) -> bool:
-        validate_key(key)
+    def _exists(self, key: str) -> bool:
         with self._ns.lock:
             return key in self._ns.objects
 
-    def delete(self, key: str, missing_ok: bool = True) -> bool:
-        validate_key(key)
+    def _delete(self, key: str) -> bool:
         with self._ns.lock:
-            if self._ns.objects.pop(key, None) is not None:
-                return True
-        if not missing_ok:
-            raise FileNotFoundError(f"{self.url}/{key}")
-        return False
+            return self._ns.objects.pop(key, None) is not None
 
-    def list(self, prefix: str = "") -> list[str]:
+    def _list(self, prefix: str) -> list[str]:
         with self._ns.lock:
             return sorted(k for k in self._ns.objects if k.startswith(prefix))
 
-    def mtime(self, key: str) -> float:
-        validate_key(key)
+    def _mtime(self, key: str) -> float:
         with self._ns.lock:
             try:
                 return self._ns.objects[key][1]

@@ -7,6 +7,9 @@ renames — which is the honest common denominator of real object stores,
 and all the commit log of :class:`StorageBackend` needs: per-commit
 objects merged at ``index()`` time, compacted into immutable snapshot
 checkpoints as the log grows (see :mod:`repro.scenarios.backends.base`).
+Each primitive of :class:`ObjectStoreBackend` is one client call, one
+attempt: the retry that absorbs a throttle or a 5xx is the base class's
+public operation around it, never a second layer here.
 
 Endpoints
 ---------
@@ -38,7 +41,6 @@ from typing import cast
 
 from repro.scenarios import serialize
 from repro.scenarios.backends.base import StorageBackend, validate_key
-from repro.scenarios.backends.retry import call_with_retries
 
 __all__ = ["ObjectStoreBackend", "FakeObjectServer", "ENDPOINT_ENV"]
 
@@ -223,53 +225,28 @@ class ObjectStoreBackend(StorageBackend):
         self.url = f"s3://{bucket}{path}?{query}"
 
     def _full_key(self, key: str) -> str:
-        validate_key(key)
         return f"{self.prefix}/{key}" if self.prefix else key
 
     # ------------------------------------------------------------------ #
-    # Every client call is wrapped in bounded retry + backoff/jitter
-    # (transient errors only — see backends.retry), so one object-store
-    # blip degrades to a short stall instead of failing a whole suite.
-    def get(self, key: str) -> bytes:
-        return call_with_retries(
-            self.client.get_object, self.bucket, self._full_key(key), op=f"get {key}"
-        )
+    def _get(self, key: str) -> bytes:
+        return self.client.get_object(self.bucket, self._full_key(key))
 
-    def put(self, key: str, data: bytes) -> None:
-        call_with_retries(
-            self.client.put_object, self.bucket, self._full_key(key), bytes(data),
-            op=f"put {key}",
-        )
+    def _put(self, key: str, data: bytes) -> None:
+        self.client.put_object(self.bucket, self._full_key(key), bytes(data))
 
-    def exists(self, key: str) -> bool:
-        head = call_with_retries(
-            self.client.head_object, self.bucket, self._full_key(key), op=f"head {key}"
-        )
-        return head is not None
+    def _exists(self, key: str) -> bool:
+        return self.client.head_object(self.bucket, self._full_key(key)) is not None
 
-    def delete(self, key: str, missing_ok: bool = True) -> bool:
-        removed = bool(
-            call_with_retries(
-                self.client.delete_object, self.bucket, self._full_key(key),
-                op=f"delete {key}",
-            )
-        )
-        if not removed and not missing_ok:
-            raise FileNotFoundError(f"{self.url}/{key}")
-        return removed
+    def _delete(self, key: str) -> bool:
+        return bool(self.client.delete_object(self.bucket, self._full_key(key)))
 
-    def list(self, prefix: str = "") -> list[str]:
+    def _list(self, prefix: str) -> list[str]:
         # prefixes are not keys (trailing '/' is fine); compose directly
         base = f"{self.prefix}/" if self.prefix else ""
-        keys = call_with_retries(
-            self.client.list_objects, self.bucket, base + prefix, op=f"list {prefix}"
-        )
-        return [key[len(base):] for key in keys]
+        return [key[len(base):] for key in self.client.list_objects(self.bucket, base + prefix)]
 
-    def mtime(self, key: str) -> float:
-        head = call_with_retries(
-            self.client.head_object, self.bucket, self._full_key(key), op=f"head {key}"
-        )
+    def _mtime(self, key: str) -> float:
+        head = self.client.head_object(self.bucket, self._full_key(key))
         if head is None:
             raise FileNotFoundError(f"{self.url}/{key}")
         return float(head["mtime"])

@@ -1,11 +1,13 @@
 """Bounded retry with exponential backoff + jitter for storage backends.
 
-One S3 blip must not fail a whole suite run: every object operation of
-the :class:`~repro.scenarios.backends.objectstore.ObjectStoreBackend`
-(and the lease protocol's puts/gets on any backend) goes through
+One storage blip must not fail a whole suite run: the six public object
+operations of :class:`~repro.scenarios.backends.base.StorageBackend` run
+each backend's single-attempt primitive through
 :func:`call_with_retries`, which retries *transient* errors a bounded
 number of times with exponentially growing, jittered sleeps and
-re-raises everything else immediately.
+re-raises everything else immediately.  That is the only place a storage
+operation is retried: callers above the backend (store, lease protocol,
+event sink, tailer, commit log) call the public operations plainly.
 
 Transient-error classification is deliberately conservative
 (:func:`is_transient`): connection resets, timeouts, the explicit
@@ -133,10 +135,8 @@ def is_transient(exc: BaseException) -> bool:
 def call_with_retries(
     fn: Callable[..., T],
     *args: Any,
-    op: str = "",
     retries: int | None = None,
     base_delay: float | None = None,
-    classify: Callable[[BaseException], bool] = is_transient,
     sleep: Callable[[float], None] = time.sleep,
     rng: Callable[[], float] = random.random,
     **kwargs: Any,
@@ -144,15 +144,16 @@ def call_with_retries(
     """Call ``fn(*args, **kwargs)``, retrying transient failures.
 
     ``retries``/``base_delay`` default to the environment knobs above.
-    Non-transient exceptions (per ``classify``) and the final transient
-    failure propagate unchanged, so callers see the original error.
+    Non-transient exceptions (per :func:`is_transient`) and the final
+    transient failure propagate unchanged, so callers see the original
+    error.
     """
     attempt = 0
     while True:
         try:
             return fn(*args, **kwargs)
         except Exception as exc:  # classified and re-raised below
-            if not classify(exc):
+            if not is_transient(exc):
                 raise
             # the knobs matter only once something transient has failed: a
             # healthy call reads no environment
@@ -164,8 +165,9 @@ def call_with_retries(
                 raise
             delay = base_delay * (2.0**attempt) * (0.5 + rng())
             logger.warning(
-                "transient storage error on %s (attempt %d/%d, retrying in %.3fs): %s",
-                op or getattr(fn, "__name__", "?"), attempt + 1, retries, delay, exc,
+                "transient storage error on %s %s (attempt %d/%d, retrying in %.3fs): %s",
+                getattr(fn, "__name__", "?"), args[0] if args else "", attempt + 1, retries,
+                delay, exc,
             )
             if delay > 0:
                 sleep(delay)

@@ -116,9 +116,10 @@ def solve_batch_and_commit(
 ) -> list:
     """Run a group of scenarios against ``store``, committing each one's entry.
 
-    Persists every spec up front (so even interrupted/failed entries can
-    be inspected and diffed — spec deltas explain *why* a variant failed),
-    runs experiment kinds through their adapter, solves the ``solve`` kinds
+    Every committed entry gets its spec stored beside it once — with the
+    result when completed, by the failure path when interrupted/failed (so
+    those can be diffed too: spec deltas explain *why* a variant failed).
+    Runs experiment kinds through their adapter, solves the ``solve`` kinds
     as the members of one time-iteration loop — each with its own
     :class:`SolveCheckpoint` (resuming from any checkpoint already in the
     store, including one left behind by a dead worker whose lease was
@@ -165,6 +166,7 @@ def solve_batch_and_commit(
 
     def failure(i: int, exc: BaseException) -> dict:
         spec, wall = specs[i], time.perf_counter() - t0
+        store.save_spec(spec)
         if isinstance(exc, SimulatedKill):
             return store.failure_entry(spec, "interrupted", wall, str(exc))
         logger.warning("scenario %s failed: %s", spec.name, exc)
@@ -223,7 +225,6 @@ def solve_batch_and_commit(
 
     members: list[BatchMember] = []
     for i, (spec, abort) in enumerate(zip(specs, aborts)):
-        store.save_spec(spec)
         try:
             if spec.kind == "solve":
                 members.append(member_of(spec, abort))

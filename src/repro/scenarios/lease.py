@@ -39,11 +39,13 @@ Failure handling:
   leaves a lease on a completed scenario; any peer's pending scan heals
   that (checks the entry is complete, waits out the TTL, deletes the
   lease) so a drained suite ends with zero lease objects.
-* **Graceful degradation** — every lease get/put/delete runs under the
-  bounded retry + backoff/jitter of :mod:`repro.scenarios.backends.retry`.
-  A worker whose renewals keep failing past its own TTL deadline *stops
-  solving and abandons* rather than split-brain: by then peers may
-  legitimately consider the lease expired.
+* **Graceful degradation** — the backend's object operations absorb
+  transient storage errors themselves (bounded retry + backoff/jitter,
+  :mod:`repro.scenarios.backends.retry`), so the protocol calls them
+  plainly and one blip is a stall, not a spurious abandon.  A worker
+  whose renewals keep failing past its own TTL deadline *stops solving
+  and abandons* rather than split-brain: by then peers may legitimately
+  consider the lease expired.
 * **Retry budget + parking** — failed scenarios are retried with
   exponential backoff; after ``max_attempts`` recorded failures (shared
   via ``leases/<hash16>/attempts.json``, last-writer-wins — an undercount
@@ -67,10 +69,9 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.parallel.tracing import EventRecorder
-from repro.scenarios.backends.retry import call_with_retries
 from repro.scenarios.batching import partition_by_topology, solve_batch_and_commit
 from repro.scenarios.checkpoint import SolveAbandoned
 from repro.scenarios.runner import schedule_longest_first
@@ -92,8 +93,6 @@ __all__ = [
 ]
 
 logger = get_logger("scenarios.lease")
-
-T = TypeVar("T")
 
 #: default lease time-to-live in seconds.  Renewals run every TTL/3, so a
 #: lease survives two missed heartbeats; a dead worker's scenario is
@@ -195,8 +194,8 @@ class LeaseManager:
 
     All timestamps compare the *caller's* ``clock`` against timestamps
     written by other workers' clocks — see the module docstring for why
-    that is skew-tolerant.  ``clock`` and the retry knobs are injectable
-    so the fault-injection tests drive the protocol deterministically.
+    that is skew-tolerant.  ``clock`` is injectable so the fault-injection
+    tests drive the protocol deterministically.
     """
 
     def __init__(
@@ -206,8 +205,6 @@ class LeaseManager:
         ttl: float | None = None,
         clock: Callable[[], float] = time.time,
         events: EventRecorder | None = None,
-        retries: int | None = None,
-        retry_base: float | None = None,
     ) -> None:
         ttl = default_ttl() if ttl is None else ttl
         if ttl <= 0:
@@ -217,26 +214,16 @@ class LeaseManager:
         self.ttl = float(ttl)
         self.clock = clock
         self.events = events
-        self.retries = retries
-        self.retry_base = retry_base
 
     # ------------------------------------------------------------------ #
     def _emit(self, kind: str, scenario: str = "", **detail: Any) -> None:
         if self.events is not None:
             self.events.emit(kind, self.worker_id, scenario, **detail)
 
-    def _call(self, fn: Callable[..., T], *args: Any, op: str) -> T:
-        # bounded retry + backoff/jitter around every lease op, so one
-        # store blip degrades to a stall instead of a spurious abandon
-        return call_with_retries(
-            fn, *args, op=op, retries=self.retries, base_delay=self.retry_base
-        )
-
     def read(self, spec_or_hash: ScenarioSpec | str) -> Lease | None:
         """The current lease on a scenario, or ``None`` (absent/torn)."""
-        key = self.store.lease_key(spec_or_hash)
         try:
-            raw = self._call(self.store.backend.get, key, op=f"get {key}")
+            raw = self.store.backend.get(self.store.lease_key(spec_or_hash))
         except FileNotFoundError:
             return None
         try:
@@ -248,7 +235,7 @@ class LeaseManager:
     def _put(self, lease: Lease) -> None:
         key = self.store.lease_key(lease.scenario)
         data = (json.dumps(lease.to_dict(), sort_keys=True) + "\n").encode("utf-8")
-        self._call(self.store.backend.put, key, data, op=f"put {key}")
+        self.store.backend.put(key, data)
 
     # ------------------------------------------------------------------ #
     # the protocol
@@ -317,8 +304,7 @@ class LeaseManager:
         """
         if not lease.same_holder(self.read(lease.scenario)):
             return False  # stolen meanwhile; the lease is not ours to delete
-        key = self.store.lease_key(lease.scenario)
-        self._call(self.store.backend.delete, key, op=f"delete {key}")
+        self.store.backend.delete(self.store.lease_key(lease.scenario))
         self._emit("released", lease.scenario, epoch=lease.epoch)
         return True
 
@@ -337,8 +323,7 @@ class LeaseManager:
             return False
         if current.worker != self.worker_id and not current.expired(self.clock()):
             return False  # possibly a live duplicate-solver; let it finish
-        key = self.store.lease_key(scenario)
-        self._call(self.store.backend.delete, key, op=f"delete {key}")
+        self.store.backend.delete(self.store.lease_key(scenario))
         self._emit("healed", scenario, previous_worker=current.worker)
         return True
 
@@ -346,9 +331,8 @@ class LeaseManager:
     # retry budget and parking
     # ------------------------------------------------------------------ #
     def attempts(self, spec_or_hash: ScenarioSpec | str) -> int:
-        key = self.store.attempts_key(spec_or_hash)
         try:
-            raw = self._call(self.store.backend.get, key, op=f"get {key}")
+            raw = self.store.backend.get(self.store.attempts_key(spec_or_hash))
             return int(json.loads(raw).get("count", 0))
         except (FileNotFoundError, ValueError, TypeError):
             return 0
@@ -369,17 +353,11 @@ class LeaseManager:
             "last_worker": self.worker_id,
             "updated_at": float(self.clock()),
         }
-        self._call(
-            self.store.backend.put,
-            key,
-            (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"),
-            op=f"put {key}",
-        )
+        self.store.backend.put(key, (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
         return count
 
     def is_parked(self, spec_or_hash: ScenarioSpec | str) -> bool:
-        key = self.store.parked_key(spec_or_hash)
-        return bool(self._call(self.store.backend.exists, key, op=f"head {key}"))
+        return self.store.backend.exists(self.store.parked_key(spec_or_hash))
 
     def park(self, spec_or_hash: ScenarioSpec | str, attempts: int, error: str) -> None:
         """Mark a scenario permanently failing; workers stop claiming it."""
@@ -391,12 +369,7 @@ class LeaseManager:
             "error": str(error),
             "parked_at": float(self.clock()),
         }
-        self._call(
-            self.store.backend.put,
-            key,
-            (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"),
-            op=f"put {key}",
-        )
+        self.store.backend.put(key, (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
         self._emit("parked", scenario, attempts=attempts, error=str(error))
 
     def clear_attempts(self, spec_or_hash: ScenarioSpec | str) -> None:
@@ -405,7 +378,7 @@ class LeaseManager:
             self.store.attempts_key(spec_or_hash),
             self.store.parked_key(spec_or_hash),
         ):
-            self._call(self.store.backend.delete, key, op=f"delete {key}")
+            self.store.backend.delete(key)
 
 
 class LeaseHeartbeat:

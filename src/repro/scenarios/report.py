@@ -35,7 +35,6 @@ from collections import Counter
 from datetime import datetime, timezone
 
 from repro.parallel.tracing import TraceRecorder
-from repro.scenarios.backends.retry import call_with_retries
 from repro.scenarios.store import ResultsStore, parse_event_lines
 
 __all__ = [
@@ -100,9 +99,7 @@ class EventTailer:
                 if key in self._consumed:
                     continue
                 try:
-                    # retry-wrapped like every other polling read: one transient
-                    # blip must not abort a live --follow tail mid-drain
-                    raw = call_with_retries(self.store.backend.get, key, op=f"get {key}")
+                    raw = self.store.backend.get(key)
                 except FileNotFoundError:
                     continue  # deleted between list and get
                 if segment < live:

@@ -87,7 +87,7 @@ from repro.scenarios.backends import (
     backend_from_url,
     is_store_url,
 )
-from repro.scenarios.backends.retry import call_with_retries, env_knob
+from repro.scenarios.backends.retry import env_knob
 from repro.scenarios.spec import ScenarioSpec, flatten_index_fields
 from repro.utils.logging import get_logger
 
@@ -378,16 +378,14 @@ class ResultsStore:
     # lease/coordination state (read side; the protocol itself lives in
     # repro.scenarios.lease)
     # ------------------------------------------------------------------ #
-    def leases(self) -> list[dict[str, Any]]:
-        """All live lease records (``leases/<hash16>/lease.json``), parsed.
-
-        Each item is the lease JSON plus a ``scenario`` field carrying the
-        hash16 the key encodes.  Unreadable/torn records are skipped — a
-        lease vanishing mid-scan is normal operation, not corruption.
-        """
+    def _lease_records(self, suffix: str) -> list[dict[str, Any]]:
+        """Parsed ``leases/<hash16>/<suffix>`` records, each plus a
+        ``scenario`` field carrying the hash16 the key encodes.
+        Unreadable/torn records are skipped — a record vanishing mid-scan
+        is normal operation, not corruption."""
         out: list[dict[str, Any]] = []
         for key in self.backend.list(f"{self.LEASE_PREFIX}/"):
-            if not key.endswith("/lease.json"):
+            if not key.endswith(f"/{suffix}"):
                 continue
             try:
                 record = json.loads(self.backend.get(key))
@@ -396,20 +394,14 @@ class ResultsStore:
             record["scenario"] = key.split("/")[1]
             out.append(record)
         return sorted(out, key=lambda r: r["scenario"])
+
+    def leases(self) -> list[dict[str, Any]]:
+        """All live lease records (``leases/<hash16>/lease.json``), parsed."""
+        return self._lease_records("lease.json")
 
     def parked(self) -> list[dict[str, Any]]:
         """All parked-scenario records (retry budget exhausted), parsed."""
-        out: list[dict[str, Any]] = []
-        for key in self.backend.list(f"{self.LEASE_PREFIX}/"):
-            if not key.endswith("/parked.json"):
-                continue
-            try:
-                record = json.loads(self.backend.get(key))
-            except (OSError, json.JSONDecodeError):
-                continue
-            record["scenario"] = key.split("/")[1]
-            out.append(record)
-        return sorted(out, key=lambda r: r["scenario"])
+        return self._lease_records("parked.json")
 
     # ------------------------------------------------------------------ #
     # structured events (read side; emitted through StoreEventSink)
@@ -1087,12 +1079,10 @@ class StoreEventSink:
         self.flush_every = int(flush_every)
         self.flush_interval = float(flush_interval)
         self.clock = clock
-        # retry-wrapped: the sink runs on the worker hot path, where a
-        # transient store blip must not cost the whole event history
-        segments = call_with_retries(store.event_segments, op="list events/")
+        segments = store.event_segments()
         self._segment = max(segments.get(self.worker, {}), default=0)
         try:
-            head = call_with_retries(store.backend.get, self.key, op=f"get {self.key}")
+            head = store.backend.get(self.key)
             # keep only whole lines of the existing log as the head; an
             # (impossible-under-contract) torn tail must not glue itself
             # onto the first new event line
@@ -1128,6 +1118,6 @@ class StoreEventSink:
             return
         self._head += ("\n".join(self._pending) + "\n").encode("utf-8")
         self._pending.clear()
-        call_with_retries(self.store.backend.put, self.key, self._head, op=f"put {self.key}")
+        self.store.backend.put(self.key, self._head)
         self._seal_if_full()
         self._last_flush = float(self.clock())

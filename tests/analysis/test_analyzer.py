@@ -107,52 +107,6 @@ class TestAtomicWriteRule:
         assert "temp fd" in reason
 
 
-class TestRetryWrappedRule:
-    def test_flags_direct_backend_op_in_lease_module(self, tmp_path):
-        result = _analyze_fixture(
-            tmp_path,
-            "repro/scenarios/lease.py",
-            """
-            def read_state(store, key):
-                return store.backend.get(key)
-            """,
-            select=["retry-wrapped"],
-        )
-        assert _rules_hit(result) == ["retry-wrapped"]
-
-    def test_passing_the_bound_method_to_retries_is_clean(self, tmp_path):
-        result = _analyze_fixture(
-            tmp_path,
-            "repro/scenarios/lease.py",
-            """
-            from repro.scenarios.backends.retry import call_with_retries
-
-            def read_state(store, key):
-                return call_with_retries(store.backend.get, key, op="get")
-            """,
-            select=["retry-wrapped"],
-        )
-        assert result.clean
-
-    def test_client_op_outside_adapter_class_is_flagged(self, tmp_path):
-        result = _analyze_fixture(
-            tmp_path,
-            "repro/scenarios/backends/objectstore.py",
-            """
-            def fetch(client, bucket, key):
-                return client.get_object(bucket, key)
-
-            class Adapter:
-                def get_object(self, bucket, key):
-                    # the adapter's own passthrough is the exempt layer
-                    return self._s3.get_object(Bucket=bucket, Key=key)
-            """,
-            select=["retry-wrapped"],
-        )
-        assert _rules_hit(result) == ["retry-wrapped"]
-        assert result.findings[0].line == 3
-
-
 class TestEventVocabularyRule:
     def _plant_vocabulary(self, tmp_path):
         tracing = tmp_path / "src" / "repro" / "parallel" / "tracing.py"

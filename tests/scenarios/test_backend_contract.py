@@ -31,7 +31,14 @@ from repro.scenarios import (
 )
 from repro.scenarios import store as store_module
 from repro.scenarios.__main__ import main as cli_main
-from repro.scenarios.backends import COMMIT_LOG_PREFIX, SNAPSHOT_PREFIX
+from repro.scenarios.backends import (
+    COMMIT_LOG_PREFIX,
+    SNAPSHOT_PREFIX,
+    FaultInjectingBackend,
+    LocalFSBackend,
+    MemoryBackend,
+    ObjectStoreBackend,
+)
 from repro.scenarios.backends.base import load_snapshots, snapshot_key_for, write_snapshot
 from repro.scenarios.report import EventTailer
 from repro.scenarios.store import StoreEventSink, index_record
@@ -156,6 +163,27 @@ class TestObjectContract:
             with pytest.raises(ValueError, match="key"):
                 backend.mtime(key)
         assert not outside.exists()
+
+    @pytest.mark.parametrize(
+        "cls", [LocalFSBackend, MemoryBackend, ObjectStoreBackend, FaultInjectingBackend]
+    )
+    def test_public_ops_are_the_base_class_template(self, cls):
+        # retry is structural: a backend implements the six single-attempt
+        # primitives and inherits the public ops (key grammar + one retry)
+        for op in ("get", "put", "exists", "delete", "list", "mtime"):
+            assert op not in vars(cls), f"{cls.__name__} overrides {op}()"
+            assert f"_{op}" in vars(cls)
+
+    def test_invalid_key_is_rejected_before_any_primitive_runs(self, backend):
+        # the harness logs every primitive it runs (and only through those
+        # reaches the inner backend's): an empty trail means none ran
+        harness = FaultInjectingBackend(backend)
+        for op in ("get", "exists", "delete", "mtime"):
+            with pytest.raises(ValueError, match="key"):
+                getattr(harness, op)("../escape")
+        with pytest.raises(ValueError, match="key"):
+            harness.put("../escape", b"")
+        assert harness.ops == []
 
     def test_blob_ref_round_trip(self, backend):
         ref = backend.ref("dir/obj.npz")

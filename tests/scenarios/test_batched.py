@@ -7,7 +7,7 @@ Covers the four contracts of the batched solve path:
   (asserted to solver tolerance);
 * convergence masking — members drop out of the batch individually, each
   with its own iteration history;
-* stepping alone — members the loop cannot stack (divergence, topology
+* stepping alone — members the loop cannot stack (topology
   mismatch, adaptivity, an executor) step alone inside the same loop,
   bit-exact with a solo solve; a member's own exception ends that member only;
 * scenario-layer integration — topology partitioning, batch-aware
@@ -140,34 +140,44 @@ class TestConvergenceMasking:
 
 
 class TestFallback:
-    def test_divergence_falls_back_bit_exact(self):
-        # poison the first call of the point solve, so the batch's first
-        # pass goes non-finite and the member must fall back
-        spec = _solve_spec("diverge")
-        model = spec.build_model()
-        real = model.solve_points_batch
-        calls = []
+    def test_non_finite_member_stays_stacked_and_ends_at_its_cap(self):
+        # a time-iteration update is a deterministic function of the previous
+        # iterate, so there is nothing to redo: the member whose model returns
+        # a non-finite row keeps its place, never meets its tolerance and
+        # stops at its cap — without touching its stack-mates' columns
+        mates = [_solve_spec("m1", tau_labor=0.1), _solve_spec("m2", tau_labor=0.2)]
+        bad = _solve_spec("bad", tau_labor=0.15, max_iterations=4)
 
-        def poisoned(z, X, policy, guesses=None):
-            out = np.array(real(z, X, policy, guesses), dtype=float)
-            if not calls:
-                calls.append(1)
+        # a third member of another model class puts both runs on the same
+        # (per-member) point-solve path, so the comparison is like for like
+        class Other(type(bad.build_model())):
+            pass
+
+        class Poisoned(Other):
+            def solve_points_batch(self, z, X, policy, guesses=None):
+                out = np.array(super().solve_points_batch(z, X, policy, guesses), dtype=float)
                 out[0] = np.nan
-            return out
+                return out
 
-        model.solve_points_batch = poisoned
-        outcomes = BatchedTimeIterationSolver(
-            [BatchMember(key="diverge", model=model, config=spec.build_config())]
-        ).solve()
-        out = outcomes["diverge"]
-        assert out.fallback and out.fallback_reason == "non-finite iterate"
-        # the fallback is today's sequential path, bit for bit
-        seq = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
-        assert out.result.converged and out.result.iterations == seq.iterations
-        for z in range(len(seq.policy)):
-            assert np.array_equal(
-                out.result.policy[z].interpolant.surplus, seq.policy[z].interpolant.surplus
+        def run(model_cls):
+            third = BatchMember(
+                key="bad", model=model_cls(bad.build_calibration()), config=bad.build_config()
             )
+            return BatchedTimeIterationSolver([*map(_member, mates), third]).solve()
+
+        outcomes, without = run(Poisoned), run(Other)
+        out = outcomes["bad"]
+        assert out.fallback_reason is None and out.exception is None
+        assert not out.result.converged and out.result.iterations == 4
+        for spec in mates:
+            got, ref = outcomes[spec.name], without[spec.name]
+            assert got.fallback_reason is None and got.result.converged
+            assert got.result.iterations == ref.result.iterations
+            for z in range(len(ref.result.policy)):
+                assert np.array_equal(
+                    got.result.policy[z].interpolant.surplus,
+                    ref.result.policy[z].interpolant.surplus,
+                )
 
     def test_topology_minority_falls_back_bit_exact(self):
         specs = [

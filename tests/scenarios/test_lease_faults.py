@@ -16,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.time_iteration import TimeIterationSolver
 from repro.parallel.tracing import LEASE_EVENT_KINDS, EventRecorder
 from repro.scenarios import (
     ResultsStore,
@@ -23,6 +24,7 @@ from repro.scenarios import (
     ScenarioSuite,
     run_suite,
     run_worker,
+    solve_batch_and_commit,
 )
 from repro.scenarios.__main__ import main as cli_main
 from repro.scenarios.backends import (
@@ -41,6 +43,7 @@ from repro.scenarios.lease import (
     LeaseManager,
     store_event_sink,
 )
+from repro.scenarios.store import StoreEventSink
 
 
 def _tiny_solve_spec(name="tiny", **calibration) -> ScenarioSpec:
@@ -80,9 +83,7 @@ class _Clock:
 
 
 def _manager(store, worker, clock, ttl=10.0, events=None) -> LeaseManager:
-    return LeaseManager(
-        store, worker, ttl=ttl, clock=clock, events=events, retries=0, retry_base=0.0
-    )
+    return LeaseManager(store, worker, ttl=ttl, clock=clock, events=events)
 
 
 # --------------------------------------------------------------------------- #
@@ -538,7 +539,9 @@ class TestTransientRetries:
         assert fails["n"] == 2
         assert backend.get("a/entry.json") == b"{}"
 
-    def test_lease_ops_survive_transient_store_blips(self, store_url_for):
+    def test_lease_ops_survive_transient_store_blips(self, store_url_for, monkeypatch):
+        monkeypatch.setenv(RETRIES_ENV, "3")
+        monkeypatch.setenv(RETRY_BASE_ENV, "0")
         backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
         store = ResultsStore(backend)
         rule = backend.add_rule(
@@ -548,11 +551,117 @@ class TestTransientRetries:
             exc=lambda: ConnectionError("blip"),
             times=2,
         )
-        m = LeaseManager(
-            store, "w1", ttl=5.0, clock=_Clock(), retries=3, retry_base=0.0
-        )
+        m = LeaseManager(store, "w1", ttl=5.0, clock=_Clock())
         assert m.try_claim(_payload_spec(0)) is not None
         assert rule.fired == 2
+
+
+# one driver per caller that used to carry (or lack) its own retry wrapper:
+# ``prepare(store)`` runs healthy and returns the zero-arg operation under test
+def _entry_put(store):
+    entry = store.failure_entry(_payload_spec(0), "failed", 0.0, "boom")
+    return lambda: store.commit_entry(entry)
+
+
+def _checkpoint_put(store):
+    spec = _tiny_solve_spec().with_overrides(solver={"max_iterations": 1})
+    config = spec.build_config()
+    checkpoint = SolveCheckpoint(store.checkpoint_ref(spec), config=config)
+    solver = TimeIterationSolver(spec.build_model(), config)
+
+    def solve():
+        checkpoint.delete()  # start from p^0 each time: one iteration, one checkpoint put
+        solver.solve(checkpoint=checkpoint)
+
+    return solve
+
+
+def _sink_flush(store):
+    sink = StoreEventSink(store, "w1")
+    recorder = EventRecorder()
+    recorder.subscribe(sink)
+
+    def flush():
+        recorder.emit("heartbeat", "w1", "scenario")  # a buffered kind
+        sink.flush()
+
+    return flush
+
+
+def _lease_get(store):
+    manager = _manager(store, "w1", _Clock())
+    spec = _payload_spec(0)
+    assert manager.try_claim(spec) is not None
+    return lambda: manager.read(spec)
+
+
+_RETRIED_BELOW_THE_CALLER = {
+    "entry-put": ("put", "/entry.json", _entry_put),
+    "checkpoint-put": ("put", "/checkpoint.npz", _checkpoint_put),
+    "event-sink-flush": ("put", "events/", _sink_flush),
+    "lease-get": ("get", "leases/", _lease_get),
+}
+
+
+class TestRetryIsTheBackendsJob:
+    @pytest.mark.parametrize("case", sorted(_RETRIED_BELOW_THE_CALLER))
+    def test_injected_blip_is_absorbed_below_every_caller(
+        self, case, any_store_url, monkeypatch
+    ):
+        monkeypatch.setenv(RETRIES_ENV, "2")
+        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+        op, substring, prepare = _RETRIED_BELOW_THE_CALLER[case]
+        backend = FaultInjectingBackend(backend_from_url(any_store_url))
+        run = prepare(ResultsStore(backend))
+        # one blip: the backend's own public op retries it away
+        blip = backend.add_rule(op=op, substring=substring, action="error", times=1)
+        run()
+        assert blip.fired == 1
+        # a store that stays down: the original exception, after exactly
+        # 1 + REPRO_STORE_RETRIES attempts of the one failing op
+        backend.clear_rules()
+        down = backend.add_rule(op=op, substring=substring, action="error", times=None)
+        with pytest.raises(TransientStorageError, match="injected transient fault"):
+            run()
+        assert down.fired == 3
+
+    def test_crashes_and_misses_are_never_retried(self, store_url_for, monkeypatch):
+        monkeypatch.setenv(RETRIES_ENV, "3")
+        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+        backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
+        crash = backend.add_rule(op="put", substring="x", action="crash", times=None)
+        with pytest.raises(InjectedCrash):
+            backend.put("x", b"")
+        bug = backend.add_rule(
+            op="get", substring="x", action="error", exc=lambda: ValueError("bug"), times=None
+        )
+        with pytest.raises(ValueError):
+            backend.get("x")
+        assert (crash.fired, bug.fired) == (1, 1)
+        backend.clear_rules()
+        with pytest.raises(FileNotFoundError):
+            backend.get("x")
+        assert backend.ops.count(("get", "x")) == 2  # the ValueError one, then one miss
+
+    @pytest.mark.parametrize("retries", [3, 0])
+    def test_one_lease_read_on_a_down_s3_endpoint_costs_one_budget(
+        self, retries, store_url_for, monkeypatch
+    ):
+        # the layers used to nest (lease._call around the objectstore
+        # wrapper): 16 client attempts for a documented budget of 4
+        monkeypatch.setenv(RETRIES_ENV, str(retries))
+        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+        store = ResultsStore.open(store_url_for("s3"))
+        attempts = []
+
+        def down(bucket, key):
+            attempts.append(key)
+            raise ConnectionError("endpoint down")
+
+        monkeypatch.setattr(store.backend.client, "get_object", down)
+        with pytest.raises(ConnectionError):
+            _manager(store, "w1", _Clock()).read(_payload_spec(0))
+        assert len(attempts) == 1 + retries
 
 
 # --------------------------------------------------------------------------- #
@@ -737,11 +846,23 @@ class TestDrainCost:
 
         monkeypatch.setattr(spec_module, "hashlib", types.SimpleNamespace(sha256=counting_sha256))
         specs = _micro_specs(50)
-        store = ResultsStore.open(store_url_for("mem"))
+        backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))  # for .ops
+        store = ResultsStore(backend)
         report = run_worker(specs, store, worker_id="hash-once")
         assert report.claims == 50 and not report.parked
         assert all(store.entry(spec)["status"] == "completed" for spec in specs)
         assert len(digests) == 50
+        assert sum(op == "put" and key.endswith("/spec.json") for op, key in backend.ops) == 50
+
+    def test_failed_and_interrupted_entries_keep_their_spec_put_once(self, store_url_for):
+        backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
+        store = ResultsStore(backend)
+        specs = [_payload_spec(0), _broken_spec(), _tiny_solve_spec()]
+        entries = solve_batch_and_commit(specs, store, interrupt_after=1)
+        assert [e["status"] for e in entries] == ["completed", "failed", "interrupted"]
+        for spec in specs:
+            assert backend.ops.count(("put", store.spec_key(spec))) == 1
+            assert store.load_spec(spec) == spec  # what `diff` reads on any entry
 
     def test_event_bytes_put_grow_linearly_with_units_drained(self, store_url_for):
         def event_bytes_put(units: int) -> int:
