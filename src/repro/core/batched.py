@@ -430,7 +430,7 @@ class BatchedTimeIterationSolver:
         new_policy, wall, sections = ms.update
         iteration = ms.iteration + 1
         change = new_policy.distance(ms.policy)
-        metric_value = change.get(cfg.convergence_metric, change["linf"])
+        metric_value = change[cfg.convergence_metric]
         record = IterationRecord(
             iteration=iteration,
             policy_change_linf=change["linf"],

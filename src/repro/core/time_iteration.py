@@ -97,6 +97,10 @@ class TimeIterationModel(Protocol):
     # counts by name; a solve reports their growth on ``solve-finished``.
 
 
+#: the entries of :meth:`repro.core.policy.PolicySet.distance` a solve can stop on
+CONVERGENCE_METRICS = ("linf", "l2", "rel_linf", "rel_l2")
+
+
 @dataclass
 class TimeIterationConfig:
     """Configuration of the time iteration driver.
@@ -141,6 +145,11 @@ class TimeIterationConfig:
     damping: float = 1.0
     warm_start: bool = True
     verbose: bool = False
+
+    def __post_init__(self) -> None:
+        metric = self.convergence_metric
+        if metric not in CONVERGENCE_METRICS:
+            raise ValueError(f"convergence_metric {metric!r} is not one of {CONVERGENCE_METRICS}")
 
 
 @dataclass

@@ -26,8 +26,8 @@ Module map
   system, plus the Euler-equation accuracy metrics.
 * :mod:`repro.olg.stacked` — several structurally equal models stacked
   row-wise into one Euler system (cross-scenario batching).
-* :mod:`repro.olg.solver` — damped Newton + scipy fallback for the
-  per-grid-point nonlinear systems (the paper uses Ipopt).
+* :mod:`repro.olg.solver` — batched damped Newton for the per-grid-point
+  nonlinear systems (the paper uses Ipopt).
 * :mod:`repro.olg.simulation` — forward simulation of the solved economy.
 """
 

@@ -62,10 +62,9 @@ def _pinned(log_savings: np.ndarray) -> np.ndarray:
     """Rows with a saver at or beyond a clip bound of :func:`_savings`.
 
     The residual does not respond to that unknown (its Jacobian column is
-    exactly zero, for Newton and for scipy alike).  In practice it is the
-    floor: a node whose capital is below what the tracked generations hold
-    has no interior solution, and the saver in question sits on the
-    borrowing constraint.
+    exactly zero).  In practice it is the floor: a node whose capital is
+    below what the tracked generations hold has no interior solution, and
+    the saver in question sits on the borrowing constraint.
     """
     return np.any(
         (log_savings <= _LOG_SAVINGS_FLOOR) | (log_savings >= _LOG_SAVINGS_CEILING), axis=-1
@@ -102,7 +101,6 @@ class EulerSystem:
             raise ValueError("the broadcast case serves exactly one model")
         reps = counts if self.stacked else [1]
         self.utility, self.technology, self.fiscal = base.utility, base.technology, base.fiscal
-        self.solver = base.solver
         self.batch_solver = BatchNewtonSolver(base.solver)
         self.num_states = cal.num_states
         self.num_ages = cal.num_generations
@@ -111,16 +109,14 @@ class EulerSystem:
         self.labor_supply = cal.labor_supply
         self.efficiency = np.asarray(cal.efficiency, dtype=float)
         self.working = np.arange(cal.num_generations) < cal.retirement_age
-        #: single-model systems the scipy polish runs on (evaluating one
-        #: point through stacked parameters costs ~20% more than through these)
+        #: the members' own single-model systems, where :meth:`solve` books
         self.views = [m.system for m in models] if self.stacked else [self]
         #: what :meth:`solve` did for this model so far (a stacked system
         #: books on its members' own systems): rows solved, rows Newton left
-        #: stalled, of those the pinned (not polished) and the polished ones,
-        #: the vectorised residual calls of the Newton runs it took part in,
-        #: and the number of those runs
+        #: stalled, of those the pinned ones, the vectorised residual calls
+        #: of the Newton runs it took part in, and the number of those runs
         self.totals = dict.fromkeys(
-            ("rows", "stalled", "pinned", "polished", "residual_calls", "newton_runs"), 0
+            ("rows", "stalled", "pinned", "residual_calls", "newton_runs"), 0
         )
         self.row_member = np.repeat(np.arange(len(models)), reps)
 
@@ -295,15 +291,12 @@ class EulerSystem:
         — with ``z`` an array, over the rows of every shock state at once —
         so each residual evaluation interpolates next period's policies at
         every candidate of every active row in one basis pass, which serves
-        all successor states.  A row whose Newton stalled gets a scipy
-        polish from its best iterate (one point at a time on the row's own
-        single-model system, accepted when it does not worsen the residual)
-        — unless the iterate is pinned (:func:`_pinned`): a saver on the
-        borrowing floor leaves the system without an interior root, scipy
-        sees the same zero Jacobian column Newton did and cannot move the
-        residual, so the row keeps its Newton iterate.  Stalled rows of
-        either kind are routine on a cold start and at the infeasible
-        corner nodes; time iteration goes on regardless.
+        all successor states.  A row whose Newton stalled keeps the best
+        iterate of that run.  Such a row is *pinned* (:func:`_pinned`) when
+        a saver sits on the borrowing floor, which leaves the system without
+        an interior root; stalled rows of either kind are routine on a cold
+        start and at the infeasible corner nodes, and time iteration goes
+        on regardless.
 
         What happened is added, member by member, to :attr:`totals` of the
         member's own single-model system.
@@ -322,23 +315,11 @@ class EulerSystem:
         member = self.row_member if self.stacked else np.zeros(rows.size, dtype=int)
         stalled = ~result.converged
         pinned = stalled & _pinned(result.x)
-        polished = stalled & ~pinned & self.solver.use_scipy_fallback
-        for row in np.flatnonzero(polished):
-            view, policy, x = self.views[member[row]], [policies[member[row]]], X[row]
-            z_row = int(z[row])
-
-            def residual_row(log_savings: np.ndarray) -> np.ndarray:
-                return view.euler_residuals(z_row, None, x, _savings(log_savings), policy)
-
-            polish = self.solver.scipy_polish(
-                residual_row, result.x[row], float(result.residual_norm[row])
-            )
-            savings[row] = _savings(polish.x)
         for i, view in enumerate(self.views):
             mine = member == i
-            for name, mask in (("stalled", stalled), ("pinned", pinned), ("polished", polished)):
-                view.totals[name] += int(mask[mine].sum())
             view.totals["rows"] += int(mine.sum())
+            view.totals["stalled"] += int(stalled[mine].sum())
+            view.totals["pinned"] += int(pinned[mine].sum())
             view.totals["residual_calls"] += result.residual_evaluations
             view.totals["newton_runs"] += 1
         values = self.value_functions(z, rows, X, savings, policies)

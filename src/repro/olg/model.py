@@ -247,8 +247,7 @@ class OLGModel:
         iteration is vectorized across rows, and each residual evaluation
         interpolates next period's policies at all active rows with one
         basis pass that serves every successor state; rows it cannot
-        converge are polished with scipy from the batch's best iterate,
-        except those with a saver pinned on the borrowing floor (see
+        converge keep the batch's best iterate (see
         :meth:`repro.olg.euler.EulerSystem.solve`).  ``guesses`` are
         optional warm-start policy values per row.
         """

@@ -1,19 +1,17 @@
-"""Nonlinear solvers for the per-grid-point equilibrium systems.
+"""Nonlinear solver for the per-grid-point equilibrium systems.
 
 The paper solves the ~60-equation nonlinear system at every grid point with
 Ipopt.  This reproduction uses a damped Newton method with a finite
-difference Jacobian and a backtracking line search, falling back to
-``scipy.optimize.root`` (Powell hybrid) when Newton stalls — the surrounding
-code path (repeated interpolation of next-period policies inside the
-residual function) is identical, which is what matters for the performance
-experiments.  The Newton iteration exists once, row-masked over a batch of
-independent systems (:class:`BatchNewtonSolver`), and issues few, large
-residual calls — at most three per iteration, whatever the batch and the
-system size — because a residual call is an interpolation kernel launch;
-:class:`NewtonSolver` holds the settings, the scipy polish and the
-single-system entry point.  Which stalled rows are worth a polish is the
-caller's call: :meth:`repro.olg.euler.EulerSystem.solve` skips those pinned
-on a bound of the unknowns, where scipy faces the same zero Jacobian column.
+difference Jacobian and a backtracking line search and nothing after it —
+the surrounding code path (repeated interpolation of next-period policies
+inside the residual function) is identical, which is what matters for the
+performance experiments.  The Newton iteration exists once, row-masked over
+a batch of independent systems (:class:`BatchNewtonSolver`), and issues few,
+large residual calls — at most three per iteration, whatever the batch and
+the system size — because a residual call is an interpolation kernel launch;
+:class:`NewtonSolver` holds the settings and the single-system entry point.
+A system Newton leaves stalled keeps its best iterate and is reported
+unconverged.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 __all__ = ["PointSolveResult", "NewtonSolver", "BatchSolveResult", "BatchNewtonSolver"]
 
@@ -37,26 +34,21 @@ class PointSolveResult:
     iterations: int
     residual_evaluations: int
 
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-
 
 class NewtonSolver:
-    """Damped Newton with finite-difference Jacobian and scipy fallback.
+    """Damped Newton with finite-difference Jacobian: the settings and one system.
 
     Parameters
     ----------
     tol
         Convergence tolerance on the residual infinity norm.
     max_iterations
-        Newton iteration cap before the fallback kicks in.
+        Newton iteration cap.
     fd_step
         Relative step of the forward-difference Jacobian.
     max_step
         Cap on the Newton step infinity norm (guards against blow-ups when
         the Jacobian is nearly singular far from the solution).
-    use_scipy_fallback
-        Whether to retry unconverged solves with ``scipy.optimize.root``.
     """
 
     def __init__(
@@ -65,7 +57,6 @@ class NewtonSolver:
         max_iterations: int = 40,
         fd_step: float = 1e-7,
         max_step: float = 5.0,
-        use_scipy_fallback: bool = True,
     ) -> None:
         if tol <= 0:
             raise ValueError("tol must be positive")
@@ -73,13 +64,12 @@ class NewtonSolver:
         self.max_iterations = max_iterations
         self.fd_step = fd_step
         self.max_step = max_step
-        self.use_scipy_fallback = use_scipy_fallback
 
     def solve(self, fn: Callable, x0: np.ndarray) -> PointSolveResult:
         """Solve ``fn(x) = 0`` starting from ``x0``.
 
         One system is a batch of one: :class:`BatchNewtonSolver` on a single
-        row, then :meth:`scipy_polish` from its best iterate if it stalled.
+        row, whose best iterate is the answer whether or not it converged.
         A residual call carries several candidates for that row; ``fn``
         sees them one at a time.
         """
@@ -87,38 +77,13 @@ class NewtonSolver:
             lambda rows, X: np.stack([np.asarray(fn(x), dtype=float) for x in X]),
             np.asarray(x0, dtype=float)[None, :],
         )
-        x, norm, converged = batch.x[0], float(batch.residual_norm[0]), bool(batch.converged[0])
-        counts = (batch.iterations, batch.residual_evaluations)
-        if converged or not self.use_scipy_fallback:
-            return PointSolveResult(x, norm, converged, *counts)
-        return self.scipy_polish(fn, x, norm, *counts)
-
-    def scipy_polish(
-        self, fn: Callable, x0: np.ndarray, best_norm: float, iterations: int = 0, evals: int = 0
-    ) -> PointSolveResult:
-        """Powell-hybrid retry from a stalled Newton's best iterate ``x0``.
-
-        The scipy point is kept when it does not worsen the residual norm
-        ``best_norm``; otherwise ``x0`` is returned unconverged.
-        ``iterations`` / ``evals`` carry the Newton counts into the result.
-        """
-        counter = [evals]
-
-        def counted(x):
-            counter[0] += 1
-            return np.asarray(fn(x), dtype=float)
-
-        sol = optimize.root(counted, x0, method="hybr", tol=self.tol)
-        norm = float(np.max(np.abs(np.asarray(sol.fun, dtype=float))))
-        if norm <= best_norm:
-            return PointSolveResult(
-                np.asarray(sol.x, dtype=float),
-                norm,
-                bool(norm < self.tol * 10),
-                iterations,
-                counter[0],
-            )
-        return PointSolveResult(x0, best_norm, False, iterations, counter[0])
+        return PointSolveResult(
+            batch.x[0],
+            float(batch.residual_norm[0]),
+            bool(batch.converged[0]),
+            batch.iterations,
+            batch.residual_evaluations,
+        )
 
 
 @dataclass
@@ -147,8 +112,7 @@ class BatchNewtonSolver:
     active row, and one for all eleven halvings of the rows the full step
     did not serve, each of which takes the first halving that lowers its
     norm.  Rows whose line search stalls are deactivated and reported
-    unconverged with their best iterate (callers polish those with
-    :meth:`NewtonSolver.scipy_polish`).
+    unconverged with their best iterate.
 
     The residual callback receives ``(rows, X)`` where ``rows`` indexes the
     original batch (so the callback can look up per-row problem data) and

@@ -18,11 +18,8 @@ profile, preferences, technology, fiscal rule, nonlinear-solver settings —
 must agree across members; :class:`StructuralMismatch` is raised otherwise
 and the caller falls back to per-scenario solves.  The group itself only
 checks that, concatenates the members' blocks and splits the result; rows
-the batched Newton cannot converge are polished with scipy from the
-batch's best iterate on the member's own single-model system — except
-rows with a saver pinned on the borrowing floor, which keep their Newton
-iterate — exactly as in a per-scenario solve
-(:meth:`repro.olg.euler.EulerSystem.solve`).
+the batched Newton cannot converge keep the batch's best iterate, exactly
+as in a per-scenario solve (:meth:`repro.olg.euler.EulerSystem.solve`).
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ def _structure(model) -> dict:
             s.max_iterations,
             s.fd_step,
             s.max_step,
-            s.use_scipy_fallback,
         ),
     }
 

@@ -685,7 +685,7 @@ def _entry_rows(data: dict) -> list:
 
 
 #: the point-solver totals of ``solve-finished`` the progress table shows
-_SOLVER_COLUMNS = ("rows", "pinned", "polished", "residual_calls")
+_SOLVER_COLUMNS = ("rows", "stalled", "pinned", "residual_calls")
 _PROGRESS_HEADERS = (
     "scenario",
     "status",

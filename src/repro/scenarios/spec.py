@@ -228,11 +228,13 @@ class ScenarioSpec:
         sig = inspect.signature(small_calibration).parameters
         gens = int(self.calibration.get("num_generations", sig["num_generations"].default))
         states = int(self.calibration.get("num_states", sig["num_states"].default))
-        config = TimeIterationConfig(**self.solver)
-        level = max(int(config.grid_level), 1)
+        # read off the overrides, not a built config: a spec whose config
+        # does not build must still sort, to fail where failures are recorded
+        level = max(int(self.solver.get("grid_level", TimeIterationConfig.grid_level)), 1)
+        iterations = int(self.solver.get("max_iterations", TimeIterationConfig.max_iterations))
         dim = max(gens - 1, 1)
         points = (2.0**level) * float(level) ** max(dim - 1, 0)
-        return points * max(int(config.max_iterations), 1) * max(states, 1)
+        return points * max(iterations, 1) * max(states, 1)
 
     # ------------------------------------------------------------------ #
     # construction of the runnable objects

@@ -118,6 +118,12 @@ class TestConvergence:
         assert not result.converged
         assert result.iterations == 3
 
+    @pytest.mark.parametrize("metric", ["rel_inf", "per_state_linf"])
+    def test_unknown_convergence_metric_is_rejected(self, metric):
+        # "per_state_linf" is an entry of PolicySet.distance too, but a list
+        with pytest.raises(ValueError, match=metric):
+            TimeIterationConfig(convergence_metric=metric)
+
     def test_damping_still_converges(self):
         model = ContractionModel()
         config = TimeIterationConfig(

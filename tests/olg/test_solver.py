@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.olg import solver as solver_module
-from repro.olg.solver import NewtonSolver, PointSolveResult, _newton_steps
+from repro.olg.solver import (
+    BatchNewtonSolver,
+    NewtonSolver,
+    PointSolveResult,
+    _newton_steps,
+)
 
 
 class TestNewtonSolver:
@@ -55,23 +60,31 @@ class TestNewtonSolver:
         expected = ratio * resources / (R + ratio)
         assert s == pytest.approx(expected, rel=1e-6)
 
-    def test_fallback_to_scipy_on_hard_start(self):
-        """A start too far for the truncated Newton run is rescued by the fallback."""
+    def test_truncated_run_on_hard_start_returns_best_iterate(self):
+        """A start too far for one Newton iteration: unconverged, best iterate, its counts."""
 
         def fn(x):
             return np.array([x[0] ** 3 - 8.0, np.sin(x[1])])
 
-        solver = NewtonSolver(max_iterations=1, use_scipy_fallback=True)
-        result = solver.solve(fn, np.array([10.0, 2.0]))
-        assert result.residual_norm < 1e-6
+        x0 = np.array([10.0, 2.0])
+        solver = NewtonSolver(max_iterations=1)
+        result = solver.solve(fn, x0)
+        batch = BatchNewtonSolver(solver).solve(
+            lambda rows, X: np.stack([fn(x) for x in X]), x0[None]
+        )
+        assert not result.converged
+        assert np.array_equal(result.x, batch.x[0])
+        assert result.residual_norm == np.max(np.abs(fn(result.x))) < np.max(np.abs(fn(x0)))
+        assert result.iterations == 1
+        assert result.residual_evaluations == batch.residual_evaluations == 3
 
-    def test_no_fallback_reports_not_converged(self):
+    def test_stalled_run_reports_not_converged(self):
         def fn(x):
             return np.array([np.tanh(x[0]) - 0.5])
 
-        solver = NewtonSolver(max_iterations=1, use_scipy_fallback=False)
-        result = solver.solve(fn, np.array([40.0]))
+        result = NewtonSolver(max_iterations=1).solve(fn, np.array([40.0]))
         assert not result.converged
+        assert result.x[0] == 40.0  # flat there: no step lowers the residual
 
     def test_singular_jacobian_uses_least_squares(self):
         def fn(x):

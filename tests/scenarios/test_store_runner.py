@@ -217,6 +217,16 @@ class TestRunner:
         again = run_suite(suite, store)
         assert again.count("failed") == 1 and again.count("skipped") == 1
 
+    def test_mistyped_convergence_metric_fails_before_iterating(self, env_store_url):
+        # it used to stop on "linf" without a word
+        spec = _tiny_solve_spec("typo").with_overrides(solver={"convergence_metric": "rel_inf"})
+        store = ResultsStore.open(env_store_url())
+        report = run_suite(ScenarioSuite("typo", [spec, _tiny_solve_spec("good")]), store)
+        assert report.count("failed") == 1 and report.count("completed") == 1
+        entry = store.entry(spec)
+        assert entry["status"] == "failed" and "'rel_inf'" in entry["error"]
+        assert "iterations" not in entry
+
     def test_experiment_scenarios_store_payloads(self, env_store_url):
         suite = ScenarioSuite(
             "exp",

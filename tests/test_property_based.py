@@ -398,7 +398,7 @@ def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed)
     the per-state calls with an int ``z`` give (<= 1e-13: the states share
     the successor loop, and a row that cannot reach a successor carries
     probability zero there); the fused solve is the per-state solves
-    (<= 1e-10) with the same rows stalled, pinned and polished.  Holds for
+    (<= 1e-10) with the same rows stalled and pinned.  Holds for
     one model (broadcast parameters) and for a stacked pair.
     """
     rng = np.random.default_rng(seed)
@@ -447,44 +447,36 @@ def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed)
         return
 
     def solve_and_watch(system, z, X):
-        """The solve's output and the (stalled, pinned, polished) masks of its Newton run.
+        """The solve's output and the (stalled, pinned) masks of its Newton run.
 
         Every residual row is evaluated twice: BLAS rounds a lone row (gemv)
         unlike a row among others (gemm), and which rows are still active
         next to a given one is exactly what differs between the two solves.
         """
-        seen, polished = [], []
-        newton, polish = system.batch_solver.solve, system.solver.scipy_polish
+        seen = []
+        newton = system.batch_solver.solve
         residuals = system.euler_residuals
 
         def twice(z, rows, X, savings, policies):
-            if X.ndim == 1:  # the polish, one point at a time in both solves
-                return residuals(z, rows, X, savings, policies)
             twin = [np.repeat(a, 2, axis=0) for a in (z, rows, X, savings)]
             return residuals(*twin, policies)[::2]
 
         system.euler_residuals = twice
         system.batch_solver.solve = lambda fn, x0: seen.append(newton(fn, x0)) or seen[-1]
-        system.solver.scipy_polish = lambda fn, x0, norm: (
-            polished.append(x0.tobytes()) or polish(fn, x0, norm)
-        )
         try:
             out = system.solve(z, X, policies, None)
         finally:
             del system.euler_residuals
-            system.batch_solver.solve, system.solver.scipy_polish = newton, polish
+            system.batch_solver.solve = newton
         (result,) = seen  # ONE Newton batch, whatever z is
         stalled = ~result.converged
-        pinned = stalled & euler._pinned(result.x)
-        was_polished = stalled & np.array([x.tobytes() in polished for x in result.x])
-        return out, np.stack([stalled, pinned, was_polished])
+        return out, np.stack([stalled, stalled & euler._pinned(result.x)])
 
     fused, fused_masks = solve_and_watch(system, z, X)
     for s, block in enumerate(of_state):
         alone, masks = solve_and_watch(per_state, s, X[block])
         assert np.all(np.abs(fused[block] - alone) <= 1e-10 * (1.0 + np.abs(alone)))
         assert np.array_equal(fused_masks[:, block], masks)
-        assert np.array_equal(masks[2], masks[0] & ~masks[1])  # polished = stalled, not pinned
 
 
 def _synthetic_system(rng: np.random.Generator, m: int, n: int):
@@ -516,7 +508,7 @@ def test_batch_newton_reproduces_scalar_newton_row_by_row(seed, m, n, max_iterat
     rng = np.random.default_rng(seed)
     rows_fn, root = _synthetic_system(rng, m, n)
     x0 = root + rng.uniform(-0.8, 0.8, size=(m, n))
-    scalar = NewtonSolver(max_iterations=max_iterations, use_scipy_fallback=False)
+    scalar = NewtonSolver(max_iterations=max_iterations)
     batch = BatchNewtonSolver(scalar).solve(rows_fn, x0)
     assert batch.x.shape == (m, n) and batch.converged.shape == (m,)
     for r in range(m):
@@ -619,7 +611,7 @@ def test_fused_newton_is_the_sequential_newton(seed, m, n, max_iterations, bound
         return (A[rows] * d[:, None, :]).sum(axis=2) + cubic[rows] * d * d * d
 
     x0 = root + rng.uniform(-0.8, 0.8, size=(m, n))
-    newton = NewtonSolver(max_iterations=max_iterations, use_scipy_fallback=False)
+    newton = NewtonSolver(max_iterations=max_iterations)
     x, norm, converged, iterations, ref_evals = _sequential_newton(rows_fn, x0, newton)
     calls.clear()
     fused = BatchNewtonSolver(newton).solve(rows_fn, x0)
