@@ -130,14 +130,19 @@ def run_fig9(
     Stage 0 solves on the regular level-``grid_level`` grids; every further
     stage switches to adaptive refinement with the next (smaller) threshold
     from ``refinement_epsilons``, warm-starting from the previous stage.
+
+    The errors are measured on the middle 60 % of the box.  The trim still
+    matters on the per-age holdings box, where every point is an economy:
+    after stage 0 of the defaults the L2 error on 200 points reads 0.010
+    inside against 0.027 on the whole box (L-infinity 0.07 / 0.25), because
+    a level-2 interpolant is coarsest towards the faces, which hold states
+    2.5 times the steady-state profile that the ergodic economy never visits.
     """
     cal = small_calibration(
         num_generations=num_generations, num_states=num_states, beta=beta
     )
     model = OLGModel(cal)
-    # Fixed interior evaluation sample (middle 60 % of the box) so the error
-    # series is comparable across stages and not dominated by box corners
-    # the ergodic economy never visits.
+    # fixed across stages, so the error series is comparable between them
     lower, upper = model.domain.lower, model.domain.upper
     margin = 0.2 * (upper - lower)
     inner = model.domain.__class__(lower + margin, upper - margin)

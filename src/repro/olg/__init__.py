@@ -4,9 +4,11 @@ This is the economic application of the paper (Sec. II and V-D): agents live
 ``A`` periods, face stochastic aggregate shocks and stochastic tax regimes
 (``Ns`` discrete states), pay labor and capital income taxes that fund a
 pay-as-you-go pension, and trade a single capital asset.  The continuous
-state is ``x = (K, omega_2, ..., omega_{A-1})`` — aggregate capital plus the
-capital holdings of the middle generations — so the problem dimension is
-``d = A - 1`` (59 for the paper's annual calibration with ``A = 60``).
+state is ``x = (k_2, ..., k_A)`` — the capital holdings of every generation
+but the newborn, aggregate capital being their sum — so the problem
+dimension is ``d = A - 1`` (59 for the paper's annual calibration with
+``A = 60``), on a box with per-generation bounds around the steady-state
+life-cycle profile.  :data:`STATE_CONVENTION` names these coordinates.
 
 Module map
 ----------
@@ -36,6 +38,7 @@ from repro.olg.markov import MarkovChain, rouwenhorst, tensor_chain, persistent_
 from repro.olg.preferences import CRRAUtility
 from repro.olg.production import CobbDouglasTechnology
 from repro.olg.government import FiscalPolicy
+from repro.olg.euler import STATE_CONVENTION
 from repro.olg.model import OLGModel
 from repro.olg.solver import NewtonSolver, PointSolveResult
 from repro.olg.simulation import simulate_economy, SimulationResult
@@ -59,6 +62,7 @@ __all__ = [
     "CobbDouglasTechnology",
     "FiscalPolicy",
     "OLGModel",
+    "STATE_CONVENTION",
     "NewtonSolver",
     "PointSolveResult",
     "simulate_economy",

@@ -50,11 +50,9 @@ class OLGCalibration:
         Markov chain over the discrete states; must provide the labels
         ``productivity``, ``depreciation``, ``tau_labor`` and
         ``tau_capital``.
-    capital_bounds, holdings_upper
-        State-space box: bounds on aggregate capital ``K`` and the common
-        upper bound on individual capital holdings ``omega_a`` (lower
-        bound 0).  ``None`` means "derive heuristically from the steady
-        state" (done by :class:`repro.olg.model.OLGModel`).
+
+    The state-space box is not a primitive: :class:`repro.olg.model.OLGModel`
+    derives each generation's bounds from the steady-state life-cycle profile.
     """
 
     num_generations: int = 6
@@ -65,8 +63,6 @@ class OLGCalibration:
     efficiency: np.ndarray = field(default=None)
     shocks: MarkovChain = field(default=None)
     consumption_floor: float = 1e-6
-    capital_bounds: tuple[float, float] | None = None
-    holdings_upper: float | None = None
 
     def __post_init__(self) -> None:
         A = self.num_generations

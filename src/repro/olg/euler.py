@@ -34,7 +34,11 @@ from repro.olg.government import GovernmentBudget
 from repro.olg.production import Prices
 from repro.olg.solver import BatchNewtonSolver
 
-__all__ = ["EulerSystem", "PeriodEnvironment"]
+__all__ = ["EulerSystem", "PeriodEnvironment", "STATE_CONVENTION"]
+
+#: names the coordinates of :meth:`EulerSystem.holdings` / ``next_states``, which
+#: stored policies live on; a solve spec's content hash carries it
+STATE_CONVENTION = "holdings-1"
 
 _LOG_SAVINGS_FLOOR = -16.0  # exp(-16) ~ 1e-7: effectively the borrowing constraint
 _LOG_SAVINGS_CEILING = 30.0
@@ -62,9 +66,10 @@ def _pinned(log_savings: np.ndarray) -> np.ndarray:
     """Rows with a saver at or beyond a clip bound of :func:`_savings`.
 
     The residual does not respond to that unknown (its Jacobian column is
-    exactly zero).  In practice it is the floor: a node whose capital is
-    below what the tracked generations hold has no interior solution, and
-    the saver in question sits on the borrowing constraint.
+    exactly zero).  In practice it is the floor, and a binding borrowing
+    constraint: from 12 generations the youngest saver's steady-state
+    saving is negative (+0.01 at 10), and log-savings cannot follow it
+    below zero.
     """
     return np.any(
         (log_savings <= _LOG_SAVINGS_FLOOR) | (log_savings >= _LOG_SAVINGS_CEILING), axis=-1
@@ -157,28 +162,25 @@ class EulerSystem:
         )
 
     def holdings(self, X: np.ndarray) -> np.ndarray:
-        """Capital held by each age: newborns nothing, the oldest the residual.
+        """Capital held by each age: newborns nothing, every other age its coordinate.
 
-        ``X`` rows are ``(K, omega_2, ..., omega_{A-1})``; the oldest
-        generation's holding is ``K - sum(omega)``, floored at zero.
+        ``X`` rows are ``(k_2, ..., k_A)``, the holdings of the ``A - 1``
+        asset-holding generations; aggregate capital is their sum.
         """
         holdings = np.zeros(X.shape[:-1] + (self.num_ages,), dtype=float)
-        holdings[..., 1:-1] = X[..., 1:]
-        holdings[..., -1] = np.maximum(X[..., 0] - X[..., 1:].sum(axis=-1), 0.0)
+        holdings[..., 1:] = X
         return holdings
 
     def next_states(self, rows, savings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tomorrow's aggregate capital and continuous state implied by ``savings``.
 
         Today's savers ``0 .. A-2`` are tomorrow's ages ``1 .. A-1``: their
-        savings sum to the new capital and the tracked holdings are those of
-        today's savers ``0 .. A-3``.  The state (not the capital) is clipped
-        into the approximation box.
+        savings are tomorrow's state and sum to the new capital.  The state
+        (not the capital that sets tomorrow's prices) is clipped into the
+        approximation box.
         """
         sel = self._sel(rows)
-        K_next = savings.sum(axis=-1)
-        x_next = np.concatenate([K_next[..., None], savings[..., :-1]], axis=-1)
-        return K_next, np.clip(x_next, self.lower[sel], self.upper[sel])
+        return savings.sum(axis=-1), np.clip(savings, self.lower[sel], self.upper[sel])
 
     @staticmethod
     def consumption(env: PeriodEnvironment, holdings: np.ndarray, savings) -> np.ndarray:
@@ -189,7 +191,8 @@ class EulerSystem:
 
     def consumption_at(self, z, rows, X: np.ndarray, savings) -> np.ndarray:
         """Consumption by age at states ``X`` in shock state(s) ``z`` under ``savings``."""
-        return self.consumption(self.environment(z, rows, X[..., 0]), self.holdings(X), savings)
+        env = self.environment(z, rows, X.sum(axis=-1))
+        return self.consumption(env, self.holdings(X), savings)
 
     def resources(self, z, rows, X: np.ndarray) -> np.ndarray:
         """Cash on hand of every saving age: asset income plus non-asset income."""
@@ -294,9 +297,10 @@ class EulerSystem:
         all successor states.  A row whose Newton stalled keeps the best
         iterate of that run.  Such a row is *pinned* (:func:`_pinned`) when
         a saver sits on the borrowing floor, which leaves the system without
-        an interior root; stalled rows of either kind are routine on a cold
-        start and at the infeasible corner nodes, and time iteration goes
-        on regardless.
+        an interior root.  Every node of the box is an economy, so up to 8
+        generations no row stalls; from 10-12 the youngest savers' borrowing
+        constraint binds at some nodes, those rows are pinned, and time
+        iteration goes on regardless.
 
         What happened is added, member by member, to :attr:`totals` of the
         member's own single-model system.

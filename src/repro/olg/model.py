@@ -4,14 +4,16 @@ State convention
 ----------------
 The mixed state is ``s = (z, x)`` with ``z`` a discrete Markov shock and
 
-    ``x = (K, omega_2, ..., omega_{A-1})  in  R^{A-1}``
+    ``x = (k_2, ..., k_A)  in  R^{A-1}``
 
-where ``K`` is aggregate capital at the start of the period and ``omega_a``
-is the capital holding of generation ``a`` (ages are 0-based in the code:
-generation ``a`` corresponds to code age ``a - 1``).  Newborns hold nothing
-and the oldest generation's holding is the residual ``K - sum(omega)``
-(floored at zero), which is why only ``A - 2`` individual holdings enter the
-state and ``d = A - 1``.
+the capital holdings of the asset-holding generations at the start of the
+period (ages are 0-based in the code: generation ``a`` corresponds to code
+age ``a - 1``).  Newborns hold nothing, so ``d = A - 1`` and aggregate
+capital is ``K = sum(x)``: every point of the box is an economy, and
+tomorrow's state is today's savings.  Each generation has its own bounds,
+multiples of its steady-state holding (:meth:`OLGModel._default_domain`, the
+one place the box is set).  :data:`repro.olg.euler.STATE_CONVENTION`
+names these coordinates for the scenario store, whose solve hashes carry it.
 
 Policy convention
 -----------------
@@ -55,6 +57,11 @@ from repro.utils.rng import default_rng
 
 __all__ = ["OLGModel", "PeriodEnvironment"]
 
+# the box of generation ``a`` around its steady-state holding ``k_a^ss``:
+# ``[_BOX_LOWER, _BOX_UPPER] * max(k_a^ss, 0)``, the upper bound widened by
+# ``_BOX_WIDTH * k_ss / (A - 1)`` for the ages that hold <= 0 in steady state
+_BOX_LOWER, _BOX_UPPER, _BOX_WIDTH = 0.2, 2.5, 0.05
+
 
 def _point(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float).reshape(-1)
@@ -74,7 +81,6 @@ class OLGModel:
         technology: CobbDouglasTechnology | None = None,
         fiscal: FiscalPolicy | None = None,
         solver: NewtonSolver | None = None,
-        domain: BoxDomain | None = None,
     ) -> None:
         self.calibration = calibration if calibration is not None else OLGCalibration()
         cal = self.calibration
@@ -86,7 +92,7 @@ class OLGModel:
         )
         self.fiscal = fiscal if fiscal is not None else FiscalPolicy()
         self.solver = solver if solver is not None else NewtonSolver()
-        self._domain = domain if domain is not None else self._default_domain()
+        self._domain = self._default_domain()
         self.system = EulerSystem([self])
 
     # ------------------------------------------------------------------ #
@@ -122,24 +128,11 @@ class OLGModel:
     # aggregates, prices, incomes
     # ------------------------------------------------------------------ #
     def _default_domain(self) -> BoxDomain:
-        """Centre the approximation box on the deterministic steady state."""
-        cal = self.calibration
+        """Per-age bounds around the deterministic steady state's life-cycle profile."""
         steady = self.steady_state
-        k_ss = max(steady.capital, 1e-3)
-        if cal.capital_bounds is not None:
-            k_lo, k_hi = cal.capital_bounds
-        else:
-            k_lo, k_hi = 0.25 * k_ss, 3.0 * k_ss
-        if cal.holdings_upper is not None:
-            holdings_hi = cal.holdings_upper
-        else:
-            peak_holding = float(np.max(np.maximum(steady.profile.holdings, 0.0)))
-            holdings_hi = max(2.5 * peak_holding, 1.0 * k_ss)
-        lower = np.concatenate([[k_lo], np.zeros(cal.num_generations - 2)])
-        upper = np.concatenate(
-            [[k_hi], np.full(cal.num_generations - 2, holdings_hi)]
-        )
-        return BoxDomain(lower, upper)
+        held = np.maximum(steady.profile.holdings[1:], 0.0)
+        width = _BOX_WIDTH * steady.capital / self.state_dim
+        return BoxDomain(_BOX_LOWER * held, _BOX_UPPER * held + width)
 
     @property
     def steady_state(self):
@@ -166,20 +159,18 @@ class OLGModel:
         """Split a continuous state into aggregate capital and per-age holdings.
 
         Returns ``(K, holdings)`` where ``holdings`` has length ``A``:
-        newborns hold nothing and the oldest generation's holding is the
-        residual ``K - sum(middle holdings)``, floored at zero.
+        newborns hold nothing, the other ages their coordinate of ``x``,
+        and ``K`` is the sum.
         """
         x = np.asarray(x, dtype=float).reshape(self.state_dim)
-        return float(x[0]), self.system.holdings(x)
+        return float(x.sum()), self.system.holdings(x)
 
     def pack_next_state(self, savings: np.ndarray) -> np.ndarray:
         """Continuous state implied by today's savings decisions.
 
         ``savings`` has length ``A - 1`` (ages ``0 .. A-2``); tomorrow
-        these agents are ages ``1 .. A-1``, so the new aggregate capital is
-        their sum and the tracked holdings are those of tomorrow's ages
-        ``1 .. A-2`` (i.e. today's savers ``0 .. A-3``), clipped into the
-        approximation box.
+        these agents are ages ``1 .. A-1`` and hold what they saved, so
+        the new state is the savings clipped into the approximation box.
         """
         return self.system.next_states(None, np.asarray(savings, dtype=float))[1]
 

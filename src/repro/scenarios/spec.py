@@ -185,7 +185,9 @@ class ScenarioSpec:
 
         ``name`` and ``tags`` are excluded: two scenarios that request the
         same computation share a hash (and therefore stored results), no
-        matter what they are called.  Computed once per object (the groups
+        matter what they are called.  A solve's hash also carries
+        :data:`repro.olg.euler.STATE_CONVENTION`, the coordinates its stored
+        policy lives on.  Computed once per object (the groups
         are read-only, so it cannot go stale).
         """
         return self._content_hash
@@ -198,6 +200,12 @@ class ScenarioSpec:
             "solver": self.solver,
             "params": self.params,
         }
+        if self.kind == "solve":
+            # a stored policy lives on the model's state coordinates: entries
+            # written under another convention are other scenarios
+            from repro.olg.euler import STATE_CONVENTION
+
+            payload["state_convention"] = STATE_CONVENTION
         return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
     @property

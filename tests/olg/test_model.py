@@ -11,7 +11,7 @@ from repro.core.time_iteration import (
     values_on_grid,
 )
 from repro.olg.calibration import small_calibration
-from repro.olg.euler import _pinned, _savings
+from repro.olg.euler import _LOG_SAVINGS_FLOOR, _pinned, _savings
 from repro.olg.model import OLGModel
 from repro.olg.solver import NewtonSolver
 from repro.parallel.tracing import SOLVER_TOTALS
@@ -38,30 +38,35 @@ class TestDimensions:
         assert model.num_states == 2
         assert model.domain.dim == model.state_dim
 
-    def test_domain_contains_steady_state(self, model):
-        ss = model.steady_state
-        assert model.domain.lower[0] < ss.capital < model.domain.upper[0]
+    @pytest.mark.parametrize("generations", [3, 5, 6, 8, 10, 12, 16])
+    def test_domain_contains_steady_state(self, generations):
+        """Every age's box holds its (clipped) steady-state holding, strictly where it is > 0."""
+        model = OLGModel(small_calibration(num_generations=generations, num_states=2))
+        held = np.maximum(model.steady_state.profile.holdings[1:], 0.0)
+        lower, upper = model.domain.lower, model.domain.upper
+        assert np.all(lower <= held) and np.all(held < upper)
+        assert np.all(lower[held > 0] < held[held > 0])
+        assert lower.sum() < model.steady_state.capital < upper.sum()
 
 
 class TestStatePacking:
-    def test_unpack_residual_oldest_holding(self, model):
-        x = np.array([1.0, 0.2, 0.3, 0.1])
-        K, holdings = model.unpack_state(x)
-        assert K == 1.0
-        assert holdings[0] == 0.0                       # newborns own nothing
-        np.testing.assert_allclose(holdings[1:4], [0.2, 0.3, 0.1])
-        assert holdings[4] == pytest.approx(1.0 - 0.6)  # residual of the oldest
-
-    def test_unpack_floors_negative_residual(self, model):
-        x = np.array([0.3, 0.2, 0.3, 0.1])
+    def test_unpack_is_the_holdings_of_every_age_but_the_newborn(self, model):
+        x = np.array([0.2, 0.3, 0.1, 0.4])
         _, holdings = model.unpack_state(x)
-        assert holdings[-1] == 0.0
+        assert holdings[0] == 0.0                       # newborns own nothing
+        assert np.array_equal(holdings[1:], x)
 
-    def test_pack_next_state_aggregates_savings(self, model):
+    def test_unpack_capital_is_the_sum_of_the_state(self, model):
+        x = np.array([0.2, 0.3, 0.1, 0.0])              # an oldest age without assets is a state
+        K, holdings = model.unpack_state(x)
+        assert K == x.sum() == holdings.sum()
+
+    def test_pack_next_state_is_the_clipped_savings(self, model):
         savings = np.array([0.1, 0.2, 0.3, 0.15])
         x_next = model.pack_next_state(savings)
-        assert x_next[0] == pytest.approx(min(savings.sum(), model.domain.upper[0]))
-        np.testing.assert_allclose(x_next[1:], savings[:3])
+        assert np.array_equal(x_next, np.clip(savings, model.domain.lower, model.domain.upper))
+        inside = 0.5 * (model.domain.lower + model.domain.upper)
+        assert np.array_equal(model.pack_next_state(inside), inside)
 
     def test_pack_clips_to_domain(self, model):
         savings = np.full(model.num_savers, 1e6)
@@ -103,16 +108,13 @@ class TestConsumption:
         """C + K' = output + (1 - delta) K at an interior state.
 
         Aggregate consumption plus next-period capital equals production
-        plus undepreciated capital — the economy-wide resource constraint,
-        provided the state is internally consistent (holdings sum to K).
+        plus undepreciated capital — the economy-wide resource constraint;
+        the holdings sum to K at every state by construction.
         """
         z = 0
         cal = model.calibration
         ss = model.steady_state
-        K = ss.capital
-        holdings_mid = np.maximum(ss.profile.holdings[1 : cal.num_generations - 1], 0.0)
-        # make the state internally consistent: rescale so total holdings = K
-        x = np.concatenate([[K], holdings_mid])
+        x = np.maximum(ss.profile.holdings[1:], 0.0)
         K_state, holdings = model.unpack_state(x)
         env = model.environment(z, K_state)
         savings = np.maximum(ss.profile.savings[: model.num_savers], 0.0)
@@ -120,8 +122,7 @@ class TestConsumption:
         delta = cal.shocks.label("depreciation")[z]
         lhs = consumption.sum() + savings.sum()
         rhs = env.prices.output + (1.0 - delta) * K_state
-        # capital taxes are rebated and labor taxes become pensions, so the
-        # identity holds up to the consistency of the holdings decomposition
+        # capital taxes are rebated and labor taxes become pensions
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_oldest_consumes_everything(self, model):
@@ -183,12 +184,11 @@ class TestStalledRows:
     """A row Newton leaves stalled keeps the batch's best iterate; nothing runs after it."""
 
     @staticmethod
-    def _steps(steps: int, **newton):
+    def _steps(steps: int, calibration=None, **newton):
         """Level-2 time-iteration steps: the model, and (Newton result, solved rows) per run."""
-        model = OLGModel(
-            small_calibration(num_generations=5, num_states=2, beta=0.8),
-            solver=NewtonSolver(**newton),
-        )
+        if calibration is None:
+            calibration = small_calibration(num_generations=5, num_states=2, beta=0.8)
+        model = OLGModel(calibration, solver=NewtonSolver(**newton))
         results, outs = [], []
         newton, solve = model.system.batch_solver.solve, model.system.solve
         model.system.batch_solver.solve = lambda fn, x0: (
@@ -201,50 +201,92 @@ class TestStalledRows:
             policy = solver.step(policy, WallClock())
         return model, list(zip(results, outs))
 
-    def test_stalled_rows_keep_the_newton_iterate_bit_for_bit(self):
-        # three Newton iterations leave most rows short of tolerance: a few
-        # pinned on the borrowing floor, the others at an interior iterate
-        model, runs = self._steps(steps=2, max_iterations=3)
-        stalled = np.concatenate([~result.converged for result, _ in runs])
-        pinned = stalled & np.concatenate([_pinned(result.x) for result, _ in runs])
-        assert pinned.any() and (stalled & ~pinned).any() and not stalled.all()
-        for result, out in runs:
-            assert np.array_equal(out[:, : model.num_savers], _savings(result.x))
+    @classmethod
+    def _twelve_generations(cls):
+        """Five default-cap steps at 12 generations: the youngest saver reaches the floor.
 
-    def test_totals_count_the_newton_masks(self):
-        model, runs = self._steps(steps=2, max_iterations=3)
+        Its steady-state saving is negative there, and log-savings cannot
+        follow it below zero: a binding borrowing constraint at feasible
+        nodes, the one honest source of pinned rows on the per-age box.
+        """
+        return cls._steps(steps=5, calibration=small_calibration(12, 2))
+
+    @staticmethod
+    def _masks(runs):
+        stalled = np.concatenate([~result.converged for result, _ in runs])
+        return stalled, stalled & np.concatenate([_pinned(result.x) for result, _ in runs])
+
+    def test_stalled_rows_keep_the_newton_iterate_bit_for_bit(self):
+        # three Newton iterations leave most rows short of tolerance at an
+        # interior iterate; the pinned rows are the 12-generation model's
+        capped, twelve = self._steps(steps=2, max_iterations=3), self._twelve_generations()
+        stalled, pinned = self._masks(capped[1])
+        assert stalled.any() and not stalled.all() and not pinned.any()
+        stalled, pinned = self._masks(twelve[1])
+        assert pinned.any() and not stalled.all()
+        for model, runs in (capped, twelve):
+            for result, out in runs:
+                assert np.array_equal(out[:, : model.num_savers], _savings(result.x))
+
+    @pytest.mark.parametrize("twelve", [False, True])
+    def test_totals_count_the_newton_masks(self, twelve):
+        model, runs = self._twelve_generations() if twelve else self._steps(2, max_iterations=3)
         totals = model.solver_totals()
         assert tuple(totals) == SOLVER_TOTALS and "polished" not in totals
-        assert totals["rows"] == 36
-        assert totals["stalled"] == sum(int((~r.converged).sum()) for r, _ in runs)
-        assert totals["pinned"] == sum(int((~r.converged & _pinned(r.x)).sum()) for r, _ in runs)
-        assert totals["stalled"] > totals["pinned"] > 0
-        assert totals["newton_runs"] == len(runs) == 2
+        assert totals["rows"] == (5 * 2 * 23 if twelve else 2 * 2 * 9)
+        stalled, pinned = self._masks(runs)
+        assert totals["stalled"] == stalled.sum() > 0
+        assert totals["pinned"] == pinned.sum() == (stalled.sum() if twelve else 0)
+        assert totals["newton_runs"] == len(runs)
         assert totals["residual_calls"] == sum(r.residual_evaluations for r, _ in runs)
 
     def test_at_the_default_cap_only_pinned_rows_stall(self):
         model, _ = self._steps(steps=1)
         totals = model.solver_totals()
         assert totals["rows"] == 18
-        assert totals["stalled"] == totals["pinned"] > 0  # the infeasible K_min nodes
+        assert totals["stalled"] == totals["pinned"] == 0  # every node of the box has a root
+        totals = self._twelve_generations()[0].solver_totals()
+        assert totals["stalled"] == totals["pinned"] > 0  # the youngest saver would borrow
 
 
-def test_interior_stalls_are_few_where_the_model_stops_solving():
-    """Why no polish is kept: at the first size that does not solve, stalled means pinned.
+@pytest.mark.parametrize(
+    "generations, level, ceiling, youngest_floored",
+    [
+        (6, 2, -2.0, False),
+        (8, 2, -2.0, False),
+        (10, 2, -2.0, False),
+        (6, 3, -2.0, False),
+        (8, 3, -2.0, False),
+        (12, 2, -1.9, True),
+        (16, 2, -1.2, True),
+    ],
+)
+def test_the_model_solves_cold_at_every_size(generations, level, ceiling, youngest_floored):
+    """ROADMAP's size table, pinned: no row stalls at these sizes through 10 generations.
 
-    8 generations, level 2, 16 cold iterations (ROADMAP's size table): most
-    rows stall because most nodes are infeasible and pin a saver on the
-    borrowing floor, where no solver finds an interior root.  The rows a
-    second solver could have worked on are ``stalled - pinned``: 14-19 of
-    480 as measured, the share ROADMAP item 1 drives down with the box.
+    Cold start, tolerance 1e-3, Euler error as mean log10 on 200 box points
+    (measured: 6-10 iterations, -2.22 ... -2.95).  From 12 generations the
+    youngest savers' steady-state saving is negative and log-savings put
+    them on the borrowing floor at feasible nodes: what stalls there is
+    pinned, at a saver who would borrow (measured -2.21 / -1.42 at 12 / 16
+    generations).
     """
-    model = OLGModel(small_calibration(num_generations=8, num_states=2))
-    config = TimeIterationConfig(grid_level=2, tolerance=0.0, max_iterations=16)
-    TimeIterationSolver(model, config).solve()
+    model = OLGModel(small_calibration(num_generations=generations, num_states=2))
+    runs = []
+    newton = model.system.batch_solver.solve
+    model.system.batch_solver.solve = lambda fn, x0: runs.append(newton(fn, x0)) or runs[-1]
+    config = TimeIterationConfig(grid_level=level, tolerance=1e-3, max_iterations=60)
+    result = TimeIterationSolver(model, config).solve()
     totals = model.solver_totals()
-    assert totals["rows"] == 16 * 2 * 15
-    assert totals["pinned"] > 0.5 * totals["rows"]
-    assert 0 <= totals["stalled"] - totals["pinned"] <= 0.10 * totals["rows"]
+    assert result.converged and len(result.records) <= 20
+    errors = model.equilibrium_errors(result.policy, model.sample_states(200, rng=0))
+    assert errors["mean_log10"] <= ceiling
+    if not youngest_floored:
+        assert totals["stalled"] == totals["pinned"] == 0
+    else:
+        assert totals["stalled"] == totals["pinned"] > 0
+        floored = np.concatenate([r.x <= _LOG_SAVINGS_FLOOR for r in runs]).any(axis=0)
+        assert np.all(model.steady_state.profile.savings[: model.num_savers][floored] <= 0.0)
 
 
 def _step_state_by_state(solver: TimeIterationSolver, policy_next: PolicySet) -> PolicySet:

@@ -34,13 +34,12 @@ class TestSimulation:
         assert np.all(sim.consumption.sum(axis=1) > 0)
 
     def test_capital_law_of_motion(self, solved_small_olg):
-        """K_{t+1} equals the sum of period-t savings (up to box clipping)."""
+        """Tomorrow's state is today's savings clipped into the box, and K its sum."""
         model, result = solved_small_olg
         sim = simulate_economy(model, result.policy, periods=50, rng=3)
-        implied = np.clip(
-            sim.savings[:-1].sum(axis=1), model.domain.lower[0], model.domain.upper[0]
-        )
-        np.testing.assert_allclose(sim.capital[1:], implied, rtol=1e-10)
+        implied = np.clip(sim.savings[:-1], model.domain.lower, model.domain.upper)
+        assert np.array_equal(sim.states[1:], implied)
+        np.testing.assert_allclose(sim.capital[1:], implied.sum(axis=1), rtol=1e-12)
 
     def test_deterministic_with_seed(self, solved_small_olg):
         model, result = solved_small_olg

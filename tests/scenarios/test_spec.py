@@ -36,11 +36,28 @@ class TestScenarioSpec:
         assert len({a.content_hash(), b.content_hash(), c.content_hash()}) == 3
 
     def test_hash_stable_across_sessions(self):
-        # a frozen anchor: accidental hash-scheme changes would orphan stores
+        # frozen anchors: accidental hash-scheme changes would orphan stores.
+        # The solve anchor moved once, on purpose, with the state convention
+        # ("holdings-1"; before it: ef973a6f05c3...); experiment kinds never did.
         spec = ScenarioSpec("anchor", calibration={"beta": 0.8}, solver={"grid_level": 2})
         assert spec.content_hash() == (
-            "ef973a6f05c35810d2f21b9264ef1d43026f0f793564a164c533b68e3d415b89"
+            "bb8cb9810492906cc0a7e170881b93dd2e89d0dc7a178db9b257e3306df0509d"
         )
+        assert ScenarioSpec("a", kind="table1", params={"dim": 5}).content_hash() == (
+            "3163a4460170ac1c33d0e081ab0a730cc303dbd89ebf21424d53c42d705b3df8"
+        )
+
+    def test_only_a_solve_hash_carries_the_state_convention(self, monkeypatch):
+        def hashes():
+            return [
+                ScenarioSpec("a", calibration={"beta": 0.8}).content_hash(),
+                ScenarioSpec("a", kind="table1", params={"dim": 5}).content_hash(),
+            ]
+
+        solve, table = hashes()
+        monkeypatch.setattr("repro.olg.euler.STATE_CONVENTION", "another-box")
+        moved, same = hashes()
+        assert moved != solve and same == table
 
     def test_numpy_values_are_normalised(self):
         a = ScenarioSpec("a", calibration={"beta": np.float64(0.8), "num_states": np.int32(2)})

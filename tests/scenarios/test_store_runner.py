@@ -82,6 +82,33 @@ class TestRunner:
         forced = run_suite(tiny_suite, store, force=True)
         assert forced.count("completed") == 2
 
+    def test_entries_of_another_state_convention_are_other_scenarios(
+        self, env_store_url, monkeypatch
+    ):
+        # a store filled by a tree whose policies live on other coordinates:
+        # one solve completed, one interrupted with a checkpoint behind it
+        store = ResultsStore.open(env_store_url())
+        monkeypatch.setattr("repro.olg.euler.STATE_CONVENTION", "another-box")
+        done, cut = _tiny_solve_spec("done"), _tiny_solve_spec("cut", tau_labor=0.2)
+        assert run_suite(ScenarioSuite("old", [done]), store).count("completed") == 1
+        assert run_suite(ScenarioSuite("old", [cut]), store, interrupt_after=2).ok is False
+        assert store.checkpoint_ref(cut).exists()
+        monkeypatch.undo()
+        # same specs on this tree: neither skipped as done nor resumed, and
+        # the older entries are still there to be listed
+        suite = ScenarioSuite(
+            "new", [_tiny_solve_spec("done"), _tiny_solve_spec("cut", tau_labor=0.2)]
+        )
+        assert [s.content_hash() for s in suite] != [done.content_hash(), cut.content_hash()]
+        assert not any(store.has(spec) for spec in suite)
+        report = run_suite(suite, store)
+        assert report.count("completed") == 2 and report.count("skipped") == 0
+        assert not any(store.entry(spec)["resumed"] for spec in suite)
+        by_hash = {e["spec_hash"]: e["status"] for e in store.entries()}
+        assert len(by_hash) == 4
+        assert by_hash[done.content_hash()] == "completed"
+        assert by_hash[cut.content_hash()] == "interrupted"
+
     def test_interrupted_batch_resumes(self, env_store_url):
         suite = ScenarioSuite("one", [_tiny_solve_spec("resume-me")])
         store = ResultsStore.open(env_store_url())

@@ -362,6 +362,28 @@ def test_initial_policy_and_errors_match_the_per_row_loop(calibration, seed):
     assert _close(got["mean_log10"], np.mean(np.log10(np.maximum(stacked, 1e-16))))
 
 
+@MODEL_SETTINGS
+@given(
+    generations=st.integers(3, 16),
+    level=st.integers(2, 3),
+    beta=st.floats(0.75, 0.95),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_every_point_of_the_box_is_an_economy(generations, level, beta, seed):
+    """Feasible by construction: holdings are non-negative and sum to the capital prices see."""
+    model = OLGModel(small_calibration(generations, 2, beta=beta))
+    domain = model.domain
+    assert np.all(domain.lower >= 0.0) and np.all(domain.lower < domain.upper)
+    nodes = domain.from_unit(regular_sparse_grid(model.state_dim, level).points)
+    for x in np.concatenate([domain.sample(50, rng=seed), nodes]):
+        K, holdings = model.unpack_state(x)
+        assert holdings.shape == (generations,) and np.all(holdings >= 0.0)
+        assert abs(holdings.sum() - K) <= 1e-12 * max(K, 1.0)
+        assert K > 0.0
+    # what the residual is evaluated with is the same decomposition, over rows
+    assert np.array_equal(model.system.holdings(nodes)[:, 1:], nodes)
+
+
 fused_calibrations = st.fixed_dictionaries(
     {
         "num_generations": st.integers(4, 6),
@@ -392,6 +414,23 @@ def _thinned(calibration, rng: np.random.Generator):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed):
+    _fused_against_per_state(calibration, level, thin, stacked, seed)
+
+
+def test_fused_solve_keeps_the_pinned_rows_of_twelve_generations():
+    """The masks the property compares are empty where every node has a root; here they are not.
+
+    Four passes into a 12-generation solve the youngest saver, whose
+    steady-state saving is negative, sits on the borrowing floor at half
+    of the nodes.
+    """
+    calibration = {"num_generations": 12, "num_states": 2}
+    masks = _fused_against_per_state(calibration, 2, thin=False, stacked=True, seed=0, passes=4)
+    stalled, pinned = masks
+    assert pinned.any() and np.array_equal(stalled, pinned) and not stalled.all()
+
+
+def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
     """All shock states in one call == one call per state, for residuals, values and solves.
 
     ``z`` as an int array aligned with the rows gives, block by block, what
@@ -399,7 +438,8 @@ def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed)
     the successor loop, and a row that cannot reach a successor carries
     probability zero there); the fused solve is the per-state solves
     (<= 1e-10) with the same rows stalled and pinned.  Holds for
-    one model (broadcast parameters) and for a stacked pair.
+    one model (broadcast parameters) and for a stacked pair, at the initial
+    policy or ``passes`` time-iteration steps on; returns the fused masks.
     """
     rng = np.random.default_rng(seed)
     cal = small_calibration(**calibration)
@@ -411,7 +451,10 @@ def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed)
     grid = regular_sparse_grid(models[0].state_dim, level)
     policies = []
     for model in models:
-        fresh = TimeIterationSolver(model, config).initial_policy()
+        solver = TimeIterationSolver(model, config)
+        fresh = solver.initial_policy()
+        for _ in range(passes):
+            fresh = solver.step(fresh)
         policies.append(BatchedTimeIterationSolver._reanchor(fresh, grid))  # one shared grid
     n = len(grid)
     blocks = [model.domain.from_unit(grid.points) for model in models]
@@ -444,7 +487,7 @@ def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed)
     if thin:
         # other successor sets, other GEMM operands: equal to rounding only, which
         # Newton on a row without a root (a pinned one) does not preserve
-        return
+        return None
 
     def solve_and_watch(system, z, X):
         """The solve's output and the (stalled, pinned) masks of its Newton run.
@@ -477,6 +520,7 @@ def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed)
         alone, masks = solve_and_watch(per_state, s, X[block])
         assert np.all(np.abs(fused[block] - alone) <= 1e-10 * (1.0 + np.abs(alone)))
         assert np.array_equal(fused_masks[:, block], masks)
+    return fused_masks
 
 
 def _synthetic_system(rng: np.random.Generator, m: int, n: int):
