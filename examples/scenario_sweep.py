@@ -158,7 +158,7 @@ def main() -> None:
         # writing a lease object, heartbeats it while solving, and
         # releases it after committing.  Peers steal leases whose
         # heartbeat has gone stale (worker died), resuming the dead
-        # worker's checkpoint.  Here two in-process workers share one
+        # worker's last checkpoint.  Two in-process workers share one
         # object store; each scenario is solved exactly once.
         print("\n== 7. worker fleet (claim/lease protocol) ==")
         fleet_store = ResultsStore.open(f"s3://demo-bucket/fleet?endpoint={root}/objstore")

@@ -483,8 +483,7 @@ class BatchedTimeIterationSolver:
     def _complete(self, ms: _MemberState) -> None:
         member, cfg = ms.member, ms.member.config
         new = ms.records[ms.loaded :]
-        # a finished checkpoint reloaded as is has nothing new to persist
-        if member.checkpoint is not None and (new or not ms.converged):
+        if member.checkpoint is not None:
             member.checkpoint.on_complete(ms.policy, ms.records, ms.converged, cfg)
         ms.emit(
             "solve-finished",

@@ -12,8 +12,8 @@ hand-wired single solves into managed scenario runs:
   :class:`~repro.grids.grid.SparseGrid`,
   :class:`~repro.core.policy.PolicySet` and
   :class:`~repro.core.time_iteration.TimeIterationResult`;
-* :mod:`repro.scenarios.checkpoint` — periodic solve checkpoints; a killed
-  solve resumes from the last completed iteration bit-for-bit;
+* :mod:`repro.scenarios.checkpoint` — solve checkpoints on a wall-clock
+  cadence; a killed solve resumes from the last persisted one bit-for-bit;
 * :mod:`repro.scenarios.batching` — the one solve-and-commit, over a
   group of scenarios (a group of one by default; ``--batch`` groups solve
   scenarios by grid topology so they iterate stacked);
@@ -54,7 +54,7 @@ Run a preset sweep from the command line (also installed as the
 
 Re-running the same command skips everything already in ``runs/`` (content
 hashing), so a crashed batch is simply restarted; an interrupted solve
-resumes from its checkpoint.  ``--store`` also accepts store URLs — the
+resumes from its last checkpoint.  ``--store`` also accepts store URLs — the
 same commands run unchanged against ``mem://scratch`` or
 ``s3://bucket/prefix?endpoint=...`` stores (see
 :mod:`repro.scenarios.backends`).
@@ -81,9 +81,10 @@ Checkpointing a standalone solve::
 
     from repro.scenarios import SolveCheckpoint
 
-    ckpt = SolveCheckpoint("run.ckpt.npz", every=1, config=config)
+    ckpt = SolveCheckpoint("run.ckpt.npz", config=config)
     result = TimeIterationSolver(model, config).solve(checkpoint=ckpt)
     # kill the process at any point; the same call resumes bit-for-bit
+    # from the last persisted iteration
 
 See ``examples/scenario_sweep.py`` for an end-to-end walk-through.
 """

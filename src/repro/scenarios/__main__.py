@@ -89,9 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--workers", type=int, default=2, help="scenario-level worker count")
     run.add_argument(
-        "--checkpoint-every", type=int, default=1, help="checkpoint every N iterations"
-    )
-    run.add_argument(
         "--schedule",
         default="longest-first",
         choices=SCHEDULE_KINDS,
@@ -240,9 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.5,
         metavar="SECONDS",
         help="rescan interval while peers hold all remaining scenarios",
-    )
-    work.add_argument(
-        "--checkpoint-every", type=int, default=1, help="checkpoint every N iterations"
     )
     work.add_argument(
         "--max-claims",
@@ -424,7 +418,6 @@ def _cmd_work(args) -> int:
         ttl=args.ttl,
         max_attempts=args.max_attempts,
         poll=args.poll,
-        checkpoint_every=args.checkpoint_every,
         max_claims=args.max_claims,
         retry_parked=args.retry_parked,
         batch_topology=args.batch,
@@ -589,8 +582,7 @@ def _dispatch(args) -> int:
             store,
             executor=args.executor,
             num_workers=args.workers,
-            checkpoint_every=args.checkpoint_every,
-            force=args.force,
+                force=args.force,
             interrupt_after=args.interrupt_after,
             schedule=args.schedule,
             keep_last_n=args.keep_last_n,

@@ -14,12 +14,12 @@ group of at least two runs stacked — one shared grid, one stacked Newton
 per iteration.
 
 The store contract does not depend on group size: every scenario keeps
-its own checkpoint (written at the same per-iteration boundary, so
-kill/resume works member by member), its own telemetry events, and its own
-``entry.json`` committed individually *the moment that scenario finishes*
-(converged members drop out of a stack early).  Members the loop cannot
-stack — adaptive configs, checkpoints from another grid — step alone
-inside the same loop.
+its own checkpoint (written at its own iteration boundaries on the
+checkpoint clock, so kill/resume works member by member), its own
+telemetry events, and its own ``entry.json`` committed individually *the
+moment that scenario finishes* (converged members drop out of a stack
+early).  Members the loop cannot stack — adaptive configs, checkpoints
+from another grid — step alone inside the same loop.
 """
 
 from __future__ import annotations
@@ -108,11 +108,11 @@ def solve_batch_and_commit(
     specs,
     store: ResultsStore,
     *,
-    checkpoint_every: int = 1,
     interrupt_after: int | None = None,
     aborts=None,
     events=None,
     worker_id: str = "",
+    clock=time.monotonic,
 ) -> list:
     """Run a group of scenarios against ``store``, committing each one's entry.
 
@@ -137,7 +137,8 @@ def solve_batch_and_commit(
     scenario's heartbeat); a member whose abort fires is abandoned
     *uncommitted* — an abandoning worker no longer owns the scenario and
     must not write an entry the rightful owner's result would have to
-    out-rank — while the rest of the group keeps solving.
+    out-rank — while the rest of the group keeps solving.  ``clock`` times
+    every member's checkpoint cadence (a test seam; workers pass their lease clock).
 
     Returns one item per spec, in order: the committed entry, or for an
     abandoned member the :class:`SolveAbandoned` its hook raised.
@@ -153,7 +154,7 @@ def solve_batch_and_commit(
     t0 = time.perf_counter()
     done: list = [None] * len(specs)  # by position in ``specs``
     position: dict = {}  # member key -> position
-    resumed: dict = {}
+    checkpoints: dict = {}  # member key -> its checkpoint hook
 
     def commit(i: int, entry: dict) -> None:
         store.commit_entry(entry)
@@ -191,12 +192,12 @@ def solve_batch_and_commit(
         ref = store.checkpoint_ref(spec)
         if interrupt_after:
             checkpoint = InterruptingCheckpoint(
-                ref, every=checkpoint_every, config=config, interrupt_after=int(interrupt_after)
+                ref, config=config, interrupt_after=int(interrupt_after), clock=clock
             )
         else:
-            checkpoint = SolveCheckpoint(ref, every=checkpoint_every, config=config, abort=abort)
+            checkpoint = SolveCheckpoint(ref, config=config, abort=abort, clock=clock)
         scenario = store.scenario_key(spec)
-        resumed[scenario] = checkpoint.exists()
+        checkpoints[scenario] = checkpoint
         return BatchMember(
             key=scenario,
             model=spec.build_model(),
@@ -218,7 +219,9 @@ def solve_batch_and_commit(
         else:
             wall = time.perf_counter() - t0
             try:
-                entry = store.write_result(specs[i], outcome.result, wall, resumed=resumed[key])
+                entry = store.write_result(
+                    specs[i], outcome.result, wall, resumed=checkpoints[key].resumed
+                )
             except Exception as exc:  # repro: allow[broad-except] -- recorded; group continues
                 entry = failure(i, exc)
             commit(i, entry)
@@ -238,9 +241,9 @@ def solve_batch_and_commit(
             BatchedTimeIterationSolver(members, on_member_complete=on_member_complete).solve()
         except (SimulatedKill, Exception) as exc:  # repro: allow[broad-except] -- recorded below
             # SimulatedKill is the --interrupt-after testing hook only (a
-            # genuine Ctrl-C propagates and stops everything): every member
-            # checkpointed its last completed iteration and resumes on the
-            # next run.  Anything else here broke the stacked pass itself.
+            # genuine Ctrl-C propagates and stops everything): the next run
+            # resumes every member from its last persisted iteration.
+            # Anything else here broke the stacked pass itself.
             for i in position.values():
                 if done[i] is None:
                     commit(i, failure(i, exc))

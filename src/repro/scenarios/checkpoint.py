@@ -4,35 +4,37 @@
 hook of the time-iteration loop
 (:class:`repro.core.batched.BatchedTimeIterationSolver`, which
 :meth:`repro.core.time_iteration.TimeIterationSolver.solve` runs on a
-group of one): after every
-``every``-th completed iteration — and always on convergence or exhaustion
-— the current :class:`~repro.core.policy.PolicySet`, the iteration records
-and the convergence flag are persisted atomically to one npz file.  A solve
-that is killed (SIGKILL, OOM, node failure) therefore resumes from the last
-*completed* iteration, and because one time-iteration step is a
-deterministic function of the previous iterate, the resumed run reproduces
-the uninterrupted run bit-for-bit (policies to machine precision, same
-iteration count from the resume point).
+group of one).  It persists on ONE rule, measured on an injectable clock:
+at an iteration boundary — and at completion — the current
+:class:`~repro.core.policy.PolicySet`, the iteration records and the
+convergence flag are written atomically to one npz file when at least
+:data:`CHECKPOINT_SECONDS` have passed since the hook was built, loaded or
+last wrote.  So *a kill, a failed commit or a rerun repeats at most one
+interval of solve time plus the iteration in flight*; a solve that ends
+inside its first interval writes no checkpoint at all, and one that is
+killed resumes from the last *persisted* iteration (from ``p^0`` when none
+was).  One time-iteration step is a deterministic function of the previous
+iterate, so the resumed run reproduces the uninterrupted one bit-for-bit.
 
 Checkpointing is persistence only; the *observability* of the same
 iteration boundary — the ``solve-started``/``iteration``/``refined``/
 ``converged``/``solve-finished`` vocabulary of
 :data:`repro.parallel.tracing.SOLVE_EVENT_KINDS` — is emitted by the
 loop itself (pass ``events=``), so solves report progress whether or not
-they checkpoint, and the checkpoint's
-``abort`` hook stays the single cancellation point polled at every
-iteration before anything is written.
+they checkpoint, and the checkpoint's ``abort`` hook stays the single
+cancellation point, polled at every iteration before anything is written.
 
 Example
 -------
 >>> solver = TimeIterationSolver(model, config)
 >>> ckpt = SolveCheckpoint("run.ckpt.npz", config=config)
 >>> result = solver.solve(checkpoint=ckpt)        # killed at iteration k?
->>> result = solver.solve(checkpoint=ckpt)        # ...resumes from iteration k
+>>> result = solver.solve(checkpoint=ckpt)        # ...resumes from the last persisted one
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +44,7 @@ from repro.scenarios import serialize
 from repro.utils.logging import get_logger
 
 __all__ = [
+    "CHECKPOINT_SECONDS",
     "CheckpointState",
     "SolveCheckpoint",
     "InterruptingCheckpoint",
@@ -50,6 +53,10 @@ __all__ = [
 ]
 
 logger = get_logger("scenarios.checkpoint")
+
+#: Seconds of solve time a checkpoint may lag behind: a sixth of the default lease
+#: TTL, so a steal's dead time dwarfs what its resume repeats; a write per 5 s is < 1%.
+CHECKPOINT_SECONDS = 5.0
 
 
 class SolveAbandoned(RuntimeError):
@@ -81,7 +88,7 @@ class CheckpointState:
 
 
 class SolveCheckpoint:
-    """Periodic on-disk checkpoints of a time-iteration solve.
+    """Checkpoints of a time-iteration solve, written on a wall-clock cadence.
 
     Parameters
     ----------
@@ -91,9 +98,6 @@ class SolveCheckpoint:
         scenario runner passes, so checkpoints land on whichever backend
         the store URL selected).  Written atomically either way; a
         partial write never clobbers the previous checkpoint.
-    every
-        Persist every ``every``-th iteration (the final state is always
-        persisted regardless).
     config
         Optional expected solver configuration.  When given, ``load``
         raises if the file was produced under a different configuration —
@@ -110,34 +114,36 @@ class SolveCheckpoint:
         unrenewable past its TTL deadline): the abandoning worker writes
         nothing further — the thief owns the checkpoint now and resumes
         from the last state this worker persisted (steal-then-resume).
+    clock
+        Zero-argument callable returning seconds, on which the cadence is
+        measured; a test seam (the lease workers pass their lease clock).
     """
 
     def __init__(
         self,
         path,
-        every: int = 1,
         config: TimeIterationConfig | None = None,
         abort=None,
+        clock=time.monotonic,
     ) -> None:
-        if every < 1:
-            raise ValueError("every must be >= 1")
         self.path = path if serialize.is_blob_target(path) else Path(path)
-        self.every = every
         self.config = config
         self.abort = abort
-        self._last_write: tuple | None = None
+        self.clock = clock
+        self.writes = 0  # states this hook persisted
+        self.resumed = False  # whether load() found one to start from
+        self._persisted_at = clock()
 
     # ------------------------------------------------------------------ #
     # hook protocol consumed by the time-iteration loop
     # ------------------------------------------------------------------ #
-    def exists(self) -> bool:
-        return self.path.exists()
-
     def load(self) -> CheckpointState | None:
         """Read the saved state, or ``None`` when no checkpoint exists."""
-        if not self.path.exists():
+        self._persisted_at = self.clock()  # the store holds what the solve starts from
+        try:  # one read, a miss is the answer: the object may vanish after any exists()
+            result = serialize.load_result(self.path)
+        except FileNotFoundError:
             return None
-        result = serialize.load_result(self.path)
         if self.config is not None and serialize.config_to_dict(
             result.config
         ) != serialize.config_to_dict(self.config):
@@ -149,6 +155,7 @@ class SolveCheckpoint:
         logger.info(
             "resuming from %s at iteration %d", self.path, len(result.records)
         )
+        self.resumed = True
         return CheckpointState(
             policy=result.policy,
             records=list(result.records),
@@ -167,18 +174,19 @@ class SolveCheckpoint:
                 f"solve abandoned at iteration {len(records)} (claim on the "
                 "scenario was lost)"
             )
-        if converged or len(records) % self.every == 0:
-            self._write(policy, records, converged, config)
+        self._write_if_due(policy, records, converged, config)
 
     def on_complete(
         self, policy: PolicySet, records: list, converged: bool, config: TimeIterationConfig
     ) -> None:
-        # skip the write when on_iteration already persisted this exact state
-        # (e.g. every=1, or the converged final iteration)
-        if self._last_write != (len(records), converged):
-            self._write(policy, records, converged, config)
+        # no exception for the final state: the result is the caller's to store
+        self._write_if_due(policy, records, converged, config)
 
     # ------------------------------------------------------------------ #
+    def _write_if_due(self, *state) -> None:
+        if self.clock() - self._persisted_at >= CHECKPOINT_SECONDS:
+            self._write(*state)
+
     def _write(
         self, policy: PolicySet, records: list, converged: bool, config: TimeIterationConfig
     ) -> None:
@@ -188,12 +196,12 @@ class SolveCheckpoint:
                 policy=policy, records=list(records), converged=converged, config=config
             ),
         )
-        self._last_write = (len(records), converged)
+        self.writes += 1
+        self._persisted_at = self.clock()
 
     def delete(self) -> None:
         """Remove the checkpoint file (e.g. after the result was stored)."""
-        if self.path.exists():
-            self.path.unlink()
+        self.path.unlink(missing_ok=True)
 
 
 class SimulatedKill(KeyboardInterrupt):
@@ -203,13 +211,13 @@ class SimulatedKill(KeyboardInterrupt):
 class InterruptingCheckpoint(SolveCheckpoint):
     """A :class:`SolveCheckpoint` that kills the solve after N iterations.
 
-    Testing/demo hook (``--interrupt-after`` in the CLI): the checkpoint is
-    written first, then :class:`SimulatedKill` is raised — exactly the
-    state a real kill between iterations leaves behind.
+    Testing/demo hook (``--interrupt-after`` in the CLI): a run that has
+    persisted nothing yet writes the newest state first, whatever the clock
+    says, then :class:`SimulatedKill` is raised.
     """
 
-    def __init__(self, path, every: int = 1, config=None, interrupt_after: int = 1) -> None:
-        super().__init__(path, every=every, config=config)
+    def __init__(self, path, config=None, interrupt_after: int = 1, clock=time.monotonic) -> None:
+        super().__init__(path, config=config, clock=clock)
         if interrupt_after < 1:
             raise ValueError("interrupt_after must be >= 1")
         self.interrupt_after = interrupt_after
@@ -219,8 +227,8 @@ class InterruptingCheckpoint(SolveCheckpoint):
     ) -> None:
         super().on_iteration(policy, records, converged, config)
         if not converged and len(records) >= self.interrupt_after:
-            if self._last_write is None:
-                # every > 1 may not have persisted anything *this run* yet;
+            if not self.writes:
+                # the cadence may not have persisted anything *this run* yet;
                 # dying without writing the newest state would make repeated
                 # kill/resume invocations livelock on a stale checkpoint
                 # (each run recomputing and discarding the same iteration)

@@ -26,8 +26,9 @@ While solving, a background :class:`LeaseHeartbeat` thread renews the
 lease every TTL/3.  Peers treat a lease whose ``renewed_at`` is older
 than its TTL (by the *peer's* clock) as expired and steal it with an
 epoch bump; the thief then resumes from whatever checkpoint the dead
-worker last wrote (steal-then-resume, bit-exact by the checkpoint
-contract).  Expiry compares a peer timestamp against an owner timestamp,
+worker last wrote, or from ``p^0`` when the victim died inside its first
+checkpoint interval (steal-then-resume, bit-exact either way by the
+checkpoint contract).  Expiry compares a peer timestamp against an owner timestamp,
 so clock skew shifts *when* a dead worker's lease becomes stealable
 (skew + TTL) but can never make a *healthy* lease stealable by a
 slow-clocked peer — its ``now - renewed_at`` only shrinks.
@@ -517,7 +518,6 @@ def run_worker(
     heartbeat_interval: float | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll: float = 0.5,
-    checkpoint_every: int = 1,
     max_claims: int | None = None,
     retry_parked: bool = False,
     backoff_base: float = 0.5,
@@ -552,7 +552,8 @@ def run_worker(
     finishes; the group's leases are released when the group is done.
 
     ``clock``/``sleep``/``rng`` are injectable for the deterministic
-    fault-injection tests; real fleets keep the defaults.
+    fault-injection tests (``clock`` times the leases *and* every member's
+    checkpoint cadence); real fleets keep the defaults.
     """
     if not isinstance(store, ResultsStore):
         store = ResultsStore.open(store)
@@ -579,7 +580,6 @@ def run_worker(
         say=progress if progress is not None else _silent_progress,
         heartbeat_interval=heartbeat_interval,
         max_attempts=max_attempts,
-        checkpoint_every=checkpoint_every,
         max_claims=max_claims,
         backoff_base=backoff_base,
         sleep=sleep,
@@ -605,7 +605,6 @@ class _Drain:
     say: Callable[[str], object]
     heartbeat_interval: float | None
     max_attempts: int
-    checkpoint_every: int
     max_claims: int | None
     backoff_base: float
     sleep: Callable[[float], None]
@@ -711,10 +710,10 @@ class _Drain:
             entries = solve_batch_and_commit(
                 [spec for _scenario, spec in claimed],
                 store,
-                checkpoint_every=self.checkpoint_every,
                 aborts=[hb.abort_requested for hb in heartbeats],
                 events=self.events,
                 worker_id=worker_id,
+                clock=manager.clock,
             )
         finally:
             # also on InjectedCrash / KeyboardInterrupt: die like kill -9

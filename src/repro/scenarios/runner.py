@@ -22,9 +22,9 @@ Solve scenarios checkpoint through
 :class:`~repro.scenarios.checkpoint.SolveCheckpoint` into the store, which
 makes every scenario of a batch individually resumable: re-run the same
 suite after a crash and completed scenarios are skipped by hash while the
-interrupted one resumes from its last checkpoint.  After the batch the
-parent applies the checkpoint GC policy (``keep_last_n`` /
-``keep_on_failure``).
+interrupted one resumes from its last checkpoint, if its clock left one.
+After the batch the parent applies the checkpoint GC policy
+(``keep_last_n`` / ``keep_on_failure``).
 
 Experiment scenarios (kinds in
 :data:`repro.scenarios.spec.EXPERIMENT_KINDS`) run through thin
@@ -146,7 +146,6 @@ def solve_and_commit(
     spec: ScenarioSpec,
     store: ResultsStore,
     *,
-    checkpoint_every: int = 1,
     interrupt_after: int | None = None,
     abort=None,
     events=None,
@@ -163,7 +162,6 @@ def solve_and_commit(
     [entry] = solve_batch_and_commit(
         [spec],
         store,
-        checkpoint_every=checkpoint_every,
         interrupt_after=interrupt_after,
         aborts=[abort],
         events=events,
@@ -201,7 +199,6 @@ def _execute_task(task: dict) -> list:
         return solve_batch_and_commit(
             specs,
             store,
-            checkpoint_every=int(task.get("checkpoint_every", 1)),
             interrupt_after=task.get("interrupt_after"),
             events=events,
             worker_id=worker_id,
@@ -215,7 +212,6 @@ def run_suite(
     store: ResultsStore,
     executor: str = "serial",
     num_workers: int = 2,
-    checkpoint_every: int = 1,
     force: bool = False,
     interrupt_after: int | None = None,
     schedule: str = "longest-first",
@@ -236,13 +232,11 @@ def run_suite(
         count.  ``processes`` gives real parallelism across scenarios;
         specs and tasks are plain data, so they pickle, and the sharded
         store lets every worker commit its own entry.
-    checkpoint_every
-        Persist a solve checkpoint every N iterations.
     force
         Re-run scenarios even when the store already has their hash.
     interrupt_after
-        Testing/demo hook: kill each solve after N iterations (after
-        checkpointing), as ``--interrupt-after`` in the CLI.
+        Testing/demo hook: kill each solve after N iterations (leaving a
+        checkpoint), as ``--interrupt-after`` in the CLI.
     schedule
         ``"longest-first"`` (default) feeds prior wall times from the
         store — falling back to spec-size heuristics for unseen hashes —
@@ -320,7 +314,6 @@ def run_suite(
         {
             "specs": [spec.to_dict() for spec in specs],
             "store_url": store.url,
-            "checkpoint_every": int(checkpoint_every),
             "interrupt_after": interrupt_after,
         }
         for specs in task_specs

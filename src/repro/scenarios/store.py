@@ -1048,8 +1048,10 @@ class StoreEventSink:
     (``iteration``/``refined``/``heartbeat``) are buffered and flushed
     once ``flush_every`` events or ``flush_interval`` seconds accumulate,
     so a 200-iteration solve costs a handful of object puts instead of
-    200.  Lease-lifecycle and solve-boundary events (``claimed``,
-    ``committed``, ``solve-started``, ``converged``, ...) flush
+    200.  A solve's closing ``converged``/``solve-finished`` are buffered
+    too: the worker's ``committed``/``retry``/``parked``/``abandoned`` or the
+    batch runner's task-end :meth:`flush` always follows and carries them
+    out.  Lease-lifecycle events and ``solve-started`` flush
     immediately — the rare, load-bearing transitions are visible to
     ``status --follow`` within one poll.  Call :meth:`flush` before the
     worker exits to persist any buffered tail.
@@ -1062,7 +1064,9 @@ class StoreEventSink:
     """
 
     #: kinds buffered for batched flushing; everything else flushes now
-    BUFFERED_KINDS = frozenset({"iteration", "refined", "heartbeat"})
+    BUFFERED_KINDS = frozenset(
+        {"iteration", "refined", "heartbeat", "converged", "solve-finished"}
+    )
 
     def __init__(
         self,

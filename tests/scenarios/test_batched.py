@@ -17,6 +17,8 @@ Covers the four contracts of the batched solve path:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from repro.scenarios import (
     solve_batch_and_commit,
     topology_signature,
 )
+from repro.scenarios.checkpoint import CHECKPOINT_SECONDS
 
 TOL = 1e-3
 
@@ -329,7 +332,11 @@ class TestScenarioLayer:
     def test_kill_leaves_per_member_checkpoints_then_resumes(self, env_store_url):
         suite = self._sweep("kill-resume")
         store = ResultsStore.open(env_store_url("store"))
-        entries = solve_batch_and_commit(list(suite), store, interrupt_after=2)
+        # every clock reading is one interval later: each member persists at
+        # each of its own boundaries, so the kill (raised by the first member
+        # to reach iteration 2) finds the others' iteration 1 in the store
+        clock = itertools.count(step=CHECKPOINT_SECONDS).__next__
+        entries = solve_batch_and_commit(list(suite), store, interrupt_after=2, clock=clock)
         assert all(e["status"] == "interrupted" for e in entries)
         for spec in suite:
             assert store.checkpoint_ref(spec).exists(), spec.name

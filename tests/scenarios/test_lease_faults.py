@@ -36,7 +36,7 @@ from repro.scenarios.backends import (
     is_transient,
 )
 from repro.scenarios.backends.retry import RETRIES_ENV, RETRY_BASE_ENV
-from repro.scenarios.checkpoint import SolveAbandoned, SolveCheckpoint
+from repro.scenarios.checkpoint import CHECKPOINT_SECONDS, SolveAbandoned, SolveCheckpoint
 from repro.scenarios.lease import (
     LeaseHeartbeat,
     LeaseLost,
@@ -80,6 +80,14 @@ class _Clock:
 
     def advance(self, dt: float) -> None:
         self.now += float(dt)
+
+
+def _paced(clock: _Clock) -> EventRecorder:
+    """Events (pass as ``events=``) under which every iteration takes one
+    checkpoint interval on ``clock``: each iteration boundary is due a write."""
+    events = EventRecorder(clock=clock)
+    events.subscribe(lambda e: e.kind == "iteration" and clock.advance(CHECKPOINT_SECONDS))
+    return events
 
 
 def _manager(store, worker, clock, ttl=10.0, events=None) -> LeaseManager:
@@ -262,7 +270,8 @@ class TestKillStealResume:
         suite = ScenarioSuite("one", [spec])
 
         # worker A dies (uncatchable InjectedCrash, the in-process stand-in
-        # for kill -9) right after persisting its second checkpoint: lease
+        # for kill -9) while persisting its second checkpoint — its clock
+        # passes one interval per iteration, so that is iteration 2: lease
         # and checkpoint stay behind, nothing was committed or released
         crashing = FaultInjectingBackend(backend_from_url(any_store_url))
         crashing.add_rule(
@@ -277,6 +286,7 @@ class TestKillStealResume:
                 worker_id="victim",
                 ttl=30.0,
                 heartbeat_interval=1000.0,  # no renewals interfere mid-test
+                events=_paced(clock_a),
                 clock=clock_a,
                 backoff_base=0.0,
             )
@@ -288,7 +298,7 @@ class TestKillStealResume:
 
         # worker B's clock is past the victim's TTL: it steals (epoch 2)
         # and resumes from the dead worker's checkpoint
-        clock_b = _Clock(1000.0 + 30.0 + 1.0)
+        clock_b = _Clock(clock_a.now + 30.0 + 1.0)
         report = run_worker(
             suite,
             store,
@@ -310,6 +320,51 @@ class TestKillStealResume:
         a, b = store.load_result(spec), fresh.load_result(spec)
         assert a.iterations == b.iterations
         assert np.array_equal(a.error_history(), b.error_history())
+
+    def test_victim_dying_inside_its_first_interval_is_stolen_and_solved_cold(
+        self, any_store_url, store_url_for
+    ):
+        spec = _tiny_solve_spec("kill-early", tau_labor=0.17)
+        suite = ScenarioSuite("one", [spec])
+        # the victim's clock never reaches one interval: it dies storing its
+        # result having written no checkpoint at all
+        crashing = FaultInjectingBackend(backend_from_url(any_store_url))
+        crashing.add_rule(op="put", substring="/result.npz", action="crash", times=1)
+        store_a = ResultsStore(crashing)
+        with pytest.raises(InjectedCrash):
+            run_worker(
+                suite,
+                store_a,
+                worker_id="victim",
+                ttl=30.0,
+                heartbeat_interval=1000.0,
+                clock=_Clock(1000.0),
+                backoff_base=0.0,
+            )
+        assert ("put", store_a.checkpoint_key(spec)) not in crashing.ops
+        store = ResultsStore.open(any_store_url)
+        assert store.entry(spec) is None and not store.checkpoint_ref(spec).exists()
+        assert [lease["worker"] for lease in store.leases()] == ["victim"]
+
+        report = run_worker(
+            suite,
+            store,
+            worker_id="thief",
+            ttl=30.0,
+            heartbeat_interval=1000.0,
+            clock=_Clock(1000.0 + 30.0 + 1.0),
+            backoff_base=0.0,
+        )
+        assert report.completed and report.steals == 1
+        entry = store.entry(spec)
+        # nothing to resume: a cold solve
+        assert entry["status"] == "completed" and entry["resumed"] is False
+        fresh = ResultsStore.open(store_url_for("mem", name="uninterrupted"))
+        assert run_suite(suite, fresh).ok
+        a, b = store.load_result(spec), fresh.load_result(spec)
+        assert np.array_equal(a.error_history(), b.error_history())
+        for got, want in zip(a.policy, b.policy):
+            assert np.array_equal(got.interpolant.surplus, want.interpolant.surplus)
 
     def test_crash_between_commit_and_release_is_healed(self, any_store_url):
         # the crash-safe release ordering: entry committed first, lease
@@ -566,12 +621,13 @@ def _entry_put(store):
 def _checkpoint_put(store):
     spec = _tiny_solve_spec().with_overrides(solver={"max_iterations": 1})
     config = spec.build_config()
-    checkpoint = SolveCheckpoint(store.checkpoint_ref(spec), config=config)
+    clock = _Clock()
+    checkpoint = SolveCheckpoint(store.checkpoint_ref(spec), config=config, clock=clock)
     solver = TimeIterationSolver(spec.build_model(), config)
 
     def solve():
         checkpoint.delete()  # start from p^0 each time: one iteration, one checkpoint put
-        solver.solve(checkpoint=checkpoint)
+        solver.solve(checkpoint=checkpoint, events=_paced(clock))
 
     return solve
 
@@ -662,6 +718,42 @@ class TestRetryIsTheBackendsJob:
         with pytest.raises(ConnectionError):
             _manager(store, "w1", _Clock()).read(_payload_spec(0))
         assert len(attempts) == 1 + retries
+
+
+# --------------------------------------------------------------------------- #
+# what a unit costs the store on its checkpoint key
+# --------------------------------------------------------------------------- #
+class TestCheckpointTraffic:
+    def test_a_unit_shorter_than_one_interval_reads_once_and_deletes_once(self, any_store_url):
+        backend = FaultInjectingBackend(backend_from_url(any_store_url))
+        store = ResultsStore(backend)
+        spec = _tiny_solve_spec("quiet")
+        report = run_worker(
+            ScenarioSuite("one", [spec]), store, worker_id="w1", clock=_Clock(), backoff_base=0.0
+        )
+        assert report.completed
+        # one get at the start (a miss: the answer), one delete at the commit;
+        # the solve's only serialisation is its result
+        checkpoint, result = store.checkpoint_key(spec), store.result_key(spec)
+        assert [op for op, key in backend.ops if key == checkpoint] == ["get", "delete"]
+        assert [op for op, key in backend.ops if key == result].count("put") == 1
+
+    def test_checkpoint_vanishing_under_the_read_is_a_cold_start(self, store_url_for):
+        backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
+        store = ResultsStore(backend)
+        spec = _tiny_solve_spec("vanish")
+        [entry] = solve_batch_and_commit([spec], store, interrupt_after=1)
+        assert entry["status"] == "interrupted" and store.checkpoint_ref(spec).exists()
+        # a peer's gc_checkpoints epilogue (or a thief's commit) removes the
+        # object after the member was built, just as the solve reads it
+        backend.add_rule(
+            op="get",
+            substring="/checkpoint.npz",
+            action="call",
+            callback=lambda inner, op, key: inner.delete(key),
+        )
+        [entry] = solve_batch_and_commit([spec], store)
+        assert entry["status"] == "completed" and entry["resumed"] is False
 
 
 # --------------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ from repro.parallel.tracing import (
     Event,
     EventRecorder,
 )
-from repro.scenarios import ResultsStore, ScenarioSpec, ScenarioSuite, run_suite
+from repro.scenarios import ResultsStore, ScenarioSpec, ScenarioSuite, run_suite, serialize
 from repro.scenarios.__main__ import main as cli_main
 from repro.scenarios.checkpoint import InterruptingCheckpoint, SimulatedKill, SolveCheckpoint
 from repro.scenarios.lease import run_worker
@@ -190,9 +190,8 @@ class TestSolverEmission:
     def test_already_converged_resume_emits_no_iterations(self, tmp_path, solve_problem):
         model, config = solve_problem
         path = tmp_path / "done.npz"
-        TimeIterationSolver(model, config).solve(
-            checkpoint=SolveCheckpoint(path, config=config)
-        )
+        # a finished checkpoint: what a hook whose final state was due leaves
+        serialize.save_result(path, TimeIterationSolver(model, config).solve())
         recorder = EventRecorder()
         TimeIterationSolver(model, config).solve(
             checkpoint=SolveCheckpoint(path, config=config), events=recorder
@@ -605,7 +604,8 @@ class TestCLI:
         """A ``solve-finished`` written when rows were still polished carries one more key."""
         store_url = f"file://{(tmp_path / 'store').as_posix()}"
         recorder = EventRecorder()
-        recorder.subscribe(StoreEventSink(ResultsStore(store_url), "w-old"))
+        sink = StoreEventSink(ResultsStore(store_url), "w-old")
+        recorder.subscribe(sink)
         recorder.emit("solve-started", "w-old", "abc", start_iteration=0, max_iterations=5)
         recorder.emit("iteration", "w-old", "abc", iteration=1, error=0.5, points=7, wall_time=0.1)
         older = {"rows": 14, "stalled": 5, "pinned": 2, "polished": 3, "residual_calls": 40,
@@ -614,6 +614,7 @@ class TestCLI:
             "solve-finished", "w-old", "abc",
             iterations=1, new_iterations=1, converged=False, wall_time=0.1, solver=older,
         )
+        sink.flush()  # a solve's closing events ride out with whatever flushes next
         assert cli_main(["report", "--store", store_url]) == 0
         assert "| 14 / 5 / 2 / 40 | 1.0 | 40.0 |" in capsys.readouterr().out
         assert cli_main(["status", "--store", store_url]) == 0

@@ -141,7 +141,6 @@ class TestRunner:
         task = {
             "specs": [spec.to_dict()],
             "store_url": store.url,
-            "checkpoint_every": 1,
             "interrupt_after": None,
         }
         [entry] = runner_mod._execute_task(task)
@@ -167,25 +166,26 @@ class TestRunner:
         assert set(store.index()) == {suite[0].content_hash()}
 
     def test_interrupt_with_sparse_checkpoint_still_resumable(self, env_store_url):
-        # interrupt before the first periodic checkpoint would have fired:
+        # interrupt long before the checkpoint cadence would have fired:
         # a checkpoint must be forced so the re-run resumes, not restarts
         suite = ScenarioSuite("one", [_tiny_solve_spec("sparse")])
         store = ResultsStore.open(env_store_url())
-        broken = run_suite(suite, store, interrupt_after=1, checkpoint_every=5)
+        broken = run_suite(suite, store, interrupt_after=1)
         assert broken.count("interrupted") == 1
         assert store.checkpoint_ref(suite[0]).exists()
-        fixed = run_suite(suite, store, checkpoint_every=5)
+        fixed = run_suite(suite, store)
         assert fixed.count("completed") == 1
         assert store.entry(suite[0])["resumed"] is True
 
     def test_repeated_sparse_interrupts_make_progress(self, env_store_url):
-        # kill-after-1 with checkpoint-every-5 must persist the newest state
-        # each run (no livelock on a stale checkpoint): every re-invocation
-        # advances at least one iteration and the suite eventually completes
+        # kill-after-1, iterations far shorter than the cadence: the kill hook
+        # must persist the newest state each run (no livelock on a stale
+        # checkpoint) — every re-invocation advances at least one iteration
+        # and the suite eventually completes
         suite = ScenarioSuite("one", [_tiny_solve_spec("grind")])
         store = ResultsStore.open(env_store_url())
         for attempt in range(25):
-            report = run_suite(suite, store, interrupt_after=1, checkpoint_every=5)
+            report = run_suite(suite, store, interrupt_after=1)
             if report.count("completed") == 1:
                 break
         else:

@@ -218,6 +218,9 @@ class TestBatchedSolveGate:
         calls = 'value["olg.solver.residual_evals_per_solve"] * passes'
         assert f"residual_calls = {calls}" in guard[0]
         assert 'value["core.kernels.calls"] - residual_calls <= 10 * passes' in guard[0]
+        # a solve shorter than one checkpoint interval serialises its result only
+        assert 'value["scenarios.checkpoint.writes"] == 0' in guard[0]
+        assert 'value["scenarios.serialize.calls"] == 4' in guard[0]
         # ... and the bytes put per drained unit of the store workload
         assert "--workload store-write --scale smoke --traced" in guard[0]
         assert guard[0].count('result["failed"] == 0') == 2
