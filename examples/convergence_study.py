@@ -7,8 +7,8 @@ decreasing refinement threshold — and prints the Euler-equation error as a
 function of both the iteration count and the cumulative wall time, which
 are the two panels of the paper's Fig. 9.
 
-Run:  python examples/convergence_study.py            (~2-4 minutes)
-      python examples/convergence_study.py --fast     (~30 seconds)
+Run:  python examples/convergence_study.py            (about a second)
+      python examples/convergence_study.py --fast     (smaller economy)
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ def ascii_series(x: np.ndarray, y: np.ndarray, width: int = 60, label: str = "")
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true", help="smaller economy, one adaptive stage")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     if args.fast:
@@ -54,13 +53,7 @@ def main() -> None:
         )
     else:
         kwargs = dict(num_generations=6, num_states=2)
-    executor = None
-    if args.threads > 1:
-        from repro.parallel.scheduler import WorkStealingScheduler
-
-        executor = WorkStealingScheduler(args.threads)
-
-    result = run_fig9(executor=executor, **kwargs)
+    result = run_fig9(**kwargs)
     print(format_fig9(result))
 
     print()

@@ -11,7 +11,7 @@ pension.  The example
 3. simulates the economy and compares the low-tax and high-tax regimes
    (capital, wages, pensions and the welfare of newborns).
 
-Run:  python examples/olg_public_finance.py           (a couple of minutes)
+Run:  python examples/olg_public_finance.py           (about a second)
       python examples/olg_public_finance.py --fast    (smaller economy)
 """
 
@@ -26,10 +26,9 @@ from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
 from repro.olg.simulation import simulate_economy
-from repro.parallel.scheduler import WorkStealingScheduler
 
 
-def solve_economy(num_generations: int, threads: int) -> tuple[OLGModel, object]:
+def solve_economy(num_generations: int) -> tuple[OLGModel, object]:
     calibration = small_calibration(
         num_generations=num_generations,
         num_states=2,
@@ -54,8 +53,7 @@ def solve_economy(num_generations: int, threads: int) -> tuple[OLGModel, object]
         max_refine_level=3,
         max_points_per_state=200,
     )
-    executor = WorkStealingScheduler(threads) if threads > 1 else None
-    solver = TimeIterationSolver(model, config, executor=executor)
+    solver = TimeIterationSolver(model, config)
     t0 = time.perf_counter()
     result = solver.solve()
     elapsed = time.perf_counter() - t0
@@ -121,11 +119,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true", help="use a smaller economy")
     parser.add_argument("--generations", type=int, default=None, help="number of generations A")
-    parser.add_argument("--threads", type=int, default=4, help="worker threads for point solves")
     args = parser.parse_args()
     generations = args.generations or (4 if args.fast else 6)
 
-    model, result = solve_economy(generations, args.threads)
+    model, result = solve_economy(generations)
     report_accuracy(model, result)
     compare_tax_regimes(model, result)
 

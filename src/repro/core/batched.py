@@ -8,21 +8,21 @@ record and ``iteration`` event, equilibrium errors, ``refined``,
 ``converged``, the checkpoint hook, completion.  A single solve is a group
 of one (:meth:`repro.core.time_iteration.TimeIterationSolver.solve`).
 
-Members update in one of two ways.  Two or more members that share a grid
+Every update is :func:`repro.core.time_iteration.update`, the pass of
+Algorithm 1 over a list of members.  Two or more members that share a grid
 topology — state dimension, shock count, policy count, grid level, kernel;
-no adaptivity, no executor — form a *stack*: they iterate in lockstep on
-ONE shared regular grid, every pass solving a ``(n_members, n_states,
-n_points)`` batch of equilibrium systems in one call (through
-:meth:`repro.olg.model.OLGModel.stacked_group` when available) and fitting
-all members' policies with one stacked hierarchization per shock state;
-members drop out as they converge.  Every other member steps *alone*
-through its own :meth:`~repro.core.time_iteration.TimeIterationSolver.step`:
-a group of one, a member with an executor, and — reported as
-:attr:`MemberOutcome.fallback_reason` — an adaptive configuration, a
-topology minority, a start policy on another grid.  A non-finite iterate
-is no reason to leave the stack: an update is a deterministic function of
-the previous iterate, so redoing it alone returns the same bits; the
-member stays and ends, unconverged, at its iteration cap.
+no adaptivity — form a *stack*: they iterate in lockstep on ONE shared
+regular grid, every pass one ``update`` call — a ``(n_members, n_states,
+n_points)`` batch of equilibrium systems in one point solve (through
+:meth:`repro.olg.model.OLGModel.stacked_group` when available), all
+members' policies in one hierarchization per shock state — and drop out as
+they converge.  Every other member is a list of one, through its own
+:meth:`~repro.core.time_iteration.TimeIterationSolver.step`: a group of
+one, and — reported as :attr:`MemberOutcome.fallback_reason` — an adaptive
+configuration, a topology minority, a start policy on another grid.  A
+non-finite iterate is no reason to leave the stack: an update is a
+deterministic function of the previous iterate, so redoing it alone returns
+the same bits; the member stays and ends, unconverged, at its iteration cap.
 
 Either way each member has its own tolerance/metric/iteration cap, record
 history, checkpoint hook (called after every iteration) and events.  An
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,11 @@ from repro.core.time_iteration import (
     TimeIterationModel,
     TimeIterationResult,
     TimeIterationSolver,
-    solve_points,
+    update,
 )
-from repro.grids.hierarchize import hierarchize
+
+# the fit is in ``update``; benchmarks/ledger/test_ledger.py (frozen) reads the name here
+from repro.grids.hierarchize import hierarchize  # noqa: F401
 from repro.utils.logging import get_logger
 from repro.utils.timing import WallClock
 
@@ -91,7 +93,7 @@ class BatchMember:
     """One solve inside a group: what :meth:`TimeIterationSolver.solve` takes, per member.
 
     ``solver`` is the member's step provider, ``TimeIterationSolver(model,
-    config)`` when omitted; one that carries an executor steps alone.
+    config)`` when omitted.
     """
 
     key: str
@@ -131,11 +133,6 @@ class _MemberState:
     totals_before: dict  # the model's point-solve totals when this solve started
     reason: str | None = None  # why the member never joined the stack
     stacked: bool = False
-    # a stacked member's rows of one pass, state-major: the shock state of
-    # each and the shared grid's points in the member's box, once per state
-    z: np.ndarray | None = None
-    X: np.ndarray | None = None
-    values: list[np.ndarray] = field(default_factory=list)
     update: tuple[PolicySet, float, dict] | None = None  # this pass: policy, wall, sections
 
     @property
@@ -269,7 +266,7 @@ class BatchedTimeIterationSolver:
             signature = batch_topology(ms.member.model, ms.member.config)
             if signature is None:
                 ms.reason = "adaptive refinement"
-            elif ms.solver.executor is None:
+            else:
                 by_signature.setdefault(signature, []).append(ms)
         # callers group by signature (the scenarios layer partitions suites),
         # so a mixed set means the caller skipped that: stack the largest
@@ -280,7 +277,8 @@ class BatchedTimeIterationSolver:
                     ms.reason = "topology mismatch"
         if len(candidates) < 2:
             return
-        grid, _ = candidates[0].solver._regular_grid(candidates[0].member.config.grid_level)
+        first = candidates[0].solver
+        grid = first._regular_grid(first.config.grid_level)
         stack = []
         for ms in candidates:
             try:
@@ -292,9 +290,7 @@ class BatchedTimeIterationSolver:
         if len(stack) >= 2:
             for ms in stack:
                 ms.stacked = True
-                model = ms.member.model
-                ms.z = np.repeat(np.arange(model.num_states), len(grid))
-                ms.X = np.tile(model.domain.from_unit(grid.points), (model.num_states, 1))
+                ms.solver._grid_cache = first._grid_cache  # update() hands them this grid
 
     @staticmethod
     def _reanchor(policy: PolicySet, grid) -> PolicySet:
@@ -322,7 +318,7 @@ class BatchedTimeIterationSolver:
         return PolicySet(policies)
 
     # ------------------------------------------------------------------ #
-    # the two updates
+    # the update: one pass, alone or as a stack
     # ------------------------------------------------------------------ #
     def _alone_update(self, ms: _MemberState) -> None:
         """One :meth:`TimeIterationSolver.step` of the member's own."""
@@ -332,22 +328,16 @@ class BatchedTimeIterationSolver:
         ms.update = (new_policy, time.perf_counter() - t0, clock.as_dict())
 
     def _stacked_update(self, stack: list[_MemberState]) -> None:
-        """One lockstep pass of the stack."""
-        num_states = stack[0].member.model.num_states
+        """One lockstep pass of the stack; every member books an equal share of its wall."""
+        clock = WallClock()
         t0 = time.perf_counter()
-        self._solve_pass(stack, num_states)
-        solve_wall = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        # every stacked policy sits on the one shared grid
-        new_policies = self._fit_pass(stack, stack[0].policy[0].grid, num_states)
-        fit_wall = time.perf_counter() - t1
+        members = [(ms.solver, ms.policy) for ms in stack]
+        new_policies = update(members, self._group_solver(stack), clock)
         share = 1.0 / len(stack)
-        for ms in stack:
-            ms.update = (
-                PolicySet(new_policies[ms.member.key]),
-                (solve_wall + fit_wall) * share,
-                {"solve": solve_wall * share, "fit": fit_wall * share},
-            )
+        wall = (time.perf_counter() - t0) * share
+        for ms, new_policy in zip(stack, new_policies):
+            sections = {name: seconds * share for name, seconds in clock.sections.items()}
+            ms.update = (new_policy, wall, sections)
 
     def _group_solver(self, active: list[_MemberState]):
         """Cross-member stacked solver, rebuilt when membership changes."""
@@ -361,65 +351,12 @@ class BatchedTimeIterationSolver:
             cls, "stacked_group"
         ):
             try:
-                group = cls.stacked_group(models, [ms.X.shape[0] for ms in active])
+                # a member's rows: the shared grid's points, once per shock state
+                group = cls.stacked_group(models, [ms.policy.total_points for ms in active])
             except ValueError as exc:
                 logger.info("stacked group unavailable (%s); per-member batching", exc)
         self._group_cache = (key, group)
         return group
-
-    def _solve_pass(self, active: list[_MemberState], num_states: int) -> None:
-        """One lockstep sweep, ONE point-solve call: fill ``ms.values`` of every active member."""
-        group = self._group_solver(active)
-        # every member's policy sits on the shared grid, so its nodal
-        # values are what values_on_grid returns for it
-        guesses = [
-            np.concatenate([sp.nodal_values for sp in ms.policy])
-            if ms.member.config.warm_start
-            else None
-            for ms in active
-        ]
-        if group is not None:
-            blocks = group.solve_points(
-                np.concatenate([ms.z for ms in active]),
-                [ms.X for ms in active],
-                [ms.policy for ms in active],
-                guesses,
-            )
-        else:
-            blocks = [
-                solve_points(ms.member.model, ms.z, ms.X, ms.policy, guess)
-                for ms, guess in zip(active, guesses)
-            ]
-        for ms, block in zip(active, blocks):
-            ms.values = np.split(np.asarray(block, dtype=float), num_states)
-
-    def _fit_pass(self, active: list[_MemberState], grid, num_states: int) -> dict:
-        """Stacked hierarchization: one fit per shock state for all members."""
-        new_policies: dict[str, list[StatePolicy]] = {ms.member.key: [] for ms in active}
-        for z in range(num_states):
-            for ms in active:
-                damping = ms.member.config.damping
-                if damping < 1.0:
-                    ms.values[z] = damping * ms.values[z] + (
-                        1.0 - damping
-                    ) * ms.policy[z].nodal_values
-            stacked = np.concatenate([ms.values[z] for ms in active], axis=1)
-            surplus = hierarchize(grid, stacked)
-            col = 0
-            for ms in active:
-                width = ms.values[z].shape[1]
-                new_policies[ms.member.key].append(
-                    StatePolicy.from_surplus(
-                        z,
-                        grid,
-                        surplus[:, col : col + width],
-                        ms.values[z],
-                        ms.member.model.domain,
-                        kernel=ms.member.config.kernel,
-                    )
-                )
-                col += width
-        return new_policies
 
     # ------------------------------------------------------------------ #
     # after the update: the one per-member block

@@ -4,19 +4,24 @@ Time iteration computes a time-invariant policy function by repeatedly
 solving the period-to-period equilibrium conditions on a grid, taking the
 previous iterate as next period's policy, until the policy stops changing.
 
-This module holds one member's side of the algorithm, model-agnostic: the
+This module holds the algorithm's pass, model-agnostic: the
 :class:`TimeIterationModel` protocol (the stochastic OLG model of
 :mod:`repro.olg` is the paper's application; tests also use small synthetic
-models), the configuration and record types, and :class:`TimeIterationSolver`
-with the per-member update :meth:`~TimeIterationSolver.step`.  By default the
-grids of all shock states go to the model's vectorized point solve
-(``solve_points_batch``) in one call, the shock state being a per-row
-argument; passing an executor dispatches the grid points one by one, state
-by state, instead, so the same step runs on the work-stealing thread
-scheduler or on a simulated heterogeneous cluster.  The iteration
-loop itself — start or resume, convergence, checkpoints, events — exists
-once, in :mod:`repro.core.batched`, over a group of members;
-:meth:`TimeIterationSolver.solve` runs it on a group of one.
+models), the configuration and record types, :class:`TimeIterationSolver`
+— one member: a model, its configuration, its grids — and :func:`update`,
+the one pass every caller runs: the grid points of every shock state of
+every member are rows of one point solve (the shock state is a per-row
+argument of the model's vectorized ``solve_points_batch``), an adaptive
+member adds one point solve per refinement round, and one hierarchization
+per shock state fits the result.  A solo step
+(:meth:`TimeIterationSolver.step`) is that pass on a list of one; a stack
+of :mod:`repro.core.batched` is the same pass on several members and a
+group solver.  Dispatching points one by one (the work-stealing thread
+scheduler, a simulated cluster) is an argument of :func:`solve_points`,
+which Fig. 7 times directly.
+The iteration loop itself — start or resume, convergence, checkpoints,
+events — exists once, in :mod:`repro.core.batched`, over a group of
+members; :meth:`TimeIterationSolver.solve` runs it on a group of one.
 
 In the non-adaptive configuration every state and every iteration uses the
 *same* regular sparse grid, so the solver keeps one cached
@@ -24,11 +29,11 @@ In the non-adaptive configuration every state and every iteration uses the
 across states and iterations.  Because the grid object is shared and never
 mutated, its attached caches — the hierarchization ancestor structure and
 the compressed kernel representation — are built exactly once per solve
-instead of once per state per iteration.  (The adaptive path copies the
+instead of once per state per iteration.  (An adaptive step copies the
 previous state grid before refining it, which starts a fresh cache epoch.)
 Consequently the policies of a non-adaptive result share one grid object
 across states; callers who want to refine a returned policy's grid should
-refine a ``grid.copy()`` (as the adaptive path itself does).
+refine a ``grid.copy()`` (as the adaptive step itself does).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.policy import PolicySet, StatePolicy
-from repro.grids.adaptive import refine
+from repro.grids.adaptive import append_rows, refine
 from repro.grids.domain import BoxDomain
 from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
@@ -53,6 +58,7 @@ __all__ = [
     "TimeIterationResult",
     "TimeIterationSolver",
     "solve_points",
+    "update",
     "values_on_grid",
 ]
 
@@ -91,8 +97,8 @@ class TimeIterationModel(Protocol):
 
     # Optional: ``solve_points_batch(z, X, policy_next, guesses=None)`` solving
     # every row of ``X`` in one call, ``z`` being one state for all rows or an
-    # int array with one state per row; used instead of ``solve_point`` when no
-    # executor is given, once per step for the rows of all shock states.
+    # int array with one state per row; used instead of ``solve_point``, once
+    # per pass for the rows of all shock states (and once per refinement round).
     # Optional: ``solver_totals()`` returning the model's running point-solve
     # counts by name; a solve reports their growth on ``solve-finished``.
 
@@ -120,11 +126,14 @@ class TimeIterationConfig:
     max_refine_level
         Cap on the 1-D refinement level (the paper uses ``L_max = 6``).
     max_points_per_state
-        Hard cap on the per-state grid size.
+        Refinement of a state stops once its grid has reached this many
+        points; the last round may overshoot (a round is never cut short:
+        that would break the grid's hierarchical consistency).
     kernel
         Interpolation kernel used when evaluating next-period policies.
     damping
-        Convex-combination damping of the policy update (1.0 = undamped).
+        Convex-combination damping of the policy update, in ``(0, 1]``
+        (1.0 = undamped).
     warm_start
         Reuse the previous iterate's values as the nonlinear solver's guess.
     convergence_metric
@@ -150,6 +159,8 @@ class TimeIterationConfig:
         metric = self.convergence_metric
         if metric not in CONVERGENCE_METRICS:
             raise ValueError(f"convergence_metric {metric!r} is not one of {CONVERGENCE_METRICS}")
+        if not 0.0 < self.damping <= 1.0:  # 0 would return the initial guess as "converged"
+            raise ValueError(f"damping {self.damping!r} is not in (0, 1]")
 
 
 @dataclass
@@ -247,42 +258,116 @@ def solve_points(
     return out
 
 
-class TimeIterationSolver:
-    """One member of Algorithm 1: a :class:`TimeIterationModel`, its configuration, its step.
+def update(members, group=None, clock: WallClock | None = None) -> list[PolicySet]:
+    """One pass of Algorithm 1 over ``members``, a list of ``(solver, policy_next)`` pairs.
 
-    Parameters
-    ----------
-    model
-        The economic model.
-    config
-        Driver configuration.
-    executor
-        Optional object with a ``map(fn, items) -> list`` method; when
-        given, grid points are solved one ``solve_point`` per task through
-        it (e.g. :class:`repro.parallel.scheduler.WorkStealingScheduler` or
-        a :class:`repro.parallel.mpi_sim.SimClusterExecutor`), state by
-        state.  Without one the model's vectorized ``solve_points_batch``
-        solves the grids of all shock states in one call (see
-        :meth:`step`).
+    Every grid point of every shock state of every member is a row of ONE
+    point solve — ``group.solve_points`` when the caller holds a stacked
+    group solver for exactly these members, :func:`solve_points` per member
+    otherwise.  An adaptive member then pays one more point solve per
+    refinement round, over the new points of all its states.  Damping and
+    one hierarchization per shock state, all members' columns side by side,
+    finish the pass.  The members of one call sit on the same grid objects:
+    a list of one, or a stack (its solvers share one grid cache).
     """
+    clock = clock or WallClock()
+    with clock.section("grid"):
+        grids = [solver._todays_grids(policy_next) for solver, policy_next in members]
+    with clock.section("solve"):
+        sizes = [[len(X) for _, X in gs] for gs in grids]
+        # rows are state-major: every point in state 0, then in state 1, ...
+        states = [np.repeat(np.arange(len(n)), n) for n in sizes]
+        rows = [np.concatenate([X for _, X in gs]) for gs in grids]
+        guesses = [
+            np.concatenate([values_on_grid(prev, *g) for prev, g in zip(policy_next, gs)])
+            if solver.config.warm_start
+            else None
+            for (solver, policy_next), gs in zip(members, grids)
+        ]
+        if group is not None:
+            policies_next = [policy_next for _, policy_next in members]
+            blocks = group.solve_points(np.concatenate(states), rows, policies_next, guesses)
+        else:
+            blocks = [
+                solve_points(solver.model, z, X, policy_next, guess)
+                for (solver, policy_next), z, X, guess in zip(members, states, rows, guesses)
+            ]
+        values = [
+            np.split(np.asarray(block, dtype=float), np.cumsum(n)[:-1])
+            for block, n in zip(blocks, sizes)
+        ]
+    for (solver, policy_next), gs, v in zip(members, grids, values):
+        if solver.config.adaptive:
+            _refine(solver, policy_next, gs, v, clock)
+    with clock.section("fit"):
+        policies: list[list[StatePolicy]] = [[] for _ in members]
+        for z, (grid, _) in enumerate(grids[0]):
+            if any(gs[z][0] is not grid for gs in grids):
+                raise ValueError("the members of one update must share their grid objects")
+            for (solver, policy_next), gs, v in zip(members, grids, values):
+                damping = solver.config.damping
+                if damping < 1.0:
+                    v[z] = damping * v[z] + (1.0 - damping) * values_on_grid(policy_next[z], *gs[z])
+            surplus = hierarchize(grid, np.concatenate([v[z] for v in values], axis=1))
+            widths = np.cumsum([v[z].shape[1] for v in values])[:-1]
+            columns = np.split(surplus, widths, axis=1)
+            for (solver, _), v, own, fitted in zip(members, values, columns, policies):
+                domain, kernel = solver.model.domain, solver.config.kernel
+                fitted.append(StatePolicy.from_surplus(z, grid, own, v[z], domain, kernel=kernel))
+    return [PolicySet(fitted) for fitted in policies]
+
+
+def _refine(solver, policy_next: PolicySet, grids: list, values: list, clock: WallClock) -> None:
+    """Refine one member's state grids, in place, until no surplus exceeds the threshold.
+
+    A round hierarchizes and refines every state still open (below the
+    point cap, grown by the previous round), then solves the new points of
+    all of them in ONE :func:`solve_points` call.  Each coefficient's surplus
+    is taken relative to the magnitude of that coefficient's nodal values,
+    so the large value functions do not drown out the savings (the paper's
+    ``g(alpha) >= epsilon`` criterion, per approximated function).
+    """
+    cfg, model = solver.config, solver.model
+    open_states = list(range(len(grids)))
+    while True:
+        new_rows: dict[int, np.ndarray] = {}
+        for z in open_states:
+            grid = grids[z][0]
+            if len(grid) >= cfg.max_points_per_state:
+                continue
+            with clock.section("fit"):
+                surplus = hierarchize(grid, values[z]) / (1.0 + np.max(np.abs(values[z]), axis=0))
+            with clock.section("grid"):
+                added = refine(grid, surplus, cfg.refine_epsilon, max_level=cfg.max_refine_level)
+            if added.size:
+                new_rows[z] = added
+                grids[z] = (grid, model.domain.from_unit(grid.points))
+        open_states = list(new_rows)  # a state that added nothing, or sits at the cap, is done
+        if not open_states:
+            break
+        with clock.section("solve"):
+            sizes = [len(added) for added in new_rows.values()]
+            X_new = np.concatenate([grids[z][1][added] for z, added in new_rows.items()])
+            solved = solve_points(model, np.repeat(open_states, sizes), X_new, policy_next, None)
+        for (z, added), block in zip(new_rows.items(), np.split(solved, np.cumsum(sizes)[:-1])):
+            values[z] = append_rows(values[z], added, block, len(grids[z][0]))
+
+
+class TimeIterationSolver:
+    """One member of Algorithm 1: a model, its configuration (the default when omitted),
+    its grids and its step."""
 
     def __init__(
-        self,
-        model: TimeIterationModel,
-        config: TimeIterationConfig | None = None,
-        executor=None,
+        self, model: TimeIterationModel, config: TimeIterationConfig | None = None
     ) -> None:
         self.model = model
         self.config = config or TimeIterationConfig()
-        self.executor = executor
-        # Regular grids and their domain-mapped points, reused across states
-        # and iterations (never mutated, so the grids' ancestor/compression
-        # caches are shared as well).  Adaptive steps work on per-iteration
-        # copies, which are deliberately not cached here.
-        self._grid_cache: dict[tuple[int, int], tuple[SparseGrid, np.ndarray]] = {}
+        # regular grids only (adaptive steps work on per-iteration copies);
+        # the members of a stack share one cache
+        self._grid_cache: dict[tuple[int, int], SparseGrid] = {}
 
-    def _regular_grid(self, level: int) -> tuple[SparseGrid, np.ndarray]:
-        """Shared regular grid for the model's state dimension and its points in the box.
+    def _regular_grid(self, level: int) -> SparseGrid:
+        """Shared regular grid for the model's state dimension.
 
         Policies returned by the solver reference this shared object; if a
         caller mutated it (e.g. refined a returned policy's grid to
@@ -291,130 +376,34 @@ class TimeIterationSolver:
         regular grid.
         """
         key = (self.model.state_dim, level)
-        entry = self._grid_cache.get(key)
-        if entry is None or entry[0].version != 0:
-            grid = regular_sparse_grid(*key)
-            X = self.model.domain.from_unit(grid.points)
-            X.flags.writeable = False
-            entry = self._grid_cache[key] = (grid, X)
-        return entry
+        grid = self._grid_cache.get(key)
+        if grid is None or grid.version != 0:
+            grid = self._grid_cache[key] = regular_sparse_grid(*key)
+        return grid
 
-    # ------------------------------------------------------------------ #
-    # policy initialisation
-    # ------------------------------------------------------------------ #
+    def _todays_grids(self, policy_next: PolicySet) -> list[tuple[SparseGrid, np.ndarray]]:
+        """Today's grid of each shock state with its points in the model's box: the shared
+        regular grid or, adaptive, a copy of each previous state grid (refined regions stay)."""
+        if self.config.adaptive:
+            grids = [prev.grid.copy() for prev in policy_next]
+        else:
+            grids = [self._regular_grid(self.config.grid_level)] * self.model.num_states
+        return [(grid, self.model.domain.from_unit(grid.points)) for grid in grids]
+
     def initial_policy(self) -> PolicySet:
         """Build the initial guess ``p^0`` on regular grids."""
         model, kernel = self.model, self.config.kernel
-        grid, X = self._regular_grid(self.config.grid_level)
+        grid = self._regular_grid(self.config.grid_level)
+        X = model.domain.from_unit(grid.points)
         policies = []
         for z in range(model.num_states):
             values = np.atleast_2d(np.asarray(model.initial_policy_values(z, X), dtype=float))
             policies.append(StatePolicy.from_values(z, grid, values, model.domain, kernel=kernel))
         return PolicySet(policies)
 
-    # ------------------------------------------------------------------ #
-    # one time step
-    # ------------------------------------------------------------------ #
     def step(self, policy_next: PolicySet, clock: WallClock | None = None) -> PolicySet:
-        """One time-iteration step: update today's policy given ``policy_next``.
-
-        On the shared regular grid ONE :func:`solve_points` call solves the
-        points of all shock states (the state is a per-row argument); adaptive
-        steps, whose states own their grids, and steps with an executor go
-        state by state through the same call.
-        """
-        cfg = self.config
-        model = self.model
-        clock = clock or WallClock()
-        if cfg.adaptive or self.executor is not None:
-            solved = [self._solve_state(z, policy_next, clock) for z in range(model.num_states)]
-        else:
-            with clock.section("grid"):
-                grid, X = self._regular_grid(cfg.grid_level)
-            with clock.section("solve"):
-                guesses = None
-                if cfg.warm_start:
-                    guesses = np.concatenate([values_on_grid(p, grid, X) for p in policy_next])
-                # rows are state-major: every point in state 0, then in state 1, ...
-                z = np.repeat(np.arange(model.num_states), len(X))
-                rows = np.tile(X, (model.num_states, 1))
-                values = solve_points(model, z, rows, policy_next, guesses)
-            solved = [(grid, X, block) for block in np.split(values, model.num_states)]
-        policies = []
-        for z, (grid, X, values) in enumerate(solved):
-            with clock.section("fit"):
-                if cfg.damping < 1.0:
-                    old = values_on_grid(policy_next[z], grid, X)
-                    values = cfg.damping * values + (1.0 - cfg.damping) * old
-                policy = StatePolicy.from_values(z, grid, values, model.domain, kernel=cfg.kernel)
-            policies.append(policy)
-        return PolicySet(policies)
-
-    def _solve_state(self, z: int, policy_next: PolicySet, clock: WallClock):
-        """Grid, its points in the box and the solved values of shock state ``z`` alone."""
-        cfg, model = self.config, self.model
-        with clock.section("grid"):
-            prev = policy_next[z]
-            if cfg.adaptive:
-                # restart from the previous state grid (keeps refined regions)
-                grid = prev.grid.copy()
-                X = model.domain.from_unit(grid.points)
-            else:
-                # shared cached grid: ancestor structure and compression
-                # are reused across states and iterations
-                grid, X = self._regular_grid(cfg.grid_level)
-        with clock.section("solve"):
-            guesses = values_on_grid(prev, grid, X) if cfg.warm_start else None
-            values = solve_points(model, z, X, policy_next, guesses, self.executor)
-        if cfg.adaptive:
-            values = self._adaptive_loop(z, grid, values, policy_next, clock)
-            X = model.domain.from_unit(grid.points)
-        return grid, X, values
-
-    def _adaptive_loop(
-        self,
-        z: int,
-        grid: SparseGrid,
-        values: np.ndarray,
-        policy_next: PolicySet,
-        clock: WallClock,
-    ) -> np.ndarray:
-        """Refine the state grid until no surplus exceeds the threshold.
-
-        The refinement indicator normalises each coefficient's surplus by
-        the magnitude of that coefficient's nodal values, so the large-scale
-        value functions do not drown out the savings functions (the paper's
-        ``g(alpha) >= epsilon`` criterion applied per approximated function).
-        """
-        cfg = self.config
-
-        def relative_indicator(surplus: np.ndarray) -> np.ndarray:
-            scale = 1.0 + np.max(np.abs(values), axis=0)
-            return np.max(np.abs(np.atleast_2d(surplus)) / scale, axis=1)
-
-        while len(grid) < cfg.max_points_per_state:
-            with clock.section("fit"):
-                surplus = hierarchize(grid, values)
-            with clock.section("grid"):
-                new_rows = refine(
-                    grid,
-                    surplus,
-                    cfg.refine_epsilon,
-                    indicator=relative_indicator,
-                    max_level=cfg.max_refine_level,
-                )
-            if new_rows.size == 0:
-                break
-            X_new = self.model.domain.from_unit(grid.points[new_rows])
-            with clock.section("solve"):
-                new_values = solve_points(
-                    self.model, z, X_new, policy_next, None, self.executor
-                )
-            grown = np.zeros((len(grid), values.shape[1]), dtype=float)
-            grown[: values.shape[0]] = values
-            grown[new_rows] = new_values
-            values = grown
-        return values
+        """One time-iteration step: :func:`update` on a list of one."""
+        return update([(self, policy_next)], clock=clock)[0]
 
     # ------------------------------------------------------------------ #
     # full solve

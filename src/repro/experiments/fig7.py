@@ -14,10 +14,10 @@ speedups over a single optimized CPU thread on Piz Daint (whose runtime is
 
 This experiment reports two complementary sets of numbers:
 
-1. **measured** — a scaled-down OLG time step is actually executed with the
-   serial executor, the work-stealing thread scheduler, and the scheduler
-   plus the batched-kernel "GPU" offload path, giving real wall-clock
-   speedups on the host machine;
+1. **measured** — the point solves of a scaled-down OLG time step (every
+   grid point of every shock state, one ``solve_point`` each) are actually
+   dispatched through the serial executor and the work-stealing thread
+   scheduler, giving real wall-clock speedups on the host machine;
 2. **modeled** — the hardware cost models of
    :mod:`repro.parallel.cluster` convert the measured per-point workload
    into predicted speedups for the paper's node types, which is where the
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver, solve_points
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
 from repro.parallel.cluster import GRAND_TAVE_NODE, PIZ_DAINT_NODE
@@ -39,7 +39,15 @@ from repro.parallel.executor import SerialExecutor
 from repro.parallel.gpu_sim import HybridNodeExecutor
 from repro.parallel.scheduler import WorkStealingScheduler
 
-__all__ = ["Fig7Variant", "Fig7Result", "run_fig7", "format_fig7", "run_scenario", "PAPER_FIG7"]
+__all__ = [
+    "Fig7Variant",
+    "Fig7Result",
+    "run_fig7",
+    "step_rows",
+    "format_fig7",
+    "run_scenario",
+    "PAPER_FIG7",
+]
 
 
 def run_scenario(params: dict) -> dict:
@@ -92,15 +100,26 @@ class Fig7Result:
         raise KeyError(name)
 
 
-def _run_single_step(model: OLGModel, executor, grid_level: int) -> tuple[float, int]:
-    """Wall time of one time-iteration step with a given executor."""
-    config = TimeIterationConfig(grid_level=grid_level, max_iterations=1)
-    solver = TimeIterationSolver(model, config, executor=executor)
+def step_rows(model: OLGModel, grid_level: int):
+    """The point solves of a first time step: ``(z, rows, policy)``.
+
+    State-major, like the driver's pass: every grid point in shock state
+    0, then in state 1, ...; ``policy`` is the initial guess ``p^0``.
+    """
+    solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=grid_level))
     policy = solver.initial_policy()
+    X = model.domain.from_unit(policy[0].grid.points)
+    z = np.repeat(np.arange(model.num_states), len(X))
+    return z, np.tile(X, (model.num_states, 1)), policy
+
+
+def _run_single_step(model: OLGModel, executor, grid_level: int) -> tuple[float, int]:
+    """Wall time of one step's point solves dispatched through ``executor``."""
+    z, rows, policy = step_rows(model, grid_level)
     t0 = time.perf_counter()
-    new_policy = solver.step(policy)
+    solve_points(model, z, rows, policy, None, executor)
     elapsed = time.perf_counter() - t0
-    return elapsed, new_policy.total_points
+    return elapsed, len(rows)
 
 
 def run_fig7(
@@ -115,8 +134,8 @@ def run_fig7(
     model = OLGModel(cal)
 
     # an explicit serial executor: both measured bars dispatch one solve_point
-    # per grid point (without an executor the driver solves a state's whole
-    # grid in one vectorized call, which is not what the threaded bar scales)
+    # per grid point (without an executor all rows go to one vectorized
+    # solve, as in the driver's pass, which is not what the threaded bar scales)
     serial_time, total_points = _run_single_step(model, SerialExecutor(), grid_level)
     threaded_time, _ = _run_single_step(
         model, WorkStealingScheduler(num_threads, seed=seed), grid_level

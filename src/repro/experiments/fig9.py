@@ -122,7 +122,6 @@ def run_fig9(
     stage_tolerance: float = 2e-3,
     max_iterations_per_stage: int = 12,
     num_error_samples: int = 30,
-    executor=None,
     seed: int = 0,
 ) -> Fig9Result:
     """Run the staged convergence experiment on a scaled-down OLG economy.
@@ -184,7 +183,7 @@ def run_fig9(
     counter = 0
     elapsed = 0.0
     for stage_index, config in enumerate(stage_configs):
-        solver = TimeIterationSolver(model, config, executor=executor)
+        solver = TimeIterationSolver(model, config)
         result = solver.solve(initial_policy=policy, error_sample=sample)
         policy = result.policy
         converged_stages.append(result.converged)

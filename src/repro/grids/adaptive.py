@@ -23,6 +23,7 @@ __all__ = [
     "child_points",
     "complete_ancestors",
     "refine",
+    "append_rows",
     "AdaptiveRefiner",
 ]
 
@@ -184,12 +185,12 @@ class AdaptiveRefiner:
             if new_rows.size == 0:
                 break
             new_values = np.asarray(func(grid.points[new_rows]), dtype=float)
-            values = _append_rows(values, new_rows, new_values, len(grid))
+            values = append_rows(values, new_rows, new_values, len(grid))
             surplus = hierarchize(grid, values)
         return grid, surplus
 
 
-def _append_rows(values, new_rows, new_values, total_rows):
+def append_rows(values, new_rows, new_values, total_rows):
     """Grow the nodal-value array to ``total_rows`` rows, filling ``new_rows``."""
     values = np.asarray(values, dtype=float)
     new_values = np.asarray(new_values, dtype=float)

@@ -1,9 +1,11 @@
-"""Map-style execution backends for the time-iteration driver.
+"""Map-style execution backends: scenario-level dispatch and per-point solves.
 
-The :class:`repro.core.time_iteration.TimeIterationSolver` only requires an
-object with ``map(fn, items) -> list``; these adapters provide serial,
-thread-pool and process-pool implementations in addition to the
-work-stealing scheduler of :mod:`repro.parallel.scheduler`.
+:func:`repro.scenarios.run_suite` (one task per scenario) and
+:func:`repro.core.time_iteration.solve_points` (one ``solve_point`` per row,
+which Fig. 7 times) only require an object with ``map(fn, items) -> list``;
+these adapters provide serial, thread-pool and process-pool implementations
+in addition to the work-stealing scheduler of :mod:`repro.parallel.scheduler`.
+The time-iteration driver itself takes no executor.
 
 Every backend returns results in input order.  Backends additionally
 declare ``dispatches_in_order``: whether workers *start* items in input

@@ -77,10 +77,7 @@ def topology_signature(spec: ScenarioSpec):
     if spec.kind != "solve":
         return None
     try:
-        config = spec.build_config()
-        if config.adaptive:
-            return None
-        return _core_signature(spec.build_model(), config)
+        return _core_signature(spec.build_model(), spec.build_config())
     except Exception:  # repro: allow[broad-except] -- a broken spec surfaces when it runs
         return None
 

@@ -290,14 +290,20 @@ class TestSolvePoints:
         assert model.batch_calls == 1
         np.testing.assert_allclose(whole, per_point, rtol=0, atol=1e-15)
 
-    def test_driver_passes_its_executor_through(self):
+    def test_a_pass_is_one_batch_call_and_an_executor_bypasses_the_batch_solve(self):
         model = _BatchStubModel()
         model.num_states = 2
-        config = TimeIterationConfig(grid_level=2, max_iterations=1)
-        TimeIterationSolver(model, config).solve()
-        assert model.batch_calls == 1  # one call per step: the states are rows of it
-        TimeIterationSolver(model, config, executor=_ReversingExecutor()).solve()
+        solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=2, max_iterations=1))
+        policy = solver.solve().policy
+        assert model.batch_calls == 1  # one call per pass: the states are rows of it
+        # the driver has no executor; per-point dispatch is solve_points' argument,
+        # and on a pass's rows (state-major, any completion order) it agrees with the batch
+        X = model.domain.from_unit(policy[0].grid.points)
+        z, rows = np.repeat([0, 1], len(X)), np.tile(X, (2, 1))
+        per_point = solve_points(model, z, rows, policy, None, _ReversingExecutor())
         assert model.batch_calls == 1
+        np.testing.assert_array_equal(per_point, solve_points(model, z, rows, policy, None))
+        np.testing.assert_array_equal(per_point, np.concatenate([p.nodal_values for p in policy]))
 
     def test_per_point_dispatch_reads_the_state_of_each_row(self):
         class _StateStub(_StubModel):

@@ -2,8 +2,8 @@
 
 The synthetic model's update is a linear contraction whose fixed point is
 known in closed form and is exactly representable on a level-2 sparse grid,
-so the driver's convergence, bookkeeping and executor plumbing can be
-verified precisely and cheaply (no nonlinear solves involved).
+so the driver's convergence and bookkeeping and the per-point dispatch of
+``solve_points`` can be verified precisely and cheaply (no nonlinear solves involved).
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from repro.core.policy import PolicySet
 from repro.core.time_iteration import (
     TimeIterationConfig,
     TimeIterationSolver,
+    solve_points,
 )
 from repro.grids.domain import BoxDomain
 from repro.parallel.executor import SerialExecutor, ThreadPoolMapExecutor
@@ -124,6 +125,12 @@ class TestConvergence:
         with pytest.raises(ValueError, match=metric):
             TimeIterationConfig(convergence_metric=metric)
 
+    @pytest.mark.parametrize("damping", [0.0, 0, -0.5, 1.5, float("nan")])
+    def test_damping_outside_the_unit_interval_is_rejected(self, damping):
+        # 0 returned the untouched initial guess as "converged" after one iteration
+        with pytest.raises(ValueError, match="damping"):
+            TimeIterationConfig(grid_level=2, damping=damping)
+
     def test_damping_still_converges(self):
         model = ContractionModel()
         config = TimeIterationConfig(
@@ -185,17 +192,21 @@ class TestExecutors:
         [SerialExecutor(), ThreadPoolMapExecutor(3), WorkStealingScheduler(3)],
         ids=["serial", "threads", "stealing"],
     )
-    def test_same_result_for_all_executors(self, executor):
+    def test_same_points_for_all_executors(self, executor):
+        """Per-point dispatch is ``solve_points(executor=)``: at the solved policy, the
+        rows of a pass (state-major) come back at the fixed point from every executor."""
         model = ContractionModel()
         config = TimeIterationConfig(grid_level=2, tolerance=1e-8, max_iterations=60)
-        result = TimeIterationSolver(model, config, executor=executor).solve()
+        result = TimeIterationSolver(model, config).solve()
         assert result.converged
         sample = model.domain.sample(10, rng=5)
-        np.testing.assert_allclose(
-            np.atleast_2d(result.policy.evaluate(0, sample)),
-            model.fixed_point(0, sample),
-            atol=1e-5,
-        )
+        z, rows = np.repeat([0, 1], len(sample)), np.tile(sample, (2, 1))
+        calls = model.solve_calls
+        values = solve_points(model, z, rows, result.policy, None, executor)
+        assert model.solve_calls == calls + len(rows)
+        np.testing.assert_array_equal(values, solve_points(model, z, rows, result.policy, None))
+        for state, block in enumerate(np.split(values, 2)):
+            np.testing.assert_allclose(block, model.fixed_point(state, sample), atol=1e-5)
 
 
 class TestAdaptive:

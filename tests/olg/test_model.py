@@ -1,5 +1,7 @@
 """Tests for the OLG model's economics (states, budgets, Euler equations)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.core.time_iteration import (
     solve_points,
     values_on_grid,
 )
+from repro.grids.adaptive import refine
+from repro.grids.hierarchize import hierarchize
 from repro.olg.calibration import small_calibration
 from repro.olg.euler import _LOG_SAVINGS_FLOOR, _pinned, _savings
 from repro.olg.model import OLGModel
@@ -289,32 +293,47 @@ def test_the_model_solves_cold_at_every_size(generations, level, ceiling, younge
         assert np.all(model.steady_state.profile.savings[: model.num_savers][floored] <= 0.0)
 
 
-def _step_state_by_state(solver: TimeIterationSolver, policy_next: PolicySet) -> PolicySet:
-    """The step as one loop over the shock states — the reference the fused step replaced."""
-    cfg, model, clock = solver.config, solver.model, WallClock()
-    policies = []
-    for z in range(model.num_states):
-        prev = policy_next[z]
-        if cfg.adaptive:
-            grid = prev.grid.copy()
-            X = model.domain.from_unit(grid.points)
-        else:
-            grid, X = solver._regular_grid(cfg.grid_level)
-        guesses = values_on_grid(prev, grid, X) if cfg.warm_start else None
-        values = solve_points(model, z, X, policy_next, guesses, solver.executor)
-        if cfg.adaptive:
-            values = solver._adaptive_loop(z, grid, values, policy_next, clock)
-        policies.append(StatePolicy.from_values(z, grid, values, model.domain, kernel=cfg.kernel))
-    return PolicySet(policies)
+def _adaptive_step_state_by_state(model, config, policy_next: PolicySet):
+    """An adaptive step as one loop over the shock states, one point solve per state per
+    refinement round: the reference the one-solve-per-round pass replaced.
+
+    Returns the policies and the number of rounds that added points (in any state).
+    """
+    policies, rounds = [], 0
+    for z, prev in enumerate(policy_next):
+        grid = prev.grid.copy()
+        X = model.domain.from_unit(grid.points)
+        values = solve_points(model, z, X, policy_next, values_on_grid(prev, grid, X))
+        for state_round in itertools.count(1):
+            if len(grid) >= config.max_points_per_state:
+                break
+            scale = 1.0 + np.max(np.abs(values), axis=0)
+            new_rows = refine(
+                grid,
+                hierarchize(grid, values),
+                config.refine_epsilon,
+                indicator=lambda surplus: np.max(np.abs(surplus) / scale, axis=1),
+                max_level=config.max_refine_level,
+            )
+            if new_rows.size == 0:
+                break
+            rounds = max(rounds, state_round)
+            X_new = model.domain.from_unit(grid.points[new_rows])
+            grown = np.zeros((len(grid), values.shape[1]))
+            grown[: len(values)] = values
+            grown[new_rows] = solve_points(model, z, X_new, policy_next, None)
+            values = grown
+        policies.append(StatePolicy.from_values(z, grid, values, model.domain))
+    return PolicySet(policies), rounds
 
 
 class TestWhichStepsFuseTheShockStates:
-    """One point-solve call per step on the shared regular grid; per state otherwise."""
+    """All of them: one point-solve call per pass, plus one per adaptive refinement round."""
 
     @staticmethod
-    def _watched(**config):
+    def _watched(num_states=2, **config):
         """A solver on a fresh model, and the ``z`` of every batch point solve it makes."""
-        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        model = OLGModel(small_calibration(num_generations=4, num_states=num_states, beta=0.8))
         seen = []
         real = model.solve_points_batch
 
@@ -332,36 +351,53 @@ class TestWhichStepsFuseTheShockStates:
         assert z.tolist() == [0] * 7 + [1] * 7  # state-major over the 7-point grid
         assert solver.model.solver_totals()["newton_runs"] == 1
 
-    def test_adaptive_step_goes_state_by_state_and_keeps_its_bits(self):
+    @pytest.mark.parametrize("num_states", [2, 3, 4])
+    def test_adaptive_step_is_one_point_solve_per_refinement_round(self, num_states):
         config = dict(adaptive=True, max_refine_level=3, max_points_per_state=30)
-        solver, seen = self._watched(**config)
+        solver, seen = self._watched(num_states, **config)
         policy = solver.initial_policy()
         stepped = solver.step(policy)
-        assert all(z.ndim == 0 for z in seen)
-        states = [int(z) for z in seen]
-        assert states == sorted(states) and set(states) == {0, 1}  # refinement solves included
-        assert solver.model.solver_totals()["newton_runs"] == len(seen) > 2
-        reference = _step_state_by_state(self._watched(**config)[0], policy)
+        other = self._watched(num_states, **config)[0]
+        reference, rounds = _adaptive_step_state_by_state(other.model, other.config, policy)
+        assert rounds >= 2 and solver.model.solver_totals()["newton_runs"] == 1 + rounds
+        # every call carries the state of each row, state-major over all (open) states
+        assert len(seen) == 1 + rounds and all(z.ndim == 1 for z in seen)
+        assert seen[0].tolist() == np.repeat(np.arange(num_states), 7).tolist()
+        assert all(np.array_equal(z, np.sort(z)) and set(z) == set(seen[0]) for z in seen)
+        assert sum(map(len, seen)) == stepped.total_points == other.model.solver_totals()["rows"]
         for got, want in zip(stepped, reference):
-            assert got.num_points > 7  # refined
-            assert np.array_equal(got.interpolant.surplus, want.interpolant.surplus)
+            # refinement of a state stops at the cap; the round that reaches it is not cut short
+            assert got.num_points > 30
+            assert np.array_equal(got.grid.points, want.grid.points)
+            s = want.interpolant.surplus  # BLAS blocking moves with the batch size
+            assert np.all(np.abs(got.interpolant.surplus - s) <= 1e-9 * (1.0 + np.abs(s)))
 
-    def test_executor_step_goes_point_by_point_per_state_and_keeps_its_bits(self):
+
+class TestPerPointDispatch:
+    """``solve_points(executor=)``: one ``solve_point`` per row, in any completion order."""
+
+    def test_rows_of_all_states_go_point_by_point_and_agree_with_the_batch(self):
         from repro.parallel.executor import SerialExecutor
 
-        solver, seen = self._watched()
-        solver.executor = SerialExecutor()
+        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        policy = TimeIterationSolver(model, TimeIterationConfig(grid_level=2)).initial_policy()
+        X = model.domain.from_unit(policy[0].grid.points)
+        z, rows = np.repeat([0, 1], len(X)), np.tile(X, (2, 1))
         points = []
-        real = solver.model.solve_point
-        solver.model.solve_point = lambda z, x, *args: points.append(z) or real(z, x, *args)
-        policy = solver.initial_policy()
-        stepped = solver.step(policy)
+        real = model.solve_point
+        model.solve_point = lambda z, x, *args: points.append(z) or real(z, x, *args)
+
+        class Reversing:
+            def map(self, fn, items):
+                return [fn(item) for item in reversed(list(items))]
+
+        serial = solve_points(model, z, rows, policy, None, SerialExecutor())
         assert points == [0] * 7 + [1] * 7 and all(isinstance(z, int) for z in points)
-        assert all(z.ndim == 0 for z in seen)  # solve_point is a batch of one row
-        other, _ = self._watched()
-        other.executor = SerialExecutor()
-        for got, want in zip(stepped, _step_state_by_state(other, policy)):
-            assert np.array_equal(got.interpolant.surplus, want.interpolant.surplus)
+        assert np.array_equal(solve_points(model, z, rows, policy, None, Reversing()), serial)
+        assert points[14:] == [1] * 7 + [0] * 7
+        # a lone row goes through gemv, a row among others through gemm: last bits only
+        np.testing.assert_allclose(serial, solve_points(model, z, rows, policy, None), rtol=1e-9)
+        assert model.solver_totals()["newton_runs"] == 2 * 14 + 1
 
 
 class TestSharedBasisRead:

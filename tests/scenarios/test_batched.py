@@ -8,7 +8,7 @@ Covers the four contracts of the batched solve path:
 * convergence masking — members drop out of the batch individually, each
   with its own iteration history;
 * stepping alone — members the loop cannot stack (topology
-  mismatch, adaptivity, an executor) step alone inside the same loop,
+  mismatch, adaptivity) step alone inside the same loop,
   bit-exact with a solo solve; a member's own exception ends that member only;
 * scenario-layer integration — topology partitioning, batch-aware
   ``run_suite`` dispatch, and kill/resume leaving per-member checkpoints
@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.batched import BatchedTimeIterationSolver, BatchMember, batch_topology
 from repro.core.time_iteration import TimeIterationSolver
-from repro.parallel.executor import SerialExecutor
 from repro.parallel.tracing import EventRecorder
 from repro.scenarios import (
     ResultsStore,
@@ -94,11 +93,17 @@ class TestToleranceEquivalence:
             assert out.result.converged and seq.converged
             assert _policy_diff(seq, out.result) < TOL
 
-    def test_single_member_batch(self):
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_single_member_batch(self, adaptive):
         spec = _solve_spec("solo")
+        if adaptive:
+            spec = spec.with_overrides(
+                solver={"adaptive": True, "max_refine_level": 3, "max_points_per_state": 40}
+            )
         outcomes = BatchedTimeIterationSolver([_member(spec)]).solve()
         out = outcomes["solo"]
-        assert not out.fallback and out.result.converged
+        assert out.fallback == adaptive and out.result.converged
+        assert (max(out.result.policy.points_per_state) > 7) == adaptive
         # one path, same bits: the sequential driver is a batch of one
         seq = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
         assert [r.iteration for r in seq.records] == [r.iteration for r in out.result.records]
@@ -139,7 +144,11 @@ class TestConvergenceMasking:
         for key in ("a", "b"):
             for record in outcomes[key].result.records:
                 assert record.wall_time > 0
-                assert set(record.sections) == {"solve", "fit"}
+                # every pass reports one section set; a stack's members book 1/n each
+                assert set(record.sections) == {"grid", "solve", "fit"}
+                assert sum(record.sections.values()) <= record.wall_time
+        for one, other in zip(outcomes["a"].result.records, outcomes["b"].result.records):
+            assert one.sections == other.sections and one.wall_time == other.wall_time
 
 
 class TestFallback:
@@ -209,48 +218,35 @@ class TestFallback:
 
 
     def test_alone_members_next_to_a_stack_match_solo_solves(self):
-        # one loop: an adaptive member and an executor-carrying member step
-        # alone inside the group a stacked pair iterates in, and return what
-        # their solo solves return, bit for bit
+        # one loop: an adaptive member steps alone inside the group a stacked
+        # pair iterates in, and returns what its solo solve returns, bit for bit
         pair = [_solve_spec("p1", tau_labor=0.1), _solve_spec("p2", tau_labor=0.2)]
         ada = _solve_spec("ada", max_iterations=3).with_overrides(
             solver={"adaptive": True, "max_refine_level": 3, "max_points_per_state": 40}
         )
-        per_point = _solve_spec("per-point", tau_labor=0.15, max_iterations=4)
-
-        def stepper(spec, executor=None):
-            return TimeIterationSolver(spec.build_model(), spec.build_config(), executor=executor)
-
         events = EventRecorder()
         members = [_member(s, events=events, scenario=s.name) for s in (*pair, ada)]
-        members.append(_member(per_point, events=events, scenario="per-point"))
-        members[-1].solver = TimeIterationSolver(
-            members[-1].model, members[-1].config, executor=SerialExecutor()
-        )
         outcomes = BatchedTimeIterationSolver(members).solve()
         assert outcomes["ada"].fallback_reason == "adaptive refinement"
-        assert [outcomes[k].fallback_reason for k in ("p1", "p2", "per-point")] == [None] * 3
-        solos = {
-            "ada": stepper(ada).solve(),
-            "per-point": stepper(per_point, SerialExecutor()).solve(),
-        }
-        for key, solo in solos.items():
-            got = outcomes[key].result
-            assert got.iterations == solo.iterations
-            assert np.array_equal(got.error_history("rel_linf"), solo.error_history("rel_linf"))
-            assert [r.points_per_state for r in got.records] == [
-                r.points_per_state for r in solo.records
-            ]
-            for z in range(len(solo.policy)):
-                assert np.array_equal(
-                    got.policy[z].interpolant.surplus, solo.policy[z].interpolant.surplus
-                )
-            # an alone step times its three phases; a stack shares two
-            assert all(set(r.sections) == {"grid", "solve", "fit"} for r in got.records)
-        assert all(set(r.sections) == {"solve", "fit"} for r in outcomes["p1"].result.records)
+        assert [outcomes[k].fallback_reason for k in ("p1", "p2")] == [None] * 2
+        got = outcomes["ada"].result
+        solo = TimeIterationSolver(ada.build_model(), ada.build_config()).solve()
+        assert got.iterations == solo.iterations
+        assert np.array_equal(got.error_history("rel_linf"), solo.error_history("rel_linf"))
+        assert [r.points_per_state for r in got.records] == [
+            r.points_per_state for r in solo.records
+        ]
+        assert max(got.policy.points_per_state) > 7  # refined
+        for z in range(len(solo.policy)):
+            assert np.array_equal(
+                got.policy[z].interpolant.surplus, solo.policy[z].interpolant.surplus
+            )
+        # alone or stacked, a pass times the same three phases
+        for outcome in outcomes.values():
+            assert all(set(r.sections) == {"grid", "solve", "fit"} for r in outcome.result.records)
         # one emitter, one shape: every solve-started says whether it is stacked
         started = {e.scenario: e.detail["batched"] for e in events.by_kind("solve-started")}
-        assert started == {"p1": True, "p2": True, "ada": False, "per-point": False}
+        assert started == {"p1": True, "p2": True, "ada": False}
         # a member's point-solver totals count its own rows, stacked or alone
         solved = {e.scenario: e.detail["solver"]["rows"] for e in events.by_kind("solve-finished")}
         assert solved == {

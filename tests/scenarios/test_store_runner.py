@@ -254,6 +254,17 @@ class TestRunner:
         assert entry["status"] == "failed" and "'rel_inf'" in entry["error"]
         assert "iterations" not in entry
 
+    @pytest.mark.parametrize("damping", [0, 1.5])
+    def test_damping_outside_the_unit_interval_fails_before_iterating(self, env_store_url, damping):
+        # 0 used to be stored `completed`: the untouched initial guess, "converged" in one pass
+        spec = _tiny_solve_spec("undamped").with_overrides(solver={"damping": damping})
+        store = ResultsStore.open(env_store_url())
+        report = run_suite(ScenarioSuite("damp", [spec, _tiny_solve_spec("good")]), store)
+        assert report.count("failed") == 1 and report.count("completed") == 1
+        entry = store.entry(spec)
+        assert entry["status"] == "failed" and "damping" in entry["error"]
+        assert "iterations" not in entry
+
     def test_experiment_scenarios_store_payloads(self, env_store_url):
         suite = ScenarioSuite(
             "exp",

@@ -200,6 +200,14 @@ class TestBatchedSolveGate:
         assert (REPO / "benchmarks" / "ledger" / "test_ledger.py").exists()
         assert (REPO / "BENCHMARK.json").exists()
 
+    def test_bench_job_runs_the_fast_examples(self, workflow):
+        # nothing else runs examples/, so a default 35x slower than it had to be went unseen
+        commands = _run_commands(workflow["jobs"]["bench"])
+        for example in ("convergence_study.py", "olg_public_finance.py"):
+            assert any(f"PYTHONPATH=src python examples/{example} --fast" in c for c in commands)
+            source = (REPO / "examples" / example).read_text()
+            assert '"--fast"' in source and "--threads" not in source
+
     def test_bench_job_guards_the_point_solve_call_counts(self, workflow):
         # exact counts from a traced smoke run of the level-3 sweep: no
         # scipy call, no stalled row, few residual calls per Newton run

@@ -1,13 +1,13 @@
 """End-to-end integration tests: solve a small OLG economy and use the result.
 
 These tests exercise the whole stack together: calibration -> model ->
-time iteration (with different executors) -> policy evaluation through the
+time iteration (and its point solves on different executors) -> policy evaluation through the
 compressed kernels -> accuracy diagnostics -> forward simulation.
 """
 
 import numpy as np
 
-from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver, solve_points
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
 from repro.olg.simulation import simulate_economy
@@ -66,25 +66,21 @@ class TestSmallEconomySolve:
 
 
 class TestExecutorEquivalence:
-    def test_threaded_solve_matches_serial(self):
+    def test_threaded_point_solves_match_serial_and_the_batch(self):
         """The work-stealing scheduler must not change the numerical result."""
         cal = small_calibration(num_generations=4, num_states=2, beta=0.8)
         model = OLGModel(cal)
         config = TimeIterationConfig(grid_level=2, tolerance=1e-3, max_iterations=6)
-        # an explicit executor dispatches grid points one solve_point at a
-        # time; without one the whole grid goes to the vectorized solve
-        serial = TimeIterationSolver(model, config, executor=SerialExecutor()).solve()
-        threaded = TimeIterationSolver(
-            model, config, executor=WorkStealingScheduler(3)
-        ).solve()
-        sample = model.sample_states(10, rng=2)
-        for z in range(model.num_states):
-            np.testing.assert_allclose(
-                np.atleast_2d(serial.policy.evaluate(z, sample)),
-                np.atleast_2d(threaded.policy.evaluate(z, sample)),
-                rtol=1e-6,
-                atol=1e-8,
-            )
+        policy = TimeIterationSolver(model, config).solve().policy
+        # the rows of the next pass, state-major; an explicit executor dispatches
+        # them one solve_point at a time, without one they go to the vectorized solve
+        X = model.domain.from_unit(policy[0].grid.points)
+        z, rows = np.repeat(np.arange(model.num_states), len(X)), np.tile(X, (model.num_states, 1))
+        batch = solve_points(model, z, rows, policy, None)
+        serial = solve_points(model, z, rows, policy, None, SerialExecutor())
+        threaded = solve_points(model, z, rows, policy, None, WorkStealingScheduler(3))
+        np.testing.assert_allclose(threaded, serial, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(serial, batch, rtol=1e-6, atol=1e-8)
 
 
 class TestStochasticTaxes:
