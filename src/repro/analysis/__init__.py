@@ -34,7 +34,7 @@ from repro.analysis.engine import (
 
 #: analyzer version, reported by ``repro-analyze --version`` and in the
 #: ``--json`` envelope (kept in lockstep with the package version)
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "AnalysisResult",

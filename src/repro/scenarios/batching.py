@@ -131,7 +131,7 @@ def solve_batch_and_commit(
 
     ``aborts`` is an optional list of per-spec zero-arg abort callables,
     forwarded to :class:`SolveCheckpoint` (the lease workers pass each
-    scenario's heartbeat); a member whose abort fires is abandoned
+    held lease's ``abort_requested``); a member whose abort fires is abandoned
     *uncommitted* — an abandoning worker no longer owns the scenario and
     must not write an entry the rightful owner's result would have to
     out-rank — while the rest of the group keeps solving.  ``clock`` times

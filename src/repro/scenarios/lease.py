@@ -22,16 +22,16 @@ workers solving the same scenario commit the same bytes — the protocol
 only wastes the duplicated compute, and the loser's next heartbeat sees
 the foreign (worker, epoch) and abandons via :class:`LeaseLost`.
 
-While solving, a background :class:`LeaseHeartbeat` thread renews the
-lease every TTL/3.  Peers treat a lease whose ``renewed_at`` is older
-than its TTL (by the *peer's* clock) as expired and steal it with an
-epoch bump; the thief then resumes from whatever checkpoint the dead
-worker last wrote, or from ``p^0`` when the victim died inside its first
-checkpoint interval (steal-then-resume, bit-exact either way by the
-checkpoint contract).  Expiry compares a peer timestamp against an owner timestamp,
-so clock skew shifts *when* a dead worker's lease becomes stealable
-(skew + TTL) but can never make a *healthy* lease stealable by a
-slow-clocked peer — its ``now - renewed_at`` only shrinks.
+A worker's one background :class:`LeaseHeartbeat` thread renews every
+lease it holds once per TTL/3.  Peers treat a lease whose ``renewed_at``
+is older than its TTL (by the *peer's* clock) as expired and steal it
+with an epoch bump; the thief then resumes from whatever checkpoint the
+dead worker last wrote, or from ``p^0`` when the victim died inside its
+first checkpoint interval (steal-then-resume, bit-exact either way by the
+checkpoint contract).  Expiry compares a peer timestamp against an owner
+timestamp, so clock skew shifts *when* a dead worker's lease becomes
+stealable (skew + TTL) but can never make a *healthy* lease stealable by
+a slow-clocked peer — its ``now - renewed_at`` only shrinks.
 
 Failure handling:
 
@@ -54,10 +54,9 @@ Failure handling:
   (``leases/<hash16>/parked.json``) so a permanently broken spec cannot
   spin the fleet forever.
 
-Every protocol step emits a structured
-:class:`~repro.parallel.tracing.Event` (``claimed``/``stolen``/
-``heartbeat-missed``/``committed``/...), mirrored to
-``events/<worker_id>.jsonl`` in the store for ``repro-scenarios status``.
+Every protocol step emits a structured :class:`~repro.parallel.tracing.Event`
+(``claimed``/``stolen``/``heartbeat-missed``/...), mirrored to ``events/<worker_id>.jsonl``
+for ``repro-scenarios status`` by the time its worker next claims, blocks or exits.
 """
 
 from __future__ import annotations
@@ -73,6 +72,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.parallel.tracing import EventRecorder
+from repro.scenarios.backends.retry import env_knob
 from repro.scenarios.batching import partition_by_topology, solve_batch_and_commit
 from repro.scenarios.checkpoint import SolveAbandoned
 from repro.scenarios.runner import schedule_longest_first
@@ -86,11 +86,11 @@ __all__ = [
     "Lease",
     "LeaseLost",
     "LeaseManager",
+    "HeldLease",
     "LeaseHeartbeat",
     "WorkReport",
     "run_worker",
     "default_worker_id",
-    "store_event_sink",
 ]
 
 logger = get_logger("scenarios.lease")
@@ -109,19 +109,8 @@ TTL_ENV = "REPRO_LEASE_TTL"
 
 
 def default_ttl() -> float:
-    """The effective default lease TTL (:data:`TTL_ENV` or 30s)."""
-    raw = os.environ.get(TTL_ENV, "").strip()
-    if not raw:
-        return DEFAULT_TTL
-    try:
-        value = float(raw)
-    except ValueError:
-        logger.warning("ignoring non-number %s=%r (using %g)", TTL_ENV, raw, DEFAULT_TTL)
-        return DEFAULT_TTL
-    if value <= 0:
-        logger.warning("ignoring non-positive %s=%r (using %g)", TTL_ENV, raw, DEFAULT_TTL)
-        return DEFAULT_TTL
-    return value
+    """The effective default lease TTL: :data:`TTL_ENV` if a positive number, else 30s."""
+    return env_knob(TTL_ENV, DEFAULT_TTL) or DEFAULT_TTL
 
 
 #: recorded failures before a scenario is parked as permanently failing
@@ -309,6 +298,11 @@ class LeaseManager:
         self._emit("released", lease.scenario, epoch=lease.epoch)
         return True
 
+    def leased(self) -> set[str]:
+        """The hash16 of every scenario with a lease object: one listing, no reads."""
+        keys = self.store.backend.list(f"{self.store.LEASE_PREFIX}/")
+        return {key.split("/")[1] for key in keys if key.endswith("/lease.json")}
+
     def heal_completed(self, spec_or_hash: ScenarioSpec | str) -> bool:
         """Remove a leftover lease from a *completed* scenario.
 
@@ -374,7 +368,15 @@ class LeaseManager:
         self._emit("parked", scenario, attempts=attempts, error=str(error))
 
     def clear_attempts(self, spec_or_hash: ScenarioSpec | str) -> None:
-        """Drop the failure count and any parking (success, or --retry-parked)."""
+        """Drop the failure count and any parking (--retry-parked, or success after a failure).
+
+        Both are written only after a non-completed entry was committed,
+        so a worker that read *no* entry before it claimed skips this on
+        success.  One benign window: a peer fails and releases between
+        that read and the claim, and its ``attempts.json`` (``parked.json``
+        on a last attempt) stays beside a *completed* entry — which the
+        scan never consults, because completed entries are tested first.
+        """
         for key in (
             self.store.attempts_key(spec_or_hash),
             self.store.parked_key(spec_or_hash),
@@ -382,11 +384,24 @@ class LeaseManager:
             self.store.backend.delete(key)
 
 
-class LeaseHeartbeat:
-    """Background renewal thread for one held lease.
+@dataclass(eq=False)
+class HeldLease:
+    """One lease under a :class:`LeaseHeartbeat`, as its holder sees it."""
 
-    Renews every ``interval`` (default TTL/3).  Two ways to lose the
-    lease:
+    lease: Lease  # replaced by each successful renewal
+    last_ok: float  # manager clock at the claim or the last successful renewal
+    lost: bool = False
+
+    def abort_requested(self) -> bool:
+        return self.lost
+
+
+class LeaseHeartbeat:
+    """One worker's background renewal thread, for every lease it holds.
+
+    Every ``interval`` (default TTL/3) :meth:`tick` renews each lease
+    between its :meth:`hold` and its :meth:`drop` once.  Two ways to lose
+    one:
 
     * a renewal reads back a foreign (worker, epoch) — stolen or
       superseded — raising :class:`LeaseLost` immediately;
@@ -394,89 +409,80 @@ class LeaseHeartbeat:
       TTL since the last success — by then peers may consider the lease
       expired, so continuing to solve would split-brain.
 
-    Either way :meth:`abort_requested` flips to ``True``; the solve's
-    checkpoint hook polls it each iteration and abandons uncommitted.
-    The thread is a daemon and :meth:`stop` never releases the lease —
-    releasing is the owner's explicit, post-commit decision.
+    Either way that lease's :meth:`HeldLease.abort_requested`, and no
+    other's, flips to ``True``; the solve's checkpoint hook polls it each
+    iteration and abandons uncommitted.  A renewal runs under the lock
+    :meth:`hold` and :meth:`drop` take: once :meth:`drop` returns none is
+    in flight or can start, so none can put the lease back after
+    ``release`` deleted it.  Nothing here releases a lease — that is the
+    owner's explicit, post-commit decision — and :meth:`tick` is all the
+    daemon thread does, so tests drive renewals without the thread.
     """
 
-    def __init__(self, manager: LeaseManager, lease: Lease, interval: float | None = None) -> None:
+    def __init__(self, manager: LeaseManager, interval: float | None = None) -> None:
         self.manager = manager
-        self.lease = lease
-        self.interval = float(interval) if interval is not None else lease.ttl / 3.0
+        self.interval = float(interval) if interval is not None else manager.ttl / 3.0
         if self.interval <= 0:
             raise ValueError("heartbeat interval must be > 0")
+        self._held: list[HeldLease] = []
+        self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._lost = threading.Event()
         self._thread = threading.Thread(
-            target=self._run, name=f"lease-heartbeat-{lease.scenario}", daemon=True
+            target=self._run, name=f"lease-heartbeat-{manager.worker_id}", daemon=True
         )
 
-    def start(self) -> "LeaseHeartbeat":
+    def start(self) -> None:
         self._thread.start()
-        return self
-
-    def abort_requested(self) -> bool:
-        return self._lost.is_set()
 
     def stop(self) -> None:
-        """Stop renewing and join; the lease object stays in the store."""
+        """Stop renewing and join; every lease object stays in the store."""
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join(timeout=10.0)
 
-    # ------------------------------------------------------------------ #
+    def hold(self, lease: Lease) -> HeldLease:
+        """Renew ``lease`` on every tick from now on (the first <= ``interval`` away)."""
+        handle = HeldLease(lease, last_ok=self.manager.clock())
+        with self._lock:
+            self._held.append(handle)
+        return handle
+
+    def drop(self, handle: HeldLease) -> None:
+        """Stop renewing; returns once no renewal of that lease is running."""
+        with self._lock:
+            self._held.remove(handle)
+
     def _run(self) -> None:
-        last_ok = self.manager.clock()
         while not self._stop.wait(self.interval):
-            try:
-                self.lease = self.manager.renew(self.lease)
-                last_ok = self.manager.clock()
-            except LeaseLost as exc:
-                self.manager._emit(
-                    "heartbeat-missed",
-                    self.lease.scenario,
-                    reason="lease-lost",
-                    detail_msg=str(exc),
-                )
-                self._lost.set()
+            self.tick()
+
+    def tick(self) -> None:
+        """Renew every held lease once."""
+        with self._lock:
+            for handle in self._held:
+                if not handle.lost:
+                    self._renew(handle)
+
+    def _renew(self, handle: HeldLease) -> None:
+        manager, scenario = self.manager, handle.lease.scenario
+        try:
+            handle.lease = manager.renew(handle.lease)
+            handle.last_ok = manager.clock()
+            return
+        except LeaseLost as exc:
+            detail: dict[str, Any] = {"reason": "lease-lost", "detail_msg": str(exc)}
+        except Exception as exc:  # repro: allow[broad-except] -- store outage; keep renewing
+            stale = manager.clock() - handle.last_ok
+            logger.warning(
+                "renewal of %s failed (%.1fs since last success): %s", scenario, stale, exc
+            )
+            if stale <= handle.lease.ttl:
                 return
-            except Exception as exc:  # repro: allow[broad-except] -- store outage; keep renewing
-                stale = self.manager.clock() - last_ok
-                logger.warning(
-                    "renewal of %s failed (%.1fs since last success): %s",
-                    self.lease.scenario, stale, exc,
-                )
-                if stale > self.lease.ttl:
-                    # peers may already consider us dead; abandon, never
-                    # split-brain against a legitimate thief
-                    self.manager._emit(
-                        "heartbeat-missed",
-                        self.lease.scenario,
-                        reason="renew-deadline-exceeded",
-                        stale_for=stale,
-                    )
-                    self._lost.set()
-                    return
-
-
-def store_event_sink(store: ResultsStore, worker_id: str) -> StoreEventSink:
-    """Sink persisting a worker's events as ``events/<worker_id>.jsonl[.<n>]``.
-
-    A :class:`~repro.scenarios.store.StoreEventSink`: lease-lifecycle and
-    solve-boundary events flush immediately, while high-frequency
-    ``iteration``/``refined``/``heartbeat`` events are batched so a
-    long solve costs a handful of object puts, not one per iteration,
-    and each put is bounded by the sink's segment size however many
-    units the worker drains.
-    Call :meth:`~repro.scenarios.store.StoreEventSink.flush` (the worker
-    loop does, on exit) to persist any buffered tail.
-    """
-    return StoreEventSink(store, worker_id)
-
-
-def _silent_progress(line: str) -> None:
-    return None
+            # peers may already consider us dead; abandon, never
+            # split-brain against a legitimate thief
+            detail = {"reason": "renew-deadline-exceeded", "stale_for": stale}
+        manager._emit("heartbeat-missed", scenario, **detail)
+        handle.lost = True
 
 
 @dataclass
@@ -533,12 +539,12 @@ def run_worker(
     The worker loops over the suite's unfinished scenarios longest-first
     (:func:`~repro.scenarios.runner.schedule_longest_first`, so expensive
     solves spread across the fleet early) in *groups*, claiming each
-    member through :class:`LeaseManager` — one lease and one
-    :class:`LeaseHeartbeat` per scenario.  The claimed members of a group
-    run through the one
+    member through :class:`LeaseManager` — one lease per scenario, all of
+    them renewed by the one :class:`LeaseHeartbeat` thread this call starts
+    and stops.  The claimed members of a group run through the one
     :func:`~repro.scenarios.batching.solve_batch_and_commit` path — which
     resumes from any checkpoint already in the store, including one left
-    by a dead worker whose lease this one stole — with each heartbeat's
+    by a dead worker whose lease this one stole — with each held lease's
     ``abort_requested`` wired into that member's checkpoint hook: a member
     whose lease is lost is abandoned uncommitted while the rest keep
     solving.  Scenarios held by live peers are revisited every ``poll``
@@ -560,7 +566,7 @@ def run_worker(
     worker_id = worker_id or default_worker_id()
     if events is None:
         events = EventRecorder(clock=clock)
-    sink = store_event_sink(store, worker_id)
+    sink = StoreEventSink(store, worker_id)
     events.subscribe(sink)
     manager = LeaseManager(store, worker_id, ttl=ttl, clock=clock, events=events)
     report = WorkReport(worker_id=worker_id, events=events)
@@ -572,25 +578,33 @@ def run_worker(
     if retry_parked:
         for scenario in specs:
             manager.clear_attempts(scenario)
+    heartbeat = LeaseHeartbeat(manager, interval=heartbeat_interval)
+
+    def pause(seconds: float) -> None:
+        sink.flush()  # nothing stays buffered while the worker blocks
+        sleep(seconds)
+
     drain = _Drain(
         store=store,
         manager=manager,
+        heartbeat=heartbeat,
         report=report,
         events=events,
-        say=progress if progress is not None else _silent_progress,
-        heartbeat_interval=heartbeat_interval,
+        say=progress if progress is not None else (lambda line: None),
         max_attempts=max_attempts,
         max_claims=max_claims,
         backoff_base=backoff_base,
-        sleep=sleep,
+        sleep=pause,
         rng=rng,
     )
+    heartbeat.start()
     try:
         return drain.run(specs, poll=poll, batch_topology=batch_topology)
     finally:
-        # persist any batched iteration/heartbeat events before exiting —
-        # crash paths (InjectedCrash, kill -9) simply lose the tail, which
-        # the feed's readers tolerate by design
+        # also on InjectedCrash / KeyboardInterrupt: die like kill -9 would — stop
+        # renewing, leave every lease and checkpoint for a peer to steal — then
+        # persist the batched tail of the feed (kill -9 loses it; readers tolerate that)
+        heartbeat.stop()
         sink.flush()
 
 
@@ -600,16 +614,17 @@ class _Drain:
 
     store: ResultsStore
     manager: LeaseManager
+    heartbeat: LeaseHeartbeat
     report: WorkReport
     events: EventRecorder
     say: Callable[[str], object]
-    heartbeat_interval: float | None
     max_attempts: int
     max_claims: int | None
     backoff_base: float
     sleep: Callable[[float], None]
     rng: Callable[[], float]
     done: set[str] = field(default_factory=set)
+    leased: set[str] = field(default_factory=set)  # this pass's listing of lease objects
 
     def _claims_spent(self) -> bool:
         return self.max_claims is not None and self.report.claims >= self.max_claims
@@ -617,10 +632,10 @@ class _Drain:
     def _already_done(self, scenario: str) -> None:
         """A peer completed it: heal the commit-then-crash window, count it once.
 
-        An expired lease left on a completed scenario is deleted by
-        whoever notices (see :meth:`LeaseManager.heal_completed`).
+        An expired lease left on a completed scenario is deleted by whoever
+        notices (:meth:`LeaseManager.heal_completed`, if this pass listed one).
         """
-        if self.manager.heal_completed(scenario):
+        if scenario in self.leased and self.manager.heal_completed(scenario):
             self.report.healed += 1
         if scenario not in self.report.completed:
             self.report.already_done.append(scenario)
@@ -632,6 +647,7 @@ class _Drain:
         """Scan for unfinished scenarios, form groups, work them; until drained."""
         store, manager, report = self.store, self.manager, self.report
         while True:
+            self.leased = manager.leased()
             pending: list[ScenarioSpec] = []
             for scenario, spec in specs.items():
                 if scenario in self.done:
@@ -666,7 +682,7 @@ class _Drain:
         """Claim, solve, commit and release one group; returns whether we progressed.
 
         The one claim -> heartbeat -> solve -> commit -> release/park/retry
-        routine.  Every member gets its own lease and
+        routine.  Every member gets its own lease, held under the worker's
         :class:`LeaseHeartbeat`; members a peer validly holds are simply
         left out.  Entries are committed per member inside
         :func:`~repro.scenarios.batching.solve_batch_and_commit` the moment
@@ -675,12 +691,14 @@ class _Drain:
         """
         store, manager, report, say = self.store, self.manager, self.report, self.say
         worker_id = report.worker_id
-        claimed: list[tuple[str, ScenarioSpec]] = []
-        heartbeats: list[LeaseHeartbeat] = []
+        # key, spec and whether an earlier attempt left an entry, per claimed member
+        claimed: list[tuple[str, ScenarioSpec, bool]] = []
+        held: list[HeldLease] = []
         progressed = False
         for spec in group:
             scenario = store.scenario_key(spec)
-            if store.entry_is_complete(store.entry(scenario)):
+            before = store.entry(scenario)
+            if store.entry_is_complete(before):
                 # a peer committed it since this pass's scan: don't waste a
                 # claim (and a re-solve) on a finished scenario
                 self._already_done(scenario)
@@ -700,28 +718,24 @@ class _Drain:
                 f"{'steal' if stolen else 'claim'} {spec.name} [{scenario}] "
                 f"epoch={lease.epoch}{' (batched)' if len(group) > 1 else ''}"
             )
-            heartbeats.append(
-                LeaseHeartbeat(manager, lease, interval=self.heartbeat_interval).start()
-            )
-            claimed.append((scenario, spec))
+            held.append(self.heartbeat.hold(lease))
+            claimed.append((scenario, spec, before is not None))
         if not claimed:
             return progressed
         try:
             entries = solve_batch_and_commit(
-                [spec for _scenario, spec in claimed],
+                [spec for _scenario, spec, _tried in claimed],
                 store,
-                aborts=[hb.abort_requested for hb in heartbeats],
+                aborts=[handle.abort_requested for handle in held],
                 events=self.events,
                 worker_id=worker_id,
                 clock=manager.clock,
             )
         finally:
-            # also on InjectedCrash / KeyboardInterrupt: die like kill -9
-            # would — stop renewing (a dead process renews nothing) but leave
-            # every lease and checkpoint for a peer to steal and resume
-            for hb in heartbeats:
-                hb.stop()
-        for (scenario, spec), hb, entry in zip(claimed, heartbeats, entries):
+            # before any release below: a renewal landing after it would put the lease back
+            for handle in held:
+                self.heartbeat.drop(handle)
+        for (scenario, spec, tried), handle, entry in zip(claimed, held, entries):
             if isinstance(entry, SolveAbandoned):
                 # nothing committed; the new holder owns the scenario
                 report.abandoned += 1
@@ -735,8 +749,9 @@ class _Drain:
                     wall_time=entry.get("wall_time", 0.0),
                     resumed=bool(entry.get("resumed", False)),
                 )
-                manager.clear_attempts(scenario)
-                manager.release(hb.lease)
+                if tried:
+                    manager.clear_attempts(scenario)
+                manager.release(handle.lease)
                 report.completed.append(scenario)
                 self.done.add(scenario)
                 say(f"done  {spec.name} [{scenario}] ({entry.get('wall_time', 0.0):.2f}s)")
@@ -753,7 +768,7 @@ class _Drain:
                 # release either way: commit-entry-then-release ordering
                 # holds (the failed entry is committed), and holding the
                 # lease through the backoff would only serialize the fleet
-                manager.release(hb.lease)
+                manager.release(handle.lease)
                 if count < self.max_attempts and self.backoff_base > 0:
                     self.sleep(self.backoff_base * (2 ** (count - 1)) * (0.5 + self.rng()))
         return progressed

@@ -54,9 +54,6 @@ __all__ = [
 #: samples of (iteration, error, wall_time) kept per scenario for the ETA fit
 _ETA_WINDOW = 12
 
-#: terminal per-scenario states (nothing further expected from the feed)
-_FINISHED_STATES = frozenset({"completed", "failed", "parked", "abandoned"})
-
 
 # --------------------------------------------------------------------------- #
 # live tail: incremental event reads with per-object byte offsets

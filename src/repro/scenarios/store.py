@@ -105,7 +105,6 @@ __all__ = [
 
 logger = get_logger("scenarios.store")
 
-_STORE_LAYOUT_VERSION = 2
 _DIR_HASH_CHARS = 16
 
 #: environment override for the auto-compaction tail threshold (``0``
@@ -362,17 +361,11 @@ class ResultsStore:
     def result_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
         return self.backend.ref(self.result_key(spec_or_hash))
 
-    def payload_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
-        return self.backend.ref(self.payload_key(spec_or_hash))
-
     def checkpoint_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
         return self.backend.ref(self.checkpoint_key(spec_or_hash))
 
     def spec_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
         return self.backend.ref(self.spec_key(spec_or_hash))
-
-    def lease_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
-        return self.backend.ref(self.lease_key(spec_or_hash))
 
     # ------------------------------------------------------------------ #
     # lease/coordination state (read side; the protocol itself lives in
@@ -508,12 +501,6 @@ class ResultsStore:
         self.backend.put(self.entry_key(entry["spec_hash"]), _json_bytes(entry))
         self.backend.append_commit(index_record(entry))
         return entry
-
-    def commit_entries(self, entries: Iterable[dict[str, Any]]) -> dict[str, dict[str, Any]]:
-        """Commit many entries; returns the index mapping afterwards."""
-        for entry in entries:
-            self.commit_entry(entry)
-        return self.index()
 
     def log_records(self) -> list[dict[str, Any]]:
         """The raw commit log, oldest first (may contain duplicates)."""
@@ -1025,9 +1012,9 @@ def parse_event_lines(raw: bytes) -> list[dict[str, Any]]:
 
 #: Size past which :class:`StoreEventSink` seals the object it is appending
 #: to; every flush re-puts that object, so this bounds the bytes put per
-#: event.  16 KiB is ~40 drained units (three ~140-byte lease events each):
-#: a put averages 8 KiB (131 KiB unsegmented, on a 640-unit drain) and that
-#: drain leaves 17 objects per worker for ``status``/``report`` to read.
+#: flush.  16 KiB is ~40 drained units (three ~140-byte lease events each,
+#: one flush): a put averages 8 KiB (131 KiB unsegmented, on a 640-unit drain)
+#: and that drain leaves 17 objects per worker for ``status``/``report`` to read.
 EVENT_SEGMENT_BYTES = 16 * 1024
 
 
@@ -1048,13 +1035,13 @@ class StoreEventSink:
     (``iteration``/``refined``/``heartbeat``) are buffered and flushed
     once ``flush_every`` events or ``flush_interval`` seconds accumulate,
     so a 200-iteration solve costs a handful of object puts instead of
-    200.  A solve's closing ``converged``/``solve-finished`` are buffered
-    too: the worker's ``committed``/``retry``/``parked``/``abandoned`` or the
-    batch runner's task-end :meth:`flush` always follows and carries them
-    out.  Lease-lifecycle events and ``solve-started`` flush
-    immediately — the rare, load-bearing transitions are visible to
-    ``status --follow`` within one poll.  Call :meth:`flush` before the
-    worker exits to persist any buffered tail.
+    200.  What closes a unit (``converged``/``solve-finished``/``committed``/
+    ``released``/``healed``) is buffered too: a micro-unit costs one put.  The
+    kinds that say who holds or gave up what (``claimed``/``stolen``/
+    ``solve-started``/``retry``/``parked``/``abandoned``/``heartbeat-missed``)
+    flush at once and carry the buffer out, and a worker (like the batch runner
+    at task end) calls :meth:`flush` before every sleep and at exit: an event is
+    in the store no later than the moment its worker next claims, blocks or exits.
 
     A sink opened for a worker id that already has an event log *appends*
     to it (the worker's last segment is loaded as the immutable head, or
@@ -1066,6 +1053,7 @@ class StoreEventSink:
     #: kinds buffered for batched flushing; everything else flushes now
     BUFFERED_KINDS = frozenset(
         {"iteration", "refined", "heartbeat", "converged", "solve-finished"}
+        | {"committed", "released", "healed"}
     )
 
     def __init__(

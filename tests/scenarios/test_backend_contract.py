@@ -1110,10 +1110,15 @@ class TestEventSegments:
         assert [e["n"] for e in store.events()] == list(range(400))
         recorder = EventRecorder(clock=lambda: 1000.0)
         recorder.subscribe(StoreEventSink(store, "old"))
-        recorder.emit("committed", "old", "s")
+        recorder.emit("committed", "old", "s")  # buffered: rides out with the claim
+        recorder.emit("claimed", "old", "s")
         assert store.backend.get("events/old.jsonl") == raw  # not re-put
         assert list(store.event_segments()["old"]) == [0, 1]
-        assert [e.get("n", "new") for e in store.events()] == list(range(400)) + ["new"]
+        assert [e.get("n", e["kind"]) for e in store.events()] == [
+            *range(400),
+            "committed",
+            "claimed",
+        ]
 
     def test_tailer_reads_across_rollovers_and_skips_consumed_segments(
         self, store, monkeypatch

@@ -10,8 +10,11 @@ over all three backends via ``any_store_url``.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -38,10 +41,10 @@ from repro.scenarios.backends import (
 from repro.scenarios.backends.retry import RETRIES_ENV, RETRY_BASE_ENV
 from repro.scenarios.checkpoint import CHECKPOINT_SECONDS, SolveAbandoned, SolveCheckpoint
 from repro.scenarios.lease import (
+    HeldLease,
     LeaseHeartbeat,
     LeaseLost,
     LeaseManager,
-    store_event_sink,
 )
 from repro.scenarios.store import StoreEventSink
 
@@ -219,36 +222,170 @@ class TestClockSkew:
 # heartbeat
 # --------------------------------------------------------------------------- #
 class TestHeartbeat:
-    def test_heartbeat_renews_until_stopped(self, store_url_for):
-        store = ResultsStore.open(store_url_for("mem"))
-        m = _manager(store, "w1", _Clock(), ttl=10.0)
-        lease = m.try_claim(_payload_spec(0))
-        hb = LeaseHeartbeat(m, lease, interval=0.02).start()
-        deadline = threading.Event()
-        deadline.wait(0.2)
-        hb.stop()
-        assert not hb.abort_requested()
-        assert hb.lease.renewed_at >= lease.renewed_at
-        # stop() never releases: that is the owner's explicit decision
-        assert store.backend.exists(store.lease_key(_payload_spec(0)))
+    """Driven by ``tick()`` under a fake clock: no thread, no sleep."""
 
-    def test_stolen_lease_flips_abort_and_emits_heartbeat_missed(self, store_url_for):
+    def _two_held(self, store, clock, ttl, events=None):
+        manager = _manager(store, "w1", clock, ttl=ttl, events=events)
+        heartbeat = LeaseHeartbeat(manager)  # never started: tick() is all its thread does
+        specs = [_payload_spec(0), _payload_spec(1)]
+        held = [heartbeat.hold(manager.try_claim(spec)) for spec in specs]
+        return manager, heartbeat, specs, held
+
+    def test_each_tick_renews_every_held_lease_once(self, store_url_for):
         store = ResultsStore.open(store_url_for("mem"))
         clock = _Clock()
         events = EventRecorder(clock=clock)
-        m1 = _manager(store, "w1", clock, ttl=5.0, events=events)
-        spec = _payload_spec(0)
-        lease = m1.try_claim(spec)
+        manager, heartbeat, specs, held = self._two_held(store, clock, 9.0, events)
+        assert heartbeat.interval == 3.0  # TTL/3 unless told otherwise
+        for n in (1, 2, 3):
+            clock.advance(3.0)
+            heartbeat.tick()
+            assert len(events.by_kind("heartbeat")) == 2 * n
+            for handle, spec in zip(held, specs):
+                assert handle.lease.renewed_at == manager.read(spec).renewed_at == clock.now
+                assert not handle.abort_requested()
+        heartbeat.drop(held[0])
+        clock.advance(3.0)
+        heartbeat.tick()
+        assert len(events.by_kind("heartbeat")) == 7
+        assert manager.read(specs[0]).renewed_at == clock.now - 3.0
+        # drop() never releases: that is the owner's explicit decision
+        assert store.backend.exists(store.lease_key(specs[0]))
+
+    def test_stolen_lease_aborts_its_own_handle_and_no_other(self, store_url_for):
+        store = ResultsStore.open(store_url_for("mem"))
+        clock = _Clock()
+        events = EventRecorder(clock=clock)
+        _manager_, heartbeat, specs, held = self._two_held(store, clock, 5.0, events)
         clock.advance(5.1)
-        assert _manager(store, "thief", clock, ttl=5.0).try_claim(spec) is not None
-        hb = LeaseHeartbeat(m1, lease, interval=0.01).start()
-        for _ in range(200):
-            if hb.abort_requested():
-                break
-            threading.Event().wait(0.01)
-        hb.stop()
-        assert hb.abort_requested()
-        assert events.by_kind("heartbeat-missed")
+        assert _manager(store, "thief", clock, ttl=5.0).try_claim(specs[0]) is not None
+        heartbeat.tick()
+        assert held[0].abort_requested() and not held[1].abort_requested()
+        [missed] = events.by_kind("heartbeat-missed")
+        assert missed.scenario == store.scenario_key(specs[0])
+        assert missed.detail["reason"] == "lease-lost"
+        heartbeat.tick()  # a lost lease is not renewed again; the other one is
+        assert len(events.by_kind("heartbeat-missed")) == 1
+        assert [e.scenario for e in events.by_kind("heartbeat")] == [
+            store.scenario_key(specs[1])
+        ] * 2
+
+    def test_renewals_erroring_past_the_ttl_abort_that_lease_only(self, store_url_for, monkeypatch):
+        monkeypatch.setenv(RETRIES_ENV, "0")
+        backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
+        store = ResultsStore(backend)
+        clock = _Clock()
+        events = EventRecorder(clock=clock)
+        _manager_, heartbeat, specs, held = self._two_held(store, clock, 5.0, events)
+        backend.add_rule(op="get", substring=store.lease_key(specs[0]), times=None)
+        clock.advance(3.0)
+        heartbeat.tick()  # one failed renewal inside the TTL: keep solving
+        assert not held[0].abort_requested() and not events.by_kind("heartbeat-missed")
+        clock.advance(3.0)
+        heartbeat.tick()  # 6 s since the last success > TTL: peers may have stolen it
+        assert held[0].abort_requested() and not held[1].abort_requested()
+        [missed] = events.by_kind("heartbeat-missed")
+        assert missed.scenario == store.scenario_key(specs[0])
+        assert missed.detail["reason"] == "renew-deadline-exceeded"
+        assert missed.detail["stale_for"] == 6.0
+        assert held[1].lease.renewed_at == clock.now
+
+    def test_drop_waits_for_the_renewal_in_flight_and_release_is_final(self, store_url_for):
+        backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
+        store = ResultsStore(backend)
+        manager = _manager(store, "w1", _Clock())
+        spec = _payload_spec(0)
+        heartbeat = LeaseHeartbeat(manager)
+        handle = heartbeat.hold(manager.try_claim(spec))
+        inside, go, dropped = threading.Event(), threading.Event(), threading.Event()
+        backend.add_rule(
+            op="put",
+            substring="lease.json",
+            action="call",
+            callback=lambda inner, op, key: (inside.set(), go.wait(5.0)),
+        )
+        ticker = threading.Thread(target=heartbeat.tick)
+        dropper = threading.Thread(target=lambda: (heartbeat.drop(handle), dropped.set()))
+        ticker.start()
+        assert inside.wait(5.0)  # the renewal is inside the backend's put
+        dropper.start()
+        assert not dropped.wait(0.05)  # ...and drop() does not return under it
+        go.set()
+        ticker.join(5.0)
+        dropper.join(5.0)
+        assert dropped.is_set()
+        assert manager.release(handle.lease) is True
+        heartbeat.tick()  # nothing held: nothing written
+        key = store.lease_key(spec)
+        assert [op for op, k in backend.ops if k == key][-2:] == ["get", "delete"]
+        assert not store.backend.exists(key)
+
+    def test_released_leases_stay_released_under_a_racing_heartbeat(self, store_url_for):
+        # three holders churn hold -> drop -> release against a heartbeat
+        # ticking as fast as it can: a renewal slipping past drop() would put
+        # a released lease back
+        store = ResultsStore.open(store_url_for("mem"))
+        manager = _manager(store, "w1", time.monotonic, ttl=10.0)
+        heartbeat = LeaseHeartbeat(manager, interval=1e-4)
+        lost: list = []
+
+        def churn(first: int) -> None:
+            for i in range(first, first + 40):
+                lease = manager.try_claim(_payload_spec(i))
+                handle = heartbeat.hold(lease)
+                deadline = time.monotonic() + 5.0
+                while handle.lease is lease and time.monotonic() < deadline:
+                    pass  # until the heartbeat is renewing this very lease
+                heartbeat.drop(handle)
+                if handle.abort_requested() or not manager.release(handle.lease):
+                    lost.append(i)
+
+        holders = [threading.Thread(target=churn, args=(100 * n,)) for n in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            heartbeat.start()
+            for thread in holders:
+                thread.start()
+            for thread in holders:
+                thread.join(30.0)
+        finally:
+            heartbeat.stop()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in holders)
+        assert lost == [] and store.leases() == []
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["drained", "crashed"])
+    def test_a_drain_starts_one_thread_and_leaves_none_running(
+        self, store_url_for, monkeypatch, crash
+    ):
+        from repro.experiments import table1
+
+        started: list = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: (started.append(self.name), real_start(self))
+        )
+        real_adapter, calls = table1.run_scenario, []
+
+        def adapter(params):
+            calls.append(params)
+            if crash and len(calls) == 50:
+                raise InjectedCrash("killed inside the last unit")
+            return real_adapter(params)
+
+        monkeypatch.setattr(table1, "run_scenario", adapter)
+        store = ResultsStore.open(store_url_for("mem"))
+        baseline = threading.active_count()
+        if crash:
+            with pytest.raises(InjectedCrash):
+                run_worker(_micro_specs(50), store, worker_id="w1")
+            assert [lease["worker"] for lease in store.leases()] == ["w1"]  # left to steal
+        else:
+            assert len(run_worker(_micro_specs(50), store, worker_id="w1").completed) == 50
+            assert store.leases() == []
+        assert started == ["lease-heartbeat-w1"] and len(calls) == 50
+        assert threading.active_count() == baseline
 
     def test_abort_hook_abandons_before_writing(self, tmp_path):
         # the checkpoint polls abort() before every write: a worker whose
@@ -860,7 +997,7 @@ class TestGroupDrain:
         kept = _tiny_solve_spec("kept", tau_labor=0.2)
         victim = store.scenario_key(lost)
         monkeypatch.setattr(
-            LeaseHeartbeat, "abort_requested", lambda self: self.lease.scenario == victim
+            HeldLease, "abort_requested", lambda self: self.lease.scenario == victim
         )
         report = run_worker(
             [lost, kept],
@@ -973,6 +1110,227 @@ class TestDrainCost:
 
         # re-putting one ever-growing log made this ratio ~4
         assert event_bytes_put(300) <= 2.3 * event_bytes_put(150)
+
+
+@contextlib.contextmanager
+def _recorded_ops(backend):
+    """Record ``(op, key)`` of every public object op on one backend instance
+    while the block runs; the put of a ``commits/`` object is the unit's
+    ``append_commit``."""
+    ops: list = []
+    names = ("get", "put", "exists", "delete", "list", "mtime")
+    originals = {name: getattr(backend, name) for name in names}
+
+    def recording(name):
+        def op(key, *args, **kwargs):
+            commit = name == "put" and key.startswith("commits/")
+            ops.append(("append_commit", "commits/") if commit else (name, key))
+            return originals[name](key, *args, **kwargs)
+
+        return op
+
+    for name in names:
+        setattr(backend, name, recording(name))
+    try:
+        yield ops
+    finally:
+        for name in names:
+            delattr(backend, name)
+
+
+class TestUnitOps:
+    """What a drained unit costs the backend, op by op — and nothing else."""
+
+    SCAN = [("get", "entry.json"), ("exists", "parked.json")]
+    WORK = [
+        ("get", "entry.json"),  # a peer may have committed it since the scan
+        ("get", "lease.json"),
+        ("put", "lease.json"),
+        ("get", "lease.json"),  # the claim's read-back
+        ("put", "events"),  # `claimed`, carrying out the previous unit's closing events
+        ("put", "spec.json"),
+        ("put", "payload.json"),
+        ("put", "entry.json"),
+        ("append_commit", "commits/"),
+        ("get", "lease.json"),  # release verifies the holder
+        ("delete", "lease.json"),
+    ]
+
+    @staticmethod
+    def _per_unit(ops, store, specs):
+        """The recorded ops that belong to a unit — on a key carrying its
+        hash, an event put, a commit — as ``(unit or None, (op, what))``."""
+        unit_of = {store.scenario_key(spec): i for i, spec in enumerate(specs)}
+        out = []
+        for op, key in ops:
+            hashes = [part for part in key.split("/") if part in unit_of]
+            if hashes:
+                out.append((unit_of[hashes[0]], (op, key.rsplit("/", 1)[-1])))
+            elif (op, key.split("/")[0]) == ("put", "events"):
+                out.append((None, (op, "events")))
+            elif op == "append_commit":
+                out.append((None, (op, key)))
+        return out
+
+    def test_a_first_try_unit_and_an_already_completed_one(self, store_url_for):
+        store = ResultsStore.open(store_url_for("mem"))
+        specs = _micro_specs(3)
+        with _recorded_ops(store.backend) as ops:
+            report = run_worker(specs, store, worker_id="w1")
+        assert len(report.completed) == 3
+        seen = self._per_unit(ops, store, specs)
+        # the scan pass visits every unit, then each is worked in turn
+        assert [what for _unit, what in seen[:6]] == self.SCAN * 3
+        assert [what for _unit, what in seen[6:]] == self.WORK * 3 + [("put", "events")]
+        # ... one unit per block of 11, each unit once
+        blocks = [{unit for unit, _what in seen[i : i + 11]} - {None} for i in (6, 17, 28)]
+        assert sorted(blocks, key=min) == [{0}, {1}, {2}]
+        assert ops.count(("list", "leases/")) == 2  # one listing per scan pass
+        # 3 event puts for 3 units + the exit flush of the last one's committed/released
+        kinds = [e["kind"] for e in store.events()]
+        assert kinds == ["claimed", "committed", "released"] * 3
+
+        with _recorded_ops(store.backend) as ops:
+            again = run_worker(specs, store, worker_id="w2")
+        assert again.claims == 0 and len(again.already_done) == 3
+        seen = self._per_unit(ops, store, specs)
+        assert [what for _unit, what in seen] == [
+            ("get", "entry.json"),
+            ("exists", "payload.json"),
+        ] * 3
+        assert ops.count(("list", "leases/")) == 1
+        assert not any(op in ("put", "delete") for op, _key in ops)
+
+    def test_success_after_a_recorded_failure_clears_the_budget(self, store_url_for, monkeypatch):
+        from repro.experiments import table1
+
+        real_adapter, calls = table1.run_scenario, []
+
+        def flaky(params):
+            calls.append(params)
+            if len(calls) == 1:
+                raise RuntimeError("first attempt fails")
+            return real_adapter(params)
+
+        monkeypatch.setattr(table1, "run_scenario", flaky)
+        store = ResultsStore.open(store_url_for("mem"))
+        [spec] = _micro_specs(1)
+        with _recorded_ops(store.backend) as ops:
+            report = run_worker([spec], store, worker_id="w1", backoff_base=0.0)
+        assert report.claims == 2 and len(report.completed) == 1
+        attempts, parked = store.attempts_key(spec), store.parked_key(spec)
+        assert ops.count(("put", attempts)) == 1
+        # the second attempt read a (failed) entry before it claimed: it clears
+        assert ops.count(("delete", attempts)) == ops.count(("delete", parked)) == 1
+        assert not store.backend.exists(attempts)
+
+    def test_a_peer_failing_between_our_entry_read_and_our_claim_leaves_a_stray_count(
+        self, store_url_for
+    ):
+        # the one window of "no entry read, so nothing to clear": benign,
+        # because the stray object sits beside a *completed* entry and the
+        # scan tests completion first
+        backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
+        store = ResultsStore(backend)
+        [spec] = _micro_specs(1)
+
+        def peer_fails_and_releases(inner, op, key):
+            peer = ResultsStore(inner)
+            peer.save_spec(spec)
+            peer.commit_entry(peer.failure_entry(spec, "failed", 0.1, "boom"))
+            LeaseManager(peer, "peer").record_failure(spec, "boom")
+
+        backend.add_rule(
+            op="get", substring="/lease.json", action="call", callback=peer_fails_and_releases
+        )
+        report = run_worker([spec], store, worker_id="w1")
+        assert len(report.completed) == 1
+        assert store.entry(spec)["status"] == "completed"
+        assert store.backend.exists(store.attempts_key(spec))  # the stray count
+        del backend.ops[:]
+        late = run_worker([spec], store, worker_id="w2")
+        assert late.claims == 0 and late.already_done == [store.scenario_key(spec)]
+        assert not any("attempts.json" in key for _op, key in backend.ops)  # never consulted
+        assert store.leases() == [] and store.parked() == []
+
+
+class TestEventContract:
+    """An event is in the store no later than the moment its worker next
+    claims, blocks or exits — read here through a *second* store handle."""
+
+    @staticmethod
+    def _stored(url) -> list:
+        return [(e["kind"], e["scenario"]) for e in ResultsStore.open(url).events()]
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["returns", "raises"])
+    def test_claimed_is_visible_in_its_own_unit_the_closing_events_in_the_next(
+        self, store_url_for, monkeypatch, crash
+    ):
+        from repro.experiments import table1
+
+        url = store_url_for("mem")
+        store = ResultsStore.open(url)
+        specs = _micro_specs(3)
+        key_of = {spec.params["num_states"]: store.scenario_key(spec) for spec in specs}
+        real_adapter, worked = table1.run_scenario, []
+
+        def adapter(params):
+            me = key_of[params["num_states"]]
+            stored = self._stored(url)
+            assert stored[-1] == ("claimed", me)  # who holds what, now
+            closed = [(kind, key) for key in worked for kind in ("committed", "released")]
+            assert [e for e in stored if e[0] != "claimed"] == closed
+            worked.append(me)
+            if crash and len(worked) == 3:
+                raise InjectedCrash("killed inside the third unit")
+            return real_adapter(params)
+
+        monkeypatch.setattr(table1, "run_scenario", adapter)
+        if crash:
+            with pytest.raises(InjectedCrash):
+                run_worker(specs, store, worker_id="w1")
+            worked.pop()  # the third unit closed nothing
+        else:
+            run_worker(specs, store, worker_id="w1")
+        assert len(worked) == (2 if crash else 3)
+        closing = [e for e in self._stored(url) if e[0] != "claimed"]
+        assert closing == [(kind, key) for key in worked for kind in ("committed", "released")]
+
+    def test_nothing_is_pending_when_the_worker_sleeps(self, store_url_for):
+        url = store_url_for("mem")
+        store = ResultsStore.open(url)
+        clock = _Clock()
+        free, held, broken = _payload_spec(0), _payload_spec(1), _broken_spec()
+        assert _manager(store, "peer", clock, ttl=10.0).try_claim(held) is not None
+        events = EventRecorder(clock=clock)
+        slept: list = []
+
+        def sleep(seconds):
+            # poll wait or retry backoff: everything emitted so far is stored
+            assert len(self._stored(url)) == len(events.events)
+            slept.append((seconds, events.events[-1].kind))
+            if seconds == 0.5:
+                clock.advance(10.1)  # the peer's lease expires during the poll wait
+
+        report = run_worker(
+            [free, held, broken],
+            store,
+            worker_id="w1",
+            ttl=10.0,
+            max_attempts=2,
+            backoff_base=1.0,
+            poll=0.5,
+            rng=lambda: 0.5,
+            events=events,
+            clock=clock,
+            sleep=sleep,
+            heartbeat_interval=1000.0,
+        )
+        assert len(report.completed) == 2 and report.steals == 1 and len(report.parked) == 1
+        # one backoff (after `retry` + `released`), then one poll wait with
+        # only the peer's scenario left, then the steal
+        assert slept == [(1.0, "released"), (0.5, "released")]
+        assert len(self._stored(url)) == len(events.events)
 
 
 # --------------------------------------------------------------------------- #

@@ -229,10 +229,12 @@ class TestBatchedSolveGate:
         # a solve shorter than one checkpoint interval serialises its result only
         assert 'value["scenarios.checkpoint.writes"] == 0' in guard[0]
         assert 'value["scenarios.serialize.calls"] == 4' in guard[0]
-        # ... and the bytes put per drained unit of the store workload
+        # ... and the bytes put and objects deleted per drained unit of the
+        # store workload: one event flush and one lease delete each
         assert "--workload store-write --scale smoke --traced" in guard[0]
         assert guard[0].count('result["failed"] == 0') == 2
-        assert 'value["scenarios.backends.put_kib"] / 40 <= 28.5' in guard[0]
+        assert 'value["scenarios.backends.put_kib"] / 40 <= 12' in guard[0]
+        assert 'value["scenarios.backends.delete_calls"] == 40' in guard[0]
 
     def test_only_the_bench_job_installs_scipy(self, workflow):
         # traced ledger runs import scipy.optimize; everywhere else the
