@@ -180,9 +180,10 @@ EOF
 # --- run report over the fleet drain -------------------------------------- #
 # Render the self-contained HTML run report from the stressed store's event
 # feed and verify the telemetry recorded the drain faithfully: the SIGKILL
-# must show up as >= 1 steal, and every scenario's completion must appear
-# as a committed event.  CI sets QUICK_REPORT_OUT to a persistent path and
-# uploads the report as a per-run artifact.
+# must show up as >= 1 steal, every scenario's completion must appear as a
+# committed event, and no hold may be left in flight.  CI sets
+# QUICK_REPORT_OUT to a persistent path and uploads the report as a
+# per-run artifact.
 export QUICK_REPORT_OUT="${QUICK_REPORT_OUT:-$SCRATCH/fleet-report.html}"
 python -m repro.scenarios report --store "$FLEET_STORE" \
     --format html -o "$QUICK_REPORT_OUT"
@@ -204,6 +205,9 @@ expected = {store.scenario_key(s) for s in get_preset("fleet")}
 assert committed == expected, (
     f"committed events cover {len(committed)}/{len(expected)} scenarios"
 )
+# the steal ends the victim's hold: a drained fleet has nothing in flight
+in_flight = [(s["worker"], s["scenario"]) for s in data["spans"] if s["open"]]
+assert not in_flight, f"holds still in flight after the drain: {in_flight}"
 html = open(os.environ["QUICK_REPORT_OUT"]).read()
 assert html.startswith("<!DOCTYPE html>") and "<svg" in html
 assert "<script" not in html and "href=" not in html, "report is not self-contained"

@@ -30,6 +30,7 @@ import threading
 import numpy as np
 
 from repro.core.time_iteration import TimeIterationSolver
+from repro.scenarios import __main__ as cli
 from repro.scenarios import (
     InterruptingCheckpoint,
     ResultsStore,
@@ -102,8 +103,8 @@ def main() -> None:
         # -------------------------------------------------------------- #
         # 4. provenance manifest + cross-scenario comparison
         # -------------------------------------------------------------- #
-        print("\n== 4. provenance manifest ==")
-        print(store.describe())
+        print("\n== 4. provenance manifest (repro-scenarios show) ==")
+        cli.main(["show", "--store", store.url])
         print("\ncross-scenario comparison (steady-state-ish aggregate capital):")
         for spec in suite:
             result = store.load_result(spec)

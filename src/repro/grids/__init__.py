@@ -33,12 +33,8 @@ from repro.grids.hierarchize import hierarchize, evaluate_dense, ancestor_csr, A
 from repro.grids.adaptive import refine, refinement_candidates, AdaptiveRefiner
 from repro.grids.domain import BoxDomain
 from repro.grids.interpolation import SparseGridInterpolant
-from repro.grids.quadrature import integrate, integrate_interpolant, basis_integrals
 
 __all__ = [
-    "integrate",
-    "integrate_interpolant",
-    "basis_integrals",
     "basis_1d",
     "basis_1d_vectorized",
     "point_1d",

@@ -9,18 +9,16 @@ to a pure-Python reproduction, so this subpackage provides
   (:mod:`repro.parallel.executor`) that actually execute grid-point solves
   on threads/processes of the host machine, and
 * **simulated distributed execution** — hardware cost models of the Piz
-  Daint and Grand Tave nodes (:mod:`repro.parallel.cluster`), a simulated
-  MPI communicator with the paper's proportional state-to-group
-  partitioning (:mod:`repro.parallel.mpi_sim`,
-  :mod:`repro.parallel.partition`), a GPU offload executor
+  Daint and Grand Tave nodes (:mod:`repro.parallel.cluster`), the paper's
+  proportional state-to-group partitioning
+  (:mod:`repro.parallel.partition`), a GPU offload executor
   (:mod:`repro.parallel.gpu_sim`) and the strong-scaling workload model
   (:mod:`repro.parallel.scaling`) that reproduces the shape of Fig. 8.
 """
 
 from repro.parallel.cluster import NodeSpec, ClusterSpec, PIZ_DAINT_NODE, GRAND_TAVE_NODE
 from repro.parallel.partition import proportional_group_sizes, partition_counts
-from repro.parallel.mpi_sim import SimCommWorld, SimGroup
-from repro.parallel.scheduler import WorkStealingScheduler, StaticScheduler, simulate_schedule
+from repro.parallel.scheduler import WorkStealingScheduler, simulate_schedule
 from repro.parallel.executor import SerialExecutor, ThreadPoolMapExecutor, ProcessPoolMapExecutor
 from repro.parallel.gpu_sim import GpuOffloadExecutor, HybridNodeExecutor
 from repro.parallel.scaling import StrongScalingModel, ScalingPoint
@@ -33,10 +31,7 @@ __all__ = [
     "GRAND_TAVE_NODE",
     "proportional_group_sizes",
     "partition_counts",
-    "SimCommWorld",
-    "SimGroup",
     "WorkStealingScheduler",
-    "StaticScheduler",
     "simulate_schedule",
     "SerialExecutor",
     "ThreadPoolMapExecutor",

@@ -8,10 +8,9 @@ interior points).  This module provides
 * :class:`WorkStealingScheduler` — a real thread-backed scheduler with one
   deque per worker and steal-from-the-back semantics, used to execute
   grid-point solves of the time iteration;
-* :class:`StaticScheduler` — the no-stealing ablation baseline (fixed
-  block partition);
 * :func:`simulate_schedule` — a deterministic scheduling simulation on
-  given task costs, used by the cost models (no threads involved).
+  given task costs, used by the cost models and the no-stealing ablation
+  (``stealing=False``: the static block partition; no threads involved).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 __all__ = [
     "SchedulerStats",
     "WorkStealingScheduler",
-    "StaticScheduler",
     "simulate_schedule",
     "longest_first_order",
 ]
@@ -153,55 +151,6 @@ class WorkStealingScheduler:
         self.last_stats = SchedulerStats(
             tasks_per_worker=counts, steals=int(sum(steals)), workers=workers
         )
-        return results
-
-
-class StaticScheduler:
-    """Fixed block partition without stealing (ablation baseline).
-
-    Workers execute their pre-assigned contiguous block and never help each
-    other, so a block of expensive tasks leaves the other workers idle —
-    exactly the imbalance the work-stealing scheduler removes.
-    """
-
-    dispatches_in_order = False
-
-    def __init__(self, num_workers: int = 4) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        self.last_stats: SchedulerStats | None = None
-
-    def map(self, fn, items) -> list:
-        items = list(items)
-        n = len(items)
-        if n == 0:
-            self.last_stats = SchedulerStats(tasks_per_worker=[0] * self.num_workers,
-                                             workers=self.num_workers)
-            return []
-        workers = min(self.num_workers, n)
-        results: list = [None] * n
-        errors: list = []
-        bounds = np.linspace(0, n, workers + 1, dtype=np.int64)
-        counts = [0] * workers
-
-        def worker(w: int) -> None:
-            for idx in range(int(bounds[w]), int(bounds[w + 1])):
-                try:
-                    results[idx] = fn(items[idx])
-                except Exception as exc:  # repro: allow[broad-except] -- re-raised after the join
-                    errors.append(exc)
-                    return
-                counts[w] += 1
-
-        threads = [threading.Thread(target=worker, args=(w,)) for w in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        self.last_stats = SchedulerStats(tasks_per_worker=counts, steals=0, workers=workers)
         return results
 
 

@@ -6,7 +6,8 @@ Installed as the ``repro-scenarios`` console script and runnable as
 * ``list``   — show the named preset suites and their sizes;
 * ``run``    — expand a preset and run it against a results store
   (``--dry-run`` prints the expansion without solving anything);
-* ``show``   — print a store's committed entries;
+* ``show``   — print a store's committed entries and, for failed ones,
+  their error and traceback;
 * ``diff``   — compare two store entries: calibration/solver deltas plus
   policy-surplus and aggregate differences (``--json`` for machines;
   ``--store-b`` resolves the second hash in a different store, possibly
@@ -23,17 +24,18 @@ Installed as the ``repro-scenarios`` console script and runnable as
 * ``work``   — join a worker fleet draining one suite cooperatively via
   the claim/lease protocol (any number of these processes against one
   shared ``--store``; see :mod:`repro.scenarios.lease`);
-* ``status`` — live fleet view of a store: held leases and their ages,
-  parked scenarios, entry status counts, and per-scenario solve progress
-  from the persisted event feed (``--follow`` tails the feed live,
-  streaming new events and refreshed progress/ETA lines every ``--poll``
-  seconds);
+* ``status`` — the fleet part of ``report``, as text: entry status counts,
+  held leases and their ages, parked scenarios, events by kind, per-worker
+  event logs and per-scenario solve progress, read without opening any
+  ``entry.json`` (``--follow`` tails the event feed live, streaming new
+  events and the refreshed progress/ETA table every ``--poll`` seconds);
 * ``report`` — render a self-contained run report (markdown or HTML with
   inline-SVG convergence curves and a per-worker fleet timeline) joining
   the store's entries, solve-progress events, lease telemetry and parked
   records (see :mod:`repro.scenarios.report`).
 
-Every ``--store`` flag accepts either a local directory or a store URL
+Every table is written by :func:`repro.scenarios.report.render`.  Every
+``--store`` flag accepts either a local directory or a store URL
 (``file:///abs/path``, ``mem://name``, ``s3://bucket/prefix?endpoint=...``
 — see :mod:`repro.scenarios.backends`); the ``REPRO_STORE_URL``
 environment variable overrides the built-in default store target.
@@ -52,6 +54,14 @@ from repro.scenarios import serialize
 from repro.scenarios.backends import DEFAULT_COMPACT_GRACE, StoreURLError
 from repro.scenarios.diff import diff_entries, format_diff
 from repro.scenarios.lease import DEFAULT_MAX_ATTEMPTS, DEFAULT_TTL, run_worker
+from repro.scenarios.report import (
+    entry_sections,
+    fleet_data,
+    fleet_sections,
+    follow,
+    render,
+    render_report,
+)
 from repro.scenarios.runner import SCHEDULE_KINDS, run_suite
 from repro.scenarios.spec import get_preset, preset_names
 from repro.scenarios.store import ResultsStore, _resolve_predicate_field, parse_predicate
@@ -63,13 +73,17 @@ def _default_store() -> str:
     return os.environ.get("REPRO_STORE_URL") or "scenario_store"
 
 
-_STORE_HELP = (
-    "results store: a directory, or a store URL "
-    "(file:///abs/path | mem://name | s3://bucket/prefix?endpoint=...)"
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument(
+        "--store",
+        default=_default_store(),
+        help="results store: a directory, or a store URL "
+        "(file:///abs/path | mem://name | s3://bucket/prefix?endpoint=...)",
+    )
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="emit the output as JSON")
+
     parser = argparse.ArgumentParser(
         prog="repro-scenarios",
         description="Run scenario suites with checkpoint/resume and a provenance-tracked store.",
@@ -78,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the named preset suites")
 
-    run = sub.add_parser("run", help="run a preset suite")
+    run = sub.add_parser("run", parents=[store], help="run a preset suite")
     run.add_argument("suite", help=f"preset name (one of: {', '.join(preset_names())})")
-    run.add_argument("--store", default=_default_store(), help=_STORE_HELP)
     run.add_argument(
         "--executor",
         default="serial",
@@ -132,15 +145,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "one; checkpoints/entries are unchanged)",
     )
 
-    show = sub.add_parser("show", help="print a store's committed entries")
-    show.add_argument("--store", default=_default_store(), help=_STORE_HELP)
+    sub.add_parser("show", parents=[store], help="print a store's committed entries")
 
     diff = sub.add_parser(
-        "diff", help="compare two store entries (spec, aggregate and policy deltas)"
+        "diff",
+        parents=[store, as_json],
+        help="compare two store entries (spec, aggregate and policy deltas)",
     )
     diff.add_argument("hash_a", metavar="HASH1", help="spec hash (or unique prefix) of entry A")
     diff.add_argument("hash_b", metavar="HASH2", help="spec hash (or unique prefix) of entry B")
-    diff.add_argument("--store", default=_default_store(), help=_STORE_HELP)
     diff.add_argument(
         "--store-b",
         default=None,
@@ -148,7 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resolve HASH2 in a different store (any backend URL); "
         "defaults to --store",
     )
-    diff.add_argument("--json", action="store_true", help="emit the diff as JSON")
     diff.add_argument(
         "--samples",
         type=int,
@@ -158,10 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser(
         "query",
+        parents=[store, as_json],
         help="filter the store's secondary index with field predicates "
         "(no per-entry reads on a compacted store)",
     )
-    query.add_argument("--store", default=_default_store(), help=_STORE_HELP)
     query.add_argument(
         "--where",
         action="append",
@@ -182,18 +194,17 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PREFIX",
         help="only entries whose spec hash starts with PREFIX",
     )
-    query.add_argument("--json", action="store_true", help="emit matching records as JSON")
 
-    resume = sub.add_parser("resume", help="list resumable checkpoints in a store")
-    resume.add_argument("--store", default=_default_store(), help=_STORE_HELP)
-    resume.add_argument("--json", action="store_true", help="emit the listing as JSON")
+    sub.add_parser(
+        "resume", parents=[store, as_json], help="list resumable checkpoints in a store"
+    )
 
     compact = sub.add_parser(
         "compact",
+        parents=[store, as_json],
         help="fold the commit log into a snapshot checkpoint "
         "(index() then reads one snapshot plus the un-folded tail)",
     )
-    compact.add_argument("--store", default=_default_store(), help=_STORE_HELP)
     compact.add_argument(
         "--grace",
         type=float,
@@ -203,15 +214,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "been durable this long (in-flight readers keep their tail); "
         "0 deletes immediately (default: %(default)s)",
     )
-    compact.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     work = sub.add_parser(
         "work",
+        parents=[store],
         help="join a worker fleet: claim scenarios via leases, solve, commit, "
         "release — until the suite is drained",
     )
     work.add_argument("suite", help=f"preset name (one of: {', '.join(preset_names())})")
-    work.add_argument("--store", default=_default_store(), help=_STORE_HELP)
     work.add_argument(
         "--ttl",
         type=float,
@@ -259,16 +269,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     status = sub.add_parser(
         "status",
+        parents=[store, as_json],
         help="fleet status of a store: held leases, parked scenarios, entries, "
         "solve progress (--follow tails the event feed live)",
     )
-    status.add_argument("--store", default=_default_store(), help=_STORE_HELP)
-    status.add_argument("--json", action="store_true", help="emit the status as JSON")
     status.add_argument(
         "--follow",
         action="store_true",
-        help="stream the merged event feed live (new events + per-scenario "
-        "progress/ETA lines) until interrupted",
+        help="stream the merged event feed live (new events + the per-scenario "
+        "progress/ETA table) until interrupted",
     )
     status.add_argument(
         "--poll",
@@ -286,10 +295,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
+        parents=[store],
         help="render a self-contained run report (suite summary, convergence "
         "curves, fleet timeline) from a store's entries and event feed",
     )
-    report.add_argument("--store", default=_default_store(), help=_STORE_HELP)
     report.add_argument(
         "--format",
         dest="fmt",
@@ -308,12 +317,66 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(payload) -> int:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def _cmd_list(args) -> int:
+    for name in preset_names():
+        suite = get_preset(name)
+        kinds = sorted({s.kind for s in suite})
+        print(f"{name:<16} {len(suite):>3} scenario(s)  kinds: {', '.join(kinds)}")
+    return 0
+
+
+def _cmd_run(args) -> int:
+    try:
+        suite = get_preset(args.suite)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    if args.dry_run:
+        print(suite.describe())
+        return 0
+    store = ResultsStore(args.store)
+    try:
+        report = run_suite(
+            suite,
+            store,
+            executor=args.executor,
+            num_workers=args.workers,
+            force=args.force,
+            interrupt_after=args.interrupt_after,
+            schedule=args.schedule,
+            keep_last_n=args.keep_last_n,
+            keep_on_failure=args.keep_on_failure,
+            batch_topology=args.batch,
+            progress=print,
+        )
+    except ValueError as exc:
+        # dispatch-setup misconfiguration (e.g. a mem:// store with the
+        # processes executor) is a usage error, same as a bad store URL
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    print(report.summary())
+    # interrupted scenarios resume on the next identical invocation
+    return 0 if report.ok else 1
+
+
+def _cmd_show(args) -> int:
+    store = ResultsStore(args.store)
+    entries = store.entries()
+    count = f"{len(entries)} entry(ies)" if entries else "empty"
+    print(render(f"store {store.url}: {count}", entry_sections(entries)))
+    return 0
+
+
 def _cmd_compact(args) -> int:
     store = ResultsStore(args.store)
     report = store.compact(grace_seconds=args.grace)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
+        return _print_json(report)
     if report["snapshot"] is None and not report["deleted_objects"]:
         print(f"store {store.url}: nothing to compact ({report['total_records']} record(s))")
         return 0
@@ -337,9 +400,8 @@ def _cmd_diff(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(diff, indent=2, sort_keys=True))
-    else:
-        print(format_diff(diff))
+        return _print_json(diff)
+    print(format_diff(diff))
     return 0
 
 
@@ -354,31 +416,29 @@ def _cmd_query(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(records, indent=2, sort_keys=True))
-        return 0
+        return _print_json(records)
     if not records:
         print(f"store {store.url}: no matching entries")
         return 0
-    print(f"store {store.url}: {len(records)} matching entry(ies)")
-    print(f"  {'name':<32} {'hash':<12} {'status':<11} {'wall [s]':>9}  matched fields")
-    shown = []
-    for clause in args.where:
-        field = parse_predicate(clause)[0]
-        if field not in shown:
-            shown.append(field)
+    shown = list(dict.fromkeys(parse_predicate(clause)[0] for clause in args.where))
+    rows = []
     for rec in records:
-        fields = ", ".join(
-            f"{f}={rec[k]}"
-            for f in shown
-            if (k := _resolve_predicate_field(rec, f)) is not None
-        )
         wall = rec.get("wall_time")
-        print(
-            f"  {rec.get('name', '?'):<32} {(rec.get('spec_hash') or '?')[:12]:<12} "
-            f"{rec.get('status', '?'):<11} "
-            f"{(float(wall) if isinstance(wall, (int, float)) else float('nan')):>9.2f}  "
-            f"{fields}"
+        fields = ", ".join(
+            f"{f}={rec[k]}" for f in shown if (k := _resolve_predicate_field(rec, f)) is not None
         )
+        rows.append(
+            (
+                rec.get("name", "?"),
+                (rec.get("spec_hash") or "?")[:12],
+                rec.get("status", "?"),
+                f"{wall:.2f}" if isinstance(wall, (int, float)) else "-",
+                fields,
+            )
+        )
+    headers = ("name", "hash", "status", "wall [s]", "matched fields")
+    title = f"store {store.url}: {len(records)} matching entry(ies)"
+    print(render(title, [("Matches", "table", (headers, rows))]))
     return 0
 
 
@@ -386,20 +446,23 @@ def _cmd_resume(args) -> int:
     store = ResultsStore(args.store)
     infos = store.list_checkpoints(with_progress=True)
     if args.json:
-        print(json.dumps(infos, indent=2, sort_keys=True))
-        return 0
+        return _print_json(infos)
     if not infos:
         print(f"store {store.url}: no resumable checkpoints")
         return 0
-    print(f"store {store.url}: {len(infos)} resumable checkpoint(s)")
-    print(f"  {'name':<32} {'hash':<12} {'status':<11} {'iters':>5}  last written")
-    for info in infos:
-        iters = info.get("iterations_done")
-        stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(info["mtime"]))
-        print(
-            f"  {info['name']:<32} {info['spec_hash'][:12]:<12} "
-            f"{info['status']:<11} {('?' if iters is None else iters)!s:>5}  {stamp}"
+    rows = [
+        (
+            info["name"],
+            info["spec_hash"][:12],
+            info["status"],
+            "?" if info.get("iterations_done") is None else info["iterations_done"],
+            time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(info["mtime"])),
         )
+        for info in infos
+    ]
+    headers = ("name", "hash", "status", "iters", "last written")
+    title = f"store {store.url}: {len(infos)} resumable checkpoint(s)"
+    print(render(title, [("Checkpoints", "table", (headers, rows))]))
     print("re-run the original suite command to resume them (matching hashes are skipped)")
     return 0
 
@@ -429,8 +492,6 @@ def _cmd_work(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    from repro.scenarios.report import follow, format_progress_line, progress_snapshot
-
     store = ResultsStore(args.store)
     if args.follow:
         try:
@@ -438,81 +499,25 @@ def _cmd_status(args) -> int:
         except KeyboardInterrupt:
             print("", file=sys.stderr)
         return 0
-    now = time.time()
-    leases = store.leases()
-    parked = store.parked()
-    counts: dict = {}
-    # commit records (no entry.json reads) carry the status; a fleet
-    # status poll on a million-entry store stays O(snapshot + tail)
-    for entry in store.index_records().values():
-        status = entry.get("status", "unknown")
-        counts[status] = counts.get(status, 0) + 1
-    telemetry = progress_snapshot(store)
+    data = fleet_data(store)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "leases": leases,
-                    "parked": parked,
-                    "entries": counts,
-                    "progress": telemetry["progress"],
-                    "events": telemetry["event_counts"],
-                    "events_total": telemetry["events_total"],
-                    "event_logs": telemetry["event_logs"],
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        return _print_json(
+            {
+                "leases": data["leases"],
+                "parked": data["parked"],
+                "entries": data["status_counts"],
+                "progress": data["progress"],
+                "events": data["event_counts"],
+                "events_total": data["events_total"],
+                "event_logs": data["event_logs"],
+            }
         )
-        return 0
-    print(f"store {store.url}")
-    print(
-        "entries: "
-        + (
-            ", ".join(f"{n} {status}" for status, n in sorted(counts.items()))
-            if counts
-            else "none"
-        )
-    )
-    if leases:
-        print(f"{len(leases)} held lease(s):")
-        print(f"  {'scenario':<18} {'worker':<28} {'epoch':>5} {'age [s]':>8} {'ttl [s]':>8}")
-        for lease in leases:
-            age = now - float(lease.get("renewed_at", now))
-            expired = " (expired)" if age > float(lease.get("ttl", 0.0)) else ""
-            print(
-                f"  {lease['scenario']:<18} {lease.get('worker', '?'):<28} "
-                f"{lease.get('epoch', '?')!s:>5} {age:>8.1f} "
-                f"{lease.get('ttl', float('nan')):>8.1f}{expired}"
-            )
-    else:
-        print("no held leases")
-    if parked:
-        print(f"{len(parked)} parked scenario(s):")
-        for record in parked:
-            print(
-                f"  {record['scenario']:<18} after {record.get('attempts', '?')} "
-                f"attempt(s): {record.get('error', '?')}"
-            )
-    if telemetry["events_total"]:
-        kinds = ", ".join(
-            f"{n} {kind}" for kind, n in sorted(telemetry["event_counts"].items())
-        )
-        print(f"{telemetry['events_total']} event(s): {kinds}")
-        for worker, log in sorted(telemetry["event_logs"].items()):
-            print(f"  {worker:<28} {log['segments']} segment(s), {log['bytes']} byte(s)")
-        if telemetry["progress"]:
-            print("solve progress:")
-            for record in telemetry["progress"].values():
-                print(f"  {format_progress_line(record)}")
+    print(render(f"store {store.url}", fleet_sections(data)))
     return 0
 
 
 def _cmd_report(args) -> int:
-    from repro.scenarios.report import render_report
-
-    store = ResultsStore(args.store)
-    rendered = render_report(store, fmt=args.fmt)
+    rendered = render_report(ResultsStore(args.store), fmt=args.fmt)
     if args.output:
         # atomic: a killed/raced report run must never leave a torn file
         # where a previous complete report (or a dashboard symlink) was
@@ -523,83 +528,28 @@ def _cmd_report(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "show": _cmd_show,
+    "diff": _cmd_diff,
+    "query": _cmd_query,
+    "resume": _cmd_resume,
+    "compact": _cmd_compact,
+    "work": _cmd_work,
+    "status": _cmd_status,
+    "report": _cmd_report,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except StoreURLError as exc:
         # a typo'd --store (or REPRO_STORE_URL) is a usage error, not a crash
         print(exc.args[0], file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "list":
-        for name in preset_names():
-            suite = get_preset(name)
-            kinds = sorted({s.kind for s in suite})
-            print(f"{name:<16} {len(suite):>3} scenario(s)  kinds: {', '.join(kinds)}")
-        return 0
-
-    if args.command == "show":
-        print(ResultsStore(args.store).describe())
-        return 0
-
-    if args.command == "diff":
-        return _cmd_diff(args)
-
-    if args.command == "query":
-        return _cmd_query(args)
-
-    if args.command == "resume":
-        return _cmd_resume(args)
-
-    if args.command == "compact":
-        return _cmd_compact(args)
-
-    if args.command == "work":
-        return _cmd_work(args)
-
-    if args.command == "status":
-        return _cmd_status(args)
-
-    if args.command == "report":
-        return _cmd_report(args)
-
-    # run
-    try:
-        suite = get_preset(args.suite)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    if args.dry_run:
-        print(suite.describe())
-        return 0
-    store = ResultsStore(args.store)
-    try:
-        report = run_suite(
-            suite,
-            store,
-            executor=args.executor,
-            num_workers=args.workers,
-                force=args.force,
-            interrupt_after=args.interrupt_after,
-            schedule=args.schedule,
-            keep_last_n=args.keep_last_n,
-            keep_on_failure=args.keep_on_failure,
-            batch_topology=args.batch,
-            progress=print,
-        )
-    except ValueError as exc:
-        # dispatch-setup misconfiguration (e.g. a mem:// store with the
-        # processes executor) is a usage error, same as a bad store URL
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(report.summary())
-    if not report.ok:
-        # interrupted scenarios resume on the next identical invocation
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

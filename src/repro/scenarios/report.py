@@ -1,29 +1,30 @@
-"""Run reports and live tailing over the scenario store's telemetry.
+"""Fleet status, run reports and live tailing over the scenario store.
 
-The read side of everything the scenario engine records: store entries
-(PR 2/3), per-worker ``events/*.jsonl`` feeds (lease lifecycle + the
-per-iteration solve progress of
-:data:`repro.parallel.tracing.SOLVE_EVENT_KINDS`), lease/parked
-coordination state (PR 6) and the wall-time/iteration provenance inside
-each entry — joined three ways:
+The read side of everything the scenario engine records — store entries,
+per-worker ``events/*`` feeds (lease lifecycle + the per-iteration solve
+progress of :data:`repro.parallel.tracing.SOLVE_EVENT_KINDS`, read through
+the one :class:`~repro.scenarios.store.EventTailer`), lease/parked
+coordination state and the wall-time/iteration provenance inside each
+entry — as one pipeline:
 
-* :class:`EventTailer` — incremental re-reads of the events objects with
-  per-object *byte offsets*, so ``repro-scenarios status --follow`` polls
-  cheaply and streams only new, complete JSONL lines (a torn trailing
-  line is buffered until its newline lands);
 * :class:`ProgressBoard` — a per-scenario progress model fed event by
   event: current iteration, last l∞ error, grid points, and an **ETA**
   extrapolated from the error-contraction rate (time iteration converges
   linearly, so ``log error`` against iteration is a line — the fitted
   slope says how many iterations remain until the tolerance);
-* :func:`gather_run_data` + :func:`render_markdown`/:func:`render_html` —
-  the ``repro-scenarios report`` subcommand: a self-contained run report
-  (no external assets, no plotting dependencies) with a suite summary,
-  per-scenario convergence curves (inline SVG, log-scale), a fleet
-  timeline of claims/steals/parks per worker (built through
-  :class:`~repro.parallel.tracing.TraceRecorder` spans so the summary
-  can quote fleet utilization), retry/steal/heartbeat-miss counts and a
-  slowest-scenario ranking.
+* one run view at two depths: :func:`fleet_data` (commit-record status
+  counts, leases, parked records and one tailer poll folded through a
+  board; no ``entry.json`` read) and :func:`gather_run_data` (that plus
+  the entries, the per-worker holds timeline — built through
+  :class:`~repro.parallel.tracing.TraceRecorder` spans so the summary can
+  quote fleet utilization — and the convergence series);
+* one renderer: a view is a list of sections ``(title, kind, payload)``
+  and :func:`render` writes them once, as ``text``, ``md`` or ``html``
+  (no external assets, no plotting dependencies: hand-rolled inline SVG
+  and unicode sparklines).  ``status`` renders :func:`fleet_sections`,
+  ``report`` :func:`report_sections` (a summary, the scenarios table, the
+  fleet sections, then convergence curves, the slowest scenarios, the
+  fleet timeline and the failures) and ``show`` :func:`entry_sections`.
 """
 
 from __future__ import annotations
@@ -35,80 +36,24 @@ from collections import Counter
 from datetime import datetime, timezone
 
 from repro.parallel.tracing import TraceRecorder
-from repro.scenarios.store import ResultsStore, parse_event_lines
+from repro.scenarios.store import EventTailer, ResultsStore
 
 __all__ = [
-    "EventTailer",
     "ProgressBoard",
+    "entry_sections",
     "estimate_eta",
-    "format_event",
-    "format_progress_line",
+    "fleet_data",
+    "fleet_sections",
     "follow",
+    "format_event",
     "gather_run_data",
-    "progress_snapshot",
-    "render_markdown",
-    "render_html",
+    "render",
     "render_report",
+    "report_sections",
 ]
 
 #: samples of (iteration, error, wall_time) kept per scenario for the ETA fit
 _ETA_WINDOW = 12
-
-
-# --------------------------------------------------------------------------- #
-# live tail: incremental event reads with per-object byte offsets
-# --------------------------------------------------------------------------- #
-class EventTailer:
-    """Incrementally drains new events from a store's ``events/*`` objects.
-
-    Each :meth:`poll` lists the event objects, re-reads only the bytes
-    past the per-object offset remembered from the previous poll, and
-    returns the newly completed lines merged time-ordered across workers
-    (a worker's segments in segment order).  Only bytes up to the last
-    newline advance the offset, so a torn trailing line (a writer's
-    whole-object put racing the read on a non-atomic transport) is simply
-    re-read on the next poll.
-
-    The :class:`~repro.scenarios.store.StoreEventSink` contract is that an
-    event object only ever *grows* (new sinks load the worker's last
-    segment as their head) and is never written again once the worker's
-    next segment exists, so a segment read after the listing showed its
-    successor is not fetched again: a poll costs one ``list`` plus one
-    ``get`` per worker.  If a live object does shrink — someone cleared
-    the feed — the tailer starts it over from byte zero and re-emits it.
-    """
-
-    def __init__(self, store: ResultsStore) -> None:
-        self.store = store
-        self.offsets: dict = {}
-        self._consumed: set = set()  # sealed segments read to their end
-
-    def poll(self) -> list:
-        """New complete events since the last poll, time-ordered."""
-        fresh: dict = {}
-        listing = self.store.event_segments()
-        self._consumed.intersection_update(
-            key for segments in listing.values() for key in segments.values()
-        )
-        for worker, segments in listing.items():
-            live = max(segments)
-            for segment, key in segments.items():
-                if key in self._consumed:
-                    continue
-                try:
-                    raw = self.store.backend.get(key)
-                except FileNotFoundError:
-                    continue  # deleted between list and get
-                if segment < live:
-                    self._consumed.add(key)  # its successor was listed before this read
-                offset = self.offsets.get(key, 0)
-                if len(raw) < offset:
-                    offset = 0  # the object shrank: replay it from the start
-                chunk = raw[offset:]
-                cut = chunk.rfind(b"\n")
-                self.offsets[key] = offset + cut + 1  # a torn tail waits for its newline
-                fresh.setdefault(worker, []).extend(parse_event_lines(chunk[: cut + 1]))
-        return self.store.merge_events(fresh)
 
 
 # --------------------------------------------------------------------------- #
@@ -191,8 +136,7 @@ class ProgressBoard:
     """Per-scenario solve progress assembled from the structured feed.
 
     Feed it events (dicts, as persisted) via :meth:`update`; read the
-    current state via :meth:`snapshot` (per-scenario dicts with ETA) or
-    :meth:`status_lines` (formatted progress lines for the live tail).
+    current state via :meth:`snapshot` (per-scenario dicts with ETA).
     """
 
     def __init__(self) -> None:
@@ -277,32 +221,6 @@ class ProgressBoard:
             out[scenario] = record
         return out
 
-    def status_lines(self, active_only: bool = False) -> list:
-        """One formatted progress line per scenario, for the live tail."""
-        return [
-            format_progress_line(state)
-            for state in (s for _, s in sorted(self._scenarios.items()))
-            if not (active_only and state["status"] not in ("running", "converged"))
-        ]
-
-
-def format_progress_line(state: dict) -> str:
-    """One progress line for a scenario state (board state or snapshot)."""
-    bits = [f"{state.get('scenario', '?')}  {state.get('status', '?'):<9}"]
-    if state.get("iteration"):
-        cap = state.get("max_iterations")
-        bits.append(f"iter {state['iteration']}{f'/{cap}' if cap else ''}")
-    if isinstance(state.get("error"), (int, float)):
-        bits.append(f"err {state['error']:.3e}")
-    if state.get("points"):
-        bits.append(f"{state['points']} pts")
-    eta = state.get("eta") if "eta" in state else estimate_eta(state)
-    if eta is not None and state.get("status") == "running":
-        bits.append(f"ETA ~{eta['iterations_left']} iter / {eta['seconds_left']:.1f}s")
-    if state.get("worker"):
-        bits.append(f"@{state['worker']}")
-    return "  ".join(bits)
-
 
 def format_event(event: dict) -> str:
     """One human-readable feed line for a persisted event dict."""
@@ -352,10 +270,9 @@ def follow(
     Re-polls every ``poll`` seconds through an :class:`EventTailer`
     (byte-offset incremental reads — each cycle costs one ``list`` plus
     one ``get`` per worker's live event segment), printing every new event
-    followed by a refreshed per-scenario progress block.  Runs until
-    interrupted, or for ``max_polls`` cycles when given (tests, bounded
-    smoke runs).
-    Returns the total number of events streamed.
+    followed by the solve-progress table of the scenarios still solving.
+    Runs until interrupted, or for ``max_polls`` cycles when given (tests,
+    bounded smoke runs).  Returns the total number of events streamed.
     """
     tailer = EventTailer(store)
     board = ProgressBoard()
@@ -368,8 +285,13 @@ def follow(
             out(format_event(event))
         if fresh:
             streamed += len(fresh)
-            for line in board.status_lines(active_only=True):
-                out(f"  » {line}")
+            active = {
+                scenario: record
+                for scenario, record in board.snapshot().items()
+                if record["status"] in ("running", "converged")
+            }
+            if active:
+                out(_text_block(*_progress_section(active)))
         polls += 1
         if max_polls is not None and polls >= max_polls:
             return streamed
@@ -377,29 +299,38 @@ def follow(
 
 
 # --------------------------------------------------------------------------- #
-# run reports
+# the run view: fleet_data for status, gather_run_data for report
 # --------------------------------------------------------------------------- #
 def _worker_spans(events: list) -> list:
     """Claim-to-outcome holding spans per worker, from the event feed.
 
     Each span is ``{worker, scenario, start, end, kind, outcome, open}``:
     ``kind`` is ``claim``/``steal``, ``outcome`` the event that ended the
-    hold (``committed``/``released``/``abandoned``/``parked``), and open
-    spans (still in flight when the feed was read) end at the feed's last
-    timestamp.
+    hold — the holder's own ``committed``/``released``/``abandoned``/
+    ``parked``, or ``stolen`` when a peer took the lease over (the holder
+    is presumed dead from then on) — and open spans (still in flight when
+    the feed was read) end at the feed's last timestamp.
     """
     spans = []
     open_spans: dict = {}
     last_ts = 0.0
+
+    def close(hold_key: tuple, ts: float, outcome: str) -> None:
+        span = open_spans.pop(hold_key, None)
+        if span is not None:
+            span.update(end=ts, outcome=outcome, open=False)
+            spans.append(span)
+
     for event in events:
         ts = float(event.get("timestamp", 0.0))
         last_ts = max(last_ts, ts)
         worker = str(event.get("worker", ""))
         scenario = str(event.get("scenario", ""))
         kind = event.get("kind")
-        hold_key = (worker, scenario)
+        if kind == "stolen":
+            close((str(event.get("previous_worker", "")), scenario), ts, "stolen")
         if kind in ("claimed", "stolen"):
-            open_spans[hold_key] = {
+            open_spans[(worker, scenario)] = {
                 "worker": worker,
                 "scenario": scenario,
                 "start": ts,
@@ -409,10 +340,7 @@ def _worker_spans(events: list) -> list:
                 "open": True,
             }
         elif kind in ("committed", "released", "abandoned", "parked"):
-            span = open_spans.pop(hold_key, None)
-            if span is not None:
-                span.update(end=ts, outcome=kind, open=False)
-                spans.append(span)
+            close((worker, scenario), ts, kind)
     for span in open_spans.values():
         span["end"] = max(last_ts, span["start"])
         spans.append(span)
@@ -479,47 +407,229 @@ def _convergence_series(store: ResultsStore, entries: list, events: list) -> dic
     return series
 
 
-def gather_run_data(store: ResultsStore) -> dict:
-    """Join entries, events, leases and parked state into one report model."""
-    entries = store.entries()
-    events = store.events()
+def fleet_data(store: ResultsStore) -> dict:
+    """What ``status`` shows, read without opening any ``entry.json``.
+
+    The status counts of the commit records, the live leases, the parked
+    records and one :class:`EventTailer` poll folded through a
+    :class:`ProgressBoard` (``events`` keeps the polled feed itself,
+    ``event_logs`` the tailer's per-worker segments and bytes).
+    """
+    tailer = EventTailer(store)
+    events = tailer.poll()
     board = ProgressBoard()
     for event in events:
         board.update(event)
-    spans = _worker_spans(events)
-    trace, workers = _trace_from_spans(spans)
-    counts = Counter(str(e.get("kind", "?")) for e in events)
-    status_counts = Counter(e.get("status", "unknown") for e in entries)
-    completed = [e for e in entries if e.get("status") == "completed"]
-    slowest = sorted(
-        completed, key=lambda e: float(e.get("wall_time", 0.0) or 0.0), reverse=True
-    )
+    records = store.index_records().values()
     return {
         "url": store.url,
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "entries": entries,
-        "status_counts": dict(status_counts),
-        "event_counts": dict(counts),
-        "events_total": len(events),
-        "progress": board.snapshot(),
-        "spans": spans,
-        "workers": workers,
-        "utilization": trace.utilization() if spans else None,
-        "makespan": trace.makespan if spans else 0.0,
-        "busy_time": {w: trace.busy_time(i) for i, w in enumerate(workers)},
-        "steals": counts.get("stolen", 0),
-        "retries": counts.get("retry", 0),
-        "heartbeat_misses": counts.get("heartbeat-missed", 0),
-        "healed": counts.get("healed", 0),
+        "status_counts": dict(Counter(r.get("status", "unknown") for r in records)),
         "leases": store.leases(),
         "parked": store.parked(),
-        "slowest": slowest[:10],
-        "convergence": _convergence_series(store, entries, events),
+        "events": events,
+        "event_counts": dict(Counter(str(e.get("kind", "?")) for e in events)),
+        "events_total": len(events),
+        "event_logs": tailer.logs,
+        "progress": board.snapshot(),
     }
 
 
+def gather_run_data(store: ResultsStore) -> dict:
+    """:func:`fleet_data` plus the entries, the holds timeline and the
+    convergence series: what ``report`` shows."""
+    data = fleet_data(store)
+    entries = store.entries()
+    spans = _worker_spans(data["events"])
+    trace, workers = _trace_from_spans(spans)
+    counts = data["event_counts"]
+    data.update(
+        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        entries=entries,
+        spans=spans,
+        workers=workers,
+        utilization=trace.utilization() if spans else None,
+        makespan=trace.makespan,
+        busy_time={w: trace.busy_time(i) for i, w in enumerate(workers)},
+        steals=counts.get("stolen", 0),
+        retries=counts.get("retry", 0),
+        heartbeat_misses=counts.get("heartbeat-missed", 0),
+        healed=counts.get("healed", 0),
+        convergence=_convergence_series(store, entries, data["events"]),
+    )
+    return data
+
+
 # --------------------------------------------------------------------------- #
-# rendering helpers (no plotting dependencies: hand-rolled SVG + sparklines)
+# sections: (title, kind, payload)
+# --------------------------------------------------------------------------- #
+def _fmt_secs(value) -> str:
+    return f"{float(value):.2f}" if isinstance(value, (int, float)) else "-"
+
+
+def _fmt_ratio(num, den) -> str:
+    return f"{num / den:.1f}" if num is not None and den else "-"
+
+
+def _fmt_error(value) -> str:
+    return f"{value:.3e}" if isinstance(value, (int, float)) else "-"
+
+
+#: the point-solver totals of ``solve-finished`` the progress table shows
+_SOLVER_COLUMNS = ("rows", "stalled", "pinned", "residual_calls")
+_PROGRESS_HEADERS = (
+    "scenario",
+    "status",
+    "iter",
+    "last error",
+    "points",
+    " / ".join(name.replace("_", " ") for name in _SOLVER_COLUMNS),
+    "Newton runs per iteration",
+    "residual calls per run",
+    "ETA",
+    "worker",
+)
+
+
+def _progress_section(progress: dict) -> tuple:
+    rows = []
+    for scenario, record in progress.items():
+        eta = record.get("eta")
+        solver = record.get("solver") or {}
+        runs = solver.get("newton_runs")
+        cap = record.get("max_iterations")
+        iteration = record.get("iteration", 0)
+        rows.append(
+            (
+                scenario,
+                record["status"],
+                f"{iteration}/{cap}" if cap else iteration,
+                _fmt_error(record.get("error")),
+                record.get("points") or "-",
+                " / ".join(str(solver.get(name, "-")) for name in _SOLVER_COLUMNS),
+                _fmt_ratio(runs, record.get("new_iterations")),
+                _fmt_ratio(solver.get("residual_calls"), runs),
+                f"~{eta['iterations_left']} iter / {eta['seconds_left']:.1f}s"
+                if eta and record["status"] == "running"
+                else "-",
+                record.get("worker") or "-",
+            )
+        )
+    return ("Solve progress (from the event feed)", "table", (_PROGRESS_HEADERS, rows))
+
+
+def fleet_sections(data: dict) -> list:
+    """The sections of :func:`fleet_data`: what ``status`` prints, and the
+    fleet part of the run report."""
+    now = time.time()
+    leases = []
+    for lease in data["leases"]:
+        age = now - float(lease.get("renewed_at", now))
+        ttl = float(lease.get("ttl", 0.0))
+        leases.append(
+            (
+                lease["scenario"],
+                lease.get("worker", "?"),
+                lease.get("epoch", "?"),
+                f"{age:.1f}",
+                f"{ttl:.1f}",
+                "yes" if age > ttl else "no",
+            )
+        )
+    parked = [(r["scenario"], r.get("attempts", "?"), r.get("error", "?")) for r in data["parked"]]
+    logs = [(w, log["segments"], log["bytes"]) for w, log in sorted(data["event_logs"].items())]
+    counts = sorted(data["status_counts"].items())
+    return [
+        ("Entries by status", "table", (("status", "count"), counts)),
+        (
+            "Held leases",
+            "table",
+            (("scenario", "worker", "epoch", "age [s]", "ttl [s]", "expired"), leases),
+        ),
+        ("Parked scenarios", "table", (("scenario", "attempts", "error"), parked)),
+        ("Events by kind", "table", (("kind", "count"), sorted(data["event_counts"].items()))),
+        ("Event logs", "table", (("worker", "segments", "bytes"), logs)),
+        _progress_section(data["progress"]),
+    ]
+
+
+def _scenarios_section(entries: list) -> tuple:
+    headers = ("name", "kind", "hash", "status", "iters", "converged", "wall [s]", "version")
+    rows = [
+        (
+            e.get("name", "?"),
+            e.get("kind", "solve"),
+            e["spec_hash"][:12],
+            e.get("status", "?"),
+            e.get("iterations", "-"),
+            {True: "yes", False: "no"}.get(e.get("converged"), "-"),
+            _fmt_secs(e.get("wall_time")),
+            e.get("library_version", "?"),
+        )
+        for e in entries
+    ]
+    return ("Scenarios", "table", (headers, rows))
+
+
+def _failure_sections(entries: list) -> list:
+    failed = [e for e in entries if e.get("status") == "failed"]
+    errors = [f"{e['spec_hash'][:12]} {e.get('name', '?')}: {e.get('error', '?')}" for e in failed]
+    return [("Failures", "items", errors)] + [
+        (f"traceback of {e.get('name', '?')} [{e['spec_hash'][:12]}]", "pre", e["traceback"])
+        for e in failed
+        if e.get("traceback")
+    ]
+
+
+def entry_sections(entries: list) -> list:
+    """What ``show`` prints: the scenarios table and the failures, tracebacks included."""
+    return [_scenarios_section(entries), *_failure_sections(entries)]
+
+
+def report_sections(data: dict) -> list:
+    """The run report over :func:`gather_run_data`."""
+    summary = [
+        ("store", data["url"]),
+        ("generated", data["generated_at"]),
+        ("events", data["events_total"]),
+        ("workers seen", len(data["workers"])),
+        ("steals", data["steals"]),
+        ("retries", data["retries"]),
+        ("heartbeat misses", data["heartbeat_misses"]),
+        ("leases healed", data["healed"]),
+        ("live leases", len(data["leases"])),
+        ("parked scenarios", len(data["parked"])),
+    ]
+    if data["utilization"] is not None:
+        summary.append(("fleet utilization", f"{100.0 * data['utilization']:.0f}%"))
+        summary.append(("drain makespan [s]", _fmt_secs(data["makespan"])))
+    curves = [
+        (scenario, label, pts, (data["progress"].get(scenario) or {}).get("tolerance"))
+        for scenario, (label, pts) in sorted(data["convergence"].items())
+    ]
+    completed = [e for e in data["entries"] if e.get("status") == "completed"]
+    completed.sort(key=lambda e: float(e.get("wall_time", 0.0) or 0.0), reverse=True)
+    slowest = [
+        (i + 1, e.get("name", "?"), e["spec_hash"][:12], _fmt_secs(e.get("wall_time")),
+         e.get("iterations", "-"))
+        for i, e in enumerate(completed[:10])
+    ]
+    timeline = [
+        (w, data["busy_time"][w], [s for s in data["spans"] if s["worker"] == w])
+        for w in data["workers"]
+    ]
+    return [
+        ("Suite summary", "table", (("metric", "value"), summary)),
+        _scenarios_section(data["entries"]),
+        *fleet_sections(data),
+        ("Convergence (log-scale error per iteration)", "curves", curves),
+        ("Slowest scenarios", "table", (("rank", "name", "hash", "wall [s]", "iters"), slowest)),
+        ("Fleet timeline", "timeline", timeline),
+        *_failure_sections(data["entries"]),
+    ]
+
+
+# --------------------------------------------------------------------------- #
+# the renderer: one block function per format
 # --------------------------------------------------------------------------- #
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -585,7 +695,7 @@ def _svg_convergence(pts: list, tolerance=None, width: int = 420, height: int = 
 
 
 _SPAN_COLORS = {"claim": "#2b6cb0", "steal": "#dd6b20"}
-_OUTCOME_COLORS = {"abandoned": "#999999", "parked": "#c53030"}
+_OUTCOME_COLORS = {"abandoned": "#999999", "parked": "#c53030", "stolen": "#805ad5"}
 
 
 def _svg_timeline(spans: list, workers: list, width: int = 640, row_h: int = 22) -> str:
@@ -628,181 +738,95 @@ def _svg_timeline(spans: list, workers: list, width: int = 640, row_h: int = 22)
         )
     parts.append(
         f"<text x='{label_w}' y='{height - 6}' font-size='9' fill='#666'>"
-        f"0s .. {tspan:.1f}s  (claim=blue, steal=orange, abandoned=grey, "
-        "parked=red)</text>"
+        f"0s .. {tspan:.1f}s  (claim=blue, steal=orange, stolen from=purple, "
+        "abandoned=grey, parked=red)</text>"
     )
     parts.append("</svg>")
     return "".join(parts)
 
 
-def _fmt_secs(value) -> str:
-    return f"{float(value):.2f}" if isinstance(value, (int, float)) else "-"
+def _plain(kind: str, payload) -> tuple:
+    """A ``curves`` or ``timeline`` payload as the table or items it reads
+    as outside HTML: sparklines, and one line of holds per worker."""
+    if kind == "curves":
+        rows = [
+            (label, scenario, len(pts), _fmt_error(pts[-1][1]), _sparkline([e for _, e, _ in pts]))
+            for scenario, label, pts, _tolerance in payload
+        ]
+        return "table", (("name", "scenario", "iters", "final error", "trajectory"), rows)
+    if kind == "timeline":
+        return "items", [
+            f"{worker} — {busy:.1f}s busy: "
+            + ", ".join(f"{s['kind']} {s['scenario']} ({s['outcome'] or 'in flight'})"
+                        for s in holds)
+            for worker, busy, holds in payload
+        ]
+    return kind, payload
 
 
-def _fmt_ratio(num, den) -> str:
-    return f"{num / den:.1f}" if num is not None and den else "-"
-
-
-def _summary_rows(data: dict) -> list:
-    statuses = sorted(data["status_counts"].items())
-    rows = [
-        ("store", data["url"]),
-        ("generated", data["generated_at"]),
-        ("entries", ", ".join(f"{n} {s}" for s, n in statuses) or "none"),
-        ("events", str(data["events_total"])),
-        ("workers seen", str(len(data["workers"]))),
-        ("steals", str(data["steals"])),
-        ("retries", str(data["retries"])),
-        ("heartbeat misses", str(data["heartbeat_misses"])),
-        ("leases healed", str(data["healed"])),
-        ("live leases", str(len(data["leases"]))),
-        ("parked scenarios", str(len(data["parked"]))),
-    ]
-    if data["utilization"] is not None:
-        rows.append(("fleet utilization", f"{100.0 * data['utilization']:.0f}%"))
-        rows.append(("drain makespan [s]", _fmt_secs(data["makespan"])))
-    return rows
-
-
-def _entry_rows(data: dict) -> list:
-    rows = []
-    for entry in data["entries"]:
-        conv = {True: "yes", False: "no"}.get(entry.get("converged"), "-")
-        rows.append(
-            (
-                entry.get("name", "?"),
-                entry["spec_hash"][:12],
-                entry.get("status", "?"),
-                str(entry.get("iterations", "-")),
-                conv,
-                _fmt_secs(entry.get("wall_time")),
-            )
-        )
-    return rows
-
-
-#: the point-solver totals of ``solve-finished`` the progress table shows
-_SOLVER_COLUMNS = ("rows", "stalled", "pinned", "residual_calls")
-_PROGRESS_HEADERS = (
-    "scenario",
-    "status",
-    "iter",
-    "last error",
-    "points",
-    " / ".join(name.replace("_", " ") for name in _SOLVER_COLUMNS),
-    "Newton runs per iteration",
-    "residual calls per run",
-    "ETA",
-    "worker",
-)
-
-
-def _progress_rows(data: dict) -> list:
-    rows = []
-    for scenario, record in data["progress"].items():
-        eta = record.get("eta")
-        eta_s = (
-            f"~{eta['iterations_left']} iter / {eta['seconds_left']:.1f}s"
-            if eta and record["status"] == "running"
-            else "-"
-        )
-        err = record.get("error")
-        solver = record.get("solver") or {}
-        runs = solver.get("newton_runs")
-        rows.append(
-            (
-                scenario,
-                record["status"],
-                str(record.get("iteration", 0)),
-                f"{err:.3e}" if isinstance(err, (int, float)) else "-",
-                str(record.get("points") or "-"),
-                " / ".join(str(solver.get(name, "-")) for name in _SOLVER_COLUMNS),
-                _fmt_ratio(runs, record.get("new_iterations")),
-                _fmt_ratio(solver.get("residual_calls"), runs),
-                eta_s,
-                record.get("worker", "") or "-",
-            )
-        )
-    return rows
-
-
-def _md_table(headers: tuple, rows: list) -> list:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-    return lines
-
-
-def render_markdown(data: dict) -> str:
-    """The run report as GitHub-flavoured markdown (sparkline curves)."""
-    lines = [f"# Scenario run report — `{data['url']}`", ""]
-    lines += ["## Suite summary", ""]
-    lines += _md_table(("metric", "value"), [(k, f"`{v}`") for k, v in _summary_rows(data)])
-    lines += ["", "## Scenarios", ""]
-    if data["entries"]:
-        lines += _md_table(
-            ("name", "hash", "status", "iters", "converged", "wall [s]"),
-            _entry_rows(data),
-        )
+def _text_block(title: str, kind: str, payload) -> str:
+    kind, payload = _plain(kind, payload)
+    if kind == "table":
+        headers, rows = payload
+        cells = [[str(cell) for cell in row] for row in (headers, *rows)]
+        widths = [max(len(row[col]) for row in cells) for col in range(len(headers))]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+        lines.insert(1, "  ".join("-" * w for w in widths))
+    elif kind == "items":
+        lines = [f"- {item}" for item in payload]
     else:
-        lines.append("_no committed entries_")
-    if data["progress"]:
-        lines += ["", "## Solve progress (from the event feed)", ""]
-        lines += _md_table(_PROGRESS_HEADERS, _progress_rows(data))
-    if data["convergence"]:
-        lines += ["", "## Convergence (log-scale error per iteration)", ""]
-        rows = []
-        for scenario, (label, pts) in sorted(data["convergence"].items()):
-            errors = [e for _, e, _ in pts]
-            final = errors[-1] if errors else float("nan")
-            rows.append(
-                (label, scenario, len(pts), f"{final:.3e}", _sparkline(errors))
+        lines = str(payload).rstrip().splitlines()
+    return "\n".join([f"{title}:", *("  " + line for line in lines)])
+
+
+def _md_block(title: str, kind: str, payload) -> str:
+    kind, payload = _plain(kind, payload)
+    if kind == "table":
+        headers, rows = payload
+        lines = ["| " + " | ".join(str(cell) for cell in row) + " |" for row in (headers, *rows)]
+        lines.insert(1, "| " + " | ".join("---" for _ in headers) + " |")
+    elif kind == "items":
+        lines = [f"- {item}" for item in payload]
+    else:
+        lines = ["```", str(payload).rstrip(), "```"]
+    return "\n".join([f"## {title}", "", *lines, ""])
+
+
+def _html_block(title: str, kind: str, payload) -> str:
+    esc = _html.escape
+    parts = [f"<h2>{esc(title)}</h2>"]
+    if kind == "table":
+        headers, rows = payload
+        status = list(headers).index("status") if "status" in headers else None
+        parts.append("<table><thead><tr>")
+        parts += [f"<th>{esc(str(h))}</th>" for h in headers]
+        parts.append("</tr></thead><tbody>")
+        for row in rows:
+            parts.append("<tr>")
+            for col, cell in enumerate(row):
+                cls = f" class='status-{esc(str(cell))}'" if col == status else ""
+                parts.append(f"<td{cls}>{esc(str(cell))}</td>")
+            parts.append("</tr>")
+        parts.append("</tbody></table>")
+    elif kind == "items":
+        parts += ["<ul>", *(f"<li>{esc(str(item))}</li>" for item in payload), "</ul>"]
+    elif kind == "pre":
+        parts.append(f"<pre>{esc(str(payload))}</pre>")
+    elif kind == "curves":
+        for scenario, label, pts, tolerance in payload:
+            parts.append(
+                f"<figure>{_svg_convergence(pts, tolerance=tolerance)}"
+                f"<figcaption><code>{esc(scenario)}</code> {esc(str(label))} — "
+                f"{len(pts)} iteration(s), final l∞ change {pts[-1][1]:.3e}</figcaption></figure>"
             )
-        lines += _md_table(("name", "scenario", "iters", "final error", "trajectory"), rows)
-    if data["slowest"]:
-        lines += ["", "## Slowest scenarios", ""]
-        lines += _md_table(
-            ("rank", "name", "hash", "wall [s]", "iters"),
-            [
-                (i + 1, e.get("name", "?"), e["spec_hash"][:12],
-                 _fmt_secs(e.get("wall_time")), e.get("iterations", "-"))
-                for i, e in enumerate(data["slowest"])
-            ],
+    else:
+        spans = [span for _, _, holds in payload for span in holds]
+        parts.append(
+            f"<figure>{_svg_timeline(spans, [worker for worker, _, _ in payload])}"
+            "<figcaption>scenario holds per worker (hover a bar for the "
+            "scenario hash and outcome)</figcaption></figure>"
         )
-    if data["spans"]:
-        lines += ["", "## Fleet timeline", ""]
-        for worker in data["workers"]:
-            holds = [s for s in data["spans"] if s["worker"] == worker]
-            busy = data["busy_time"].get(worker, 0.0)
-            hold_bits = ", ".join(
-                f"{s['kind']} {s['scenario']} ({s.get('outcome') or 'in flight'})"
-                for s in holds
-            )
-            lines.append(f"- **{worker}** — {busy:.1f}s busy: {hold_bits}")
-    if data["event_counts"]:
-        lines += ["", "## Events by kind", ""]
-        lines += _md_table(
-            ("kind", "count"), sorted(data["event_counts"].items())
-        )
-    if data["parked"]:
-        lines += ["", "## Parked scenarios", ""]
-        for record in data["parked"]:
-            lines.append(
-                f"- `{record['scenario']}` after {record.get('attempts', '?')} "
-                f"attempt(s): {record.get('error', '?')}"
-            )
-    failed = [e for e in data["entries"] if e.get("status") == "failed"]
-    if failed:
-        lines += ["", "## Failures", ""]
-        for entry in failed:
-            lines.append(
-                f"- `{entry['spec_hash'][:12]}` {entry.get('name', '?')}: "
-                f"{entry.get('error', '?')}"
-            )
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(parts)
 
 
 _HTML_STYLE = """
@@ -821,138 +845,33 @@ figure { margin: .75rem 0; } figcaption { font-size: .85rem; color: #4a5568; }
 """
 
 
-def _html_table(headers: tuple, rows: list, status_col: int | None = None) -> list:
-    parts = ["<table><thead><tr>"]
-    parts += [f"<th>{_html.escape(str(h))}</th>" for h in headers]
-    parts.append("</tr></thead><tbody>")
-    for row in rows:
-        parts.append("<tr>")
-        for col, cell in enumerate(row):
-            cls = (
-                f" class='status-{_html.escape(str(cell))}'"
-                if status_col is not None and col == status_col
-                else ""
-            )
-            parts.append(f"<td{cls}>{_html.escape(str(cell))}</td>")
-        parts.append("</tr>")
-    parts.append("</tbody></table>")
-    return parts
+def render(title: str, sections: list, fmt: str = "text") -> str:
+    """``sections`` under ``title`` as ``text``, ``md`` or ``html``.
 
-
-def render_html(data: dict) -> str:
-    """The run report as one self-contained HTML document.
-
-    Everything is inline — styles in a ``<style>`` block, convergence
-    curves and the fleet timeline as hand-rolled inline SVG — so the file
-    opens anywhere (CI artifact browsers included) with no external
-    fetches and no plotting dependencies.
+    A section is ``(title, kind, payload)``: a ``table`` carries
+    ``(headers, rows)``, ``items`` a list of lines, ``pre`` one
+    preformatted string, ``curves`` ``(scenario, label, points,
+    tolerance)`` tuples and ``timeline`` ``(worker, busy seconds, holding
+    spans)`` tuples.  Sections with nothing in them are left out.  The
+    HTML is one self-contained document: styles inline, curves and the
+    timeline as inline SVG, no scripts and no external fetches.
     """
-    parts = [
-        "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>",
-        f"<title>Scenario run report — {_html.escape(data['url'])}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>Scenario run report — <code>{_html.escape(data['url'])}</code></h1>",
-        f"<p>Generated {_html.escape(data['generated_at'])}</p>",
-        "<h2>Suite summary</h2>",
-    ]
-    parts += _html_table(("metric", "value"), _summary_rows(data))
-    parts.append("<h2>Scenarios</h2>")
-    if data["entries"]:
-        parts += _html_table(
-            ("name", "hash", "status", "iters", "converged", "wall [s]"),
-            _entry_rows(data),
-            status_col=2,
+    blocks = {"text": _text_block, "md": _md_block, "html": _html_block}
+    if fmt not in blocks:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(blocks)}")
+    # a table is empty when it has no rows, any other payload when it is falsy
+    body = [blocks[fmt](*s) for s in sections if (s[2][1] if s[1] == "table" else s[2])]
+    if fmt == "html":
+        head = (
+            "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>"
+            f"<title>{_html.escape(title)}</title><style>{_HTML_STYLE}</style></head>"
+            f"<body><h1>{_html.escape(title)}</h1>"
         )
-    else:
-        parts.append("<p><em>no committed entries</em></p>")
-    if data["progress"]:
-        parts.append("<h2>Solve progress (from the event feed)</h2>")
-        parts += _html_table(_PROGRESS_HEADERS, _progress_rows(data), status_col=1)
-    if data["convergence"]:
-        parts.append("<h2>Convergence (log-scale error per iteration)</h2>")
-        for scenario, (label, pts) in sorted(data["convergence"].items()):
-            tolerance = (data["progress"].get(scenario) or {}).get("tolerance")
-            parts.append("<figure>")
-            parts.append(_svg_convergence(pts, tolerance=tolerance))
-            final = pts[-1][1] if pts else float("nan")
-            parts.append(
-                f"<figcaption><code>{_html.escape(scenario)}</code> "
-                f"{_html.escape(str(label))} — {len(pts)} iteration(s), final "
-                f"l∞ change {final:.3e}</figcaption></figure>"
-            )
-    if data["spans"]:
-        parts.append("<h2>Fleet timeline</h2>")
-        parts.append("<figure>")
-        parts.append(_svg_timeline(data["spans"], data["workers"]))
-        parts.append(
-            "<figcaption>scenario holds per worker (hover a bar for the "
-            "scenario hash and outcome)</figcaption></figure>"
-        )
-    if data["slowest"]:
-        parts.append("<h2>Slowest scenarios</h2>")
-        parts += _html_table(
-            ("rank", "name", "hash", "wall [s]", "iters"),
-            [
-                (i + 1, e.get("name", "?"), e["spec_hash"][:12],
-                 _fmt_secs(e.get("wall_time")), e.get("iterations", "-"))
-                for i, e in enumerate(data["slowest"])
-            ],
-        )
-    if data["event_counts"]:
-        parts.append("<h2>Events by kind</h2>")
-        parts += _html_table(("kind", "count"), sorted(data["event_counts"].items()))
-    if data["parked"]:
-        parts.append("<h2>Parked scenarios</h2><ul>")
-        for record in data["parked"]:
-            parts.append(
-                f"<li><code>{_html.escape(record['scenario'])}</code> after "
-                f"{record.get('attempts', '?')} attempt(s): "
-                f"{_html.escape(str(record.get('error', '?')))}</li>"
-            )
-        parts.append("</ul>")
-    failed = [e for e in data["entries"] if e.get("status") == "failed"]
-    if failed:
-        parts.append("<h2>Failures</h2>")
-        for entry in failed:
-            parts.append(
-                f"<p><code>{_html.escape(entry['spec_hash'][:12])}</code> "
-                f"{_html.escape(entry.get('name', '?'))}: "
-                f"{_html.escape(str(entry.get('error', '?')))}</p>"
-            )
-            if entry.get("traceback"):
-                parts.append(
-                    f"<pre>{_html.escape(str(entry['traceback']))}</pre>"
-                )
-    parts.append("</body></html>")
-    return "".join(parts)
+        return "".join([head, *body, "</body></html>"])
+    return "\n".join([f"# {title}\n" if fmt == "md" else title, *body])
 
 
 def render_report(store: ResultsStore, fmt: str = "md") -> str:
-    """Gather and render a run report (``fmt`` is ``"md"`` or ``"html"``)."""
-    if fmt not in ("md", "html"):
-        raise ValueError(f"unknown report format {fmt!r}; expected 'md' or 'html'")
+    """Gather and render a run report (``fmt``: ``"md"``, ``"html"`` or ``"text"``)."""
     data = gather_run_data(store)
-    return render_markdown(data) if fmt == "md" else render_html(data)
-
-
-def progress_snapshot(store: ResultsStore) -> dict:
-    """Per-scenario progress + event counts from a store's persisted feed.
-
-    The machine-readable shape ``status --json`` embeds, so dashboards
-    get the latest iteration/error/ETA per scenario without re-parsing
-    raw JSONL themselves.
-    """
-    logs = store.event_logs()
-    events = store.merge_events({worker: log["events"] for worker, log in logs.items()})
-    board = ProgressBoard()
-    for event in events:
-        board.update(event)
-    return {
-        "progress": board.snapshot(),
-        "event_counts": dict(Counter(str(e.get("kind", "?")) for e in events)),
-        "events_total": len(events),
-        "event_logs": {
-            worker: {"segments": log["segments"], "bytes": log["bytes"]}
-            for worker, log in logs.items()
-        },
-    }
+    return render(f"Scenario run report — {store.url}", report_sections(data), fmt)

@@ -17,9 +17,9 @@ Key layout (identical across backends)::
     leases/<hash16>/...         # claim/lease coordination state (lease.py)
     events/<worker>.jsonl       # per-worker structured event feed (lease
                                 # lifecycle + per-iteration solve progress,
-                                # batched via StoreEventSink; the read side
-                                # is events()/worker_events() and the
-                                # status --follow tailer in report.py)
+                                # batched via StoreEventSink; read only
+                                # through EventTailer — events() is one
+                                # poll of a fresh tailer)
     events/<worker>.jsonl.<n>   # its later segments (n = 000001, ...): the
                                 # sink seals an object past
                                 # EVENT_SEGMENT_BYTES and continues in the
@@ -96,6 +96,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "EVENT_SEGMENT_BYTES",
+    "EventTailer",
     "ResultsStore",
     "StoreEventSink",
     "index_record",
@@ -428,54 +429,13 @@ class ResultsStore:
                 found.setdefault(parsed[0], {})[parsed[1]] = key
         return {worker: dict(sorted(segments.items())) for worker, segments in found.items()}
 
-    def event_logs(self) -> dict[str, dict[str, Any]]:
-        """worker id -> ``{"segments", "bytes", "events"}`` of its event log.
-
-        ``events`` are the worker's segments parsed and concatenated in
-        order.  Complete JSONL lines only: a torn trailing line (a writer
-        racing this read on a non-atomic transport) is silently skipped —
-        the next read sees it whole.
-        """
-        out: dict[str, dict[str, Any]] = {}
-        for worker, segments in self.event_segments().items():
-            log: dict[str, Any] = {"segments": len(segments), "bytes": 0, "events": []}
-            out[worker] = log
-            for key in segments.values():
-                try:
-                    raw = self.backend.get(key)
-                except FileNotFoundError:
-                    continue  # deleted between list and get
-                log["bytes"] += len(raw)
-                log["events"] += parse_event_lines(raw)
-        return out
-
-    def worker_events(self) -> dict[str, list[dict[str, Any]]]:
-        """worker id -> parsed event dicts, in emission order per worker."""
-        return {worker: log["events"] for worker, log in self.event_logs().items()}
-
-    @staticmethod
-    def merge_events(worker_events: Mapping[str, list[dict[str, Any]]]) -> list[dict[str, Any]]:
-        """Per-worker feeds merged into one time-ordered list.
-
-        Ordering is by event timestamp (worker id, then per-worker
-        emission order as tiebreaks), so interleaved workers read as one
-        chronological story.
-        """
-        merged = [
-            (float(event.get("timestamp", 0.0)), worker, seq, event)
-            for worker, events in worker_events.items()
-            for seq, event in enumerate(events)
-        ]
-        merged.sort(key=lambda item: item[:3])
-        return [event for _, _, _, event in merged]
-
     def events(self) -> list[dict[str, Any]]:
         """Every persisted event across all workers, time-ordered.
 
-        The merged solve-progress + lease-protocol feed ``status`` and
-        ``report`` consume (see :meth:`merge_events`).
+        The first poll of a fresh :class:`EventTailer`: the merged
+        solve-progress + lease-protocol feed ``status`` and ``report`` read.
         """
-        return self.merge_events(self.worker_events())
+        return EventTailer(self).poll()
 
     # ------------------------------------------------------------------ #
     # committing and indexing entries
@@ -954,34 +914,6 @@ class ResultsStore:
             # else: a concurrent writer/GC got there first
         return paths
 
-    # ------------------------------------------------------------------ #
-    def describe(self) -> str:
-        """Human-readable store summary (the CLI ``show`` command)."""
-        entries = self.entries()
-        if not entries:
-            return f"store {self.url}: empty"
-        lines = [f"store {self.url}: {len(entries)} entry(ies)"]
-        header = (
-            f"  {'name':<32} {'kind':<9} {'hash':<12} {'status':<11} "
-            f"{'iters':>5} {'conv':>5} {'wall [s]':>9}  version"
-        )
-        lines += [header, "  " + "-" * (len(header) - 2)]
-        for e in entries:
-            iters = e.get("iterations", "-")
-            conv = {True: "yes", False: "no"}.get(e.get("converged"), "-")
-            lines.append(
-                f"  {e['name']:<32} {e.get('kind', 'solve'):<9} "
-                f"{e['spec_hash'][:12]:<12} {e['status']:<11} "
-                f"{iters!s:>5} {conv:>5} {e.get('wall_time', float('nan')):>9.2f}  "
-                f"{e.get('library_version', '?')}"
-            )
-        failed = [e for e in entries if e.get("status") == "failed" and e.get("traceback")]
-        for e in failed:
-            lines.append("")
-            lines.append(f"  traceback of {e['name']} [{e['spec_hash'][:12]}]:")
-            lines.extend("    " + tb_line for tb_line in e["traceback"].rstrip().splitlines())
-        return "\n".join(lines)
-
 
 def parse_event_lines(raw: bytes) -> list[dict[str, Any]]:
     """Parse an ``events/*.jsonl`` blob into event dicts, tolerantly.
@@ -1010,6 +942,74 @@ def parse_event_lines(raw: bytes) -> list[dict[str, Any]]:
     return events
 
 
+class EventTailer:
+    """The one reader of the store's ``events/*`` objects.
+
+    Each :meth:`poll` lists the event objects, re-reads only the bytes
+    past the per-object offset remembered from the previous poll, and
+    returns the newly completed lines merged time-ordered across workers
+    (timestamp, then worker id, then a worker's own order, its segments in
+    segment order).  Only bytes up to the last newline advance the offset,
+    so a torn trailing line (a writer's whole-object put racing the read
+    on a non-atomic transport) is simply re-read on the next poll.
+
+    The :class:`StoreEventSink` contract is that an event object only ever
+    *grows* (new sinks load the worker's last segment as their head) and is
+    never written again once the worker's next segment exists, so a segment
+    read after the listing showed its successor is not fetched again: a poll
+    costs one ``list`` plus one ``get`` per worker.  If a live object does
+    shrink — someone cleared the feed — the tailer starts it over from byte
+    zero and re-emits it.
+
+    :attr:`logs` is what the last poll listed and read per worker,
+    ``{worker: {"segments": n, "bytes": b}}`` (``status --json``'s
+    ``event_logs``).
+    """
+
+    def __init__(self, store: ResultsStore) -> None:
+        self.store = store
+        self.offsets: dict[str, int] = {}
+        self.logs: dict[str, dict[str, int]] = {}
+        self._sizes: dict[str, int] = {}  # bytes of each object as last read
+        self._consumed: set[str] = set()  # sealed segments read to their end
+
+    def poll(self) -> list[dict[str, Any]]:
+        """New complete events since the last poll, time-ordered."""
+        fresh: list[tuple[float, str, int, dict[str, Any]]] = []
+        listing = self.store.event_segments()
+        self._consumed.intersection_update(
+            key for segments in listing.values() for key in segments.values()
+        )
+        self.logs = {}
+        for worker, segments in listing.items():
+            live = max(segments)
+            for segment, key in segments.items():
+                if key in self._consumed:
+                    continue
+                try:
+                    raw = self.store.backend.get(key)
+                except FileNotFoundError:
+                    continue  # deleted between list and get
+                if segment < live:
+                    self._consumed.add(key)  # its successor was listed before this read
+                self._sizes[key] = len(raw)
+                offset = self.offsets.get(key, 0)
+                if len(raw) < offset:
+                    offset = 0  # the object shrank: replay it from the start
+                chunk = raw[offset:]
+                cut = chunk.rfind(b"\n")
+                self.offsets[key] = offset + cut + 1  # a torn tail waits for its newline
+                for event in parse_event_lines(chunk[: cut + 1]):
+                    stamp = float(event.get("timestamp", 0.0))
+                    fresh.append((stamp, worker, len(fresh), event))
+            self.logs[worker] = {
+                "segments": len(segments),
+                "bytes": sum(self._sizes.get(key, 0) for key in segments.values()),
+            }
+        fresh.sort(key=lambda item: item[:3])
+        return [item[3] for item in fresh]
+
+
 #: Size past which :class:`StoreEventSink` seals the object it is appending
 #: to; every flush re-puts that object, so this bounds the bytes put per
 #: flush.  16 KiB is ~40 drained units (three ~140-byte lease events each,
@@ -1023,8 +1023,8 @@ class StoreEventSink:
 
     Object stores have no append primitive, so the sink re-puts the whole
     current event-log object — the last put always leaves a complete,
-    readable JSONL object, which is exactly what the ``status --follow``
-    tailer's byte offsets rely on (an object only ever *grows*).  So that
+    readable JSONL object, which is exactly what :class:`EventTailer`'s
+    byte offsets rely on (an object only ever *grows*).  So that
     a put stays small however long the worker lives, an object that has
     passed :data:`EVENT_SEGMENT_BYTES` is sealed — never written again —
     and the feed continues in the worker's next segment

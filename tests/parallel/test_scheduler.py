@@ -8,7 +8,6 @@ import pytest
 
 from repro.parallel.scheduler import (
     SchedulerStats,
-    StaticScheduler,
     WorkStealingScheduler,
     simulate_schedule,
 )
@@ -83,28 +82,6 @@ class TestWorkStealingScheduler:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             WorkStealingScheduler(0)
-
-
-class TestStaticScheduler:
-    def test_results_in_input_order(self):
-        sched = StaticScheduler(4)
-        items = list(range(50))
-        assert sched.map(lambda x: x**2, items) == [x**2 for x in items]
-
-    def test_no_steals_reported(self):
-        sched = StaticScheduler(4)
-        sched.map(lambda x: x, range(64))
-        assert sched.last_stats.steals == 0
-        # static contiguous split: each worker got its block
-        assert sched.last_stats.tasks_per_worker == [16, 16, 16, 16]
-
-    def test_exception_propagates(self):
-        sched = StaticScheduler(2)
-        with pytest.raises(ValueError):
-            sched.map(lambda x: (_ for _ in ()).throw(ValueError("x")), [1, 2])
-
-    def test_empty(self):
-        assert StaticScheduler(2).map(lambda x: x, []) == []
 
 
 class TestSimulateSchedule:

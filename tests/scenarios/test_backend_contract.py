@@ -40,8 +40,7 @@ from repro.scenarios.backends import (
     ObjectStoreBackend,
 )
 from repro.scenarios.backends.base import load_snapshots, snapshot_key_for, write_snapshot
-from repro.scenarios.report import EventTailer
-from repro.scenarios.store import StoreEventSink, index_record
+from repro.scenarios.store import EventTailer, StoreEventSink, index_record
 
 # --------------------------------------------------------------------------- #
 # helpers
@@ -525,11 +524,12 @@ class TestStoreContract:
         again = run_suite(suite, ResultsStore.open(any_store_url))
         assert again.count("skipped") == 2
 
-    def test_describe_lists_entries(self, store):
+    def test_show_lists_entries(self, store, capsys):
         spec = _payload_spec(0)
         store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
-        text = store.describe()
-        assert spec.name in text and store.url in text
+        assert cli_main(["show", "--store", store.url]) == 0
+        text = capsys.readouterr().out
+        assert spec.name in text and f"store {store.url}: 1 entry(ies)" in text
 
     def test_resolve_full_length_hash_is_validated(self, store):
         """Satellite regression: a mistyped full-length hash must raise the
@@ -1066,8 +1066,10 @@ class TestEventSegments:
         monkeypatch.setattr(store_module, "EVENT_SEGMENT_BYTES", self.SMALL)
         _emit(store, worker, 12)
         assert len(store.event_segments()[worker]) > 1
-        assert [len(events) for events in store.worker_events().values()] == [12]
-        assert set(store.worker_events()) == {worker}
+        tailer = EventTailer(store)
+        assert [e["worker"] for e in tailer.poll()] == [worker] * 12
+        assert list(tailer.logs) == [worker]
+        assert tailer.logs[worker]["segments"] == len(store.event_segments()[worker])
 
     def test_rolled_log_reads_like_one_that_never_rolled(
         self, store, store_url_for, monkeypatch
@@ -1095,7 +1097,7 @@ class TestEventSegments:
                 assert store.backend.get(key) == raw  # sealed segments untouched
         assert store.backend.get(last).startswith(before[last])
         assert len(after) >= len(before)
-        stamps = [e["timestamp"] for e in store.worker_events()["w1"]]
+        stamps = [e["timestamp"] for e in store.events() if e["worker"] == "w1"]
         assert stamps == [float(i) for i in range(1, 18)]
 
     def test_old_single_object_log_reads_back_and_is_left_alone(self, store):

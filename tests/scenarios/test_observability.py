@@ -32,16 +32,15 @@ from repro.scenarios.__main__ import main as cli_main
 from repro.scenarios.checkpoint import InterruptingCheckpoint, SimulatedKill, SolveCheckpoint
 from repro.scenarios.lease import run_worker
 from repro.scenarios.report import (
-    EventTailer,
     ProgressBoard,
+    _progress_section,
     estimate_eta,
     follow,
-    format_progress_line,
     gather_run_data,
-    render_html,
-    render_markdown,
+    render_report,
 )
-from repro.scenarios.store import StoreEventSink, parse_event_lines
+from repro.scenarios import store as store_module
+from repro.scenarios.store import EventTailer, StoreEventSink, parse_event_lines
 
 
 def _tiny_solve_spec(name="tiny", **calibration):
@@ -295,6 +294,40 @@ class TestEventTailer:
         stamps = [e["timestamp"] for e in EventTailer(store).poll()]
         assert stamps == sorted(stamps) == [1.0, 2.0, 3.0, 4.0]
 
+    def test_a_shrunk_object_is_replayed_from_the_start(self, any_store_url):
+        store = ResultsStore(any_store_url)
+        key = "events/w1.jsonl"
+
+        def put(*kinds):
+            lines = [
+                json.dumps({"kind": k, "worker": "w1", "timestamp": float(i)})
+                for i, k in enumerate(kinds)
+            ]
+            store.backend.put(key, ("\n".join(lines) + "\n").encode())
+
+        put("claimed", "iteration", "committed")
+        tailer = EventTailer(store)
+        assert len(tailer.poll()) == 3
+        put("claimed")  # someone cleared the feed and a worker wrote again
+        assert [e["kind"] for e in tailer.poll()] == ["claimed"]
+        assert tailer.poll() == []
+
+    def test_logs_count_every_listed_segment_on_every_poll(self, store_url_for, monkeypatch):
+        monkeypatch.setattr(store_module, "EVENT_SEGMENT_BYTES", 1024)
+        store = ResultsStore(store_url_for("mem"))
+        recorder = EventRecorder()
+        recorder.subscribe(StoreEventSink(store, "w1"))
+        tailer = EventTailer(store)
+        for burst in range(3):
+            for i in range(8):
+                recorder.emit("claimed", "w1", f"s-{burst}-{i}", padding="x" * 64)
+            tailer.poll()
+            segments = store.event_segments()["w1"]
+            size = sum(len(store.backend.get(key)) for key in segments.values())
+            # sealed segments read on an earlier poll still count, unfetched
+            assert tailer.logs == {"w1": {"segments": len(segments), "bytes": size}}
+        assert len(segments) > 2
+
     def test_follow_surfaces_new_event_within_one_poll(self, any_store_url):
         store = ResultsStore(any_store_url)
         recorder = EventRecorder()
@@ -410,9 +443,10 @@ class TestProgressAndEta:
         )
         eta = estimate_eta(healthy_tail)
         assert eta is not None and eta["iterations_left"] > 0
-        # and the progress-line renderer survives an ETA-less record
-        line = format_progress_line(dict(base, scenario="s" * 16, points=10))
-        assert "eta" not in line or "n/a" in line
+        # and the progress table renders an ETA-less record's row with no ETA
+        record = dict(base, points=10, eta=estimate_eta(base))
+        _title, _kind, (headers, rows) = _progress_section({"s" * 16: record})
+        assert dict(zip(headers, rows[0]))["ETA"] == "-"
 
     def test_board_tracks_scenario_lifecycle(self):
         board = ProgressBoard()
@@ -505,9 +539,38 @@ class TestFleetAndReport:
         assert any(s["open"] for s in data["spans"])  # the live claim
         assert len(data["convergence"]) == 3  # 2 from entries + 1 from events
 
+    def test_a_steal_ends_the_dead_holders_span(self, store_url_for):
+        store = ResultsStore(store_url_for("mem"))
+        feeds = {
+            "A": [{"kind": "claimed", "timestamp": 0.0}],
+            "B": [
+                {"kind": "stolen", "timestamp": 10.0, "previous_worker": "A"},
+                {"kind": "committed", "timestamp": 12.0},
+                {"kind": "released", "timestamp": 12.0},
+            ],
+        }
+        for worker, events in feeds.items():
+            lines = "".join(
+                json.dumps(dict(e, worker=worker, scenario="s1")) + "\n" for e in events
+            )
+            store.backend.put(store.event_key(worker), lines.encode())
+        data = gather_run_data(store)
+        assert [
+            (s["worker"], s["kind"], s["start"], s["end"], s["outcome"], s["open"])
+            for s in data["spans"]
+        ] == [
+            ("A", "claim", 0.0, 10.0, "stolen", False),
+            ("B", "steal", 10.0, 12.0, "committed", False),
+        ]
+        assert data["busy_time"] == {"A": 10.0, "B": 2.0}
+        assert data["utilization"] == pytest.approx(0.5)
+        html = render_report(store, "html")
+        assert "fill='#805ad5'><title>s1 (claim, stolen)</title>" in html
+        assert "stolen from=purple" in html
+
     def test_markdown_report_covers_every_section(self, store_url_for):
         store, inflight = self._mixed_store(store_url_for("file"))
-        md = render_markdown(gather_run_data(store))
+        md = render_report(store, "md")
         for heading in (
             "# Scenario run report", "## Suite summary", "## Scenarios",
             "## Solve progress", "## Convergence", "## Slowest scenarios",
@@ -533,7 +596,7 @@ class TestFleetAndReport:
 
     def test_html_report_is_self_contained(self, any_store_url):
         store, inflight = self._mixed_store(any_store_url)
-        html = render_html(gather_run_data(store))
+        html = render_report(store, "html")
         assert html.startswith("<!DOCTYPE html>")
         assert html.count("<svg") >= 4  # 3 convergence curves + timeline
         assert "polyline" in html and "Fleet timeline" in html
@@ -561,7 +624,8 @@ class TestCLI:
         raw = store.backend.get("events/wA.jsonl")
         assert payload["event_logs"] == {"wA": {"segments": 1, "bytes": len(raw)}}
         assert cli_main(["status", "--store", store_url]) == 0
-        assert f"1 segment(s), {len(raw)} byte(s)" in capsys.readouterr().out
+        cells = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["wA", "1", str(len(raw))] in cells  # the Event logs row: segments, bytes
 
     def test_status_follow_streams_one_bounded_cycle(self, tmp_path, capsys):
         store_url = f"file://{(tmp_path / 'store').as_posix()}"

@@ -65,10 +65,12 @@ class TestResultsStore:
         clone = store.load_spec(spec)
         assert clone == spec
 
-    def test_describe_mentions_each_entry(self, tmp_path, tiny_suite):
+    def test_show_mentions_each_entry(self, tmp_path, tiny_suite, capsys):
         store = ResultsStore(tmp_path / "store")
         run_suite(tiny_suite, store)
-        text = store.describe()
+        capsys.readouterr()
+        assert cli_main(["show", "--store", store.url]) == 0
+        text = capsys.readouterr().out
         for spec in tiny_suite:
             assert spec.name in text
 

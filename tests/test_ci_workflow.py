@@ -173,6 +173,7 @@ class TestObservability:
         assert 'QUICK_REPORT_OUT="${QUICK_REPORT_OUT:-' in script  # overridable
         assert 'data["steals"] >= 1' in script
         assert "committed == expected" in script
+        assert 'if s["open"]]' in script and "assert not in_flight" in script
 
     def test_bench_job_uploads_fleet_report_artifact(self, workflow):
         job = workflow["jobs"]["bench"]
@@ -207,6 +208,9 @@ class TestBatchedSolveGate:
             assert any(f"PYTHONPATH=src python examples/{example} --fast" in c for c in commands)
             source = (REPO / "examples" / example).read_text()
             assert '"--fast"' in source and "--threads" not in source
+        # the scenario walk-through has no --fast form: it runs whole (~1 s)
+        sweep = "PYTHONPATH=src python examples/scenario_sweep.py"
+        assert any(sweep in c.splitlines() for c in commands)
 
     def test_bench_job_guards_the_point_solve_call_counts(self, workflow):
         # exact counts from a traced smoke run of the level-3 sweep: no
