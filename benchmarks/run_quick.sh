@@ -69,6 +69,24 @@ smoke_sweep "file://$SCRATCH/store" "file://$SCRATCH/store-fresh"
 smoke_sweep "s3://quick-bench/sweep?endpoint=$SCRATCH/object-store" \
             "s3://quick-bench/sweep-fresh?endpoint=$SCRATCH/object-store"
 
+# --- hosted drains: `run` with two thread drains on one store -------------- #
+# `run` hosts one lease drain per executor worker: the two drains split the
+# smoke suite between them through leases, and a drained run leaves no
+# lease, attempt count or parking record behind.
+THREADS_STORE="file://$SCRATCH/threads-store"
+python -m repro.scenarios run smoke --store "$THREADS_STORE" --executor threads --workers 2 \
+    | tee "$SCRATCH/threads.out"
+grep -q "suite 'smoke': 2 completed$" "$SCRATCH/threads.out"
+SCENARIO_STORE_URL="$THREADS_STORE" python - <<'EOF'
+import os
+from repro.scenarios import ResultsStore
+
+store = ResultsStore.open(os.environ["SCENARIO_STORE_URL"])
+left = store.backend.list(f"{store.LEASE_PREFIX}/")
+assert left == [], f"leases/ objects left behind: {left}"
+print(f"hosted drains OK on {store.url}: 2 completed by two thread drains, no leases/ object left")
+EOF
+
 # --- cross-backend diff: file:// entry vs object-store entry ------------- #
 python -m repro.scenarios diff \
     "$(python -c 'from repro.scenarios import get_preset; print(get_preset("smoke")[0].content_hash())')" \

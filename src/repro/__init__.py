@@ -51,7 +51,7 @@ from repro.core import (
 )
 from repro.olg import OLGModel, OLGCalibration, small_calibration, paper_calibration
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "SparseGrid",

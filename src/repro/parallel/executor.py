@@ -1,18 +1,13 @@
-"""Map-style execution backends: scenario-level dispatch and per-point solves.
+"""Map-style execution backends: hosts for suite drains and per-point solves.
 
-:func:`repro.scenarios.run_suite` (one task per scenario) and
+:func:`repro.scenarios.run_suite` (one lease drain per worker, which
+orders and claims the scenarios itself) and
 :func:`repro.core.time_iteration.solve_points` (one ``solve_point`` per row,
 which Fig. 7 times) only require an object with ``map(fn, items) -> list``;
 these adapters provide serial, thread-pool and process-pool implementations
 in addition to the work-stealing scheduler of :mod:`repro.parallel.scheduler`.
-The time-iteration driver itself takes no executor.
-
-Every backend returns results in input order.  Backends additionally
-declare ``dispatches_in_order``: whether workers *start* items in input
-order (serial/thread/process pools pull from one shared queue, so yes;
-the work-stealing scheduler seeds per-worker blocks, so no).  The
-scenario runner's longest-first schedule relies on this — putting the
-longest task first only helps if some worker actually starts it first.
+The time-iteration driver itself takes no executor.  Every backend returns
+results in input order.
 """
 
 from __future__ import annotations
@@ -27,15 +22,13 @@ __all__ = [
     "make_executor",
 ]
 
-#: Executor kinds accepted by :func:`make_executor` (also the choices the
-#: scenario runner and its CLI expose for scenario-level dispatch).
+#: Executor kinds accepted by :func:`make_executor` (also the hosts the
+#: scenario runner and its CLI offer for suite drains).
 EXECUTOR_KINDS = ("serial", "threads", "processes", "stealing")
 
 
 class SerialExecutor:
     """Single-threaded reference executor."""
-
-    dispatches_in_order = True
 
     def map(self, fn, items) -> list:
         return [fn(item) for item in items]
@@ -43,8 +36,6 @@ class SerialExecutor:
 
 class ThreadPoolMapExecutor:
     """Thread-pool executor (shares memory; NumPy-heavy tasks overlap well)."""
-
-    dispatches_in_order = True
 
     def __init__(self, num_workers: int = 4) -> None:
         if num_workers < 1:
@@ -68,8 +59,6 @@ class ProcessPoolMapExecutor:
     parameter sweeps over whole model solves.
     """
 
-    dispatches_in_order = True
-
     def __init__(self, num_workers: int = 2) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -80,9 +69,7 @@ class ProcessPoolMapExecutor:
         if not items:
             return []
         with ProcessPoolExecutor(max_workers=self.num_workers) as pool:
-            # chunksize=1 keeps submission order == start order, which the
-            # scenario runner's longest-first schedule depends on
-            return list(pool.map(fn, items, chunksize=1))
+            return list(pool.map(fn, items))
 
 
 def make_executor(kind: str = "serial", num_workers: int = 4):

@@ -33,12 +33,12 @@ def longest_first_order(costs) -> list:
     """Task indices ordered by expected cost, longest first (stable).
 
     The classic LPT (longest-processing-time) list-scheduling order:
-    dispatching — or, for the lease-based worker fleet, *claiming* —
-    expensive tasks first minimises the makespan tail when the task list
-    is wider than the worker pool (see :func:`simulate_schedule`'s greedy
-    model).  Ties keep input order, so schedules are deterministic.  Used
-    by the suite runner's longest-first dispatch and by the claim loop of
-    :func:`repro.scenarios.lease.run_worker`.
+    claiming expensive tasks first minimises the makespan tail when the
+    task list is wider than the worker pool (see
+    :func:`simulate_schedule`'s greedy model).  Ties keep input order, so
+    schedules are deterministic.  Used by the claim loop of the lease
+    drain (:func:`repro.scenarios.lease.schedule_longest_first`), which
+    both ``work`` and ``run`` run.
     """
     costs = [float(c) for c in costs]
     return sorted(range(len(costs)), key=lambda i: -costs[i])
@@ -76,10 +76,6 @@ class WorkStealingScheduler:
     The scheduler object is reusable: every :meth:`map` call spawns fresh
     worker threads and returns results in input order.
     """
-
-    #: workers start their own contiguous block, not global input order
-    #: (stealing then evens out whatever imbalance that seeding leaves)
-    dispatches_in_order = False
 
     def __init__(self, num_workers: int = 4, seed: int = 0) -> None:
         if num_workers < 1:

@@ -17,10 +17,9 @@ hand-wired single solves into managed scenario runs:
 * :mod:`repro.scenarios.batching` — the one solve-and-commit, over a
   group of scenarios (a group of one by default; ``--batch`` groups solve
   scenarios by grid topology so they iterate stacked);
-* :mod:`repro.scenarios.runner` — batch dispatch across the
-  :mod:`repro.parallel` executors, skipping scenarios whose spec hash is
-  already stored and dispatching expected-longest scenarios first (prior
-  wall times from the store; spec-size heuristics for unseen hashes);
+* :mod:`repro.scenarios.runner` — ``run_suite``, a host for the lease
+  drain: one in-process drain, or one per worker of a
+  :mod:`repro.parallel` executor;
 * :mod:`repro.scenarios.store` — sharded results store (one
   atomically-committed ``entry.json`` per scenario hash plus a commit
   log), safe for many concurrent writer processes/hosts without file
@@ -34,10 +33,13 @@ hand-wired single solves into managed scenario runs:
 * :mod:`repro.scenarios.diff` — compare two store entries (possibly from
   two different stores/backends): calibration and solver deltas with
   policy-surplus and aggregate differences;
-* :mod:`repro.scenarios.lease` — cooperative claim/lease protocol for
-  fault-tolerant multi-worker suite draining: N ``repro-scenarios work``
-  processes share one store, heartbeat their claims, steal expired
-  leases (epoch bump) and resume dead workers' checkpoints.
+* :mod:`repro.scenarios.lease` — the one suite drain, a cooperative
+  claim/lease protocol: it skips scenarios whose spec hash is already
+  stored and claims expected-longest scenarios first (prior wall times
+  from the commit log; spec-size heuristics for unseen hashes); N
+  ``repro-scenarios work`` processes share one store, heartbeat their
+  claims, steal expired leases (epoch bump) and resume dead workers'
+  checkpoints.
 
 Usage
 -----
@@ -121,12 +123,12 @@ from repro.scenarios.lease import (
     LeaseManager,
     WorkReport,
     run_worker,
+    schedule_longest_first,
 )
 from repro.scenarios.runner import (
     RunOutcome,
     SuiteReport,
     run_suite,
-    schedule_longest_first,
     solve_and_commit,
 )
 from repro.scenarios.serialize import (

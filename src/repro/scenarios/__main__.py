@@ -62,7 +62,7 @@ from repro.scenarios.report import (
     render,
     render_report,
 )
-from repro.scenarios.runner import SCHEDULE_KINDS, run_suite
+from repro.scenarios.runner import run_suite
 from repro.scenarios.spec import get_preset, preset_names
 from repro.scenarios.store import ResultsStore, _resolve_predicate_field, parse_predicate
 
@@ -98,16 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="serial",
         choices=EXECUTOR_KINDS,
-        help="scenario-level dispatch backend",
+        help="host of the drains: serial runs one in this process, the others "
+        "--workers of them (expected-longest scenarios are claimed first)",
     )
-    run.add_argument("--workers", type=int, default=2, help="scenario-level worker count")
-    run.add_argument(
-        "--schedule",
-        default="longest-first",
-        choices=SCHEDULE_KINDS,
-        help="dispatch order: longest-first uses prior wall times from the store "
-        "(spec-size heuristics for unseen hashes); fifo keeps suite order",
-    )
+    run.add_argument("--workers", type=int, default=2, help="drain count of a non-serial host")
     run.add_argument(
         "--keep-last-n",
         type=int,
@@ -125,9 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dry-run",
         action="store_true",
         help="print the expanded suite (names, kinds, hashes) without solving",
-    )
-    run.add_argument(
-        "--force", action="store_true", help="re-run scenarios already in the store"
     )
     run.add_argument(
         "--interrupt-after",
@@ -346,9 +337,7 @@ def _cmd_run(args) -> int:
             store,
             executor=args.executor,
             num_workers=args.workers,
-            force=args.force,
             interrupt_after=args.interrupt_after,
-            schedule=args.schedule,
             keep_last_n=args.keep_last_n,
             keep_on_failure=args.keep_on_failure,
             batch_topology=args.batch,

@@ -1,8 +1,9 @@
 """The one solve-and-commit, over a group of scenarios.
 
 :func:`solve_batch_and_commit` is the single path from specs to committed
-entries, shared by the batch runner (:func:`repro.scenarios.runner.run_suite`)
-and the lease workers (:func:`repro.scenarios.lease.run_worker`): solve
+entries, taken by the lease drain that both ``work``
+(:func:`repro.scenarios.lease.run_worker`) and ``run``
+(:func:`repro.scenarios.runner.run_suite`) run: solve
 scenarios become members of ONE
 :class:`repro.core.batched.BatchedTimeIterationSolver` loop, experiment
 scenarios run their adapter and commit in place.  Callers decide group

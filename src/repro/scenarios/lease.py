@@ -1,11 +1,17 @@
-"""Cooperative claim/lease protocol for fault-tolerant suite draining.
+"""Cooperative claim/lease protocol: the one way a suite is drained.
 
 Any number of ``repro-scenarios work --store URL`` processes — on one host
 or many — drain one scenario suite against one shared store, coordinating
 *only* through the :class:`~repro.scenarios.backends.StorageBackend`
 object API they already use for results.  No lock server, no queue
 broker: the protocol needs exactly the contract's whole-object atomic
-``put``/``get``/``delete``.
+``put``/``get``/``delete``.  ``repro-scenarios run`` is the same drain:
+:func:`~repro.scenarios.runner.run_suite` hosts one per executor worker.
+
+A drain scans the suite once per pass — one ``leases/`` listing and one
+commit-log read — skips what is complete or parked, and works the rest
+longest-first (:func:`schedule_longest_first`), grouped by grid topology
+when asked.
 
 Protocol
 --------
@@ -52,7 +58,8 @@ Failure handling:
   via ``leases/<hash16>/attempts.json``, last-writer-wins — an undercount
   merely buys an extra attempt) the scenario is *parked*
   (``leases/<hash16>/parked.json``) so a permanently broken spec cannot
-  spin the fleet forever.
+  spin the fleet forever; :func:`unpark` (``--retry-parked``, and every
+  ``run``) clears what the ``leases/`` listing shows.
 
 Every protocol step emits a structured :class:`~repro.parallel.tracing.Event`
 (``claimed``/``stolen``/``heartbeat-missed``/...), mirrored to ``events/<worker_id>.jsonl``
@@ -65,19 +72,22 @@ import json
 import os
 import platform
 import random
+import statistics
 import threading
 import time
 import uuid
+from collections import defaultdict
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from repro.parallel.scheduler import longest_first_order
 from repro.parallel.tracing import EventRecorder
 from repro.scenarios.backends.retry import env_knob
 from repro.scenarios.batching import partition_by_topology, solve_batch_and_commit
 from repro.scenarios.checkpoint import SolveAbandoned
-from repro.scenarios.runner import schedule_longest_first
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.store import ResultsStore, StoreEventSink
+from repro.scenarios.store import ResultsStore, StoreEventSink, record_wall_times
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -91,6 +101,7 @@ __all__ = [
     "WorkReport",
     "run_worker",
     "default_worker_id",
+    "schedule_longest_first",
 ]
 
 logger = get_logger("scenarios.lease")
@@ -127,9 +138,51 @@ class LeaseLost(SolveAbandoned):
 
 
 def default_worker_id() -> str:
-    """``<host>-<pid>-<rand>`` — unique per process, readable in listings."""
+    """``<host>-<pid>-<rand>`` — unique per call, readable in listings."""
     host = platform.node().split(".")[0].replace("/", "-") or "worker"
     return f"{host}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+
+
+def schedule_longest_first(
+    specs: Sequence[ScenarioSpec], wall_times: Mapping[str, float]
+) -> list[ScenarioSpec]:
+    """Order specs by expected wall time, longest first: the order a drain claims in.
+
+    The same proportional-load idea as the paper's state-space
+    partitioning: claiming the longest tasks first minimises the makespan
+    tail when the suite is wider than the fleet.
+
+    ``wall_times`` maps spec content hash -> recorded seconds (what
+    :func:`~repro.scenarios.store.record_wall_times` reads off the commit
+    records).  Hashes the store has never timed fall back to
+    :meth:`ScenarioSpec.estimated_cost`; when at least one recorded time
+    exists, heuristic costs are rescaled into pseudo-seconds with the
+    median seconds-per-cost-unit of the recorded specs, so the two
+    populations sort on one comparable axis.  The sort is stable: ties
+    keep suite order.
+    """
+    costs = [spec.estimated_cost() for spec in specs]
+    recorded = [
+        (wall_times[spec.content_hash()], cost)
+        for spec, cost in zip(specs, costs)
+        if spec.content_hash() in wall_times
+    ]
+    scale = (
+        statistics.median(wall / cost for wall, cost in recorded if cost > 0)
+        if any(cost > 0 for _, cost in recorded)
+        else None
+    )
+
+    def expected_seconds(spec: ScenarioSpec, cost: float) -> float:
+        wall = wall_times.get(spec.content_hash())
+        if wall is not None:
+            return float(wall)
+        return float(cost * scale) if scale is not None else float(cost)
+
+    order = longest_first_order(
+        expected_seconds(spec, cost) for spec, cost in zip(specs, costs)
+    )
+    return [specs[i] for i in order]
 
 
 @dataclass(frozen=True)
@@ -233,11 +286,17 @@ class LeaseManager:
     def try_claim(self, spec_or_hash: ScenarioSpec | str) -> Lease | None:
         """Claim a scenario; returns the held lease, or ``None``.
 
-        ``None`` means either the scenario is validly held by a live peer
-        or this worker lost the last-writer-wins race on the put (the
-        read-back showed a foreign (worker, epoch)).  A steal of an
-        expired lease bumps the epoch, which is what invalidates the
-        previous holder's renewals.
+        ``None`` means the scenario is validly held by a live peer, this
+        worker lost the last-writer-wins race on the put (the read-back
+        showed a foreign (worker, epoch)), or it is already complete.  A
+        steal of an expired lease bumps the epoch, which is what
+        invalidates the previous holder's renewals.
+
+        Completion is read under the new lease, before the claim is
+        announced: a holder commits before it releases, so a peer that
+        finished the scenario after the caller last looked is seen here,
+        and the lease is given back unannounced instead of the scenario
+        being solved twice.
         """
         scenario = self.store.scenario_key(spec_or_hash)
         current = self.read(scenario)
@@ -256,6 +315,9 @@ class LeaseManager:
         self._put(lease)
         if not lease.same_holder(self.read(scenario)):
             return None  # a racing claimant overwrote us; they own it
+        if self.store.has(scenario):
+            self.store.backend.delete(self.store.lease_key(scenario))
+            return None
         if current is None:
             self._emit("claimed", scenario, epoch=epoch)
         else:
@@ -297,11 +359,6 @@ class LeaseManager:
         self.store.backend.delete(self.store.lease_key(lease.scenario))
         self._emit("released", lease.scenario, epoch=lease.epoch)
         return True
-
-    def leased(self) -> set[str]:
-        """The hash16 of every scenario with a lease object: one listing, no reads."""
-        keys = self.store.backend.list(f"{self.store.LEASE_PREFIX}/")
-        return {key.split("/")[1] for key in keys if key.endswith("/lease.json")}
 
     def heal_completed(self, spec_or_hash: ScenarioSpec | str) -> bool:
         """Remove a leftover lease from a *completed* scenario.
@@ -351,9 +408,6 @@ class LeaseManager:
         self.store.backend.put(key, (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
         return count
 
-    def is_parked(self, spec_or_hash: ScenarioSpec | str) -> bool:
-        return self.store.backend.exists(self.store.parked_key(spec_or_hash))
-
     def park(self, spec_or_hash: ScenarioSpec | str, attempts: int, error: str) -> None:
         """Mark a scenario permanently failing; workers stop claiming it."""
         scenario = self.store.scenario_key(spec_or_hash)
@@ -368,7 +422,7 @@ class LeaseManager:
         self._emit("parked", scenario, attempts=attempts, error=str(error))
 
     def clear_attempts(self, spec_or_hash: ScenarioSpec | str) -> None:
-        """Drop the failure count and any parking (--retry-parked, or success after a failure).
+        """Drop the failure count and any parking (on success after a failure).
 
         Both are written only after a non-completed entry was committed,
         so a worker that read *no* entry before it claimed skips this on
@@ -382,6 +436,28 @@ class LeaseManager:
             self.store.parked_key(spec_or_hash),
         ):
             self.store.backend.delete(key)
+
+
+def _listing(store: ResultsStore) -> defaultdict[str, set[str]]:
+    """Object name (``lease.json``, ``attempts.json``, ``parked.json``) -> the
+    hash16s that have one under ``leases/<hash16>/``: one listing, no reads."""
+    held: defaultdict[str, set[str]] = defaultdict(set)
+    for key in store.backend.list(f"{store.LEASE_PREFIX}/"):
+        _prefix, scenario, name = key.split("/", 2)
+        held[name].add(scenario)
+    return held
+
+
+def unpark(store: ResultsStore, scenarios: Iterable[str]) -> None:
+    """``--retry-parked``: drop the failure counts and parking of ``scenarios`` (hash16s).
+
+    One ``leases/`` listing, then a delete per record it shows — none at
+    all on a store where nothing failed.
+    """
+    held, wanted = _listing(store), set(scenarios)
+    for name, key_of in (("attempts.json", store.attempts_key), ("parked.json", store.parked_key)):
+        for scenario in held[name] & wanted:
+            store.backend.delete(key_of(scenario))
 
 
 @dataclass(eq=False)
@@ -537,8 +613,8 @@ def run_worker(
     """Drain one suite cooperatively: claim -> solve -> commit -> release.
 
     The worker loops over the suite's unfinished scenarios longest-first
-    (:func:`~repro.scenarios.runner.schedule_longest_first`, so expensive
-    solves spread across the fleet early) in *groups*, claiming each
+    (:func:`schedule_longest_first`, so expensive solves spread across the
+    fleet early) in *groups*, claiming each
     member through :class:`LeaseManager` — one lease per scenario, all of
     them renewed by the one :class:`LeaseHeartbeat` thread this call starts
     and stops.  The claimed members of a group run through the one
@@ -561,6 +637,33 @@ def run_worker(
     fault-injection tests (``clock`` times the leases *and* every member's
     checkpoint cadence); real fleets keep the defaults.
     """
+    return _drain(**locals()).report  # every argument above, passed on unchanged
+
+
+def _drain(
+    suite: Iterable[ScenarioSpec],
+    store: ResultsStore | str,
+    *,
+    interrupt_after: int | None = None,
+    worker_id: str | None = None,
+    ttl: float | None = None,
+    heartbeat_interval: float | None = None,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    poll: float = 0.5,
+    max_claims: int | None = None,
+    retry_parked: bool = False,
+    backoff_base: float = 0.5,
+    batch_topology: bool = False,
+    events: EventRecorder | None = None,
+    clock: Callable[[], float] = time.time,
+    sleep: Callable[[float], None] = time.sleep,
+    rng: Callable[[], float] = random.random,
+    progress: Callable[[str], object] | None = None,
+    claim_lock: AbstractContextManager[object] = nullcontext(),
+) -> "_Drain":
+    """:func:`run_worker`, returning the finished :class:`_Drain`; the drains
+    :func:`~repro.scenarios.runner.run_suite` hosts also pass ``run
+    --interrupt-after`` and, when they share a process, one ``claim_lock``."""
     if not isinstance(store, ResultsStore):
         store = ResultsStore.open(store)
     worker_id = worker_id or default_worker_id()
@@ -576,8 +679,7 @@ def run_worker(
     for spec in suite:
         specs.setdefault(store.scenario_key(spec), spec)
     if retry_parked:
-        for scenario in specs:
-            manager.clear_attempts(scenario)
+        unpark(store, specs)
     heartbeat = LeaseHeartbeat(manager, interval=heartbeat_interval)
 
     def pause(seconds: float) -> None:
@@ -596,10 +698,13 @@ def run_worker(
         backoff_base=backoff_base,
         sleep=pause,
         rng=rng,
+        interrupt_after=interrupt_after,
+        claim_lock=claim_lock,
     )
     heartbeat.start()
     try:
-        return drain.run(specs, poll=poll, batch_topology=batch_topology)
+        drain.run(specs, poll=poll, batch_topology=batch_topology)
+        return drain
     finally:
         # also on InjectedCrash / KeyboardInterrupt: die like kill -9 would — stop
         # renewing, leave every lease and checkpoint for a peer to steal — then
@@ -610,7 +715,9 @@ def run_worker(
 
 @dataclass
 class _Drain:
-    """One :func:`run_worker` call: what its scan loop and its claim routine share."""
+    """One drain — a :func:`run_worker` call or one of the drains
+    :func:`~repro.scenarios.runner.run_suite` hosts: what its scan loop and
+    its claim routine share."""
 
     store: ResultsStore
     manager: LeaseManager
@@ -623,47 +730,58 @@ class _Drain:
     backoff_base: float
     sleep: Callable[[float], None]
     rng: Callable[[], float]
+    interrupt_after: int | None
+    claim_lock: AbstractContextManager[object]
     done: set[str] = field(default_factory=set)
-    leased: set[str] = field(default_factory=set)  # this pass's listing of lease objects
+    listed: defaultdict[str, set[str]] = field(default_factory=lambda: defaultdict(set))
+    #: hash16 -> (completed | skipped | interrupted | failed, its entry or commit
+    #: record): how each scenario ended for this drain, which run_suite reports
+    outcomes: dict[str, tuple[str, dict[str, Any]]] = field(default_factory=dict)
 
     def _claims_spent(self) -> bool:
         return self.max_claims is not None and self.report.claims >= self.max_claims
 
-    def _already_done(self, scenario: str) -> None:
+    def _already_done(self, scenario: str, entry: dict[str, Any]) -> None:
         """A peer completed it: heal the commit-then-crash window, count it once.
 
         An expired lease left on a completed scenario is deleted by whoever
         notices (:meth:`LeaseManager.heal_completed`, if this pass listed one).
         """
-        if scenario in self.leased and self.manager.heal_completed(scenario):
+        if scenario in self.listed["lease.json"] and self.manager.heal_completed(scenario):
             self.report.healed += 1
-        if scenario not in self.report.completed:
-            self.report.already_done.append(scenario)
+        self.report.already_done.append(scenario)
+        self.outcomes[scenario] = ("skipped", entry)
         self.done.add(scenario)
 
-    def run(
-        self, specs: dict[str, ScenarioSpec], *, poll: float, batch_topology: bool
-    ) -> WorkReport:
-        """Scan for unfinished scenarios, form groups, work them; until drained."""
-        store, manager, report = self.store, self.manager, self.report
+    def run(self, specs: dict[str, ScenarioSpec], *, poll: float, batch_topology: bool) -> None:
+        """Scan for unfinished scenarios, form groups, work them; until drained.
+
+        A pass with work left lists ``leases/`` (parking) and reads the
+        commit log (completion, wall times) once each; a commit missing
+        from the log is caught by :meth:`work_group`'s entry read.
+        """
+        store, report = self.store, self.report
         while True:
-            self.leased = manager.leased()
+            todo = {key: spec for key, spec in specs.items() if key not in self.done}
+            if not todo:
+                return
+            self.listed = _listing(store)
+            records = store.index_records()
             pending: list[ScenarioSpec] = []
-            for scenario, spec in specs.items():
-                if scenario in self.done:
-                    continue
-                if store.entry_is_complete(store.entry(scenario)):
-                    self._already_done(scenario)
-                elif manager.is_parked(scenario):
-                    if scenario not in report.parked:
-                        report.parked.append(scenario)
+            for scenario, spec in todo.items():
+                record = records.get(spec.content_hash())
+                if record and store.entry_is_complete(record):
+                    self._already_done(scenario, record)
+                elif scenario in self.listed["parked.json"]:
+                    report.parked.append(scenario)
+                    self.outcomes[scenario] = ("failed", record or {})
                     self.done.add(scenario)
                 else:
                     pending.append(spec)
             if not pending:
-                return report
+                return
 
-            pending = schedule_longest_first(pending, store.wall_times())
+            pending = schedule_longest_first(pending, record_wall_times(records))
             groups: list[list[ScenarioSpec]] = []
             if batch_topology and len(pending) > 1:
                 groups, pending = partition_by_topology(pending)
@@ -671,7 +789,7 @@ class _Drain:
             for group in groups + [[spec] for spec in pending]:
                 if self._claims_spent():
                     self.say(f"worker {report.worker_id}: claim budget ({self.max_claims}) spent")
-                    return report
+                    return
                 progressed = self.work_group(group) or progressed
             if not progressed:
                 # everything unfinished is held by live peers (or their leases
@@ -688,6 +806,8 @@ class _Drain:
         :func:`~repro.scenarios.batching.solve_batch_and_commit` the moment
         each member finishes, so the commit-then-release ordering holds per
         member (the entry lands before this routine releases its lease).
+        A member the ``interrupt_after`` hook killed is released and ends
+        for this drain with no attempt recorded: its next run resumes it.
         """
         store, manager, report, say = self.store, self.manager, self.report, self.say
         worker_id = report.worker_id
@@ -698,17 +818,19 @@ class _Drain:
         for spec in group:
             scenario = store.scenario_key(spec)
             before = store.entry(scenario)
-            if store.entry_is_complete(before):
-                # a peer committed it since this pass's scan: don't waste a
-                # claim (and a re-solve) on a finished scenario
-                self._already_done(scenario)
+            if before and store.entry_is_complete(before):
+                # a peer committed it since this pass's scan (or its commit
+                # record is missing from the log): don't waste a claim (and
+                # a re-solve) on a finished scenario
+                self._already_done(scenario, before)
                 progressed = True  # rescan immediately
                 continue
             if self._claims_spent():
                 break
-            lease = manager.try_claim(spec)
+            with self.claim_lock:
+                lease = manager.try_claim(spec)
             if lease is None:
-                continue  # validly held by a peer, or we lost the put race
+                continue  # validly held by a peer, lost the put race, or finished meanwhile
             report.claims += 1
             progressed = True
             stolen = lease.epoch > 1
@@ -726,6 +848,7 @@ class _Drain:
             entries = solve_batch_and_commit(
                 [spec for _scenario, spec, _tried in claimed],
                 store,
+                interrupt_after=self.interrupt_after,
                 aborts=[handle.abort_requested for handle in held],
                 events=self.events,
                 worker_id=worker_id,
@@ -753,10 +876,17 @@ class _Drain:
                     manager.clear_attempts(scenario)
                 manager.release(handle.lease)
                 report.completed.append(scenario)
+                self.outcomes[scenario] = ("completed", entry)
                 self.done.add(scenario)
                 say(f"done  {spec.name} [{scenario}] ({entry.get('wall_time', 0.0):.2f}s)")
+            elif entry["status"] == "interrupted":
+                manager.release(handle.lease)
+                self.outcomes[scenario] = ("interrupted", entry)
+                self.done.add(scenario)
+                say(f"interrupted {spec.name} [{scenario}]")
             else:
                 count = manager.record_failure(scenario, entry.get("error", entry["status"]))
+                self.outcomes[scenario] = ("failed", entry)
                 if count >= self.max_attempts:
                     manager.park(scenario, attempts=count, error=entry.get("error", ""))
                     report.parked.append(scenario)

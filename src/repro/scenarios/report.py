@@ -410,9 +410,10 @@ def _convergence_series(store: ResultsStore, entries: list, events: list) -> dic
 def fleet_data(store: ResultsStore) -> dict:
     """What ``status`` shows, read without opening any ``entry.json``.
 
-    The status counts of the commit records, the live leases, the parked
-    records and one :class:`EventTailer` poll folded through a
-    :class:`ProgressBoard` (``events`` keeps the polled feed itself,
+    The status counts of the commit records (``records`` keeps the
+    records themselves), the live leases and the parked records of one
+    ``leases/`` listing, and one :class:`EventTailer` poll folded through
+    a :class:`ProgressBoard` (``events`` keeps the polled feed itself,
     ``event_logs`` the tailer's per-worker segments and bytes).
     """
     tailer = EventTailer(store)
@@ -420,12 +421,14 @@ def fleet_data(store: ResultsStore) -> dict:
     board = ProgressBoard()
     for event in events:
         board.update(event)
-    records = store.index_records().values()
+    records = store.index_records()
+    held = store._lease_records("lease.json", "parked.json")
     return {
         "url": store.url,
-        "status_counts": dict(Counter(r.get("status", "unknown") for r in records)),
-        "leases": store.leases(),
-        "parked": store.parked(),
+        "records": records,
+        "status_counts": dict(Counter(r.get("status", "unknown") for r in records.values())),
+        "leases": held["lease.json"],
+        "parked": held["parked.json"],
         "events": events,
         "event_counts": dict(Counter(str(e.get("kind", "?")) for e in events)),
         "events_total": len(events),
@@ -436,9 +439,12 @@ def fleet_data(store: ResultsStore) -> dict:
 
 def gather_run_data(store: ResultsStore) -> dict:
     """:func:`fleet_data` plus the entries, the holds timeline and the
-    convergence series: what ``report`` shows."""
+    convergence series: what ``report`` shows.  The entries are those of
+    the commit records :func:`fleet_data` read — one ``entry.json`` get
+    each, ordered like :meth:`ResultsStore.entries`, and no second log read."""
     data = fleet_data(store)
-    entries = store.entries()
+    entries = [entry for h in data["records"] if (entry := store.entry(h)) is not None]
+    entries.sort(key=lambda e: e.get("created_at_unix", 0.0))
     spans = _worker_spans(data["events"])
     trace, workers = _trace_from_spans(spans)
     counts = data["event_counts"]

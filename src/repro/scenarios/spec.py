@@ -215,7 +215,7 @@ class ScenarioSpec:
     def estimated_cost(self) -> float:
         """Relative cost estimate for suite scheduling (arbitrary units).
 
-        Used by the runner's longest-first dispatch as the fallback for
+        Used by the drain's longest-first claim order as the fallback for
         hashes the store has no recorded wall time for.  For solves the
         proxy is (sparse-grid points) x (iteration cap) x (discrete
         states): points per state grow like ``2^level * level^(d-1)`` with

@@ -226,6 +226,16 @@ def _winning_records(records: Iterable[dict[str, Any]]) -> dict[str, dict[str, A
     return winners
 
 
+def record_wall_times(records: Mapping[str, Mapping[str, Any]]) -> dict[str, float]:
+    """hash -> the positive wall time of each :meth:`ResultsStore.index_records` record."""
+    times: dict[str, float] = {}
+    for h, rec in records.items():
+        wall = rec.get("wall_time")
+        if isinstance(wall, (int, float)) and not isinstance(wall, bool) and wall > 0:
+            times[h] = float(wall)
+    return times
+
+
 def index_record(entry: Mapping[str, Any]) -> dict[str, Any]:
     """The commit-log record of one entry — what the store indexes.
 
@@ -372,30 +382,31 @@ class ResultsStore:
     # lease/coordination state (read side; the protocol itself lives in
     # repro.scenarios.lease)
     # ------------------------------------------------------------------ #
-    def _lease_records(self, suffix: str) -> list[dict[str, Any]]:
-        """Parsed ``leases/<hash16>/<suffix>`` records, each plus a
-        ``scenario`` field carrying the hash16 the key encodes.
-        Unreadable/torn records are skipped — a record vanishing mid-scan
-        is normal operation, not corruption."""
-        out: list[dict[str, Any]] = []
+    def _lease_records(self, *names: str) -> dict[str, list[dict[str, Any]]]:
+        """name -> the parsed ``leases/<hash16>/<name>`` records, from one
+        listing; each record gains a ``scenario`` field carrying the hash16
+        its key encodes.  Unreadable/torn records are skipped — a record
+        vanishing mid-scan is normal operation, not corruption."""
+        out: dict[str, list[dict[str, Any]]] = {name: [] for name in names}
         for key in self.backend.list(f"{self.LEASE_PREFIX}/"):
-            if not key.endswith(f"/{suffix}"):
+            name = key.rsplit("/", 1)[-1]
+            if name not in out:
                 continue
             try:
                 record = json.loads(self.backend.get(key))
             except (OSError, json.JSONDecodeError):
                 continue
             record["scenario"] = key.split("/")[1]
-            out.append(record)
-        return sorted(out, key=lambda r: r["scenario"])
+            out[name].append(record)
+        return {name: sorted(recs, key=lambda r: r["scenario"]) for name, recs in out.items()}
 
     def leases(self) -> list[dict[str, Any]]:
         """All live lease records (``leases/<hash16>/lease.json``), parsed."""
-        return self._lease_records("lease.json")
+        return self._lease_records("lease.json")["lease.json"]
 
     def parked(self) -> list[dict[str, Any]]:
         """All parked-scenario records (retry budget exhausted), parsed."""
-        return self._lease_records("parked.json")
+        return self._lease_records("parked.json")["parked.json"]
 
     # ------------------------------------------------------------------ #
     # structured events (read side; emitted through StoreEventSink)
@@ -405,9 +416,9 @@ class ResultsStore:
         """Key of one segment of a worker's event log (:meth:`parse_event_key` inverts).
 
         Segment 0 is ``events/<worker>.jsonl``; segment ``n`` appends
-        ``.<n>`` *after* the extension, because worker ids contain dots
-        themselves (``runner-<host>-<pid>``) and a number inside the id's
-        own dotted suffix could not be told from the id.
+        ``.<n>`` *after* the extension, because worker ids may contain dots
+        themselves (``--worker-id`` is free text) and a number inside the
+        id's own dotted suffix could not be told from the id.
         """
         return f"{cls.EVENTS_PREFIX}/{worker}.jsonl" + (f".{segment:06d}" if segment else "")
 
@@ -453,8 +464,8 @@ class ResultsStore:
         if entry.get("status") != "completed":
             existing = self.entry(entry["spec_hash"])
             if existing is not None and self.entry_is_complete(existing):
-                # never downgrade: a failed/interrupted re-run (forced, or a
-                # racing second host hitting a transient error) must not
+                # never downgrade: a failed/interrupted re-run (a racing
+                # second host hitting a transient error) must not
                 # hide a completed entry whose result is still readable
                 return existing
         entry.setdefault("directory", self.scenario_key(entry["spec_hash"]))
@@ -613,20 +624,16 @@ class ResultsStore:
     def wall_times(self) -> dict[str, float]:
         """hash -> most recent recorded wall time, from the commit log.
 
-        Fed to the runner's longest-first scheduler.  A *completed*
-        record always beats interrupted/failed ones — a forced re-run
-        killed after one iteration must not overwrite a full solve's
-        recorded 300s with its 2s partial and invert the schedule.
-        Partial times still stand in when no completed run exists (they
-        are a lower bound on the scenario's true cost).  No ``entry.json``
-        object is opened for this.
+        What the drain's longest-first order reads (from the records of its
+        scan pass, through :func:`record_wall_times`).  A *completed*
+        record always beats interrupted/failed ones — a re-run killed
+        after one iteration must not overwrite a full solve's recorded
+        300s with its 2s partial and invert the order.  Partial times
+        still stand in when no completed run exists (they are a lower
+        bound on the scenario's true cost).  No ``entry.json`` object is
+        opened for this.
         """
-        times: dict[str, float] = {}
-        for h, rec in self.index_records().items():
-            wall = rec.get("wall_time")
-            if isinstance(wall, (int, float)) and not isinstance(wall, bool) and wall > 0:
-                times[h] = float(wall)
-        return times
+        return record_wall_times(self.index_records())
 
     # ------------------------------------------------------------------ #
     # queries over the commit log
@@ -881,8 +888,7 @@ class ResultsStore:
           repeated kill/resume churn;
         * ``hashes`` restricts the sweep to those spec hashes.  The batch
           runner passes its own suite's hashes so one batch's epilogue GC
-          can never touch a concurrent batch's in-flight checkpoints
-          (e.g. a forced re-run of a completed hash on another host).
+          can never touch a concurrent batch's in-flight checkpoints.
         """
         if keep_last_n is not None and keep_last_n < 0:
             raise ValueError("keep_last_n must be >= 0")

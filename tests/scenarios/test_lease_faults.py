@@ -1139,14 +1139,18 @@ def _recorded_ops(backend):
 
 
 class TestUnitOps:
-    """What a drained unit costs the backend, op by op — and nothing else."""
+    """What a drained unit costs the backend, op by op — and nothing else.
 
-    SCAN = [("get", "entry.json"), ("exists", "parked.json")]
+    A scan pass reads the ``leases/`` listing and the commit log once each,
+    so a pending unit costs the scan nothing of its own and a completed one
+    the ``exists`` of its result."""
+
     WORK = [
         ("get", "entry.json"),  # a peer may have committed it since the scan
         ("get", "lease.json"),
         ("put", "lease.json"),
         ("get", "lease.json"),  # the claim's read-back
+        ("get", "entry.json"),  # ...and, under the lease, whether a peer finished it meanwhile
         ("put", "events"),  # `claimed`, carrying out the previous unit's closing events
         ("put", "spec.json"),
         ("put", "payload.json"),
@@ -1179,13 +1183,13 @@ class TestUnitOps:
             report = run_worker(specs, store, worker_id="w1")
         assert len(report.completed) == 3
         seen = self._per_unit(ops, store, specs)
-        # the scan pass visits every unit, then each is worked in turn
-        assert [what for _unit, what in seen[:6]] == self.SCAN * 3
-        assert [what for _unit, what in seen[6:]] == self.WORK * 3 + [("put", "events")]
-        # ... one unit per block of 11, each unit once
-        blocks = [{unit for unit, _what in seen[i : i + 11]} - {None} for i in (6, 17, 28)]
+        # the scan pass touches no unit's keys; then each is worked in turn
+        assert [what for _unit, what in seen] == self.WORK * 3 + [("put", "events")]
+        # ... one unit per block of 12, each unit once
+        blocks = [{unit for unit, _what in seen[i : i + 12]} - {None} for i in (0, 12, 24)]
         assert sorted(blocks, key=min) == [{0}, {1}, {2}]
-        assert ops.count(("list", "leases/")) == 2  # one listing per scan pass
+        # one scan pass: the drained suite ends the loop before a second listing
+        assert ops.count(("list", "leases/")) == 1
         # 3 event puts for 3 units + the exit flush of the last one's committed/released
         kinds = [e["kind"] for e in store.events()]
         assert kinds == ["claimed", "committed", "released"] * 3
@@ -1194,12 +1198,21 @@ class TestUnitOps:
             again = run_worker(specs, store, worker_id="w2")
         assert again.claims == 0 and len(again.already_done) == 3
         seen = self._per_unit(ops, store, specs)
-        assert [what for _unit, what in seen] == [
-            ("get", "entry.json"),
-            ("exists", "payload.json"),
-        ] * 3
+        assert [what for _unit, what in seen] == [("exists", "payload.json")] * 3
         assert ops.count(("list", "leases/")) == 1
         assert not any(op in ("put", "delete") for op, _key in ops)
+
+    def test_retry_parked_on_a_clean_store_deletes_nothing(self, store_url_for):
+        store = ResultsStore.open(store_url_for("mem"))
+        specs = _micro_specs(3)
+        with _recorded_ops(store.backend) as ops:
+            report = run_worker(specs, store, worker_id="w1", retry_parked=True)
+        assert len(report.completed) == 3
+        # the unit's own lease is all a first-try success deletes
+        assert [key for op, key in ops if op == "delete"] == [store.lease_key(s) for s in specs]
+        with _recorded_ops(store.backend) as ops:
+            run_worker(specs, store, worker_id="w2", retry_parked=True)
+        assert not [key for op, key in ops if op == "delete"]
 
     def test_success_after_a_recorded_failure_clears_the_budget(self, store_url_for, monkeypatch):
         from repro.experiments import table1

@@ -320,11 +320,9 @@ OPTIONS = {
         "--store",
         "--executor",
         "--workers",
-        "--schedule",
         "--keep-last-n",
         "--no-keep-on-failure",
         "--dry-run",
-        "--force",
         "--interrupt-after",
         "--batch",
     },
@@ -379,9 +377,9 @@ def _recorded_ops():
         yield ops
 
 
-#: backend operations ``status`` made on the 50-entry store below before
-#: its read side was one pipeline (the same listings and gets, in another order)
-PARENT_STATUS_OPS = 59
+#: backend operations ``status`` makes on the 50-entry store below: one
+#: ``leases/`` listing for the leases and the parked records together
+PARENT_STATUS_OPS = 58
 
 
 def test_status_reads_no_entry_and_report_reads_each_once(store_url_for, capsys):
@@ -396,7 +394,12 @@ def test_status_reads_no_entry_and_report_reads_each_once(store_url_for, capsys)
         _run(capsys, "status", "--store", store.url)
     assert not [key for op, key in ops if key.endswith("/entry.json")]
     assert len(ops) <= PARENT_STATUS_OPS
+    assert ops.count(("list", "leases/")) == 1
+    # one commit-log read lists commits/ twice: the auto-compaction bound, then the merge
+    log_listings = ops.count(("list", "commits/"))
     with _recorded_ops() as ops:
         _run(capsys, "report", "--store", store.url)
     entry_gets = Counter(key for op, key in ops if op == "get" and key.endswith("/entry.json"))
     assert entry_gets == {store.entry_key(spec): 1 for spec in specs}
+    assert ops.count(("list", "commits/")) == log_listings  # the log is read once
+    assert ops.count(("list", "leases/")) == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -76,13 +78,43 @@ class TestResultsStore:
 
 
 class TestRunner:
-    def test_skip_by_hash_then_force(self, env_store_url, tiny_suite):
+    def test_skip_by_hash(self, env_store_url, tiny_suite):
         store = ResultsStore.open(env_store_url())
         assert run_suite(tiny_suite, store).count("completed") == 2
         second = run_suite(tiny_suite, store)
         assert second.count("skipped") == 2 and second.count("completed") == 0
-        forced = run_suite(tiny_suite, store, force=True)
-        assert forced.count("completed") == 2
+
+    def test_a_skip_only_run_writes_nothing(self, env_store_url, tiny_suite):
+        store = ResultsStore.open(env_store_url())
+        run_suite(tiny_suite, store)
+        writes: list = []
+        for name in ("put", "delete"):
+            real = getattr(store.backend, name)
+
+            def recording(key, *args, _name=name, _real=real, **kwargs):
+                writes.append((_name, key))
+                return _real(key, *args, **kwargs)
+
+            setattr(store.backend, name, recording)
+        assert run_suite(tiny_suite, store).count("skipped") == 2
+        assert writes == []
+
+    def test_threads_host_claims_each_scenario_once(self, env_store_url):
+        params = [{"dim": 2, "levels": [2], "num_states": n} for n in range(1, 5)]
+        specs = [ScenarioSpec(f"micro-{i}", kind="table1", params=p) for i, p in enumerate(params)]
+        store = ResultsStore.open(env_store_url())
+        report = run_suite(ScenarioSuite("micro", specs), store, executor="threads", num_workers=2)
+        assert report.count("completed") == 4
+        claimed = Counter(e["scenario"] for e in store.events() if e["kind"] == "claimed")
+        assert claimed == {store.scenario_key(spec): 1 for spec in specs}
+        assert store.leases() == []
+
+    def test_an_interrupted_scenario_records_no_attempt(self, env_store_url):
+        suite = ScenarioSuite("one", [_tiny_solve_spec("cut")])
+        store = ResultsStore.open(env_store_url())
+        assert run_suite(suite, store, interrupt_after=1).count("interrupted") == 1
+        # no lease, no attempts.json, no parked.json: the next run just resumes it
+        assert store.backend.list(f"{store.LEASE_PREFIX}/") == []
 
     def test_entries_of_another_state_convention_are_other_scenarios(
         self, env_store_url, monkeypatch
@@ -132,7 +164,7 @@ class TestRunner:
         assert np.array_equal(a.error_history(), b.error_history())
 
     def test_worker_commit_survives_parent_death(self, env_store_url):
-        # a worker that finishes commits its own entry into the sharded
+        # a drain that finishes commits its own entry into the sharded
         # store: the work is durable even if the parent dies right after,
         # and the restarted batch skips it by hash instead of re-solving
         import repro.scenarios.runner as runner_mod
@@ -140,13 +172,10 @@ class TestRunner:
         suite = ScenarioSuite("one", [_tiny_solve_spec("orphan")])
         store = ResultsStore.open(env_store_url())
         spec = suite[0]
-        task = {
-            "specs": [spec.to_dict()],
-            "store_url": store.url,
-            "interrupt_after": None,
-        }
-        [entry] = runner_mod._execute_task(task)
-        assert entry["status"] == "completed"
+        # what a process host's worker runs: plain data in, plain data out
+        summary = runner_mod._hosted_drain(([spec], store.url, None, False, nullcontext()))
+        [(status, entry)] = summary["outcomes"].values()
+        assert status == entry["status"] == "completed"
         assert store.result_ref(spec).exists()
         assert store.has(spec)  # committed by the worker itself
         assert not store.checkpoint_ref(spec).exists()  # dropped post-commit

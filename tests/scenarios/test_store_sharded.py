@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.parallel.executor import EXECUTOR_KINDS, make_executor
+from repro.parallel.executor import make_executor
 from repro.scenarios import (
     ResultsStore,
     ScenarioSpec,
@@ -244,16 +244,15 @@ class TestCheckpointGC:
 
 class TestWallTimes:
     def test_completed_record_beats_later_partial(self, tmp_path):
-        # force re-run killed after one iteration must not let its tiny
-        # partial wall time shadow the completed run's full wall time
+        # a re-run killed after one iteration must not let its tiny partial
+        # wall time shadow the completed run's full wall time
         suite = ScenarioSuite("one", [_tiny_solve_spec("churn")])
         store = ResultsStore(tmp_path / "store")
         run_suite(suite, store)
         full = store.wall_times()[suite[0].content_hash()]
-        report = run_suite(suite, store, force=True, interrupt_after=1)
-        assert report.count("interrupted") == 1  # the run itself was killed
-        # ...but the committed entry is not downgraded: the completed
-        # result is still on disk and still the store's answer for the hash
+        store.commit_entry(store.failure_entry(suite[0], "interrupted", 0.01, "killed"))
+        # the committed entry is not downgraded: the completed result is
+        # still on disk and still the store's answer for the hash
         assert store.entry(suite[0])["status"] == "completed"
         assert store.has(suite[0])
         assert store.wall_times()[suite[0].content_hash()] == full
@@ -306,7 +305,7 @@ class TestLongestFirstScheduling:
 
     def test_runner_dispatches_longest_first(self, tmp_path):
         # fresh store, no wall times: the heuristic puts the bigger solve
-        # first and the serial executor's progress lines reflect that order
+        # first and the serial drain's `done` lines reflect that order
         small = _tiny_solve_spec("small-job")
         big = _tiny_solve_spec("big-job")
         big = ScenarioSpec(
@@ -317,35 +316,5 @@ class TestLongestFirstScheduling:
         lines = []
         store = ResultsStore(tmp_path / "store")
         run_suite(ScenarioSuite("two", [small, big]), store, progress=lines.append)
-        completed = [ln for ln in lines if ln.startswith("completed")]
-        assert "big-job" in completed[0] and "small-job" in completed[1]
-
-    def test_fifo_schedule_keeps_suite_order(self, tmp_path):
-        small = _tiny_solve_spec("first")
-        big = ScenarioSpec(
-            "second",
-            calibration={"num_generations": 4, "num_states": 1, "beta": 0.8},
-            solver={"grid_level": 2, "tolerance": 1e-3, "max_iterations": 20},
-        )
-        lines = []
-        store = ResultsStore(tmp_path / "store")
-        run_suite(
-            ScenarioSuite("two", [small, big]), store, schedule="fifo", progress=lines.append
-        )
-        completed = [ln for ln in lines if ln.startswith("completed")]
-        assert "first" in completed[0] and "second" in completed[1]
-
-    def test_unknown_schedule_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            run_suite(
-                ScenarioSuite("one", [_tiny_solve_spec()]),
-                ResultsStore(tmp_path / "s"),
-                schedule="random",
-            )
-
-
-class TestExecutorDispatchContract:
-    def test_every_backend_declares_dispatch_order(self):
-        expected = {"serial": True, "threads": True, "processes": True, "stealing": False}
-        for kind in EXECUTOR_KINDS:
-            assert make_executor(kind, 2).dispatches_in_order is expected[kind]
+        done = [ln for ln in lines if ln.startswith("done")]
+        assert "big-job" in done[0] and "small-job" in done[1]
