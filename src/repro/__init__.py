@@ -9,8 +9,9 @@ The package provides four layers:
 
 ``repro.core``
     The paper's primary contribution: ASG index compression, the ladder of
-    interpolation kernels (gold / x86 / avx / avx2 / avx512 / cuda analogs)
-    and the time-iteration driver.
+    interpolation kernels (gold / x86 / avx / avx2 / avx512 / cuda analogs;
+    the solver evaluates with the batched ``cuda`` analog, the experiments
+    measure the whole ladder) and the time-iteration driver.
 
 ``repro.olg``
     The stochastic overlapping-generations (OLG) public-finance model used as
@@ -18,10 +19,10 @@ The package provides four layers:
     and nonlinear point solvers.
 
 ``repro.parallel``
-    The heterogeneous-cluster substrate: simulated MPI communicators,
-    proportional workload partitioning across discrete states, a TBB-like
-    work-stealing scheduler, a GPU offload executor and hardware cost models
-    of the Piz Daint and Grand Tave systems.
+    The heterogeneous-cluster substrate: map-style executors, proportional
+    workload partitioning across discrete states, a TBB-like work-stealing
+    scheduler and hardware cost models of the Piz Daint and Grand Tave
+    nodes, a CPU + GPU node among them.
 
 ``repro.experiments``
     Harnesses that regenerate every table and figure of the paper's
@@ -51,7 +52,7 @@ from repro.core import (
 )
 from repro.olg import OLGModel, OLGCalibration, small_calibration, paper_calibration
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "SparseGrid",

@@ -10,8 +10,8 @@ of one (:meth:`repro.core.time_iteration.TimeIterationSolver.solve`).
 
 Every update is :func:`repro.core.time_iteration.update`, the pass of
 Algorithm 1 over a list of members.  Two or more members that share a grid
-topology — state dimension, shock count, policy count, grid level, kernel;
-no adaptivity — form a *stack*: they iterate in lockstep on ONE shared
+topology — state dimension, shock count, policy count, grid level; no
+adaptivity — form a *stack*: they iterate in lockstep on ONE shared
 regular grid, every pass one ``update`` call — a ``(n_members, n_states,
 n_points)`` batch of equilibrium systems in one point solve (through
 :meth:`repro.olg.model.OLGModel.stacked_group` when available), all
@@ -78,7 +78,6 @@ def batch_topology(model: TimeIterationModel, config: TimeIterationConfig):
         int(model.num_states),
         int(model.num_policies),
         int(config.grid_level),
-        str(config.kernel),
     )
 
 
@@ -307,12 +306,7 @@ class BatchedTimeIterationSolver:
                 raise ValueError("checkpoint grid does not match the shared grid")
             policies.append(
                 StatePolicy.from_surplus(
-                    sp.state,
-                    grid,
-                    sp.interpolant.surplus,
-                    sp.nodal_values,
-                    sp.interpolant.domain,
-                    kernel=sp.interpolant.kernel,
+                    sp.state, grid, sp.interpolant.surplus, sp.nodal_values, sp.interpolant.domain
                 )
             )
         return PolicySet(policies)
@@ -400,15 +394,6 @@ class BatchedTimeIterationSolver:
             )
         ms.records.append(record)
         ms.policy = new_policy
-        if cfg.verbose:
-            logger.info(
-                "%s iteration %d: %s = %.3e, points = %s",
-                member.key,
-                iteration,
-                cfg.convergence_metric,
-                metric_value,
-                new_policy.points_per_state,
-            )
         ms.converged = bool(metric_value < cfg.tolerance)
         if ms.converged:
             ms.emit("converged", iteration=int(iteration), error=float(metric_value))

@@ -14,7 +14,10 @@ State policies that share one grid object (the non-adaptive time iteration
 hands every state the same cached regular grid) also share its
 hierarchization structure and compressed kernel representation through the
 grid-attached caches (see :mod:`repro.grids.grid`), so fitting and
-evaluating ``Ns`` policies pays the grid preprocessing once.
+evaluating ``Ns`` policies pays the grid preprocessing once; states that
+also share the box are read at a block of points with one basis pass
+(:meth:`PolicySet.evaluate_all_states`).  A policy evaluates with the one
+production kernel, the default of :func:`repro.core.kernels.evaluate`.
 """
 
 from __future__ import annotations
@@ -58,14 +61,12 @@ class StatePolicy:
         grid: SparseGrid,
         values: np.ndarray,
         domain: BoxDomain,
-        kernel: str = "cuda",
     ) -> "StatePolicy":
         """Fit a policy from nodal values on a grid."""
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[0] != len(grid):
             raise ValueError("values rows must match grid points")
-        interp = SparseGridInterpolant(grid, domain=domain, kernel=kernel)
-        interp.set_surplus(hierarchize(grid, values))
+        interp = SparseGridInterpolant(grid, hierarchize(grid, values), domain)
         return cls(state=state, interpolant=interp, nodal_values=values)
 
     @classmethod
@@ -76,7 +77,6 @@ class StatePolicy:
         surplus: np.ndarray,
         nodal_values: np.ndarray,
         domain: BoxDomain,
-        kernel: str = "cuda",
     ) -> "StatePolicy":
         """Rebuild a policy from already-fitted surpluses.
 
@@ -85,8 +85,7 @@ class StatePolicy:
         that was saved (the property the checkpoint/resume machinery of
         the scenario engine relies on).
         """
-        interp = SparseGridInterpolant(grid, domain=domain, kernel=kernel)
-        interp.set_surplus(surplus)
+        interp = SparseGridInterpolant(grid, surplus, domain)
         nodal_values = np.asarray(nodal_values, dtype=float)
         if nodal_values.ndim == 1:
             nodal_values = nodal_values[:, None]
@@ -99,11 +98,6 @@ class StatePolicy:
         return self.interpolant.grid
 
     @property
-    def kernel(self) -> str:
-        """Interpolation kernel the policy evaluates with."""
-        return self.interpolant.kernel
-
-    @property
     def num_points(self) -> int:
         return len(self.grid)
 
@@ -111,9 +105,9 @@ class StatePolicy:
     def num_policies(self) -> int:
         return self.nodal_values.shape[1]
 
-    def __call__(self, X: np.ndarray, kernel: str | None = None) -> np.ndarray:
+    def __call__(self, X: np.ndarray) -> np.ndarray:
         """Evaluate the policy at points of the problem box."""
-        return self.interpolant(X, kernel=kernel)
+        return self.interpolant(X)
 
 
 class PolicySet:
@@ -165,9 +159,9 @@ class PolicySet:
     # ------------------------------------------------------------------ #
     # evaluation and comparison
     # ------------------------------------------------------------------ #
-    def evaluate(self, z: int, X: np.ndarray, kernel: str | None = None) -> np.ndarray:
+    def evaluate(self, z: int, X: np.ndarray) -> np.ndarray:
         """Interpolate the policy of state ``z`` at points ``X``."""
-        return self.policies[z](X, kernel=kernel)
+        return self.policies[z](X)
 
     def evaluate_all_states(self, X: np.ndarray, states=None) -> np.ndarray:
         """Interpolate the policies of ``states`` (default: every state) at ``X``.
@@ -176,15 +170,14 @@ class PolicySet:
         ``m`` axis for a single point) — this is the access pattern of the
         equilibrium solver, which needs next period's policy in *all*
         shock states at once (the interpolation bottleneck the paper
-        optimises).  When the states share one grid object, box and the
-        ``cuda`` kernel — a basis-matrix GEMM, which is what
-        :func:`~repro.grids.interpolation.evaluate_stacked` computes — one
-        basis pass at ``X`` serves all of them; otherwise (adaptive grids,
-        another kernel) every state is evaluated on its own.
+        optimises).  When the states share one grid object and box, one
+        basis pass at ``X`` serves all of them
+        (:func:`~repro.grids.interpolation.evaluate_stacked`); otherwise
+        (adaptive grids) every state is evaluated on its own.
         """
         chosen = self.policies if states is None else [self.policies[z] for z in states]
         interps = [p.interpolant for p in chosen]
-        if interps[0].kernel == "cuda" and all(map(interps[0].shares_basis_with, interps[1:])):
+        if all(map(interps[0].shares_basis_with, interps[1:])):
             (values,) = evaluate_stacked([interps], [X])
         else:
             values = [np.atleast_2d(interp(X)) for interp in interps]

@@ -116,9 +116,10 @@ class TimeIterationConfig:
     grid_level
         Level of the initial regular sparse grid per state.
     tolerance
-        Convergence tolerance on the sup-norm policy change.
+        Convergence tolerance on the policy change, ``>= 0``.
     max_iterations
-        Iteration cap (time iteration converges only linearly, paper Fig. 9).
+        Iteration cap, ``>= 1`` (time iteration converges only linearly,
+        paper Fig. 9).
     adaptive
         Whether to adaptively refine the per-state grids inside each step.
     refine_epsilon
@@ -129,13 +130,9 @@ class TimeIterationConfig:
         Refinement of a state stops once its grid has reached this many
         points; the last round may overshoot (a round is never cut short:
         that would break the grid's hierarchical consistency).
-    kernel
-        Interpolation kernel used when evaluating next-period policies.
     damping
         Convex-combination damping of the policy update, in ``(0, 1]``
         (1.0 = undamped).
-    warm_start
-        Reuse the previous iterate's values as the nonlinear solver's guess.
     convergence_metric
         Which entry of :meth:`repro.core.policy.PolicySet.distance` stops
         the iteration: ``"rel_linf"`` (default; scale-free, robust when
@@ -150,10 +147,7 @@ class TimeIterationConfig:
     refine_epsilon: float = 1e-2
     max_refine_level: int = 6
     max_points_per_state: int = 2_000
-    kernel: str = "cuda"
     damping: float = 1.0
-    warm_start: bool = True
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         metric = self.convergence_metric
@@ -161,6 +155,10 @@ class TimeIterationConfig:
             raise ValueError(f"convergence_metric {metric!r} is not one of {CONVERGENCE_METRICS}")
         if not 0.0 < self.damping <= 1.0:  # 0 would return the initial guess as "converged"
             raise ValueError(f"damping {self.damping!r} is not in (0, 1]")
+        if not self.tolerance >= 0.0:  # NaN or < 0 never stops, and would run to the cap
+            raise ValueError(f"tolerance {self.tolerance!r} is not >= 0")
+        if self.max_iterations < 1:  # would commit a solve that never iterated
+            raise ValueError(f"max_iterations {self.max_iterations!r} is not >= 1")
 
 
 @dataclass
@@ -280,9 +278,7 @@ def update(members, group=None, clock: WallClock | None = None) -> list[PolicySe
         rows = [np.concatenate([X for _, X in gs]) for gs in grids]
         guesses = [
             np.concatenate([values_on_grid(prev, *g) for prev, g in zip(policy_next, gs)])
-            if solver.config.warm_start
-            else None
-            for (solver, policy_next), gs in zip(members, grids)
+            for (_, policy_next), gs in zip(members, grids)
         ]
         if group is not None:
             policies_next = [policy_next for _, policy_next in members]
@@ -312,8 +308,7 @@ def update(members, group=None, clock: WallClock | None = None) -> list[PolicySe
             widths = np.cumsum([v[z].shape[1] for v in values])[:-1]
             columns = np.split(surplus, widths, axis=1)
             for (solver, _), v, own, fitted in zip(members, values, columns, policies):
-                domain, kernel = solver.model.domain, solver.config.kernel
-                fitted.append(StatePolicy.from_surplus(z, grid, own, v[z], domain, kernel=kernel))
+                fitted.append(StatePolicy.from_surplus(z, grid, own, v[z], solver.model.domain))
     return [PolicySet(fitted) for fitted in policies]
 
 
@@ -392,13 +387,13 @@ class TimeIterationSolver:
 
     def initial_policy(self) -> PolicySet:
         """Build the initial guess ``p^0`` on regular grids."""
-        model, kernel = self.model, self.config.kernel
+        model = self.model
         grid = self._regular_grid(self.config.grid_level)
         X = model.domain.from_unit(grid.points)
         policies = []
         for z in range(model.num_states):
             values = np.atleast_2d(np.asarray(model.initial_policy_values(z, X), dtype=float))
-            policies.append(StatePolicy.from_values(z, grid, values, model.domain, kernel=kernel))
+            policies.append(StatePolicy.from_values(z, grid, values, model.domain))
         return PolicySet(policies)
 
     def step(self, policy_next: PolicySet, clock: WallClock | None = None) -> PolicySet:

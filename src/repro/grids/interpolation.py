@@ -1,9 +1,12 @@
-"""High-level interpolation API tying grids, surpluses and kernels together.
+"""High-level interpolation API tying grids and surpluses together.
 
 :class:`SparseGridInterpolant` is the object the rest of the library works
 with: the OLG time iteration stores one interpolant per discrete shock state
 (holding the 2(A-1) policy/value coefficients) and evaluates it through the
-compressed kernels of :mod:`repro.core.kernels`.
+default kernel of :func:`repro.core.kernels.evaluate` — the batched
+compressed ``cuda`` analog, a basis-matrix GEMM.  The other kernels of the
+paper's Table II ladder are the subject of the experiments, which call
+:func:`~repro.core.kernels.evaluate` with a kernel name directly.
 
 Caching contract
 ----------------
@@ -48,15 +51,15 @@ def evaluate_stacked(
     cached regular grid of the batched multi-scenario solver).  Entry ``i``
     of ``interpolants`` is paired with the query block ``Xs[i]``, expressed
     in its problem box, and is either one interpolant — the result is its
-    values at the block — or a list of interpolants that also share kernel
-    and box (one model's policies in several shock states): all of them are
-    read at the block with ONE GEMM against their surpluses side by side,
-    and the result is a list with one array per interpolant.  Equivalent
-    to calling each interpolant on its block with the ``cuda`` kernel —
-    bitwise, since that kernel is exactly a basis-matrix GEMM — but the
-    per-query basis factors are computed once for the union of all query
-    blocks, so ``k`` surplus sets pay one basis pass plus one small GEMM
-    per block instead of ``k`` full kernel evaluations.
+    values at the block — or a list of interpolants that also share the box
+    (one model's policies in several shock states): all of them are read at
+    the block with ONE GEMM against their surpluses side by side, and the
+    result is a list with one array per interpolant.  Equivalent to calling
+    each interpolant on its block — bitwise, since its kernel is exactly a
+    basis-matrix GEMM — but the per-query basis factors are computed once
+    for the union of all query blocks, so ``k`` surplus sets pay one basis
+    pass plus one small GEMM per block instead of ``k`` full kernel
+    evaluations.
     """
     from repro.core.compression import compressed_for
     from repro.core.kernels import basis_matrix
@@ -73,7 +76,7 @@ def evaluate_stacked(
         if first.grid is not grid:
             raise ValueError("evaluate_stacked requires one shared grid object")
         if not all(first.shares_basis_with(interp) for interp in group[1:]):
-            raise ValueError("interpolants read at one block must share grid, kernel and box")
+            raise ValueError("interpolants read at one block must share grid and box")
         X2 = np.atleast_2d(np.asarray(X, dtype=float))
         if X2.shape[1] != grid.dim:
             raise ValueError(f"query points must have {grid.dim} columns")
@@ -97,7 +100,7 @@ def evaluate_stacked(
 
 
 class SparseGridInterpolant:
-    """A sparse grid together with fitted surpluses and a kernel choice.
+    """A sparse grid together with fitted surpluses.
 
     Parameters
     ----------
@@ -110,10 +113,6 @@ class SparseGridInterpolant:
     domain
         Optional problem box; query points are mapped onto the unit box
         before evaluation.  Defaults to the unit box itself.
-    kernel
-        Name of the interpolation kernel (see
-        :func:`repro.core.kernels.list_kernels`); default is the batched
-        compressed kernel, which is the fastest pure-NumPy variant.
     """
 
     def __init__(
@@ -121,13 +120,11 @@ class SparseGridInterpolant:
         grid: SparseGrid,
         surplus: np.ndarray | None = None,
         domain: BoxDomain | None = None,
-        kernel: str = "cuda",
     ) -> None:
         self.grid = grid
         self.domain = domain if domain is not None else BoxDomain.cube(grid.dim)
         if self.domain.dim != grid.dim:
             raise ValueError("domain dimension must match grid dimension")
-        self.kernel = kernel
         self._surplus: np.ndarray | None = None
         self._surplus_2d: np.ndarray | None = None
         self._compressed = None
@@ -144,13 +141,12 @@ class SparseGridInterpolant:
         dim: int,
         level: int = 3,
         domain: BoxDomain | None = None,
-        kernel: str = "cuda",
     ) -> "SparseGridInterpolant":
         """Interpolate ``func`` on a regular sparse grid of the given level."""
         domain = domain if domain is not None else BoxDomain.cube(dim)
         grid = regular_sparse_grid(dim, level)
         values = np.asarray(func(domain.from_unit(grid.points)), dtype=float)
-        interp = cls(grid, domain=domain, kernel=kernel)
+        interp = cls(grid, domain=domain)
         interp.fit_values(values)
         return interp
 
@@ -211,17 +207,16 @@ class SparseGridInterpolant:
     def shares_basis_with(self, other: "SparseGridInterpolant") -> bool:
         """Whether ``other`` sees the basis values this one sees at a query point.
 
-        True for the same grid object, kernel and box — what lets
+        True for the same grid object and box — what lets
         :func:`evaluate_stacked` read both at one block of points.
         """
         return (
             other.grid is self.grid
-            and other.kernel == self.kernel
             and np.array_equal(other.domain.lower, self.domain.lower)
             and np.array_equal(other.domain.upper, self.domain.upper)
         )
 
-    def __call__(self, X: np.ndarray, kernel: str | None = None) -> np.ndarray:
+    def __call__(self, X: np.ndarray) -> np.ndarray:
         """Evaluate the interpolant at points of the *problem* box.
 
         ``X`` has shape ``(m, dim)`` (a single point is also accepted);
@@ -235,16 +230,9 @@ class SparseGridInterpolant:
         X2 = np.atleast_2d(X)
         if X2.shape[1] != self.grid.dim:
             raise ValueError(f"query points must have {self.grid.dim} columns")
-        unit = self.domain.to_unit(X2)
         scalar = self.surplus.ndim == 1
-        surplus2 = self._surplus_2d  # stable object -> reorder cache hits
-        comp = self._ensure_compressed()
-        out = evaluate(
-            comp,
-            surplus2,
-            unit,
-            kernel=kernel if kernel is not None else self.kernel,
-        )
+        # the stable frozen 2-D surplus keeps the reorder memoization hitting
+        out = evaluate(self._ensure_compressed(), self._surplus_2d, self.domain.to_unit(X2))
         if scalar:
             out = out[:, 0]
         return out[0] if single else out
@@ -260,5 +248,5 @@ class SparseGridInterpolant:
         ndofs = "unset" if self._surplus is None else self.num_dofs
         return (
             f"SparseGridInterpolant(dim={self.grid.dim}, points={len(self.grid)}, "
-            f"dofs={ndofs}, kernel={self.kernel!r})"
+            f"dofs={ndofs})"
         )

@@ -75,22 +75,12 @@ class OLGModel:
     """Stochastic OLG economy implementing the time-iteration protocol."""
 
     def __init__(
-        self,
-        calibration: OLGCalibration | None = None,
-        utility: CRRAUtility | None = None,
-        technology: CobbDouglasTechnology | None = None,
-        fiscal: FiscalPolicy | None = None,
-        solver: NewtonSolver | None = None,
+        self, calibration: OLGCalibration | None = None, solver: NewtonSolver | None = None
     ) -> None:
-        self.calibration = calibration if calibration is not None else OLGCalibration()
-        cal = self.calibration
-        self.utility = utility if utility is not None else CRRAUtility(
-            gamma=cal.gamma, c_min=cal.consumption_floor
-        )
-        self.technology = technology if technology is not None else CobbDouglasTechnology(
-            theta=cal.theta
-        )
-        self.fiscal = fiscal if fiscal is not None else FiscalPolicy()
+        self.calibration = cal = calibration if calibration is not None else OLGCalibration()
+        self.utility = CRRAUtility(gamma=cal.gamma, c_min=cal.consumption_floor)
+        self.technology = CobbDouglasTechnology(theta=cal.theta)
+        self.fiscal = FiscalPolicy()
         self.solver = solver if solver is not None else NewtonSolver()
         self._domain = self._default_domain()
         self.system = EulerSystem([self])
@@ -140,12 +130,7 @@ class OLGModel:
         if not hasattr(self, "_steady_state"):
             from repro.olg.steady_state import deterministic_steady_state
 
-            self._steady_state = deterministic_steady_state(
-                self.calibration,
-                technology=self.technology,
-                fiscal=self.fiscal,
-                utility=self.utility,
-            )
+            self._steady_state = deterministic_steady_state(self.calibration)
         return self._steady_state
 
     def environment(self, z: int, K: float) -> PeriodEnvironment:

@@ -22,10 +22,13 @@ import numpy as np
 
 from repro.olg.calibration import OLGCalibration
 from repro.olg.government import FiscalPolicy
-from repro.olg.preferences import CRRAUtility
 from repro.olg.production import CobbDouglasTechnology
 
 __all__ = ["LifecycleProfile", "SteadyState", "lifecycle_profile", "deterministic_steady_state"]
+
+# the damped fixed-point iteration on aggregate capital: relative tolerance,
+# iteration cap and weight of the implied capital in each update
+_TOLERANCE, _MAX_ITERATIONS, _DAMPING = 1e-8, 500, 0.5
 
 
 @dataclass(frozen=True)
@@ -95,26 +98,18 @@ def lifecycle_profile(
     return LifecycleProfile(consumption=consumption, savings=savings, holdings=holdings)
 
 
-def deterministic_steady_state(
-    calibration: OLGCalibration,
-    technology: CobbDouglasTechnology | None = None,
-    fiscal: FiscalPolicy | None = None,
-    utility: CRRAUtility | None = None,
-    tol: float = 1e-8,
-    max_iterations: int = 500,
-    damping: float = 0.5,
-) -> SteadyState:
+def deterministic_steady_state(calibration: OLGCalibration) -> SteadyState:
     """Fixed point of aggregate capital in the shock-free economy.
 
     The shocks are replaced by their stationary-distribution means
     (productivity, depreciation and tax rates), so the result is the
-    deterministic analogue of the stochastic model's ergodic centre.
+    deterministic analogue of the stochastic model's ergodic centre.  The
+    technology and fiscal rules are the calibration's, built as
+    :class:`repro.olg.model.OLGModel` builds them.
     """
-    technology = technology if technology is not None else CobbDouglasTechnology(
-        theta=calibration.theta
-    )
-    fiscal = fiscal if fiscal is not None else FiscalPolicy()
     cal = calibration
+    technology = CobbDouglasTechnology(theta=cal.theta)
+    fiscal = FiscalPolicy()
     dist = cal.shocks.stationary_distribution()
     zeta = float(dist @ cal.shocks.label("productivity"))
     delta = float(dist @ cal.shocks.label("depreciation"))
@@ -138,17 +133,17 @@ def deterministic_steady_state(
     profile = None
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         prices, budget = aggregates(K)
         R = fiscal.after_tax_return(prices.return_net, tau_c)
         incomes = fiscal.incomes(tau_l, prices.wage, budget, cal.efficiency, working)
         profile = lifecycle_profile(incomes, R, cal.beta, cal.gamma)
         K_implied = max(profile.aggregate_capital, 1e-6)
-        if abs(K_implied - K) < tol * max(K, 1.0):
+        if abs(K_implied - K) < _TOLERANCE * max(K, 1.0):
             K = K_implied
             converged = True
             break
-        K = (1.0 - damping) * K + damping * K_implied
+        K = (1.0 - _DAMPING) * K + _DAMPING * K_implied
 
     prices, budget = aggregates(K)
     return SteadyState(

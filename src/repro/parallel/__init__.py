@@ -11,7 +11,7 @@ to a pure-Python reproduction, so this subpackage provides
 * **simulated distributed execution** — hardware cost models of the Piz
   Daint and Grand Tave nodes (:mod:`repro.parallel.cluster`), the paper's
   proportional state-to-group partitioning
-  (:mod:`repro.parallel.partition`), a GPU offload executor
+  (:mod:`repro.parallel.partition`), a CPU + GPU node cost model
   (:mod:`repro.parallel.gpu_sim`) and the strong-scaling workload model
   (:mod:`repro.parallel.scaling`) that reproduces the shape of Fig. 8.
 """
@@ -20,7 +20,7 @@ from repro.parallel.cluster import NodeSpec, ClusterSpec, PIZ_DAINT_NODE, GRAND_
 from repro.parallel.partition import proportional_group_sizes, partition_counts
 from repro.parallel.scheduler import WorkStealingScheduler, simulate_schedule
 from repro.parallel.executor import SerialExecutor, ThreadPoolMapExecutor, ProcessPoolMapExecutor
-from repro.parallel.gpu_sim import GpuOffloadExecutor, HybridNodeExecutor
+from repro.parallel.gpu_sim import HybridNodeExecutor
 from repro.parallel.scaling import StrongScalingModel, ScalingPoint
 from repro.parallel.tracing import TraceRecorder, Span
 
@@ -36,7 +36,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadPoolMapExecutor",
     "ProcessPoolMapExecutor",
-    "GpuOffloadExecutor",
     "HybridNodeExecutor",
     "StrongScalingModel",
     "ScalingPoint",

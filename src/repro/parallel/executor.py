@@ -24,7 +24,7 @@ __all__ = [
 
 #: Executor kinds accepted by :func:`make_executor` (also the hosts the
 #: scenario runner and its CLI offer for suite drains).
-EXECUTOR_KINDS = ("serial", "threads", "processes", "stealing")
+EXECUTOR_KINDS = ("serial", "threads", "processes")
 
 
 class SerialExecutor:
@@ -73,15 +73,11 @@ class ProcessPoolMapExecutor:
 
 
 def make_executor(kind: str = "serial", num_workers: int = 4):
-    """Factory: ``serial``, ``threads``, ``processes`` or ``stealing``."""
+    """Factory: ``serial``, ``threads`` or ``processes``."""
     if kind == "serial":
         return SerialExecutor()
     if kind == "threads":
         return ThreadPoolMapExecutor(num_workers)
     if kind == "processes":
         return ProcessPoolMapExecutor(num_workers)
-    if kind == "stealing":
-        from repro.parallel.scheduler import WorkStealingScheduler
-
-        return WorkStealingScheduler(num_workers)
     raise ValueError(f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}")

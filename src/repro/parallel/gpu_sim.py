@@ -1,91 +1,24 @@
-"""GPU offload executor (substitute for the CUDA offload path).
+"""Cost model of a CPU + GPU node (substitute for the CUDA offload path).
 
 On Piz Daint the paper dedicates one TBB thread to dispatching interpolation
-batches to the P100 (Fig. 2, bottom).  Without a GPU the closest equivalent
-is to route large interpolation batches through the *batched* compressed
-kernel (the ``cuda`` analog of :mod:`repro.core.kernels`) while small
-batches stay on the per-point CPU kernels, and to account simulated time
-against the node's hardware model so that modeled single-node speedups
-(Fig. 7) can be reported alongside the measured wall times.
+batches to the P100 (Fig. 2, bottom).  Without a GPU the reproduction does
+not dispatch at all — every interpolation runs the batched compressed
+kernel, the ``cuda`` analog of :mod:`repro.core.kernels` — and models the
+node instead: :class:`HybridNodeExecutor` turns per-point costs into
+simulated node time against the node's hardware model, so that modeled
+single-node speedups (Fig. 7, Fig. 8) can be reported alongside the
+measured wall times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compression import CompressedGrid
-from repro.core.kernels import evaluate
 from repro.parallel.cluster import NodeSpec, PIZ_DAINT_NODE
 
-__all__ = ["OffloadStats", "GpuOffloadExecutor", "HybridNodeExecutor"]
-
-
-@dataclass
-class OffloadStats:
-    """Bookkeeping of where interpolation work was executed."""
-
-    gpu_batches: int = 0
-    gpu_points: int = 0
-    cpu_batches: int = 0
-    cpu_points: int = 0
-    gpu_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-
-    @property
-    def offload_fraction(self) -> float:
-        total = self.gpu_points + self.cpu_points
-        return self.gpu_points / total if total else 0.0
-
-
-@dataclass
-class GpuOffloadExecutor:
-    """Routes interpolation batches to the "device" or the host kernels.
-
-    Parameters
-    ----------
-    node
-        Hardware model used for the simulated-time accounting.
-    min_gpu_batch
-        Batches with at least this many query points are offloaded
-        (dispatch latency makes tiny batches cheaper on the CPU, the same
-        trade-off the paper reports for the "7k" test case).
-    gpu_kernel, cpu_kernel
-        Kernel names used for offloaded / host execution.
-    """
-
-    node: NodeSpec = PIZ_DAINT_NODE
-    min_gpu_batch: int = 32
-    gpu_kernel: str = "cuda"
-    cpu_kernel: str = "avx2"
-    stats: OffloadStats = field(default_factory=OffloadStats)
-
-    def interpolate(
-        self, comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray
-    ) -> np.ndarray:
-        """Evaluate a batch, choosing the execution target by batch size."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        use_gpu = self.node.has_gpu and X.shape[0] >= self.min_gpu_batch
-        import time
-
-        t0 = time.perf_counter()
-        out = evaluate(
-            comp, surplus, X, kernel=self.gpu_kernel if use_gpu else self.cpu_kernel
-        )
-        elapsed = time.perf_counter() - t0
-        if use_gpu:
-            self.stats.gpu_batches += 1
-            self.stats.gpu_points += X.shape[0]
-            self.stats.gpu_seconds += elapsed
-        else:
-            self.stats.cpu_batches += 1
-            self.stats.cpu_points += X.shape[0]
-            self.stats.cpu_seconds += elapsed
-        return out
-
-    def reset_stats(self) -> None:
-        self.stats = OffloadStats()
+__all__ = ["HybridNodeExecutor"]
 
 
 @dataclass

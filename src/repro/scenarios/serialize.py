@@ -3,7 +3,7 @@
 Everything is written as a single ``.npz`` file whose arrays carry the
 numerical state (float64, hence bit-exact round trips) plus one embedded
 JSON document (``__meta__``) for the structural metadata — records, solver
-configuration, kernels, domains.  Files are written atomically (temp file +
+configuration, domains.  Files are written atomically (temp file +
 ``os.replace``), so a solve killed mid-checkpoint never leaves a corrupt
 file behind; the previous checkpoint survives.
 
@@ -17,6 +17,12 @@ performance property described in :mod:`repro.core.policy`.
 Policies are rebuilt from the stored *surpluses* via
 :meth:`repro.core.policy.StatePolicy.from_surplus` (no re-hierarchization),
 which is what makes checkpoint/resume bit-for-bit.
+
+Files written before the solver stopped taking a kernel name are read
+unchanged under the same :data:`FORMAT_VERSION`: their per-state kernel
+name is ignored (every policy evaluates with the one production kernel)
+and :func:`config_from_dict` drops the retired configuration fields, so
+stored results load and checkpoints resume.
 """
 
 from __future__ import annotations
@@ -57,6 +63,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+#: :class:`TimeIterationConfig` fields older files carry that no longer exist
+_RETIRED_CONFIG_FIELDS = ("kernel", "warm_start", "verbose")
 
 
 def is_blob_target(target: object) -> bool:
@@ -174,7 +183,6 @@ def _policy_set_payload(policy: PolicySet) -> tuple:
         states.append(
             {
                 "state": int(sp.state),
-                "kernel": interp.kernel,
                 "scalar_surplus": surplus.ndim == 1,
                 "grid_slot": shared if shared is not None else slot,
             }
@@ -203,7 +211,6 @@ def _policy_set_from_payload(arrays: dict, meta: dict) -> PolicySet:
                 surplus=surplus,
                 nodal_values=arrays[f"nodal_{slot}"],
                 domain=BoxDomain(arrays[f"lower_{slot}"], arrays[f"upper_{slot}"]),
-                kernel=state_meta["kernel"],
             )
         )
     return PolicySet(policies)
@@ -241,7 +248,7 @@ def config_to_dict(config: TimeIterationConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> TimeIterationConfig:
-    return TimeIterationConfig(**data)
+    return TimeIterationConfig(**{k: v for k, v in data.items() if k not in _RETIRED_CONFIG_FIELDS})
 
 
 # --------------------------------------------------------------------------- #

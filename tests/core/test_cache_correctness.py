@@ -270,10 +270,12 @@ class TestSolvePoints:
     @pytest.mark.parametrize("kind", ["serial", "threads", "stealing"])
     def test_public_executors_match_the_plain_loop(self, kind):
         from repro.parallel.executor import make_executor
+        from repro.parallel.scheduler import WorkStealingScheduler
 
+        executor = WorkStealingScheduler(2) if kind == "stealing" else make_executor(kind, 2)
         X = np.random.default_rng(9).random((7, 2))
         np.testing.assert_array_equal(
-            solve_points(_StubModel(), 0, X, None, None, make_executor(kind, 2)),
+            solve_points(_StubModel(), 0, X, None, None, executor),
             solve_points(_StubModel(), 0, X, None, None),
         )
 

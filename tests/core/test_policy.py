@@ -61,10 +61,10 @@ class TestPolicySet:
         np.testing.assert_allclose(out[0], np.atleast_2d(ps.evaluate(0, X)))
 
     @pytest.mark.parametrize(
-        "shared, kernel, passes", [(True, "cuda", 1), (True, "x86", 0), (False, "cuda", 0)]
+        "shared, box, passes", [(True, True, 1), (False, True, 0), (True, False, 0)]
     )
     def test_evaluate_all_states_is_one_basis_pass_on_a_shared_grid(
-        self, monkeypatch, shared, kernel, passes
+        self, monkeypatch, shared, box, passes
     ):
         from repro.core import kernels
 
@@ -73,16 +73,16 @@ class TestPolicySet:
         policies = []
         for z in range(3):
             own = grid if shared else regular_sparse_grid(3, 3)
+            own_box = domain if box or z == 0 else BoxDomain.cube(3, 0.0, 2.0 + z)
             values = (z + 1.0) * first.nodal_values
-            policies.append(StatePolicy.from_values(z, own, values, domain, kernel=kernel))
+            policies.append(StatePolicy.from_values(z, own, values, own_box))
         ps = PolicySet(policies)
         calls = []
         real = kernels.basis_matrix
         monkeypatch.setattr(kernels, "basis_matrix", lambda *args: calls.append(1) or real(*args))
         X = np.random.default_rng(3).random((9, 3)) * 2.0
         out = ps.evaluate_all_states(X, states=[2, 0])
-        # the shared read is the cuda kernel's GEMM; other kernels and states
-        # that own their grids are evaluated state by state
+        # states on their own grids or boxes are evaluated state by state
         assert len(calls) == passes
         assert out.shape == (2, 9, 4)
         for got, z in zip(out, (2, 0)):

@@ -125,11 +125,18 @@ class TestConvergence:
         with pytest.raises(ValueError, match=metric):
             TimeIterationConfig(convergence_metric=metric)
 
-    @pytest.mark.parametrize("damping", [0.0, 0, -0.5, 1.5, float("nan")])
-    def test_damping_outside_the_unit_interval_is_rejected(self, damping):
-        # 0 returned the untouched initial guess as "converged" after one iteration
-        with pytest.raises(ValueError, match="damping"):
-            TimeIterationConfig(grid_level=2, damping=damping)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("damping", v) for v in (0.0, 0, -0.5, 1.5, float("nan"))]
+        + [("tolerance", v) for v in (-1.0, float("nan"))]
+        + [("max_iterations", v) for v in (0, -2)],
+    )
+    def test_out_of_range_settings_are_rejected(self, field, value):
+        # damping 0 returned the untouched initial guess as "converged" after one
+        # iteration; a negative or NaN tolerance ran to the cap, and a cap below 1
+        # stored a solve that never iterated
+        with pytest.raises(ValueError, match=field):
+            TimeIterationConfig(grid_level=2, **{field: value})
 
     def test_damping_still_converges(self):
         model = ContractionModel()
@@ -170,11 +177,19 @@ class TestBookkeeping:
         assert policy.num_policies == 2
 
     def test_warm_start_passes_guesses(self):
-        model = ContractionModel()
-        config = TimeIterationConfig(grid_level=2, tolerance=1e-4, max_iterations=5,
-                                     warm_start=True)
-        result = TimeIterationSolver(model, config).solve()
-        assert result.iterations >= 1
+        """Every pass hands the point solve the previous iterate's values as guesses."""
+        seen = []
+
+        class Recording(ContractionModel):
+            def solve_points_batch(self, z, X, policy_next, guesses=None):
+                seen.append((guesses, np.concatenate([p.nodal_values for p in policy_next])))
+                return np.stack([self.solve_point(s, x, policy_next) for s, x in zip(z, X)])
+
+        config = TimeIterationConfig(grid_level=2, tolerance=1e-4, max_iterations=5)
+        result = TimeIterationSolver(Recording(), config).solve()
+        assert len(seen) == result.iterations >= 1
+        for guesses, previous in seen:
+            np.testing.assert_array_equal(guesses, previous)
 
     def test_solve_with_initial_policy_continues(self):
         model = ContractionModel()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import list_kernels
 from repro.grids.domain import BoxDomain
 from repro.grids.interpolation import SparseGridInterpolant, evaluate_stacked
 from repro.grids.regular import regular_sparse_grid
@@ -59,19 +58,7 @@ class TestSurplusManagement:
             SparseGridInterpolant(grid, domain=BoxDomain.cube(3))
 
 
-class TestKernelDispatch:
-    @pytest.mark.parametrize("kernel", list_kernels())
-    def test_all_kernels_agree(self, kernel):
-        interp = SparseGridInterpolant.from_function(_func, dim=2, level=4)
-        sample = np.random.default_rng(2).random((23, 2))
-        reference = interp(sample, kernel="gold")
-        np.testing.assert_allclose(interp(sample, kernel=kernel), reference, atol=1e-12)
-
-    def test_unknown_kernel_raises(self):
-        interp = SparseGridInterpolant.from_function(_func, dim=2, level=2)
-        with pytest.raises(KeyError):
-            interp(np.array([[0.5, 0.5]]), kernel="does-not-exist")
-
+class TestCall:
     def test_multidof_output_shape(self):
         grid = regular_sparse_grid(3, 3)
 
@@ -93,12 +80,10 @@ class TestEvaluateStacked:
     """One basis pass for interpolants on one grid; several per query block share a GEMM."""
 
     @staticmethod
-    def _interpolants(grid, count, domain=None, kernel="cuda", dofs=3, seed=0):
+    def _interpolants(grid, count, domain=None, dofs=3, seed=0):
         rng = np.random.default_rng(seed)
         return [
-            SparseGridInterpolant(
-                grid, rng.standard_normal((len(grid), dofs)), domain=domain, kernel=kernel
-            )
+            SparseGridInterpolant(grid, rng.standard_normal((len(grid), dofs)), domain=domain)
             for _ in range(count)
         ]
 
@@ -135,19 +120,18 @@ class TestEvaluateStacked:
             comp.reorder_cached(*surpluses), comp.reorder(np.concatenate(surpluses, axis=1))
         )
 
-    def test_foreign_grid_kernel_or_box_in_a_group_raises(self):
+    def test_foreign_grid_or_box_in_a_group_raises(self):
         grid = regular_sparse_grid(2, 3)
         X = np.random.default_rng(2).random((4, 2))
         (base,) = self._interpolants(grid, 1)
         foreign = {
             "grid": self._interpolants(regular_sparse_grid(2, 3), 1)[0],
-            "kernel": self._interpolants(grid, 1, kernel="x86")[0],
             "box": self._interpolants(grid, 1, domain=BoxDomain.cube(2, 0.0, 2.0))[0],
         }
         for other in foreign.values():
             with pytest.raises(ValueError):
                 evaluate_stacked([[base, other]], [X])
         # in separate entries only the grid has to be shared
-        evaluate_stacked([base, foreign["kernel"], foreign["box"]], [X, X, X])
+        evaluate_stacked([base, foreign["box"]], [X, X])
         with pytest.raises(ValueError):
             evaluate_stacked([base, foreign["grid"]], [X, X])

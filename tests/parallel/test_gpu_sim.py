@@ -1,71 +1,10 @@
-"""Tests for the GPU offload executor and the hybrid node cost model."""
+"""Tests for the hybrid node cost model."""
 
 import numpy as np
 import pytest
 
-from repro.core.compression import compress_grid
-from repro.core.kernels import evaluate
-from repro.grids.hierarchize import hierarchize
-from repro.grids.regular import regular_sparse_grid
-from repro.parallel.cluster import GRAND_TAVE_NODE, PIZ_DAINT_NODE
-from repro.parallel.gpu_sim import GpuOffloadExecutor, HybridNodeExecutor
-
-
-@pytest.fixture(scope="module")
-def interpolation_setup():
-    grid = regular_sparse_grid(3, 4)
-    values = np.stack([grid.points[:, 0] ** 2, np.sin(grid.points[:, 1])], axis=1)
-    surplus = hierarchize(grid, values)
-    comp = compress_grid(grid)
-    return comp, surplus
-
-
-class TestGpuOffloadExecutor:
-    def test_large_batches_offloaded(self, interpolation_setup):
-        comp, surplus = interpolation_setup
-        executor = GpuOffloadExecutor(node=PIZ_DAINT_NODE, min_gpu_batch=16)
-        X = np.random.default_rng(0).random((64, 3))
-        out = executor.interpolate(comp, surplus, X)
-        assert out.shape == (64, 2)
-        assert executor.stats.gpu_batches == 1
-        assert executor.stats.cpu_batches == 0
-        assert executor.stats.gpu_points == 64
-
-    def test_small_batches_stay_on_cpu(self, interpolation_setup):
-        comp, surplus = interpolation_setup
-        executor = GpuOffloadExecutor(node=PIZ_DAINT_NODE, min_gpu_batch=32)
-        X = np.random.default_rng(1).random((4, 3))
-        executor.interpolate(comp, surplus, X)
-        assert executor.stats.cpu_batches == 1
-        assert executor.stats.gpu_batches == 0
-
-    def test_no_gpu_node_never_offloads(self, interpolation_setup):
-        comp, surplus = interpolation_setup
-        executor = GpuOffloadExecutor(node=GRAND_TAVE_NODE, min_gpu_batch=1)
-        X = np.random.default_rng(2).random((128, 3))
-        executor.interpolate(comp, surplus, X)
-        assert executor.stats.gpu_batches == 0
-        assert executor.stats.offload_fraction == 0.0
-
-    def test_results_match_direct_kernel(self, interpolation_setup):
-        comp, surplus = interpolation_setup
-        executor = GpuOffloadExecutor(node=PIZ_DAINT_NODE, min_gpu_batch=8)
-        X = np.random.default_rng(3).random((40, 3))
-        np.testing.assert_allclose(
-            executor.interpolate(comp, surplus, X),
-            evaluate(comp, surplus, X, kernel="cuda"),
-            atol=1e-12,
-        )
-
-    def test_offload_fraction_and_reset(self, interpolation_setup):
-        comp, surplus = interpolation_setup
-        executor = GpuOffloadExecutor(node=PIZ_DAINT_NODE, min_gpu_batch=16)
-        rng = np.random.default_rng(4)
-        executor.interpolate(comp, surplus, rng.random((32, 3)))
-        executor.interpolate(comp, surplus, rng.random((8, 3)))
-        assert 0.0 < executor.stats.offload_fraction < 1.0
-        executor.reset_stats()
-        assert executor.stats.gpu_points == 0
+from repro.parallel.cluster import PIZ_DAINT_NODE
+from repro.parallel.gpu_sim import HybridNodeExecutor
 
 
 class TestHybridNodeExecutor:

@@ -353,6 +353,12 @@ def test_each_subcommand_accepts_the_same_flags(command):
     assert options - {"-h", "--help"} == OPTIONS[command]
 
 
+def test_run_hosts_its_drains_on_three_executors():
+    # "stealing" was "threads" under another name: identical drains leave nothing to steal
+    (action,) = [a for a in _subparsers()["run"]._actions if "--executor" in a.option_strings]
+    assert tuple(action.choices) == ("serial", "threads", "processes")
+
+
 def test_every_subcommand_has_a_handler():
     assert set(_subparsers()) == set(cli._COMMANDS) == set(OPTIONS)
 

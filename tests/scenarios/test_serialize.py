@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,14 @@ from repro.core.time_iteration import (
     IterationRecord,
     TimeIterationConfig,
     TimeIterationResult,
+    TimeIterationSolver,
 )
 from repro.grids.adaptive import AdaptiveRefiner
 from repro.grids.domain import BoxDomain
 from repro.grids.hierarchize import hierarchize
 from repro.grids.regular import regular_sparse_grid
 from repro.scenarios import serialize
+from repro.scenarios.checkpoint import InterruptingCheckpoint, SimulatedKill, SolveCheckpoint
 
 
 def _kinked(X):
@@ -70,7 +75,7 @@ def _make_policy_set(shared_grid: bool) -> tuple:
         g = grid if shared_grid else grid.copy()
         X = domain.from_unit(g.points)
         values = np.stack([np.sin(z + X[:, 0]), X[:, 1] ** 2, X.sum(axis=1)], axis=1)
-        policies.append(StatePolicy.from_values(z, g, values, domain, kernel="cuda"))
+        policies.append(StatePolicy.from_values(z, g, values, domain))
     return PolicySet(policies), domain
 
 
@@ -89,7 +94,6 @@ class TestPolicySetRoundTrip:
             assert np.array_equal(
                 loaded[z].interpolant.surplus, pset[z].interpolant.surplus
             )
-            assert loaded[z].kernel == pset[z].kernel
 
     def test_shared_grid_stays_shared(self, tmp_path):
         pset, _ = _make_policy_set(shared_grid=True)
@@ -111,9 +115,7 @@ class TestPolicySetRoundTrip:
         grid = regular_sparse_grid(2, 3)
         domain = BoxDomain.cube(2)
         surplus = hierarchize(grid, grid.points[:, 0] ** 2).reshape(-1)
-        sp = StatePolicy.from_surplus(
-            0, grid, surplus, grid.points[:, 0] ** 2, domain, kernel="x86"
-        )
+        sp = StatePolicy.from_surplus(0, grid, surplus, grid.points[:, 0] ** 2, domain)
         pset = PolicySet([sp])
         path = tmp_path / "scalar.npz"
         serialize.save_policy_set(path, pset)
@@ -159,9 +161,7 @@ class TestResultRoundTrip:
         assert serialize.record_to_dict(clone) == serialize.record_to_dict(record)
 
     def test_config_round_trip(self):
-        config = TimeIterationConfig(
-            grid_level=3, adaptive=True, refine_epsilon=5e-3, damping=0.7, kernel="avx2"
-        )
+        config = TimeIterationConfig(grid_level=3, adaptive=True, refine_epsilon=5e-3, damping=0.7)
         clone = serialize.config_from_dict(serialize.config_to_dict(config))
         assert clone == config
 
@@ -174,3 +174,64 @@ class TestResultRoundTrip:
         serialize.save_result(path, result)
         serialize.save_result(path, result)  # overwrite path also atomic
         assert [p.name for p in tmp_path.iterdir()] == ["r.npz"]
+
+
+def _in_the_older_format(path) -> None:
+    """Rewrite a file :mod:`serialize` wrote the way it was written while the solver
+    took a kernel name: the retired fields in the config, a kernel per state."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        meta = json.loads(str(data["__meta__"]))
+    assert meta["format_version"] == serialize.FORMAT_VERSION
+    if "config" in meta:
+        meta["config"].update(kernel="cuda", warm_start=True, verbose=False)
+    for state in meta["states"]:
+        state["kernel"] = "cuda"
+    buf = io.BytesIO()
+    np.savez_compressed(buf, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    path.write_bytes(buf.getvalue())
+
+
+class TestOlderFormat:
+    """Results and checkpoints written while the solver took a kernel name stay readable."""
+
+    def test_a_policy_set_loads(self, tmp_path):
+        pset, domain = _make_policy_set(shared_grid=True)
+        path = tmp_path / "pset.npz"
+        serialize.save_policy_set(path, pset)
+        _in_the_older_format(path)
+        loaded = serialize.load_policy_set(path)
+        X = domain.from_unit(np.random.default_rng(4).random((20, 2)))
+        for z in range(len(pset)):
+            assert np.array_equal(loaded.evaluate(z, X), pset.evaluate(z, X))
+
+    def test_a_result_loads(self, tmp_path, solved_small_olg):
+        model, result = solved_small_olg
+        path = tmp_path / "result.npz"
+        serialize.save_result(path, result)
+        _in_the_older_format(path)
+        loaded = serialize.load_result(path)
+        assert loaded.config == result.config
+        assert loaded.iterations == result.iterations and loaded.converged == result.converged
+        for mine, theirs in zip(loaded.policy, result.policy):
+            assert np.array_equal(mine.interpolant.surplus, theirs.interpolant.surplus)
+        X = model.domain.sample(25, rng=3)
+        for z in range(model.num_states):
+            assert np.array_equal(loaded.policy.evaluate(z, X), result.policy.evaluate(z, X))
+
+    def test_a_checkpoint_resumes_bit_exact(self, tmp_path, solved_small_olg):
+        model, reference = solved_small_olg
+        config = reference.config
+        path = tmp_path / "ckpt.npz"
+        with pytest.raises(SimulatedKill):
+            TimeIterationSolver(model, config).solve(
+                checkpoint=InterruptingCheckpoint(path, config=config, interrupt_after=2)
+            )
+        _in_the_older_format(path)
+        hook = SolveCheckpoint(path, config=config)
+        resumed = TimeIterationSolver(model, config).solve(checkpoint=hook)
+        assert hook.resumed
+        assert resumed.iterations == reference.iterations
+        assert np.array_equal(resumed.error_history(), reference.error_history())
+        for mine, theirs in zip(resumed.policy, reference.policy):
+            assert np.array_equal(mine.interpolant.surplus, theirs.interpolant.surplus)

@@ -73,6 +73,14 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="solver override"):
             ScenarioSpec("a", solver={"no_such_field": 1})
 
+    @pytest.mark.parametrize(
+        "field, value", [("kernel", "x86"), ("warm_start", False), ("verbose", True)]
+    )
+    def test_retired_solver_field_rejected(self, field, value):
+        # the solver stopped taking these; a spec that sets one names it
+        with pytest.raises(ValueError, match=f"solver override.*'{field}'"):
+            ScenarioSpec("a", solver={field: value})
+
     def test_solve_kind_rejects_params(self):
         with pytest.raises(ValueError, match="params"):
             ScenarioSpec("a", params={"dim": 3})

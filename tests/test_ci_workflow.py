@@ -208,9 +208,10 @@ class TestBatchedSolveGate:
             assert any(f"PYTHONPATH=src python examples/{example} --fast" in c for c in commands)
             source = (REPO / "examples" / example).read_text()
             assert '"--fast"' in source and "--threads" not in source
-        # the scenario walk-through has no --fast form: it runs whole (~1 s)
-        sweep = "PYTHONPATH=src python examples/scenario_sweep.py"
-        assert any(sweep in c.splitlines() for c in commands)
+        # these have no --fast form: they run whole (~1 s each)
+        for example in ("scenario_sweep.py", "quickstart.py", "scaling_study.py"):
+            line = f"PYTHONPATH=src python examples/{example}"
+            assert any(line in c.splitlines() for c in commands)
 
     def test_bench_job_guards_the_point_solve_call_counts(self, workflow):
         # exact counts from a traced smoke run of the level-3 sweep: no
