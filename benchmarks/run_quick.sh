@@ -29,8 +29,11 @@ smoke_sweep() {
     python -m repro.scenarios run smoke --store "$store_url" --interrupt-after 1 || true
     # ... the resumable checkpoints show up in the resume listing ...
     python -m repro.scenarios resume --store "$store_url"
-    # ... and the identical re-invocation resumes from them and completes
+    # ... and the identical re-invocation resumes from them and completes,
+    # its commit path deleting every checkpoint it resumed from
     python -m repro.scenarios run smoke --store "$store_url"
+    left="$(python -m repro.scenarios resume --store "$store_url" --json)"
+    [ "$left" = "[]" ] || { echo "checkpoints left after the resumed run: $left" >&2; exit 1; }
     python -m repro.scenarios show --store "$store_url"
     # the two smoke entries differ only in tau_labor; diff must say so
     python -m repro.scenarios diff \

@@ -98,11 +98,6 @@ class AncestorCSR:
     sweep_starts: np.ndarray
     group_bounds: np.ndarray
 
-    @property
-    def num_entries(self) -> int:
-        """Total number of (point, ancestor) pairs."""
-        return int(self.anc_rows.shape[0])
-
 
 def _empty_csr() -> AncestorCSR:
     zi = np.empty(0, dtype=np.int64)

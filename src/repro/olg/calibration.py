@@ -115,10 +115,6 @@ class OLGCalibration:
         dist = self.shocks.stationary_distribution()
         return float(dist @ self.shocks.label("productivity"))
 
-    def mean_depreciation(self) -> float:
-        dist = self.shocks.stationary_distribution()
-        return float(dist @ self.shocks.label("depreciation"))
-
 
 def default_efficiency_profile(num_generations: int, retirement_age: int) -> np.ndarray:
     """Hump-shaped age-efficiency profile, normalised to mean 1 over workers."""

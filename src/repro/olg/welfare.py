@@ -38,10 +38,6 @@ class WelfareComparison:
     value_alternative: float
     consumption_equivalent: float
 
-    @property
-    def alternative_is_better(self) -> bool:
-        return self.value_alternative > self.value_reference
-
 
 def newborn_value(model: OLGModel, policy: PolicySet, z: int, x: np.ndarray) -> float:
     """Value function of a newborn agent at state ``(z, x)``.

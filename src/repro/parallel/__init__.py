@@ -16,7 +16,7 @@ to a pure-Python reproduction, so this subpackage provides
   (:mod:`repro.parallel.scaling`) that reproduces the shape of Fig. 8.
 """
 
-from repro.parallel.cluster import NodeSpec, ClusterSpec, PIZ_DAINT_NODE, GRAND_TAVE_NODE
+from repro.parallel.cluster import NodeSpec, PIZ_DAINT_NODE, GRAND_TAVE_NODE
 from repro.parallel.partition import proportional_group_sizes, partition_counts
 from repro.parallel.scheduler import WorkStealingScheduler, simulate_schedule
 from repro.parallel.executor import SerialExecutor, ThreadPoolMapExecutor, ProcessPoolMapExecutor
@@ -26,7 +26,6 @@ from repro.parallel.tracing import TraceRecorder, Span
 
 __all__ = [
     "NodeSpec",
-    "ClusterSpec",
     "PIZ_DAINT_NODE",
     "GRAND_TAVE_NODE",
     "proportional_group_sizes",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["NodeSpec", "ClusterSpec", "PIZ_DAINT_NODE", "GRAND_TAVE_NODE", "REFERENCE_THREAD"]
+__all__ = ["NodeSpec", "PIZ_DAINT_NODE", "GRAND_TAVE_NODE", "REFERENCE_THREAD"]
 
 
 @dataclass(frozen=True)
@@ -110,37 +110,3 @@ GRAND_TAVE_NODE = NodeSpec(
     cpu_parallel_efficiency=0.375,  # 256 hw threads -> ~96x over its own thread
     gpu_throughput=0.0,
 )
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """A homogeneous cluster of identical nodes."""
-
-    node: NodeSpec
-    num_nodes: int = 1
-    use_gpu: bool = True
-
-    def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ValueError("num_nodes must be >= 1")
-
-    @property
-    def total_threads(self) -> int:
-        return self.num_nodes * self.node.hardware_threads
-
-    def total_throughput(self) -> float:
-        return self.num_nodes * self.node.node_throughput(use_gpu=self.use_gpu)
-
-    def with_nodes(self, num_nodes: int) -> "ClusterSpec":
-        """Same node type, different node count (used by strong-scaling sweeps)."""
-        return ClusterSpec(node=self.node, num_nodes=num_nodes, use_gpu=self.use_gpu)
-
-
-def piz_daint(num_nodes: int = 1, use_gpu: bool = True) -> ClusterSpec:
-    """Convenience constructor for a Piz Daint partition."""
-    return ClusterSpec(node=PIZ_DAINT_NODE, num_nodes=num_nodes, use_gpu=use_gpu)
-
-
-def grand_tave(num_nodes: int = 1) -> ClusterSpec:
-    """Convenience constructor for a Grand Tave partition."""
-    return ClusterSpec(node=GRAND_TAVE_NODE, num_nodes=num_nodes, use_gpu=False)

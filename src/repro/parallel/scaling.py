@@ -65,10 +65,6 @@ class ScalingPoint:
     def efficiency(self) -> float:
         return self.ideal_time / self.total_time if self.total_time > 0 else 1.0
 
-    @property
-    def speedup_vs_ideal(self) -> float:
-        return self.total_time / self.ideal_time if self.ideal_time > 0 else float("inf")
-
 
 @dataclass
 class StrongScalingModel:

@@ -239,6 +239,3 @@ class EventRecorder:
 
     def workers(self) -> list:
         return sorted({e.worker for e in self.events})
-
-    def to_dicts(self) -> list:
-        return [e.to_dict() for e in self.events]

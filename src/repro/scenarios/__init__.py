@@ -107,7 +107,6 @@ from repro.scenarios.backends import (
     backend_from_url,
 )
 from repro.scenarios.checkpoint import (
-    CheckpointState,
     InterruptingCheckpoint,
     SimulatedKill,
     SolveAbandoned,
@@ -168,7 +167,6 @@ __all__ = [
     "load_policy_set",
     "save_result",
     "load_result",
-    "CheckpointState",
     "SolveCheckpoint",
     "InterruptingCheckpoint",
     "SimulatedKill",

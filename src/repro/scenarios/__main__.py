@@ -20,7 +20,9 @@ Installed as the ``repro-scenarios`` console script and runnable as
 * ``compact`` — fold the store's commit log into one immutable snapshot
   checkpoint object, so ``index()``/``show`` on long-lived object-store
   logs cost one snapshot read plus the un-folded tail (``--grace``
-  controls how long folded log objects linger for in-flight readers);
+  controls how long folded log objects linger for in-flight readers), and
+  delete the solve checkpoints of completed scenarios that a crash between
+  a commit and its checkpoint delete left behind;
 * ``work``   — join a worker fleet draining one suite cooperatively via
   the claim/lease protocol (any number of these processes against one
   shared ``--store``; see :mod:`repro.scenarios.lease`);
@@ -73,6 +75,13 @@ def _default_store() -> str:
     return os.environ.get("REPRO_STORE_URL") or "scenario_store"
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     store = argparse.ArgumentParser(add_help=False)
     store.add_argument(
@@ -102,19 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers of them (expected-longest scenarios are claimed first)",
     )
     run.add_argument("--workers", type=int, default=2, help="drain count of a non-serial host")
-    run.add_argument(
-        "--keep-last-n",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint GC: keep at most the N newest resumable checkpoints",
-    )
-    run.add_argument(
-        "--no-keep-on-failure",
-        dest="keep_on_failure",
-        action="store_false",
-        help="checkpoint GC: also drop checkpoints of failed/interrupted scenarios",
-    )
     run.add_argument(
         "--dry-run",
         action="store_true",
@@ -154,9 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument(
         "--samples",
-        type=int,
+        type=_positive_int,
         default=64,
-        help="state-space sample points for the policy comparison",
+        help="state-space sample points for the policy comparison (>= 1)",
     )
 
     query = sub.add_parser(
@@ -194,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "compact",
         parents=[store, as_json],
         help="fold the commit log into a snapshot checkpoint "
-        "(index() then reads one snapshot plus the un-folded tail)",
+        "(index() then reads one snapshot plus the un-folded tail) and delete "
+        "the solve checkpoints of completed scenarios",
     )
     compact.add_argument(
         "--grace",
@@ -338,8 +335,6 @@ def _cmd_run(args) -> int:
             executor=args.executor,
             num_workers=args.workers,
             interrupt_after=args.interrupt_after,
-            keep_last_n=args.keep_last_n,
-            keep_on_failure=args.keep_on_failure,
             batch_topology=args.batch,
             progress=print,
         )
@@ -366,14 +361,16 @@ def _cmd_compact(args) -> int:
     report = store.compact(grace_seconds=args.grace)
     if args.json:
         return _print_json(report)
-    if report["snapshot"] is None and not report["deleted_objects"]:
+    swept = report["checkpoints_deleted"]
+    if report["snapshot"] is None and not report["deleted_objects"] and not swept:
         print(f"store {store.url}: nothing to compact ({report['total_records']} record(s))")
         return 0
     print(
         f"store {store.url}: folded {report['folded_records']} record(s) "
         f"into {report['snapshot'] or 'the existing snapshot'} "
         f"({report['total_records']} total); deleted {report['deleted_objects']} "
-        f"log object(s), {report['kept_for_grace']} kept for the grace window"
+        f"log object(s), {report['kept_for_grace']} kept for the grace window; "
+        f"deleted {swept} checkpoint(s) of completed scenarios"
     )
     return 0
 

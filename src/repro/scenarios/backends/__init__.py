@@ -54,8 +54,6 @@ from repro.scenarios.backends.objectstore import (
     ObjectStoreBackend,
 )
 from repro.scenarios.backends.retry import (
-    RETRIES_ENV,
-    RETRY_BASE_ENV,
     TransientStorageError,
     call_with_retries,
     is_transient,
@@ -78,8 +76,6 @@ __all__ = [
     "TransientStorageError",
     "call_with_retries",
     "is_transient",
-    "RETRIES_ENV",
-    "RETRY_BASE_ENV",
     "BACKEND_SCHEMES",
     "StoreURLError",
     "is_store_url",

@@ -32,7 +32,7 @@ class _Namespace:
         self._clock = 0.0
 
     def now(self) -> float:
-        # strictly increasing so newest-first orderings (checkpoint GC)
+        # strictly increasing so newest-first orderings (list_checkpoints)
         # are deterministic even for back-to-back writes
         self._clock = max(self._clock + 1e-6, time.time())
         return self._clock

@@ -170,7 +170,7 @@ class _Boto3Client:
 
     def delete_object(self, bucket: str, key: str) -> bool:  # pragma: no cover
         # S3 DELETE is idempotent and reports nothing, but the backend
-        # contract's removed-flag feeds GC reporting — head first
+        # contract's removed-flag feeds compaction reporting — head first
         existed = self.head_object(bucket, key) is not None
         self._s3.delete_object(Bucket=bucket, Key=key)
         return existed

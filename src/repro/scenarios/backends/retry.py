@@ -17,25 +17,14 @@ raises), and botocore-shaped throttling/5xx responses are retried; a
 failure, and anything unrecognised propagates rather than being
 hammered against a broken backend.
 
-Environment knobs:
-
-* ``REPRO_STORE_RETRIES`` — attempts *after* the first try (default 3;
-  ``0`` disables retrying entirely);
-* ``REPRO_STORE_RETRY_BASE`` — base backoff seconds (default 0.05; the
-  n-th retry sleeps ``base * 2**n`` scaled by a random jitter in
-  [0.5, 1.5), so a fleet of workers hitting one hiccup does not retry
-  in lockstep).
-
-Both are read from the environment when a call first hits a transient
-error (they may be changed mid-process; a healthy call reads neither) and
-parsed — and, when negative or garbled, warned about — once per distinct
-value.
+The budget is fixed policy: :data:`DEFAULT_RETRIES` attempts after the
+first try, the n-th retry sleeping ``DEFAULT_RETRY_BASE * 2**n`` seconds
+scaled by a random jitter in [0.5, 1.5), so a fleet of workers hitting one
+hiccup does not retry in lockstep.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import random
 import time
 from typing import Any, Callable, TypeVar
@@ -43,26 +32,20 @@ from typing import Any, Callable, TypeVar
 from repro.utils.logging import get_logger
 
 __all__ = [
-    "RETRIES_ENV",
-    "RETRY_BASE_ENV",
     "DEFAULT_RETRIES",
     "DEFAULT_RETRY_BASE",
     "TransientStorageError",
     "is_transient",
     "call_with_retries",
-    "env_knob",
 ]
 
 logger = get_logger("scenarios.backends.retry")
 
 T = TypeVar("T")
 
-#: environment override for the retry budget (attempts after the first)
-RETRIES_ENV = "REPRO_STORE_RETRIES"
-#: environment override for the base backoff delay in seconds
-RETRY_BASE_ENV = "REPRO_STORE_RETRY_BASE"
-
+#: retries after the first attempt of one storage operation
 DEFAULT_RETRIES = 3
+#: seconds the first retry waits (before jitter); each later one doubles it
 DEFAULT_RETRY_BASE = 0.05
 
 #: botocore-style error codes that denote a retryable service condition
@@ -80,35 +63,6 @@ class TransientStorageError(OSError):
     notably the fault-injection harness, which uses it to model an
     object-store blip that a healthy retry loop must absorb.
     """
-
-
-@functools.lru_cache(maxsize=32, typed=True)
-def _parse_knob(name: str, raw: str, default: float) -> float:
-    """``raw`` as a non-negative number of ``default``'s type (int or float).
-
-    Cached, so each distinct raw string is parsed once — and a bad one
-    warned about once, not per failing operation.
-    """
-    kind = type(default)
-    if not raw.strip():
-        return default
-    try:
-        value = kind(raw)
-    except ValueError:
-        logger.warning("ignoring non-%s %s=%r (using %s)", kind.__name__, name, raw, default)
-        return default
-    if value < 0:
-        logger.warning("clamping negative %s=%r to 0", name, raw)
-        return kind(0)
-    return value
-
-
-def env_knob(name: str, default: float) -> float:
-    """The non-negative numeric environment knob ``name`` (``default``'s
-    type), read on every use: the variables may change mid-process.
-    Empty -> default, garbage -> warn + default, negative -> warn + 0."""
-    raw = os.environ.get(name)
-    return default if raw is None else _parse_knob(name, raw, default)
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -143,11 +97,13 @@ def call_with_retries(
 ) -> T:
     """Call ``fn(*args, **kwargs)``, retrying transient failures.
 
-    ``retries``/``base_delay`` default to the environment knobs above.
-    Non-transient exceptions (per :func:`is_transient`) and the final
-    transient failure propagate unchanged, so callers see the original
-    error.
+    ``retries``/``base_delay`` default to :data:`DEFAULT_RETRIES` /
+    :data:`DEFAULT_RETRY_BASE`, read when the call is made.  Non-transient
+    exceptions (per :func:`is_transient`) and the final transient failure
+    propagate unchanged, so callers see the original error.
     """
+    retries = DEFAULT_RETRIES if retries is None else retries
+    base_delay = DEFAULT_RETRY_BASE if base_delay is None else base_delay
     attempt = 0
     while True:
         try:
@@ -155,12 +111,6 @@ def call_with_retries(
         except Exception as exc:  # classified and re-raised below
             if not is_transient(exc):
                 raise
-            # the knobs matter only once something transient has failed: a
-            # healthy call reads no environment
-            if retries is None:
-                retries = int(env_knob(RETRIES_ENV, DEFAULT_RETRIES))
-            if base_delay is None:
-                base_delay = env_knob(RETRY_BASE_ENV, DEFAULT_RETRY_BASE)
             if attempt >= retries:
                 raise
             delay = base_delay * (2.0**attempt) * (0.5 + rng())

@@ -158,8 +158,8 @@ def solve_batch_and_commit(
         store.commit_entry(entry)
         if entry["status"] == "completed" and specs[i].kind == "solve":
             # safe to drop only now that the committed entry points at the
-            # result; missing_ok because a concurrent same-hash writer or
-            # another batch's GC may have removed it first
+            # result; missing_ok because a concurrent same-hash writer or a
+            # compact may have removed it first
             store.checkpoint_ref(specs[i]).unlink(missing_ok=True)
         done[i] = entry
 

@@ -15,6 +15,14 @@ inside its first interval writes no checkpoint at all, and one that is
 killed resumes from the last *persisted* iteration (from ``p^0`` when none
 was).  One time-iteration step is a deterministic function of the previous
 iterate, so the resumed run reproduces the uninterrupted one bit-for-bit.
+:meth:`SolveCheckpoint.load` hands the loop the stored
+:class:`~repro.core.time_iteration.TimeIterationResult` itself.
+
+A scenario has one checkpoint object, ``<hash16>/checkpoint.npz``; the
+commit path (:func:`repro.scenarios.batching.solve_batch_and_commit`)
+deletes it right after the completed entry is committed, and
+:meth:`repro.scenarios.store.ResultsStore.compact` removes the one a crash
+between those two steps leaves behind; no other store path deletes one.
 
 Checkpointing is persistence only; the *observability* of the same
 iteration boundary — the ``solve-started``/``iteration``/``refined``/
@@ -35,7 +43,6 @@ Example
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.policy import PolicySet
@@ -45,7 +52,6 @@ from repro.utils.logging import get_logger
 
 __all__ = [
     "CHECKPOINT_SECONDS",
-    "CheckpointState",
     "SolveCheckpoint",
     "InterruptingCheckpoint",
     "SimulatedKill",
@@ -71,20 +77,6 @@ class SolveAbandoned(RuntimeError):
     (:func:`repro.scenarios.batching.solve_batch_and_commit`) is where it
     is told apart and returned instead of a failure entry.
     """
-
-
-@dataclass
-class CheckpointState:
-    """Snapshot a solve can resume from."""
-
-    policy: PolicySet
-    records: list
-    converged: bool
-    config: TimeIterationConfig
-
-    @property
-    def iteration(self) -> int:
-        return self.records[-1].iteration if self.records else 0
 
 
 class SolveCheckpoint:
@@ -137,8 +129,8 @@ class SolveCheckpoint:
     # ------------------------------------------------------------------ #
     # hook protocol consumed by the time-iteration loop
     # ------------------------------------------------------------------ #
-    def load(self) -> CheckpointState | None:
-        """Read the saved state, or ``None`` when no checkpoint exists."""
+    def load(self) -> TimeIterationResult | None:
+        """The saved state to resume from, or ``None`` when no checkpoint exists."""
         self._persisted_at = self.clock()  # the store holds what the solve starts from
         try:  # one read, a miss is the answer: the object may vanish after any exists()
             result = serialize.load_result(self.path)
@@ -156,12 +148,7 @@ class SolveCheckpoint:
             "resuming from %s at iteration %d", self.path, len(result.records)
         )
         self.resumed = True
-        return CheckpointState(
-            policy=result.policy,
-            records=list(result.records),
-            converged=result.converged,
-            config=result.config,
-        )
+        return result
 
     def on_iteration(
         self, policy: PolicySet, records: list, converged: bool, config: TimeIterationConfig

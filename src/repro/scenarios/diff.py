@@ -149,10 +149,13 @@ def diff_entries(
     ``store_b`` resolves the second reference in a *different* store —
     possibly on a different storage backend (a local ``file://`` run
     against an ``s3://`` archive is the motivating case); it defaults to
-    ``store``.  Raises ``KeyError`` for unknown/ambiguous hashes.  Policy
-    comparison requires both entries to be *completed solves*; otherwise
-    the ``policy`` section carries a ``skipped`` reason instead.
+    ``store``.  Raises ``KeyError`` for unknown/ambiguous hashes and
+    ``ValueError`` for ``samples < 1``.  Policy comparison requires both
+    entries to be *completed solves*; otherwise the ``policy`` section
+    carries a ``skipped`` reason instead.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1 (got {samples}): the policy diff needs a point")
     store_b = store_b if store_b is not None else store
     hash_a = store.resolve_hash(ref_a)
     hash_b = store_b.resolve_hash(ref_b)

@@ -68,6 +68,7 @@ for ``repro-scenarios status`` by the time its worker next claims, blocks or exi
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -83,7 +84,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.parallel.scheduler import longest_first_order
 from repro.parallel.tracing import EventRecorder
-from repro.scenarios.backends.retry import env_knob
 from repro.scenarios.batching import partition_by_topology, solve_batch_and_commit
 from repro.scenarios.checkpoint import SolveAbandoned
 from repro.scenarios.spec import ScenarioSpec
@@ -119,9 +119,26 @@ DEFAULT_TTL = 30.0
 TTL_ENV = "REPRO_LEASE_TTL"
 
 
+@functools.lru_cache(maxsize=8)
+def _ttl_from(raw: str) -> float:
+    """``raw`` as a TTL; cached, so a bad value is warned about once, not per lease."""
+    try:
+        ttl = float(raw) if raw.strip() else DEFAULT_TTL
+    except ValueError:
+        ttl = 0.0
+    if ttl > 0:
+        return ttl
+    logger.warning("ignoring %s=%r: not a positive number (using %s)", TTL_ENV, raw, DEFAULT_TTL)
+    return DEFAULT_TTL
+
+
 def default_ttl() -> float:
-    """The effective default lease TTL: :data:`TTL_ENV` if a positive number, else 30s."""
-    return env_knob(TTL_ENV, DEFAULT_TTL) or DEFAULT_TTL
+    """The effective default lease TTL: :data:`TTL_ENV` if a positive number, else 30s.
+
+    Read on every call (the variable may change mid-process); empty or unset
+    means the default.
+    """
+    return _ttl_from(os.environ.get(TTL_ENV, ""))
 
 
 #: recorded failures before a scenario is parked as permanently failing

@@ -10,9 +10,10 @@ duplicate hash runs once; sibling drains split the suite) and commits its
 own entries, so finished work outlives the parent.  A failure parks for
 this run (``max_attempts=1``); every run first clears the suite's parked
 records (:func:`repro.scenarios.lease.unpark`), so the next run retries
-it.  An interrupted solve resumes from its checkpoint on the next run.
-The parent then applies the checkpoint GC policy and reports one
-:class:`RunOutcome` per scenario from what the drains returned.
+it.  An interrupted solve resumes from its checkpoint on the next run; a
+completed one has had its checkpoint deleted by the commit path.  The
+parent then reports one :class:`RunOutcome` per scenario from what the
+drains returned, and touches the store no further.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.scenarios.checkpoint import SolveAbandoned
 from repro.scenarios.lease import _drain, default_worker_id, unpark
 from repro.scenarios.spec import ScenarioSpec, ScenarioSuite
 from repro.scenarios.store import ResultsStore
-from repro.utils.logging import get_logger
 
 __all__ = [
     "RunOutcome",
@@ -36,8 +36,6 @@ __all__ = [
     "solve_and_commit",
     "EXPERIMENT_ADAPTERS",
 ]
-
-logger = get_logger("scenarios.runner")
 
 #: how a scenario can end, best first: the order outcomes are merged and summarised in
 _STATUSES = ("completed", "skipped", "interrupted", "failed")
@@ -138,8 +136,6 @@ def run_suite(
     executor: str = "serial",
     num_workers: int = 2,
     interrupt_after: int | None = None,
-    keep_last_n: int | None = None,
-    keep_on_failure: bool = True,
     batch_topology: bool = False,
     progress=None,
 ) -> SuiteReport:
@@ -158,10 +154,6 @@ def run_suite(
     interrupt_after
         Testing/demo hook: kill each solve after N iterations (leaving a
         checkpoint), as ``--interrupt-after`` in the CLI.
-    keep_last_n, keep_on_failure
-        Checkpoint GC policy applied after the run (see
-        :meth:`~repro.scenarios.store.ResultsStore.gc_checkpoints`).  The
-        defaults keep every resumable checkpoint.
     batch_topology
         Opt-in group size (``--batch``): a drain claims the solve scenarios
         sharing a grid topology together and iterates them stacked (see
@@ -223,11 +215,4 @@ def run_suite(
         report.outcomes.append(
             RunOutcome(spec, status, wall_time=wall, entry=entry, error=entry.get("error"))
         )
-    # GC only this suite's checkpoint directories: a concurrent batch's
-    # in-flight checkpoints (other hashes) are never this batch's business
-    removed = store.gc_checkpoints(
-        keep_last_n=keep_last_n, keep_on_failure=keep_on_failure, hashes=suite.hashes()
-    )
-    for path in removed:
-        logger.info("gc: removed checkpoint %s", path)
     return report

@@ -29,7 +29,9 @@ Key layout (identical across backends)::
       spec.json                 # the full ScenarioSpec that produced it
       result.npz                # solve scenarios: serialized TimeIterationResult
       payload.json              # experiment scenarios: JSON result payload
-      checkpoint.npz            # transient; survives per the GC policy
+      checkpoint.npz            # transient: deleted once the completed
+                                # entry is committed (compact() removes
+                                # what a crash in between leaves)
 
 Concurrency model — no locks anywhere:
 
@@ -46,9 +48,11 @@ Concurrency model — no locks anywhere:
   the log is *merged at read time* — no atomic-append primitive is
   needed, only the plain object API.  Long-lived logs are folded into an
   immutable ``commit-snapshots/`` checkpoint
-  (:meth:`ResultsStore.compact`; auto-run from :meth:`ResultsStore.index`
-  past a tail threshold), so reading the log stays one snapshot read plus
-  the un-folded tail however many commits the store has absorbed.  The
+  (:meth:`ResultsStore.compact`; the fold alone is auto-run from
+  :meth:`ResultsStore.index` once the un-folded tail passes
+  :attr:`ResultsStore.auto_compact_tail` records), so reading the log
+  stays one snapshot read plus the un-folded tail however many commits
+  the store has absorbed.  The
   log is derived data: it may contain duplicates (re-runs) and may miss a
   hash after a crash between entry write and log append;
   :meth:`ResultsStore.reindex` (also retried automatically on hash lookup
@@ -72,7 +76,6 @@ import os
 import platform
 import time
 from datetime import datetime, timezone
-from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, cast
 
 import numpy as np
@@ -87,7 +90,6 @@ from repro.scenarios.backends import (
     backend_from_url,
     is_store_url,
 )
-from repro.scenarios.backends.retry import env_knob
 from repro.scenarios.spec import ScenarioSpec, flatten_index_fields
 from repro.utils.logging import get_logger
 
@@ -107,11 +109,6 @@ __all__ = [
 logger = get_logger("scenarios.store")
 
 _DIR_HASH_CHARS = 16
-
-#: environment override for the auto-compaction tail threshold (``0``
-#: disables auto-compaction entirely)
-AUTO_COMPACT_TAIL_ENV = "REPRO_STORE_AUTO_COMPACT_TAIL"
-_AUTO_COMPACT_TAIL_DEFAULT = 512
 
 #: keys of an entry copied onto its commit-log record (enough for discovery
 #: and wall-time-aware scheduling without opening any entry.json)
@@ -283,23 +280,18 @@ class ResultsStore:
     LEASE_PREFIX = "leases"
     EVENTS_PREFIX = "events"
 
-    def __init__(
-        self,
-        root: StorageBackend | str | os.PathLike[str],
-        auto_compact_tail: int | None = None,
-    ) -> None:
+    #: un-folded commit records :meth:`index`/:meth:`index_records` tolerate
+    #: before folding the log into a snapshot (see :meth:`compact`); ``0``
+    #: on an instance disables the fold
+    auto_compact_tail = 512
+
+    def __init__(self, root: StorageBackend | str | os.PathLike[str]) -> None:
         """Open a store on a backend, URL, or plain local path.
 
         ``root`` may be a :class:`StorageBackend` instance, a store URL
         (``file://``/``mem://``/``s3://`` — see
         :func:`repro.scenarios.backends.backend_from_url`) or a local
         filesystem path (the historical form, equivalent to ``file://``).
-
-        ``auto_compact_tail`` caps how many un-folded commit records
-        :meth:`index` tolerates before folding the log into a snapshot
-        checkpoint (see :meth:`compact`).  ``0`` disables auto-compaction;
-        ``None`` (default) reads ``REPRO_STORE_AUTO_COMPACT_TAIL`` and
-        falls back to 512.
         """
         if isinstance(root, StorageBackend):
             self.backend = root
@@ -309,18 +301,11 @@ class ResultsStore:
             self.backend = LocalFSBackend(root)
         #: backing directory for file:// stores, ``None`` otherwise
         self.root = self.backend.local_root
-        if auto_compact_tail is None:
-            # a typo'd variable must not crash every store open — the
-            # threshold is housekeeping config, not a correctness knob
-            auto_compact_tail = int(env_knob(AUTO_COMPACT_TAIL_ENV, _AUTO_COMPACT_TAIL_DEFAULT))
-        self.auto_compact_tail = max(0, int(auto_compact_tail))
 
     @classmethod
-    def open(
-        cls, url: StorageBackend | str | os.PathLike[str], **kwargs: Any
-    ) -> "ResultsStore":
+    def open(cls, url: StorageBackend | str | os.PathLike[str]) -> "ResultsStore":
         """Open a store from a URL (or plain path); see :meth:`__init__`."""
-        return cls(url, **kwargs)
+        return cls(url)
 
     @property
     def url(self) -> str:
@@ -366,17 +351,11 @@ class ResultsStore:
     def parked_key(self, spec_or_hash: ScenarioSpec | str) -> str:
         return f"{self.LEASE_PREFIX}/{self.scenario_key(spec_or_hash)}/parked.json"
 
-    def entry_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
-        return self.backend.ref(self.entry_key(spec_or_hash))
-
     def result_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
         return self.backend.ref(self.result_key(spec_or_hash))
 
     def checkpoint_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
         return self.backend.ref(self.checkpoint_key(spec_or_hash))
-
-    def spec_ref(self, spec_or_hash: ScenarioSpec | str) -> BlobRef:
-        return self.backend.ref(self.spec_key(spec_or_hash))
 
     # ------------------------------------------------------------------ #
     # lease/coordination state (read side; the protocol itself lives in
@@ -507,7 +486,8 @@ class ResultsStore:
         return index
 
     def compact(self, grace_seconds: float | None = None) -> dict[str, Any]:
-        """Fold the commit log into one immutable snapshot checkpoint.
+        """Fold the commit log into one immutable snapshot checkpoint, and
+        delete the checkpoints of completed scenarios.
 
         After a compaction, reading the log costs one snapshot object
         read plus the un-folded tail instead of O(total commits ever).
@@ -516,11 +496,25 @@ class ResultsStore:
         their snapshot has aged past the grace window (``None`` keeps
         the backend's default, generous enough for in-flight readers),
         and a compactor dying mid-way leaves only duplicates the merge
-        dedupes by key.  Returns the backend's report dict.
+        dedupes by key.
+
+        The commit path deletes a solve's checkpoint right after its
+        completed entry lands; a crash between the two leaves the
+        checkpoint behind, and this is where it goes: every checkpoint
+        whose scenario's winning record is ``completed`` is deleted, every
+        other one stays resumable.  Returns the backend's report dict plus
+        ``checkpoints_deleted``.
         """
         if grace_seconds is None:
-            return self.backend.compact()
-        return self.backend.compact(float(grace_seconds))
+            report = self.backend.compact()
+        else:
+            report = self.backend.compact(float(grace_seconds))
+        report["checkpoints_deleted"] = sum(
+            self.backend.delete(info["key"])
+            for info in self.list_checkpoints()
+            if info["status"] == "completed"
+        )
+        return report
 
     def _maybe_auto_compact(self) -> None:
         if not self.auto_compact_tail:
@@ -534,7 +528,8 @@ class ResultsStore:
             if len(self.backend.list(COMMIT_LOG_PREFIX)) <= self.auto_compact_tail:
                 return
             if self.backend.commit_log_tail_count() > self.auto_compact_tail:
-                report = self.compact()
+                # the fold only: a read must not pay compact()'s store listing
+                report = self.backend.compact()
                 logger.info(
                     "auto-compacted %s: %d record(s) -> %s",
                     self.url,
@@ -815,7 +810,7 @@ class ResultsStore:
         return ScenarioSpec.from_dict(data)
 
     # ------------------------------------------------------------------ #
-    # checkpoints: listing and garbage collection
+    # checkpoints (deleted by the commit path and by compact())
     # ------------------------------------------------------------------ #
     def list_checkpoints(self, with_progress: bool = False) -> list[dict[str, Any]]:
         """Stored checkpoints, newest first, annotated with entry status.
@@ -845,7 +840,7 @@ class ResultsStore:
             try:
                 mtime = self.backend.mtime(key)
             except FileNotFoundError:
-                continue  # a concurrent writer/GC removed it mid-scan
+                continue  # a concurrent commit or compact removed it mid-scan
             info: dict[str, Any] = {
                 "key": key,
                 "path": str(self.root / key) if self.root is not None else f"{self.url}/{key}",
@@ -864,61 +859,10 @@ class ResultsStore:
                     info["iterations_done"] = None
             infos.append(info)
         # newest-first by mtime — but mtime is upload-time with coarse
-        # granularity on object stores, where a same-second tie could let
-        # ``keep_last_n`` pick a different survivor on every call.  Within
-        # an mtime tie the key is the deterministic tiebreak.
+        # granularity on object stores, so within an mtime tie the key is
+        # the tiebreak and every call lists the same order
         infos.sort(key=lambda i: (i["mtime"], i["key"]), reverse=True)
         return infos
-
-    def gc_checkpoints(
-        self,
-        keep_last_n: int | None = None,
-        keep_on_failure: bool = True,
-        hashes: Iterable[ScenarioSpec | str] | None = None,
-    ) -> list[Path | PurePosixPath]:
-        """Delete checkpoints per policy; returns the removed paths.
-
-        * checkpoints of *completed* scenarios are always stale (the
-          committed result supersedes them) and are removed;
-        * ``keep_on_failure`` (default) preserves checkpoints of
-          interrupted/failed/unknown scenarios so they can resume;
-          ``False`` drops those too;
-        * ``keep_last_n`` caps the survivors at the N most recently
-          written checkpoints (by mtime), bounding store growth under
-          repeated kill/resume churn;
-        * ``hashes`` restricts the sweep to those spec hashes.  The batch
-          runner passes its own suite's hashes so one batch's epilogue GC
-          can never touch a concurrent batch's in-flight checkpoints.
-        """
-        if keep_last_n is not None and keep_last_n < 0:
-            raise ValueError("keep_last_n must be >= 0")
-        scope: set[str] | None = None
-        if hashes is not None:
-            scope = {self._hash_of(h)[:_DIR_HASH_CHARS] for h in hashes}
-        removed: list[dict[str, Any]] = []
-        survivors: list[dict[str, Any]] = []
-        for info in self.list_checkpoints():
-            if scope is not None and info["directory"] not in scope:
-                continue
-            if info["status"] == "completed" or not keep_on_failure:
-                removed.append(info)
-            else:
-                survivors.append(info)
-        if keep_last_n is not None:
-            # list_checkpoints is newest-first; everything past N goes
-            removed.extend(survivors[keep_last_n:])
-        paths: list[Path | PurePosixPath] = []
-        for info in removed:
-            if self.backend.delete(info["key"], missing_ok=True):
-                # Path for file:// stores (local tooling expects real
-                # paths), PurePosixPath elsewhere (same .name/str API)
-                paths.append(
-                    self.root / info["key"]
-                    if self.root is not None
-                    else PurePosixPath(info["key"])
-                )
-            # else: a concurrent writer/GC got there first
-        return paths
 
 
 def parse_event_lines(raw: bytes) -> list[dict[str, Any]]:
@@ -1023,6 +967,11 @@ class EventTailer:
 #: and that drain leaves 17 objects per worker for ``status``/``report`` to read.
 EVENT_SEGMENT_BYTES = 16 * 1024
 
+#: buffered events, and seconds since the last flush, at which
+#: :class:`StoreEventSink` flushes its buffer on the next event
+EVENT_FLUSH_EVENTS = 25
+EVENT_FLUSH_SECONDS = 2.0
+
 
 class StoreEventSink:
     """Event sink persisting one worker's feed as ``events/<worker>.jsonl[.<n>]``.
@@ -1039,7 +988,8 @@ class StoreEventSink:
 
     Writes are **batched**: high-frequency solve-progress events
     (``iteration``/``refined``/``heartbeat``) are buffered and flushed
-    once ``flush_every`` events or ``flush_interval`` seconds accumulate,
+    once :data:`EVENT_FLUSH_EVENTS` events or :data:`EVENT_FLUSH_SECONDS`
+    seconds (on ``clock``) accumulate,
     so a 200-iteration solve costs a handful of object puts instead of
     200.  What closes a unit (``converged``/``solve-finished``/``committed``/
     ``released``/``healed``) is buffered too: a micro-unit costs one put.  The
@@ -1063,19 +1013,10 @@ class StoreEventSink:
     )
 
     def __init__(
-        self,
-        store: ResultsStore,
-        worker_id: str,
-        flush_every: int = 25,
-        flush_interval: float = 2.0,
-        clock: Callable[[], float] = time.time,
+        self, store: ResultsStore, worker_id: str, clock: Callable[[], float] = time.time
     ) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
         self.store = store
         self.worker = str(worker_id).replace("/", "-")
-        self.flush_every = int(flush_every)
-        self.flush_interval = float(flush_interval)
         self.clock = clock
         segments = store.event_segments()
         self._segment = max(segments.get(self.worker, {}), default=0)
@@ -1105,8 +1046,8 @@ class StoreEventSink:
         self._pending.append(json.dumps(event.to_dict(), sort_keys=True))
         if (
             event.kind not in self.BUFFERED_KINDS
-            or len(self._pending) >= self.flush_every
-            or float(self.clock()) - self._last_flush >= self.flush_interval
+            or len(self._pending) >= EVENT_FLUSH_EVENTS
+            or float(self.clock()) - self._last_flush >= EVENT_FLUSH_SECONDS
         ):
             self.flush()
 

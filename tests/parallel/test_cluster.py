@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.parallel.cluster import (
-    GRAND_TAVE_NODE,
-    PIZ_DAINT_NODE,
-    ClusterSpec,
-    NodeSpec,
-    grand_tave,
-    piz_daint,
-)
+from repro.parallel.cluster import GRAND_TAVE_NODE, PIZ_DAINT_NODE, NodeSpec
 
 
 class TestNodeSpec:
@@ -62,24 +55,3 @@ class TestPaperAnchors:
     def test_grand_tave_has_no_gpu(self):
         assert not GRAND_TAVE_NODE.has_gpu
         assert PIZ_DAINT_NODE.has_gpu
-
-
-class TestClusterSpec:
-    def test_total_throughput_scales_with_nodes(self):
-        one = piz_daint(1)
-        many = piz_daint(64)
-        assert many.total_throughput() == pytest.approx(64 * one.total_throughput())
-
-    def test_with_nodes(self):
-        cluster = grand_tave(4)
-        bigger = cluster.with_nodes(128)
-        assert bigger.num_nodes == 128
-        assert bigger.node is cluster.node
-
-    def test_invalid_node_count(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(PIZ_DAINT_NODE, num_nodes=0)
-
-    def test_total_threads(self):
-        cluster = piz_daint(2)
-        assert cluster.total_threads == 2 * PIZ_DAINT_NODE.hardware_threads

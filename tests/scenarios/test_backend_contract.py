@@ -5,7 +5,7 @@ Every test here is parametrized over ``file://``, ``mem://`` and
 contract the :class:`ResultsStore` depends on — wholesale-atomic puts,
 read-your-writes visibility, durable commit records, last-writer-wins
 per hash, no-downgrade of completed entries, reindex self-healing,
-checkpoint GC and kill/resume — is pinned down once and must hold
+checkpoint cleanup by compaction and kill/resume — is pinned down once and must hold
 identically for every backend, current and future.
 """
 
@@ -469,39 +469,19 @@ class TestStoreContract:
         store.commit_entry(store.failure_entry(other, "interrupted", 4.0, "killed"))
         assert store.wall_times()[other.content_hash()] == 4.0  # partial stands in
 
-    def test_checkpoint_gc_policies(self, store):
+    def test_compact_deletes_the_checkpoints_of_completed_scenarios_only(self, store):
+        # a crash between a commit and its checkpoint delete leaves this one
         done = _payload_spec(0, name="done")
         store.commit_entry(store.write_payload(done, {}, wall_time=1.0))
         store.checkpoint_ref(done).write_bytes(b"stale")
-        halted = []
-        for i in range(1, 4):
-            spec = _payload_spec(i, name=f"halted-{i}")
-            store.commit_entry(store.failure_entry(spec, "interrupted", 1.0, "killed"))
-            store.checkpoint_ref(spec).write_bytes(b"resumable")
-            halted.append(spec)
-            time.sleep(0.01)  # distinct mtimes for the newest-first ordering
-        # completed checkpoints are always stale; resumable ones survive
-        removed = store.gc_checkpoints()
-        assert [p.name for p in removed] == ["checkpoint.npz"]
-        assert len(store.list_checkpoints()) == 3
-        # keep_last_n caps survivors at the newest
-        removed = store.gc_checkpoints(keep_last_n=1)
-        assert len(removed) == 2
-        survivors = store.list_checkpoints()
-        assert len(survivors) == 1
-        assert survivors[0]["directory"] == store.scenario_key(halted[-1])
-        # keep_on_failure=False drops the rest
-        assert len(store.gc_checkpoints(keep_on_failure=False)) == 1
-        assert store.list_checkpoints() == []
-
-    def test_gc_scoped_to_hashes(self, store):
-        mine, other = _payload_spec(0, name="mine"), _payload_spec(1, name="other")
-        for spec in (mine, other):
-            store.commit_entry(store.failure_entry(spec, "interrupted", 1.0, "killed"))
-            store.checkpoint_ref(spec).write_bytes(b"resumable")
-        removed = store.gc_checkpoints(keep_on_failure=False, hashes=[mine.content_hash()])
-        assert len(removed) == 1
-        assert store.checkpoint_ref(other).exists()
+        halted = _payload_spec(1, name="halted")
+        store.commit_entry(store.failure_entry(halted, "interrupted", 1.0, "killed"))
+        store.checkpoint_ref(halted).write_bytes(b"resumable")
+        assert store.compact(grace_seconds=0)["checkpoints_deleted"] == 1
+        assert not store.checkpoint_ref(done).exists()
+        assert [i["directory"] for i in store.list_checkpoints()] == [store.scenario_key(halted)]
+        assert store.compact(grace_seconds=0)["checkpoints_deleted"] == 0
+        assert store.checkpoint_ref(halted).exists()
 
     def test_solve_kill_resume_round_trip(self, store):
         # checkpoints flow through the backend: a killed solve resumes
@@ -516,7 +496,9 @@ class TestStoreContract:
         entry = store.entry(suite[0])
         assert entry["resumed"] is True
         assert store.load_result(suite[0]).converged
-        assert not store.checkpoint_ref(suite[0]).exists()  # dropped post-commit
+        # a completed run leaves no checkpoint: the commit path deleted it,
+        # and nothing after the drains lists or deletes anything
+        assert store.list_checkpoints() == []
 
     def test_skip_by_hash_across_store_reopen(self, store, any_store_url):
         suite = ScenarioSuite("exp", [_payload_spec(0), _payload_spec(1)])
@@ -570,46 +552,34 @@ class TestStoreContract:
         store.compact(grace_seconds=0)
         assert set(store.index()) == {s.content_hash() for s in specs}
 
-    def test_checkpoint_gc_ties_break_on_the_key(self, store_url_for):
-        """``keep_last_n`` orders by backend mtime, which is coarse
-        upload-time on object stores.  Within a same-tick tie the key
-        decides, so every call keeps the same survivor; across *distinct*
-        mtimes recency still rules."""
+    def test_list_checkpoints_breaks_mtime_ties_on_the_key(self, store_url_for):
+        """``list_checkpoints`` is newest-first by backend mtime, which is
+        coarse upload-time on object stores.  Within a same-tick tie the key
+        decides, so every call lists the same order whatever order the
+        checkpoints were written in; across *distinct* mtimes recency rules."""
         store = ResultsStore.open(store_url_for("file"))
         halted = [_payload_spec(i, name=f"tied-{i}") for i in range(3)]
         for spec in halted:
             store.commit_entry(store.failure_entry(spec, "interrupted", 1.0, "killed"))
         stamp = time.time() - 60
 
-        def write_tied_checkpoints():
-            for spec in halted:
+        def write_tied_checkpoints(specs):
+            for spec in specs:
                 store.checkpoint_ref(spec).write_bytes(b"resumable")
                 # coarse object-store clock: all three land on one mtime tick
                 os.utime(store.root / store.checkpoint_key(spec), (stamp, stamp))
 
-        expected = max(store.scenario_key(spec) for spec in halted)
-        for _ in range(3):
-            write_tied_checkpoints()
-            assert store.list_checkpoints()[0]["directory"] == expected
-            assert len(store.gc_checkpoints(keep_last_n=1)) == 2
-            assert [i["directory"] for i in store.list_checkpoints()] == [expected]
+        expected = sorted((store.scenario_key(spec) for spec in halted), reverse=True)
+        for order in (halted, halted[::-1], halted[1:] + halted[:1]):
+            write_tied_checkpoints(order)
+            assert [i["directory"] for i in store.list_checkpoints()] == expected
         # ...but a genuinely fresher checkpoint outranks the tied ones
         fresh = _payload_spec(9, name="fresh")
         store.commit_entry(store.failure_entry(fresh, "interrupted", 1.0, "killed"))
         store.checkpoint_ref(fresh).write_bytes(b"resumable")
-        write_tied_checkpoints()
-        assert store.list_checkpoints()[0]["directory"] == store.scenario_key(fresh)
-        store.gc_checkpoints(keep_last_n=1)
         assert [i["directory"] for i in store.list_checkpoints()] == [
             store.scenario_key(fresh)
-        ]
-
-    def test_auto_compact_tail_env_typo_does_not_crash_open(
-        self, store_url_for, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE_AUTO_COMPACT_TAIL", "off")
-        store = ResultsStore.open(store_url_for("file", name="env-typo"))
-        assert store.auto_compact_tail == 512  # fell back to the default
+        ] + expected
 
 
 class TestStoreCompaction:
@@ -692,13 +662,29 @@ class TestStoreCompaction:
         assert store.backend.commit_log_tail_count() == 0
         assert len(store.log_records()) == 9
 
-    def test_auto_compact_threshold_from_environment(self, store_url_for, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_AUTO_COMPACT_TAIL", "7")
-        store = ResultsStore.open(store_url_for("file", name="env-thresh"))
-        assert store.auto_compact_tail == 7
-        monkeypatch.setenv("REPRO_STORE_AUTO_COMPACT_TAIL", "0")
-        disabled = ResultsStore.open(store_url_for("file", name="env-off"))
-        assert disabled.auto_compact_tail == 0
+    def test_auto_compaction_folds_the_log_only(self, store_url_for, monkeypatch):
+        """The class constant governs every store opened, and the fold a read
+        triggers lists nothing but the log: a leftover checkpoint of a
+        completed scenario waits for an explicit ``compact()``."""
+        monkeypatch.setattr(ResultsStore, "auto_compact_tail", 2)
+        store = ResultsStore.open(store_url_for("mem", name="auto-fold"))
+        specs = [_payload_spec(i) for i in range(3)]
+        for spec in specs:
+            store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
+        store.checkpoint_ref(specs[0]).write_bytes(b"stale")
+        prefixes: list = []
+        real_list = store.backend.list
+
+        def recording_list(prefix=""):
+            prefixes.append(prefix)
+            return real_list(prefix)
+
+        store.backend.list = recording_list
+        assert len(store.index_records()) == 3
+        assert store.backend.commit_log_tail_count() == 0  # 3 > 2: folded
+        assert "" not in prefixes  # no listing of the whole store
+        assert store.checkpoint_ref(specs[0]).exists()
+        assert store.compact()["checkpoints_deleted"] == 1
 
     def test_kill_resume_survives_a_compacted_store(self, store):
         """Compaction between the kill and the resume must not disturb
@@ -987,45 +973,6 @@ class TestQueryIndex:
         assert cli_main(["query", "--store", url, "--where", "bogus"]) == 2
         assert "malformed predicate" in capsys.readouterr().err
 
-    def test_negative_env_values_warn_once(self, store_url_for, monkeypatch, caplog):
-        import logging
-
-        from repro.scenarios.backends import retry
-
-        monkeypatch.setenv("REPRO_STORE_AUTO_COMPACT_TAIL", "-512")
-        with caplog.at_level(logging.WARNING):
-            store = ResultsStore.open(store_url_for("file", name="env-neg"))
-        assert store.auto_compact_tail == 0
-        assert sum("clamping negative" in r.message for r in caplog.records) == 1
-        caplog.clear()
-        retry._parse_knob.cache_clear()  # the memo is per process, not per test
-        monkeypatch.setenv(retry.RETRIES_ENV, "-3")
-        monkeypatch.setenv(retry.RETRY_BASE_ENV, "-0.5")
-        seen: list = []
-
-        def blip():
-            seen.append(1)
-            raise retry.TransientStorageError("blip")
-
-        with caplog.at_level(logging.WARNING):
-            for _ in range(5):  # once per distinct bad value, not per operation
-                with pytest.raises(retry.TransientStorageError):
-                    retry.call_with_retries(blip)
-        assert len(seen) == 5  # "-3" clamps to 0 retries
-        assert sum("clamping negative" in r.message for r in caplog.records) == 2
-        caplog.clear()
-        # changing the variable mid-process still takes effect, and a new
-        # bad value gets its own single warning
-        monkeypatch.setenv(retry.RETRIES_ENV, "2")
-        monkeypatch.setenv(retry.RETRY_BASE_ENV, "fast")
-        del seen[:]
-        with caplog.at_level(logging.WARNING):
-            for _ in range(2):
-                with pytest.raises(retry.TransientStorageError):
-                    retry.call_with_retries(blip, sleep=lambda _s: None)
-        assert len(seen) == 6
-        assert sum("ignoring non-float" in r.message for r in caplog.records) == 1
-
 
 # --------------------------------------------------------------------------- #
 # event-log segments: the bytes put per event are bounded
@@ -1199,7 +1146,7 @@ class TestLogLayouts:
             assert len(log_objects) == i + 1
             assert all(key.endswith(".json") for key in log_objects)
             # ...next to one authoritative entry.json per hash
-            entry = json.loads(store.entry_ref(spec).read_bytes())
+            entry = json.loads(store.backend.get(store.entry_key(spec)))
             assert entry["spec_hash"] == spec.content_hash()
         # and no other log: nothing appended anywhere outside commits/
         assert not [key for key in store.backend.list() if key.startswith("manifest")]

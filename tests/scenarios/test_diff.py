@@ -64,6 +64,12 @@ class TestDiffEntries:
         with pytest.raises(KeyError, match="no store entry"):
             diff_entries(store, "feedfeedfeedfeed", pair[1].content_hash())
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_sample_points_is_a_clear_error(self, tax_store, samples):
+        store, pair = tax_store
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            diff_entries(store, pair[0].content_hash(), pair[1].content_hash(), samples=samples)
+
     def test_self_diff_is_identity(self, tax_store):
         store, pair = tax_store
         h = pair[0].content_hash()
@@ -200,6 +206,15 @@ class TestDiffCLI:
         store, _pair = tax_store
         assert cli_main(["diff", "feedfeed", "deadbeef", "--store", str(store.root)]) == 2
         assert "no store entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-1", "many"])
+    def test_samples_below_one_is_a_usage_error(self, tax_store, capsys, samples):
+        store, pair = tax_store
+        argv = ["diff", pair[0].short_hash, pair[1].short_hash, "--store", str(store.root)]
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv + ["--samples", samples])
+        assert exit_.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
 
 class TestCrossBackendDiff:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import sys
 import threading
 import time
@@ -29,6 +30,7 @@ from repro.scenarios import (
     run_worker,
     solve_batch_and_commit,
 )
+from repro.scenarios import lease as lease_module
 from repro.scenarios.__main__ import main as cli_main
 from repro.scenarios.backends import (
     FaultInjectingBackend,
@@ -37,10 +39,11 @@ from repro.scenarios.backends import (
     backend_from_url,
     call_with_retries,
     is_transient,
+    retry,
 )
-from repro.scenarios.backends.retry import RETRIES_ENV, RETRY_BASE_ENV
 from repro.scenarios.checkpoint import CHECKPOINT_SECONDS, SolveAbandoned, SolveCheckpoint
 from repro.scenarios.lease import (
+    DEFAULT_TTL,
     HeldLease,
     LeaseHeartbeat,
     LeaseLost,
@@ -178,6 +181,17 @@ class TestClaimProtocol:
         store.backend.put(store.lease_key(spec), b"{not json")
         assert _manager(store, "w1", _Clock()).try_claim(spec) is not None
 
+    def test_bad_lease_ttl_values_warn_once(self, monkeypatch, caplog):
+        lease_module._ttl_from.cache_clear()  # the memo is per process, not per test
+        with caplog.at_level(logging.WARNING):
+            for raw in ("-5", "-5", "fast", "fast", "0", ""):
+                monkeypatch.setenv(lease_module.TTL_ENV, raw)
+                assert lease_module.default_ttl() == DEFAULT_TTL
+        # once per distinct bad value, not per lease manager; empty means unset
+        assert sum(lease_module.TTL_ENV in r.message for r in caplog.records) == 3
+        monkeypatch.setenv(lease_module.TTL_ENV, "90")  # read on every call
+        assert lease_module.default_ttl() == 90.0
+
 
 # --------------------------------------------------------------------------- #
 # clock skew (satellite: skewed workers)
@@ -271,7 +285,7 @@ class TestHeartbeat:
         ] * 2
 
     def test_renewals_erroring_past_the_ttl_abort_that_lease_only(self, store_url_for, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "0")
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 0)
         backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
         store = ResultsStore(backend)
         clock = _Clock()
@@ -695,9 +709,9 @@ class TestTransientRetries:
             call_with_retries(broken, retries=5, base_delay=0.0)
         assert calls["n"] == 1
 
-    def test_env_knob_controls_the_budget(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "5")
-        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+    def test_default_budget_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 5)
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.0)
         calls = {"n": 0}
 
         def flaky():
@@ -714,8 +728,8 @@ class TestTransientRetries:
     ):
         # the s3 backend's client calls run under call_with_retries: two
         # injected transient failures on the same op are absorbed
-        monkeypatch.setenv(RETRIES_ENV, "3")
-        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 3)
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.0)
         backend = backend_from_url(store_url_for("s3"))
         fails = {"n": 0}
         real_put = backend.client.put_object
@@ -732,8 +746,8 @@ class TestTransientRetries:
         assert backend.get("a/entry.json") == b"{}"
 
     def test_lease_ops_survive_transient_store_blips(self, store_url_for, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "3")
-        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 3)
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.0)
         backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
         store = ResultsStore(backend)
         rule = backend.add_rule(
@@ -801,8 +815,8 @@ class TestRetryIsTheBackendsJob:
     def test_injected_blip_is_absorbed_below_every_caller(
         self, case, any_store_url, monkeypatch
     ):
-        monkeypatch.setenv(RETRIES_ENV, "2")
-        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 2)
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.0)
         op, substring, prepare = _RETRIED_BELOW_THE_CALLER[case]
         backend = FaultInjectingBackend(backend_from_url(any_store_url))
         run = prepare(ResultsStore(backend))
@@ -811,7 +825,7 @@ class TestRetryIsTheBackendsJob:
         run()
         assert blip.fired == 1
         # a store that stays down: the original exception, after exactly
-        # 1 + REPRO_STORE_RETRIES attempts of the one failing op
+        # 1 + DEFAULT_RETRIES attempts of the one failing op
         backend.clear_rules()
         down = backend.add_rule(op=op, substring=substring, action="error", times=None)
         with pytest.raises(TransientStorageError, match="injected transient fault"):
@@ -819,8 +833,8 @@ class TestRetryIsTheBackendsJob:
         assert down.fired == 3
 
     def test_crashes_and_misses_are_never_retried(self, store_url_for, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "3")
-        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 3)
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.0)
         backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
         crash = backend.add_rule(op="put", substring="x", action="crash", times=None)
         with pytest.raises(InjectedCrash):
@@ -842,8 +856,8 @@ class TestRetryIsTheBackendsJob:
     ):
         # the layers used to nest (lease._call around the objectstore
         # wrapper): 16 client attempts for a documented budget of 4
-        monkeypatch.setenv(RETRIES_ENV, str(retries))
-        monkeypatch.setenv(RETRY_BASE_ENV, "0")
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", retries)
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.0)
         store = ResultsStore.open(store_url_for("s3"))
         attempts = []
 
@@ -881,8 +895,8 @@ class TestCheckpointTraffic:
         spec = _tiny_solve_spec("vanish")
         [entry] = solve_batch_and_commit([spec], store, interrupt_after=1)
         assert entry["status"] == "interrupted" and store.checkpoint_ref(spec).exists()
-        # a peer's gc_checkpoints epilogue (or a thief's commit) removes the
-        # object after the member was built, just as the solve reads it
+        # a thief's commit removes the object after the member was built,
+        # just as the solve reads it
         backend.add_rule(
             op="get",
             substring="/checkpoint.npz",

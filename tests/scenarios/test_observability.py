@@ -219,20 +219,20 @@ class TestStoreEventSink:
     def test_iteration_events_are_batched(self, any_store_url):
         store, puts = self._counting_store(any_store_url)
         recorder = EventRecorder(clock=lambda: 0.0)
-        sink = StoreEventSink(store, "w1", flush_every=25, flush_interval=1e9, clock=lambda: 0.0)
+        sink = StoreEventSink(store, "w1", clock=lambda: 0.0)  # the 2 s flush never comes due
         recorder.subscribe(sink)
         for i in range(100):
             recorder.emit("iteration", "w1", "s", iteration=i)
         sink.flush()
         event_puts = [k for k in puts if k.startswith("events/")]
-        # 100 buffered events at flush_every=25 -> exactly 4 puts, not 100
+        # 100 buffered events, a flush per EVENT_FLUSH_EVENTS = 25 -> exactly 4 puts, not 100
         assert len(event_puts) == 4
         assert len(store.events()) == 100
 
     def test_boundary_kinds_flush_immediately(self, store_url_for):
         store, puts = self._counting_store(store_url_for("file"))
         recorder = EventRecorder()
-        sink = StoreEventSink(store, "w1", flush_every=1000, flush_interval=1e9)
+        sink = StoreEventSink(store, "w1", clock=lambda: 0.0)
         recorder.subscribe(sink)
         recorder.emit("iteration", "w1", "s", iteration=1)
         assert not [k for k in puts if k.startswith("events/")]  # buffered

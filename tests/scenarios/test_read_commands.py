@@ -298,10 +298,12 @@ def test_compact_json_dumps_the_store_call(store_url_for, capsys, monkeypatch):
     for i in range(3):
         spec = _payload_spec(f"compact-{i}", 2 ** (i + 1))
         store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
+    store.checkpoint_ref(spec).write_bytes(b"left beside a completed entry")
     with _returns(monkeypatch, ResultsStore, "compact") as seen:
         out = _run(capsys, "compact", "--store", store.url, "--grace", "0", "--json")
     payload = json.loads(out)
-    assert len(seen) == 1 and payload == _jsonable(seen[0]) and payload["folded_records"] == 3
+    assert len(seen) == 1 and payload == _jsonable(seen[0])
+    assert payload["folded_records"] == 3 and payload["checkpoints_deleted"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -320,8 +322,6 @@ OPTIONS = {
         "--store",
         "--executor",
         "--workers",
-        "--keep-last-n",
-        "--no-keep-on-failure",
         "--dry-run",
         "--interrupt-after",
         "--batch",

@@ -54,7 +54,7 @@ class TestResultsStore:
             # per-iteration records land in the manifest
             assert len(entry["iteration_records"]) == entry["iterations"]
             # spec and result are on disk next to each other
-            assert store.spec_ref(spec).exists()
+            assert store.backend.exists(store.spec_key(spec))
             assert store.result_ref(spec).exists()
             assert not store.checkpoint_ref(spec).exists()  # cleaned up
 

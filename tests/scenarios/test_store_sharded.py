@@ -1,4 +1,4 @@
-"""Sharded store layout v2: concurrent writers, GC, scheduling."""
+"""Sharded store layout v2: concurrent writers, checkpoint cleanup, scheduling."""
 
 from __future__ import annotations
 
@@ -187,36 +187,17 @@ class TestConcurrentWriters:
 
 
 class TestCheckpointGC:
-    def _interrupted_store(self, tmp_path, names):
-        suite = ScenarioSuite(
-            "gc", [_tiny_solve_spec(n, tau_labor=0.1 + 0.01 * i) for i, n in enumerate(names)]
-        )
-        store = ResultsStore(tmp_path / "store")
-        report = run_suite(suite, store, interrupt_after=1)
-        assert report.count("interrupted") == len(names)
-        return store, suite
+    """``compact`` deletes the checkpoints beside completed entries, and only those."""
 
     def test_default_policy_keeps_resumable_checkpoints(self, tmp_path):
-        store, suite = self._interrupted_store(tmp_path, ["x", "y"])
+        suite = ScenarioSuite(
+            "gc", [_tiny_solve_spec(n, tau_labor=0.1 + 0.01 * i) for i, n in enumerate("xy")]
+        )
+        store = ResultsStore(tmp_path / "store")
+        assert run_suite(suite, store, interrupt_after=1).count("interrupted") == 2
         assert len(store.list_checkpoints()) == 2
-        removed = store.gc_checkpoints()  # keep_on_failure defaults to True
-        assert removed == []
+        assert store.compact()["checkpoints_deleted"] == 0
         assert len(store.list_checkpoints()) == 2
-
-    def test_drop_on_failure(self, tmp_path):
-        store, suite = self._interrupted_store(tmp_path, ["x", "y"])
-        removed = store.gc_checkpoints(keep_on_failure=False)
-        assert len(removed) == 2
-        assert store.list_checkpoints() == []
-
-    def test_keep_last_n_caps_survivors(self, tmp_path):
-        store, suite = self._interrupted_store(tmp_path, ["x", "y", "z"])
-        removed = store.gc_checkpoints(keep_last_n=1)
-        assert len(removed) == 2
-        survivors = store.list_checkpoints()
-        assert len(survivors) == 1
-        # the newest checkpoint is the one kept
-        assert survivors[0]["status"] == "interrupted"
 
     def test_completed_checkpoints_are_always_stale(self, tmp_path):
         suite = ScenarioSuite("one", [_tiny_solve_spec("done")])
@@ -224,22 +205,8 @@ class TestCheckpointGC:
         run_suite(suite, store)
         # plant a stale checkpoint next to the committed result
         store.checkpoint_ref(suite[0]).write_bytes(b"stale")
-        removed = store.gc_checkpoints()
-        assert [p.name for p in removed] == ["checkpoint.npz"]
-
-    def test_run_suite_applies_gc_policy(self, tmp_path):
-        suite = ScenarioSuite("one", [_tiny_solve_spec("nuke")])
-        store = ResultsStore(tmp_path / "store")
-        run_suite(suite, store, interrupt_after=1, keep_on_failure=False)
+        assert store.compact()["checkpoints_deleted"] == 1
         assert store.list_checkpoints() == []
-        # without its checkpoint the re-run starts over (and completes)
-        report = run_suite(suite, store)
-        assert report.count("completed") == 1
-        assert store.entry(suite[0])["resumed"] is False
-
-    def test_gc_rejects_negative_keep(self, tmp_path):
-        with pytest.raises(ValueError, match="keep_last_n"):
-            ResultsStore(tmp_path / "s").gc_checkpoints(keep_last_n=-1)
 
 
 class TestWallTimes:
