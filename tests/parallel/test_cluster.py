@@ -35,6 +35,15 @@ class TestNodeSpec:
         node = NodeSpec("n", cores=4, threads_per_core=2, cpu_parallel_efficiency=0.5)
         assert node.cpu_throughput(threads=100) == node.cpu_throughput(threads=8)
 
+    def test_parallel_efficiency_scales_multithreaded_throughput(self):
+        node = NodeSpec("n", cores=4, threads_per_core=2, single_thread_speed=2.0,
+                        cpu_parallel_efficiency=0.5)
+        assert node.cpu_throughput() == pytest.approx(8 * 2.0 * 0.5)
+        assert node.cpu_throughput(threads=3) == pytest.approx(3 * 2.0 * 0.5)
+        # one thread runs at full speed, whatever the efficiency
+        assert node.cpu_throughput(threads=1) == pytest.approx(2.0)
+        assert node.speedup_over_single_thread(use_gpu=False) == pytest.approx(4.0)
+
 
 class TestPaperAnchors:
     def test_piz_daint_node_speedup_25x(self):

@@ -483,6 +483,31 @@ class TestStoreContract:
         assert store.compact(grace_seconds=0)["checkpoints_deleted"] == 0
         assert store.checkpoint_ref(halted).exists()
 
+    def test_compact_keeps_failed_and_uncommitted_checkpoints(self, store):
+        # a failed solve may be retried from its checkpoint, and a solve
+        # killed before its first commit (or still running) has no record
+        done = _payload_spec(0, name="done")
+        store.commit_entry(store.write_payload(done, {}, wall_time=1.0))
+        store.checkpoint_ref(done).write_bytes(b"stale")
+        failed = _payload_spec(1, name="failed")
+        store.commit_entry(store.failure_entry(failed, "failed", 1.0, "boom"))
+        store.checkpoint_ref(failed).write_bytes(b"resumable")
+        running = _payload_spec(2, name="running")
+        store.checkpoint_ref(running).write_bytes(b"in flight")
+        statuses = {i["directory"]: i["status"] for i in store.list_checkpoints()}
+        assert statuses[store.scenario_key(failed)] == "failed"
+        assert statuses[store.scenario_key(running)] == "unknown"
+        assert store.compact(grace_seconds=0)["checkpoints_deleted"] == 1
+        assert sorted(i["directory"] for i in store.list_checkpoints()) == sorted(
+            store.scenario_key(spec) for spec in (failed, running)
+        )
+        # the same scenario completing later makes its checkpoint stale
+        store.commit_entry(store.write_payload(failed, {}, wall_time=2.0))
+        assert store.compact(grace_seconds=0)["checkpoints_deleted"] == 1
+        assert [i["directory"] for i in store.list_checkpoints()] == [
+            store.scenario_key(running)
+        ]
+
     def test_solve_kill_resume_round_trip(self, store):
         # checkpoints flow through the backend: a killed solve resumes
         # from its stored checkpoint identically on every backend

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
+from repro.core.time_iteration import (
+    TimeIterationConfig,
+    TimeIterationResult,
+    TimeIterationSolver,
+)
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
 from repro.parallel.tracing import EventRecorder
@@ -200,6 +204,18 @@ class TestKillResumeEquivalence:
         assert ckpt.writes == result.iterations // 3
         saved = serialize.load_result(path)
         assert saved.iterations == 3 * ckpt.writes and not saved.converged
+
+    def test_load_returns_the_persisted_result(self, tmp_path, checkpoint_problem):
+        model, config, reference = checkpoint_problem
+        path = tmp_path / "load.npz"
+        killer = InterruptingCheckpoint(path, config=config, interrupt_after=2)
+        with pytest.raises(SimulatedKill):
+            TimeIterationSolver(model, config).solve(checkpoint=killer)
+        ckpt = SolveCheckpoint(path, config=config)
+        state = ckpt.load()
+        assert isinstance(state, TimeIterationResult) and ckpt.resumed
+        assert (state.iterations, state.converged, state.config) == (2, False, config)
+        assert np.array_equal(state.error_history(), reference.error_history()[:2])
 
     def test_missing_checkpoint_loads_none(self, tmp_path):
         ckpt = SolveCheckpoint(tmp_path / "absent.npz")

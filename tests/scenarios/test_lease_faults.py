@@ -674,6 +674,33 @@ class TestTransientRetries:
         assert not is_transient(FileNotFoundError("absent is an answer"))
         assert not is_transient(ValueError("a bug, not weather"))
 
+    def test_botocore_shaped_throttles_and_5xx_are_transient(self):
+        class ClientError(Exception):
+            def __init__(self, status, code):
+                super().__init__(code)
+                self.response = {
+                    "ResponseMetadata": {"HTTPStatusCode": status},
+                    "Error": {"Code": code},
+                }
+
+        assert is_transient(ClientError(503, "ServiceUnavailable"))
+        assert is_transient(ClientError(429, "TooManyRequests"))
+        assert is_transient(ClientError(400, "SlowDown"))  # the code alone suffices
+        assert not is_transient(ClientError(403, "AccessDenied"))
+        assert not is_transient(ClientError(404, "NoSuchKey"))
+
+    def test_backoff_doubles_from_the_default_base_with_jitter(self, monkeypatch):
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.1)
+
+        def always_down():
+            raise ConnectionError("down")
+
+        for jitter, factor in ((0.5, 1.0), (0.0, 0.5)):
+            slept: list = []
+            with pytest.raises(ConnectionError):
+                call_with_retries(always_down, retries=3, sleep=slept.append, rng=lambda: jitter)
+            assert slept == pytest.approx([0.1 * factor, 0.2 * factor, 0.4 * factor])
+
     def test_call_with_retries_absorbs_transient_blips(self):
         calls = {"n": 0}
 

@@ -40,7 +40,12 @@ from repro.scenarios.report import (
     render_report,
 )
 from repro.scenarios import store as store_module
-from repro.scenarios.store import EventTailer, StoreEventSink, parse_event_lines
+from repro.scenarios.store import (
+    EVENT_FLUSH_SECONDS,
+    EventTailer,
+    StoreEventSink,
+    parse_event_lines,
+)
 
 
 def _tiny_solve_spec(name="tiny", **calibration):
@@ -239,6 +244,24 @@ class TestStoreEventSink:
         recorder.emit("claimed", "w1", "s")
         assert len([k for k in puts if k.startswith("events/")]) == 1
         assert [e["kind"] for e in store.events()] == ["iteration", "claimed"]
+
+    def test_buffered_events_flush_once_the_interval_passes(self, store_url_for):
+        store, puts = self._counting_store(store_url_for("file"))
+        now = [0.0]
+        sink = StoreEventSink(store, "w1", clock=lambda: now[0])
+        recorder = EventRecorder(clock=lambda: now[0])
+        recorder.subscribe(sink)
+        recorder.emit("iteration", "w1", "s", iteration=1)
+        now[0] = EVENT_FLUSH_SECONDS - 0.1
+        recorder.emit("iteration", "w1", "s", iteration=2)
+        assert not [k for k in puts if k.startswith("events/")]  # still buffered
+        now[0] = EVENT_FLUSH_SECONDS
+        recorder.emit("iteration", "w1", "s", iteration=3)  # carries all three out
+        assert len([k for k in puts if k.startswith("events/")]) == 1
+        assert [e["iteration"] for e in store.events()] == [1, 2, 3]
+        # the interval restarts at that flush
+        recorder.emit("iteration", "w1", "s", iteration=4)
+        assert len([k for k in puts if k.startswith("events/")]) == 1
 
     def test_reopened_sink_appends_instead_of_clobbering(self, any_store_url):
         store = ResultsStore(any_store_url)
