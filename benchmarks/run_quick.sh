@@ -146,32 +146,31 @@ EOF
 
 # --- worker-fleet stress: lease-coordinated drain with a SIGKILL --------- #
 # One worker starts draining the 8-scenario fleet suite and is SIGKILLed
-# mid-solve (lease + checkpoint left behind); two late-joining workers
-# must steal the expired lease, resume the dead worker's checkpoint and
-# finish the drain — every scenario completed exactly-once-effective,
-# zero lease objects remaining.
+# while it holds a lease (the lease is left behind); two late-joining
+# workers must steal the expired lease and finish the drain — every
+# scenario completed exactly-once-effective, zero lease objects remaining.
 FLEET_STORE="s3://quick-bench/fleet?endpoint=$SCRATCH/object-store"
 echo "=== worker-fleet stress against $FLEET_STORE ==="
-python -m repro.scenarios work fleet --store "$FLEET_STORE" \
-    --ttl 2 --poll 0.2 --worker-id victim &
-VICTIM=$!
-# SIGKILL the victim the moment it holds a lease: its import alone takes
-# ~1 s, and a victim killed before its first claim leaves no steal to assert
-FLEET_STORE_URL="$FLEET_STORE" VICTIM_PID="$VICTIM" python - <<'EOF'
-import os, signal, sys, time
-from repro.scenarios import ResultsStore
+# the victim kills itself on its own first claim line, so it always dies
+# holding a lease however fast it drains
+VICTIM_STATUS=0
+FLEET_STORE_URL="$FLEET_STORE" python - <<'EOF' || VICTIM_STATUS=$?
+import os, signal
+from repro.scenarios import get_preset, run_worker
 
-store = ResultsStore.open(os.environ["FLEET_STORE_URL"])
-deadline = time.monotonic() + 20.0
-claimed = False
-while not claimed and time.monotonic() < deadline:
-    time.sleep(0.1)
-    claimed = any(lease.get("worker") == "victim" for lease in store.leases())
-os.kill(int(os.environ["VICTIM_PID"]), signal.SIGKILL)
-if not claimed:
-    sys.exit("worker-fleet stress: the victim never claimed a lease in 20 s")
+
+def hook(line):
+    if line.startswith("claim "):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+run_worker(get_preset("fleet"), os.environ["FLEET_STORE_URL"], worker_id="victim",
+           ttl=2.0, poll=0.2, progress=hook)
 EOF
-wait "$VICTIM" 2>/dev/null || true
+[ "$VICTIM_STATUS" -eq 137 ] || {
+    echo "worker-fleet stress: the victim was not SIGKILLed at a claim (exit $VICTIM_STATUS)" >&2
+    exit 1
+}
 python -m repro.scenarios work fleet --store "$FLEET_STORE" \
     --ttl 2 --poll 0.2 --worker-id survivor-1 &
 W1=$!

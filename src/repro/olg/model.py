@@ -34,11 +34,10 @@ functions of all ``Ns`` shock states (the interpolation bottleneck the
 paper optimises).
 
 The formulas live in :class:`repro.olg.euler.EulerSystem`, which evaluates
-them over any number of rows; the scalar (one point) and ``_batch`` (many
-points) methods below are shape adapters over this model's system.  The
-batch form on one row and the stacked group agree bit for bit; the scalar
-form runs the same code on numpy scalars, whose ``pow`` can differ from
-the array ``pow`` in the last bit (AVX-512 hosts), hence to ~1e-15.
+them over any number of rows; the ``_batch`` (many points) methods below
+are shape adapters over this model's system and the scalar (one point)
+methods are their one-row case, so the scalar form, the batch form on one
+row and the stacked group agree bit for bit.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ __all__ = ["OLGModel", "PeriodEnvironment"]
 # ``[_BOX_LOWER, _BOX_UPPER] * max(k_a^ss, 0)``, the upper bound widened by
 # ``_BOX_WIDTH * k_ss / (A - 1)`` for the ages that hold <= 0 in steady state
 _BOX_LOWER, _BOX_UPPER, _BOX_WIDTH = 0.2, 2.5, 0.05
-
-
-def _point(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=float).reshape(-1)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -172,7 +167,7 @@ class OLGModel:
         self, z: int, x: np.ndarray, savings: np.ndarray, policy_next: PolicySet
     ) -> np.ndarray:
         """Euler-equation residuals at one state for candidate savings."""
-        return self.system.euler_residuals(z, None, _point(x), _point(savings), [policy_next])
+        return self.euler_residuals_batch(z, _rows(x), _rows(savings), policy_next)[0]
 
     def euler_residuals_batch(
         self, z: int | np.ndarray, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
@@ -184,7 +179,7 @@ class OLGModel:
         self, z: int, x: np.ndarray, savings: np.ndarray, policy_next: PolicySet
     ) -> np.ndarray:
         """Bellman update of the value functions of all saving ages."""
-        return self.system.value_functions(z, None, _point(x), _point(savings), [policy_next])
+        return self.value_functions_batch(z, _rows(x), _rows(savings), policy_next)[0]
 
     def value_functions_batch(
         self, z: int | np.ndarray, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet

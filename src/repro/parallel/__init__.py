@@ -14,6 +14,10 @@ to a pure-Python reproduction, so this subpackage provides
   (:mod:`repro.parallel.partition`), a CPU + GPU node cost model
   (:mod:`repro.parallel.gpu_sim`) and the strong-scaling workload model
   (:mod:`repro.parallel.scaling`) that reproduces the shape of Fig. 8.
+
+:mod:`repro.parallel.tracing` holds the structured events solves and the
+scenario worker fleet emit; the run report derives fleet makespan, busy
+time and utilization from the lease events.
 """
 
 from repro.parallel.cluster import NodeSpec, PIZ_DAINT_NODE, GRAND_TAVE_NODE
@@ -22,7 +26,6 @@ from repro.parallel.scheduler import WorkStealingScheduler, simulate_schedule
 from repro.parallel.executor import SerialExecutor, ThreadPoolMapExecutor, ProcessPoolMapExecutor
 from repro.parallel.gpu_sim import HybridNodeExecutor
 from repro.parallel.scaling import StrongScalingModel, ScalingPoint
-from repro.parallel.tracing import TraceRecorder, Span
 
 __all__ = [
     "NodeSpec",
@@ -38,6 +41,4 @@ __all__ = [
     "HybridNodeExecutor",
     "StrongScalingModel",
     "ScalingPoint",
-    "TraceRecorder",
-    "Span",
 ]

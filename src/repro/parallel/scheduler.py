@@ -25,23 +25,7 @@ __all__ = [
     "SchedulerStats",
     "WorkStealingScheduler",
     "simulate_schedule",
-    "longest_first_order",
 ]
-
-
-def longest_first_order(costs) -> list:
-    """Task indices ordered by expected cost, longest first (stable).
-
-    The classic LPT (longest-processing-time) list-scheduling order:
-    claiming expensive tasks first minimises the makespan tail when the
-    task list is wider than the worker pool (see
-    :func:`simulate_schedule`'s greedy model).  Ties keep input order, so
-    schedules are deterministic.  Used by the claim loop of the lease
-    drain (:func:`repro.scenarios.lease.schedule_longest_first`), which
-    both ``work`` and ``run`` run.
-    """
-    costs = [float(c) for c in costs]
-    return sorted(range(len(costs)), key=lambda i: -costs[i])
 
 
 @dataclass

@@ -1,12 +1,7 @@
-"""Execution tracing: spans, timelines, utilization metrics and events.
+"""Structured events: the observability primitive of solves and fleets.
 
-Used by the scheduler tests/benchmarks to verify that work stealing keeps
-workers busy, and by the examples to print per-phase timelines of a time
-iteration step.
-
-Besides interval :class:`Span` s, the module records *point-in-time*
-structured :class:`Event` s — the observability primitive the scenario
-worker fleet emits its lease-protocol lifecycle through (``claimed``,
+The module records *point-in-time* structured :class:`Event` s — what the
+scenario worker fleet emits its lease-protocol lifecycle through (``claimed``,
 ``stolen``, ``heartbeat-missed``, ``committed``, ...) and the solver
 emits its per-iteration progress through (``solve-started``,
 ``iteration``, ``refined``, ``converged``, ``solve-finished``).  An
@@ -14,7 +9,9 @@ emits its per-iteration progress through (``solve-started``,
 subscribed sinks (a progress printer, a store-backed event log), so any
 observer can follow a long fleet run as it executes; ``repro-scenarios
 status --follow`` tails the persisted feed live and ``repro-scenarios
-report`` joins it with store entries into an HTML/markdown run report.
+report`` joins it with store entries into an HTML/markdown run report,
+whose fleet timeline, busy time and utilization are the claim-to-outcome
+holds it reads off the lease events.
 """
 
 from __future__ import annotations
@@ -23,11 +20,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
-    "Span",
-    "TraceRecorder",
     "Event",
     "EventRecorder",
     "LEASE_EVENT_KINDS",
@@ -74,87 +67,6 @@ SOLVER_TOTALS = ("rows", "stalled", "pinned", "residual_calls", "newton_runs")
 
 #: the full structured-event vocabulary (lease protocol + solve progress)
 EVENT_KINDS = LEASE_EVENT_KINDS + SOLVE_EVENT_KINDS
-
-
-@dataclass(frozen=True)
-class Span:
-    """One traced interval."""
-
-    worker: int
-    label: str
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass
-class TraceRecorder:
-    """Collects spans and computes utilization statistics."""
-
-    spans: list[Span] = field(default_factory=list)
-    _origin: float = field(default_factory=time.perf_counter, repr=False)
-
-    def record(self, worker: int, label: str, start: float, end: float) -> None:
-        if end < start:
-            raise ValueError("span end must not precede its start")
-        self.spans.append(Span(worker=worker, label=label, start=start, end=end))
-
-    def span(self, worker: int, label: str):
-        """Context manager that records the wrapped block as a span."""
-        recorder = self
-
-        class _Ctx:
-            def __enter__(self):
-                self._t0 = time.perf_counter() - recorder._origin
-                return self
-
-            def __exit__(self, *exc):
-                t1 = time.perf_counter() - recorder._origin
-                recorder.record(worker, label, self._t0, t1)
-
-        return _Ctx()
-
-    # ------------------------------------------------------------------ #
-    # analysis
-    # ------------------------------------------------------------------ #
-    @property
-    def makespan(self) -> float:
-        if not self.spans:
-            return 0.0
-        return max(s.end for s in self.spans) - min(s.start for s in self.spans)
-
-    def busy_time(self, worker: int | None = None) -> float:
-        spans = self.spans if worker is None else [s for s in self.spans if s.worker == worker]
-        return float(sum(s.duration for s in spans))
-
-    def workers(self) -> list[int]:
-        return sorted({s.worker for s in self.spans})
-
-    def utilization(self) -> float:
-        """Busy time over (makespan x workers); 1.0 means no idling at all."""
-        workers = self.workers()
-        if not workers or self.makespan == 0.0:
-            return 1.0
-        return self.busy_time() / (self.makespan * len(workers))
-
-    def by_label(self) -> dict[str, float]:
-        """Total busy time per span label."""
-        out: dict[str, float] = {}
-        for s in self.spans:
-            out[s.label] = out.get(s.label, 0.0) + s.duration
-        return out
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Columnar export (workers, starts, ends, durations)."""
-        return {
-            "worker": np.asarray([s.worker for s in self.spans], dtype=np.int64),
-            "start": np.asarray([s.start for s in self.spans], dtype=float),
-            "end": np.asarray([s.end for s in self.spans], dtype=float),
-            "duration": np.asarray([s.duration for s in self.spans], dtype=float),
-        }
 
 
 #: envelope fields of every serialized event; detail keys may not shadow them

@@ -40,13 +40,18 @@ nothing above retries a storage operation again.
 
 Log lifecycle
 -------------
-A long-lived log accumulates one object per commit forever, so
-``commit_records()`` (the path ``ResultsStore.index()`` exercises)
-degrades to O(total commits ever) object reads.  :meth:`compact` folds
-the log into a single immutable ``commit-snapshots/snapshot-<seq>.json``
-checkpoint object whose name records the last folded commit key; after a
-compaction the merge is one snapshot read plus the un-folded tail.  The
-fold is crash-safe by construction:
+The log has one reader, :meth:`StorageBackend._scan_log`: list and read the
+snapshots, list and read the un-folded tail, and re-scan (bounded) when a
+racing fold shows.  :meth:`~StorageBackend.commit_records` orders what it
+read, :meth:`~StorageBackend.commit_log_tail_count` counts its tail and
+:meth:`~StorageBackend.compact` folds it; ``ResultsStore.index_records()``
+folds the very scan it answers from when the tail has grown long, so a
+read that folds scans once.  A long-lived log accumulates one object
+per commit forever, so an un-folded log costs O(total commits ever) object
+reads; the fold writes a single immutable
+``commit-snapshots/snapshot-<seq>.json`` checkpoint object whose name
+records the last folded commit key, after which a scan is one snapshot
+read plus the un-folded tail.  The fold is crash-safe by construction:
 
 1. the snapshot (union of every existing snapshot plus the current
    tail, keyed per record) is written and verified readable *first*;
@@ -54,12 +59,12 @@ fold is crash-safe by construction:
    a **grace window**, so a reader that picked up an older snapshot can
    still visit the tail objects it is about to read;
 3. a compactor that dies between (1) and (2) leaves only folded objects
-   whose record keys the snapshot already carries — the merge skips
+   whose record keys the snapshot already carries — the scan skips
    them by key, so duplicates are harmless and the next compaction
    simply finishes the deletion.
 
 Records fold *keyed*: every commit record keeps the key of the log
-object it arrived in, and the merge orders records by their embedded
+object it arrived in, and the scan orders records by their embedded
 ``created_at_unix`` (falling back to the key's wall-clock stamp) with
 the key as tiebreak — writers on skewed clocks cannot invert
 first-appearance or most-recent-wins semantics.
@@ -81,7 +86,7 @@ import time
 import uuid
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, ClassVar
+from typing import Any, ClassVar, NamedTuple
 
 from repro.scenarios.backends.retry import call_with_retries
 
@@ -95,8 +100,6 @@ __all__ = [
     "snapshot_key_for",
     "read_snapshot",
     "write_snapshot",
-    "load_snapshots",
-    "snapshot_union",
 ]
 
 #: key prefix of per-commit log objects (one immutable object per commit)
@@ -112,11 +115,24 @@ DEFAULT_COMPACT_GRACE = 60.0
 
 _SNAPSHOT_VERSION = 1
 
-#: bounded re-scans when a racing compactor deletes tail objects mid-merge
-_MERGE_ATTEMPTS = 5
+#: bounded re-scans when a racing compactor deletes tail objects mid-scan
+_SCAN_ATTEMPTS = 5
 
 #: ``(record_key, record)`` pairs as stored inside snapshot objects
 Pairs = list[tuple[str, Any]]
+
+
+class _LogScan(NamedTuple):
+    """One read of the commit log (:meth:`StorageBackend._scan_log`)."""
+
+    #: ``(snapshot_key, pairs)`` of every readable snapshot, oldest first
+    snapshots: list[tuple[str, Pairs]]
+    #: every record of the snapshots and the tail, in commit order
+    merged: Pairs
+    #: the un-folded ``commits/`` objects read, in key order
+    tail: Pairs
+    #: the ``commits/`` keys listed, folded leftovers included
+    listed: list[str]
 
 
 def validate_key(key: str) -> str:
@@ -158,21 +174,18 @@ def snapshot_key_for(seq: str) -> str:
     return f"{SNAPSHOT_PREFIX}snapshot-{seq}.json"
 
 
-def record_stamp(key: str, record: object) -> float:
-    """Commit time of one record: ``created_at_unix`` when the record
-    carries it, else the wall-clock stamp embedded in its log-object key."""
+def _pair_order(pair: tuple[str, Any]) -> tuple[float, str]:
+    """Commit order of one record: ``created_at_unix`` when the record
+    carries it, else the wall-clock stamp embedded in its log-object key;
+    the key breaks ties."""
+    key, record = pair
     stamp: object = record.get("created_at_unix") if isinstance(record, dict) else None
     if isinstance(stamp, (int, float)) and not isinstance(stamp, bool):
-        return float(stamp)
+        return (float(stamp), key)
     try:
-        return float(_seq_of(key).split("-", 1)[0])
+        return (float(_seq_of(key).split("-", 1)[0]), key)
     except ValueError:
-        return 0.0
-
-
-def _pair_order(pair: tuple[str, Any]) -> tuple[float, str]:
-    key, record = pair
-    return (record_stamp(key, record), key)
+        return (0.0, key)
 
 
 def read_snapshot(backend: StorageBackend, key: str) -> Pairs | None:
@@ -208,35 +221,6 @@ def write_snapshot(backend: StorageBackend, key: str, pairs: Pairs) -> None:
             f"commit-log snapshot {backend.url}/{key} did not verify after "
             "write; folded objects were NOT deleted"
         )
-
-
-def load_snapshots(backend: StorageBackend) -> list[tuple[str, Pairs]]:
-    """``[(snapshot_key, pairs), ...]`` for every readable snapshot,
-    oldest first (so record order survives repeated folds)."""
-    snaps: list[tuple[str, Pairs]] = []
-    for key in backend.list(SNAPSHOT_PREFIX):
-        pairs = read_snapshot(backend, key)
-        if pairs is None:
-            continue  # deleted/torn by a racing compactor
-        snaps.append((key, pairs))
-    return snaps
-
-
-def _union(snaps: list[tuple[str, Pairs]]) -> dict[str, Any]:
-    """Record-key -> record union over loaded snapshots; duplicate keys
-    across racing snapshots collapse to their first appearance."""
-    folded: dict[str, Any] = {}
-    for _, pairs in snaps:
-        for k, rec in pairs:
-            folded.setdefault(k, rec)
-    return folded
-
-
-def snapshot_union(backend: StorageBackend) -> tuple[dict[str, Any], list[str]]:
-    """``({record_key: record}, [snapshot keys])`` over every readable
-    snapshot object."""
-    snaps = load_snapshots(backend)
-    return _union(snaps), [key for key, _ in snaps]
 
 
 def _aged_record_keys(
@@ -411,28 +395,33 @@ class StorageBackend(ABC):
         key = f"{COMMIT_LOG_PREFIX}{stamp}-{uuid.uuid4().hex[:12]}.json"
         self.put(key, json.dumps(record, sort_keys=True).encode("utf-8"))
 
-    def _merged_pairs(self) -> Pairs:
-        """Snapshot records + un-folded tail, as ordered (key, record) pairs.
+    def _scan_log(self) -> _LogScan:
+        """The one read of the commit log: the snapshots, then the tail.
 
-        A racing compactor may fold-and-delete tail objects after we
-        picked our snapshots — their records live in a *newer* snapshot.
-        That race is visible either as a tail read miss or (when the
-        delete landed before our tail listing) as a changed snapshot
-        listing, so both trigger a bounded re-scan rather than a loss.
+        Snapshot records and the un-folded ``commits/`` objects merge into
+        commit order.  A racing compactor may
+        fold-and-delete tail objects after we picked our snapshots — their
+        records live in a *newer* snapshot.  That race is visible either as
+        a tail read miss or (when the delete landed before our tail
+        listing) as a changed snapshot listing, so both trigger a bounded
+        re-scan rather than a loss.
         """
-        last = _MERGE_ATTEMPTS - 1
-        for attempt in range(_MERGE_ATTEMPTS):
+        last = _SCAN_ATTEMPTS - 1
+        for attempt in range(_SCAN_ATTEMPTS):
             snap_keys = self.list(SNAPSHOT_PREFIX)
+            snapshots: list[tuple[str, Pairs]] = []
             folded: dict[str, Any] = {}
             for skey in snap_keys:
                 pairs = read_snapshot(self, skey)
                 if pairs is None:
                     continue  # deleted/torn by a racing compactor
+                snapshots.append((skey, pairs))
                 for k, rec in pairs:
                     folded.setdefault(k, rec)
+            listed = self.list(COMMIT_LOG_PREFIX)
             tail: Pairs = []
             racing = False
-            for key in self.list(COMMIT_LOG_PREFIX):
+            for key in listed:
                 if key in folded:
                     continue  # crashed compactor's leftover; already in a snapshot
                 try:
@@ -445,12 +434,10 @@ class StorageBackend(ABC):
                     continue  # foreign or torn object
             if self.list(SNAPSHOT_PREFIX) != snap_keys:
                 racing = True  # a fold completed somewhere mid-scan
-            if racing and attempt < last:
-                continue
-            pairs = list(folded.items()) + tail
-            pairs.sort(key=_pair_order)
-            return pairs
-        return []  # pragma: no cover - loop always returns
+            if not racing or attempt == last:
+                break
+        merged = sorted([*folded.items(), *tail], key=_pair_order)
+        return _LogScan(snapshots, merged, tail, listed)
 
     def commit_records(self) -> list[dict[str, Any]]:
         """All commit records, oldest first (duplicates preserved).
@@ -460,14 +447,13 @@ class StorageBackend(ABC):
         writer on a skewed clock stamps a misleading key but cannot
         reorder the log.
         """
-        return [rec for _, rec in self._merged_pairs()]
+        return [rec for _, rec in self._scan_log().merged]
 
     def commit_log_tail_count(self) -> int:
         """Commit records not yet folded into a snapshot — the number of
-        log reads :meth:`commit_records` pays beyond the snapshot, which
-        is what the store's auto-compaction thresholds on."""
-        folded, _ = snapshot_union(self)
-        return sum(1 for key in self.list(COMMIT_LOG_PREFIX) if key not in folded)
+        log reads a scan pays beyond the snapshot, which is what the
+        store's auto-compaction thresholds on."""
+        return len(self._scan_log().tail)
 
     def compact(self, grace_seconds: float = DEFAULT_COMPACT_GRACE) -> dict[str, Any]:
         """Fold the commit log into one snapshot checkpoint object.
@@ -475,23 +461,19 @@ class StorageBackend(ABC):
         Fold first, verify the snapshot is readable, then delete folded
         objects older than ``grace_seconds``.  Safe to race with
         appenders and other compactors: no commit record is ever lost,
-        and a crashed compactor leaves only duplicates the merge dedupes
+        and a crashed compactor leaves only duplicates the scan dedupes
         by record key.  Returns a report dict (``snapshot``,
         ``total_records``, ``folded_records``, ``deleted_objects``,
         ``kept_for_grace``).
         """
-        snaps = load_snapshots(self)
-        folded = _union(snaps)
-        tail: Pairs = []
-        for key in self.list(COMMIT_LOG_PREFIX):
-            if key in folded:
-                continue
-            try:
-                tail.append((key, json.loads(self.get(key))))
-            except (FileNotFoundError, json.JSONDecodeError):
-                continue  # racing compactor / foreign object
-        merged = list(folded.items()) + tail
-        merged.sort(key=_pair_order)
+        return self._fold(self._scan_log(), grace_seconds)
+
+    def _fold(
+        self, scan: _LogScan, grace_seconds: float = DEFAULT_COMPACT_GRACE
+    ) -> dict[str, Any]:
+        """:meth:`compact` over a scan already read (``ResultsStore.index_records``
+        folds the scan it answers from)."""
+        snaps, merged, tail = scan.snapshots, scan.merged, scan.tail
         report: dict[str, Any] = {
             "url": self.url,
             "snapshot": None,
@@ -515,12 +497,14 @@ class StorageBackend(ABC):
             report["snapshot"] = snap_key
         # ...then delete what the snapshots supersede — but only records
         # whose snapshot has been durable past the grace window, so a
-        # reader mid-merge on an older snapshot never loses its tail.
-        # An object appended after our scan is the next compaction's
-        # business; a crashed run here leaves only key-deduped leftovers.
+        # reader mid-scan on an older snapshot never loses its tail.  The
+        # scan's own listing is the delete list: an object appended since
+        # is in no snapshot we know (never aged; the next compaction's
+        # business), one a racing compactor removed is a no-op delete, and
+        # a crashed run here leaves only key-deduped leftovers.
         merged_keys = {k for k, _ in merged}
         aged_keys, newest_aged = _aged_record_keys(self, snaps, float(grace_seconds))
-        for key in self.list(COMMIT_LOG_PREFIX):
+        for key in scan.listed:
             if key in aged_keys:
                 if self.delete(key, missing_ok=True):
                     report["deleted_objects"] += 1

@@ -82,7 +82,6 @@ from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.parallel.scheduler import longest_first_order
 from repro.parallel.tracing import EventRecorder
 from repro.scenarios.batching import partition_by_topology, solve_batch_and_commit
 from repro.scenarios.checkpoint import SolveAbandoned
@@ -175,8 +174,9 @@ def schedule_longest_first(
     :meth:`ScenarioSpec.estimated_cost`; when at least one recorded time
     exists, heuristic costs are rescaled into pseudo-seconds with the
     median seconds-per-cost-unit of the recorded specs, so the two
-    populations sort on one comparable axis.  The sort is stable: ties
-    keep suite order.
+    populations sort on one comparable axis.  This is the classic LPT
+    (longest-processing-time) list-scheduling order; the sort is stable, so
+    ties keep suite order and schedules are deterministic.
     """
     costs = [spec.estimated_cost() for spec in specs]
     recorded = [
@@ -196,10 +196,8 @@ def schedule_longest_first(
             return float(wall)
         return float(cost * scale) if scale is not None else float(cost)
 
-    order = longest_first_order(
-        expected_seconds(spec, cost) for spec, cost in zip(specs, costs)
-    )
-    return [specs[i] for i in order]
+    ranked = sorted(zip(specs, costs), key=lambda pair: -expected_seconds(*pair))
+    return [spec for spec, _ in ranked]
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ entry — as one pipeline:
 * one run view at two depths: :func:`fleet_data` (commit-record status
   counts, leases, parked records and one tailer poll folded through a
   board; no ``entry.json`` read) and :func:`gather_run_data` (that plus
-  the entries, the per-worker holds timeline — built through
-  :class:`~repro.parallel.tracing.TraceRecorder` spans so the summary can
-  quote fleet utilization — and the convergence series);
+  the entries, the per-worker holds timeline with the makespan, busy time
+  and fleet utilization the summary quotes, and the convergence series);
 * one renderer: a view is a list of sections ``(title, kind, payload)``
   and :func:`render` writes them once, as ``text``, ``md`` or ``html``
   (no external assets, no plotting dependencies: hand-rolled inline SVG
@@ -35,7 +34,6 @@ import time
 from collections import Counter
 from datetime import datetime, timezone
 
-from repro.parallel.tracing import TraceRecorder
 from repro.scenarios.store import EventTailer, ResultsStore
 
 __all__ = [
@@ -348,23 +346,6 @@ def _worker_spans(events: list) -> list:
     return spans
 
 
-def _trace_from_spans(spans: list) -> tuple:
-    """(TraceRecorder, worker-id list) joining the holding spans.
-
-    The recorder's worker indices follow the returned list, so the
-    report can quote :meth:`~repro.parallel.tracing.TraceRecorder.
-    utilization` and per-worker busy time over the fleet drain.
-    """
-    workers = sorted({s["worker"] for s in spans})
-    index = {w: i for i, w in enumerate(workers)}
-    trace = TraceRecorder()
-    t0 = min((s["start"] for s in spans), default=0.0)
-    for span in spans:
-        end = max(span["end"], span["start"])
-        trace.record(index[span["worker"]], span["scenario"], span["start"] - t0, end - t0)
-    return trace, workers
-
-
 def _convergence_series(store: ResultsStore, entries: list, events: list) -> dict:
     """scenario hash16 -> ``(label, [(iteration, error, wall)...])``.
 
@@ -441,21 +422,31 @@ def gather_run_data(store: ResultsStore) -> dict:
     """:func:`fleet_data` plus the entries, the holds timeline and the
     convergence series: what ``report`` shows.  The entries are those of
     the commit records :func:`fleet_data` read — one ``entry.json`` get
-    each, ordered like :meth:`ResultsStore.entries`, and no second log read."""
+    each, ordered like :meth:`ResultsStore.entries`, and no second log read.
+
+    Over the holding spans: ``makespan`` runs from the first hold's start
+    to the last one's end, ``busy_time`` is each worker's held seconds and
+    ``utilization`` their sum over ``makespan`` x workers (``None`` with
+    no spans, 1.0 when every span is instantaneous)."""
     data = fleet_data(store)
     entries = [entry for h in data["records"] if (entry := store.entry(h)) is not None]
     entries.sort(key=lambda e: e.get("created_at_unix", 0.0))
     spans = _worker_spans(data["events"])
-    trace, workers = _trace_from_spans(spans)
+    workers = sorted({s["worker"] for s in spans})
+    busy = {w: sum(s["end"] - s["start"] for s in spans if s["worker"] == w) for w in workers}
+    makespan = max((s["end"] for s in spans), default=0.0) - min(
+        (s["start"] for s in spans), default=0.0
+    )
+    capacity = makespan * len(workers)
     counts = data["event_counts"]
     data.update(
         generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         entries=entries,
         spans=spans,
         workers=workers,
-        utilization=trace.utilization() if spans else None,
-        makespan=trace.makespan,
-        busy_time={w: trace.busy_time(i) for i, w in enumerate(workers)},
+        utilization=(sum(busy.values()) / capacity if capacity else 1.0) if spans else None,
+        makespan=makespan,
+        busy_time=busy,
         steals=counts.get("stolen", 0),
         retries=counts.get("retry", 0),
         heartbeat_misses=counts.get("heartbeat-missed", 0),

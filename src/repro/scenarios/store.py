@@ -46,10 +46,13 @@ Concurrency model — no locks anywhere:
   times and :meth:`ResultsStore.query` without opening any ``entry.json``.
   On every backend a commit is its own immutable ``commits/*`` object and
   the log is *merged at read time* — no atomic-append primitive is
-  needed, only the plain object API.  Long-lived logs are folded into an
-  immutable ``commit-snapshots/`` checkpoint
-  (:meth:`ResultsStore.compact`; the fold alone is auto-run from
-  :meth:`ResultsStore.index` once the un-folded tail passes
+  needed, only the plain object API.  Every read of the log — ``entries``,
+  ``resolve_hash``, ``wall_times``, ``query``, the drain's scan, ``status``
+  and ``report`` — is one :meth:`ResultsStore.index_records` call, one
+  scan of the log.  Long-lived logs are folded into an immutable
+  ``commit-snapshots/`` checkpoint (:meth:`ResultsStore.compact`; the
+  fold alone runs inside :meth:`ResultsStore.index_records`, over the
+  scan it just read, once the un-folded tail passes
   :attr:`ResultsStore.auto_compact_tail` records), so reading the log
   stays one snapshot read plus the un-folded tail however many commits
   the store has absorbed.  The
@@ -83,7 +86,6 @@ import numpy as np
 from repro.core.time_iteration import TimeIterationResult
 from repro.scenarios import serialize
 from repro.scenarios.backends import (
-    COMMIT_LOG_PREFIX,
     BlobRef,
     LocalFSBackend,
     StorageBackend,
@@ -280,8 +282,8 @@ class ResultsStore:
     LEASE_PREFIX = "leases"
     EVENTS_PREFIX = "events"
 
-    #: un-folded commit records :meth:`index`/:meth:`index_records` tolerate
-    #: before folding the log into a snapshot (see :meth:`compact`); ``0``
+    #: un-folded commit records :meth:`index_records` tolerates before
+    #: folding the log into a snapshot (see :meth:`compact`); ``0``
     #: on an instance disables the fold
     auto_compact_tail = 512
 
@@ -456,34 +458,15 @@ class ResultsStore:
         """The raw commit log, oldest first (may contain duplicates)."""
         return self.backend.commit_records()
 
-    def known_hashes(self) -> list[str]:
-        """Distinct spec hashes in log order of first appearance."""
-        seen: dict[str, None] = {}
-        for rec in self.log_records():
-            h = rec.get("spec_hash")
-            if h:
-                seen.setdefault(h, None)
-        return list(seen)
-
     def index(self) -> dict[str, dict[str, Any]]:
-        """Rebuild the hash -> entry index from the log + entry objects.
+        """hash -> entry for the hashes of :meth:`index_records`, in their order.
 
-        The log supplies the hash set cheaply (one snapshot read plus
-        the un-folded tail); each entry is then re-read from its
-        authoritative ``entry.json`` (the log record is never trusted
-        for content).  Hashes whose entry object
-        vanished (pruned directory) are dropped.  When the un-folded
-        tail has outgrown ``auto_compact_tail``, the log is first folded
-        into a snapshot checkpoint so the *next* index stays cheap —
-        best-effort housekeeping that never fails the read itself.
+        The log supplies the hash set (one scan of it, folded when its tail
+        has grown long); each entry is then re-read from its authoritative
+        ``entry.json`` (the log record is never trusted for content).
+        Hashes whose entry object vanished (pruned directory) are dropped.
         """
-        self._maybe_auto_compact()
-        index: dict[str, dict[str, Any]] = {}
-        for h in self.known_hashes():
-            entry = self.entry(h)
-            if entry is not None:
-                index[h] = entry
-        return index
+        return {h: entry for h in self.index_records() if (entry := self.entry(h)) is not None}
 
     def compact(self, grace_seconds: float | None = None) -> dict[str, Any]:
         """Fold the commit log into one immutable snapshot checkpoint, and
@@ -495,7 +478,7 @@ class ResultsStore:
         *before* anything is deleted, folded objects only disappear once
         their snapshot has aged past the grace window (``None`` keeps
         the backend's default, generous enough for in-flight readers),
-        and a compactor dying mid-way leaves only duplicates the merge
+        and a compactor dying mid-way leaves only duplicates the log scan
         dedupes by key.
 
         The commit path deletes a solve's checkpoint right after its
@@ -515,29 +498,6 @@ class ResultsStore:
             if info["status"] == "completed"
         )
         return report
-
-    def _maybe_auto_compact(self) -> None:
-        if not self.auto_compact_tail:
-            return
-        try:
-            # cheap upper bound first — one listing, no object-body reads
-            # (present commits/* objects = un-folded tail + grace
-            # leftovers).  Only when that bound trips does the exact
-            # count (one snapshot read) run, so the steady-state index()
-            # pays a single list call for this check.
-            if len(self.backend.list(COMMIT_LOG_PREFIX)) <= self.auto_compact_tail:
-                return
-            if self.backend.commit_log_tail_count() > self.auto_compact_tail:
-                # the fold only: a read must not pay compact()'s store listing
-                report = self.backend.compact()
-                logger.info(
-                    "auto-compacted %s: %d record(s) -> %s",
-                    self.url,
-                    report["total_records"],
-                    report["snapshot"],
-                )
-        except Exception as exc:  # repro: allow[broad-except] -- housekeeping must not fail reads
-            logger.warning("auto-compaction of %s failed: %s", self.url, exc)
 
     def _entry_keys(self) -> list[str]:
         """All ``<hash16>/entry.json`` keys actually present on the backend."""
@@ -601,10 +561,10 @@ class ResultsStore:
             entry = self.entry(prefix)
             if entry is not None and entry.get("spec_hash") == prefix:
                 return prefix
-            if prefix in self.known_hashes() or prefix in self.reindex():
+            if prefix in self.index_records() or prefix in self.reindex():
                 return prefix
             raise KeyError(f"no store entry matches hash {prefix!r}")
-        matches = sorted(h for h in self.known_hashes() if h.startswith(prefix))
+        matches = sorted(h for h in self.index_records() if h.startswith(prefix))
         if not matches:
             matches = sorted(h for h in self.reindex() if h.startswith(prefix))
         if not matches:
@@ -634,18 +594,34 @@ class ResultsStore:
     # queries over the commit log
     # ------------------------------------------------------------------ #
     def index_records(self) -> dict[str, dict[str, Any]]:
-        """hash -> its winning commit record (see :func:`index_record`).
+        """hash -> its winning commit record (see :func:`index_record`), in
+        log order of each hash's first appearance.
 
-        One snapshot read plus the un-folded log tail, and no
-        ``entry.json`` read: a commit is fully queryable the moment it
-        lands, compacted or not.  A hash whose scenario directory was
+        One scan of the log — one snapshot read plus the un-folded tail —
+        and no ``entry.json`` read: a commit is fully queryable the moment
+        it lands, compacted or not.  When the scan's tail has outgrown
+        :attr:`auto_compact_tail`, that same scan is folded into a snapshot
+        so the *next* read stays cheap: the fold only (a read must not pay
+        :meth:`compact`'s checkpoint listing), best-effort housekeeping that
+        never fails the read itself.  A hash whose scenario directory was
         pruned keeps its record — the log does not know — until the log is
         rebuilt (``clear_commit_log`` + :meth:`reindex`).  Records
         committed before the log carried spec fields hold the six
         :data:`_LOG_FIELDS` only; one :meth:`reindex` upgrades them.
         """
-        self._maybe_auto_compact()
-        return _winning_records(self.log_records())
+        scan = self.backend._scan_log()
+        if self.auto_compact_tail and len(scan.tail) > self.auto_compact_tail:
+            try:
+                report = self.backend._fold(scan)
+                logger.info(
+                    "auto-compacted %s: %d record(s) -> %s",
+                    self.url,
+                    report["total_records"],
+                    report["snapshot"],
+                )
+            except Exception as exc:  # repro: allow[broad-except] -- never fail the read
+                logger.warning("auto-compaction of %s failed: %s", self.url, exc)
+        return _winning_records(rec for _, rec in scan.merged)
 
     def query(
         self,

@@ -39,7 +39,7 @@ from repro.scenarios.backends import (
     MemoryBackend,
     ObjectStoreBackend,
 )
-from repro.scenarios.backends.base import load_snapshots, snapshot_key_for, write_snapshot
+from repro.scenarios.backends.base import read_snapshot, snapshot_key_for, write_snapshot
 from repro.scenarios.store import EventTailer, StoreEventSink, index_record
 
 # --------------------------------------------------------------------------- #
@@ -63,6 +63,24 @@ def _tiny_solve_spec(name="tiny", **calibration) -> ScenarioSpec:
         calibration=cal,
         solver={"grid_level": 2, "tolerance": 1e-3, "max_iterations": 12},
     )
+
+
+@contextlib.contextmanager
+def _recorded_ops(backend):
+    """Record ``(op, key)`` of every ``get`` and ``list`` one backend
+    instance makes while the block runs."""
+    ops: list = []
+    for name in ("get", "list"):
+
+        def op(key="", _name=name, _real=getattr(backend, name)):
+            ops.append((_name, key))
+            return _real(key)
+
+        setattr(backend, name, op)
+    try:
+        yield ops
+    finally:
+        del backend.get, backend.list
 
 
 @pytest.fixture
@@ -395,7 +413,7 @@ class TestCompactionContract:
             json.dumps(late).encode(),
         )
         assert backend.commit_records() == [early, late]
-        assert store.known_hashes() == ["h-early", "h-late"]  # true first-appearance
+        assert list(store.index_records()) == ["h-early", "h-late"]  # true first-appearance
         # "most recent completed wins": same hash, inverted key order
         rerun = {"spec_hash": "h-early", "status": "completed",
                  "wall_time": 30.0, "created_at_unix": 300.0}
@@ -687,6 +705,45 @@ class TestStoreCompaction:
         assert store.backend.commit_log_tail_count() == 0
         assert len(store.log_records()) == 9
 
+    def test_a_read_scans_the_log_once(self, store):
+        """On a folded snapshot plus an un-folded tail, ``index_records()``
+        lists ``commits/`` once and gets the snapshot and each tail object
+        once; its second ``commit-snapshots/`` listing checks for a racing
+        fold."""
+        specs = [_payload_spec(i) for i in range(6)]
+        for spec in specs[:4]:
+            store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
+        snapshot = store.compact(grace_seconds=0)["snapshot"]
+        for spec in specs[4:]:
+            store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
+        tail = store.backend.list(COMMIT_LOG_PREFIX)
+        assert len(tail) == 2
+        with _recorded_ops(store.backend) as ops:
+            records = store.index_records()
+        assert list(records) == [spec.content_hash() for spec in specs]
+        assert sorted(ops) == sorted(
+            [("list", COMMIT_LOG_PREFIX), ("list", SNAPSHOT_PREFIX), ("list", SNAPSHOT_PREFIX)]
+            + [("get", snapshot)]
+            + [("get", key) for key in tail]
+        )
+
+    def test_a_read_that_folds_reads_each_commit_once(self, store):
+        """A read whose tail passes ``auto_compact_tail`` folds the scan it
+        answers from: each commit object is got once, ``commits/`` listed
+        once, and the only snapshot get is the new snapshot's verify."""
+        store.auto_compact_tail = 4
+        specs = [_payload_spec(i) for i in range(6)]
+        for spec in specs:
+            store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
+        commits = store.backend.list(COMMIT_LOG_PREFIX)
+        with _recorded_ops(store.backend) as ops:
+            records = store.index_records()
+        [snapshot] = store.backend.list(SNAPSHOT_PREFIX)
+        assert list(records) == [spec.content_hash() for spec in specs]
+        assert sorted(key for op, key in ops if op == "get") == sorted(commits + [snapshot])
+        assert ops.count(("list", COMMIT_LOG_PREFIX)) == 1
+        assert store.backend.commit_log_tail_count() == 0
+
     def test_auto_compaction_folds_the_log_only(self, store_url_for, monkeypatch):
         """The class constant governs every store opened, and the fold a read
         triggers lists nothing but the log: a leftover checkpoint of a
@@ -817,7 +874,8 @@ class TestQueryIndex:
         report = store.compact(grace_seconds=0)
         assert "index_snapshot" not in report and "index_records" not in report
         assert store.backend.list("index-snapshots/") == []
-        [(snap_key, pairs)] = load_snapshots(store.backend)
+        [snap_key] = store.backend.list(SNAPSHOT_PREFIX)
+        pairs = read_snapshot(store.backend, snap_key)
         assert snap_key == report["snapshot"] and len(pairs) == 5
         for i, (_key, rec) in enumerate(pairs):
             assert rec["status"] == "completed"
@@ -1209,7 +1267,7 @@ class TestLogLayouts:
 
         old = ResultsStore(root)
         folded, unfolded = specs[:2], specs[2:]
-        assert old.known_hashes() == [s.content_hash() for s in folded]
+        assert list(old.index_records()) == [s.content_hash() for s in folded]
         assert set(old.index()) == {s.content_hash() for s in folded}
         assert set(old.wall_times()) == {s.content_hash() for s in folded}
         # has() and the worker's skip scan read entry.json, never the log

@@ -562,21 +562,29 @@ class TestFleetAndReport:
         assert any(s["open"] for s in data["spans"])  # the live claim
         assert len(data["convergence"]) == 3  # 2 from entries + 1 from events
 
-    def test_a_steal_ends_the_dead_holders_span(self, store_url_for):
+    @staticmethod
+    def _feeds_store(store_url_for, feeds):
+        """A store holding one event log per worker of ``feeds``, all on scenario s1."""
         store = ResultsStore(store_url_for("mem"))
-        feeds = {
-            "A": [{"kind": "claimed", "timestamp": 0.0}],
-            "B": [
-                {"kind": "stolen", "timestamp": 10.0, "previous_worker": "A"},
-                {"kind": "committed", "timestamp": 12.0},
-                {"kind": "released", "timestamp": 12.0},
-            ],
-        }
         for worker, events in feeds.items():
             lines = "".join(
                 json.dumps(dict(e, worker=worker, scenario="s1")) + "\n" for e in events
             )
             store.backend.put(store.event_key(worker), lines.encode())
+        return store
+
+    def test_a_steal_ends_the_dead_holders_span(self, store_url_for):
+        store = self._feeds_store(
+            store_url_for,
+            {
+                "A": [{"kind": "claimed", "timestamp": 0.0}],
+                "B": [
+                    {"kind": "stolen", "timestamp": 10.0, "previous_worker": "A"},
+                    {"kind": "committed", "timestamp": 12.0},
+                    {"kind": "released", "timestamp": 12.0},
+                ],
+            },
+        )
         data = gather_run_data(store)
         assert [
             (s["worker"], s["kind"], s["start"], s["end"], s["outcome"], s["open"])
@@ -585,11 +593,27 @@ class TestFleetAndReport:
             ("A", "claim", 0.0, 10.0, "stolen", False),
             ("B", "steal", 10.0, 12.0, "committed", False),
         ]
+        assert data["makespan"] == 12.0
         assert data["busy_time"] == {"A": 10.0, "B": 2.0}
         assert data["utilization"] == pytest.approx(0.5)
         html = render_report(store, "html")
         assert "fill='#805ad5'><title>s1 (claim, stolen)</title>" in html
         assert "stolen from=purple" in html
+
+    def test_no_holds_leave_utilization_unknown(self, store_url_for):
+        data = gather_run_data(ResultsStore(store_url_for("mem")))
+        assert data["spans"] == [] and data["workers"] == []
+        assert data["utilization"] is None and data["makespan"] == 0.0
+        assert data["busy_time"] == {}
+
+    def test_one_worker_holding_throughout_is_fully_utilized(self, store_url_for):
+        store = self._feeds_store(
+            store_url_for,
+            {"A": [{"kind": "claimed", "timestamp": 3.0}, {"kind": "committed", "timestamp": 7.0}]},
+        )
+        data = gather_run_data(store)
+        assert data["makespan"] == 4.0 and data["busy_time"] == {"A": 4.0}
+        assert data["utilization"] == 1.0
 
     def test_markdown_report_covers_every_section(self, store_url_for):
         store, inflight = self._mixed_store(store_url_for("file"))

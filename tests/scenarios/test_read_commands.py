@@ -385,7 +385,7 @@ def _recorded_ops():
 
 #: backend operations ``status`` makes on the 50-entry store below: one
 #: ``leases/`` listing for the leases and the parked records together
-PARENT_STATUS_OPS = 58
+PARENT_STATUS_OPS = 57
 
 
 def test_status_reads_no_entry_and_report_reads_each_once(store_url_for, capsys):
@@ -401,11 +401,10 @@ def test_status_reads_no_entry_and_report_reads_each_once(store_url_for, capsys)
     assert not [key for op, key in ops if key.endswith("/entry.json")]
     assert len(ops) <= PARENT_STATUS_OPS
     assert ops.count(("list", "leases/")) == 1
-    # one commit-log read lists commits/ twice: the auto-compaction bound, then the merge
-    log_listings = ops.count(("list", "commits/"))
+    assert ops.count(("list", "commits/")) == 1  # one scan of the commit log
     with _recorded_ops() as ops:
         _run(capsys, "report", "--store", store.url)
     entry_gets = Counter(key for op, key in ops if op == "get" and key.endswith("/entry.json"))
     assert entry_gets == {store.entry_key(spec): 1 for spec in specs}
-    assert ops.count(("list", "commits/")) == log_listings  # the log is read once
+    assert ops.count(("list", "commits/")) == 1
     assert ops.count(("list", "leases/")) == 1

@@ -244,6 +244,13 @@ class TestLongestFirstScheduling:
         ordered = schedule_longest_first([quick, medium, slow], times)
         assert [s.name for s in ordered] == ["slow", "medium", "quick"]
 
+    def test_ties_keep_suite_order(self):
+        specs = [_tiny_solve_spec(f"tie-{i}", tau_labor=0.1 * (i + 1)) for i in range(4)]
+        times = {spec.content_hash(): 3.0 for spec in specs[1:]}
+        times[specs[0].content_hash()] = 1.0
+        for order in (specs[1:], specs[:0:-1]):
+            assert schedule_longest_first([specs[0], *order], times) == [*order, specs[0]]
+
     def test_heuristic_fallback_for_unseen_hashes(self):
         small = ScenarioSpec(
             "small",
