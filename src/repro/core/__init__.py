@@ -17,7 +17,7 @@ from repro.core.compression import (
     compression_stats,
 )
 from repro.core.kernels import evaluate, list_kernels, get_kernel, KERNELS
-from repro.core.policy import StatePolicy, PolicySet
+from repro.core.policy import StatePolicy, PolicySet, PolicyRead
 from repro.core.time_iteration import (
     TimeIterationSolver,
     TimeIterationConfig,
@@ -37,6 +37,7 @@ __all__ = [
     "KERNELS",
     "StatePolicy",
     "PolicySet",
+    "PolicyRead",
     "TimeIterationSolver",
     "TimeIterationConfig",
     "TimeIterationResult",

@@ -8,7 +8,10 @@ approximate it with one adaptive sparse grid per discrete state ``z``:
   for one state;
 * :class:`PolicySet` — the collection over all ``Ns`` states, which is what
   gets interpolated when solving the equilibrium conditions (``p_next`` in
-  Algorithm 1).
+  Algorithm 1);
+* :class:`PolicyRead` — one or more models' policy sets prepared once for
+  many reads in several states at once, what a Newton run of the
+  equilibrium solver builds for its residual calls.
 
 State policies that share one grid object (the non-adaptive time iteration
 hands every state the same cached regular grid) also share its
@@ -16,8 +19,9 @@ hierarchization structure and compressed kernel representation through the
 grid-attached caches (see :mod:`repro.grids.grid`), so fitting and
 evaluating ``Ns`` policies pays the grid preprocessing once; states that
 also share the box are read at a block of points with one basis pass
-(:meth:`PolicySet.evaluate_all_states`).  A policy evaluates with the one
-production kernel, the default of :func:`repro.core.kernels.evaluate`.
+(:class:`PolicyRead`; :meth:`PolicySet.evaluate_all_states` is one such
+read).  A policy evaluates with the one production kernel, the default of
+:func:`repro.core.kernels.evaluate`.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ import numpy as np
 from repro.grids.domain import BoxDomain
 from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
-from repro.grids.interpolation import SparseGridInterpolant, evaluate_stacked
+from repro.grids.interpolation import SparseGridInterpolant, StackedRead
 
-__all__ = ["StatePolicy", "PolicySet"]
+__all__ = ["StatePolicy", "PolicySet", "PolicyRead"]
 
 
 @dataclass
@@ -170,18 +174,12 @@ class PolicySet:
         ``m`` axis for a single point) — this is the access pattern of the
         equilibrium solver, which needs next period's policy in *all*
         shock states at once (the interpolation bottleneck the paper
-        optimises).  When the states share one grid object and box, one
-        basis pass at ``X`` serves all of them
-        (:func:`~repro.grids.interpolation.evaluate_stacked`); otherwise
-        (adaptive grids) every state is evaluated on its own.
+        optimises).  One read of a :class:`PolicyRead`: one basis pass at
+        ``X`` when the states share one grid object and box, every state on
+        its own otherwise (adaptive grids).
         """
-        chosen = self.policies if states is None else [self.policies[z] for z in states]
-        interps = [p.interpolant for p in chosen]
-        if all(map(interps[0].shares_basis_with, interps[1:])):
-            (values,) = evaluate_stacked([interps], [X])
-        else:
-            values = [np.atleast_2d(interp(X)) for interp in interps]
-        out = np.stack(values)
+        chosen = range(self.num_states) if states is None else states
+        out = PolicyRead([self])(chosen, [np.atleast_2d(X)])
         return out[:, 0] if np.ndim(X) == 1 else out
 
     def distance(self, other: "PolicySet", sample: np.ndarray | None = None) -> dict:
@@ -228,3 +226,47 @@ class PolicySet:
             "rel_l2": float(np.sqrt(rel_sq_sum / max(count, 1))),
             "per_state_linf": per_state,
         }
+
+
+class PolicyRead:
+    """The policies of one or more models read together many times, prepared once.
+
+    ``policy_sets`` holds one :class:`PolicySet` per model (one model, or
+    the members of a stacked group); the sets have equal ``num_policies``.
+    A call ``read(states, Xs, members)`` reads, at block ``Xs[i]`` (2-D,
+    in its model's box), the policies of model ``members[i]`` (default:
+    model ``i``) in the shock states ``states`` and returns them as one
+    ``(len(states), rows of all blocks, num_policies)`` array.
+
+    When every policy sits on one grid object and each model's states share
+    its box (time iteration's shared regular grid), the read is a
+    :class:`~repro.grids.interpolation.StackedRead`: a call is one basis
+    pass over all blocks and one GEMM per block against that model's
+    surpluses of ``states`` side by side, the operand built once per model
+    and state set.  Otherwise (adaptive grids) it goes state by state: one
+    model calls each state's interpolant, several read each state's
+    interpolants with one basis pass over their blocks.
+    """
+
+    def __init__(self, policy_sets: list[PolicySet]) -> None:
+        self.interps = [[p.interpolant for p in ps] for ps in policy_sets]
+        first = self.interps[0][0]
+        shared = all(
+            i.grid is first.grid and own[0].shares_basis_with(i)
+            for own in self.interps
+            for i in own
+        )
+        self.shared = StackedRead(self.interps) if shared else None
+
+    def __call__(self, states, Xs: list[np.ndarray], members=None) -> np.ndarray:
+        states = tuple(map(int, states))
+        if self.shared is not None:
+            outs = self.shared(Xs, members, states)
+            out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+            # (rows, states x policies) -> (states, rows, policies), a view
+            return out.reshape(out.shape[0], len(states), -1).swapaxes(0, 1)
+        if len(self.interps) == 1:
+            return np.stack([self.interps[0][s](Xs[0]) for s in states])
+        members = range(len(Xs)) if members is None else members
+        by_state = (StackedRead([self.interps[u][s] for u in members])(Xs) for s in states)
+        return np.stack([np.concatenate(blocks) for blocks in by_state])

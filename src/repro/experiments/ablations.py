@@ -15,11 +15,11 @@ the components the paper combines:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.compression import compress_grid
+from repro.core.compression import CompressedGrid, compress_grid
 from repro.core.kernels import evaluate
 from repro.grids.regular import regular_sparse_grid
 from repro.parallel.partition import load_imbalance, proportional_group_sizes, partition_counts
@@ -33,6 +33,7 @@ __all__ = [
     "run_scheduler_ablation",
     "ReorderingAblation",
     "run_reordering_ablation",
+    "unordered_layout",
     "run_scenario",
 ]
 
@@ -181,6 +182,20 @@ class ReorderingAblation:
         return self.seconds_unordered / self.seconds_reordered
 
 
+def unordered_layout(comp: CompressedGrid) -> CompressedGrid:
+    """``comp`` without the surplus reordering: original point order, identity permutation.
+
+    The same interpolant in another memory layout — it evaluates the same
+    values to rounding, so the ablation's timing ratio is the layout alone.
+    """
+    inverse = np.argsort(comp.order)
+    return replace(
+        comp,
+        chains=np.ascontiguousarray(comp.chains[inverse]),
+        order=np.arange(comp.num_points, dtype=np.int64),
+    )
+
+
 def run_reordering_ablation(
     dim: int = 20,
     level: int = 5,
@@ -209,17 +224,7 @@ def run_reordering_ablation(
         return best
 
     reordered = timed(comp)
-
-    # build an unordered variant: identity permutation, original chain order
-    from dataclasses import replace
-
-    inverse = np.argsort(comp.order)
-    unordered = replace(
-        comp,
-        chains=np.ascontiguousarray(comp.chains[inverse]),
-        order=np.arange(comp.num_points, dtype=np.int64),
-    )
-    unordered_time = timed(unordered)
+    unordered_time = timed(unordered_layout(comp))
     return ReorderingAblation(
         num_points=len(grid),
         dim=dim,

@@ -8,6 +8,15 @@ compressed ``cuda`` analog, a basis-matrix GEMM.  The other kernels of the
 paper's Table II ladder are the subject of the experiments, which call
 :func:`~repro.core.kernels.evaluate` with a kernel name directly.
 
+Interpolants on one grid are read together by :func:`evaluate_stacked`:
+one basis pass at all query blocks, one GEMM per block against the
+surpluses read there side by side.  :class:`StackedRead` is the same read
+split in two — what does not change between reads (validation, the
+compressed grid, the boxes, the reordered GEMM operands) built once, and
+a call that maps the blocks onto the unit box, runs the basis pass and
+the GEMMs — for callers that read the same interpolants many times, like
+the residual calls of one Newton run.
+
 Caching contract
 ----------------
 An interpolant does not own its compressed representation: it fetches the
@@ -38,7 +47,7 @@ from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
 from repro.grids.regular import regular_sparse_grid
 
-__all__ = ["SparseGridInterpolant", "evaluate_stacked"]
+__all__ = ["SparseGridInterpolant", "StackedRead", "evaluate_stacked"]
 
 
 def evaluate_stacked(
@@ -54,49 +63,114 @@ def evaluate_stacked(
     values at the block — or a list of interpolants that also share the box
     (one model's policies in several shock states): all of them are read at
     the block with ONE GEMM against their surpluses side by side, and the
-    result is a list with one array per interpolant.  Equivalent to calling
-    each interpolant on its block — bitwise, since its kernel is exactly a
-    basis-matrix GEMM — but the per-query basis factors are computed once
-    for the union of all query blocks, so ``k`` surplus sets pay one basis
-    pass plus one small GEMM per block instead of ``k`` full kernel
-    evaluations.
-    """
-    from repro.core.compression import compressed_for
-    from repro.core.kernels import basis_matrix
+    result is a list with one array per interpolant.  The per-query basis
+    factors are computed once for the union of all query blocks, so ``k``
+    surplus sets pay one basis pass plus one small GEMM per block instead
+    of ``k`` full kernel evaluations.
 
-    if not interpolants:
-        return []
-    if len(interpolants) != len(Xs):
-        raise ValueError("need one query block per interpolant")
-    groups = [e if isinstance(e, (list, tuple)) else [e] for e in interpolants]
-    grid = groups[0][0].grid
-    blocks = []
-    for group, X in zip(groups, Xs):
-        first = group[0]
-        if first.grid is not grid:
-            raise ValueError("evaluate_stacked requires one shared grid object")
-        if not all(first.shares_basis_with(interp) for interp in group[1:]):
-            raise ValueError("interpolants read at one block must share grid and box")
-        X2 = np.atleast_2d(np.asarray(X, dtype=float))
-        if X2.shape[1] != grid.dim:
-            raise ValueError(f"query points must have {grid.dim} columns")
-        blocks.append(first.domain.to_unit(X2))
-    comp = compressed_for(grid)
-    basis = basis_matrix(comp, np.concatenate(blocks, axis=0))
-    outs: list = []
-    start = 0
-    for entry, group, block in zip(interpolants, groups, blocks):
-        stop = start + block.shape[0]
-        # the frozen 2-D surplus views keep the reorder memoization hitting
-        out = basis[start:stop] @ comp.reorder_cached(*(i._surplus_2d for i in group))
-        each, col = [], 0
-        for interp in group:
-            width = interp._surplus_2d.shape[1]
-            each.append(out[:, col] if interp.surplus.ndim == 1 else out[:, col : col + width])
-            col += width
-        outs.append(each if entry is group else each[0])
-        start = stop
-    return outs
+    An entry that is one interpolant equals that interpolant's own call on
+    its block bit for bit: its kernel is exactly a basis-matrix GEMM of the
+    same shape.  A group is one *wider* GEMM, whose BLAS blocking may sum a
+    column in another order, so its values equal the per-interpolant calls
+    to rounding only (a few 1e-15 relative; bitwise at some sizes, not at
+    others).
+
+    This is one read of a :class:`StackedRead`; build that once to read
+    the same interpolants many times.
+    """
+    return StackedRead(interpolants).values(Xs)
+
+
+class StackedRead:
+    """:func:`evaluate_stacked` prepared once, for reading the same interpolants many times.
+
+    ``interpolants`` is :func:`evaluate_stacked`'s first argument: groups of
+    interpolants (or single ones) on one grid object, each group on one
+    box.  Construction is the once-per-run half: it checks exactly that and
+    fetches the compressed grid; the reordered GEMM operand of a group — of
+    the chosen members of a group — is kept once first built.  A call is
+    the per-read half: the blocks mapped onto the unit box, ONE basis pass
+    over all of them (``kernels.basis_matrix``) and ONE GEMM per block.
+    The interpolants and their grid must not change while the read is in
+    use (surpluses are frozen on attach; ``grid.add_points`` would need a
+    new read).
+    """
+
+    def __init__(
+        self, interpolants: list["SparseGridInterpolant | list[SparseGridInterpolant]"]
+    ) -> None:
+        from repro.core.compression import compressed_for
+
+        self.groups = [list(e) if isinstance(e, (list, tuple)) else [e] for e in interpolants]
+        self._single = [not isinstance(e, (list, tuple)) for e in interpolants]
+        self._operands: dict[tuple, np.ndarray] = {}
+        self.comp = None
+        if not self.groups:
+            return
+        grid = self.groups[0][0].grid
+        for group in self.groups:
+            first = group[0]
+            if first.grid is not grid:
+                raise ValueError("evaluate_stacked requires one shared grid object")
+            if not all(first.shares_basis_with(interp) for interp in group[1:]):
+                raise ValueError("interpolants read at one block must share grid and box")
+        self.comp = compressed_for(grid)
+
+    def _operand(self, g: int, picks: tuple[int, ...] | None) -> np.ndarray:
+        key = (g, picks)
+        operand = self._operands.get(key)
+        if operand is None:
+            group = self.groups[g]
+            chosen = group if picks is None else [group[i] for i in picks]
+            # the frozen 2-D surplus views keep the compressed grid's reorder memo hitting
+            operand = self.comp.reorder_cached(*(i._surplus_2d for i in chosen))
+            self._operands[key] = operand
+        return operand
+
+    def __call__(
+        self, Xs: list[np.ndarray], groups=None, picks: tuple[int, ...] | None = None
+    ) -> list[np.ndarray]:
+        """The GEMM output of every block: ``(m_i, width)``, interpolants side by side.
+
+        Block ``Xs[i]``, in its group's box, is read with group
+        ``groups[i]`` — by default group ``i``, one block per group — and of
+        that group with the interpolants at positions ``picks`` (default:
+        all of them), in that order.
+        """
+        from repro.core import kernels
+
+        if groups is None:
+            if len(Xs) != len(self.groups):
+                raise ValueError("need one query block per interpolant")
+            groups = range(len(Xs))
+        if not len(Xs):
+            return []
+        units = []
+        for g, X in zip(groups, Xs):
+            X = np.atleast_2d(np.asarray(X, dtype=float))
+            if X.shape[1] != self.comp.dim:
+                raise ValueError(f"query points must have {self.comp.dim} columns")
+            units.append(self.groups[g][0].domain.to_unit(X))
+        # through the module: whoever wraps kernels.basis_matrix sees every pass
+        basis = kernels.basis_matrix(self.comp, np.concatenate(units))
+        outs, start = [], 0
+        for g, unit in zip(groups, units):
+            stop = start + unit.shape[0]
+            outs.append(basis[start:stop] @ self._operand(g, picks))
+            start = stop
+        return outs
+
+    def values(self, Xs: list[np.ndarray]) -> list:
+        """:func:`evaluate_stacked`'s answer: per entry its values, or one array per interpolant."""
+        outs = []
+        for single, group, out in zip(self._single, self.groups, self(Xs)):
+            each, col = [], 0
+            for interp in group:
+                width = interp._surplus_2d.shape[1]
+                each.append(out[:, col] if interp.surplus.ndim == 1 else out[:, col : col + width])
+                col += width
+            outs.append(each[0] if single else each)
+        return outs
 
 
 class SparseGridInterpolant:

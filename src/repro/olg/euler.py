@@ -20,6 +20,16 @@ prices and the government budget are :mod:`repro.olg.production` and
 
 Savings are solved in log space, which keeps them strictly positive (an
 interior-solution version of the paper's Ipopt bound constraints).
+
+The residuals and the Bellman update are written once, as private
+routines of today's cash on hand and a prepared
+:class:`~repro.core.policy.PolicyRead` of the next-iterate policies.  A
+Newton run (:meth:`EulerSystem.solve`) builds both once — neither depends
+on the candidate savings — so a residual call pays only for tomorrow: the
+next states and period environment, one basis pass and one GEMM per model,
+the marginal utilities.  The public :meth:`EulerSystem.euler_residuals` /
+:meth:`EulerSystem.value_functions` build the two per call and give the
+same bits.
 """
 
 from __future__ import annotations
@@ -28,8 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.policy import PolicySet
-from repro.grids.interpolation import evaluate_stacked
+from repro.core.policy import PolicyRead, PolicySet
 from repro.olg.government import GovernmentBudget
 from repro.olg.production import Prices
 from repro.olg.solver import BatchNewtonSolver
@@ -201,27 +210,23 @@ class EulerSystem:
     # ------------------------------------------------------------------ #
     # equilibrium conditions
     # ------------------------------------------------------------------ #
-    def _policy_values(self, states, rows, x_next: np.ndarray, policies: list[PolicySet]):
+    def _policy_values(self, states, rows, x_next: np.ndarray, read: PolicyRead):
         """Next-iterate policy values of each row's own model in every one of ``states``.
 
         ``(len(states), ..., 2 (A-1))``, from ONE basis pass at ``x_next``
         when the policies sit on one grid object (time iteration's shared
-        regular grid), from one pass per state otherwise (adaptive grids).
+        regular grid), state by state otherwise (adaptive grids).
         """
         if not self.stacked:
-            return policies[0].evaluate_all_states(x_next, states)
+            values = read(states, [np.atleast_2d(x_next)])
+            return values[:, 0] if x_next.ndim == 1 else values
         mem = self.row_member[rows]  # nondecreasing: rows are sorted
         uniq, starts = np.unique(mem, return_index=True)
         bounds = np.append(starts, mem.size)
         blocks = [x_next[bounds[i] : bounds[i + 1]] for i in range(uniq.size)]
-        interps = [[policies[int(u)][s].interpolant for s in states] for u in uniq]
-        if all(i.grid is interps[0][0].grid for group in interps for i in group):
-            by_state = zip(*evaluate_stacked(interps, blocks))
-        else:
-            by_state = (evaluate_stacked(list(state), blocks) for state in zip(*interps))
-        return np.stack([np.concatenate(members) for members in by_state])
+        return read(states, blocks, uniq.tolist())
 
-    def _tomorrow(self, z, rows, savings: np.ndarray, policies: list[PolicySet]):
+    def _tomorrow(self, z, rows, savings: np.ndarray, read: PolicyRead):
         """Probability, gross return, consumption, policy values: reachable states first.
 
         The leading axis runs over the reachable shock states, those some
@@ -237,37 +242,45 @@ class EulerSystem:
         successors = np.flatnonzero(np.atleast_2d(self.reach[z]).any(axis=0))
         z_next = successors.reshape((-1,) + (1,) * K_next.ndim)  # broadcasts against the rows
         prob = self.prob[z, z_next, self._sel(rows)]
-        next_values = self._policy_values(successors, rows, x_next, policies)
+        next_values = self._policy_values(successors, rows, x_next, read)
         env = self.environment(z_next, rows, K_next)
         save_next = np.zeros(successors.shape + savings.shape)
         save_next[..., : ns - 1] = np.maximum(next_values[..., 1:ns], 0.0)
         cons_next = env.gross_return[..., None] * savings + env.incomes[..., 1:] - save_next
         return prob, env.gross_return, cons_next, next_values
 
-    def euler_residuals(
-        self, z, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
-    ) -> np.ndarray:
-        """``u'(c_a) - beta E[R' u'(c'_{a+1})]`` of every saving age, ``(..., A-1)``."""
-        consumption = self.consumption_at(z, rows, X, savings)
-        mu_today = self.utility.marginal_utility(consumption[..., : self.num_savers])
-        prob, gross_next, cons_next, _ = self._tomorrow(z, rows, savings, policies)
+    def _residuals(self, z, rows, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
+        """The Euler residuals, given the rows' cash on hand and the prepared policy read."""
+        mu_today = self.utility.marginal_utility(cash - savings)
+        prob, gross_next, cons_next, _ = self._tomorrow(z, rows, savings, read)
         mu_next = self.utility.marginal_utility(cons_next)
         expected = ((prob * gross_next)[..., None] * mu_next).sum(axis=0)
         return mu_today - self.beta[self._sel(rows)][..., None] * expected
 
-    def value_functions(
-        self, z, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
-    ) -> np.ndarray:
-        """Bellman update of the value functions of all saving ages, ``(..., A-1)``."""
+    def _values(self, z, rows, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
+        """The Bellman update, given the rows' cash on hand and the prepared policy read."""
         ns = self.num_savers
-        utility_today = self.utility.utility(self.consumption_at(z, rows, X, savings)[..., :ns])
-        prob, _, cons_next, next_values = self._tomorrow(z, rows, savings, policies)
+        utility_today = self.utility.utility(cash - savings)
+        prob, _, cons_next, next_values = self._tomorrow(z, rows, savings, read)
         value_next = np.empty_like(cons_next)
         value_next[..., : ns - 1] = next_values[..., ns + 1 : 2 * ns]
         # tomorrow's terminal generation consumes everything
         value_next[..., ns - 1] = self.utility.utility(cons_next[..., ns - 1])
         continuation = (prob[..., None] * value_next).sum(axis=0)
         return utility_today + self.beta[self._sel(rows)][..., None] * continuation
+
+    def euler_residuals(
+        self, z, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
+    ) -> np.ndarray:
+        """``u'(c_a) - beta E[R' u'(c'_{a+1})]`` of every saving age, ``(..., A-1)``."""
+        cash = self.resources(z, rows, X)
+        return self._residuals(z, rows, cash, savings, PolicyRead(policies))
+
+    def value_functions(
+        self, z, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
+    ) -> np.ndarray:
+        """Bellman update of the value functions of all saving ages, ``(..., A-1)``."""
+        return self._values(z, rows, self.resources(z, rows, X), savings, PolicyRead(policies))
 
     # ------------------------------------------------------------------ #
     # the point solve
@@ -307,12 +320,15 @@ class EulerSystem:
         """
         rows = np.arange(X.shape[0])
         z = np.broadcast_to(z, rows.shape)
+        # what no candidate changes, once per run: today's cash on hand and
+        # the interpolation plumbing of the next-iterate policies
+        cash = self.resources(z, rows, X)
+        read = PolicyRead(policies)
         guess = self.savings_guess(z, rows, X, guesses)
         log_guess = np.log(np.maximum(guess, np.exp(_LOG_SAVINGS_FLOOR)))
 
         def residual(active: np.ndarray, log_savings: np.ndarray) -> np.ndarray:
-            savings = _savings(log_savings)
-            return self.euler_residuals(z[active], active, X[active], savings, policies)
+            return self._residuals(z[active], active, cash[active], _savings(log_savings), read)
 
         result = self.batch_solver.solve(residual, log_guess)
         savings = _savings(result.x)
@@ -326,5 +342,5 @@ class EulerSystem:
             view.totals["pinned"] += int(pinned[mine].sum())
             view.totals["residual_calls"] += result.residual_evaluations
             view.totals["newton_runs"] += 1
-        values = self.value_functions(z, rows, X, savings, policies)
+        values = self._values(z, rows, cash, savings, read)
         return np.concatenate([savings, values], axis=1)

@@ -10,8 +10,11 @@ Euler systems of all scenarios in all shock states are solved as a single
 ``(n_scenarios * n_states * n_points)``-row batch; every Newton residual
 evaluation is a handful of vectorized array operations plus ONE basis pass
 over the common grid that serves every member and every successor state
-(:func:`repro.grids.interpolation.evaluate_stacked`) instead of thousands
-of scalar calls.
+instead of thousands of scalar calls.  The run prepares that read once
+(:class:`repro.core.policy.PolicyRead` over the members' policy sets, a
+:class:`repro.grids.interpolation.StackedRead` with one reordered operand
+per member and successor set), so a call is the pass plus one GEMM per
+member.
 
 Structural ingredients that change the *shape* of the system — the age
 profile, preferences, technology, fiscal rule, nonlinear-solver settings —

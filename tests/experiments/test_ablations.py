@@ -1,12 +1,17 @@
 """Tests for the ablation experiments."""
 
+import numpy as np
 import pytest
 
+from repro.core.compression import compress_grid
+from repro.core.kernels import evaluate
 from repro.experiments.ablations import (
     run_partition_ablation,
     run_reordering_ablation,
     run_scheduler_ablation,
+    unordered_layout,
 )
+from repro.grids.regular import regular_sparse_grid
 
 
 class TestPartitionAblation:
@@ -50,6 +55,18 @@ class TestReorderingAblation:
         assert result.seconds_reordered > 0
         assert result.seconds_unordered > 0
         assert result.num_points > 0
-        # results from both orderings must be numerically identical, so the
-        # ratio only reflects memory-layout effects and stays near 1 in NumPy
-        assert 0.2 < result.speedup_from_reordering < 5.0
+        # what the timing compares is one interpolant in two layouts: both
+        # evaluate the same values, so the ratio is the memory layout alone
+        grid = regular_sparse_grid(6, 4)
+        comp = compress_grid(grid)
+        unordered = unordered_layout(comp)
+        assert not np.array_equal(comp.order, unordered.order)
+        rng = np.random.default_rng(0)
+        surplus = rng.standard_normal((len(grid), 8))
+        queries = rng.random((40, 6))
+        np.testing.assert_allclose(
+            evaluate(unordered, surplus, queries),
+            evaluate(comp, surplus, queries),
+            rtol=0,
+            atol=1e-12,
+        )

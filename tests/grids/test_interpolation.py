@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.grids.domain import BoxDomain
-from repro.grids.interpolation import SparseGridInterpolant, evaluate_stacked
+from repro.grids.interpolation import SparseGridInterpolant, StackedRead, evaluate_stacked
 from repro.grids.regular import regular_sparse_grid
 
 
@@ -105,6 +105,49 @@ class TestEvaluateStacked:
                 assert got.shape == (len(X), 3)
                 np.testing.assert_allclose(got, interp(X), rtol=0, atol=1e-13)
         np.testing.assert_allclose(outs[2], single(Xs[2]), rtol=0, atol=1e-13)
+
+    def test_a_single_interpolant_is_its_own_call_bit_for_bit(self):
+        """One interpolant per block: the same basis-matrix GEMM as its kernel."""
+        grid = regular_sparse_grid(7, 3)
+        pair = self._interpolants(grid, 2, dofs=14)
+        scalar = SparseGridInterpolant(grid, np.arange(float(len(grid))))
+        rng = np.random.default_rng(4)
+        Xs = [rng.random((m, 7)) for m in (100, 1, 17)]
+        outs = evaluate_stacked([*pair, scalar], Xs)
+        for interp, X, got in zip((*pair, scalar), Xs, outs):
+            assert np.array_equal(got, interp(X))
+
+    def test_a_group_is_one_wider_gemm_equal_to_rounding(self):
+        """Two states of 8 generations at level 3 read side by side: not always bitwise.
+
+        The group is one GEMM with twice the columns, whose BLAS blocking
+        may sum a column in another order than the one-interpolant GEMM.
+        """
+        grid = regular_sparse_grid(7, 3)
+        group = self._interpolants(grid, 2, dofs=14)
+        X = np.random.default_rng(4).random((100, 7))
+        (values,) = evaluate_stacked([group], [X])
+        for interp, got in zip(group, values):
+            alone = interp(X)
+            assert np.abs(got - alone).max() <= 1e-13 * np.abs(alone).max()
+
+    def test_a_prepared_read_is_the_one_shot_read(self):
+        """StackedRead: evaluate_stacked's validation once, then any blocks, groups, picks."""
+        grid = regular_sparse_grid(3, 3)
+        boxes = [BoxDomain.cube(3, 0.0, 2.0), BoxDomain.cube(3, -1.0, 1.0)]
+        groups = [self._interpolants(grid, 3, domain=box, seed=i) for i, box in enumerate(boxes)]
+        read = StackedRead(groups)
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            Xs = [box.from_unit(rng.random((m, 3))) for box, m in zip(boxes, (6, 4))]
+            for prepared, once in zip(read.values(Xs), evaluate_stacked(groups, Xs)):
+                assert all(map(np.array_equal, prepared, once))
+            # the second group alone, its third and first interpolants side by side
+            (picked,) = read(Xs[1:], groups=[1], picks=(2, 0))
+            third, first = evaluate_stacked([[groups[1][2], groups[1][0]]], Xs[1:])[0]
+            assert np.array_equal(picked, np.concatenate([third, first], axis=1))
+        with pytest.raises(ValueError):
+            StackedRead([groups[0] + groups[1]])  # one block, two boxes
 
     def test_reordered_operand_of_a_group_is_memoised(self):
         from repro.core.compression import compressed_for

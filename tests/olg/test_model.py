@@ -433,3 +433,43 @@ class TestSharedBasisRead:
         per_state = system.euler_residuals(z, *args, [own] * (1 + stacked))
         assert len(passes) == 1 + (2 if stacked else 0)  # one model on its own grids: the kernel
         np.testing.assert_allclose(per_state, fused, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_newton_run_prepares_its_read_once(self, monkeypatch, stacked):
+        """A whole solve: a basis pass per residual call and one for the value update.
+
+        The reordered GEMM operand is built once per model and successor set
+        (here every row reaches both states), not once per residual call.
+        """
+        from repro.core import kernels
+        from repro.core.compression import CompressedGrid
+
+        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        policy = TimeIterationSolver(model, TimeIterationConfig(grid_level=2)).initial_policy()
+        members = 1 + stacked
+        nodes = model.domain.from_unit(policy[0].grid.points)
+        X = np.tile(nodes, (2 * members, 1))
+        z = np.tile(np.repeat([0, 1], len(nodes)), members)
+        system = (
+            OLGModel.stacked_group([model] * members, [2 * len(nodes)] * members).system
+            if stacked
+            else model.system
+        )
+        passes, reorders, runs = [], [], []
+        basis, reorder, newton = (
+            kernels.basis_matrix,
+            CompressedGrid.reorder_cached,
+            system.batch_solver.solve,
+        )
+        monkeypatch.setattr(kernels, "basis_matrix", lambda *a: passes.append(1) or basis(*a))
+        monkeypatch.setattr(
+            CompressedGrid, "reorder_cached", lambda *a: reorders.append(1) or reorder(*a)
+        )
+        monkeypatch.setattr(
+            system.batch_solver, "solve", lambda *a: runs.append(newton(*a)) or runs[-1]
+        )
+        system.solve(z, X, [policy] * members, None)
+        (run,) = runs
+        assert run.residual_evaluations > 1
+        assert len(passes) == run.residual_evaluations + 1
+        assert len(reorders) == members

@@ -241,6 +241,22 @@ class TestBatchedSolveGate:
         assert 'value["scenarios.backends.put_kib"] / 40 <= 12' in guard[0]
         assert 'value["scenarios.backends.delete_calls"] == 40' in guard[0]
 
+    def test_bench_job_compares_the_solve_bits_with_the_base(self, workflow):
+        # the script on this tree and on a worktree of the base commit; the
+        # verdict is informational, since bits may move for a reason
+        steps = [
+            s for s in workflow["jobs"]["bench"]["steps"] if "solve_bits.py" in s.get("run", "")
+        ]
+        assert len(steps) == 1
+        (step,) = steps
+        assert step["continue-on-error"] is True
+        assert "github.event.pull_request.base.sha" in step["env"]["BASE_SHA"]
+        run = step["run"]
+        assert 'git worktree add --detach "$RUNNER_TEMP/base" "$BASE_SHA"' in run
+        assert run.count("benchmarks/solve_bits.py") == 2
+        assert "unchanged" in run and "MOVED" in run and "$GITHUB_STEP_SUMMARY" in run
+        assert (REPO / "benchmarks" / "solve_bits.py").exists()
+
     def test_only_the_bench_job_installs_scipy(self, workflow):
         # traced ledger runs import scipy.optimize; everywhere else the
         # runtime's numpy-only import guard must run without scipy present

@@ -12,7 +12,9 @@ These cover the properties DESIGN.md commits to:
 * the one Euler system: the scalar, batch and stacked-group adapters of the
   OLG model evaluate the same rows code, a row never sees its neighbours,
   the shock state is a per-row argument (all states fused == state by
-  state), and the batch Newton solver reproduces the scalar one row by row.
+  state), a Newton run's prepared residual calls are the public residual
+  bit for bit, and the batch Newton solver reproduces the scalar one row by
+  row.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.batched import BatchedTimeIterationSolver
 from repro.core.compression import compress_grid
 from repro.core.kernels import evaluate
+from repro.core.policy import PolicySet, StatePolicy
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.hierarchize import evaluate_dense, hierarchize
 from repro.grids.regular import regular_sparse_grid
@@ -508,18 +511,18 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         """
         seen = []
         newton = system.batch_solver.solve
-        residuals = system.euler_residuals
+        residuals = system._residuals
 
-        def twice(z, rows, X, savings, policies):
-            twin = [np.repeat(a, 2, axis=0) for a in (z, rows, X, savings)]
-            return residuals(*twin, policies)[::2]
+        def twice(z, rows, cash, savings, read):
+            twin = [np.repeat(a, 2, axis=0) for a in (z, rows, cash, savings)]
+            return residuals(*twin, read)[::2]
 
-        system.euler_residuals = twice
+        system._residuals = twice
         system.batch_solver.solve = lambda fn, x0: seen.append(newton(fn, x0)) or seen[-1]
         try:
             out = system.solve(z, X, policies, None)
         finally:
-            del system.euler_residuals
+            del system._residuals
             system.batch_solver.solve = newton
         (result,) = seen  # ONE Newton batch, whatever z is
         stalled = ~result.converged
@@ -531,6 +534,79 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         assert np.all(np.abs(fused[block] - alone) <= 1e-10 * (1.0 + np.abs(alone)))
         assert np.array_equal(fused_masks[:, block], masks)
     return fused_masks
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    calibration=fused_calibrations,
+    level=st.integers(2, 3),
+    thin=st.booleans(),
+    stacked=st.booleans(),
+    copies=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_the_prepared_residual_is_the_public_one(calibration, level, thin, stacked, copies, seed):
+    """The Newton run's residual calls are ``euler_residuals`` on their rows, bit for bit.
+
+    A run prepares today's cash on hand and the policy read once; every
+    call it makes equals the public residual at that call's rows and
+    candidates, and its value update equals ``value_functions``.  Thinned
+    transitions change the successor set between calls (a call holds only
+    the rows still active); per-state grid copies take the read's
+    state-by-state branch.
+    """
+    rng = np.random.default_rng(seed)
+    cal = small_calibration(**calibration)
+    models = [OLGModel(_thinned(cal, rng) if thin else cal)]
+    if stacked:
+        models.append(OLGModel(dataclasses.replace(models[0].calibration, beta=0.85)))
+    num_states, members = models[0].num_states, len(models)
+    grid = regular_sparse_grid(models[0].state_dim, level)
+    own = [grid.copy() for _ in range(num_states)]  # a grid per state, shared by the members
+    policies = []
+    for model in models:
+        solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=level))
+        policy = BatchedTimeIterationSolver._reanchor(solver.initial_policy(), grid)
+        if copies:
+            policy = PolicySet(
+                [
+                    StatePolicy.from_surplus(
+                        s, own[s], sp.interpolant.surplus, sp.nodal_values, model.domain
+                    )
+                    for s, sp in enumerate(policy)
+                ]
+            )
+        policies.append(policy)
+    n = len(grid)
+    z = np.tile(np.repeat(np.arange(num_states), n), members)
+    X = np.concatenate([np.tile(m.domain.from_unit(grid.points), (num_states, 1)) for m in models])
+    system = (
+        OLGModel.stacked_group(models, [num_states * n] * members).system
+        if stacked
+        else models[0].system
+    )
+    calls = []
+    newton = BatchNewtonSolver.solve
+
+    def recording(self, fn, x0):
+        def spy(rows, candidates):
+            out = fn(rows, candidates)
+            calls.append((rows.copy(), candidates.copy(), np.array(out)))
+            return out
+
+        return newton(self, spy, x0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BatchNewtonSolver, "solve", recording)
+        out = system.solve(z, X, policies, None)
+    assert len(calls) > 1
+    for rows, candidates, residuals in calls:
+        savings = euler._savings(candidates)
+        public = system.euler_residuals(z[rows], rows, X[rows], savings, policies)
+        assert np.array_equal(residuals, public)
+    ns = system.num_savers
+    values = system.value_functions(z, np.arange(len(X)), X, out[:, :ns], policies)
+    assert np.array_equal(out[:, ns:], values)
 
 
 def _synthetic_system(rng: np.random.Generator, m: int, n: int):
