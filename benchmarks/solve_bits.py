@@ -7,7 +7,12 @@ generations, 2 shock states, tolerance 1e-3, one scenario per
 ``(tau_labor, beta)`` of ``benchmarks/ledger/workloads.py::SWEEP`` —
 solved one by one at level 2, and stacked as one group at level 3.
 
-A change that leaves the numerics alone prints the same two lines as its
+A third line digests the compressed layout (``compress_grid``'s factor
+table, chains and ``order``, which fix every kernel's summation order) of
+``regular_sparse_grid(59, 3)`` and of a seeded refined ``(4, 2)`` grid,
+the digests ``tests/core/test_compression.py`` pins.
+
+A change that leaves the numerics alone prints the same three lines as its
 parent; compare the output of two checkouts::
 
     PYTHONPATH=src python3 benchmarks/solve_bits.py
@@ -25,7 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.batched import BatchedTimeIterationSolver, BatchMember
+from repro.core.compression import compress_grid
 from repro.core.time_iteration import TimeIterationSolver
+from repro.grids.adaptive import refine
+from repro.grids.regular import regular_sparse_grid
 from repro.scenarios import ScenarioSpec
 
 
@@ -76,9 +84,30 @@ def stacked_line(level: int = 3) -> str:
     return _line(f"level-{level} stacked", [outcomes[s.name].result for s in specs])
 
 
+def _layout_digest(grid) -> str:
+    comp = compress_grid(grid)
+    digest = hashlib.sha256()
+    for name in ("xps_dims", "xps_levels", "xps_indices", "chains", "order"):
+        arr = getattr(comp, name)
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def layout_line() -> str:
+    """The compressed layouts of Table I's level-3 grid and a refined grid."""
+    refined = regular_sparse_grid(4, 2)
+    rng = np.random.default_rng(2)
+    for _ in range(2):
+        refine(refined, rng.standard_normal(len(refined)), epsilon=1.0)
+    regular = _layout_digest(regular_sparse_grid(59, 3))
+    return f"compression layout 59x3 {regular} refined-4x2 {_layout_digest(refined)}"
+
+
 def main() -> None:
     print(solo_line())
     print(stacked_line())
+    print(layout_line())
 
 
 if __name__ == "__main__":

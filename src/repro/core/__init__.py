@@ -1,7 +1,8 @@
 """Core contribution of the paper.
 
 * :mod:`repro.core.compression` — adaptive sparse grid index compression and
-  surplus matrix reordering (paper Sec. IV-B, Figs. 3-4, Algorithm 2).
+  surplus matrix reordering (paper Sec. IV-B, Figs. 3-4, Algorithm 2), built
+  in one vectorised pass into a :class:`CompressedGrid`.
 * :mod:`repro.core.kernels` — the ladder of interpolation kernels
   (gold / x86 / avx / avx2 / avx512 / cuda analogs, paper Sec. V-A).
 * :mod:`repro.core.policy` — per-discrete-state policy containers.
@@ -11,7 +12,6 @@
 
 from repro.core.compression import (
     CompressedGrid,
-    XiDecomposition,
     compress_grid,
     compressed_for,
     compression_stats,
@@ -27,7 +27,6 @@ from repro.core.time_iteration import (
 
 __all__ = [
     "CompressedGrid",
-    "XiDecomposition",
     "compress_grid",
     "compressed_for",
     "compression_stats",

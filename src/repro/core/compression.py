@@ -10,20 +10,24 @@ pipeline removes that redundancy:
 1. **Zero elimination** (Fig. 3).  Entries whose 1-D basis function is the
    constant function are marked as "zeros".  (The paper achieves the same
    thing by re-coding ``(l, i)`` so the trivial pair becomes ``(0, 0)``.)
-2. **Frequency decomposition** (Fig. 4).  The non-zero entries of the
-   ``nno x d`` matrix Ξ are spread over ``nfreq`` matrices ``xi_freq`` such
-   that each matrix holds at most one non-zero entry per grid point, where
-   ``nfreq`` is the maximum number of non-trivial dimensions of any point.
-3. **Unique factor table** ``xps``.  The distinct ``(dimension, level,
-   index)`` triples across all ``xi_freq`` matrices are collected into one
-   small table; index 0 is reserved as the chain terminator.  Per query
-   point only ``len(xps)`` 1-D basis values ever need to be computed, and
-   the table is small enough to live in cache / GPU shared memory
-   (473 entries for the 281,077-point level-4 grid, Table I).
-4. **Chains** (Algorithm 2).  Every grid point becomes a chain of at most
-   ``nfreq`` references into ``xps``; the interpolation kernel multiplies
-   the referenced factor values and stops at the first terminator.
-5. **Surplus reordering.**  Grid points are re-ordered so that points with
+2. **Frequency decomposition, factor table and chains** (Fig. 4,
+   Algorithm 2), one vectorised pass in :func:`compress_grid`.  The
+   ``f``-th non-trivial entry of a point (dimensions ascending) belongs to
+   the matrix ``xi_f``, so there are ``nfreq`` such matrices, ``nfreq``
+   being the most non-trivial dimensions of any point.  Within ``xi_f`` an
+   entry takes the first free row of its column, and the renumbering sweep
+   reads the ``xi_f`` in turn, row by row: one sort key (frequency, row,
+   column).  The distinct ``(dimension, level, index)`` triples form the
+   unique factor table ``xps``, numbered by first appearance in that sweep;
+   index 0 is reserved as the chain terminator.  Per query point only
+   ``len(xps)`` 1-D basis values ever need to be computed, and the table is
+   small enough to live in cache / GPU shared memory (473 entries for the
+   281,077-point level-4 grid, Table I).  Every grid point becomes a chain
+   of at most ``nfreq`` references into ``xps``; the interpolation kernel
+   multiplies the referenced factor values and stops at the first
+   terminator.  The paper's transition matrices ``T_freq`` are a chain's
+   next column.
+3. **Surplus reordering.**  Grid points are re-ordered so that points with
    similar chains are adjacent, which groups memory accesses to the surplus
    matrix (the ``order`` permutation returned with the compressed grid).
 """
@@ -32,15 +36,13 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.grids.grid import SparseGrid
 
 __all__ = [
-    "XiEntry",
-    "XiDecomposition",
     "CompressedGrid",
     "compress_grid",
     "compressed_for",
@@ -60,120 +62,6 @@ def _deeply_frozen(arr) -> bool:
             return False
         arr = arr.base
     return True
-
-
-@dataclass(frozen=True)
-class XiEntry:
-    """One non-trivial entry of the Ξ matrix.
-
-    Attributes
-    ----------
-    point
-        Row of the grid (index into Ξ) this entry belongs to.
-    dim
-        Dimension (column of Ξ) of the entry.
-    level, index
-        The 1-D hierarchical level and index (1-based levels).
-    """
-
-    point: int
-    dim: int
-    level: int
-    index: int
-
-
-@dataclass
-class XiDecomposition:
-    """Intermediate representation of the frequency decomposition.
-
-    ``freq_entries[f]`` lists the entries assigned to the ``f``-th
-    frequency matrix ``xi_freq`` in their storage order (the order induced
-    by the paper's "first free row in column j" placement rule followed by
-    the renumbering sweep).  ``positions[f]`` maps a grid point to its
-    renumbered position within frequency ``f`` (or -1 if the point has
-    fewer than ``f + 1`` non-trivial dimensions), and ``transitions[f]``
-    maps positions of frequency ``f`` to positions of frequency ``f + 1``
-    (-1 when the chain ends), mirroring the paper's transition matrices
-    ``T_freq``.
-    """
-
-    dim: int
-    num_points: int
-    nfreq: int
-    freq_entries: list[list[XiEntry]] = field(default_factory=list)
-    positions: np.ndarray = field(default=None)
-    transitions: np.ndarray = field(default=None)
-
-    @property
-    def num_nonzero(self) -> int:
-        """Total number of non-trivial Ξ entries."""
-        return sum(len(entries) for entries in self.freq_entries)
-
-
-def _nontrivial_entries(grid: SparseGrid) -> list[list[tuple[int, int, int]]]:
-    """Per grid point, the list of (dim, level, index) with level >= 2."""
-    rows: list[list[tuple[int, int, int]]] = []
-    levels = grid.levels
-    indices = grid.indices
-    for point in range(len(grid)):
-        nz = np.flatnonzero(levels[point] >= 2)
-        rows.append(
-            [(int(t), int(levels[point, t]), int(indices[point, t])) for t in nz]
-        )
-    return rows
-
-
-def decompose(grid: SparseGrid) -> XiDecomposition:
-    """Run the frequency decomposition of Ξ (steps 1-2 of the pipeline)."""
-    per_point = _nontrivial_entries(grid)
-    nno = len(grid)
-    nfreq = max((len(row) for row in per_point), default=0)
-    nfreq = max(nfreq, 1)  # keep at least one frequency so chains are well formed
-
-    # Placement: the f-th non-trivial entry of every point goes into xi_f.
-    # Within xi_f we emulate the paper's "first free row in column j" rule:
-    # entries are kept per column in arrival order, and the renumbering
-    # sweep enumerates columns left to right, rows top to bottom.
-    freq_entries: list[list[XiEntry]] = []
-    positions = np.full((nfreq, nno), -1, dtype=np.int64)
-    for f in range(nfreq):
-        columns: list[list[XiEntry]] = [[] for _ in range(grid.dim)]
-        max_rows = 0
-        for point, row in enumerate(per_point):
-            if len(row) <= f:
-                continue
-            t, level, index = row[f]
-            columns[t].append(XiEntry(point=point, dim=t, level=level, index=index))
-            max_rows = max(max_rows, len(columns[t]))
-        # Renumbering sweep: row-major over the (max_rows x dim) xi_f matrix.
-        ordered: list[XiEntry] = []
-        for r in range(max_rows):
-            for t in range(grid.dim):
-                if r < len(columns[t]):
-                    ordered.append(columns[t][r])
-        for pos, entry in enumerate(ordered):
-            positions[f, entry.point] = pos
-        freq_entries.append(ordered)
-
-    # Transition matrices: position in xi_f  ->  position in xi_{f+1}.
-    transitions = np.full((max(nfreq - 1, 0), nno), -1, dtype=np.int64)
-    for f in range(nfreq - 1):
-        trans = np.full(len(freq_entries[f]), -1, dtype=np.int64)
-        for point in range(nno):
-            p_here = positions[f, point]
-            p_next = positions[f + 1, point]
-            if p_here >= 0:
-                trans[p_here] = p_next
-        # store padded to nno columns for a rectangular array
-        transitions[f, : trans.shape[0]] = trans
-    return XiDecomposition(
-        dim=grid.dim,
-        num_points=nno,
-        nfreq=nfreq,
-        freq_entries=freq_entries,
-        positions=positions,
-        transitions=transitions,
-    )
 
 
 @dataclass
@@ -332,27 +220,37 @@ class CompressedGrid:
 
 def compress_grid(grid: SparseGrid) -> CompressedGrid:
     """Build the full compressed representation of a sparse grid."""
-    deco = decompose(grid)
     nno = len(grid)
-    nfreq = deco.nfreq
+    # Zero elimination: the non-trivial entries, point-major, so an entry's
+    # frequency is its position within its point.
+    points, dims = np.nonzero(grid.levels >= 2)
+    levels = grid.levels[points, dims]
+    indices = grid.indices[points, dims]
+    entries = np.arange(points.size)
+    freqs = entries - np.searchsorted(points, points)
+    nfreq = int(freqs.max(initial=0)) + 1
 
-    # Unique factor table.  Index 0 is the sentinel.
-    factor_key_to_id: dict[tuple[int, int, int], int] = {}
-    xps_dims = [0]
-    xps_levels = [1]
-    xps_indices = [1]
+    # Frequency decomposition: an entry takes the first free row of its
+    # column in xi_freq, i.e. its row is its rank among that column's
+    # entries in point order, and the renumbering sweep reads each xi_freq
+    # row by row: one sort by (frequency, row, column).
+    column = freqs * grid.dim + dims
+    by_column = np.argsort(column, kind="stable")
+    rows = np.empty_like(entries)
+    rows[by_column] = entries - np.searchsorted(column[by_column], column[by_column])
+    sweep = np.lexsort((dims, rows, freqs))
+
+    # Factor table: the distinct (dim, level, index) triples numbered by
+    # first appearance in the sweep (``first``: the sweep position where an
+    # entry's triple first appears); id 0 is the sentinel.  A level fits in
+    # 8 bits (its index, an int32, is at most 2**(level - 1)).
+    keys = ((dims << 8 | levels) << 32 | indices)[sweep]
+    by_key = np.argsort(keys, kind="stable")
+    first = by_key[np.searchsorted(keys[by_key], keys)]
+    is_new = first == entries
     chains = np.zeros((nno, nfreq), dtype=np.int32)
-    for f, entries in enumerate(deco.freq_entries):
-        for entry in entries:
-            key = (entry.dim, entry.level, entry.index)
-            fid = factor_key_to_id.get(key)
-            if fid is None:
-                fid = len(xps_dims)
-                factor_key_to_id[key] = fid
-                xps_dims.append(entry.dim)
-                xps_levels.append(entry.level)
-                xps_indices.append(entry.index)
-            chains[entry.point, f] = fid
+    chains[points[sweep], freqs[sweep]] = np.cumsum(is_new)[first]
+    table = sweep[is_new]
 
     # Surplus reordering: group points whose chains start with the same
     # factors (lexicographic sort over the chain columns).
@@ -363,9 +261,9 @@ def compress_grid(grid: SparseGrid) -> CompressedGrid:
         dim=grid.dim,
         num_points=nno,
         nfreq=nfreq,
-        xps_dims=np.asarray(xps_dims, dtype=np.int32),
-        xps_levels=np.asarray(xps_levels, dtype=np.int32),
-        xps_indices=np.asarray(xps_indices, dtype=np.int32),
+        xps_dims=np.concatenate(([0], dims[table]), dtype=np.int32),
+        xps_levels=np.concatenate(([1], levels[table]), dtype=np.int32),
+        xps_indices=np.concatenate(([1], indices[table]), dtype=np.int32),
         chains=chains,
         order=np.asarray(order, dtype=np.int64),
         levels=grid.levels,

@@ -231,19 +231,6 @@ class SparseGrid:
     # ------------------------------------------------------------------ #
     # evaluation helpers
     # ------------------------------------------------------------------ #
-    def basis_at(self, x: np.ndarray) -> np.ndarray:
-        """Dense basis vector ``phi_j(x)`` for a single query point.
-
-        This is the reference ("gold", uncompressed) evaluation used by
-        hierarchization and by correctness tests; production interpolation
-        goes through :mod:`repro.core.kernels`.
-        """
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        check_in_unit_box("x", x)
-        # (num_points, dim) factor matrix, then product over dimensions.
-        factors = basis_1d_vectorized(x[None, :], self.levels, self.indices)
-        return factors.prod(axis=1)
-
     def basis_matrix(self, X: np.ndarray) -> np.ndarray:
         """Dense ``(m, num_points)`` basis matrix for ``m`` query points."""
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -43,7 +43,6 @@ __all__ = [
     "hierarchize",
     "hierarchize_dense",
     "evaluate_dense",
-    "ancestor_structure",
     "ancestor_csr",
     "AncestorCSR",
 ]
@@ -256,30 +255,6 @@ def ancestor_csr(grid: SparseGrid) -> AncestorCSR:
     read-only.
     """
     return grid.cached_derived("ancestor_csr", _build_ancestor_csr)
-
-
-def ancestor_structure(grid: SparseGrid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-point view of the ancestor structure.
-
-    Returns a list with one entry per grid point: a pair
-    ``(ancestor_rows, basis_weights)`` where ``ancestor_rows`` indexes into
-    the grid and ``basis_weights`` holds ``phi_ancestor(x_point)``.  Only
-    ancestors actually present in the grid are reported (for adaptive grids
-    missing ancestors simply contribute nothing — callers that need a
-    *consistent* hierarchical grid should insert missing parents first, see
-    :func:`repro.grids.adaptive.complete_ancestors`).
-
-    This is a compatibility view over :func:`ancestor_csr`, which is what
-    the production sweep consumes.
-    """
-    csr = ancestor_csr(grid)
-    return [
-        (
-            csr.anc_rows[csr.offsets[p] : csr.offsets[p + 1]].copy(),
-            csr.weights[csr.offsets[p] : csr.offsets[p + 1]].copy(),
-        )
-        for p in range(len(grid))
-    ]
 
 
 def hierarchize(grid: SparseGrid, values: np.ndarray) -> np.ndarray:

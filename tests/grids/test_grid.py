@@ -97,9 +97,9 @@ class TestGeometry:
 
 
 class TestBasisEvaluation:
-    def test_basis_at_root_point(self):
+    def test_root_point_basis(self):
         grid = regular_sparse_grid(2, 2)
-        phi = grid.basis_at([0.5, 0.5])
+        phi = grid.basis_matrix(np.atleast_2d([0.5, 0.5]))[0]
         row = grid.index_of([1, 1], [1, 1])
         assert phi[row] == 1.0
 
@@ -121,7 +121,7 @@ class TestBasisEvaluation:
     def test_out_of_box_rejected(self):
         grid = regular_sparse_grid(2, 2)
         with pytest.raises(ValueError):
-            grid.basis_at([1.5, 0.5])
+            grid.basis_matrix(np.atleast_2d([1.5, 0.5]))[0]
 
     def test_wrong_query_dim_rejected(self):
         grid = regular_sparse_grid(2, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.grids.adaptive import refine
 from repro.grids.hierarchize import (
-    ancestor_structure,
+    ancestor_csr,
     evaluate_dense,
     hierarchize,
     hierarchize_dense,
@@ -79,26 +79,32 @@ class TestHierarchize:
         assert mean_deep < 0.1 * mean_shallow
 
 
+def _ancestors(grid, p):
+    """Point ``p``'s in-grid ancestor rows and basis weights."""
+    csr = ancestor_csr(grid)
+    span = slice(csr.offsets[p], csr.offsets[p + 1])
+    return csr.anc_rows[span], csr.weights[span]
+
+
 class TestAncestorStructure:
     def test_root_has_no_ancestors(self):
         grid = regular_sparse_grid(2, 3)
-        structure = ancestor_structure(grid)
         root = grid.index_of([1, 1], [1, 1])
-        rows, weights = structure[root]
+        rows, weights = _ancestors(grid, root)
         assert rows.size == 0 and weights.size == 0
 
     def test_weights_are_basis_values(self):
         grid = regular_sparse_grid(2, 3)
-        structure = ancestor_structure(grid)
         B = grid.basis_matrix(grid.points)
-        for row, (anc, weights) in enumerate(structure):
+        for row in range(len(grid)):
+            anc, weights = _ancestors(grid, row)
             np.testing.assert_allclose(weights, B[row, anc], atol=1e-14)
 
     def test_ancestors_have_smaller_level_sum(self):
         grid = regular_sparse_grid(3, 4)
-        structure = ancestor_structure(grid)
         sums = grid.level_sums
-        for row, (anc, _) in enumerate(structure):
+        for row in range(len(grid)):
+            anc, _ = _ancestors(grid, row)
             assert np.all(sums[anc] < sums[row])
 
     def test_works_on_adaptive_grid(self):
