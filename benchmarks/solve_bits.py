@@ -12,7 +12,12 @@ table, chains and ``order``, which fix every kernel's summation order) of
 ``regular_sparse_grid(59, 3)`` and of a seeded refined ``(4, 2)`` grid,
 the digests ``tests/core/test_compression.py`` pins.
 
-A change that leaves the numerics alone prints the same three lines as its
+A fourth line covers the adaptive path, which no ledger workload runs: the
+sha256 over each state's refined ``grid.levels`` and surpluses, the
+iteration count and the points per state of a 5-generation solve from the
+level-2 grid (refinement threshold 1e-2, level cap 4).
+
+A change that leaves the numerics alone prints the same four lines as its
 parent; compare the output of two checkouts::
 
     PYTHONPATH=src python3 benchmarks/solve_bits.py
@@ -31,9 +36,11 @@ import numpy as np
 
 from repro.core.batched import BatchedTimeIterationSolver, BatchMember
 from repro.core.compression import compress_grid
-from repro.core.time_iteration import TimeIterationSolver
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.adaptive import refine
 from repro.grids.regular import regular_sparse_grid
+from repro.olg.calibration import small_calibration
+from repro.olg.model import OLGModel
 from repro.scenarios import ScenarioSpec
 
 
@@ -104,10 +111,30 @@ def layout_line() -> str:
     return f"compression layout 59x3 {regular} refined-4x2 {_layout_digest(refined)}"
 
 
+def adaptive_line() -> str:
+    """An adaptive solve: refined state grids, their surpluses and the pass count."""
+    config = TimeIterationConfig(
+        grid_level=2,
+        tolerance=1e-3,
+        max_iterations=60,
+        adaptive=True,
+        refine_epsilon=1e-2,
+        max_refine_level=4,
+    )
+    result = TimeIterationSolver(OLGModel(small_calibration(5, 2)), config).solve()
+    digest = hashlib.sha256()
+    for state_policy in result.policy:
+        digest.update(state_policy.grid.levels.tobytes())
+        digest.update(np.ascontiguousarray(state_policy.interpolant.surplus).tobytes())
+    points = [len(state_policy.grid) for state_policy in result.policy]
+    return f"adaptive level-2 {digest.hexdigest()} iterations {result.iterations} points {points}"
+
+
 def main() -> None:
     print(solo_line())
     print(stacked_line())
     print(layout_line())
+    print(adaptive_line())
 
 
 if __name__ == "__main__":

@@ -16,6 +16,11 @@ Conventions
 * Surpluses ("hierarchical coefficients") are stored as a dense
   ``(num_points, num_dofs)`` matrix so that one grid carries the 2(A-1)
   policy/value coefficients of the OLG application at once.
+* A grid answers point membership one way: :meth:`SparseGrid.rows_of`, a
+  ``searchsorted`` into its sorted, version-keyed point index.  Insertion,
+  refinement and the ancestor structure of hierarchization all use it, and
+  the 1-D parent rule is the one elementwise
+  :func:`repro.grids.hierarchical.parents_1d`.
 """
 
 from repro.grids.hierarchical import (
@@ -23,9 +28,6 @@ from repro.grids.hierarchical import (
     basis_1d_vectorized,
     point_1d,
     level_indices,
-    children_1d,
-    parent_1d,
-    ancestors_1d,
 )
 from repro.grids.grid import SparseGrid
 from repro.grids.regular import regular_sparse_grid, regular_grid_size
@@ -39,9 +41,6 @@ __all__ = [
     "basis_1d_vectorized",
     "point_1d",
     "level_indices",
-    "children_1d",
-    "parent_1d",
-    "ancestors_1d",
     "SparseGrid",
     "regular_sparse_grid",
     "regular_grid_size",

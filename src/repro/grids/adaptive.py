@@ -2,9 +2,14 @@
 
 Adaptive refinement adds, for every grid point whose surplus-based error
 indicator exceeds a threshold ``epsilon``, its ``2 d`` hierarchical children
-(two per dimension).  To keep the grid hierarchically consistent — which the
-ancestor-chain hierarchization in :mod:`repro.grids.hierarchize` relies on —
-missing ancestors of newly inserted points are inserted as well.
+(two per dimension).  To keep the grid hierarchically consistent — every
+point's 1-D parent in every dimension present, so that the surpluses of
+:mod:`repro.grids.hierarchize` stay those of a complete hierarchical basis
+(its ancestor structure looks every candidate ancestor up with
+:meth:`SparseGrid.rows_of` and skips the absent ones) — missing ancestors of
+newly inserted points are inserted as well.  Both steps are array passes:
+one for all children of a sweep, one :meth:`SparseGrid.add_points` call per
+round of missing parents.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.grids.grid import SparseGrid
-from repro.grids.hierarchical import children_1d, parent_1d
+from repro.grids.hierarchical import parents_1d
 
 __all__ = [
     "surplus_indicator",
@@ -62,26 +67,23 @@ def refinement_candidates(
 
 
 def child_points(grid: SparseGrid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All hierarchical children (2 per dimension) of the given rows."""
-    child_levels: list[np.ndarray] = []
-    child_indices: list[np.ndarray] = []
-    for row in np.asarray(rows, dtype=np.int64):
-        lev = grid.levels[row]
-        idx = grid.indices[row]
-        for t in range(grid.dim):
-            for cl, ci in children_1d(int(lev[t]), int(idx[t])):
-                new_lev = lev.copy()
-                new_idx = idx.copy()
-                new_lev[t] = cl
-                new_idx[t] = ci
-                child_levels.append(new_lev)
-                child_indices.append(new_idx)
-    if not child_levels:
-        return (
-            np.empty((0, grid.dim), dtype=np.int32),
-            np.empty((0, grid.dim), dtype=np.int32),
-        )
-    return np.asarray(child_levels, dtype=np.int32), np.asarray(child_indices, dtype=np.int32)
+    """All hierarchical children of the given rows, in (row, dimension, child) order.
+
+    Per dimension the level-1 root has the two boundary points as children,
+    a boundary point has a single interior child and an interior point the
+    usual two dyadic children.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    lev, idx = grid.levels[rows], grid.indices[rows]
+    first = np.where(lev == 1, 0, np.where(lev == 2, idx + 1, 2 * idx - 1))
+    second = np.where(lev == 1, 2, 2 * idx + 1)
+    has = np.stack([np.ones_like(lev, dtype=bool), lev != 2], axis=2)
+    r, t, c = np.nonzero(has)
+    k = np.arange(r.size)
+    child_lev, child_idx = lev[r], idx[r]
+    child_lev[k, t] += 1
+    child_idx[k, t] = np.where(c == 0, first[r, t], second[r, t])
+    return child_lev, child_idx
 
 
 def complete_ancestors(grid: SparseGrid) -> np.ndarray:
@@ -90,28 +92,23 @@ def complete_ancestors(grid: SparseGrid) -> np.ndarray:
     A grid is hierarchically consistent if, for every point and every
     dimension, the 1-D parent in that dimension (other coordinates fixed)
     is also in the grid.  Regular grids have this property by construction;
-    adaptive insertion can violate it.
+    adaptive insertion can violate it.  Each round adds the parents of the
+    previous round's new rows (of the whole grid first) in one
+    :meth:`SparseGrid.add_points` call, in (row, dimension) order, so a
+    grid needs at most its maximum level of rounds.
     """
-    added_rows: list[int] = []
-    frontier = list(range(len(grid)))
-    while frontier:
-        next_frontier: list[int] = []
-        for row in frontier:
-            lev = grid.levels[row]
-            idx = grid.indices[row]
-            for t in range(grid.dim):
-                parent = parent_1d(int(lev[t]), int(idx[t]))
-                if parent is None:
-                    continue
-                new_lev = lev.copy()
-                new_idx = idx.copy()
-                new_lev[t], new_idx[t] = parent
-                if not grid.contains(new_lev, new_idx):
-                    new = grid.add_points(new_lev[None, :], new_idx[None, :])
-                    added_rows.extend(int(r) for r in new)
-                    next_frontier.extend(int(r) for r in new)
-        frontier = next_frontier
-    return np.asarray(added_rows, dtype=np.int64)
+    start = len(grid)
+    frontier = np.arange(len(grid))
+    while frontier.size:
+        lev, idx = grid.levels[frontier], grid.indices[frontier]
+        parent_lev, parent_idx = parents_1d(lev, idx)
+        r, t = np.nonzero(parent_lev >= 1)
+        k = np.arange(r.size)
+        lev, idx = lev[r], idx[r]
+        lev[k, t] = parent_lev[r, t]
+        idx[k, t] = parent_idx[r, t]
+        frontier = grid.add_points(lev, idx)
+    return np.arange(start, len(grid), dtype=np.int64)
 
 
 def refine(
@@ -128,14 +125,15 @@ def refine(
     points, i.e. the points at which the caller must evaluate the target
     function before re-hierarchizing.
     """
+    start = len(grid)
     rows = refinement_candidates(grid, surplus, epsilon, indicator, max_level)
     lev, idx = child_points(grid, rows)
     if max_level is not None and lev.size:
         keep = lev.max(axis=1) <= max_level
         lev, idx = lev[keep], idx[keep]
-    new_rows = list(grid.add_points(lev, idx))
-    new_rows.extend(complete_ancestors(grid))
-    return np.asarray(sorted(int(r) for r in new_rows), dtype=np.int64)
+    grid.add_points(lev, idx)
+    complete_ancestors(grid)
+    return np.arange(start, len(grid), dtype=np.int64)
 
 
 @dataclass

@@ -3,9 +3,9 @@
 A sparse grid is a set of multivariate hierarchical points, each identified
 by a pair of multi-indices ``(l, i)`` (level and index per dimension).  The
 container stores them as two ``(num_points, dim)`` integer arrays plus the
-derived coordinates, and offers dictionary-style lookup, point insertion
-(keeping hierarchical consistency helpers in :mod:`repro.grids.adaptive`)
-and dense basis evaluation.
+derived coordinates, and offers batched point lookup (:meth:`rows_of`),
+point insertion (hierarchical consistency helpers live in
+:mod:`repro.grids.adaptive`) and dense basis evaluation.
 
 Caching contract
 ----------------
@@ -14,6 +14,8 @@ are consumed on every fit/evaluate call:
 
 * ``points`` and ``level_sums`` — cached arrays derived from the
   multi-indices;
+* the point index behind :meth:`rows_of` — every point's per-dimension
+  ``(level << 32) | index`` codes viewed as one byte row, sorted once;
 * the ancestor structure of :func:`repro.grids.hierarchize.ancestor_csr`;
 * the compressed representation of
   :func:`repro.core.compression.compressed_for`.
@@ -38,9 +40,33 @@ from repro.utils.validation import check_in_unit_box
 __all__ = ["SparseGrid"]
 
 
-def _as_key(levels_row: np.ndarray, indices_row: np.ndarray) -> tuple:
-    """Hashable identity of a grid point."""
-    return (tuple(int(v) for v in levels_row), tuple(int(v) for v in indices_row))
+def _checked(dim: int, levels, indices) -> tuple[np.ndarray, np.ndarray]:
+    """``levels`` / ``indices`` as contiguous ``(n, dim)`` int32 arrays of valid points."""
+    levels = np.ascontiguousarray(levels, dtype=np.int32)
+    indices = np.ascontiguousarray(indices, dtype=np.int32)
+    if levels.shape != indices.shape or levels.ndim != 2 or levels.shape[1] != dim:
+        raise ValueError(
+            f"levels {levels.shape} and indices {indices.shape} must both have shape (n, {dim})"
+        )
+    if levels.size and levels.min() < 1:
+        raise ValueError("levels must be >= 1")
+    if indices.size and indices.min() < 0:
+        raise ValueError("indices must be >= 0")
+    return levels, indices
+
+
+def _keys(levels, indices) -> np.ndarray:
+    """One byte row per point: its per-dimension ``(level << 32) | index`` codes."""
+    codes = (np.asarray(levels, dtype=np.int64) << 32) | np.asarray(indices, dtype=np.int64)
+    codes = np.ascontiguousarray(codes)
+    return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))[:, 0]
+
+
+def _point_index(grid: "SparseGrid") -> tuple[np.ndarray, np.ndarray]:
+    """The grid's point keys in sorted order, and the row of each."""
+    keys = _keys(grid.levels, grid.indices)
+    order = np.argsort(keys)
+    return keys[order], order
 
 
 @dataclass
@@ -53,7 +79,7 @@ class SparseGrid:
         Number of continuous dimensions ``d``.
     levels, indices
         ``(num_points, dim)`` integer arrays of 1-based hierarchical levels
-        and indices.  They may be passed empty and filled via
+        and 0-based indices.  They may be passed empty and filled via
         :meth:`add_points`.
     """
 
@@ -68,29 +94,18 @@ class SparseGrid:
             self.levels = np.empty((0, self.dim), dtype=np.int32)
         if self.indices is None:
             self.indices = np.empty((0, self.dim), dtype=np.int32)
-        self.levels = np.ascontiguousarray(np.asarray(self.levels, dtype=np.int32))
-        self.indices = np.ascontiguousarray(np.asarray(self.indices, dtype=np.int32))
-        if self.levels.shape != self.indices.shape:
-            raise ValueError(
-                f"levels {self.levels.shape} and indices {self.indices.shape} "
-                "must have identical shapes"
-            )
-        if self.levels.ndim != 2 or self.levels.shape[1] != self.dim:
-            raise ValueError(
-                f"levels/indices must have shape (n, {self.dim}), got {self.levels.shape}"
-            )
-        if self.levels.size and self.levels.min() < 1:
-            raise ValueError("levels must be >= 1")
-        self._lookup: dict[tuple, int] = {}
-        for row in range(self.levels.shape[0]):
-            key = _as_key(self.levels[row], self.indices[row])
-            if key in self._lookup:
-                raise ValueError(f"duplicate grid point {key}")
-            self._lookup[key] = row
+        self.levels, self.indices = _checked(self.dim, self.levels, self.indices)
         self._version = 0
         self._points_cache: np.ndarray | None = None
         self._level_sums_cache: np.ndarray | None = None
         self._derived_caches: dict[str, tuple] = {}
+        sorted_keys, order = self.cached_derived("point_index", _point_index)
+        repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+        if repeats.size:
+            row = order[repeats[0]]
+            raise ValueError(
+                f"duplicate grid point {self.levels[row].tolist()}, {self.indices[row].tolist()}"
+            )
 
     # ------------------------------------------------------------------ #
     # basic protocol
@@ -107,8 +122,8 @@ class SparseGrid:
     def version(self) -> int:
         """Mutation counter; bumped by :meth:`add_points`.
 
-        Derived-structure caches (points, level sums, ancestor structure,
-        compressed representation) are keyed by this value.
+        Derived-structure caches (points, level sums, point index, ancestor
+        structure, compressed representation) are keyed by this value.
         """
         return self._version
 
@@ -133,44 +148,46 @@ class SparseGrid:
             return 0
         return int(self.level_sums.max() - self.dim + 1)
 
-    def contains(self, levels_row, indices_row) -> bool:
-        """Whether the point identified by ``(l, i)`` is in the grid."""
-        return _as_key(np.asarray(levels_row), np.asarray(indices_row)) in self._lookup
+    def rows_of(self, levels, indices) -> np.ndarray:
+        """Row of each queried point ``(levels[k], indices[k])``; -1 where it is absent.
 
-    def index_of(self, levels_row, indices_row) -> int:
-        """Row index of a point; raises ``KeyError`` if absent."""
-        return self._lookup[_as_key(np.asarray(levels_row), np.asarray(indices_row))]
+        ``levels`` and ``indices`` are ``(m, dim)`` integer arrays (a single
+        1-D pair is one point).  All ``m`` queries are one ``searchsorted``
+        into the grid's sorted point index.
+        """
+        levels, indices = np.atleast_2d(levels), np.atleast_2d(indices)
+        if levels.shape != indices.shape or levels.shape[1] != self.dim:
+            raise ValueError(f"levels/indices must both have shape (m, {self.dim})")
+        return self._rows_of_keys(_keys(levels, indices))
+
+    def _rows_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        sorted_keys, order = self.cached_derived("point_index", _point_index)
+        if sorted_keys.size == 0:
+            return np.full(keys.shape[0], -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+        return np.where(sorted_keys[pos] == keys, order[pos], -1)
 
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
     def add_points(self, levels: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Append points, silently skipping duplicates.
+        """Append points, silently skipping those already present and repeats.
 
-        Returns the row indices of the *newly added* points (in the order
-        they were appended), which callers use to know where new function
-        evaluations are required.
+        New points are appended in the order of their first appearance in
+        the batch.  Returns their row indices, which callers use to know
+        where new function evaluations are required.
         """
-        levels = np.atleast_2d(np.asarray(levels, dtype=np.int32))
-        indices = np.atleast_2d(np.asarray(indices, dtype=np.int32))
-        if levels.shape != indices.shape or levels.shape[1] != self.dim:
-            raise ValueError("levels/indices must both have shape (n, dim)")
-        new_levels, new_indices, new_rows = [], [], []
-        next_row = len(self)
-        for row in range(levels.shape[0]):
-            key = _as_key(levels[row], indices[row])
-            if key in self._lookup:
-                continue
-            self._lookup[key] = next_row
-            new_levels.append(levels[row])
-            new_indices.append(indices[row])
-            new_rows.append(next_row)
-            next_row += 1
-        if new_rows:
-            self.levels = np.vstack([self.levels, np.asarray(new_levels, dtype=np.int32)])
-            self.indices = np.vstack([self.indices, np.asarray(new_indices, dtype=np.int32)])
+        levels, indices = _checked(self.dim, np.atleast_2d(levels), np.atleast_2d(indices))
+        keys = _keys(levels, indices)
+        absent = np.flatnonzero(self._rows_of_keys(keys) < 0)
+        _, first = np.unique(keys[absent], return_index=True)
+        new = absent[np.sort(first)]
+        start = len(self)
+        if new.size:
+            self.levels = np.concatenate([self.levels, levels[new]])
+            self.indices = np.concatenate([self.indices, indices[new]])
             self._invalidate_caches()
-        return np.asarray(new_rows, dtype=np.int64)
+        return np.arange(start, len(self), dtype=np.int64)
 
     def _invalidate_caches(self) -> None:
         """Bump the version and drop every derived-structure cache."""
@@ -184,12 +201,12 @@ class SparseGrid:
 
         ``builder(grid)`` is invoked at most once per mutation epoch per
         ``name``; the result is stored until :meth:`add_points` changes the
-        grid.  This is the single memoization point for the ancestor
-        structure of :func:`repro.grids.hierarchize.ancestor_csr` and the
-        compressed representation of
-        :func:`repro.core.compression.compressed_for`, so invalidation
-        stays centralized in :meth:`_invalidate_caches`.  Returned objects
-        are shared — treat them as read-only.
+        grid.  This is the single memoization point for the point index of
+        :meth:`rows_of`, the ancestor structure of
+        :func:`repro.grids.hierarchize.ancestor_csr` and the compressed
+        representation of :func:`repro.core.compression.compressed_for`, so
+        invalidation stays centralized in :meth:`_invalidate_caches`.
+        Returned objects are shared — treat them as read-only.
         """
         cached = self._derived_caches.get(name)
         if cached is not None and cached[0] == self._version:
@@ -209,9 +226,9 @@ class SparseGrid:
         """Plain-array state of the grid (for npz round-trips).
 
         Only the defining ``levels``/``indices`` arrays are exported; the
-        derived caches (points, level sums, ancestor structure, compressed
-        representation) are deliberately dropped and rebuilt on demand
-        after :meth:`from_arrays`.
+        derived caches (points, level sums, point index, ancestor
+        structure, compressed representation) are deliberately dropped and
+        rebuilt after :meth:`from_arrays`.
         """
         return {"levels": self.levels.copy(), "indices": self.indices.copy()}
 
@@ -221,8 +238,8 @@ class SparseGrid:
 
         Both arrays are coerced symmetrically (a single 1-D pair is read
         as one point, like :meth:`add_points`).  The reconstructed grid
-        starts a fresh cache epoch (``version`` 0, no derived caches),
-        exactly like a newly built grid.
+        starts a fresh cache epoch (``version`` 0, only the point index
+        built), exactly like a newly built grid.
         """
         levels = np.atleast_2d(np.asarray(levels, dtype=np.int32))
         indices = np.atleast_2d(np.asarray(indices, dtype=np.int32))

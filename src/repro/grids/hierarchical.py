@@ -7,6 +7,7 @@ The basis follows the "boundary at level 2" convention used by the paper:
 * level ``l >= 3``: the odd-indexed points ``i * 2**(1-l)``.
 
 All functions here are pure and operate on scalars or NumPy arrays; the
+parent rule is written once, elementwise, as :func:`parents_1d`.  The
 multivariate tensor-product machinery lives in :mod:`repro.grids.grid` and
 :mod:`repro.core.kernels`.
 """
@@ -21,9 +22,7 @@ __all__ = [
     "basis_1d",
     "basis_1d_vectorized",
     "level_indices",
-    "children_1d",
-    "parent_1d",
-    "ancestors_1d",
+    "parents_1d",
     "num_level_points",
 ]
 
@@ -92,44 +91,23 @@ def level_indices(level: int) -> list[int]:
     return list(range(1, 2 ** (level - 1), 2))
 
 
-def children_1d(level: int, index: int) -> list[tuple[int, int]]:
-    """Hierarchical children of a 1-D point.
+def parents_1d(levels, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Hierarchical parent ``(level, index)`` of each 1-D point, elementwise.
 
-    Level 1 has the two boundary points as children, boundary points have a
-    single interior child each, and interior points have the usual two
-    dyadic children.
+    The boundary points (level 2) hang off the root ``(1, 1)``, the level-3
+    points off the boundary on their side, and a deeper point ``i`` off
+    whichever of ``(i - 1) / 2`` and ``(i + 1) / 2`` is odd.  The root has
+    no parent and maps to ``(0, 0)``.  Walking the parents up to the root
+    passes every coarser 1-D basis function that is non-zero at the point —
+    the chain that hierarchization relies on.
     """
-    if level == 1:
-        return [(2, 0), (2, 2)]
-    if level == 2:
-        return [(3, 1)] if index == 0 else [(3, 3)]
-    return [(level + 1, 2 * index - 1), (level + 1, 2 * index + 1)]
-
-
-def parent_1d(level: int, index: int) -> tuple[int, int] | None:
-    """Hierarchical parent of a 1-D point; ``None`` for the level-1 root."""
-    if level == 1:
-        return None
-    if level == 2:
-        return (1, 1)
-    if level == 3:
-        return (2, 0) if index == 1 else (2, 2)
-    up = (index + 1) // 2
-    if up % 2 == 1:
-        return (level - 1, up)
-    return (level - 1, (index - 1) // 2)
-
-
-def ancestors_1d(level: int, index: int) -> list[tuple[int, int]]:
-    """All hierarchical ancestors, from the direct parent up to the root.
-
-    The returned chain is exactly the set of coarser 1-D basis functions
-    that are non-zero at ``x_{l,i}`` — the property the hierarchization
-    algorithm in :mod:`repro.grids.hierarchize` relies on.
-    """
-    chain: list[tuple[int, int]] = []
-    node = parent_1d(level, index)
-    while node is not None:
-        chain.append(node)
-        node = parent_1d(*node)
-    return chain
+    levels = np.asarray(levels, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    up = (indices + 1) // 2
+    pidx = np.where(up % 2 == 1, up, (indices - 1) // 2)
+    pidx = np.where(levels == 3, np.where(indices == 1, 0, 2), pidx)
+    pidx = np.where(levels == 2, 1, pidx)
+    invalid = levels <= 1
+    plev = np.where(invalid, 0, levels - 1)
+    pidx = np.where(invalid, 0, pidx)
+    return plev, pidx

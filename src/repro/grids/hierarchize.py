@@ -14,10 +14,12 @@ Two implementations are provided:
     structure* (:class:`AncestorCSR`): for every point the set of coarser
     basis functions that are non-zero there, stored as flat ``anc_rows`` /
     ``weights`` arrays with per-point ``offsets``.  The structure is built
-    with vectorized NumPy ops (batched parent chains, one batched lookup
-    instead of per-tuple dict probes) and the surplus sweep runs
-    level-by-level with grouped gather/scatter ops, so no per-point Python
-    loop remains on the hot path.
+    with vectorized NumPy ops (parent chains of all points through
+    :func:`repro.grids.hierarchical.parents_1d`, every candidate ancestor
+    resolved by one :meth:`SparseGrid.rows_of` lookup into the grid's point
+    index) and the surplus sweep runs level-by-level with grouped
+    gather/scatter ops, so no per-point Python loop remains on the hot
+    path.
 
     The structure is **cached on the grid** (see
     :func:`ancestor_csr`): repeated ``hierarchize`` calls on the same grid
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.grids.grid import SparseGrid
-from repro.grids.hierarchical import basis_1d_vectorized
+from repro.grids.hierarchical import basis_1d_vectorized, parents_1d
 
 __all__ = [
     "hierarchize",
@@ -46,20 +48,6 @@ __all__ = [
     "ancestor_csr",
     "AncestorCSR",
 ]
-
-
-def _parents_vectorized(levels: np.ndarray, indices: np.ndarray):
-    """Vectorized ``parent_1d``; entries with level <= 1 map to ``(0, 0)``."""
-    levels = np.asarray(levels, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    up = (indices + 1) // 2
-    pidx = np.where(up % 2 == 1, up, (indices - 1) // 2)
-    pidx = np.where(levels == 3, np.where(indices == 1, 0, 2), pidx)
-    pidx = np.where(levels == 2, 1, pidx)
-    invalid = levels <= 1
-    plev = np.where(invalid, 0, levels - 1)
-    pidx = np.where(invalid, 0, pidx)
-    return plev, pidx
 
 
 @dataclass
@@ -162,7 +150,7 @@ def _build_ancestor_csr(grid: SparseGrid) -> AncestorCSR:
         opt_w[:, 0] = 1.0
         cl, ci = lev_t, indices[:, t]
         for k in range(1, max_opts):
-            cl, ci = _parents_vectorized(cl, ci)
+            cl, ci = parents_1d(cl, ci)
             alive = cl >= 1
             cl = np.where(alive, cl, 1)
             ci = np.where(alive, ci, 1)
@@ -191,19 +179,7 @@ def _build_ancestor_csr(grid: SparseGrid) -> AncestorCSR:
     c_idx = c_idx[keep]
     c_w = c_w[keep]
 
-    # Batched lookup: resolve candidate (l, i) rows against the grid in one
-    # shot.  A per-dimension (level, index) pair packs into one int64, so a
-    # point is a row of ``dim`` codes; np.unique(axis=0) over grid rows and
-    # candidates together yields shared ids.
-    codes_grid = (levels << 32) | indices
-    codes_cand = (c_lev << 32) | c_idx
-    uniq, inv = np.unique(
-        np.concatenate([codes_grid, codes_cand], axis=0), axis=0, return_inverse=True
-    )
-    inv = np.asarray(inv).reshape(-1)
-    id_to_row = np.full(uniq.shape[0], -1, dtype=np.int64)
-    id_to_row[inv[:n]] = np.arange(n, dtype=np.int64)
-    rows = id_to_row[inv[n:]]
+    rows = grid.rows_of(c_lev, c_idx)
     found = rows >= 0  # adaptive grids: missing ancestors contribute nothing
     owner = c_owner[found]
     anc_rows = rows[found]

@@ -167,7 +167,7 @@ class TestCompressedGrid:
         grid = regular_sparse_grid(3, 3)
         comp = compress_grid(grid)
         # the root point (all levels 1) has an all-sentinel chain
-        original_row = grid.index_of([1, 1, 1], [1, 1, 1])
+        (original_row,) = grid.rows_of([1, 1, 1], [1, 1, 1])
         reordered_row = int(np.where(comp.order == original_row)[0][0])
         assert np.all(comp.chains[reordered_row] == 0)
 

@@ -1,5 +1,7 @@
 """Tests for adaptive sparse grid refinement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,64 @@ from repro.grids.regular import regular_sparse_grid
 
 def _kink(X):
     """A function with a localized kink, the textbook case for adaptivity."""
-    return np.abs(X[:, 0] - 0.3) + 0.1 * X[:, 1]
+    return np.abs(X[:, 0] - 0.3) + 0.1 * X[:, -1]
+
+
+def _peak(X):
+    """A smooth bump: refinement spreads around its centre in every dimension."""
+    return np.exp(-8.0 * np.sum((X - 0.4) ** 2, axis=1))
+
+
+def _digest(*arrays) -> str:
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+# (function, dim, epsilon, max_level) -> sha256 over the levels, indices and
+# surpluses AdaptiveRefiner.build returns (max_points 1500), generated with the
+# one-point-at-a-time refinement it replaced: a moved row or bit fails here.
+REFINEMENT_DIGESTS = {
+    ("kink", 1, 1e-2, 5): "26caa42b87d524a4c42e370f0c5900a76e09f39a764a16f524baf7da53445b9c",
+    ("kink", 1, 1e-3, 6): "3f0e8cf0dfa5cec39f65148d0829727fc2b9b8007e7b669918ccd98c385c2080",
+    ("kink", 2, 1e-2, 5): "fce4427b54c519759a5c183e5c989cb4f3a6aceffd6e0f65a9c7d62c55dba540",
+    ("kink", 2, 1e-3, 6): "1c8a4b2b512be1cd5a5169cc888f849d62b259c5d34377bd656efef6141f0082",
+    ("kink", 3, 1e-2, 5): "56e5c4685cfa3c68a7cd196e712a0329dc06b8008f88994b77f638bececde2c7",
+    ("kink", 3, 1e-3, 6): "3591670c036f6b7878f5d3a6bcf66a1d23fb9280c03074d902e36b948e986372",
+    ("kink", 4, 1e-2, 5): "6ad64c3375fd09bb219c43cc3f9195171affaaabc4cd4ed406a8c5a583d39dde",
+    ("kink", 4, 1e-3, 6): "92f0113c8499f412f8ddad165e6eacff478a9878618b124ba4e31bc7d446ef4f",
+    ("kink", 6, 1e-2, 5): "322f5441552b8127b5fc90943cd702ff3377969c5c3d21a31c7030be48440f37",
+    ("kink", 6, 1e-3, 6): "7665253f5638ae33071affc98ae98b54a410c7fdbbd6cd0990b538b23562cd3e",
+    ("peak", 1, 1e-2, 5): "41e04a74389ffe0cc561cab7f1224ddf6e67fe9ac9d3fbf6d14c655bce18fa18",
+    ("peak", 1, 1e-3, 6): "59e527fc4629f1a0117e78c5109c244e7fd1d059da57fc1f364b1b9ffd64c3ce",
+    ("peak", 2, 1e-2, 5): "2c38c43a7c30a246cc2e7237b319bd681d5f0da9f7beb0857897623e27bc070e",
+    ("peak", 2, 1e-3, 6): "77ee6921e0ce006466a9211f1a1dba55f8ebb9b49f6b577e96a3553416fc9d15",
+    ("peak", 3, 1e-2, 5): "75916964f5773e38d2c1bea7ad2fa36f2a8c6a391212b92f9163ab3bbf812655",
+    ("peak", 3, 1e-3, 6): "9f01e496e36b4ffea3cfb72ad8fd243c480ac46063371c4575b4a554a266526d",
+    ("peak", 4, 1e-2, 5): "439226757e0ad247e47d0d9fa6fe8a3bf5950fce0d9545b5d2c5f45904aad541",
+    ("peak", 4, 1e-3, 6): "c1379a73fd9cc14b8dea7b019a625e805aeccbc7aca80d1d82ee8d48e57ac70a",
+    ("peak", 6, 1e-2, 5): "14c6619dcfa0e04194d4acf6d7be0558b85a111ca1ef7b04f6ce58c004c52030",
+    ("peak", 6, 1e-3, 6): "89c66ffc2551bd33fcc46911f3ee7f5e0752053a8708177fe037e14fff7b9dc1",
+}
+
+
+@pytest.mark.parametrize("func, dim, epsilon, max_level", list(REFINEMENT_DIGESTS))
+def test_refinement_is_pinned(func, dim, epsilon, max_level):
+    refiner = AdaptiveRefiner(epsilon=epsilon, max_level=max_level, max_points=1500)
+    grid, surplus = refiner.build({"kink": _kink, "peak": _peak}[func], dim)
+    expected = REFINEMENT_DIGESTS[func, dim, epsilon, max_level]
+    assert _digest(grid.levels, grid.indices, surplus) == expected
+
+
+def test_refine_chain_is_pinned():
+    """Four seeded refine rounds on a (3, 2) grid: the rows each returns, then the grid."""
+    grid = regular_sparse_grid(3, 2)
+    rng = np.random.default_rng(7)
+    added = [refine(grid, rng.standard_normal(len(grid)), epsilon=1.0) for _ in range(4)]
+    assert len(grid) == 39
+    expected = "221b7e4f25d516f70514a44c8051238c20b28dd76b12e17555b90932419a28de"
+    assert _digest(*added, grid.levels, grid.indices) == expected
 
 
 class TestIndicator:
@@ -82,8 +141,7 @@ class TestCompleteAncestors:
         grid = SparseGrid(2, levels, indices)
         added = complete_ancestors(grid)
         assert added.size >= 2
-        assert grid.contains([2, 1], [0, 1])
-        assert grid.contains([3, 1], [1, 1])
+        assert (grid.rows_of([[2, 1], [3, 1]], [[0, 1], [1, 1]]) >= 0).all()
 
     def test_complete_grid_unchanged(self):
         grid = regular_sparse_grid(3, 3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.grids.grid import SparseGrid
 from repro.grids.regular import regular_sparse_grid
@@ -36,19 +38,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SparseGrid(0)
 
+    def test_negative_index_raises(self):
+        # x = -0.25, and a negative index would pack onto another level's key
+        with pytest.raises(ValueError, match="indices"):
+            SparseGrid(1, np.array([[3]]), np.array([[-1]]))
+
 
 class TestLookup:
-    def test_contains_and_index(self):
+    def test_rows_of_finds_every_point(self):
         grid = regular_sparse_grid(2, 2)
-        assert grid.contains([1, 1], [1, 1])
-        row = grid.index_of([1, 1], [1, 1])
+        rows = grid.rows_of(grid.levels[::-1], grid.indices[::-1])
+        np.testing.assert_array_equal(rows, np.arange(len(grid))[::-1])
+        (row,) = grid.rows_of([1, 1], [1, 1])
         np.testing.assert_array_equal(grid.levels[row], [1, 1])
 
     def test_missing_point(self):
         grid = regular_sparse_grid(2, 2)
-        assert not grid.contains([5, 5], [1, 1])
-        with pytest.raises(KeyError):
-            grid.index_of([5, 5], [1, 1])
+        np.testing.assert_array_equal(grid.rows_of([[5, 5], [2, 1]], [[1, 1], [2, 1]]), [-1, 2])
+        assert grid.rows_of([2, 1], [1, 1])[0] == -1  # level 2 has no index 1
+
+    def test_query_shape_checked(self):
+        with pytest.raises(ValueError):
+            regular_sparse_grid(2, 2).rows_of([[1, 1, 1]], [[1, 1, 1]])
 
 
 class TestAddPoints:
@@ -56,9 +67,9 @@ class TestAddPoints:
         grid = regular_sparse_grid(2, 2)
         before = len(grid)
         new = grid.add_points(np.array([[3, 1]]), np.array([[1, 1]]))
-        assert len(new) == 1
+        np.testing.assert_array_equal(new, [before])
         assert len(grid) == before + 1
-        assert grid.contains([3, 1], [1, 1])
+        assert grid.rows_of([3, 1], [1, 1])[0] == before
 
     def test_add_duplicate_is_noop(self):
         grid = regular_sparse_grid(2, 2)
@@ -66,6 +77,25 @@ class TestAddPoints:
         new = grid.add_points(grid.levels[:3], grid.indices[:3])
         assert new.size == 0
         assert len(grid) == before
+        assert grid.version == 0
+
+    def test_repeats_in_a_batch_are_added_once_in_first_appearance_order(self):
+        grid = regular_sparse_grid(1, 2)
+        new = grid.add_points([[3], [1], [3], [4]], [[3], [1], [3], [1]])
+        np.testing.assert_array_equal(new, [3, 4])
+        np.testing.assert_array_equal(grid.levels[3:, 0], [3, 4])
+        np.testing.assert_array_equal(grid.indices[3:, 0], [3, 1])
+
+    def test_invalid_points_rejected(self):
+        # the constructor's checks: a level-0 point sat at x = 2.0 before
+        grid = SparseGrid(1)
+        with pytest.raises(ValueError, match="levels"):
+            grid.add_points([[0]], [[1]])
+        with pytest.raises(ValueError, match="indices"):
+            grid.add_points([[3]], [[-1]])
+        with pytest.raises(ValueError):
+            grid.add_points([[1, 1]], [[1, 1]])
+        assert len(grid) == 0 and grid.version == 0
 
     def test_points_cache_refreshes(self):
         grid = regular_sparse_grid(2, 2)
@@ -78,6 +108,47 @@ class TestAddPoints:
         clone = grid.copy()
         clone.add_points(np.array([[3, 1]]), np.array([[1, 1]]))
         assert len(clone) == len(grid) + 1
+
+
+@st.composite
+def _point_batches(draw):
+    """A dimension, batches of points to insert, and points to look up.
+
+    Levels 1-3 and indices 0-4 per dimension make repeats within a batch,
+    across batches and between insertions and queries common.
+    """
+    dim = draw(st.integers(min_value=1, max_value=3))
+    point = st.tuples(*[st.tuples(st.integers(1, 3), st.integers(0, 4))] * dim)
+    batches = draw(st.lists(st.lists(point, max_size=8), max_size=5))
+    return dim, batches, draw(st.lists(point, max_size=8))
+
+
+def _arrays(dim, points):
+    """``(levels, indices)`` arrays of shape ``(len(points), dim)``."""
+    pairs = np.asarray(points, dtype=np.int32).reshape(len(points), dim, 2)
+    return pairs[..., 0], pairs[..., 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_point_batches())
+@example((2, [], [((1, 1), (2, 0))]))  # lookups in the empty grid
+def test_rows_of_and_add_points_follow_a_dict_model(case):
+    dim, batches, queries = case
+    grid, model = SparseGrid(dim), {}
+    for batch in batches:
+        version, expected = grid.version, []
+        for point in batch:
+            if point not in model:
+                model[point] = len(model)
+                expected.append(model[point])
+        np.testing.assert_array_equal(grid.add_points(*_arrays(dim, batch)), expected)
+        assert grid.version == version + bool(expected)
+    assert len(grid) == len(model)
+    stored = list(model)
+    np.testing.assert_array_equal(grid.rows_of(*_arrays(dim, stored)), np.arange(len(model)))
+    np.testing.assert_array_equal(
+        grid.rows_of(*_arrays(dim, queries)), [model.get(q, -1) for q in queries]
+    )
 
 
 class TestGeometry:
@@ -100,7 +171,7 @@ class TestBasisEvaluation:
     def test_root_point_basis(self):
         grid = regular_sparse_grid(2, 2)
         phi = grid.basis_matrix(np.atleast_2d([0.5, 0.5]))[0]
-        row = grid.index_of([1, 1], [1, 1])
+        (row,) = grid.rows_of([1, 1], [1, 1])
         assert phi[row] == 1.0
 
     def test_basis_matrix_identity_structure(self):

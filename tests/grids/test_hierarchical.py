@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.grids.adaptive import child_points
 from repro.grids.hierarchical import (
-    ancestors_1d,
     basis_1d,
     basis_1d_vectorized,
-    children_1d,
     level_indices,
     num_level_points,
-    parent_1d,
+    parents_1d,
     point_1d,
     points_1d,
 )
+from repro.grids.regular import regular_sparse_grid
 
 
 class TestPoints:
@@ -117,36 +117,60 @@ class TestBasis:
         assert np.all(total <= 1.0 + 1e-12)
 
 
+def _children(level, index):
+    """The 1-D children of ``(level, index)``, as ``child_points`` lists them."""
+    grid = regular_sparse_grid(1, level)
+    rows = grid.rows_of([level], [index])
+    assert rows[0] >= 0
+    lev, idx = child_points(grid, rows)
+    return list(zip(lev[:, 0].tolist(), idx[:, 0].tolist()))
+
+
+def _chain(level, index):
+    """The ancestor chain of a 1-D point by repeated ``parents_1d``, direct parent first."""
+    chain = []
+    level, index = parents_1d(level, index)
+    while level >= 1:
+        chain.append((int(level), int(index)))
+        level, index = parents_1d(level, index)
+    return chain
+
+
 class TestHierarchy:
     def test_children_of_root(self):
-        assert children_1d(1, 1) == [(2, 0), (2, 2)]
+        assert _children(1, 1) == [(2, 0), (2, 2)]
 
     def test_children_of_boundaries(self):
-        assert children_1d(2, 0) == [(3, 1)]
-        assert children_1d(2, 2) == [(3, 3)]
+        assert _children(2, 0) == [(3, 1)]
+        assert _children(2, 2) == [(3, 3)]
 
     def test_children_of_interior(self):
-        assert children_1d(3, 1) == [(4, 1), (4, 3)]
-        assert children_1d(4, 5) == [(5, 9), (5, 11)]
+        assert _children(3, 1) == [(4, 1), (4, 3)]
+        assert _children(4, 5) == [(5, 9), (5, 11)]
 
     def test_parent_inverts_children(self):
-        for level in range(1, 6):
-            for i in level_indices(level):
-                for child in children_1d(level, i):
-                    assert parent_1d(*child) == (level, i)
+        grid = regular_sparse_grid(1, 5)
+        lev, idx = child_points(grid, np.arange(len(grid)))
+        owners = np.repeat(np.arange(len(grid)), np.where(grid.levels[:, 0] == 2, 1, 2))
+        parent_lev, parent_idx = parents_1d(lev, idx)
+        np.testing.assert_array_equal(parent_lev, grid.levels[owners])
+        np.testing.assert_array_equal(parent_idx, grid.indices[owners])
 
     def test_root_has_no_parent(self):
-        assert parent_1d(1, 1) is None
+        assert parents_1d(1, 1) == (0, 0)
 
     def test_ancestor_chain_ends_at_root(self):
         for level in range(2, 7):
+            grid = regular_sparse_grid(1, level)
             for i in level_indices(level):
-                chain = ancestors_1d(level, i)
+                chain = _chain(level, i)
                 assert chain[-1] == (1, 1)
                 assert len(chain) == level - 1
+                lev, idx = np.array(chain).T
+                assert (grid.rows_of(lev[:, None], idx[:, None]) >= 0).all()
 
     def test_ancestors_have_nonincreasing_levels(self):
-        chain = ancestors_1d(6, 11)
+        chain = _chain(6, 11)
         levels = [l for l, _ in chain]
         assert levels == sorted(levels, reverse=True)
 
@@ -156,7 +180,7 @@ class TestHierarchy:
         for level in range(3, 7):
             for i in level_indices(level):
                 x = point_1d(level, i)
-                chain = ancestors_1d(level, i)
+                chain = _chain(level, i)
                 # all coarser-level basis functions that are non-zero at x
                 # must be exactly the chain entries
                 for coarse in range(1, level):

@@ -44,7 +44,7 @@ class TestHierarchize:
         grid = regular_sparse_grid(3, 3)
         values = _poly(grid.points)
         surplus = hierarchize(grid, values)
-        root = grid.index_of([1, 1, 1], [1, 1, 1])
+        (root,) = grid.rows_of([1, 1, 1], [1, 1, 1])
         assert surplus[root] == pytest.approx(values[root])
 
     def test_linear_function_has_zero_deep_surpluses(self):
@@ -89,7 +89,7 @@ def _ancestors(grid, p):
 class TestAncestorStructure:
     def test_root_has_no_ancestors(self):
         grid = regular_sparse_grid(2, 3)
-        root = grid.index_of([1, 1], [1, 1])
+        (root,) = grid.rows_of([1, 1], [1, 1])
         rows, weights = _ancestors(grid, root)
         assert rows.size == 0 and weights.size == 0
 

@@ -55,7 +55,7 @@ class TestGridRoundTrip:
         serialize.save_grid(path, grid)
         loaded = serialize.load_grid(path)
         assert loaded.version == 0
-        assert loaded._derived_caches == {}
+        assert "probe" not in loaded._derived_caches
         assert loaded._points_cache is None
 
     def test_wrong_payload_rejected(self, tmp_path):
