@@ -44,7 +44,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.policy import PolicySet, StatePolicy
-from repro.grids.adaptive import append_rows, refine
+from repro.grids.adaptive import refine
 from repro.grids.domain import BoxDomain
 from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
@@ -344,8 +344,8 @@ def _refine(solver, policy_next: PolicySet, grids: list, values: list, clock: Wa
             sizes = [len(added) for added in new_rows.values()]
             X_new = np.concatenate([grids[z][1][added] for z, added in new_rows.items()])
             solved = solve_points(model, np.repeat(open_states, sizes), X_new, policy_next, None)
-        for (z, added), block in zip(new_rows.items(), np.split(solved, np.cumsum(sizes)[:-1])):
-            values[z] = append_rows(values[z], added, block, len(grids[z][0]))
+        for z, block in zip(new_rows, np.split(solved, np.cumsum(sizes)[:-1])):
+            values[z] = np.concatenate([values[z], block])  # refine appends its rows
 
 
 class TimeIterationSolver:

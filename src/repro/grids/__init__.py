@@ -16,11 +16,9 @@ Conventions
 * Surpluses ("hierarchical coefficients") are stored as a dense
   ``(num_points, num_dofs)`` matrix so that one grid carries the 2(A-1)
   policy/value coefficients of the OLG application at once.
-* A grid answers point membership one way: :meth:`SparseGrid.rows_of`, a
-  ``searchsorted`` into its sorted, version-keyed point index.  Insertion,
-  refinement and the ancestor structure of hierarchization all use it, and
-  the 1-D parent rule is the one elementwise
-  :func:`repro.grids.hierarchical.parents_1d`.
+* Point membership is :meth:`SparseGrid.rows_of`, one ``searchsorted`` into
+  the grid's sorted point index; insertion, refinement and hierarchization
+  all use it.
 """
 
 from repro.grids.hierarchical import (

@@ -2,14 +2,11 @@
 
 Adaptive refinement adds, for every grid point whose surplus-based error
 indicator exceeds a threshold ``epsilon``, its ``2 d`` hierarchical children
-(two per dimension).  To keep the grid hierarchically consistent — every
-point's 1-D parent in every dimension present, so that the surpluses of
-:mod:`repro.grids.hierarchize` stay those of a complete hierarchical basis
-(its ancestor structure looks every candidate ancestor up with
-:meth:`SparseGrid.rows_of` and skips the absent ones) — missing ancestors of
-newly inserted points are inserted as well.  Both steps are array passes:
-one for all children of a sweep, one :meth:`SparseGrid.add_points` call per
-round of missing parents.
+(two per dimension).  To keep the grid hierarchically consistent — which the
+ancestor structure of :mod:`repro.grids.hierarchize` (candidate ancestors
+looked up with :meth:`SparseGrid.rows_of`, absent ones skipped) relies on —
+missing ancestors of newly inserted points are inserted as well, one
+:meth:`SparseGrid.add_points` call per round.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ __all__ = [
     "child_points",
     "complete_ancestors",
     "refine",
-    "append_rows",
     "AdaptiveRefiner",
 ]
 
@@ -122,8 +118,9 @@ def refine(
 
     Flags points with ``g(alpha) >= epsilon``, inserts their children (and
     any missing ancestors) and returns the row indices of all newly added
-    points, i.e. the points at which the caller must evaluate the target
-    function before re-hierarchizing.
+    points — always the grid's last rows, in order — i.e. the points at
+    which the caller must evaluate the target function before
+    re-hierarchizing.
     """
     start = len(grid)
     rows = refinement_candidates(grid, surplus, epsilon, indicator, max_level)
@@ -183,21 +180,6 @@ class AdaptiveRefiner:
             if new_rows.size == 0:
                 break
             new_values = np.asarray(func(grid.points[new_rows]), dtype=float)
-            values = append_rows(values, new_rows, new_values, len(grid))
+            values = np.concatenate([values, new_values])
             surplus = hierarchize(grid, values)
         return grid, surplus
-
-
-def append_rows(values, new_rows, new_values, total_rows):
-    """Grow the nodal-value array to ``total_rows`` rows, filling ``new_rows``."""
-    values = np.asarray(values, dtype=float)
-    new_values = np.asarray(new_values, dtype=float)
-    if values.ndim == 1:
-        out = np.zeros(total_rows, dtype=float)
-        out[: values.shape[0]] = values
-        out[new_rows] = new_values
-    else:
-        out = np.zeros((total_rows, values.shape[1]), dtype=float)
-        out[: values.shape[0]] = values
-        out[new_rows] = new_values.reshape(len(new_rows), values.shape[1])
-    return out
