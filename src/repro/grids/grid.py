@@ -236,13 +236,12 @@ class SparseGrid:
     def from_arrays(cls, levels: np.ndarray, indices: np.ndarray) -> "SparseGrid":
         """Rebuild a grid from :meth:`to_arrays` output (row order preserved).
 
-        Both arrays are coerced symmetrically (a single 1-D pair is read
-        as one point, like :meth:`add_points`).  The reconstructed grid
-        starts a fresh cache epoch (``version`` 0, only the point index
-        built), exactly like a newly built grid.
+        A single 1-D pair is read as one point, like :meth:`add_points`;
+        the constructor does the conversion and the checks.  The
+        reconstructed grid starts a fresh cache epoch (``version`` 0, only
+        the point index built), exactly like a newly built grid.
         """
-        levels = np.atleast_2d(np.asarray(levels, dtype=np.int32))
-        indices = np.atleast_2d(np.asarray(indices, dtype=np.int32))
+        levels, indices = np.atleast_2d(levels), np.atleast_2d(indices)
         return cls(levels.shape[1], levels, indices)
 
     # ------------------------------------------------------------------ #
