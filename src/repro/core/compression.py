@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.grids.grid import SparseGrid
+from repro.grids.hierarchical import points_1d
 
 __all__ = [
     "CompressedGrid",
@@ -101,6 +102,7 @@ class CompressedGrid:
 
     def __post_init__(self) -> None:
         self._active_chain: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._hat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._reorder_cache: dict[tuple, tuple] = {}  # ids -> (weakrefs, reordered)
         self._reorder_lock = threading.Lock()
 
@@ -108,7 +110,7 @@ class CompressedGrid:
         # The lock is unpicklable and the memo caches are per-process;
         # drop them so compressed grids travel through process executors.
         state = self.__dict__.copy()
-        for transient in ("_active_chain", "_reorder_cache", "_reorder_lock"):
+        for transient in ("_active_chain", "_hat", "_reorder_cache", "_reorder_lock"):
             state.pop(transient, None)
         return state
 
@@ -216,6 +218,20 @@ class CompressedGrid:
                 active.append((rows, col[rows].astype(np.int64)))
             self._active_chain = active
         return self._active_chain
+
+    def hat_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factor table's hat centers, scales ``2**(level - 1)`` and level-1 mask, once.
+
+        What :func:`~repro.grids.hierarchical.basis_1d_vectorized` derives
+        from the levels and indices on every call; a kernel call then only
+        does the arithmetic on its query coordinates.
+        """
+        if self._hat is None:
+            levels = self.xps_levels.astype(np.int64)
+            centers = points_1d(levels, self.xps_indices)
+            scales = np.power(2.0, (levels - 1).astype(float))
+            self._hat = (centers, scales, levels == 1)
+        return self._hat
 
 
 def compress_grid(grid: SparseGrid) -> CompressedGrid:

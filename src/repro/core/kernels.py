@@ -60,8 +60,10 @@ def factor_values(comp: CompressedGrid, X: np.ndarray) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     coords = X[:, comp.xps_dims]  # (m, num_xps) gather of the relevant coordinate
-    xpv = basis_1d_vectorized(coords, comp.xps_levels[None, :], comp.xps_indices[None, :])
-    xpv[:, 0] = 1.0
+    centers, scales, constant = comp.hat_constants()
+    # basis_1d_vectorized's arithmetic, the per-grid constants hoisted
+    xpv = np.maximum(1.0 - scales * np.abs(coords - centers), 0.0)
+    xpv[:, constant] = 1.0  # level 1, the sentinel among them
     return xpv
 
 

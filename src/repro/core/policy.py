@@ -11,7 +11,12 @@ approximate it with one adaptive sparse grid per discrete state ``z``:
   Algorithm 1);
 * :class:`PolicyRead` — one or more models' policy sets prepared once for
   many reads in several states at once, what a Newton run of the
-  equilibrium solver builds for its residual calls.
+  equilibrium solver builds for its residual calls;
+* :func:`values_on_grid` — the previous iterate at today's grid points: its
+  stored nodal values where the grids share their points, an interpolation
+  otherwise.  It is the one rule behind the warm start, the damping and
+  :meth:`PolicySet.distance`, so a non-adaptive pass compares its iterates
+  without a basis pass.
 
 State policies that share one grid object (the non-adaptive time iteration
 hands every state the same cached regular grid) also share its
@@ -35,7 +40,7 @@ from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
 from repro.grids.interpolation import SparseGridInterpolant, StackedRead
 
-__all__ = ["StatePolicy", "PolicySet", "PolicyRead"]
+__all__ = ["StatePolicy", "PolicySet", "PolicyRead", "values_on_grid"]
 
 
 @dataclass
@@ -182,15 +187,16 @@ class PolicySet:
         out = PolicyRead([self])(chosen, [np.atleast_2d(X)])
         return out[:, 0] if np.ndim(X) == 1 else out
 
-    def distance(self, other: "PolicySet", sample: np.ndarray | None = None) -> dict:
+    def distance(self, other: "PolicySet") -> dict:
         """Policy distance used as the convergence criterion of Algorithm 1.
 
-        By default the policies are compared at the union of the grid
-        points of ``self``; a fixed ``sample`` of evaluation points may be
-        supplied for a grid-independent metric.
+        The policies are compared at the grid points of ``self``, state by
+        state: ``self``'s nodal values against ``other``'s values there
+        (:func:`values_on_grid` — its nodal values where the two share grid
+        points, every non-adaptive pass, otherwise ``other`` interpolated).
 
-        Returns a dict with ``linf``, ``l2`` (root mean square) and the
-        per-state maxima.
+        Returns a dict with ``linf``, ``l2`` (root mean square), their
+        relative forms and the per-state maxima.
         """
         if other.num_states != self.num_states:
             raise ValueError("policy sets must have the same number of states")
@@ -200,15 +206,10 @@ class PolicySet:
         rel_sq_sum = 0.0
         count = 0
         per_state = []
-        for z in range(self.num_states):
-            mine = self.policies[z]
-            if sample is None:
-                X = mine.interpolant.domain.from_unit(mine.grid.points)
-            else:
-                X = sample
-            new = np.atleast_2d(mine(X))
-            old = np.atleast_2d(other.policies[z](X))
-            diff = np.abs(new - old)
+        for mine, prev in zip(self.policies, other.policies):
+            X = mine.interpolant.domain.from_unit(mine.grid.points)
+            old = values_on_grid(prev, mine.grid, X)
+            diff = np.abs(mine.nodal_values - old)
             rel = diff / (1.0 + np.abs(old))
             state_linf = float(diff.max()) if diff.size else 0.0
             per_state.append(state_linf)
@@ -226,6 +227,20 @@ class PolicySet:
             "rel_l2": float(np.sqrt(rel_sq_sum / max(count, 1))),
             "per_state_linf": per_state,
         }
+
+
+def values_on_grid(prev: StatePolicy, grid: SparseGrid, X: np.ndarray) -> np.ndarray:
+    """The previous iterate ``prev`` at the points ``X`` of ``grid``.
+
+    Its stored nodal values when ``grid`` has exactly ``prev``'s points —
+    every non-adaptive iteration, and an adaptive step before it refines —
+    so warm starts, damping and the convergence distance see the bits the
+    last step produced without a basis pass; an interpolation otherwise (a
+    restart from another level, a refined grid).
+    """
+    if prev.grid is grid or np.array_equal(prev.grid.points, grid.points):
+        return prev.nodal_values
+    return np.atleast_2d(prev(X))
 
 
 class PolicyRead:

@@ -43,7 +43,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.policy import PolicySet, StatePolicy
+from repro.core.policy import PolicySet, StatePolicy, values_on_grid
 from repro.grids.adaptive import refine
 from repro.grids.domain import BoxDomain
 from repro.grids.grid import SparseGrid
@@ -59,7 +59,6 @@ __all__ = [
     "TimeIterationSolver",
     "solve_points",
     "update",
-    "values_on_grid",
 ]
 
 
@@ -208,19 +207,6 @@ class TimeIterationResult:
     def cumulative_time(self) -> np.ndarray:
         """Cumulative wall time per iteration (Fig. 9, left panel x-axis)."""
         return np.cumsum([r.wall_time for r in self.records])
-
-
-def values_on_grid(prev: StatePolicy, grid: SparseGrid, X: np.ndarray) -> np.ndarray:
-    """The previous iterate ``prev`` at today's grid points ``X``.
-
-    Its stored nodal values when ``grid`` has exactly ``prev``'s points —
-    every non-adaptive iteration, and an adaptive step before it refines —
-    so warm starts and damping see the bits the last step produced; an
-    interpolation otherwise (a restart from another level, a refined grid).
-    """
-    if prev.grid is grid or np.array_equal(prev.grid.points, grid.points):
-        return prev.nodal_values
-    return np.atleast_2d(prev(X))
 
 
 def solve_points(

@@ -307,7 +307,11 @@ class EulerSystem:
         — with ``z`` an array, over the rows of every shock state at once —
         so each residual evaluation interpolates next period's policies at
         every candidate of every active row in one basis pass, which serves
-        all successor states.  A row whose Newton stalled keeps the best
+        all successor states.  The run's first call carries the start
+        residual and the first Jacobian together, so a run of ``k >= 1``
+        Newton iterations makes at most ``3 k`` residual calls, ``2 k`` when
+        no row halves its step, and the Bellman update adds one basis pass
+        after it.  A row whose Newton stalled keeps the best
         iterate of that run.  Such a row is *pinned* (:func:`_pinned`) when
         a saver sits on the borrowing floor, which leaves the system without
         an interior root.  Every node of the box is an economy, so up to 8

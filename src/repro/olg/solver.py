@@ -7,9 +7,10 @@ the surrounding code path (repeated interpolation of next-period policies
 inside the residual function) is identical, which is what matters for the
 performance experiments.  The Newton iteration exists once, row-masked over
 a batch of independent systems (:class:`BatchNewtonSolver`), and issues few,
-large residual calls — at most three per iteration, whatever the batch and
-the system size — because a residual call is an interpolation kernel launch;
-:class:`NewtonSolver` holds the settings and the single-system entry point.
+large residual calls — at most two in the first iteration and three in each
+later one, whatever the batch and the system size — because a residual call
+is an interpolation kernel launch; :class:`NewtonSolver` holds the settings
+and the single-system entry point.
 A system Newton leaves stalled keeps its best iterate and is reported
 unconverged.
 """
@@ -111,8 +112,12 @@ class BatchNewtonSolver:
     copy ``j`` with column ``j`` perturbed), one for the full step of every
     active row, and one for all eleven halvings of the rows the full step
     did not serve, each of which takes the first halving that lowers its
-    norm.  Rows whose line search stalls are deactivated and reported
-    unconverged with their best iterate.
+    norm.  The start residual has no call of its own: the first Jacobian
+    call evaluates every row at ``x0`` and at its ``n`` copies, ``n + 1``
+    candidates a row, so the first iteration makes at most TWO calls and a
+    run whose full steps are all accepted makes ``2 * iterations``.  Rows
+    whose line search stalls are deactivated and reported unconverged with
+    their best iterate.
 
     The residual callback receives ``(rows, X)`` where ``rows`` indexes the
     original batch (so the callback can look up per-row problem data) and
@@ -143,22 +148,36 @@ class BatchNewtonSolver:
                 candidates.shape
             )
 
-        F = residual(np.arange(m), X)
+        diag = np.arange(n)
+
+        def perturbed(Xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # forward-difference steps, and n copies of each row: copy j has
+            # column j stepped
+            steps = self.fd_step * np.maximum(np.abs(Xa), 1.0)
+            Xp = np.repeat(Xa[:, None, :], n, axis=1)
+            Xp[:, diag, diag] += steps
+            return steps, Xp
+
+        # the start residual rides in the first Jacobian call: each row at
+        # x0 and at its n perturbed copies, n + 1 candidates a row
+        first_steps, Xp = perturbed(X)
+        out = residual(np.repeat(np.arange(m), n + 1), np.concatenate([X[:, None], Xp], axis=1))
+        F, first_Fp = out[:, 0], out[:, 1:]
         norms = np.max(np.abs(F), axis=1)
         best_x, best_norm = X.copy(), norms.copy()
         active = norms >= self.tol
-        diag = np.arange(n)
         iterations = 0
         while iterations < self.max_iterations and active.any():
-            iterations += 1
             idx = np.flatnonzero(active)
             Xa, Fa, norm_a = X[idx], F[idx], norms[idx]
             # forward-difference Jacobian: Fp[r, j] is row r's residual with
             # column j perturbed
-            steps = self.fd_step * np.maximum(np.abs(Xa), 1.0)
-            Xp = np.repeat(Xa[:, None, :], n, axis=1)
-            Xp[:, diag, diag] += steps
-            Fp = residual(np.repeat(idx, n), Xp)
+            if iterations == 0:
+                steps, Fp = first_steps[idx], first_Fp[idx]
+            else:
+                steps, Xp = perturbed(Xa)
+                Fp = residual(np.repeat(idx, n), Xp)
+            iterations += 1
             jac = ((Fp - Fa[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
             step = _newton_steps(jac, -Fa)
             step_norm = np.max(np.abs(step), axis=1)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.policy import PolicySet, StatePolicy
+from repro.grids.adaptive import refine
 from repro.grids.domain import BoxDomain
 from repro.grids.regular import regular_sparse_grid
 
@@ -16,6 +18,31 @@ def _make_policy(state, dim=3, level=3, num_policies=4, scale=1.0):
         [scale * (X[:, 0] + k * 0.1 * X[:, dim - 1]) for k in range(num_policies)], axis=1
     )
     return StatePolicy.from_values(state, grid, values, domain)
+
+
+def _interpolated_distance(a: PolicySet, b: PolicySet) -> dict:
+    """The distance of ``a`` to ``b``, both interpolated at ``a``'s grid points."""
+    diffs, rels = [], []
+    for mine, prev in zip(a, b):
+        X = mine.interpolant.domain.from_unit(mine.grid.points)
+        old = prev(X)
+        diffs.append(np.abs(mine(X) - old).ravel())
+        rels.append(diffs[-1] / (1.0 + np.abs(old).ravel()))
+    diff, rel = np.concatenate(diffs), np.concatenate(rels)
+    return {
+        "linf": diff.max(),
+        "l2": np.sqrt(np.mean(diff**2)),
+        "rel_linf": rel.max(),
+        "rel_l2": np.sqrt(np.mean(rel**2)),
+    }
+
+
+def _count_basis_passes(monkeypatch) -> list:
+    """Record every factor-table evaluation: each kernel, ``basis_matrix`` included, makes one."""
+    calls = []
+    real = kernels.factor_values
+    monkeypatch.setattr(kernels, "factor_values", lambda *args: calls.append(1) or real(*args))
+    return calls
 
 
 class TestStatePolicy:
@@ -66,8 +93,6 @@ class TestPolicySet:
     def test_evaluate_all_states_is_one_basis_pass_on_a_shared_grid(
         self, monkeypatch, shared, box, passes
     ):
-        from repro.core import kernels
-
         first = _make_policy(0)
         grid, domain = first.grid, first.interpolant.domain
         policies = []
@@ -105,12 +130,45 @@ class TestPolicySet:
         assert d["l2"] > 0.0
         assert d["rel_linf"] <= d["linf"]
 
-    def test_distance_with_fixed_sample(self):
-        a = PolicySet([_make_policy(0, scale=1.0)])
-        b = PolicySet([_make_policy(0, scale=1.2)])
-        sample = a[0].interpolant.domain.sample(20, rng=3)
-        d = a.distance(b, sample=sample)
-        assert d["linf"] > 0.0
+    def test_distance_on_one_grid_reads_nodal_values(self, monkeypatch):
+        a = PolicySet([_make_policy(0, scale=1.0), _make_policy(1, scale=0.5)])
+        b = PolicySet([_make_policy(0, scale=1.2), _make_policy(1, scale=0.7)])
+        expected = _interpolated_distance(a, b)
+        calls = _count_basis_passes(monkeypatch)
+        d = a.distance(b)
+        assert calls == []
+        for key, value in expected.items():
+            assert d[key] == pytest.approx(value, rel=0, abs=1e-13)
+
+    def test_distance_to_a_coarser_grid_interpolates(self, monkeypatch):
+        coarse = _make_policy(0, level=2, scale=1.2)
+        grid = coarse.grid.copy()
+        refine(grid, coarse.interpolant.surplus, epsilon=0.0)
+        assert len(grid) > len(coarse.grid)
+        domain = coarse.interpolant.domain
+        X = domain.from_unit(grid.points)
+        values = np.stack([X[:, 0] ** 2 + k * X[:, 2] for k in range(4)], axis=1)
+        a = PolicySet([StatePolicy.from_values(0, grid, values, domain)])
+        b = PolicySet([coarse])
+        expected = _interpolated_distance(a, b)
+        calls = _count_basis_passes(monkeypatch)
+        d = a.distance(b)
+        assert len(calls) == 1  # the coarse iterate at the refined grid's points
+        for key, value in expected.items():
+            assert d[key] == pytest.approx(value, rel=0, abs=1e-13)
+
+    def test_distance_of_a_nan_value_is_nan(self):
+        clean = _make_policy(1)
+        values = clean.nodal_values.copy()
+        values[3, 2] = np.nan
+        broken = StatePolicy.from_values(1, clean.grid, values, clean.interpolant.domain)
+        a = PolicySet([_make_policy(0), broken])
+        b = PolicySet([_make_policy(0), _make_policy(1)])
+        d = a.distance(b)
+        # never "< tolerance": a NaN iterate cannot pass for converged
+        assert np.isnan(d["linf"])
+        assert np.isnan(d["rel_linf"])
+        assert np.isnan(d["per_state_linf"][1])
 
     def test_distance_state_count_mismatch(self):
         a = PolicySet([_make_policy(0)])

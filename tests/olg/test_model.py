@@ -5,13 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.policy import PolicySet, StatePolicy
-from repro.core.time_iteration import (
-    TimeIterationConfig,
-    TimeIterationSolver,
-    solve_points,
-    values_on_grid,
-)
+from repro.core.policy import PolicySet, StatePolicy, values_on_grid
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver, solve_points
 from repro.grids.adaptive import refine
 from repro.grids.hierarchize import hierarchize
 from repro.olg.calibration import small_calibration

@@ -76,7 +76,25 @@ class TestNewtonSolver:
         assert np.array_equal(result.x, batch.x[0])
         assert result.residual_norm == np.max(np.abs(fn(result.x))) < np.max(np.abs(fn(x0)))
         assert result.iterations == 1
-        assert result.residual_evaluations == batch.residual_evaluations == 3
+        # the start residual rides in the Jacobian call, then the full step
+        assert result.residual_evaluations == batch.residual_evaluations == 2
+
+    def test_run_of_accepted_full_steps_makes_two_calls_an_iteration(self):
+        """No halving anywhere: a Jacobian call and a full-step call per iteration, no more."""
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+        calls = []
+
+        def fn(rows, X):
+            calls.append(len(rows))
+            return X @ A.T - b + 0.1 * X**3
+
+        result = BatchNewtonSolver(NewtonSolver(tol=1e-12)).solve(fn, np.zeros((3, 2)))
+        assert result.converged.all()
+        assert result.iterations > 1
+        assert result.residual_evaluations == len(calls) == 2 * result.iterations
+        # the first call carries each row at x0 and its n perturbed copies
+        assert calls[0] == 3 * (2 + 1)
 
     def test_stalled_run_reports_not_converged(self):
         def fn(x):

@@ -224,13 +224,14 @@ class TestBatchedSolveGate:
         assert 'result["failed"] == 0' in guard[0]
         assert 'value["olg.solver.polish.calls"] == 0' in guard[0]
         assert 'value["olg.solver.stalled_rows"] == 0' in guard[0]
-        assert 'value["olg.solver.residual_evals_per_solve"] <= 15' in guard[0]
-        # one basis pass per residual call serves every successor state: what
-        # is left over is a fixed number of kernel calls per pass
+        assert 'value["olg.solver.residual_evals_per_solve"] <= 9' in guard[0]
+        # one basis pass per residual call serves every successor state, and
+        # the distance reads nodal values: the value update is the one kernel
+        # call a pass makes outside Newton
         assert 'passes = value["olg.solver.calls"]' in guard[0]
         calls = 'value["olg.solver.residual_evals_per_solve"] * passes'
         assert f"residual_calls = {calls}" in guard[0]
-        assert 'value["core.kernels.calls"] - residual_calls <= 10 * passes' in guard[0]
+        assert 'value["core.kernels.calls"] - residual_calls == passes' in guard[0]
         # a solve shorter than one checkpoint interval serialises its result only
         assert 'value["scenarios.checkpoint.writes"] == 0' in guard[0]
         assert 'value["scenarios.serialize.calls"] == 4' in guard[0]

@@ -722,6 +722,9 @@ def _sequential_newton(fn, x0, settings: NewtonSolver):
 def test_fused_newton_is_the_sequential_newton(seed, m, n, max_iterations, bound):
     """Bit for bit the column-by-column, halving-by-halving loop, in <= 3 calls an iteration.
 
+    The start residual rides in the first Jacobian call, so a run makes at
+    most ``3 * iterations`` calls (one when no row needs an iteration).
+
     ``bound`` clips the unknowns the way the OLG savings are clipped: a row
     started beyond it has an all-zero Jacobian column, which exercises the
     singular-batch path (the regular rows solved as one stack, the singular
@@ -749,5 +752,5 @@ def test_fused_newton_is_the_sequential_newton(seed, m, n, max_iterations, bound
     assert np.array_equal(fused.residual_norm, norm)
     assert np.array_equal(fused.converged, converged)
     assert fused.iterations == iterations
-    assert fused.residual_evaluations == len(calls) <= 3 * iterations + 1
+    assert fused.residual_evaluations == len(calls) <= max(3 * iterations, 1)
     assert fused.residual_evaluations <= ref_evals
