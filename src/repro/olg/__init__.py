@@ -20,14 +20,16 @@ Module map
   the consumption floor (keeps Newton solvers well behaved).
 * :mod:`repro.olg.production` — Cobb-Douglas technology and factor prices.
 * :mod:`repro.olg.government` — taxes, pension benefits, lump-sum rebates.
-* :mod:`repro.olg.euler` — the household problem in rows form: the one
-  implementation of the period environment, the Euler residuals, the
-  Bellman update and the point solve.
+* :mod:`repro.olg.euler` — the household problem in rows form, each row
+  naming its model: the one implementation of the period environment, the
+  state packing, the Euler residuals, the Bellman update and the point
+  solve, and the structural check of the models one system serves.
 * :mod:`repro.olg.model` — the :class:`OLGModel` implementing the
   time-iteration model protocol as scalar/batch adapters over its Euler
-  system, plus the Euler-equation accuracy metrics.
-* :mod:`repro.olg.stacked` — several structurally equal models stacked
-  row-wise into one Euler system (cross-scenario batching).
+  system (a stack of one), plus the Euler-equation accuracy metrics.
+* :mod:`repro.olg.stacked` — maps the rows of several structurally equal
+  models, stacked into one Euler system, to their members (cross-scenario
+  batching).
 * :mod:`repro.olg.solver` — batched damped Newton for the per-grid-point
   nonlinear systems (the paper uses Ipopt).
 * :mod:`repro.olg.simulation` — forward simulation of the solved economy.

@@ -1,22 +1,22 @@
 """The household problem in rows form: the one implementation of the Euler system.
 
 A *row* is one grid point of one model.  Every method of
-:class:`EulerSystem` works on ``m`` rows at once and reads the calibration
-scalars that may differ between models — the discount factor, the four
-shock labels of every state, the transition probabilities and the box
-bounds — from per-row parameter arrays.  One model is the broadcast case:
-its parameters are scalars, which serve any number of rows and also a
+:class:`EulerSystem` works on ``m`` rows at once and takes, next to the
+shock state ``z``, the ``member`` the rows belong to: one model index for
+all of them, or one per row.  The calibration scalars that may differ
+between models — the discount factor, the four shock labels of every
+state, the transition probabilities and the box bounds — sit in tables
+with one entry per model, and a method reads them at ``member``.  So one
+model is a stack of one, and the rows of one call may be (model, shock
+state, grid point) triples: ``z`` too is one state for all rows or an int
+array aligned with them.  With one model index the methods also take a
 single point without a row axis (states ``(d,)``, savings ``(A-1,)``).
-The shock state is such a parameter too: every method takes ``z`` as one
-state for all rows or as an int array aligned with the rows, so the rows of
-one call may be (model, shock state, grid point) triples.
-Several structurally equal models stacked row-wise are what
-:class:`repro.olg.stacked.StackedOLGGroup` builds.  Both it and
-:class:`repro.olg.model.OLGModel` are shape adapters over this class: the
-period environment, the state packing, the Euler residuals, the Bellman
-update, the savings guess and the point solve live only here (factor
-prices and the government budget are :mod:`repro.olg.production` and
-:mod:`repro.olg.government`).
+:class:`repro.olg.model.OLGModel` and
+:class:`repro.olg.stacked.StackedOLGGroup` are shape adapters over this
+class: the period environment, the state packing, the Euler residuals, the
+Bellman update, the savings guess and the point solve live only here
+(factor prices and the government budget are :mod:`repro.olg.production`
+and :mod:`repro.olg.government`).
 
 Savings are solved in log space, which keeps them strictly positive (an
 interior-solution version of the paper's Ipopt bound constraints).
@@ -43,7 +43,7 @@ from repro.olg.government import GovernmentBudget
 from repro.olg.production import Prices
 from repro.olg.solver import BatchNewtonSolver
 
-__all__ = ["EulerSystem", "PeriodEnvironment", "STATE_CONVENTION"]
+__all__ = ["EulerSystem", "PeriodEnvironment", "STATE_CONVENTION", "StructuralMismatch"]
 
 #: names the coordinates of :meth:`EulerSystem.holdings` / ``next_states``, which
 #: stored policies live on; a solve spec's content hash carries it
@@ -85,6 +85,31 @@ def _pinned(log_savings: np.ndarray) -> np.ndarray:
     )
 
 
+class StructuralMismatch(ValueError):
+    """Models differ in a way that changes the Euler system's structure."""
+
+
+def _structure(model) -> dict:
+    """What must agree across the models of one system, by the name a mismatch is reported."""
+    cal, s = model.calibration, model.solver
+    return {
+        "model classes": type(model),
+        "calibration structure": (
+            cal.num_generations,
+            cal.num_states,
+            cal.retirement_age,
+            cal.efficiency.tobytes(),
+        ),
+        "preferences/technology/fiscal": (model.utility, model.technology, model.fiscal),
+        "nonlinear solver settings": (
+            s.tol,
+            s.max_iterations,
+            s.fd_step,
+            s.max_step,
+        ),
+    }
+
+
 class EulerSystem:
     """Equilibrium conditions and point solve over rows of one or more models.
 
@@ -92,30 +117,29 @@ class EulerSystem:
     ----------
     models
         :class:`~repro.olg.model.OLGModel` instances that agree on every
-        structural ingredient (ages, preferences, technology, fiscal rule,
-        nonlinear-solver settings; the stacked group checks this).
-    counts
-        Rows contributed by each model, in order.  ``None`` (one model
-        only) is the broadcast case: scalar parameters, any number of rows
-        or a single point, and the ``rows`` argument of every method is
-        ignored.
+        structural ingredient: ages, preferences, technology, fiscal rule
+        and nonlinear-solver settings.  :class:`StructuralMismatch` is
+        raised otherwise.
 
-    ``rows`` arguments index the stacked rows a block of data belongs to
-    (sorted, so each model's rows are contiguous); ``z`` is the shock state
-    of all of them or one state per row; ``policies`` holds one
-    next-iterate :class:`~repro.core.policy.PolicySet` per model.  States,
-    savings and results carry the ages/coordinates on their last axis.
+    ``member`` arguments name the model of the rows: one index for all of
+    them, or one per row, sorted so that each model's rows are contiguous.
+    ``z`` is the shock state of all rows or one state per row;
+    ``policies`` holds one next-iterate
+    :class:`~repro.core.policy.PolicySet` per model.  States, savings and
+    results carry the ages/coordinates on their last axis.
     """
 
-    def __init__(self, models: list, counts: list[int] | None = None) -> None:
-        base = models[0]
-        cal = base.calibration
-        self.stacked = counts is not None
-        if not self.stacked and len(models) != 1:
-            raise ValueError("the broadcast case serves exactly one model")
-        reps = counts if self.stacked else [1]
-        self.utility, self.technology, self.fiscal = base.utility, base.technology, base.fiscal
-        self.batch_solver = BatchNewtonSolver(base.solver)
+    def __init__(self, models: list) -> None:
+        base = _structure(models[0])
+        for model in models[1:]:
+            for name, theirs in _structure(model).items():
+                if theirs != base[name]:
+                    raise StructuralMismatch(f"{name} differ")
+        first = models[0]
+        cal = first.calibration
+        self.models = list(models)
+        self.utility, self.technology, self.fiscal = first.utility, first.technology, first.fiscal
+        self.batch_solver = BatchNewtonSolver(first.solver)
         self.num_states = cal.num_states
         self.num_ages = cal.num_generations
         self.num_savers = cal.num_generations - 1
@@ -123,41 +147,31 @@ class EulerSystem:
         self.labor_supply = cal.labor_supply
         self.efficiency = np.asarray(cal.efficiency, dtype=float)
         self.working = np.arange(cal.num_generations) < cal.retirement_age
-        #: the members' own single-model systems, where :meth:`solve` books
-        self.views = [m.system for m in models] if self.stacked else [self]
-        #: what :meth:`solve` did for this model so far (a stacked system
-        #: books on its members' own systems): rows solved, rows Newton left
-        #: stalled, of those the pinned ones, the vectorised residual calls
-        #: of the Newton runs it took part in, and the number of those runs
+        #: what :meth:`solve` did for this model so far (a system of several
+        #: models books on each model's own system): rows solved, rows Newton
+        #: left stalled, of those the pinned ones, the vectorised residual
+        #: calls of the Newton runs it took part in, and the number of those runs
         self.totals = dict.fromkeys(
             ("rows", "stalled", "pinned", "residual_calls", "newton_runs"), 0
         )
-        self.row_member = np.repeat(np.arange(len(models)), reps)
-
-        def per_row(values, axis: int = 0) -> np.ndarray:
-            return np.repeat(np.asarray(values, dtype=float), reps, axis=axis)
-
         cals = [m.calibration for m in models]
-        self.beta = per_row([c.beta for c in cals])               # (R,)
-        self.lower = per_row([m.domain.lower for m in models])    # (R, d)
-        self.upper = per_row([m.domain.upper for m in models])
+        self.beta = np.array([c.beta for c in cals], dtype=float)             # (M,)
+        self.lower = np.array([m.domain.lower for m in models], dtype=float)  # (M, d)
+        self.upper = np.array([m.domain.upper for m in models], dtype=float)
         labels = [[c.shocks.label(name) for c in cals] for name in _SHOCK_LABELS]
-        self.labels = per_row(np.swapaxes(labels, 1, 2), axis=2)  # (4, Ns, R)
+        self.labels = np.swapaxes(np.asarray(labels, dtype=float), 1, 2)      # (4, Ns, M)
         transition = [c.shocks.transition for c in cals]
-        self.prob = per_row(np.moveaxis(transition, 0, 2), axis=2)  # (Ns, Ns, R): z, z_next, row
-        #: ``reach[z, z_next]``: some row moves from ``z`` to ``z_next`` with positive probability
+        # (Ns, Ns, M): z, z_next, model
+        self.prob = np.moveaxis(np.asarray(transition, dtype=float), 0, 2)
+        #: ``reach[z, z_next]``: some model moves from ``z`` to ``z_next`` with positive probability
         self.reach = (self.prob > 0.0).any(axis=2)
-
-    def _sel(self, rows):
-        """Index of the parameter rows: the stacked rows, or the one model's scalars."""
-        return rows if self.stacked else 0
 
     # ------------------------------------------------------------------ #
     # aggregates, state packing
     # ------------------------------------------------------------------ #
-    def environment(self, z, rows, K: np.ndarray) -> PeriodEnvironment:
+    def environment(self, z, member, K: np.ndarray) -> PeriodEnvironment:
         """Prices, government budget and incomes in shock state(s) ``z`` at capital ``K``."""
-        zeta, delta, tau_l, tau_c = self.labels[:, z, self._sel(rows)]
+        zeta, delta, tau_l, tau_c = self.labels[:, z, member]
         L = self.labor_supply
         prices = self.technology.prices(K, L, zeta, delta)
         budget = self.fiscal.budget(
@@ -180,7 +194,7 @@ class EulerSystem:
         holdings[..., 1:] = X
         return holdings
 
-    def next_states(self, rows, savings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def next_states(self, member, savings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tomorrow's aggregate capital and continuous state implied by ``savings``.
 
         Today's savers ``0 .. A-2`` are tomorrow's ages ``1 .. A-1``: their
@@ -188,8 +202,7 @@ class EulerSystem:
         (not the capital that sets tomorrow's prices) is clipped into the
         approximation box.
         """
-        sel = self._sel(rows)
-        return savings.sum(axis=-1), np.clip(savings, self.lower[sel], self.upper[sel])
+        return savings.sum(axis=-1), np.clip(savings, self.lower[member], self.upper[member])
 
     @staticmethod
     def consumption(env: PeriodEnvironment, holdings: np.ndarray, savings) -> np.ndarray:
@@ -198,35 +211,33 @@ class EulerSystem:
         consumption[..., :-1] -= savings
         return consumption
 
-    def consumption_at(self, z, rows, X: np.ndarray, savings) -> np.ndarray:
+    def consumption_at(self, z, member, X: np.ndarray, savings) -> np.ndarray:
         """Consumption by age at states ``X`` in shock state(s) ``z`` under ``savings``."""
-        env = self.environment(z, rows, X.sum(axis=-1))
+        env = self.environment(z, member, X.sum(axis=-1))
         return self.consumption(env, self.holdings(X), savings)
 
-    def resources(self, z, rows, X: np.ndarray) -> np.ndarray:
+    def resources(self, z, member, X: np.ndarray) -> np.ndarray:
         """Cash on hand of every saving age: asset income plus non-asset income."""
-        return self.consumption_at(z, rows, X, 0.0)[..., : self.num_savers]
+        return self.consumption_at(z, member, X, 0.0)[..., : self.num_savers]
 
     # ------------------------------------------------------------------ #
     # equilibrium conditions
     # ------------------------------------------------------------------ #
-    def _policy_values(self, states, rows, x_next: np.ndarray, read: PolicyRead):
+    def _policy_values(self, states, member, x_next: np.ndarray, read: PolicyRead):
         """Next-iterate policy values of each row's own model in every one of ``states``.
 
         ``(len(states), ..., 2 (A-1))``, from ONE basis pass at ``x_next``
         when the policies sit on one grid object (time iteration's shared
         regular grid), state by state otherwise (adaptive grids).
         """
-        if not self.stacked:
-            values = read(states, [np.atleast_2d(x_next)])
-            return values[:, 0] if x_next.ndim == 1 else values
-        mem = self.row_member[rows]  # nondecreasing: rows are sorted
-        uniq, starts = np.unique(mem, return_index=True)
-        bounds = np.append(starts, mem.size)
-        blocks = [x_next[bounds[i] : bounds[i + 1]] for i in range(uniq.size)]
-        return read(states, blocks, uniq.tolist())
+        owners = np.ravel(member)
+        if owners[0] != owners[-1]:  # several models, sorted: a block of rows each
+            uniq, starts = np.unique(owners, return_index=True)
+            return read(states, np.split(x_next, starts[1:]), uniq.tolist())
+        values = read(states, [np.atleast_2d(x_next)], [int(owners[0])])
+        return values[:, 0] if x_next.ndim == 1 else values
 
-    def _tomorrow(self, z, rows, savings: np.ndarray, read: PolicyRead):
+    def _tomorrow(self, z, member, savings: np.ndarray, read: PolicyRead):
         """Probability, gross return, consumption, policy values: reachable states first.
 
         The leading axis runs over the reachable shock states, those some
@@ -238,60 +249,60 @@ class EulerSystem:
         policy says (the terminal generation saves nothing).
         """
         ns = self.num_savers
-        K_next, x_next = self.next_states(rows, savings)
+        K_next, x_next = self.next_states(member, savings)
         successors = np.flatnonzero(np.atleast_2d(self.reach[z]).any(axis=0))
         z_next = successors.reshape((-1,) + (1,) * K_next.ndim)  # broadcasts against the rows
-        prob = self.prob[z, z_next, self._sel(rows)]
-        next_values = self._policy_values(successors, rows, x_next, read)
-        env = self.environment(z_next, rows, K_next)
+        prob = self.prob[z, z_next, member]
+        next_values = self._policy_values(successors, member, x_next, read)
+        env = self.environment(z_next, member, K_next)
         save_next = np.zeros(successors.shape + savings.shape)
         save_next[..., : ns - 1] = np.maximum(next_values[..., 1:ns], 0.0)
         cons_next = env.gross_return[..., None] * savings + env.incomes[..., 1:] - save_next
         return prob, env.gross_return, cons_next, next_values
 
-    def _residuals(self, z, rows, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
+    def _residuals(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
         """The Euler residuals, given the rows' cash on hand and the prepared policy read."""
         mu_today = self.utility.marginal_utility(cash - savings)
-        prob, gross_next, cons_next, _ = self._tomorrow(z, rows, savings, read)
+        prob, gross_next, cons_next, _ = self._tomorrow(z, member, savings, read)
         mu_next = self.utility.marginal_utility(cons_next)
         expected = ((prob * gross_next)[..., None] * mu_next).sum(axis=0)
-        return mu_today - self.beta[self._sel(rows)][..., None] * expected
+        return mu_today - self.beta[member][..., None] * expected
 
-    def _values(self, z, rows, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
+    def _values(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
         """The Bellman update, given the rows' cash on hand and the prepared policy read."""
         ns = self.num_savers
         utility_today = self.utility.utility(cash - savings)
-        prob, _, cons_next, next_values = self._tomorrow(z, rows, savings, read)
+        prob, _, cons_next, next_values = self._tomorrow(z, member, savings, read)
         value_next = np.empty_like(cons_next)
         value_next[..., : ns - 1] = next_values[..., ns + 1 : 2 * ns]
         # tomorrow's terminal generation consumes everything
         value_next[..., ns - 1] = self.utility.utility(cons_next[..., ns - 1])
         continuation = (prob[..., None] * value_next).sum(axis=0)
-        return utility_today + self.beta[self._sel(rows)][..., None] * continuation
+        return utility_today + self.beta[member][..., None] * continuation
 
     def euler_residuals(
-        self, z, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
+        self, z, member, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
     ) -> np.ndarray:
         """``u'(c_a) - beta E[R' u'(c'_{a+1})]`` of every saving age, ``(..., A-1)``."""
-        cash = self.resources(z, rows, X)
-        return self._residuals(z, rows, cash, savings, PolicyRead(policies))
+        cash = self.resources(z, member, X)
+        return self._residuals(z, member, cash, savings, PolicyRead(policies))
 
     def value_functions(
-        self, z, rows, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
+        self, z, member, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
     ) -> np.ndarray:
         """Bellman update of the value functions of all saving ages, ``(..., A-1)``."""
-        return self._values(z, rows, self.resources(z, rows, X), savings, PolicyRead(policies))
+        return self._values(z, member, self.resources(z, member, X), savings, PolicyRead(policies))
 
     # ------------------------------------------------------------------ #
     # the point solve
     # ------------------------------------------------------------------ #
-    def savings_guess(self, z, rows, X: np.ndarray, guesses: np.ndarray | None) -> np.ndarray:
+    def savings_guess(self, z, member, X: np.ndarray, guesses: np.ndarray | None) -> np.ndarray:
         """Warm-start savings where usable, a fixed share of cash on hand elsewhere.
 
         A row of ``guesses`` (policy values, savings first) is usable when
         its savings are finite with at least one positive entry.
         """
-        out = np.maximum(0.4 * self.resources(z, rows, X), 1e-6)
+        out = np.maximum(0.4 * self.resources(z, member, X), 1e-6)
         if guesses is not None:
             sav = np.atleast_2d(np.asarray(guesses, dtype=float))[:, : self.num_savers]
             valid = np.all(np.isfinite(sav), axis=1) & np.any(sav > 0, axis=1)
@@ -299,13 +310,13 @@ class EulerSystem:
         return out
 
     def solve(
-        self, z, X: np.ndarray, policies: list[PolicySet], guesses: np.ndarray | None
+        self, z, member, X: np.ndarray, policies: list[PolicySet], guesses: np.ndarray | None
     ) -> np.ndarray:
         """Solve the Euler system at every row: ``(m, 2 (A-1))`` savings then values.
 
         One :class:`~repro.olg.solver.BatchNewtonSolver` run over all rows
-        — with ``z`` an array, over the rows of every shock state at once —
-        so each residual evaluation interpolates next period's policies at
+        — with ``z`` and ``member`` arrays, over the rows of every shock state
+        of every model at once — so each residual evaluation interpolates next period's policies at
         every candidate of every active row in one basis pass, which serves
         all successor states.  The run's first call carries the start
         residual and the first Jacobian together, so a run of ``k >= 1``
@@ -319,32 +330,32 @@ class EulerSystem:
         constraint binds at some nodes, those rows are pinned, and time
         iteration goes on regardless.
 
-        What happened is added, member by member, to :attr:`totals` of the
-        member's own single-model system.
+        What happened is added, model by model, to :attr:`totals` of the
+        model's own system.
         """
-        rows = np.arange(X.shape[0])
-        z = np.broadcast_to(z, rows.shape)
+        z, member = np.broadcast_to(z, X.shape[:1]), np.broadcast_to(member, X.shape[:1])
         # what no candidate changes, once per run: today's cash on hand and
         # the interpolation plumbing of the next-iterate policies
-        cash = self.resources(z, rows, X)
+        cash = self.resources(z, member, X)
         read = PolicyRead(policies)
-        guess = self.savings_guess(z, rows, X, guesses)
+        guess = self.savings_guess(z, member, X, guesses)
         log_guess = np.log(np.maximum(guess, np.exp(_LOG_SAVINGS_FLOOR)))
 
         def residual(active: np.ndarray, log_savings: np.ndarray) -> np.ndarray:
-            return self._residuals(z[active], active, cash[active], _savings(log_savings), read)
+            return self._residuals(
+                z[active], member[active], cash[active], _savings(log_savings), read
+            )
 
         result = self.batch_solver.solve(residual, log_guess)
         savings = _savings(result.x)
-        member = self.row_member if self.stacked else np.zeros(rows.size, dtype=int)
         stalled = ~result.converged
         pinned = stalled & _pinned(result.x)
-        for i, view in enumerate(self.views):
-            mine = member == i
-            view.totals["rows"] += int(mine.sum())
-            view.totals["stalled"] += int(stalled[mine].sum())
-            view.totals["pinned"] += int(pinned[mine].sum())
-            view.totals["residual_calls"] += result.residual_evaluations
-            view.totals["newton_runs"] += 1
-        values = self._values(z, rows, cash, savings, read)
+        for i, model in enumerate(self.models):
+            mine, totals = member == i, model.system.totals
+            totals["rows"] += int(mine.sum())
+            totals["stalled"] += int(stalled[mine].sum())
+            totals["pinned"] += int(pinned[mine].sum())
+            totals["residual_calls"] += result.residual_evaluations
+            totals["newton_runs"] += 1
+        values = self._values(z, member, cash, savings, read)
         return np.concatenate([savings, values], axis=1)

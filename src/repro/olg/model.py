@@ -34,10 +34,12 @@ functions of all ``Ns`` shock states (the interpolation bottleneck the
 paper optimises).
 
 The formulas live in :class:`repro.olg.euler.EulerSystem`, which evaluates
-them over any number of rows; the ``_batch`` (many points) methods below
-are shape adapters over this model's system and the scalar (one point)
-methods are their one-row case, so the scalar form, the batch form on one
-row and the stacked group agree bit for bit.
+them over any number of rows; this model is the system's stack of one
+(``model.system``, every row member ``0``), which also serves the period
+environment and the state packing.  The ``_batch`` (many points) methods
+below are shape adapters over it and the scalar (one point) methods are
+their one-row case, so the scalar form, the batch form on one row and the
+stacked group agree bit for bit.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class OLGModel:
         return self._domain
 
     # ------------------------------------------------------------------ #
-    # aggregates, prices, incomes
+    # the approximation box
     # ------------------------------------------------------------------ #
     def _default_domain(self) -> BoxDomain:
         """Per-age bounds around the deterministic steady state's life-cycle profile."""
@@ -128,38 +130,6 @@ class OLGModel:
             self._steady_state = deterministic_steady_state(self.calibration)
         return self._steady_state
 
-    def environment(self, z: int, K: float) -> PeriodEnvironment:
-        """Prices, government budget and incomes in shock state ``z`` at capital ``K``."""
-        return self.system.environment(z, None, K)
-
-    # ------------------------------------------------------------------ #
-    # state packing
-    # ------------------------------------------------------------------ #
-    def unpack_state(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Split a continuous state into aggregate capital and per-age holdings.
-
-        Returns ``(K, holdings)`` where ``holdings`` has length ``A``:
-        newborns hold nothing, the other ages their coordinate of ``x``,
-        and ``K`` is the sum.
-        """
-        x = np.asarray(x, dtype=float).reshape(self.state_dim)
-        return float(x.sum()), self.system.holdings(x)
-
-    def pack_next_state(self, savings: np.ndarray) -> np.ndarray:
-        """Continuous state implied by today's savings decisions.
-
-        ``savings`` has length ``A - 1`` (ages ``0 .. A-2``); tomorrow
-        these agents are ages ``1 .. A-1`` and hold what they saved, so
-        the new state is the savings clipped into the approximation box.
-        """
-        return self.system.next_states(None, np.asarray(savings, dtype=float))[1]
-
-    def consumption_today(
-        self, env: PeriodEnvironment, holdings: np.ndarray, savings: np.ndarray
-    ) -> np.ndarray:
-        """Consumption by age implied by holdings, income and savings choices."""
-        return self.system.consumption(env, holdings, savings)
-
     # ------------------------------------------------------------------ #
     # equilibrium conditions: scalar and batch adapters of the rows form
     # ------------------------------------------------------------------ #
@@ -173,7 +143,7 @@ class OLGModel:
         self, z: int | np.ndarray, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
     ) -> np.ndarray:
         """Euler residuals at every row of ``X``: ``(m, A-1)``."""
-        return self.system.euler_residuals(z, None, _rows(X), _rows(savings), [policy_next])
+        return self.system.euler_residuals(z, 0, _rows(X), _rows(savings), [policy_next])
 
     def value_functions(
         self, z: int, x: np.ndarray, savings: np.ndarray, policy_next: PolicySet
@@ -185,7 +155,7 @@ class OLGModel:
         self, z: int | np.ndarray, X: np.ndarray, savings: np.ndarray, policy_next: PolicySet
     ) -> np.ndarray:
         """Bellman updates at every row of ``X``: ``(m, A-1)``."""
-        return self.system.value_functions(z, None, _rows(X), _rows(savings), [policy_next])
+        return self.system.value_functions(z, 0, _rows(X), _rows(savings), [policy_next])
 
     # ------------------------------------------------------------------ #
     # time-iteration protocol methods
@@ -222,7 +192,7 @@ class OLGModel:
         :meth:`repro.olg.euler.EulerSystem.solve`).  ``guesses`` are
         optional warm-start policy values per row.
         """
-        return self.system.solve(z, _rows(X), [policy_next], guesses)
+        return self.system.solve(z, 0, _rows(X), [policy_next], guesses)
 
     def solver_totals(self) -> dict:
         """Running point-solve totals of this model (:attr:`EulerSystem.totals`)."""
@@ -233,7 +203,7 @@ class OLGModel:
         """Cross-scenario stacked point solver for topology-sharing models.
 
         Returns a :class:`repro.olg.stacked.StackedOLGGroup`; raises
-        :class:`repro.olg.stacked.StructuralMismatch` (a ``ValueError``)
+        :class:`repro.olg.euler.StructuralMismatch` (a ``ValueError``)
         when the models differ structurally, in which case callers fall
         back to per-scenario solves.
         """
@@ -253,7 +223,7 @@ class OLGModel:
         # in the last bit on AVX-512 hosts, and time iteration amplifies a
         # one-ulp change of p^0 into different iteration counts, so the
         # starting point keeps the bits every stored solve began from
-        resources = np.array([self.system.resources(z, None, x) for x in _rows(X)])
+        resources = np.array([self.system.resources(z, 0, x) for x in _rows(X)])
         steady_savings = np.maximum(self.steady_state.profile.savings[: self.num_savers], 1e-6)
         savings = 0.5 * steady_savings + 0.5 * np.maximum(0.4 * resources, 1e-6)
         savings = np.minimum(savings, np.maximum(resources - c_min, 1e-6))
@@ -286,9 +256,9 @@ class OLGModel:
             values = np.atleast_2d(policy.evaluate(z, sample))
             savings = np.maximum(values[:, : self.num_savers], 1e-10)
             cons_today = np.maximum(
-                self.system.resources(z, None, sample) - savings, self.utility.c_min
+                self.system.resources(z, 0, sample) - savings, self.utility.c_min
             )
-            residual = self.system.euler_residuals(z, None, sample, savings, [policy])
+            residual = self.system.euler_residuals(z, 0, sample, savings, [policy])
             # beta * E[R' u'(c')] = u'(c) - residual
             rhs = np.maximum(self.utility.marginal_utility(cons_today) - residual, 1e-12)
             implied = rhs ** (-1.0 / self.calibration.gamma)

@@ -76,9 +76,13 @@ def simulate_economy(
         Starting continuous state; defaults to the centre of the box.
     initial_shock
         Starting discrete state.
+    burn_in
+        Number of leading periods simulated and dropped; ``>= 0``.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     gen = default_rng(rng)
     cal = model.calibration
     total = periods + burn_in
@@ -101,13 +105,14 @@ def simulate_economy(
     savings_path = np.empty((total, A - 1))
     pension = np.empty(total)
 
+    system = model.system
     for t in range(total):
         z = int(shock_path[t])
-        K, holdings = model.unpack_state(x)
-        env = model.environment(z, K)
+        K = float(x.sum())
+        env = system.environment(z, 0, K)
         values = np.asarray(policy.evaluate(z, x), dtype=float).reshape(-1)
         savings = np.maximum(values[: model.num_savers], 0.0)
-        cons = model.consumption_today(env, holdings, savings)
+        cons = system.consumption(env, system.holdings(x), savings)
 
         states[t] = x
         capital[t] = K
@@ -118,7 +123,7 @@ def simulate_economy(
         savings_path[t] = savings
         pension[t] = env.budget.pension_benefit
 
-        x = model.pack_next_state(savings)
+        x = system.next_states(0, savings)[1]
 
     keep = slice(burn_in, total)
     return SimulationResult(

@@ -4,25 +4,18 @@ Sweep scenarios that share a grid topology (same generations, shock count,
 grid level) typically differ only in calibration *scalars* — tax rates,
 discount factors, shock processes.  :class:`StackedOLGGroup` exploits that:
 it stacks the members' grid points row-wise into ONE
-:class:`~repro.olg.euler.EulerSystem` with per-row parameters — the shock
-state among them, so a row is (member, shock state, grid point) — and the
-Euler systems of all scenarios in all shock states are solved as a single
-``(n_scenarios * n_states * n_points)``-row batch; every Newton residual
-evaluation is a handful of vectorized array operations plus ONE basis pass
-over the common grid that serves every member and every successor state
-instead of thousands of scalar calls.  The run prepares that read once
-(:class:`repro.core.policy.PolicyRead` over the members' policy sets, a
-:class:`repro.grids.interpolation.StackedRead` with one reordered operand
-per member and successor set), so a call is the pass plus one GEMM per
-member.
+:class:`~repro.olg.euler.EulerSystem` over all members, each row naming its
+member, and the Euler systems of all scenarios in all shock states are
+solved as a single ``(n_scenarios * n_states * n_points)``-row batch; every
+Newton residual evaluation is a handful of vectorized array operations plus
+ONE basis pass over the common grid that serves every member and every
+successor state.
 
-Structural ingredients that change the *shape* of the system — the age
-profile, preferences, technology, fiscal rule, nonlinear-solver settings —
-must agree across members; :class:`StructuralMismatch` is raised otherwise
-and the caller falls back to per-scenario solves.  The group itself only
-checks that, concatenates the members' blocks and splits the result; rows
-the batched Newton cannot converge keep the batch's best iterate, exactly
-as in a per-scenario solve (:meth:`repro.olg.euler.EulerSystem.solve`).
+The group itself only maps stacked rows to members (its counts fixed at
+construction), concatenates the members' blocks and splits the result.
+The system checks that the members agree structurally and raises
+:class:`~repro.olg.euler.StructuralMismatch`, re-exported here, otherwise;
+the caller then falls back to per-scenario solves.
 """
 
 from __future__ import annotations
@@ -30,34 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.policy import PolicySet
-from repro.olg.euler import EulerSystem
+from repro.olg.euler import EulerSystem, StructuralMismatch
 
 __all__ = ["StackedOLGGroup", "StructuralMismatch"]
-
-
-class StructuralMismatch(ValueError):
-    """Members differ in a way that changes the stacked system's structure."""
-
-
-def _structure(model) -> dict:
-    """What must agree across members, by the name the mismatch is reported under."""
-    cal, s = model.calibration, model.solver
-    return {
-        "model classes": type(model),
-        "calibration structure": (
-            cal.num_generations,
-            cal.num_states,
-            cal.retirement_age,
-            cal.efficiency.tobytes(),
-        ),
-        "preferences/technology/fiscal": (model.utility, model.technology, model.fiscal),
-        "nonlinear solver settings": (
-            s.tol,
-            s.max_iterations,
-            s.fd_step,
-            s.max_step,
-        ),
-    }
 
 
 class StackedOLGGroup:
@@ -66,10 +34,8 @@ class StackedOLGGroup:
     Parameters
     ----------
     models
-        One :class:`~repro.olg.model.OLGModel` per scenario.  All members
-        must agree on every structural ingredient (checked; see
-        :class:`StructuralMismatch`); per-member scalars (discount factor,
-        shock labels, transition probabilities, domain boxes) are stacked.
+        One :class:`~repro.olg.model.OLGModel` per scenario, structurally
+        equal (see :class:`~repro.olg.euler.EulerSystem`).
     counts
         Number of rows contributed by each member: its grid points, once
         per shock state solved in the same call (all equal when the
@@ -81,14 +47,11 @@ class StackedOLGGroup:
             raise ValueError("StackedOLGGroup needs at least one model")
         if len(models) != len(counts):
             raise ValueError("need one point count per model")
-        base = _structure(models[0])
-        for model in models[1:]:
-            for name, theirs in _structure(model).items():
-                if theirs != base[name]:
-                    raise StructuralMismatch(f"{name} differ")
         self.models = list(models)
         self.counts = [int(c) for c in counts]
-        self.system = EulerSystem(self.models, self.counts)
+        self.system = EulerSystem(self.models)
+        #: the member of every stacked row
+        self.member = np.repeat(np.arange(len(self.models)), self.counts)
 
     def euler_residuals_rows(
         self,
@@ -99,7 +62,7 @@ class StackedOLGGroup:
         policies: list[PolicySet],
     ) -> np.ndarray:
         """Euler residuals for an arbitrary (sorted) subset of stacked rows."""
-        return self.system.euler_residuals(z, rows, X, savings, policies)
+        return self.system.euler_residuals(z, self.member[rows], X, savings, policies)
 
     def value_functions_rows(
         self,
@@ -110,7 +73,7 @@ class StackedOLGGroup:
         policies: list[PolicySet],
     ) -> np.ndarray:
         """Bellman value updates for a (sorted) subset of stacked rows."""
-        return self.system.value_functions(z, rows, X, savings, policies)
+        return self.system.value_functions(z, self.member[rows], X, savings, policies)
 
     def solve_points(
         self,
@@ -144,5 +107,5 @@ class StackedOLGGroup:
                 for g, c in zip(guesses, self.counts)
             ]
         )
-        out = self.system.solve(z, np.concatenate(blocks), policies, guess_rows)
+        out = self.system.solve(z, self.member, np.concatenate(blocks), policies, guess_rows)
         return np.split(out, np.cumsum(self.counts)[:-1])

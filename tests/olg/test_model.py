@@ -10,7 +10,8 @@ from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver, 
 from repro.grids.adaptive import refine
 from repro.grids.hierarchize import hierarchize
 from repro.olg.calibration import small_calibration
-from repro.olg.euler import _LOG_SAVINGS_FLOOR, _pinned, _savings
+from repro.olg import stacked
+from repro.olg.euler import _LOG_SAVINGS_FLOOR, EulerSystem, StructuralMismatch, _pinned, _savings
 from repro.olg.model import OLGModel
 from repro.olg.solver import NewtonSolver
 from repro.parallel.tracing import SOLVER_TOTALS
@@ -51,31 +52,32 @@ class TestDimensions:
 class TestStatePacking:
     def test_unpack_is_the_holdings_of_every_age_but_the_newborn(self, model):
         x = np.array([0.2, 0.3, 0.1, 0.4])
-        _, holdings = model.unpack_state(x)
+        holdings = model.system.holdings(x)
         assert holdings[0] == 0.0                       # newborns own nothing
         assert np.array_equal(holdings[1:], x)
 
     def test_unpack_capital_is_the_sum_of_the_state(self, model):
         x = np.array([0.2, 0.3, 0.1, 0.0])              # an oldest age without assets is a state
-        K, holdings = model.unpack_state(x)
-        assert K == x.sum() == holdings.sum()
+        K, holdings = x.sum(), model.system.holdings(x)  # the capital prices see
+        assert K == holdings.sum()
 
     def test_pack_next_state_is_the_clipped_savings(self, model):
         savings = np.array([0.1, 0.2, 0.3, 0.15])
-        x_next = model.pack_next_state(savings)
+        K_next, x_next = model.system.next_states(0, savings)
+        assert K_next == savings.sum()
         assert np.array_equal(x_next, np.clip(savings, model.domain.lower, model.domain.upper))
         inside = 0.5 * (model.domain.lower + model.domain.upper)
-        assert np.array_equal(model.pack_next_state(inside), inside)
+        assert np.array_equal(model.system.next_states(0, inside)[1], inside)
 
     def test_pack_clips_to_domain(self, model):
         savings = np.full(model.num_savers, 1e6)
-        x_next = model.pack_next_state(savings)
+        _, x_next = model.system.next_states(0, savings)
         assert np.all(x_next <= model.domain.upper + 1e-12)
 
 
 class TestEnvironment:
     def test_incomes_by_age(self, model):
-        env = model.environment(0, K=1.0)
+        env = model.system.environment(0, 0, 1.0)
         cal = model.calibration
         # workers earn after-tax wages, retirees the pension (+ transfer)
         tau_l = cal.shocks.label("tau_labor")[0]
@@ -90,15 +92,15 @@ class TestEnvironment:
             )
 
     def test_gross_return_definition(self, model):
-        env = model.environment(1, K=1.0)
+        env = model.system.environment(1, 0, 1.0)
         tau_c = model.calibration.shocks.label("tau_capital")[1]
         assert env.gross_return == pytest.approx(
             1.0 + (1.0 - tau_c) * env.prices.return_net
         )
 
     def test_productivity_states_differ(self, model):
-        low = model.environment(0, K=1.0)
-        high = model.environment(1, K=1.0)
+        low = model.system.environment(0, 0, 1.0)
+        high = model.system.environment(1, 0, 1.0)
         assert high.prices.wage > low.prices.wage
 
 
@@ -114,10 +116,10 @@ class TestConsumption:
         cal = model.calibration
         ss = model.steady_state
         x = np.maximum(ss.profile.holdings[1:], 0.0)
-        K_state, holdings = model.unpack_state(x)
-        env = model.environment(z, K_state)
+        K_state, holdings = x.sum(), model.system.holdings(x)
+        env = model.system.environment(z, 0, K_state)
         savings = np.maximum(ss.profile.savings[: model.num_savers], 0.0)
-        consumption = model.consumption_today(env, holdings, savings)
+        consumption = model.system.consumption(env, holdings, savings)
         delta = cal.shocks.label("depreciation")[z]
         lhs = consumption.sum() + savings.sum()
         rhs = env.prices.output + (1.0 - delta) * K_state
@@ -126,10 +128,10 @@ class TestConsumption:
 
     def test_oldest_consumes_everything(self, model):
         x = 0.5 * (model.domain.lower + model.domain.upper)
-        K, holdings = model.unpack_state(x)
-        env = model.environment(0, K)
+        holdings = model.system.holdings(x)
+        env = model.system.environment(0, 0, x.sum())
         savings = np.full(model.num_savers, 0.05)
-        consumption = model.consumption_today(env, holdings, savings)
+        consumption = model.system.consumption(env, holdings, savings)
         assert consumption[-1] == pytest.approx(
             env.gross_return * holdings[-1] + env.incomes[-1]
         )
@@ -415,10 +417,11 @@ class TestSharedBasisRead:
         X = model.domain.sample(5, rng=1)
         savings = np.full((5, model.num_savers), 0.1)
         if stacked:
-            system = OLGModel.stacked_group([model, model], [5, 5]).system
-            args = (np.arange(10), np.tile(X, (2, 1)), np.tile(savings, (2, 1)))
+            group = OLGModel.stacked_group([model, model], [5, 5])
+            system = group.system
+            args = (group.member, np.tile(X, (2, 1)), np.tile(savings, (2, 1)))
         else:
-            system, args = model.system, (None, X, savings)
+            system, args = model.system, (0, X, savings)
         passes = []
         real = kernels.basis_matrix
         monkeypatch.setattr(kernels, "basis_matrix", lambda *a: passes.append(1) or real(*a))
@@ -445,11 +448,8 @@ class TestSharedBasisRead:
         nodes = model.domain.from_unit(policy[0].grid.points)
         X = np.tile(nodes, (2 * members, 1))
         z = np.tile(np.repeat([0, 1], len(nodes)), members)
-        system = (
-            OLGModel.stacked_group([model] * members, [2 * len(nodes)] * members).system
-            if stacked
-            else model.system
-        )
+        group = OLGModel.stacked_group([model] * members, [2 * len(nodes)] * members)
+        system, member = (group.system, group.member) if stacked else (model.system, 0)
         passes, reorders, runs = [], [], []
         basis, reorder, newton = (
             kernels.basis_matrix,
@@ -463,8 +463,46 @@ class TestSharedBasisRead:
         monkeypatch.setattr(
             system.batch_solver, "solve", lambda *a: runs.append(newton(*a)) or runs[-1]
         )
-        system.solve(z, X, [policy] * members, None)
+        system.solve(z, member, X, [policy] * members, None)
         (run,) = runs
         assert run.residual_evaluations > 1
         assert len(passes) == run.residual_evaluations + 1
         assert len(reorders) == members
+
+
+class TestMembers:
+    """Each row names its model, so one model is a stack of one."""
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"calibration": small_calibration(num_generations=4, num_states=2, gamma=3.0)},
+            {"solver": NewtonSolver(tol=1e-9)},
+        ],
+        ids=["preferences", "solver-settings"],
+    )
+    def test_structurally_different_models_share_no_system(self, other):
+        a = OLGModel(small_calibration(num_generations=4, num_states=2))
+        b = OLGModel(**{"calibration": a.calibration, **other})
+        with pytest.raises(StructuralMismatch):
+            EulerSystem([a, b])
+        with pytest.raises(StructuralMismatch):
+            OLGModel.stacked_group([a, b], [3, 3])
+        assert stacked.StructuralMismatch is StructuralMismatch
+
+    def test_one_index_and_one_per_row_give_the_same_bits(self):
+        model = OLGModel(small_calibration(num_generations=5, num_states=2, beta=0.8))
+        policy = TimeIterationSolver(model, TimeIterationConfig(grid_level=3)).initial_policy()
+        X = model.domain.from_unit(policy[0].grid.points)
+        m = len(X)
+        group = OLGModel.stacked_group([model], [m])
+        assert np.array_equal(group.member, np.zeros(m, dtype=int))
+        for z in range(model.num_states):
+            nodal = policy[z].nodal_values
+            savings = np.maximum(nodal[:, : model.num_savers], 1e-8)
+            for name in ("euler_residuals", "value_functions"):
+                method = getattr(model.system, name)
+                one = method(z, 0, X, savings, [policy])
+                assert np.array_equal(one, method(z, np.zeros(m, dtype=int), X, savings, [policy]))
+            (in_stack,) = group.solve_points(z, [X], [policy], [nodal])
+            assert np.array_equal(in_stack, model.solve_points_batch(z, X, policy, nodal))

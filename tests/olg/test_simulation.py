@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.olg.simulation import simulate_economy
+from repro.olg.welfare import ergodic_welfare
 
 
 class TestSimulation:
@@ -60,6 +61,15 @@ class TestSimulation:
         model, result = solved_small_olg
         with pytest.raises(ValueError):
             simulate_economy(model, result.policy, periods=0)
+
+    @pytest.mark.parametrize("burn_in", [-3, -5])
+    def test_negative_burn_in_is_rejected(self, solved_small_olg, burn_in):
+        """A negative burn-in would drop the wrong periods and return a path of the wrong length."""
+        model, result = solved_small_olg
+        with pytest.raises(ValueError, match="burn_in"):
+            simulate_economy(model, result.policy, periods=10, burn_in=burn_in)
+        with pytest.raises(ValueError, match="burn_in"):
+            ergodic_welfare(model, result.policy, periods=10, burn_in=burn_in)
 
     def test_shock_variation_moves_output(self, solved_small_olg):
         """With productivity shocks, simulated output varies over time."""

@@ -207,6 +207,36 @@ class TestFallback:
                 out.result.policy[z].interpolant.surplus, seq.policy[z].interpolant.surplus
             )
 
+    def test_a_stack_without_a_group_solver_solves_each_member_alone(self, monkeypatch):
+        # one topology, so the members stack; their preferences differ, so no
+        # Euler system serves both, and each member's rows are solved by its own
+        from repro.olg.euler import StructuralMismatch
+        from repro.olg.model import OLGModel
+
+        refused = []
+        group_of = OLGModel.stacked_group.__func__
+
+        def spy(cls, models, counts):
+            try:
+                return group_of(cls, models, counts)
+            except StructuralMismatch as exc:
+                refused.append(exc)
+                raise
+
+        monkeypatch.setattr(OLGModel, "stacked_group", classmethod(spy))
+        specs = [_solve_spec("gamma-2"), _solve_spec("gamma-3", gamma=3.0)]
+        outcomes = BatchedTimeIterationSolver([_member(s) for s in specs]).solve()
+        assert refused
+        for spec in specs:
+            out = outcomes[spec.name]
+            assert out.fallback_reason is None and out.exception is None
+            solo = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
+            assert out.result.iterations == solo.iterations
+            for z in range(len(solo.policy)):
+                assert np.array_equal(
+                    out.result.policy[z].interpolant.surplus, solo.policy[z].interpolant.surplus
+                )
+
     def test_adaptive_member_falls_back(self):
         spec = _solve_spec("ada", max_iterations=1).with_overrides(
             solver={"adaptive": True, "max_refine_level": 2, "max_points_per_state": 50}

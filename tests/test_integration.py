@@ -54,7 +54,7 @@ class TestSmallEconomySolve:
     def test_higher_productivity_state_has_higher_wage(self, solved_small_olg):
         model, _ = solved_small_olg
         k = float(model.steady_state.capital)
-        wages = [model.environment(z, k).prices.wage for z in range(model.num_states)]
+        wages = [model.system.environment(z, 0, k).prices.wage for z in range(model.num_states)]
         productivities = model.calibration.shocks.label("productivity")
         assert np.argmax(wages) == np.argmax(productivities)
 

@@ -333,9 +333,9 @@ def test_residual_on_repeated_rows_repeats_the_rows(calibration, seed, data):
             for r, c in zip(rows, candidates)
         ]
     )
-    broadcast = model.system.euler_residuals(z, rows, X[rows], candidates, [policy])
-    assert _close(broadcast, expected)
     group = OLGModel.stacked_group([model, model], [m, m])
+    alone = model.system.euler_residuals(z, group.member[rows], X[rows], candidates, [policy])
+    assert _close(alone, expected)
     both_rows = np.concatenate([rows, m + rows])
     stacked = group.euler_residuals_rows(
         z, both_rows, np.tile(X[rows], (2, 1)), np.tile(candidates, (2, 1)), [policy, policy]
@@ -352,8 +352,8 @@ def test_initial_policy_and_errors_match_the_per_row_loop(calibration, seed):
     errors = []
     for z in range(model.num_states):
         # initial_policy_values: cash on hand point by point vs over rows
-        looped = np.array([system.resources(z, None, x) for x in X])
-        assert _close(system.resources(z, None, X), looped)
+        looped = np.array([system.resources(z, 0, x) for x in X])
+        assert _close(system.resources(z, 0, X), looped)
         assert _close(
             model.initial_policy_values(z, X),
             np.array([model.initial_policy_values(z, x)[0] for x in X]),
@@ -361,8 +361,8 @@ def test_initial_policy_and_errors_match_the_per_row_loop(calibration, seed):
         # equilibrium_errors: the scalar loop of the seed implementation
         for x in X:
             savings = np.maximum(np.asarray(policy.evaluate(z, x))[:ns], 1e-10)
-            K, holdings = model.unpack_state(x)
-            consumption = model.consumption_today(model.environment(z, K), holdings, savings)
+            env = system.environment(z, 0, float(x.sum()))
+            consumption = system.consumption(env, system.holdings(x), savings)
             cons = np.maximum(consumption[:ns], model.utility.c_min)
             residual = model.euler_residuals(z, x, savings, policy)
             rhs = np.maximum(model.utility.marginal_utility(cons) - residual, 1e-12)
@@ -389,7 +389,7 @@ def test_every_point_of_the_box_is_an_economy(generations, level, beta, seed):
     assert np.all(domain.lower >= 0.0) and np.all(domain.lower < domain.upper)
     nodes = domain.from_unit(regular_sparse_grid(model.state_dim, level).points)
     for x in np.concatenate([domain.sample(50, rng=seed), nodes]):
-        K, holdings = model.unpack_state(x)
+        K, holdings = x.sum(), model.system.holdings(x)
         assert holdings.shape == (generations,) and np.all(holdings >= 0.0)
         assert abs(holdings.sum() - K) <= 1e-12 * max(K, 1.0)
         assert K > 0.0
@@ -451,7 +451,7 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
     the successor loop, and a row that cannot reach a successor carries
     probability zero there); the fused solve is the per-state solves
     (<= 1e-10) with the same rows stalled and pinned.  Holds for
-    one model (broadcast parameters) and for a stacked pair, at the initial
+    one model (member ``0``) and for a stacked pair, at the initial
     policy or ``passes`` time-iteration steps on; returns the fused masks.
     """
     rng = np.random.default_rng(seed)
@@ -471,30 +471,29 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         policies.append(BatchedTimeIterationSolver._reanchor(fresh, grid))  # one shared grid
     n = len(grid)
     blocks = [model.domain.from_unit(grid.points) for model in models]
-    system = (
-        OLGModel.stacked_group(models, [num_states * n] * members).system
-        if stacked
-        else models[0].system
-    )
-    per_state = (
-        OLGModel.stacked_group(models, [n] * members).system if stacked else models[0].system
-    )
+
+    def system_of(counts):
+        group = OLGModel.stacked_group(models, counts)
+        return (group.system, group.member) if stacked else (models[0].system, 0)
+
+    system, member = system_of([num_states * n] * members)
+    per_state, per_state_member = system_of([n] * members)
     # rows: member-major, then state, then point
     z = np.tile(np.repeat(np.arange(num_states), n), members)
     X = np.concatenate([np.tile(block, (num_states, 1)) for block in blocks])
-    rows = np.arange(X.shape[0])
     # interior candidates: below the consumption floor u' is a line of slope
     # ~1e18, which turns the last bit of an interpolated value into O(100)
-    savings = system.savings_guess(z, rows, X, None) * rng.uniform(0.5, 1.5, size=(len(X), 1))
+    savings = system.savings_guess(z, member, X, None) * rng.uniform(0.5, 1.5, (len(X), 1))
     of_state = [np.flatnonzero(z == s) for s in range(num_states)]
-    small = np.arange(members * n)
 
     # rounding is relative to what is interpolated: p^0's value functions reach ~1e5
     scale = max(np.abs(sp.nodal_values).max() for policy in policies for sp in policy)
     for name in ("euler_residuals", "value_functions"):
-        fused = getattr(system, name)(z, rows, X, savings, policies)
+        fused = getattr(system, name)(z, member, X, savings, policies)
         for s, block in enumerate(of_state):
-            alone = getattr(per_state, name)(s, small, X[block], savings[block], policies)
+            alone = getattr(per_state, name)(
+                s, per_state_member, X[block], savings[block], policies
+            )
             assert np.all(np.abs(fused[block] - alone) <= 1e-13 * (scale + np.abs(alone)))
 
     if thin:
@@ -502,7 +501,7 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         # Newton on a row without a root (a pinned one) does not preserve
         return None
 
-    def solve_and_watch(system, z, X):
+    def solve_and_watch(system, z, member, X):
         """The solve's output and the (stalled, pinned) masks of its Newton run.
 
         Every residual row is evaluated twice: BLAS rounds a lone row (gemv)
@@ -513,14 +512,14 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         newton = system.batch_solver.solve
         residuals = system._residuals
 
-        def twice(z, rows, cash, savings, read):
-            twin = [np.repeat(a, 2, axis=0) for a in (z, rows, cash, savings)]
+        def twice(z, member, cash, savings, read):
+            twin = [np.repeat(a, 2, axis=0) for a in (z, member, cash, savings)]
             return residuals(*twin, read)[::2]
 
         system._residuals = twice
         system.batch_solver.solve = lambda fn, x0: seen.append(newton(fn, x0)) or seen[-1]
         try:
-            out = system.solve(z, X, policies, None)
+            out = system.solve(z, member, X, policies, None)
         finally:
             del system._residuals
             system.batch_solver.solve = newton
@@ -528,9 +527,9 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         stalled = ~result.converged
         return out, np.stack([stalled, stalled & euler._pinned(result.x)])
 
-    fused, fused_masks = solve_and_watch(system, z, X)
+    fused, fused_masks = solve_and_watch(system, z, member, X)
     for s, block in enumerate(of_state):
-        alone, masks = solve_and_watch(per_state, s, X[block])
+        alone, masks = solve_and_watch(per_state, s, per_state_member, X[block])
         assert np.all(np.abs(fused[block] - alone) <= 1e-10 * (1.0 + np.abs(alone)))
         assert np.array_equal(fused_masks[:, block], masks)
     return fused_masks
@@ -580,11 +579,8 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, stack
     n = len(grid)
     z = np.tile(np.repeat(np.arange(num_states), n), members)
     X = np.concatenate([np.tile(m.domain.from_unit(grid.points), (num_states, 1)) for m in models])
-    system = (
-        OLGModel.stacked_group(models, [num_states * n] * members).system
-        if stacked
-        else models[0].system
-    )
+    group = OLGModel.stacked_group(models, [num_states * n] * members)
+    system, member = group.system if stacked else models[0].system, group.member
     calls = []
     newton = BatchNewtonSolver.solve
 
@@ -598,14 +594,14 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, stack
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BatchNewtonSolver, "solve", recording)
-        out = system.solve(z, X, policies, None)
+        out = system.solve(z, member, X, policies, None)
     assert len(calls) > 1
     for rows, candidates, residuals in calls:
         savings = euler._savings(candidates)
-        public = system.euler_residuals(z[rows], rows, X[rows], savings, policies)
+        public = system.euler_residuals(z[rows], member[rows], X[rows], savings, policies)
         assert np.array_equal(residuals, public)
     ns = system.num_savers
-    values = system.value_functions(z, np.arange(len(X)), X, out[:, :ns], policies)
+    values = system.value_functions(z, member, X, out[:, :ns], policies)
     assert np.array_equal(out[:, ns:], values)
 
 
