@@ -34,8 +34,6 @@ pipeline removes that redundancy:
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,20 +47,6 @@ __all__ = [
     "compressed_for",
     "compression_stats",
 ]
-
-
-def _deeply_frozen(arr) -> bool:
-    """Whether an array's values provably cannot change.
-
-    Walks the view chain: every level must be a read-only ndarray.  A
-    read-only view over a writable base can still change through the
-    base, so it does not count.
-    """
-    while arr is not None:
-        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
-            return False
-        arr = arr.base
-    return True
 
 
 @dataclass
@@ -103,14 +87,12 @@ class CompressedGrid:
     def __post_init__(self) -> None:
         self._active_chain: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._hat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._reorder_cache: dict[tuple, tuple] = {}  # ids -> (weakrefs, reordered)
-        self._reorder_lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        # The lock is unpicklable and the memo caches are per-process;
-        # drop them so compressed grids travel through process executors.
+        # The derived caches are rebuilt on demand; drop them so compressed
+        # grids travel light through process executors.
         state = self.__dict__.copy()
-        for transient in ("_active_chain", "_hat", "_reorder_cache", "_reorder_lock"):
+        for transient in ("_active_chain", "_hat"):
             state.pop(transient, None)
         return state
 
@@ -143,59 +125,18 @@ class CompressedGrid:
         return self.num_xps * bytes_per_entry
 
     def reorder(self, surplus: np.ndarray) -> np.ndarray:
-        """Reorder a surplus matrix from grid order into chain order."""
+        """Reorder a surplus matrix from grid order into chain order.
+
+        A fresh copy on every call, never memoized: a caller may change its
+        surplus in place between kernel calls.  A read of the same surpluses
+        many times keeps its own (:class:`~repro.grids.interpolation.StackedRead`).
+        """
         surplus = np.asarray(surplus, dtype=float)
         if surplus.shape[0] != self.num_points:
             raise ValueError(
                 f"surplus has {surplus.shape[0]} rows, grid has {self.num_points} points"
             )
         return surplus[self.order]
-
-    def reorder_cached(self, *surpluses: np.ndarray) -> np.ndarray:
-        """Memoized :meth:`reorder` for repeated kernel calls.
-
-        Several surpluses give the reordered column-wise concatenation of
-        them — the one GEMM operand that serves every interpolant sharing
-        this grid at a common set of query points
-        (:func:`repro.grids.interpolation.evaluate_stacked`).
-
-        Only *deeply frozen* arrays (read-only through the whole view
-        chain) participate in the memo: freezing is the owner's pledge
-        that the values cannot change
-        (:meth:`SparseGridInterpolant.set_surplus` freezes its private
-        copy on attach), and it is what makes identity-keyed caching
-        safe.  Anything else — e.g. a buffer a caller updates in place
-        between direct ``evaluate()`` calls, or a read-only view over a
-        writable base — falls through to a plain :meth:`reorder` every
-        time, preserving recompute-per-call semantics.  The memo holds
-        *weak* references to the key arrays — a hit requires the exact
-        arrays to still be alive, which also makes recycled ids harmless —
-        and evicts dead entries on every insert, so dead surplus matrices
-        of long-lived shared grids are dropped no later than the next
-        cache roll-over.
-        It keeps the most recent few entries (one interpolant per discrete
-        state sharing a compressed grid) and is lock-protected because
-        compressed grids are shared across the threaded executors.
-        """
-        frozen = all(map(_deeply_frozen, surpluses))
-        key = tuple(map(id, surpluses))
-        hit = self._reorder_cache.get(key) if frozen else None
-        if hit is not None and all(ref() is s for ref, s in zip(hit[0], surpluses)):
-            return hit[1]
-        out = self.reorder(surpluses[0] if len(surpluses) == 1 else np.concatenate(surpluses, 1))
-        if not frozen:
-            return out
-        with self._reorder_lock:
-            cache = self._reorder_cache
-            # purge dead entries on *every* insert, not only at capacity:
-            # otherwise a handful of dead keys could pin their full-size
-            # reordered copies on a long-lived grid-attached instance
-            for dead in [k for k, (refs, _) in cache.items() if any(r() is None for r in refs)]:
-                del cache[dead]
-            if len(cache) >= 8:
-                cache.pop(next(iter(cache), None), None)
-            cache[key] = (tuple(map(weakref.ref, surpluses)), out)
-        return out
 
     def active_chain(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-frequency active chain entries, precomputed once.
@@ -293,7 +234,7 @@ def compressed_for(grid: SparseGrid) -> CompressedGrid:
     Every consumer of the same :class:`~repro.grids.grid.SparseGrid` object
     (one interpolant per discrete state, repeated time-iteration steps)
     receives the *same* :class:`CompressedGrid`, so the compression
-    pipeline and the per-frequency/reorder caches are paid once per grid
+    pipeline and its per-frequency and hat caches are paid once per grid
     mutation epoch.  The cache is keyed by ``grid.version`` and therefore
     invalidated by ``add_points``.
     """

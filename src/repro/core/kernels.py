@@ -23,8 +23,13 @@ name        analog in this reproduction
             against the reordered surplus matrix per block.
 ==========  =====================================================================
 
-All kernels take surpluses in *grid order*; the reordering permutation of
-the compressed grid is applied internally, so every kernel returns bitwise
+``x86``, ``avx``, ``avx2`` and ``cuda`` are one blocked loop at 1, 4, 8 and
+128 query rows a block.  The kernels take no tuning arguments: the paper's
+settings are the module constants ``_CUDA_BLOCK``, ``_CUDA_BUFFER_BYTES``,
+``_AVX512_THREADS`` and ``_AVX512_BLOCK``.
+
+All kernels take surpluses in *grid order* and apply the compressed grid's
+reordering permutation on every call, so every kernel returns bitwise
 comparable results (up to floating point associativity).
 """
 
@@ -46,6 +51,11 @@ __all__ = [
     "factor_values",
     "basis_matrix",
 ]
+
+_CUDA_BLOCK = 128  # query rows a block: the paper's CUDA block size
+_CUDA_BUFFER_BYTES = 256_000_000  # cap on a block's (block, num_points) work buffer
+_AVX512_THREADS = 4  # each reduces over its slice of the grid points
+_AVX512_BLOCK = 32  # query rows a block, per thread
 
 
 # --------------------------------------------------------------------------- #
@@ -98,11 +108,11 @@ def _validate(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray):
 def basis_matrix(comp: CompressedGrid, unit_X: np.ndarray) -> np.ndarray:
     """Tensor-product basis values of every (reordered) grid point at ``unit_X``.
 
-    Returns an ``(m, num_points)`` matrix whose row ``q``, dotted with
-    ``comp.reorder_cached(surplus)``, reproduces the ``cuda`` kernel's value
-    at query ``q`` exactly.  Materializing the matrix once lets many surplus
-    sets that share one grid be evaluated with a single basis pass plus one
-    small GEMM each — the stacked-surplus path of the batched solver.
+    Returns an ``(m, num_points)`` matrix; a blocked kernel (``cuda``:
+    ``_CUDA_BLOCK`` rows) is, bit for bit, this matrix of each block times
+    ``comp.reorder(surplus)``.  Materializing the matrix once lets many
+    surplus sets that share one grid be evaluated with a single basis pass
+    plus one small GEMM each — the stacked-surplus path of the batched solver.
     """
     unit_X = np.atleast_2d(np.asarray(unit_X, dtype=float))
     if unit_X.shape[1] != comp.dim:
@@ -128,32 +138,25 @@ def kernel_gold(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> np.
     return out
 
 
-def kernel_x86(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Compressed layout, one query point at a time (``nno x nfreq`` work)."""
-    surplus, X = _validate(comp, surplus, X)
-    surplus_r = comp.reorder_cached(surplus)
-    out = np.empty((X.shape[0], surplus.shape[1]), dtype=float)
-    xpv = factor_values(comp, X)
-    for q in range(X.shape[0]):
-        temp = _chain_products(comp, xpv[q : q + 1])[0]
-        out[q] = temp @ surplus_r
-    return out
-
-
 def _kernel_blocked(
     comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray, block: int
 ) -> np.ndarray:
     """Compressed layout with query points processed ``block`` at a time."""
     surplus, X = _validate(comp, surplus, X)
-    surplus_r = comp.reorder_cached(surplus)
+    surplus_r = comp.reorder(surplus)
     m = X.shape[0]
     out = np.empty((m, surplus.shape[1]), dtype=float)
     xpv = factor_values(comp, X)
     for start in range(0, m, block):
         stop = min(start + block, m)
         temp = _chain_products(comp, xpv[start:stop])
-        out[start:stop] = temp @ surplus_r
+        np.matmul(temp, surplus_r, out=out[start:stop])
     return out
+
+
+def kernel_x86(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Compressed layout, one query point at a time (``nno x nfreq`` work)."""
+    return _kernel_blocked(comp, surplus, X, block=1)
 
 
 def kernel_avx(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -166,13 +169,7 @@ def kernel_avx2(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> np.
     return _kernel_blocked(comp, surplus, X, block=8)
 
 
-def kernel_avx512(
-    comp: CompressedGrid,
-    surplus: np.ndarray,
-    X: np.ndarray,
-    num_threads: int = 4,
-    block: int = 32,
-) -> np.ndarray:
+def kernel_avx512(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Compressed layout with a threaded partial-sum reduction over grid points.
 
     Mirrors the paper's AVX-512 variant, which parallelises *inside* the
@@ -181,11 +178,11 @@ def kernel_avx512(
     element-wise products and GEMMs, so threads genuinely overlap.
     """
     surplus, X = _validate(comp, surplus, X)
-    surplus_r = comp.reorder_cached(surplus)
+    surplus_r = comp.reorder(surplus)
     m = X.shape[0]
     out = np.zeros((m, surplus.shape[1]), dtype=float)
     xpv = factor_values(comp, X)
-    num_threads = max(1, int(num_threads))
+    num_threads, block = _AVX512_THREADS, _AVX512_BLOCK
     bounds = np.linspace(0, comp.num_points, num_threads + 1, dtype=np.int64)
 
     def _partial(chunk_lo: int, chunk_hi: int) -> np.ndarray:
@@ -220,34 +217,16 @@ def kernel_avx512(
     return out
 
 
-def kernel_cuda(
-    comp: CompressedGrid,
-    surplus: np.ndarray,
-    X: np.ndarray,
-    block: int = 128,
-    memory_budget_mb: float = 256.0,
-) -> np.ndarray:
+def kernel_cuda(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Fully batched compressed kernel (CUDA analog).
 
-    Processes query points in blocks of up to ``block`` (the paper uses a
-    CUDA block size of 128), keeping the factor table shared across the
-    block and issuing a single GEMM per block against the reordered surplus
-    matrix.  The block size is shrunk automatically if the ``(block, nno)``
-    work buffer would exceed ``memory_budget_mb``.
+    Query points go ``_CUDA_BLOCK`` at a time, the factor table shared
+    across the block, with a single GEMM per block against the reordered
+    surplus matrix.  The block shrinks so that its ``(block, nno)`` work
+    buffer stays within ``_CUDA_BUFFER_BYTES``.
     """
-    surplus, X = _validate(comp, surplus, X)
-    surplus_r = comp.reorder_cached(surplus)
-    m = X.shape[0]
-    # cap the block so the (block, num_points) buffer stays within budget
-    max_rows = int(memory_budget_mb * 1e6 / (8 * max(comp.num_points, 1)))
-    block = max(1, min(block, max(max_rows, 1)))
-    out = np.empty((m, surplus.shape[1]), dtype=float)
-    xpv = factor_values(comp, X)
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        temp = _chain_products(comp, xpv[start:stop])
-        np.matmul(temp, surplus_r, out=out[start:stop])
-    return out
+    rows = _CUDA_BUFFER_BYTES // (8 * max(comp.num_points, 1))
+    return _kernel_blocked(comp, surplus, X, block=max(1, min(_CUDA_BLOCK, rows)))
 
 
 # --------------------------------------------------------------------------- #
@@ -283,7 +262,6 @@ def evaluate(
     surplus: np.ndarray,
     X: np.ndarray,
     kernel: str = "cuda",
-    **kwargs,
 ) -> np.ndarray:
     """Evaluate the interpolant at ``X`` with the named kernel.
 
@@ -306,5 +284,5 @@ def evaluate(
     func = get_kernel(kernel)
     surplus = np.asarray(surplus, dtype=float)
     scalar = surplus.ndim == 1
-    out = func(comp, surplus[:, None] if scalar else surplus, X, **kwargs)
+    out = func(comp, surplus[:, None] if scalar else surplus, X)
     return out[:, 0] if scalar else out

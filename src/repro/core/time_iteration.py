@@ -113,7 +113,7 @@ class TimeIterationConfig:
     Parameters
     ----------
     grid_level
-        Level of the initial regular sparse grid per state.
+        Level of the initial regular sparse grid per state, ``>= 1``.
     tolerance
         Convergence tolerance on the policy change, ``>= 0``.
     max_iterations
@@ -122,7 +122,7 @@ class TimeIterationConfig:
     adaptive
         Whether to adaptively refine the per-state grids inside each step.
     refine_epsilon
-        Surplus threshold for adaptive refinement.
+        Surplus threshold for adaptive refinement, ``>= 0``.
     max_refine_level
         Cap on the 1-D refinement level (the paper uses ``L_max = 6``).
     max_points_per_state
@@ -158,6 +158,10 @@ class TimeIterationConfig:
             raise ValueError(f"tolerance {self.tolerance!r} is not >= 0")
         if self.max_iterations < 1:  # would commit a solve that never iterated
             raise ValueError(f"max_iterations {self.max_iterations!r} is not >= 1")
+        if self.grid_level < 1:  # the first grid of the solve would fail to build
+            raise ValueError(f"grid_level {self.grid_level!r} is not >= 1")
+        if not self.refine_epsilon >= 0.0:  # < 0 fails after a pass; NaN never refines
+            raise ValueError(f"refine_epsilon {self.refine_epsilon!r} is not >= 0")
 
 
 @dataclass

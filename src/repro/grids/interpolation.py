@@ -28,12 +28,12 @@ steps reusing a cached regular grid) shares a single
 ``grid.version`` and is invalidated by ``grid.add_points``.
 
 :meth:`SparseGridInterpolant.set_surplus` stores a private frozen copy of
-the surpluses as one stable 2-D array that is handed to the kernels
-unchanged on every call, so the compressed grid's reorder memoization
-(:meth:`~repro.core.compression.CompressedGrid.reorder_cached`) hits on
-every evaluation after the first; setting new surpluses (or refitting via
-:meth:`SparseGridInterpolant.fit_values`) naturally rolls the cache over,
-while later changes to the caller's original array have no effect.
+the surpluses, so later changes to the caller's original array have no
+effect.  Nothing below keeps the reordered surpluses between calls: a call
+of the interpolant reorders them afresh.  The one place that keeps them is
+a :class:`StackedRead`, which builds each GEMM operand once for the read
+that uses it (every residual call of one Newton run); the frozen copy is
+what keeps that operand from going stale while the read is in use.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ class StackedRead:
         if operand is None:
             group = self.groups[g]
             chosen = group if picks is None else [group[i] for i in picks]
-            # the frozen 2-D surplus views keep the compressed grid's reorder memo hitting
-            operand = self.comp.reorder_cached(*(i._surplus_2d for i in chosen))
+            # built once per read: the chosen surpluses are frozen on attach
+            operand = self.comp.reorder(np.concatenate([i._surplus_2d for i in chosen], axis=1))
             self._operands[key] = operand
         return operand
 
@@ -201,7 +201,6 @@ class SparseGridInterpolant:
             raise ValueError("domain dimension must match grid dimension")
         self._surplus: np.ndarray | None = None
         self._surplus_2d: np.ndarray | None = None
-        self._compressed = None
         if surplus is not None:
             self.set_surplus(surplus)
 
@@ -243,14 +242,14 @@ class SparseGridInterpolant:
         """Attach pre-computed surpluses.
 
         The interpolant takes a private *copy* of the surpluses and
-        freezes it (``writeable = False``): one stable read-only array is
-        handed to every kernel call, which is what makes the compressed
-        grid's identity-keyed reorder memoization safe; attaching a new
-        array rolls that memo over.  The caller's array is left untouched
-        and later changes to it have no effect — refit or call
-        ``set_surplus`` again to change values.  The compressed
-        representation itself is re-resolved against ``grid.version`` on
-        every evaluation, so no explicit invalidation is needed here.
+        freezes it (``writeable = False``), so the values a
+        :class:`StackedRead` reordered into its GEMM operand cannot change
+        under it.  The caller's array is left untouched and later changes
+        to it have no effect — refit or call ``set_surplus`` again to
+        change values (a read built before that keeps the old ones).  The
+        compressed representation itself is re-resolved against
+        ``grid.version`` on every evaluation, so no explicit invalidation
+        is needed here.
         """
         surplus = np.array(surplus, dtype=float, copy=True)
         if surplus.shape[0] != len(self.grid):
@@ -269,15 +268,6 @@ class SparseGridInterpolant:
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #
-    def _ensure_compressed(self):
-        from repro.core.compression import compressed_for
-
-        # The shared, grid-attached compressed representation; cheap to
-        # re-fetch (a version check) and automatically rebuilt after
-        # grid.add_points.
-        self._compressed = compressed_for(self.grid)
-        return self._compressed
-
     def shares_basis_with(self, other: "SparseGridInterpolant") -> bool:
         """Whether ``other`` sees the basis values this one sees at a query point.
 
@@ -297,6 +287,7 @@ class SparseGridInterpolant:
         the result has shape ``(m, num_dofs)`` (or ``(m,)`` for scalar
         interpolants; a single point yields the corresponding 0-/1-D shape).
         """
+        from repro.core.compression import compressed_for
         from repro.core.kernels import evaluate
 
         X = np.asarray(X, dtype=float)
@@ -305,8 +296,7 @@ class SparseGridInterpolant:
         if X2.shape[1] != self.grid.dim:
             raise ValueError(f"query points must have {self.grid.dim} columns")
         scalar = self.surplus.ndim == 1
-        # the stable frozen 2-D surplus keeps the reorder memoization hitting
-        out = evaluate(self._ensure_compressed(), self._surplus_2d, self.domain.to_unit(X2))
+        out = evaluate(compressed_for(self.grid), self._surplus_2d, self.domain.to_unit(X2))
         if scalar:
             out = out[:, 0]
         return out[0] if single else out

@@ -101,7 +101,7 @@ class TestCompressedGridCache:
         b = SparseGridInterpolant(grid, surplus=hierarchize(grid, 2.0 * values))
         X = np.random.default_rng(0).random((20, 2))
         a(X), b(X)
-        assert a._compressed is b._compressed
+        assert compressed_for(a.grid) is compressed_for(b.grid)
 
     def test_set_surplus_after_grid_growth(self):
         """Growing the grid, then refitting, must rebuild the compression."""
@@ -118,34 +118,22 @@ class TestCompressedGridCache:
             interp(X), evaluate_dense(grid, interp.surplus, X), atol=1e-12
         )
 
-    def test_reorder_cached_matches_reorder(self):
+    def test_reorder_matches_the_permutation(self):
         grid = regular_sparse_grid(3, 3)
         comp = compress_grid(grid)
         surplus = np.random.default_rng(2).standard_normal((len(grid), 4))
-        np.testing.assert_array_equal(comp.reorder_cached(surplus), comp.reorder(surplus))
-        # writable arrays are never memoized: the caller may mutate them
+        np.testing.assert_array_equal(comp.reorder(surplus), surplus[comp.order])
+        # writable arrays are reordered afresh: the caller may mutate them
         surplus[0, 0] += 1.0
-        np.testing.assert_array_equal(comp.reorder_cached(surplus), comp.reorder(surplus))
-        assert comp.reorder_cached(surplus) is not comp.reorder_cached(surplus)
-        # frozen arrays opt in to the identity-keyed memo
+        np.testing.assert_array_equal(comp.reorder(surplus), surplus[comp.order])
+        assert comp.reorder(surplus) is not comp.reorder(surplus)
         surplus.flags.writeable = False
-        assert comp.reorder_cached(surplus) is comp.reorder_cached(surplus)
-
-    def test_reorder_cache_drops_dead_entries_on_insert(self):
-        grid = regular_sparse_grid(3, 3)
-        comp = compress_grid(grid)
-        rng = np.random.default_rng(5)
-        dead = rng.standard_normal((len(grid), 2))
-        dead.flags.writeable = False
-        comp.reorder_cached(dead)
-        assert len(comp._reorder_cache) == 1
-        del dead  # key array dies; the next insert must purge the entry
-        live = rng.standard_normal((len(grid), 2))
-        live.flags.writeable = False
-        comp.reorder_cached(live)
-        assert len(comp._reorder_cache) == 1
-        ((ref,), _out), = comp._reorder_cache.values()  # one weak reference per key array
-        assert ref() is live
+        np.testing.assert_array_equal(comp.reorder(surplus), surplus[comp.order])
+        # the side-by-side operand of several surpluses is their concatenation reordered
+        other = np.random.default_rng(3).standard_normal((len(grid), 2))
+        both = comp.reorder(np.concatenate([surplus, other], axis=1))
+        np.testing.assert_array_equal(both[:, :4], comp.reorder(surplus))
+        np.testing.assert_array_equal(both[:, 4:], comp.reorder(other))
 
     def test_interpolant_owns_frozen_surplus_copy(self):
         grid = regular_sparse_grid(2, 3)
@@ -159,16 +147,20 @@ class TestCompressedGridCache:
         with pytest.raises(ValueError):
             interp.surplus[0] = 1.0
 
-    def test_frozen_view_over_writable_base_is_not_memoized(self):
+    @pytest.mark.parametrize("kernel", ["x86", "avx", "avx2", "avx512", "cuda"])
+    def test_frozen_view_over_writable_base_is_not_memoized(self, kernel):
         grid = regular_sparse_grid(2, 3)
         comp = compress_grid(grid)
         base = np.ones((len(grid), 2))
         view = base.view()
         view.flags.writeable = False  # frozen view, but base can still change
-        first = comp.reorder_cached(view)
+        X = np.random.default_rng(6).random((5, 2))
+        first = evaluate(comp, view, X, kernel=kernel)
         base[:] = 2.0
-        np.testing.assert_array_equal(comp.reorder_cached(view), comp.reorder(base))
-        assert not np.array_equal(first, comp.reorder_cached(view))
+        np.testing.assert_array_equal(
+            evaluate(comp, view, X, kernel=kernel), evaluate(comp, base, X, kernel=kernel)
+        )
+        assert not np.array_equal(first, evaluate(comp, view, X, kernel=kernel))
 
     def test_compressed_grid_pickles_after_use(self):
         import pickle

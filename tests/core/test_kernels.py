@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.compression import compress_grid
 from repro.core.kernels import (
+    basis_matrix,
     evaluate,
     factor_values,
     get_kernel,
     kernel_avx512,
     kernel_cuda,
+    kernel_x86,
     list_kernels,
 )
 from repro.grids.hierarchize import evaluate_dense, hierarchize
@@ -120,20 +123,42 @@ class TestFactorValues:
 
 
 class TestKernelOptions:
-    def test_avx512_thread_counts_agree(self, setup):
+    def test_avx512_thread_counts_agree(self, setup, monkeypatch):
         _, comp, surplus, queries, _ = setup
-        one = kernel_avx512(comp, surplus, queries, num_threads=1)
-        four = kernel_avx512(comp, surplus, queries, num_threads=4)
+        monkeypatch.setattr(kernels, "_AVX512_THREADS", 1)
+        one = kernel_avx512(comp, surplus, queries)
+        monkeypatch.setattr(kernels, "_AVX512_THREADS", 4)
+        monkeypatch.setattr(kernels, "_AVX512_BLOCK", 5)
+        four = kernel_avx512(comp, surplus, queries)
         np.testing.assert_allclose(one, four, atol=1e-12)
 
-    def test_cuda_block_sizes_agree(self, setup):
+    def test_cuda_block_sizes_agree(self, setup, monkeypatch):
         _, comp, surplus, queries, _ = setup
-        small = kernel_cuda(comp, surplus, queries, block=2)
-        large = kernel_cuda(comp, surplus, queries, block=512)
+        monkeypatch.setattr(kernels, "_CUDA_BLOCK", 2)
+        small = kernel_cuda(comp, surplus, queries)
+        monkeypatch.setattr(kernels, "_CUDA_BLOCK", 512)
+        large = kernel_cuda(comp, surplus, queries)
         np.testing.assert_allclose(small, large, atol=1e-12)
 
-    def test_cuda_memory_budget_shrinks_block(self, setup):
+    def test_cuda_memory_budget_shrinks_block(self, setup, monkeypatch):
         _, comp, surplus, queries, _ = setup
-        tiny = kernel_cuda(comp, surplus, queries, memory_budget_mb=0.01)
         normal = kernel_cuda(comp, surplus, queries)
+        monkeypatch.setattr(kernels, "_CUDA_BUFFER_BYTES", 10_000)
+        tiny = kernel_cuda(comp, surplus, queries)
         np.testing.assert_allclose(tiny, normal, atol=1e-12)
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("kernel, block", [(kernel_cuda, 128), (kernel_x86, 1)])
+    def test_kernel_is_bitwise_its_blocks(self, setup, kernel, block):
+        """The basis matrix of each block times the reordered surplus, bit for bit.
+
+        The solve bits depend on ``cuda``'s blocking.  2 * 128 + 1 queries leave
+        a lone row, which BLAS reads with gemv and rounds differently from a GEMM
+        row, so one GEMM over all rows fails this.
+        """
+        _, comp, surplus, _, _ = setup
+        X = np.random.default_rng(11).random((257, comp.dim))
+        operand = comp.reorder(surplus)
+        blocks = [basis_matrix(comp, X[i : i + block]) @ operand for i in range(0, len(X), block)]
+        assert np.array_equal(kernel(comp, surplus, X), np.concatenate(blocks))

@@ -154,14 +154,18 @@ class TestEvaluateStacked:
 
         grid = regular_sparse_grid(2, 3)
         group = self._interpolants(grid, 2)
+        read = StackedRead([group])
+        first = read._operand(0, None)
+        assert read._operand(0, None) is first
+        assert read._operand(0, (1,)) is read._operand(0, (1,))
         X = np.random.default_rng(1).random((4, 2))
-        evaluate_stacked([group], [X])
+        read([X])
+        read([X], picks=(1,))
+        assert read._operand(0, None) is first  # a call reuses the built operand
         comp = compressed_for(grid)
         surpluses = [interp._surplus_2d for interp in group]
-        assert comp.reorder_cached(*surpluses) is comp.reorder_cached(*surpluses)
-        np.testing.assert_array_equal(
-            comp.reorder_cached(*surpluses), comp.reorder(np.concatenate(surpluses, axis=1))
-        )
+        np.testing.assert_array_equal(first, comp.reorder(np.concatenate(surpluses, axis=1)))
+        np.testing.assert_array_equal(read._operand(0, (1,)), comp.reorder(surpluses[1]))
 
     def test_foreign_grid_or_box_in_a_group_raises(self):
         grid = regular_sparse_grid(2, 3)

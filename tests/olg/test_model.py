@@ -453,12 +453,12 @@ class TestSharedBasisRead:
         passes, reorders, runs = [], [], []
         basis, reorder, newton = (
             kernels.basis_matrix,
-            CompressedGrid.reorder_cached,
+            CompressedGrid.reorder,
             system.batch_solver.solve,
         )
         monkeypatch.setattr(kernels, "basis_matrix", lambda *a: passes.append(1) or basis(*a))
         monkeypatch.setattr(
-            CompressedGrid, "reorder_cached", lambda *a: reorders.append(1) or reorder(*a)
+            CompressedGrid, "reorder", lambda *a: reorders.append(1) or reorder(*a)
         )
         monkeypatch.setattr(
             system.batch_solver, "solve", lambda *a: runs.append(newton(*a)) or runs[-1]
