@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables/figures (see
-DESIGN.md's per-experiment index).  The default configurations are sized so
-the whole suite runs in a few minutes on a laptop; set the environment
+Every benchmark regenerates one of the paper's tables/figures (see the
+README's Layout: ``src/repro/experiments``).  The default configurations
+are sized so the whole suite runs in a few minutes on a laptop; set the environment
 variable ``REPRO_FULL_BENCH=1`` to run the paper-scale configurations
 (59-dimensional level-4 "300k" grid, 1,000 query points), which takes
 substantially longer.

@@ -4,10 +4,11 @@
 Reproduces the two hardware-oriented experiments of the paper's evaluation:
 
 * **Fig. 7** — one time step of the OLG model on a single node.  The host
-  variants are actually measured (serial vs. the work-stealing scheduler);
-  the Piz Daint / Grand Tave numbers come from the calibrated hardware
-  models and carry the paper's anchors (~25x for a CPU+GPU node, ~96x for a
-  KNL node over its own thread, Piz Daint ~2x Grand Tave).
+  variants are actually measured (the step's one vectorized point solve
+  vs. the same rows in contiguous blocks on ``--threads`` threads); the
+  Piz Daint / Grand Tave numbers come from the calibrated hardware models
+  and carry the paper's anchors (~25x for a CPU+GPU node, ~96x for a KNL
+  node over its own thread, Piz Daint ~2x Grand Tave).
 * **Fig. 8** — strong scaling of one time step of the 59-dimensional,
   16-state, level-4 workload from 1 to 4,096 nodes, using the
   workload-distribution model calibrated to the paper's single-node runtime

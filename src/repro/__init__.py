@@ -20,8 +20,8 @@ The package provides four layers:
 
 ``repro.parallel``
     The heterogeneous-cluster substrate: map-style executors, proportional
-    workload partitioning across discrete states, a TBB-like work-stealing
-    scheduler and hardware cost models of the Piz Daint and Grand Tave
+    workload partitioning across discrete states, a simulation of TBB-like
+    work stealing and hardware cost models of the Piz Daint and Grand Tave
     nodes, a CPU + GPU node among them.
 
 ``repro.experiments``
@@ -52,7 +52,7 @@ from repro.core import (
 )
 from repro.olg import OLGModel, OLGCalibration, small_calibration, paper_calibration
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 __all__ = [
     "SparseGrid",

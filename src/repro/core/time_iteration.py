@@ -16,9 +16,8 @@ member adds one point solve per refinement round, and one hierarchization
 per shock state fits the result.  A solo step
 (:meth:`TimeIterationSolver.step`) is that pass on a list of one; a stack
 of :mod:`repro.core.batched` is the same pass on several members and a
-group solver.  Dispatching points one by one (the work-stealing thread
-scheduler, a simulated cluster) is an argument of :func:`solve_points`,
-which Fig. 7 times directly.
+group solver.  Fig. 7 times that point solve over the rows of a first
+step (:func:`repro.experiments.fig7.step_rows`).
 The iteration loop itself — start or resume, convergence, checkpoints,
 events — exists once, in :mod:`repro.core.batched`, over a group of
 members; :meth:`TimeIterationSolver.solve` runs it on a group of one.
@@ -57,7 +56,6 @@ __all__ = [
     "IterationRecord",
     "TimeIterationResult",
     "TimeIterationSolver",
-    "solve_points",
     "update",
 ]
 
@@ -84,20 +82,18 @@ class TimeIterationModel(Protocol):
     def initial_policy_values(self, z: int, X: np.ndarray) -> np.ndarray:
         """Initial-guess nodal policy values at points ``X`` for state ``z``."""
 
-    def solve_point(
-        self, z: int, x: np.ndarray, policy_next: PolicySet, guess: np.ndarray | None = None
+    def solve_points_batch(
+        self, z, X: np.ndarray, policy_next: PolicySet, guesses: np.ndarray | None = None
     ) -> np.ndarray:
-        """Solve the equilibrium conditions at one point, returning the policy values."""
+        """Solve the equilibrium conditions at every row of ``X``: ``z`` is one state for all
+        rows or an int array with one state per row.  Called once per pass for the rows of
+        all shock states, and once per refinement round."""
 
     def equilibrium_errors(
         self, policy: PolicySet, sample: np.ndarray, rng=None
     ) -> dict:
         """Residual-based accuracy metrics of a candidate policy (optional)."""
 
-    # Optional: ``solve_points_batch(z, X, policy_next, guesses=None)`` solving
-    # every row of ``X`` in one call, ``z`` being one state for all rows or an
-    # int array with one state per row; used instead of ``solve_point``, once
-    # per pass for the rows of all shock states (and once per refinement round).
     # Optional: ``solver_totals()`` returning the model's running point-solve
     # counts by name; a solve reports their growth on ``solve-finished``.
 
@@ -213,46 +209,13 @@ class TimeIterationResult:
         return np.cumsum([r.wall_time for r in self.records])
 
 
-def solve_points(
-    model: TimeIterationModel,
-    z,
-    X: np.ndarray,
-    policy_next: PolicySet,
-    guesses: np.ndarray | None,
-    executor=None,
-) -> np.ndarray:
-    """Solve the equilibrium system at each row of ``X``, in state ``z`` or states ``z[row]``.
-
-    Without an executor the whole block goes to the model's
-    ``solve_points_batch`` when it has one.  Otherwise the rows are solved
-    one ``solve_point`` at a time, through ``executor.map`` when given
-    (results may come back in any order).
-    """
-    if executor is None and hasattr(model, "solve_points_batch"):
-        return np.atleast_2d(
-            np.asarray(model.solve_points_batch(z, X, policy_next, guesses), dtype=float)
-        )
-    states = np.broadcast_to(z, X.shape[:1])
-
-    def solve_row(row: int):
-        guess = None if guesses is None else guesses[row]
-        values = model.solve_point(int(states[row]), X[row], policy_next, guess)
-        return row, np.asarray(values, dtype=float)
-
-    mapper = executor.map if executor is not None else map
-    out = np.empty((X.shape[0], model.num_policies), dtype=float)
-    for row, values in mapper(solve_row, range(X.shape[0])):
-        out[row] = values
-    return out
-
-
 def update(members, group=None, clock: WallClock | None = None) -> list[PolicySet]:
     """One pass of Algorithm 1 over ``members``, a list of ``(solver, policy_next)`` pairs.
 
     Every grid point of every shock state of every member is a row of ONE
     point solve — ``group.solve_points`` when the caller holds a stacked
-    group solver for exactly these members, :func:`solve_points` per member
-    otherwise.  An adaptive member then pays one more point solve per
+    group solver for exactly these members, the model's ``solve_points_batch``
+    per member otherwise.  An adaptive member then pays one more point solve per
     refinement round, over the new points of all its states.  Damping and
     one hierarchization per shock state, all members' columns side by side,
     finish the pass.  The members of one call sit on the same grid objects:
@@ -275,7 +238,7 @@ def update(members, group=None, clock: WallClock | None = None) -> list[PolicySe
             blocks = group.solve_points(np.concatenate(states), rows, policies_next, guesses)
         else:
             blocks = [
-                solve_points(solver.model, z, X, policy_next, guess)
+                solver.model.solve_points_batch(z, X, policy_next, guess)
                 for (solver, policy_next), z, X, guess in zip(members, states, rows, guesses)
             ]
         values = [
@@ -307,7 +270,7 @@ def _refine(solver, policy_next: PolicySet, grids: list, values: list, clock: Wa
 
     A round hierarchizes and refines every state still open (below the
     point cap, grown by the previous round), then solves the new points of
-    all of them in ONE :func:`solve_points` call.  Each coefficient's surplus
+    all of them in ONE ``solve_points_batch`` call.  Each coefficient's surplus
     is taken relative to the magnitude of that coefficient's nodal values,
     so the large value functions do not drown out the savings (the paper's
     ``g(alpha) >= epsilon`` criterion, per approximated function).
@@ -333,7 +296,8 @@ def _refine(solver, policy_next: PolicySet, grids: list, values: list, clock: Wa
         with clock.section("solve"):
             sizes = [len(added) for added in new_rows.values()]
             X_new = np.concatenate([grids[z][1][added] for z, added in new_rows.items()])
-            solved = solve_points(model, np.repeat(open_states, sizes), X_new, policy_next, None)
+            z_new = np.repeat(open_states, sizes)
+            solved = np.asarray(model.solve_points_batch(z_new, X_new, policy_next), dtype=float)
         for z, block in zip(new_rows, np.split(solved, np.cumsum(sizes)[:-1])):
             values[z] = np.concatenate([values[z], block])  # refine appends its rows
 

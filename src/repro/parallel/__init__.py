@@ -4,11 +4,11 @@ The paper runs on Cray XC40/XC50 systems with MPI across nodes, TBB inside
 a node and CUDA offload to P100 GPUs.  None of that hardware is available
 to a pure-Python reproduction, so this subpackage provides
 
-* **real shared-memory parallelism** — a TBB-like work-stealing scheduler
-  (:mod:`repro.parallel.scheduler`) and map-style executors
-  (:mod:`repro.parallel.executor`) that actually execute grid-point solves
-  on threads/processes of the host machine, and
-* **simulated distributed execution** — hardware cost models of the Piz
+* **real shared-memory parallelism** — map-style executors
+  (:mod:`repro.parallel.executor`) that host suite drains and Fig. 7's
+  row blocks on threads/processes of the host machine, and
+* **simulated execution** — a work-stealing scheduling simulation
+  (:mod:`repro.parallel.scheduler`), hardware cost models of the Piz
   Daint and Grand Tave nodes (:mod:`repro.parallel.cluster`), the paper's
   proportional state-to-group partitioning
   (:mod:`repro.parallel.partition`), a CPU + GPU node cost model
@@ -22,7 +22,7 @@ time and utilization from the lease events.
 
 from repro.parallel.cluster import NodeSpec, PIZ_DAINT_NODE, GRAND_TAVE_NODE
 from repro.parallel.partition import proportional_group_sizes, partition_counts
-from repro.parallel.scheduler import WorkStealingScheduler, simulate_schedule
+from repro.parallel.scheduler import simulate_schedule
 from repro.parallel.executor import SerialExecutor, ThreadPoolMapExecutor, ProcessPoolMapExecutor
 from repro.parallel.gpu_sim import HybridNodeExecutor
 from repro.parallel.scaling import StrongScalingModel, ScalingPoint
@@ -33,7 +33,6 @@ __all__ = [
     "GRAND_TAVE_NODE",
     "proportional_group_sizes",
     "partition_counts",
-    "WorkStealingScheduler",
     "simulate_schedule",
     "SerialExecutor",
     "ThreadPoolMapExecutor",

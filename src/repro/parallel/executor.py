@@ -1,13 +1,12 @@
-"""Map-style execution backends: hosts for suite drains and per-point solves.
+"""Map-style execution backends: hosts for suite drains and Fig. 7's row blocks.
 
 :func:`repro.scenarios.run_suite` (one lease drain per worker, which
-orders and claims the scenarios itself) and
-:func:`repro.core.time_iteration.solve_points` (one ``solve_point`` per row,
-which Fig. 7 times) only require an object with ``map(fn, items) -> list``;
-these adapters provide serial, thread-pool and process-pool implementations
-in addition to the work-stealing scheduler of :mod:`repro.parallel.scheduler`.
-The time-iteration driver itself takes no executor.  Every backend returns
-results in input order.
+orders and claims the scenarios itself) and :func:`repro.experiments.fig7.run_fig7`
+(one ``solve_points_batch`` per contiguous block of a step's rows) only
+require an object with ``map(fn, items) -> list``; these adapters provide
+serial, thread-pool and process-pool implementations.  The time-iteration
+driver itself takes no executor.  Every backend returns results in input
+order.
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ class ThreadPoolMapExecutor:
 class ProcessPoolMapExecutor:
     """Process-pool executor for picklable task functions.
 
-    The default time-iteration task closures are not picklable (they close
-    over the model and the policy set), so this backend is intended for
-    user-defined top-level functions — e.g. embarrassingly parallel
-    parameter sweeps over whole model solves.
+    Closures are not picklable, so this backend takes top-level functions:
+    the scenario runner's hosted drains, or user-defined sweeps over whole
+    model solves.
     """
 
     def __init__(self, num_workers: int = 2) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.compression import compress_grid, compressed_for
 from repro.core.kernels import evaluate, list_kernels
-from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver, solve_points
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.adaptive import refine
 from repro.grids.domain import BoxDomain
 from repro.grids.hierarchize import (
@@ -211,35 +211,18 @@ class TestKernelEquivalence:
 
 
 class _StubModel:
-    """Minimal TimeIterationModel whose point solves are deterministic."""
+    """Minimal TimeIterationModel whose point solves are deterministic; counts its calls."""
 
     num_states = 1
     state_dim = 2
     num_policies = 3
     domain = BoxDomain.cube(2)
 
-    def initial_policy_values(self, z, X):
-        return np.zeros((X.shape[0], self.num_policies))
-
-    def solve_point(self, z, x, policy_next, guess=None):
-        base = np.array([x[0], x[1], x[0] * x[1]])
-        if guess is not None:
-            base = base + 0.1 * np.asarray(guess)
-        return base
-
-
-class _ReversingExecutor:
-    """Executor that returns results out of order to exercise row mapping."""
-
-    def map(self, fn, items):
-        return [fn(item) for item in reversed(list(items))]
-
-
-class _BatchStubModel(_StubModel):
-    """The stub with a vectorized point solve, which counts its calls."""
-
     def __init__(self):
         self.batch_calls = 0
+
+    def initial_policy_values(self, z, X):
+        return np.zeros((X.shape[0], self.num_policies))
 
     def solve_points_batch(self, z, X, policy_next, guesses=None):
         self.batch_calls += 1
@@ -247,68 +230,34 @@ class _BatchStubModel(_StubModel):
         return base if guesses is None else base + 0.1 * np.asarray(guesses)
 
 
-class TestSolvePoints:
-    """The per-state update shared by both drivers (``core.time_iteration.solve_points``)."""
+class TestPassPointSolve:
+    """A pass hands the model's ``solve_points_batch`` the rows of every shock state."""
 
-    def test_serial_matches_out_of_order_executor(self):
-        X = np.random.default_rng(5).random((17, 2))
-        guesses = np.random.default_rng(6).random((17, 3))
-        for g in (None, guesses):
-            np.testing.assert_array_equal(
-                solve_points(_StubModel(), 0, X, None, g),
-                solve_points(_StubModel(), 0, X, None, g, _ReversingExecutor()),
-            )
-
-    @pytest.mark.parametrize("kind", ["serial", "threads", "stealing"])
-    def test_public_executors_match_the_plain_loop(self, kind):
-        from repro.parallel.executor import make_executor
-        from repro.parallel.scheduler import WorkStealingScheduler
-
-        executor = WorkStealingScheduler(2) if kind == "stealing" else make_executor(kind, 2)
-        X = np.random.default_rng(9).random((7, 2))
-        np.testing.assert_array_equal(
-            solve_points(_StubModel(), 0, X, None, None, executor),
-            solve_points(_StubModel(), 0, X, None, None),
-        )
-
-    def test_whole_grid_goes_to_the_batch_solve_unless_an_executor_is_passed(self):
-        from repro.parallel.executor import make_executor
-
-        X = np.random.default_rng(11).random((9, 2))
-        guesses = np.random.default_rng(12).random((9, 3))
-        model = _BatchStubModel()
-        whole = solve_points(model, 0, X, None, guesses)
-        assert model.batch_calls == 1
-        # an explicit executor keeps the paper's per-point dispatch
-        per_point = solve_points(model, 0, X, None, guesses, make_executor("serial"))
-        assert model.batch_calls == 1
-        np.testing.assert_allclose(whole, per_point, rtol=0, atol=1e-15)
-
-    def test_a_pass_is_one_batch_call_and_an_executor_bypasses_the_batch_solve(self):
-        model = _BatchStubModel()
+    def test_a_pass_is_one_batch_call(self):
+        model = _StubModel()
         model.num_states = 2
         solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=2, max_iterations=1))
         policy = solver.solve().policy
         assert model.batch_calls == 1  # one call per pass: the states are rows of it
-        # the driver has no executor; per-point dispatch is solve_points' argument,
-        # and on a pass's rows (state-major, any completion order) it agrees with the batch
+        # the rows of a pass are state-major, and the initial guess is zero
         X = model.domain.from_unit(policy[0].grid.points)
         z, rows = np.repeat([0, 1], len(X)), np.tile(X, (2, 1))
-        per_point = solve_points(model, z, rows, policy, None, _ReversingExecutor())
-        assert model.batch_calls == 1
-        np.testing.assert_array_equal(per_point, solve_points(model, z, rows, policy, None))
-        np.testing.assert_array_equal(per_point, np.concatenate([p.nodal_values for p in policy]))
+        np.testing.assert_array_equal(
+            np.concatenate([p.nodal_values for p in policy]),
+            model.solve_points_batch(z, rows, policy),
+        )
 
-    def test_per_point_dispatch_reads_the_state_of_each_row(self):
+    def test_each_row_reads_its_own_shock_state(self):
         class _StateStub(_StubModel):
-            def solve_point(self, z, x, policy_next, guess=None):
-                return np.full(self.num_policies, float(z))
+            num_states = 3
 
-        X = np.random.default_rng(13).random((6, 2))
-        z = np.array([0, 0, 1, 1, 2, 2])
-        for executor in (None, _ReversingExecutor()):
-            out = solve_points(_StateStub(), z, X, None, None, executor)
-            np.testing.assert_array_equal(out[:, 0], z)
+            def solve_points_batch(self, z, X, policy_next, guesses=None):
+                return np.repeat(np.asarray(z, dtype=float)[:, None], self.num_policies, axis=1)
+
+        solver = TimeIterationSolver(_StateStub(), TimeIterationConfig(grid_level=2))
+        policy = solver.step(solver.initial_policy())
+        for z, state in enumerate(policy):
+            np.testing.assert_array_equal(state.nodal_values, float(z))
 
 
 class TestPointsCache:

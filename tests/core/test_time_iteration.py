@@ -2,22 +2,17 @@
 
 The synthetic model's update is a linear contraction whose fixed point is
 known in closed form and is exactly representable on a level-2 sparse grid,
-so the driver's convergence and bookkeeping and the per-point dispatch of
-``solve_points`` can be verified precisely and cheaply (no nonlinear solves involved).
+so the driver's convergence and bookkeeping can be verified precisely and
+cheaply (no nonlinear solves involved).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.policy import PolicySet
-from repro.core.time_iteration import (
-    TimeIterationConfig,
-    TimeIterationSolver,
-    solve_points,
-)
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.domain import BoxDomain
 from repro.parallel.executor import SerialExecutor, ThreadPoolMapExecutor
-from repro.parallel.scheduler import WorkStealingScheduler
 
 
 class ContractionModel:
@@ -28,7 +23,6 @@ class ContractionModel:
         self._dim = dim
         self.contraction = contraction
         self._domain = BoxDomain.cube(dim, 0.0, 1.0)
-        self.solve_calls = 0
 
     # protocol ---------------------------------------------------------
     @property
@@ -48,9 +42,10 @@ class ContractionModel:
         return self._domain
 
     def base(self, z, X):
+        """``z`` is one state for all rows of ``X`` or an int array with one per row."""
         X = np.atleast_2d(X)
         a = (z + 1.0) * (0.5 * X[:, 0] + 0.25 * X[:, 1])
-        b = np.full(X.shape[0], float(z) + 1.0)
+        b = np.zeros(X.shape[0]) + z + 1.0
         return np.stack([a, b], axis=1)
 
     def fixed_point(self, z, X):
@@ -65,14 +60,12 @@ class ContractionModel:
     def initial_policy_values(self, z, X):
         return np.zeros((np.atleast_2d(X).shape[0], 2))
 
-    def solve_point(self, z, x, policy_next, guess=None):
-        self.solve_calls += 1
-        x = np.asarray(x, dtype=float)
+    def solve_points_batch(self, z, X, policy_next, guesses=None):
         mean_next = np.mean(
-            [np.asarray(policy_next.evaluate(s, x)).reshape(-1) for s in range(self._num_states)],
+            [np.atleast_2d(policy_next.evaluate(s, X)) for s in range(self._num_states)],
             axis=0,
         )
-        return self.base(z, x[None, :])[0] + self.contraction * mean_next
+        return self.base(z, X) + self.contraction * mean_next
 
     def equilibrium_errors(self, policy, sample, rng=None):
         errs = []
@@ -187,7 +180,7 @@ class TestBookkeeping:
         class Recording(ContractionModel):
             def solve_points_batch(self, z, X, policy_next, guesses=None):
                 seen.append((guesses, np.concatenate([p.nodal_values for p in policy_next])))
-                return np.stack([self.solve_point(s, x, policy_next) for s, x in zip(z, X)])
+                return super().solve_points_batch(z, X, policy_next)
 
         config = TimeIterationConfig(grid_level=2, tolerance=1e-4, max_iterations=5)
         result = TimeIterationSolver(Recording(), config).solve()
@@ -207,23 +200,22 @@ class TestBookkeeping:
 
 class TestExecutors:
     @pytest.mark.parametrize(
-        "executor",
-        [SerialExecutor(), ThreadPoolMapExecutor(3), WorkStealingScheduler(3)],
-        ids=["serial", "threads", "stealing"],
+        "executor", [SerialExecutor(), ThreadPoolMapExecutor(3)], ids=["serial", "threads"]
     )
     def test_same_points_for_all_executors(self, executor):
-        """Per-point dispatch is ``solve_points(executor=)``: at the solved policy, the
-        rows of a pass (state-major) come back at the fixed point from every executor."""
+        """At the solved policy, the rows of a pass (state-major) split into contiguous
+        blocks and mapped by any executor come back at the fixed point."""
         model = ContractionModel()
         config = TimeIterationConfig(grid_level=2, tolerance=1e-8, max_iterations=60)
         result = TimeIterationSolver(model, config).solve()
         assert result.converged
         sample = model.domain.sample(10, rng=5)
         z, rows = np.repeat([0, 1], len(sample)), np.tile(sample, (2, 1))
-        calls = model.solve_calls
-        values = solve_points(model, z, rows, result.policy, None, executor)
-        assert model.solve_calls == calls + len(rows)
-        np.testing.assert_array_equal(values, solve_points(model, z, rows, result.policy, None))
+        blocks = np.array_split(np.arange(len(rows)), 3)
+        values = np.concatenate(
+            executor.map(lambda b: model.solve_points_batch(z[b], rows[b], result.policy), blocks)
+        )
+        np.testing.assert_array_equal(values, model.solve_points_batch(z, rows, result.policy))
         for state, block in enumerate(np.split(values, 2)):
             np.testing.assert_allclose(block, model.fixed_point(state, sample), atol=1e-5)
 

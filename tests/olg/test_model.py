@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.policy import PolicySet, StatePolicy, values_on_grid
-from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver, solve_points
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.adaptive import refine
 from repro.grids.hierarchize import hierarchize
 from repro.olg.calibration import small_calibration
@@ -300,7 +300,7 @@ def _adaptive_step_state_by_state(model, config, policy_next: PolicySet):
     for z, prev in enumerate(policy_next):
         grid = prev.grid.copy()
         X = model.domain.from_unit(grid.points)
-        values = solve_points(model, z, X, policy_next, values_on_grid(prev, grid, X))
+        values = model.solve_points_batch(z, X, policy_next, values_on_grid(prev, grid, X))
         for state_round in itertools.count(1):
             if len(grid) >= config.max_points_per_state:
                 break
@@ -318,7 +318,7 @@ def _adaptive_step_state_by_state(model, config, policy_next: PolicySet):
             X_new = model.domain.from_unit(grid.points[new_rows])
             grown = np.zeros((len(grid), values.shape[1]))
             grown[: len(values)] = values
-            grown[new_rows] = solve_points(model, z, X_new, policy_next, None)
+            grown[new_rows] = model.solve_points_batch(z, X_new, policy_next)
             values = grown
         policies.append(StatePolicy.from_values(z, grid, values, model.domain))
     return PolicySet(policies), rounds
@@ -370,31 +370,17 @@ class TestWhichStepsFuseTheShockStates:
             assert np.all(np.abs(got.interpolant.surplus - s) <= 1e-9 * (1.0 + np.abs(s)))
 
 
-class TestPerPointDispatch:
-    """``solve_points(executor=)``: one ``solve_point`` per row, in any completion order."""
-
-    def test_rows_of_all_states_go_point_by_point_and_agree_with_the_batch(self):
-        from repro.parallel.executor import SerialExecutor
-
+class TestRowIndependence:
+    def test_a_pass_solved_row_by_row_equals_the_batch(self):
+        """A row's solve never sees its neighbours: ``solve_point`` per row == the one batch."""
         model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
         policy = TimeIterationSolver(model, TimeIterationConfig(grid_level=2)).initial_policy()
         X = model.domain.from_unit(policy[0].grid.points)
         z, rows = np.repeat([0, 1], len(X)), np.tile(X, (2, 1))
-        points = []
-        real = model.solve_point
-        model.solve_point = lambda z, x, *args: points.append(z) or real(z, x, *args)
-
-        class Reversing:
-            def map(self, fn, items):
-                return [fn(item) for item in reversed(list(items))]
-
-        serial = solve_points(model, z, rows, policy, None, SerialExecutor())
-        assert points == [0] * 7 + [1] * 7 and all(isinstance(z, int) for z in points)
-        assert np.array_equal(solve_points(model, z, rows, policy, None, Reversing()), serial)
-        assert points[14:] == [1] * 7 + [0] * 7
+        looped = np.array([model.solve_point(int(s), x, policy) for s, x in zip(z, rows)])
         # a lone row goes through gemv, a row among others through gemm: last bits only
-        np.testing.assert_allclose(serial, solve_points(model, z, rows, policy, None), rtol=1e-9)
-        assert model.solver_totals()["newton_runs"] == 2 * 14 + 1
+        np.testing.assert_allclose(looped, model.solve_points_batch(z, rows, policy), rtol=1e-9)
+        assert model.solver_totals()["newton_runs"] == 14 + 1
 
 
 class TestSharedBasisRead:

@@ -1,87 +1,9 @@
-"""Tests for the work-stealing scheduler and the scheduling simulation."""
-
-import threading
-import time
+"""Tests for the work-stealing scheduling simulation."""
 
 import numpy as np
 import pytest
 
-from repro.parallel.scheduler import (
-    SchedulerStats,
-    WorkStealingScheduler,
-    simulate_schedule,
-)
-
-
-class TestWorkStealingScheduler:
-    def test_results_in_input_order(self):
-        sched = WorkStealingScheduler(4)
-        items = list(range(200))
-        assert sched.map(lambda x: x * 2, items) == [x * 2 for x in items]
-
-    def test_every_task_executed_exactly_once(self):
-        sched = WorkStealingScheduler(5)
-        counter = {}
-        lock = threading.Lock()
-
-        def task(i):
-            with lock:
-                counter[i] = counter.get(i, 0) + 1
-            return i
-
-        sched.map(task, range(333))
-        assert len(counter) == 333
-        assert all(v == 1 for v in counter.values())
-
-    def test_empty_input(self):
-        sched = WorkStealingScheduler(3)
-        assert sched.map(lambda x: x, []) == []
-        assert sched.last_stats.total_tasks == 0
-
-    def test_single_worker(self):
-        sched = WorkStealingScheduler(1)
-        assert sched.map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-
-    def test_more_workers_than_tasks(self):
-        sched = WorkStealingScheduler(16)
-        assert sched.map(lambda x: x + 1, [5]) == [6]
-
-    def test_stats_account_all_tasks(self):
-        sched = WorkStealingScheduler(4)
-        sched.map(lambda x: x, range(100))
-        assert sched.last_stats.total_tasks == 100
-        assert sched.last_stats.workers == 4
-
-    def test_exception_propagates(self):
-        sched = WorkStealingScheduler(3)
-
-        def boom(i):
-            if i == 17:
-                raise RuntimeError("task failure")
-            return i
-
-        with pytest.raises(RuntimeError, match="task failure"):
-            sched.map(boom, range(40))
-
-    def test_stealing_happens_with_uneven_blocking_tasks(self):
-        """When one worker's block contains all the slow (GIL-releasing) tasks,
-        other workers steal from it."""
-        sched = WorkStealingScheduler(4)
-
-        def task(i):
-            if i < 20:
-                time.sleep(0.005)  # slow tasks clustered at the front
-            return i
-
-        sched.map(task, range(80))
-        stats = sched.last_stats
-        assert stats.total_tasks == 80
-        # at least some balancing: no worker did everything
-        assert max(stats.tasks_per_worker) < 80
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            WorkStealingScheduler(0)
+from repro.parallel.scheduler import simulate_schedule
 
 
 class TestSimulateSchedule:
@@ -122,12 +44,32 @@ class TestSimulateSchedule:
         with pytest.raises(ValueError):
             simulate_schedule(np.ones(3), 0)
 
+    def test_more_workers_than_tasks(self):
+        costs = np.array([2.0, 5.0, 1.0])
+        for stealing in (True, False):
+            out = simulate_schedule(costs, 6, stealing=stealing)
+            assert out["makespan"] == pytest.approx(5.0)
+            assert np.count_nonzero(out["worker_times"]) == 3
+            assert out["efficiency"] == pytest.approx(8.0 / (5.0 * 6))
 
-class TestSchedulerStats:
-    def test_imbalance_zero_when_even(self):
-        stats = SchedulerStats(tasks_per_worker=[10, 10, 10], workers=3)
-        assert stats.imbalance == pytest.approx(0.0)
+    @pytest.mark.parametrize("stealing", [True, False], ids=["stealing", "static"])
+    def test_worker_times_account_all_costs(self, stealing):
+        """Every task runs on exactly one worker: the busy times sum to the total cost."""
+        costs = np.random.default_rng(11).exponential(1.0, 97)
+        for p in (1, 2, 5, 13):
+            out = simulate_schedule(costs, p, stealing=stealing)
+            assert out["worker_times"].shape == (p,)
+            assert out["worker_times"].sum() == pytest.approx(costs.sum())
+            assert out["makespan"] == pytest.approx(out["worker_times"].max())
+            assert 0.0 < out["efficiency"] <= 1.0 + 1e-12
 
-    def test_imbalance_positive_when_uneven(self):
-        stats = SchedulerStats(tasks_per_worker=[30, 0, 0], workers=3)
-        assert stats.imbalance == pytest.approx(2.0)
+    def test_even_static_partition_is_perfectly_efficient(self):
+        out = simulate_schedule(np.full(12, 3.0), 4, stealing=False)
+        np.testing.assert_allclose(out["worker_times"], 9.0)
+        assert out["efficiency"] == pytest.approx(1.0)
+
+    def test_uneven_static_partition_loses_efficiency(self):
+        costs = np.array([10.0, 1.0, 1.0, 1.0])
+        out = simulate_schedule(costs, 2, stealing=False)
+        np.testing.assert_allclose(out["worker_times"], [11.0, 2.0])
+        assert out["efficiency"] == pytest.approx(13.0 / 22.0)

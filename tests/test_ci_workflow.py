@@ -213,6 +213,15 @@ class TestBatchedSolveGate:
             line = f"PYTHONPATH=src python examples/{example}"
             assert any(line in c.splitlines() for c in commands)
 
+    def test_bench_job_runs_the_figure_benches(self, workflow):
+        # plain pytest collects nothing from benchmarks/bench_*.py (functions
+        # named bench_*), so a bench importing a deleted name went unseen
+        commands = _run_commands(workflow["jobs"]["bench"])
+        run = [c for c in commands if "benchmarks/bench_*.py" in c]
+        assert len(run) == 1 and "pip install pytest-benchmark" in run[0]
+        assert "-o python_functions='bench_*' --benchmark-disable -q" in run[0]
+        assert sorted((REPO / "benchmarks").glob("bench_*.py"))
+
     def test_bench_job_guards_the_point_solve_call_counts(self, workflow):
         # exact counts from a traced smoke run of the level-3 sweep: no
         # scipy call, no stalled row, few residual calls per Newton run

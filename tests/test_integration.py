@@ -1,18 +1,17 @@
 """End-to-end integration tests: solve a small OLG economy and use the result.
 
 These tests exercise the whole stack together: calibration -> model ->
-time iteration (and its point solves on different executors) -> policy evaluation through the
-compressed kernels -> accuracy diagnostics -> forward simulation.
+time iteration -> policy evaluation through the compressed kernels -> accuracy
+diagnostics -> forward simulation.
 """
 
 import numpy as np
 
-from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver, solve_points
+from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
+from repro.experiments.fig7 import solve_row_blocks
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
 from repro.olg.simulation import simulate_economy
-from repro.parallel.executor import SerialExecutor
-from repro.parallel.scheduler import WorkStealingScheduler
 
 
 class TestSmallEconomySolve:
@@ -67,18 +66,18 @@ class TestSmallEconomySolve:
 
 class TestExecutorEquivalence:
     def test_threaded_point_solves_match_serial_and_the_batch(self):
-        """The work-stealing scheduler must not change the numerical result."""
+        """Row blocks on threads must not change the numerical result."""
         cal = small_calibration(num_generations=4, num_states=2, beta=0.8)
         model = OLGModel(cal)
         config = TimeIterationConfig(grid_level=2, tolerance=1e-3, max_iterations=6)
         policy = TimeIterationSolver(model, config).solve().policy
-        # the rows of the next pass, state-major; an explicit executor dispatches
-        # them one solve_point at a time, without one they go to the vectorized solve
+        # the rows of the next pass, state-major: one solve_point per row, the
+        # one vectorized call, and three row blocks on threads, each on its own model
         X = model.domain.from_unit(policy[0].grid.points)
         z, rows = np.repeat(np.arange(model.num_states), len(X)), np.tile(X, (model.num_states, 1))
-        batch = solve_points(model, z, rows, policy, None)
-        serial = solve_points(model, z, rows, policy, None, SerialExecutor())
-        threaded = solve_points(model, z, rows, policy, None, WorkStealingScheduler(3))
+        batch = model.solve_points_batch(z, rows, policy)
+        serial = np.array([model.solve_point(int(s), x, policy) for s, x in zip(z, rows)])
+        threaded = solve_row_blocks([OLGModel(cal) for _ in range(3)], z, rows, policy)
         np.testing.assert_allclose(threaded, serial, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(serial, batch, rtol=1e-6, atol=1e-8)
 
