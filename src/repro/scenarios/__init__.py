@@ -15,8 +15,10 @@ hand-wired single solves into managed scenario runs:
 * :mod:`repro.scenarios.checkpoint` — solve checkpoints on a wall-clock
   cadence; a killed solve resumes from the last persisted one bit-for-bit;
 * :mod:`repro.scenarios.batching` — the one solve-and-commit, over a
-  group of scenarios (a group of one by default; ``--batch`` groups solve
-  scenarios by grid topology so they iterate stacked);
+  group of scenarios: every drain groups its pending solve scenarios by
+  grid topology, so those sharing one iterate stacked up to a grid-point
+  cap per stack (a member's bits do not depend on its group), and
+  everything else is a group of one;
 * :mod:`repro.scenarios.runner` — ``run_suite``, a host for the lease
   drain: one in-process drain, or one per worker of a
   :mod:`repro.parallel` executor;

@@ -5,7 +5,9 @@ Installed as the ``repro-scenarios`` console script and runnable as
 
 * ``list``   — show the named preset suites and their sizes;
 * ``run``    — expand a preset and run it against a results store
-  (``--dry-run`` prints the expansion without solving anything);
+  (``--dry-run`` prints the expansion without solving anything); like
+  ``work``, its drain claims the solve scenarios sharing a grid topology
+  together and iterates them stacked;
 * ``show``   — print a store's committed entries and, for failed ones,
   their error and traceback;
 * ``diff``   — compare two store entries: calibration/solver deltas plus
@@ -101,7 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the named preset suites")
 
-    run = sub.add_parser("run", parents=[store], help="run a preset suite")
+    run = sub.add_parser(
+        "run",
+        parents=[store],
+        help="run a preset suite (solve scenarios sharing a grid topology iterate stacked)",
+    )
     run.add_argument("suite", help=f"preset name (one of: {', '.join(preset_names())})")
     run.add_argument(
         "--executor",
@@ -110,7 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="host of the drains: serial runs one in this process, the others "
         "--workers of them (expected-longest scenarios are claimed first)",
     )
-    run.add_argument("--workers", type=int, default=2, help="drain count of a non-serial host")
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=2,
+        help="drain count of a non-serial host (each stacks its share of a topology group)",
+    )
     run.add_argument(
         "--dry-run",
         action="store_true",
@@ -123,13 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="testing hook: kill each solve after N iterations (checkpoint survives; "
         "re-running the same command resumes)",
-    )
-    run.add_argument(
-        "--batch",
-        action="store_true",
-        help="stack solve scenarios sharing a grid topology into one Newton per "
-        "iteration (the same row solves as the default path, which is a batch of "
-        "one; checkpoints/entries are unchanged)",
     )
 
     sub.add_parser("show", parents=[store], help="print a store's committed entries")
@@ -206,8 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
     work = sub.add_parser(
         "work",
         parents=[store],
-        help="join a worker fleet: claim scenarios via leases, solve, commit, "
-        "release — until the suite is drained",
+        help="join a worker fleet: claim scenarios via leases (solve scenarios sharing "
+        "a grid topology as one stacked group), solve, commit, release — until the "
+        "suite is drained",
     )
     work.add_argument("suite", help=f"preset name (one of: {', '.join(preset_names())})")
     work.add_argument(
@@ -247,12 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--retry-parked",
         action="store_true",
         help="clear parked/attempt records for this suite before starting",
-    )
-    work.add_argument(
-        "--batch",
-        action="store_true",
-        help="group size, not a code path: claim solve scenarios sharing a grid topology "
-        "together and iterate them stacked (one lease/heartbeat/checkpoint per member)",
     )
 
     status = sub.add_parser(
@@ -335,7 +334,6 @@ def _cmd_run(args) -> int:
             executor=args.executor,
             num_workers=args.workers,
             interrupt_after=args.interrupt_after,
-            batch_topology=args.batch,
             progress=print,
         )
     except ValueError as exc:
@@ -469,7 +467,6 @@ def _cmd_work(args) -> int:
         poll=args.poll,
         max_claims=args.max_claims,
         retry_parked=args.retry_parked,
-        batch_topology=args.batch,
         progress=print,
     )
     print(report.summary())

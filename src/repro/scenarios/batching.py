@@ -6,21 +6,33 @@ entries, taken by the lease drain that both ``work``
 (:func:`repro.scenarios.runner.run_suite`) run: solve
 scenarios become members of ONE
 :class:`repro.core.batched.BatchedTimeIterationSolver` loop, experiment
-scenarios run their adapter and commit in place.  Callers decide group
-size only: by default every scenario is a group of one; with the opt-in
-``batch_topology`` flag they group solve scenarios by
+scenarios run their adapter and commit in place.  A drain stacks: before
+claiming, it groups its pending solve scenarios by
 :func:`topology_signature` (sweeps routinely hold many that differ only in
 calibration scalars — same generations, shock count, grid level), and a
 group of at least two runs stacked — one shared grid, one stacked Newton
-per iteration.
+per iteration.  Everything else is a group of one.  A member's bits do
+not depend on its group: a stacked member commits the surpluses and
+iteration history of its solo solve.
 
-The store contract does not depend on group size: every scenario keeps
-its own checkpoint (written at its own iteration boundaries on the
+The store contract does not depend on group size either: every scenario
+keeps its own checkpoint (written at its own iteration boundaries on the
 checkpoint clock, so kill/resume works member by member), its own
 telemetry events, and its own ``entry.json`` committed individually *the
 moment that scenario finishes* (converged members drop out of a stack
 early).  Members the loop cannot stack — adaptive configs, checkpoints
-from another grid — step alone inside the same loop.
+from another grid — step alone inside the same loop.  Costs grow with
+the group: a residual call's memory and per-row basis-pass cost grow with
+the rows it carries (so a stack carries at most ``_STACK_POINTS`` grid
+points, until the row-blocked residual call of ROADMAP.md's open items
+bounds them), a stack runs on one worker (so the drains one host starts
+together each claim their share of a group, see
+:mod:`repro.scenarios.lease`), and a worker killed mid-stack leaves every
+lease of its stack until the TTL lets a peer steal it.
+
+A spec's signature is read off its calibration and solver config, so
+grouping builds no model: each claimed solve builds its model once, for
+its member.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import time
 import traceback
 
 from repro.core.batched import BatchedTimeIterationSolver, BatchMember
-from repro.core.batched import batch_topology as _core_signature
+from repro.grids.regular import regular_grid_size
 from repro.scenarios.checkpoint import (
     InterruptingCheckpoint,
     SimulatedKill,
@@ -68,35 +80,60 @@ def _resolve_adapter(kind: str):
     return getattr(importlib.import_module(module_name), func_name)
 
 
+#: Grid points a stack carries in all: its members times the points of their
+#: shared grid.  Until the row-blocked residual call (ROADMAP.md's open
+#: items) bounds a call's working set, a stack's basis pass costs more per
+#: row the more rows it carries, and past about this size that outweighs the
+#: fixed costs stacking saves.  Four solves of 6 generations / 2 states,
+#: one drain, 2-core Xeon, OpenBLAS on 1 thread: level 3 (4 x 61 = 244
+#: points) ran 10-20% faster stacked, level 4 (4 x 241 = 964 points) 14%
+#: slower.  A stack is also what one worker claims whole.
+_STACK_POINTS = 256
+
+
 def topology_signature(spec: ScenarioSpec):
     """Grid-topology signature of a spec, or ``None`` when unbatchable.
 
-    ``None`` for experiment kinds and adaptive solves; otherwise the
-    hashable tuple of :func:`repro.core.batched.batch_topology` — specs
-    with equal signatures may share one stack.
+    ``None`` for experiment kinds, adaptive solves and specs whose
+    calibration or config does not build (the error surfaces when the spec
+    runs); otherwise :func:`repro.core.batched.batch_topology` of the
+    spec's model — specs with equal signatures may share one stack.  It is
+    read off the calibration, without the model's steady-state box: an
+    OLG state holds the savings of the ``A - 1`` saving ages, and each of
+    them has a savings and a value policy.
     """
     if spec.kind != "solve":
         return None
     try:
-        return _core_signature(spec.build_model(), spec.build_config())
+        calibration, config = spec.build_calibration(), spec.build_config()
     except Exception:  # repro: allow[broad-except] -- a broken spec surfaces when it runs
         return None
+    if config.adaptive:
+        return None
+    savers = int(calibration.state_dim)
+    return (savers, int(calibration.num_states), 2 * savers, int(config.grid_level))
 
 
 def partition_by_topology(specs) -> tuple[list, list]:
     """Split specs into stackable topology groups and singles.
 
-    Returns ``(groups, singles)``: ``groups`` is a list of spec lists, one
-    per signature shared by at least two specs (suite order preserved
-    within each group); everything else — unbatchable specs and signature
-    singletons — lands in ``singles``, also in suite order.
+    Returns ``(groups, singles)``: ``groups`` is a list of spec lists of at
+    least two specs sharing a signature, in suite order, each carrying at
+    most ``_STACK_POINTS`` grid points in all (a signature's specs fill
+    groups in turn); everything else — unbatchable specs, signature
+    singletons and a lone last spec — lands in ``singles``, also in suite
+    order.
     """
     by_sig: dict = {}
     for spec in specs:
         sig = topology_signature(spec)
         if sig is not None:
             by_sig.setdefault(sig, []).append(spec)
-    groups = [members for members in by_sig.values() if len(members) > 1]
+    groups = []
+    for (dim, _states, _policies, level), members in by_sig.items():
+        size = max(1, _STACK_POINTS // regular_grid_size(dim, level))
+        groups += [members[i : i + size] for i in range(0, len(members), size)]
+    groups = [members for members in groups if len(members) > 1]
     grouped = {id(s) for g in groups for s in g}
     singles = [s for s in specs if id(s) not in grouped]
     return groups, singles
@@ -237,11 +274,10 @@ def solve_batch_and_commit(
     if members:
         try:
             BatchedTimeIterationSolver(members, on_member_complete=on_member_complete).solve()
-        except (SimulatedKill, Exception) as exc:  # repro: allow[broad-except] -- recorded below
-            # SimulatedKill is the --interrupt-after testing hook only (a
-            # genuine Ctrl-C propagates and stops everything): the next run
-            # resumes every member from its last persisted iteration.
-            # Anything else here broke the stacked pass itself.
+        except Exception as exc:  # repro: allow[broad-except] -- recorded below
+            # this broke the stacked pass itself (a member's own hook, the
+            # --interrupt-after kill included, ends that member only; a
+            # genuine Ctrl-C propagates and stops everything)
             for i in position.values():
                 if done[i] is None:
                     commit(i, failure(i, exc))

@@ -191,8 +191,13 @@ class SolveCheckpoint:
         self.path.unlink(missing_ok=True)
 
 
-class SimulatedKill(KeyboardInterrupt):
-    """Raised by :class:`InterruptingCheckpoint` to emulate a killed solve."""
+class SimulatedKill(Exception):
+    """Raised by :class:`InterruptingCheckpoint` to emulate a killed solve.
+
+    An ordinary exception, so in a stack it ends its own member only: every
+    member reaches its own kill and writes its own checkpoint first (a
+    genuine Ctrl-C is a ``KeyboardInterrupt`` and stops everything).
+    """
 
 
 class InterruptingCheckpoint(SolveCheckpoint):

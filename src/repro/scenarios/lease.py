@@ -10,8 +10,8 @@ broker: the protocol needs exactly the contract's whole-object atomic
 
 A drain scans the suite once per pass — one ``leases/`` listing and one
 commit-log read — skips what is complete or parked, and works the rest
-longest-first (:func:`schedule_longest_first`), grouped by grid topology
-when asked.
+longest-first (:func:`schedule_longest_first`), its solve scenarios
+grouped by grid topology so that each group iterates stacked.
 
 Protocol
 --------
@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import platform
 import random
@@ -618,7 +619,6 @@ def run_worker(
     max_claims: int | None = None,
     retry_parked: bool = False,
     backoff_base: float = 0.5,
-    batch_topology: bool = False,
     events: EventRecorder | None = None,
     clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
@@ -642,11 +642,16 @@ def run_worker(
     seconds until the suite is fully drained (every scenario completed or
     parked), then the worker exits.
 
-    ``batch_topology`` (opt-in, off by default) selects group size, not a
-    code path: without it every scenario is a group of one; with it the
-    solve scenarios sharing a grid topology form one group and iterate
-    stacked.  Each member's entry is committed the moment that member
-    finishes; the group's leases are released when the group is done.
+    A group is pending solve scenarios sharing one grid topology, up to a
+    cap on the grid points one stack carries
+    (:func:`~repro.scenarios.batching.partition_by_topology`); they
+    iterate stacked, and everything else is a group of one.  A group is
+    worked where its longest member comes in the longest-first order.  A
+    member's bits do not depend on its group.  Each member's entry is
+    committed the moment that member finishes; the group's leases are
+    released when the group is done, so a worker killed mid-stack leaves
+    the leases of its whole group until their TTL runs out.  Grouping
+    builds no model: a claimed spec builds its model once, for its solve.
 
     ``clock``/``sleep``/``rng`` are injectable for the deterministic
     fault-injection tests (``clock`` times the leases *and* every member's
@@ -668,17 +673,20 @@ def _drain(
     max_claims: int | None = None,
     retry_parked: bool = False,
     backoff_base: float = 0.5,
-    batch_topology: bool = False,
     events: EventRecorder | None = None,
     clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
     rng: Callable[[], float] = random.random,
     progress: Callable[[str], object] | None = None,
     claim_lock: AbstractContextManager[object] = nullcontext(),
+    rank: int = 0,
+    drains: int = 1,
 ) -> "_Drain":
     """:func:`run_worker`, returning the finished :class:`_Drain`; the drains
     :func:`~repro.scenarios.runner.run_suite` hosts also pass ``run
-    --interrupt-after`` and, when they share a process, one ``claim_lock``."""
+    --interrupt-after``, how many ``drains`` it starts together on the suite
+    and this one's ``rank`` among them (from 0) and, when they share a
+    process, one ``claim_lock``."""
     if not isinstance(store, ResultsStore):
         store = ResultsStore.open(store)
     worker_id = worker_id or default_worker_id()
@@ -715,10 +723,12 @@ def _drain(
         rng=rng,
         interrupt_after=interrupt_after,
         claim_lock=claim_lock,
+        rank=rank,
+        drains=drains,
     )
     heartbeat.start()
     try:
-        drain.run(specs, poll=poll, batch_topology=batch_topology)
+        drain.run(specs, poll=poll)
         return drain
     finally:
         # also on InjectedCrash / KeyboardInterrupt: die like kill -9 would — stop
@@ -747,6 +757,10 @@ class _Drain:
     rng: Callable[[], float]
     interrupt_after: int | None
     claim_lock: AbstractContextManager[object]
+    #: this drain's rank among the ``drains`` its host started together on
+    #: the suite: each claims its share of a group, starting at its rank
+    rank: int = 0
+    drains: int = 1
     done: set[str] = field(default_factory=set)
     listed: defaultdict[str, set[str]] = field(default_factory=lambda: defaultdict(set))
     #: hash16 -> (completed | skipped | interrupted | failed, its entry or commit
@@ -768,8 +782,8 @@ class _Drain:
         self.outcomes[scenario] = ("skipped", entry)
         self.done.add(scenario)
 
-    def run(self, specs: dict[str, ScenarioSpec], *, poll: float, batch_topology: bool) -> None:
-        """Scan for unfinished scenarios, form groups, work them; until drained.
+    def run(self, specs: dict[str, ScenarioSpec], *, poll: float) -> None:
+        """Scan for unfinished scenarios, group them by topology, work the groups; until drained.
 
         A pass with work left lists ``leases/`` (parking) and reads the
         commit log (completion, wall times) once each; a commit missing
@@ -797,11 +811,21 @@ class _Drain:
                 return
 
             pending = schedule_longest_first(pending, record_wall_times(records))
+            # drains started together cannot see each other's claims yet:
+            # each stacks its share of a group, so none idles meanwhile
             groups: list[list[ScenarioSpec]] = []
-            if batch_topology and len(pending) > 1:
-                groups, pending = partition_by_topology(pending)
+            for group in partition_by_topology(pending)[0]:
+                share = math.ceil(len(group) / self.drains)
+                groups += [group[i : i + share] for i in range(0, len(group), share)]
+            # a group is worked where its first (longest) member comes
+            group_of = {id(spec): group for group in groups for spec in group}
+            units = [group_of.get(id(spec), [spec]) for spec in pending]
+            units = [unit for spec, unit in zip(pending, units) if unit[0] is spec]
+            # the r-th drain starts at the r-th longest unit, as list
+            # scheduling deals the first units out, and no two race for one
+            start = self.rank % len(units)
             progressed = False
-            for group in groups + [[spec] for spec in pending]:
+            for group in units[start:] + units[:start]:
                 if self._claims_spent():
                     self.say(f"worker {report.worker_id}: claim budget ({self.max_claims}) spent")
                     return

@@ -19,7 +19,7 @@ drains returned, and touches the store no further.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 
 from repro.parallel.executor import EXECUTOR_KINDS, make_executor
@@ -108,13 +108,14 @@ def solve_and_commit(
 def _hosted_drain(task: tuple) -> dict:
     """One drain of a suite; top-level, so the process executor can pickle it.
 
-    ``task`` is ``(specs, store or its URL, interrupt_after,
-    batch_topology, claim_lock)``.  Returns plain data — each scenario's
+    ``task`` is ``(specs, store or its URL, interrupt_after, rank, drains,
+    claim_lock)``: this drain is number ``rank`` (from 0) of the ``drains``
+    the run starts.  Returns plain data — each scenario's
     ``(status, entry)`` and the drain's progress lines — since the drain's
     :class:`~repro.scenarios.lease.WorkReport` holds its event recorder,
     which does not pickle.
     """
-    specs, store, interrupt_after, batch_topology, claim_lock = task
+    specs, store, interrupt_after, rank, drains, claim_lock = task
     lines: list[str] = []
     drain = _drain(
         specs,
@@ -123,9 +124,10 @@ def _hosted_drain(task: tuple) -> dict:
         worker_id=default_worker_id(),
         max_attempts=1,
         poll=_POLL,
-        batch_topology=batch_topology,
         progress=lines.append,
         claim_lock=claim_lock,
+        rank=rank,
+        drains=drains,
     )
     return {"outcomes": drain.outcomes, "lines": lines}
 
@@ -136,7 +138,7 @@ def run_suite(
     executor: str = "serial",
     num_workers: int = 2,
     interrupt_after: int | None = None,
-    batch_topology: bool = False,
+    batch_topology: bool = True,
     progress=None,
 ) -> SuiteReport:
     """Run every scenario of ``suite`` whose hash is not in ``store`` yet.
@@ -150,21 +152,25 @@ def run_suite(
         :data:`repro.parallel.executor.EXECUTOR_KINDS`): ``serial`` runs
         one drain in this thread; the others run ``num_workers`` drains
         through that executor.  ``processes`` gives real parallelism
-        across scenarios; its drains open the store from its URL.
+        across scenarios; its drains open the store from its URL.  Each
+        drain stacks its ``1 / num_workers`` share of a topology group, and
+        the r-th starts its claims at the r-th longest unit of work.
     interrupt_after
         Testing/demo hook: kill each solve after N iterations (leaving a
         checkpoint), as ``--interrupt-after`` in the CLI.
     batch_topology
-        Opt-in group size (``--batch``): a drain claims the solve scenarios
-        sharing a grid topology together and iterates them stacked (see
-        :func:`repro.scenarios.batching.partition_by_topology`); the code
-        path, checkpoints, events and per-hash commits are the same.  A
-        stacked group's contract is solver tolerance (BLAS blocking may
-        depend on what shares a call).
+        Kept for callers that still pass ``True``; ``False`` raises
+        :class:`ValueError`.  Every drain claims the solve scenarios sharing
+        a grid topology together and iterates them stacked (see
+        :func:`repro.scenarios.batching.partition_by_topology`), with the
+        same checkpoints, events and per-hash commits as a group of one: a
+        member's bits do not depend on its group.
     progress
         Optional ``callable(str)`` receiving the drains' lines (claims,
         ``done``, parks, interrupts), drain by drain, once the run is over.
     """
+    if not batch_topology:
+        raise ValueError("a drain always stacks same-topology solves: batch_topology must be True")
     if executor not in EXECUTOR_KINDS:
         raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}")
     if executor == "processes" and not store.backend.process_shared:
@@ -179,19 +185,22 @@ def run_suite(
     # once, before any drain starts: a drain clearing parked records itself
     # could retry what a sibling parked during this very run
     unpark(store, keys)
+    drains = 1 if executor == "serial" else num_workers
+    claim_lock: AbstractContextManager[object]
     if executor == "processes":
         # a worker process gets the specs pickled and the store as its URL
-        task = (specs, store.url, interrupt_after, batch_topology, nullcontext())
+        target, claim_lock = store.url, nullcontext()
     else:
         # drains sharing this process share the spec objects and the store,
         # and claim under one lock: threads switch at every store operation,
         # so two drains walking one order would otherwise both read a free
         # lease before either put its own, and both solve the scenario
-        task = (specs, store, interrupt_after, batch_topology, threading.Lock())
+        target, claim_lock = store, threading.Lock()
+    tasks = [(specs, target, interrupt_after, rank, drains, claim_lock) for rank in range(drains)]
     if executor == "serial":
-        summaries = [_hosted_drain(task)]
+        summaries = [_hosted_drain(tasks[0])]
     else:
-        summaries = make_executor(executor, num_workers).map(_hosted_drain, [task] * num_workers)
+        summaries = make_executor(executor, drains).map(_hosted_drain, tasks)
 
     say = progress if progress is not None else (lambda line: None)
     best: dict[str, tuple[str, dict]] = {}

@@ -2,17 +2,16 @@
 
 Covers the four contracts of the batched solve path:
 
-* equivalence — a batch of one is the sequential solve bit for bit; stacked
-  sweeps land on the same fixed points as per-scenario sequential solves
-  (asserted to solver tolerance);
+* equivalence — a batch of one is the sequential solve bit for bit, and so
+  is a stacked member: a member's bits do not depend on its group;
 * convergence masking — members drop out of the batch individually, each
   with its own iteration history;
 * stepping alone — members the loop cannot stack (topology
   mismatch, adaptivity) step alone inside the same loop,
   bit-exact with a solo solve; a member's own exception ends that member only;
-* scenario-layer integration — topology partitioning, batch-aware
-  ``run_suite`` dispatch, and kill/resume leaving per-member checkpoints
-  the next run resumes from.
+* scenario-layer integration — topology partitioning, ``run_suite``
+  stacking every same-topology group, and kill/resume leaving per-member
+  checkpoints the next run resumes from.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import pytest
 
 from repro.core.batched import BatchedTimeIterationSolver, BatchMember, batch_topology
 from repro.core.time_iteration import TimeIterationSolver
+from repro.grids.regular import regular_grid_size
 from repro.parallel.tracing import EventRecorder
 from repro.scenarios import (
     ResultsStore,
@@ -34,6 +34,7 @@ from repro.scenarios import (
     solve_batch_and_commit,
     topology_signature,
 )
+from repro.scenarios import batching
 from repro.scenarios.checkpoint import CHECKPOINT_SECONDS
 
 TOL = 1e-3
@@ -66,6 +67,14 @@ def _member(spec: ScenarioSpec, **kwargs) -> BatchMember:
     )
 
 
+def _assert_same_bits(a, b) -> None:
+    """Two results of one spec: equal surpluses and iteration histories."""
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.error_history(), b.error_history())
+    for got, want in zip(a.policy, b.policy):
+        assert np.array_equal(got.interpolant.surplus, want.interpolant.surplus)
+
+
 def _policy_diff(a, b) -> float:
     diff = 0.0
     for z in range(len(a.policy)):
@@ -91,7 +100,8 @@ class TestToleranceEquivalence:
             out = outcomes[spec.name]
             assert not out.fallback, out.fallback_reason
             assert out.result.converged and seq.converged
-            assert _policy_diff(seq, out.result) < TOL
+            # a member's bits do not depend on its group
+            _assert_same_bits(out.result, seq)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_single_member_batch(self, adaptive):
@@ -310,9 +320,16 @@ class TestFallback:
 
 
 class TestTopologyPartitioning:
-    def test_signature_matches_core(self):
-        spec = _solve_spec("sig")
-        assert topology_signature(spec) == batch_topology(spec.build_model(), spec.build_config())
+    @pytest.mark.parametrize("generations, states, level", [(4, 1, 2), (5, 2, 3), (8, 3, 2)])
+    def test_signature_matches_core(self, generations, states, level, monkeypatch):
+        spec = _solve_spec("sig", grid_level=level, num_generations=generations, num_states=states)
+        expected = batch_topology(spec.build_model(), spec.build_config())
+
+        def unbuilt(spec):
+            raise AssertionError("the signature is read without building the model")
+
+        monkeypatch.setattr(ScenarioSpec, "build_model", unbuilt)
+        assert topology_signature(spec) == expected
 
     def test_unbatchable_specs_have_no_signature(self):
         adaptive = _solve_spec("ada").with_overrides(solver={"adaptive": True})
@@ -333,6 +350,15 @@ class TestTopologyPartitioning:
         groups, singles = partition_by_topology(specs)
         assert groups == [specs] and singles == []
 
+    def test_a_stack_carries_at_most_its_point_budget(self, monkeypatch):
+        specs = [_solve_spec(f"s{i}", tau_labor=0.05 * (i + 1)) for i in range(5)]
+        points = regular_grid_size(3, 2)  # 4 generations -> 3 savers, level 2
+        monkeypatch.setattr(batching, "_STACK_POINTS", 2 * points + 1)
+        groups, singles = partition_by_topology(specs)
+        assert groups == [specs[0:2], specs[2:4]] and singles == [specs[4]]
+        monkeypatch.setattr(batching, "_STACK_POINTS", points - 1)
+        assert partition_by_topology(specs) == ([], specs)  # too big to stack: all alone
+
 
 class TestScenarioLayer:
     def _sweep(self, name="batched-sweep"):
@@ -345,15 +371,22 @@ class TestScenarioLayer:
         suite = self._sweep()
         batched = ResultsStore.open(env_store_url("batched"))
         sequential = ResultsStore.open(env_store_url("sequential"))
-        report = run_suite(suite, batched, batch_topology=True)
+        report = run_suite(suite, batched)
         assert report.ok and report.count("completed") == len(suite)
-        run_suite(suite, sequential)
+        started = [e for e in batched.events() if e.get("kind") == "solve-started"]
+        assert len(started) == len(suite) and all(e["batched"] for e in started)
+        for spec in suite:  # the reference: each spec solved in a group of one
+            [entry] = solve_batch_and_commit([spec], sequential)
+            assert entry["status"] == "completed"
         for spec in suite:
             entry = batched.entry(spec)
             assert entry["status"] == "completed" and entry["converged"]
-            a = batched.load_result(spec)
-            b = sequential.load_result(spec)
-            assert _policy_diff(a, b) < TOL
+            _assert_same_bits(batched.load_result(spec), sequential.load_result(spec))
+
+    def test_run_suite_refuses_to_turn_stacking_off(self, env_store_url):
+        store = ResultsStore.open(env_store_url("store"))
+        with pytest.raises(ValueError, match="batch_topology must be True"):
+            run_suite(self._sweep(), store, batch_topology=False)
 
     def test_kill_leaves_per_member_checkpoints_then_resumes(self, env_store_url):
         suite = self._sweep("kill-resume")

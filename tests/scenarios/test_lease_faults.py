@@ -977,8 +977,17 @@ class TestFleetDrain:
 
 
 # --------------------------------------------------------------------------- #
-# groups: --batch selects group size; the claim routine is the same one
+# groups: every drain stacks its same-topology solves; the claim routine is one
 # --------------------------------------------------------------------------- #
+def _other_topology(spec: ScenarioSpec) -> ScenarioSpec:
+    """The spec one generation older: a grid of another dimension, so never in its group."""
+    return spec.with_overrides(calibration={"num_generations": 5})
+
+
+def _batched_starts(report) -> dict:
+    return {e.scenario: e.detail["batched"] for e in report.events.by_kind("solve-started")}
+
+
 class TestGroupDrain:
     def _mixed_suite(self) -> ScenarioSuite:
         adaptive = _tiny_solve_spec("ada", tau_labor=0.12).with_overrides(
@@ -999,35 +1008,40 @@ class TestGroupDrain:
             ],
         )
 
-    def test_grouped_drain_matches_default_drain(self, store_url_for):
+    def test_mixed_suite_drains_one_stacked_pair_and_two_singles(self, store_url_for):
         suite = self._mixed_suite()
-        stores, reports = {}, {}
-        for grouped in (False, True):
-            stores[grouped] = ResultsStore.open(store_url_for("mem", name=f"grouped-{grouped}"))
-            reports[grouped] = run_worker(
-                suite,
-                stores[grouped],
-                worker_id="w",
-                clock=_Clock(),
-                backoff_base=0.0,
-                heartbeat_interval=1000.0,
-                batch_topology=grouped,
-            )
-        for grouped, report in reports.items():
-            # one lease claimed and released per member, whatever the group size
-            kinds = [e.kind for e in report.events.events]
-            assert report.claims == kinds.count("claimed") == kinds.count("released") == 4
-            assert len(report.completed) == 4 and stores[grouped].leases() == []
-        for spec in suite:
-            one, stacked = stores[False].entry(spec), stores[True].entry(spec)
-            assert one["status"] == stacked["status"] == "completed"
-            assert one.get("iterations") == stacked.get("iterations")
-        started = {
-            e.scenario: e.detail["batched"] for e in reports[True].events.by_kind("solve-started")
+        store = ResultsStore.open(store_url_for("mem", name="mixed"))
+        lines: list = []
+        report = run_worker(
+            suite,
+            store,
+            worker_id="w",
+            clock=_Clock(),
+            backoff_base=0.0,
+            heartbeat_interval=1000.0,
+            progress=lines.append,
+        )
+        # one lease claimed and released per member, whatever its group
+        kinds = [e.kind for e in report.events.events]
+        assert report.claims == kinds.count("claimed") == kinds.count("released") == 4
+        assert len(report.completed) == 4 and store.leases() == []
+        key = store.scenario_key
+        # the pair iterates stacked; the adaptive solve steps alone; the
+        # payload scenario has no iterations
+        assert _batched_starts(report) == {
+            key(suite[0]): True,
+            key(suite[1]): True,
+            key(suite[2]): False,
         }
-        key = stores[True].scenario_key
-        assert started == {key(suite[0]): True, key(suite[1]): True, key(suite[2]): False}
-        assert not any(e.detail["batched"] for e in reports[False].events.by_kind("solve-started"))
+        claims = [line for line in lines if line.startswith("claim ")]
+        assert [line.endswith("(batched)") for line in claims] == [True, True, False, False]
+        # each member commits what its solve alone commits
+        alone = ResultsStore.open(store_url_for("mem", name="alone"))
+        for spec in suite:
+            [entry] = solve_batch_and_commit([spec], alone)
+            stacked = store.entry(spec)
+            assert entry["status"] == stacked["status"] == "completed"
+            assert entry.get("iterations") == stacked.get("iterations")
 
     @pytest.mark.parametrize("grouped", [False, True], ids=["singles", "group"])
     def test_lost_lease_abandons_one_member_the_rest_commit(
@@ -1036,6 +1050,8 @@ class TestGroupDrain:
         store = ResultsStore.open(store_url_for("mem"))
         lost = _tiny_solve_spec("lost", tau_labor=0.1)
         kept = _tiny_solve_spec("kept", tau_labor=0.2)
+        if not grouped:
+            kept = _other_topology(kept)  # a group of one each
         victim = store.scenario_key(lost)
         monkeypatch.setattr(
             HeldLease, "abort_requested", lambda self: self.lease.scenario == victim
@@ -1048,8 +1064,8 @@ class TestGroupDrain:
             backoff_base=0.0,
             heartbeat_interval=1000.0,
             max_claims=2,  # the abandoned lease stays (it is the thief's): stop rescanning
-            batch_topology=grouped,
         )
+        assert set(_batched_starts(report).values()) == {grouped}
         assert report.abandoned == 1 and report.completed == [store.scenario_key(kept)]
         assert store.entry(lost) is None  # nothing committed for the abandoned member
         assert store.entry(kept)["status"] == "completed"
@@ -1061,7 +1077,6 @@ class TestGroupDrain:
     def test_failed_group_member_backs_off_before_its_retry(self, store_url_for):
         # a member that commits a `failed` entry is retried with the same
         # exponential backoff whether it was claimed alone or in a group
-        from repro.core.time_iteration import TimeIterationSolver
         from repro.scenarios import serialize
 
         store = ResultsStore.open(store_url_for("mem"))
@@ -1079,7 +1094,6 @@ class TestGroupDrain:
             clock=_Clock(),
             backoff_base=1.0,
             heartbeat_interval=1000.0,
-            batch_topology=True,
             sleep=delays.append,
             rng=lambda: 0.5,  # jitter multiplier pinned to 1.0
         )
@@ -1087,6 +1101,123 @@ class TestGroupDrain:
         assert "different solver configuration" in store.entry(bad)["error"]
         assert store.entry(good)["status"] == "completed"
         assert delays == [1.0, 2.0]  # one backoff after each non-final failed attempt
+
+    def test_a_group_is_worked_in_its_longest_members_place(self, store_url_for):
+        # longest-first: the lone wider economy is claimed before the pair
+        store = ResultsStore.open(store_url_for("mem"))
+        pair = [_tiny_solve_spec(f"p{i}", tau_labor=0.1 + 0.1 * i) for i in range(2)]
+        wide = _other_topology(_tiny_solve_spec("wide"))
+        assert wide.estimated_cost() > pair[0].estimated_cost()
+        lines: list = []
+        run_worker(
+            [pair[0], pair[1], wide],
+            store,
+            worker_id="w",
+            clock=_Clock(),
+            backoff_base=0.0,
+            heartbeat_interval=1000.0,
+            progress=lines.append,
+        )
+        claims = [line.split()[1] for line in lines if line.startswith("claim ")]
+        assert claims == ["wide", "p0", "p1"]
+
+    def test_a_drain_builds_each_model_once_across_a_rescan(self, store_url_for, monkeypatch):
+        # grouping reads signatures without building models: each spec's
+        # model is built once, by its solve, also when a rescan regroups it
+        built: list = []
+        real = ScenarioSpec.build_model
+
+        def counting(spec):
+            built.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "build_model", counting)
+        store = ResultsStore.open(store_url_for("mem"))
+        specs = [_tiny_solve_spec(f"m{i}", tau_labor=0.1 + 0.05 * i) for i in range(3)]
+        clock = _Clock()
+        # a peer holds the last one: the first pass solves the other two,
+        # then the drain rescans until the peer's lease expires and steals it
+        assert _manager(store, "peer", clock, ttl=5.0).try_claim(specs[2]) is not None
+        waits: list = []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            clock.advance(10.0)
+
+        report = run_worker(
+            specs,
+            store,
+            worker_id="w",
+            clock=clock,
+            sleep=sleep,
+            backoff_base=0.0,
+            heartbeat_interval=1000.0,
+        )
+        assert sorted(report.completed) == sorted(store.scenario_key(s) for s in specs)
+        assert report.steals == 1 and len(waits) == 1  # the rescan happened
+        assert sorted(built) == ["m0", "m1", "m2"]
+
+    @pytest.mark.parametrize(
+        "rank, members, claims, stacks",
+        [
+            (0, 5, ["s0", "s1", "s2", "s3", "s4"], [3, 2]),  # half, rounded up, then the rest
+            (1, 4, ["s2", "s3", "s0", "s1"], [2, 2]),  # the second drain starts at share two
+        ],
+    )
+    def test_drains_started_together_each_stack_their_share(
+        self, store_url_for, rank, members, claims, stacks
+    ):
+        # one of two drains started together on a same-topology suite
+        # stacks its share of the group first, then what is still free
+        specs = [_tiny_solve_spec(f"s{i}", tau_labor=0.05 + 0.05 * i) for i in range(members)]
+        store = ResultsStore.open(store_url_for("mem"))
+        lines: list = []
+        lease_module._drain(
+            specs,
+            store,
+            worker_id="w",
+            clock=_Clock(),
+            backoff_base=0.0,
+            heartbeat_interval=1000.0,
+            progress=lines.append,
+            rank=rank,
+            drains=2,
+        )
+        steps = [line.split()[:2] for line in lines if line.startswith(("claim ", "done "))]
+        expected = [kind for size in stacks for kind in ["claim"] * size + ["done"] * size]
+        assert [kind for kind, _name in steps] == expected
+        assert [name for kind, name in steps if kind == "claim"] == claims
+        assert all(line.endswith("(batched)") for line in lines if line.startswith("claim "))
+
+    def test_thread_drains_commit_each_scenario_once(self, store_url_for, monkeypatch):
+        # two drains in one process split one same-topology suite through
+        # leases; whatever group each stacks, each spec's model is built
+        # once in all and the bits are the solo solve's
+        built: list = []
+        real = ScenarioSpec.build_model
+
+        def counting(spec):
+            built.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "build_model", counting)
+        specs = [_tiny_solve_spec(f"t{i}", tau_labor=0.05 + 0.05 * i) for i in range(4)]
+        store = ResultsStore.open(store_url_for("mem"))
+        report = run_suite(ScenarioSuite("pairs", specs), store, executor="threads", num_workers=2)
+        assert report.count("completed") == 4
+        assert sorted(built) == ["t0", "t1", "t2", "t3"]
+        monkeypatch.undo()
+        logged = [record["spec_hash"] for record in store.log_records()]
+        assert sorted(logged) == sorted(spec.content_hash() for spec in specs)
+        started = [e["scenario"] for e in store.events() if e["kind"] == "solve-started"]
+        assert sorted(started) == sorted(store.scenario_key(spec) for spec in specs)
+        for spec in specs:
+            solo = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
+            result = store.load_result(spec)
+            assert result.iterations == solo.iterations
+            assert np.array_equal(result.error_history(), solo.error_history())
+            for got, want in zip(result.policy, solo.policy):
+                assert np.array_equal(got.interpolant.surplus, want.interpolant.surplus)
 
 
 # --------------------------------------------------------------------------- #

@@ -324,7 +324,6 @@ OPTIONS = {
         "--workers",
         "--dry-run",
         "--interrupt-after",
-        "--batch",
     },
     "show": {"--store"},
     "diff": {"--store", "--json", "--store-b", "--samples"},
@@ -339,7 +338,6 @@ OPTIONS = {
         "--poll",
         "--max-claims",
         "--retry-parked",
-        "--batch",
     },
     "status": {"--store", "--json", "--follow", "--poll", "--max-polls"},
     "report": {"--store", "--format", "-o", "--output"},

@@ -173,7 +173,7 @@ class TestRunner:
         store = ResultsStore.open(env_store_url())
         spec = suite[0]
         # what a process host's worker runs: plain data in, plain data out
-        summary = runner_mod._hosted_drain(([spec], store.url, None, False, nullcontext()))
+        summary = runner_mod._hosted_drain(([spec], store.url, None, 0, 1, nullcontext()))
         [(status, entry)] = summary["outcomes"].values()
         assert status == entry["status"] == "completed"
         assert store.result_ref(spec).exists()

@@ -247,9 +247,14 @@ class TestBatchedSolveGate:
         # ... and the bytes put and objects deleted per drained unit of the
         # store workload: one event flush and one lease delete each
         assert "--workload store-write --scale smoke --traced" in guard[0]
-        assert guard[0].count('result["failed"] == 0') == 2
         assert 'value["scenarios.backends.put_kib"] / 40 <= 12' in guard[0]
         assert 'value["scenarios.backends.delete_calls"] == 40' in guard[0]
+        # ... and that a drain stacks by default: the sequential-drain
+        # workload's two solves are one group, and none steps alone
+        assert "--workload seq-drain-l2 --scale smoke --traced" in guard[0]
+        assert guard[0].count('result["failed"] == 0') == 3
+        assert 'value["core.batched.calls"] == 1' in guard[0]
+        assert 'value["core.time_iteration.calls"] == 0' in guard[0]
 
     def test_bench_job_compares_the_solve_bits_with_the_base(self, workflow):
         # the script on this tree and on a worktree of the base commit; the
