@@ -9,26 +9,26 @@ record and ``iteration`` event, equilibrium errors, ``refined``,
 of one (:meth:`repro.core.time_iteration.TimeIterationSolver.solve`).
 
 Every update is :func:`repro.core.time_iteration.update`, the pass of
-Algorithm 1 over a list of members.  Two or more members that share a grid
-topology — state dimension, shock count, policy count, grid level; no
-adaptivity — form a *stack*: they iterate in lockstep on ONE shared
-regular grid, every pass one ``update`` call — a ``(n_members, n_states,
-n_points)`` batch of equilibrium systems in one point solve (through
-:meth:`repro.olg.model.OLGModel.stacked_group` when available), all
+Algorithm 1 over a list of members, and the loop stacks whatever it is
+given: two or more members iterate in lockstep on ONE shared regular grid,
+every pass one ``update`` call — a ``(n_members, n_states, n_points)``
+batch of equilibrium systems in one point solve (through the model class's
+``stacked_group`` when it has one, e.g.
+:meth:`repro.olg.model.OLGModel.stacked_group`; per member otherwise), all
 members' policies in one hierarchization per shock state — and drop out as
-they converge.  Every other member is a list of one, through its own
-:meth:`~repro.core.time_iteration.TimeIterationSolver.step`: a group of
-one, and — reported as :attr:`MemberOutcome.fallback_reason` — an adaptive
-configuration, a topology minority, a start policy on another grid.  A
-non-finite iterate is no reason to leave the stack: an update is a
-deterministic function of the previous iterate, so redoing it alone returns
-the same bits; the member stays and ends, unconverged, at its iteration cap.
+they converge.  A group of one is a stack of one, and the only place an
+adaptive solve runs.  Which solves share a stack is the caller's decision
+(the scenario drain groups by
+:func:`repro.scenarios.batching.topology_signature`); the constructor
+refuses a group that cannot share one.  A non-finite iterate is no reason
+to leave the stack: an update is a deterministic function of the previous
+iterate, so redoing it alone returns the same bits; the member stays and
+ends, unconverged, at its iteration cap.
 
-Either way each member has its own tolerance/metric/iteration cap, record
-history, checkpoint hook (called after every iteration) and events.  An
-exception from a member's own hooks or alone step ends that member only
-and rides on its outcome; what it means (a failure, an abandoned claim) is
-the caller's call.
+Each member has its own tolerance/metric/iteration cap, record history,
+checkpoint hook (called after every iteration) and events.  An exception
+from a member's own hooks ends that member only and rides on its outcome;
+what it means (a failure, an abandoned claim) is the caller's call.
 """
 
 from __future__ import annotations
@@ -48,37 +48,13 @@ from repro.core.time_iteration import (
     TimeIterationSolver,
     update,
 )
+from repro.grids.regular import regular_grid_size
 
 # the fit is in ``update``; benchmarks/ledger/test_ledger.py (frozen) reads the name here
 from repro.grids.hierarchize import hierarchize  # noqa: F401
-from repro.utils.logging import get_logger
 from repro.utils.timing import WallClock
 
-__all__ = [
-    "BatchMember",
-    "MemberOutcome",
-    "BatchedTimeIterationSolver",
-    "batch_topology",
-]
-
-logger = get_logger("core.batched")
-
-
-def batch_topology(model: TimeIterationModel, config: TimeIterationConfig):
-    """Grid-topology signature deciding which solves may share a stack.
-
-    Returns ``None`` for configurations that cannot be stacked (adaptive
-    refinement re-shapes grids per member); otherwise a hashable tuple —
-    members with equal signatures run on one shared regular grid.
-    """
-    if config.adaptive:
-        return None
-    return (
-        int(model.state_dim),
-        int(model.num_states),
-        int(model.num_policies),
-        int(config.grid_level),
-    )
+__all__ = ["BatchMember", "MemberOutcome", "BatchedTimeIterationSolver"]
 
 
 def _solver_totals(model: TimeIterationModel) -> dict:
@@ -112,12 +88,11 @@ class MemberOutcome:
     """Terminal state of one member: its result, or the exception that ended it."""
 
     result: TimeIterationResult | None
-    fallback_reason: str | None = None  # why a member that could have been stacked ran alone
     exception: Exception | None = None  # carries its message and ``__traceback__``
 
-    @property
-    def fallback(self) -> bool:
-        return self.fallback_reason is not None
+    #: always ``False``: every member runs in the stack it is given
+    #: (benchmarks/ledger/layers.py, frozen, still counts it)
+    fallback = False
 
 
 @dataclass
@@ -130,8 +105,6 @@ class _MemberState:
     converged: bool
     loaded: int  # records that came with the checkpoint
     totals_before: dict  # the model's point-solve totals when this solve started
-    reason: str | None = None  # why the member never joined the stack
-    stacked: bool = False
     update: tuple[PolicySet, float, dict] | None = None  # this pass: policy, wall, sections
 
     @property
@@ -145,15 +118,17 @@ class _MemberState:
 
 
 class BatchedTimeIterationSolver:
-    """Runs the time iterations of a group of members to completion.
+    """Runs the time iterations of a group of members, stacked, to completion.
 
     Parameters
     ----------
     members
-        The member solves, with unique keys.  Members sharing the most
-        common :func:`batch_topology` signature are stacked when there are
-        at least two of them; the rest step alone (see the module
-        docstring).
+        The member solves, with unique keys.  Two or more iterate as one
+        stack (see the module docstring), so they must share one regular
+        grid and one structure: adaptive members, members on different
+        grids (state dimension, shock count, level) and models their class's
+        ``stacked_group`` refuses raise ``ValueError`` here, before any
+        member loads a checkpoint or emits an event.
     on_member_complete
         Optional callback ``(key, outcome)`` invoked the moment a member
         finishes (converged, hit its iteration cap, or was ended by an
@@ -171,6 +146,13 @@ class BatchedTimeIterationSolver:
         self.on_member_complete = on_member_complete
         self._outcomes: dict[str, MemberOutcome] = {}
         self._group_cache: tuple[tuple[str, ...], object | None] | None = None
+        if len(self.members) > 1:
+            if any(m.config.adaptive for m in self.members):
+                raise ValueError("adaptive solves do not stack: each refines its own grids")
+            grids = {(m.model.state_dim, m.model.num_states, m.config.grid_level) for m in members}
+            if len(grids) > 1:
+                raise ValueError(f"the members of a stack need one grid, got {sorted(grids)}")
+            self._group_solver(self.members)  # the model class's own structural check
 
     # ------------------------------------------------------------------ #
     # the loop
@@ -180,47 +162,44 @@ class BatchedTimeIterationSolver:
         self._outcomes.clear()
         active = self._start()
         while active:
-            stack = [ms for ms in active if ms.stacked]
-            if stack:
-                self._stacked_update(stack)
+            self._update(active)
             for ms in active:
-                with self._own(ms.member, ms.reason):
-                    if not ms.stacked:
-                        self._alone_update(ms)
+                with self._own(ms.member):
                     self._advance(ms)
             active = [ms for ms in active if ms.member.key not in self._outcomes]
         return self._outcomes
 
     @contextmanager
-    def _own(self, member: BatchMember, reason: str | None = None):
-        """What the member's own hooks, model or alone step raise ends that member only."""
+    def _own(self, member: BatchMember):
+        """What the member's own hooks or model raise ends that member only."""
         try:
             yield
         except Exception as exc:  # rides on the member's outcome, for the caller to judge
             if member.key in self._outcomes:
                 raise  # on_member_complete failed: the caller's error, not the member's
-            self._finish(member, MemberOutcome(None, reason, exception=exc))
+            self._finish(member, MemberOutcome(None, exception=exc))
 
     def _finish(self, member: BatchMember, outcome: MemberOutcome) -> None:
-        if outcome.fallback:
-            logger.info("member %s ran unstacked: %s", member.key, outcome.fallback_reason)
         self._outcomes[member.key] = outcome
         if self.on_member_complete is not None:
             self.on_member_complete(member.key, outcome)
 
     # ------------------------------------------------------------------ #
-    # start: resume or initial policy, stack formation, solve-started
+    # start: resume or initial policy, the shared grid, solve-started
     # ------------------------------------------------------------------ #
     def _start(self) -> list[_MemberState]:
         states: list[_MemberState] = []
         for member in self.members:
             with self._own(member):
                 states.append(self._load(member))
-        self._form_stack(states)
+        stacked = len(self.members) > 1
         active = []
         for ms in states:
             cfg = ms.member.config
-            with self._own(ms.member, ms.reason):
+            with self._own(ms.member):
+                if stacked:  # one grid cache for the stack's solvers, so one grid for update()
+                    ms.solver._grid_cache = states[0].solver._grid_cache
+                    ms.policy = self._reanchor(ms.policy, ms.solver._regular_grid(cfg.grid_level))
                 ms.emit(
                     "solve-started",
                     start_iteration=ms.iteration,
@@ -230,7 +209,7 @@ class BatchedTimeIterationSolver:
                     metric=cfg.convergence_metric,
                     adaptive=bool(cfg.adaptive),
                     grid_level=int(cfg.grid_level),
-                    batched=ms.stacked,
+                    batched=stacked,
                 )
                 if ms.converged or ms.iteration >= cfg.max_iterations:
                     self._complete(ms)  # the checkpoint left nothing to iterate
@@ -258,39 +237,6 @@ class BatchedTimeIterationSolver:
             totals_before=_solver_totals(member.model),
         )
 
-    def _form_stack(self, states: list[_MemberState]) -> None:
-        """Stack the members of the most common topology; say why the others step alone."""
-        by_signature: dict = {}
-        for ms in states:
-            signature = batch_topology(ms.member.model, ms.member.config)
-            if signature is None:
-                ms.reason = "adaptive refinement"
-            else:
-                by_signature.setdefault(signature, []).append(ms)
-        # callers group by signature (the scenarios layer partitions suites),
-        # so a mixed set means the caller skipped that: stack the largest
-        candidates = max(by_signature.values(), key=len, default=[])
-        for others in by_signature.values():
-            if others is not candidates:
-                for ms in others:
-                    ms.reason = "topology mismatch"
-        if len(candidates) < 2:
-            return
-        first = candidates[0].solver
-        grid = first._regular_grid(first.config.grid_level)
-        stack = []
-        for ms in candidates:
-            try:
-                ms.policy = self._reanchor(ms.policy, grid)
-            except ValueError as exc:
-                ms.reason = str(exc)
-            else:
-                stack.append(ms)
-        if len(stack) >= 2:
-            for ms in stack:
-                ms.stacked = True
-                ms.solver._grid_cache = first._grid_cache  # update() hands them this grid
-
     @staticmethod
     def _reanchor(policy: PolicySet, grid) -> PolicySet:
         """Move a policy onto the shared grid object.
@@ -298,12 +244,13 @@ class BatchedTimeIterationSolver:
         The points must match exactly (the same regular grid, just another
         object — a member's own, or one from a checkpoint round-trip);
         rebuilding via ``from_surplus`` keeps evaluations bit-identical
-        while letting all members share the grid-attached caches.
+        while letting all members share the grid-attached caches.  A start
+        policy on another grid ends its member with this ``ValueError``.
         """
         policies = []
         for sp in policy:
             if not np.array_equal(sp.grid.points, grid.points):
-                raise ValueError("checkpoint grid does not match the shared grid")
+                raise ValueError("start policy grid does not match the shared grid")
             policies.append(
                 StatePolicy.from_surplus(
                     sp.state, grid, sp.interpolant.surplus, sp.nodal_values, sp.interpolant.domain
@@ -312,45 +259,34 @@ class BatchedTimeIterationSolver:
         return PolicySet(policies)
 
     # ------------------------------------------------------------------ #
-    # the update: one pass, alone or as a stack
+    # the update: one pass of the stack
     # ------------------------------------------------------------------ #
-    def _alone_update(self, ms: _MemberState) -> None:
-        """One :meth:`TimeIterationSolver.step` of the member's own."""
-        clock = WallClock()
-        t0 = time.perf_counter()
-        new_policy = ms.solver.step(ms.policy, clock)
-        ms.update = (new_policy, time.perf_counter() - t0, clock.as_dict())
-
-    def _stacked_update(self, stack: list[_MemberState]) -> None:
+    def _update(self, stack: list[_MemberState]) -> None:
         """One lockstep pass of the stack; every member books an equal share of its wall."""
         clock = WallClock()
         t0 = time.perf_counter()
         members = [(ms.solver, ms.policy) for ms in stack]
-        new_policies = update(members, self._group_solver(stack), clock)
+        new_policies = update(members, self._group_solver([ms.member for ms in stack]), clock)
         share = 1.0 / len(stack)
         wall = (time.perf_counter() - t0) * share
         for ms, new_policy in zip(stack, new_policies):
             sections = {name: seconds * share for name, seconds in clock.sections.items()}
             ms.update = (new_policy, wall, sections)
 
-    def _group_solver(self, active: list[_MemberState]):
-        """Cross-member stacked solver, rebuilt when membership changes."""
-        key = tuple(ms.member.key for ms in active)
-        if self._group_cache is not None and self._group_cache[0] == key:
-            return self._group_cache[1]
-        group = None
-        models = [ms.member.model for ms in active]
-        cls = type(models[0])
-        if len(models) > 1 and all(type(m) is cls for m in models) and hasattr(
-            cls, "stacked_group"
-        ):
-            try:
+    def _group_solver(self, members: list[BatchMember]):
+        """The model class's stacked point solver for ``members`` (``None`` for one member
+        or a class without ``stacked_group``), rebuilt when the members change."""
+        key = tuple(m.key for m in members)
+        if self._group_cache is None or self._group_cache[0] != key:
+            model, level = members[0].model, members[0].config.grid_level
+            stacked_group = getattr(type(model), "stacked_group", None)
+            group = None
+            if len(members) > 1 and stacked_group is not None:
                 # a member's rows: the shared grid's points, once per shock state
-                group = cls.stacked_group(models, [ms.policy.total_points for ms in active])
-            except ValueError as exc:
-                logger.info("stacked group unavailable (%s); per-member batching", exc)
-        self._group_cache = (key, group)
-        return group
+                rows = regular_grid_size(model.state_dim, level) * model.num_states
+                group = stacked_group([m.model for m in members], [rows] * len(members))
+            self._group_cache = (key, group)
+        return self._group_cache[1]
 
     # ------------------------------------------------------------------ #
     # after the update: the one per-member block
@@ -421,4 +357,4 @@ class BatchedTimeIterationSolver:
         result = TimeIterationResult(
             policy=ms.policy, records=ms.records, converged=ms.converged, config=cfg
         )
-        self._finish(member, MemberOutcome(result, ms.reason))
+        self._finish(member, MemberOutcome(result))

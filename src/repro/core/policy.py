@@ -14,7 +14,7 @@ approximate it with one adaptive sparse grid per discrete state ``z``:
   equilibrium solver builds for its residual calls;
 * :func:`values_on_grid` — the previous iterate at today's grid points: its
   stored nodal values where the grids share their points, an interpolation
-  otherwise.  It is the one rule behind the warm start, the damping and
+  otherwise.  It is the one rule behind the warm start and
   :meth:`PolicySet.distance`, so a non-adaptive pass compares its iterates
   without a basis pass.
 
@@ -234,7 +234,7 @@ def values_on_grid(prev: StatePolicy, grid: SparseGrid, X: np.ndarray) -> np.nda
 
     Its stored nodal values when ``grid`` has exactly ``prev``'s points —
     every non-adaptive iteration, and an adaptive step before it refines —
-    so warm starts, damping and the convergence distance see the bits the
+    so warm starts and the convergence distance see the bits the
     last step produced without a basis pass; an interpolation otherwise (a
     restart from another level, a refined grid).
     """

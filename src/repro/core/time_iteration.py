@@ -15,8 +15,10 @@ argument of the model's vectorized ``solve_points_batch``), an adaptive
 member adds one point solve per refinement round, and one hierarchization
 per shock state fits the result.  A solo step
 (:meth:`TimeIterationSolver.step`) is that pass on a list of one; a stack
-of :mod:`repro.core.batched` is the same pass on several members and a
-group solver.  Fig. 7 times that point solve over the rows of a first
+of :mod:`repro.core.batched` is the same pass on several members and the
+model class's group solver.  This module is model-agnostic: which models
+may share a stack is the caller's decision (for OLG solves, their
+``structure_key`` and grid level).  Fig. 7 times that point solve over the rows of a first
 step (:func:`repro.experiments.fig7.step_rows`).
 The iteration loop itself — start or resume, convergence, checkpoints,
 events — exists once, in :mod:`repro.core.batched`, over a group of
@@ -125,9 +127,6 @@ class TimeIterationConfig:
         Refinement of a state stops once its grid has reached this many
         points; the last round may overshoot (a round is never cut short:
         that would break the grid's hierarchical consistency).
-    damping
-        Convex-combination damping of the policy update, in ``(0, 1]``
-        (1.0 = undamped).
     convergence_metric
         Which entry of :meth:`repro.core.policy.PolicySet.distance` stops
         the iteration: ``"rel_linf"`` (default; scale-free, robust when
@@ -142,14 +141,11 @@ class TimeIterationConfig:
     refine_epsilon: float = 1e-2
     max_refine_level: int = 6
     max_points_per_state: int = 2_000
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         metric = self.convergence_metric
         if metric not in CONVERGENCE_METRICS:
             raise ValueError(f"convergence_metric {metric!r} is not one of {CONVERGENCE_METRICS}")
-        if not 0.0 < self.damping <= 1.0:  # 0 would return the initial guess as "converged"
-            raise ValueError(f"damping {self.damping!r} is not in (0, 1]")
         if not self.tolerance >= 0.0:  # NaN or < 0 never stops, and would run to the cap
             raise ValueError(f"tolerance {self.tolerance!r} is not >= 0")
         if self.max_iterations < 1:  # would commit a solve that never iterated
@@ -216,9 +212,9 @@ def update(members, group=None, clock: WallClock | None = None) -> list[PolicySe
     point solve — ``group.solve_points`` when the caller holds a stacked
     group solver for exactly these members, the model's ``solve_points_batch``
     per member otherwise.  An adaptive member then pays one more point solve per
-    refinement round, over the new points of all its states.  Damping and
-    one hierarchization per shock state, all members' columns side by side,
-    finish the pass.  The members of one call sit on the same grid objects:
+    refinement round, over the new points of all its states.  One
+    hierarchization per shock state, all members' columns side by side,
+    finishes the pass.  The members of one call sit on the same grid objects:
     a list of one, or a stack (its solvers share one grid cache).
     """
     clock = clock or WallClock()
@@ -253,10 +249,6 @@ def update(members, group=None, clock: WallClock | None = None) -> list[PolicySe
         for z, (grid, _) in enumerate(grids[0]):
             if any(gs[z][0] is not grid for gs in grids):
                 raise ValueError("the members of one update must share their grid objects")
-            for (solver, policy_next), gs, v in zip(members, grids, values):
-                damping = solver.config.damping
-                if damping < 1.0:
-                    v[z] = damping * v[z] + (1.0 - damping) * values_on_grid(policy_next[z], *gs[z])
             surplus = hierarchize(grid, np.concatenate([v[z] for v in values], axis=1))
             widths = np.cumsum([v[z].shape[1] for v in values])[:-1]
             columns = np.split(surplus, widths, axis=1)
@@ -389,7 +381,8 @@ class TimeIterationSolver:
             given, the loop emits the
             :data:`~repro.parallel.tracing.SOLVE_EVENT_KINDS` vocabulary —
             ``solve-started`` (start iteration, tolerance, iteration cap,
-            ``batched``: whether the member starts in a stack),
+            ``batched``: whether the member is one of a stack of two or
+            more, here always ``False``),
             one ``iteration`` event per completed step (iteration number,
             l∞/l2 policy change, grid point count, per-iteration wall
             time), ``refined`` when adaptive refinement grew the grids,

@@ -107,6 +107,7 @@ def run_table1(
 
 
 def _short_name(num_points: int) -> str:
+    """A test case's name: its point count, in thousands from 1 000 points."""
     if num_points >= 1000:
         return f"{num_points / 1000:.0f}k"
     return str(num_points)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.compression import compress_grid
 from repro.core.kernels import evaluate, list_kernels
+from repro.experiments.table1 import _short_name
 from repro.grids.regular import regular_sparse_grid
 from repro.utils.rng import default_rng
 
@@ -109,7 +110,7 @@ def run_table2(
         comp = compress_grid(grid)
         surplus = rng.standard_normal((len(grid), num_dofs))
         queries = rng.random((num_queries, dim))
-        name = _case_name(len(grid))
+        name = _short_name(len(grid))
         times: dict[str, float] = {}
         for kernel in kernels:
             best = float("inf")
@@ -179,12 +180,6 @@ def scenario_suite():
             )
         ],
     )
-
-
-def _case_name(num_points: int) -> str:
-    if num_points >= 1000:
-        return f"{num_points / 1000:.0f}k"
-    return str(num_points)
 
 
 def format_table2(experiments: list[KernelExperiment]) -> str:

@@ -43,7 +43,13 @@ from repro.olg.government import GovernmentBudget
 from repro.olg.production import Prices
 from repro.olg.solver import BatchNewtonSolver
 
-__all__ = ["EulerSystem", "PeriodEnvironment", "STATE_CONVENTION", "StructuralMismatch"]
+__all__ = [
+    "EulerSystem",
+    "PeriodEnvironment",
+    "STATE_CONVENTION",
+    "StructuralMismatch",
+    "structure_key",
+]
 
 #: names the coordinates of :meth:`EulerSystem.holdings` / ``next_states``, which
 #: stored policies live on; a solve spec's content hash carries it
@@ -89,24 +95,35 @@ class StructuralMismatch(ValueError):
     """Models differ in a way that changes the Euler system's structure."""
 
 
+def structure_key(calibration) -> tuple:
+    """What the models of one system must share in their calibration, as a hashable tuple.
+
+    Generations, shock states, retirement age, efficiency profile, risk
+    aversion ``gamma``, consumption floor and capital share ``theta``: the
+    ages, preferences and technology the system holds once.  The rest —
+    the discount factor, the shock labels and transitions, the box — sits
+    in per-model tables.  Calibrations with equal keys, solved at one grid
+    level, are what the scenario drain stacks.
+    """
+    cal = calibration
+    return (
+        cal.num_generations,
+        cal.num_states,
+        cal.retirement_age,
+        cal.efficiency.tobytes(),
+        cal.gamma,
+        cal.consumption_floor,
+        cal.theta,
+    )
+
+
 def _structure(model) -> dict:
     """What must agree across the models of one system, by the name a mismatch is reported."""
-    cal, s = model.calibration, model.solver
+    s = model.solver
     return {
         "model classes": type(model),
-        "calibration structure": (
-            cal.num_generations,
-            cal.num_states,
-            cal.retirement_age,
-            cal.efficiency.tobytes(),
-        ),
-        "preferences/technology/fiscal": (model.utility, model.technology, model.fiscal),
-        "nonlinear solver settings": (
-            s.tol,
-            s.max_iterations,
-            s.fd_step,
-            s.max_step,
-        ),
+        "calibration structures": structure_key(model.calibration),
+        "nonlinear solver settings": (s.tol, s.max_iterations, s.fd_step, s.max_step),
     }
 
 
@@ -116,10 +133,9 @@ class EulerSystem:
     Parameters
     ----------
     models
-        :class:`~repro.olg.model.OLGModel` instances that agree on every
-        structural ingredient: ages, preferences, technology, fiscal rule
-        and nonlinear-solver settings.  :class:`StructuralMismatch` is
-        raised otherwise.
+        :class:`~repro.olg.model.OLGModel` instances of one class, with
+        equal :func:`structure_key` and nonlinear-solver settings.
+        :class:`StructuralMismatch` is raised otherwise.
 
     ``member`` arguments name the model of the rows: one index for all of
     them, or one per row, sorted so that each model's rows are contiguous.

@@ -200,12 +200,11 @@ class OLGModel:
 
     @classmethod
     def stacked_group(cls, models: list["OLGModel"], counts: list[int]):
-        """Cross-scenario stacked point solver for topology-sharing models.
+        """Cross-scenario stacked point solver for structurally equal models.
 
         Returns a :class:`repro.olg.stacked.StackedOLGGroup`; raises
         :class:`repro.olg.euler.StructuralMismatch` (a ``ValueError``)
-        when the models differ structurally, in which case callers fall
-        back to per-scenario solves.
+        when the models differ structurally (:func:`repro.olg.euler.structure_key`).
         """
         from repro.olg.stacked import StackedOLGGroup
 

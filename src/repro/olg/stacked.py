@@ -1,8 +1,9 @@
 """Cross-scenario stacked evaluation of the OLG equilibrium systems.
 
-Sweep scenarios that share a grid topology (same generations, shock count,
-grid level) typically differ only in calibration *scalars* — tax rates,
-discount factors, shock processes.  :class:`StackedOLGGroup` exploits that:
+Sweep scenarios that share a structure
+(:func:`~repro.olg.euler.structure_key`) and a grid level typically differ
+only in calibration *scalars* — tax rates, discount factors, shock
+processes.  :class:`StackedOLGGroup` exploits that:
 it stacks the members' grid points row-wise into ONE
 :class:`~repro.olg.euler.EulerSystem` over all members, each row naming its
 member, and the Euler systems of all scenarios in all shock states are
@@ -13,9 +14,9 @@ successor state.
 
 The group itself only maps stacked rows to members (its counts fixed at
 construction), concatenates the members' blocks and splits the result.
-The system checks that the members agree structurally and raises
-:class:`~repro.olg.euler.StructuralMismatch`, re-exported here, otherwise;
-the caller then falls back to per-scenario solves.
+The system checks that the members agree structurally
+(:func:`~repro.olg.euler.structure_key`) and raises
+:class:`~repro.olg.euler.StructuralMismatch`, re-exported here, otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ __all__ = ["StackedOLGGroup", "StructuralMismatch"]
 
 
 class StackedOLGGroup:
-    """Point solver for several OLG models sharing one grid topology.
+    """Point solver for several structurally equal OLG models on one grid.
 
     Parameters
     ----------

@@ -16,7 +16,8 @@ hand-wired single solves into managed scenario runs:
   cadence; a killed solve resumes from the last persisted one bit-for-bit;
 * :mod:`repro.scenarios.batching` — the one solve-and-commit, over a
   group of scenarios: every drain groups its pending solve scenarios by
-  grid topology, so those sharing one iterate stacked up to a grid-point
+  ``topology_signature`` (structure key and grid level), so those that
+  differ only in calibration scalars iterate stacked up to a grid-point
   cap per stack (a member's bits do not depend on its group), and
   everything else is a group of one;
 * :mod:`repro.scenarios.runner` — ``run_suite``, a host for the lease

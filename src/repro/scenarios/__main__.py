@@ -6,8 +6,8 @@ Installed as the ``repro-scenarios`` console script and runnable as
 * ``list``   — show the named preset suites and their sizes;
 * ``run``    — expand a preset and run it against a results store
   (``--dry-run`` prints the expansion without solving anything); like
-  ``work``, its drain claims the solve scenarios sharing a grid topology
-  together and iterates them stacked;
+  ``work``, its drain claims the solve scenarios that differ only in
+  calibration scalars together and iterates them stacked;
 * ``show``   — print a store's committed entries and, for failed ones,
   their error and traceback;
 * ``diff``   — compare two store entries: calibration/solver deltas plus
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run",
         parents=[store],
-        help="run a preset suite (solve scenarios sharing a grid topology iterate stacked)",
+        help="run a preset suite (solves differing only in calibration scalars iterate stacked)",
     )
     run.add_argument("suite", help=f"preset name (one of: {', '.join(preset_names())})")
     run.add_argument(
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="drain count of a non-serial host (each stacks its share of a topology group)",
+        help="drain count of a non-serial host (each stacks its share of a group)",
     )
     run.add_argument(
         "--dry-run",
@@ -210,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     work = sub.add_parser(
         "work",
         parents=[store],
-        help="join a worker fleet: claim scenarios via leases (solve scenarios sharing "
-        "a grid topology as one stacked group), solve, commit, release — until the "
+        help="join a worker fleet: claim scenarios via leases (solves differing only in "
+        "calibration scalars as one stacked group), solve, commit, release — until the "
         "suite is drained",
     )
     work.add_argument("suite", help=f"preset name (one of: {', '.join(preset_names())})")

@@ -6,27 +6,32 @@ entries, taken by the lease drain that both ``work``
 (:func:`repro.scenarios.runner.run_suite`) run: solve
 scenarios become members of ONE
 :class:`repro.core.batched.BatchedTimeIterationSolver` loop, experiment
-scenarios run their adapter and commit in place.  A drain stacks: before
-claiming, it groups its pending solve scenarios by
-:func:`topology_signature` (sweeps routinely hold many that differ only in
-calibration scalars — same generations, shock count, grid level), and a
-group of at least two runs stacked — one shared grid, one stacked Newton
-per iteration.  Everything else is a group of one.  A member's bits do
-not depend on its group: a stacked member commits the surpluses and
-iteration history of its solo solve.
+scenarios run their adapter and commit in place.
+
+Which solves share a stack is decided here, once:
+:func:`topology_signature`, a spec's
+:func:`repro.olg.euler.structure_key` and grid level.  A drain claims the
+units :func:`partition_by_topology` makes of its pending specs, and the
+loop stacks each unit whole.  Sweeps routinely hold many solves that
+differ only in calibration scalars — discount factor, tax rates, shock
+process — and those stack: one shared grid, one stacked Newton per
+iteration.  Adaptive solves do not stack (each refines its own grids), and
+neither do solves that differ in structure (generations, shock count,
+retirement age, efficiency profile, ``gamma``, consumption floor,
+``theta``): a sweep over those runs as singles.  A member's bits do not
+depend on its group: a stacked member commits the surpluses and iteration
+history of its solo solve.
 
 The store contract does not depend on group size either: every scenario
 keeps its own checkpoint (written at its own iteration boundaries on the
 checkpoint clock, so kill/resume works member by member), its own
 telemetry events, and its own ``entry.json`` committed individually *the
 moment that scenario finishes* (converged members drop out of a stack
-early).  Members the loop cannot stack — adaptive configs, checkpoints
-from another grid — step alone inside the same loop.  Costs grow with
-the group: a residual call's memory and per-row basis-pass cost grow with
-the rows it carries (so a stack carries at most ``_STACK_POINTS`` grid
-points, until the row-blocked residual call of ROADMAP.md's open items
-bounds them), a stack runs on one worker (so the drains one host starts
-together each claim their share of a group, see
+early).  Costs grow with the group: a residual call's memory and per-row
+basis-pass cost grow with the rows it carries (so a stack carries at most
+``_STACK_POINTS`` grid points, until the row-blocked residual call of
+ROADMAP.md's open items bounds them), a stack runs on one worker (so the
+drains one host starts together each claim their share of a group, see
 :mod:`repro.scenarios.lease`), and a worker killed mid-stack leaves every
 lease of its stack until the TTL lets a peer steal it.
 
@@ -38,6 +43,7 @@ its member.
 from __future__ import annotations
 
 import importlib
+import math
 import time
 import traceback
 
@@ -92,51 +98,55 @@ _STACK_POINTS = 256
 
 
 def topology_signature(spec: ScenarioSpec):
-    """Grid-topology signature of a spec, or ``None`` when unbatchable.
+    """Which solves may share a stack: ``(structure_key(calibration), grid_level)``.
 
-    ``None`` for experiment kinds, adaptive solves and specs whose
-    calibration or config does not build (the error surfaces when the spec
-    runs); otherwise :func:`repro.core.batched.batch_topology` of the
-    spec's model — specs with equal signatures may share one stack.  It is
-    read off the calibration, without the model's steady-state box: an
-    OLG state holds the savings of the ``A - 1`` saving ages, and each of
-    them has a savings and a value policy.
+    Specs with equal signatures share one regular grid and one
+    :class:`~repro.olg.euler.EulerSystem`
+    (:func:`repro.olg.euler.structure_key`); they differ at most in the
+    calibration scalars the system keeps per model.  ``None`` for
+    experiment kinds, adaptive solves and specs whose calibration or config
+    does not build (the error surfaces when the spec runs).  It is read off
+    the calibration and config, without building the model.
     """
     if spec.kind != "solve":
         return None
+    from repro.olg.euler import structure_key
+
     try:
         calibration, config = spec.build_calibration(), spec.build_config()
     except Exception:  # repro: allow[broad-except] -- a broken spec surfaces when it runs
         return None
     if config.adaptive:
         return None
-    savers = int(calibration.state_dim)
-    return (savers, int(calibration.num_states), 2 * savers, int(config.grid_level))
+    return structure_key(calibration), int(config.grid_level)
 
 
-def partition_by_topology(specs) -> tuple[list, list]:
-    """Split specs into stackable topology groups and singles.
+def partition_by_topology(specs, drains: int = 1) -> list[list[ScenarioSpec]]:
+    """The claim units of ``specs``: each a stack, or a spec alone, in the order given.
 
-    Returns ``(groups, singles)``: ``groups`` is a list of spec lists of at
-    least two specs sharing a signature, in suite order, each carrying at
-    most ``_STACK_POINTS`` grid points in all (a signature's specs fill
-    groups in turn); everything else — unbatchable specs, signature
-    singletons and a lone last spec — lands in ``singles``, also in suite
-    order.
+    Specs sharing a :func:`topology_signature` fill stacks of at most
+    ``_STACK_POINTS`` grid points in all; a stack is split in ``drains``
+    shares, one per drain started together on the suite, so none idles
+    meanwhile.  Everything else — unbatchable specs and what is left alone
+    — is a unit of one.  A unit comes where its first spec comes in
+    ``specs``, so a longest-first order of specs is a longest-first order
+    of units.
     """
     by_sig: dict = {}
     for spec in specs:
         sig = topology_signature(spec)
         if sig is not None:
             by_sig.setdefault(sig, []).append(spec)
-    groups = []
-    for (dim, _states, _policies, level), members in by_sig.items():
-        size = max(1, _STACK_POINTS // regular_grid_size(dim, level))
-        groups += [members[i : i + size] for i in range(0, len(members), size)]
-    groups = [members for members in groups if len(members) > 1]
-    grouped = {id(s) for g in groups for s in g}
-    singles = [s for s in specs if id(s) not in grouped]
-    return groups, singles
+    unit_of: dict = {}  # id of a stacked spec -> its unit
+    for ((generations, *_), level), members in by_sig.items():
+        # a state holds the savings of the A - 1 ages that save
+        size = max(1, _STACK_POINTS // regular_grid_size(generations - 1, level))
+        for stack in (members[i : i + size] for i in range(0, len(members), size)):
+            share = math.ceil(len(stack) / drains)
+            for unit in (stack[i : i + share] for i in range(0, len(stack), share)):
+                unit_of.update(dict.fromkeys(map(id, unit), unit))
+    units = [unit_of.get(id(spec), [spec]) for spec in specs]
+    return [unit for spec, unit in zip(specs, units) if unit[0] is spec]
 
 
 def solve_batch_and_commit(

@@ -11,7 +11,8 @@ broker: the protocol needs exactly the contract's whole-object atomic
 A drain scans the suite once per pass — one ``leases/`` listing and one
 commit-log read — skips what is complete or parked, and works the rest
 longest-first (:func:`schedule_longest_first`), its solve scenarios
-grouped by grid topology so that each group iterates stacked.
+grouped by :func:`~repro.scenarios.batching.topology_signature` so that
+each group iterates stacked.
 
 Protocol
 --------
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import platform
 import random
@@ -642,12 +642,15 @@ def run_worker(
     seconds until the suite is fully drained (every scenario completed or
     parked), then the worker exits.
 
-    A group is pending solve scenarios sharing one grid topology, up to a
-    cap on the grid points one stack carries
+    A group is pending solve scenarios with one
+    :func:`~repro.scenarios.batching.topology_signature` — one structure
+    key and grid level, so only calibration scalars differ — up to a cap
+    on the grid points one stack carries
     (:func:`~repro.scenarios.batching.partition_by_topology`); they
-    iterate stacked, and everything else is a group of one.  A group is
-    worked where its longest member comes in the longest-first order.  A
-    member's bits do not depend on its group.  Each member's entry is
+    iterate stacked, and everything else, adaptive and structural sweeps
+    included, is a group of one.  A group is worked where its longest
+    member comes in the longest-first order.  A member's bits do not
+    depend on its group.  Each member's entry is
     committed the moment that member finishes; the group's leases are
     released when the group is done, so a worker killed mid-stack leaves
     the leases of its whole group until their TTL runs out.  Grouping
@@ -811,16 +814,7 @@ class _Drain:
                 return
 
             pending = schedule_longest_first(pending, record_wall_times(records))
-            # drains started together cannot see each other's claims yet:
-            # each stacks its share of a group, so none idles meanwhile
-            groups: list[list[ScenarioSpec]] = []
-            for group in partition_by_topology(pending)[0]:
-                share = math.ceil(len(group) / self.drains)
-                groups += [group[i : i + share] for i in range(0, len(group), share)]
-            # a group is worked where its first (longest) member comes
-            group_of = {id(spec): group for group in groups for spec in group}
-            units = [group_of.get(id(spec), [spec]) for spec in pending]
-            units = [unit for spec, unit in zip(pending, units) if unit[0] is spec]
+            units = partition_by_topology(pending, self.drains)
             # the r-th drain starts at the r-th longest unit, as list
             # scheduling deals the first units out, and no two race for one
             start = self.rank % len(units)

@@ -153,16 +153,16 @@ def run_suite(
         one drain in this thread; the others run ``num_workers`` drains
         through that executor.  ``processes`` gives real parallelism
         across scenarios; its drains open the store from its URL.  Each
-        drain stacks its ``1 / num_workers`` share of a topology group, and
+        drain stacks its ``1 / num_workers`` share of a group, and
         the r-th starts its claims at the r-th longest unit of work.
     interrupt_after
         Testing/demo hook: kill each solve after N iterations (leaving a
         checkpoint), as ``--interrupt-after`` in the CLI.
     batch_topology
         Kept for callers that still pass ``True``; ``False`` raises
-        :class:`ValueError`.  Every drain claims the solve scenarios sharing
-        a grid topology together and iterates them stacked (see
-        :func:`repro.scenarios.batching.partition_by_topology`), with the
+        :class:`ValueError`.  Every drain claims the solve scenarios with
+        one :func:`repro.scenarios.batching.topology_signature` together
+        and iterates them stacked, with the
         same checkpoints, events and per-hash commits as a group of one: a
         member's bits do not depend on its group.
     progress

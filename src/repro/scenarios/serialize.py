@@ -65,7 +65,7 @@ __all__ = [
 FORMAT_VERSION = 1
 
 #: :class:`TimeIterationConfig` fields older files carry that no longer exist
-_RETIRED_CONFIG_FIELDS = ("kernel", "warm_start", "verbose")
+_RETIRED_CONFIG_FIELDS = ("kernel", "warm_start", "verbose", "damping")
 
 
 def is_blob_target(target: object) -> bool:

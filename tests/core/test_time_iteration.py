@@ -120,28 +120,18 @@ class TestConvergence:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("damping", v) for v in (0.0, 0, -0.5, 1.5, float("nan"))]
-        + [("tolerance", v) for v in (-1.0, float("nan"))]
+        [("tolerance", v) for v in (-1.0, float("nan"))]
         + [("max_iterations", v) for v in (0, -2)]
         + [("grid_level", v) for v in (0, -1)]
         + [("refine_epsilon", v) for v in (-1e-3, float("nan"))],
     )
     def test_out_of_range_settings_are_rejected(self, field, value):
-        # damping 0 returned the untouched initial guess as "converged" after one
-        # iteration; a negative or NaN tolerance ran to the cap, and a cap below 1
+        # a negative or NaN tolerance ran to the cap, and a cap below 1
         # stored a solve that never iterated.  grid_level 0 failed at the solve's
         # first grid, a negative refine_epsilon after a whole Newton pass, and a
         # NaN one flagged nothing, so an adaptive solve silently never refined
         with pytest.raises(ValueError, match=field):
             TimeIterationConfig(**{"grid_level": 2, field: value})
-
-    def test_damping_still_converges(self):
-        model = ContractionModel()
-        config = TimeIterationConfig(
-            grid_level=2, tolerance=1e-6, max_iterations=120, damping=0.7
-        )
-        result = TimeIterationSolver(model, config).solve()
-        assert result.converged
 
     def test_equilibrium_errors_recorded(self):
         model = ContractionModel()

@@ -1,5 +1,7 @@
 """Tests for the OLG model's economics (states, budgets, Euler equations)."""
 
+import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -11,7 +13,14 @@ from repro.grids.adaptive import refine
 from repro.grids.hierarchize import hierarchize
 from repro.olg.calibration import small_calibration
 from repro.olg import stacked
-from repro.olg.euler import _LOG_SAVINGS_FLOOR, EulerSystem, StructuralMismatch, _pinned, _savings
+from repro.olg.euler import (
+    _LOG_SAVINGS_FLOOR,
+    EulerSystem,
+    StructuralMismatch,
+    _pinned,
+    _savings,
+    structure_key,
+)
 from repro.olg.model import OLGModel
 from repro.olg.solver import NewtonSolver
 from repro.parallel.tracing import SOLVER_TOTALS
@@ -475,6 +484,41 @@ class TestMembers:
         with pytest.raises(StructuralMismatch):
             OLGModel.stacked_group([a, b], [3, 3])
         assert stacked.StructuralMismatch is StructuralMismatch
+
+    @pytest.mark.parametrize(
+        "change, shared",
+        [
+            ({"beta": 0.75}, True),
+            ({"tau_labor": 0.25}, True),
+            ({"persistence": 0.6}, True),
+            ({"depreciation": 0.2}, True),
+            ({"gamma": 3.0}, False),
+            ({"theta": 0.4}, False),
+            ({"num_generations": 5}, False),
+            ({"num_states": 3}, False),
+            ({"retirement_age": 2}, False),
+            ({"consumption_floor": 1e-5}, False),
+            ({"efficiency": np.array([0.9, 1.0, 1.1, 0.0])}, False),
+        ],
+        ids=lambda v: next(iter(v)) if isinstance(v, dict) else str(v),
+    )
+    def test_the_structure_key_decides_which_models_share_a_system(self, change, shared):
+        # one rule: two calibrations share an Euler system exactly when their
+        # structure keys are equal, which is what the scenario drain groups by
+        base = {"num_generations": 4, "num_states": 2}
+        builder_args = inspect.signature(small_calibration).parameters
+        built = {k: v for k, v in change.items() if k in builder_args}
+        a_cal = small_calibration(**base)
+        b_cal = small_calibration(**{**base, **built})
+        b_cal = dataclasses.replace(b_cal, **{k: v for k, v in change.items() if k not in built})
+        assert (structure_key(a_cal) == structure_key(b_cal)) == shared
+        a, b = OLGModel(a_cal), OLGModel(b_cal)
+        if shared:
+            group = OLGModel.stacked_group([a, b], [3, 3])
+            assert np.array_equal(group.member, np.repeat([0, 1], 3))
+        else:
+            with pytest.raises(StructuralMismatch, match="calibration structures differ"):
+                OLGModel.stacked_group([a, b], [3, 3])
 
     def test_one_index_and_one_per_row_give_the_same_bits(self):
         model = OLGModel(small_calibration(num_generations=5, num_states=2, beta=0.8))

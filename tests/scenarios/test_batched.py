@@ -6,12 +6,12 @@ Covers the four contracts of the batched solve path:
   is a stacked member: a member's bits do not depend on its group;
 * convergence masking — members drop out of the batch individually, each
   with its own iteration history;
-* stepping alone — members the loop cannot stack (topology
-  mismatch, adaptivity) step alone inside the same loop,
-  bit-exact with a solo solve; a member's own exception ends that member only;
-* scenario-layer integration — topology partitioning, ``run_suite``
-  stacking every same-topology group, and kill/resume leaving per-member
-  checkpoints the next run resumes from.
+* one stack rule — the loop stacks what it is given and refuses, before
+  any load or event, a group that cannot share a stack (adaptive members,
+  two grid levels, two structures); every unit the partition makes is one
+  it accepts; a member's own exception ends that member only;
+* scenario-layer integration — ``run_suite`` stacking every group, and
+  kill/resume leaving per-member checkpoints the next run resumes from.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.batched import BatchedTimeIterationSolver, BatchMember, batch_topology
+from repro.core.batched import BatchedTimeIterationSolver, BatchMember
 from repro.core.time_iteration import TimeIterationSolver
 from repro.grids.regular import regular_grid_size
+from repro.olg.euler import StructuralMismatch, structure_key
+from repro.olg.model import OLGModel
 from repro.parallel.tracing import EventRecorder
 from repro.scenarios import (
     ResultsStore,
@@ -98,7 +100,6 @@ class TestToleranceEquivalence:
         outcomes = BatchedTimeIterationSolver([_member(s) for s in specs]).solve()
         for spec, seq in zip(specs, sequential):
             out = outcomes[spec.name]
-            assert not out.fallback, out.fallback_reason
             assert out.result.converged and seq.converged
             # a member's bits do not depend on its group
             _assert_same_bits(out.result, seq)
@@ -112,7 +113,7 @@ class TestToleranceEquivalence:
             )
         outcomes = BatchedTimeIterationSolver([_member(spec)]).solve()
         out = outcomes["solo"]
-        assert out.fallback == adaptive and out.result.converged
+        assert out.result.converged
         assert (max(out.result.policy.points_per_state) > 7) == adaptive
         # one path, same bits: the sequential driver is a batch of one
         seq = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
@@ -146,7 +147,6 @@ class TestConvergenceMasking:
         capped, full = outcomes["capped"].result, outcomes["full"].result
         assert not capped.converged and capped.iterations == 3
         assert full.converged and full.iterations > 3
-        assert not outcomes["capped"].fallback  # a cap is completion, not fallback
 
     def test_per_member_records_carry_batch_wall_time_sections(self):
         specs = [_solve_spec("a", tau_labor=0.1), _solve_spec("b", tau_labor=0.2)]
@@ -161,7 +161,7 @@ class TestConvergenceMasking:
             assert one.sections == other.sections and one.wall_time == other.wall_time
 
 
-class TestFallback:
+class TestStackRule:
     def test_non_finite_member_stays_stacked_and_ends_at_its_cap(self):
         # a time-iteration update is a deterministic function of the previous
         # iterate, so there is nothing to redo: the member whose model returns
@@ -170,10 +170,10 @@ class TestFallback:
         mates = [_solve_spec("m1", tau_labor=0.1), _solve_spec("m2", tau_labor=0.2)]
         bad = _solve_spec("bad", tau_labor=0.15, max_iterations=4)
 
-        # a third member of another model class puts both runs on the same
-        # (per-member) point-solve path, so the comparison is like for like
-        class Other(type(bad.build_model())):
-            pass
+        # no group solver: every member's rows go through its own
+        # solve_points_batch, which the poisoned class overrides
+        class Other(OLGModel):
+            stacked_group = None
 
         class Poisoned(Other):
             def solve_points_batch(self, z, X, policy, guesses=None):
@@ -181,19 +181,21 @@ class TestFallback:
                 out[0] = np.nan
                 return out
 
+        def member(spec, model_cls=Other):
+            model = model_cls(spec.build_calibration())
+            return BatchMember(key=spec.name, model=model, config=spec.build_config())
+
         def run(model_cls):
-            third = BatchMember(
-                key="bad", model=model_cls(bad.build_calibration()), config=bad.build_config()
-            )
-            return BatchedTimeIterationSolver([*map(_member, mates), third]).solve()
+            members = [*map(member, mates), member(bad, model_cls)]
+            return BatchedTimeIterationSolver(members).solve()
 
         outcomes, without = run(Poisoned), run(Other)
         out = outcomes["bad"]
-        assert out.fallback_reason is None and out.exception is None
+        assert out.exception is None
         assert not out.result.converged and out.result.iterations == 4
         for spec in mates:
             got, ref = outcomes[spec.name], without[spec.name]
-            assert got.fallback_reason is None and got.result.converged
+            assert got.exception is None and got.result.converged
             assert got.result.iterations == ref.result.iterations
             for z in range(len(ref.result.policy)):
                 assert np.array_equal(
@@ -201,87 +203,79 @@ class TestFallback:
                     ref.result.policy[z].interpolant.surplus,
                 )
 
-    def test_topology_minority_falls_back_bit_exact(self):
-        specs = [
-            _solve_spec("l2-a", tau_labor=0.1),
-            _solve_spec("l2-b", tau_labor=0.2),
-            _solve_spec("l3", grid_level=3, max_iterations=4),
+    @pytest.mark.parametrize(
+        "other, error",
+        [
+            ({"solver": {"adaptive": True, "max_refine_level": 3}}, "adaptive"),
+            ({"solver": {"grid_level": 3}}, "one grid"),
+            ({"calibration": {"gamma": 3.0}}, "calibration structures differ"),
+        ],
+        ids=["adaptive", "two-levels", "two-gammas"],
+    )
+    def test_a_group_that_cannot_share_a_stack_is_refused_before_it_starts(
+        self, other, error
+    ):
+        # which solves stack is decided before the loop (topology_signature);
+        # the loop refuses a group that breaks that rule, before any member
+        # loads a checkpoint or emits an event
+        class Untouched:
+            def load(self):
+                raise AssertionError("a refused group loads no checkpoint")
+
+        events = EventRecorder()
+        first = _solve_spec("first", tau_labor=0.1)
+        second = first.with_overrides(name="second", **other)
+        members = [
+            _member(s, checkpoint=Untouched(), events=events, scenario=s.name)
+            for s in (first, second)
         ]
-        outcomes = BatchedTimeIterationSolver([_member(s) for s in specs]).solve()
-        assert not outcomes["l2-a"].fallback and not outcomes["l2-b"].fallback
-        out = outcomes["l3"]
-        assert out.fallback and out.fallback_reason == "topology mismatch"
-        seq = TimeIterationSolver(specs[2].build_model(), specs[2].build_config()).solve()
-        for z in range(len(seq.policy)):
-            assert np.array_equal(
-                out.result.policy[z].interpolant.surplus, seq.policy[z].interpolant.surplus
+        with pytest.raises(ValueError, match=error) as refused:
+            BatchedTimeIterationSolver(members)
+        assert isinstance(refused.value, StructuralMismatch) == ("calibration" in other)
+        assert events.events == []
+
+    def test_a_model_without_a_group_solver_stacks_through_its_own_rows(self):
+        # a model class without stacked_group still stacks: each member's rows
+        # go through its own solve_points_batch, and each member equals its solo solve
+        class Ungrouped(OLGModel):
+            stacked_group = None
+
+        specs = [_solve_spec("u1", tau_labor=0.1), _solve_spec("u2", tau_labor=0.2)]
+        events = EventRecorder()
+        members = [
+            BatchMember(
+                key=s.name,
+                model=Ungrouped(s.build_calibration()),
+                config=s.build_config(),
+                events=events,
+                scenario=s.name,
             )
-
-    def test_a_stack_without_a_group_solver_solves_each_member_alone(self, monkeypatch):
-        # one topology, so the members stack; their preferences differ, so no
-        # Euler system serves both, and each member's rows are solved by its own
-        from repro.olg.euler import StructuralMismatch
-        from repro.olg.model import OLGModel
-
-        refused = []
-        group_of = OLGModel.stacked_group.__func__
-
-        def spy(cls, models, counts):
-            try:
-                return group_of(cls, models, counts)
-            except StructuralMismatch as exc:
-                refused.append(exc)
-                raise
-
-        monkeypatch.setattr(OLGModel, "stacked_group", classmethod(spy))
-        specs = [_solve_spec("gamma-2"), _solve_spec("gamma-3", gamma=3.0)]
-        outcomes = BatchedTimeIterationSolver([_member(s) for s in specs]).solve()
-        assert refused
+            for s in specs
+        ]
+        outcomes = BatchedTimeIterationSolver(members).solve()
+        started = {e.scenario: e.detail["batched"] for e in events.by_kind("solve-started")}
+        assert started == {"u1": True, "u2": True}
         for spec in specs:
             out = outcomes[spec.name]
-            assert out.fallback_reason is None and out.exception is None
-            solo = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
-            assert out.result.iterations == solo.iterations
-            for z in range(len(solo.policy)):
-                assert np.array_equal(
-                    out.result.policy[z].interpolant.surplus, solo.policy[z].interpolant.surplus
-                )
+            assert out.exception is None and out.result.converged
+            solo = TimeIterationSolver(
+                Ungrouped(spec.build_calibration()), spec.build_config()
+            ).solve()
+            _assert_same_bits(out.result, solo)
 
-    def test_adaptive_member_falls_back(self):
-        spec = _solve_spec("ada", max_iterations=1).with_overrides(
-            solver={"adaptive": True, "max_refine_level": 2, "max_points_per_state": 50}
-        )
-        outcomes = BatchedTimeIterationSolver([_member(spec)]).solve()
-        out = outcomes["ada"]
-        assert out.fallback and out.fallback_reason == "adaptive refinement"
-        assert out.result is not None
-
-
-    def test_alone_members_next_to_a_stack_match_solo_solves(self):
-        # one loop: an adaptive member steps alone inside the group a stacked
-        # pair iterates in, and returns what its solo solve returns, bit for bit
+    def test_a_stacked_pair_reports_its_stack_and_a_solo_solve_does_not(self):
         pair = [_solve_spec("p1", tau_labor=0.1), _solve_spec("p2", tau_labor=0.2)]
         ada = _solve_spec("ada", max_iterations=3).with_overrides(
             solver={"adaptive": True, "max_refine_level": 3, "max_points_per_state": 40}
         )
         events = EventRecorder()
-        members = [_member(s, events=events, scenario=s.name) for s in (*pair, ada)]
-        outcomes = BatchedTimeIterationSolver(members).solve()
-        assert outcomes["ada"].fallback_reason == "adaptive refinement"
-        assert [outcomes[k].fallback_reason for k in ("p1", "p2")] == [None] * 2
-        got = outcomes["ada"].result
-        solo = TimeIterationSolver(ada.build_model(), ada.build_config()).solve()
-        assert got.iterations == solo.iterations
-        assert np.array_equal(got.error_history("rel_linf"), solo.error_history("rel_linf"))
-        assert [r.points_per_state for r in got.records] == [
-            r.points_per_state for r in solo.records
-        ]
-        assert max(got.policy.points_per_state) > 7  # refined
-        for z in range(len(solo.policy)):
-            assert np.array_equal(
-                got.policy[z].interpolant.surplus, solo.policy[z].interpolant.surplus
-            )
-        # alone or stacked, a pass times the same three phases
+        outcomes = BatchedTimeIterationSolver(
+            [_member(s, events=events, scenario=s.name) for s in pair]
+        ).solve()
+        solo = _member(ada, events=events, scenario="ada")
+        outcomes |= BatchedTimeIterationSolver([solo]).solve()
+        assert max(outcomes["ada"].result.policy.points_per_state) > 7  # refined
+        # stacked or alone, a pass times the same three phases
         for outcome in outcomes.values():
             assert all(set(r.sections) == {"grid", "solve", "fit"} for r in outcome.result.records)
         # one emitter, one shape: every solve-started says whether it is stacked
@@ -321,9 +315,11 @@ class TestFallback:
 
 class TestTopologyPartitioning:
     @pytest.mark.parametrize("generations, states, level", [(4, 1, 2), (5, 2, 3), (8, 3, 2)])
-    def test_signature_matches_core(self, generations, states, level, monkeypatch):
+    def test_signature_is_the_structure_key_and_the_level(
+        self, generations, states, level, monkeypatch
+    ):
         spec = _solve_spec("sig", grid_level=level, num_generations=generations, num_states=states)
-        expected = batch_topology(spec.build_model(), spec.build_config())
+        expected = (structure_key(spec.build_calibration()), level)
 
         def unbuilt(spec):
             raise AssertionError("the signature is read without building the model")
@@ -337,27 +333,57 @@ class TestTopologyPartitioning:
         experiment = ScenarioSpec("exp", kind="fig7", params={"dim": 2})
         assert topology_signature(experiment) is None
 
-    def test_partition_groups_and_singles(self):
+    def test_partition_units_keep_the_order_given(self):
         a1, a2 = _solve_spec("a1", tau_labor=0.1), _solve_spec("a2", tau_labor=0.2)
         lone = _solve_spec("lone", grid_level=3)
         experiment = ScenarioSpec("exp", kind="fig7", params={"dim": 2})
-        groups, singles = partition_by_topology([a1, experiment, a2, lone])
-        assert groups == [[a1, a2]]  # suite order preserved within the group
-        assert singles == [experiment, lone]
+        # a unit comes where its first spec comes
+        assert partition_by_topology([a1, experiment, a2, lone]) == [[a1, a2], [experiment], [lone]]
+        assert partition_by_topology([lone, a2, experiment, a1]) == [[lone], [a2, a1], [experiment]]
 
     def test_all_batchable_one_group(self):
         specs = [_solve_spec(f"s{i}", tau_labor=0.05 * (i + 1)) for i in range(3)]
-        groups, singles = partition_by_topology(specs)
-        assert groups == [specs] and singles == []
+        assert partition_by_topology(specs) == [specs]
 
     def test_a_stack_carries_at_most_its_point_budget(self, monkeypatch):
         specs = [_solve_spec(f"s{i}", tau_labor=0.05 * (i + 1)) for i in range(5)]
         points = regular_grid_size(3, 2)  # 4 generations -> 3 savers, level 2
         monkeypatch.setattr(batching, "_STACK_POINTS", 2 * points + 1)
-        groups, singles = partition_by_topology(specs)
-        assert groups == [specs[0:2], specs[2:4]] and singles == [specs[4]]
+        assert partition_by_topology(specs) == [specs[0:2], specs[2:4], [specs[4]]]
         monkeypatch.setattr(batching, "_STACK_POINTS", points - 1)
-        assert partition_by_topology(specs) == ([], specs)  # too big to stack: all alone
+        assert partition_by_topology(specs) == [[s] for s in specs]  # too big to stack
+
+    def test_every_unit_of_a_mixed_suite_is_a_stack_the_loop_takes(self):
+        # the one rule: whatever the partition stacks, the Euler system
+        # accepts; a structural difference is a unit of its own
+        base = _solve_spec("base", num_states=2)
+        variants = {
+            "tau": {"calibration": {"tau_labor": 0.2}},
+            "beta": {"calibration": {"beta": 0.75}},
+            "persistence": {"calibration": {"persistence": 0.6}},
+            "gamma": {"calibration": {"gamma": 3.0}},
+            "gamma-too": {"calibration": {"gamma": 3.0, "tau_labor": 0.2}},
+            "theta": {"calibration": {"theta": 0.4}},
+            "older": {"calibration": {"num_generations": 5}},
+            "states": {"calibration": {"num_states": 1}},
+            "level": {"solver": {"grid_level": 3}},
+            "ada": {"solver": {"adaptive": True}},
+        }
+        specs = [base] + [base.with_overrides(name=n, **o) for n, o in variants.items()]
+        specs.append(ScenarioSpec("exp", kind="fig7", params={"dim": 2}))
+        units = partition_by_topology(specs)
+        names = [[s.name for s in unit] for unit in units]
+        assert [n for n in names if len(n) > 1] == [
+            ["base", "tau", "beta", "persistence"],
+            ["gamma", "gamma-too"],
+        ]
+        assert sorted(n for unit in names for n in unit) == sorted(s.name for s in specs)
+        for unit in units:
+            if len(unit) > 1:
+                models = [s.build_model() for s in unit]
+                rows = models[0].num_states * regular_grid_size(models[0].state_dim, 2)
+                OLGModel.stacked_group(models, [rows] * len(unit))
+                BatchedTimeIterationSolver([_member(s) for s in unit])
 
 
 class TestScenarioLayer:

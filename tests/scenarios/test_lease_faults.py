@@ -1043,6 +1043,32 @@ class TestGroupDrain:
             assert entry["status"] == stacked["status"] == "completed"
             assert entry.get("iterations") == stacked.get("iterations")
 
+    def test_a_gamma_pair_runs_as_two_singles_with_its_solo_bits(self, store_url_for):
+        # risk aversion is part of the Euler system's structure: one grid, two
+        # systems, so the drain never stacks the pair
+        specs = [_tiny_solve_spec("gamma-2"), _tiny_solve_spec("gamma-3", gamma=3.0)]
+        store = ResultsStore.open(store_url_for("mem"))
+        lines: list = []
+        report = run_worker(
+            specs,
+            store,
+            worker_id="w",
+            clock=_Clock(),
+            backoff_base=0.0,
+            heartbeat_interval=1000.0,
+            progress=lines.append,
+        )
+        assert sorted(report.completed) == sorted(store.scenario_key(s) for s in specs)
+        assert _batched_starts(report) == {store.scenario_key(s): False for s in specs}
+        assert not any(line.endswith("(batched)") for line in lines)
+        for spec in specs:
+            solo = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
+            result = store.load_result(spec)
+            assert result.iterations == solo.iterations
+            assert np.array_equal(result.error_history(), solo.error_history())
+            for got, want in zip(result.policy, solo.policy):
+                assert np.array_equal(got.interpolant.surplus, want.interpolant.surplus)
+
     @pytest.mark.parametrize("grouped", [False, True], ids=["singles", "group"])
     def test_lost_lease_abandons_one_member_the_rest_commit(
         self, store_url_for, monkeypatch, grouped

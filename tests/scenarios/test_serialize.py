@@ -161,7 +161,7 @@ class TestResultRoundTrip:
         assert serialize.record_to_dict(clone) == serialize.record_to_dict(record)
 
     def test_config_round_trip(self):
-        config = TimeIterationConfig(grid_level=3, adaptive=True, refine_epsilon=5e-3, damping=0.7)
+        config = TimeIterationConfig(grid_level=3, adaptive=True, refine_epsilon=5e-3)
         clone = serialize.config_from_dict(serialize.config_to_dict(config))
         assert clone == config
 
@@ -184,7 +184,7 @@ def _in_the_older_format(path) -> None:
         meta = json.loads(str(data["__meta__"]))
     assert meta["format_version"] == serialize.FORMAT_VERSION
     if "config" in meta:
-        meta["config"].update(kernel="cuda", warm_start=True, verbose=False)
+        meta["config"].update(kernel="cuda", warm_start=True, verbose=False, damping=1.0)
     for state in meta["states"]:
         state["kernel"] = "cuda"
     buf = io.BytesIO()

@@ -74,7 +74,8 @@ class TestScenarioSpec:
             ScenarioSpec("a", solver={"no_such_field": 1})
 
     @pytest.mark.parametrize(
-        "field, value", [("kernel", "x86"), ("warm_start", False), ("verbose", True)]
+        "field, value",
+        [("kernel", "x86"), ("warm_start", False), ("verbose", True), ("damping", 0.7)],
     )
     def test_retired_solver_field_rejected(self, field, value):
         # the solver stopped taking these; a spec that sets one names it

@@ -287,11 +287,11 @@ class TestRunner:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("damping", 0), ("damping", 1.5), ("max_iterations", -2), ("tolerance", -1.0)],
+        [("max_iterations", -2), ("tolerance", -1.0), ("grid_level", 0), ("refine_epsilon", -1e-3)],
     )
     def test_out_of_range_settings_fail_before_iterating(self, env_store_url, field, value):
-        # each used to be stored `completed`: damping 0 as the untouched initial guess,
-        # "converged" in one pass; max_iterations -2 with no iteration at all
+        # max_iterations -2 used to be stored `completed` with no iteration at all;
+        # none of these may reach the drain's grouping or the solve
         spec = _tiny_solve_spec("bad").with_overrides(solver={field: value})
         store = ResultsStore.open(env_store_url())
         report = run_suite(ScenarioSuite("bad", [spec, _tiny_solve_spec("good")]), store)

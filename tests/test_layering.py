@@ -12,16 +12,29 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 LOWER_LAYERS = ("core", "grids", "olg", "parallel", "utils")
 
 
-def test_lower_layers_do_not_import_scenarios():
+def _imports_of(layers, packages) -> list[str]:
+    """``file:line`` of every import in ``layers`` of one of ``packages`` or a module of one."""
     offenders = []
-    for path in sorted(p for layer in LOWER_LAYERS for p in (SRC / layer).rglob("*.py")):
+    for path in sorted(p for layer in layers for p in (SRC / layer).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
-            if any(n == "repro.scenarios" or n.startswith("repro.scenarios.") for n in names):
+            if any(n == pkg or n.startswith(pkg + ".") for n in names for pkg in packages):
                 offenders.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
+    return offenders
+
+
+def test_lower_layers_do_not_import_scenarios():
+    offenders = _imports_of(LOWER_LAYERS, ["repro.scenarios"])
     assert not offenders, f"lower layers import repro.scenarios: {offenders}"
+
+
+def test_core_and_grids_stay_model_agnostic():
+    # the time-iteration core stacks what it is given; which models may share
+    # a stack is the model's (repro.olg.euler.structure_key) and the drain's call
+    offenders = _imports_of(("core", "grids"), ["repro.olg", "repro.experiments"])
+    assert not offenders, f"core/grids import a model or an experiment: {offenders}"
 
 
 _IMPORT_AND_SOLVE = """
