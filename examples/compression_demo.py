@@ -8,9 +8,10 @@ kernel, printing the measured numbers next to the paper's Table I / II
 values.
 
 Run:  python examples/compression_demo.py
-      python examples/compression_demo.py --level 4   (the "300k" case; about
-      1.2 s to build the 281,077-point grid on one core and ~0.4 s to
-      compress it, then the kernel ladder)
+      python examples/compression_demo.py --level 4   (the "300k" case, on
+      one core of a 2-core Xeon: 1.5–2.2 s to build the 281,077-point grid
+      and 0.4–0.5 s to compress it, then ~4 min of kernel ladder at the default
+      100 queries, 3.5 min of it the dense "gold" kernel; peak RSS ~1.5 GB)
 """
 
 from __future__ import annotations

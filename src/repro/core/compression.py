@@ -23,10 +23,11 @@ pipeline removes that redundancy:
    ``len(xps)`` 1-D basis values ever need to be computed, and the table is
    small enough to live in cache / GPU shared memory (473 entries for the
    281,077-point level-4 grid, Table I).  Every grid point becomes a chain
-   of at most ``nfreq`` references into ``xps``; the interpolation kernel
-   multiplies the referenced factor values and stops at the first
-   terminator.  The paper's transition matrices ``T_freq`` are a chain's
-   next column.
+   of at most ``nfreq`` references into ``xps``, padded with terminators;
+   the interpolation kernel multiplies every chain column in, for all grid
+   points at once, and a terminated slot contributes the sentinel's exact
+   1.0, so a point's product is that of its live references.  The paper's
+   transition matrices ``T_freq`` are a chain's next column.
 3. **Surplus reordering.**  Grid points are re-ordered so that points with
    similar chains are adjacent, which groups memory accesses to the surplus
    matrix (the ``order`` permutation returned with the compressed grid).
@@ -59,11 +60,13 @@ class CompressedGrid:
         Grid dimensionality, number of points (``nno``) and maximum chain
         length.
     xps_dims, xps_levels, xps_indices
-        The unique-factor table; entry 0 is the sentinel / chain terminator
-        and never evaluated.
+        The unique-factor table; entry 0 is the sentinel / chain terminator,
+        a level-1 entry whose factor value is always 1.0.
     chains
-        ``(num_points, nfreq)`` indices into ``xps`` (0 terminates the
-        chain), stored in the *reordered* point order.
+        ``(num_points, nfreq)`` indices into ``xps``, stored in the
+        *reordered* point order.  0 terminates a chain and pads the rest of
+        its row; the kernels multiply every column, a padded slot by the
+        sentinel's 1.0.
     order
         Permutation such that ``chains[k]`` describes original grid row
         ``order[k]``; surpluses passed in grid order are re-ordered with it.
@@ -85,15 +88,13 @@ class CompressedGrid:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        self._active_chain: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._hat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __getstate__(self) -> dict:
-        # The derived caches are rebuilt on demand; drop them so compressed
-        # grids travel light through process executors.
+        # The hat cache is rebuilt on demand; drop it so compressed grids
+        # travel light through process executors.
         state = self.__dict__.copy()
-        for transient in ("_active_chain", "_hat"):
-            state.pop(transient, None)
+        state.pop("_hat", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -137,28 +138,6 @@ class CompressedGrid:
                 f"surplus has {surplus.shape[0]} rows, grid has {self.num_points} points"
             )
         return surplus[self.order]
-
-    def active_chain(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-frequency active chain entries, precomputed once.
-
-        Returns one ``(rows, xps_ids)`` pair per frequency that still has
-        live chains: ``rows`` are the (reordered) grid points whose chain
-        has not terminated at this frequency, ``xps_ids`` the factor-table
-        entries they reference.  Because chains terminate monotonically,
-        the list simply ends at the first all-terminated frequency.  This
-        replaces the per-block ``idx > 0`` mask recomputation in the
-        kernels.
-        """
-        if self._active_chain is None:
-            active = []
-            for f in range(self.nfreq):
-                col = self.chains[:, f]
-                rows = np.flatnonzero(col > 0)
-                if rows.size == 0:
-                    break
-                active.append((rows, col[rows].astype(np.int64)))
-            self._active_chain = active
-        return self._active_chain
 
     def hat_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The factor table's hat centers, scales ``2**(level - 1)`` and level-1 mask, once.
@@ -234,9 +213,9 @@ def compressed_for(grid: SparseGrid) -> CompressedGrid:
     Every consumer of the same :class:`~repro.grids.grid.SparseGrid` object
     (one interpolant per discrete state, repeated time-iteration steps)
     receives the *same* :class:`CompressedGrid`, so the compression
-    pipeline and its per-frequency and hat caches are paid once per grid
-    mutation epoch.  The cache is keyed by ``grid.version`` and therefore
-    invalidated by ``add_points``.
+    pipeline and its hat cache are paid once per grid mutation epoch.  The
+    cache is keyed by ``grid.version`` and therefore invalidated by
+    ``add_points``.
     """
     return grid.cached_derived("compressed", compress_grid)
 

@@ -77,17 +77,20 @@ def factor_values(comp: CompressedGrid, X: np.ndarray) -> np.ndarray:
     return xpv
 
 
-def _chain_products(comp: CompressedGrid, xpv_block: np.ndarray) -> np.ndarray:
+def _chain_products(chains: np.ndarray, xpv_block: np.ndarray) -> np.ndarray:
     """Multiply chain factors for a block of query points.
 
-    ``xpv_block`` has shape ``(b, num_xps)``; the result has shape
-    ``(b, num_points)`` and holds the tensor-product basis value of every
-    (reordered) grid point at every query point of the block.
+    ``chains`` is ``(p, nfreq)`` rows of :attr:`CompressedGrid.chains` and
+    ``xpv_block`` the ``(b, num_xps)`` factor values of a block of query
+    points; the result, ``(b, p)``, holds the tensor-product basis value of
+    every one of those (reordered) grid points at every query point.  The
+    walk gathers one chain column for all ``p`` points at a time and
+    multiplies it in; a terminated slot reads the sentinel's exact 1.0, so
+    each point's product equals the one that stops at its terminator.
     """
-    b = xpv_block.shape[0]
-    temp = np.ones((b, comp.num_points), dtype=float)
-    for rows, cols in comp.active_chain():
-        temp[:, rows] *= xpv_block[:, cols]
+    temp = xpv_block[:, chains[:, 0]]
+    for f in range(1, chains.shape[1]):
+        temp *= xpv_block[:, chains[:, f]]
     return temp
 
 
@@ -108,7 +111,10 @@ def _validate(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray):
 def basis_matrix(comp: CompressedGrid, unit_X: np.ndarray) -> np.ndarray:
     """Tensor-product basis values of every (reordered) grid point at ``unit_X``.
 
-    Returns an ``(m, num_points)`` matrix; a blocked kernel (``cuda``:
+    Returns an ``(m, num_points)`` matrix, one chain walk over every grid
+    point (:func:`_chain_products`): column ``k`` is bit for bit the dense
+    layout's product of ``basis_1d_vectorized`` over ascending dimensions of
+    grid row ``comp.order[k]``.  A blocked kernel (``cuda``:
     ``_CUDA_BLOCK`` rows) is, bit for bit, this matrix of each block times
     ``comp.reorder(surplus)``.  Materializing the matrix once lets many
     surplus sets that share one grid be evaluated with a single basis pass
@@ -117,7 +123,7 @@ def basis_matrix(comp: CompressedGrid, unit_X: np.ndarray) -> np.ndarray:
     unit_X = np.atleast_2d(np.asarray(unit_X, dtype=float))
     if unit_X.shape[1] != comp.dim:
         raise ValueError(f"query points must have {comp.dim} columns")
-    return _chain_products(comp, factor_values(comp, unit_X))
+    return _chain_products(comp.chains, factor_values(comp, unit_X))
 
 
 # --------------------------------------------------------------------------- #
@@ -149,7 +155,7 @@ def _kernel_blocked(
     xpv = factor_values(comp, X)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        temp = _chain_products(comp, xpv[start:stop])
+        temp = _chain_products(comp.chains, xpv[start:stop])
         np.matmul(temp, surplus_r, out=out[start:stop])
     return out
 
@@ -174,8 +180,10 @@ def kernel_avx512(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> n
 
     Mirrors the paper's AVX-512 variant, which parallelises *inside* the
     kernel (OpenMP reduction over partial vector sums) instead of relying on
-    the upper-level scheduler.  NumPy releases the GIL inside the large
-    element-wise products and GEMMs, so threads genuinely overlap.
+    the upper-level scheduler.  Each thread walks the chains of its slice
+    of the grid points, ``_AVX512_BLOCK`` query rows at a time; NumPy
+    releases the GIL inside the large gathers, element-wise products and
+    GEMMs, so threads genuinely overlap.
     """
     surplus, X = _validate(comp, surplus, X)
     surplus_r = comp.reorder(surplus)
@@ -186,22 +194,11 @@ def kernel_avx512(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray) -> n
     bounds = np.linspace(0, comp.num_points, num_threads + 1, dtype=np.int64)
 
     def _partial(chunk_lo: int, chunk_hi: int) -> np.ndarray:
-        # Slice the precomputed per-frequency active lists down to this
-        # chunk once (rows are sorted, so a searchsorted pair suffices)
-        # instead of recomputing idx > 0 masks per block and frequency.
-        chunk_active = []
-        for rows, cols in comp.active_chain():
-            a, b = np.searchsorted(rows, (chunk_lo, chunk_hi))
-            if a == b:
-                break  # chains terminate monotonically per point
-            chunk_active.append((rows[a:b] - chunk_lo, cols[a:b]))
+        chains, operand = comp.chains[chunk_lo:chunk_hi], surplus_r[chunk_lo:chunk_hi]
         part = np.zeros((m, surplus.shape[1]), dtype=float)
         for start in range(0, m, block):
             stop = min(start + block, m)
-            temp = np.ones((stop - start, chunk_hi - chunk_lo), dtype=float)
-            for rows, cols in chunk_active:
-                temp[:, rows] *= xpv[start:stop][:, cols]
-            part[start:stop] = temp @ surplus_r[chunk_lo:chunk_hi]
+            part[start:stop] = _chain_products(chains, xpv[start:stop]) @ operand
         return part
 
     if num_threads == 1 or comp.num_points < 2 * num_threads:

@@ -218,11 +218,7 @@ class OLGModel:
         the state); values come from consuming the implied amounts forever.
         """
         c_min = self.utility.c_min
-        # cash on hand point by point: numpy's scalar and array ``pow`` differ
-        # in the last bit on AVX-512 hosts, and time iteration amplifies a
-        # one-ulp change of p^0 into different iteration counts, so the
-        # starting point keeps the bits every stored solve began from
-        resources = np.array([self.system.resources(z, 0, x) for x in _rows(X)])
+        resources = self.system.resources(z, 0, _rows(X))
         steady_savings = np.maximum(self.steady_state.profile.savings[: self.num_savers], 1e-6)
         savings = 0.5 * steady_savings + 0.5 * np.maximum(0.4 * resources, 1e-6)
         savings = np.minimum(savings, np.maximum(resources - c_min, 1e-6))

@@ -175,12 +175,6 @@ class TestCompressedGridCache:
             evaluate(clone, surplus, X, kernel="cuda"), expected, atol=1e-15
         )
 
-    def test_active_chain_covers_all_nonzero_entries(self):
-        grid = _adaptive_grid()
-        comp = compress_grid(grid)
-        total = sum(rows.size for rows, _ in comp.active_chain())
-        assert total == int(np.count_nonzero(comp.chains))
-
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("kernel", list_kernels())

@@ -112,6 +112,16 @@ class TestEnvironment:
         high = model.system.environment(1, 0, 1.0)
         assert high.prices.wage > low.prices.wage
 
+    def test_the_initial_guess_prices_each_state_once(self, model, monkeypatch):
+        """Cash on hand for p^0 is one call over all grid rows of a shock state."""
+        calls = []
+        real = EulerSystem.environment
+        monkeypatch.setattr(
+            EulerSystem, "environment", lambda *a: calls.append(1) or real(*a)
+        )
+        TimeIterationSolver(model, TimeIterationConfig(grid_level=3)).initial_policy()
+        assert len(calls) == model.num_states
+
 
 class TestConsumption:
     def test_goods_market_identity(self, model):

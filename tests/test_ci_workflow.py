@@ -212,6 +212,9 @@ class TestBatchedSolveGate:
         for example in ("scenario_sweep.py", "quickstart.py", "scaling_study.py"):
             line = f"PYTHONPATH=src python examples/{example}"
             assert any(line in c.splitlines() for c in commands)
+        # the paper's 7k case through all six kernels, on 20 query points
+        line = "PYTHONPATH=src python examples/compression_demo.py --queries 20"
+        assert any(line in c.splitlines() for c in commands)
 
     def test_bench_job_runs_the_figure_benches(self, workflow):
         # plain pytest collects nothing from benchmarks/bench_*.py (functions
