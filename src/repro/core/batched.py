@@ -10,9 +10,10 @@ of one (:meth:`repro.core.time_iteration.TimeIterationSolver.solve`).
 
 Every update is :func:`repro.core.time_iteration.update`, the pass of
 Algorithm 1 over a list of members, and the loop stacks whatever it is
-given: two or more members iterate in lockstep on ONE shared regular grid,
-every pass one ``update`` call — a ``(n_members, n_states, n_points)``
-batch of equilibrium systems in one point solve (through the model class's
+given: two or more members iterate in lockstep, every pass one ``update``
+call over the members still active — on the first one's regular grid, a
+``(n_members, n_states, n_points)`` batch of equilibrium systems in one
+point solve (through the group the pass builds with the model class's
 ``stacked_group`` when it has one, e.g.
 :meth:`repro.olg.model.OLGModel.stacked_group`; per member otherwise), all
 members' policies in one hierarchization per shock state — and drop out as
@@ -48,8 +49,6 @@ from repro.core.time_iteration import (
     TimeIterationSolver,
     update,
 )
-from repro.grids.regular import regular_grid_size
-
 # the fit is in ``update``; benchmarks/ledger/test_ledger.py (frozen) reads the name here
 from repro.grids.hierarchize import hierarchize  # noqa: F401
 from repro.utils.timing import WallClock
@@ -145,14 +144,15 @@ class BatchedTimeIterationSolver:
         self.members = list(members)
         self.on_member_complete = on_member_complete
         self._outcomes: dict[str, MemberOutcome] = {}
-        self._group_cache: tuple[tuple[str, ...], object | None] | None = None
         if len(self.members) > 1:
             if any(m.config.adaptive for m in self.members):
                 raise ValueError("adaptive solves do not stack: each refines its own grids")
             grids = {(m.model.state_dim, m.model.num_states, m.config.grid_level) for m in members}
             if len(grids) > 1:
                 raise ValueError(f"the members of a stack need one grid, got {sorted(grids)}")
-            self._group_solver(self.members)  # the model class's own structural check
+            stacked_group = getattr(type(members[0].model), "stacked_group", None)
+            if stacked_group is not None:  # the model class's own structural check, on no rows
+                stacked_group([m.model for m in members], [0] * len(members))
 
     # ------------------------------------------------------------------ #
     # the loop
@@ -188,6 +188,7 @@ class BatchedTimeIterationSolver:
     # start: resume or initial policy, the shared grid, solve-started
     # ------------------------------------------------------------------ #
     def _start(self) -> list[_MemberState]:
+        """Load every member; re-anchor a stack's start policies onto its first member's grid."""
         states: list[_MemberState] = []
         for member in self.members:
             with self._own(member):
@@ -197,9 +198,9 @@ class BatchedTimeIterationSolver:
         for ms in states:
             cfg = ms.member.config
             with self._own(ms.member):
-                if stacked:  # one grid cache for the stack's solvers, so one grid for update()
-                    ms.solver._grid_cache = states[0].solver._grid_cache
-                    ms.policy = self._reanchor(ms.policy, ms.solver._regular_grid(cfg.grid_level))
+                if stacked:  # one grid object, so the first pass reads them in one basis pass
+                    grid = states[0].solver._regular_grid(cfg.grid_level)
+                    ms.policy = self._reanchor(ms.policy, grid)
                 ms.emit(
                     "solve-started",
                     start_iteration=ms.iteration,
@@ -262,31 +263,16 @@ class BatchedTimeIterationSolver:
     # the update: one pass of the stack
     # ------------------------------------------------------------------ #
     def _update(self, stack: list[_MemberState]) -> None:
-        """One lockstep pass of the stack; every member books an equal share of its wall."""
+        """One lockstep pass of the active members, one ``update`` call that decides their
+        grid and group solver; every member books an equal share of its wall."""
         clock = WallClock()
         t0 = time.perf_counter()
-        members = [(ms.solver, ms.policy) for ms in stack]
-        new_policies = update(members, self._group_solver([ms.member for ms in stack]), clock)
+        new_policies = update([(ms.solver, ms.policy) for ms in stack], clock)
         share = 1.0 / len(stack)
         wall = (time.perf_counter() - t0) * share
         for ms, new_policy in zip(stack, new_policies):
             sections = {name: seconds * share for name, seconds in clock.sections.items()}
             ms.update = (new_policy, wall, sections)
-
-    def _group_solver(self, members: list[BatchMember]):
-        """The model class's stacked point solver for ``members`` (``None`` for one member
-        or a class without ``stacked_group``), rebuilt when the members change."""
-        key = tuple(m.key for m in members)
-        if self._group_cache is None or self._group_cache[0] != key:
-            model, level = members[0].model, members[0].config.grid_level
-            stacked_group = getattr(type(model), "stacked_group", None)
-            group = None
-            if len(members) > 1 and stacked_group is not None:
-                # a member's rows: the shared grid's points, once per shock state
-                rows = regular_grid_size(model.state_dim, level) * model.num_states
-                group = stacked_group([m.model for m in members], [rows] * len(members))
-            self._group_cache = (key, group)
-        return self._group_cache[1]
 
     # ------------------------------------------------------------------ #
     # after the update: the one per-member block

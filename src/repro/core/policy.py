@@ -10,8 +10,8 @@ approximate it with one adaptive sparse grid per discrete state ``z``:
   gets interpolated when solving the equilibrium conditions (``p_next`` in
   Algorithm 1);
 * :class:`PolicyRead` — one or more models' policy sets prepared once for
-  many reads in several states at once, what a Newton run of the
-  equilibrium solver builds for its residual calls;
+  many reads of each row's own model in several states at once, what a
+  Newton run of the equilibrium solver builds for its residual calls;
 * :func:`values_on_grid` — the previous iterate at today's grid points: its
   stored nodal values where the grids share their points, an interpolation
   otherwise.  It is the one rule behind the warm start and
@@ -179,13 +179,12 @@ class PolicySet:
         ``m`` axis for a single point) — this is the access pattern of the
         equilibrium solver, which needs next period's policy in *all*
         shock states at once (the interpolation bottleneck the paper
-        optimises).  One read of a :class:`PolicyRead`: one basis pass at
-        ``X`` when the states share one grid object and box, every state on
-        its own otherwise (adaptive grids).
+        optimises).  One :class:`PolicyRead` call: one basis pass at ``X``
+        when the states share one grid object and box, every state on its
+        own otherwise (adaptive grids); no rows read as an empty array.
         """
         chosen = range(self.num_states) if states is None else states
-        out = PolicyRead([self])(chosen, [np.atleast_2d(X)])
-        return out[:, 0] if np.ndim(X) == 1 else out
+        return PolicyRead([self])(chosen, 0, X)
 
     def distance(self, other: "PolicySet") -> dict:
         """Policy distance used as the convergence criterion of Algorithm 1.
@@ -248,40 +247,49 @@ class PolicyRead:
 
     ``policy_sets`` holds one :class:`PolicySet` per model (one model, or
     the members of a stacked group); the sets have equal ``num_policies``.
-    A call ``read(states, Xs, members)`` reads, at block ``Xs[i]`` (2-D,
-    in its model's box), the policies of model ``members[i]`` (default:
-    model ``i``) in the shock states ``states`` and returns them as one
-    ``(len(states), rows of all blocks, num_policies)`` array.
+    A call ``read(states, member, X)`` reads at the rows of ``X`` (in their
+    model's box; ``member`` names it, one index or one per row, sorted) the
+    policies of each row's model in the shock states ``states``, as one
+    ``(len(states), rows, num_policies)`` array — no row axis for one
+    point ``X`` of shape ``(d,)``, and empty for no rows or no states.
 
     When every policy sits on one grid object and each model's states share
     its box (time iteration's shared regular grid), the read is a
     :class:`~repro.grids.interpolation.StackedRead`: a call is one basis
-    pass over all blocks and one GEMM per block against that model's
+    pass over all rows and one GEMM per model against that model's
     surpluses of ``states`` side by side, the operand built once per model
-    and state set.  Otherwise (adaptive grids) it goes state by state: one
-    model calls each state's interpolant, several read each state's
-    interpolants with one basis pass over their blocks.
+    and state set.  Otherwise (adaptive grids) one model is read state by
+    state; several models are refused at construction, since stacks share
+    one grid and adaptive solves never stack.
     """
 
     def __init__(self, policy_sets: list[PolicySet]) -> None:
         self.interps = [[p.interpolant for p in ps] for ps in policy_sets]
+        self.width = policy_sets[0].num_policies
         first = self.interps[0][0]
         shared = all(
             i.grid is first.grid and own[0].shares_basis_with(i)
             for own in self.interps
             for i in own
         )
+        if not shared and len(self.interps) > 1:
+            raise ValueError("the policies of several models must share one grid object")
         self.shared = StackedRead(self.interps) if shared else None
 
-    def __call__(self, states, Xs: list[np.ndarray], members=None) -> np.ndarray:
-        states = tuple(map(int, states))
-        if self.shared is not None:
-            outs = self.shared(Xs, members, states)
-            out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    def __call__(self, states, member, X: np.ndarray) -> np.ndarray:
+        states, rows = tuple(map(int, states)), np.atleast_2d(X)
+        if not (states and len(rows)):
+            out = np.empty((len(states), len(rows), self.width))
+        elif self.shared is None:
+            out = np.stack([self.interps[0][s](rows) for s in states])
+        else:
+            owners = np.ravel(member)
+            if owners[0] != owners[-1]:  # several models, sorted: a block of rows each
+                models, starts = np.unique(owners, return_index=True)
+                blocks = self.shared(np.split(rows, starts[1:]), models.tolist(), states)
+                flat = np.concatenate(blocks)
+            else:
+                (flat,) = self.shared([rows], [int(owners[0])], states)
             # (rows, states x policies) -> (states, rows, policies), a view
-            return out.reshape(out.shape[0], len(states), -1).swapaxes(0, 1)
-        if len(self.interps) == 1:
-            return np.stack([self.interps[0][s](Xs[0]) for s in states])
-        members = range(len(Xs)) if members is None else members
-        by_state = (StackedRead([self.interps[u][s] for u in members])(Xs) for s in states)
-        return np.stack([np.concatenate(blocks) for blocks in by_state])
+            out = flat.reshape(len(rows), len(states), self.width).swapaxes(0, 1)
+        return out[:, 0] if np.ndim(X) == 1 else out

@@ -15,8 +15,10 @@ argument of the model's vectorized ``solve_points_batch``), an adaptive
 member adds one point solve per refinement round, and one hierarchization
 per shock state fits the result.  A solo step
 (:meth:`TimeIterationSolver.step`) is that pass on a list of one; a stack
-of :mod:`repro.core.batched` is the same pass on several members and the
-model class's group solver.  This module is model-agnostic: which models
+of :mod:`repro.core.batched` is the same pass on several members, which
+decides what they share itself: the first member's grid objects and,
+when the model class has ``stacked_group``, a group solver built from the
+pass's own row counts.  This module is model-agnostic: which models
 may share a stack is the caller's decision (for OLG solves, their
 ``structure_key`` and grid level).  Fig. 7 times that point solve over the rows of a first
 step (:func:`repro.experiments.fig7.step_rows`).
@@ -205,55 +207,56 @@ class TimeIterationResult:
         return np.cumsum([r.wall_time for r in self.records])
 
 
-def update(members, group=None, clock: WallClock | None = None) -> list[PolicySet]:
+def update(members, clock: WallClock | None = None) -> list[PolicySet]:
     """One pass of Algorithm 1 over ``members``, a list of ``(solver, policy_next)`` pairs.
 
-    Every grid point of every shock state of every member is a row of ONE
-    point solve — ``group.solve_points`` when the caller holds a stacked
-    group solver for exactly these members, the model's ``solve_points_batch``
-    per member otherwise.  An adaptive member then pays one more point solve per
+    The pass decides the stack itself: every member iterates on the first
+    member's grid objects (its own, for a list of one), each member's points
+    in its own box, and every grid point of every shock state of every member
+    is a row of ONE point solve — for two or more members, the group the
+    model class's ``stacked_group`` builds from this pass's row counts, when
+    the class has one; each member's ``solve_points_batch`` otherwise.  An
+    adaptive member, always alone, then pays one more point solve per
     refinement round, over the new points of all its states.  One
     hierarchization per shock state, all members' columns side by side,
-    finishes the pass.  The members of one call sit on the same grid objects:
-    a list of one, or a stack (its solvers share one grid cache).
+    finishes the pass.
     """
     clock = clock or WallClock()
+    solvers, policies_next = zip(*members)
+    models = [solver.model for solver in solvers]
     with clock.section("grid"):
-        grids = [solver._todays_grids(policy_next) for solver, policy_next in members]
+        grids = solvers[0]._todays_grids(policies_next[0])
+        boxes = [[model.domain.from_unit(grid.points) for grid in grids] for model in models]
     with clock.section("solve"):
-        sizes = [[len(X) for _, X in gs] for gs in grids]
+        sizes = [len(grid) for grid in grids]
         # rows are state-major: every point in state 0, then in state 1, ...
-        states = [np.repeat(np.arange(len(n)), n) for n in sizes]
-        rows = [np.concatenate([X for _, X in gs]) for gs in grids]
+        states = np.repeat(np.arange(len(grids)), sizes)
+        rows = [np.concatenate(box) for box in boxes]
         guesses = [
-            np.concatenate([values_on_grid(prev, *g) for prev, g in zip(policy_next, gs)])
-            for (_, policy_next), gs in zip(members, grids)
+            np.concatenate([values_on_grid(*args) for args in zip(policy_next, grids, box)])
+            for policy_next, box in zip(policies_next, boxes)
         ]
-        if group is not None:
-            policies_next = [policy_next for _, policy_next in members]
-            blocks = group.solve_points(np.concatenate(states), rows, policies_next, guesses)
+        stacked_group = getattr(type(models[0]), "stacked_group", None)
+        if len(members) > 1 and stacked_group is not None:
+            group = stacked_group(models, [len(X) for X in rows])
+            blocks = group.solve_points(np.tile(states, len(members)), rows, policies_next, guesses)
         else:
             blocks = [
-                solver.model.solve_points_batch(z, X, policy_next, guess)
-                for (solver, policy_next), z, X, guess in zip(members, states, rows, guesses)
+                model.solve_points_batch(states, X, policy_next, guess)
+                for model, X, policy_next, guess in zip(models, rows, policies_next, guesses)
             ]
-        values = [
-            np.split(np.asarray(block, dtype=float), np.cumsum(n)[:-1])
-            for block, n in zip(blocks, sizes)
-        ]
-    for (solver, policy_next), gs, v in zip(members, grids, values):
-        if solver.config.adaptive:
-            _refine(solver, policy_next, gs, v, clock)
+        cuts = np.cumsum(sizes)[:-1]
+        values = [np.split(np.asarray(block, dtype=float), cuts) for block in blocks]
+    if solvers[0].config.adaptive:
+        _refine(solvers[0], policies_next[0], grids, values[0], clock)
     with clock.section("fit"):
         policies: list[list[StatePolicy]] = [[] for _ in members]
-        for z, (grid, _) in enumerate(grids[0]):
-            if any(gs[z][0] is not grid for gs in grids):
-                raise ValueError("the members of one update must share their grid objects")
+        for z, grid in enumerate(grids):
             surplus = hierarchize(grid, np.concatenate([v[z] for v in values], axis=1))
             widths = np.cumsum([v[z].shape[1] for v in values])[:-1]
             columns = np.split(surplus, widths, axis=1)
-            for (solver, _), v, own, fitted in zip(members, values, columns, policies):
-                fitted.append(StatePolicy.from_surplus(z, grid, own, v[z], solver.model.domain))
+            for model, v, own, fitted in zip(models, values, columns, policies):
+                fitted.append(StatePolicy.from_surplus(z, grid, own, v[z], model.domain))
     return [PolicySet(fitted) for fitted in policies]
 
 
@@ -272,7 +275,7 @@ def _refine(solver, policy_next: PolicySet, grids: list, values: list, clock: Wa
     while True:
         new_rows: dict[int, np.ndarray] = {}
         for z in open_states:
-            grid = grids[z][0]
+            grid = grids[z]
             if len(grid) >= cfg.max_points_per_state:
                 continue
             with clock.section("fit"):
@@ -281,13 +284,13 @@ def _refine(solver, policy_next: PolicySet, grids: list, values: list, clock: Wa
                 added = refine(grid, surplus, cfg.refine_epsilon, max_level=cfg.max_refine_level)
             if added.size:
                 new_rows[z] = added
-                grids[z] = (grid, model.domain.from_unit(grid.points))
         open_states = list(new_rows)  # a state that added nothing, or sits at the cap, is done
         if not open_states:
             break
         with clock.section("solve"):
             sizes = [len(added) for added in new_rows.values()]
-            X_new = np.concatenate([grids[z][1][added] for z, added in new_rows.items()])
+            new_points = np.concatenate([grids[z].points[added] for z, added in new_rows.items()])
+            X_new = model.domain.from_unit(new_points)
             z_new = np.repeat(open_states, sizes)
             solved = np.asarray(model.solve_points_batch(z_new, X_new, policy_next), dtype=float)
         for z, block in zip(new_rows, np.split(solved, np.cumsum(sizes)[:-1])):
@@ -303,8 +306,7 @@ class TimeIterationSolver:
     ) -> None:
         self.model = model
         self.config = config or TimeIterationConfig()
-        # regular grids only (adaptive steps work on per-iteration copies);
-        # the members of a stack share one cache
+        # regular grids only (adaptive steps work on per-iteration copies)
         self._grid_cache: dict[tuple[int, int], SparseGrid] = {}
 
     def _regular_grid(self, level: int) -> SparseGrid:
@@ -322,14 +324,13 @@ class TimeIterationSolver:
             grid = self._grid_cache[key] = regular_sparse_grid(*key)
         return grid
 
-    def _todays_grids(self, policy_next: PolicySet) -> list[tuple[SparseGrid, np.ndarray]]:
-        """Today's grid of each shock state with its points in the model's box: the shared
-        regular grid or, adaptive, a copy of each previous state grid (refined regions stay)."""
+    def _todays_grids(self, policy_next: PolicySet) -> list[SparseGrid]:
+        """Today's grid object of each shock state: the shared regular grid or, adaptive, a
+        copy of each previous state grid (refined regions stay).  A stack's pass uses its
+        first member's; each member maps the points into its own box."""
         if self.config.adaptive:
-            grids = [prev.grid.copy() for prev in policy_next]
-        else:
-            grids = [self._regular_grid(self.config.grid_level)] * self.model.num_states
-        return [(grid, self.model.domain.from_unit(grid.points)) for grid in grids]
+            return [prev.grid.copy() for prev in policy_next]
+        return [self._regular_grid(self.config.grid_level)] * self.model.num_states
 
     def initial_policy(self) -> PolicySet:
         """Build the initial guess ``p^0`` on regular grids."""

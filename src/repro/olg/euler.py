@@ -239,37 +239,25 @@ class EulerSystem:
     # ------------------------------------------------------------------ #
     # equilibrium conditions
     # ------------------------------------------------------------------ #
-    def _policy_values(self, states, member, x_next: np.ndarray, read: PolicyRead):
-        """Next-iterate policy values of each row's own model in every one of ``states``.
-
-        ``(len(states), ..., 2 (A-1))``, from ONE basis pass at ``x_next``
-        when the policies sit on one grid object (time iteration's shared
-        regular grid), state by state otherwise (adaptive grids).
-        """
-        owners = np.ravel(member)
-        if owners[0] != owners[-1]:  # several models, sorted: a block of rows each
-            uniq, starts = np.unique(owners, return_index=True)
-            return read(states, np.split(x_next, starts[1:]), uniq.tolist())
-        values = read(states, [np.atleast_2d(x_next)], [int(owners[0])])
-        return values[:, 0] if x_next.ndim == 1 else values
-
     def _tomorrow(self, z, member, savings: np.ndarray, read: PolicyRead):
         """Probability, gross return, consumption, policy values: reachable states first.
 
         The leading axis runs over the reachable shock states, those some
         row's state ``z`` moves to with positive probability; a row that
-        cannot reach one of them carries probability zero there.  The
-        consumption is that of today's savers one period on, in shock state
-        ``z_next``: they earn the return on their savings plus tomorrow's
-        income of the next age and save what the interpolated next-iterate
-        policy says (the terminal generation saves nothing).
+        cannot reach one of them carries probability zero there (no rows
+        reach none).  The policy values are one ``read`` of every row's own
+        model in all of them.  The consumption is that of today's savers
+        one period on, in shock state ``z_next``: they earn the return on
+        their savings plus tomorrow's income of the next age and save what
+        the interpolated next-iterate policy says (the terminal generation
+        saves nothing).
         """
         ns = self.num_savers
         K_next, x_next = self.next_states(member, savings)
         successors = np.flatnonzero(np.atleast_2d(self.reach[z]).any(axis=0))
         z_next = successors.reshape((-1,) + (1,) * K_next.ndim)  # broadcasts against the rows
         prob = self.prob[z, z_next, member]
-        next_values = self._policy_values(successors, member, x_next, read)
+        next_values = read(successors, member, x_next)
         env = self.environment(z_next, member, K_next)
         save_next = np.zeros(successors.shape + savings.shape)
         save_next[..., : ns - 1] = np.maximum(next_values[..., 1:ns], 0.0)

@@ -243,9 +243,12 @@ class OLGModel:
 
         the standard consumption-equivalent accuracy measure.  Returns the
         ``linf`` and ``l2`` aggregates plus the mean ``log10`` error, which
-        is what Fig. 9 tracks as the solution error.
+        is what Fig. 9 tracks as the solution error.  An empty sample has
+        no error to aggregate and raises ``ValueError``.
         """
         sample = _rows(sample)
+        if not sample.size:
+            raise ValueError("empty sample: equilibrium_errors needs at least one state")
         errors = []
         for z in range(self.num_states):
             values = np.atleast_2d(policy.evaluate(z, sample))

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.policy import PolicySet, StatePolicy, values_on_grid
+from repro.core.policy import PolicyRead, PolicySet, StatePolicy, values_on_grid
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.adaptive import refine
 from repro.grids.hierarchize import hierarchize
@@ -389,6 +389,44 @@ class TestWhichStepsFuseTheShockStates:
             assert np.all(np.abs(got.interpolant.surplus - s) <= 1e-9 * (1.0 + np.abs(s)))
 
 
+# what each entry point returns on no rows of a 4-generation, 2-state model
+_NO_ROWS = {
+    "solve_points_batch": ((0, 6), lambda m, p, X, S: m.solve_points_batch(0, X, p)),
+    "solve_points_batch-per-row-z": (
+        (0, 6),
+        lambda m, p, X, S: m.solve_points_batch(np.zeros(0, dtype=int), X, p, np.zeros((0, 6))),
+    ),
+    "euler_residuals_batch": ((0, 3), lambda m, p, X, S: m.euler_residuals_batch(0, X, S, p)),
+    "value_functions_batch": ((0, 3), lambda m, p, X, S: m.value_functions_batch(0, X, S, p)),
+    "evaluate_all_states": ((2, 0, 6), lambda m, p, X, S: p.evaluate_all_states(X)),
+    "stacked-solve_points": (
+        (2, 0, 6),
+        lambda m, p, X, S: np.stack(
+            OLGModel.stacked_group([m, m], [0, 0]).solve_points(0, [X, X], [p, p], [None] * 2)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", [*_NO_ROWS, "equilibrium_errors"])
+def test_zero_rows_give_empty_arrays_of_the_right_width(call):
+    """No rows: an empty answer, ``2 (A-1)`` or ``A-1`` wide; no sample: a ``ValueError``.
+
+    A Newton run over no rows reaches no successor state, and its one
+    residual call reads nothing.
+    """
+    model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+    policy = TimeIterationSolver(model, TimeIterationConfig(grid_level=2)).initial_policy()
+    X = model.domain.from_unit(policy[0].grid.points)[:0]
+    if call == "equilibrium_errors":
+        with pytest.raises(ValueError, match="empty sample"):
+            model.equilibrium_errors(policy, X)
+        return
+    shape, entry = _NO_ROWS[call]
+    out = entry(model, policy, X, np.zeros((0, model.num_savers)))
+    assert out.shape == shape and out.dtype == float
+
+
 class TestRowIndependence:
     def test_a_pass_solved_row_by_row_equals_the_batch(self):
         """A row's solve never sees its neighbours: ``solve_point`` per row == the one batch."""
@@ -405,11 +443,9 @@ class TestRowIndependence:
 class TestSharedBasisRead:
     """One basis pass at tomorrow's states serves every successor state sharing the grid."""
 
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_one_pass_on_a_shared_grid_one_per_state_otherwise(self, monkeypatch, stacked):
-        from repro.core import kernels
-
-        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+    @staticmethod
+    def _shared_and_own(model):
+        """``p^0`` on the shared regular grid, and the same policies on per-state grid copies."""
         shared = TimeIterationSolver(model, TimeIterationConfig(grid_level=2)).initial_policy()
         own = PolicySet(
             [
@@ -419,23 +455,35 @@ class TestSharedBasisRead:
                 for sp in shared
             ]
         )
+        return shared, own
+
+    def test_one_pass_on_a_shared_grid_one_per_state_otherwise(self, monkeypatch):
+        from repro.core import kernels
+
+        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        shared, own = self._shared_and_own(model)
         X = model.domain.sample(5, rng=1)
         savings = np.full((5, model.num_savers), 0.1)
-        if stacked:
-            group = OLGModel.stacked_group([model, model], [5, 5])
-            system = group.system
-            args = (group.member, np.tile(X, (2, 1)), np.tile(savings, (2, 1)))
-        else:
-            system, args = model.system, (0, X, savings)
         passes = []
         real = kernels.basis_matrix
         monkeypatch.setattr(kernels, "basis_matrix", lambda *a: passes.append(1) or real(*a))
-        z = np.resize([0, 1], len(args[1]))
-        fused = system.euler_residuals(z, *args, [shared] * (1 + stacked))
+        z = np.resize([0, 1], len(X))
+        fused = model.system.euler_residuals(z, 0, X, savings, [shared])
         assert len(passes) == 1
-        per_state = system.euler_residuals(z, *args, [own] * (1 + stacked))
-        assert len(passes) == 1 + (2 if stacked else 0)  # one model on its own grids: the kernel
+        per_state = model.system.euler_residuals(z, 0, X, savings, [own])
+        assert len(passes) == 1  # one model on its own grids: each state's interpolant
         np.testing.assert_allclose(per_state, fused, rtol=1e-13, atol=1e-13)
+
+    def test_several_models_on_per_state_grids_are_refused(self):
+        # a stack shares one grid and an adaptive solve never stacks: no solve reads this
+        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        shared, own = self._shared_and_own(model)
+        PolicyRead([shared, shared])
+        PolicyRead([own])
+        with pytest.raises(ValueError, match="one grid object"):
+            PolicyRead([own, own])
+        with pytest.raises(ValueError, match="one grid object"):
+            PolicyRead([shared, own])
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_a_newton_run_prepares_its_read_once(self, monkeypatch, stacked):

@@ -141,6 +141,74 @@ class TestConvergenceMasking:
         assert fast.iterations < slow.iterations
         assert [r.iteration for r in fast.records] == list(range(1, fast.iterations + 1))
 
+    def test_a_stack_whose_first_member_leaves_first(self):
+        # the pass iterates on its first active member's grid: after the
+        # first member converges the next one's grid takes over, and the
+        # remaining members still equal their solo solves bit for bit
+        specs = [
+            _solve_spec(f"s{i}", num_states=2, tau_labor=0.1 * (i + 1), tolerance=tol)
+            for i, tol in enumerate([3e-2, TOL, TOL])
+        ]
+        grids: dict[int, list] = {}
+
+        class GridsPerPass:  # a checkpoint hook that only watches the new policies
+            def load(self):
+                return None
+
+            def on_iteration(self, policy, records, converged, config):
+                grids.setdefault(len(records), []).append([sp.grid for sp in policy])
+
+            def on_complete(self, policy, records, converged, config):
+                pass
+
+        members = [_member(s, checkpoint=GridsPerPass()) for s in specs]
+        outcomes = BatchedTimeIterationSolver(members).solve()
+        first, *rest = [outcomes[s.name].result for s in specs]
+        assert first.converged and all(r.converged for r in rest)
+        assert first.iterations < min(r.iterations for r in rest)
+        for spec, result in zip(specs[1:], rest):
+            solo = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
+            _assert_same_bits(result, solo)
+        assert len(grids) == max(r.iterations for r in rest)
+        for iteration, seen in grids.items():
+            assert len(seen) == sum(r.iterations >= iteration for r in [first, *rest])
+            assert all(g is h for other in seen for g, h in zip(other, seen[0]))
+
+    def test_the_pass_builds_its_group_from_its_own_rows(self):
+        # a model class's stacked_group is built by every pass of two or more
+        # members, with each member's rows of that pass: points x shock states
+        counts: list[list[int]] = []
+
+        class Recording(OLGModel):
+            @classmethod
+            def stacked_group(cls, models, rows):
+                from repro.olg.stacked import StackedOLGGroup
+
+                counts.append(list(rows))
+                return StackedOLGGroup(models, rows)
+
+        specs = [
+            _solve_spec(f"r{i}", num_states=2, tau_labor=0.1 * (i + 1), tolerance=tol)
+            for i, tol in enumerate([1e-2, TOL, 1e-4])
+        ]
+
+        def member(spec):
+            model = Recording(spec.build_calibration())
+            return BatchMember(key=spec.name, model=model, config=spec.build_config())
+
+        solver = BatchedTimeIterationSolver([member(s) for s in specs])
+        assert counts == [[0, 0, 0]]  # the constructor's structural check, on no rows
+        counts.clear()
+        outcomes = solver.solve()
+        iterations = [outcomes[s.name].result.iterations for s in specs]
+        assert len(set(iterations)) == 3  # the stack shrinks from three to two to one
+        rows = regular_grid_size(3, 2) * 2  # 4 generations -> 3 savers, level 2; 2 states
+        active = [sum(n >= i for n in iterations) for i in range(1, max(iterations) + 1)]
+        assert counts == [[rows] * k for k in active if k > 1]  # never a group of one
+        BatchedTimeIterationSolver([member(specs[0])]).solve()
+        TimeIterationSolver(Recording(specs[1].build_calibration())).solve()
+        assert counts == [[rows] * k for k in active if k > 1]
+
     def test_capped_member_leaves_batch_while_others_continue(self):
         specs = [_solve_spec("capped", max_iterations=3), _solve_spec("full")]
         outcomes = BatchedTimeIterationSolver([_member(s) for s in specs]).solve()

@@ -274,6 +274,25 @@ class TestBatchedSolveGate:
         assert run.count("benchmarks/solve_bits.py") == 2
         assert "unchanged" in run and "MOVED" in run and "$GITHUB_STEP_SUMMARY" in run
         assert (REPO / "benchmarks" / "solve_bits.py").exists()
+        # under the verdict, which lines moved: a diff that never fails the step
+        summary = run[run.index('echo "### Solve bits: $verdict"') :]
+        assert 'diff <(echo "$base") <(echo "$head") || true' in summary
+        assert summary.index("diff <(") < summary.index('tee -a "$GITHUB_STEP_SUMMARY"')
+
+    def test_solve_bits_fifth_line_is_a_stack_whose_first_member_leaves_first(self):
+        # the ledger's level-2 sweep stacked, its first member converging a
+        # pass before the others, so the stack goes on without its first grid
+        import subprocess
+        import sys
+
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run(
+            [sys.executable, str(REPO / "benchmarks" / "solve_bits.py")],
+            capture_output=True, text=True, check=True, env=env, cwd=REPO,
+        ).stdout.splitlines()
+        assert len(out) == 5
+        assert out[4].startswith("level-2 stacked first-tolerance 1 ")
+        assert out[4].endswith(" iterations [4, 5, 5, 5]")
 
     def test_only_the_bench_job_installs_scipy(self, workflow):
         # traced ledger runs import scipy.optimize; everywhere else the

@@ -557,20 +557,21 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
     calibration=fused_calibrations,
     level=st.integers(2, 3),
     thin=st.booleans(),
-    stacked=st.booleans(),
-    copies=st.booleans(),
+    # (stacked, copies): several models are read on one grid only
+    layout=st.sampled_from([(False, False), (False, True), (True, False)]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_the_prepared_residual_is_the_public_one(calibration, level, thin, stacked, copies, seed):
+def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layout, seed):
     """The Newton run's residual calls are ``euler_residuals`` on their rows, bit for bit.
 
     A run prepares today's cash on hand and the policy read once; every
     call it makes equals the public residual at that call's rows and
     candidates, and its value update equals ``value_functions``.  Thinned
     transitions change the successor set between calls (a call holds only
-    the rows still active); per-state grid copies take the read's
-    state-by-state branch.
+    the rows still active); per-state grid copies of one model take the
+    read's state-by-state branch.
     """
+    stacked, copies = layout
     rng = np.random.default_rng(seed)
     cal = small_calibration(**calibration)
     models = [OLGModel(_thinned(cal, rng) if thin else cal)]
@@ -578,7 +579,7 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, stack
         models.append(OLGModel(dataclasses.replace(models[0].calibration, beta=0.85)))
     num_states, members = models[0].num_states, len(models)
     grid = regular_sparse_grid(models[0].state_dim, level)
-    own = [grid.copy() for _ in range(num_states)]  # a grid per state, shared by the members
+    own = [grid.copy() for _ in range(num_states)]  # a grid per state
     policies = []
     for model in models:
         solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=level))
