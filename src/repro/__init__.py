@@ -52,7 +52,7 @@ from repro.core import (
 )
 from repro.olg import OLGModel, OLGCalibration, small_calibration, paper_calibration
 
-__version__ = "1.33.0"
+__version__ = "1.34.0"
 
 __all__ = [
     "SparseGrid",

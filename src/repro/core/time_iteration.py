@@ -93,9 +93,7 @@ class TimeIterationModel(Protocol):
         rows or an int array with one state per row.  Called once per pass for the rows of
         all shock states, and once per refinement round."""
 
-    def equilibrium_errors(
-        self, policy: PolicySet, sample: np.ndarray, rng=None
-    ) -> dict:
+    def equilibrium_errors(self, policy: PolicySet, sample: np.ndarray) -> dict:
         """Residual-based accuracy metrics of a candidate policy (optional)."""
 
     # Optional: ``solver_totals()`` returning the model's running point-solve

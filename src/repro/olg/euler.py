@@ -18,8 +18,12 @@ Bellman update, the savings guess and the point solve live only here
 (factor prices and the government budget are :mod:`repro.olg.production`
 and :mod:`repro.olg.government`).
 
-Savings are solved in log space, which keeps them strictly positive (an
-interior-solution version of the paper's Ipopt bound constraints).
+The paper solves each point under the savings bound ``s >= 0`` with Ipopt.
+Here the Euler equations are gaps in consumption units
+(:meth:`EulerSystem.euler_residuals`), and Newton solves the savings
+through the Fischer–Burmeister residual ``s + gap - hypot(s, gap)``, which
+is zero exactly at the bound's complementarity conditions: a saver on the
+borrowing floor who would borrow is a root like any interior saver.
 
 The residuals and the Bellman update are written once, as private
 routines of today's cash on hand and a prepared
@@ -55,8 +59,6 @@ __all__ = [
 #: stored policies live on; a solve spec's content hash carries it
 STATE_CONVENTION = "holdings-1"
 
-_LOG_SAVINGS_FLOOR = -16.0  # exp(-16) ~ 1e-7: effectively the borrowing constraint
-_LOG_SAVINGS_CEILING = 30.0
 _SHOCK_LABELS = ("productivity", "depreciation", "tau_labor", "tau_capital")
 
 
@@ -71,24 +73,6 @@ class PeriodEnvironment(NamedTuple):
     budget: GovernmentBudget
     gross_return: np.ndarray   # 1 + (1 - tau_c) * r_net
     incomes: np.ndarray        # after-tax non-asset income by age
-
-
-def _savings(log_savings: np.ndarray) -> np.ndarray:
-    return np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, _LOG_SAVINGS_CEILING))
-
-
-def _pinned(log_savings: np.ndarray) -> np.ndarray:
-    """Rows with a saver at or beyond a clip bound of :func:`_savings`.
-
-    The residual does not respond to that unknown (its Jacobian column is
-    exactly zero).  In practice it is the floor, and a binding borrowing
-    constraint: from 12 generations the youngest saver's steady-state
-    saving is negative (+0.01 at 10), and log-savings cannot follow it
-    below zero.
-    """
-    return np.any(
-        (log_savings <= _LOG_SAVINGS_FLOOR) | (log_savings >= _LOG_SAVINGS_CEILING), axis=-1
-    )
 
 
 class StructuralMismatch(ValueError):
@@ -165,11 +149,9 @@ class EulerSystem:
         self.working = np.arange(cal.num_generations) < cal.retirement_age
         #: what :meth:`solve` did for this model so far (a system of several
         #: models books on each model's own system): rows solved, rows Newton
-        #: left stalled, of those the pinned ones, the vectorised residual
-        #: calls of the Newton runs it took part in, and the number of those runs
-        self.totals = dict.fromkeys(
-            ("rows", "stalled", "pinned", "residual_calls", "newton_runs"), 0
-        )
+        #: left stalled, the vectorised residual calls of the Newton runs it
+        #: took part in, and the number of those runs
+        self.totals = dict.fromkeys(("rows", "stalled", "residual_calls", "newton_runs"), 0)
         cals = [m.calibration for m in models]
         self.beta = np.array([c.beta for c in cals], dtype=float)             # (M,)
         self.lower = np.array([m.domain.lower for m in models], dtype=float)  # (M, d)
@@ -265,12 +247,16 @@ class EulerSystem:
         return prob, env.gross_return, cons_next, next_values
 
     def _residuals(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
-        """The Euler residuals, given the rows' cash on hand and the prepared policy read."""
-        mu_today = self.utility.marginal_utility(cash - savings)
+        """The Euler gaps, given the rows' cash on hand and the prepared policy read.
+
+        ``u'`` stays positive below the consumption floor, so the expectation
+        always has an inverse.
+        """
         prob, gross_next, cons_next, _ = self._tomorrow(z, member, savings, read)
         mu_next = self.utility.marginal_utility(cons_next)
         expected = ((prob * gross_next)[..., None] * mu_next).sum(axis=0)
-        return mu_today - self.beta[member][..., None] * expected
+        implied = self.utility.inverse_marginal_utility(self.beta[member][..., None] * expected)
+        return implied - (cash - savings)
 
     def _values(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
         """The Bellman update, given the rows' cash on hand and the prepared policy read."""
@@ -287,7 +273,12 @@ class EulerSystem:
     def euler_residuals(
         self, z, member, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
     ) -> np.ndarray:
-        """``u'(c_a) - beta E[R' u'(c'_{a+1})]`` of every saving age, ``(..., A-1)``."""
+        """The Euler gap ``ĉ_a - c_a`` of every saving age, ``(..., A-1)``.
+
+        ``ĉ_a = (u')^{-1}(beta E[R' u'(c'_{a+1})])`` is the consumption the
+        Euler equation asks for; a positive gap is a saver who would rather
+        consume more today, by borrowing where ``s_a = 0``.
+        """
         cash = self.resources(z, member, X)
         return self._residuals(z, member, cash, savings, PolicyRead(policies))
 
@@ -304,13 +295,13 @@ class EulerSystem:
         """Warm-start savings where usable, a fixed share of cash on hand elsewhere.
 
         A row of ``guesses`` (policy values, savings first) is usable when
-        its savings are finite with at least one positive entry.
+        its savings are finite.
         """
-        out = np.maximum(0.4 * self.resources(z, member, X), 1e-6)
+        out = 0.4 * self.resources(z, member, X)
         if guesses is not None:
             sav = np.atleast_2d(np.asarray(guesses, dtype=float))[:, : self.num_savers]
-            valid = np.all(np.isfinite(sav), axis=1) & np.any(sav > 0, axis=1)
-            out[valid] = np.maximum(sav[valid], 1e-8)
+            valid = np.all(np.isfinite(sav), axis=1)
+            out[valid] = sav[valid]
         return out
 
     def solve(
@@ -326,13 +317,12 @@ class EulerSystem:
         residual and the first Jacobian together, so a run of ``k >= 1``
         Newton iterations makes at most ``3 k`` residual calls, ``2 k`` when
         no row halves its step, and the Bellman update adds one basis pass
-        after it.  A row whose Newton stalled keeps the best
-        iterate of that run.  Such a row is *pinned* (:func:`_pinned`) when
-        a saver sits on the borrowing floor, which leaves the system without
-        an interior root.  Every node of the box is an economy, so up to 8
-        generations no row stalls; from 10-12 the youngest savers' borrowing
-        constraint binds at some nodes, those rows are pinned, and time
-        iteration goes on regardless.
+        after it.  The unknowns are the savings themselves and the residual
+        is Fischer–Burmeister's ``s + gap - hypot(s, gap)`` on the Euler gap,
+        zero exactly when ``s >= 0``, ``gap >= 0`` and ``s * gap = 0``: from
+        12 generations the youngest savers' borrowing constraint binds at
+        some nodes, and those savers converge onto the floor.  A row whose
+        Newton stalled keeps the best iterate of that run.
 
         What happened is added, model by model, to :attr:`totals` of the
         model's own system.
@@ -342,23 +332,17 @@ class EulerSystem:
         # the interpolation plumbing of the next-iterate policies
         cash = self.resources(z, member, X)
         read = PolicyRead(policies)
-        guess = self.savings_guess(z, member, X, guesses)
-        log_guess = np.log(np.maximum(guess, np.exp(_LOG_SAVINGS_FLOOR)))
 
-        def residual(active: np.ndarray, log_savings: np.ndarray) -> np.ndarray:
-            return self._residuals(
-                z[active], member[active], cash[active], _savings(log_savings), read
-            )
+        def residual(active: np.ndarray, savings: np.ndarray) -> np.ndarray:
+            gap = self._residuals(z[active], member[active], cash[active], savings, read)
+            return savings + gap - np.hypot(savings, gap)
 
-        result = self.batch_solver.solve(residual, log_guess)
-        savings = _savings(result.x)
-        stalled = ~result.converged
-        pinned = stalled & _pinned(result.x)
+        result = self.batch_solver.solve(residual, self.savings_guess(z, member, X, guesses))
+        savings, stalled = result.x, ~result.converged
         for i, model in enumerate(self.models):
             mine, totals = member == i, model.system.totals
             totals["rows"] += int(mine.sum())
             totals["stalled"] += int(stalled[mine].sum())
-            totals["pinned"] += int(pinned[mine].sum())
             totals["residual_calls"] += result.residual_evaluations
             totals["newton_runs"] += 1
         values = self._values(z, member, cash, savings, read)

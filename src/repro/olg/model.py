@@ -24,14 +24,16 @@ Per discrete state and per grid point the model approximates
 
 Equilibrium conditions
 ----------------------
-At a grid point the unknowns are the savings ``k'_a`` of all non-terminal
-ages.  The residuals are the Euler equations
+At a grid point the unknowns are the savings ``k'_a >= 0`` of all
+non-terminal ages.  The conditions are the Euler equations as gaps in
+consumption units,
 
-    ``u'(c_a) - beta * E_z'[ R'(z') u'(c'_{a+1}(z')) | z ] = 0``
+    ``(u')^{-1}( beta * E_z'[ R'(z') u'(c'_{a+1}(z')) | z ] ) - c_a``
 
-where next-period consumption interpolates the *next iterate's* policy
-functions of all ``Ns`` shock states (the interpolation bottleneck the
-paper optimises).
+zero for an interior saver and non-negative for one on the borrowing
+floor, where next-period consumption interpolates the *next iterate's*
+policy functions of all ``Ns`` shock states (the interpolation bottleneck
+the paper optimises).
 
 The formulas live in :class:`repro.olg.euler.EulerSystem`, which evaluates
 them over any number of rows; this model is the system's stack of one
@@ -230,16 +232,15 @@ class OLGModel:
     # ------------------------------------------------------------------ #
     # accuracy diagnostics
     # ------------------------------------------------------------------ #
-    def equilibrium_errors(
-        self, policy: PolicySet, sample: np.ndarray, rng=None
-    ) -> dict:
+    def equilibrium_errors(self, policy: PolicySet, sample: np.ndarray) -> dict:
         """Unit-free Euler-equation errors of a candidate policy.
 
         For every sample state and discrete shock, the policy's savings are
         plugged into the Euler equations with the *same* policy serving as
-        next period's policy; the error of age ``a`` is
+        next period's policy; the error of age ``a`` is the Euler gap
+        relative to consumption,
 
-            ``| (beta E[R' u'(c'_{a+1})])^(-1/gamma) / c_a - 1 |``
+            ``| (beta E[R' u'(c'_{a+1})])^(-1/gamma) - c_a | / c_a``
 
         the standard consumption-equivalent accuracy measure.  Returns the
         ``linf`` and ``l2`` aggregates plus the mean ``log10`` error, which
@@ -252,15 +253,12 @@ class OLGModel:
         errors = []
         for z in range(self.num_states):
             values = np.atleast_2d(policy.evaluate(z, sample))
-            savings = np.maximum(values[:, : self.num_savers], 1e-10)
+            savings = np.maximum(values[:, : self.num_savers], 0.0)
             cons_today = np.maximum(
                 self.system.resources(z, 0, sample) - savings, self.utility.c_min
             )
-            residual = self.system.euler_residuals(z, 0, sample, savings, [policy])
-            # beta * E[R' u'(c')] = u'(c) - residual
-            rhs = np.maximum(self.utility.marginal_utility(cons_today) - residual, 1e-12)
-            implied = rhs ** (-1.0 / self.calibration.gamma)
-            errors.append(np.abs(implied / cons_today - 1.0).ravel())
+            gap = self.system.euler_residuals(z, 0, sample, savings, [policy])
+            errors.append(np.abs(gap / cons_today).ravel())
         stacked = np.concatenate(errors)
         return {
             "linf": float(np.max(stacked)),

@@ -11,8 +11,10 @@ large residual calls — at most two in the first iteration and three in each
 later one, whatever the batch and the system size — because a residual call
 is an interpolation kernel launch; :class:`NewtonSolver` holds the settings
 and the single-system entry point.
-A system Newton leaves stalled keeps its best iterate and is reported
-unconverged.
+Newton itself is unconstrained: the savings bound the paper hands to Ipopt
+lives in the residual :mod:`repro.olg.euler` gives it, a complementarity
+function whose roots respect the bound.  A system Newton leaves stalled
+keeps its best iterate and is reported unconverged.
 """
 
 from __future__ import annotations
@@ -225,23 +227,17 @@ class BatchNewtonSolver:
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``jac[r] @ step[r] = rhs[r]`` per row, by least squares where singular.
 
-    LAPACK refuses a whole stack when one matrix is exactly singular, so
-    the rows that certainly are — an all-zero column (an unknown the
-    residual does not respond to) or row — go straight to ``lstsq`` one by
-    one and the others are solved as one stack; should that stack still be
-    refused, each of its rows goes one by one, ``solve`` first.
+    The rows are solved as one stack; LAPACK refuses the whole stack when
+    one matrix is exactly singular, and then each row goes one by one,
+    ``solve`` first and ``lstsq`` where that fails.
     """
-    step = np.empty_like(rhs)
-    nonzero = jac != 0.0
-    regular = nonzero.any(axis=1).all(axis=1) & nonzero.any(axis=2).all(axis=1)
     try:
-        step[regular] = np.linalg.solve(jac[regular], rhs[regular, :, None])[:, :, 0]
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        for r in np.flatnonzero(regular):
+        step = np.empty_like(rhs)
+        for r in range(rhs.shape[0]):
             try:
                 step[r] = np.linalg.solve(jac[r], rhs[r])
             except np.linalg.LinAlgError:
                 step[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
-    for r in np.flatnonzero(~regular):
-        step[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
-    return step
+        return step

@@ -59,11 +59,11 @@ SOLVE_EVENT_KINDS = (
 #: the per-solve point-solver totals ``solve-finished`` carries under
 #: ``solver`` for a model that counts them (once per solve, never per
 #: iteration): grid-point systems solved, those Newton left stalled (they
-#: keep its best iterate), of these the ones pinned on a bound, the
-#: vectorised residual calls of the Newton runs the model took part in and
-#: the number of those runs (one per iteration when a pass solves all shock
-#: states in one batch)
-SOLVER_TOTALS = ("rows", "stalled", "pinned", "residual_calls", "newton_runs")
+#: keep its best iterate; a saver on the borrowing floor is a root, not a
+#: stall), the vectorised residual calls of the Newton runs the model took
+#: part in and the number of those runs (one per iteration when a pass
+#: solves all shock states in one batch)
+SOLVER_TOTALS = ("rows", "stalled", "residual_calls", "newton_runs")
 
 #: the full structured-event vocabulary (lease protocol + solve progress)
 EVENT_KINDS = LEASE_EVENT_KINDS + SOLVE_EVENT_KINDS

@@ -472,7 +472,7 @@ def _fmt_error(value) -> str:
 
 
 #: the point-solver totals of ``solve-finished`` the progress table shows
-_SOLVER_COLUMNS = ("rows", "stalled", "pinned", "residual_calls")
+_SOLVER_COLUMNS = ("rows", "stalled", "residual_calls")
 _PROGRESS_HEADERS = (
     "scenario",
     "status",

@@ -67,7 +67,7 @@ class ContractionModel:
         )
         return self.base(z, X) + self.contraction * mean_next
 
-    def equilibrium_errors(self, policy, sample, rng=None):
+    def equilibrium_errors(self, policy, sample):
         errs = []
         for z in range(self._num_states):
             diff = np.abs(np.atleast_2d(policy.evaluate(z, sample)) - self.fixed_point(z, sample))

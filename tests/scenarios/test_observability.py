@@ -19,6 +19,7 @@ import pytest
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
+from repro.olg.solver import NewtonSolver
 from repro.parallel.tracing import (
     EVENT_KINDS,
     LEASE_EVENT_KINDS,
@@ -154,8 +155,12 @@ class TestSolverEmission:
 
     def test_solve_finished_carries_the_point_solver_totals_of_this_solve(self):
         # 12 generations: from the fourth pass the youngest saver, whose
-        # steady-state saving is negative, sits on the borrowing floor
-        model = OLGModel(small_calibration(num_generations=12, num_states=2))
+        # steady-state saving is negative, sits on the borrowing floor, a
+        # root; a cap of three Newton iterations leaves rows stalled
+        model = OLGModel(
+            small_calibration(num_generations=12, num_states=2),
+            solver=NewtonSolver(max_iterations=3),
+        )
         solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=2, max_iterations=5))
         totals = []
         for _ in range(2):  # the second solve reports its own work, not the model's running sum
@@ -167,7 +172,7 @@ class TestSolverEmission:
         assert totals[0] == totals[1]
         assert tuple(totals[0]) == SOLVER_TOTALS == tuple(model.system.totals)
         assert totals[0]["rows"] == 5 * 2 * 23  # iterations x shock states x grid points
-        assert totals[0]["stalled"] == totals[0]["pinned"] > 0
+        assert 0 < totals[0]["stalled"] < totals[0]["rows"]
         assert totals[0]["residual_calls"] > 0
         # one Newton batch per iteration: the shock states are rows of it
         assert totals[0]["newton_runs"] == 5
@@ -628,17 +633,17 @@ class TestFleetAndReport:
         assert "solver diverged" in md and "always diverges" in md
         assert inflight in md
         # the finished solves show their point-solver totals, the live one does not yet
-        assert "rows / stalled / pinned / residual calls" in md
+        assert "rows / stalled / residual calls" in md
         finished = [e["solver"] for e in store.events() if e["kind"] == "solve-finished"]
         assert len(finished) == 2
         for solver in finished:
-            cells = (solver[k] for k in ("rows", "stalled", "pinned", "residual_calls"))
+            cells = (solver[k] for k in ("rows", "stalled", "residual_calls"))
             assert f"| {' / '.join(map(str, cells))} |" in md
             # Newton runs per iteration, residual calls per run
             per_run = solver["residual_calls"] / solver["newton_runs"]
             assert f"| 1.0 | {per_run:.1f} |" in md
         assert "Newton runs per iteration | residual calls per run" in md
-        assert "| - / - / - / - | - | - |" in md
+        assert "| - / - / - | - | - |" in md
         assert any(ch in md for ch in "▁▂▃▄▅▆▇█")  # sparkline trajectories
 
     def test_html_report_is_self_contained(self, any_store_url):
@@ -712,7 +717,8 @@ class TestCLI:
         assert "# Scenario run report" in capsys.readouterr().out
 
     def test_report_and_status_render_an_older_stores_solver_totals(self, tmp_path, capsys):
-        """A ``solve-finished`` written when rows were still polished carries one more key."""
+        """A ``solve-finished`` written when rows were still polished and pinned carries two more
+        keys."""
         store_url = f"file://{(tmp_path / 'store').as_posix()}"
         recorder = EventRecorder()
         sink = StoreEventSink(ResultsStore(store_url), "w-old")
@@ -727,7 +733,7 @@ class TestCLI:
         )
         sink.flush()  # a solve's closing events ride out with whatever flushes next
         assert cli_main(["report", "--store", store_url]) == 0
-        assert "| 14 / 5 / 2 / 40 | 1.0 | 40.0 |" in capsys.readouterr().out
+        assert "| 14 / 5 / 40 | 1.0 | 40.0 |" in capsys.readouterr().out
         assert cli_main(["status", "--store", store_url]) == 0
         assert "abc" in capsys.readouterr().out
         assert cli_main(["status", "--store", store_url, "--json"]) == 0

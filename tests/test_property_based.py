@@ -31,7 +31,6 @@ from repro.core.policy import PolicySet, StatePolicy
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.hierarchize import evaluate_dense, hierarchize
 from repro.grids.regular import regular_sparse_grid
-from repro.olg import euler
 from repro.olg.calibration import small_calibration
 from repro.olg.markov import MarkovChain, persistent_chain, rouwenhorst
 from repro.olg.model import OLGModel
@@ -370,15 +369,14 @@ def test_initial_policy_and_errors_match_the_per_row_loop(calibration, seed):
             model.initial_policy_values(z, X),
             np.array([model.initial_policy_values(z, x)[0] for x in X]),
         )
-        # equilibrium_errors: the scalar loop of the seed implementation
+        # equilibrium_errors: one point at a time, the Euler gap over consumption
         for x in X:
-            savings = np.maximum(np.asarray(policy.evaluate(z, x))[:ns], 1e-10)
+            savings = np.maximum(np.asarray(policy.evaluate(z, x))[:ns], 0.0)
             env = system.environment(z, 0, float(x.sum()))
             consumption = system.consumption(env, system.holdings(x), savings)
             cons = np.maximum(consumption[:ns], model.utility.c_min)
-            residual = model.euler_residuals(z, x, savings, policy)
-            rhs = np.maximum(model.utility.marginal_utility(cons) - residual, 1e-12)
-            errors.append(np.abs(rhs ** (-1.0 / model.calibration.gamma) / cons - 1.0))
+            gap = model.euler_residuals(z, x, savings, policy)
+            errors.append(np.abs(gap / cons))
     stacked = np.concatenate(errors)
     got = model.equilibrium_errors(policy, X)
     assert got["num_evaluations"] == stacked.size
@@ -447,17 +445,19 @@ def test_shock_state_is_a_row_parameter(calibration, level, thin, stacked, seed)
     _fused_against_per_state(calibration, level, thin, stacked, seed)
 
 
-def test_fused_solve_keeps_the_pinned_rows_of_twelve_generations():
-    """The masks the property compares are empty where every node has a root; here they are not.
+def test_fused_solve_keeps_the_floored_rows_of_twelve_generations():
+    """Savers on the borrowing floor converge there in the fused solve as in the per-state ones.
 
     Four passes into a 12-generation solve the youngest saver, whose
-    steady-state saving is negative, sits on the borrowing floor at half
-    of the nodes.
+    steady-state saving is negative, sits on the borrowing floor at some
+    of the nodes: roots of the complementarity residual, so no row stalls.
     """
     calibration = {"num_generations": 12, "num_states": 2}
-    masks = _fused_against_per_state(calibration, 2, thin=False, stacked=True, seed=0, passes=4)
-    stalled, pinned = masks
-    assert pinned.any() and np.array_equal(stalled, pinned) and not stalled.all()
+    stalled, savings = _fused_against_per_state(
+        calibration, 2, thin=False, stacked=True, seed=0, passes=4
+    )
+    assert not stalled.any()
+    assert np.any(np.abs(savings) <= 1e-8) and np.all(savings >= -1e-8)
 
 
 def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
@@ -467,9 +467,9 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
     the per-state calls with an int ``z`` give (<= 1e-13: the states share
     the successor loop, and a row that cannot reach a successor carries
     probability zero there); the fused solve is the per-state solves
-    (<= 1e-10) with the same rows stalled and pinned.  Holds for
-    one model (member ``0``) and for a stacked pair, at the initial
-    policy or ``passes`` time-iteration steps on; returns the fused masks.
+    (<= 1e-10) with the same rows stalled.  Holds for one model (member
+    ``0``) and for a stacked pair, at the initial policy or ``passes``
+    time-iteration steps on; returns the fused stalled mask and savings.
     """
     rng = np.random.default_rng(seed)
     cal = small_calibration(**calibration)
@@ -515,11 +515,11 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
 
     if thin:
         # other successor sets, other GEMM operands: equal to rounding only, which
-        # Newton on a row without a root (a pinned one) does not preserve
+        # Newton need not preserve
         return None
 
     def solve_and_watch(system, z, member, X):
-        """The solve's output and the (stalled, pinned) masks of its Newton run.
+        """The solve's output and the stalled mask of its Newton run.
 
         Every residual row is evaluated twice: BLAS rounds a lone row (gemv)
         unlike a row among others (gemm), and which rows are still active
@@ -541,15 +541,14 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
             del system._residuals
             system.batch_solver.solve = newton
         (result,) = seen  # ONE Newton batch, whatever z is
-        stalled = ~result.converged
-        return out, np.stack([stalled, stalled & euler._pinned(result.x)])
+        return out, ~result.converged
 
-    fused, fused_masks = solve_and_watch(system, z, member, X)
+    fused, fused_stalled = solve_and_watch(system, z, member, X)
     for s, block in enumerate(of_state):
-        alone, masks = solve_and_watch(per_state, s, per_state_member, X[block])
+        alone, stalled = solve_and_watch(per_state, s, per_state_member, X[block])
         assert np.all(np.abs(fused[block] - alone) <= 1e-10 * (1.0 + np.abs(alone)))
-        assert np.array_equal(fused_masks[:, block], masks)
-    return fused_masks
+        assert np.array_equal(fused_stalled[block], stalled)
+    return fused_stalled, fused[:, : system.num_savers]
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -565,8 +564,9 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layou
     """The Newton run's residual calls are ``euler_residuals`` on their rows, bit for bit.
 
     A run prepares today's cash on hand and the policy read once; every
-    call it makes equals the public residual at that call's rows and
-    candidates, and its value update equals ``value_functions``.  Thinned
+    call it makes equals the Fischer–Burmeister function of the candidate
+    savings and the public Euler gap at that call's rows and candidates,
+    and its value update equals ``value_functions``.  Thinned
     transitions change the successor set between calls (a call holds only
     the rows still active); per-state grid copies of one model take the
     read's state-by-state branch.
@@ -614,10 +614,9 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layou
         patch.setattr(BatchNewtonSolver, "solve", recording)
         out = system.solve(z, member, X, policies, None)
     assert len(calls) > 1
-    for rows, candidates, residuals in calls:
-        savings = euler._savings(candidates)
-        public = system.euler_residuals(z[rows], member[rows], X[rows], savings, policies)
-        assert np.array_equal(residuals, public)
+    for rows, savings, residuals in calls:
+        gap = system.euler_residuals(z[rows], member[rows], X[rows], savings, policies)
+        assert np.array_equal(residuals, savings + gap - np.hypot(savings, gap))
     ns = system.num_savers
     values = system.value_functions(z, member, X, out[:, :ns], policies)
     assert np.array_equal(out[:, ns:], values)
