@@ -11,8 +11,10 @@ the mean log10 of ``equilibrium_errors`` on 200 box points drawn with seed
 deterministic, so two checkouts compare with ``cut -d'|' -f1-8``.
 
 The query rows are counted by wrapping the residual callback
-``BatchNewtonSolver.solve`` receives.  The script uses public names only,
-so it also runs on older checkouts::
+``BatchNewtonSolver.solve`` receives and, where the solver is handed an
+exact Jacobian, the Jacobian callback: each of their rows is one candidate
+read and evaluated.  The script uses public names only, so it also runs on
+older checkouts, whose solve takes no Jacobian::
 
     PYTHONPATH=src python3 benchmarks/size_table.py            # ~2 s
     PYTHONPATH=src python3 benchmarks/size_table.py 24/2 40/2 12/3
@@ -54,12 +56,19 @@ def row(generations: int, level: int) -> str:
     queried = []
     newton = BatchNewtonSolver.solve
 
-    def counting(self, fn, x0):
+    def counting(self, fn, x0, jac=None):
         def counted(rows, X):
             queried.append(len(rows))
             return fn(rows, X)
 
-        return newton(self, counted, x0)
+        if jac is None:  # forward differences: every candidate goes through fn
+            return newton(self, counted, x0)
+
+        def counted_jac(rows, X):
+            queried.append(len(rows))
+            return jac(rows, X)
+
+        return newton(self, counted, x0, counted_jac)
 
     BatchNewtonSolver.solve = counting
     try:

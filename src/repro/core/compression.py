@@ -89,12 +89,14 @@ class CompressedGrid:
 
     def __post_init__(self) -> None:
         self._hat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._entries: tuple | None = None
 
     def __getstate__(self) -> dict:
-        # The hat cache is rebuilt on demand; drop it so compressed grids
+        # The hat and entry caches are rebuilt on demand; drop them so compressed grids
         # travel light through process executors.
         state = self.__dict__.copy()
         state.pop("_hat", None)
+        state.pop("_entries", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -152,6 +154,28 @@ class CompressedGrid:
             scales = np.power(2.0, (levels - 1).astype(float))
             self._hat = (centers, scales, levels == 1)
         return self._hat
+
+    def gradient_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The live chain slots, sorted by the dimension they name, once.
+
+        ``(points, dims, own, others)``: live slot ``i`` is a slot of
+        (reordered) point ``points[i]`` naming dimension ``dims[i]`` (in
+        ascending order, points ascending within a dimension), ``own[i]``
+        its factor-table entry, and ``others[:, i]`` the point's
+        ``nfreq - 1`` other entries: what
+        :func:`~repro.core.kernels.basis_gradient` multiplies.
+        """
+        if self._entries is None:
+            chains = self.chains
+            named = np.where(chains.T > 0, self.xps_dims[chains.T], -1).ravel()
+            live = np.flatnonzero(named >= 0)
+            live = live[np.argsort(named[live], kind="stable")]
+            slots, points = np.divmod(live, self.num_points)
+            other = np.ones((live.size, self.nfreq), dtype=bool)
+            other[np.arange(live.size), slots] = False
+            others = chains[points][other].reshape(live.size, self.nfreq - 1)
+            self._entries = (points, named[live], chains[points, slots], others.T.copy())
+        return self._entries
 
 
 def compress_grid(grid: SparseGrid) -> CompressedGrid:

@@ -50,6 +50,7 @@ __all__ = [
     "KERNELS",
     "factor_values",
     "basis_matrix",
+    "basis_gradient",
 ]
 
 _CUDA_BLOCK = 128  # query rows a block: the paper's CUDA block size
@@ -124,6 +125,44 @@ def basis_matrix(comp: CompressedGrid, unit_X: np.ndarray) -> np.ndarray:
     if unit_X.shape[1] != comp.dim:
         raise ValueError(f"query points must have {comp.dim} columns")
     return _chain_products(comp.chains, factor_values(comp, unit_X))
+
+
+def basis_gradient(
+    comp: CompressedGrid, unit_X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-dimension derivatives of the (reordered) basis functions at ``unit_X``.
+
+    A basis function is a product of one hat per chain slot, and each slot
+    of a point names one dimension, so its derivative in that dimension is
+    the slot's hat slope times the point's other factors, and zero in every
+    dimension its chain does not name.  Returns ``(slopes, points, dims)``
+    over the live slots of :meth:`CompressedGrid.gradient_entries`:
+    ``slopes[:, i]`` is the derivative of basis function ``points[i]`` in
+    dimension ``dims[i]`` (ascending) at every query point, and every
+    derivative not listed is zero.  That is at most ``nfreq`` entries a
+    grid point — the slot matrices of the chain walk, terminated slots
+    dropped — never the dense ``(m, dim, num_points)`` gradient.  A hat's
+    slope is taken from the right, as a forward difference sees it:
+    ``+2**(l-1)`` on the left half of its support, ``-2**(l-1)`` from its
+    center on, 0 outside; the other factors are those of
+    :func:`basis_matrix`.
+    """
+    unit_X = np.atleast_2d(np.asarray(unit_X, dtype=float))
+    if unit_X.shape[1] != comp.dim:
+        raise ValueError(f"query points must have {comp.dim} columns")
+    centers, scales, constant = comp.hat_constants()
+    # the factor table's hats in units of their half-width: factor_values'
+    # arithmetic (the scales are powers of two, so |scale * t| = scale * |t|)
+    offsets = scales * (unit_X[:, comp.xps_dims] - centers)
+    factors = np.maximum(1.0 - np.abs(offsets), 0.0)
+    factors[:, constant] = 1.0
+    hat_slopes = np.copysign(scales, -offsets)  # -scale from the center on
+    hat_slopes *= (offsets >= -1.0) & (offsets < 1.0)
+    points, dims, own, others = comp.gradient_entries()
+    slopes = hat_slopes[:, own]
+    for entries in others:
+        slopes *= factors[:, entries]
+    return slopes, points, dims
 
 
 # --------------------------------------------------------------------------- #

@@ -247,20 +247,24 @@ class PolicyRead:
 
     ``policy_sets`` holds one :class:`PolicySet` per model (one model, or
     the members of a stacked group); the sets have equal ``num_policies``.
-    A call ``read(states, member, X)`` reads at the rows of ``X`` (in their
-    model's box; ``member`` names it, one index or one per row, sorted) the
-    policies of each row's model in the shock states ``states``, as one
-    ``(len(states), rows, num_policies)`` array — no row axis for one
+    A call ``read(states, member, X, columns)`` reads at the rows of ``X``
+    (in their model's box; ``member`` names it, one index or one per row,
+    sorted) the policy columns ``columns`` (default: all) of each row's
+    model in the shock states ``states``, as one
+    ``(len(states), rows, len(columns))`` array — no row axis for one
     point ``X`` of shape ``(d,)``, and empty for no rows or no states.
+    :meth:`with_gradient` returns the same values and the read's gradient
+    in the box coordinates, summed over the states with per-row weights.
 
     When every policy sits on one grid object and each model's states share
     its box (time iteration's shared regular grid), the read is a
     :class:`~repro.grids.interpolation.StackedRead`: a call is one basis
     pass over all rows and one GEMM per model against that model's
-    surpluses of ``states`` side by side, the operand built once per model
-    and state set.  Otherwise (adaptive grids) one model is read state by
-    state; several models are refused at construction, since stacks share
-    one grid and adaptive solves never stack.
+    surpluses of ``states`` side by side, the operand built once per model,
+    state set and column pick from the picked columns only.  Otherwise
+    (adaptive grids) one model is read state by state; several models are
+    refused at construction, since stacks share one grid and adaptive
+    solves never stack.
     """
 
     def __init__(self, policy_sets: list[PolicySet]) -> None:
@@ -275,21 +279,53 @@ class PolicyRead:
         if not shared and len(self.interps) > 1:
             raise ValueError("the policies of several models must share one grid object")
         self.shared = StackedRead(self.interps) if shared else None
+        # per-state grids: a read of one state's policy for its gradient
+        self.per_state = None if shared else [StackedRead([i]) for i in self.interps[0]]
 
-    def __call__(self, states, member, X: np.ndarray) -> np.ndarray:
+    def __call__(self, states, member, X: np.ndarray, columns=None) -> np.ndarray:
+        return self.with_gradient(states, member, X, columns)[0]
+
+    def with_gradient(self, states, member, X: np.ndarray, columns=None):
+        """A call's values, and the read's gradient as a function of per-state weights.
+
+        The function takes ``weights``, ``(len(states), rows, len(columns))``,
+        and returns ``(rows, len(columns), d)``: ``sum_s weights[s, r, c]``
+        times the derivative of state ``s``'s column ``columns[c]`` in
+        coordinate ``b`` of the box at row ``r``, taken from the right as a
+        forward difference sees it (at points of the box: reads clip onto
+        it).  The sum over the states is taken before the gradient is, so
+        no call holds the ``(states, rows, columns, d)`` array.
+        """
         states, rows = tuple(map(int, states)), np.atleast_2d(X)
+        width = self.width if columns is None else len(columns)
         if not (states and len(rows)):
-            out = np.empty((len(states), len(rows), self.width))
+            values = np.empty((len(states), len(rows), width))
+
+            def weighted(weights):
+                return np.zeros((len(rows), width, rows.shape[1]))
+
         elif self.shared is None:
-            out = np.stack([self.interps[0][s](rows) for s in states])
+            picked = slice(None) if columns is None else list(columns)
+            values = np.stack([self.interps[0][s](rows)[:, picked] for s in states])
+
+            def weighted(weights):
+                return sum(
+                    self.per_state[s].gradient([rows], w[:, None, :], columns=columns)
+                    for s, w in zip(states, weights)
+                )
+
         else:
+            # several models, sorted: a block of rows each
             owners = np.ravel(member)
-            if owners[0] != owners[-1]:  # several models, sorted: a block of rows each
-                models, starts = np.unique(owners, return_index=True)
-                blocks = self.shared(np.split(rows, starts[1:]), models.tolist(), states)
-                flat = np.concatenate(blocks)
-            else:
-                (flat,) = self.shared([rows], [int(owners[0])], states)
-            # (rows, states x policies) -> (states, rows, policies), a view
-            out = flat.reshape(len(rows), len(states), self.width).swapaxes(0, 1)
-        return out[:, 0] if np.ndim(X) == 1 else out
+            starts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+            models = [int(owners[0])] + owners[starts].tolist()
+            flat, by_row = self.shared.with_gradient(
+                np.split(rows, starts), models, states, columns
+            )
+            # (rows, states x columns) -> (states, rows, columns), a view
+            values = np.concatenate(flat).reshape(len(rows), len(states), width).swapaxes(0, 1)
+
+            def weighted(weights):
+                return by_row(np.swapaxes(weights, 0, 1))  # (rows, states, columns)
+
+        return (values[:, 0] if np.ndim(X) == 1 else values), weighted

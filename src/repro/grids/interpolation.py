@@ -115,50 +115,141 @@ class StackedRead:
             if not all(first.shares_basis_with(interp) for interp in group[1:]):
                 raise ValueError("interpolants read at one block must share grid and box")
         self.comp = compressed_for(grid)
+        self._widths = np.array([group[0].domain.widths for group in self.groups])
 
-    def _operand(self, g: int, picks: tuple[int, ...] | None) -> np.ndarray:
-        key = (g, picks)
+    def _operand(
+        self, g: int, picks: tuple[int, ...] | None, columns: tuple[int, ...] | None = None
+    ) -> np.ndarray:
+        key = (g, picks, columns)
         operand = self._operands.get(key)
         if operand is None:
             group = self.groups[g]
             chosen = group if picks is None else [group[i] for i in picks]
+            cols = slice(None) if columns is None else list(columns)
             # built once per read: the chosen surpluses are frozen on attach
-            operand = self.comp.reorder(np.concatenate([i._surplus_2d for i in chosen], axis=1))
+            operand = self.comp.reorder(
+                np.concatenate([i._surplus_2d[:, cols] for i in chosen], axis=1)
+            )
             self._operands[key] = operand
         return operand
 
-    def __call__(
-        self, Xs: list[np.ndarray], groups=None, picks: tuple[int, ...] | None = None
-    ) -> list[np.ndarray]:
-        """The GEMM output of every block: ``(m_i, width)``, interpolants side by side.
-
-        Block ``Xs[i]``, in its group's box, is read with group
-        ``groups[i]`` — by default group ``i``, one block per group — and of
-        that group with the interpolants at positions ``picks`` (default:
-        all of them), in that order.
-        """
-        from repro.core import kernels
-
+    def _units(self, Xs: list[np.ndarray], groups) -> tuple:
+        """The groups the blocks are read with, and the blocks mapped onto the unit box."""
         if groups is None:
             if len(Xs) != len(self.groups):
                 raise ValueError("need one query block per interpolant")
             groups = range(len(Xs))
-        if not len(Xs):
-            return []
         units = []
         for g, X in zip(groups, Xs):
             X = np.atleast_2d(np.asarray(X, dtype=float))
             if X.shape[1] != self.comp.dim:
                 raise ValueError(f"query points must have {self.comp.dim} columns")
             units.append(self.groups[g][0].domain.to_unit(X))
+        return list(groups), units
+
+    def __call__(
+        self,
+        Xs: list[np.ndarray],
+        groups=None,
+        picks: tuple[int, ...] | None = None,
+        columns: tuple[int, ...] | None = None,
+    ) -> list[np.ndarray]:
+        """The GEMM output of every block: ``(m_i, width)``, interpolants side by side.
+
+        Block ``Xs[i]``, in its group's box, is read with group
+        ``groups[i]`` — by default group ``i``, one block per group — and of
+        that group with the interpolants at positions ``picks`` (default:
+        all of them), in that order, and of each interpolant the value
+        columns ``columns`` (default: all), so the GEMM operand holds those
+        columns only.
+        """
+        groups, units = self._units(Xs, groups)
+        return self._values(groups, units, picks, columns) if units else []
+
+    def with_gradient(
+        self,
+        Xs: list[np.ndarray],
+        groups=None,
+        picks: tuple[int, ...] | None = None,
+        columns: tuple[int, ...] | None = None,
+    ) -> tuple[list[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+        """A call's values, and the read's gradient as a function of per-row weights.
+
+        The function takes ``weights``, ``(rows, interpolants, columns)``
+        over the rows of all blocks in order, and returns ``(rows, columns,
+        dim)``: entry ``[r, c, b]`` is the sum over the chosen interpolants
+        ``p`` of ``weights[r, p, c]`` times the derivative of interpolant
+        ``p``'s column ``c`` in coordinate ``b`` of the box at row ``r``,
+        taken from the right as :func:`~repro.core.kernels.basis_gradient`
+        takes it.  The weights meet the surpluses before the basis
+        derivatives, so no call holds the gradient of every interpolant,
+        nor a dense ``(m, dim, num_points)`` array.
+        """
+        groups, units = self._units(Xs, groups)
+        values = self._values(groups, units, picks, columns) if units else []
+        return values, lambda weights: self._gradient(groups, units, picks, columns, weights)
+
+    def gradient(
+        self,
+        Xs: list[np.ndarray],
+        weights: np.ndarray,
+        groups=None,
+        picks: tuple[int, ...] | None = None,
+        columns: tuple[int, ...] | None = None,
+    ) -> np.ndarray:
+        """:meth:`with_gradient`'s gradient alone, at ``weights``."""
+        groups, units = self._units(Xs, groups)
+        return self._gradient(groups, units, picks, columns, weights)
+
+    def _values(self, groups, units, picks, columns) -> list[np.ndarray]:
+        from repro.core import kernels
+
         # through the module: whoever wraps kernels.basis_matrix sees every pass
         basis = kernels.basis_matrix(self.comp, np.concatenate(units))
         outs, start = [], 0
         for g, unit in zip(groups, units):
             stop = start + unit.shape[0]
-            outs.append(basis[start:stop] @ self._operand(g, picks))
+            outs.append(basis[start:stop] @ self._operand(g, picks, columns))
             start = stop
         return outs
+
+    def _gradient(self, groups, units, picks, columns, weights) -> np.ndarray:
+        """The weights times the surpluses of the live chain slots, times their basis
+        derivatives, summed by dimension: one batched GEMM per block, one GEMM after."""
+        from repro.core import kernels
+
+        weights = np.asarray(weights, dtype=float)
+        width = weights.shape[2]
+        if not units:
+            return np.zeros((0, width, self.comp.dim))
+        slopes, points, dims = kernels.basis_gradient(self.comp, np.concatenate(units))
+        if not len(points):  # a grid of the root alone is constant
+            return np.zeros((len(slopes), width, self.comp.dim))
+        # (columns, rows, slots): the weighted surpluses of every live slot
+        weighted = np.empty((width, len(slopes), len(points)))
+        by_column = weights.transpose(2, 0, 1)
+        start = 0
+        for g, unit in zip(groups, units):
+            stop = start + len(unit)
+            operand = self._slot_operand(g, picks, columns, width, points)
+            np.matmul(by_column[:, start:stop], operand, out=weighted[:, start:stop])
+            start = stop
+        weighted *= slopes
+        # the sum over each dimension's slots: one GEMM against their indicator
+        out = (weighted @ (dims[:, None] == np.arange(self.comp.dim))).transpose(1, 0, 2)
+        # unit-box derivatives to box derivatives, each row by its group's widths
+        out /= np.repeat(self._widths[groups], [len(u) for u in units], axis=0)[:, None, :]
+        return out
+
+    def _slot_operand(self, g: int, picks, columns, width: int, points) -> np.ndarray:
+        """``(columns, interpolants, slots)``: the operand's row of the point of every live slot."""
+        key = ("by slot", g, picks, columns)
+        operand = self._operands.get(key)
+        if operand is None:
+            rows = self._operand(g, picks, columns)[points]
+            operand = rows.reshape(len(rows), -1, width).transpose(2, 1, 0).copy()
+            self._operands[key] = operand
+        return operand
 
     def values(self, Xs: list[np.ndarray]) -> list:
         """:func:`evaluate_stacked`'s answer: per entry its values, or one array per interpolant."""

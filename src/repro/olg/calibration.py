@@ -6,6 +6,9 @@ Two ready-made calibrations are provided:
   generations, ``Ns = 2`` shock states) used throughout the test suite,
   the examples and the convergence experiment (Fig. 9).  Each model period
   stands for roughly a decade of life.
+* :func:`analytic_calibration` — an economy whose policy is known in
+  closed form (:func:`exact_savings`), to measure the solution error
+  itself rather than the Euler-equation error.
 * :func:`paper_calibration` — the paper's annual calibration: ``A = 60``
   adult years (so a 59-dimensional continuous state), ``Ns = 16`` discrete
   states combining a 4-point productivity process with two labor-tax and
@@ -24,7 +27,13 @@ import numpy as np
 from repro.olg.markov import MarkovChain, persistent_chain, rouwenhorst, tensor_chain
 from repro.utils.validation import check_positive
 
-__all__ = ["OLGCalibration", "small_calibration", "paper_calibration"]
+__all__ = [
+    "OLGCalibration",
+    "small_calibration",
+    "paper_calibration",
+    "analytic_calibration",
+    "exact_savings",
+]
 
 
 @dataclass
@@ -239,3 +248,44 @@ def paper_calibration() -> OLGCalibration:
         theta=0.36,
         shocks=shocks,
     )
+
+
+def analytic_calibration(num_generations: int = 4, num_states: int = 2) -> OLGCalibration:
+    """A stochastic economy whose savings policy is known: see :func:`exact_savings`.
+
+    Log utility, full depreciation, no taxes, and only the youngest
+    generation works (``retirement_age=1``, efficiency ``[1, 0, ...]``):
+    nobody expects non-asset income, so with log utility every saver puts
+    aside a fixed share of cash on hand whatever the returns.
+    Productivity follows :func:`small_calibration`'s shock process.
+    """
+    base = small_calibration(
+        num_generations, num_states, gamma=1.0, depreciation=1.0, tau_labor=0.0
+    )
+    efficiency = np.zeros(num_generations)
+    efficiency[0] = 1.0
+    return OLGCalibration(
+        num_generations=num_generations,
+        retirement_age=1,
+        beta=base.beta,
+        gamma=1.0,
+        theta=base.theta,
+        efficiency=efficiency,
+        shocks=base.shocks,
+    )
+
+
+def exact_savings(model, z, X: np.ndarray) -> np.ndarray:
+    """The savings of every saving age of an :func:`analytic_calibration` model.
+
+    Age ``a`` has ``n = A - a`` periods left and saves
+    ``cash * (beta - beta**n) / (1 - beta**n)`` of its cash on hand: log
+    utility consumes ``(1 - beta) / (1 - beta**n)`` of wealth, and wealth is
+    cash on hand when no non-asset income is to come.  ``z`` is one shock
+    state or one per row of ``X``.
+    """
+    cal = model.calibration
+    beta = cal.beta
+    left = cal.num_generations - np.arange(cal.num_generations - 1)
+    share = (beta - beta**left) / (1.0 - beta**left)
+    return model.system.resources(z, 0, np.atleast_2d(np.asarray(X, dtype=float))) * share

@@ -25,20 +25,27 @@ through the Fischer–Burmeister residual ``s + gap - hypot(s, gap)``, which
 is zero exactly at the bound's complementarity conditions: a saver on the
 borrowing floor who would borrow is a root like any interior saver.
 
-The residuals and the Bellman update are written once, as private
-routines of today's cash on hand and a prepared
+The residuals, their Jacobian and the Bellman update are written once, as
+private routines of today's cash on hand and a prepared
 :class:`~repro.core.policy.PolicyRead` of the next-iterate policies.  A
 Newton run (:meth:`EulerSystem.solve`) builds both once — neither depends
 on the candidate savings — so a residual call pays only for tomorrow: the
-next states and period environment, one basis pass and one GEMM per model,
-the marginal utilities.  The public :meth:`EulerSystem.euler_residuals` /
-:meth:`EulerSystem.value_functions` build the two per call and give the
-same bits.
+next states and period environment, one basis pass and one GEMM per model
+over tomorrow's savings of ages ``1 .. A-2`` (the only policy columns the
+Euler equations read), the marginal utilities.  The Jacobian call
+(:meth:`EulerSystem._jacobian`) is that call at one candidate a row plus
+the chain rule: the saver's own return, the rank-one term through
+tomorrow's capital (closed form in :mod:`repro.olg.production` and
+:mod:`repro.olg.government`), and the read's gradient — so a Newton
+iteration reads each active row once for its Jacobian, not ``A`` times
+as a forward difference would.  The public
+:meth:`EulerSystem.euler_residuals` / :meth:`EulerSystem.value_functions`
+build the two per call and give the same bits.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,6 +80,34 @@ class PeriodEnvironment(NamedTuple):
     budget: GovernmentBudget
     gross_return: np.ndarray   # 1 + (1 - tau_c) * r_net
     incomes: np.ndarray        # after-tax non-asset income by age
+
+
+class _Tomorrow(NamedTuple):
+    """The reachable shock states and what the rows meet there."""
+
+    successors: np.ndarray   # (S,) the reachable shock states
+    z_next: np.ndarray       # the same, shaped to broadcast against the rows
+    prob: np.ndarray         # (S, rows) transition probabilities
+    env: PeriodEnvironment   # at tomorrow's capital, per state and row
+    x_next: np.ndarray       # tomorrow's state, clipped into the box
+
+
+class _Euler(NamedTuple):
+    """An Euler gap evaluation and the intermediates its Jacobian reuses."""
+
+    tomorrow: _Tomorrow
+    saved: np.ndarray        # (S, rows, A-2) next-iterate savings of ages 1 .. A-2
+    saved_gradient: Callable  # weights (S, rows, A-2) -> their gradient sum (rows, A-2, A-1)
+    cons_next: np.ndarray    # (S, rows, A-1) tomorrow's consumption of today's savers
+    mu_next: np.ndarray      # u'(cons_next)
+    expected: np.ndarray     # E[R' u'(c')], (rows, A-1)
+    implied: np.ndarray      # (u')^{-1}(beta * expected)
+    gap: np.ndarray          # implied - c
+
+
+#: both partials of ``s + g - hypot(s, g)`` at ``s = g = 0``, an element of its
+#: generalized Jacobian
+_FB_AT_ZERO = 1.0 - np.sqrt(0.5)
 
 
 class StructuralMismatch(ValueError):
@@ -142,7 +177,11 @@ class EulerSystem:
         self.batch_solver = BatchNewtonSolver(first.solver)
         self.num_states = cal.num_states
         self.num_ages = cal.num_generations
-        self.num_savers = cal.num_generations - 1
+        self.num_savers = ns = cal.num_generations - 1
+        #: the policy columns a read takes: tomorrow's savings of ages
+        #: 1 .. A-2 (the Euler gaps) and their values (the Bellman update)
+        self.saved_columns = tuple(range(1, ns))
+        self.valued_columns = tuple(range(ns + 1, 2 * ns))
         self.num_retired = cal.num_retired
         self.labor_supply = cal.labor_supply
         self.efficiency = np.asarray(cal.efficiency, dtype=float)
@@ -221,53 +260,122 @@ class EulerSystem:
     # ------------------------------------------------------------------ #
     # equilibrium conditions
     # ------------------------------------------------------------------ #
-    def _tomorrow(self, z, member, savings: np.ndarray, read: PolicyRead):
-        """Probability, gross return, consumption, policy values: reachable states first.
+    def _tomorrow(self, z, member, savings: np.ndarray) -> _Tomorrow:
+        """The reachable shock states, their probabilities and period environment.
 
-        The leading axis runs over the reachable shock states, those some
-        row's state ``z`` moves to with positive probability; a row that
-        cannot reach one of them carries probability zero there (no rows
-        reach none).  The policy values are one ``read`` of every row's own
-        model in all of them.  The consumption is that of today's savers
-        one period on, in shock state ``z_next``: they earn the return on
-        their savings plus tomorrow's income of the next age and save what
-        the interpolated next-iterate policy says (the terminal generation
-        saves nothing).
+        The leading axis of the result runs over the reachable shock states,
+        those some row's state ``z`` moves to with positive probability; a
+        row that cannot reach one of them carries probability zero there
+        (no rows reach none).  Today's savers ``0 .. A-2`` are tomorrow's
+        ages ``1 .. A-1``, whose savings the next-iterate policy says.
         """
-        ns = self.num_savers
         K_next, x_next = self.next_states(member, savings)
         successors = np.flatnonzero(np.atleast_2d(self.reach[z]).any(axis=0))
         z_next = successors.reshape((-1,) + (1,) * K_next.ndim)  # broadcasts against the rows
         prob = self.prob[z, z_next, member]
-        next_values = read(successors, member, x_next)
-        env = self.environment(z_next, member, K_next)
-        save_next = np.zeros(successors.shape + savings.shape)
-        save_next[..., : ns - 1] = np.maximum(next_values[..., 1:ns], 0.0)
-        cons_next = env.gross_return[..., None] * savings + env.incomes[..., 1:] - save_next
-        return prob, env.gross_return, cons_next, next_values
+        return _Tomorrow(successors, z_next, prob, self.environment(z_next, member, K_next), x_next)
+
+    def _euler(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead) -> _Euler:
+        """The Euler gaps, and what their Jacobian reuses, from one read of tomorrow's savings.
+
+        Today's savers one period on earn the return on their savings plus
+        tomorrow's income of the next age and save what the interpolated
+        next-iterate policy says (the terminal generation saves nothing).
+        ``u'`` stays positive below the consumption floor, so the
+        expectation always has an inverse.  The read's gradient is kept as
+        the function :meth:`PolicyRead.with_gradient` returns; only
+        :meth:`_jacobian` calls it.
+        """
+        ns = self.num_savers
+        t = self._tomorrow(z, member, savings)
+        saved, saved_gradient = read.with_gradient(
+            t.successors, member, t.x_next, self.saved_columns
+        )
+        save_next = np.zeros(t.successors.shape + savings.shape)
+        save_next[..., : ns - 1] = np.maximum(saved, 0.0)
+        cons_next = t.env.gross_return[..., None] * savings + t.env.incomes[..., 1:] - save_next
+        mu_next = self.utility.marginal_utility(cons_next)
+        expected = ((t.prob * t.env.gross_return)[..., None] * mu_next).sum(axis=0)
+        implied = self.utility.inverse_marginal_utility(self.beta[member][..., None] * expected)
+        gap = implied - (cash - savings)
+        return _Euler(t, saved, saved_gradient, cons_next, mu_next, expected, implied, gap)
 
     def _residuals(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
-        """The Euler gaps, given the rows' cash on hand and the prepared policy read.
+        """The Euler gaps, given the rows' cash on hand and the prepared policy read."""
+        return self._euler(z, member, cash, savings, read).gap
 
-        ``u'`` stays positive below the consumption floor, so the expectation
-        always has an inverse.
+    def _jacobian(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
+        """The Euler gaps and the exact Jacobian of their Fischer–Burmeister residual.
+
+        Returns ``(gap, J)``, ``J[r, a, b]`` the derivative of row ``r``'s
+        ``s_a + gap_a - hypot(s_a, gap_a)`` in its saving ``s_b``; the gap
+        is :meth:`_residuals`' bit for bit.  A saving moves tomorrow's
+        consumption of its saver ``c'_a = R' s_a + y'_{a+1} - max(P_{a+1}, 0)``
+        three ways: through its own return (the diagonal); through capital
+        ``K' = sum(s)``, which sets every age's ``R'`` and ``y'`` (a rank-one
+        term, closed form in :meth:`_environment_slopes`); and through the
+        state ``x' = clip(s)`` the next-iterate savings ``P`` are read at —
+        the read's gradient, summed over the successor states with the
+        weights ``prob R' u''(c')``, zero where ``x'`` is clipped or ``P <
+        0``.  Derivatives at a kink are taken from the right, as a forward
+        difference sees them; where ``hypot(s, gap) = 0`` both partials of
+        the Fischer–Burmeister function are ``1 - 1/sqrt(2)``.
         """
-        prob, gross_next, cons_next, _ = self._tomorrow(z, member, savings, read)
-        mu_next = self.utility.marginal_utility(cons_next)
-        expected = ((prob * gross_next)[..., None] * mu_next).sum(axis=0)
-        implied = self.utility.inverse_marginal_utility(self.beta[member][..., None] * expected)
-        return implied - (cash - savings)
+        ns = self.num_savers
+        e = self._euler(z, member, cash, savings, read)
+        t = e.tomorrow
+        gross = t.env.gross_return
+        gross_slope, incomes_slope = self._environment_slopes(t, member, savings.sum(axis=-1))
+        # prob R' u''(c'), (states, rows, ns)
+        weighted = (t.prob * gross)[..., None] * self.utility.marginal_utility_slope(e.cons_next)
+        # d E_a / d K', the same for every saving: through R' and through c'
+        through_capital = gross_slope[..., None] * savings + incomes_slope[..., 1:]
+        common = (
+            (t.prob * gross_slope)[..., None] * e.mu_next + weighted * through_capital
+        ).sum(axis=0)
+        own = (weighted * gross[..., None]).sum(axis=0)
+        through_read = e.saved_gradient(weighted[..., :-1] * (e.saved >= 0.0))
+        inside = (savings >= self.lower[member]) & (savings < self.upper[member])
+        slope = np.repeat(common[..., None], ns, axis=-1)  # d E_a / d s_b
+        slope[..., :-1, :] -= through_read * inside[..., None, :]
+        # the inverse marginal utility (beta E)^(-1/gamma), the gap's -c_a, then
+        # Fischer–Burmeister's partials
+        by_expected = -e.implied / (self.utility.gamma * e.expected)
+        norm = np.hypot(savings, e.gap)
+        zero = norm == 0.0
+        norm[zero] = 1.0
+        by_saving = np.where(zero, _FB_AT_ZERO, 1.0 - savings / norm)
+        by_gap = np.where(zero, _FB_AT_ZERO, 1.0 - e.gap / norm)
+        slope *= (by_gap * by_expected)[..., None]
+        diagonal = slope.reshape(slope.shape[:-2] + (ns * ns,))[..., :: ns + 1]  # a view
+        diagonal += by_gap * (by_expected * own + 1.0) + by_saving
+        return e.gap, slope
+
+    def _environment_slopes(self, t: _Tomorrow, member, K: np.ndarray):
+        """``d/dK`` of tomorrow's gross return and incomes by age, in each successor state."""
+        tau_l, tau_c = self.labels[2:, t.z_next, member]
+        slopes = self.technology.price_slopes(K, t.env.prices)
+        budget = self.fiscal.budget_slope(
+            tau_l, tau_c, slopes.wage, self.labor_supply, t.env.prices.return_net,
+            slopes.return_net, K, self.num_ages, self.num_retired,
+        )
+        incomes = self.fiscal.incomes(tau_l, slopes.wage, budget, self.efficiency, self.working)
+        return (1.0 - tau_c) * slopes.return_net, incomes
 
     def _values(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
-        """The Bellman update, given the rows' cash on hand and the prepared policy read."""
+        """The Bellman update, given the rows' cash on hand and the prepared policy read.
+
+        Reads tomorrow's values of ages ``1 .. A-2``; the terminal
+        generation consumes everything, in closed form.
+        """
         ns = self.num_savers
         utility_today = self.utility.utility(cash - savings)
-        prob, _, cons_next, next_values = self._tomorrow(z, member, savings, read)
-        value_next = np.empty_like(cons_next)
-        value_next[..., : ns - 1] = next_values[..., ns + 1 : 2 * ns]
-        # tomorrow's terminal generation consumes everything
-        value_next[..., ns - 1] = self.utility.utility(cons_next[..., ns - 1])
-        continuation = (prob[..., None] * value_next).sum(axis=0)
+        t = self._tomorrow(z, member, savings)
+        value_next = np.empty(t.successors.shape + savings.shape)
+        value_next[..., : ns - 1] = read(t.successors, member, t.x_next, self.valued_columns)
+        terminal = t.env.gross_return * savings[..., ns - 1] + t.env.incomes[..., ns]
+        value_next[..., ns - 1] = self.utility.utility(terminal)
+        continuation = (t.prob[..., None] * value_next).sum(axis=0)
         return utility_today + self.beta[member][..., None] * continuation
 
     def euler_residuals(
@@ -310,15 +418,17 @@ class EulerSystem:
         """Solve the Euler system at every row: ``(m, 2 (A-1))`` savings then values.
 
         One :class:`~repro.olg.solver.BatchNewtonSolver` run over all rows
-        — with ``z`` and ``member`` arrays, over the rows of every shock state
-        of every model at once — so each residual evaluation interpolates next period's policies at
-        every candidate of every active row in one basis pass, which serves
-        all successor states.  The run's first call carries the start
-        residual and the first Jacobian together, so a run of ``k >= 1``
-        Newton iterations makes at most ``3 k`` residual calls, ``2 k`` when
-        no row halves its step, and the Bellman update adds one basis pass
-        after it.  The unknowns are the savings themselves and the residual
-        is Fischer–Burmeister's ``s + gap - hypot(s, gap)`` on the Euler gap,
+        — with ``z`` and ``member`` arrays, over the rows of every shock
+        state of every model at once — so each residual evaluation
+        interpolates next period's policies at every candidate of every
+        active row in one basis pass, which serves all successor states.
+        Newton takes the exact Jacobian (:meth:`_jacobian`), one candidate
+        a row; the run's first call carries the start residual and the
+        first Jacobian together, so a run of ``k >= 1`` Newton iterations
+        makes at most ``3 k`` residual calls, ``2 k`` when no row halves its
+        step, and the Bellman update adds one basis pass after it.  The
+        unknowns are the savings themselves and the residual is
+        Fischer–Burmeister's ``s + gap - hypot(s, gap)`` on the Euler gap,
         zero exactly when ``s >= 0``, ``gap >= 0`` and ``s * gap = 0``: from
         12 generations the youngest savers' borrowing constraint binds at
         some nodes, and those savers converge onto the floor.  A row whose
@@ -337,7 +447,12 @@ class EulerSystem:
             gap = self._residuals(z[active], member[active], cash[active], savings, read)
             return savings + gap - np.hypot(savings, gap)
 
-        result = self.batch_solver.solve(residual, self.savings_guess(z, member, X, guesses))
+        def jacobian(active: np.ndarray, savings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            gap, slope = self._jacobian(z[active], member[active], cash[active], savings, read)
+            return savings + gap - np.hypot(savings, gap), slope
+
+        guess = self.savings_guess(z, member, X, guesses)
+        result = self.batch_solver.solve(residual, guess, jacobian)
         savings, stalled = result.x, ~result.converged
         for i, model in enumerate(self.models):
             mine, totals = member == i, model.system.totals

@@ -55,6 +55,34 @@ class FiscalPolicy:
         """Compute benefits and transfers that balance the budget."""
         labor_revenue = tau_labor * wage * labor_supply
         capital_revenue = tau_capital * return_net * np.maximum(aggregate_capital, 0.0)
+        return self._balanced(labor_revenue, capital_revenue, num_agents, num_retired)
+
+    def budget_slope(
+        self,
+        tau_labor,
+        tau_capital,
+        wage_slope,
+        labor_supply: float,
+        return_net,
+        return_slope,
+        aggregate_capital,
+        num_agents: int,
+        num_retired: int,
+    ) -> GovernmentBudget:
+        """``d/dK`` of every field of :meth:`budget`, given the slopes of the prices in ``K``.
+
+        Benefits and transfers are linear in the revenues; the capital tax
+        base ``max(K, 0)`` is differentiated from the right.
+        """
+        labor_revenue = tau_labor * wage_slope * labor_supply
+        capital = np.asarray(aggregate_capital)
+        capital_revenue = tau_capital * (
+            return_slope * np.maximum(capital, 0.0) + return_net * (capital >= 0.0)
+        )
+        return self._balanced(labor_revenue, capital_revenue, num_agents, num_retired)
+
+    def _balanced(self, labor_revenue, capital_revenue, num_agents: int, num_retired: int):
+        """The pension and transfer that pay out the revenues."""
         if num_retired > 0:
             pension = labor_revenue / num_retired
         else:

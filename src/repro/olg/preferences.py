@@ -48,26 +48,35 @@ class CRRAUtility:
         cm = self.c_min
         safe = np.maximum(c, cm)
         if self.gamma == 1.0:
-            base = np.log(safe)
+            out = np.log(safe)
         else:
-            base = (safe ** (1.0 - self.gamma) - 1.0) / (1.0 - self.gamma)
-        # below the floor: u(cm) + u'(cm)(c-cm) + 0.5 u''(cm)(c-cm)^2
-        du = self._mu_at(cm)
-        d2u = -self.gamma * cm ** (-self.gamma - 1.0)
-        delta = c - cm
-        ext = base + du * delta + 0.5 * d2u * delta**2
-        return np.where(c >= cm, base, ext)
+            out = (safe ** (1.0 - self.gamma) - 1.0) / (1.0 - self.gamma)
+        out = np.asarray(out)
+        below = c < cm
+        if below.any():
+            # u(cm) + u'(cm)(c-cm) + 0.5 u''(cm)(c-cm)^2, only where it applies
+            delta = c[below] - cm
+            out[below] = out[below] + self._mu_at(cm) * delta + 0.5 * self._slope_at(cm) * delta**2
+        return out
 
     def marginal_utility(self, c) -> np.ndarray:
         """``u'(c)``, linearly extended below the floor (stays positive-sloped)."""
         c = np.asarray(c, dtype=float)
         cm = self.c_min
-        safe = np.maximum(c, cm)
-        base = safe ** (-self.gamma)
-        du = self._mu_at(cm)
-        d2u = -self.gamma * cm ** (-self.gamma - 1.0)
-        ext = du + d2u * (c - cm)
-        return np.where(c >= cm, base, ext)
+        out = np.asarray(np.maximum(c, cm) ** (-self.gamma))
+        below = c < cm
+        if below.any():
+            out[below] = self._mu_at(cm) + self._slope_at(cm) * (c[below] - cm)
+        return out
+
+    def marginal_utility_slope(self, c) -> np.ndarray:
+        """``u''(c)``: the slope of :meth:`marginal_utility`, constant below the floor.
+
+        At the floor itself it is the slope from the right, which both
+        branches share.
+        """
+        c = np.asarray(c, dtype=float)
+        return -self.gamma * np.maximum(c, self.c_min) ** (-self.gamma - 1.0)
 
     def inverse_marginal_utility(self, mu) -> np.ndarray:
         """``(u')^{-1}(mu)`` on the interior branch (mu must be positive)."""
@@ -78,6 +87,9 @@ class CRRAUtility:
 
     def _mu_at(self, c: float) -> float:
         return float(c) ** (-self.gamma)
+
+    def _slope_at(self, c: float) -> float:
+        return -self.gamma * float(c) ** (-self.gamma - 1.0)
 
     def certainty_equivalent(self, values: np.ndarray, probabilities: np.ndarray) -> float:
         """Certainty-equivalent consumption of a lottery over utility values."""

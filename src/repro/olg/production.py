@@ -48,6 +48,21 @@ class CobbDouglasTechnology:
         r_gross = self.theta * zeta * ratio ** (self.theta - 1.0)
         return Prices(wage, r_gross, r_gross - delta, zeta * scale * L)
 
+    def price_slopes(self, K, prices: Prices) -> Prices:
+        """``d/dK`` of every field of the ``prices`` at capital ``K``.
+
+        Cobb–Douglas in closed form from the prices themselves: the wage
+        moves by ``theta * w / K``, the return by ``(theta - 1) * r / K``,
+        output by the marginal product ``r``.  Taken from the right: 0
+        below the capital floor.  Depreciation shifts the net return only.
+        """
+        live = np.asarray(K) >= self.capital_floor
+        per_capital = live / np.maximum(K, self.capital_floor)
+        r_gross = (self.theta - 1.0) * prices.return_gross * per_capital
+        return Prices(
+            self.theta * prices.wage * per_capital, r_gross, r_gross, prices.return_gross * live
+        )
+
     def steady_state_capital(
         self, L: float, zeta: float, delta: float, beta: float
     ) -> float:

@@ -1,16 +1,19 @@
 """Nonlinear solver for the per-grid-point equilibrium systems.
 
 The paper solves the ~60-equation nonlinear system at every grid point with
-Ipopt.  This reproduction uses a damped Newton method with a finite
-difference Jacobian and a backtracking line search and nothing after it —
-the surrounding code path (repeated interpolation of next-period policies
-inside the residual function) is identical, which is what matters for the
-performance experiments.  The Newton iteration exists once, row-masked over
-a batch of independent systems (:class:`BatchNewtonSolver`), and issues few,
-large residual calls — at most two in the first iteration and three in each
-later one, whatever the batch and the system size — because a residual call
-is an interpolation kernel launch; :class:`NewtonSolver` holds the settings
-and the single-system entry point.
+Ipopt.  This reproduction uses a damped Newton method with a backtracking
+line search and nothing after it — the surrounding code path (repeated
+interpolation of next-period policies inside the residual function) is
+identical, which is what matters for the performance experiments.  The
+Jacobian is the caller's exact one where it has one (the OLG point solve
+builds it from the policy read's gradient, one candidate a row) and a
+forward difference otherwise.  The Newton iteration exists once,
+row-masked over a batch of independent systems (:class:`BatchNewtonSolver`),
+and issues few, large residual calls — at most two in the first iteration
+and three in each later one, whatever the batch and the system size —
+because a residual call is an interpolation kernel launch;
+:class:`NewtonSolver` holds the settings and the single-system entry
+point, which differences forward.
 Newton itself is unconstrained: the savings bound the paper hands to Ipopt
 lives in the residual :mod:`repro.olg.euler` gives it, a complementarity
 function whose roots respect the bound.  A system Newton leaves stalled
@@ -39,7 +42,7 @@ class PointSolveResult:
 
 
 class NewtonSolver:
-    """Damped Newton with finite-difference Jacobian: the settings and one system.
+    """Damped Newton: the settings, and one system with a finite-difference Jacobian.
 
     Parameters
     ----------
@@ -48,7 +51,8 @@ class NewtonSolver:
     max_iterations
         Newton iteration cap.
     fd_step
-        Relative step of the forward-difference Jacobian.
+        Relative step of the forward-difference Jacobian (where no exact
+        one is given).
     max_step
         Cap on the Newton step infinity norm (guards against blow-ups when
         the Jacobian is nearly singular far from the solution).
@@ -107,19 +111,21 @@ _HALVINGS = 0.5 ** np.arange(1, 12)
 class BatchNewtonSolver:
     """Damped Newton over a batch of independent small systems.
 
-    Forward-difference Jacobian, capped step, 12-step backtracking line
-    search on the residual infinity norm, row-masked over ``m`` systems at
-    once.  A Newton iteration makes at most THREE residual calls whatever
-    ``m`` and ``n`` are: one for the Jacobian (every active row ``n`` times,
-    copy ``j`` with column ``j`` perturbed), one for the full step of every
-    active row, and one for all eleven halvings of the rows the full step
-    did not serve, each of which takes the first halving that lowers its
-    norm.  The start residual has no call of its own: the first Jacobian
-    call evaluates every row at ``x0`` and at its ``n`` copies, ``n + 1``
-    candidates a row, so the first iteration makes at most TWO calls and a
-    run whose full steps are all accepted makes ``2 * iterations``.  Rows
-    whose line search stalls are deactivated and reported unconverged with
-    their best iterate.
+    Capped step, 12-step backtracking line search on the residual infinity
+    norm, row-masked over ``m`` systems at once.  A Newton iteration makes
+    at most THREE calls whatever ``m`` and ``n`` are: one for the Jacobian,
+    one for the full step of every active row, and one for all eleven
+    halvings of the rows the full step did not serve, each of which takes
+    the first halving that lowers its norm.  The Jacobian call is the
+    caller's ``jac`` at one candidate per active row when :meth:`solve` is
+    given one, and a forward difference otherwise: the residual at every
+    active row ``n`` times, copy ``j`` with column ``j`` perturbed.  The
+    start residual has no call of its own: the first Jacobian call carries
+    it (``jac``'s residual, or each row at ``x0`` next to its ``n`` copies),
+    so the first iteration makes at most TWO calls and a run whose full
+    steps are all accepted makes ``2 * iterations``.  Rows whose line
+    search stalls are deactivated and reported unconverged with their best
+    iterate.
 
     The residual callback receives ``(rows, X)`` where ``rows`` indexes the
     original batch (so the callback can look up per-row problem data) and
@@ -135,8 +141,15 @@ class BatchNewtonSolver:
         self.tol, self.max_iterations = settings.tol, settings.max_iterations
         self.fd_step, self.max_step = settings.fd_step, settings.max_step
 
-    def solve(self, fn: Callable, x0: np.ndarray) -> BatchSolveResult:
-        """Solve ``fn(rows, X) = 0`` row-wise starting from ``x0`` (m, n)."""
+    def solve(self, fn: Callable, x0: np.ndarray, jac: Callable | None = None) -> BatchSolveResult:
+        """Solve ``fn(rows, X) = 0`` row-wise starting from ``x0`` (m, n).
+
+        ``jac(rows, X) -> (F, J)``, when given, is ``fn`` and its exact
+        Jacobian ``(len(rows), n, n)`` at one candidate per row (``rows``
+        increasing); every Jacobian call is one such call, and it counts as
+        one residual evaluation.  Without it the Jacobian is a forward
+        difference of ``fn``.
+        """
         X = np.array(x0, dtype=float)
         if X.ndim != 2:
             raise ValueError("x0 must be (m, n)")
@@ -160,11 +173,37 @@ class BatchNewtonSolver:
             Xp[:, diag, diag] += steps
             return steps, Xp
 
-        # the start residual rides in the first Jacobian call: each row at
-        # x0 and at its n perturbed copies, n + 1 candidates a row
-        first_steps, Xp = perturbed(X)
-        out = residual(np.repeat(np.arange(m), n + 1), np.concatenate([X[:, None], Xp], axis=1))
-        F, first_Fp = out[:, 0], out[:, 1:]
+        def differences(Fp: np.ndarray, Fa: np.ndarray, steps: np.ndarray) -> np.ndarray:
+            # Fp[r, j] is row r's residual with column j perturbed
+            return ((Fp - Fa[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
+
+        if jac is None:
+            # the start residual rides in the first Jacobian call: each row
+            # at x0 and at its n perturbed copies, n + 1 candidates a row
+            first_steps, Xp = perturbed(X)
+            out = residual(
+                np.repeat(np.arange(m), n + 1), np.concatenate([X[:, None], Xp], axis=1)
+            )
+            F = out[:, 0]
+            first_jac = differences(out[:, 1:], F, first_steps)
+
+            def jacobian(rows: np.ndarray, Xa: np.ndarray) -> np.ndarray:
+                steps, Xp = perturbed(Xa)
+                return differences(residual(np.repeat(rows, n), Xp), F[rows], steps)
+
+        else:
+
+            def exact(rows: np.ndarray, Xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                nonlocal evals
+                evals += 1
+                Fa, J = jac(rows, Xa)
+                return np.asarray(Fa, dtype=float), np.asarray(J, dtype=float)
+
+            def jacobian(rows: np.ndarray, Xa: np.ndarray) -> np.ndarray:
+                return exact(rows, Xa)[1]
+
+            # the start residual rides in the first Jacobian call
+            F, first_jac = exact(np.arange(m), X)
         norms = np.max(np.abs(F), axis=1)
         best_x, best_norm = X.copy(), norms.copy()
         active = norms >= self.tol
@@ -172,16 +211,9 @@ class BatchNewtonSolver:
         while iterations < self.max_iterations and active.any():
             idx = np.flatnonzero(active)
             Xa, Fa, norm_a = X[idx], F[idx], norms[idx]
-            # forward-difference Jacobian: Fp[r, j] is row r's residual with
-            # column j perturbed
-            if iterations == 0:
-                steps, Fp = first_steps[idx], first_Fp[idx]
-            else:
-                steps, Xp = perturbed(Xa)
-                Fp = residual(np.repeat(idx, n), Xp)
+            jac_a = first_jac[idx] if iterations == 0 else jacobian(idx, Xa)
             iterations += 1
-            jac = ((Fp - Fa[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
-            step = _newton_steps(jac, -Fa)
+            step = _newton_steps(jac_a, -Fa)
             step_norm = np.max(np.abs(step), axis=1)
             too_big = step_norm > self.max_step
             if too_big.any():

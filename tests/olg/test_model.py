@@ -204,8 +204,8 @@ class TestStalledRows:
         model = OLGModel(calibration, solver=NewtonSolver(**newton))
         results, outs = [], []
         newton, solve = model.system.batch_solver.solve, model.system.solve
-        model.system.batch_solver.solve = lambda fn, x0: (
-            results.append(newton(fn, x0)) or results[-1]
+        model.system.batch_solver.solve = lambda *args: (
+            results.append(newton(*args)) or results[-1]
         )
         model.system.solve = lambda *args: outs.append(solve(*args)) or outs[-1]
         solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=2))
@@ -523,8 +523,10 @@ class TestSharedBasisRead:
     def test_a_newton_run_prepares_its_read_once(self, monkeypatch, stacked):
         """A whole solve: a basis pass per residual call and one for the value update.
 
-        The reordered GEMM operand is built once per model and successor set
-        (here every row reaches both states), not once per residual call.
+        The reordered GEMM operand is built once per model, successor set
+        (here every row reaches both states) and column pick — tomorrow's
+        savings for the Euler gaps and their Jacobian, tomorrow's values for
+        the Bellman update — not once per residual call.
         """
         from repro.core import kernels
         from repro.core.compression import CompressedGrid
@@ -554,7 +556,7 @@ class TestSharedBasisRead:
         (run,) = runs
         assert run.residual_evaluations > 1
         assert len(passes) == run.residual_evaluations + 1
-        assert len(reorders) == members
+        assert len(reorders) == 2 * members
 
 
 class TestMembers:

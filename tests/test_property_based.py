@@ -527,18 +527,23 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         """
         seen = []
         newton = system.batch_solver.solve
-        residuals = system._residuals
+        residuals, jacobian = system._residuals, system._jacobian
+
+        def twin(z, member, cash, savings):
+            return [np.repeat(a, 2, axis=0) for a in (z, member, cash, savings)]
 
         def twice(z, member, cash, savings, read):
-            twin = [np.repeat(a, 2, axis=0) for a in (z, member, cash, savings)]
-            return residuals(*twin, read)[::2]
+            return residuals(*twin(z, member, cash, savings), read)[::2]
 
-        system._residuals = twice
-        system.batch_solver.solve = lambda fn, x0: seen.append(newton(fn, x0)) or seen[-1]
+        def jacobian_twice(z, member, cash, savings, read):
+            return tuple(a[::2] for a in jacobian(*twin(z, member, cash, savings), read))
+
+        system._residuals, system._jacobian = twice, jacobian_twice
+        system.batch_solver.solve = lambda *args: seen.append(newton(*args)) or seen[-1]
         try:
             out = system.solve(z, member, X, policies, None)
         finally:
-            del system._residuals
+            del system._residuals, system._jacobian
             system.batch_solver.solve = newton
         (result,) = seen  # ONE Newton batch, whatever z is
         return out, ~result.converged
@@ -564,8 +569,9 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layou
     """The Newton run's residual calls are ``euler_residuals`` on their rows, bit for bit.
 
     A run prepares today's cash on hand and the policy read once; every
-    call it makes equals the Fischer–Burmeister function of the candidate
-    savings and the public Euler gap at that call's rows and candidates,
+    call it makes — residual and Jacobian calls alike — equals the
+    Fischer–Burmeister function of the candidate savings and the public
+    Euler gap at that call's rows and candidates,
     and its value update equals ``value_functions``.  Thinned
     transitions change the successor set between calls (a call holds only
     the rows still active); per-state grid copies of one model take the
@@ -602,13 +608,18 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layou
     calls = []
     newton = BatchNewtonSolver.solve
 
-    def recording(self, fn, x0):
+    def recording(self, fn, x0, jac):
         def spy(rows, candidates):
             out = fn(rows, candidates)
             calls.append((rows.copy(), candidates.copy(), np.array(out)))
             return out
 
-        return newton(self, spy, x0)
+        def jac_spy(rows, candidates):
+            out, slope = jac(rows, candidates)
+            calls.append((rows.copy(), candidates.copy(), np.array(out)))
+            return out, slope
+
+        return newton(self, spy, x0, jac_spy)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BatchNewtonSolver, "solve", recording)
