@@ -98,7 +98,7 @@ class MemberOutcome:
 class _MemberState:
     member: BatchMember
     solver: TimeIterationSolver
-    policy: PolicySet
+    policy: PolicySet | None  # None until _start builds p^0
     records: list[IterationRecord]
     resumed: bool
     converged: bool
@@ -188,7 +188,11 @@ class BatchedTimeIterationSolver:
     # start: resume or initial policy, the shared grid, solve-started
     # ------------------------------------------------------------------ #
     def _start(self) -> list[_MemberState]:
-        """Load every member; re-anchor a stack's start policies onto its first member's grid."""
+        """Load every member; a stack starts on its first member's grid object.
+
+        A member without a checkpoint or warm start builds ``p^0`` there; a
+        loaded policy is re-anchored onto it.
+        """
         states: list[_MemberState] = []
         for member in self.members:
             with self._own(member):
@@ -198,8 +202,11 @@ class BatchedTimeIterationSolver:
         for ms in states:
             cfg = ms.member.config
             with self._own(ms.member):
-                if stacked:  # one grid object, so the first pass reads them in one basis pass
-                    grid = states[0].solver._regular_grid(cfg.grid_level)
+                # one grid object, so the first pass reads them in one basis pass
+                grid = states[0].solver._regular_grid(cfg.grid_level) if stacked else None
+                if ms.policy is None:
+                    ms.policy = ms.solver.initial_policy(grid)
+                elif stacked:
                     ms.policy = self._reanchor(ms.policy, grid)
                 ms.emit(
                     "solve-started",
@@ -220,7 +227,7 @@ class BatchedTimeIterationSolver:
 
     @staticmethod
     def _load(member: BatchMember) -> _MemberState:
-        """The member's starting iterate: its checkpoint's, else its warm start, else ``p^0``."""
+        """The member's starting iterate: its checkpoint's, else its warm start, else none."""
         solver = member.solver or TimeIterationSolver(member.model, member.config)
         state = member.checkpoint.load() if member.checkpoint is not None else None
         if state is not None:
@@ -230,7 +237,7 @@ class BatchedTimeIterationSolver:
         return _MemberState(
             member=member,
             solver=solver,
-            policy=policy if policy is not None else solver.initial_policy(),
+            policy=policy,
             records=records,
             resumed=state is not None,
             converged=bool(state.converged) if state is not None else False,

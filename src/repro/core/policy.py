@@ -294,23 +294,26 @@ class PolicyRead:
         coordinate ``b`` of the box at row ``r``, taken from the right as a
         forward difference sees it (at points of the box: reads clip onto
         it).  The sum over the states is taken before the gradient is, so
-        no call holds the ``(states, rows, columns, d)`` array.
+        no call holds the ``(states, rows, columns, d)`` array.  Given
+        ``keep``, increasing row positions, the weights and the result cover
+        the rows ``keep`` only, and the gradient is taken at them alone.
         """
         states, rows = tuple(map(int, states)), np.atleast_2d(X)
         width = self.width if columns is None else len(columns)
         if not (states and len(rows)):
             values = np.empty((len(states), len(rows), width))
 
-            def weighted(weights):
-                return np.zeros((len(rows), width, rows.shape[1]))
+            def weighted(weights, keep=None):
+                return np.zeros((len(rows if keep is None else keep), width, rows.shape[1]))
 
         elif self.shared is None:
             picked = slice(None) if columns is None else list(columns)
             values = np.stack([self.interps[0][s](rows)[:, picked] for s in states])
 
-            def weighted(weights):
+            def weighted(weights, keep=None):
+                points = rows if keep is None else rows[keep]
                 return sum(
-                    self.per_state[s].gradient([rows], w[:, None, :], columns=columns)
+                    self.per_state[s].gradient([points], w[:, None, :], columns=columns)
                     for s, w in zip(states, weights)
                 )
 
@@ -325,7 +328,7 @@ class PolicyRead:
             # (rows, states x columns) -> (states, rows, columns), a view
             values = np.concatenate(flat).reshape(len(rows), len(states), width).swapaxes(0, 1)
 
-            def weighted(weights):
-                return by_row(np.swapaxes(weights, 0, 1))  # (rows, states, columns)
+            def weighted(weights, keep=None):
+                return by_row(np.swapaxes(weights, 0, 1), keep)  # (rows, states, columns)
 
         return (values[:, 0] if np.ndim(X) == 1 else values), weighted

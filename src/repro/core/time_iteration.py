@@ -330,10 +330,14 @@ class TimeIterationSolver:
             return [prev.grid.copy() for prev in policy_next]
         return [self._regular_grid(self.config.grid_level)] * self.model.num_states
 
-    def initial_policy(self) -> PolicySet:
-        """Build the initial guess ``p^0`` on regular grids."""
+    def initial_policy(self, grid: SparseGrid | None = None) -> PolicySet:
+        """Build the initial guess ``p^0`` on the regular grid.
+
+        ``grid``, when given, is the grid object to build it on — a stack's
+        shared regular grid of this level — instead of the solver's own.
+        """
         model = self.model
-        grid = self._regular_grid(self.config.grid_level)
+        grid = grid if grid is not None else self._regular_grid(self.config.grid_level)
         X = model.domain.from_unit(grid.points)
         policies = []
         for z in range(model.num_states):

@@ -183,11 +183,19 @@ class StackedRead:
         taken from the right as :func:`~repro.core.kernels.basis_gradient`
         takes it.  The weights meet the surpluses before the basis
         derivatives, so no call holds the gradient of every interpolant,
-        nor a dense ``(m, dim, num_points)`` array.
+        nor a dense ``(m, dim, num_points)`` array.  Given ``keep``,
+        increasing positions among those rows, the weights and the result
+        cover the rows ``keep`` only, and the basis derivatives are taken
+        at them alone.
         """
         groups, units = self._units(Xs, groups)
         values = self._values(groups, units, picks, columns) if units else []
-        return values, lambda weights: self._gradient(groups, units, picks, columns, weights)
+
+        def gradient(weights: np.ndarray, keep=None) -> np.ndarray:
+            kept = (groups, units) if keep is None else self._take(groups, units, keep)
+            return self._gradient(*kept, picks, columns, weights)
+
+        return values, gradient
 
     def gradient(
         self,
@@ -200,6 +208,16 @@ class StackedRead:
         """:meth:`with_gradient`'s gradient alone, at ``weights``."""
         groups, units = self._units(Xs, groups)
         return self._gradient(groups, units, picks, columns, weights)
+
+    @staticmethod
+    def _take(groups, units, keep) -> tuple[list, list]:
+        """The blocks cut down to ``keep``, increasing positions among the rows of all of them."""
+        sizes = [len(unit) for unit in units]
+        keep = np.asarray(keep, dtype=int)
+        starts = np.cumsum([0] + sizes[:-1])
+        cuts = np.split(keep, np.searchsorted(keep, starts[1:]))
+        taken = [(g, u[c - s]) for g, u, c, s in zip(groups, units, cuts, starts) if len(c)]
+        return [g for g, _ in taken], [u for _, u in taken]
 
     def _values(self, groups, units, picks, columns) -> list[np.ndarray]:
         from repro.core import kernels

@@ -32,13 +32,15 @@ Newton run (:meth:`EulerSystem.solve`) builds both once — neither depends
 on the candidate savings — so a residual call pays only for tomorrow: the
 next states and period environment, one basis pass and one GEMM per model
 over tomorrow's savings of ages ``1 .. A-2`` (the only policy columns the
-Euler equations read), the marginal utilities.  The Jacobian call
-(:meth:`EulerSystem._jacobian`) is that call at one candidate a row plus
-the chain rule: the saver's own return, the rank-one term through
-tomorrow's capital (closed form in :mod:`repro.olg.production` and
-:mod:`repro.olg.government`), and the read's gradient — so a Newton
-iteration reads each active row once for its Jacobian, not ``A`` times
-as a forward difference would.  The public
+Euler equations read), the marginal utilities.  Each call also keeps
+what its Jacobian needs, and :meth:`EulerSystem._linearize` applies the
+chain rule to it at the rows Newton keeps: the saver's own return, the
+rank-one term through tomorrow's capital (closed form in
+:mod:`repro.olg.production` and :mod:`repro.olg.government`), and the
+read's gradient at those rows — so a Newton iteration evaluates the Euler
+system once, at its trial point, and the call that accepted a row's point
+gives the next iteration its Jacobian there, where a forward difference
+would read the row ``A`` more times.  The public
 :meth:`EulerSystem.euler_residuals` / :meth:`EulerSystem.value_functions`
 build the two per call and give the same bits.
 """
@@ -97,7 +99,7 @@ class _Euler(NamedTuple):
 
     tomorrow: _Tomorrow
     saved: np.ndarray        # (S, rows, A-2) next-iterate savings of ages 1 .. A-2
-    saved_gradient: Callable  # weights (S, rows, A-2) -> their gradient sum (rows, A-2, A-1)
+    saved_gradient: Callable  # weights (S, kept, A-2), kept rows -> (kept, A-2, A-1)
     cons_next: np.ndarray    # (S, rows, A-1) tomorrow's consumption of today's savers
     mu_next: np.ndarray      # u'(cons_next)
     expected: np.ndarray     # E[R' u'(c')], (rows, A-1)
@@ -284,7 +286,7 @@ class EulerSystem:
         ``u'`` stays positive below the consumption floor, so the
         expectation always has an inverse.  The read's gradient is kept as
         the function :meth:`PolicyRead.with_gradient` returns; only
-        :meth:`_jacobian` calls it.
+        :meth:`_linearize` calls it, at the rows it keeps.
         """
         ns = self.num_savers
         t = self._tomorrow(z, member, savings)
@@ -304,59 +306,75 @@ class EulerSystem:
         """The Euler gaps, given the rows' cash on hand and the prepared policy read."""
         return self._euler(z, member, cash, savings, read).gap
 
-    def _jacobian(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
-        """The Euler gaps and the exact Jacobian of their Fischer–Burmeister residual.
+    def _linearize(self, member, savings: np.ndarray, e: _Euler, keep) -> np.ndarray:
+        """The exact Jacobian of the Fischer–Burmeister residual at the rows ``keep`` of ``e``.
 
-        Returns ``(gap, J)``, ``J[r, a, b]`` the derivative of row ``r``'s
-        ``s_a + gap_a - hypot(s_a, gap_a)`` in its saving ``s_b``; the gap
-        is :meth:`_residuals`' bit for bit.  A saving moves tomorrow's
-        consumption of its saver ``c'_a = R' s_a + y'_{a+1} - max(P_{a+1}, 0)``
-        three ways: through its own return (the diagonal); through capital
-        ``K' = sum(s)``, which sets every age's ``R'`` and ``y'`` (a rank-one
-        term, closed form in :meth:`_environment_slopes`); and through the
-        state ``x' = clip(s)`` the next-iterate savings ``P`` are read at —
-        the read's gradient, summed over the successor states with the
-        weights ``prob R' u''(c')``, zero where ``x'`` is clipped or ``P <
-        0``.  Derivatives at a kink are taken from the right, as a forward
-        difference sees them; where ``hypot(s, gap) = 0`` both partials of
-        the Fischer–Burmeister function are ``1 - 1/sqrt(2)``.
+        ``e`` is :meth:`_euler`'s evaluation at ``savings`` (rows form,
+        ``member`` one index or one per row); ``keep`` are increasing
+        positions among its rows, and every row is taken without a copy.
+        Returns ``J[r, a, b]``, the derivative of kept row ``r``'s ``s_a +
+        gap_a - hypot(s_a, gap_a)`` in its saving ``s_b``.  A saving moves
+        tomorrow's consumption of its saver ``c'_a = R' s_a + y'_{a+1} -
+        max(P_{a+1}, 0)`` three ways: through its own return (the diagonal);
+        through capital ``K' = sum(s)``, which sets every age's ``R'`` and
+        ``y'`` (a rank-one term, closed form in :meth:`_environment_slopes`);
+        and through the state ``x' = clip(s)`` the next-iterate savings
+        ``P`` are read at — the read's gradient at the kept rows, summed
+        over the successor states with the weights ``prob R' u''(c')``, zero
+        where ``x'`` is clipped or ``P < 0``.  Derivatives at a kink are
+        taken from the right, as a forward difference sees them; where
+        ``hypot(s, gap) = 0`` both partials of the Fischer–Burmeister
+        function are ``1 - 1/sqrt(2)``.
         """
         ns = self.num_savers
-        e = self._euler(z, member, cash, savings, read)
         t = e.tomorrow
-        gross = t.env.gross_return
-        gross_slope, incomes_slope = self._environment_slopes(t, member, savings.sum(axis=-1))
+        every = len(keep) == len(savings)
+        rows = slice(None) if every else np.asarray(keep)  # a slice picks views
+        member = member[rows] if np.ndim(member) else member
+        savings, gap, expected, implied = (a[rows] for a in (savings, e.gap, e.expected, e.implied))
+        prob, gross, saved, cons_next, mu_next = (
+            a[:, rows] for a in (t.prob, t.env.gross_return, e.saved, e.cons_next, e.mu_next)
+        )
+        prices = Prices(*(field[:, rows] for field in t.env.prices))
+        gross_slope, incomes_slope = self._environment_slopes(
+            t.z_next, member, savings.sum(axis=-1), prices
+        )
         # prob R' u''(c'), (states, rows, ns)
-        weighted = (t.prob * gross)[..., None] * self.utility.marginal_utility_slope(e.cons_next)
+        weighted = (prob * gross)[..., None] * self.utility.marginal_utility_slope(cons_next)
         # d E_a / d K', the same for every saving: through R' and through c'
         through_capital = gross_slope[..., None] * savings + incomes_slope[..., 1:]
         common = (
-            (t.prob * gross_slope)[..., None] * e.mu_next + weighted * through_capital
+            (prob * gross_slope)[..., None] * mu_next + weighted * through_capital
         ).sum(axis=0)
         own = (weighted * gross[..., None]).sum(axis=0)
-        through_read = e.saved_gradient(weighted[..., :-1] * (e.saved >= 0.0))
+        through_read = e.saved_gradient(
+            weighted[..., :-1] * (saved >= 0.0), None if every else rows
+        )
         inside = (savings >= self.lower[member]) & (savings < self.upper[member])
         slope = np.repeat(common[..., None], ns, axis=-1)  # d E_a / d s_b
         slope[..., :-1, :] -= through_read * inside[..., None, :]
         # the inverse marginal utility (beta E)^(-1/gamma), the gap's -c_a, then
         # Fischer–Burmeister's partials
-        by_expected = -e.implied / (self.utility.gamma * e.expected)
-        norm = np.hypot(savings, e.gap)
+        by_expected = -implied / (self.utility.gamma * expected)
+        norm = np.hypot(savings, gap)
         zero = norm == 0.0
         norm[zero] = 1.0
         by_saving = np.where(zero, _FB_AT_ZERO, 1.0 - savings / norm)
-        by_gap = np.where(zero, _FB_AT_ZERO, 1.0 - e.gap / norm)
+        by_gap = np.where(zero, _FB_AT_ZERO, 1.0 - gap / norm)
         slope *= (by_gap * by_expected)[..., None]
         diagonal = slope.reshape(slope.shape[:-2] + (ns * ns,))[..., :: ns + 1]  # a view
         diagonal += by_gap * (by_expected * own + 1.0) + by_saving
-        return e.gap, slope
+        return slope
 
-    def _environment_slopes(self, t: _Tomorrow, member, K: np.ndarray):
-        """``d/dK`` of tomorrow's gross return and incomes by age, in each successor state."""
-        tau_l, tau_c = self.labels[2:, t.z_next, member]
-        slopes = self.technology.price_slopes(K, t.env.prices)
+    def _environment_slopes(self, z_next, member, K: np.ndarray, prices: Prices):
+        """``d/dK`` of tomorrow's gross return and incomes by age, in each successor state.
+
+        ``prices`` are tomorrow's at capital ``K`` in the states ``z_next``.
+        """
+        tau_l, tau_c = self.labels[2:, z_next, member]
+        slopes = self.technology.price_slopes(K, prices)
         budget = self.fiscal.budget_slope(
-            tau_l, tau_c, slopes.wage, self.labor_supply, t.env.prices.return_net,
+            tau_l, tau_c, slopes.wage, self.labor_supply, prices.return_net,
             slopes.return_net, K, self.num_ages, self.num_retired,
         )
         incomes = self.fiscal.incomes(tau_l, slopes.wage, budget, self.efficiency, self.working)
@@ -399,13 +417,13 @@ class EulerSystem:
     # ------------------------------------------------------------------ #
     # the point solve
     # ------------------------------------------------------------------ #
-    def savings_guess(self, z, member, X: np.ndarray, guesses: np.ndarray | None) -> np.ndarray:
+    def savings_guess(self, cash: np.ndarray, guesses: np.ndarray | None) -> np.ndarray:
         """Warm-start savings where usable, a fixed share of cash on hand elsewhere.
 
-        A row of ``guesses`` (policy values, savings first) is usable when
-        its savings are finite.
+        ``cash`` is the rows' :meth:`resources`.  A row of ``guesses``
+        (policy values, savings first) is usable when its savings are finite.
         """
-        out = 0.4 * self.resources(z, member, X)
+        out = 0.4 * cash
         if guesses is not None:
             sav = np.atleast_2d(np.asarray(guesses, dtype=float))[:, : self.num_savers]
             valid = np.all(np.isfinite(sav), axis=1)
@@ -422,11 +440,13 @@ class EulerSystem:
         state of every model at once — so each residual evaluation
         interpolates next period's policies at every candidate of every
         active row in one basis pass, which serves all successor states.
-        Newton takes the exact Jacobian (:meth:`_jacobian`), one candidate
-        a row; the run's first call carries the start residual and the
-        first Jacobian together, so a run of ``k >= 1`` Newton iterations
-        makes at most ``3 k`` residual calls, ``2 k`` when no row halves its
-        step, and the Bellman update adds one basis pass after it.  The
+        Newton takes the exact Jacobian: every call — the start, a full
+        step, a round of halvings — returns its residuals and their
+        linearization (:meth:`_linearize`), which Newton takes at the rows
+        it keeps, at the points it accepted.  So a run of ``k`` Newton
+        iterations makes ``1 + k`` residual calls plus one per halving
+        round, at most ``1 + 2 k``, and the Bellman update adds one basis
+        pass after it.  The
         unknowns are the savings themselves and the residual is
         Fischer–Burmeister's ``s + gap - hypot(s, gap)`` on the Euler gap,
         zero exactly when ``s >= 0``, ``gap >= 0`` and ``s * gap = 0``: from
@@ -443,16 +463,14 @@ class EulerSystem:
         cash = self.resources(z, member, X)
         read = PolicyRead(policies)
 
-        def residual(active: np.ndarray, savings: np.ndarray) -> np.ndarray:
-            gap = self._residuals(z[active], member[active], cash[active], savings, read)
-            return savings + gap - np.hypot(savings, gap)
+        def evaluate(active: np.ndarray, savings: np.ndarray) -> tuple:
+            owners = member[active]
+            e = self._euler(z[active], owners, cash[active], savings, read)
+            residual = savings + e.gap - np.hypot(savings, e.gap)
+            return residual, lambda keep: self._linearize(owners, savings, e, keep)
 
-        def jacobian(active: np.ndarray, savings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            gap, slope = self._jacobian(z[active], member[active], cash[active], savings, read)
-            return savings + gap - np.hypot(savings, gap), slope
-
-        guess = self.savings_guess(z, member, X, guesses)
-        result = self.batch_solver.solve(residual, guess, jacobian)
+        guess = self.savings_guess(cash, guesses)
+        result = self.batch_solver.solve(lambda *call: evaluate(*call)[0], guess, evaluate)
         savings, stalled = result.x, ~result.converged
         for i, model in enumerate(self.models):
             mine, totals = member == i, model.system.totals

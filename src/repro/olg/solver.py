@@ -5,15 +5,15 @@ Ipopt.  This reproduction uses a damped Newton method with a backtracking
 line search and nothing after it — the surrounding code path (repeated
 interpolation of next-period policies inside the residual function) is
 identical, which is what matters for the performance experiments.  The
-Jacobian is the caller's exact one where it has one (the OLG point solve
-builds it from the policy read's gradient, one candidate a row) and a
-forward difference otherwise.  The Newton iteration exists once,
-row-masked over a batch of independent systems (:class:`BatchNewtonSolver`),
-and issues few, large residual calls — at most two in the first iteration
-and three in each later one, whatever the batch and the system size —
-because a residual call is an interpolation kernel launch;
-:class:`NewtonSolver` holds the settings and the single-system entry
-point, which differences forward.
+Jacobian is the caller's exact one where it has one — a linearization of
+the residual call that accepted the point, which the OLG point solve takes
+from that call's policy read — and a forward difference otherwise.  The
+Newton iteration exists once, row-masked over a batch of independent
+systems (:class:`BatchNewtonSolver`), and issues few, large residual calls
+— with an exact Jacobian one to start, then at most two an iteration,
+whatever the batch and the system size — because a residual call is an
+interpolation kernel launch; :class:`NewtonSolver` holds the settings and
+the single-system entry point, which differences forward.
 Newton itself is unconstrained: the savings bound the paper hands to Ipopt
 lives in the residual :mod:`repro.olg.euler` gives it, a complementarity
 function whose roots respect the bound.  A system Newton leaves stalled
@@ -113,19 +113,19 @@ class BatchNewtonSolver:
 
     Capped step, 12-step backtracking line search on the residual infinity
     norm, row-masked over ``m`` systems at once.  A Newton iteration makes
-    at most THREE calls whatever ``m`` and ``n`` are: one for the Jacobian,
-    one for the full step of every active row, and one for all eleven
-    halvings of the rows the full step did not serve, each of which takes
-    the first halving that lowers its norm.  The Jacobian call is the
-    caller's ``jac`` at one candidate per active row when :meth:`solve` is
-    given one, and a forward difference otherwise: the residual at every
-    active row ``n`` times, copy ``j`` with column ``j`` perturbed.  The
-    start residual has no call of its own: the first Jacobian call carries
-    it (``jac``'s residual, or each row at ``x0`` next to its ``n`` copies),
-    so the first iteration makes at most TWO calls and a run whose full
-    steps are all accepted makes ``2 * iterations``.  Rows whose line
-    search stalls are deactivated and reported unconverged with their best
-    iterate.
+    one call for the full step of every active row and, when the full step
+    does not serve every row, one more for all eleven halvings of the rest,
+    each of which takes the first halving that lowers its norm.  With the
+    caller's ``jac`` the Jacobian costs no call: each call returns its
+    linearization, and the next iteration's Jacobian of a row is that of
+    the call which accepted its point — so a run makes ``1 + iterations +
+    halving rounds`` calls and evaluates no point twice.  Without it the
+    Jacobian is a forward difference, one more call an iteration: the
+    residual at every active row ``n`` times, copy ``j`` with column ``j``
+    perturbed, the first of them carrying the start residual (each row at
+    ``x0`` next to its ``n`` copies), so a run whose full steps are all
+    accepted makes ``2 * iterations``.  Rows whose line search stalls are
+    deactivated and reported unconverged with their best iterate.
 
     The residual callback receives ``(rows, X)`` where ``rows`` indexes the
     original batch (so the callback can look up per-row problem data) and
@@ -144,10 +144,14 @@ class BatchNewtonSolver:
     def solve(self, fn: Callable, x0: np.ndarray, jac: Callable | None = None) -> BatchSolveResult:
         """Solve ``fn(rows, X) = 0`` row-wise starting from ``x0`` (m, n).
 
-        ``jac(rows, X) -> (F, J)``, when given, is ``fn`` and its exact
-        Jacobian ``(len(rows), n, n)`` at one candidate per row (``rows``
-        increasing); every Jacobian call is one such call, and it counts as
-        one residual evaluation.  Without it the Jacobian is a forward
+        ``jac(rows, X) -> (F, linearize)``, when given, is ``fn`` together
+        with the call's linearization: ``linearize(positions)`` is the exact
+        Jacobian ``(len(positions), n, n)`` at the call's candidates
+        ``positions`` (increasing).  Every call of the run then goes through
+        ``jac`` — the start, the full steps, the halvings — and ``fn`` is
+        not called; Newton linearizes the rows it keeps active, at the
+        candidate it accepted for them, and drops each linearization once it
+        has taken those rows.  Without ``jac`` the Jacobian is a forward
         difference of ``fn``.
         """
         X = np.array(x0, dtype=float)
@@ -156,12 +160,14 @@ class BatchNewtonSolver:
         m, n = X.shape
         evals = 0
 
-        def residual(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        def evaluate(rows: np.ndarray, candidates: np.ndarray) -> tuple:
+            # one counted call at candidates (..., n): the residuals, and the
+            # call's linearization (None without jac)
             nonlocal evals
             evals += 1
-            return np.asarray(fn(rows, candidates.reshape(-1, n)), dtype=float).reshape(
-                candidates.shape
-            )
+            flat = candidates.reshape(-1, n)
+            F, linearize = (fn(rows, flat), None) if jac is None else jac(rows, flat)
+            return np.asarray(F, dtype=float).reshape(candidates.shape), linearize
 
         diag = np.arange(n)
 
@@ -177,41 +183,34 @@ class BatchNewtonSolver:
             # Fp[r, j] is row r's residual with column j perturbed
             return ((Fp - Fa[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
 
+        def forward(rows: np.ndarray, Xa: np.ndarray) -> np.ndarray:
+            steps, Xp = perturbed(Xa)
+            return differences(evaluate(np.repeat(rows, n), Xp)[0], F[rows], steps)
+
         if jac is None:
             # the start residual rides in the first Jacobian call: each row
             # at x0 and at its n perturbed copies, n + 1 candidates a row
             first_steps, Xp = perturbed(X)
-            out = residual(
+            out, _ = evaluate(
                 np.repeat(np.arange(m), n + 1), np.concatenate([X[:, None], Xp], axis=1)
             )
             F = out[:, 0]
-            first_jac = differences(out[:, 1:], F, first_steps)
-
-            def jacobian(rows: np.ndarray, Xa: np.ndarray) -> np.ndarray:
-                steps, Xp = perturbed(Xa)
-                return differences(residual(np.repeat(rows, n), Xp), F[rows], steps)
-
+            linearize = differences(out[:, 1:], F, first_steps).__getitem__
         else:
-
-            def exact(rows: np.ndarray, Xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                nonlocal evals
-                evals += 1
-                Fa, J = jac(rows, Xa)
-                return np.asarray(Fa, dtype=float), np.asarray(J, dtype=float)
-
-            def jacobian(rows: np.ndarray, Xa: np.ndarray) -> np.ndarray:
-                return exact(rows, Xa)[1]
-
-            # the start residual rides in the first Jacobian call
-            F, first_jac = exact(np.arange(m), X)
+            F, linearize = evaluate(np.arange(m), X)
         norms = np.max(np.abs(F), axis=1)
         best_x, best_norm = X.copy(), norms.copy()
         active = norms >= self.tol
+        # what the next iteration's Jacobian is taken from: (linearize,
+        # positions in its call, places among the active rows) per call
+        pieces = [(linearize, np.flatnonzero(active), slice(None))]
+        del linearize
         iterations = 0
         while iterations < self.max_iterations and active.any():
             idx = np.flatnonzero(active)
             Xa, Fa, norm_a = X[idx], F[idx], norms[idx]
-            jac_a = first_jac[idx] if iterations == 0 else jacobian(idx, Xa)
+            jac_a = forward(idx, Xa) if pieces is None else _linearized(pieces, idx.size, n)
+            pieces = None  # the calls' linearizations go with it
             iterations += 1
             step = _newton_steps(jac_a, -Fa)
             step_norm = np.max(np.abs(step), axis=1)
@@ -221,13 +220,15 @@ class BatchNewtonSolver:
             # backtracking line search: the full step, then every halving of
             # the rows it did not serve
             trial = Xa + step
-            f_trial = residual(idx, trial)
+            f_trial, full = evaluate(idx, trial)
             trial_norm = np.max(np.abs(f_trial), axis=1)
             accepted = trial_norm < norm_a
             p = np.flatnonzero(~accepted)
+            # each row's position among the candidates of the call that accepted it
+            at, halved, halving = np.arange(idx.size), np.zeros(idx.size, dtype=bool), None
             if p.size:
                 trials = Xa[p, None, :] + _HALVINGS[:, None] * step[p, None, :]
-                f_trials = residual(np.repeat(idx[p], _HALVINGS.size), trials)
+                f_trials, halving = evaluate(np.repeat(idx[p], _HALVINGS.size), trials)
                 trial_norms = np.max(np.abs(f_trials), axis=2)
                 lower = trial_norms < norm_a[p, None]
                 first = lower.argmax(axis=1)  # 0 where no halving lowers the norm
@@ -236,6 +237,8 @@ class BatchNewtonSolver:
                 trial[ps], f_trial[ps] = trials[served, first], f_trials[served, first]
                 trial_norm[ps] = trial_norms[served, first]
                 accepted[ps] = True
+                halved[ps] = True
+                at[ps] = np.flatnonzero(served) * _HALVINGS.size + first
             improved = idx[accepted]
             X[improved], F[improved] = trial[accepted], f_trial[accepted]
             norms[improved] = trial_norm[accepted]
@@ -245,8 +248,17 @@ class BatchNewtonSolver:
                 best_norm[better] = norms[better]
             # stalled rows exit; improved rows stay active until their
             # residual drops below tolerance
+            kept = accepted & (trial_norm >= self.tol)
             active[idx[~accepted]] = False
             active[improved] = norms[improved] >= self.tol
+            if jac is not None:
+                # the next Jacobian: the kept rows, linearized by the calls that accepted them
+                pieces = [
+                    (linearize, at[kept & mask], mask[kept])
+                    for linearize, mask in ((full, ~halved), (halving, halved))
+                    if (kept & mask).any()
+                ]
+            del full, halving
         return BatchSolveResult(
             x=best_x,
             residual_norm=best_norm,
@@ -254,6 +266,22 @@ class BatchNewtonSolver:
             iterations=iterations,
             residual_evaluations=evals,
         )
+
+
+def _linearized(pieces: list, rows: int, n: int) -> np.ndarray:
+    """The ``(rows, n, n)`` Jacobians of the active rows, from the calls that accepted them.
+
+    ``pieces`` holds, per call, its ``linearize``, the active rows'
+    positions among its candidates and their places among the active rows;
+    one call's Jacobians are returned as it gives them.
+    """
+    if len(pieces) == 1:
+        linearize, positions, _ = pieces[0]
+        return linearize(positions)
+    jac = np.empty((rows, n, n))
+    for linearize, positions, places in pieces:
+        jac[places] = linearize(positions)
+    return jac
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:

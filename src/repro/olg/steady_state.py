@@ -10,8 +10,10 @@ does, and it is the natural anchor for
 With CRRA utility, no binding borrowing constraints and constant prices the
 lifecycle problem has a closed form: consumption grows at the constant rate
 ``(beta R)^(1/gamma)`` and its level follows from the lifetime budget
-constraint.  The aggregate fixed point ``K = sum_a k_a(K)`` is found by a
-damped iteration on aggregate capital.
+constraint.  The aggregate fixed point ``K = sum_a k_a(K)`` is the root of
+``log K_implied(K) - log K``, which falls in ``K``; a secant on ``log K``
+finds it in a handful of lifecycle evaluations, falling back to bisection
+once a step leaves the bracket the evaluations so far have found.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from repro.olg.production import CobbDouglasTechnology
 
 __all__ = ["LifecycleProfile", "SteadyState", "lifecycle_profile", "deterministic_steady_state"]
 
-# the damped fixed-point iteration on aggregate capital: relative tolerance,
-# iteration cap and weight of the implied capital in each update
-_TOLERANCE, _MAX_ITERATIONS, _DAMPING = 1e-8, 500, 0.5
+# the root in aggregate capital: |K_implied - K| <= _TOLERANCE * max(K, 1)
+# within _MAX_EVALUATIONS lifecycle evaluations, or an error
+_TOLERANCE, _MAX_EVALUATIONS = 1e-8, 50
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ class SteadyState:
     gross_return: float
     pension: float
     profile: LifecycleProfile
-    iterations: int
-    converged: bool
+    evaluations: int          # lifecycle profiles the root took
 
 
 def lifecycle_profile(
@@ -105,7 +106,8 @@ def deterministic_steady_state(calibration: OLGCalibration) -> SteadyState:
     (productivity, depreciation and tax rates), so the result is the
     deterministic analogue of the stochastic model's ergodic centre.  The
     technology and fiscal rules are the calibration's, built as
-    :class:`repro.olg.model.OLGModel` builds them.
+    :class:`repro.olg.model.OLGModel` builds them.  Raises
+    ``RuntimeError`` when no capital within tolerance is found.
     """
     cal = calibration
     technology = CobbDouglasTechnology(theta=cal.theta)
@@ -127,24 +129,15 @@ def deterministic_steady_state(calibration: OLGCalibration) -> SteadyState:
         )
         return prices, budget
 
-    # start from the representative-agent heuristic
-    K = technology.steady_state_capital(L, zeta, delta, cal.beta)
-    K = max(K, 1e-3)
-    profile = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITERATIONS + 1):
+    def lifecycle(K: float) -> LifecycleProfile:
         prices, budget = aggregates(K)
         R = fiscal.after_tax_return(prices.return_net, tau_c)
         incomes = fiscal.incomes(tau_l, prices.wage, budget, cal.efficiency, working)
-        profile = lifecycle_profile(incomes, R, cal.beta, cal.gamma)
-        K_implied = max(profile.aggregate_capital, 1e-6)
-        if abs(K_implied - K) < _TOLERANCE * max(K, 1.0):
-            K = K_implied
-            converged = True
-            break
-        K = (1.0 - _DAMPING) * K + _DAMPING * K_implied
+        return lifecycle_profile(incomes, R, cal.beta, cal.gamma)
 
+    # start from the representative-agent heuristic
+    K = max(technology.steady_state_capital(L, zeta, delta, cal.beta), 1e-3)
+    K, profile, evaluations = _capital_root(lifecycle, K)
     prices, budget = aggregates(K)
     return SteadyState(
         capital=float(K),
@@ -153,6 +146,38 @@ def deterministic_steady_state(calibration: OLGCalibration) -> SteadyState:
         gross_return=float(fiscal.after_tax_return(prices.return_net, tau_c)),
         pension=float(budget.pension_benefit),
         profile=profile,
-        iterations=iterations,
-        converged=converged,
+        evaluations=evaluations,
+    )
+
+
+def _capital_root(lifecycle, K: float) -> tuple[float, LifecycleProfile, int]:
+    """The capital ``K`` whose lifecycle profile holds ``K``, its profile, the evaluations.
+
+    A secant on ``h(u) = log K_implied - u`` in ``u = log K`` from ``K``,
+    its first step the fixed-point step ``u <- log K_implied``.  ``h``
+    falls in ``u``, so every evaluation narrows a bracket of the root (the
+    last ``u`` with ``h > 0`` below it, with ``h < 0`` above); a step that
+    leaves the bracket is replaced by its midpoint.  The implied capital
+    is floored at 1e-6, where no household saves.
+    """
+    below = above = previous = None
+    u = np.log(K)
+    for evaluations in range(1, _MAX_EVALUATIONS + 1):
+        K = float(np.exp(u))
+        profile = lifecycle(K)
+        implied = max(profile.aggregate_capital, 1e-6)
+        if abs(implied - K) <= _TOLERANCE * max(K, 1.0):
+            return K, profile, evaluations
+        h = np.log(implied) - u
+        if h > 0:
+            below = u
+        else:
+            above = u
+        step = h if previous is None else -h * (u - previous[0]) / (h - previous[1])
+        previous = u, h
+        u = u + step
+        if below is not None and above is not None and not below < u < above:
+            u = 0.5 * (below + above)
+    raise RuntimeError(
+        f"no steady-state capital within {_TOLERANCE:g} after {_MAX_EVALUATIONS} evaluations"
     )

@@ -3,14 +3,20 @@
 * :func:`repro.core.kernels.basis_gradient` is the derivative of the basis
   the forward difference of :func:`~repro.core.kernels.basis_matrix` sees;
 * a policy read's gradient is the forward difference of the read;
-* ``EulerSystem._jacobian`` is the forward-difference Jacobian of the
-  Fischer–Burmeister residual on every row away from a kink, for one model
-  and for a stack, and its residual is the public one bit for bit;
-* the OLG Newton run takes it: no call carries a row's perturbed copies;
+* ``EulerSystem._linearize`` of an ``_euler`` evaluation is the
+  forward-difference Jacobian of the Fischer–Burmeister residual on every
+  row away from a kink, for one model and for a stack, and the evaluation's
+  residual is the public one bit for bit;
+* a Newton run with an exact Jacobian evaluates each point once, one call
+  an iteration and one a halving round, and steps from the points it
+  linearized — for the OLG run at the rows it keeps, to rounding the
+  Jacobian a fresh evaluation there gives — and no linearization outlives
+  the run;
 * the closed-form ``d/dK`` of prices, budget and incomes and the CRRA ``u''``.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +35,7 @@ from repro.olg.government import FiscalPolicy
 from repro.olg.model import OLGModel
 from repro.olg.preferences import CRRAUtility
 from repro.olg.production import CobbDouglasTechnology
-from repro.olg.solver import _HALVINGS, BatchNewtonSolver
+from repro.olg.solver import _HALVINGS, BatchNewtonSolver, NewtonSolver
 
 SLOW = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -186,6 +192,12 @@ def _system(calibration, level, stacked, passes, lower_savings=0.0):
 _STEP = 1e-9
 
 
+def _jacobian(system, z, member, cash, savings, read):
+    """The Euler gaps and the exact Jacobian at every row: ``_euler``, then ``_linearize``."""
+    e = system._euler(z, member, cash, savings, read)
+    return e.gap, system._linearize(member, savings, e, np.arange(len(savings)))
+
+
 def _fischer_burmeister(system, z, member, cash, savings, read):
     gap = system._residuals(z, member, cash, savings, read)
     return savings + gap - np.hypot(savings, gap)
@@ -240,7 +252,7 @@ jacobian_calibrations = st.fixed_dictionaries(
 def test_the_exact_jacobian_is_the_forward_difference(
     calibration, level, stacked, passes, lower_savings, seed
 ):
-    """``_jacobian`` matches forward differences of the residual to 1e-5 on interior rows.
+    """The exact Jacobian matches forward differences of the residual to 1e-5 on interior rows.
 
     Its residual is the public Fischer–Burmeister residual bit for bit.
     Lowered policies put some of tomorrow's savings below zero, where
@@ -255,7 +267,7 @@ def test_the_exact_jacobian_is_the_forward_difference(
     steps = _STEP * np.maximum(np.abs(savings), 1.0)
     rows = np.flatnonzero(_interior(system, z, member, cash, savings, read, comp, steps))
     z, member, cash, savings, steps = z[rows], member[rows], cash[rows], savings[rows], steps[rows]
-    gap, exact = system._jacobian(z, member, cash, savings, read)
+    gap, exact = _jacobian(system, z, member, cash, savings, read)
     residual = _fischer_burmeister(system, z, member, cash, savings, read)
     assert np.array_equal(residual, savings + gap - np.hypot(savings, gap))
     scale = np.abs(exact).max(axis=(1, 2), initial=0.0)[:, None]
@@ -292,14 +304,14 @@ def test_the_fischer_burmeister_corner_takes_the_generalized_element():
     system, z, member, X, policies, _ = _system({"num_generations": 4}, 2, False, 0)
     read = PolicyRead(policies)
     z, member = z[:1], member[:1]
-    savings = system.savings_guess(z, member, X[:1], None)
-    savings[0, 0] = 0.0
     cash = system.resources(z, member, X[:1])
+    savings = system.savings_guess(cash, None)
+    savings[0, 0] = 0.0
     cash[0, 0] = system._euler(z, member, cash, savings, read).implied[0, 0]
-    gap, corner = system._jacobian(z, member, cash, savings, read)
+    gap, corner = _jacobian(system, z, member, cash, savings, read)
     assert savings[0, 0] == gap[0, 0] == 0.0
     cash[0, 0] += 1.0
-    gap, away = system._jacobian(z, member, cash, savings, read)
+    gap, away = _jacobian(system, z, member, cash, savings, read)
     assert gap[0, 0] == -1.0
     unit = np.eye(savings.shape[1])[0]
     np.testing.assert_allclose(
@@ -310,64 +322,146 @@ def test_the_fischer_burmeister_corner_takes_the_generalized_element():
 # --------------------------------------------------------------------------- #
 # the Newton run
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("stacked", [False, True])
-def test_an_olg_newton_run_sends_no_perturbed_copies(stacked):
-    """Every Jacobian call carries one candidate a row; residual calls carry the
-    full step (one a row) or the halvings, never a row's ``n`` perturbed copies."""
-    system, z, member, X, policies, _ = _system({"num_generations": 5}, 2, stacked, 1)
-    assert system.num_savers not in (1, _HALVINGS.size)
-    calls, runs, newton = [], [], BatchNewtonSolver.solve
+class _Watch:
+    """A ``jac`` spy: every call's rows and candidates, every linearization taken.
+
+    ``events`` lists ``("call", rows, X)`` and ``("linearize", rows, X, J,
+    call)`` — the rows, candidates and Jacobians at the positions taken,
+    and the index of the call they come from — in the order they happen.
+    The spy holds the linearizations only weakly, and at every call counts
+    those still alive.
+    """
+
+    def __init__(self, jac):
+        self.jac, self.events, self.calls, self.alive_at_call, self._refs = jac, [], [], [], []
+
+    def __call__(self, rows, X):
+        self.alive_at_call.append(sum(ref() is not None for ref in self._refs))
+        call, rows, X = len(self.calls), rows.copy(), X.copy()
+        self.calls.append((rows, X))
+        self.events.append(("call", rows, X))
+        F, linearize = self.jac(rows, X)
+
+        def watched(positions):
+            J = linearize(positions)
+            self.events.append(("linearize", rows[positions], X[positions], J.copy(), call))
+            return J
+
+        self._refs += [weakref.ref(linearize), weakref.ref(watched)]
+        return F, watched
+
+    def halving(self, call):
+        rows = self.calls[call][0]
+        return bool(rows.size) and np.unique(rows, return_counts=True)[1].max() > 1
+
+    def linearized(self):
+        return [e[1:] for e in self.events if e[0] == "linearize"]
+
+
+def _watched_run(solve):
+    """``solve()`` with ``BatchNewtonSolver.solve`` watched: its one run and the watch."""
+    runs, watches, newton = [], [], BatchNewtonSolver.solve
 
     def watching(self, fn, x0, jac=None):
         def fn_spy(rows, X):
-            calls.append(("fn", rows.copy()))
-            return fn(rows, X)
+            raise AssertionError("an exact-Jacobian run goes through jac only")
 
-        def jac_spy(rows, X):
-            calls.append(("jac", rows.copy()))
-            return jac(rows, X)
-
-        runs.append(newton(self, fn_spy, x0, None if jac is None else jac_spy))
+        watches.append(_Watch(jac))
+        runs.append(newton(self, fn_spy, x0, watches[-1]))
         return runs[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BatchNewtonSolver, "solve", watching)
-        system.solve(z, member, X, policies, None)
-    (run,) = runs
-    assert run.converged.all() and run.residual_evaluations == len(calls)
-    assert calls[0][0] == "jac" and np.array_equal(calls[0][1], np.arange(len(X)))
-    assert sum(kind == "jac" for kind, _ in calls) == run.iterations
-    for kind, rows in calls:
-        repeats = set(np.unique(rows, return_counts=True)[1].tolist())
-        assert repeats <= ({1} if kind == "jac" else {1, _HALVINGS.size})
+        solve()
+    (run,), (watch,) = runs, watches
+    return run, watch
 
 
-def test_newton_takes_an_exact_jacobian_with_one_candidate_a_row():
+def _check_one_evaluation_an_iteration(run, watch):
+    """One call to start, one an iteration, one a halving round; no point twice;
+    every linearization released once taken, and none outlives the run."""
+    halvings = [watch.halving(c) for c in range(len(watch.calls))]
+    assert run.residual_evaluations == len(watch.calls) == 1 + run.iterations + sum(halvings)
+    for rows, _ in watch.calls:
+        assert set(np.unique(rows, return_counts=True)[1].tolist()) <= {1, _HALVINGS.size}
+    points = [(r, x.tobytes()) for rows, X in watch.calls for r, x in zip(rows.tolist(), X)]
+    assert len(points) == len(set(points))
+    # a full step's call finds every earlier linearization gone (the call's
+    # and its spy's), a halving call the full step's at most
+    for halving, alive in zip(halvings, watch.alive_at_call):
+        assert alive <= (2 if halving else 0)
+    assert all(ref() is None for ref in watch._refs)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_an_olg_newton_run_linearizes_the_rows_it_keeps(stacked):
+    """Each point is evaluated once, and its linearization is ``_jacobian`` there.
+
+    Every call carries one candidate a row or a row's halvings, never its
+    perturbed copies.  A start at twice the usual share of cash on hand
+    makes a halving call, and the rows it serves are linearized from it.
+    """
+    system, z, member, X, policies, _ = _system({"num_generations": 5}, 2, stacked, 1)
+    assert system.num_savers not in (1, _HALVINGS.size)
+    cash = system.resources(z, member, X)
+    guesses = np.concatenate([0.8 * cash, np.zeros_like(cash)], axis=1)
+    run, watch = _watched_run(lambda: system.solve(z, member, X, policies, guesses))
+    assert run.converged.all()
+    _check_one_evaluation_an_iteration(run, watch)
+    read = PolicyRead(policies)
+    linearized = watch.linearized()
+    assert any(watch.halving(call) for *_, call in linearized)
+    for rows, savings, J, _ in linearized:
+        assert np.all(np.diff(rows) > 0)  # one candidate a row
+        _, fresh = _jacobian(system, z[rows], member[rows], cash[rows], savings, read)
+        scale = np.abs(fresh).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(J - fresh) <= 1e-13 * scale)
+
+
+def test_newton_steps_from_the_points_it_linearized():
+    """A synthetic system far from its root: halvings serve some rows, and every
+    full step solves ``J(x) step = -F(x)`` at the point ``x`` linearized for it.
+
+    ``arctan`` of a linear map: a full Newton step from far out overshoots.
+    """
     rng = np.random.default_rng(0)
-    m, n = 30, 4
+    m, n = 30, 3
     A = np.eye(n) + 0.2 * rng.standard_normal((m, n, n))
     root = rng.uniform(-1, 1, (m, n))
 
     def fn(rows, X):
-        d = X - root[rows]
-        return np.einsum("rij,rj->ri", A[rows], d) + 0.3 * d**3
+        return np.arctan(np.einsum("rij,rj->ri", A[rows], X - root[rows]))
+
+    def exact(rows, X):
+        d = np.einsum("rij,rj->ri", A[rows], X - root[rows])
+        return A[rows] / (1.0 + d**2)[:, :, None]
 
     def jac(rows, X):
-        d = X - root[rows]
-        return fn(rows, X), A[rows] + 0.9 * np.einsum("ri,ij->rij", d**2, np.eye(n))
+        return fn(rows, X), lambda positions: exact(rows[positions], X[positions])
 
-    seen = []
-
-    def counted(rows, X):
-        seen.append(len(rows))
-        return jac(rows, X)
-
-    exact = BatchNewtonSolver().solve(fn, np.zeros((m, n)), counted)
-    forward = BatchNewtonSolver().solve(fn, np.zeros((m, n)))
-    assert exact.converged.all() and forward.converged.all()
-    np.testing.assert_allclose(exact.x, root, atol=1e-7)
-    assert seen[0] == m and len(seen) == exact.iterations <= forward.iterations
-    assert exact.residual_evaluations <= 3 * exact.iterations
+    solver = BatchNewtonSolver(NewtonSolver(max_step=1e9))
+    x0 = root + rng.uniform(-3, 3, (m, n))
+    run, watch = _watched_run(lambda: solver.solve(fn, x0, jac))
+    forward = solver.solve(fn, x0)
+    assert run.converged.all() and forward.converged.all()
+    np.testing.assert_allclose(run.x, root, atol=1e-7)
+    assert run.iterations <= forward.iterations
+    _check_one_evaluation_an_iteration(run, watch)
+    assert any(watch.halving(call) for *_, call in watch.linearized())
+    taken, steps = {}, 0
+    for event in watch.events:
+        if event[0] == "linearize":
+            _, rows, X, J, _ = event
+            taken.update(zip(rows.tolist(), zip(X, J)))
+        elif taken:  # the full step taken from those points
+            _, rows, X = event
+            assert sorted(taken) == rows.tolist()
+            for r, trial in zip(rows.tolist(), X):
+                x, J = taken[r]
+                F = fn(np.array([r]), x[None])[0]
+                np.testing.assert_allclose(J @ (trial - x), -F, rtol=1e-9, atol=1e-12)
+            taken, steps = {}, steps + 1
+    assert steps == run.iterations
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.olg.calibration import small_calibration
+from repro.olg import steady_state
+from repro.olg.calibration import paper_calibration, small_calibration
 from repro.olg.steady_state import deterministic_steady_state, lifecycle_profile
 
 
@@ -44,7 +45,6 @@ class TestSteadyState:
     def test_converges_for_default_calibration(self):
         cal = small_calibration(num_generations=6, num_states=2)
         steady = deterministic_steady_state(cal)
-        assert steady.converged
         assert steady.capital > 0
         assert steady.wage > 0
 
@@ -73,8 +73,26 @@ class TestSteadyState:
 
     def test_works_for_paper_scale(self):
         """The steady-state anchor is cheap even for the 60-generation economy."""
-        from repro.olg.calibration import paper_calibration
-
         steady = deterministic_steady_state(paper_calibration())
         assert steady.capital > 0
         assert steady.profile.consumption.shape == (60,)
+
+    @pytest.mark.parametrize(
+        "cal",
+        [small_calibration(G, 2) for G in (5, 24, 30, 40)] + [paper_calibration()],
+        ids=["5", "24", "30", "40", "paper"],
+    )
+    def test_capital_is_a_root_in_few_evaluations(self, cal):
+        """``|K_implied(K) - K| <= 1e-8 max(K, 1)`` within 10 lifecycle evaluations.
+
+        A damped iteration on ``K`` never settled at 24, 30 or 40 generations.
+        """
+        steady = deterministic_steady_state(cal)
+        implied = steady.profile.aggregate_capital
+        assert abs(implied - steady.capital) <= 1e-8 * max(steady.capital, 1.0)
+        assert steady.evaluations <= 10
+
+    def test_no_root_within_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(steady_state, "_MAX_EVALUATIONS", 2)
+        with pytest.raises(RuntimeError, match="steady-state capital"):
+            deterministic_steady_state(small_calibration(num_generations=24))

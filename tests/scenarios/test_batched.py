@@ -129,6 +129,31 @@ class TestToleranceEquivalence:
             assert np.array_equal(out.result.policy[z].nodal_values, seq.policy[z].nodal_values)
 
 
+class TestStart:
+    def test_a_stacked_start_builds_one_grid(self, monkeypatch):
+        # every member's p^0 is built on the stack's grid object, so a stack
+        # of four builds one regular grid, and each member's bits are its
+        # solo solve's (one pass each: a member leaving early would hand
+        # the stack to the next member's own grid)
+        from repro.core import time_iteration
+
+        built, real = [], time_iteration.regular_sparse_grid
+        monkeypatch.setattr(
+            time_iteration, "regular_sparse_grid", lambda *key: built.append(key) or real(*key)
+        )
+        specs = [
+            _solve_spec(f"g{i}", num_states=2, tau_labor=0.05 * (i + 1), max_iterations=1)
+            for i in range(4)
+        ]
+        outcomes = BatchedTimeIterationSolver([_member(s) for s in specs]).solve()
+        assert built == [(3, 2)]
+        grids = {id(sp.grid) for s in specs for sp in outcomes[s.name].result.policy}
+        assert len(grids) == 1
+        for spec in specs:
+            solo = TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
+            _assert_same_bits(outcomes[spec.name].result, solo)
+
+
 class TestConvergenceMasking:
     def test_members_drop_out_at_their_own_iteration(self):
         # a looser per-member tolerance converges in fewer passes; each

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.batched import BatchedTimeIterationSolver
 from repro.core.compression import compress_grid
 from repro.core.kernels import evaluate
-from repro.core.policy import PolicySet, StatePolicy
+from repro.core.policy import PolicyRead, PolicySet, StatePolicy
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.hierarchize import evaluate_dense, hierarchize
 from repro.grids.regular import regular_sparse_grid
@@ -500,7 +500,8 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
     X = np.concatenate([np.tile(block, (num_states, 1)) for block in blocks])
     # interior candidates: below the consumption floor u' is a line of slope
     # ~1e18, which turns the last bit of an interpolated value into O(100)
-    savings = system.savings_guess(z, member, X, None) * rng.uniform(0.5, 1.5, (len(X), 1))
+    cash = system.resources(z, member, X)
+    savings = system.savings_guess(cash, None) * rng.uniform(0.5, 1.5, (len(X), 1))
     of_state = [np.flatnonzero(z == s) for s in range(num_states)]
 
     # rounding is relative to what is interpolated: p^0's value functions reach ~1e5
@@ -521,29 +522,33 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
     def solve_and_watch(system, z, member, X):
         """The solve's output and the stalled mask of its Newton run.
 
-        Every residual row is evaluated twice: BLAS rounds a lone row (gemv)
-        unlike a row among others (gemm), and which rows are still active
-        next to a given one is exactly what differs between the two solves.
+        Every row is read twice, for its values and for its gradient: BLAS
+        rounds a lone row (gemv) unlike a row among others (gemm), and which
+        rows are still active next to a given one is exactly what differs
+        between the two solves.  The rest of a call is elementwise or per
+        row.
         """
         seen = []
         newton = system.batch_solver.solve
-        residuals, jacobian = system._residuals, system._jacobian
+        read = PolicyRead.with_gradient
 
-        def twin(z, member, cash, savings):
-            return [np.repeat(a, 2, axis=0) for a in (z, member, cash, savings)]
+        def read_twice(self, states, member, X, columns=None):
+            member = member if np.ndim(member) == 0 else np.repeat(member, 2)
+            values, gradient = read(self, states, member, np.repeat(X, 2, axis=0), columns)
 
-        def twice(z, member, cash, savings, read):
-            return residuals(*twin(z, member, cash, savings), read)[::2]
+            def gradient_twice(weights, keep=None):
+                keep = np.arange(weights.shape[1]) if keep is None else np.asarray(keep)
+                both = (2 * keep[:, None] + np.arange(2)).ravel()
+                return gradient(np.repeat(weights, 2, axis=1), both)[::2]
 
-        def jacobian_twice(z, member, cash, savings, read):
-            return tuple(a[::2] for a in jacobian(*twin(z, member, cash, savings), read))
+            return values[:, ::2], gradient_twice
 
-        system._residuals, system._jacobian = twice, jacobian_twice
         system.batch_solver.solve = lambda *args: seen.append(newton(*args)) or seen[-1]
         try:
-            out = system.solve(z, member, X, policies, None)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(PolicyRead, "with_gradient", read_twice)
+                out = system.solve(z, member, X, policies, None)
         finally:
-            del system._residuals, system._jacobian
             system.batch_solver.solve = newton
         (result,) = seen  # ONE Newton batch, whatever z is
         return out, ~result.converged
@@ -569,7 +574,8 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layou
     """The Newton run's residual calls are ``euler_residuals`` on their rows, bit for bit.
 
     A run prepares today's cash on hand and the policy read once; every
-    call it makes — residual and Jacobian calls alike — equals the
+    call it makes — the start, the full steps and the halvings, each of
+    which also carries its linearization — equals the
     Fischer–Burmeister function of the candidate savings and the public
     Euler gap at that call's rows and candidates,
     and its value update equals ``value_functions``.  Thinned
@@ -609,17 +615,12 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layou
     newton = BatchNewtonSolver.solve
 
     def recording(self, fn, x0, jac):
-        def spy(rows, candidates):
-            out = fn(rows, candidates)
-            calls.append((rows.copy(), candidates.copy(), np.array(out)))
-            return out
-
         def jac_spy(rows, candidates):
-            out, slope = jac(rows, candidates)
+            out, linearize = jac(rows, candidates)
             calls.append((rows.copy(), candidates.copy(), np.array(out)))
-            return out, slope
+            return out, linearize
 
-        return newton(self, spy, x0, jac_spy)
+        return newton(self, fn, x0, jac_spy)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BatchNewtonSolver, "solve", recording)
