@@ -10,11 +10,13 @@ the mean log10 of ``equilibrium_errors`` on 200 box points drawn with seed
 0 — and, last, the wall time of the solve.  Everything but the wall is
 deterministic, so two checkouts compare with ``cut -d'|' -f1-8``.
 
-The query rows are counted by wrapping the residual callback
-``BatchNewtonSolver.solve`` receives and, where the solver is handed an
-exact Jacobian, the Jacobian callback: each of their rows is one candidate
-read and evaluated.  The script uses public names only, so it also runs on
-older checkouts, whose solve takes no Jacobian::
+The query rows are counted by wrapping the callback
+``BatchNewtonSolver.solve(fn, x0)`` receives, which returns each call's
+residuals and linearization: each of its rows is one candidate read and
+evaluated.  The script uses public names only, so it also runs on older
+checkouts: it wraps both callbacks of their ``solve(fn, x0, jac)``, of
+which a run calls one — ``jac`` where it is given, ``fn`` for a
+forward-difference Jacobian::
 
     PYTHONPATH=src python3 benchmarks/size_table.py            # ~2 s
     PYTHONPATH=src python3 benchmarks/size_table.py 24/2 40/2 12/3
@@ -56,19 +58,16 @@ def row(generations: int, level: int) -> str:
     queried = []
     newton = BatchNewtonSolver.solve
 
-    def counting(self, fn, x0, jac=None):
-        def counted(rows, X):
-            queried.append(len(rows))
-            return fn(rows, X)
+    def counting(self, fn, x0, *jac):
+        # the one callback of solve(fn, x0), or both of an older solve(fn, x0, jac)
+        def counted(callback):
+            def call(rows, X):
+                queried.append(len(rows))
+                return callback(rows, X)
 
-        if jac is None:  # forward differences: every candidate goes through fn
-            return newton(self, counted, x0)
+            return call
 
-        def counted_jac(rows, X):
-            queried.append(len(rows))
-            return jac(rows, X)
-
-        return newton(self, counted, x0, counted_jac)
+        return newton(self, counted(fn), x0, *map(counted, jac))
 
     BatchNewtonSolver.solve = counting
     try:

@@ -69,13 +69,21 @@ def factor_values(comp: CompressedGrid, X: np.ndarray) -> np.ndarray:
     sentinel).  This is the per-query work that replaces the ``d`` basis
     evaluations per *grid point* of the dense layout.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    coords = X[:, comp.xps_dims]  # (m, num_xps) gather of the relevant coordinate
+    return _hats(comp, np.atleast_2d(np.asarray(X, dtype=float)))[1]
+
+
+def _hats(comp: CompressedGrid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factor table's hats at ``X``: offsets from their centers in half-widths, and values.
+
+    ``basis_1d_vectorized``'s arithmetic with the per-grid constants
+    hoisted; the scales are powers of two, so ``|scale * t| = scale * |t|``
+    bit for bit.
+    """
     centers, scales, constant = comp.hat_constants()
-    # basis_1d_vectorized's arithmetic, the per-grid constants hoisted
-    xpv = np.maximum(1.0 - scales * np.abs(coords - centers), 0.0)
-    xpv[:, constant] = 1.0  # level 1, the sentinel among them
-    return xpv
+    offsets = scales * (X[:, comp.xps_dims] - centers)  # (m, num_xps)
+    values = np.maximum(1.0 - np.abs(offsets), 0.0)
+    values[:, constant] = 1.0  # level 1, the sentinel among them
+    return offsets, values
 
 
 def _chain_products(chains: np.ndarray, xpv_block: np.ndarray) -> np.ndarray:
@@ -150,13 +158,8 @@ def basis_gradient(
     unit_X = np.atleast_2d(np.asarray(unit_X, dtype=float))
     if unit_X.shape[1] != comp.dim:
         raise ValueError(f"query points must have {comp.dim} columns")
-    centers, scales, constant = comp.hat_constants()
-    # the factor table's hats in units of their half-width: factor_values'
-    # arithmetic (the scales are powers of two, so |scale * t| = scale * |t|)
-    offsets = scales * (unit_X[:, comp.xps_dims] - centers)
-    factors = np.maximum(1.0 - np.abs(offsets), 0.0)
-    factors[:, constant] = 1.0
-    hat_slopes = np.copysign(scales, -offsets)  # -scale from the center on
+    offsets, factors = _hats(comp, unit_X)
+    hat_slopes = np.copysign(comp.hat_constants()[1], -offsets)  # -scale from the center on
     hat_slopes *= (offsets >= -1.0) & (offsets < 1.0)
     points, dims, own, others = comp.gradient_entries()
     slopes = hat_slopes[:, own]

@@ -11,7 +11,9 @@ approximate it with one adaptive sparse grid per discrete state ``z``:
   Algorithm 1);
 * :class:`PolicyRead` — one or more models' policy sets prepared once for
   many reads of each row's own model in several states at once, what a
-  Newton run of the equilibrium solver builds for its residual calls;
+  Newton run of the equilibrium solver builds for its residual calls and
+  their linearizations (:meth:`PolicyRead.gradient`, the read's gradient
+  weighted over the states);
 * :func:`values_on_grid` — the previous iterate at today's grid points: its
   stored nodal values where the grids share their points, an interpolation
   otherwise.  It is the one rule behind the warm start and
@@ -253,8 +255,9 @@ class PolicyRead:
     model in the shock states ``states``, as one
     ``(len(states), rows, len(columns))`` array — no row axis for one
     point ``X`` of shape ``(d,)``, and empty for no rows or no states.
-    :meth:`with_gradient` returns the same values and the read's gradient
-    in the box coordinates, summed over the states with per-row weights.
+    :meth:`gradient` takes the same arguments and per-row weights, and
+    returns the read's gradient in the box coordinates, summed over the
+    states with those weights.
 
     When every policy sits on one grid object and each model's states share
     its box (time iteration's shared regular grid), the read is a
@@ -283,52 +286,45 @@ class PolicyRead:
         self.per_state = None if shared else [StackedRead([i]) for i in self.interps[0]]
 
     def __call__(self, states, member, X: np.ndarray, columns=None) -> np.ndarray:
-        return self.with_gradient(states, member, X, columns)[0]
-
-    def with_gradient(self, states, member, X: np.ndarray, columns=None):
-        """A call's values, and the read's gradient as a function of per-state weights.
-
-        The function takes ``weights``, ``(len(states), rows, len(columns))``,
-        and returns ``(rows, len(columns), d)``: ``sum_s weights[s, r, c]``
-        times the derivative of state ``s``'s column ``columns[c]`` in
-        coordinate ``b`` of the box at row ``r``, taken from the right as a
-        forward difference sees it (at points of the box: reads clip onto
-        it).  The sum over the states is taken before the gradient is, so
-        no call holds the ``(states, rows, columns, d)`` array.  Given
-        ``keep``, increasing row positions, the weights and the result cover
-        the rows ``keep`` only, and the gradient is taken at them alone.
-        """
         states, rows = tuple(map(int, states)), np.atleast_2d(X)
         width = self.width if columns is None else len(columns)
         if not (states and len(rows)):
             values = np.empty((len(states), len(rows), width))
-
-            def weighted(weights, keep=None):
-                return np.zeros((len(rows if keep is None else keep), width, rows.shape[1]))
-
         elif self.shared is None:
             picked = slice(None) if columns is None else list(columns)
             values = np.stack([self.interps[0][s](rows)[:, picked] for s in states])
-
-            def weighted(weights, keep=None):
-                points = rows if keep is None else rows[keep]
-                return sum(
-                    self.per_state[s].gradient([points], w[:, None, :], columns=columns)
-                    for s, w in zip(states, weights)
-                )
-
         else:
-            # several models, sorted: a block of rows each
-            owners = np.ravel(member)
-            starts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
-            models = [int(owners[0])] + owners[starts].tolist()
-            flat, by_row = self.shared.with_gradient(
-                np.split(rows, starts), models, states, columns
-            )
+            flat = self.shared(*_blocks(member, rows), states, columns)
             # (rows, states x columns) -> (states, rows, columns), a view
             values = np.concatenate(flat).reshape(len(rows), len(states), width).swapaxes(0, 1)
+        return values[:, 0] if np.ndim(X) == 1 else values
 
-            def weighted(weights, keep=None):
-                return by_row(np.swapaxes(weights, 0, 1), keep)  # (rows, states, columns)
+    def gradient(self, states, member, X: np.ndarray, columns, weights: np.ndarray) -> np.ndarray:
+        """The read's gradient at the rows ``X``, summed over the states with per-row weights.
 
-        return (values[:, 0] if np.ndim(X) == 1 else values), weighted
+        ``weights`` is ``(len(states), rows, len(columns))``; the result is
+        ``(rows, len(columns), d)``: ``sum_s weights[s, r, c]`` times the
+        derivative of state ``s``'s column ``columns[c]`` in coordinate
+        ``b`` of the box at row ``r``, taken from the right as a forward
+        difference sees it (at points of the box: reads clip onto it).  The
+        sum over the states is taken before the gradient is, so no call
+        holds the ``(states, rows, columns, d)`` array.
+        """
+        states, rows = tuple(map(int, states)), np.atleast_2d(X)
+        if not (states and len(rows)):
+            return np.zeros((len(rows), np.shape(weights)[-1], rows.shape[1]))
+        if self.shared is None:
+            return sum(
+                self.per_state[s].gradient([rows], w[:, None, :], columns=columns)
+                for s, w in zip(states, weights)
+            )
+        blocks, models = _blocks(member, rows)
+        # the weights by row: (rows, states, columns)
+        return self.shared.gradient(blocks, np.swapaxes(weights, 0, 1), models, states, columns)
+
+
+def _blocks(member, rows: np.ndarray) -> tuple[list, list]:
+    """The rows in one block per model, and those models: ``member`` is sorted."""
+    owners = np.ravel(member)
+    starts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+    return np.split(rows, starts), [int(owners[0])] + owners[starts].tolist()

@@ -15,7 +15,9 @@ split in two — what does not change between reads (validation, the
 compressed grid, the boxes, the reordered GEMM operands) built once, and
 a call that maps the blocks onto the unit box, runs the basis pass and
 the GEMMs — for callers that read the same interpolants many times, like
-the residual calls of one Newton run.
+the residual calls of one Newton run; :meth:`StackedRead.gradient` is the
+read's weighted gradient at the blocks a call reads, what those calls'
+linearizations take.
 
 Caching contract
 ----------------
@@ -163,65 +165,11 @@ class StackedRead:
         columns ``columns`` (default: all), so the GEMM operand holds those
         columns only.
         """
-        groups, units = self._units(Xs, groups)
-        return self._values(groups, units, picks, columns) if units else []
-
-    def with_gradient(
-        self,
-        Xs: list[np.ndarray],
-        groups=None,
-        picks: tuple[int, ...] | None = None,
-        columns: tuple[int, ...] | None = None,
-    ) -> tuple[list[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-        """A call's values, and the read's gradient as a function of per-row weights.
-
-        The function takes ``weights``, ``(rows, interpolants, columns)``
-        over the rows of all blocks in order, and returns ``(rows, columns,
-        dim)``: entry ``[r, c, b]`` is the sum over the chosen interpolants
-        ``p`` of ``weights[r, p, c]`` times the derivative of interpolant
-        ``p``'s column ``c`` in coordinate ``b`` of the box at row ``r``,
-        taken from the right as :func:`~repro.core.kernels.basis_gradient`
-        takes it.  The weights meet the surpluses before the basis
-        derivatives, so no call holds the gradient of every interpolant,
-        nor a dense ``(m, dim, num_points)`` array.  Given ``keep``,
-        increasing positions among those rows, the weights and the result
-        cover the rows ``keep`` only, and the basis derivatives are taken
-        at them alone.
-        """
-        groups, units = self._units(Xs, groups)
-        values = self._values(groups, units, picks, columns) if units else []
-
-        def gradient(weights: np.ndarray, keep=None) -> np.ndarray:
-            kept = (groups, units) if keep is None else self._take(groups, units, keep)
-            return self._gradient(*kept, picks, columns, weights)
-
-        return values, gradient
-
-    def gradient(
-        self,
-        Xs: list[np.ndarray],
-        weights: np.ndarray,
-        groups=None,
-        picks: tuple[int, ...] | None = None,
-        columns: tuple[int, ...] | None = None,
-    ) -> np.ndarray:
-        """:meth:`with_gradient`'s gradient alone, at ``weights``."""
-        groups, units = self._units(Xs, groups)
-        return self._gradient(groups, units, picks, columns, weights)
-
-    @staticmethod
-    def _take(groups, units, keep) -> tuple[list, list]:
-        """The blocks cut down to ``keep``, increasing positions among the rows of all of them."""
-        sizes = [len(unit) for unit in units]
-        keep = np.asarray(keep, dtype=int)
-        starts = np.cumsum([0] + sizes[:-1])
-        cuts = np.split(keep, np.searchsorted(keep, starts[1:]))
-        taken = [(g, u[c - s]) for g, u, c, s in zip(groups, units, cuts, starts) if len(c)]
-        return [g for g, _ in taken], [u for _, u in taken]
-
-    def _values(self, groups, units, picks, columns) -> list[np.ndarray]:
         from repro.core import kernels
 
+        groups, units = self._units(Xs, groups)
+        if not units:
+            return []
         # through the module: whoever wraps kernels.basis_matrix sees every pass
         basis = kernels.basis_matrix(self.comp, np.concatenate(units))
         outs, start = [], 0
@@ -231,11 +179,30 @@ class StackedRead:
             start = stop
         return outs
 
-    def _gradient(self, groups, units, picks, columns, weights) -> np.ndarray:
-        """The weights times the surpluses of the live chain slots, times their basis
-        derivatives, summed by dimension: one batched GEMM per block, one GEMM after."""
+    def gradient(
+        self,
+        Xs: list[np.ndarray],
+        weights: np.ndarray,
+        groups=None,
+        picks: tuple[int, ...] | None = None,
+        columns: tuple[int, ...] | None = None,
+    ) -> np.ndarray:
+        """The read's gradient at the blocks a call with these arguments reads, weighted.
+
+        ``weights`` is ``(rows, interpolants, columns)`` over the rows of all
+        blocks in order; the result is ``(rows, columns, dim)``: entry ``[r,
+        c, b]`` is the sum over the chosen interpolants ``p`` of ``weights[r,
+        p, c]`` times the derivative of interpolant ``p``'s column ``c`` in
+        coordinate ``b`` of the box at row ``r``, taken from the right as
+        :func:`~repro.core.kernels.basis_gradient` takes it.  The weights
+        meet the surpluses of the live chain slots before their basis
+        derivatives (one batched GEMM per block, one GEMM summing each
+        dimension's slots after), so no call holds the gradient of every
+        interpolant, nor a dense ``(m, dim, num_points)`` array.
+        """
         from repro.core import kernels
 
+        groups, units = self._units(Xs, groups)
         weights = np.asarray(weights, dtype=float)
         width = weights.shape[2]
         if not units:

@@ -37,17 +37,19 @@ what its Jacobian needs, and :meth:`EulerSystem._linearize` applies the
 chain rule to it at the rows Newton keeps: the saver's own return, the
 rank-one term through tomorrow's capital (closed form in
 :mod:`repro.olg.production` and :mod:`repro.olg.government`), and the
-read's gradient at those rows — so a Newton iteration evaluates the Euler
-system once, at its trial point, and the call that accepted a row's point
-gives the next iteration its Jacobian there, where a forward difference
-would read the row ``A`` more times.  The public
+read's gradient at those rows (:meth:`~repro.core.policy.PolicyRead.gradient`).
+Newton's one callback returns a call's residuals with that
+linearization, so a Newton iteration evaluates the Euler system once, at
+its trial point, and the call that accepted a row's point gives the next
+iteration its Jacobian there, where a forward difference would read the
+row ``A`` more times.  The public
 :meth:`EulerSystem.euler_residuals` / :meth:`EulerSystem.value_functions`
 build the two per call and give the same bits.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,7 +101,6 @@ class _Euler(NamedTuple):
 
     tomorrow: _Tomorrow
     saved: np.ndarray        # (S, rows, A-2) next-iterate savings of ages 1 .. A-2
-    saved_gradient: Callable  # weights (S, kept, A-2), kept rows -> (kept, A-2, A-1)
     cons_next: np.ndarray    # (S, rows, A-1) tomorrow's consumption of today's savers
     mu_next: np.ndarray      # u'(cons_next)
     expected: np.ndarray     # E[R' u'(c')], (rows, A-1)
@@ -144,7 +145,7 @@ def _structure(model) -> dict:
     return {
         "model classes": type(model),
         "calibration structures": structure_key(model.calibration),
-        "nonlinear solver settings": (s.tol, s.max_iterations, s.fd_step, s.max_step),
+        "nonlinear solver settings": (s.tol, s.max_iterations, s.max_step),
     }
 
 
@@ -284,15 +285,11 @@ class EulerSystem:
         tomorrow's income of the next age and save what the interpolated
         next-iterate policy says (the terminal generation saves nothing).
         ``u'`` stays positive below the consumption floor, so the
-        expectation always has an inverse.  The read's gradient is kept as
-        the function :meth:`PolicyRead.with_gradient` returns; only
-        :meth:`_linearize` calls it, at the rows it keeps.
+        expectation always has an inverse.
         """
         ns = self.num_savers
         t = self._tomorrow(z, member, savings)
-        saved, saved_gradient = read.with_gradient(
-            t.successors, member, t.x_next, self.saved_columns
-        )
+        saved = read(t.successors, member, t.x_next, self.saved_columns)
         save_next = np.zeros(t.successors.shape + savings.shape)
         save_next[..., : ns - 1] = np.maximum(saved, 0.0)
         cons_next = t.env.gross_return[..., None] * savings + t.env.incomes[..., 1:] - save_next
@@ -300,18 +297,19 @@ class EulerSystem:
         expected = ((t.prob * t.env.gross_return)[..., None] * mu_next).sum(axis=0)
         implied = self.utility.inverse_marginal_utility(self.beta[member][..., None] * expected)
         gap = implied - (cash - savings)
-        return _Euler(t, saved, saved_gradient, cons_next, mu_next, expected, implied, gap)
+        return _Euler(t, saved, cons_next, mu_next, expected, implied, gap)
 
     def _residuals(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead):
         """The Euler gaps, given the rows' cash on hand and the prepared policy read."""
         return self._euler(z, member, cash, savings, read).gap
 
-    def _linearize(self, member, savings: np.ndarray, e: _Euler, keep) -> np.ndarray:
+    def _linearize(self, member, savings: np.ndarray, e: _Euler, keep, read: PolicyRead):
         """The exact Jacobian of the Fischer–Burmeister residual at the rows ``keep`` of ``e``.
 
         ``e`` is :meth:`_euler`'s evaluation at ``savings`` (rows form,
-        ``member`` one index or one per row); ``keep`` are increasing
-        positions among its rows, and every row is taken without a copy.
+        ``member`` one index or one per row) through ``read``; ``keep`` are
+        increasing positions among its rows, and every row is taken without
+        a copy.
         Returns ``J[r, a, b]``, the derivative of kept row ``r``'s ``s_a +
         gap_a - hypot(s_a, gap_a)`` in its saving ``s_b``.  A saving moves
         tomorrow's consumption of its saver ``c'_a = R' s_a + y'_{a+1} -
@@ -347,8 +345,9 @@ class EulerSystem:
             (prob * gross_slope)[..., None] * mu_next + weighted * through_capital
         ).sum(axis=0)
         own = (weighted * gross[..., None]).sum(axis=0)
-        through_read = e.saved_gradient(
-            weighted[..., :-1] * (saved >= 0.0), None if every else rows
+        through_read = read.gradient(
+            t.successors, member, t.x_next[rows], self.saved_columns,
+            weighted[..., :-1] * (saved >= 0.0),
         )
         inside = (savings >= self.lower[member]) & (savings < self.upper[member])
         slope = np.repeat(common[..., None], ns, axis=-1)  # d E_a / d s_b
@@ -467,10 +466,9 @@ class EulerSystem:
             owners = member[active]
             e = self._euler(z[active], owners, cash[active], savings, read)
             residual = savings + e.gap - np.hypot(savings, e.gap)
-            return residual, lambda keep: self._linearize(owners, savings, e, keep)
+            return residual, lambda keep: self._linearize(owners, savings, e, keep, read)
 
-        guess = self.savings_guess(cash, guesses)
-        result = self.batch_solver.solve(lambda *call: evaluate(*call)[0], guess, evaluate)
+        result = self.batch_solver.solve(evaluate, self.savings_guess(cash, guesses))
         savings, stalled = result.x, ~result.converged
         for i, model in enumerate(self.models):
             mine, totals = member == i, model.system.totals

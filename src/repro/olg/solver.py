@@ -5,15 +5,15 @@ Ipopt.  This reproduction uses a damped Newton method with a backtracking
 line search and nothing after it — the surrounding code path (repeated
 interpolation of next-period policies inside the residual function) is
 identical, which is what matters for the performance experiments.  The
-Jacobian is the caller's exact one where it has one — a linearization of
-the residual call that accepted the point, which the OLG point solve takes
-from that call's policy read — and a forward difference otherwise.  The
+Jacobian is the caller's: every residual call returns its linearization,
+which the OLG point solve takes from that call's policy read, and Newton
+steps from the linearization of the call that accepted each point.  The
 Newton iteration exists once, row-masked over a batch of independent
 systems (:class:`BatchNewtonSolver`), and issues few, large residual calls
-— with an exact Jacobian one to start, then at most two an iteration,
-whatever the batch and the system size — because a residual call is an
-interpolation kernel launch; :class:`NewtonSolver` holds the settings and
-the single-system entry point, which differences forward.
+— one to start, then at most two an iteration, whatever the batch and the
+system size — because a residual call is an interpolation kernel launch;
+:class:`NewtonSolver` holds the settings and the single-system entry
+point, a batch of one.
 Newton itself is unconstrained: the savings bound the paper hands to Ipopt
 lives in the residual :mod:`repro.olg.euler` gives it, a complementarity
 function whose roots respect the bound.  A system Newton leaves stalled
@@ -42,7 +42,7 @@ class PointSolveResult:
 
 
 class NewtonSolver:
-    """Damped Newton: the settings, and one system with a finite-difference Jacobian.
+    """Damped Newton: the settings, and one system with its Jacobian.
 
     Parameters
     ----------
@@ -50,40 +50,35 @@ class NewtonSolver:
         Convergence tolerance on the residual infinity norm.
     max_iterations
         Newton iteration cap.
-    fd_step
-        Relative step of the forward-difference Jacobian (where no exact
-        one is given).
     max_step
         Cap on the Newton step infinity norm (guards against blow-ups when
         the Jacobian is nearly singular far from the solution).
     """
 
-    def __init__(
-        self,
-        tol: float = 1e-8,
-        max_iterations: int = 40,
-        fd_step: float = 1e-7,
-        max_step: float = 5.0,
-    ) -> None:
+    def __init__(self, tol: float = 1e-8, max_iterations: int = 40, max_step: float = 5.0) -> None:
         if tol <= 0:
             raise ValueError("tol must be positive")
         self.tol = tol
         self.max_iterations = max_iterations
-        self.fd_step = fd_step
         self.max_step = max_step
 
     def solve(self, fn: Callable, x0: np.ndarray) -> PointSolveResult:
-        """Solve ``fn(x) = 0`` starting from ``x0``.
+        """Solve ``f(x) = 0`` starting from ``x0``, where ``fn(x)`` returns ``(f, J)``.
 
-        One system is a batch of one: :class:`BatchNewtonSolver` on a single
-        row, whose best iterate is the answer whether or not it converged.
-        A residual call carries several candidates for that row; ``fn``
-        sees them one at a time.
+        ``J`` is the ``(n, n)`` Jacobian of ``f`` at ``x``.  One system is a
+        batch of one: :class:`BatchNewtonSolver` on a single row, whose best
+        iterate is the answer whether or not it converged.  A residual call
+        carries several candidates for that row; ``fn`` sees them one at a
+        time.
         """
-        batch = BatchNewtonSolver(self).solve(
-            lambda rows, X: np.stack([np.asarray(fn(x), dtype=float) for x in X]),
-            np.asarray(x0, dtype=float)[None, :],
-        )
+        n = np.size(x0)
+
+        def rows_fn(rows: np.ndarray, X: np.ndarray) -> tuple:
+            F, J = zip(*(fn(x) for x in X))
+            jac = np.asarray(J, dtype=float).reshape(-1, n, n)
+            return np.asarray(F, dtype=float), jac.__getitem__
+
+        batch = BatchNewtonSolver(self).solve(rows_fn, np.asarray(x0, dtype=float).reshape(1, n))
         return PointSolveResult(
             batch.x[0],
             float(batch.residual_norm[0]),
@@ -115,44 +110,38 @@ class BatchNewtonSolver:
     norm, row-masked over ``m`` systems at once.  A Newton iteration makes
     one call for the full step of every active row and, when the full step
     does not serve every row, one more for all eleven halvings of the rest,
-    each of which takes the first halving that lowers its norm.  With the
-    caller's ``jac`` the Jacobian costs no call: each call returns its
-    linearization, and the next iteration's Jacobian of a row is that of
-    the call which accepted its point — so a run makes ``1 + iterations +
-    halving rounds`` calls and evaluates no point twice.  Without it the
-    Jacobian is a forward difference, one more call an iteration: the
-    residual at every active row ``n`` times, copy ``j`` with column ``j``
-    perturbed, the first of them carrying the start residual (each row at
-    ``x0`` next to its ``n`` copies), so a run whose full steps are all
-    accepted makes ``2 * iterations``.  Rows whose line search stalls are
+    each of which takes the first halving that lowers its norm.  The
+    Jacobian costs no call: each call returns its linearization, and the
+    next iteration's Jacobian of a row is that of the call which accepted
+    its point — so a run makes ``1 + iterations + halving rounds`` calls
+    and evaluates no point twice.  Rows whose line search stalls are
     deactivated and reported unconverged with their best iterate.
 
-    The residual callback receives ``(rows, X)`` where ``rows`` indexes the
-    original batch (so the callback can look up per-row problem data) and
-    ``X`` holds the candidate unknowns for exactly those rows.  ``rows`` is
+    The callback receives ``(rows, X)`` where ``rows`` indexes the original
+    batch (so the callback can look up per-row problem data) and ``X``
+    holds the candidate unknowns for exactly those rows.  ``rows`` is
     nondecreasing and may repeat: a row appears once per candidate the call
     evaluates for it.  Rows must be independent — a row's residual depends
     on its own ``X`` row only.
     """
 
     def __init__(self, settings: NewtonSolver | None = None) -> None:
-        """Take tolerance, iteration cap, FD step and step cap from a :class:`NewtonSolver`."""
+        """Take tolerance, iteration cap and step cap from a :class:`NewtonSolver`."""
         settings = settings if settings is not None else NewtonSolver()
         self.tol, self.max_iterations = settings.tol, settings.max_iterations
-        self.fd_step, self.max_step = settings.fd_step, settings.max_step
+        self.max_step = settings.max_step
 
-    def solve(self, fn: Callable, x0: np.ndarray, jac: Callable | None = None) -> BatchSolveResult:
-        """Solve ``fn(rows, X) = 0`` row-wise starting from ``x0`` (m, n).
+    def solve(self, fn: Callable, x0: np.ndarray) -> BatchSolveResult:
+        """Solve ``F(rows, X) = 0`` row-wise starting from ``x0`` (m, n).
 
-        ``jac(rows, X) -> (F, linearize)``, when given, is ``fn`` together
-        with the call's linearization: ``linearize(positions)`` is the exact
-        Jacobian ``(len(positions), n, n)`` at the call's candidates
-        ``positions`` (increasing).  Every call of the run then goes through
-        ``jac`` — the start, the full steps, the halvings — and ``fn`` is
-        not called; Newton linearizes the rows it keeps active, at the
-        candidate it accepted for them, and drops each linearization once it
-        has taken those rows.  Without ``jac`` the Jacobian is a forward
-        difference of ``fn``.
+        ``fn(rows, X) -> (F, linearize)`` returns the residuals at the
+        call's candidates and the call's linearization:
+        ``linearize(positions)`` is the exact Jacobian ``(len(positions), n,
+        n)`` at the candidates ``positions`` (increasing).  Every call of the
+        run goes through ``fn`` — the start, the full steps, the halvings;
+        Newton linearizes the rows it keeps active, at the candidate it
+        accepted for them, and drops each linearization once it has taken
+        those rows.
         """
         X = np.array(x0, dtype=float)
         if X.ndim != 2:
@@ -161,43 +150,14 @@ class BatchNewtonSolver:
         evals = 0
 
         def evaluate(rows: np.ndarray, candidates: np.ndarray) -> tuple:
-            # one counted call at candidates (..., n): the residuals, and the
-            # call's linearization (None without jac)
+            # one counted call at candidates (..., n): the residuals and the
+            # call's linearization
             nonlocal evals
             evals += 1
-            flat = candidates.reshape(-1, n)
-            F, linearize = (fn(rows, flat), None) if jac is None else jac(rows, flat)
+            F, linearize = fn(rows, candidates.reshape(-1, n))
             return np.asarray(F, dtype=float).reshape(candidates.shape), linearize
 
-        diag = np.arange(n)
-
-        def perturbed(Xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # forward-difference steps, and n copies of each row: copy j has
-            # column j stepped
-            steps = self.fd_step * np.maximum(np.abs(Xa), 1.0)
-            Xp = np.repeat(Xa[:, None, :], n, axis=1)
-            Xp[:, diag, diag] += steps
-            return steps, Xp
-
-        def differences(Fp: np.ndarray, Fa: np.ndarray, steps: np.ndarray) -> np.ndarray:
-            # Fp[r, j] is row r's residual with column j perturbed
-            return ((Fp - Fa[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
-
-        def forward(rows: np.ndarray, Xa: np.ndarray) -> np.ndarray:
-            steps, Xp = perturbed(Xa)
-            return differences(evaluate(np.repeat(rows, n), Xp)[0], F[rows], steps)
-
-        if jac is None:
-            # the start residual rides in the first Jacobian call: each row
-            # at x0 and at its n perturbed copies, n + 1 candidates a row
-            first_steps, Xp = perturbed(X)
-            out, _ = evaluate(
-                np.repeat(np.arange(m), n + 1), np.concatenate([X[:, None], Xp], axis=1)
-            )
-            F = out[:, 0]
-            linearize = differences(out[:, 1:], F, first_steps).__getitem__
-        else:
-            F, linearize = evaluate(np.arange(m), X)
+        F, linearize = evaluate(np.arange(m), X)
         norms = np.max(np.abs(F), axis=1)
         best_x, best_norm = X.copy(), norms.copy()
         active = norms >= self.tol
@@ -209,7 +169,7 @@ class BatchNewtonSolver:
         while iterations < self.max_iterations and active.any():
             idx = np.flatnonzero(active)
             Xa, Fa, norm_a = X[idx], F[idx], norms[idx]
-            jac_a = forward(idx, Xa) if pieces is None else _linearized(pieces, idx.size, n)
+            jac_a = _linearized(pieces, idx.size, n)
             pieces = None  # the calls' linearizations go with it
             iterations += 1
             step = _newton_steps(jac_a, -Fa)
@@ -251,13 +211,12 @@ class BatchNewtonSolver:
             kept = accepted & (trial_norm >= self.tol)
             active[idx[~accepted]] = False
             active[improved] = norms[improved] >= self.tol
-            if jac is not None:
-                # the next Jacobian: the kept rows, linearized by the calls that accepted them
-                pieces = [
-                    (linearize, at[kept & mask], mask[kept])
-                    for linearize, mask in ((full, ~halved), (halving, halved))
-                    if (kept & mask).any()
-                ]
+            # the next Jacobian: the kept rows, linearized by the calls that accepted them
+            pieces = [
+                (linearize, at[kept & mask], mask[kept])
+                for linearize, mask in ((full, ~halved), (halving, halved))
+                if (kept & mask).any()
+            ]
             del full, halving
         return BatchSolveResult(
             x=best_x,

@@ -367,6 +367,15 @@ class TestCommandLine:
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"repro-analyze {__version__}"
 
+    def test_the_analyzer_the_package_and_pyproject_share_one_version(self):
+        import tomllib
+
+        import repro
+        from repro.analysis import __version__
+
+        project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+        assert __version__ == repro.__version__ == project["version"]
+
     def test_json_envelope_schema(self, tmp_path):
         target = tmp_path / "src" / "repro" / "scenarios"
         target.mkdir(parents=True)

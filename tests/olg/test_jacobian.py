@@ -135,10 +135,13 @@ def test_the_read_gradient_is_the_difference_of_the_read(adaptive):
     X = model.domain.from_unit(U)
     columns = (0, 2)  # savings: a pick that skips a column
     weights = rng.standard_normal((2, len(X), len(columns)))
-    values, gradient = read.with_gradient((0, 1), 0, X, columns)
-    np.testing.assert_array_equal(values, read((0, 1), 0, X, columns))
+    values = read((0, 1), 0, X, columns)
     np.testing.assert_array_equal(values, read((0, 1), 0, X)[..., list(columns)])
-    exact = gradient(weights)
+    exact = read.gradient((0, 1), 0, X, columns, weights)
+    keep = np.arange(0, len(X), 3)
+    np.testing.assert_array_equal(
+        read.gradient((0, 1), 0, X[keep], columns, weights[:, keep]), exact[keep]
+    )
     for b in range(model.state_dim):
         h = step * model.domain.widths[b]
         shifted = X.copy()
@@ -195,7 +198,7 @@ _STEP = 1e-9
 def _jacobian(system, z, member, cash, savings, read):
     """The Euler gaps and the exact Jacobian at every row: ``_euler``, then ``_linearize``."""
     e = system._euler(z, member, cash, savings, read)
-    return e.gap, system._linearize(member, savings, e, np.arange(len(savings)))
+    return e.gap, system._linearize(member, savings, e, np.arange(len(savings)), read)
 
 
 def _fischer_burmeister(system, z, member, cash, savings, read):
@@ -323,7 +326,7 @@ def test_the_fischer_burmeister_corner_takes_the_generalized_element():
 # the Newton run
 # --------------------------------------------------------------------------- #
 class _Watch:
-    """A ``jac`` spy: every call's rows and candidates, every linearization taken.
+    """A Newton callback spy: every call's rows and candidates, every linearization taken.
 
     ``events`` lists ``("call", rows, X)`` and ``("linearize", rows, X, J,
     call)`` — the rows, candidates and Jacobians at the positions taken,
@@ -332,15 +335,15 @@ class _Watch:
     those still alive.
     """
 
-    def __init__(self, jac):
-        self.jac, self.events, self.calls, self.alive_at_call, self._refs = jac, [], [], [], []
+    def __init__(self, fn):
+        self.fn, self.events, self.calls, self.alive_at_call, self._refs = fn, [], [], [], []
 
     def __call__(self, rows, X):
         self.alive_at_call.append(sum(ref() is not None for ref in self._refs))
         call, rows, X = len(self.calls), rows.copy(), X.copy()
         self.calls.append((rows, X))
         self.events.append(("call", rows, X))
-        F, linearize = self.jac(rows, X)
+        F, linearize = self.fn(rows, X)
 
         def watched(positions):
             J = linearize(positions)
@@ -362,12 +365,9 @@ def _watched_run(solve):
     """``solve()`` with ``BatchNewtonSolver.solve`` watched: its one run and the watch."""
     runs, watches, newton = [], [], BatchNewtonSolver.solve
 
-    def watching(self, fn, x0, jac=None):
-        def fn_spy(rows, X):
-            raise AssertionError("an exact-Jacobian run goes through jac only")
-
-        watches.append(_Watch(jac))
-        runs.append(newton(self, fn_spy, x0, watches[-1]))
+    def watching(self, fn, x0):
+        watches.append(_Watch(fn))
+        runs.append(newton(self, watches[-1], x0))
         return runs[-1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -429,23 +429,21 @@ def test_newton_steps_from_the_points_it_linearized():
     A = np.eye(n) + 0.2 * rng.standard_normal((m, n, n))
     root = rng.uniform(-1, 1, (m, n))
 
-    def fn(rows, X):
+    def residual(rows, X):
         return np.arctan(np.einsum("rij,rj->ri", A[rows], X - root[rows]))
 
     def exact(rows, X):
         d = np.einsum("rij,rj->ri", A[rows], X - root[rows])
         return A[rows] / (1.0 + d**2)[:, :, None]
 
-    def jac(rows, X):
-        return fn(rows, X), lambda positions: exact(rows[positions], X[positions])
+    def fn(rows, X):
+        return residual(rows, X), lambda positions: exact(rows[positions], X[positions])
 
     solver = BatchNewtonSolver(NewtonSolver(max_step=1e9))
     x0 = root + rng.uniform(-3, 3, (m, n))
-    run, watch = _watched_run(lambda: solver.solve(fn, x0, jac))
-    forward = solver.solve(fn, x0)
-    assert run.converged.all() and forward.converged.all()
+    run, watch = _watched_run(lambda: solver.solve(fn, x0))
+    assert run.converged.all()
     np.testing.assert_allclose(run.x, root, atol=1e-7)
-    assert run.iterations <= forward.iterations
     _check_one_evaluation_an_iteration(run, watch)
     assert any(watch.halving(call) for *_, call in watch.linearized())
     taken, steps = {}, 0
@@ -458,7 +456,7 @@ def test_newton_steps_from_the_points_it_linearized():
             assert sorted(taken) == rows.tolist()
             for r, trial in zip(rows.tolist(), X):
                 x, J = taken[r]
-                F = fn(np.array([r]), x[None])[0]
+                F = residual(np.array([r]), x[None])[0]
                 np.testing.assert_allclose(J @ (trial - x), -F, rtol=1e-9, atol=1e-12)
             taken, steps = {}, steps + 1
     assert steps == run.iterations

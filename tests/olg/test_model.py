@@ -204,8 +204,8 @@ class TestStalledRows:
         model = OLGModel(calibration, solver=NewtonSolver(**newton))
         results, outs = [], []
         newton, solve = model.system.batch_solver.solve, model.system.solve
-        model.system.batch_solver.solve = lambda *args: (
-            results.append(newton(*args)) or results[-1]
+        model.system.batch_solver.solve = lambda fn, x0: (
+            results.append(newton(fn, x0)) or results[-1]
         )
         model.system.solve = lambda *args: outs.append(solve(*args)) or outs[-1]
         solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=2))

@@ -16,26 +16,29 @@ class TestNewtonSolver:
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         b = np.array([1.0, 2.0])
         solver = NewtonSolver(tol=1e-12)
-        result = solver.solve(lambda x: A @ x - b, np.zeros(2))
+        result = solver.solve(lambda x: (A @ x - b, A), np.zeros(2))
         assert result.converged
         np.testing.assert_allclose(result.x, np.linalg.solve(A, b), atol=1e-9)
 
     def test_scalar_nonlinear_root(self):
         solver = NewtonSolver()
-        result = solver.solve(lambda x: np.array([x[0] ** 3 - 8.0]), np.array([1.0]))
+        result = solver.solve(
+            lambda x: (np.array([x[0] ** 3 - 8.0]), np.array([[3.0 * x[0] ** 2]])), np.array([1.0])
+        )
         assert result.converged
         assert result.x[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_coupled_nonlinear_system(self):
         def fn(x):
-            return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
+            f = np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
+            return f, np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
 
         result = NewtonSolver().solve(fn, np.array([1.0, 0.5]))
         assert result.converged
         np.testing.assert_allclose(np.abs(result.x), np.sqrt(2.0), atol=1e-6)
 
     def test_residual_norm_reported(self):
-        result = NewtonSolver().solve(lambda x: x - 3.0, np.array([0.0]))
+        result = NewtonSolver().solve(lambda x: (x - 3.0, np.eye(1)), np.array([0.0]))
         assert result.residual_norm < 1e-8
         assert result.residual_evaluations > 0
         assert isinstance(result, PointSolveResult)
@@ -46,10 +49,12 @@ class TestNewtonSolver:
         resources = 2.0
 
         def fn(log_s):
-            s = np.exp(log_s)
+            s = np.exp(log_s[0])
             c_today = resources - s
             c_next = R * s
-            return np.array([c_today[0] ** -2 - beta * R * c_next[0] ** -2])
+            f = c_today**-2 - beta * R * c_next**-2
+            slope = 2.0 * s * (c_today**-3 + beta * R * R * c_next**-3)
+            return np.array([f]), np.array([[slope]])
 
         result = NewtonSolver().solve(fn, np.array([np.log(0.5)]))
         assert result.converged
@@ -62,42 +67,47 @@ class TestNewtonSolver:
     def test_truncated_run_on_hard_start_returns_best_iterate(self):
         """A start too far for one Newton iteration: unconverged, best iterate, its counts."""
 
-        def fn(x):
+        def f(x):
             return np.array([x[0] ** 3 - 8.0, np.sin(x[1])])
+
+        def jac(x):
+            return np.diag([3.0 * x[0] ** 2, np.cos(x[1])])
+
+        def rows_fn(rows, X):
+            return np.stack([f(x) for x in X]), lambda at: np.stack([jac(x) for x in X[at]])
 
         x0 = np.array([10.0, 2.0])
         solver = NewtonSolver(max_iterations=1)
-        result = solver.solve(fn, x0)
-        batch = BatchNewtonSolver(solver).solve(
-            lambda rows, X: np.stack([fn(x) for x in X]), x0[None]
-        )
+        result = solver.solve(lambda x: (f(x), jac(x)), x0)
+        batch = BatchNewtonSolver(solver).solve(rows_fn, x0[None])
         assert not result.converged
         assert np.array_equal(result.x, batch.x[0])
-        assert result.residual_norm == np.max(np.abs(fn(result.x))) < np.max(np.abs(fn(x0)))
+        assert result.residual_norm == np.max(np.abs(f(result.x))) < np.max(np.abs(f(x0)))
         assert result.iterations == 1
-        # the start residual rides in the Jacobian call, then the full step
+        # the start, then the full step
         assert result.residual_evaluations == batch.residual_evaluations == 2
 
-    def test_run_of_accepted_full_steps_makes_two_calls_an_iteration(self):
-        """No halving anywhere: a Jacobian call and a full-step call per iteration, no more."""
+    def test_run_of_accepted_full_steps_makes_one_call_an_iteration(self):
+        """No halving anywhere: the start, then one full-step call per iteration, no more."""
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         b = np.array([1.0, 2.0])
         calls = []
 
         def fn(rows, X):
             calls.append(len(rows))
-            return X @ A.T - b + 0.1 * X**3
+            F = X @ A.T - b + 0.1 * X**3
+            return F, lambda at: A + 0.3 * X[at, None, :] ** 2 * np.eye(2)
 
         result = BatchNewtonSolver(NewtonSolver(tol=1e-12)).solve(fn, np.zeros((3, 2)))
         assert result.converged.all()
         assert result.iterations > 1
-        assert result.residual_evaluations == len(calls) == 2 * result.iterations
-        # the first call carries each row at x0 and its n perturbed copies
-        assert calls[0] == 3 * (2 + 1)
+        assert result.residual_evaluations == len(calls) == 1 + result.iterations
+        # every call carries each active row once: no halvings
+        assert calls[0] == 3
 
     def test_stalled_run_reports_not_converged(self):
         def fn(x):
-            return np.array([np.tanh(x[0]) - 0.5])
+            return np.array([np.tanh(x[0]) - 0.5]), np.array([[np.cosh(x[0]) ** -2]])
 
         result = NewtonSolver(max_iterations=1).solve(fn, np.array([40.0]))
         assert not result.converged
@@ -105,8 +115,9 @@ class TestNewtonSolver:
 
     def test_singular_jacobian_uses_least_squares(self):
         def fn(x):
-            # rank-deficient Jacobian at the start, still solvable
-            return np.array([x[0] + x[1] - 2.0, 2.0 * (x[0] + x[1]) - 4.0])
+            # rank-deficient Jacobian everywhere, still solvable
+            f = np.array([x[0] + x[1] - 2.0, 2.0 * (x[0] + x[1]) - 4.0])
+            return f, np.array([[1.0, 1.0], [2.0, 2.0]])
 
         result = NewtonSolver().solve(fn, np.array([0.0, 0.0]))
         assert result.residual_norm < 1e-8

@@ -530,23 +530,23 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         """
         seen = []
         newton = system.batch_solver.solve
-        read = PolicyRead.with_gradient
+        read, gradient = PolicyRead.__call__, PolicyRead.gradient
+
+        def twice(member, X):
+            return member if np.ndim(member) == 0 else np.repeat(member, 2), np.repeat(X, 2, axis=0)
 
         def read_twice(self, states, member, X, columns=None):
-            member = member if np.ndim(member) == 0 else np.repeat(member, 2)
-            values, gradient = read(self, states, member, np.repeat(X, 2, axis=0), columns)
+            return read(self, states, *twice(member, X), columns)[:, ::2]
 
-            def gradient_twice(weights, keep=None):
-                keep = np.arange(weights.shape[1]) if keep is None else np.asarray(keep)
-                both = (2 * keep[:, None] + np.arange(2)).ravel()
-                return gradient(np.repeat(weights, 2, axis=1), both)[::2]
+        def gradient_twice(self, states, member, X, columns, weights):
+            both = np.repeat(weights, 2, axis=1)
+            return gradient(self, states, *twice(member, X), columns, both)[::2]
 
-            return values[:, ::2], gradient_twice
-
-        system.batch_solver.solve = lambda *args: seen.append(newton(*args)) or seen[-1]
+        system.batch_solver.solve = lambda fn, x0: seen.append(newton(fn, x0)) or seen[-1]
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(PolicyRead, "with_gradient", read_twice)
+                patch.setattr(PolicyRead, "__call__", read_twice)
+                patch.setattr(PolicyRead, "gradient", gradient_twice)
                 out = system.solve(z, member, X, policies, None)
         finally:
             system.batch_solver.solve = newton
@@ -614,13 +614,13 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layou
     calls = []
     newton = BatchNewtonSolver.solve
 
-    def recording(self, fn, x0, jac):
-        def jac_spy(rows, candidates):
-            out, linearize = jac(rows, candidates)
+    def recording(self, fn, x0):
+        def spy(rows, candidates):
+            out, linearize = fn(rows, candidates)
             calls.append((rows.copy(), candidates.copy(), np.array(out)))
             return out, linearize
 
-        return newton(self, fn, x0, jac_spy)
+        return newton(self, spy, x0)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BatchNewtonSolver, "solve", recording)
@@ -634,16 +634,27 @@ def test_the_prepared_residual_is_the_public_one(calibration, level, thin, layou
     assert np.array_equal(out[:, ns:], values)
 
 
-def _synthetic_system(rng: np.random.Generator, m: int, n: int):
-    """``m`` independent, mildly nonlinear ``n x n`` systems with known roots."""
+def _synthetic_system(rng: np.random.Generator, m: int, n: int, bound: float = np.inf):
+    """``m`` independent, mildly nonlinear ``n x n`` systems with known roots.
+
+    The unknowns are clipped to ``[-bound, bound]`` the way the OLG savings
+    are clipped into the box.  A call returns the residuals and their
+    closed-form Jacobian ``A + 3c diag(d**2)``, zero in the clipped columns.
+    """
     A = np.eye(n) + 0.2 * rng.standard_normal((m, n, n))
     root = rng.uniform(-1.0, 1.0, size=(m, n))
     cubic = rng.uniform(0.0, 0.5, size=(m, 1))
 
     def rows_fn(rows, X):
-        d = X - root[rows]
-        # elementwise product and a last-axis sum: bit-stable in the batch size
-        return (A[rows] * d[:, None, :]).sum(axis=2) + cubic[rows] * d**3
+        d = np.clip(X, -bound, bound) - root[rows]
+        inside = (X >= -bound) & (X < bound)  # the clip's slope, from the right
+
+        def linearize(at):
+            own = np.eye(n) * (3.0 * cubic[rows[at]] * d[at] ** 2)[:, None, :]
+            return (A[rows[at]] + own) * inside[at, None, :]
+
+        # elementwise products and a last-axis sum: bit-stable in the batch size
+        return (A[rows] * d[:, None, :]).sum(axis=2) + cubic[rows] * d * d * d, linearize
 
     return rows_fn, root
 
@@ -667,11 +678,16 @@ def test_batch_newton_reproduces_scalar_newton_row_by_row(seed, m, n, max_iterat
     batch = BatchNewtonSolver(scalar).solve(rows_fn, x0)
     assert batch.x.shape == (m, n) and batch.converged.shape == (m,)
     for r in range(m):
-        one = scalar.solve(lambda x, r=r: rows_fn(np.array([r]), x[None, :])[0], x0[r])
+
+        def one_row(x, r=r):
+            F, linearize = rows_fn(np.array([r]), x[None, :])
+            return F[0], linearize([0])[0]
+
+        one = scalar.solve(one_row, x0[r])
         assert one.converged == bool(batch.converged[r])
         assert _close(batch.x[r], one.x)
         if one.converged:
-            assert np.max(np.abs(rows_fn(np.array([r]), one.x[None, :]))) < 1e-7
+            assert np.max(np.abs(one_row(one.x)[0])) < 1e-7
     # a row's answer does not depend on what else is in the batch
     keep = np.flatnonzero(rng.random(m) < 0.5)
     if keep.size:
@@ -682,11 +698,13 @@ def test_batch_newton_reproduces_scalar_newton_row_by_row(seed, m, n, max_iterat
 
 def _sequential_newton(fn, x0, settings: NewtonSolver):
     """The reference :class:`BatchNewtonSolver` is held to: the same damped Newton
-    with one residual call per Jacobian column and one per line-search halving.
+    with one residual call per line-search halving, each row's Jacobian taken
+    from the call that accepted its point.
     """
     X = np.array(x0, dtype=float)
     m, n = X.shape
-    F = np.asarray(fn(np.arange(m), X), dtype=float).reshape(m, n)
+    F, linearize = fn(np.arange(m), X)
+    jac = linearize(np.arange(m))
     evals = 1
     norms = np.max(np.abs(F), axis=1)
     best_x, best_norm = X.copy(), norms.copy()
@@ -696,20 +714,12 @@ def _sequential_newton(fn, x0, settings: NewtonSolver):
         iterations += 1
         idx = np.flatnonzero(active)
         Xa, Fa = X[idx], F[idx]
-        jac = np.empty((idx.size, n, n), dtype=float)
-        steps = settings.fd_step * np.maximum(np.abs(Xa), 1.0)
-        for j in range(n):
-            Xp = Xa.copy()
-            Xp[:, j] += steps[:, j]
-            Fp = np.asarray(fn(idx, Xp), dtype=float).reshape(idx.size, n)
-            evals += 1
-            jac[:, :, j] = (Fp - Fa) / steps[:, j][:, None]
         step = np.empty_like(Fa)
         for r in range(idx.size):
             try:
-                step[r] = np.linalg.solve(jac[r], -Fa[r])
+                step[r] = np.linalg.solve(jac[idx[r]], -Fa[r])
             except np.linalg.LinAlgError:
-                step[r], *_ = np.linalg.lstsq(jac[r], -Fa[r], rcond=None)
+                step[r], *_ = np.linalg.lstsq(jac[idx[r]], -Fa[r], rcond=None)
         step_norm = np.max(np.abs(step), axis=1)
         too_big = step_norm > settings.max_step
         step[too_big] *= (settings.max_step / step_norm[too_big])[:, None]
@@ -720,12 +730,13 @@ def _sequential_newton(fn, x0, settings: NewtonSolver):
             if p.size == 0:
                 break
             trial = Xa[p] + lam[p, None] * step[p]
-            f_trial = np.asarray(fn(idx[p], trial), dtype=float).reshape(p.size, n)
+            f_trial, linearize = fn(idx[p], trial)
             evals += 1
             trial_norm = np.max(np.abs(f_trial), axis=1)
             good = trial_norm < norms[idx[p]]
             rows = idx[p[good]]
             X[rows], F[rows], norms[rows] = trial[good], f_trial[good], trial_norm[good]
+            jac[rows] = linearize(np.flatnonzero(good))
             pending[p[good]] = False
             lam[p[~good]] *= 0.5
         better = norms < best_norm
@@ -745,10 +756,7 @@ def _sequential_newton(fn, x0, settings: NewtonSolver):
     bound=st.sampled_from([np.inf, 1.2]),
 )
 def test_fused_newton_is_the_sequential_newton(seed, m, n, max_iterations, bound):
-    """Bit for bit the column-by-column, halving-by-halving loop, in <= 3 calls an iteration.
-
-    The start residual rides in the first Jacobian call, so a run makes at
-    most ``3 * iterations`` calls (one when no row needs an iteration).
+    """Bit for bit the halving-by-halving loop, in <= 2 calls an iteration after the start.
 
     ``bound`` clips the unknowns the way the OLG savings are clipped: a row
     started beyond it has an all-zero Jacobian column, which exercises the
@@ -756,17 +764,13 @@ def test_fused_newton_is_the_sequential_newton(seed, m, n, max_iterations, bound
     ones by least squares) against the reference's row-by-row solves.
     """
     rng = np.random.default_rng(seed)
-    A = np.eye(n) + 0.2 * rng.standard_normal((m, n, n))
-    root = rng.uniform(-1.0, 1.0, size=(m, n))
-    cubic = rng.uniform(0.0, 0.5, size=(m, 1))
+    system, root = _synthetic_system(rng, m, n, bound)
     calls = []
 
     def rows_fn(rows, X):
         calls.append(len(rows))
         assert np.all(np.diff(rows) >= 0)
-        d = np.clip(X, -bound, bound) - root[rows]
-        # elementwise products and a last-axis sum: bit-stable in the batch size
-        return (A[rows] * d[:, None, :]).sum(axis=2) + cubic[rows] * d * d * d
+        return system(rows, X)
 
     x0 = root + rng.uniform(-0.8, 0.8, size=(m, n))
     newton = NewtonSolver(max_iterations=max_iterations)
@@ -777,5 +781,5 @@ def test_fused_newton_is_the_sequential_newton(seed, m, n, max_iterations, bound
     assert np.array_equal(fused.residual_norm, norm)
     assert np.array_equal(fused.converged, converged)
     assert fused.iterations == iterations
-    assert fused.residual_evaluations == len(calls) <= max(3 * iterations, 1)
+    assert fused.residual_evaluations == len(calls) <= 1 + 2 * iterations
     assert fused.residual_evaluations <= ref_evals
