@@ -42,7 +42,7 @@ class PointSolveResult:
 
 
 class NewtonSolver:
-    """Damped Newton: the settings, and one system with its Jacobian.
+    """Damped Newton: the settings, and one system as a batch of one.
 
     Parameters
     ----------
@@ -63,22 +63,13 @@ class NewtonSolver:
         self.max_step = max_step
 
     def solve(self, fn: Callable, x0: np.ndarray) -> PointSolveResult:
-        """Solve ``f(x) = 0`` starting from ``x0``, where ``fn(x)`` returns ``(f, J)``.
+        """Solve one system ``f(x) = 0`` starting from ``x0`` (n,).
 
-        ``J`` is the ``(n, n)`` Jacobian of ``f`` at ``x``.  One system is a
-        batch of one: :class:`BatchNewtonSolver` on a single row, whose best
-        iterate is the answer whether or not it converged.  A residual call
-        carries several candidates for that row; ``fn`` sees them one at a
-        time.
+        ``fn(rows, X) -> (F, linearize)`` is :meth:`BatchNewtonSolver.solve`'s
+        callback, and one system is a batch of one: ``rows`` is all zeros,
+        and the best iterate is the answer whether or not it converged.
         """
-        n = np.size(x0)
-
-        def rows_fn(rows: np.ndarray, X: np.ndarray) -> tuple:
-            F, J = zip(*(fn(x) for x in X))
-            jac = np.asarray(J, dtype=float).reshape(-1, n, n)
-            return np.asarray(F, dtype=float), jac.__getitem__
-
-        batch = BatchNewtonSolver(self).solve(rows_fn, np.asarray(x0, dtype=float).reshape(1, n))
+        batch = BatchNewtonSolver(self).solve(fn, np.asarray(x0, dtype=float)[None])
         return PointSolveResult(
             batch.x[0],
             float(batch.residual_norm[0]),

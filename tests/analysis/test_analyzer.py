@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -368,13 +369,12 @@ class TestCommandLine:
         assert proc.stdout.strip() == f"repro-analyze {__version__}"
 
     def test_the_analyzer_the_package_and_pyproject_share_one_version(self):
-        import tomllib
-
         import repro
         from repro.analysis import __version__
 
-        project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
-        assert __version__ == repro.__version__ == project["version"]
+        pyproject = (REPO / "pyproject.toml").read_text()
+        (project,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+        assert __version__ == repro.__version__ == project
 
     def test_json_envelope_schema(self, tmp_path):
         target = tmp_path / "src" / "repro" / "scenarios"

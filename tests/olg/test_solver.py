@@ -12,33 +12,48 @@ from repro.olg.solver import (
 
 
 class TestNewtonSolver:
+    """One system through :meth:`NewtonSolver.solve`: the batch callback, on a batch of one."""
+
     def test_linear_system_one_step(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         b = np.array([1.0, 2.0])
         solver = NewtonSolver(tol=1e-12)
-        result = solver.solve(lambda x: (A @ x - b, A), np.zeros(2))
+
+        def fn(rows, X):
+            return X @ A.T - b, lambda at: np.tile(A, (len(at), 1, 1))
+
+        result = solver.solve(fn, np.zeros(2))
         assert result.converged
         np.testing.assert_allclose(result.x, np.linalg.solve(A, b), atol=1e-9)
 
     def test_scalar_nonlinear_root(self):
-        solver = NewtonSolver()
-        result = solver.solve(
-            lambda x: (np.array([x[0] ** 3 - 8.0]), np.array([[3.0 * x[0] ** 2]])), np.array([1.0])
-        )
+        def fn(rows, X):
+            return X**3 - 8.0, lambda at: 3.0 * X[at, :, None] ** 2
+
+        result = NewtonSolver().solve(fn, np.array([1.0]))
         assert result.converged
         assert result.x[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_coupled_nonlinear_system(self):
-        def fn(x):
-            f = np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
-            return f, np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
+        def fn(rows, X):
+            x, y = X.T
+            F = np.stack([x**2 + y**2 - 4.0, x - y], axis=1)
+
+            def linearize(at):
+                ones = np.ones(len(at))
+                return np.stack([[2.0 * x[at], 2.0 * y[at]], [ones, -ones]]).transpose(2, 0, 1)
+
+            return F, linearize
 
         result = NewtonSolver().solve(fn, np.array([1.0, 0.5]))
         assert result.converged
         np.testing.assert_allclose(np.abs(result.x), np.sqrt(2.0), atol=1e-6)
 
     def test_residual_norm_reported(self):
-        result = NewtonSolver().solve(lambda x: (x - 3.0, np.eye(1)), np.array([0.0]))
+        def fn(rows, X):
+            return X - 3.0, lambda at: np.ones((len(at), 1, 1))
+
+        result = NewtonSolver().solve(fn, np.array([0.0]))
         assert result.residual_norm < 1e-8
         assert result.residual_evaluations > 0
         assert isinstance(result, PointSolveResult)
@@ -48,13 +63,13 @@ class TestNewtonSolver:
         beta, R = 0.9, 1.2
         resources = 2.0
 
-        def fn(log_s):
-            s = np.exp(log_s[0])
+        def fn(rows, log_s):
+            s = np.exp(log_s[:, 0])
             c_today = resources - s
             c_next = R * s
             f = c_today**-2 - beta * R * c_next**-2
             slope = 2.0 * s * (c_today**-3 + beta * R * R * c_next**-3)
-            return np.array([f]), np.array([[slope]])
+            return f[:, None], lambda at: slope[at, None, None]
 
         result = NewtonSolver().solve(fn, np.array([np.log(0.5)]))
         assert result.converged
@@ -78,7 +93,7 @@ class TestNewtonSolver:
 
         x0 = np.array([10.0, 2.0])
         solver = NewtonSolver(max_iterations=1)
-        result = solver.solve(lambda x: (f(x), jac(x)), x0)
+        result = solver.solve(rows_fn, x0)
         batch = BatchNewtonSolver(solver).solve(rows_fn, x0[None])
         assert not result.converged
         assert np.array_equal(result.x, batch.x[0])
@@ -106,18 +121,19 @@ class TestNewtonSolver:
         assert calls[0] == 3
 
     def test_stalled_run_reports_not_converged(self):
-        def fn(x):
-            return np.array([np.tanh(x[0]) - 0.5]), np.array([[np.cosh(x[0]) ** -2]])
+        def fn(rows, X):
+            return np.tanh(X) - 0.5, lambda at: np.cosh(X[at, :, None]) ** -2
 
         result = NewtonSolver(max_iterations=1).solve(fn, np.array([40.0]))
         assert not result.converged
         assert result.x[0] == 40.0  # flat there: no step lowers the residual
 
     def test_singular_jacobian_uses_least_squares(self):
-        def fn(x):
+        def fn(rows, X):
             # rank-deficient Jacobian everywhere, still solvable
-            f = np.array([x[0] + x[1] - 2.0, 2.0 * (x[0] + x[1]) - 4.0])
-            return f, np.array([[1.0, 1.0], [2.0, 2.0]])
+            total = X.sum(axis=1)
+            F = np.stack([total - 2.0, 2.0 * total - 4.0], axis=1)
+            return F, lambda at: np.tile([[1.0, 1.0], [2.0, 2.0]], (len(at), 1, 1))
 
         result = NewtonSolver().solve(fn, np.array([0.0, 0.0]))
         assert result.residual_norm < 1e-8

@@ -678,16 +678,12 @@ def test_batch_newton_reproduces_scalar_newton_row_by_row(seed, m, n, max_iterat
     batch = BatchNewtonSolver(scalar).solve(rows_fn, x0)
     assert batch.x.shape == (m, n) and batch.converged.shape == (m,)
     for r in range(m):
-
-        def one_row(x, r=r):
-            F, linearize = rows_fn(np.array([r]), x[None, :])
-            return F[0], linearize([0])[0]
-
-        one = scalar.solve(one_row, x0[r])
+        # row r alone: the batch of one's row 0 is row r
+        one = scalar.solve(lambda rows, X, r=r: rows_fn(rows + r, X), x0[r])
         assert one.converged == bool(batch.converged[r])
         assert _close(batch.x[r], one.x)
         if one.converged:
-            assert np.max(np.abs(one_row(one.x)[0])) < 1e-7
+            assert np.max(np.abs(rows_fn(np.array([r]), one.x[None])[0])) < 1e-7
     # a row's answer does not depend on what else is in the batch
     keep = np.flatnonzero(rng.random(m) < 0.5)
     if keep.size:
