@@ -1,11 +1,24 @@
 """Round-trip serialization of grids, policies and solve results.
 
-Everything is written as a single ``.npz`` file whose arrays carry the
-numerical state (float64, hence bit-exact round trips) plus one embedded
-JSON document (``__meta__``) for the structural metadata — records, solver
-configuration, domains.  Files are written atomically (temp file +
-``os.replace``), so a solve killed mid-checkpoint never leaves a corrupt
-file behind; the previous checkpoint survives.
+Everything is written as a single ``.npz`` file (a zip archive of ``.npy``
+members, readable by :func:`numpy.load`) whose arrays carry the numerical
+state plus one embedded UTF-8 JSON document (``__meta__``) for the
+structural metadata — records, solver configuration, state layout.  Files
+are written atomically (temp file + ``os.replace``), so a solve killed
+mid-checkpoint never leaves a corrupt file behind; the previous checkpoint
+survives.
+
+Each number is stored once.  A state policy stores its nodal values only:
+the reader re-derives the surpluses with
+:func:`~repro.grids.hierarchize.hierarchize` and rebuilds the policy via
+:meth:`repro.core.policy.StatePolicy.from_surplus`.  That is bit-for-bit
+the surplus the solver fitted, because ``hierarchize`` is column-separable
+(a column's surplus does not depend on the columns fitted beside it), so
+checkpoint/resume stays bit-exact.  Grids and boxes shared by several
+states are stored once.  float64 members are stored raw — deflate barely
+shrinks them and runs at a few MB/s — while grid levels, indices and the
+metadata are deflated; member timestamps are fixed, so equal results
+serialize to equal bytes.
 
 Deserialized :class:`~repro.grids.grid.SparseGrid` objects start a fresh
 cache epoch (derived caches dropped, rebuilt on demand), and state policies
@@ -14,15 +27,12 @@ hands every discrete state the same cached regular grid — share one
 reconstructed grid object again, preserving the cross-state cache-sharing
 performance property described in :mod:`repro.core.policy`.
 
-Policies are rebuilt from the stored *surpluses* via
-:meth:`repro.core.policy.StatePolicy.from_surplus` (no re-hierarchization),
-which is what makes checkpoint/resume bit-for-bit.
-
-Files written before the solver stopped taking a kernel name are read
-unchanged under the same :data:`FORMAT_VERSION`: their per-state kernel
-name is ignored (every policy evaluates with the one production kernel)
-and :func:`config_from_dict` drops the retired configuration fields, so
-stored results load and checkpoints resume.
+Version-1 files (surpluses stored beside the nodal values, one box per
+state, deflated floats, ``<U`` metadata) stay readable: their stored
+surpluses are used as they are.  Their per-state kernel name is ignored
+(every policy evaluates with the one production kernel) and
+:func:`config_from_dict` drops the retired configuration fields, so stored
+results load and checkpoints resume.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ import io
 import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Any, Callable
 
@@ -45,6 +56,7 @@ from repro.core.time_iteration import (
 )
 from repro.grids.domain import BoxDomain
 from repro.grids.grid import SparseGrid
+from repro.grids.hierarchize import hierarchize
 
 __all__ = [
     "FORMAT_VERSION",
@@ -56,13 +68,20 @@ __all__ = [
     "load_policy_set",
     "save_result",
     "load_result",
+    "load_meta",
     "record_to_dict",
     "record_from_dict",
     "config_to_dict",
     "config_from_dict",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: the layout versions the reader accepts (1: surpluses and nodal values per state)
+_READABLE_VERSIONS = (1, FORMAT_VERSION)
+
+#: every member's timestamp (the earliest a zip entry can carry)
+_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 #: :class:`TimeIterationConfig` fields older files carry that no longer exist
 _RETIRED_CONFIG_FIELDS = ("kernel", "warm_start", "verbose", "damping")
@@ -113,16 +132,26 @@ def atomic_write(
             tmp.unlink()
 
 
+def _member(archive: zipfile.ZipFile, name: str, data: bytes, deflate: bool) -> None:
+    info = zipfile.ZipInfo(name, date_time=_EPOCH)
+    info.compress_type = zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED
+    archive.writestr(info, data)
+
+
 def _atomic_savez(path, arrays: dict, meta: dict) -> None:
     meta = dict(meta)
     meta.setdefault("format_version", FORMAT_VERSION)
+    # sort_keys keeps the embedded metadata bytes independent of dict
+    # insertion order, so equal results serialize bit-identically
+    text = json.dumps(meta, sort_keys=True).encode("utf-8")
 
     def write(fh):
-        # sort_keys keeps the embedded metadata bytes independent of dict
-        # insertion order, so equal results serialize bit-identically
-        # repro: allow[atomic-write] -- writes into the atomic temp handle /
-        # in-memory buffer handed in below, never into a final path
-        np.savez_compressed(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+        with zipfile.ZipFile(fh, "w") as archive:
+            _member(archive, "__meta__", text, deflate=True)
+            for name, array in arrays.items():
+                npy = io.BytesIO()
+                np.lib.format.write_array(npy, array, allow_pickle=False)
+                _member(archive, f"{name}.npy", npy.getvalue(), deflate=array.dtype.kind != "f")
 
     if is_blob_target(path):
         buf = io.BytesIO()
@@ -134,15 +163,37 @@ def _atomic_savez(path, arrays: dict, meta: dict) -> None:
         atomic_write(path, write)
 
 
-def _load_npz(path) -> tuple:
-    source = io.BytesIO(path.read_bytes()) if is_blob_target(path) else Path(path)
-    with np.load(source, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        meta = json.loads(str(data["__meta__"]))
+def _open_npz(path) -> zipfile.ZipFile:
+    return zipfile.ZipFile(io.BytesIO(path.read_bytes()) if is_blob_target(path) else path)
+
+
+def _read_meta(archive: zipfile.ZipFile, path) -> dict:
+    if "__meta__" in archive.namelist():
+        meta = json.loads(archive.read("__meta__").decode("utf-8"))
+    else:  # version 1: a 0-d ``<U`` array
+        with archive.open("__meta__.npy") as fh:
+            meta = json.loads(str(np.lib.format.read_array(fh, allow_pickle=False)))
     version = meta.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ValueError(f"unsupported serialization format {version!r} in {path}")
+    return meta
+
+
+def _load_npz(path) -> tuple:
+    with _open_npz(path) as archive:
+        meta = _read_meta(archive, path)
+        arrays: dict[str, np.ndarray] = {}
+        for name in archive.namelist():
+            if name.endswith(".npy") and name != "__meta__.npy":
+                with archive.open(name) as fh:
+                    arrays[name[: -len(".npy")]] = np.lib.format.read_array(fh, allow_pickle=False)
     return arrays, meta
+
+
+def load_meta(path) -> dict:
+    """The metadata document of a file this module wrote, without reading its arrays."""
+    with _open_npz(path) as archive:
+        return _read_meta(archive, path)
 
 
 # --------------------------------------------------------------------------- #
@@ -168,40 +219,50 @@ def _policy_set_payload(policy: PolicySet) -> tuple:
     arrays: dict[str, np.ndarray] = {}
     states = []
     grid_slot: dict[int, int] = {}  # id(grid) -> slot of the arrays it was stored under
+    box_slot: dict[tuple, int] = {}  # the box's bytes -> slot of the arrays it was stored under
     for slot, sp in enumerate(policy):
-        interp = sp.interpolant
-        shared = grid_slot.get(id(sp.grid))
-        if shared is None:
-            grid_slot[id(sp.grid)] = slot
+        domain = sp.interpolant.domain
+        grid_key = grid_slot.setdefault(id(sp.grid), slot)
+        if grid_key == slot:
             arrays[f"levels_{slot}"] = sp.grid.levels
             arrays[f"indices_{slot}"] = sp.grid.indices
-        surplus = interp.surplus
-        arrays[f"surplus_{slot}"] = surplus
+        box_key = box_slot.setdefault((domain.lower.tobytes(), domain.upper.tobytes()), slot)
+        if box_key == slot:
+            arrays[f"lower_{slot}"] = domain.lower
+            arrays[f"upper_{slot}"] = domain.upper
         arrays[f"nodal_{slot}"] = sp.nodal_values
-        arrays[f"lower_{slot}"] = interp.domain.lower
-        arrays[f"upper_{slot}"] = interp.domain.upper
         states.append(
             {
                 "state": int(sp.state),
-                "scalar_surplus": surplus.ndim == 1,
-                "grid_slot": shared if shared is not None else slot,
+                "scalar_surplus": sp.interpolant.surplus.ndim == 1,
+                "grid_slot": grid_key,
+                "box_slot": box_key,
             }
         )
     return arrays, {"payload": "policy_set", "states": states}
 
 
 def _policy_set_from_payload(arrays: dict, meta: dict) -> PolicySet:
+    # version 1 stored each state's surpluses and box beside its nodal values
+    version_1 = meta["format_version"] == 1
     grids: dict[int, SparseGrid] = {}
+    boxes: dict[int, BoxDomain] = {}
     policies = []
     for slot, state_meta in enumerate(meta["states"]):
         grid_key = int(state_meta["grid_slot"])
         grid = grids.get(grid_key)
         if grid is None:
-            grid = SparseGrid.from_arrays(
+            grid = grids[grid_key] = SparseGrid.from_arrays(
                 arrays[f"levels_{grid_key}"], arrays[f"indices_{grid_key}"]
             )
-            grids[grid_key] = grid
-        surplus = arrays[f"surplus_{slot}"]
+        box_key = slot if version_1 else int(state_meta["box_slot"])
+        domain = boxes.get(box_key)
+        if domain is None:
+            domain = boxes[box_key] = BoxDomain(
+                arrays[f"lower_{box_key}"], arrays[f"upper_{box_key}"]
+            )
+        nodal = arrays[f"nodal_{slot}"]
+        surplus = arrays[f"surplus_{slot}"] if version_1 else hierarchize(grid, nodal)
         if state_meta.get("scalar_surplus"):
             surplus = surplus.reshape(-1)
         policies.append(
@@ -209,8 +270,8 @@ def _policy_set_from_payload(arrays: dict, meta: dict) -> PolicySet:
                 state=int(state_meta["state"]),
                 grid=grid,
                 surplus=surplus,
-                nodal_values=arrays[f"nodal_{slot}"],
-                domain=BoxDomain(arrays[f"lower_{slot}"], arrays[f"upper_{slot}"]),
+                nodal_values=nodal,
+                domain=domain,
             )
         )
     return PolicySet(policies)
@@ -234,9 +295,18 @@ def load_policy_set(path) -> PolicySet:
 # iteration records and solver configs
 # --------------------------------------------------------------------------- #
 def record_to_dict(record: IterationRecord) -> dict:
-    data = dataclasses.asdict(record)
-    data["points_per_state"] = [int(p) for p in data["points_per_state"]]
-    return data
+    # field by field: ``dataclasses.asdict`` would deep-copy every record on every save
+    return {
+        "iteration": record.iteration,
+        "policy_change_linf": record.policy_change_linf,
+        "policy_change_l2": record.policy_change_l2,
+        "points_per_state": [int(p) for p in record.points_per_state],
+        "wall_time": record.wall_time,
+        "policy_change_rel_linf": record.policy_change_rel_linf,
+        "policy_change_rel_l2": record.policy_change_rel_l2,
+        "sections": dict(record.sections),
+        "equilibrium_errors": dict(record.equilibrium_errors),
+    }
 
 
 def record_from_dict(data: dict) -> IterationRecord:

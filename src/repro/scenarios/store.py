@@ -793,8 +793,9 @@ class ResultsStore:
 
         Each item carries the checkpoint key/mtime and, when the
         scenario's entry/spec objects exist, its hash, name and status.
-        ``with_progress=True`` additionally opens each checkpoint to
-        report the iteration it would resume from (the ``resume`` CLI).
+        ``with_progress=True`` additionally reads each checkpoint's
+        metadata (no array, no surplus) to report the iteration it would
+        resume from (the ``resume`` CLI).
         Routed entirely through the backend — no filesystem layout is
         assumed, so the listing works identically for ``mem://`` and
         ``s3://`` stores.
@@ -828,9 +829,8 @@ class ResultsStore:
             }
             if with_progress:
                 try:
-                    info["iterations_done"] = len(
-                        serialize.load_result(self.backend.ref(key)).records
-                    )
+                    meta = serialize.load_meta(self.backend.ref(key))
+                    info["iterations_done"] = len(meta["records"])
                 except Exception:  # repro: allow[broad-except] -- reported, never fatal
                     info["iterations_done"] = None
             infos.append(info)

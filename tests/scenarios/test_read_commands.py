@@ -19,12 +19,14 @@ import time
 import uuid
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro
 from repro.parallel.tracing import EventRecorder
 from repro.scenarios import MemoryBackend, ResultsStore, ScenarioSpec, ScenarioSuite, run_suite
 from repro.scenarios import __main__ as cli
+from repro.scenarios import serialize
 from repro.scenarios.lease import LeaseManager
 from repro.scenarios.report import ProgressBoard, gather_run_data, render_report
 from repro.scenarios.store import StoreEventSink
@@ -211,6 +213,19 @@ def test_resume_prints_the_checkpoint_and_the_rerun_hint(mixed, capsys):
          "iters": "1", "last written": stamp}
     ]
     assert out.splitlines()[-1].startswith("re-run the original suite command")
+
+
+def test_resume_counts_records_from_the_metadata_alone(mixed, monkeypatch):
+    """A checkpoint's iteration count is its records' length: the listing reads the
+    metadata member only, no array and no surplus re-derived from nodal values."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the listing read more than the metadata")
+
+    monkeypatch.setattr(np.lib.format, "read_array", refuse)
+    monkeypatch.setattr(serialize, "hierarchize", refuse)
+    (info,) = mixed.list_checkpoints(with_progress=True)
+    assert info["iterations_done"] == 1
 
 
 def test_report_covers_every_section_in_both_formats(mixed):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.core.batched import BatchedTimeIterationSolver, BatchMember
 from repro.core.policy import PolicySet, StatePolicy
 from repro.core.time_iteration import (
     IterationRecord,
@@ -19,6 +22,8 @@ from repro.grids.adaptive import AdaptiveRefiner
 from repro.grids.domain import BoxDomain
 from repro.grids.hierarchize import hierarchize
 from repro.grids.regular import regular_sparse_grid
+from repro.olg.calibration import small_calibration
+from repro.olg.model import OLGModel
 from repro.scenarios import serialize
 from repro.scenarios.checkpoint import InterruptingCheckpoint, SimulatedKill, SolveCheckpoint
 
@@ -176,17 +181,161 @@ class TestResultRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["r.npz"]
 
 
+def test_record_metadata_is_the_dataclass_fields():
+    """``record_to_dict`` builds its dict field by field; the JSON it stores is the
+    ``dataclasses.asdict`` document byte for byte."""
+    record = IterationRecord(
+        iteration=2,
+        policy_change_linf=np.float64(0.5),
+        policy_change_l2=0.125,
+        points_per_state=[np.int64(7), 9],
+        wall_time=0.75,
+        policy_change_rel_linf=0.0625,
+        sections={"grid": 0.01, "solve": 0.5, "fit": 0.24},
+        equilibrium_errors={"linf": 0.2, "l2": 0.1, "mean_log10": -1.5, "num_evaluations": 14},
+    )
+    reference = dataclasses.asdict(record)
+    reference["points_per_state"] = [7, 9]
+    mine = serialize.record_to_dict(record)
+    assert json.dumps(mine, sort_keys=True) == json.dumps(reference, sort_keys=True)
+    assert list(mine) == [f.name for f in dataclasses.fields(IterationRecord)]
+    mine["sections"]["fit"] = 0.0  # a copy: the record keeps its own
+    assert record.sections["fit"] == 0.24
+
+
+def _members(path) -> dict:
+    """Each member of a saved file: name -> (zip entry, dtype kind of an array member)."""
+    with zipfile.ZipFile(path) as archive:
+        members = {}
+        for info in archive.infolist():
+            kind = None
+            if info.filename.endswith(".npy"):
+                with archive.open(info) as fh:
+                    kind = np.lib.format.read_array(fh).dtype.kind
+            members[info.filename] = (info, kind)
+    return members
+
+
+@pytest.fixture(scope="module")
+def results(solved_small_olg):
+    """A solo, a stacked-member and an adaptive result of 4-generation economies."""
+    config = TimeIterationConfig(grid_level=2, tolerance=1e-3, max_iterations=4)
+    members = [
+        BatchMember(key=beta, model=OLGModel(small_calibration(4, 2, beta=beta)), config=config)
+        for beta in (0.78, 0.8)
+    ]
+    stacked = BatchedTimeIterationSolver(members).solve()[0.8].result
+    model = solved_small_olg[0]
+    adaptive = TimeIterationSolver(
+        model,
+        TimeIterationConfig(
+            grid_level=2, adaptive=True, max_refine_level=3, max_points_per_state=40,
+            max_iterations=3,
+        ),
+    ).solve()
+    assert max(adaptive.policy.points_per_state) > len(stacked.policy[0].grid)
+    return {"solo": solved_small_olg[1], "stacked": stacked, "adaptive": adaptive}
+
+
+KINDS = ["solo", "stacked", "adaptive"]
+
+
+class TestFileLayout:
+    """A file stores each number once: nodal values only, each grid and box once,
+    floats raw, everything else deflated, the metadata as UTF-8 JSON."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_round_trip_keeps_every_bit(self, tmp_path, results, kind):
+        result = results[kind]
+        path = tmp_path / "result.npz"
+        serialize.save_result(path, result)
+        loaded = serialize.load_result(path)
+        assert [serialize.record_to_dict(r) for r in loaded.records] == [
+            serialize.record_to_dict(r) for r in result.records
+        ]
+        for mine, theirs in zip(loaded.policy, result.policy):
+            assert np.array_equal(mine.interpolant.surplus, theirs.interpolant.surplus)
+            assert np.array_equal(mine.nodal_values, theirs.nodal_values)
+            assert np.array_equal(mine.grid.levels, theirs.grid.levels)
+            assert np.array_equal(mine.grid.indices, theirs.grid.indices)
+            assert np.array_equal(mine.interpolant.domain.lower, theirs.interpolant.domain.lower)
+            assert np.array_equal(mine.interpolant.domain.upper, theirs.interpolant.domain.upper)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_number_is_stored_twice(self, tmp_path, results, kind):
+        result = results[kind]
+        path = tmp_path / "result.npz"
+        serialize.save_result(path, result)
+        members = _members(path)
+        assert not [name for name in members if name.startswith("surplus_")]
+        for name, (info, dtype_kind) in members.items():
+            raw = info.compress_type == zipfile.ZIP_STORED
+            assert raw == (dtype_kind == "f"), name  # floats raw, the rest deflated
+            assert info.date_time == (1980, 1, 1, 0, 0, 0), name
+        # one model, one box; one grid object when the states share it
+        assert {n for n in members if n.startswith(("lower_", "upper_"))} == {
+            "lower_0.npy", "upper_0.npy"
+        }
+        grids = len({id(sp.grid) for sp in result.policy})
+        assert len([n for n in members if n.startswith("levels_")]) == grids
+        assert [n for n in members if n.startswith("nodal_")] == [
+            f"nodal_{z}.npy" for z in range(len(result.policy))
+        ]
+        with zipfile.ZipFile(path) as archive:
+            meta = json.loads(archive.read("__meta__").decode("utf-8"))
+        assert meta["format_version"] == serialize.FORMAT_VERSION == 2
+        assert meta == serialize.load_meta(path)
+
+    def test_equal_results_serialize_to_equal_bytes(self, tmp_path, results):
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        serialize.save_result(first, results["stacked"], extra_meta={"spec_hash": "abc"})
+        serialize.save_result(second, results["stacked"], extra_meta={"spec_hash": "abc"})
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_distinct_boxes_are_stored_once_each(self, tmp_path):
+        grid = regular_sparse_grid(2, 3)
+        wide = BoxDomain(np.array([0.5, 0.0]), np.array([2.0, 1.5]))
+        narrow = BoxDomain(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+        pset = PolicySet(
+            [
+                StatePolicy.from_values(z, grid, np.sin(z + domain.from_unit(grid.points)), domain)
+                for z, domain in enumerate([wide, narrow, wide])
+            ]
+        )
+        path = tmp_path / "pset.npz"
+        serialize.save_policy_set(path, pset)
+        boxes = sorted(n for n in _members(path) if n.startswith(("lower_", "upper_")))
+        assert boxes == ["lower_0.npy", "lower_1.npy", "upper_0.npy", "upper_1.npy"]
+        loaded = serialize.load_policy_set(path)
+        assert loaded[0].interpolant.domain is loaded[2].interpolant.domain
+        assert np.array_equal(loaded[1].interpolant.domain.lower, narrow.lower)
+        X = np.random.default_rng(2).random((15, 2)) + 1.0
+        for z in range(3):
+            assert np.array_equal(loaded.evaluate(z, X), pset.evaluate(z, X))
+
+
 def _in_the_older_format(path) -> None:
-    """Rewrite a file :mod:`serialize` wrote the way it was written while the solver
-    took a kernel name: the retired fields in the config, a kernel per state."""
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        meta = json.loads(str(data["__meta__"]))
-    assert meta["format_version"] == serialize.FORMAT_VERSION
-    if "config" in meta:
+    """Rewrite a file :mod:`serialize` wrote as version 1 wrote it while the solver took
+    a kernel name: each state's surpluses beside its nodal values, a box and a kernel
+    per state, the retired fields in the config, ``<U`` metadata, every member deflated."""
+    meta = serialize.load_meta(path)
+    if meta["payload"] == "result":
+        policy = serialize.load_result(path).policy
         meta["config"].update(kernel="cuda", warm_start=True, verbose=False, damping=1.0)
-    for state in meta["states"]:
+    else:
+        policy = serialize.load_policy_set(path)
+    arrays = {}
+    for slot, (sp, state) in enumerate(zip(policy, meta["states"])):
+        if state["grid_slot"] == slot:
+            arrays[f"levels_{slot}"] = sp.grid.levels
+            arrays[f"indices_{slot}"] = sp.grid.indices
+        arrays[f"surplus_{slot}"] = sp.interpolant.surplus
+        arrays[f"nodal_{slot}"] = sp.nodal_values
+        arrays[f"lower_{slot}"] = sp.interpolant.domain.lower
+        arrays[f"upper_{slot}"] = sp.interpolant.domain.upper
+        del state["box_slot"]
         state["kernel"] = "cuda"
+    meta["format_version"] = 1
     buf = io.BytesIO()
     np.savez_compressed(buf, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
     path.write_bytes(buf.getvalue())
@@ -204,6 +353,32 @@ class TestOlderFormat:
         X = domain.from_unit(np.random.default_rng(4).random((20, 2)))
         for z in range(len(pset)):
             assert np.array_equal(loaded.evaluate(z, X), pset.evaluate(z, X))
+
+    def test_the_older_file_is_version_1(self, tmp_path):
+        pset, _ = _make_policy_set(shared_grid=True)
+        path = tmp_path / "pset.npz"
+        serialize.save_policy_set(path, pset)
+        _in_the_older_format(path)
+        with np.load(path, allow_pickle=False) as data:
+            assert data["__meta__"].dtype.kind == "U"
+            assert {f"surplus_{z}" for z in range(3)} <= set(data.files)
+            assert {f"lower_{z}" for z in range(3)} <= set(data.files)
+        assert serialize.load_meta(path)["format_version"] == 1
+
+    def test_stored_surpluses_are_used_as_they_are(self, tmp_path):
+        pset, _ = _make_policy_set(shared_grid=True)
+        path = tmp_path / "pset.npz"
+        serialize.save_policy_set(path, pset)
+        _in_the_older_format(path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["surplus_1"] = arrays["surplus_1"] + 1.0  # no longer hierarchize(nodal)
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **arrays)
+        path.write_bytes(buf.getvalue())
+        loaded = serialize.load_policy_set(path)
+        assert np.array_equal(loaded[1].interpolant.surplus, arrays["surplus_1"])
+        assert np.array_equal(loaded[1].nodal_values, pset[1].nodal_values)
 
     def test_a_result_loads(self, tmp_path, solved_small_olg):
         model, result = solved_small_olg

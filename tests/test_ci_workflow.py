@@ -247,6 +247,8 @@ class TestBatchedSolveGate:
         # a solve shorter than one checkpoint interval serialises its result only
         assert 'value["scenarios.checkpoint.writes"] == 0' in guard[0]
         assert 'value["scenarios.serialize.calls"] == 4' in guard[0]
+        # ... and stores each number of a result once (13.6 KiB a result before)
+        assert 'value["scenarios.serialize.result_kib"] <= 9' in guard[0]
         # ... and the bytes put and objects deleted per drained unit of the
         # store workload: one event flush and one lease delete each
         assert "--workload store-write --scale smoke --traced" in guard[0]
