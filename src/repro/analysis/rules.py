@@ -394,15 +394,15 @@ class CacheVersionBumpRule(Rule):
     """Grid mutators must invalidate the version-keyed caches.
 
     Any class owning ``_invalidate_caches`` keys derived structures
-    (points, ancestor CSR, compressed kernels) on a version counter; a
-    method that writes the tracked data arrays without bumping serves
+    (points, hierarchization neighbours, compressed kernels) on a version
+    counter; a method that writes the tracked data arrays without bumping serves
     stale caches to every later fit/evaluate call.
     """
 
     id = "cache-version-bump"
     title = "mutations of version-cached containers must bump the version"
     rationale = (
-        "SparseGrid caches ancestors/compression by version (PR 1); a "
+        "SparseGrid caches hierarchization/compression structure by version; a "
         "mutator that skips _invalidate_caches() interpolates from stale "
         "structure and corrupts every downstream solve"
     )

@@ -30,8 +30,8 @@ In the non-adaptive configuration every state and every iteration uses the
 *same* regular sparse grid, so the solver keeps one cached
 :class:`~repro.grids.grid.SparseGrid` per ``(dim, level)`` and reuses it
 across states and iterations.  Because the grid object is shared and never
-mutated, its attached caches — the hierarchization ancestor structure and
-the compressed kernel representation — are built exactly once per solve
+mutated, its attached caches — the hierarchization neighbour rows and the
+compressed kernel representation — are built exactly once per solve
 instead of once per state per iteration.  (An adaptive step copies the
 previous state grid before refining it, which starts a fresh cache epoch.)
 Consequently the policies of a non-adaptive result share one grid object

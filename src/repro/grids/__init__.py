@@ -19,6 +19,8 @@ Conventions
 * Point membership is :meth:`SparseGrid.rows_of`, one ``searchsorted`` into
   the grid's sorted point index; insertion, refinement and hierarchization
   all use it.
+* Hierarchization runs one 1-D transform per dimension and so needs a
+  hierarchically consistent grid, which regular grids and ``refine`` keep.
 """
 
 from repro.grids.hierarchical import (
@@ -29,7 +31,7 @@ from repro.grids.hierarchical import (
 )
 from repro.grids.grid import SparseGrid
 from repro.grids.regular import regular_sparse_grid, regular_grid_size
-from repro.grids.hierarchize import hierarchize, evaluate_dense, ancestor_csr, AncestorCSR
+from repro.grids.hierarchize import hierarchize, evaluate_dense
 from repro.grids.adaptive import refine, refinement_candidates, AdaptiveRefiner
 from repro.grids.domain import BoxDomain
 from repro.grids.interpolation import SparseGridInterpolant
@@ -44,8 +46,6 @@ __all__ = [
     "regular_grid_size",
     "hierarchize",
     "evaluate_dense",
-    "ancestor_csr",
-    "AncestorCSR",
     "refine",
     "refinement_candidates",
     "AdaptiveRefiner",

@@ -2,11 +2,11 @@
 
 Adaptive refinement adds, for every grid point whose surplus-based error
 indicator exceeds a threshold ``epsilon``, its ``2 d`` hierarchical children
-(two per dimension).  To keep the grid hierarchically consistent — which the
-ancestor structure of :mod:`repro.grids.hierarchize` (candidate ancestors
-looked up with :meth:`SparseGrid.rows_of`, absent ones skipped) relies on —
-missing ancestors of newly inserted points are inserted as well, one
-:meth:`SparseGrid.add_points` call per round.
+(two per dimension).  To keep the grid hierarchically consistent — which
+:func:`repro.grids.hierarchize.hierarchize` requires: its per-dimension
+transform reads each point's two coarser 1-D neighbours and raises where one
+is absent — missing ancestors of newly inserted points are inserted as well,
+one :meth:`SparseGrid.add_points` call per round.
 """
 
 from __future__ import annotations

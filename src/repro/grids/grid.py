@@ -4,8 +4,10 @@ A sparse grid is a set of multivariate hierarchical points, each identified
 by a pair of multi-indices ``(l, i)`` (level and index per dimension).  The
 container stores them as two ``(num_points, dim)`` integer arrays plus the
 derived coordinates, and offers batched point lookup (:meth:`rows_of`),
-point insertion (hierarchical consistency helpers live in
-:mod:`repro.grids.adaptive`) and dense basis evaluation.
+point insertion and dense basis evaluation.  Every ``(l, i)`` pair must be a
+hierarchical point; the grid does not check that it is hierarchically
+consistent, which hierarchization requires (the helpers that keep it so
+live in :mod:`repro.grids.adaptive`).
 
 Caching contract
 ----------------
@@ -16,7 +18,7 @@ are consumed on every fit/evaluate call:
   multi-indices;
 * the point index behind :meth:`rows_of` — every point's per-dimension
   ``(level << 32) | index`` codes viewed as one byte row, sorted once;
-* the ancestor structure of :func:`repro.grids.hierarchize.ancestor_csr`;
+* the per-dimension neighbour rows of :func:`repro.grids.hierarchize.hierarchize`;
 * the compressed representation of
   :func:`repro.core.compression.compressed_for`.
 
@@ -52,6 +54,21 @@ def _checked(dim: int, levels, indices) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("levels must be >= 1")
     if indices.size and indices.min() < 0:
         raise ValueError("indices must be >= 0")
+    # index 1 at level 1, 0 or 2 at level 2, odd and below 2^(l-1) above
+    valid = np.where(
+        levels == 1,
+        indices == 1,
+        np.where(
+            levels == 2,
+            (indices == 0) | (indices == 2),
+            (indices % 2 == 1) & (indices < np.ldexp(1.0, levels - 1)),
+        ),
+    )
+    if not valid.all():
+        row, t = np.argwhere(~valid)[0]
+        raise ValueError(
+            f"(level {levels[row, t]}, index {indices[row, t]}) is not a hierarchical point"
+        )
     return levels, indices
 
 
@@ -122,8 +139,9 @@ class SparseGrid:
     def version(self) -> int:
         """Mutation counter; bumped by :meth:`add_points`.
 
-        Derived-structure caches (points, level sums, point index, ancestor
-        structure, compressed representation) are keyed by this value.
+        Derived-structure caches (points, level sums, point index,
+        hierarchization neighbours, compressed representation) are keyed by
+        this value.
         """
         return self._version
 
@@ -202,8 +220,8 @@ class SparseGrid:
         ``builder(grid)`` is invoked at most once per mutation epoch per
         ``name``; the result is stored until :meth:`add_points` changes the
         grid.  This is the single memoization point for the point index of
-        :meth:`rows_of`, the ancestor structure of
-        :func:`repro.grids.hierarchize.ancestor_csr` and the compressed
+        :meth:`rows_of`, the neighbour rows of
+        :func:`repro.grids.hierarchize.hierarchize` and the compressed
         representation of :func:`repro.core.compression.compressed_for`, so
         invalidation stays centralized in :meth:`_invalidate_caches`.
         Returned objects are shared — treat them as read-only.
@@ -226,8 +244,8 @@ class SparseGrid:
         """Plain-array state of the grid (for npz round-trips).
 
         Only the defining ``levels``/``indices`` arrays are exported; the
-        derived caches (points, level sums, point index, ancestor
-        structure, compressed representation) are deliberately dropped and
+        derived caches (points, level sums, point index, hierarchization
+        neighbours, compressed representation) are deliberately dropped and
         rebuilt after :meth:`from_arrays`.
         """
         return {"levels": self.levels.copy(), "indices": self.indices.copy()}

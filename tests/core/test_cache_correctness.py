@@ -6,6 +6,8 @@ that every cache is invalidated by ``add_points`` and that cached results
 stay bit-identical to the uncached references.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,12 @@ from repro.core.kernels import evaluate, list_kernels
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.adaptive import refine
 from repro.grids.domain import BoxDomain
-from repro.grids.hierarchize import (
-    ancestor_csr,
-    evaluate_dense,
-    hierarchize,
-    hierarchize_dense,
-)
+from repro.grids.hierarchize import evaluate_dense, hierarchize, hierarchize_dense
 from repro.grids.interpolation import SparseGridInterpolant
 from repro.grids.regular import regular_sparse_grid
+
+# the module, not the function that repro.grids re-exports under its name
+hierarchize_module = importlib.import_module("repro.grids.hierarchize")
 
 
 def _func(X):
@@ -39,14 +39,28 @@ def _adaptive_grid(dim=2, start_level=2, sweeps=3):
     return grid
 
 
-class TestHierarchizeCache:
-    def test_repeated_calls_reuse_structure(self):
-        grid = regular_sparse_grid(2, 4)
-        csr1 = ancestor_csr(grid)
-        hierarchize(grid, _func(grid.points))
-        assert ancestor_csr(grid) is csr1
+@pytest.fixture
+def builds(monkeypatch):
+    """The id of the grid of each build of hierarchize's per-dimension neighbour rows."""
+    built, build = [], hierarchize_module._neighbours
 
-    def test_matches_dense_after_add_points(self):
+    def counting(grid):
+        built.append(id(grid))
+        return build(grid)
+
+    monkeypatch.setattr(hierarchize_module, "_neighbours", counting)
+    return built
+
+
+class TestHierarchizeCache:
+    def test_repeated_calls_reuse_structure(self, builds):
+        grid = regular_sparse_grid(2, 4)
+        first = hierarchize(grid, _func(grid.points))
+        second = hierarchize(grid, _func(grid.points)[:, None])
+        assert builds == [id(grid)]
+        assert np.array_equal(first, second[:, 0])
+
+    def test_matches_dense_after_add_points(self, builds):
         """A cached grid mutated by add_points must not serve stale structure."""
         grid = regular_sparse_grid(2, 3)
         values = _func(grid.points)
@@ -57,9 +71,11 @@ class TestHierarchizeCache:
         surplus = hierarchize(grid, values)
         refine(grid, surplus, epsilon=0.0, max_level=5)
         assert grid.version > old_version
+        assert builds == [id(grid)]
 
         values = _func(grid.points)
         after = hierarchize(grid, values)
+        assert builds == [id(grid), id(grid)]  # rebuilt once for the new version
         np.testing.assert_allclose(after, hierarchize_dense(grid, values), atol=1e-12)
 
     def test_level_sums_cached_and_invalidated(self):
@@ -71,7 +87,7 @@ class TestHierarchizeCache:
         assert new_sums.shape[0] == len(grid)
         np.testing.assert_array_equal(new_sums, grid.levels.sum(axis=1))
 
-    def test_copy_starts_fresh_cache_epoch(self):
+    def test_copy_starts_fresh_cache_epoch(self, builds):
         grid = regular_sparse_grid(2, 3)
         hierarchize(grid, _func(grid.points))
         clone = grid.copy()
@@ -79,6 +95,8 @@ class TestHierarchizeCache:
         np.testing.assert_allclose(
             hierarchize(clone, values), hierarchize_dense(clone, values), atol=1e-12
         )
+        hierarchize(grid, _func(grid.points))
+        assert builds == [id(grid), id(clone)]  # the clone builds its own; the original keeps its
 
 
 class TestCompressedGridCache:

@@ -95,7 +95,16 @@ class TestAddPoints:
             grid.add_points([[3]], [[-1]])
         with pytest.raises(ValueError):
             grid.add_points([[1, 1]], [[1, 1]])
+        # pairs that are no hierarchical point: (3, 2) sat on the root's 0.5
+        # and (2, 5) at x = 2.5, and hierarchize fitted them without complaint
+        for level, index in [(1, 0), (1, 2), (2, 1), (2, 5), (3, 2), (3, 5), (4, 0), (4, 9)]:
+            with pytest.raises(ValueError, match="not a hierarchical point"):
+                grid.add_points([[level]], [[index]])
         assert len(grid) == 0 and grid.version == 0
+        with pytest.raises(ValueError, match=r"\(level 3, index 2\)"):
+            SparseGrid(1, [[1], [3], [2]], [[1], [2], [5]])
+        with pytest.raises(ValueError, match="not a hierarchical point"):
+            SparseGrid.from_arrays(np.array([[1], [2]]), np.array([[1], [1]]))
 
     def test_points_cache_refreshes(self):
         grid = regular_sparse_grid(2, 2)
@@ -110,15 +119,19 @@ class TestAddPoints:
         assert len(clone) == len(grid) + 1
 
 
+# every hierarchical (level, index) pair of levels 1-4
+_PAIRS = [(1, 1), (2, 0), (2, 2), (3, 1), (3, 3), (4, 1), (4, 3), (4, 5), (4, 7)]
+
+
 @st.composite
 def _point_batches(draw):
     """A dimension, batches of points to insert, and points to look up.
 
-    Levels 1-3 and indices 0-4 per dimension make repeats within a batch,
-    across batches and between insertions and queries common.
+    Nine valid pairs per dimension make repeats within a batch, across
+    batches and between insertions and queries common.
     """
     dim = draw(st.integers(min_value=1, max_value=3))
-    point = st.tuples(*[st.tuples(st.integers(1, 3), st.integers(0, 4))] * dim)
+    point = st.tuples(*[st.sampled_from(_PAIRS)] * dim)
     batches = draw(st.lists(st.lists(point, max_size=8), max_size=5))
     return dim, batches, draw(st.lists(point, max_size=8))
 

@@ -5,12 +5,12 @@ import pytest
 
 from repro.grids.adaptive import refine
 from repro.grids.hierarchize import (
-    ancestor_csr,
+    _neighbours,
     evaluate_dense,
     hierarchize,
     hierarchize_dense,
 )
-from repro.grids.regular import regular_sparse_grid
+from repro.grids.regular import regular_grid_size, regular_sparse_grid
 
 
 def _poly(X):
@@ -19,12 +19,21 @@ def _poly(X):
 
 
 class TestHierarchize:
-    def test_matches_dense_reference(self):
-        grid = regular_sparse_grid(3, 3)
-        values = _poly(grid.points)
-        fast = hierarchize(grid, values)
-        dense = hierarchize_dense(grid, values)
-        np.testing.assert_allclose(fast, dense, atol=1e-12)
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_matches_dense_reference(self, refined):
+        """Regular grids of 1-8 dimensions and levels 1-5, and refinements of them."""
+        rng = np.random.default_rng(5)
+        for dim in range(1, 9):
+            for level in range(1, 6):
+                if regular_grid_size(dim, level) > 500:
+                    continue
+                grid = regular_sparse_grid(dim, level)
+                if refined:
+                    refine(grid, hierarchize(grid, rng.standard_normal(len(grid))), 0.5)
+                values = rng.standard_normal((len(grid), 2))
+                np.testing.assert_allclose(
+                    hierarchize(grid, values), hierarchize_dense(grid, values), atol=1e-12
+                )
 
     def test_matches_dense_reference_multidof(self):
         grid = regular_sparse_grid(2, 4)
@@ -79,33 +88,34 @@ class TestHierarchize:
         assert mean_deep < 0.1 * mean_shallow
 
 
-def _ancestors(grid, p):
-    """Point ``p``'s in-grid ancestor rows and basis weights."""
-    csr = ancestor_csr(grid)
-    span = slice(csr.offsets[p], csr.offsets[p + 1])
-    return csr.anc_rows[span], csr.weights[span]
+def _steps(grid):
+    """The grid's cached ``(rows, left, right)`` arrays, one triple per dimension."""
+    return grid.cached_derived("hierarchize", _neighbours)
 
 
-class TestAncestorStructure:
-    def test_root_has_no_ancestors(self):
-        grid = regular_sparse_grid(2, 3)
-        (root,) = grid.rows_of([1, 1], [1, 1])
-        rows, weights = _ancestors(grid, root)
-        assert rows.size == 0 and weights.size == 0
-
-    def test_weights_are_basis_values(self):
-        grid = regular_sparse_grid(2, 3)
-        B = grid.basis_matrix(grid.points)
-        for row in range(len(grid)):
-            anc, weights = _ancestors(grid, row)
-            np.testing.assert_allclose(weights, B[row, anc], atol=1e-14)
-
-    def test_ancestors_have_smaller_level_sum(self):
+class TestNeighbourStructure:
+    def test_neighbours_are_the_coarser_line_points(self):
+        """Along dimension t, a point's neighbours sit at x -/+ 2^(1-l) on its line;
+        both are the root for a level-2 point."""
         grid = regular_sparse_grid(3, 4)
-        sums = grid.level_sums
-        for row in range(len(grid)):
-            anc, _ = _ancestors(grid, row)
-            assert np.all(sums[anc] < sums[row])
+        for t, (rows, left, right) in enumerate(_steps(grid)):
+            np.testing.assert_array_equal(rows, np.flatnonzero(grid.levels[:, t] > 1))
+            lev, x = grid.levels[rows, t], grid.points[rows, t]
+            others = np.arange(grid.dim) != t
+            for side, nb in ((-1, left), (1, right)):
+                np.testing.assert_array_equal(
+                    grid.points[nb][:, others], grid.points[rows][:, others]
+                )
+                assert np.all(grid.levels[nb, t] < lev)
+                expect = np.where(lev == 2, 0.5, x + side * 2.0 ** (1 - lev))
+                np.testing.assert_array_equal(grid.points[nb, t], expect)
+
+    def test_missing_neighbour_raises(self):
+        """x = 0.125 without its level-3 neighbour 0.25 is not a consistent grid."""
+        grid = regular_sparse_grid(1, 2)
+        grid.add_points([[4]], [[1]])
+        with pytest.raises(ValueError, match=r"\[4\], \[1\] lacks a coarser neighbour"):
+            hierarchize(grid, np.ones(len(grid)))
 
     def test_works_on_adaptive_grid(self):
         grid = regular_sparse_grid(2, 2)

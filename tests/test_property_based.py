@@ -55,11 +55,14 @@ GRID_SETTINGS = settings(
 @given(
     dim=st.integers(min_value=1, max_value=4),
     level=st.integers(min_value=1, max_value=4),
+    refined=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_interpolation_exact_at_grid_points(dim, level, seed):
+def test_interpolation_exact_at_grid_points(dim, level, refined, seed):
     grid = regular_sparse_grid(dim, level)
     rng = np.random.default_rng(seed)
+    if refined:
+        refine(grid, hierarchize(grid, rng.standard_normal(len(grid))), 0.5, max_level=level + 1)
     values = rng.standard_normal(len(grid))
     surplus = hierarchize(grid, values)
     np.testing.assert_allclose(
