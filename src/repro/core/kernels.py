@@ -36,7 +36,7 @@ comparable results (up to floating point associativity).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
     "get_kernel",
     "KERNELS",
     "factor_values",
+    "Hats",
+    "hats",
     "basis_matrix",
     "basis_gradient",
 ]
@@ -62,6 +64,21 @@ _AVX512_BLOCK = 32  # query rows a block, per thread
 # --------------------------------------------------------------------------- #
 # shared helpers
 # --------------------------------------------------------------------------- #
+class Hats(NamedTuple):
+    """The factor table's hats at query points, one row a point: what a basis pass derives.
+
+    Taken once (:func:`hats`), they serve any number of basis passes and
+    basis gradients at those points, or at a subset of them (:meth:`take`).
+    """
+
+    offsets: np.ndarray  # (m, num_xps) from the hats' centers, in half-widths
+    values: np.ndarray   # (m, num_xps) the hats' values, the sentinel's 1.0 among them
+
+    def take(self, rows) -> "Hats":
+        """The hats at the query points ``rows`` (positions or a slice)."""
+        return Hats(self.offsets[rows], self.values[rows])
+
+
 def factor_values(comp: CompressedGrid, X: np.ndarray) -> np.ndarray:
     """Evaluate the unique factor table ``xps`` at query points.
 
@@ -69,10 +86,18 @@ def factor_values(comp: CompressedGrid, X: np.ndarray) -> np.ndarray:
     sentinel).  This is the per-query work that replaces the ``d`` basis
     evaluations per *grid point* of the dense layout.
     """
-    return _hats(comp, np.atleast_2d(np.asarray(X, dtype=float)))[1]
+    return _hats(comp, np.atleast_2d(np.asarray(X, dtype=float))).values
 
 
-def _hats(comp: CompressedGrid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hats(comp: CompressedGrid, unit_X: np.ndarray) -> Hats:
+    """The factor table's :class:`Hats` at the points ``unit_X`` of the unit box."""
+    unit_X = np.atleast_2d(np.asarray(unit_X, dtype=float))
+    if unit_X.shape[1] != comp.dim:
+        raise ValueError(f"query points must have {comp.dim} columns")
+    return _hats(comp, unit_X)
+
+
+def _hats(comp: CompressedGrid, X: np.ndarray) -> Hats:
     """The factor table's hats at ``X``: offsets from their centers in half-widths, and values.
 
     ``basis_1d_vectorized``'s arithmetic with the per-grid constants
@@ -80,10 +105,14 @@ def _hats(comp: CompressedGrid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bit for bit.
     """
     centers, scales, constant = comp.hat_constants()
-    offsets = scales * (X[:, comp.xps_dims] - centers)  # (m, num_xps)
-    values = np.maximum(1.0 - np.abs(offsets), 0.0)
+    offsets = X[:, comp.xps_dims]  # (m, num_xps)
+    offsets -= centers
+    offsets *= scales
+    values = np.abs(offsets)
+    np.subtract(1.0, values, out=values)
+    np.maximum(values, 0.0, out=values)
     values[:, constant] = 1.0  # level 1, the sentinel among them
-    return offsets, values
+    return Hats(offsets, values)
 
 
 def _chain_products(chains: np.ndarray, xpv_block: np.ndarray) -> np.ndarray:
@@ -117,48 +146,43 @@ def _validate(comp: CompressedGrid, surplus: np.ndarray, X: np.ndarray):
     return surplus, X
 
 
-def basis_matrix(comp: CompressedGrid, unit_X: np.ndarray) -> np.ndarray:
-    """Tensor-product basis values of every (reordered) grid point at ``unit_X``.
+def basis_matrix(comp: CompressedGrid, at) -> np.ndarray:
+    """Tensor-product basis values of every (reordered) grid point at query points.
 
-    Returns an ``(m, num_points)`` matrix, one chain walk over every grid
-    point (:func:`_chain_products`): column ``k`` is bit for bit the dense
-    layout's product of ``basis_1d_vectorized`` over ascending dimensions of
-    grid row ``comp.order[k]``.  A blocked kernel (``cuda``:
-    ``_CUDA_BLOCK`` rows) is, bit for bit, this matrix of each block times
+    ``at`` is ``(m, dim)`` points of the unit box, or the :class:`Hats`
+    already taken at them.  Returns an ``(m, num_points)`` matrix, one
+    chain walk over every grid point (:func:`_chain_products`): column
+    ``k`` is bit for bit the dense layout's product of
+    ``basis_1d_vectorized`` over ascending dimensions of grid row
+    ``comp.order[k]``.  A blocked kernel (``cuda``: ``_CUDA_BLOCK`` rows)
+    is, bit for bit, this matrix of each block times
     ``comp.reorder(surplus)``.  Materializing the matrix once lets many
     surplus sets that share one grid be evaluated with a single basis pass
     plus one small GEMM each — the stacked-surplus path of the batched solver.
     """
-    unit_X = np.atleast_2d(np.asarray(unit_X, dtype=float))
-    if unit_X.shape[1] != comp.dim:
-        raise ValueError(f"query points must have {comp.dim} columns")
-    return _chain_products(comp.chains, factor_values(comp, unit_X))
+    return _chain_products(comp.chains, _hats_at(comp, at).values)
 
 
-def basis_gradient(
-    comp: CompressedGrid, unit_X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-dimension derivatives of the (reordered) basis functions at ``unit_X``.
+def basis_gradient(comp: CompressedGrid, at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-dimension derivatives of the (reordered) basis functions at query points.
 
-    A basis function is a product of one hat per chain slot, and each slot
-    of a point names one dimension, so its derivative in that dimension is
-    the slot's hat slope times the point's other factors, and zero in every
-    dimension its chain does not name.  Returns ``(slopes, points, dims)``
-    over the live slots of :meth:`CompressedGrid.gradient_entries`:
-    ``slopes[:, i]`` is the derivative of basis function ``points[i]`` in
-    dimension ``dims[i]`` (ascending) at every query point, and every
-    derivative not listed is zero.  That is at most ``nfreq`` entries a
-    grid point — the slot matrices of the chain walk, terminated slots
-    dropped — never the dense ``(m, dim, num_points)`` gradient.  A hat's
-    slope is taken from the right, as a forward difference sees it:
-    ``+2**(l-1)`` on the left half of its support, ``-2**(l-1)`` from its
-    center on, 0 outside; the other factors are those of
-    :func:`basis_matrix`.
+    ``at`` is what :func:`basis_matrix` takes: points of the unit box, or
+    the :class:`Hats` already taken there.  A basis function is a product
+    of one hat per chain slot, and each slot of a point names one
+    dimension, so its derivative in that dimension is the slot's hat slope
+    times the point's other factors, and zero in every dimension its chain
+    does not name.  Returns ``(slopes, points, dims)`` over the live slots
+    of :meth:`CompressedGrid.gradient_entries`: ``slopes[:, i]`` is the
+    derivative of basis function ``points[i]`` in dimension ``dims[i]``
+    (ascending) at every query point, and every derivative not listed is
+    zero.  That is at most ``nfreq`` entries a grid point — the slot
+    matrices of the chain walk, terminated slots dropped — never the dense
+    ``(m, dim, num_points)`` gradient.  A hat's slope is taken from the
+    right, as a forward difference sees it: ``+2**(l-1)`` on the left half
+    of its support, ``-2**(l-1)`` from its center on, 0 outside; the other
+    factors are those of :func:`basis_matrix`.
     """
-    unit_X = np.atleast_2d(np.asarray(unit_X, dtype=float))
-    if unit_X.shape[1] != comp.dim:
-        raise ValueError(f"query points must have {comp.dim} columns")
-    offsets, factors = _hats(comp, unit_X)
+    offsets, factors = _hats_at(comp, at)
     hat_slopes = np.copysign(comp.hat_constants()[1], -offsets)  # -scale from the center on
     hat_slopes *= (offsets >= -1.0) & (offsets < 1.0)
     points, dims, own, others = comp.gradient_entries()
@@ -166,6 +190,11 @@ def basis_gradient(
     for entries in others:
         slopes *= factors[:, entries]
     return slopes, points, dims
+
+
+def _hats_at(comp: CompressedGrid, at) -> Hats:
+    """``at`` itself when it is :class:`Hats`, else the hats at the unit-box points ``at``."""
+    return at if isinstance(at, Hats) else hats(comp, at)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,10 @@ approximate it with one adaptive sparse grid per discrete state ``z``:
   Algorithm 1);
 * :class:`PolicyRead` — one or more models' policy sets prepared once for
   many reads of each row's own model in several states at once, what a
-  Newton run of the equilibrium solver builds for its residual calls and
-  their linearizations (:meth:`PolicyRead.gradient`, the read's gradient
-  weighted over the states);
+  Newton run of the equilibrium solver builds for its residual calls; a
+  call prepares its rows once (:meth:`PolicyRead.rows`), and its read and
+  its linearization (:meth:`PolicyRead.gradient`, the read's gradient
+  weighted over the states) both take that record;
 * :func:`values_on_grid` — the previous iterate at today's grid points: its
   stored nodal values where the grids share their points, an interpolation
   otherwise.  It is the one rule behind the warm start and
@@ -40,7 +41,7 @@ import numpy as np
 from repro.grids.domain import BoxDomain
 from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
-from repro.grids.interpolation import SparseGridInterpolant, StackedRead
+from repro.grids.interpolation import ReadRows, SparseGridInterpolant, StackedRead
 
 __all__ = ["StatePolicy", "PolicySet", "PolicyRead", "values_on_grid"]
 
@@ -249,25 +250,30 @@ class PolicyRead:
 
     ``policy_sets`` holds one :class:`PolicySet` per model (one model, or
     the members of a stacked group); the sets have equal ``num_policies``.
-    A call ``read(states, member, X, columns)`` reads at the rows of ``X``
-    (in their model's box; ``member`` names it, one index or one per row,
-    sorted) the policy columns ``columns`` (default: all) of each row's
-    model in the shock states ``states``, as one
-    ``(len(states), rows, len(columns))`` array — no row axis for one
-    point ``X`` of shape ``(d,)``, and empty for no rows or no states.
-    :meth:`gradient` takes the same arguments and per-row weights, and
-    returns the read's gradient in the box coordinates, summed over the
-    states with those weights.
+    Query rows are prepared once, :meth:`rows` of ``member`` and ``X``: the
+    rows of ``X`` (each in its model's box; ``member`` names the model, one
+    index or one per row, sorted) mapped onto the unit box — and, on a
+    shared grid, the factor table's hats taken there.  Any number of reads
+    then take that record: ``read.read(states, rows, columns)`` is the
+    policy columns ``columns`` (default: all) of each row's model in the
+    shock states ``states``, one ``(len(states), rows, len(columns))``
+    array (empty for no rows or no states), and :meth:`gradient` is that
+    read's gradient at the rows of the record, or of ``rows.take(keep)``,
+    summed over the states with per-row weights.  A call ``read(states,
+    member, X, columns)`` prepares and reads once, with no row axis for one
+    point ``X`` of shape ``(d,)``.
 
     When every policy sits on one grid object and each model's states share
     its box (time iteration's shared regular grid), the read is a
-    :class:`~repro.grids.interpolation.StackedRead`: a call is one basis
-    pass over all rows and one GEMM per model against that model's
-    surpluses of ``states`` side by side, the operand built once per model,
-    state set and column pick from the picked columns only.  Otherwise
-    (adaptive grids) one model is read state by state; several models are
-    refused at construction, since stacks share one grid and adaptive
-    solves never stack.
+    :class:`~repro.grids.interpolation.StackedRead`: a read is one basis
+    pass over all rows, from the record's hats, and one GEMM per model
+    against that model's surpluses of ``states`` side by side, the operand
+    built once per model, state set and column pick from the picked
+    columns only.  Otherwise (adaptive grids) one model is read state by
+    state from the record's unit coordinates, and a gradient takes each
+    state grid's hats at its rows; several models are refused at
+    construction, since stacks share one grid and adaptive solves never
+    stack.
     """
 
     def __init__(self, policy_sets: list[PolicySet]) -> None:
@@ -285,22 +291,35 @@ class PolicyRead:
         # per-state grids: a read of one state's policy for its gradient
         self.per_state = None if shared else [StackedRead([i]) for i in self.interps[0]]
 
-    def __call__(self, states, member, X: np.ndarray, columns=None) -> np.ndarray:
-        states, rows = tuple(map(int, states)), np.atleast_2d(X)
+    def rows(self, member, X: np.ndarray) -> ReadRows:
+        """The rows ``X`` of the models ``member``, prepared for every read and gradient there."""
+        rows = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.shared is not None:
+            return self.shared.rows(rows, member)
+        # one model, each state on its grid and box: unit coordinates (states, rows, d)
+        each = [read.map_rows(rows, member) for read in self.per_state]
+        return each[0]._replace(unit=np.stack([r.unit for r in each]))
+
+    def read(self, states, rows: ReadRows, columns=None) -> np.ndarray:
+        """The columns ``columns`` of the policies of ``states`` at the prepared ``rows``."""
+        states, m = tuple(map(int, states)), int(rows.bounds[-1])
         width = self.width if columns is None else len(columns)
-        if not (states and len(rows)):
-            values = np.empty((len(states), len(rows), width))
-        elif self.shared is None:
+        if not (states and m):
+            return np.empty((len(states), m, width))
+        if self.shared is None:
             picked = slice(None) if columns is None else list(columns)
-            values = np.stack([self.interps[0][s](rows)[:, picked] for s in states])
-        else:
-            flat = self.shared(*_blocks(member, rows), states, columns)
-            # (rows, states x columns) -> (states, rows, columns), a view
-            values = np.concatenate(flat).reshape(len(rows), len(states), width).swapaxes(0, 1)
+            return np.stack([self.interps[0][s].at_unit(rows.unit[s])[:, picked] for s in states])
+        blocks = self.shared.read(rows, states, columns)
+        flat = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        # (rows, states x columns) -> (states, rows, columns), a view
+        return flat.reshape(m, len(states), width).swapaxes(0, 1)
+
+    def __call__(self, states, member, X: np.ndarray, columns=None) -> np.ndarray:
+        values = self.read(states, self.rows(member, X), columns)
         return values[:, 0] if np.ndim(X) == 1 else values
 
-    def gradient(self, states, member, X: np.ndarray, columns, weights: np.ndarray) -> np.ndarray:
-        """The read's gradient at the rows ``X``, summed over the states with per-row weights.
+    def gradient(self, states, rows: ReadRows, columns, weights: np.ndarray) -> np.ndarray:
+        """The read's gradient at the prepared ``rows``, summed over the states with row weights.
 
         ``weights`` is ``(len(states), rows, len(columns))``; the result is
         ``(rows, len(columns), d)``: ``sum_s weights[s, r, c]`` times the
@@ -310,21 +329,15 @@ class PolicyRead:
         sum over the states is taken before the gradient is, so no call
         holds the ``(states, rows, columns, d)`` array.
         """
-        states, rows = tuple(map(int, states)), np.atleast_2d(X)
-        if not (states and len(rows)):
-            return np.zeros((len(rows), np.shape(weights)[-1], rows.shape[1]))
+        states, m = tuple(map(int, states)), int(rows.bounds[-1])
+        if not (states and m):
+            return np.zeros((m, np.shape(weights)[-1], rows.unit.shape[-1]))
         if self.shared is None:
-            return sum(
-                self.per_state[s].gradient([rows], w[:, None, :], columns=columns)
-                for s, w in zip(states, weights)
-            )
-        blocks, models = _blocks(member, rows)
+            total = 0.0
+            for s, w in zip(states, weights):  # each state on its grid and box
+                read = self.per_state[s]
+                own = rows._replace(unit=rows.unit[s], widths=read.widths[0])
+                total = total + read.gradient(own, w[:, None, :], None, columns)
+            return total
         # the weights by row: (rows, states, columns)
-        return self.shared.gradient(blocks, np.swapaxes(weights, 0, 1), models, states, columns)
-
-
-def _blocks(member, rows: np.ndarray) -> tuple[list, list]:
-    """The rows in one block per model, and those models: ``member`` is sorted."""
-    owners = np.ravel(member)
-    starts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
-    return np.split(rows, starts), [int(owners[0])] + owners[starts].tolist()
+        return self.shared.gradient(rows, np.swapaxes(weights, 0, 1), states, columns)

@@ -11,13 +11,17 @@ paper's Table II ladder are the subject of the experiments, which call
 Interpolants on one grid are read together by :func:`evaluate_stacked`:
 one basis pass at all query blocks, one GEMM per block against the
 surpluses read there side by side.  :class:`StackedRead` is the same read
-split in two — what does not change between reads (validation, the
-compressed grid, the boxes, the reordered GEMM operands) built once, and
-a call that maps the blocks onto the unit box, runs the basis pass and
+split in three — what does not change between reads (validation, the
+compressed grid, the boxes' bound tables, the reordered GEMM operands)
+built once; the query rows prepared once (:meth:`StackedRead.rows`, a
+:class:`ReadRows` record: the rows' blocks, mapped onto the unit box by
+bounds gathered by row, and the factor table's hats there); and any
+number of reads of that record, each a basis pass from the kept hats and
 the GEMMs — for callers that read the same interpolants many times, like
-the residual calls of one Newton run; :meth:`StackedRead.gradient` is the
-read's weighted gradient at the blocks a call reads, what those calls'
-linearizations take.
+the residual calls of one Newton run.  :meth:`StackedRead.gradient` is
+the read's weighted gradient from the same record, at all its rows or at
+those :meth:`ReadRows.take` keeps: what those calls' linearizations take,
+with no unit mapping or hats of their own.
 
 Caching contract
 ----------------
@@ -40,7 +44,7 @@ what keeps that operand from going stale while the read is in use.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +53,7 @@ from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
 from repro.grids.regular import regular_sparse_grid
 
-__all__ = ["SparseGridInterpolant", "StackedRead", "evaluate_stacked"]
+__all__ = ["ReadRows", "SparseGridInterpolant", "StackedRead", "evaluate_stacked"]
 
 
 def evaluate_stacked(
@@ -83,19 +87,55 @@ def evaluate_stacked(
     return StackedRead(interpolants).values(Xs)
 
 
+class ReadRows(NamedTuple):
+    """Query rows of a :class:`StackedRead` prepared once: any number of reads take them.
+
+    The rows run in blocks, block ``i`` being rows ``bounds[i] :
+    bounds[i + 1]`` in the box of group ``groups[i]``; ``widths`` are each
+    row's box widths (one row for all when one group reads them all),
+    ``unit`` the rows mapped onto the unit box and ``hats`` the factor
+    table's :class:`~repro.core.kernels.Hats` there (``None`` where no
+    read of one shared grid takes them).
+    """
+
+    groups: list
+    bounds: np.ndarray
+    widths: np.ndarray
+    unit: np.ndarray
+    hats: object
+
+    def take(self, keep) -> "ReadRows":
+        """The rows at the increasing positions ``keep``, in the blocks they were in."""
+        widths = self.widths if self.widths.ndim == 1 else self.widths[keep]
+        hats = None if self.hats is None else self.hats.take(keep)
+        bounds = np.searchsorted(keep, self.bounds)
+        return ReadRows(self.groups, bounds, widths, self.unit[..., keep, :], hats)
+
+    @property
+    def at(self):
+        """What a basis pass at the rows takes: the hats, or the unit coordinates without them."""
+        return self.unit if self.hats is None else self.hats
+
+
 class StackedRead:
     """:func:`evaluate_stacked` prepared once, for reading the same interpolants many times.
 
     ``interpolants`` is :func:`evaluate_stacked`'s first argument: groups of
     interpolants (or single ones) on one grid object, each group on one
-    box.  Construction is the once-per-run half: it checks exactly that and
-    fetches the compressed grid; the reordered GEMM operand of a group — of
-    the chosen members of a group — is kept once first built.  A call is
-    the per-read half: the blocks mapped onto the unit box, ONE basis pass
-    over all of them (``kernels.basis_matrix``) and ONE GEMM per block.
-    The interpolants and their grid must not change while the read is in
-    use (surpluses are frozen on attach; ``grid.add_points`` would need a
-    new read).
+    box.  Construction is the once-per-run half: it checks exactly that,
+    fetches the compressed grid and tables the boxes' bounds; the
+    reordered GEMM operand of a group — of the chosen members of a group —
+    is kept once first built.  Query rows are prepared once
+    (:meth:`rows`): mapped onto the unit box with their group's bounds,
+    gathered row by row, and the factor table's hats taken there.  A read
+    of prepared rows (:meth:`read`) is ONE basis pass over all of them
+    (``kernels.basis_matrix`` from the kept hats) and ONE GEMM per block;
+    their :meth:`gradient` runs ``kernels.basis_gradient`` from the same
+    hats, at all the prepared rows or at the ones :meth:`ReadRows.take`
+    keeps.  A call (:meth:`__call__`) does both halves for a list of
+    blocks.  The interpolants and their grid must not change while the
+    read is in use (surpluses are frozen on attach; ``grid.add_points``
+    would need a new read).
     """
 
     def __init__(
@@ -117,7 +157,9 @@ class StackedRead:
             if not all(first.shares_basis_with(interp) for interp in group[1:]):
                 raise ValueError("interpolants read at one block must share grid and box")
         self.comp = compressed_for(grid)
-        self._widths = np.array([group[0].domain.widths for group in self.groups])
+        #: the groups' boxes, one row a group
+        self.lower = np.array([group[0].domain.lower for group in self.groups])
+        self.widths = np.array([group[0].domain.widths for group in self.groups])
 
     def _operand(
         self, g: int, picks: tuple[int, ...] | None, columns: tuple[int, ...] | None = None
@@ -135,19 +177,73 @@ class StackedRead:
             self._operands[key] = operand
         return operand
 
-    def _units(self, Xs: list[np.ndarray], groups) -> tuple:
-        """The groups the blocks are read with, and the blocks mapped onto the unit box."""
+    def rows(self, X: np.ndarray, member) -> ReadRows:
+        """The rows ``X`` prepared for reads: ``member`` names the group of all rows or of each.
+
+        ``member`` runs in blocks, one per group read (a group may recur).
+        Each row is mapped onto the unit box with its group's bounds —
+        :meth:`~repro.grids.domain.BoxDomain.to_unit`'s arithmetic, clip
+        included, on bounds gathered by ``member`` — and the factor table's
+        hats are taken there, once for every read and gradient of these rows.
+        """
+        from repro.core import kernels
+
+        groups, bounds, widths, unit, _ = self.map_rows(X, member)
+        return ReadRows(groups, bounds, widths, unit, kernels.hats(self.comp, unit))
+
+    def map_rows(self, X: np.ndarray, member) -> ReadRows:
+        """:meth:`rows` without the hats: the rows in their blocks, mapped onto the unit box."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.comp.dim:
+            raise ValueError(f"query points must have {self.comp.dim} columns")
+        if np.ndim(member) == 0:
+            groups, bounds = [int(member)], np.array([0, len(X)])
+        else:  # where each run of one group starts; none for no rows
+            starts = np.flatnonzero(member[1:] != member[:-1]) + 1
+            starts = np.concatenate(([0], starts))[: len(X)]
+            groups, bounds = member[starts].tolist(), np.append(starts, len(X))
+        widths = self.widths[member]
+        unit = np.clip((X - self.lower[member]) / widths, 0.0, 1.0)  # BoxDomain.to_unit's
+        return ReadRows(groups, bounds, widths, unit, None)
+
+    def _blocks(self, Xs: list[np.ndarray], groups) -> ReadRows | None:
+        """The blocks ``Xs``, read with ``groups`` (default: one block per group), prepared."""
         if groups is None:
             if len(Xs) != len(self.groups):
                 raise ValueError("need one query block per interpolant")
             groups = range(len(Xs))
-        units = []
-        for g, X in zip(groups, Xs):
-            X = np.atleast_2d(np.asarray(X, dtype=float))
+        blocks = [np.atleast_2d(np.asarray(X, dtype=float)) for X in Xs]
+        if not blocks:
+            return None
+        for X in blocks:
             if X.shape[1] != self.comp.dim:
                 raise ValueError(f"query points must have {self.comp.dim} columns")
-            units.append(self.groups[g][0].domain.to_unit(X))
-        return list(groups), units
+        rows = self.rows(np.concatenate(blocks), np.repeat(list(groups), [len(X) for X in blocks]))
+        # one output per block, also where neighbouring blocks share their group
+        return rows._replace(groups=list(groups), bounds=np.cumsum([0] + [len(X) for X in blocks]))
+
+    def read(
+        self,
+        rows: ReadRows,
+        picks: tuple[int, ...] | None = None,
+        columns: tuple[int, ...] | None = None,
+    ) -> list[np.ndarray]:
+        """The GEMM output of every block of the prepared ``rows``: ``(m_i, width)``.
+
+        Each block is read with its group — of that group with the
+        interpolants at positions ``picks`` (default: all of them), in that
+        order, and of each interpolant the value columns ``columns``
+        (default: all), so the GEMM operand holds those columns only — the
+        interpolants side by side.
+        """
+        from repro.core import kernels
+
+        # through the module: whoever wraps kernels.basis_matrix sees every pass
+        basis = kernels.basis_matrix(self.comp, rows.at)
+        return [
+            basis[start:stop] @ self._operand(g, picks, columns)
+            for g, start, stop in zip(rows.groups, rows.bounds[:-1], rows.bounds[1:])
+        ]
 
     def __call__(
         self,
@@ -159,71 +255,51 @@ class StackedRead:
         """The GEMM output of every block: ``(m_i, width)``, interpolants side by side.
 
         Block ``Xs[i]``, in its group's box, is read with group
-        ``groups[i]`` — by default group ``i``, one block per group — and of
-        that group with the interpolants at positions ``picks`` (default:
-        all of them), in that order, and of each interpolant the value
-        columns ``columns`` (default: all), so the GEMM operand holds those
-        columns only.
+        ``groups[i]`` — by default group ``i``, one block per group — as
+        :meth:`read` reads prepared rows.
         """
-        from repro.core import kernels
-
-        groups, units = self._units(Xs, groups)
-        if not units:
-            return []
-        # through the module: whoever wraps kernels.basis_matrix sees every pass
-        basis = kernels.basis_matrix(self.comp, np.concatenate(units))
-        outs, start = [], 0
-        for g, unit in zip(groups, units):
-            stop = start + unit.shape[0]
-            outs.append(basis[start:stop] @ self._operand(g, picks, columns))
-            start = stop
-        return outs
+        rows = self._blocks(Xs, groups)
+        return [] if rows is None else self.read(rows, picks, columns)
 
     def gradient(
         self,
-        Xs: list[np.ndarray],
+        rows: ReadRows,
         weights: np.ndarray,
-        groups=None,
         picks: tuple[int, ...] | None = None,
         columns: tuple[int, ...] | None = None,
     ) -> np.ndarray:
-        """The read's gradient at the blocks a call with these arguments reads, weighted.
+        """The weighted gradient, at the prepared ``rows``, of the read :meth:`read` makes there.
 
-        ``weights`` is ``(rows, interpolants, columns)`` over the rows of all
-        blocks in order; the result is ``(rows, columns, dim)``: entry ``[r,
-        c, b]`` is the sum over the chosen interpolants ``p`` of ``weights[r,
-        p, c]`` times the derivative of interpolant ``p``'s column ``c`` in
-        coordinate ``b`` of the box at row ``r``, taken from the right as
-        :func:`~repro.core.kernels.basis_gradient` takes it.  The weights
-        meet the surpluses of the live chain slots before their basis
-        derivatives (one batched GEMM per block, one GEMM summing each
-        dimension's slots after), so no call holds the gradient of every
-        interpolant, nor a dense ``(m, dim, num_points)`` array.
+        ``weights`` is ``(rows, interpolants, columns)``; the result is
+        ``(rows, columns, dim)``: entry ``[r, c, b]`` is the sum over the
+        chosen interpolants ``p`` of ``weights[r, p, c]`` times the
+        derivative of interpolant ``p``'s column ``c`` in coordinate ``b``
+        of the box at row ``r``, taken from the right as
+        :func:`~repro.core.kernels.basis_gradient` takes it — from the hats
+        ``rows`` keeps.  The weights meet the surpluses of the live chain
+        slots before their basis derivatives (one batched GEMM per block,
+        one GEMM summing each dimension's slots after), so no call holds
+        the gradient of every interpolant, nor a dense ``(m, dim,
+        num_points)`` array.
         """
         from repro.core import kernels
 
-        groups, units = self._units(Xs, groups)
         weights = np.asarray(weights, dtype=float)
         width = weights.shape[2]
-        if not units:
-            return np.zeros((0, width, self.comp.dim))
-        slopes, points, dims = kernels.basis_gradient(self.comp, np.concatenate(units))
+        slopes, points, dims = kernels.basis_gradient(self.comp, rows.at)
         if not len(points):  # a grid of the root alone is constant
             return np.zeros((len(slopes), width, self.comp.dim))
         # (columns, rows, slots): the weighted surpluses of every live slot
         weighted = np.empty((width, len(slopes), len(points)))
         by_column = weights.transpose(2, 0, 1)
-        start = 0
-        for g, unit in zip(groups, units):
-            stop = start + len(unit)
+        for g, start, stop in zip(rows.groups, rows.bounds[:-1], rows.bounds[1:]):
             operand = self._slot_operand(g, picks, columns, width, points)
             np.matmul(by_column[:, start:stop], operand, out=weighted[:, start:stop])
-            start = stop
         weighted *= slopes
         # the sum over each dimension's slots: one GEMM against their indicator
         out = (weighted @ (dims[:, None] == np.arange(self.comp.dim))).transpose(1, 0, 2)
         # unit-box derivatives to box derivatives, each row by its group's widths
-        out /= np.repeat(self._widths[groups], [len(u) for u in units], axis=0)[:, None, :]
+        out /= rows.widths[..., None, :]
         return out
 
     def _slot_operand(self, g: int, picks, columns, width: int, points) -> np.ndarray:
@@ -363,19 +439,23 @@ class SparseGridInterpolant:
         the result has shape ``(m, num_dofs)`` (or ``(m,)`` for scalar
         interpolants; a single point yields the corresponding 0-/1-D shape).
         """
-        from repro.core.compression import compressed_for
-        from repro.core.kernels import evaluate
-
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         X2 = np.atleast_2d(X)
         if X2.shape[1] != self.grid.dim:
             raise ValueError(f"query points must have {self.grid.dim} columns")
         scalar = self.surplus.ndim == 1
-        out = evaluate(compressed_for(self.grid), self._surplus_2d, self.domain.to_unit(X2))
+        out = self.at_unit(self.domain.to_unit(X2))
         if scalar:
             out = out[:, 0]
         return out[0] if single else out
+
+    def at_unit(self, U: np.ndarray) -> np.ndarray:
+        """The ``(m, num_dofs)`` values at the points ``U`` of the unit box, one row a point."""
+        from repro.core.compression import compressed_for
+        from repro.core.kernels import evaluate
+
+        return evaluate(compressed_for(self.grid), self._surplus_2d, U)
 
     def max_error_at(self, func: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> float:
         """Maximum absolute interpolation error against ``func`` at ``X``."""

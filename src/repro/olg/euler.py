@@ -29,15 +29,21 @@ The residuals, their Jacobian and the Bellman update are written once, as
 private routines of today's cash on hand and a prepared
 :class:`~repro.core.policy.PolicyRead` of the next-iterate policies.  A
 Newton run (:meth:`EulerSystem.solve`) builds both once — neither depends
-on the candidate savings — so a residual call pays only for tomorrow: the
-next states and period environment, one basis pass and one GEMM per model
-over tomorrow's savings of ages ``1 .. A-2`` (the only policy columns the
-Euler equations read), the marginal utilities.  Each call also keeps
-what its Jacobian needs, and :meth:`EulerSystem._linearize` applies the
-chain rule to it at the rows Newton keeps: the saver's own return, the
-rank-one term through tomorrow's capital (closed form in
-:mod:`repro.olg.production` and :mod:`repro.olg.government`), and the
-read's gradient at those rows (:meth:`~repro.core.policy.PolicyRead.gradient`).
+on the candidate savings — so a residual call pays only for tomorrow, and
+derives it once: the shock labels, box bounds and transition
+probabilities gathered by row, tomorrow's capital and period environment,
+tomorrow's states prepared for the read (mapped onto the unit box and the
+factor table's hats taken there, :meth:`~repro.core.policy.PolicyRead.rows`),
+one basis pass from those hats and one GEMM per model over tomorrow's
+savings of ages ``1 .. A-2`` (the only policy columns the Euler equations
+read), the marginal utilities.  The call keeps all of it, and
+:meth:`EulerSystem._linearize` applies the chain rule to it at the rows
+Newton keeps, deriving nothing of tomorrow again: the saver's own return,
+the rank-one term through tomorrow's capital (closed form in
+:mod:`repro.olg.production` and :mod:`repro.olg.government`, from the kept
+tax rates and prices), and the read's gradient from the kept hats at those
+rows (:meth:`~repro.core.policy.PolicyRead.gradient`), assembled in one
+``(rows, A-1, A-1)`` buffer.
 Newton's one callback returns a call's residuals with that
 linearization, so a Newton iteration evaluates the Euler system once, at
 its trial point, and the call that accepted a row's point gives the next
@@ -54,6 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.policy import PolicyRead, PolicySet
+from repro.grids.interpolation import ReadRows
 from repro.olg.government import GovernmentBudget
 from repro.olg.production import Prices
 from repro.olg.solver import BatchNewtonSolver
@@ -87,13 +94,17 @@ class PeriodEnvironment(NamedTuple):
 
 
 class _Tomorrow(NamedTuple):
-    """The reachable shock states and what the rows meet there."""
+    """The reachable shock states, what the rows meet there, and the read prepared at them."""
 
     successors: np.ndarray   # (S,) the reachable shock states
     z_next: np.ndarray       # the same, shaped to broadcast against the rows
     prob: np.ndarray         # (S, rows) transition probabilities
+    labels: np.ndarray       # (4, S, rows) the shock labels there, by the rows' models
+    capital: np.ndarray      # (rows,) tomorrow's capital
+    lower: np.ndarray        # the rows' box bounds, gathered by model
+    upper: np.ndarray
     env: PeriodEnvironment   # at tomorrow's capital, per state and row
-    x_next: np.ndarray       # tomorrow's state, clipped into the box
+    rows: ReadRows           # tomorrow's state, clipped into the box, prepared for the read
 
 
 class _Euler(NamedTuple):
@@ -211,7 +222,11 @@ class EulerSystem:
     # ------------------------------------------------------------------ #
     def environment(self, z, member, K: np.ndarray) -> PeriodEnvironment:
         """Prices, government budget and incomes in shock state(s) ``z`` at capital ``K``."""
-        zeta, delta, tau_l, tau_c = self.labels[:, z, member]
+        return self._environment(self.labels[:, z, member], K)
+
+    def _environment(self, labels: np.ndarray, K: np.ndarray) -> PeriodEnvironment:
+        """:meth:`environment` under the shock labels ``labels``, gathered from :attr:`labels`."""
+        zeta, delta, tau_l, tau_c = labels
         L = self.labor_supply
         prices = self.technology.prices(K, L, zeta, delta)
         budget = self.fiscal.budget(
@@ -263,20 +278,35 @@ class EulerSystem:
     # ------------------------------------------------------------------ #
     # equilibrium conditions
     # ------------------------------------------------------------------ #
-    def _tomorrow(self, z, member, savings: np.ndarray) -> _Tomorrow:
+    def _tomorrow(self, z, member, savings: np.ndarray, read: PolicyRead) -> _Tomorrow:
         """The reachable shock states, their probabilities and period environment.
 
         The leading axis of the result runs over the reachable shock states,
         those some row's state ``z`` moves to with positive probability; a
         row that cannot reach one of them carries probability zero there
         (no rows reach none).  Today's savers ``0 .. A-2`` are tomorrow's
-        ages ``1 .. A-1``, whose savings the next-iterate policy says.
+        ages ``1 .. A-1``, whose savings the next-iterate policy says:
+        tomorrow's state is prepared for ``read`` once, for the call's read
+        and its Jacobian's.
         """
-        K_next, x_next = self.next_states(member, savings)
-        successors = np.flatnonzero(np.atleast_2d(self.reach[z]).any(axis=0))
+        lower, upper = self.lower[member], self.upper[member]
+        K_next = savings.sum(axis=-1)  # what next_states gives, the gathered bounds kept
+        today = np.zeros(self.num_states, dtype=bool)
+        today[z] = True  # the shock states of the rows
+        successors = np.flatnonzero(self.reach[today].any(axis=0))
         z_next = successors.reshape((-1,) + (1,) * K_next.ndim)  # broadcasts against the rows
-        prob = self.prob[z, z_next, member]
-        return _Tomorrow(successors, z_next, prob, self.environment(z_next, member, K_next), x_next)
+        labels = self.labels[:, z_next, member]
+        return _Tomorrow(
+            successors,
+            z_next,
+            self.prob[z, z_next, member],
+            labels,
+            K_next,
+            lower,
+            upper,
+            self._environment(labels, K_next),
+            read.rows(member, np.clip(savings, lower, upper)),
+        )
 
     def _euler(self, z, member, cash: np.ndarray, savings: np.ndarray, read: PolicyRead) -> _Euler:
         """The Euler gaps, and what their Jacobian reuses, from one read of tomorrow's savings.
@@ -288,8 +318,10 @@ class EulerSystem:
         expectation always has an inverse.
         """
         ns = self.num_savers
-        t = self._tomorrow(z, member, savings)
-        saved = read(t.successors, member, t.x_next, self.saved_columns)
+        t = self._tomorrow(z, member, savings, read)
+        saved = read.read(t.successors, t.rows, self.saved_columns)
+        if np.ndim(savings) == 1:  # one point: no row axis
+            saved = saved[:, 0]
         save_next = np.zeros(t.successors.shape + savings.shape)
         save_next[..., : ns - 1] = np.maximum(saved, 0.0)
         cons_next = t.env.gross_return[..., None] * savings + t.env.incomes[..., 1:] - save_next
@@ -309,7 +341,9 @@ class EulerSystem:
         ``e`` is :meth:`_euler`'s evaluation at ``savings`` (rows form,
         ``member`` one index or one per row) through ``read``; ``keep`` are
         increasing positions among its rows, and every row is taken without
-        a copy.
+        a copy.  Nothing of tomorrow is derived again: the shock labels,
+        capital, prices and the read's prepared rows (unit coordinates and
+        hats) are ``e``'s, taken at ``keep``.
         Returns ``J[r, a, b]``, the derivative of kept row ``r``'s ``s_a +
         gap_a - hypot(s_a, gap_a)`` in its saving ``s_b``.  A saving moves
         tomorrow's consumption of its saver ``c'_a = R' s_a + y'_{a+1} -
@@ -322,55 +356,70 @@ class EulerSystem:
         where ``x'`` is clipped or ``P < 0``.  Derivatives at a kink are
         taken from the right, as a forward difference sees them; where
         ``hypot(s, gap) = 0`` both partials of the Fischer–Burmeister
-        function are ``1 - 1/sqrt(2)``.
+        function are ``1 - 1/sqrt(2)``.  ``J`` is assembled in one
+        ``(rows, A-1, A-1)`` buffer.
         """
         ns = self.num_savers
         t = e.tomorrow
         every = len(keep) == len(savings)
         rows = slice(None) if every else np.asarray(keep)  # a slice picks views
-        member = member[rows] if np.ndim(member) else member
+        # the tax rates and box bounds: gathered by row, or one model's
+        if np.ndim(member):
+            labels, lower, upper = t.labels[2:, :, rows], t.lower[rows], t.upper[rows]
+        else:
+            labels, lower, upper = t.labels[2:], t.lower, t.upper
         savings, gap, expected, implied = (a[rows] for a in (savings, e.gap, e.expected, e.implied))
         prob, gross, saved, cons_next, mu_next = (
             a[:, rows] for a in (t.prob, t.env.gross_return, e.saved, e.cons_next, e.mu_next)
         )
         prices = Prices(*(field[:, rows] for field in t.env.prices))
-        gross_slope, incomes_slope = self._environment_slopes(
-            t.z_next, member, savings.sum(axis=-1), prices
-        )
+        gross_slope, incomes_slope = self._environment_slopes(labels, t.capital[rows], prices)
         # prob R' u''(c'), (states, rows, ns)
-        weighted = (prob * gross)[..., None] * self.utility.marginal_utility_slope(cons_next)
+        weighted = self.utility.marginal_utility_slope(cons_next)
+        weighted *= (prob * gross)[..., None]
+        # the read's weights: zero where tomorrow's savings are cut at 0
+        by_read = weighted[..., :-1] * (saved >= 0.0)
         # d E_a / d K', the same for every saving: through R' and through c'
-        through_capital = gross_slope[..., None] * savings + incomes_slope[..., 1:]
-        common = (
-            (prob * gross_slope)[..., None] * mu_next + weighted * through_capital
-        ).sum(axis=0)
-        own = (weighted * gross[..., None]).sum(axis=0)
+        through_capital = gross_slope[..., None] * savings
+        through_capital += incomes_slope[..., 1:]
+        through_capital *= weighted
+        through_capital += (prob * gross_slope)[..., None] * mu_next
+        common = through_capital.sum(axis=0)
+        weighted *= gross[..., None]
+        own = weighted.sum(axis=0)
+        del through_capital, weighted  # (states, rows, A-1) each: freed before the gradient
         through_read = read.gradient(
-            t.successors, member, t.x_next[rows], self.saved_columns,
-            weighted[..., :-1] * (saved >= 0.0),
+            t.successors, t.rows if every else t.rows.take(rows), self.saved_columns, by_read
         )
-        inside = (savings >= self.lower[member]) & (savings < self.upper[member])
-        slope = np.repeat(common[..., None], ns, axis=-1)  # d E_a / d s_b
-        slope[..., :-1, :] -= through_read * inside[..., None, :]
+        inside = (savings >= lower) & (savings < upper)
+        through_read *= inside[..., None, :]
+        J = np.empty(savings.shape + (ns,))  # d E_a / d s_b, then the residual's
+        J[...] = common[..., None]
+        J[..., :-1, :] -= through_read
         # the inverse marginal utility (beta E)^(-1/gamma), the gap's -c_a, then
         # Fischer–Burmeister's partials
         by_expected = -implied / (self.utility.gamma * expected)
         norm = np.hypot(savings, gap)
         zero = norm == 0.0
-        norm[zero] = 1.0
-        by_saving = np.where(zero, _FB_AT_ZERO, 1.0 - savings / norm)
-        by_gap = np.where(zero, _FB_AT_ZERO, 1.0 - gap / norm)
-        slope *= (by_gap * by_expected)[..., None]
-        diagonal = slope.reshape(slope.shape[:-2] + (ns * ns,))[..., :: ns + 1]  # a view
+        corner = zero.any()
+        if corner:
+            norm[zero] = 1.0
+        by_saving, by_gap = 1.0 - savings / norm, 1.0 - gap / norm
+        if corner:
+            by_saving[zero] = by_gap[zero] = _FB_AT_ZERO
+        J *= (by_gap * by_expected)[..., None]
+        diagonal = J.reshape(J.shape[:-2] + (ns * ns,))[..., :: ns + 1]  # a view
         diagonal += by_gap * (by_expected * own + 1.0) + by_saving
-        return slope
+        return J
 
-    def _environment_slopes(self, z_next, member, K: np.ndarray, prices: Prices):
+    def _environment_slopes(self, labels: np.ndarray, K: np.ndarray, prices: Prices):
         """``d/dK`` of tomorrow's gross return and incomes by age, in each successor state.
 
-        ``prices`` are tomorrow's at capital ``K`` in the states ``z_next``.
+        ``labels`` are tomorrow's labor and capital tax rates, ``prices``
+        tomorrow's prices at capital ``K``, both as :meth:`_tomorrow`
+        gathered them.
         """
-        tau_l, tau_c = self.labels[2:, z_next, member]
+        tau_l, tau_c = labels
         slopes = self.technology.price_slopes(K, prices)
         budget = self.fiscal.budget_slope(
             tau_l, tau_c, slopes.wage, self.labor_supply, prices.return_net,
@@ -387,9 +436,10 @@ class EulerSystem:
         """
         ns = self.num_savers
         utility_today = self.utility.utility(cash - savings)
-        t = self._tomorrow(z, member, savings)
+        t = self._tomorrow(z, member, savings, read)
+        valued = read.read(t.successors, t.rows, self.valued_columns)
         value_next = np.empty(t.successors.shape + savings.shape)
-        value_next[..., : ns - 1] = read(t.successors, member, t.x_next, self.valued_columns)
+        value_next[..., : ns - 1] = valued[:, 0] if np.ndim(savings) == 1 else valued
         terminal = t.env.gross_return * savings[..., ns - 1] + t.env.incomes[..., ns]
         value_next[..., ns - 1] = self.utility.utility(terminal)
         continuation = (t.prob[..., None] * value_next).sum(axis=0)
@@ -456,22 +506,26 @@ class EulerSystem:
         What happened is added, model by model, to :attr:`totals` of the
         model's own system.
         """
-        z, member = np.broadcast_to(z, X.shape[:1]), np.broadcast_to(member, X.shape[:1])
+        z = np.broadcast_to(z, X.shape[:1])
         # what no candidate changes, once per run: today's cash on hand and
         # the interpolation plumbing of the next-iterate policies
         cash = self.resources(z, member, X)
         read = PolicyRead(policies)
 
+        every = np.arange(len(X))
+
         def evaluate(active: np.ndarray, savings: np.ndarray) -> tuple:
-            owners = member[active]
-            e = self._euler(z[active], owners, cash[active], savings, read)
+            # every row once (the start, a full step no row has left): no gathers
+            rows = slice(None) if np.array_equal(active, every) else active
+            owners = member[rows] if np.ndim(member) else member  # one model: no gather
+            e = self._euler(z[rows], owners, cash[rows], savings, read)
             residual = savings + e.gap - np.hypot(savings, e.gap)
             return residual, lambda keep: self._linearize(owners, savings, e, keep, read)
 
         result = self.batch_solver.solve(evaluate, self.savings_guess(cash, guesses))
         savings, stalled = result.x, ~result.converged
         for i, model in enumerate(self.models):
-            mine, totals = member == i, model.system.totals
+            mine, totals = np.broadcast_to(member == i, X.shape[:1]), model.system.totals
             totals["rows"] += int(mine.sum())
             totals["stalled"] += int(stalled[mine].sum())
             totals["residual_calls"] += result.residual_evaluations

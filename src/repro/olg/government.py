@@ -106,7 +106,7 @@ class FiscalPolicy:
         on their ``efficiency`` units, the others the pension; everybody
         receives the lump-sum transfer.
         """
-        earned = np.asarray((1.0 - tau_labor) * wage)[..., None] * efficiency
-        pension = np.asarray(budget.pension_benefit)[..., None]
-        transfer = np.asarray(budget.lump_sum_transfer)[..., None]
-        return np.where(working, earned, pension) + transfer
+        incomes = np.asarray((1.0 - tau_labor) * wage)[..., None] * efficiency  # earned
+        incomes[..., ~np.asarray(working)] = np.asarray(budget.pension_benefit)[..., None]
+        incomes += np.asarray(budget.lump_sum_transfer)[..., None]
+        return incomes

@@ -25,10 +25,12 @@ from hypothesis import strategies as st
 
 from repro.core.batched import BatchedTimeIterationSolver
 from repro.core.compression import compress_grid
-from repro.core.kernels import basis_gradient, basis_matrix
+from repro.core.kernels import basis_gradient, basis_matrix, hats
 from repro.core.policy import PolicyRead, PolicySet, StatePolicy
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.adaptive import refine
+from repro.grids.domain import BoxDomain
+from repro.grids.interpolation import evaluate_stacked
 from repro.grids.regular import regular_sparse_grid
 from repro.olg.calibration import small_calibration
 from repro.olg.government import FiscalPolicy
@@ -137,10 +139,11 @@ def test_the_read_gradient_is_the_difference_of_the_read(adaptive):
     weights = rng.standard_normal((2, len(X), len(columns)))
     values = read((0, 1), 0, X, columns)
     np.testing.assert_array_equal(values, read((0, 1), 0, X)[..., list(columns)])
-    exact = read.gradient((0, 1), 0, X, columns, weights)
+    rows = read.rows(0, X)
+    exact = read.gradient((0, 1), rows, columns, weights)
     keep = np.arange(0, len(X), 3)
     np.testing.assert_array_equal(
-        read.gradient((0, 1), 0, X[keep], columns, weights[:, keep]), exact[keep]
+        read.gradient((0, 1), rows.take(keep), columns, weights[:, keep]), exact[keep]
     )
     for b in range(model.state_dim):
         h = step * model.domain.widths[b]
@@ -150,6 +153,90 @@ def test_the_read_gradient_is_the_difference_of_the_read(adaptive):
         np.testing.assert_allclose(
             exact[:, :, b], (weights * difference).sum(axis=0), rtol=1e-5, atol=1e-6
         )
+
+
+def test_a_basis_pass_from_kept_hats_is_the_pass_at_those_points():
+    """``basis_matrix`` / ``basis_gradient`` take the hats taken once, or some of their rows."""
+    comp = compress_grid(_grid(3, 3, True))
+    U = np.random.default_rng(7).random((20, 3))
+    taken = hats(comp, U)
+    assert np.array_equal(basis_matrix(comp, taken), basis_matrix(comp, U))
+    keep = np.arange(1, 20, 3)
+    for got, want in zip(basis_gradient(comp, taken.take(keep)), basis_gradient(comp, U[keep])):
+        assert np.array_equal(got, want)
+
+
+def _stacked_read(boxes, counts, seed=3):
+    """Three models' two-state policies on one grid, each on its box, and rows of each box."""
+    grid = regular_sparse_grid(3, 3)
+    rng = np.random.default_rng(seed)
+    policies = [
+        PolicySet(
+            [
+                StatePolicy.from_values(s, grid, rng.standard_normal((len(grid), 4)), box)
+                for s in range(2)
+            ]
+        )
+        for box in boxes
+    ]
+    member = np.repeat(np.arange(len(boxes)), counts)
+    X = np.concatenate([box.from_unit(rng.random((n, 3))) for box, n in zip(boxes, counts)])
+    return policies, member, X
+
+
+def test_the_record_reads_and_differentiates_at_kept_rows_across_blocks():
+    """A record serves reads and gradients at any increasing rows.
+
+    Its read is ``evaluate_stacked`` on the same blocks, bit for bit; its
+    gradient at kept rows — every third, across the models' block bounds,
+    with one model's block emptied — is the full gradient's rows, from the
+    same hats, to the last bits the GEMMs give: BLAS sums a block of other
+    height in another order, and a lone row goes through gemv.
+    """
+    boxes = [BoxDomain.cube(3, 0.0, 1.0 + b) for b in range(3)]
+    counts = (7, 5, 9)
+    policies, member, X = _stacked_read(boxes, counts)
+    read = PolicyRead(policies)
+    rows = read.rows(member, X)
+    assert rows.groups == [0, 1, 2] and rows.bounds.tolist() == [0, 7, 12, 21]
+    values = read.read((0, 1), rows)
+    blocks = np.split(X, np.cumsum(counts)[:-1])
+    once = evaluate_stacked([[sp.interpolant for sp in ps] for ps in policies], blocks)
+    for block, per_state in zip(np.split(np.arange(len(X)), np.cumsum(counts)[:-1]), once):
+        for s, alone in enumerate(per_state):
+            assert np.array_equal(values[s, block], alone)
+    columns = (0, 2, 3)
+    weights = np.random.default_rng(4).standard_normal((2, len(X), len(columns)))
+    full = read.gradient((0, 1), rows, columns, weights)
+    for keep in (np.arange(0, len(X), 3), np.r_[0:7, 12:21], np.r_[5:9, 20]):
+        kept = rows.take(keep)
+        if keep.size == 16:  # model 1's block is empty
+            assert np.diff(kept.bounds).tolist() == [7, 0, 9]
+        got = read.gradient((0, 1), kept, columns, weights[:, keep])
+        assert np.all(np.abs(got - full[keep]) <= 8 * np.finfo(float).eps * np.abs(full).max())
+
+
+def test_the_per_state_record_reads_and_differentiates_at_kept_rows():
+    """Per-state grids (adaptive): the record keeps each state's unit coordinates, on its box."""
+    (shared,), _, X = _stacked_read([BoxDomain.cube(3, 0.0, 2.0)], (12,))
+    boxes = (shared[0].interpolant.domain, BoxDomain.cube(3, -1.0, 1.0))
+    own = PolicySet(
+        [
+            StatePolicy.from_values(s, sp.grid.copy(), sp.nodal_values, box)
+            for s, (sp, box) in enumerate(zip(shared, boxes))
+        ]
+    )
+    read = PolicyRead([own])
+    assert read.shared is None
+    rows = read.rows(0, X)
+    values = read.read((1, 0), rows)
+    assert np.array_equal(values[0], own[1](X)) and np.array_equal(values[1], own[0](X))
+    columns = (1, 3)
+    weights = np.random.default_rng(5).standard_normal((2, len(X), len(columns)))
+    full = read.gradient((1, 0), rows, columns, weights)
+    keep = np.arange(1, len(X), 3)
+    got = read.gradient((1, 0), rows.take(keep), columns, weights[:, keep])
+    assert np.all(np.abs(got - full[keep]) <= 8 * np.finfo(float).eps * np.abs(full).max())
 
 
 # --------------------------------------------------------------------------- #

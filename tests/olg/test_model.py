@@ -558,6 +558,55 @@ class TestSharedBasisRead:
         assert len(passes) == run.residual_evaluations + 1
         assert len(reorders) == 2 * members
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_newton_call_derives_tomorrow_once(self, monkeypatch, stacked):
+        """A residual call takes the factor table's hats once; its Jacobian takes them from it.
+
+        Over a whole solve: one ``kernels._hats`` per residual call and one
+        for the value update, none inside a linearization; tomorrow's states
+        reach the unit box through the read's gathered box tables, never
+        through ``BoxDomain.to_unit``; and the basis passes stay one a
+        residual call plus one.
+        """
+        from repro.core import kernels
+        from repro.grids.domain import BoxDomain
+
+        model = OLGModel(small_calibration(num_generations=4, num_states=2, beta=0.8))
+        policy = TimeIterationSolver(model, TimeIterationConfig(grid_level=2)).initial_policy()
+        members = 1 + stacked
+        nodes = model.domain.from_unit(policy[0].grid.points)
+        X = np.tile(nodes, (2 * members, 1))
+        z = np.tile(np.repeat([0, 1], len(nodes)), members)
+        group = OLGModel.stacked_group([model] * members, [2 * len(nodes)] * members)
+        system, member = (group.system, group.member) if stacked else (model.system, 0)
+        counts, phase, runs = {"hats": [], "to_unit": [], "passes": []}, ["residual"], []
+        hats, to_unit, basis = kernels._hats, BoxDomain.to_unit, kernels.basis_matrix
+        linearize, newton = EulerSystem._linearize, system.batch_solver.solve
+
+        def counted(name, fn):
+            return lambda *a, **k: counts[name].append(phase[0]) or fn(*a, **k)
+
+        def linearizing(*a):
+            phase[0] = "jacobian"
+            try:
+                return linearize(*a)
+            finally:
+                phase[0] = "residual"
+
+        monkeypatch.setattr(kernels, "_hats", counted("hats", hats))
+        monkeypatch.setattr(BoxDomain, "to_unit", counted("to_unit", to_unit))
+        monkeypatch.setattr(kernels, "basis_matrix", counted("passes", basis))
+        monkeypatch.setattr(EulerSystem, "_linearize", linearizing)
+        monkeypatch.setattr(
+            system.batch_solver, "solve", lambda *a: runs.append(newton(*a)) or runs[-1]
+        )
+        system.solve(z, member, X, [policy] * members, None)
+        (run,) = runs
+        assert run.iterations > 1
+        assert counts["hats"] == ["residual"] * (run.residual_evaluations + 1)
+        assert counts["to_unit"] == []
+        assert len(counts["passes"]) == run.residual_evaluations + 1
+
 
 class TestMembers:
     """Each row names its model, so one model is a stack of one."""

@@ -32,6 +32,7 @@ from repro.core.policy import PolicyRead, PolicySet, StatePolicy
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.grids.adaptive import refine
 from repro.grids.hierarchize import evaluate_dense, hierarchize
+from repro.grids.interpolation import ReadRows
 from repro.grids.regular import regular_sparse_grid
 from repro.olg.calibration import small_calibration
 from repro.olg.markov import MarkovChain, persistent_chain, rouwenhorst
@@ -562,22 +563,28 @@ def _fused_against_per_state(calibration, level, thin, stacked, seed, passes=0):
         """
         seen = []
         newton = system.batch_solver.solve
-        read, gradient = PolicyRead.__call__, PolicyRead.gradient
+        prepare, read, gradient = PolicyRead.rows, PolicyRead.read, PolicyRead.gradient
+        take = ReadRows.take
 
-        def twice(member, X):
-            return member if np.ndim(member) == 0 else np.repeat(member, 2), np.repeat(X, 2, axis=0)
+        def rows_twice(self, member, X):
+            twice = member if np.ndim(member) == 0 else np.repeat(member, 2)
+            return prepare(self, twice, np.repeat(np.atleast_2d(X), 2, axis=0))
 
-        def read_twice(self, states, member, X, columns=None):
-            return read(self, states, *twice(member, X), columns)[:, ::2]
+        def take_twice(self, keep):  # the copies of the rows at keep
+            return take(self, np.repeat(2 * np.asarray(keep), 2) + np.tile([0, 1], len(keep)))
 
-        def gradient_twice(self, states, member, X, columns, weights):
-            both = np.repeat(weights, 2, axis=1)
-            return gradient(self, states, *twice(member, X), columns, both)[::2]
+        def read_twice(self, states, rows, columns=None):
+            return read(self, states, rows, columns)[:, ::2]
+
+        def gradient_twice(self, states, rows, columns, weights):
+            return gradient(self, states, rows, columns, np.repeat(weights, 2, axis=1))[::2]
 
         system.batch_solver.solve = lambda fn, x0: seen.append(newton(fn, x0)) or seen[-1]
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(PolicyRead, "__call__", read_twice)
+                patch.setattr(PolicyRead, "rows", rows_twice)
+                patch.setattr(ReadRows, "take", take_twice)
+                patch.setattr(PolicyRead, "read", read_twice)
                 patch.setattr(PolicyRead, "gradient", gradient_twice)
                 out = system.solve(z, member, X, policies, None)
         finally:
