@@ -11,7 +11,7 @@ one :meth:`SparseGrid.add_points` call per round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,11 +30,14 @@ __all__ = [
 
 
 def surplus_indicator(surplus: np.ndarray) -> np.ndarray:
-    """Default error indicator ``g(alpha)``: max absolute surplus per point.
+    """The error indicator ``g(alpha)`` refinement flags on: max absolute surplus per point.
 
     For multi-dof grids (the OLG application stores 2(A-1) coefficients per
     point) the indicator is the maximum over dofs, so a point is refined if
     *any* approximated function still has a large local correction there.
+    A caller that weighs the dofs scales the surpluses before handing them
+    over (the adaptive time-iteration step divides each column by its
+    nodal magnitude).
     """
     surplus = np.asarray(surplus, dtype=float)
     if surplus.ndim == 1:
@@ -46,13 +49,12 @@ def refinement_candidates(
     grid: SparseGrid,
     surplus: np.ndarray,
     epsilon: float,
-    indicator: Callable[[np.ndarray], np.ndarray] = surplus_indicator,
     max_level: int | None = None,
 ) -> np.ndarray:
-    """Rows of the grid flagged for refinement (``g(alpha) >= epsilon``)."""
+    """Rows of the grid flagged for refinement: :func:`surplus_indicator` ``>= epsilon``."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    scores = indicator(surplus)
+    scores = surplus_indicator(surplus)
     if scores.shape[0] != len(grid):
         raise ValueError("surplus rows must match the number of grid points")
     flagged = scores >= epsilon
@@ -111,7 +113,6 @@ def refine(
     grid: SparseGrid,
     surplus: np.ndarray,
     epsilon: float,
-    indicator: Callable[[np.ndarray], np.ndarray] = surplus_indicator,
     max_level: int | None = None,
 ) -> np.ndarray:
     """One adaptive refinement sweep, in place.
@@ -123,7 +124,7 @@ def refine(
     re-hierarchizing.
     """
     start = len(grid)
-    rows = refinement_candidates(grid, surplus, epsilon, indicator, max_level)
+    rows = refinement_candidates(grid, surplus, epsilon, max_level)
     lev, idx = child_points(grid, rows)
     if max_level is not None and lev.size:
         keep = lev.max(axis=1) <= max_level
@@ -155,7 +156,6 @@ class AdaptiveRefiner:
     epsilon: float = 1e-2
     max_level: int = 6
     max_points: int = 200_000
-    indicator: Callable[[np.ndarray], np.ndarray] = field(default=surplus_indicator)
 
     def build(
         self,
@@ -176,7 +176,7 @@ class AdaptiveRefiner:
         values = np.asarray(func(grid.points), dtype=float)
         surplus = hierarchize(grid, values)
         while len(grid) < self.max_points:
-            new_rows = refine(grid, surplus, self.epsilon, self.indicator, self.max_level)
+            new_rows = refine(grid, surplus, self.epsilon, self.max_level)
             if new_rows.size == 0:
                 break
             new_values = np.asarray(func(grid.points[new_rows]), dtype=float)

@@ -12,7 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoxDomain"]
+__all__ = ["BoxDomain", "unit_coordinates"]
+
+
+def unit_coordinates(x: np.ndarray, lower: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """``x`` mapped onto ``[0, 1]^d`` by boxes with corner ``lower`` and ``widths``, clipped.
+
+    The one box map: :meth:`BoxDomain.to_unit` runs it on its own bounds,
+    a stacked read (:meth:`repro.grids.interpolation.StackedRead.map_rows`)
+    on bounds gathered row by row.
+    """
+    return np.clip((x - lower) / widths, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -45,13 +55,9 @@ class BoxDomain:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def to_unit(self, x: np.ndarray, clip: bool = True) -> np.ndarray:
-        """Map points from the problem box to ``[0, 1]^d``."""
-        x = np.asarray(x, dtype=float)
-        u = (x - self.lower) / self.widths
-        if clip:
-            u = np.clip(u, 0.0, 1.0)
-        return u
+    def to_unit(self, x: np.ndarray) -> np.ndarray:
+        """Map points from the problem box to ``[0, 1]^d``, clipping strays onto its faces."""
+        return unit_coordinates(np.asarray(x, dtype=float), self.lower, self.widths)
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
         """Map points from ``[0, 1]^d`` back to the problem box."""

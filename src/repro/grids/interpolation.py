@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.grids.domain import BoxDomain
+from repro.grids.domain import BoxDomain, unit_coordinates
 from repro.grids.grid import SparseGrid
 from repro.grids.hierarchize import hierarchize
 from repro.grids.regular import regular_sparse_grid
@@ -182,8 +182,8 @@ class StackedRead:
 
         ``member`` runs in blocks, one per group read (a group may recur).
         Each row is mapped onto the unit box with its group's bounds —
-        :meth:`~repro.grids.domain.BoxDomain.to_unit`'s arithmetic, clip
-        included, on bounds gathered by ``member`` — and the factor table's
+        :func:`~repro.grids.domain.unit_coordinates`, the box map, on
+        bounds gathered by ``member`` — and the factor table's
         hats are taken there, once for every read and gradient of these rows.
         """
         from repro.core import kernels
@@ -203,7 +203,7 @@ class StackedRead:
             starts = np.concatenate(([0], starts))[: len(X)]
             groups, bounds = member[starts].tolist(), np.append(starts, len(X))
         widths = self.widths[member]
-        unit = np.clip((X - self.lower[member]) / widths, 0.0, 1.0)  # BoxDomain.to_unit's
+        unit = unit_coordinates(X, self.lower[member], widths)
         return ReadRows(groups, bounds, widths, unit, None)
 
     def _blocks(self, Xs: list[np.ndarray], groups) -> ReadRows | None:

@@ -9,8 +9,8 @@ state, the transition probabilities and the box bounds — sit in tables
 with one entry per model, and a method reads them at ``member``.  So one
 model is a stack of one, and the rows of one call may be (model, shock
 state, grid point) triples: ``z`` too is one state for all rows or an int
-array aligned with them.  With one model index the methods also take a
-single point without a row axis (states ``(d,)``, savings ``(A-1,)``).
+array aligned with them.  States and savings always carry a row axis
+(``(m, d)``, ``(m, A-1)``).
 :class:`repro.olg.model.OLGModel` and
 :class:`repro.olg.stacked.StackedOLGGroup` are shape adapters over this
 class: the period environment, the state packing, the Euler residuals, the
@@ -152,11 +152,9 @@ def structure_key(calibration) -> tuple:
 
 def _structure(model) -> dict:
     """What must agree across the models of one system, by the name a mismatch is reported."""
-    s = model.solver
     return {
         "model classes": type(model),
         "calibration structures": structure_key(model.calibration),
-        "nonlinear solver settings": (s.tol, s.max_iterations, s.max_step),
     }
 
 
@@ -167,8 +165,8 @@ class EulerSystem:
     ----------
     models
         :class:`~repro.olg.model.OLGModel` instances of one class, with
-        equal :func:`structure_key` and nonlinear-solver settings.
-        :class:`StructuralMismatch` is raised otherwise.
+        equal :func:`structure_key`.  :class:`StructuralMismatch` is
+        raised otherwise.
 
     ``member`` arguments name the model of the rows: one index for all of
     them, or one per row, sorted so that each model's rows are contiguous.
@@ -188,7 +186,7 @@ class EulerSystem:
         cal = first.calibration
         self.models = list(models)
         self.utility, self.technology, self.fiscal = first.utility, first.technology, first.fiscal
-        self.batch_solver = BatchNewtonSolver(first.solver)
+        self.batch_solver = BatchNewtonSolver()
         self.num_states = cal.num_states
         self.num_ages = cal.num_generations
         self.num_savers = ns = cal.num_generations - 1
@@ -320,8 +318,6 @@ class EulerSystem:
         ns = self.num_savers
         t = self._tomorrow(z, member, savings, read)
         saved = read.read(t.successors, t.rows, self.saved_columns)
-        if np.ndim(savings) == 1:  # one point: no row axis
-            saved = saved[:, 0]
         save_next = np.zeros(t.successors.shape + savings.shape)
         save_next[..., : ns - 1] = np.maximum(saved, 0.0)
         cons_next = t.env.gross_return[..., None] * savings + t.env.incomes[..., 1:] - save_next
@@ -439,7 +435,7 @@ class EulerSystem:
         t = self._tomorrow(z, member, savings, read)
         valued = read.read(t.successors, t.rows, self.valued_columns)
         value_next = np.empty(t.successors.shape + savings.shape)
-        value_next[..., : ns - 1] = valued[:, 0] if np.ndim(savings) == 1 else valued
+        value_next[..., : ns - 1] = valued
         terminal = t.env.gross_return * savings[..., ns - 1] + t.env.incomes[..., ns]
         value_next[..., ns - 1] = self.utility.utility(terminal)
         continuation = (t.prob[..., None] * value_next).sum(axis=0)
@@ -448,7 +444,7 @@ class EulerSystem:
     def euler_residuals(
         self, z, member, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
     ) -> np.ndarray:
-        """The Euler gap ``ĉ_a - c_a`` of every saving age, ``(..., A-1)``.
+        """The Euler gap ``ĉ_a - c_a`` of every saving age, ``(m, A-1)``.
 
         ``ĉ_a = (u')^{-1}(beta E[R' u'(c'_{a+1})])`` is the consumption the
         Euler equation asks for; a positive gap is a saver who would rather
@@ -460,7 +456,7 @@ class EulerSystem:
     def value_functions(
         self, z, member, X: np.ndarray, savings: np.ndarray, policies: list[PolicySet]
     ) -> np.ndarray:
-        """Bellman update of the value functions of all saving ages, ``(..., A-1)``."""
+        """Bellman update of the value functions of all saving ages, ``(m, A-1)``."""
         return self._values(z, member, self.resources(z, member, X), savings, PolicyRead(policies))
 
     # ------------------------------------------------------------------ #

@@ -55,7 +55,6 @@ from repro.olg.euler import EulerSystem, PeriodEnvironment
 from repro.olg.government import FiscalPolicy
 from repro.olg.preferences import CRRAUtility
 from repro.olg.production import CobbDouglasTechnology
-from repro.olg.solver import NewtonSolver
 from repro.utils.rng import default_rng
 
 __all__ = ["OLGModel", "PeriodEnvironment"]
@@ -71,16 +70,17 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 class OLGModel:
-    """Stochastic OLG economy implementing the time-iteration protocol."""
+    """Stochastic OLG economy implementing the time-iteration protocol.
 
-    def __init__(
-        self, calibration: OLGCalibration | None = None, solver: NewtonSolver | None = None
-    ) -> None:
+    The calibration is all it takes: the point solve's Newton settings are
+    the module constants of :mod:`repro.olg.solver`.
+    """
+
+    def __init__(self, calibration: OLGCalibration | None = None) -> None:
         self.calibration = cal = calibration if calibration is not None else OLGCalibration()
         self.utility = CRRAUtility(gamma=cal.gamma, c_min=cal.consumption_floor)
         self.technology = CobbDouglasTechnology(theta=cal.theta)
         self.fiscal = FiscalPolicy()
-        self.solver = solver if solver is not None else NewtonSolver()
         self._domain = self._default_domain()
         self.system = EulerSystem([self])
 

@@ -12,8 +12,10 @@ Newton iteration exists once, row-masked over a batch of independent
 systems (:class:`BatchNewtonSolver`), and issues few, large residual calls
 — one to start, then at most two an iteration, whatever the batch and the
 system size — because a residual call is an interpolation kernel launch;
-:class:`NewtonSolver` holds the settings and the single-system entry
-point, a batch of one.
+:class:`NewtonSolver` is the single-system entry point, a batch of one.
+The tolerance, the iteration cap and the step cap are the module
+constants :data:`TOLERANCE`, :data:`MAX_ITERATIONS` and :data:`MAX_STEP`,
+read at every run (tests patch them).
 Newton itself is unconstrained: the savings bound the paper hands to Ipopt
 lives in the residual :mod:`repro.olg.euler` gives it, a complementarity
 function whose roots respect the bound.  A system Newton leaves stalled
@@ -29,6 +31,14 @@ import numpy as np
 
 __all__ = ["PointSolveResult", "NewtonSolver", "BatchSolveResult", "BatchNewtonSolver"]
 
+#: convergence tolerance on a system's residual infinity norm
+TOLERANCE = 1e-8
+#: Newton iteration cap of a run
+MAX_ITERATIONS = 40
+#: cap on the Newton step's infinity norm (guards against blow-ups where the
+#: Jacobian is nearly singular far from the solution)
+MAX_STEP = 5.0
+
 
 @dataclass
 class PointSolveResult:
@@ -42,25 +52,7 @@ class PointSolveResult:
 
 
 class NewtonSolver:
-    """Damped Newton: the settings, and one system as a batch of one.
-
-    Parameters
-    ----------
-    tol
-        Convergence tolerance on the residual infinity norm.
-    max_iterations
-        Newton iteration cap.
-    max_step
-        Cap on the Newton step infinity norm (guards against blow-ups when
-        the Jacobian is nearly singular far from the solution).
-    """
-
-    def __init__(self, tol: float = 1e-8, max_iterations: int = 40, max_step: float = 5.0) -> None:
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        self.tol = tol
-        self.max_iterations = max_iterations
-        self.max_step = max_step
+    """Damped Newton on one system, as a batch of one."""
 
     def solve(self, fn: Callable, x0: np.ndarray) -> PointSolveResult:
         """Solve one system ``f(x) = 0`` starting from ``x0`` (n,).
@@ -69,7 +61,7 @@ class NewtonSolver:
         callback, and one system is a batch of one: ``rows`` is all zeros,
         and the best iterate is the answer whether or not it converged.
         """
-        batch = BatchNewtonSolver(self).solve(fn, np.asarray(x0, dtype=float)[None])
+        batch = BatchNewtonSolver().solve(fn, np.asarray(x0, dtype=float)[None])
         return PointSolveResult(
             batch.x[0],
             float(batch.residual_norm[0]),
@@ -113,14 +105,10 @@ class BatchNewtonSolver:
     holds the candidate unknowns for exactly those rows.  ``rows`` is
     nondecreasing and may repeat: a row appears once per candidate the call
     evaluates for it.  Rows must be independent — a row's residual depends
-    on its own ``X`` row only.
+    on its own ``X`` row only.  A row converges below :data:`TOLERANCE`,
+    a step is capped at :data:`MAX_STEP`, and a run stops after
+    :data:`MAX_ITERATIONS` iterations.
     """
-
-    def __init__(self, settings: NewtonSolver | None = None) -> None:
-        """Take tolerance, iteration cap and step cap from a :class:`NewtonSolver`."""
-        settings = settings if settings is not None else NewtonSolver()
-        self.tol, self.max_iterations = settings.tol, settings.max_iterations
-        self.max_step = settings.max_step
 
     def solve(self, fn: Callable, x0: np.ndarray) -> BatchSolveResult:
         """Solve ``F(rows, X) = 0`` row-wise starting from ``x0`` (m, n).
@@ -138,6 +126,7 @@ class BatchNewtonSolver:
         if X.ndim != 2:
             raise ValueError("x0 must be (m, n)")
         m, n = X.shape
+        tol, max_iterations, max_step = TOLERANCE, MAX_ITERATIONS, MAX_STEP
         evals = 0
 
         def evaluate(rows: np.ndarray, candidates: np.ndarray) -> tuple:
@@ -151,13 +140,13 @@ class BatchNewtonSolver:
         F, linearize = evaluate(np.arange(m), X)
         norms = np.max(np.abs(F), axis=1)
         best_x, best_norm = X.copy(), norms.copy()
-        active = norms >= self.tol
+        active = norms >= tol
         # what the next iteration's Jacobian is taken from: (linearize,
         # positions in its call, places among the active rows) per call
         pieces = [(linearize, np.flatnonzero(active), slice(None))]
         del linearize
         iterations = 0
-        while iterations < self.max_iterations and active.any():
+        while iterations < max_iterations and active.any():
             idx = np.flatnonzero(active)
             Xa, Fa, norm_a = X[idx], F[idx], norms[idx]
             jac_a = _linearized(pieces, idx.size, n)
@@ -165,9 +154,9 @@ class BatchNewtonSolver:
             iterations += 1
             step = _newton_steps(jac_a, -Fa)
             step_norm = np.max(np.abs(step), axis=1)
-            too_big = step_norm > self.max_step
+            too_big = step_norm > max_step
             if too_big.any():
-                step[too_big] *= (self.max_step / step_norm[too_big])[:, None]
+                step[too_big] *= (max_step / step_norm[too_big])[:, None]
             # backtracking line search: the full step, then every halving of
             # the rows it did not serve
             trial = Xa + step
@@ -199,9 +188,9 @@ class BatchNewtonSolver:
                 best_norm[better] = norms[better]
             # stalled rows exit; improved rows stay active until their
             # residual drops below tolerance
-            kept = accepted & (trial_norm >= self.tol)
+            kept = accepted & (trial_norm >= tol)
             active[idx[~accepted]] = False
-            active[improved] = norms[improved] >= self.tol
+            active[improved] = norms[improved] >= tol
             # the next Jacobian: the kept rows, linearized by the calls that accepted them
             pieces = [
                 (linearize, at[kept & mask], mask[kept])
@@ -212,7 +201,7 @@ class BatchNewtonSolver:
         return BatchSolveResult(
             x=best_x,
             residual_norm=best_norm,
-            converged=best_norm < self.tol,
+            converged=best_norm < tol,
             iterations=iterations,
             residual_evaluations=evals,
         )

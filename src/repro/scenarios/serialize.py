@@ -27,12 +27,10 @@ hands every discrete state the same cached regular grid — share one
 reconstructed grid object again, preserving the cross-state cache-sharing
 performance property described in :mod:`repro.core.policy`.
 
-Version-1 files (surpluses stored beside the nodal values, one box per
-state, deflated floats, ``<U`` metadata) stay readable: their stored
-surpluses are used as they are.  Their per-state kernel name is ignored
-(every policy evaluates with the one production kernel) and
-:func:`config_from_dict` drops the retired configuration fields, so stored
-results load and checkpoints resume.
+The reader reads format :data:`FORMAT_VERSION` only: a file of any other
+version — including version 1, whose metadata was a ``__meta__.npy``
+array beside stored surpluses — is refused with a ``ValueError`` naming
+the file and its version.
 """
 
 from __future__ import annotations
@@ -77,14 +75,8 @@ __all__ = [
 
 FORMAT_VERSION = 2
 
-#: the layout versions the reader accepts (1: surpluses and nodal values per state)
-_READABLE_VERSIONS = (1, FORMAT_VERSION)
-
 #: every member's timestamp (the earliest a zip entry can carry)
 _EPOCH = (1980, 1, 1, 0, 0, 0)
-
-#: :class:`TimeIterationConfig` fields older files carry that no longer exist
-_RETIRED_CONFIG_FIELDS = ("kernel", "warm_start", "verbose", "damping")
 
 
 def is_blob_target(target: object) -> bool:
@@ -168,14 +160,17 @@ def _open_npz(path) -> zipfile.ZipFile:
 
 
 def _read_meta(archive: zipfile.ZipFile, path) -> dict:
-    if "__meta__" in archive.namelist():
+    names = archive.namelist()
+    if "__meta__" in names:
         meta = json.loads(archive.read("__meta__").decode("utf-8"))
-    else:  # version 1: a 0-d ``<U`` array
-        with archive.open("__meta__.npy") as fh:
-            meta = json.loads(str(np.lib.format.read_array(fh, allow_pickle=False)))
+    else:  # version 1 kept its metadata in a ``__meta__.npy`` array
+        meta = {"format_version": 1 if "__meta__.npy" in names else None}
     version = meta.get("format_version")
-    if version not in _READABLE_VERSIONS:
-        raise ValueError(f"unsupported serialization format {version!r} in {path}")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"{path} is serialization format {version!r}; this reader reads "
+            f"format {FORMAT_VERSION} only"
+        )
     return meta
 
 
@@ -184,7 +179,7 @@ def _load_npz(path) -> tuple:
         meta = _read_meta(archive, path)
         arrays: dict[str, np.ndarray] = {}
         for name in archive.namelist():
-            if name.endswith(".npy") and name != "__meta__.npy":
+            if name.endswith(".npy"):
                 with archive.open(name) as fh:
                     arrays[name[: -len(".npy")]] = np.lib.format.read_array(fh, allow_pickle=False)
     return arrays, meta
@@ -243,8 +238,6 @@ def _policy_set_payload(policy: PolicySet) -> tuple:
 
 
 def _policy_set_from_payload(arrays: dict, meta: dict) -> PolicySet:
-    # version 1 stored each state's surpluses and box beside its nodal values
-    version_1 = meta["format_version"] == 1
     grids: dict[int, SparseGrid] = {}
     boxes: dict[int, BoxDomain] = {}
     policies = []
@@ -255,14 +248,14 @@ def _policy_set_from_payload(arrays: dict, meta: dict) -> PolicySet:
             grid = grids[grid_key] = SparseGrid.from_arrays(
                 arrays[f"levels_{grid_key}"], arrays[f"indices_{grid_key}"]
             )
-        box_key = slot if version_1 else int(state_meta["box_slot"])
+        box_key = int(state_meta["box_slot"])
         domain = boxes.get(box_key)
         if domain is None:
             domain = boxes[box_key] = BoxDomain(
                 arrays[f"lower_{box_key}"], arrays[f"upper_{box_key}"]
             )
         nodal = arrays[f"nodal_{slot}"]
-        surplus = arrays[f"surplus_{slot}"] if version_1 else hierarchize(grid, nodal)
+        surplus = hierarchize(grid, nodal)
         if state_meta.get("scalar_surplus"):
             surplus = surplus.reshape(-1)
         policies.append(
@@ -318,7 +311,7 @@ def config_to_dict(config: TimeIterationConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> TimeIterationConfig:
-    return TimeIterationConfig(**{k: v for k, v in data.items() if k not in _RETIRED_CONFIG_FIELDS})
+    return TimeIterationConfig(**data)
 
 
 # --------------------------------------------------------------------------- #

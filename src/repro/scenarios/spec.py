@@ -37,6 +37,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.time_iteration import TimeIterationConfig
+from repro.grids.regular import regular_grid_size
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -218,9 +219,10 @@ class ScenarioSpec:
         Used by the drain's longest-first claim order as the fallback for
         hashes the store has no recorded wall time for.  For solves the
         proxy is (sparse-grid points) x (iteration cap) x (discrete
-        states): points per state grow like ``2^level * level^(d-1)`` with
-        the savers' dimension ``d = num_generations - 1``, and each
-        iteration solves every point of every state once.  Experiment
+        states): the points per state are the regular grid's exact count
+        (:func:`~repro.grids.regular.regular_grid_size`) in the savers'
+        dimension ``d = num_generations - 1``, and each iteration solves
+        every point of every state once.  Experiment
         kinds have no comparable structure; their spec size is used as a
         weak tie-breaker.  Only *relative* order matters — the scheduler
         rescales these against recorded wall times when it has any.
@@ -240,9 +242,8 @@ class ScenarioSpec:
         # does not build must still sort, to fail where failures are recorded
         level = max(int(self.solver.get("grid_level", TimeIterationConfig.grid_level)), 1)
         iterations = int(self.solver.get("max_iterations", TimeIterationConfig.max_iterations))
-        dim = max(gens - 1, 1)
-        points = (2.0**level) * float(level) ** max(dim - 1, 0)
-        return points * max(iterations, 1) * max(states, 1)
+        points = regular_grid_size(max(gens - 1, 1), level)
+        return float(points * max(iterations, 1) * max(states, 1))
 
     # ------------------------------------------------------------------ #
     # construction of the runnable objects

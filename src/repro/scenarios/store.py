@@ -512,21 +512,19 @@ class ResultsStore:
 
         Covers the crash window between an entry write and its log append
         (and stores assembled by copying scenario directories around): any
-        entry object whose hash is missing from the log is re-appended.  So
-        is one whose winning record predates :func:`index_record` (no
-        ``tags`` key), which makes spec-field queries see an older store's
-        commits.
+        entry object whose hash is missing from the log is re-appended with
+        its :func:`index_record`.  A hash the log has is left as it is.
         """
-        winners = _winning_records(self.log_records())
+        logged = {rec.get("spec_hash") for rec in self.log_records()}
         for key in sorted(self._entry_keys()):
             try:
                 entry = json.loads(self.backend.get(key))
             except (OSError, json.JSONDecodeError):
                 continue
             h = entry.get("spec_hash")
-            if h and "tags" not in winners.get(h, {}):
-                winners[h] = index_record(entry)
-                self.backend.append_commit(winners[h])
+            if h and h not in logged:
+                logged.add(h)
+                self.backend.append_commit(index_record(entry))
         return self.index()
 
     def entries(self) -> list[dict[str, Any]]:
@@ -605,9 +603,7 @@ class ResultsStore:
         :meth:`compact`'s checkpoint listing), best-effort housekeeping that
         never fails the read itself.  A hash whose scenario directory was
         pruned keeps its record — the log does not know — until the log is
-        rebuilt (``clear_commit_log`` + :meth:`reindex`).  Records
-        committed before the log carried spec fields hold the six
-        :data:`_LOG_FIELDS` only; one :meth:`reindex` upgrades them.
+        rebuilt (``clear_commit_log`` + :meth:`reindex`).
         """
         scan = self.backend._scan_log()
         if self.auto_compact_tail and len(scan.tail) > self.auto_compact_tail:

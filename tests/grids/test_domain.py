@@ -37,7 +37,6 @@ class TestMapping:
         box = BoxDomain([0.0], [1.0])
         assert box.to_unit(np.array([2.0]))[0] == 1.0
         assert box.to_unit(np.array([-1.0]))[0] == 0.0
-        assert box.to_unit(np.array([2.0]), clip=False)[0] == 2.0
 
     def test_contains(self):
         box = BoxDomain([0.0, 0.0], [1.0, 2.0])

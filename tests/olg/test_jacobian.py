@@ -37,7 +37,8 @@ from repro.olg.government import FiscalPolicy
 from repro.olg.model import OLGModel
 from repro.olg.preferences import CRRAUtility
 from repro.olg.production import CobbDouglasTechnology
-from repro.olg.solver import _HALVINGS, BatchNewtonSolver, NewtonSolver
+from repro.olg import solver as olg_solver
+from repro.olg.solver import _HALVINGS, BatchNewtonSolver
 
 SLOW = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -142,9 +143,10 @@ def test_the_read_gradient_is_the_difference_of_the_read(adaptive):
     rows = read.rows(0, X)
     exact = read.gradient((0, 1), rows, columns, weights)
     keep = np.arange(0, len(X), 3)
-    np.testing.assert_array_equal(
-        read.gradient((0, 1), rows.take(keep), columns, weights[:, keep]), exact[keep]
-    )
+    # to 8 ulp of the largest entry, not bit for bit: BLAS may sum a block of
+    # another height in another order, and a lone kept row goes through gemv
+    got = read.gradient((0, 1), rows.take(keep), columns, weights[:, keep])
+    assert np.all(np.abs(got - exact[keep]) <= 8 * np.finfo(float).eps * np.abs(exact).max())
     for b in range(model.state_dim):
         h = step * model.domain.widths[b]
         shifted = X.copy()
@@ -505,7 +507,7 @@ def test_an_olg_newton_run_linearizes_the_rows_it_keeps(stacked):
         assert np.all(np.abs(J - fresh) <= 1e-13 * scale)
 
 
-def test_newton_steps_from_the_points_it_linearized():
+def test_newton_steps_from_the_points_it_linearized(monkeypatch):
     """A synthetic system far from its root: halvings serve some rows, and every
     full step solves ``J(x) step = -F(x)`` at the point ``x`` linearized for it.
 
@@ -526,7 +528,8 @@ def test_newton_steps_from_the_points_it_linearized():
     def fn(rows, X):
         return residual(rows, X), lambda positions: exact(rows[positions], X[positions])
 
-    solver = BatchNewtonSolver(NewtonSolver(max_step=1e9))
+    monkeypatch.setattr(olg_solver, "MAX_STEP", 1e9)
+    solver = BatchNewtonSolver()
     x0 = root + rng.uniform(-3, 3, (m, n))
     run, watch = _watched_run(lambda: solver.solve(fn, x0))
     assert run.converged.all()

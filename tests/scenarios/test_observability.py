@@ -19,7 +19,7 @@ import pytest
 from repro.core.time_iteration import TimeIterationConfig, TimeIterationSolver
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
-from repro.olg.solver import NewtonSolver
+from repro.olg import solver as olg_solver
 from repro.parallel.tracing import (
     EVENT_KINDS,
     LEASE_EVENT_KINDS,
@@ -153,14 +153,12 @@ class TestSolverEmission:
         assert finished["new_iterations"] == result.iterations
         assert finished["converged"] is True
 
-    def test_solve_finished_carries_the_point_solver_totals_of_this_solve(self):
+    def test_solve_finished_carries_the_point_solver_totals_of_this_solve(self, monkeypatch):
         # 12 generations: from the fourth pass the youngest saver, whose
         # steady-state saving is negative, sits on the borrowing floor, a
         # root; a cap of three Newton iterations leaves rows stalled
-        model = OLGModel(
-            small_calibration(num_generations=12, num_states=2),
-            solver=NewtonSolver(max_iterations=3),
-        )
+        monkeypatch.setattr(olg_solver, "MAX_ITERATIONS", 3)
+        model = OLGModel(small_calibration(num_generations=12, num_states=2))
         solver = TimeIterationSolver(model, TimeIterationConfig(grid_level=2, max_iterations=5))
         totals = []
         for _ in range(2):  # the second solve reports its own work, not the model's running sum

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -25,6 +26,9 @@ from repro.grids.regular import regular_sparse_grid
 from repro.olg.calibration import small_calibration
 from repro.olg.model import OLGModel
 from repro.scenarios import serialize
+from repro.scenarios.runner import run_suite
+from repro.scenarios.spec import ScenarioSpec, ScenarioSuite
+from repro.scenarios.store import ResultsStore
 from repro.scenarios.checkpoint import InterruptingCheckpoint, SimulatedKill, SolveCheckpoint
 
 
@@ -341,60 +345,54 @@ def _in_the_older_format(path) -> None:
     path.write_bytes(buf.getvalue())
 
 
-class TestOlderFormat:
-    """Results and checkpoints written while the solver took a kernel name stay readable."""
+def _with_meta_version(path, version) -> None:
+    """Rewrite the format version a file :mod:`serialize` wrote carries, nothing else."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    meta = json.loads(members["__meta__"])
+    meta["format_version"] = version
+    members["__meta__"] = json.dumps(meta).encode("utf-8")
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
 
-    def test_a_policy_set_loads(self, tmp_path):
-        pset, domain = _make_policy_set(shared_grid=True)
+
+def _refused(path, version):
+    """A refusal that names the file and its version."""
+    named = rf"{re.escape(str(path))} is serialization format {version}"
+    return pytest.raises(ValueError, match=named)
+
+
+class TestOtherFormats:
+    """Format 2 is the one layout the reader reads: any other file is refused, naming
+    its version."""
+
+    @pytest.mark.parametrize("payload", ["policy_set", "result"])
+    def test_a_version_1_file_is_refused(self, tmp_path, solved_small_olg, payload):
+        path = tmp_path / f"{payload}.npz"
+        if payload == "result":
+            serialize.save_result(path, solved_small_olg[1])
+        else:
+            serialize.save_policy_set(path, _make_policy_set(shared_grid=True)[0])
+        _in_the_older_format(path)
+        with np.load(path, allow_pickle=False) as data:  # the layout version 1 wrote
+            assert data["__meta__"].dtype.kind == "U" and "surplus_0" in data.files
+        for read in (serialize.load_result, serialize.load_policy_set, serialize.load_meta):
+            with _refused(path, 1):
+                read(path)
+
+    @pytest.mark.parametrize("version", [3, None])
+    def test_any_other_version_is_refused(self, tmp_path, version):
         path = tmp_path / "pset.npz"
-        serialize.save_policy_set(path, pset)
-        _in_the_older_format(path)
-        loaded = serialize.load_policy_set(path)
-        X = domain.from_unit(np.random.default_rng(4).random((20, 2)))
-        for z in range(len(pset)):
-            assert np.array_equal(loaded.evaluate(z, X), pset.evaluate(z, X))
+        serialize.save_policy_set(path, _make_policy_set(shared_grid=True)[0])
+        _with_meta_version(path, version)
+        for read in (serialize.load_policy_set, serialize.load_meta):
+            with _refused(path, version):
+                read(path)
 
-    def test_the_older_file_is_version_1(self, tmp_path):
-        pset, _ = _make_policy_set(shared_grid=True)
-        path = tmp_path / "pset.npz"
-        serialize.save_policy_set(path, pset)
-        _in_the_older_format(path)
-        with np.load(path, allow_pickle=False) as data:
-            assert data["__meta__"].dtype.kind == "U"
-            assert {f"surplus_{z}" for z in range(3)} <= set(data.files)
-            assert {f"lower_{z}" for z in range(3)} <= set(data.files)
-        assert serialize.load_meta(path)["format_version"] == 1
-
-    def test_stored_surpluses_are_used_as_they_are(self, tmp_path):
-        pset, _ = _make_policy_set(shared_grid=True)
-        path = tmp_path / "pset.npz"
-        serialize.save_policy_set(path, pset)
-        _in_the_older_format(path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["surplus_1"] = arrays["surplus_1"] + 1.0  # no longer hierarchize(nodal)
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
-        path.write_bytes(buf.getvalue())
-        loaded = serialize.load_policy_set(path)
-        assert np.array_equal(loaded[1].interpolant.surplus, arrays["surplus_1"])
-        assert np.array_equal(loaded[1].nodal_values, pset[1].nodal_values)
-
-    def test_a_result_loads(self, tmp_path, solved_small_olg):
-        model, result = solved_small_olg
-        path = tmp_path / "result.npz"
-        serialize.save_result(path, result)
-        _in_the_older_format(path)
-        loaded = serialize.load_result(path)
-        assert loaded.config == result.config
-        assert loaded.iterations == result.iterations and loaded.converged == result.converged
-        for mine, theirs in zip(loaded.policy, result.policy):
-            assert np.array_equal(mine.interpolant.surplus, theirs.interpolant.surplus)
-        X = model.domain.sample(25, rng=3)
-        for z in range(model.num_states):
-            assert np.array_equal(loaded.policy.evaluate(z, X), result.policy.evaluate(z, X))
-
-    def test_a_checkpoint_resumes_bit_exact(self, tmp_path, solved_small_olg):
+    def test_a_version_1_checkpoint_ends_its_member(self, tmp_path, solved_small_olg):
+        """Like a configuration mismatch: the member whose checkpoint it is ends with the
+        refusal; the others of its stack solve on."""
         model, reference = solved_small_olg
         config = reference.config
         path = tmp_path / "ckpt.npz"
@@ -403,10 +401,27 @@ class TestOlderFormat:
                 checkpoint=InterruptingCheckpoint(path, config=config, interrupt_after=2)
             )
         _in_the_older_format(path)
-        hook = SolveCheckpoint(path, config=config)
-        resumed = TimeIterationSolver(model, config).solve(checkpoint=hook)
-        assert hook.resumed
-        assert resumed.iterations == reference.iterations
-        assert np.array_equal(resumed.error_history(), reference.error_history())
-        for mine, theirs in zip(resumed.policy, reference.policy):
-            assert np.array_equal(mine.interpolant.surplus, theirs.interpolant.surplus)
+        with _refused(path, 1):
+            TimeIterationSolver(model, config).solve(checkpoint=SolveCheckpoint(path, config))
+        members = [
+            BatchMember(key="old", model=model, config=config, checkpoint=SolveCheckpoint(path)),
+            BatchMember(key="new", model=OLGModel(model.calibration), config=config),
+        ]
+        outcomes = BatchedTimeIterationSolver(members).solve()
+        assert outcomes["old"].result is None
+        assert "is serialization format 1" in str(outcomes["old"].exception)
+        assert outcomes["new"].result.iterations == reference.iterations
+
+    def test_a_version_1_checkpoint_is_listed_without_progress(self, tmp_path):
+        spec = ScenarioSpec(
+            "halted",
+            calibration={"num_generations": 4, "num_states": 1, "beta": 0.8},
+            solver={"grid_level": 2, "tolerance": 1e-3, "max_iterations": 12},
+        )
+        store = ResultsStore(tmp_path / "store")
+        run_suite(ScenarioSuite("one", [spec]), store, interrupt_after=1)
+        (info,) = store.list_checkpoints(with_progress=True)
+        assert info["iterations_done"] == 1
+        _in_the_older_format(store.root / info["key"])
+        (info,) = store.list_checkpoints(with_progress=True)
+        assert info["iterations_done"] is None and info["status"] == "interrupted"

@@ -266,6 +266,14 @@ class TestLongestFirstScheduling:
         ordered = schedule_longest_first([small, big], {})
         assert [s.name for s in ordered] == ["big", "small"]
 
+    def test_heuristic_counts_the_grid_points(self):
+        # 5 generations, d = 4: a level-3 regular grid has 41 points, level 2 has 9
+        level = {
+            n: ScenarioSpec(f"l{n}", calibration={"num_generations": 5}, solver={"grid_level": n})
+            for n in (2, 3)
+        }
+        assert level[3].estimated_cost() / level[2].estimated_cost() == pytest.approx(41 / 9)
+
     def test_mixed_population_scales_heuristics_into_seconds(self):
         # 'seen' ran in 2s; 'unseen' has ~the same spec-size cost, so its
         # scaled estimate lands near 2s — far below 'huge' at 100s

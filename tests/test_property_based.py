@@ -38,6 +38,7 @@ from repro.olg.calibration import small_calibration
 from repro.olg.markov import MarkovChain, persistent_chain, rouwenhorst
 from repro.olg.model import OLGModel
 from repro.olg.preferences import CRRAUtility
+from repro.olg import solver as olg_solver
 from repro.olg.solver import BatchNewtonSolver, NewtonSolver
 from repro.parallel.partition import partition_counts, proportional_group_sizes
 from repro.parallel.scheduler import simulate_schedule
@@ -713,29 +714,32 @@ def test_batch_newton_reproduces_scalar_newton_row_by_row(seed, m, n, max_iterat
     rng = np.random.default_rng(seed)
     rows_fn, root = _synthetic_system(rng, m, n)
     x0 = root + rng.uniform(-0.8, 0.8, size=(m, n))
-    scalar = NewtonSolver(max_iterations=max_iterations)
-    batch = BatchNewtonSolver(scalar).solve(rows_fn, x0)
-    assert batch.x.shape == (m, n) and batch.converged.shape == (m,)
-    for r in range(m):
-        # row r alone: the batch of one's row 0 is row r
-        one = scalar.solve(lambda rows, X, r=r: rows_fn(rows + r, X), x0[r])
-        assert one.converged == bool(batch.converged[r])
-        assert _close(batch.x[r], one.x)
-        if one.converged:
-            assert np.max(np.abs(rows_fn(np.array([r]), one.x[None])[0])) < 1e-7
-    # a row's answer does not depend on what else is in the batch
-    keep = np.flatnonzero(rng.random(m) < 0.5)
-    if keep.size:
-        sub = BatchNewtonSolver(scalar).solve(lambda rows, X: rows_fn(keep[rows], X), x0[keep])
-        assert np.array_equal(sub.converged, batch.converged[keep])
-        assert _close(sub.x, batch.x[keep])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(olg_solver, "MAX_ITERATIONS", max_iterations)
+        batch = BatchNewtonSolver().solve(rows_fn, x0)
+        assert batch.x.shape == (m, n) and batch.converged.shape == (m,)
+        for r in range(m):
+            # row r alone: the batch of one's row 0 is row r
+            one = NewtonSolver().solve(lambda rows, X, r=r: rows_fn(rows + r, X), x0[r])
+            assert one.converged == bool(batch.converged[r])
+            assert _close(batch.x[r], one.x)
+            if one.converged:
+                assert np.max(np.abs(rows_fn(np.array([r]), one.x[None])[0])) < 1e-7
+        # a row's answer does not depend on what else is in the batch
+        keep = np.flatnonzero(rng.random(m) < 0.5)
+        if keep.size:
+            sub = BatchNewtonSolver().solve(lambda rows, X: rows_fn(keep[rows], X), x0[keep])
+            assert np.array_equal(sub.converged, batch.converged[keep])
+            assert _close(sub.x, batch.x[keep])
 
 
-def _sequential_newton(fn, x0, settings: NewtonSolver):
+def _sequential_newton(fn, x0):
     """The reference :class:`BatchNewtonSolver` is held to: the same damped Newton
     with one residual call per line-search halving, each row's Jacobian taken
-    from the call that accepted its point.
+    from the call that accepted its point, under the same module constants.
     """
+    tol, max_iterations = olg_solver.TOLERANCE, olg_solver.MAX_ITERATIONS
+    max_step = olg_solver.MAX_STEP
     X = np.array(x0, dtype=float)
     m, n = X.shape
     F, linearize = fn(np.arange(m), X)
@@ -743,9 +747,9 @@ def _sequential_newton(fn, x0, settings: NewtonSolver):
     evals = 1
     norms = np.max(np.abs(F), axis=1)
     best_x, best_norm = X.copy(), norms.copy()
-    active = norms >= settings.tol
+    active = norms >= tol
     iterations = 0
-    while iterations < settings.max_iterations and active.any():
+    while iterations < max_iterations and active.any():
         iterations += 1
         idx = np.flatnonzero(active)
         Xa, Fa = X[idx], F[idx]
@@ -756,8 +760,8 @@ def _sequential_newton(fn, x0, settings: NewtonSolver):
             except np.linalg.LinAlgError:
                 step[r], *_ = np.linalg.lstsq(jac[idx[r]], -Fa[r], rcond=None)
         step_norm = np.max(np.abs(step), axis=1)
-        too_big = step_norm > settings.max_step
-        step[too_big] *= (settings.max_step / step_norm[too_big])[:, None]
+        too_big = step_norm > max_step
+        step[too_big] *= (max_step / step_norm[too_big])[:, None]
         lam = np.ones(idx.size)
         pending = np.ones(idx.size, dtype=bool)
         for _ in range(12):
@@ -778,8 +782,8 @@ def _sequential_newton(fn, x0, settings: NewtonSolver):
         best_x[better], best_norm[better] = X[better], norms[better]
         active[idx[pending]] = False
         improved = idx[~pending]
-        active[improved] = norms[improved] >= settings.tol
-    return best_x, best_norm, best_norm < settings.tol, iterations, evals
+        active[improved] = norms[improved] >= tol
+    return best_x, best_norm, best_norm < tol, iterations, evals
 
 
 @settings(max_examples=60, deadline=None)
@@ -808,10 +812,11 @@ def test_fused_newton_is_the_sequential_newton(seed, m, n, max_iterations, bound
         return system(rows, X)
 
     x0 = root + rng.uniform(-0.8, 0.8, size=(m, n))
-    newton = NewtonSolver(max_iterations=max_iterations)
-    x, norm, converged, iterations, ref_evals = _sequential_newton(rows_fn, x0, newton)
-    calls.clear()
-    fused = BatchNewtonSolver(newton).solve(rows_fn, x0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(olg_solver, "MAX_ITERATIONS", max_iterations)
+        x, norm, converged, iterations, ref_evals = _sequential_newton(rows_fn, x0)
+        calls.clear()
+        fused = BatchNewtonSolver().solve(rows_fn, x0)
     assert np.array_equal(fused.x, x)
     assert np.array_equal(fused.residual_norm, norm)
     assert np.array_equal(fused.converged, converged)
