@@ -9,15 +9,23 @@ test       d    nno        level   # states  # xps/state
 "300k"     59   281,077    4       16        473
 =========  ===  =========  ======  ========  ===========
 
-``run_table1`` rebuilds both grids (or smaller stand-ins when
+``run_table1`` builds both grids (or smaller stand-ins when
 ``dim``/``levels`` are overridden), compresses them and reports the exact
 columns of the table plus the derived compression statistics discussed in
 Sec. IV-B (zero fraction, nfreq, index compression ratio).
+
+Those statistics depend on ``(dim, level)`` alone, so they are computed
+once per ``(dim, level)`` per process: ``_grid_statistics`` caches the
+numbers, never a grid (``SparseGrid`` is mutable through ``add_points``),
+and ``regular_sparse_grid`` / ``compress_grid`` stay uncached for every
+other caller.  To time a grid build through ``run_table1``, clear the
+cache first (``_grid_statistics.cache_clear()``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from repro.core.compression import compress_grid, compression_stats
 from repro.grids.regular import regular_grid_size, regular_sparse_grid
@@ -55,6 +63,9 @@ class Table1Row:
     paper_xps_per_state: int | None = None
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(Table1Row))
+
+
 def run_table1(
     dim: int = 59,
     levels: tuple = (3, 4),
@@ -71,20 +82,15 @@ def run_table1(
         grid in the non-adaptive benchmark setup).
     build_grids
         If False, only the closed-form point counts are reported (cheap);
-        compression statistics require building the grids.
+        compression statistics build each ``(dim, level)``'s grid once per
+        process.
     """
     rows: list[Table1Row] = []
     for level in levels:
         num_points = regular_grid_size(dim, level)
         name = _short_name(num_points)
         if build_grids:
-            grid = regular_sparse_grid(dim, level)
-            comp = compress_grid(grid)
-            stats = compression_stats(grid, comp)
-            xps = stats["num_xps"]
-            nfreq = stats["nfreq"]
-            zeros = stats["zeros_fraction"]
-            ratio = stats["compression_ratio"]
+            xps, nfreq, zeros, ratio = _grid_statistics(dim, level)
         else:
             xps, nfreq, zeros, ratio = -1, -1, float("nan"), float("nan")
         paper = PAPER_TABLE1.get(level) if dim == 59 else None
@@ -106,6 +112,18 @@ def run_table1(
     return rows
 
 
+@lru_cache
+def _grid_statistics(dim: int, level: int) -> tuple[int, int, float, float]:
+    """``(num_xps, nfreq, zeros_fraction, compression_ratio)`` of the regular grid.
+
+    Builds and compresses the grid on the first call for a ``(dim, level)``
+    and keeps only these four numbers.
+    """
+    grid = regular_sparse_grid(dim, level)
+    stats = compression_stats(grid, compress_grid(grid))
+    return stats["num_xps"], stats["nfreq"], stats["zeros_fraction"], stats["compression_ratio"]
+
+
 def _short_name(num_points: int) -> str:
     """A test case's name: its point count, in thousands from 1 000 points."""
     if num_points >= 1000:
@@ -118,13 +136,19 @@ def run_scenario(params: dict) -> dict:
 
     Consumed by :mod:`repro.scenarios.runner`, which stores the payload
     with full provenance; ``params`` are :func:`run_table1` keyword
-    arguments (``levels`` may arrive as a JSON list).
+    arguments (``levels`` may arrive as a JSON list; a scalar raises
+    ``ValueError``).  A row holds scalars only, so its payload dict is a
+    shallow copy of its fields (what ``dataclasses.asdict`` returns).
     """
     params = dict(params)
     if "levels" in params:
-        params["levels"] = tuple(params["levels"])
+        levels = params["levels"]
+        if not isinstance(levels, (list, tuple)):
+            raise ValueError(f"table1 levels must be a list of grid levels, got {levels!r}")
+        params["levels"] = tuple(levels)
     rows = run_table1(**params)
-    return {"rows": [asdict(r) for r in rows], "formatted": format_table1(rows)}
+    payload_rows = [{name: getattr(r, name) for name in _ROW_FIELDS} for r in rows]
+    return {"rows": payload_rows, "formatted": format_table1(rows)}
 
 
 def scenario_suite():
