@@ -48,10 +48,15 @@ read, :meth:`~StorageBackend.commit_log_tail_count` counts its tail and
 folds the very scan it answers from when the tail has grown long, so a
 read that folds scans once.  A long-lived log accumulates one object
 per commit forever, so an un-folded log costs O(total commits ever) object
-reads; the fold writes a single immutable
-``commit-snapshots/snapshot-<seq>.json`` checkpoint object whose name
-records the last folded commit key, after which a scan is one snapshot
-read plus the un-folded tail.  The fold is crash-safe by construction:
+reads; the fold writes a single ``commit-snapshots/snapshot-<seq>.json``
+checkpoint object whose name records the last folded commit key, after
+which a scan is one snapshot read plus the un-folded tail.  A snapshot's
+key is not proof of its content: a fold of several snapshots and no tail
+rewrites the newest key with the union of their records.  So a scan gets
+every listed snapshot, and a backend instance decodes a snapshot once per
+distinct content: a repeated read of an unchanged log compares the bytes
+with those its last scan parsed and reuses the records.  The fold is
+crash-safe by construction:
 
 1. the snapshot (union of every existing snapshot plus the current
    tail, keyed per record) is written and verified readable *first*;
@@ -81,11 +86,14 @@ there is no second, derived index object to fold, fingerprint or collect.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 import uuid
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, ClassVar, NamedTuple
 
 from repro.scenarios.backends.retry import call_with_retries
@@ -126,6 +134,7 @@ class _LogScan(NamedTuple):
     """One read of the commit log (:meth:`StorageBackend._scan_log`)."""
 
     #: ``(snapshot_key, pairs)`` of every readable snapshot, oldest first
+    #: (the parsed pairs the backend remembers: read them, never mutate them)
     snapshots: list[tuple[str, Pairs]]
     #: every record of the snapshots and the tail, in commit order
     merged: Pairs
@@ -192,15 +201,63 @@ def read_snapshot(backend: StorageBackend, key: str) -> Pairs | None:
     """``[(record_key, record), ...]`` of one snapshot object, or ``None``
     when the object is missing/foreign/torn (racing compactors)."""
     try:
-        doc = json.loads(backend.get(key))
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
+        raw = backend.get(key)
+    except OSError:
+        return None
+    return _parse_snapshot(raw)
+
+
+def _parse_snapshot(raw: bytes) -> Pairs | None:
+    """The pairs of one snapshot object's bytes (:func:`read_snapshot`), or
+    ``None`` when they are not a UTF-8 JSON snapshot.  Only dict records
+    are kept: a pair of any other shape is foreign."""
+    try:
+        doc = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError):
         return None
     if not isinstance(doc, dict) or doc.get("version") != _SNAPSHOT_VERSION:
         return None
     pairs = doc.get("records")
     if not isinstance(pairs, list):
         return None
-    return [(str(k), rec) for k, rec in pairs]
+    return [
+        (str(pair[0]), pair[1])
+        for pair in pairs
+        if isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], dict)
+    ]
+
+
+class _ParsedSnapshot(NamedTuple):
+    """One snapshot object as a scan parsed it (:meth:`StorageBackend._scan_log`)."""
+
+    #: the bytes the pairs were parsed from
+    raw: bytes
+    pairs: Pairs
+    #: per pair, :func:`_members_to_copy` of its record
+    members: list[tuple[str, ...] | None]
+
+
+def _members_to_copy(record: dict[str, Any]) -> tuple[str, ...] | None:
+    """The keys of ``record``'s list- and dict-valued members, or ``None``
+    when one of them holds a list or dict itself (copy the record whole)."""
+    members = tuple(k for k, v in record.items() if isinstance(v, (list, dict)))
+    for key in members:
+        value = record[key]
+        items = value.values() if isinstance(value, dict) else value
+        if any(isinstance(item, (list, dict)) for item in items):
+            return None
+    return members
+
+
+def _detached(record: dict[str, Any], members: tuple[str, ...] | None) -> dict[str, Any]:
+    """A copy of a memoised record that shares no list or dict with it, so
+    a caller mutating what a read handed out cannot change the next read."""
+    if members is None:
+        return copy.deepcopy(record)
+    out = record.copy()
+    for key in members:
+        out[key] = out[key].copy()
+    return out
 
 
 def write_snapshot(backend: StorageBackend, key: str, pairs: Pairs) -> None:
@@ -318,6 +375,11 @@ class StorageBackend(ABC):
     #: canonical round-trippable URL (safe to ship to worker processes)
     url: str
 
+    #: the snapshots the last :meth:`_scan_log` read, by key; each scan
+    #: assigns a new mapping of the keys it listed and never mutates one,
+    #: so this empty class-level default is never shared state
+    _parsed_snapshots: Mapping[str, _ParsedSnapshot] = MappingProxyType({})
+
     # ------------------------------------------------------------------ #
     # primitives: one attempt against the medium, no validation, no retry
     # ------------------------------------------------------------------ #
@@ -405,19 +467,38 @@ class StorageBackend(ABC):
         a tail read miss or (when the delete landed before our tail
         listing) as a changed snapshot listing, so both trigger a bounded
         re-scan rather than a loss.
+
+        Every listed snapshot is got, but its bytes are decoded only when
+        they differ from the bytes this instance's previous scan parsed
+        under that key (a fold may rewrite the newest key with a superset).
+        ``merged`` carries copies of the snapshot records; ``snapshots``
+        carries the parsed pairs themselves, which nothing may mutate.
+        Only dict records are read; anything else is foreign.
         """
         last = _SCAN_ATTEMPTS - 1
         for attempt in range(_SCAN_ATTEMPTS):
             snap_keys = self.list(SNAPSHOT_PREFIX)
             snapshots: list[tuple[str, Pairs]] = []
             folded: dict[str, Any] = {}
+            memo = self._parsed_snapshots
+            parsed: dict[str, _ParsedSnapshot] = {}
             for skey in snap_keys:
-                pairs = read_snapshot(self, skey)
-                if pairs is None:
-                    continue  # deleted/torn by a racing compactor
-                snapshots.append((skey, pairs))
-                for k, rec in pairs:
-                    folded.setdefault(k, rec)
+                try:
+                    raw = self.get(skey)
+                except OSError:
+                    continue  # deleted by a racing compactor
+                snap = memo.get(skey)
+                if snap is None or snap.raw != raw:
+                    pairs = _parse_snapshot(raw)
+                    if pairs is None:
+                        continue  # torn by a racing compactor, or foreign
+                    snap = _ParsedSnapshot(raw, pairs, [_members_to_copy(r) for _, r in pairs])
+                parsed[skey] = snap
+                snapshots.append((skey, snap.pairs))
+                for (k, rec), members in zip(snap.pairs, snap.members):
+                    if k not in folded:
+                        folded[k] = _detached(rec, members)
+            self._parsed_snapshots = parsed
             listed = self.list(COMMIT_LOG_PREFIX)
             tail: Pairs = []
             racing = False
@@ -425,13 +506,16 @@ class StorageBackend(ABC):
                 if key in folded:
                     continue  # crashed compactor's leftover; already in a snapshot
                 try:
-                    tail.append((key, json.loads(self.get(key))))
+                    record = json.loads(self.get(key))
                 except FileNotFoundError:
                     racing = True
                     if attempt < last:
                         break
-                except json.JSONDecodeError:
+                    continue
+                except (json.JSONDecodeError, UnicodeDecodeError):
                     continue  # foreign or torn object
+                if isinstance(record, dict):
+                    tail.append((key, record))
             if self.list(SNAPSHOT_PREFIX) != snap_keys:
                 racing = True  # a fold completed somewhere mid-scan
             if not racing or attempt == last:

@@ -6,7 +6,10 @@ the same URL in one process shares one namespace, so thread-pool writers
 genuinely race on shared state.  The commit log is the per-commit
 ``commits/`` objects of :class:`StorageBackend`, so fast tests exercise
 exactly the ``index()`` path every other backend runs, snapshot
-compaction included.
+compaction included.  A namespace keeps its keys sorted (a listing
+first merges in the keys put since the previous one), so a listing
+bisects to its prefix and walks only the keys under it, as ``file://``
+walks only the prefix's subtree and S3 lists by prefix on the server.
 
 State never leaves the process: a forked/spawned worker opening the same
 URL sees an empty namespace, which is why ``process_shared`` is False and
@@ -15,6 +18,7 @@ the scenario runner refuses process executors for ``mem://`` stores.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 
@@ -24,12 +28,37 @@ __all__ = ["MemoryBackend"]
 
 
 class _Namespace:
-    """One shared ``mem://`` keyspace: key -> (bytes, mtime)."""
+    """One shared ``mem://`` keyspace: key -> (bytes, mtime), and its keys
+    in sorted order (all guarded by ``lock``)."""
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.objects: dict[str, tuple[bytes, float]] = {}
+        #: the keys in sorted order, but for the ``_unsorted`` ones first put
+        #: since the last listing: that listing merges them in, so a put
+        #: shifts no list
+        self._sorted: list[str] = []
+        self._unsorted: set[str] = set()
         self._clock = 0.0
+
+    def add_key(self, key: str) -> None:
+        """Track a key that is not in ``objects`` yet."""
+        self._unsorted.add(key)
+
+    def remove_key(self, key: str) -> None:
+        """Stop tracking a key just removed from ``objects``."""
+        if key in self._unsorted:
+            self._unsorted.remove(key)
+        else:
+            del self._sorted[bisect.bisect_left(self._sorted, key)]
+
+    def sorted_keys(self) -> list[str]:
+        if self._unsorted:
+            # a sorted run and a short tail: the sort is about one merge pass
+            self._sorted.extend(self._unsorted)
+            self._sorted.sort()
+            self._unsorted.clear()
+        return self._sorted
 
     def now(self) -> float:
         # strictly increasing so newest-first orderings (list_checkpoints)
@@ -73,6 +102,8 @@ class MemoryBackend(StorageBackend):
     def _put(self, key: str, data: bytes) -> None:
         data = bytes(data)  # snapshot: callers may mutate their buffer later
         with self._ns.lock:
+            if key not in self._ns.objects:
+                self._ns.add_key(key)
             self._ns.objects[key] = (data, self._ns.now())
 
     def _exists(self, key: str) -> bool:
@@ -81,11 +112,18 @@ class MemoryBackend(StorageBackend):
 
     def _delete(self, key: str) -> bool:
         with self._ns.lock:
-            return self._ns.objects.pop(key, None) is not None
+            if self._ns.objects.pop(key, None) is None:
+                return False
+            self._ns.remove_key(key)
+            return True
 
     def _list(self, prefix: str) -> list[str]:
         with self._ns.lock:
-            return sorted(k for k in self._ns.objects if k.startswith(prefix))
+            keys = self._ns.sorted_keys()
+            start = bisect.bisect_left(keys, prefix)
+            # the keys from `start` on that start with the prefix come first
+            end = bisect.bisect_left(keys, True, start, key=lambda k: not k.startswith(prefix))
+            return keys[start:end]
 
     def _mtime(self, key: str) -> float:
         with self._ns.lock:

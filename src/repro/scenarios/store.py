@@ -366,8 +366,9 @@ class ResultsStore:
     def _lease_records(self, *names: str) -> dict[str, list[dict[str, Any]]]:
         """name -> the parsed ``leases/<hash16>/<name>`` records, from one
         listing; each record gains a ``scenario`` field carrying the hash16
-        its key encodes.  Unreadable/torn records are skipped — a record
-        vanishing mid-scan is normal operation, not corruption."""
+        its key encodes.  Unreadable, torn and foreign (not a JSON object)
+        records are skipped — a record vanishing mid-scan is normal
+        operation, not corruption."""
         out: dict[str, list[dict[str, Any]]] = {name: [] for name in names}
         for key in self.backend.list(f"{self.LEASE_PREFIX}/"):
             name = key.rsplit("/", 1)[-1]
@@ -375,7 +376,9 @@ class ResultsStore:
                 continue
             try:
                 record = json.loads(self.backend.get(key))
-            except (OSError, json.JSONDecodeError):
+            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+                continue
+            if not isinstance(record, dict):
                 continue
             record["scenario"] = key.split("/")[1]
             out[name].append(record)
@@ -519,7 +522,9 @@ class ResultsStore:
         for key in sorted(self._entry_keys()):
             try:
                 entry = json.loads(self.backend.get(key))
-            except (OSError, json.JSONDecodeError):
+            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+                continue
+            if not isinstance(entry, dict):
                 continue
             h = entry.get("spec_hash")
             if h and h not in logged:
@@ -536,13 +541,12 @@ class ResultsStore:
     def entry(self, spec_or_hash: ScenarioSpec | str) -> dict[str, Any] | None:
         """The committed entry for this hash (one object read, no log scan)."""
         try:
-            return cast(
-                "dict[str, Any]", json.loads(self.backend.get(self.entry_key(spec_or_hash)))
-            )
+            entry = json.loads(self.backend.get(self.entry_key(spec_or_hash)))
         except FileNotFoundError:
             return None
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, UnicodeDecodeError):
             return None  # torn by an unkillable non-atomic writer; treat as absent
+        return entry if isinstance(entry, dict) else None  # foreign; absent too
 
     def resolve_hash(self, prefix: str) -> str:
         """Expand a (unique) hash prefix to the full spec hash.

@@ -12,10 +12,13 @@ identically for every backend, current and future.
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import os
+import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -39,6 +42,7 @@ from repro.scenarios.backends import (
     MemoryBackend,
     ObjectStoreBackend,
 )
+from repro.scenarios.backends import base as base_module
 from repro.scenarios.backends.base import read_snapshot, snapshot_key_for, write_snapshot
 from repro.scenarios.store import EventTailer, StoreEventSink, index_record
 
@@ -81,6 +85,17 @@ def _recorded_ops(backend):
         yield ops
     finally:
         del backend.get, backend.list
+
+
+@pytest.fixture
+def short_switches():
+    """Switch threads every 10 us while a test runs, to widen races."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture
@@ -129,6 +144,24 @@ class TestObjectContract:
         assert backend.list() == ["a/1", "a/2", "b/2", "c"]
         assert backend.list("a/") == ["a/1", "a/2"]
         assert backend.list("zz") == []
+        # keys either side of "a/" in sort order: '-' < '/' < '0' < 'b'
+        for key in ("ab", "a0", "a-x"):
+            backend.put(key, b"x")
+        backend.put("a/1", b"overwritten")  # an overwrite is not a second key
+        assert backend.list() == ["a-x", "a/1", "a/2", "a0", "ab", "b/2", "c"]
+        assert backend.list("a") == ["a-x", "a/1", "a/2", "a0", "ab"]
+        assert backend.list("a/") == ["a/1", "a/2"]
+        assert backend.list("ab") == ["ab"]
+        assert backend.list("a0") == ["a0"]
+        # prefixes that sort between two keys match nothing
+        assert backend.list("a/15") == []
+        assert backend.list("b/3") == []
+        assert backend.list("bb") == []
+        backend.delete("a/2")
+        backend.delete("ab")
+        assert backend.list("a/") == ["a/1"]
+        assert backend.list("ab") == []
+        assert backend.list("") == ["a-x", "a/1", "a0", "b/2", "c"]
 
     def test_visibility_across_instances(self, backend, any_store_url):
         # read-your-writes through a *separate* handle on the same URL —
@@ -153,6 +186,39 @@ class TestObjectContract:
         for t in threads:
             t.join()
         assert backend.get("contended.bin") in blobs
+
+    def test_racing_puts_and_deletes_keep_the_listing_exact(self, backend, short_switches):
+        # writers put, overwrite and delete their own keys while a reader
+        # lists: every listing is sorted and duplicate-free, and the last
+        # one is exactly the keys still present
+        errors: list = []
+        done = threading.Event()
+
+        def write(w):
+            keys = [f"k/{w}/{i:02d}" for i in range(12)]
+            for key in keys + keys[::2]:
+                backend.put(key, b"x")
+            for key in keys[1::2]:
+                backend.delete(key)
+
+        def read():
+            while not done.is_set():
+                listed = backend.list("k/")
+                if listed != sorted(set(listed)):  # pragma: no cover - contract violation
+                    errors.append(listed)
+
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write, args=(w,)) for w in range(6)]
+        reader.start()
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        done.set()
+        reader.join(timeout=60)
+        assert not reader.is_alive() and not any(t.is_alive() for t in writers)
+        assert not errors
+        assert backend.list("k/") == [f"k/{w}/{i:02d}" for w in range(6) for i in range(0, 12, 2)]
 
     def test_traversal_keys_are_rejected(self, backend, tmp_path):
         # the shared key grammar holds on every backend: '..'/absolute/
@@ -800,6 +866,240 @@ class TestStoreCompaction:
         # show still answers through the snapshot
         assert cli_main(["show", "--store", url]) == 0
         assert "3 entry(ies)" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------- #
+# a repeated read of an unchanged log decodes no snapshot again
+# --------------------------------------------------------------------------- #
+@contextlib.contextmanager
+def _recorded_decodes(monkeypatch):
+    """Record the argument of every ``json.loads`` in ``backends.base``."""
+    decoded: list = []
+
+    def loads(raw):
+        decoded.append(raw)
+        return json.loads(raw)
+
+    fake = types.SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(base_module, "json", fake)
+        yield decoded
+
+
+def _foreign_snapshot(backend, seq: str, pairs) -> str:
+    """Write a snapshot holding ``pairs`` under the key of ``seq``."""
+    key = snapshot_key_for(seq)
+    write_snapshot(backend, key, pairs)
+    return key
+
+
+class TestSnapshotMemo:
+    """A backend instance decodes each snapshot content once: a repeated
+    read reuses the parsed records while the bytes are unchanged, and
+    hands out records that do not alias what it keeps."""
+
+    def _fill(self, store, n=4, tail=2):
+        specs = [_payload_spec(i).with_overrides(tags=("t",)) for i in range(n + tail)]
+        for spec in specs[:n]:
+            store.commit_entry(store.write_payload(spec, {}, wall_time=1.0))
+        store.compact(grace_seconds=0)
+        for spec in specs[n:]:
+            store.commit_entry(store.write_payload(spec, {}, wall_time=2.0))
+        return specs
+
+    def test_a_second_read_of_an_unchanged_log_decodes_no_snapshot(self, store, monkeypatch):
+        specs = self._fill(store)
+        [snapshot] = store.backend.list(SNAPSHOT_PREFIX)
+        snapshot_bytes = store.backend.get(snapshot)
+        with _recorded_decodes(monkeypatch) as decoded:
+            first = store.index_records()
+        assert snapshot_bytes in decoded and len(decoded) == 3  # the snapshot + 2 tail
+        with _recorded_decodes(monkeypatch) as decoded:
+            second = store.index_records()
+        assert second == first and list(second) == [s.content_hash() for s in specs]
+        assert snapshot_bytes not in decoded and len(decoded) == 2  # the tail only
+        # a fresh instance on the same URL has parsed nothing yet
+        fresh = ResultsStore.open(store.url)
+        with _recorded_decodes(monkeypatch) as decoded:
+            assert fresh.index_records() == first
+        assert snapshot_bytes in decoded
+
+    def test_a_fold_rewriting_the_newest_key_is_read_fresh(self, backend):
+        """Two snapshots and no tail: the fold rewrites the newest key with
+        the union of both, and a scan of this same instance sees the union."""
+        old = ("commits/0000001000.000000-000000000000.json", {"spec_hash": "h-old"})
+        new = ("commits/0000002000.000000-000000000000.json", {"spec_hash": "h-new"})
+        _foreign_snapshot(backend, "0000001000.000000-000000000000", [old])
+        newest = _foreign_snapshot(backend, "0000002000.000000-000000000000", [new])
+        assert backend.commit_records() == [old[1], new[1]]
+        report = backend.compact(grace_seconds=0)  # scans (and remembers) first
+        assert report["snapshot"] == newest and report["folded_records"] == 0
+        assert backend.list(SNAPSHOT_PREFIX) == [newest]
+        assert backend.commit_records() == [old[1], new[1]]
+        assert read_snapshot(backend, newest) == [old, new]
+
+    def test_a_put_under_a_remembered_key_is_read_fresh(self, backend):
+        first = ("commits/0000001000.000000-000000000000.json", {"spec_hash": "h-1"})
+        second = ("commits/0000001001.000000-000000000000.json", {"spec_hash": "h-2"})
+        key = _foreign_snapshot(backend, "0000001001.000000-000000000000", [first])
+        assert backend.commit_records() == [first[1]]
+        write_snapshot(backend, key, [first, second])
+        assert backend.commit_records() == [first[1], second[1]]
+        # torn bytes under the remembered key: unreadable, not the old records
+        backend.put(key, b'{"version": 1, "records": [["commits/')
+        assert backend.commit_records() == []
+        write_snapshot(backend, key, [second])
+        assert backend.commit_records() == [second[1]]
+        backend.put(key, b"\x80\x81")
+        assert backend.commit_records() == []
+
+    def test_mutating_what_a_read_returned_leaves_the_next_read_unchanged(self, store):
+        self._fill(store, n=4, tail=0)
+        index, log, hits = store.index_records(), store.log_records(), store.query()
+        pristine = copy.deepcopy((index, log, hits))
+        assert all(rec["tags"] == ["t"] for rec in log)
+        for records in (list(index.values()), log, hits):
+            for rec in records:
+                rec["tags"].append("mutated")
+                rec["status"] = "mutated"
+                rec.pop("wall_time")
+        assert (store.index_records(), store.log_records(), store.query()) == pristine
+
+    def test_a_record_nesting_containers_is_copied_whole(self, backend):
+        record = {"spec_hash": "h", "nested": {"grid": [[1, 2]]}, "tags": ["t"]}
+        pair = ("commits/0000001000.000000-000000000000.json", record)
+        _foreign_snapshot(backend, "0000001000.000000-000000000000", [pair])
+        [rec] = backend.commit_records()
+        rec["nested"]["grid"][0].append(3)
+        rec["tags"].append("u")
+        assert backend.commit_records() == [pair[1]]
+
+    def test_readers_sharing_one_instance_with_a_compactor_lose_nothing(
+        self, backend, short_switches
+    ):
+        """Readers and a folding writer share one backend instance, so its
+        memo: each read holds every record appended before it began, whole."""
+        appended: list = []
+        errors: list = []
+        done = threading.Event()
+
+        def fold():
+            for round_ in range(6):
+                for i in range(4):
+                    record = {
+                        "spec_hash": f"h-{round_}-{i}",
+                        "tags": [round_],
+                        "created_at_unix": float(4 * round_ + i),  # commit order = append order
+                    }
+                    backend.append_commit(record)
+                    appended.append(record)
+                backend.compact(grace_seconds=0)
+
+        def read():
+            while not done.is_set():
+                before = list(appended)
+                seen = backend.commit_records()
+                for rec in seen:
+                    rec["tags"].append("mutated")
+                hashes = {rec["spec_hash"] for rec in seen}
+                missing = [rec for rec in before if rec["spec_hash"] not in hashes]
+                if missing:  # pragma: no cover - contract violation
+                    errors.append(missing)
+
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        for t in readers:
+            t.start()
+        folder = threading.Thread(target=fold)
+        folder.start()
+        folder.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+        assert not folder.is_alive() and not any(t.is_alive() for t in readers)
+        assert not errors
+        assert backend.commit_records() == appended
+
+    def test_after_a_fold_collects_old_snapshots_only_listed_keys_are_kept(
+        self, store, any_store_url
+    ):
+        self._fill(store, n=2, tail=0)
+        other = ResultsStore.open(any_store_url)
+        other.commit_entry(other.write_payload(_payload_spec(9), {}, wall_time=3.0))
+        other.compact(grace_seconds=10_000)  # the first snapshot survives for grace
+        store.index_records()
+        assert len(store.backend.list(SNAPSHOT_PREFIX)) == 2
+        assert set(store.backend._parsed_snapshots) == set(store.backend.list(SNAPSHOT_PREFIX))
+        store.compact(grace_seconds=0)
+        store.index_records()
+        [snapshot] = store.backend.list(SNAPSHOT_PREFIX)
+        assert set(store.backend._parsed_snapshots) == {snapshot}
+
+
+# --------------------------------------------------------------------------- #
+# torn and foreign objects are skipped, not raised
+# --------------------------------------------------------------------------- #
+class TestForeignObjects:
+    """An object that is not UTF-8, or is JSON but not an object, under the
+    log's prefixes, in an ``entry.json`` or in a lease record reads as torn
+    or foreign: every reader skips it."""
+
+    NOT_UTF8 = b"\x80\x81"
+
+    def _commit(self, store, n=3):
+        specs = [_payload_spec(i) for i in range(n)]
+        for i, spec in enumerate(specs):
+            store.commit_entry(store.write_payload(spec, {}, wall_time=1.0 + i))
+        return [spec.content_hash() for spec in specs]
+
+    def _reads_cleanly(self, store, hashes, capsys):
+        assert [rec["spec_hash"] for rec in store.log_records()] == hashes
+        assert list(store.index_records()) == hashes
+        assert set(store.wall_times()) == set(hashes)
+        assert [rec["spec_hash"] for rec in store.query(status="completed")] == hashes
+        assert cli_main(["status", "--store", store.url]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("body", [NOT_UTF8, b"[1, 2]", b'"text"', b"7"])
+    def test_a_foreign_commit_object_is_skipped(self, store, body, capsys):
+        hashes = self._commit(store)
+        store.backend.put(f"{COMMIT_LOG_PREFIX}0000000001.000000-0000000000ff.json", body)
+        self._reads_cleanly(store, hashes, capsys)
+        assert store.backend.commit_log_tail_count() == len(hashes)
+
+    @pytest.mark.parametrize("body", [NOT_UTF8, b"[1, 2]"])
+    def test_a_foreign_snapshot_object_is_skipped(self, store, body, capsys):
+        hashes = self._commit(store)
+        key = snapshot_key_for("0000000001.000000-0000000000ff")
+        store.backend.put(key, body)
+        self._reads_cleanly(store, hashes, capsys)
+        assert read_snapshot(store.backend, key) is None
+
+    def test_a_snapshot_keeps_only_its_dict_records(self, store, capsys):
+        hashes = self._commit(store)
+        key = snapshot_key_for("0000000001.000000-0000000000ff")
+        records = [["commits/x.json", [1, 2]], ["commits/y.json", "text"], [1], "pair", 3]
+        store.backend.put(key, json.dumps({"version": 1, "records": records}).encode())
+        assert read_snapshot(store.backend, key) == []
+        self._reads_cleanly(store, hashes, capsys)
+
+    @pytest.mark.parametrize("body", [NOT_UTF8, b"[]"])
+    def test_a_foreign_entry_object_reads_as_absent(self, store, body):
+        hashes = self._commit(store)
+        spec = _payload_spec(0)
+        store.backend.put(store.entry_key(spec), body)
+        assert store.entry(spec) is None and not store.has(spec)
+        assert set(store.reindex()) == set(hashes[1:])
+        assert set(store.index()) == set(hashes[1:])
+
+    @pytest.mark.parametrize("body", [NOT_UTF8, b"[]", b"null"])
+    def test_a_foreign_lease_record_is_skipped(self, store, body, capsys):
+        hashes = self._commit(store)
+        store.backend.put(f"{store.LEASE_PREFIX}/{hashes[0][:16]}/lease.json", body)
+        store.backend.put(f"{store.LEASE_PREFIX}/{hashes[1][:16]}/parked.json", body)
+        assert store.leases() == [] and store.parked() == []
+        self._reads_cleanly(store, hashes, capsys)
 
 
 # --------------------------------------------------------------------------- #

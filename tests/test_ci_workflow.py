@@ -257,9 +257,14 @@ class TestBatchedSolveGate:
         # ... and that a drain stacks by default: the sequential-drain
         # workload's two solves are one group, and none steps alone
         assert "--workload seq-drain-l2 --scale smoke --traced" in guard[0]
-        assert guard[0].count('result["failed"] == 0') == 3
         assert 'value["core.batched.calls"] == 1' in guard[0]
         assert 'value["core.time_iteration.calls"] == 0' in guard[0]
+        # ... and the read path's gets and lists: a repeated log read
+        # decodes less, never reads or lists less than it must
+        assert "--workload store-read --scale smoke --traced" in guard[0]
+        assert 'value["scenarios.backends.get_calls"] <= 641' in guard[0]
+        assert 'value["scenarios.backends.list_calls"] <= 45' in guard[0]
+        assert guard[0].count('result["failed"] == 0') == 4
 
     def test_bench_job_compares_the_solve_bits_with_the_base(self, workflow):
         # the script on this tree and on a worktree of the base commit; the
