@@ -84,6 +84,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     store = argparse.ArgumentParser(add_help=False)
     store.add_argument(
@@ -129,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--interrupt-after",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="testing hook: kill each solve after N iterations (checkpoint survives; "
@@ -217,10 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
     work.add_argument("suite", help=f"preset name (one of: {', '.join(preset_names())})")
     work.add_argument(
         "--ttl",
-        type=float,
-        default=None,
+        type=_positive_float,
+        default=DEFAULT_TTL,
         help="lease time-to-live in seconds; heartbeats renew every TTL/3 and "
-        f"peers steal leases not renewed for a TTL (default: $REPRO_LEASE_TTL or {DEFAULT_TTL})",
+        "peers steal leases not renewed for a TTL (default: %(default)s)",
     )
     work.add_argument(
         "--worker-id",

@@ -18,9 +18,11 @@ failure, and anything unrecognised propagates rather than being
 hammered against a broken backend.
 
 The budget is fixed policy: :data:`DEFAULT_RETRIES` attempts after the
-first try, the n-th retry sleeping ``DEFAULT_RETRY_BASE * 2**n`` seconds
-scaled by a random jitter in [0.5, 1.5), so a fleet of workers hitting one
-hiccup does not retry in lockstep.
+first try, the n-th retry (from 0) sleeping :func:`backoff` of
+:data:`DEFAULT_RETRY_BASE` — ``base * 2**n`` seconds scaled by a random
+jitter in [0.5, 1.5), so a fleet of workers hitting one hiccup does not
+retry in lockstep.  A drain waits out a failed scenario's attempt with
+the same function.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "DEFAULT_RETRIES",
     "DEFAULT_RETRY_BASE",
     "TransientStorageError",
+    "backoff",
     "is_transient",
     "call_with_retries",
 ]
@@ -86,24 +89,26 @@ def is_transient(exc: BaseException) -> bool:
     return False
 
 
+def backoff(base: float, attempt: int, rng: Callable[[], float]) -> float:
+    """Seconds to wait before retry ``attempt`` (from 0): ``base * 2**attempt``
+    scaled by a jitter ``0.5 + rng()``, i.e. in [0.5, 1.5) of it."""
+    return base * (2.0**attempt) * (0.5 + rng())
+
+
 def call_with_retries(
     fn: Callable[..., T],
     *args: Any,
-    retries: int | None = None,
-    base_delay: float | None = None,
     sleep: Callable[[float], None] = time.sleep,
     rng: Callable[[], float] = random.random,
     **kwargs: Any,
 ) -> T:
     """Call ``fn(*args, **kwargs)``, retrying transient failures.
 
-    ``retries``/``base_delay`` default to :data:`DEFAULT_RETRIES` /
-    :data:`DEFAULT_RETRY_BASE`, read when the call is made.  Non-transient
-    exceptions (per :func:`is_transient`) and the final transient failure
-    propagate unchanged, so callers see the original error.
+    Up to :data:`DEFAULT_RETRIES` retries, waiting :func:`backoff` of
+    :data:`DEFAULT_RETRY_BASE`; both are read when the call is made.
+    Non-transient exceptions (per :func:`is_transient`) and the final
+    transient failure propagate unchanged, so callers see the original error.
     """
-    retries = DEFAULT_RETRIES if retries is None else retries
-    base_delay = DEFAULT_RETRY_BASE if base_delay is None else base_delay
     attempt = 0
     while True:
         try:
@@ -111,13 +116,13 @@ def call_with_retries(
         except Exception as exc:  # classified and re-raised below
             if not is_transient(exc):
                 raise
-            if attempt >= retries:
+            if attempt >= DEFAULT_RETRIES:
                 raise
-            delay = base_delay * (2.0**attempt) * (0.5 + rng())
+            delay = backoff(DEFAULT_RETRY_BASE, attempt, rng)
             logger.warning(
                 "transient storage error on %s %s (attempt %d/%d, retrying in %.3fs): %s",
-                getattr(fn, "__name__", "?"), args[0] if args else "", attempt + 1, retries,
-                delay, exc,
+                getattr(fn, "__name__", "?"), args[0] if args else "", attempt + 1,
+                DEFAULT_RETRIES, delay, exc,
             )
             if delay > 0:
                 sleep(delay)

@@ -34,6 +34,8 @@ __all__ = ["diff_entries", "format_diff"]
 
 #: entry fields surfaced in the aggregate section (numeric -> delta)
 _AGGREGATE_FIELDS = ("wall_time", "iterations", "final_error")
+#: seed of the state-space sample the policy diff reads both solutions on
+SAMPLE_SEED = 0
 
 
 def _dict_diff(a: dict, b: dict) -> dict:
@@ -72,7 +74,6 @@ def _policy_diff(
     hash_a: str,
     hash_b: str,
     samples: int,
-    rng,
 ) -> dict:
     result_a = store_a.load_result(hash_a)
     result_b = store_b.load_result(hash_b)
@@ -90,7 +91,7 @@ def _policy_diff(
     # evaluate both solutions on one common sample of scenario A's state
     # space (the domains usually coincide; when they differ the comparison
     # is "B's policy read on A's states", which is the reform question)
-    X = spec_a.build_model().domain.sample(samples, rng=rng)
+    X = spec_a.build_model().domain.sample(samples, rng=SAMPLE_SEED)
     per_state = []
     for z in range(states):
         va = result_a.policy.evaluate(z, X)
@@ -141,7 +142,6 @@ def diff_entries(
     ref_a: str,
     ref_b: str,
     samples: int = 64,
-    rng=0,
     store_b: ResultsStore | None = None,
 ) -> dict:
     """Full diff of two store entries (referenced by hash or unique prefix).
@@ -184,7 +184,7 @@ def diff_entries(
     both_solves = spec_a.kind == "solve" and spec_b.kind == "solve"
     both_complete = store.entry_is_complete(entry_a) and store_b.entry_is_complete(entry_b)
     if both_solves and both_complete:
-        out["policy"] = _policy_diff(store, store_b, spec_a, hash_a, hash_b, samples, rng)
+        out["policy"] = _policy_diff(store, store_b, spec_a, hash_a, hash_b, samples)
     else:
         reason = "kinds are not both 'solve'" if not both_solves else "not both completed"
         out["policy"] = {"skipped": reason}

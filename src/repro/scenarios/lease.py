@@ -54,8 +54,9 @@ Failure handling:
   whose renewals keep failing past its own TTL deadline *stops solving
   and abandons* rather than split-brain: by then peers may legitimately
   consider the lease expired.
-* **Retry budget + parking** — failed scenarios are retried with
-  exponential backoff; after ``max_attempts`` recorded failures (shared
+* **Retry budget + parking** — failed scenarios are retried after a
+  jittered exponential backoff (:data:`FAILURE_BACKOFF` seconds before
+  the first retry, doubling); after ``max_attempts`` recorded failures (shared
   via ``leases/<hash16>/attempts.json``, last-writer-wins — an undercount
   merely buys an extra attempt) the scenario is *parked*
   (``leases/<hash16>/parked.json``) so a permanently broken spec cannot
@@ -69,7 +70,6 @@ for ``repro-scenarios status`` by the time its worker next claims, blocks or exi
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import platform
@@ -84,6 +84,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.parallel.tracing import EventRecorder
+from repro.scenarios.backends.retry import backoff
 from repro.scenarios.batching import partition_by_topology, solve_batch_and_commit
 from repro.scenarios.checkpoint import SolveAbandoned
 from repro.scenarios.spec import ScenarioSpec
@@ -111,38 +112,19 @@ logger = get_logger("scenarios.lease")
 #: stealable ~TTL after its last renewal.
 DEFAULT_TTL = 30.0
 
-#: environment override for the *default* TTL (callers passing an explicit
-#: ``ttl`` are unaffected).  CI's ``REPRO_STORE_URL=s3://`` matrix leg uses
-#: it to widen leases under real-endpoint latency, where a renewal is a
-#: network round-trip instead of a local write and a tight TTL would make
-#: healthy workers steal from each other.
-TTL_ENV = "REPRO_LEASE_TTL"
-
-
-@functools.lru_cache(maxsize=8)
-def _ttl_from(raw: str) -> float:
-    """``raw`` as a TTL; cached, so a bad value is warned about once, not per lease."""
-    try:
-        ttl = float(raw) if raw.strip() else DEFAULT_TTL
-    except ValueError:
-        ttl = 0.0
-    if ttl > 0:
-        return ttl
-    logger.warning("ignoring %s=%r: not a positive number (using %s)", TTL_ENV, raw, DEFAULT_TTL)
-    return DEFAULT_TTL
-
 
 def default_ttl() -> float:
-    """The effective default lease TTL: :data:`TTL_ENV` if a positive number, else 30s.
-
-    Read on every call (the variable may change mid-process); empty or unset
-    means the default.
-    """
-    return _ttl_from(os.environ.get(TTL_ENV, ""))
+    """Always :data:`DEFAULT_TTL`: no environment variable sets the TTL
+    (benchmarks/ledger/run.py, frozen, still records it)."""
+    return DEFAULT_TTL
 
 
 #: recorded failures before a scenario is parked as permanently failing
 DEFAULT_MAX_ATTEMPTS = 3
+
+#: seconds a drain waits (before jitter) after a scenario's first failed
+#: attempt; each further one doubles it (:func:`repro.scenarios.backends.retry.backoff`)
+FAILURE_BACKOFF = 0.5
 
 
 class LeaseLost(SolveAbandoned):
@@ -261,11 +243,10 @@ class LeaseManager:
         self,
         store: ResultsStore,
         worker_id: str,
-        ttl: float | None = None,
+        ttl: float = DEFAULT_TTL,
         clock: Callable[[], float] = time.time,
         events: EventRecorder | None = None,
     ) -> None:
-        ttl = default_ttl() if ttl is None else ttl
         if ttl <= 0:
             raise ValueError("ttl must be > 0")
         self.store = store
@@ -612,13 +593,12 @@ def run_worker(
     store: ResultsStore | str,
     *,
     worker_id: str | None = None,
-    ttl: float | None = None,
+    ttl: float = DEFAULT_TTL,
     heartbeat_interval: float | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll: float = 0.5,
     max_claims: int | None = None,
     retry_parked: bool = False,
-    backoff_base: float = 0.5,
     events: EventRecorder | None = None,
     clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
@@ -669,13 +649,12 @@ def _drain(
     *,
     interrupt_after: int | None = None,
     worker_id: str | None = None,
-    ttl: float | None = None,
+    ttl: float = DEFAULT_TTL,
     heartbeat_interval: float | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll: float = 0.5,
     max_claims: int | None = None,
     retry_parked: bool = False,
-    backoff_base: float = 0.5,
     events: EventRecorder | None = None,
     clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
@@ -695,7 +674,7 @@ def _drain(
     worker_id = worker_id or default_worker_id()
     if events is None:
         events = EventRecorder(clock=clock)
-    sink = StoreEventSink(store, worker_id)
+    sink = StoreEventSink(store, worker_id, clock=clock)
     events.subscribe(sink)
     manager = LeaseManager(store, worker_id, ttl=ttl, clock=clock, events=events)
     report = WorkReport(worker_id=worker_id, events=events)
@@ -721,7 +700,6 @@ def _drain(
         say=progress if progress is not None else (lambda line: None),
         max_attempts=max_attempts,
         max_claims=max_claims,
-        backoff_base=backoff_base,
         sleep=pause,
         rng=rng,
         interrupt_after=interrupt_after,
@@ -755,7 +733,6 @@ class _Drain:
     say: Callable[[str], object]
     max_attempts: int
     max_claims: int | None
-    backoff_base: float
     sleep: Callable[[float], None]
     rng: Callable[[], float]
     interrupt_after: int | None
@@ -932,6 +909,6 @@ class _Drain:
                 # holds (the failed entry is committed), and holding the
                 # lease through the backoff would only serialize the fleet
                 manager.release(handle.lease)
-                if count < self.max_attempts and self.backoff_base > 0:
-                    self.sleep(self.backoff_base * (2 ** (count - 1)) * (0.5 + self.rng()))
+                if count < self.max_attempts:
+                    self.sleep(backoff(FAILURE_BACKOFF, count - 1, self.rng))
         return progressed

@@ -283,8 +283,7 @@ class ResultsStore:
     EVENTS_PREFIX = "events"
 
     #: un-folded commit records :meth:`index_records` tolerates before
-    #: folding the log into a snapshot (see :meth:`compact`); ``0``
-    #: on an instance disables the fold
+    #: folding the log into a snapshot (see :meth:`compact`)
     auto_compact_tail = 512
 
     def __init__(self, root: StorageBackend | str | os.PathLike[str]) -> None:
@@ -610,7 +609,7 @@ class ResultsStore:
         rebuilt (``clear_commit_log`` + :meth:`reindex`).
         """
         scan = self.backend._scan_log()
-        if self.auto_compact_tail and len(scan.tail) > self.auto_compact_tail:
+        if len(scan.tail) > self.auto_compact_tail:
             try:
                 report = self.backend._fold(scan)
                 logger.info(
@@ -967,10 +966,11 @@ class StoreEventSink:
     once :data:`EVENT_FLUSH_EVENTS` events or :data:`EVENT_FLUSH_SECONDS`
     seconds (on ``clock``) accumulate,
     so a 200-iteration solve costs a handful of object puts instead of
-    200.  What closes a unit (``converged``/``solve-finished``/``committed``/
+    200.  What opens a solve after its claim (``solve-started``) and what
+    closes a unit (``converged``/``solve-finished``/``committed``/
     ``released``/``healed``) is buffered too: a micro-unit costs one put.  The
     kinds that say who holds or gave up what (``claimed``/``stolen``/
-    ``solve-started``/``retry``/``parked``/``abandoned``/``heartbeat-missed``)
+    ``retry``/``parked``/``abandoned``/``heartbeat-missed``)
     flush at once and carry the buffer out, and a worker (like the batch runner
     at task end) calls :meth:`flush` before every sleep and at exit: an event is
     in the store no later than the moment its worker next claims, blocks or exits.
@@ -984,7 +984,7 @@ class StoreEventSink:
 
     #: kinds buffered for batched flushing; everything else flushes now
     BUFFERED_KINDS = frozenset(
-        {"iteration", "refined", "heartbeat", "converged", "solve-finished"}
+        {"solve-started", "iteration", "refined", "heartbeat", "converged", "solve-finished"}
         | {"committed", "released", "healed"}
     )
 

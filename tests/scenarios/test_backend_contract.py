@@ -719,7 +719,7 @@ class TestStoreCompaction:
         """Acceptance: 1,000 committed records index through ONE snapshot
         object plus the un-folded tail — object ``get`` calls drop from
         O(total commits ever) to O(tail)."""
-        store.auto_compact_tail = 0  # count the uncompacted baseline honestly
+        store.auto_compact_tail = 10_000  # no fold: count the uncompacted baseline honestly
         specs = self._fill(store, hashes=10, commits_per_hash=100)
         backend = store.backend
         counted = {"get": 0}
@@ -1290,7 +1290,7 @@ class TestQueryIndex:
 
     def test_query_on_uncompacted_store_reads_no_entries(self, store):
         """No read path opens ``entry.json`` — not even with nothing folded."""
-        store.auto_compact_tail = 0
+        store.auto_compact_tail = 10_000  # no fold below this many tail records
         specs = [
             ScenarioSpec(f"u{i}", kind="ablations", params={"which": "partition", "i": i})
             for i in range(100)
@@ -1308,7 +1308,7 @@ class TestQueryIndex:
     def test_query_on_compacted_store_is_o_snapshot_plus_tail(self, store):
         """Acceptance: a filtered query on a 1,000-entry compacted store
         costs O(index snapshot + tail) gets — no per-entry reads."""
-        store.auto_compact_tail = 0
+        store.auto_compact_tail = 10_000  # no fold below this many tail records
         specs = [
             ScenarioSpec(
                 f"q{i}",

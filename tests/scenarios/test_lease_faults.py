@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import sys
 import threading
 import time
@@ -181,16 +180,11 @@ class TestClaimProtocol:
         store.backend.put(store.lease_key(spec), b"{not json")
         assert _manager(store, "w1", _Clock()).try_claim(spec) is not None
 
-    def test_bad_lease_ttl_values_warn_once(self, monkeypatch, caplog):
-        lease_module._ttl_from.cache_clear()  # the memo is per process, not per test
-        with caplog.at_level(logging.WARNING):
-            for raw in ("-5", "-5", "fast", "fast", "0", ""):
-                monkeypatch.setenv(lease_module.TTL_ENV, raw)
-                assert lease_module.default_ttl() == DEFAULT_TTL
-        # once per distinct bad value, not per lease manager; empty means unset
-        assert sum(lease_module.TTL_ENV in r.message for r in caplog.records) == 3
-        monkeypatch.setenv(lease_module.TTL_ENV, "90")  # read on every call
-        assert lease_module.default_ttl() == 90.0
+    def test_the_environment_sets_no_lease_ttl(self, store_url_for, monkeypatch):
+        # the TTL is a constant: the variable an older tree read changes nothing
+        monkeypatch.setenv("REPRO_LEASE_TTL", "90")
+        store = ResultsStore.open(store_url_for("mem"))
+        assert LeaseManager(store, "w1").ttl == DEFAULT_TTL == lease_module.default_ttl()
 
 
 # --------------------------------------------------------------------------- #
@@ -439,7 +433,6 @@ class TestKillStealResume:
                 heartbeat_interval=1000.0,  # no renewals interfere mid-test
                 events=_paced(clock_a),
                 clock=clock_a,
-                backoff_base=0.0,
             )
         store = ResultsStore.open(any_store_url)
         assert store.entry(spec) is None  # nothing committed
@@ -457,7 +450,6 @@ class TestKillStealResume:
             ttl=30.0,
             heartbeat_interval=1000.0,
             clock=clock_b,
-            backoff_base=0.0,
         )
         assert report.completed and report.steals == 1
         entry = store.entry(spec)
@@ -490,7 +482,6 @@ class TestKillStealResume:
                 ttl=30.0,
                 heartbeat_interval=1000.0,
                 clock=_Clock(1000.0),
-                backoff_base=0.0,
             )
         assert ("put", store_a.checkpoint_key(spec)) not in crashing.ops
         store = ResultsStore.open(any_store_url)
@@ -504,7 +495,6 @@ class TestKillStealResume:
             ttl=30.0,
             heartbeat_interval=1000.0,
             clock=_Clock(1000.0 + 30.0 + 1.0),
-            backoff_base=0.0,
         )
         assert report.completed and report.steals == 1
         entry = store.entry(spec)
@@ -536,7 +526,6 @@ class TestKillStealResume:
                 ttl=10.0,
                 heartbeat_interval=1000.0,
                 clock=clock_a,
-                backoff_base=0.0,
             )
         store = ResultsStore.open(any_store_url)
         assert store.entry_is_complete(store.entry(spec))  # commit landed
@@ -550,7 +539,6 @@ class TestKillStealResume:
             ttl=10.0,
             heartbeat_interval=1000.0,
             clock=clock_b,
-            backoff_base=0.0,
         )
         assert report.healed == 1 and report.already_done == [
             store.scenario_key(spec)
@@ -594,7 +582,7 @@ class TestFailureHandling:
             worker_id="w1",
             max_attempts=2,
             clock=clock,
-            backoff_base=0.0,
+            sleep=lambda seconds: None,
             heartbeat_interval=1000.0,
         )
         assert report.parked == [store.scenario_key(_broken_spec())]
@@ -606,18 +594,14 @@ class TestFailureHandling:
         kinds = [e.kind for e in report.events.events]
         assert "retry" in kinds and "parked" in kinds
         # a second worker skips the parked scenario outright
-        second = run_worker(
-            suite, store, worker_id="w2", clock=clock, backoff_base=0.0
-        )
+        second = run_worker(suite, store, worker_id="w2", clock=clock)
         assert second.claims == 0 and second.parked
 
     def test_retry_parked_clears_the_budget(self, store_url_for):
         store = ResultsStore.open(store_url_for("mem"))
         broken = ScenarioSuite("one", [_broken_spec()])
         clock = _Clock()
-        run_worker(
-            broken, store, worker_id="w1", max_attempts=1, clock=clock, backoff_base=0.0
-        )
+        run_worker(broken, store, worker_id="w1", max_attempts=1, clock=clock)
         assert store.parked()
         report = run_worker(
             broken,
@@ -625,7 +609,6 @@ class TestFailureHandling:
             worker_id="w2",
             max_attempts=1,
             clock=clock,
-            backoff_base=0.0,
             retry_parked=True,
         )
         assert report.claims == 1  # re-attempted after unparking
@@ -655,12 +638,11 @@ class TestFailureHandling:
             worker_id="w1",
             max_attempts=3,
             clock=_Clock(),
-            backoff_base=1.0,
             sleep=delays.append,
             rng=lambda: 0.5,  # jitter multiplier pinned to 1.0
         )
-        # one backoff after each non-final failed attempt: 1.0, then 2.0
-        assert delays == [1.0, 2.0]
+        # one backoff after each non-final failed attempt, doubling
+        assert delays == [lease_module.FAILURE_BACKOFF, 2 * lease_module.FAILURE_BACKOFF]
 
 
 # --------------------------------------------------------------------------- #
@@ -695,13 +677,16 @@ class TestTransientRetries:
         def always_down():
             raise ConnectionError("down")
 
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 3)
         for jitter, factor in ((0.5, 1.0), (0.0, 0.5)):
             slept: list = []
             with pytest.raises(ConnectionError):
-                call_with_retries(always_down, retries=3, sleep=slept.append, rng=lambda: jitter)
+                call_with_retries(always_down, sleep=slept.append, rng=lambda: jitter)
             assert slept == pytest.approx([0.1 * factor, 0.2 * factor, 0.4 * factor])
 
-    def test_call_with_retries_absorbs_transient_blips(self):
+    def test_call_with_retries_absorbs_transient_blips(self, monkeypatch):
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 3)
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.0)
         calls = {"n": 0}
 
         def flaky():
@@ -710,22 +695,21 @@ class TestTransientRetries:
                 raise ConnectionError("blip")
             return "ok"
 
-        assert (
-            call_with_retries(flaky, retries=3, base_delay=0.0, sleep=lambda s: None)
-            == "ok"
-        )
+        assert call_with_retries(flaky, sleep=lambda s: None) == "ok"
         assert calls["n"] == 3
 
-    def test_retry_budget_exhaustion_reraises(self):
+    def test_retry_budget_exhaustion_reraises(self, monkeypatch):
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 2)
+        monkeypatch.setattr(retry, "DEFAULT_RETRY_BASE", 0.0)
+
         def always_down():
             raise TimeoutError("still down")
 
         with pytest.raises(TimeoutError):
-            call_with_retries(
-                always_down, retries=2, base_delay=0.0, sleep=lambda s: None
-            )
+            call_with_retries(always_down, sleep=lambda s: None)
 
-    def test_non_transient_errors_are_never_retried(self):
+    def test_non_transient_errors_are_never_retried(self, monkeypatch):
+        monkeypatch.setattr(retry, "DEFAULT_RETRIES", 5)
         calls = {"n": 0}
 
         def broken():
@@ -733,7 +717,7 @@ class TestTransientRetries:
             raise ValueError("logic bug")
 
         with pytest.raises(ValueError):
-            call_with_retries(broken, retries=5, base_delay=0.0)
+            call_with_retries(broken)
         assert calls["n"] == 1
 
     def test_default_budget_is_read_at_call_time(self, monkeypatch):
@@ -906,9 +890,7 @@ class TestCheckpointTraffic:
         backend = FaultInjectingBackend(backend_from_url(any_store_url))
         store = ResultsStore(backend)
         spec = _tiny_solve_spec("quiet")
-        report = run_worker(
-            ScenarioSuite("one", [spec]), store, worker_id="w1", clock=_Clock(), backoff_base=0.0
-        )
+        report = run_worker(ScenarioSuite("one", [spec]), store, worker_id="w1", clock=_Clock())
         assert report.completed
         # one get at the start (a miss: the answer), one delete at the commit;
         # the solve's only serialisation is its result
@@ -944,9 +926,7 @@ class TestFleetDrain:
         reports: dict = {}
 
         def drain(worker_id: str) -> None:
-            reports[worker_id] = run_worker(
-                suite, store, worker_id=worker_id, ttl=10.0, backoff_base=0.0, poll=0.01
-            )
+            reports[worker_id] = run_worker(suite, store, worker_id=worker_id, ttl=10.0, poll=0.01)
 
         threads = [
             threading.Thread(target=drain, args=(f"w{i}",)) for i in range(2)
@@ -969,9 +949,7 @@ class TestFleetDrain:
         store = ResultsStore.open(store_url_for("mem"))
         suite = ScenarioSuite("half", [_payload_spec(i) for i in range(4)])
         run_suite(suite, store)  # a prior batch finished everything
-        report = run_worker(
-            suite, store, worker_id="late", clock=_Clock(), backoff_base=0.0
-        )
+        report = run_worker(suite, store, worker_id="late", clock=_Clock())
         assert report.claims == 0
         assert len(report.already_done) == 4
 
@@ -1017,7 +995,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            backoff_base=0.0,
             heartbeat_interval=1000.0,
             progress=lines.append,
         )
@@ -1054,7 +1031,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            backoff_base=0.0,
             heartbeat_interval=1000.0,
             progress=lines.append,
         )
@@ -1087,7 +1063,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            backoff_base=0.0,
             heartbeat_interval=1000.0,
             max_claims=2,  # the abandoned lease stays (it is the thief's): stop rescanning
         )
@@ -1118,7 +1093,6 @@ class TestGroupDrain:
             worker_id="w",
             max_attempts=3,
             clock=_Clock(),
-            backoff_base=1.0,
             heartbeat_interval=1000.0,
             sleep=delays.append,
             rng=lambda: 0.5,  # jitter multiplier pinned to 1.0
@@ -1126,7 +1100,8 @@ class TestGroupDrain:
         assert report.parked == [store.scenario_key(bad)] and report.claims == 4
         assert "different solver configuration" in store.entry(bad)["error"]
         assert store.entry(good)["status"] == "completed"
-        assert delays == [1.0, 2.0]  # one backoff after each non-final failed attempt
+        # one backoff after each non-final failed attempt, doubling
+        assert delays == [lease_module.FAILURE_BACKOFF, 2 * lease_module.FAILURE_BACKOFF]
 
     def test_a_group_is_worked_in_its_longest_members_place(self, store_url_for):
         # longest-first: the lone wider economy is claimed before the pair
@@ -1140,7 +1115,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            backoff_base=0.0,
             heartbeat_interval=1000.0,
             progress=lines.append,
         )
@@ -1176,7 +1150,6 @@ class TestGroupDrain:
             worker_id="w",
             clock=clock,
             sleep=sleep,
-            backoff_base=0.0,
             heartbeat_interval=1000.0,
         )
         assert sorted(report.completed) == sorted(store.scenario_key(s) for s in specs)
@@ -1203,7 +1176,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            backoff_base=0.0,
             heartbeat_interval=1000.0,
             progress=lines.append,
             rank=rank,
@@ -1412,6 +1384,22 @@ class TestUnitOps:
             run_worker(specs, store, worker_id="w2", retry_parked=True)
         assert not [key for op, key in ops if op == "delete"]
 
+    def test_a_commit_missing_from_the_log_is_found_by_the_entry_read(self, store_url_for):
+        # the scan reads the log only, so it sees this unit pending; the
+        # entry read before the claim books it done.  Without that read
+        # try_claim would find the entry complete and give the lease back on
+        # every pass, and the drain would wait for a peer forever
+        store = ResultsStore.open(store_url_for("mem"))
+        [spec] = _micro_specs(1)
+        run_worker([spec], store, worker_id="w1")
+        store.backend.clear_commit_log()
+
+        def no_wait(seconds):
+            raise AssertionError(f"the drain waited {seconds}s for a finished unit")
+
+        again = run_worker([spec], store, worker_id="w2", sleep=no_wait)
+        assert again.claims == 0 and again.already_done == [store.scenario_key(spec)]
+
     def test_success_after_a_recorded_failure_clears_the_budget(self, store_url_for, monkeypatch):
         from repro.experiments import table1
 
@@ -1427,7 +1415,7 @@ class TestUnitOps:
         store = ResultsStore.open(store_url_for("mem"))
         [spec] = _micro_specs(1)
         with _recorded_ops(store.backend) as ops:
-            report = run_worker([spec], store, worker_id="w1", backoff_base=0.0)
+            report = run_worker([spec], store, worker_id="w1", sleep=lambda seconds: None)
         assert report.claims == 2 and len(report.completed) == 1
         attempts, parked = store.attempts_key(spec), store.parked_key(spec)
         assert ops.count(("put", attempts)) == 1
@@ -1507,6 +1495,38 @@ class TestEventContract:
         closing = [e for e in self._stored(url) if e[0] != "claimed"]
         assert closing == [(kind, key) for key in worked for kind in ("committed", "released")]
 
+    def test_the_sink_flushes_on_the_drain_clock(self, store_url_for):
+        # every iteration of a paced drain takes a checkpoint interval on its
+        # clock, longer than EVENT_FLUSH_SECONDS, so each is stored at once;
+        # solve-started rides with the first, not in a put of its own
+        store = ResultsStore.open(store_url_for("mem"))
+        spec = _tiny_solve_spec("paced")
+        real_put, flushed = store.backend.put, []
+
+        def put(key, data):
+            if key.startswith("events/"):
+                kinds = [json.loads(line)["kind"] for line in data.decode().splitlines()]
+                flushed.append(kinds[sum(map(len, flushed)) :])
+            return real_put(key, data)
+
+        store.backend.put = put
+        clock = _Clock()
+        run_worker(
+            [spec],
+            store,
+            worker_id="w",
+            clock=clock,
+            events=_paced(clock),
+            heartbeat_interval=1000.0,
+        )
+        iterations = store.entry(spec)["iterations"]
+        assert flushed == [
+            ["claimed"],
+            ["solve-started", "iteration"],
+            *[["iteration"]] * (iterations - 1),
+            ["converged", "solve-finished", "committed", "released"],
+        ]
+
     def test_nothing_is_pending_when_the_worker_sleeps(self, store_url_for):
         url = store_url_for("mem")
         store = ResultsStore.open(url)
@@ -1520,7 +1540,7 @@ class TestEventContract:
             # poll wait or retry backoff: everything emitted so far is stored
             assert len(self._stored(url)) == len(events.events)
             slept.append((seconds, events.events[-1].kind))
-            if seconds == 0.5:
+            if seconds == 0.25:
                 clock.advance(10.1)  # the peer's lease expires during the poll wait
 
         report = run_worker(
@@ -1529,8 +1549,7 @@ class TestEventContract:
             worker_id="w1",
             ttl=10.0,
             max_attempts=2,
-            backoff_base=1.0,
-            poll=0.5,
+            poll=0.25,
             rng=lambda: 0.5,
             events=events,
             clock=clock,
@@ -1540,7 +1559,7 @@ class TestEventContract:
         assert len(report.completed) == 2 and report.steals == 1 and len(report.parked) == 1
         # one backoff (after `retry` + `released`), then one poll wait with
         # only the peer's scenario left, then the steal
-        assert slept == [(1.0, "released"), (0.5, "released")]
+        assert slept == [(lease_module.FAILURE_BACKOFF, "released"), (0.25, "released")]
         assert len(self._stored(url)) == len(events.events)
 
 
@@ -1551,7 +1570,7 @@ class TestEventsAndStatus:
     def test_worker_persists_structured_events(self, store_url_for):
         store = ResultsStore.open(store_url_for("file"))
         suite = ScenarioSuite("one", [_payload_spec(0)])
-        run_worker(suite, store, worker_id="emitter", clock=_Clock(), backoff_base=0.0)
+        run_worker(suite, store, worker_id="emitter", clock=_Clock())
         raw = store.backend.get("events/emitter.jsonl").decode()
         events = [json.loads(line) for line in raw.strip().splitlines()]
         assert [e["kind"] for e in events] == ["claimed", "committed", "released"]

@@ -376,5 +376,22 @@ class TestCLI:
         assert cli_main(["run", "smoke", "--store", store]) == 0
         assert "2 completed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "smoke", "--interrupt-after", "-1"],
+            ["run", "smoke", "--interrupt-after", "0"],
+            ["work", "smoke", "--ttl", "0"],
+        ],
+        ids=["interrupt-after=-1", "interrupt-after=0", "ttl=0"],
+    )
+    def test_non_positive_hooks_and_ttls_are_usage_errors(self, tmp_path, capsys, argv):
+        store = tmp_path / "s"
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([*argv, "--store", str(store)])
+        assert exit_.value.code == 2
+        assert argv[2] in capsys.readouterr().err
+        assert not [p for p in store.rglob("*") if p.is_file()]  # nothing written
+
     def test_unknown_preset_exit_code(self, capsys):
         assert cli_main(["run", "nope", "--store", "/tmp/ignored"]) == 2
