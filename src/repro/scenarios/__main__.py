@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     work.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_ATTEMPTS,
         help="park a scenario as permanently failing after this many failed "
         "attempts across the fleet (default: %(default)s)",
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     work.add_argument(
         "--max-claims",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="exit after claiming N scenarios (default: run until drained)",

@@ -55,7 +55,7 @@ from repro.scenarios.checkpoint import (
     SolveAbandoned,
     SolveCheckpoint,
 )
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import EXPERIMENT_ADAPTERS, ScenarioSpec
 from repro.scenarios.store import ResultsStore
 from repro.utils.logging import get_logger
 
@@ -67,18 +67,6 @@ __all__ = [
 ]
 
 logger = get_logger("scenarios.batching")
-
-#: kind -> "module:function" of the experiment adapters (resolved lazily so
-#: importing the scenarios package stays cheap and cycle-free).
-EXPERIMENT_ADAPTERS = {
-    "table1": "repro.experiments.table1:run_scenario",
-    "table2": "repro.experiments.table2_fig6:run_scenario",
-    "fig7": "repro.experiments.fig7:run_scenario",
-    "fig8": "repro.experiments.fig8:run_scenario",
-    "fig9": "repro.experiments.fig9:run_scenario",
-    "ablations": "repro.experiments.ablations:run_scenario",
-}
-
 
 def _resolve_adapter(kind: str):
     target = EXPERIMENT_ADAPTERS[kind]
@@ -161,9 +149,9 @@ def solve_batch_and_commit(
 ) -> list:
     """Run a group of scenarios against ``store``, committing each one's entry.
 
-    Every committed entry gets its spec stored beside it once — with the
-    result when completed, by the failure path when interrupted/failed (so
-    those can be diffed too: spec deltas explain *why* a variant failed).
+    Every committed entry carries its spec, completed or not (so
+    interrupted and failed entries can be diffed too: spec deltas explain
+    *why* a variant failed).
     Runs experiment kinds through their adapter, solves the ``solve`` kinds
     as the members of one time-iteration loop — each with its own
     :class:`SolveCheckpoint` (resuming from any checkpoint already in the
@@ -212,7 +200,6 @@ def solve_batch_and_commit(
 
     def failure(i: int, exc: BaseException) -> dict:
         spec, wall = specs[i], time.perf_counter() - t0
-        store.save_spec(spec)
         if isinstance(exc, SimulatedKill):
             return store.failure_entry(spec, "interrupted", wall, str(exc))
         logger.warning("scenario %s failed: %s", spec.name, exc)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultsStore
 
 __all__ = ["diff_entries", "format_diff"]
@@ -146,6 +147,9 @@ def diff_entries(
 ) -> dict:
     """Full diff of two store entries (referenced by hash or unique prefix).
 
+    Each side is one ``entry.json`` read: the entry carries its spec, so
+    the spec deltas need no second object.
+
     ``store_b`` resolves the second reference in a *different* store —
     possibly on a different storage backend (a local ``file://`` run
     against an ``s3://`` archive is the motivating case); it defaults to
@@ -164,12 +168,7 @@ def diff_entries(
         raise KeyError(f"no committed entry for {hash_a[:16]}")
     if entry_b is None:
         raise KeyError(f"no committed entry for {hash_b[:16]}")
-    try:
-        spec_a, spec_b = store.load_spec(hash_a), store_b.load_spec(hash_b)
-    except FileNotFoundError as exc:
-        # only possible for failure entries migrated from a legacy store;
-        # workers now save the spec before executing anything
-        raise KeyError(f"no spec recorded for one of the entries ({exc})") from exc
+    spec_a, spec_b = ScenarioSpec.from_dict(entry_a), ScenarioSpec.from_dict(entry_b)
     out = {
         "a": {"spec_hash": hash_a, "name": entry_a.get("name"), "kind": entry_a.get("kind")},
         "b": {"spec_hash": hash_b, "name": entry_b.get("name"), "kind": entry_b.get("kind")},

@@ -472,7 +472,7 @@ class HeldLease:
 class LeaseHeartbeat:
     """One worker's background renewal thread, for every lease it holds.
 
-    Every ``interval`` (default TTL/3) :meth:`tick` renews each lease
+    Every ``interval`` (the manager's TTL/3) :meth:`tick` renews each lease
     between its :meth:`hold` and its :meth:`drop` once.  Two ways to lose
     one:
 
@@ -492,11 +492,9 @@ class LeaseHeartbeat:
     daemon thread does, so tests drive renewals without the thread.
     """
 
-    def __init__(self, manager: LeaseManager, interval: float | None = None) -> None:
+    def __init__(self, manager: LeaseManager) -> None:
         self.manager = manager
-        self.interval = float(interval) if interval is not None else manager.ttl / 3.0
-        if self.interval <= 0:
-            raise ValueError("heartbeat interval must be > 0")
+        self.interval = manager.ttl / 3.0
         self._held: list[HeldLease] = []
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -594,7 +592,6 @@ def run_worker(
     *,
     worker_id: str | None = None,
     ttl: float = DEFAULT_TTL,
-    heartbeat_interval: float | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll: float = 0.5,
     max_claims: int | None = None,
@@ -638,7 +635,8 @@ def run_worker(
 
     ``clock``/``sleep``/``rng`` are injectable for the deterministic
     fault-injection tests (``clock`` times the leases *and* every member's
-    checkpoint cadence); real fleets keep the defaults.
+    checkpoint cadence); real fleets keep the defaults.  The heartbeat
+    thread renews every ``ttl / 3`` seconds of real time.
     """
     return _drain(**locals()).report  # every argument above, passed on unchanged
 
@@ -650,7 +648,6 @@ def _drain(
     interrupt_after: int | None = None,
     worker_id: str | None = None,
     ttl: float = DEFAULT_TTL,
-    heartbeat_interval: float | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll: float = 0.5,
     max_claims: int | None = None,
@@ -685,7 +682,7 @@ def _drain(
         specs.setdefault(store.scenario_key(spec), spec)
     if retry_parked:
         unpark(store, specs)
-    heartbeat = LeaseHeartbeat(manager, interval=heartbeat_interval)
+    heartbeat = LeaseHeartbeat(manager)
 
     def pause(seconds: float) -> None:
         sink.flush()  # nothing stays buffered while the worker blocks

@@ -40,6 +40,7 @@ from repro.core.time_iteration import TimeIterationConfig
 from repro.grids.regular import regular_grid_size
 
 __all__ = [
+    "EXPERIMENT_ADAPTERS",
     "EXPERIMENT_KINDS",
     "KNOWN_KINDS",
     "ScenarioSpec",
@@ -55,10 +56,19 @@ __all__ = [
     "shock_process_suite",
 ]
 
-#: Experiment kinds the runner can dispatch besides ``"solve"``; each maps
-#: to a ``run_scenario(params)`` adapter in the same-named
-#: ``repro.experiments`` module (``table2`` lives in ``table2_fig6``).
-EXPERIMENT_KINDS = ("table1", "table2", "fig7", "fig8", "fig9", "ablations")
+#: Experiment kind -> ``"module:function"`` of its ``run_scenario(params)``
+#: adapter, the kinds the runner dispatches besides ``"solve"`` (resolved
+#: lazily, so importing the scenarios package stays cheap and cycle-free).
+EXPERIMENT_ADAPTERS = {
+    "table1": "repro.experiments.table1:run_scenario",
+    "table2": "repro.experiments.table2_fig6:run_scenario",
+    "fig7": "repro.experiments.fig7:run_scenario",
+    "fig8": "repro.experiments.fig8:run_scenario",
+    "fig9": "repro.experiments.fig9:run_scenario",
+    "ablations": "repro.experiments.ablations:run_scenario",
+}
+
+EXPERIMENT_KINDS = tuple(EXPERIMENT_ADAPTERS)
 
 KNOWN_KINDS = ("solve",) + EXPERIMENT_KINDS
 

@@ -25,8 +25,8 @@ Key layout (identical across backends)::
                                 # EVENT_SEGMENT_BYTES and continues in the
                                 # next, so the bytes put per event are bounded
     <hash16>/                   # one key prefix per scenario content hash
-      entry.json                # the manifest entry, committed atomically
-      spec.json                 # the full ScenarioSpec that produced it
+      entry.json                # the manifest entry, committed atomically;
+                                # it carries the ScenarioSpec that produced it
       result.npz                # solve scenarios: serialized TimeIterationResult
       payload.json              # experiment scenarios: JSON result payload
       checkpoint.npz            # transient: deleted once the completed
@@ -337,9 +337,6 @@ class ResultsStore:
     def checkpoint_key(self, spec_or_hash: ScenarioSpec | str) -> str:
         return f"{self.scenario_key(spec_or_hash)}/checkpoint.npz"
 
-    def spec_key(self, spec_or_hash: ScenarioSpec | str) -> str:
-        return f"{self.scenario_key(spec_or_hash)}/spec.json"
-
     # lease-protocol keys live under leases/<hash16>/ — two slashes, so
     # _entry_keys' single-slash filter and the per-scenario prefix scans
     # never mistake coordination state for scenario data
@@ -451,7 +448,6 @@ class ResultsStore:
                 # second host hitting a transient error) must not
                 # hide a completed entry whose result is still readable
                 return existing
-        entry.setdefault("directory", self.scenario_key(entry["spec_hash"]))
         self.backend.put(self.entry_key(entry["spec_hash"]), _json_bytes(entry))
         self.backend.append_commit(index_record(entry))
         return entry
@@ -679,10 +675,8 @@ class ResultsStore:
     # writing results
     # ------------------------------------------------------------------ #
     def save_spec(self, spec: ScenarioSpec) -> None:
-        self.backend.put(
-            self.spec_key(spec),
-            _json_bytes({"spec_hash": spec.content_hash(), **spec.to_dict()}),
-        )
+        """Does nothing: a spec is stored once, in its entry (:meth:`load_spec`)
+        (benchmarks/ledger/layers.py, frozen, still wraps this name)."""
 
     def _base_entry(self, spec: ScenarioSpec, status: str, wall_time: float) -> dict[str, Any]:
         return {
@@ -692,10 +686,8 @@ class ResultsStore:
             "tags": list(spec.tags),
             "status": status,
             "wall_time": float(wall_time),
-            "directory": self.scenario_key(spec),
-            # the spec groups ride on the entry so its commit record can be
-            # rebuilt from entry.json alone (spec.json stays the full
-            # authoritative spec, incl. name/tags)
+            # the entry is the one stored copy of the spec: load_spec and
+            # diff rebuild it from here, reindex its commit record
             "calibration": dict(spec.calibration),
             "solver": dict(spec.solver),
             "params": dict(spec.params),
@@ -709,13 +701,12 @@ class ResultsStore:
         wall_time: float,
         resumed: bool = False,
     ) -> dict[str, Any]:
-        """Persist a solve result + spec and build its manifest entry.
+        """Persist a solve result and build its manifest entry (which carries the spec).
 
         The entry is *returned, not committed* — the scenario runner's
         worker commits it (``commit_entry``) once everything the entry
         points at is stored.
         """
-        self.save_spec(spec)
         serialize.save_result(
             self.result_ref(spec), result, extra_meta={"spec_hash": spec.content_hash()}
         )
@@ -744,7 +735,6 @@ class ResultsStore:
         self, spec: ScenarioSpec, payload: dict[str, Any], wall_time: float
     ) -> dict[str, Any]:
         """Persist an experiment-scenario JSON payload; returns the entry."""
-        self.save_spec(spec)
         self.backend.put(self.payload_key(spec), _json_bytes(payload))
         return self._base_entry(spec, "completed", wall_time)
 
@@ -780,9 +770,9 @@ class ResultsStore:
         )
 
     def load_spec(self, spec_or_hash: ScenarioSpec | str) -> ScenarioSpec:
-        data = json.loads(self.backend.get(self.spec_key(spec_or_hash)))
-        data.pop("spec_hash", None)
-        return ScenarioSpec.from_dict(data)
+        """The spec a stored entry was written for, rebuilt from its ``entry.json``
+        (one get; ``FileNotFoundError`` when there is no entry)."""
+        return ScenarioSpec.from_dict(json.loads(self.backend.get(self.entry_key(spec_or_hash))))
 
     # ------------------------------------------------------------------ #
     # checkpoints (deleted by the commit path and by compact())
@@ -791,7 +781,7 @@ class ResultsStore:
         """Stored checkpoints, newest first, annotated with entry status.
 
         Each item carries the checkpoint key/mtime and, when the
-        scenario's entry/spec objects exist, its hash, name and status.
+        scenario's entry exists, its hash, name and status.
         ``with_progress=True`` additionally reads each checkpoint's
         metadata (no array, no surplus) to report the iteration it would
         resume from (the ``resume`` CLI).

@@ -44,6 +44,8 @@ from repro.scenarios.backends import (
 )
 from repro.scenarios.backends import base as base_module
 from repro.scenarios.backends.base import read_snapshot, snapshot_key_for, write_snapshot
+from repro.scenarios.batching import solve_batch_and_commit
+from repro.scenarios.diff import diff_entries
 from repro.scenarios.store import EventTailer, StoreEventSink, index_record
 
 # --------------------------------------------------------------------------- #
@@ -1493,7 +1495,7 @@ class TestIndentedLegacyObjects:
         for i, spec in enumerate(specs):
             store.commit_entry(store.write_payload(spec, {"i": i}, wall_time=1.0 + i))
         for spec in specs:  # rewrite each object the way json.dumps(indent=2) laid it out
-            for key in (store.entry_key(spec), store.spec_key(spec), store.payload_key(spec)):
+            for key in (store.entry_key(spec), store.payload_key(spec)):
                 data = json.loads(store.backend.get(key))
                 legacy = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
                 assert legacy != store.backend.get(key) and b"\n  " in legacy
@@ -1513,6 +1515,77 @@ class TestIndentedLegacyObjects:
         assert kept["status"] == "completed"
         report = run_suite(ScenarioSuite("again", specs), store)
         assert report.count("skipped") == 3
+
+
+# --------------------------------------------------------------------------- #
+# a scenario's spec is stored once, in its entry.json
+# --------------------------------------------------------------------------- #
+class TestSpecInTheEntry:
+    def test_a_drained_suite_keeps_each_spec_in_its_entry_only(self, store, any_store_url):
+        done = _payload_spec(0, name="done")
+        failed = ScenarioSpec("failed", kind="ablations", params={"which": "no-such-ablation"})
+        # the spec itself is fine; its solver config does not build
+        broken = _tiny_solve_spec("broken").with_overrides(solver={"tolerance": -1.0})
+        specs = [done, failed, broken]
+        report = run_worker(specs, store, worker_id="w", max_attempts=1, sleep=lambda s: None)
+        assert report.completed == [store.scenario_key(done)] and len(report.parked) == 2
+        assert [store.entry(spec)["status"] for spec in specs] == ["completed", "failed", "failed"]
+        assert not [key for key in store.backend.list() if key.endswith("/spec.json")]
+        assert not any("directory" in store.entry(spec) for spec in specs)
+
+        fresh = ResultsStore.open(any_store_url)
+        for spec in specs:
+            with _recorded_ops(fresh.backend) as ops:
+                assert fresh.load_spec(spec.content_hash()) == spec
+            assert ops == [("get", fresh.entry_key(spec))]
+        hashes = [spec.content_hash() for spec in specs]
+        with _recorded_ops(fresh.backend) as ops:
+            payloads = diff_entries(fresh, hashes[0], hashes[1])
+            mixed = diff_entries(fresh, hashes[0], hashes[2])
+        assert not [key for _op, key in ops if key.endswith("/spec.json")]
+        assert payloads["params"] == {
+            "added": {},
+            "removed": {"total_processes": 2},
+            "changed": {"which": {"a": "partition", "b": "no-such-ablation"}},
+        }
+        assert mixed["params"]["removed"] == dict(done.params)
+        assert mixed["calibration"]["added"] == dict(broken.calibration)
+        assert mixed["solver"]["added"] == dict(broken.solver)
+        assert mixed["policy"] == {"skipped": "kinds are not both 'solve'"}
+
+    def test_a_store_holding_older_spec_objects_reads_unchanged(self, store):
+        # stores written before the entry was the one copy also hold a
+        # <hash16>/spec.json per scenario and a `directory` field per entry
+        done = [_payload_spec(i, name=f"done-{i}") for i in range(2)]
+        halted = _tiny_solve_spec("halted")
+        for i, spec in enumerate(done):
+            store.commit_entry(store.write_payload(spec, {"i": i}, wall_time=1.0 + i))
+        [entry] = solve_batch_and_commit([halted], store, interrupt_after=1)
+        assert entry["status"] == "interrupted" and store.checkpoint_ref(halted).exists()
+        specs = [*done, halted]
+        hashes = [spec.content_hash() for spec in specs]
+
+        def reads():
+            return (
+                diff_entries(store, hashes[0], hashes[1]),
+                diff_entries(store, hashes[1], hashes[2]),
+                store.list_checkpoints(),
+                [store.load_spec(h) for h in hashes],
+            )
+
+        before = reads()
+        for spec in specs:
+            key = store.scenario_key(spec)
+            entry = {**store.entry(spec), "directory": key}
+            store.backend.put(store.entry_key(spec), json.dumps(entry).encode())
+            older = {"spec_hash": spec.content_hash(), **spec.to_dict()}
+            store.backend.put(f"{key}/spec.json", json.dumps(older).encode())
+        assert reads() == before
+        assert before[2][0]["name"] == "halted" and before[3] == specs
+        report = store.compact()
+        assert report["total_records"] == 3 and report["checkpoints_deleted"] == 0
+        assert reads() == before
+        assert all(store.backend.exists(f"{store.scenario_key(s)}/spec.json") for s in specs)
 
 
 # --------------------------------------------------------------------------- #

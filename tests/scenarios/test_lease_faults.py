@@ -244,7 +244,7 @@ class TestHeartbeat:
         clock = _Clock()
         events = EventRecorder(clock=clock)
         manager, heartbeat, specs, held = self._two_held(store, clock, 9.0, events)
-        assert heartbeat.interval == 3.0  # TTL/3 unless told otherwise
+        assert heartbeat.interval == 3.0  # TTL/3
         for n in (1, 2, 3):
             clock.advance(3.0)
             heartbeat.tick()
@@ -330,11 +330,11 @@ class TestHeartbeat:
 
     def test_released_leases_stay_released_under_a_racing_heartbeat(self, store_url_for):
         # three holders churn hold -> drop -> release against a heartbeat
-        # ticking as fast as it can: a renewal slipping past drop() would put
-        # a released lease back
+        # ticking as fast as it can (a 0.3 ms TTL renews every 0.1 ms): a
+        # renewal slipping past drop() would put a released lease back
         store = ResultsStore.open(store_url_for("mem"))
-        manager = _manager(store, "w1", time.monotonic, ttl=10.0)
-        heartbeat = LeaseHeartbeat(manager, interval=1e-4)
+        manager = _manager(store, "w1", time.monotonic, ttl=3e-4)
+        heartbeat = LeaseHeartbeat(manager)
         lost: list = []
 
         def churn(first: int) -> None:
@@ -430,7 +430,6 @@ class TestKillStealResume:
                 store_a,
                 worker_id="victim",
                 ttl=30.0,
-                heartbeat_interval=1000.0,  # no renewals interfere mid-test
                 events=_paced(clock_a),
                 clock=clock_a,
             )
@@ -448,7 +447,6 @@ class TestKillStealResume:
             store,
             worker_id="thief",
             ttl=30.0,
-            heartbeat_interval=1000.0,
             clock=clock_b,
         )
         assert report.completed and report.steals == 1
@@ -480,7 +478,6 @@ class TestKillStealResume:
                 store_a,
                 worker_id="victim",
                 ttl=30.0,
-                heartbeat_interval=1000.0,
                 clock=_Clock(1000.0),
             )
         assert ("put", store_a.checkpoint_key(spec)) not in crashing.ops
@@ -493,7 +490,6 @@ class TestKillStealResume:
             store,
             worker_id="thief",
             ttl=30.0,
-            heartbeat_interval=1000.0,
             clock=_Clock(1000.0 + 30.0 + 1.0),
         )
         assert report.completed and report.steals == 1
@@ -523,23 +519,14 @@ class TestKillStealResume:
                 ScenarioSuite("one", [spec]),
                 ResultsStore(crashing),
                 worker_id="victim",
-                ttl=10.0,
-                heartbeat_interval=1000.0,
                 clock=clock_a,
             )
         store = ResultsStore.open(any_store_url)
         assert store.entry_is_complete(store.entry(spec))  # commit landed
         assert len(store.leases()) == 1  # ...but the lease survived
 
-        clock_b = _Clock(1000.0 + 10.0 + 1.0)
-        report = run_worker(
-            suite,
-            store,
-            worker_id="healer",
-            ttl=10.0,
-            heartbeat_interval=1000.0,
-            clock=clock_b,
-        )
+        clock_b = _Clock(1000.0 + DEFAULT_TTL + 1.0)
+        report = run_worker(suite, store, worker_id="healer", clock=clock_b)
         assert report.healed == 1 and report.already_done == [
             store.scenario_key(spec)
         ]
@@ -583,7 +570,6 @@ class TestFailureHandling:
             max_attempts=2,
             clock=clock,
             sleep=lambda seconds: None,
-            heartbeat_interval=1000.0,
         )
         assert report.parked == [store.scenario_key(_broken_spec())]
         assert report.claims == 2  # exactly the attempt budget
@@ -995,7 +981,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            heartbeat_interval=1000.0,
             progress=lines.append,
         )
         # one lease claimed and released per member, whatever its group
@@ -1031,7 +1016,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            heartbeat_interval=1000.0,
             progress=lines.append,
         )
         assert sorted(report.completed) == sorted(store.scenario_key(s) for s in specs)
@@ -1063,7 +1047,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            heartbeat_interval=1000.0,
             max_claims=2,  # the abandoned lease stays (it is the thief's): stop rescanning
         )
         assert set(_batched_starts(report).values()) == {grouped}
@@ -1093,7 +1076,6 @@ class TestGroupDrain:
             worker_id="w",
             max_attempts=3,
             clock=_Clock(),
-            heartbeat_interval=1000.0,
             sleep=delays.append,
             rng=lambda: 0.5,  # jitter multiplier pinned to 1.0
         )
@@ -1115,7 +1097,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            heartbeat_interval=1000.0,
             progress=lines.append,
         )
         claims = [line.split()[1] for line in lines if line.startswith("claim ")]
@@ -1150,7 +1131,6 @@ class TestGroupDrain:
             worker_id="w",
             clock=clock,
             sleep=sleep,
-            heartbeat_interval=1000.0,
         )
         assert sorted(report.completed) == sorted(store.scenario_key(s) for s in specs)
         assert report.steals == 1 and len(waits) == 1  # the rescan happened
@@ -1176,7 +1156,6 @@ class TestGroupDrain:
             store,
             worker_id="w",
             clock=_Clock(),
-            heartbeat_interval=1000.0,
             progress=lines.append,
             rank=rank,
             drains=2,
@@ -1251,17 +1230,20 @@ class TestDrainCost:
         assert report.claims == 50 and not report.parked
         assert all(store.entry(spec)["status"] == "completed" for spec in specs)
         assert len(digests) == 50
-        assert sum(op == "put" and key.endswith("/spec.json") for op, key in backend.ops) == 50
+        # the spec rides on entry.json: no unit puts a second copy
+        assert not any(key.endswith("/spec.json") for _op, key in backend.ops)
 
-    def test_failed_and_interrupted_entries_keep_their_spec_put_once(self, store_url_for):
+    def test_failed_and_interrupted_entries_carry_their_spec(self, store_url_for):
         backend = FaultInjectingBackend(backend_from_url(store_url_for("mem")))
         store = ResultsStore(backend)
         specs = [_payload_spec(0), _broken_spec(), _tiny_solve_spec()]
         entries = solve_batch_and_commit(specs, store, interrupt_after=1)
         assert [e["status"] for e in entries] == ["completed", "failed", "interrupted"]
+        assert not any(key.endswith("/spec.json") for _op, key in backend.ops)
         for spec in specs:
-            assert backend.ops.count(("put", store.spec_key(spec))) == 1
+            del backend.ops[:]
             assert store.load_spec(spec) == spec  # what `diff` reads on any entry
+            assert backend.ops == [("get", store.entry_key(spec))]
 
     def test_event_bytes_put_grow_linearly_with_units_drained(self, store_url_for):
         def event_bytes_put(units: int) -> int:
@@ -1322,7 +1304,6 @@ class TestUnitOps:
         ("get", "lease.json"),  # the claim's read-back
         ("get", "entry.json"),  # ...and, under the lease, whether a peer finished it meanwhile
         ("put", "events"),  # `claimed`, carrying out the previous unit's closing events
-        ("put", "spec.json"),
         ("put", "payload.json"),
         ("put", "entry.json"),
         ("append_commit", "commits/"),
@@ -1355,8 +1336,8 @@ class TestUnitOps:
         seen = self._per_unit(ops, store, specs)
         # the scan pass touches no unit's keys; then each is worked in turn
         assert [what for _unit, what in seen] == self.WORK * 3 + [("put", "events")]
-        # ... one unit per block of 12, each unit once
-        blocks = [{unit for unit, _what in seen[i : i + 12]} - {None} for i in (0, 12, 24)]
+        # ... one unit per block of 11, each unit once
+        blocks = [{unit for unit, _what in seen[i : i + 11]} - {None} for i in (0, 11, 22)]
         assert sorted(blocks, key=min) == [{0}, {1}, {2}]
         # one scan pass: the drained suite ends the loop before a second listing
         assert ops.count(("list", "leases/")) == 1
@@ -1435,7 +1416,6 @@ class TestUnitOps:
 
         def peer_fails_and_releases(inner, op, key):
             peer = ResultsStore(inner)
-            peer.save_spec(spec)
             peer.commit_entry(peer.failure_entry(spec, "failed", 0.1, "boom"))
             LeaseManager(peer, "peer").record_failure(spec, "boom")
 
@@ -1517,7 +1497,6 @@ class TestEventContract:
             worker_id="w",
             clock=clock,
             events=_paced(clock),
-            heartbeat_interval=1000.0,
         )
         iterations = store.entry(spec)["iterations"]
         assert flushed == [
@@ -1547,14 +1526,12 @@ class TestEventContract:
             [free, held, broken],
             store,
             worker_id="w1",
-            ttl=10.0,
             max_attempts=2,
             poll=0.25,
             rng=lambda: 0.5,
             events=events,
             clock=clock,
             sleep=sleep,
-            heartbeat_interval=1000.0,
         )
         assert len(report.completed) == 2 and report.steals == 1 and len(report.parked) == 1
         # one backoff (after `retry` + `released`), then one poll wait with

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.scenarios.spec import (
+    EXPERIMENT_ADAPTERS,
     EXPERIMENT_KINDS,
     ScenarioSpec,
     ScenarioSuite,
@@ -211,6 +212,14 @@ class TestPresets:
         suite = get_preset(name)
         assert all(s.kind == kind for s in suite)
         assert kind in EXPERIMENT_KINDS
+
+    def test_one_registry_names_every_experiment_kind(self):
+        from repro.scenarios import batching, runner
+
+        assert EXPERIMENT_KINDS == tuple(EXPERIMENT_ADAPTERS)
+        assert batching.EXPERIMENT_ADAPTERS is runner.EXPERIMENT_ADAPTERS is EXPERIMENT_ADAPTERS
+        for kind in EXPERIMENT_KINDS:
+            assert callable(batching._resolve_adapter(kind))
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError, match="unknown preset"):

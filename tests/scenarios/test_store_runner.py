@@ -53,8 +53,10 @@ class TestResultsStore:
             assert entry["created_at"]
             # per-iteration records land in the manifest
             assert len(entry["iteration_records"]) == entry["iterations"]
-            # spec and result are on disk next to each other
-            assert store.backend.exists(store.spec_key(spec))
+            # the entry carries the spec; the result sits beside it
+            assert store.load_spec(spec) == spec
+            assert not store.backend.exists(f"{store.scenario_key(spec)}/spec.json")
+            assert "directory" not in entry
             assert store.result_ref(spec).exists()
             assert not store.checkpoint_ref(spec).exists()  # cleaned up
 
@@ -382,8 +384,16 @@ class TestCLI:
             ["run", "smoke", "--interrupt-after", "-1"],
             ["run", "smoke", "--interrupt-after", "0"],
             ["work", "smoke", "--ttl", "0"],
+            ["work", "smoke", "--max-claims", "-3"],
+            ["work", "smoke", "--max-attempts", "0"],
         ],
-        ids=["interrupt-after=-1", "interrupt-after=0", "ttl=0"],
+        ids=[
+            "interrupt-after=-1",
+            "interrupt-after=0",
+            "ttl=0",
+            "max-claims=-3",
+            "max-attempts=0",
+        ],
     )
     def test_non_positive_hooks_and_ttls_are_usage_errors(self, tmp_path, capsys, argv):
         store = tmp_path / "s"

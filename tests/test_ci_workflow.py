@@ -249,11 +249,13 @@ class TestBatchedSolveGate:
         assert 'value["scenarios.serialize.calls"] == 4' in guard[0]
         # ... and stores each number of a result once (13.6 KiB a result before)
         assert 'value["scenarios.serialize.result_kib"] <= 9' in guard[0]
-        # ... and the bytes put and objects deleted per drained unit of the
-        # store workload: one event flush and one lease delete each
+        # ... and the bytes put, objects put and objects deleted per drained
+        # unit of the store workload: one event flush, five puts (no spec
+        # object beside the entry) and one lease delete each
         assert "--workload store-write --scale smoke --traced" in guard[0]
         assert 'value["scenarios.backends.put_kib"] / 40 <= 12' in guard[0]
         assert 'value["scenarios.backends.delete_calls"] == 40' in guard[0]
+        assert 'value["scenarios.backends.put_calls"] <= 202' in guard[0]
         # ... and that a drain stacks by default: the sequential-drain
         # workload's two solves are one group, and none steps alone
         assert "--workload seq-drain-l2 --scale smoke --traced" in guard[0]
