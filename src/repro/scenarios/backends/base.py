@@ -53,10 +53,11 @@ checkpoint object whose name records the last folded commit key, after
 which a scan is one snapshot read plus the un-folded tail.  A snapshot's
 key is not proof of its content: a fold of several snapshots and no tail
 rewrites the newest key with the union of their records.  So a scan gets
-every listed snapshot, and a backend instance decodes a snapshot once per
-distinct content: a repeated read of an unchanged log compares the bytes
-with those its last scan parsed and reuses the records.  The fold is
-crash-safe by construction:
+every listed snapshot and tail object, and a backend instance decodes each
+once per distinct content: a repeated read compares the bytes with those
+its last scan decoded under that key and reuses the records, and a read of
+exactly the keys and bytes of the last scan reuses its commit order too.
+The fold is crash-safe by construction:
 
 1. the snapshot (union of every existing snapshot plus the current
    tail, keyed per record) is written and verified readable *first*;
@@ -91,7 +92,7 @@ import json
 import time
 import uuid
 from abc import ABC, abstractmethod
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, ClassVar, NamedTuple
@@ -138,8 +139,8 @@ class _LogScan(NamedTuple):
     snapshots: list[tuple[str, Pairs]]
     #: every record of the snapshots and the tail, in commit order
     merged: Pairs
-    #: the un-folded ``commits/`` objects read, in key order
-    tail: Pairs
+    #: the keys of the un-folded ``commits/`` objects read, in key order
+    tail: list[str]
     #: the ``commits/`` keys listed, folded leftovers included
     listed: list[str]
 
@@ -183,11 +184,11 @@ def snapshot_key_for(seq: str) -> str:
     return f"{SNAPSHOT_PREFIX}snapshot-{seq}.json"
 
 
-def _pair_order(pair: tuple[str, Any]) -> tuple[float, str]:
-    """Commit order of one record: ``created_at_unix`` when the record
-    carries it, else the wall-clock stamp embedded in its log-object key;
-    the key breaks ties."""
-    key, record = pair
+def _pair_order(pair: tuple[Any, ...]) -> tuple[float, str]:
+    """Commit order of one ``(key, record, ...)``: ``created_at_unix`` when
+    the record carries it, else the wall-clock stamp embedded in its
+    log-object key; the key breaks ties."""
+    key, record = pair[0], pair[1]
     stamp: object = record.get("created_at_unix") if isinstance(record, dict) else None
     if isinstance(stamp, (int, float)) and not isinstance(stamp, bool):
         return (float(stamp), key)
@@ -227,14 +228,52 @@ def _parse_snapshot(raw: bytes) -> Pairs | None:
     ]
 
 
-class _ParsedSnapshot(NamedTuple):
-    """One snapshot object as a scan parsed it (:meth:`StorageBackend._scan_log`)."""
+#: one record of a scan's commit order: ``(record_key, record, members)``
+_Ordered = tuple[str, dict[str, Any], tuple[str, ...] | None]
 
-    #: the bytes the pairs were parsed from
+
+class _Decoded(NamedTuple):
+    """One log object as a scan decoded it (:meth:`StorageBackend._scan_log`):
+    a snapshot's pairs, or the one pair of a ``commits/`` object."""
+
+    #: the bytes the pairs were decoded from
     raw: bytes
     pairs: Pairs
     #: per pair, :func:`_members_to_copy` of its record
     members: list[tuple[str, ...] | None]
+
+
+class _LogMemo(NamedTuple):
+    """What a backend instance's last clean scan decoded."""
+
+    #: every object that scan read, by key
+    objects: Mapping[str, _Decoded]
+    #: its records in commit order (shared with ``objects``: never mutated)
+    order: Sequence[_Ordered]
+
+
+#: the memo of an instance that has not scanned cleanly
+_NO_MEMO = _LogMemo(MappingProxyType({}), ())
+
+
+def _decoded(memo: _LogMemo, key: str, raw: bytes) -> _Decoded | None:
+    """``key``'s object as ``memo`` holds it when ``raw`` are the bytes it
+    was decoded from, else decoded afresh (a ``commits/`` object is one
+    pair); ``None`` when torn or foreign."""
+    known = memo.objects.get(key)
+    if known is not None and known.raw == raw:
+        return known
+    if key.startswith(SNAPSHOT_PREFIX):
+        pairs = _parse_snapshot(raw)
+    else:
+        try:
+            record = json.loads(raw)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            return None
+        pairs = [(key, record)] if isinstance(record, dict) else None
+    if pairs is None:
+        return None
+    return _Decoded(raw, pairs, [_members_to_copy(r) for _, r in pairs])
 
 
 def _members_to_copy(record: dict[str, Any]) -> tuple[str, ...] | None:
@@ -375,10 +414,10 @@ class StorageBackend(ABC):
     #: canonical round-trippable URL (safe to ship to worker processes)
     url: str
 
-    #: the snapshots the last :meth:`_scan_log` read, by key; each scan
-    #: assigns a new mapping of the keys it listed and never mutates one,
-    #: so this empty class-level default is never shared state
-    _parsed_snapshots: Mapping[str, _ParsedSnapshot] = MappingProxyType({})
+    #: what the last clean :meth:`_scan_log` decoded; each scan assigns a
+    #: new memo of the keys it read and never mutates one, so this empty
+    #: class-level default is never shared state
+    _log_memo: _LogMemo = _NO_MEMO
 
     # ------------------------------------------------------------------ #
     # primitives: one attempt against the medium, no validation, no retry
@@ -468,60 +507,69 @@ class StorageBackend(ABC):
         listing) as a changed snapshot listing, so both trigger a bounded
         re-scan rather than a loss.
 
-        Every listed snapshot is got, but its bytes are decoded only when
-        they differ from the bytes this instance's previous scan parsed
-        under that key (a fold may rewrite the newest key with a superset).
-        ``merged`` carries copies of the snapshot records; ``snapshots``
-        carries the parsed pairs themselves, which nothing may mutate.
-        Only dict records are read; anything else is foreign.
+        Every listed object is got, but its bytes are decoded only when
+        they differ from the bytes this instance's last clean scan decoded
+        under that key (a fold may rewrite the newest snapshot key with a
+        superset, and a torn object may become whole); a scan that read
+        exactly the keys and bytes of that scan reuses its commit order.
+        A scan that ended racing or met a torn or foreign object leaves the
+        instance remembering nothing.  ``merged`` carries copies of the
+        records; ``snapshots`` carries the parsed pairs themselves, which
+        nothing may mutate.  Only dict records are read; anything else is
+        foreign.
         """
         last = _SCAN_ATTEMPTS - 1
         for attempt in range(_SCAN_ATTEMPTS):
+            memo = self._log_memo
+            read: dict[str, _Decoded] = {}
+            clean = True
             snap_keys = self.list(SNAPSHOT_PREFIX)
             snapshots: list[tuple[str, Pairs]] = []
-            folded: dict[str, Any] = {}
-            memo = self._parsed_snapshots
-            parsed: dict[str, _ParsedSnapshot] = {}
+            folded: dict[str, _Ordered] = {}
             for skey in snap_keys:
                 try:
-                    raw = self.get(skey)
+                    snap = _decoded(memo, skey, self.get(skey))
                 except OSError:
-                    continue  # deleted by a racing compactor
-                snap = memo.get(skey)
-                if snap is None or snap.raw != raw:
-                    pairs = _parse_snapshot(raw)
-                    if pairs is None:
-                        continue  # torn by a racing compactor, or foreign
-                    snap = _ParsedSnapshot(raw, pairs, [_members_to_copy(r) for _, r in pairs])
-                parsed[skey] = snap
+                    snap = None  # deleted by a racing compactor
+                if snap is None:
+                    clean = False  # ...or torn by one, or foreign
+                    continue
+                read[skey] = snap
                 snapshots.append((skey, snap.pairs))
                 for (k, rec), members in zip(snap.pairs, snap.members):
                     if k not in folded:
-                        folded[k] = _detached(rec, members)
-            self._parsed_snapshots = parsed
+                        folded[k] = (k, rec, members)
             listed = self.list(COMMIT_LOG_PREFIX)
-            tail: Pairs = []
+            tail: list[_Ordered] = []
             racing = False
             for key in listed:
                 if key in folded:
                     continue  # crashed compactor's leftover; already in a snapshot
                 try:
-                    record = json.loads(self.get(key))
+                    obj = _decoded(memo, key, self.get(key))
                 except FileNotFoundError:
                     racing = True
                     if attempt < last:
                         break
                     continue
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    continue  # foreign or torn object
-                if isinstance(record, dict):
-                    tail.append((key, record))
+                if obj is None:
+                    clean = False  # foreign or torn object
+                    continue
+                read[key] = obj
+                tail.append((key, obj.pairs[0][1], obj.members[0]))
             if self.list(SNAPSHOT_PREFIX) != snap_keys:
                 racing = True  # a fold completed somewhere mid-scan
             if not racing or attempt == last:
                 break
-        merged = sorted([*folded.items(), *tail], key=_pair_order)
-        return _LogScan(snapshots, merged, tail, listed)
+        if len(read) == len(memo.objects) and all(
+            memo.objects.get(k) is obj for k, obj in read.items()
+        ):
+            order = memo.order  # the very keys and bytes of the last clean scan
+        else:
+            order = sorted([*folded.values(), *tail], key=_pair_order)
+        self._log_memo = _LogMemo(read, order) if clean and not racing else _NO_MEMO
+        merged = [(k, _detached(rec, members)) for k, rec, members in order]
+        return _LogScan(snapshots, merged, [k for k, _, _ in tail], listed)
 
     def commit_records(self) -> list[dict[str, Any]]:
         """All commit records, oldest first (duplicates preserved).
@@ -573,7 +621,7 @@ class StorageBackend(ABC):
         # supersedes every snapshot it absorbed; fold + verify FIRST,
         # unless the fold would be a no-op
         snapshot_keys = [key for key, _ in snaps]
-        seq = max([_seq_of(k) for k in snapshot_keys] + [_seq_of(k) for k, _ in tail])
+        seq = max([_seq_of(k) for k in snapshot_keys] + [_seq_of(k) for k in tail])
         snap_key = snapshot_key_for(seq)
         if tail or snapshot_keys != [snap_key]:
             write_snapshot(self, snap_key, merged)

@@ -75,6 +75,7 @@ which code was it produced".
 from __future__ import annotations
 
 import json
+import operator
 import os
 import platform
 import time
@@ -152,19 +153,34 @@ def parse_predicate(text: str) -> tuple[str, str, Any]:
     )
 
 
-def _resolve_predicate_field(record: dict[str, Any], field: str) -> str | None:
+#: the groups a bare predicate field is looked up in
+_FIELD_GROUPS = ("calibration", "solver", "params")
+
+#: the function of each operator a compiled predicate applies
+_OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _resolve_predicate_field(
+    record: dict[str, Any], field: str, alternates: tuple[str, ...] = ()
+) -> str | None:
     """The record key a predicate field names, or ``None`` when absent.
 
     Exact (dotted) keys win; a bare field like ``tau_labor`` is tried
-    against the ``calibration.``/``solver.``/``params.`` groups and must
-    be unambiguous within the record.
+    against the ``calibration.``/``solver.``/``params.`` groups (its
+    ``alternates``, when the caller has built them) and must be
+    unambiguous within the record.
     """
     if field in record:
         return field
     present = [
-        f"{group}.{field}"
-        for group in ("calibration", "solver", "params")
-        if f"{group}.{field}" in record
+        key for key in alternates or [f"{g}.{field}" for g in _FIELD_GROUPS] if key in record
     ]
     if len(present) > 1:
         raise ValueError(
@@ -174,33 +190,41 @@ def _resolve_predicate_field(record: dict[str, Any], field: str) -> str | None:
     return present[0] if present else None
 
 
-def _predicate_matches(record: dict[str, Any], field: str, op: str, value: Any) -> bool:
-    key = _resolve_predicate_field(record, field)
-    if key is None:
-        return False
-    actual = record[key]
-    if op == "==":
-        return actual == value
-    if op == "!=":
-        return actual != value
-    # ordering comparisons only between two numbers or two strings — a
-    # range predicate over mixed/None/bool values silently matching would
-    # be worse than matching nothing
-    numeric = (
-        isinstance(actual, (int, float))
-        and not isinstance(actual, bool)
-        and isinstance(value, (int, float))
-        and not isinstance(value, bool)
-    )
-    if not numeric and not (isinstance(actual, str) and isinstance(value, str)):
-        return False
-    if op == "<":
-        return actual < value
-    if op == "<=":
-        return actual <= value
-    if op == ">":
-        return actual > value
-    return actual >= value
+def _compile_predicate(field: str, op: str, value: Any) -> Callable[[dict[str, Any]], bool]:
+    """One predicate's test of a record, all but the record decided once:
+    ``=`` is ``==``, an unknown operator raises :class:`ValueError`, and an
+    ordering compares two numbers or two strings only — a range predicate
+    over mixed/None/bool values silently matching would be worse than
+    matching nothing.  An absent field matches nothing."""
+    op = "==" if op == "=" else op
+    compare = _OPERATORS.get(op)
+    if compare is None:
+        raise ValueError(f"unknown predicate operator {op!r} (expected {' '.join(_OPERATORS)})")
+    # the values ``op`` may compare: instances of the first, not of the second
+    comparable: tuple[type, ...]
+    excluded: type | tuple[type, ...]
+    if op in ("==", "!="):
+        comparable, excluded = (object,), ()
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        comparable, excluded = (int, float), bool
+    elif isinstance(value, str):
+        comparable, excluded = (str,), ()
+    else:
+        comparable, excluded = (), ()
+    alternates = tuple(f"{group}.{field}" for group in _FIELD_GROUPS)
+
+    def matches(record: dict[str, Any]) -> bool:
+        key = field if field in record else _resolve_predicate_field(record, field, alternates)
+        if key is None:
+            return False
+        actual = record[key]
+        return (
+            isinstance(actual, comparable)
+            and not isinstance(actual, excluded)
+            and compare(actual, value)
+        )
+
+    return matches
 
 
 def _winning_records(records: Iterable[dict[str, Any]]) -> dict[str, dict[str, Any]]:
@@ -635,20 +659,22 @@ class ResultsStore:
         hash).  Cost is :meth:`index_records`' — O(snapshot + un-folded
         tail) backend reads, no per-entry objects.
         """
-        predicates = [
-            parse_predicate(w) if isinstance(w, str) else (w[0], w[1], w[2]) for w in where
+        tests = [
+            _compile_predicate(*(parse_predicate(w) if isinstance(w, str) else w[:3]))
+            for w in where
         ]
         hash_prefix = str(hash_prefix) if hash_prefix else ""
-        matches: list[dict[str, Any]] = []
-        for h, rec in self.index_records().items():
-            if not h.startswith(hash_prefix):
-                continue
-            if status is not None and rec.get("status") != status:
-                continue
-            if all(_predicate_matches(rec, f, op, v) for f, op, v in predicates):
-                matches.append(rec)
-        matches.sort(key=lambda r: (r.get("created_at_unix") or 0.0, r.get("spec_hash") or ""))
-        return matches
+        hits = [
+            rec
+            for h, rec in self.index_records().items()
+            if h.startswith(hash_prefix) and (status is None or rec.get("status") == status)
+        ]
+        # a predicate tests only the records the previous ones kept, so an
+        # ambiguous field raises exactly when a per-record conjunction would
+        for matches in tests:
+            hits = [rec for rec in hits if matches(rec)]
+        hits.sort(key=lambda r: (r.get("created_at_unix") or 0.0, r.get("spec_hash") or ""))
+        return hits
 
     def entry_is_complete(self, entry: dict[str, Any] | None) -> bool:
         """Whether an entry denotes a completed, readable result.

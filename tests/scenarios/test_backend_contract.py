@@ -871,7 +871,7 @@ class TestStoreCompaction:
 
 
 # --------------------------------------------------------------------------- #
-# a repeated read of an unchanged log decodes no snapshot again
+# a repeated read of an unchanged log decodes no log object again
 # --------------------------------------------------------------------------- #
 @contextlib.contextmanager
 def _recorded_decodes(monkeypatch):
@@ -897,9 +897,28 @@ def _foreign_snapshot(backend, seq: str, pairs) -> str:
     return key
 
 
+@contextlib.contextmanager
+def _recorded_sorts(monkeypatch):
+    """Count the records a scan puts through the commit-order sort key."""
+    keyed: list = []
+
+    def order(pair):
+        keyed.append(pair[0])
+        return real(pair)
+
+    real = base_module._pair_order
+    with monkeypatch.context() as patch:
+        patch.setattr(base_module, "_pair_order", order)
+        yield keyed
+
+
+_TAIL_KEY = "commits/0000001001.000000-000000000000.json"
+
+
 class TestSnapshotMemo:
-    """A backend instance decodes each snapshot content once: a repeated
-    read reuses the parsed records while the bytes are unchanged, and
+    """A backend instance decodes each snapshot and tail object content
+    once: a repeated read reuses the parsed records while the bytes are
+    unchanged (and the commit order while every key and byte is), and
     hands out records that do not alias what it keeps."""
 
     def _fill(self, store, n=4, tail=2):
@@ -918,15 +937,40 @@ class TestSnapshotMemo:
         with _recorded_decodes(monkeypatch) as decoded:
             first = store.index_records()
         assert snapshot_bytes in decoded and len(decoded) == 3  # the snapshot + 2 tail
-        with _recorded_decodes(monkeypatch) as decoded:
+        with _recorded_decodes(monkeypatch) as decoded, _recorded_sorts(monkeypatch) as keyed:
             second = store.index_records()
         assert second == first and list(second) == [s.content_hash() for s in specs]
-        assert snapshot_bytes not in decoded and len(decoded) == 2  # the tail only
+        assert decoded == [] and keyed == []  # the snapshot and the tail alike
         # a fresh instance on the same URL has parsed nothing yet
         fresh = ResultsStore.open(store.url)
         with _recorded_decodes(monkeypatch) as decoded:
             assert fresh.index_records() == first
         assert snapshot_bytes in decoded
+        # one new commit costs one decode
+        late = _payload_spec(9).with_overrides(tags=("t",))
+        store.commit_entry(store.write_payload(late, {}, wall_time=3.0))
+        with _recorded_decodes(monkeypatch) as decoded:
+            third = store.index_records()
+        assert [json.loads(raw)["spec_hash"] for raw in decoded] == [late.content_hash()]
+        assert list(third) == [*second, late.content_hash()]
+
+    def test_a_tail_key_rewritten_with_other_bytes_is_read_fresh(self, backend):
+        backend.put(_TAIL_KEY, b'{"spec_hash": "h-1", "status": "failed"}')
+        assert backend.commit_records() == [{"spec_hash": "h-1", "status": "failed"}]
+        backend.put(_TAIL_KEY, b'{"spec_hash": "h-1", "status": "completed"}')
+        assert backend.commit_records() == [{"spec_hash": "h-1", "status": "completed"}]
+
+    @pytest.mark.parametrize("body", [b'{"spec_hash": "h-2", "sta', b"[1, 2]", b"\x80\x81"])
+    def test_a_torn_tail_object_is_skipped_until_it_is_whole(self, backend, body):
+        first = {"spec_hash": "h-1", "created_at_unix": 1.0}
+        backend.append_commit(first)
+        backend.put(_TAIL_KEY, body)
+        for _ in range(2):
+            assert backend.commit_records() == [first]
+            assert not backend._log_memo.objects  # nothing kept from a torn read
+        backend.put(_TAIL_KEY, b'{"spec_hash": "h-2", "created_at_unix": 2.0}')
+        assert backend.commit_records() == [first, {"spec_hash": "h-2", "created_at_unix": 2.0}]
+        assert set(backend._log_memo.objects) == set(backend.list(COMMIT_LOG_PREFIX))
 
     def test_a_fold_rewriting_the_newest_key_is_read_fresh(self, backend):
         """Two snapshots and no tail: the fold rewrites the newest key with
@@ -958,10 +1002,10 @@ class TestSnapshotMemo:
         assert backend.commit_records() == []
 
     def test_mutating_what_a_read_returned_leaves_the_next_read_unchanged(self, store):
-        self._fill(store, n=4, tail=0)
+        self._fill(store, n=4, tail=2)
         index, log, hits = store.index_records(), store.log_records(), store.query()
         pristine = copy.deepcopy((index, log, hits))
-        assert all(rec["tags"] == ["t"] for rec in log)
+        assert len(log) == 6 and all(rec["tags"] == ["t"] for rec in log)
         for records in (list(index.values()), log, hits):
             for rec in records:
                 rec["tags"].append("mutated")
@@ -1032,11 +1076,14 @@ class TestSnapshotMemo:
         other.compact(grace_seconds=10_000)  # the first snapshot survives for grace
         store.index_records()
         assert len(store.backend.list(SNAPSHOT_PREFIX)) == 2
-        assert set(store.backend._parsed_snapshots) == set(store.backend.list(SNAPSHOT_PREFIX))
+        assert set(store.backend._log_memo.objects) == set(store.backend.list(SNAPSHOT_PREFIX))
         store.compact(grace_seconds=0)
-        store.index_records()
+        late = _payload_spec(8)
+        store.commit_entry(store.write_payload(late, {}, wall_time=4.0))
+        assert list(store.index_records())[-1] == late.content_hash()
         [snapshot] = store.backend.list(SNAPSHOT_PREFIX)
-        assert set(store.backend._parsed_snapshots) == {snapshot}
+        [tail] = store.backend.list(COMMIT_LOG_PREFIX)
+        assert set(store.backend._log_memo.objects) == {snapshot, tail}
 
 
 # --------------------------------------------------------------------------- #
