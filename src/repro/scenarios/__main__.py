@@ -86,8 +86,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     work.add_argument(
         "--poll",
-        type=float,
+        type=_positive_float,
         default=0.5,
         metavar="SECONDS",
         help="rescan interval while peers hold all remaining scenarios",
@@ -275,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument(
         "--poll",
-        type=float,
+        type=_positive_float,
         default=2.0,
         metavar="SECONDS",
         help="re-read interval for --follow (default: %(default)s)",

@@ -106,6 +106,8 @@ __all__ = [
     "SNAPSHOT_PREFIX",
     "DEFAULT_COMPACT_GRACE",
     "validate_key",
+    "encode_object",
+    "decode_object",
     "snapshot_key_for",
     "read_snapshot",
     "write_snapshot",
@@ -163,6 +165,23 @@ def validate_key(key: str) -> str:
     return key
 
 
+def encode_object(obj: object) -> bytes:
+    """The store's one JSON object format: compact (no indent, which keeps
+    ``json.dumps`` on its C encoder), sorted keys, UTF-8 and a trailing
+    newline, so every object is also one event-log line."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def decode_object(raw: bytes) -> dict[str, Any] | None:
+    """The JSON object ``raw`` holds, or ``None`` when the bytes are torn,
+    not UTF-8, or hold anything but an object (foreign)."""
+    try:
+        obj = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
 # --------------------------------------------------------------------------- #
 # commit-log snapshots
 # --------------------------------------------------------------------------- #
@@ -212,11 +231,8 @@ def _parse_snapshot(raw: bytes) -> Pairs | None:
     """The pairs of one snapshot object's bytes (:func:`read_snapshot`), or
     ``None`` when they are not a UTF-8 JSON snapshot.  Only dict records
     are kept: a pair of any other shape is foreign."""
-    try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("version") != _SNAPSHOT_VERSION:
+    doc = decode_object(raw)
+    if doc is None or doc.get("version") != _SNAPSHOT_VERSION:
         return None
     pairs = doc.get("records")
     if not isinstance(pairs, list):
@@ -266,11 +282,8 @@ def _decoded(memo: _LogMemo, key: str, raw: bytes) -> _Decoded | None:
     if key.startswith(SNAPSHOT_PREFIX):
         pairs = _parse_snapshot(raw)
     else:
-        try:
-            record = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        pairs = [(key, record)] if isinstance(record, dict) else None
+        record = decode_object(raw)
+        pairs = None if record is None else [(key, record)]
     if pairs is None:
         return None
     return _Decoded(raw, pairs, [_members_to_copy(r) for _, r in pairs])
@@ -306,10 +319,7 @@ def write_snapshot(backend: StorageBackend, key: str, pairs: Pairs) -> None:
     are only ever removed once their records are provably readable from
     the snapshot.
     """
-    body = json.dumps(
-        {"version": _SNAPSHOT_VERSION, "records": [[k, rec] for k, rec in pairs]},
-        sort_keys=True,
-    ).encode("utf-8")
+    body = encode_object({"version": _SNAPSHOT_VERSION, "records": [[k, rec] for k, rec in pairs]})
     backend.put(key, body)
     check = read_snapshot(backend, key)
     if check is None or len(check) != len(pairs):
@@ -494,7 +504,7 @@ class StorageBackend(ABC):
         """
         stamp = f"{time.time():017.6f}"
         key = f"{COMMIT_LOG_PREFIX}{stamp}-{uuid.uuid4().hex[:12]}.json"
-        self.put(key, json.dumps(record, sort_keys=True).encode("utf-8"))
+        self.put(key, encode_object(record))
 
     def _scan_log(self) -> _LogScan:
         """The one read of the commit log: the snapshots, then the tail.

@@ -70,7 +70,6 @@ for ``repro-scenarios status`` by the time its worker next claims, blocks or exi
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import random
@@ -84,6 +83,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.parallel.tracing import EventRecorder
+from repro.scenarios.backends.base import decode_object, encode_object
 from repro.scenarios.backends.retry import backoff
 from repro.scenarios.batching import partition_by_topology, solve_batch_and_commit
 from repro.scenarios.checkpoint import SolveAbandoned
@@ -267,15 +267,13 @@ class LeaseManager:
         except FileNotFoundError:
             return None
         try:
-            return Lease.from_dict(json.loads(raw))
+            return Lease.from_dict(decode_object(raw) or {})
         except (ValueError, KeyError, TypeError):
             # a torn/garbled lease protects nobody; claimable immediately
             return None
 
     def _put(self, lease: Lease) -> None:
-        key = self.store.lease_key(lease.scenario)
-        data = (json.dumps(lease.to_dict(), sort_keys=True) + "\n").encode("utf-8")
-        self.store.backend.put(key, data)
+        self.store.backend.put(self.store.lease_key(lease.scenario), encode_object(lease.to_dict()))
 
     # ------------------------------------------------------------------ #
     # the protocol
@@ -381,8 +379,8 @@ class LeaseManager:
     # ------------------------------------------------------------------ #
     def attempts(self, spec_or_hash: ScenarioSpec | str) -> int:
         try:
-            raw = self.store.backend.get(self.store.attempts_key(spec_or_hash))
-            return int(json.loads(raw).get("count", 0))
+            record = decode_object(self.store.backend.get(self.store.attempts_key(spec_or_hash)))
+            return int((record or {}).get("count", 0))
         except (FileNotFoundError, ValueError, TypeError):
             return 0
 
@@ -402,7 +400,7 @@ class LeaseManager:
             "last_worker": self.worker_id,
             "updated_at": float(self.clock()),
         }
-        self.store.backend.put(key, (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+        self.store.backend.put(key, encode_object(record))
         return count
 
     def park(self, spec_or_hash: ScenarioSpec | str, attempts: int, error: str) -> None:
@@ -415,7 +413,7 @@ class LeaseManager:
             "error": str(error),
             "parked_at": float(self.clock()),
         }
-        self.store.backend.put(key, (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+        self.store.backend.put(key, encode_object(record))
         self._emit("parked", scenario, attempts=attempts, error=str(error))
 
     def clear_attempts(self, spec_or_hash: ScenarioSpec | str) -> None:

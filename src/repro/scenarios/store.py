@@ -66,6 +66,10 @@ Concurrency model — no locks anywhere:
   a completed entry whose result object is still present, so a racing
   writer hitting a transient error cannot hide finished work.
 
+Every JSON object the store writes (entries, payloads, commit records, lease
+records, event lines) is encoded by :func:`~repro.scenarios.backends.base.encode_object`
+and read back by :func:`~repro.scenarios.backends.base.decode_object`.
+
 Every entry records *provenance*: the spec content hash, wall time,
 iteration summary, library/numpy/python versions, hostname and a creation
 timestamp — enough to answer "where did this number come from and under
@@ -80,7 +84,7 @@ import os
 import platform
 import time
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -93,6 +97,7 @@ from repro.scenarios.backends import (
     backend_from_url,
     is_store_url,
 )
+from repro.scenarios.backends.base import decode_object, encode_object
 from repro.scenarios.spec import ScenarioSpec, flatten_index_fields
 from repro.utils.logging import get_logger
 
@@ -293,12 +298,6 @@ def _provenance() -> dict[str, Any]:
     }
 
 
-def _json_bytes(data: object) -> bytes:
-    # compact separators keep json.dumps on the C encoder (an indent selects
-    # the pure-Python one); show/query --json pretty-print on the way out
-    return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
-
-
 class ResultsStore:
     """Scenario results sharded one key prefix per hash, on any backend."""
 
@@ -395,10 +394,10 @@ class ResultsStore:
             if name not in out:
                 continue
             try:
-                record = json.loads(self.backend.get(key))
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+                record = decode_object(self.backend.get(key))
+            except OSError:
                 continue
-            if not isinstance(record, dict):
+            if record is None:
                 continue
             record["scenario"] = key.split("/")[1]
             out[name].append(record)
@@ -472,7 +471,7 @@ class ResultsStore:
                 # second host hitting a transient error) must not
                 # hide a completed entry whose result is still readable
                 return existing
-        self.backend.put(self.entry_key(entry["spec_hash"]), _json_bytes(entry))
+        self.backend.put(self.entry_key(entry["spec_hash"]), encode_object(entry))
         self.backend.append_commit(index_record(entry))
         return entry
 
@@ -540,12 +539,10 @@ class ResultsStore:
         logged = {rec.get("spec_hash") for rec in self.log_records()}
         for key in sorted(self._entry_keys()):
             try:
-                entry = json.loads(self.backend.get(key))
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+                entry = decode_object(self.backend.get(key))
+            except OSError:
                 continue
-            if not isinstance(entry, dict):
-                continue
-            h = entry.get("spec_hash")
+            h = (entry or {}).get("spec_hash")
             if h and h not in logged:
                 logged.add(h)
                 self.backend.append_commit(index_record(entry))
@@ -560,12 +557,10 @@ class ResultsStore:
     def entry(self, spec_or_hash: ScenarioSpec | str) -> dict[str, Any] | None:
         """The committed entry for this hash (one object read, no log scan)."""
         try:
-            entry = json.loads(self.backend.get(self.entry_key(spec_or_hash)))
+            raw = self.backend.get(self.entry_key(spec_or_hash))
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None  # torn by an unkillable non-atomic writer; treat as absent
-        return entry if isinstance(entry, dict) else None  # foreign; absent too
+        return decode_object(raw)  # torn or foreign: absent
 
     def resolve_hash(self, prefix: str) -> str:
         """Expand a (unique) hash prefix to the full spec hash.
@@ -761,7 +756,7 @@ class ResultsStore:
         self, spec: ScenarioSpec, payload: dict[str, Any], wall_time: float
     ) -> dict[str, Any]:
         """Persist an experiment-scenario JSON payload; returns the entry."""
-        self.backend.put(self.payload_key(spec), _json_bytes(payload))
+        self.backend.put(self.payload_key(spec), encode_object(payload))
         return self._base_entry(spec, "completed", wall_time)
 
     def failure_entry(
@@ -791,14 +786,19 @@ class ResultsStore:
         return serialize.load_result(self.result_ref(spec_or_hash))
 
     def load_payload(self, spec_or_hash: ScenarioSpec | str) -> dict[str, Any]:
-        return cast(
-            "dict[str, Any]", json.loads(self.backend.get(self.payload_key(spec_or_hash)))
-        )
+        return self._load_object(self.payload_key(spec_or_hash))
 
     def load_spec(self, spec_or_hash: ScenarioSpec | str) -> ScenarioSpec:
         """The spec a stored entry was written for, rebuilt from its ``entry.json``
         (one get; ``FileNotFoundError`` when there is no entry)."""
-        return ScenarioSpec.from_dict(json.loads(self.backend.get(self.entry_key(spec_or_hash))))
+        return ScenarioSpec.from_dict(self._load_object(self.entry_key(spec_or_hash)))
+
+    def _load_object(self, key: str) -> dict[str, Any]:
+        """The JSON object under ``key``; ``ValueError`` naming it when torn or foreign."""
+        obj = decode_object(self.backend.get(key))
+        if obj is None:
+            raise ValueError(f"{self.backend.url}/{key} is not a JSON object")
+        return obj
 
     # ------------------------------------------------------------------ #
     # checkpoints (deleted by the commit path and by compact())
@@ -862,25 +862,11 @@ def parse_event_lines(raw: bytes) -> list[dict[str, Any]]:
     Only *complete* lines (terminated by a newline) are parsed: a torn
     trailing line — a whole-object put racing the read on a transport
     without atomic visibility — is skipped and picked up whole on the
-    next read.  Unparseable or non-dict lines are dropped rather than
-    failing the feed.
+    next read.  A line :func:`decode_object` rejects (torn, not UTF-8, not
+    an object) is dropped rather than failing the feed.
     """
-    events: list[dict[str, Any]] = []
-    text = raw.decode("utf-8", errors="replace")
-    complete, sep, _tail = text.rpartition("\n")
-    if not sep:
-        return events
-    for line in complete.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(event, dict):
-            events.append(event)
-    return events
+    complete, _sep, _torn = raw.rpartition(b"\n")
+    return [event for event in map(decode_object, complete.split(b"\n")) if event is not None]
 
 
 class EventTailer:
@@ -1021,7 +1007,7 @@ class StoreEventSink:
         except FileNotFoundError:
             self._head = b""
         self._seal_if_full()
-        self._pending: list[str] = []
+        self._pending: list[bytes] = []
         self._last_flush = float(clock())
 
     @property
@@ -1035,7 +1021,7 @@ class StoreEventSink:
             self._head = b""
 
     def __call__(self, event: "Event") -> None:
-        self._pending.append(json.dumps(event.to_dict(), sort_keys=True))
+        self._pending.append(encode_object(event.to_dict()))
         if (
             event.kind not in self.BUFFERED_KINDS
             or len(self._pending) >= EVENT_FLUSH_EVENTS
@@ -1047,7 +1033,7 @@ class StoreEventSink:
         """Persist any buffered events (one put of the current segment)."""
         if not self._pending:
             return
-        self._head += ("\n".join(self._pending) + "\n").encode("utf-8")
+        self._head += b"".join(self._pending)
         self._pending.clear()
         self.store.backend.put(self.key, self._head)
         self._seal_if_full()

@@ -43,9 +43,16 @@ from repro.scenarios.backends import (
     ObjectStoreBackend,
 )
 from repro.scenarios.backends import base as base_module
-from repro.scenarios.backends.base import read_snapshot, snapshot_key_for, write_snapshot
+from repro.scenarios.backends.base import (
+    decode_object,
+    encode_object,
+    read_snapshot,
+    snapshot_key_for,
+    write_snapshot,
+)
 from repro.scenarios.batching import solve_batch_and_commit
 from repro.scenarios.diff import diff_entries
+from repro.scenarios.lease import LeaseManager
 from repro.scenarios.store import EventTailer, StoreEventSink, index_record
 
 # --------------------------------------------------------------------------- #
@@ -1147,8 +1154,57 @@ class TestForeignObjects:
         hashes = self._commit(store)
         store.backend.put(f"{store.LEASE_PREFIX}/{hashes[0][:16]}/lease.json", body)
         store.backend.put(f"{store.LEASE_PREFIX}/{hashes[1][:16]}/parked.json", body)
+        store.backend.put(f"{store.LEASE_PREFIX}/{hashes[2][:16]}/attempts.json", body)
         assert store.leases() == [] and store.parked() == []
         self._reads_cleanly(store, hashes, capsys)
+        # a failing scenario over a foreign attempts.json: its failure is
+        # recorded, it is parked and its lease is given back
+        failing = ScenarioSpec("failing", kind="ablations", params={"which": "no-such-ablation"})
+        store.backend.put(store.attempts_key(failing), body)
+        report = run_worker([failing], store, worker_id="w", max_attempts=1, sleep=lambda s: None)
+        assert report.parked == [store.scenario_key(failing)]
+        assert store.entry(failing)["status"] == "failed"
+        assert [rec["scenario"] for rec in store.parked()] == [store.scenario_key(failing)]
+        assert store.leases() == [] and not store.backend.exists(store.lease_key(failing))
+
+
+# --------------------------------------------------------------------------- #
+# every store JSON object is written in one format
+# --------------------------------------------------------------------------- #
+def test_every_store_json_object_is_written_in_the_one_format(store):
+    """After a drain with a failure, a park, a fold and event flushes, every
+    JSON object and every event line is exactly ``encode_object`` of what
+    ``decode_object`` reads from it."""
+    failing = ScenarioSpec("failing", kind="ablations", params={"which": "no-such-ablation"})
+    specs = [_payload_spec(i) for i in range(3)]
+    report = run_worker(
+        [*specs, failing], store, worker_id="w", max_attempts=2, sleep=lambda s: None
+    )
+    assert len(report.completed) == 3 and report.parked == [store.scenario_key(failing)]
+    store.compact(grace_seconds=0)
+    store.commit_entry(store.write_payload(_payload_spec(3), {"late": 1.5}, wall_time=1.0))
+    LeaseManager(store, "holder").try_claim(_payload_spec(4))
+
+    keys = store.backend.list()
+    kinds = {
+        "entry": [k for k in keys if k.endswith("/entry.json")],
+        "payload": [k for k in keys if k.endswith("/payload.json")],
+        "commit": [k for k in keys if k.startswith(COMMIT_LOG_PREFIX)],
+        "snapshot": [k for k in keys if k.startswith(SNAPSHOT_PREFIX)],
+        "lease": [k for k in keys if k.startswith(f"{store.LEASE_PREFIX}/")],
+        "events": [k for k in keys if k.startswith("events/")],
+    }
+    assert all(kinds.values()), kinds
+    assert {k.rsplit("/", 1)[-1] for k in kinds["lease"]} == {
+        "lease.json",
+        "attempts.json",
+        "parked.json",
+    }
+    for key in [k for kind, found in kinds.items() if kind != "events" for k in found]:
+        raw = store.backend.get(key)
+        assert raw == encode_object(decode_object(raw)), key
+    lines = [line for k in kinds["events"] for line in store.backend.get(k).splitlines(True)]
+    assert len(lines) > 3 and all(line == encode_object(decode_object(line)) for line in lines)
 
 
 # --------------------------------------------------------------------------- #

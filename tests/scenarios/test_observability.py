@@ -285,6 +285,9 @@ class TestStoreEventSink:
         assert parse_event_lines(b"garbage\n" + whole.encode()) == [
             {"kind": "claimed", "timestamp": 1.0}
         ]
+        # a line that is not UTF-8 is dropped like a torn one
+        mixed = whole.encode() + b'{"kind": "\xff"}\n' + whole.encode()
+        assert [e["kind"] for e in parse_event_lines(mixed)] == ["claimed", "claimed"]
 
 
 # --------------------------------------------------------------------------- #

@@ -386,6 +386,11 @@ class TestCLI:
             ["work", "smoke", "--ttl", "0"],
             ["work", "smoke", "--max-claims", "-3"],
             ["work", "smoke", "--max-attempts", "0"],
+            ["work", "smoke", "--poll", "-5"],
+            ["work", "smoke", "--poll", "nan"],
+            ["status", "--follow", "--poll", "nan"],
+            ["status", "--follow", "--poll", "inf"],
+            ["work", "smoke", "--ttl", "inf"],
         ],
         ids=[
             "interrupt-after=-1",
@@ -393,6 +398,11 @@ class TestCLI:
             "ttl=0",
             "max-claims=-3",
             "max-attempts=0",
+            "work-poll=-5",
+            "work-poll=nan",
+            "status-poll=nan",
+            "status-poll=inf",
+            "ttl=inf",
         ],
     )
     def test_non_positive_hooks_and_ttls_are_usage_errors(self, tmp_path, capsys, argv):

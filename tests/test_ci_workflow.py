@@ -250,10 +250,10 @@ class TestBatchedSolveGate:
         # ... and stores each number of a result once (13.6 KiB a result before)
         assert 'value["scenarios.serialize.result_kib"] <= 9' in guard[0]
         # ... and the bytes put, objects put and objects deleted per drained
-        # unit of the store workload: one event flush, five puts (no spec
-        # object beside the entry) and one lease delete each
+        # unit of the store workload: one compact event flush, five puts (no
+        # spec object beside the entry) and one lease delete each
         assert "--workload store-write --scale smoke --traced" in guard[0]
-        assert 'value["scenarios.backends.put_kib"] / 40 <= 12' in guard[0]
+        assert 'value["scenarios.backends.put_kib"] / 40 <= 10' in guard[0]
         assert 'value["scenarios.backends.delete_calls"] == 40' in guard[0]
         assert 'value["scenarios.backends.put_calls"] <= 202' in guard[0]
         # ... and that a drain stacks by default: the sequential-drain
