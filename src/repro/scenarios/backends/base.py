@@ -44,7 +44,7 @@ The log has one reader, :meth:`StorageBackend._scan_log`: list and read the
 snapshots, list and read the un-folded tail, and re-scan (bounded) when a
 racing fold shows.  :meth:`~StorageBackend.commit_records` orders what it
 read, :meth:`~StorageBackend.commit_log_tail_count` counts its tail and
-:meth:`~StorageBackend.compact` folds it; ``ResultsStore.index_records()``
+:meth:`~StorageBackend.compact` folds it; a ``ResultsStore`` log read
 folds the very scan it answers from when the tail has grown long, so a
 read that folds scans once.  A long-lived log accumulates one object
 per commit forever, so an un-folded log costs O(total commits ever) object
@@ -56,7 +56,8 @@ rewrites the newest key with the union of their records.  So a scan gets
 every listed snapshot and tail object, and a backend instance decodes each
 once per distinct content: a repeated read compares the bytes with those
 its last scan decoded under that key and reuses the records, and a read of
-exactly the keys and bytes of the last scan reuses its commit order too.
+exactly the keys and bytes of the last scan reuses its commit order (and
+``ResultsStore`` its index) too; a record is copied only when a read hands it out.
 The fold is crash-safe by construction:
 
 1. the snapshot (union of every existing snapshot plus the current
@@ -132,15 +133,18 @@ _SCAN_ATTEMPTS = 5
 #: ``(record_key, record)`` pairs as stored inside snapshot objects
 Pairs = list[tuple[str, Any]]
 
+#: one record of a scan's commit order: ``(record_key, record, members)``
+_Ordered = tuple[str, dict[str, Any], tuple[str, ...] | None]
+
 
 class _LogScan(NamedTuple):
-    """One read of the commit log (:meth:`StorageBackend._scan_log`)."""
+    """One read of the commit log (:meth:`StorageBackend._scan_log`), shared: never mutate it."""
 
     #: ``(snapshot_key, pairs)`` of every readable snapshot, oldest first
-    #: (the parsed pairs the backend remembers: read them, never mutate them)
     snapshots: list[tuple[str, Pairs]]
-    #: every record of the snapshots and the tail, in commit order
-    merged: Pairs
+    #: every record of the snapshots and the tail, in commit order: the same
+    #: object on every scan of an unchanged log (:func:`_detached` copies out)
+    order: Sequence[_Ordered]
     #: the keys of the un-folded ``commits/`` objects read, in key order
     tail: list[str]
     #: the ``commits/`` keys listed, folded leftovers included
@@ -155,9 +159,8 @@ def validate_key(key: str) -> str:
     backend is valid on all — and traversal segments (``..``), absolute
     keys and empty segments can never escape a filesystem-backed root.
     """
-    if not key or key.startswith("/") or any(
-        part in ("", ".", "..") for part in key.split("/")
-    ):
+    wrapped = f"/{key}/"  # an empty key or a leading '/' shows as '//' too
+    if "//" in wrapped or "/./" in wrapped or "/../" in wrapped:
         raise ValueError(
             f"invalid storage key {key!r}: keys are relative POSIX paths "
             "without empty, '.' or '..' segments"
@@ -242,10 +245,6 @@ def _parse_snapshot(raw: bytes) -> Pairs | None:
         for pair in pairs
         if isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], dict)
     ]
-
-
-#: one record of a scan's commit order: ``(record_key, record, members)``
-_Ordered = tuple[str, dict[str, Any], tuple[str, ...] | None]
 
 
 class _Decoded(NamedTuple):
@@ -523,10 +522,10 @@ class StorageBackend(ABC):
         superset, and a torn object may become whole); a scan that read
         exactly the keys and bytes of that scan reuses its commit order.
         A scan that ended racing or met a torn or foreign object leaves the
-        instance remembering nothing.  ``merged`` carries copies of the
-        records; ``snapshots`` carries the parsed pairs themselves, which
-        nothing may mutate.  Only dict records are read; anything else is
-        foreign.
+        instance remembering nothing.  The scan copies nothing: ``order``
+        and ``snapshots`` carry the remembered records themselves, which
+        nothing may mutate, so an unchanged log is ordered and decoded once
+        per instance.  Only dict records are read; anything else is foreign.
         """
         last = _SCAN_ATTEMPTS - 1
         for attempt in range(_SCAN_ATTEMPTS):
@@ -578,8 +577,7 @@ class StorageBackend(ABC):
         else:
             order = sorted([*folded.values(), *tail], key=_pair_order)
         self._log_memo = _LogMemo(read, order) if clean and not racing else _NO_MEMO
-        merged = [(k, _detached(rec, members)) for k, rec, members in order]
-        return _LogScan(snapshots, merged, [k for k, _, _ in tail], listed)
+        return _LogScan(snapshots, order, [k for k, _, _ in tail], listed)
 
     def commit_records(self) -> list[dict[str, Any]]:
         """All commit records, oldest first (duplicates preserved).
@@ -589,7 +587,7 @@ class StorageBackend(ABC):
         writer on a skewed clock stamps a misleading key but cannot
         reorder the log.
         """
-        return [rec for _, rec in self._scan_log().merged]
+        return [_detached(rec, members) for _, rec, members in self._scan_log().order]
 
     def commit_log_tail_count(self) -> int:
         """Commit records not yet folded into a snapshot — the number of
@@ -613,9 +611,10 @@ class StorageBackend(ABC):
     def _fold(
         self, scan: _LogScan, grace_seconds: float = DEFAULT_COMPACT_GRACE
     ) -> dict[str, Any]:
-        """:meth:`compact` over a scan already read (``ResultsStore.index_records``
+        """:meth:`compact` over a scan already read (a ``ResultsStore`` log read
         folds the scan it answers from)."""
-        snaps, merged, tail = scan.snapshots, scan.merged, scan.tail
+        snaps, tail = scan.snapshots, scan.tail
+        merged = [(k, rec) for k, rec, _ in scan.order]  # shared records: written, not copied
         report: dict[str, Any] = {
             "url": self.url,
             "snapshot": None,

@@ -48,11 +48,11 @@ Concurrency model — no locks anywhere:
   the log is *merged at read time* — no atomic-append primitive is
   needed, only the plain object API.  Every read of the log — ``entries``,
   ``resolve_hash``, ``wall_times``, ``query``, the drain's scan, ``status``
-  and ``report`` — is one :meth:`ResultsStore.index_records` call, one
-  scan of the log.  Long-lived logs are folded into an immutable
-  ``commit-snapshots/`` checkpoint (:meth:`ResultsStore.compact`; the
-  fold alone runs inside :meth:`ResultsStore.index_records`, over the
-  scan it just read, once the un-folded tail passes
+  and ``report`` — is one scan of the log, indexed once per distinct
+  commit order (:meth:`ResultsStore.index_records`).  Long-lived logs are
+  folded into an immutable ``commit-snapshots/`` checkpoint
+  (:meth:`ResultsStore.compact`; the fold alone runs inside a read, over
+  the scan it just read, once the un-folded tail passes
   :attr:`ResultsStore.auto_compact_tail` records), so reading the log
   stays one snapshot read plus the un-folded tail however many commits
   the store has absorbed.  The
@@ -97,7 +97,7 @@ from repro.scenarios.backends import (
     backend_from_url,
     is_store_url,
 )
-from repro.scenarios.backends.base import decode_object, encode_object
+from repro.scenarios.backends.base import _detached, _Ordered, decode_object, encode_object
 from repro.scenarios.spec import ScenarioSpec, flatten_index_fields
 from repro.utils.logging import get_logger
 
@@ -219,7 +219,12 @@ def _compile_predicate(field: str, op: str, value: Any) -> Callable[[dict[str, A
     alternates = tuple(f"{group}.{field}" for group in _FIELD_GROUPS)
 
     def matches(record: dict[str, Any]) -> bool:
-        key = field if field in record else _resolve_predicate_field(record, field, alternates)
+        key = field if field in record else None
+        for alternate in alternates if key is None else ():
+            if alternate in record:
+                if key is not None:  # ambiguous: raises, naming every match
+                    _resolve_predicate_field(record, field, alternates)
+                key = alternate
         if key is None:
             return False
         actual = record[key]
@@ -232,26 +237,32 @@ def _compile_predicate(field: str, op: str, value: Any) -> Callable[[dict[str, A
     return matches
 
 
-def _winning_records(records: Iterable[dict[str, Any]]) -> dict[str, dict[str, Any]]:
-    """hash -> the log record whose entry state should be live.
+def _winning_records(order: Iterable[_Ordered]) -> dict[str, _Ordered]:
+    """hash -> the ``(record_key, record, members)`` holding its live entry state.
 
     Mirrors the store's no-downgrade commit rule: per hash the last
     *completed* record wins (a later failed/interrupted re-run never
     overwrites completed work), and non-completed records only stand in
     while no completed record exists.
     """
-    winners: dict[str, dict[str, Any]] = {}
+    winners: dict[str, _Ordered] = {}
     completed: set[str] = set()
-    for rec in records:
+    for item in order:
+        rec = item[1]
         h = rec.get("spec_hash")
         if not h:
             continue
         if rec.get("status") == "completed":
-            winners[h] = rec
+            winners[h] = item
             completed.add(h)
         elif h not in completed:
-            winners[h] = rec
+            winners[h] = item
     return winners
+
+
+def _created_order(record: Mapping[str, Any]) -> tuple[float, str]:
+    """Oldest first: creation time (absent or ``null`` as 0), then hash."""
+    return (record.get("created_at_unix") or 0.0, record.get("spec_hash") or "")
 
 
 def record_wall_times(records: Mapping[str, Mapping[str, Any]]) -> dict[str, float]:
@@ -305,7 +316,7 @@ class ResultsStore:
     LEASE_PREFIX = "leases"
     EVENTS_PREFIX = "events"
 
-    #: un-folded commit records :meth:`index_records` tolerates before
+    #: un-folded commit records a log read (:meth:`_winners`) tolerates before
     #: folding the log into a snapshot (see :meth:`compact`)
     auto_compact_tail = 512
 
@@ -325,6 +336,8 @@ class ResultsStore:
             self.backend = LocalFSBackend(root)
         #: backing directory for file:// stores, ``None`` otherwise
         self.root = self.backend.local_root
+        #: the last commit order a log scan handed back, and its winners
+        self._last_winners: tuple[object, dict[str, _Ordered]] = (None, {})
 
     @classmethod
     def open(cls, url: StorageBackend | str | os.PathLike[str]) -> "ResultsStore":
@@ -487,7 +500,7 @@ class ResultsStore:
         ``entry.json`` (the log record is never trusted for content).
         Hashes whose entry object vanished (pruned directory) are dropped.
         """
-        return {h: entry for h in self.index_records() if (entry := self.entry(h)) is not None}
+        return {h: entry for h in self._winners() if (entry := self.entry(h)) is not None}
 
     def compact(self, grace_seconds: float | None = None) -> dict[str, Any]:
         """Fold the commit log into one immutable snapshot checkpoint, and
@@ -551,7 +564,7 @@ class ResultsStore:
     def entries(self) -> list[dict[str, Any]]:
         """All committed entries, oldest first."""
         entries = list(self.index().values())
-        entries.sort(key=lambda e: e.get("created_at_unix", 0.0))
+        entries.sort(key=_created_order)
         return entries
 
     def entry(self, spec_or_hash: ScenarioSpec | str) -> dict[str, Any] | None:
@@ -577,10 +590,10 @@ class ResultsStore:
             entry = self.entry(prefix)
             if entry is not None and entry.get("spec_hash") == prefix:
                 return prefix
-            if prefix in self.index_records() or prefix in self.reindex():
+            if prefix in self._winners() or prefix in self.reindex():
                 return prefix
             raise KeyError(f"no store entry matches hash {prefix!r}")
-        matches = sorted(h for h in self.index_records() if h.startswith(prefix))
+        matches = sorted(h for h in self._winners() if h.startswith(prefix))
         if not matches:
             matches = sorted(h for h in self.reindex() if h.startswith(prefix))
         if not matches:
@@ -602,26 +615,34 @@ class ResultsStore:
         300s with its 2s partial and invert the order.  Partial times
         still stand in when no completed run exists (they are a lower
         bound on the scenario's true cost).  No ``entry.json`` object is
-        opened for this.
+        opened and no record copied for this.
         """
-        return record_wall_times(self.index_records())
+        return record_wall_times({h: rec for h, (_, rec, _) in self._winners().items()})
 
     # ------------------------------------------------------------------ #
     # queries over the commit log
     # ------------------------------------------------------------------ #
     def index_records(self) -> dict[str, dict[str, Any]]:
-        """hash -> its winning commit record (see :func:`index_record`), in
-        log order of each hash's first appearance.
+        """hash -> a copy of its winning commit record (see :func:`index_record`),
+        in log order of each hash's first appearance.
 
         One scan of the log — one snapshot read plus the un-folded tail —
         and no ``entry.json`` read: a commit is fully queryable the moment
-        it lands, compacted or not.  When the scan's tail has outgrown
-        :attr:`auto_compact_tail`, that same scan is folded into a snapshot
-        so the *next* read stays cheap: the fold only (a read must not pay
-        :meth:`compact`'s checkpoint listing), best-effort housekeeping that
-        never fails the read itself.  A hash whose scenario directory was
-        pruned keeps its record — the log does not know — until the log is
-        rebuilt (``clear_commit_log`` + :meth:`reindex`).
+        it lands, compacted or not.  An unchanged log is indexed once per
+        store instance (:meth:`_winners`); each call copies the records.
+        """
+        return {h: _detached(rec, members) for h, (_, rec, members) in self._winners().items()}
+
+    def _winners(self) -> dict[str, _Ordered]:
+        """hash -> the winning ``(record_key, record, members)`` of one log scan,
+        shared with the backend's memo (never mutate it) and recomputed only
+        when the scan hands back another commit order.  When the scan's
+        tail has outgrown :attr:`auto_compact_tail`, that same scan is folded
+        into a snapshot so the *next* read stays cheap: the fold only (a read
+        must not pay :meth:`compact`'s checkpoint listing), best-effort
+        housekeeping that never fails the read itself.  A hash whose scenario
+        directory was pruned keeps its record — the log does not know — until
+        the log is rebuilt (``clear_commit_log`` + :meth:`reindex`).
         """
         scan = self.backend._scan_log()
         if len(scan.tail) > self.auto_compact_tail:
@@ -635,7 +656,11 @@ class ResultsStore:
                 )
             except Exception as exc:  # repro: allow[broad-except] -- never fail the read
                 logger.warning("auto-compaction of %s failed: %s", self.url, exc)
-        return _winning_records(rec for _, rec in scan.merged)
+        order, winners = self._last_winners  # one read: threads may share the store
+        if scan.order is not order:
+            winners = _winning_records(scan.order)
+            self._last_winners = (scan.order, winners)
+        return winners
 
     def query(
         self,
@@ -650,26 +675,27 @@ class ResultsStore:
         ``(field, op, value)`` triples.  Bare field names search the
         ``calibration.``/``solver.``/``params.`` groups; ``status`` and
         ``hash_prefix`` are convenience filters for the two most common
-        axes.  Returns matching records oldest-first (creation time, then
-        hash).  Cost is :meth:`index_records`' — O(snapshot + un-folded
-        tail) backend reads, no per-entry objects.
+        axes.  Returns copies of the matching records oldest-first (creation
+        time, then hash).  Reads what :meth:`index_records` reads — O(snapshot
+        and un-folded tail) objects, no entry — but copies only the hits.
         """
         tests = [
             _compile_predicate(*(parse_predicate(w) if isinstance(w, str) else w[:3]))
             for w in where
         ]
         hash_prefix = str(hash_prefix) if hash_prefix else ""
+        winners = self._winners()
         hits = [
             rec
-            for h, rec in self.index_records().items()
+            for h, (_, rec, _) in winners.items()
             if h.startswith(hash_prefix) and (status is None or rec.get("status") == status)
         ]
         # a predicate tests only the records the previous ones kept, so an
         # ambiguous field raises exactly when a per-record conjunction would
         for matches in tests:
             hits = [rec for rec in hits if matches(rec)]
-        hits.sort(key=lambda r: (r.get("created_at_unix") or 0.0, r.get("spec_hash") or ""))
-        return hits
+        hits.sort(key=_created_order)
+        return [_detached(rec, winners[rec["spec_hash"]][2]) for rec in hits]
 
     def entry_is_complete(self, entry: dict[str, Any] | None) -> bool:
         """Whether an entry denotes a completed, readable result.
@@ -826,7 +852,7 @@ class ResultsStore:
                 # carry hash/name/status, so a store with hundreds of
                 # checkpoints costs zero per-scenario entry reads here
                 index_by_dir = {
-                    h[:_DIR_HASH_CHARS]: rec for h, rec in self.index_records().items()
+                    h[:_DIR_HASH_CHARS]: rec for h, (_, rec, _) in self._winners().items()
                 }
             entry = index_by_dir.get(directory) or self.entry(directory) or {}
             try:

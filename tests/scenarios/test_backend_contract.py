@@ -21,6 +21,8 @@ import time
 import types
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.parallel.tracing import EventRecorder
 from repro.scenarios import (
@@ -48,6 +50,7 @@ from repro.scenarios.backends.base import (
     encode_object,
     read_snapshot,
     snapshot_key_for,
+    validate_key,
     write_snapshot,
 )
 from repro.scenarios.batching import solve_batch_and_commit
@@ -255,6 +258,23 @@ class TestObjectContract:
             with pytest.raises(ValueError, match="key"):
                 backend.mtime(key)
         assert not outside.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["a", ".", "..", "/", ""]), max_size=8).map("".join))
+    @example("")
+    @example("a/")
+    @example("...")
+    @example("a/./.")
+    @example("../..")
+    def test_the_key_grammar_is_the_segment_rule(self, key):
+        """A key is valid iff it is non-empty, relative, and splits on '/'
+        into no empty, '.' or '..' segment."""
+        bad_segment = any(part in ("", ".", "..") for part in key.split("/"))
+        if not key or key.startswith("/") or bad_segment:
+            with pytest.raises(ValueError, match="invalid storage key"):
+                validate_key(key)
+        else:
+            assert validate_key(key) == key
 
     @pytest.mark.parametrize(
         "cls", [LocalFSBackend, MemoryBackend, ObjectStoreBackend, FaultInjectingBackend]
@@ -515,6 +535,15 @@ class TestStoreContract:
         assert set(fresh.index()) == {spec.content_hash()}
         assert fresh.load_payload(spec) == {"ok": True}
         assert fresh.load_spec(spec) == spec
+
+    def test_entries_and_query_sort_a_null_creation_time_as_zero(self, store):
+        """Oldest first, ties on the hash: an entry whose ``created_at_unix``
+        is null (or absent) sorts as time 0 in ``entries`` as in ``query``."""
+        for h, created in (("h-b", 5.0), ("h-c", None), ("h-a", None), ("h-0", 0.0)):
+            store.commit_entry({"spec_hash": h, "status": "failed", "created_at_unix": created})
+        order = ["h-0", "h-a", "h-c", "h-b"]
+        assert [e["spec_hash"] for e in store.entries()] == order
+        assert [r["spec_hash"] for r in store.query()] == order
 
     def test_last_writer_wins_per_hash(self, store):
         spec = _payload_spec(0)
@@ -919,14 +948,61 @@ def _recorded_sorts(monkeypatch):
         yield keyed
 
 
+@contextlib.contextmanager
+def _recorded_indexing(monkeypatch):
+    """Record every commit order the store puts through ``_winning_records``."""
+    orders: list = []
+
+    def winning(order):
+        orders.append(order)
+        return real(order)
+
+    real = store_module._winning_records
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "_winning_records", winning)
+        yield orders
+
+
+def _brute_force_winners(store) -> dict:
+    """``_winning_records`` over a fresh copy of every commit record."""
+    order = [("", rec, None) for rec in store.log_records()]
+    return {h: rec for h, (_, rec, _) in store_module._winning_records(order).items()}
+
+
+def _mutate(records) -> None:
+    """Change every record in place: its scalars and its nested lists and dicts."""
+    for rec in records:
+        for value in rec.values():
+            if isinstance(value, list):
+                value.append("mutated")
+            elif isinstance(value, dict):
+                value["mutated"] = True
+        rec["status"] = "mutated"
+        rec.pop("wall_time")
+
+
+#: what each reader of a store hands out, as a list of records
+_READERS = {
+    "index_records": lambda store, specs: list(store.index_records().values()),
+    "commit_records": lambda store, specs: store.backend.commit_records(),
+    "query": lambda store, specs: store.query(),
+    "entries": lambda store, specs: store.entries(),
+    "run_suite": lambda store, specs: [
+        outcome.entry
+        for outcome in run_suite(ScenarioSuite("mutated", specs), store).outcomes
+        if outcome.status == "skipped"
+    ],
+}
+
 _TAIL_KEY = "commits/0000001001.000000-000000000000.json"
 
 
 class TestSnapshotMemo:
     """A backend instance decodes each snapshot and tail object content
     once: a repeated read reuses the parsed records while the bytes are
-    unchanged (and the commit order while every key and byte is), and
-    hands out records that do not alias what it keeps."""
+    unchanged (and the commit order while every key and byte is, and a
+    store its index of that order), and hands out records that do not
+    alias what it keeps."""
 
     def _fill(self, store, n=4, tail=2):
         specs = [_payload_spec(i).with_overrides(tags=("t",)) for i in range(n + tail)]
@@ -1008,17 +1084,71 @@ class TestSnapshotMemo:
         backend.put(key, b"\x80\x81")
         assert backend.commit_records() == []
 
-    def test_mutating_what_a_read_returned_leaves_the_next_read_unchanged(self, store):
-        self._fill(store, n=4, tail=2)
-        index, log, hits = store.index_records(), store.log_records(), store.query()
-        pristine = copy.deepcopy((index, log, hits))
-        assert len(log) == 6 and all(rec["tags"] == ["t"] for rec in log)
-        for records in (list(index.values()), log, hits):
-            for rec in records:
-                rec["tags"].append("mutated")
-                rec["status"] = "mutated"
-                rec.pop("wall_time")
-        assert (store.index_records(), store.log_records(), store.query()) == pristine
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_mutating_what_a_read_returned_leaves_the_next_read_unchanged(self, store, reader):
+        specs = self._fill(store, n=4, tail=2)
+        pristine = {name: copy.deepcopy(read(store, specs)) for name, read in _READERS.items()}
+        handed = _READERS[reader](store, specs)
+        assert len(handed) == 6 and all(rec["tags"] == ["t"] for rec in handed)
+        _mutate(handed)
+        assert {name: read(store, specs) for name, read in _READERS.items()} == pristine
+
+    def test_an_unchanged_log_is_indexed_once(self, store, monkeypatch):
+        specs = self._fill(store)
+        first = store.index_records()
+        with _recorded_indexing(monkeypatch) as orders:
+            assert store.index_records() == first
+            assert [r["spec_hash"] for r in store.query()] == [s.content_hash() for s in specs]
+            assert len(store.query(where=["which=partition"], status="completed")) == len(specs)
+            assert set(store.wall_times()) == set(first)
+            assert list(store.index()) == list(first)
+            assert store.resolve_hash(specs[0].content_hash()[:12]) == specs[0].content_hash()
+        assert orders == []
+
+    @pytest.mark.parametrize(
+        "change", ["second-store-commit", "fold", "rewritten-tail", "racing-scan"]
+    )
+    def test_a_changed_log_is_indexed_afresh(self, store, monkeypatch, change):
+        """Whatever changes the log, the next read indexes the new commit
+        order: its records equal a brute-force index of the log."""
+        self._fill(store)
+        stale = store.index_records()
+        other = ResultsStore.open(store.url)
+        late = _payload_spec(9).with_overrides(tags=("t",))
+        with monkeypatch.context() as patch:
+            if change == "second-store-commit":
+                other.commit_entry(other.write_payload(late, {}, wall_time=3.0))
+            elif change == "fold":
+                other.backend.compact(grace_seconds=0)
+            elif change == "rewritten-tail":
+                key = store.backend.list(COMMIT_LOG_PREFIX)[-1]
+                record = json.loads(store.backend.get(key))
+                store.backend.put(key, encode_object({**record, "status": "failed"}))
+            else:  # a commit lands and a fold deletes the tail this scan listed
+                listing, tail_listings = store.backend.list, []
+
+                def list_then_fold(prefix=""):
+                    keys = listing(prefix)
+                    if prefix == COMMIT_LOG_PREFIX:
+                        tail_listings.append(keys)
+                        if len(tail_listings) == 1:
+                            other.commit_entry(other.write_payload(late, {}, wall_time=3.0))
+                            other.backend.compact(grace_seconds=0)
+                    return keys
+
+                patch.setattr(store.backend, "list", list_then_fold)
+            with _recorded_indexing(monkeypatch) as orders:
+                index = store.index_records()
+            if change == "racing-scan":
+                assert len(tail_listings) == 2 and tail_listings[1] == []  # re-scanned
+        assert len(orders) == 1
+        assert list(index) == list(_brute_force_winners(store))
+        assert index == _brute_force_winners(store)
+        assert (index != stale) == (change != "fold")
+        with _recorded_indexing(monkeypatch) as orders:
+            assert store.index_records() == index
+            assert store.query() == sorted(index.values(), key=store_module._created_order)
+        assert orders == []
 
     def test_a_record_nesting_containers_is_copied_whole(self, backend):
         record = {"spec_hash": "h", "nested": {"grid": [[1, 2]]}, "tags": ["t"]}

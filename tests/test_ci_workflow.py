@@ -261,11 +261,12 @@ class TestBatchedSolveGate:
         assert "--workload seq-drain-l2 --scale smoke --traced" in guard[0]
         assert 'value["core.batched.calls"] == 1' in guard[0]
         assert 'value["core.time_iteration.calls"] == 0' in guard[0]
-        # ... and the read path's gets and lists: a repeated log read
-        # decodes less, never reads or lists less than it must
+        # ... and the read path's gets, lists and exists: a repeated log
+        # read decodes and indexes less, never reads or lists less than it must
         assert "--workload store-read --scale smoke --traced" in guard[0]
         assert 'value["scenarios.backends.get_calls"] <= 641' in guard[0]
         assert 'value["scenarios.backends.list_calls"] <= 45' in guard[0]
+        assert 'value["scenarios.backends.exists_calls"] <= 40' in guard[0]
         assert guard[0].count('result["failed"] == 0') == 4
 
     def test_bench_job_compares_the_solve_bits_with_the_base(self, workflow):
